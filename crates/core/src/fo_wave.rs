@@ -405,7 +405,7 @@ pub fn solve_first_order_wave(
         None => (f64::NAN, Vec::new()),
     };
 
-    let mut metrics = accel.with(|d| d.metrics().clone());
+    let mut metrics = accel.metrics();
     let fo_counters = fo.take_metrics();
     metrics.merge(&fo_counters);
     metrics.merge(&cleanup.take_metrics());

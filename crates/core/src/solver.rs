@@ -161,6 +161,8 @@ impl PolicyImpl {
 /// The branch-and-cut MIP solver, generic over the LP engine.
 pub struct MipSolver<E: SimplexEngine> {
     instance: MipInstance,
+    /// `instance.integral_indices()`, computed once at construction.
+    integral: Vec<usize>,
     cfg: MipConfig,
     factory: Box<dyn Fn(&DenseMatrix) -> LpResult<E>>,
     host: Accel,
@@ -248,6 +250,7 @@ impl<E: SimplexEngine> MipSolver<E> {
         // Per-node device footprint: branch bounds + a basis snapshot.
         let node_bytes = (instance.num_cons() + 2 * instance.num_vars()) * 8 + 128;
         Self {
+            integral: instance.integral_indices(),
             instance,
             cfg,
             factory: Box::new(factory),
@@ -642,7 +645,7 @@ impl<E: SimplexEngine> MipSolver<E> {
                                                            // warm-starts the root relaxation like a parent basis would.
         if let Some(seed) = &self.cfg.warm_solution {
             let mut p = seed.clone();
-            for j in self.instance.integral_indices() {
+            for &j in &self.integral {
                 if let Some(v) = p.get_mut(j) {
                     *v = v.round();
                 }
@@ -989,7 +992,7 @@ impl<E: SimplexEngine> MipSolver<E> {
     ) -> bool {
         // Round integral variables for exact reporting; verify.
         let mut p = x.to_vec();
-        for j in self.instance.integral_indices() {
+        for &j in &self.integral {
             p[j] = p[j].round();
         }
         let point = if self.instance.is_integer_feasible(&p, 1e-5) {

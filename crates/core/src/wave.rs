@@ -443,7 +443,7 @@ pub fn solve_batched_wave(
         None => (f64::NAN, Vec::new()),
     };
 
-    let mut metrics = accel.with(|d| d.metrics().clone());
+    let mut metrics = accel.metrics();
     metrics.merge(wave.metrics());
     let wave_counters = wave.metrics().clone();
     for lane in &mut lanes {

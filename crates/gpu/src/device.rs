@@ -20,14 +20,14 @@
 
 use crate::cost::{flops, CostModel};
 use crate::memory::{DeviceMemory, OutOfMemory};
-use crate::stats::DeviceStats;
+use crate::objects::{BufferPool, Obj, ObjectTable};
+use crate::stats::{DeviceStats, Ledger, Series};
 use crate::stream::{Event as StreamEvent, StreamId, StreamSet};
 use gmip_linalg::{
     batch as lbatch, CholeskyFactors, CsrMatrix, DenseMatrix, EtaFile, LinalgError, LuFactors,
     SparseEtaFile, SparseLu,
 };
-use gmip_trace::{names, Event, MetricsRegistry, Track, TrackGroup};
-use std::collections::HashMap;
+use gmip_trace::{Event, MetricsRegistry, Track, TrackGroup};
 
 /// Errors surfaced by device operations.
 #[derive(Debug, Clone, PartialEq)]
@@ -117,19 +117,6 @@ handle_type!(
     RawHandle
 );
 
-#[derive(Debug)]
-enum Obj {
-    Matrix(DenseMatrix),
-    Cholesky(CholeskyFactors),
-    Vector(Vec<f64>),
-    Factors(LuFactors),
-    Sparse(CsrMatrix),
-    SparseFactors(SparseLu),
-    Eta(EtaFile),
-    SparseEta(SparseEtaFile),
-    Raw,
-}
-
 /// Configuration of a simulated device.
 #[derive(Debug, Clone)]
 pub struct DeviceConfig {
@@ -162,15 +149,31 @@ impl DeviceConfig {
 }
 
 /// A simulated accelerator device.
+///
+/// Simulating an operation is meant to cost next to nothing beside the
+/// numerics it stands for, so the bookkeeping is O(1) and allocation-free:
+///
+/// * the `gpu.*` series live in a fixed-slot ledger bumped by index and
+///   turned into a [`MetricsRegistry`] / [`DeviceStats`] only when
+///   [`metrics`](Self::metrics) / [`stats`](Self::stats) are read;
+/// * handles index a generation-checked slab, so a lookup never hashes and
+///   a stale or wrong-typed handle is still [`GpuError::InvalidHandle`];
+/// * the host buffers behind freed device vectors are recycled through a
+///   small bounded pool that kernel results and uploads draw from.
+///
+/// None of this is visible in simulated time, counters or device bytes:
+/// [`DeviceMemory`] models every object as if its buffer were fresh.
 #[derive(Debug)]
 pub struct GpuDevice {
     cost: CostModel,
     mem: DeviceMemory,
     streams: StreamSet,
-    registry: MetricsRegistry,
+    ledger: Ledger,
     track: TrackGroup,
-    objects: HashMap<u64, (Obj, usize)>,
-    next_id: u64,
+    objects: ObjectTable,
+    pool: BufferPool,
+    /// Scratch for kernels that need a temporary beside their result.
+    work: Vec<f64>,
 }
 
 impl GpuDevice {
@@ -180,10 +183,11 @@ impl GpuDevice {
             cost: config.cost,
             mem: DeviceMemory::new(config.mem_capacity),
             streams: StreamSet::new(config.streams),
-            registry: MetricsRegistry::new(),
+            ledger: Ledger::default(),
             track: TrackGroup::Gpu(0),
-            objects: HashMap::new(),
-            next_id: 1,
+            objects: ObjectTable::default(),
+            pool: BufferPool::default(),
+            work: Vec::new(),
         }
     }
 
@@ -197,17 +201,24 @@ impl GpuDevice {
         &self.mem
     }
 
-    /// Cumulative operation counters, materialized from the metrics
-    /// registry (the registry is the ledger of record; [`DeviceStats`] is
-    /// the stable reporting view over it).
+    /// Cumulative operation counters, read straight off the ledger.
     pub fn stats(&self) -> DeviceStats {
-        DeviceStats::from_registry(&self.registry)
+        self.ledger.stats()
     }
 
-    /// The device's metrics registry (counters/gauges under the `gpu.*`
-    /// names of [`gmip_trace::names`]).
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.registry
+    /// The device's metrics (counters/gauges under the `gpu.*` names of
+    /// [`gmip_trace::names`]), materialized from the ledger: exactly the
+    /// series charged so far, each with the bits a registry updated per
+    /// operation would hold.
+    pub fn metrics(&self) -> MetricsRegistry {
+        self.ledger.to_registry()
+    }
+
+    /// Host bytes held by the recycling pool of freed vector buffers —
+    /// bounded by a constant times the largest vector the device has seen.
+    /// Says nothing about modelled device memory (see [`Self::memory`]).
+    pub fn pool_retained_bytes(&self) -> usize {
+        self.pool.retained_bytes()
     }
 
     /// Assigns the trace track group this device's spans land on (which
@@ -245,7 +256,7 @@ impl GpuDevice {
     /// Synchronizes all streams; returns the joined timestamp.
     pub fn synchronize(&mut self) -> f64 {
         let t = self.streams.sync();
-        self.registry.incr(names::GPU_SYNCS, 1.0);
+        self.ledger.incr(Series::Syncs, 1.0);
         let track = self.track;
         gmip_trace::record(|| {
             Event::instant(
@@ -264,12 +275,15 @@ impl GpuDevice {
 
     fn insert(&mut self, obj: Obj, bytes: usize) -> Result<u64> {
         self.mem.alloc(bytes)?;
-        self.registry
-            .max_gauge(names::GPU_MEM_PEAK_BYTES, self.mem.used() as f64);
-        let id = self.next_id;
-        self.next_id += 1;
-        self.objects.insert(id, (obj, bytes));
-        Ok(id)
+        self.ledger
+            .max_gauge(Series::MemPeakBytes, self.mem.used() as f64);
+        Ok(self.objects.insert(obj, bytes))
+    }
+
+    /// Installs a kernel's result vector as a new device object.
+    fn insert_vector(&mut self, v: Vec<f64>) -> Result<VectorHandle> {
+        let bytes = v.len() * 8;
+        Ok(VectorHandle(self.insert(Obj::Vector(v), bytes)?))
     }
 
     /// Emits a span for an operation that occupied `[done - t, done)` on
@@ -288,86 +302,37 @@ impl GpuDevice {
     fn charge_h2d(&mut self, bytes: usize, stream: StreamId) {
         let t = self.cost.transfer_ns(bytes);
         let done = self.streams.enqueue(stream, t);
-        self.registry.incr(names::GPU_H2D_TRANSFERS, 1.0);
-        self.registry.incr(names::GPU_H2D_BYTES, bytes as f64);
-        self.registry.incr(names::GPU_TRANSFER_NS, t);
+        self.ledger.incr(Series::H2dTransfers, 1.0);
+        self.ledger.incr(Series::H2dBytes, bytes as f64);
+        self.ledger.incr(Series::TransferNs, t);
         self.trace_span("h2d", stream, done, t, bytes as f64);
     }
 
     fn charge_d2h(&mut self, bytes: usize, stream: StreamId) {
         let t = self.cost.transfer_ns(bytes);
         let done = self.streams.enqueue(stream, t);
-        self.registry.incr(names::GPU_D2H_TRANSFERS, 1.0);
-        self.registry.incr(names::GPU_D2H_BYTES, bytes as f64);
-        self.registry.incr(names::GPU_TRANSFER_NS, t);
+        self.ledger.incr(Series::D2hTransfers, 1.0);
+        self.ledger.incr(Series::D2hBytes, bytes as f64);
+        self.ledger.incr(Series::TransferNs, t);
         self.trace_span("d2h", stream, done, t, bytes as f64);
     }
 
     fn charge_dense_kernel(&mut self, name: &'static str, fl: f64, bytes: f64, stream: StreamId) {
         let t = self.cost.dense_kernel_ns(fl, bytes);
         let done = self.streams.enqueue(stream, t);
-        self.registry.incr(names::GPU_KERNEL_LAUNCHES, 1.0);
-        self.registry.incr(names::GPU_KERNEL_FLOPS, fl);
-        self.registry.incr(names::GPU_KERNEL_NS, t);
+        self.ledger.incr(Series::KernelLaunches, 1.0);
+        self.ledger.incr(Series::KernelFlops, fl);
+        self.ledger.incr(Series::KernelNs, t);
         self.trace_span(name, stream, done, t, bytes);
     }
 
     fn charge_sparse_kernel(&mut self, name: &'static str, fl: f64, bytes: f64, stream: StreamId) {
         let t = self.cost.sparse_kernel_ns(fl, bytes);
         let done = self.streams.enqueue(stream, t);
-        self.registry.incr(names::GPU_KERNEL_LAUNCHES, 1.0);
-        self.registry.incr(names::GPU_KERNEL_FLOPS, fl);
-        self.registry.incr(names::GPU_KERNEL_NS, t);
+        self.ledger.incr(Series::KernelLaunches, 1.0);
+        self.ledger.incr(Series::KernelFlops, fl);
+        self.ledger.incr(Series::KernelNs, t);
         self.trace_span(name, stream, done, t, bytes);
-    }
-
-    fn matrix(&self, h: MatrixHandle) -> Result<&DenseMatrix> {
-        match self.objects.get(&h.0) {
-            Some((Obj::Matrix(m), _)) => Ok(m),
-            _ => Err(GpuError::InvalidHandle(h.0)),
-        }
-    }
-
-    fn vector(&self, h: VectorHandle) -> Result<&Vec<f64>> {
-        match self.objects.get(&h.0) {
-            Some((Obj::Vector(v), _)) => Ok(v),
-            _ => Err(GpuError::InvalidHandle(h.0)),
-        }
-    }
-
-    fn factors(&self, h: FactorHandle) -> Result<&LuFactors> {
-        match self.objects.get(&h.0) {
-            Some((Obj::Factors(f), _)) => Ok(f),
-            _ => Err(GpuError::InvalidHandle(h.0)),
-        }
-    }
-
-    fn sparse(&self, h: SparseHandle) -> Result<&CsrMatrix> {
-        match self.objects.get(&h.0) {
-            Some((Obj::Sparse(s), _)) => Ok(s),
-            _ => Err(GpuError::InvalidHandle(h.0)),
-        }
-    }
-
-    fn sparse_factors(&self, h: SparseFactorHandle) -> Result<&SparseLu> {
-        match self.objects.get(&h.0) {
-            Some((Obj::SparseFactors(f), _)) => Ok(f),
-            _ => Err(GpuError::InvalidHandle(h.0)),
-        }
-    }
-
-    fn eta(&self, h: EtaHandle) -> Result<&EtaFile> {
-        match self.objects.get(&h.0) {
-            Some((Obj::Eta(e), _)) => Ok(e),
-            _ => Err(GpuError::InvalidHandle(h.0)),
-        }
-    }
-
-    fn sparse_eta(&self, h: SparseEtaHandle) -> Result<&SparseEtaFile> {
-        match self.objects.get(&h.0) {
-            Some((Obj::SparseEta(e), _)) => Ok(e),
-            _ => Err(GpuError::InvalidHandle(h.0)),
-        }
     }
 
     /// Charges a host↔device transfer of `bytes` without moving payload —
@@ -420,10 +385,11 @@ impl GpuDevice {
 
     /// Uploads a dense vector (one H2D transfer).
     pub fn upload_vector(&mut self, v: &[f64], stream: StreamId) -> Result<VectorHandle> {
-        let bytes = std::mem::size_of_val(v);
-        let id = self.insert(Obj::Vector(v.to_vec()), bytes)?;
-        self.charge_h2d(bytes, stream);
-        Ok(VectorHandle(id))
+        let mut buf = self.pool.take(v.len());
+        buf.copy_from_slice(v);
+        let h = self.insert_vector(buf)?;
+        self.charge_h2d(std::mem::size_of_val(v), stream);
+        Ok(h)
     }
 
     /// Uploads a CSR sparse matrix (one H2D transfer of values + indices).
@@ -443,7 +409,7 @@ impl GpuDevice {
 
     /// Downloads a device matrix to the host (one D2H transfer).
     pub fn download_matrix(&mut self, h: MatrixHandle, stream: StreamId) -> Result<DenseMatrix> {
-        let m = self.matrix(h)?.clone();
+        let m = self.objects.matrix(h)?.clone();
         self.charge_d2h(m.size_bytes(), stream);
         Ok(m)
     }
@@ -455,23 +421,26 @@ impl GpuDevice {
         h: SparseHandle,
         stream: StreamId,
     ) -> Result<CsrMatrix> {
-        let m = self.sparse(h)?.clone();
+        let m = self.objects.sparse(h)?.clone();
         self.charge_d2h(m.size_bytes(), stream);
         Ok(m)
     }
 
     /// Downloads a device vector (one D2H transfer).
     pub fn download_vector(&mut self, h: VectorHandle, stream: StreamId) -> Result<Vec<f64>> {
-        let v = self.vector(h)?.clone();
+        let v = self.objects.vector(h)?.clone();
         self.charge_d2h(std::mem::size_of_val(v.as_slice()), stream);
         Ok(v)
     }
 
     /// Frees any device object by raw id (all handle types deref to ids).
     pub fn free(&mut self, id: u64) -> Result<()> {
-        match self.objects.remove(&id) {
-            Some((_, bytes)) => {
+        match self.objects.remove(id) {
+            Some((obj, bytes)) => {
                 self.mem.free(bytes);
+                if let Obj::Vector(buf) = obj {
+                    self.pool.put(buf);
+                }
                 Ok(())
             }
             None => Err(GpuError::InvalidHandle(id)),
@@ -519,7 +488,7 @@ impl GpuDevice {
         cols: &[usize],
         stream: StreamId,
     ) -> Result<MatrixHandle> {
-        let src = self.matrix(h)?;
+        let src = self.objects.matrix(h)?;
         let rows = src.rows();
         for &c in cols {
             if c >= src.cols() {
@@ -544,7 +513,7 @@ impl GpuDevice {
 
     /// LU-factorizes a device matrix (cuSOLVER `getrf`-class kernel).
     pub fn lu_factor(&mut self, h: MatrixHandle, stream: StreamId) -> Result<FactorHandle> {
-        let m = self.matrix(h)?;
+        let m = self.objects.matrix(h)?;
         let n = m.rows();
         let f = LuFactors::factorize(m)?;
         let bytes = m.size_bytes() + n * std::mem::size_of::<usize>();
@@ -556,7 +525,7 @@ impl GpuDevice {
     /// Cholesky-factorizes a device-resident SPD matrix (the cuSOLVER
     /// `potrf`-class kernel; (1/3)n³ flops — half of LU).
     pub fn cholesky_factor(&mut self, h: MatrixHandle, stream: StreamId) -> Result<CholeskyHandle> {
-        let m = self.matrix(h)?;
+        let m = self.objects.matrix(h)?;
         let n = m.rows();
         let mbytes = m.size_bytes();
         let f = CholeskyFactors::factorize(m)?;
@@ -573,11 +542,8 @@ impl GpuDevice {
         stream: StreamId,
     ) -> Result<VectorHandle> {
         let x = {
-            let fac = match self.objects.get(&f.0) {
-                Some((Obj::Cholesky(c), _)) => c,
-                _ => return Err(GpuError::InvalidHandle(f.0)),
-            };
-            let rhs = self.vector(b)?;
+            let fac = self.objects.cholesky(f)?;
+            let rhs = self.objects.vector(b)?;
             fac.solve(rhs)?
         };
         let n = x.len();
@@ -587,8 +553,7 @@ impl GpuDevice {
             (n * n * 8) as f64,
             stream,
         );
-        let id = self.insert(Obj::Vector(x), n * 8)?;
-        Ok(VectorHandle(id))
+        self.insert_vector(x)
     }
 
     /// Solves `A x = b` for a device-resident rhs; result stays on device.
@@ -598,16 +563,13 @@ impl GpuDevice {
         b: VectorHandle,
         stream: StreamId,
     ) -> Result<VectorHandle> {
-        let x = {
-            let fac = self.factors(f)?;
-            let rhs = self.vector(b)?;
-            fac.solve(rhs)?
-        };
-        let n = x.len();
+        let fac = self.objects.factors(f)?;
+        let rhs = self.objects.vector(b)?;
+        let n = fac.dim();
+        let mut x = self.pool.take(n);
+        fac.solve_into(rhs, &mut x)?;
         self.charge_dense_kernel("lu_solve", flops::lu_solve(n), (n * n * 8) as f64, stream);
-        let bytes = n * 8;
-        let id = self.insert(Obj::Vector(x), bytes)?;
-        Ok(VectorHandle(id))
+        self.insert_vector(x)
     }
 
     /// Solves `Aᵀ x = b` (BTRAN-style) for a device-resident rhs.
@@ -617,20 +579,19 @@ impl GpuDevice {
         b: VectorHandle,
         stream: StreamId,
     ) -> Result<VectorHandle> {
-        let x = {
-            let fac = self.factors(f)?;
-            let rhs = self.vector(b)?;
-            fac.solve_transposed(rhs)?
-        };
-        let n = x.len();
+        let fac = self.objects.factors(f)?;
+        let rhs = self.objects.vector(b)?;
+        let n = fac.dim();
+        let mut x = self.pool.take(n);
+        self.work.resize(n, 0.0);
+        fac.solve_transposed_into(rhs, &mut self.work, &mut x)?;
         self.charge_dense_kernel(
             "lu_solve_transposed",
             flops::lu_solve(n),
             (n * n * 8) as f64,
             stream,
         );
-        let id = self.insert(Obj::Vector(x), n * 8)?;
-        Ok(VectorHandle(id))
+        self.insert_vector(x)
     }
 
     /// Dense matrix–vector product `y = A x`, all device-resident.
@@ -640,24 +601,18 @@ impl GpuDevice {
         x: VectorHandle,
         stream: StreamId,
     ) -> Result<VectorHandle> {
-        let y = {
-            let m = self.matrix(a)?;
-            let v = self.vector(x)?;
-            m.matvec(v)?
-        };
-        let (rows, cols) = {
-            let m = self.matrix(a)?;
-            (m.rows(), m.cols())
-        };
+        let m = self.objects.matrix(a)?;
+        let v = self.objects.vector(x)?;
+        let (rows, cols) = (m.rows(), m.cols());
+        let mut y = self.pool.take(rows);
+        m.matvec_into(v, &mut y)?;
         self.charge_dense_kernel(
             "gemv",
             flops::gemv(rows, cols),
             (rows * cols * 8) as f64,
             stream,
         );
-        let bytes = y.len() * 8;
-        let id = self.insert(Obj::Vector(y), bytes)?;
-        Ok(VectorHandle(id))
+        self.insert_vector(y)
     }
 
     /// Transposed product `y = Aᵀ x`, all device-resident.
@@ -667,24 +622,18 @@ impl GpuDevice {
         x: VectorHandle,
         stream: StreamId,
     ) -> Result<VectorHandle> {
-        let y = {
-            let m = self.matrix(a)?;
-            let v = self.vector(x)?;
-            m.matvec_transposed(v)?
-        };
-        let (rows, cols) = {
-            let m = self.matrix(a)?;
-            (m.rows(), m.cols())
-        };
+        let m = self.objects.matrix(a)?;
+        let v = self.objects.vector(x)?;
+        let (rows, cols) = (m.rows(), m.cols());
+        let mut y = self.pool.take(cols);
+        m.matvec_transposed_into(v, &mut y)?;
         self.charge_dense_kernel(
             "gemv_transposed",
             flops::gemv(rows, cols),
             (rows * cols * 8) as f64,
             stream,
         );
-        let bytes = y.len() * 8;
-        let id = self.insert(Obj::Vector(y), bytes)?;
-        Ok(VectorHandle(id))
+        self.insert_vector(y)
     }
 
     /// Fused pricing kernel: reduced costs `d = c − Aᵀ y` in one launch.
@@ -699,34 +648,27 @@ impl GpuDevice {
         c: VectorHandle,
         stream: StreamId,
     ) -> Result<VectorHandle> {
-        let d = {
-            let m = self.matrix(a)?;
-            let yv = self.vector(y)?;
-            let cv = self.vector(c)?;
-            let mut d = m.matvec_transposed(yv)?;
-            if cv.len() != d.len() {
-                return Err(GpuError::Linalg(LinalgError::DimensionMismatch {
-                    context: format!("pricing: c {} vs AtY {}", cv.len(), d.len()),
-                }));
-            }
-            for (di, ci) in d.iter_mut().zip(cv.iter()) {
-                *di = ci - *di;
-            }
-            d
-        };
-        let (rows, cols) = {
-            let m = self.matrix(a)?;
-            (m.rows(), m.cols())
-        };
+        let m = self.objects.matrix(a)?;
+        let yv = self.objects.vector(y)?;
+        let cv = self.objects.vector(c)?;
+        let (rows, cols) = (m.rows(), m.cols());
+        let mut d = self.pool.take(cols);
+        m.matvec_transposed_into(yv, &mut d)?;
+        if cv.len() != d.len() {
+            return Err(GpuError::Linalg(LinalgError::DimensionMismatch {
+                context: format!("pricing: c {} vs AtY {}", cv.len(), d.len()),
+            }));
+        }
+        for (di, ci) in d.iter_mut().zip(cv.iter()) {
+            *di = ci - *di;
+        }
         self.charge_dense_kernel(
             "pricing",
             flops::gemv(rows, cols) + cols as f64,
             (rows * cols * 8) as f64,
             stream,
         );
-        let bytes = d.len() * 8;
-        let id = self.insert(Obj::Vector(d), bytes)?;
-        Ok(VectorHandle(id))
+        self.insert_vector(d)
     }
 
     /// Device reduction: index and value of the minimum entry of `v` among
@@ -739,8 +681,8 @@ impl GpuDevice {
         stream: StreamId,
     ) -> Result<Option<(usize, f64)>> {
         let result = {
-            let vv = self.vector(v)?;
-            let mm = self.vector(mask)?;
+            let vv = self.objects.vector(v)?;
+            let mm = self.objects.vector(mask)?;
             if vv.len() != mm.len() {
                 return Err(GpuError::Linalg(LinalgError::DimensionMismatch {
                     context: format!("argmin_masked: {} vs {}", vv.len(), mm.len()),
@@ -754,7 +696,7 @@ impl GpuDevice {
             }
             best
         };
-        let n = self.vector(v)?.len();
+        let n = self.objects.vector(v)?.len();
         self.charge_dense_kernel("argmin_masked", n as f64, (2 * n * 8) as f64, stream);
         self.charge_d2h(16, stream);
         Ok(result)
@@ -771,8 +713,8 @@ impl GpuDevice {
         stream: StreamId,
     ) -> Result<Option<(usize, f64)>> {
         let result = {
-            let x = self.vector(xb)?;
-            let a = self.vector(alpha)?;
+            let x = self.objects.vector(xb)?;
+            let a = self.objects.vector(alpha)?;
             if x.len() != a.len() {
                 return Err(GpuError::Linalg(LinalgError::DimensionMismatch {
                     context: format!("ratio_argmin: {} vs {}", x.len(), a.len()),
@@ -790,7 +732,7 @@ impl GpuDevice {
             }
             best
         };
-        let n = self.vector(xb)?.len();
+        let n = self.objects.vector(xb)?.len();
         self.charge_dense_kernel("ratio_argmin", (2 * n) as f64, (2 * n * 8) as f64, stream);
         self.charge_d2h(16, stream);
         Ok(result)
@@ -805,23 +747,20 @@ impl GpuDevice {
         value: f64,
         stream: StreamId,
     ) -> Result<()> {
-        let len = self.vector(h)?.len();
-        if idx >= len {
-            return Err(GpuError::Linalg(LinalgError::OutOfBounds {
+        let v = self.objects.vector_mut(h)?;
+        let len = v.len();
+        *v.get_mut(idx)
+            .ok_or(GpuError::Linalg(LinalgError::OutOfBounds {
                 index: idx,
                 bound: len,
-            }));
-        }
-        if let Some((Obj::Vector(v), _)) = self.objects.get_mut(&h.0) {
-            v[idx] = value;
-        }
+            }))? = value;
         self.charge_h2d(8, stream);
         Ok(())
     }
 
     /// Reads one element of a device vector (tiny D2H readback).
     pub fn vec_get(&mut self, h: VectorHandle, idx: usize, stream: StreamId) -> Result<f64> {
-        let v = self.vector(h)?;
+        let v = self.objects.vector(h)?;
         let val = *v
             .get(idx)
             .ok_or(GpuError::Linalg(LinalgError::OutOfBounds {
@@ -841,7 +780,7 @@ impl GpuDevice {
         self.charge_h2d(add_bytes, stream);
         self.charge_dense_kernel("append_row", 0.0, add_bytes as f64, stream);
         self.mem.alloc(add_bytes)?;
-        match self.objects.get_mut(&h.0) {
+        match self.objects.get_mut(h.0) {
             Some((Obj::Matrix(m), bytes)) => {
                 m.push_row(row).map_err(GpuError::Linalg)?;
                 *bytes += add_bytes;
@@ -862,20 +801,18 @@ impl GpuDevice {
         j: usize,
         stream: StreamId,
     ) -> Result<VectorHandle> {
-        let col = {
-            let m = self.matrix(h)?;
-            if j >= m.cols() {
-                return Err(GpuError::Linalg(LinalgError::OutOfBounds {
-                    index: j,
-                    bound: m.cols(),
-                }));
-            }
-            m.col(j)
-        };
+        let m = self.objects.matrix(h)?;
+        if j >= m.cols() {
+            return Err(GpuError::Linalg(LinalgError::OutOfBounds {
+                index: j,
+                bound: m.cols(),
+            }));
+        }
+        let mut col = self.pool.take(m.rows());
+        m.col_into(j, &mut col);
         let bytes = col.len() * 8;
         self.charge_dense_kernel("extract_column", 0.0, (2 * bytes) as f64, stream);
-        let id = self.insert(Obj::Vector(col), bytes)?;
-        Ok(VectorHandle(id))
+        self.insert_vector(col)
     }
 
     /// Appends a column to a device matrix from the host (a cut's slack
@@ -885,7 +822,7 @@ impl GpuDevice {
         self.charge_h2d(add_bytes, stream);
         self.charge_dense_kernel("append_column", 0.0, add_bytes as f64, stream);
         self.mem.alloc(add_bytes)?;
-        match self.objects.get_mut(&h.0) {
+        match self.objects.get_mut(h.0) {
             Some((Obj::Matrix(m), bytes)) => {
                 m.push_col(col).map_err(GpuError::Linalg)?;
                 *bytes += add_bytes;
@@ -907,34 +844,27 @@ impl GpuDevice {
         x: VectorHandle,
         stream: StreamId,
     ) -> Result<VectorHandle> {
-        let r = {
-            let m = self.matrix(a)?;
-            let xv = self.vector(x)?;
-            let bv = self.vector(b)?;
-            let ax = m.matvec(xv)?;
-            if bv.len() != ax.len() {
-                return Err(GpuError::Linalg(LinalgError::DimensionMismatch {
-                    context: format!("residual: b {} vs Ax {}", bv.len(), ax.len()),
-                }));
-            }
-            bv.iter()
-                .zip(ax.iter())
-                .map(|(bi, ai)| bi - ai)
-                .collect::<Vec<f64>>()
-        };
-        let (rows, cols) = {
-            let m = self.matrix(a)?;
-            (m.rows(), m.cols())
-        };
+        let m = self.objects.matrix(a)?;
+        let xv = self.objects.vector(x)?;
+        let bv = self.objects.vector(b)?;
+        let (rows, cols) = (m.rows(), m.cols());
+        let mut r = self.pool.take(rows);
+        m.matvec_into(xv, &mut r)?;
+        if bv.len() != r.len() {
+            return Err(GpuError::Linalg(LinalgError::DimensionMismatch {
+                context: format!("residual: b {} vs Ax {}", bv.len(), r.len()),
+            }));
+        }
+        for (ri, bi) in r.iter_mut().zip(bv.iter()) {
+            *ri = bi - *ri;
+        }
         self.charge_dense_kernel(
             "residual",
             flops::gemv(rows, cols) + rows as f64,
             (rows * cols * 8) as f64,
             stream,
         );
-        let bytes = r.len() * 8;
-        let id = self.insert(Obj::Vector(r), bytes)?;
-        Ok(VectorHandle(id))
+        self.insert_vector(r)
     }
 
     /// Elementwise product `c = a ⊙ b` (used to score pricing candidates by
@@ -945,23 +875,20 @@ impl GpuDevice {
         b: VectorHandle,
         stream: StreamId,
     ) -> Result<VectorHandle> {
-        let c = {
-            let av = self.vector(a)?;
-            let bv = self.vector(b)?;
-            if av.len() != bv.len() {
-                return Err(GpuError::Linalg(LinalgError::DimensionMismatch {
-                    context: format!("vec_mul: {} vs {}", av.len(), bv.len()),
-                }));
-            }
-            av.iter()
-                .zip(bv.iter())
-                .map(|(x, y)| x * y)
-                .collect::<Vec<f64>>()
-        };
-        let n = c.len();
+        let av = self.objects.vector(a)?;
+        let bv = self.objects.vector(b)?;
+        if av.len() != bv.len() {
+            return Err(GpuError::Linalg(LinalgError::DimensionMismatch {
+                context: format!("vec_mul: {} vs {}", av.len(), bv.len()),
+            }));
+        }
+        let n = av.len();
+        let mut c = self.pool.take(n);
+        for (ci, (x, y)) in c.iter_mut().zip(av.iter().zip(bv.iter())) {
+            *ci = x * y;
+        }
         self.charge_dense_kernel("vec_mul", n as f64, (3 * n * 8) as f64, stream);
-        let id = self.insert(Obj::Vector(c), n * 8)?;
-        Ok(VectorHandle(id))
+        self.insert_vector(c)
     }
 
     /// Creates the unit vector `e_r` of length `n` directly on the device
@@ -978,11 +905,10 @@ impl GpuDevice {
                 bound: n,
             }));
         }
-        let mut v = vec![0.0; n];
+        let mut v = self.pool.take(n);
         v[r] = 1.0;
         self.charge_dense_kernel("alloc_unit_vector", 0.0, (n * 8) as f64, stream);
-        let id = self.insert(Obj::Vector(v), n * 8)?;
-        Ok(VectorHandle(id))
+        self.insert_vector(v)
     }
 
     /// Fused bounded-variable primal ratio-test kernel.
@@ -1011,10 +937,10 @@ impl GpuDevice {
         stream: StreamId,
     ) -> Result<Option<(usize, f64, bool)>> {
         let result = {
-            let x = self.vector(xb)?;
-            let a = self.vector(alpha)?;
-            let lb = self.vector(lbb)?;
-            let ub = self.vector(ubb)?;
+            let x = self.objects.vector(xb)?;
+            let a = self.objects.vector(alpha)?;
+            let lb = self.objects.vector(lbb)?;
+            let ub = self.objects.vector(ubb)?;
             let m = x.len();
             if a.len() != m || lb.len() != m || ub.len() != m {
                 return Err(GpuError::Linalg(LinalgError::DimensionMismatch {
@@ -1043,7 +969,7 @@ impl GpuDevice {
             }
             best
         };
-        let m = self.vector(xb)?.len();
+        let m = self.objects.vector(xb)?.len();
         self.charge_dense_kernel(
             "ratio_test_bounded",
             (4 * m) as f64,
@@ -1067,8 +993,8 @@ impl GpuDevice {
         stream: StreamId,
     ) -> Result<()> {
         {
-            let alen = self.vector(alpha)?.len();
-            let xlen = self.vector(xb)?.len();
+            let alen = self.objects.vector(alpha)?.len();
+            let xlen = self.objects.vector(xb)?.len();
             if alen != xlen {
                 return Err(GpuError::Linalg(LinalgError::DimensionMismatch {
                     context: format!("basic_step: {xlen} vs {alen}"),
@@ -1083,15 +1009,15 @@ impl GpuDevice {
                 }
             }
         }
-        let a = self.vector(alpha)?.clone();
-        let n = a.len();
-        if let Some((Obj::Vector(x), _)) = self.objects.get_mut(&xb.0) {
-            for (xi, ai) in x.iter_mut().zip(a.iter()) {
-                *xi -= dir * t * ai;
-            }
-            if let Some((r, v)) = set {
-                x[r] = v;
-            }
+        self.work.clear();
+        self.work.extend_from_slice(self.objects.vector(alpha)?);
+        let n = self.work.len();
+        let x = self.objects.vector_mut(xb)?;
+        for (xi, ai) in x.iter_mut().zip(self.work.iter()) {
+            *xi -= dir * t * ai;
+        }
+        if let Some((r, v)) = set {
+            x[r] = v;
         }
         self.charge_dense_kernel("basic_step", (2 * n) as f64, (2 * n * 8) as f64, stream);
         Ok(())
@@ -1110,9 +1036,9 @@ impl GpuDevice {
         stream: StreamId,
     ) -> Result<Option<(usize, f64, bool)>> {
         let result = {
-            let x = self.vector(xb)?;
-            let lb = self.vector(lbb)?;
-            let ub = self.vector(ubb)?;
+            let x = self.objects.vector(xb)?;
+            let lb = self.objects.vector(lbb)?;
+            let ub = self.objects.vector(ubb)?;
             if lb.len() != x.len() || ub.len() != x.len() {
                 return Err(GpuError::Linalg(LinalgError::DimensionMismatch {
                     context: "primal_infeas_argmax: vector lengths".into(),
@@ -1133,7 +1059,7 @@ impl GpuDevice {
             }
             best
         };
-        let m = self.vector(xb)?.len();
+        let m = self.objects.vector(xb)?.len();
         self.charge_dense_kernel(
             "primal_infeas_argmax",
             (2 * m) as f64,
@@ -1163,9 +1089,9 @@ impl GpuDevice {
         stream: StreamId,
     ) -> Result<Option<(usize, f64)>> {
         let result = {
-            let dv = self.vector(d)?;
-            let av = self.vector(alpha_r)?;
-            let sv = self.vector(sigma)?;
+            let dv = self.objects.vector(d)?;
+            let av = self.objects.vector(alpha_r)?;
+            let sv = self.objects.vector(sigma)?;
             if av.len() != dv.len() || sv.len() != dv.len() {
                 return Err(GpuError::Linalg(LinalgError::DimensionMismatch {
                     context: "dual_ratio_argmin: vector lengths".into(),
@@ -1190,7 +1116,7 @@ impl GpuDevice {
             }
             best
         };
-        let n = self.vector(d)?.len();
+        let n = self.objects.vector(d)?.len();
         self.charge_dense_kernel(
             "dual_ratio_argmin",
             (3 * n) as f64,
@@ -1214,9 +1140,9 @@ impl GpuDevice {
         stream: StreamId,
     ) -> Result<Option<(usize, f64)>> {
         let result = {
-            let dv = self.vector(d)?;
-            let sv = self.vector(sigma)?;
-            let gv = self.vector(gamma)?;
+            let dv = self.objects.vector(d)?;
+            let sv = self.objects.vector(sigma)?;
+            let gv = self.objects.vector(gamma)?;
             if sv.len() != dv.len() || gv.len() != dv.len() {
                 return Err(GpuError::Linalg(LinalgError::DimensionMismatch {
                     context: "devex_argmax: vector lengths".into(),
@@ -1238,7 +1164,7 @@ impl GpuDevice {
             }
             best.map(|(j, _, sd)| (j, sd))
         };
-        let n = self.vector(d)?.len();
+        let n = self.objects.vector(d)?.len();
         self.charge_dense_kernel("devex_argmax", (3 * n) as f64, (3 * n * 8) as f64, stream);
         self.charge_d2h(16, stream);
         Ok(result)
@@ -1257,8 +1183,8 @@ impl GpuDevice {
         stream: StreamId,
     ) -> Result<()> {
         {
-            let glen = self.vector(gamma)?.len();
-            let alen = self.vector(alpha_r)?.len();
+            let glen = self.objects.vector(gamma)?.len();
+            let alen = self.objects.vector(alpha_r)?.len();
             if glen != alen {
                 return Err(GpuError::Linalg(LinalgError::DimensionMismatch {
                     context: format!("devex_weight_update: {glen} vs {alen}"),
@@ -1268,15 +1194,15 @@ impl GpuDevice {
         if alpha_rq.abs() < 1e-12 {
             return Err(GpuError::Linalg(LinalgError::Singular { column: 0 }));
         }
-        let ar = self.vector(alpha_r)?.clone();
-        let n = ar.len();
-        if let Some((Obj::Vector(g), _)) = self.objects.get_mut(&gamma.0) {
-            for (gj, arj) in g.iter_mut().zip(ar.iter()) {
-                let ratio = arj / alpha_rq;
-                let cand = ratio * ratio * gamma_q;
-                if cand > *gj {
-                    *gj = cand;
-                }
+        self.work.clear();
+        self.work.extend_from_slice(self.objects.vector(alpha_r)?);
+        let n = self.work.len();
+        let g = self.objects.vector_mut(gamma)?;
+        for (gj, arj) in g.iter_mut().zip(self.work.iter()) {
+            let ratio = arj / alpha_rq;
+            let cand = ratio * ratio * gamma_q;
+            if cand > *gj {
+                *gj = cand;
             }
         }
         self.charge_dense_kernel(
@@ -1292,7 +1218,7 @@ impl GpuDevice {
 
     /// Builds an eta file over a fresh LU factorization of a device matrix.
     pub fn eta_factor(&mut self, basis: MatrixHandle, stream: StreamId) -> Result<EtaHandle> {
-        let m = self.matrix(basis)?;
+        let m = self.objects.matrix(basis)?;
         let n = m.rows();
         let mbytes = m.size_bytes();
         let file = EtaFile::factorize(m)?;
@@ -1310,23 +1236,18 @@ impl GpuDevice {
         b: VectorHandle,
         stream: StreamId,
     ) -> Result<VectorHandle> {
-        let x = {
-            let file = self.eta(h)?;
-            let rhs = self.vector(b)?;
-            file.ftran(rhs)?
-        };
-        let (n, k) = {
-            let file = self.eta(h)?;
-            (file.dim(), file.eta_count())
-        };
+        let file = self.objects.eta(h)?;
+        let rhs = self.objects.vector(b)?;
+        let (n, k) = (file.dim(), file.eta_count());
+        let mut x = self.pool.take(n);
+        file.ftran_into(rhs, &mut x)?;
         self.charge_dense_kernel(
             "eta_ftran",
             flops::lu_solve(n) + flops::eta_apply(k, n),
             ((n * n + k * n) * 8) as f64,
             stream,
         );
-        let id = self.insert(Obj::Vector(x), n * 8)?;
-        Ok(VectorHandle(id))
+        self.insert_vector(x)
     }
 
     /// BTRAN through the eta file: solves `Bᵀ y = c`.
@@ -1336,23 +1257,19 @@ impl GpuDevice {
         c: VectorHandle,
         stream: StreamId,
     ) -> Result<VectorHandle> {
-        let y = {
-            let file = self.eta(h)?;
-            let rhs = self.vector(c)?;
-            file.btran(rhs)?
-        };
-        let (n, k) = {
-            let file = self.eta(h)?;
-            (file.dim(), file.eta_count())
-        };
+        let file = self.objects.eta(h)?;
+        let rhs = self.objects.vector(c)?;
+        let (n, k) = (file.dim(), file.eta_count());
+        let mut y = self.pool.take(n);
+        self.work.resize(n, 0.0);
+        file.btran_into(rhs, &mut self.work, &mut y)?;
         self.charge_dense_kernel(
             "eta_btran",
             flops::lu_solve(n) + flops::eta_apply(k, n),
             ((n * n + k * n) * 8) as f64,
             stream,
         );
-        let id = self.insert(Obj::Vector(y), n * 8)?;
-        Ok(VectorHandle(id))
+        self.insert_vector(y)
     }
 
     /// Applies a basis-exchange rank-1 update: position `leaving_pos` of the
@@ -1366,11 +1283,11 @@ impl GpuDevice {
         alpha: VectorHandle,
         stream: StreamId,
     ) -> Result<()> {
-        let alpha_v = self.vector(alpha)?.clone();
+        let alpha_v = self.objects.vector(alpha)?.clone();
         let n = alpha_v.len();
         let add_bytes = n * 8;
         self.mem.alloc(add_bytes)?;
-        match self.objects.get_mut(&h.0) {
+        match self.objects.get_mut(h.0) {
             Some((Obj::Eta(file), bytes)) => match file.update(leaving_pos, alpha_v) {
                 Ok(()) => {
                     *bytes += add_bytes;
@@ -1392,7 +1309,7 @@ impl GpuDevice {
 
     /// Number of eta factors accumulated on a device eta file.
     pub fn eta_count(&self, h: EtaHandle) -> Result<usize> {
-        Ok(self.eta(h)?.eta_count())
+        Ok(self.objects.eta(h)?.eta_count())
     }
 
     /// Refactorizes the eta file from a device basis matrix, clearing the
@@ -1403,13 +1320,14 @@ impl GpuDevice {
         basis: MatrixHandle,
         stream: StreamId,
     ) -> Result<()> {
-        let m = self.matrix(basis)?.clone();
-        let n = m.rows();
-        match self.objects.get_mut(&h.0) {
+        let m = self.objects.matrix(basis)?;
+        let (n, mbytes) = (m.rows(), m.size_bytes());
+        let fresh = EtaFile::factorize(m)?;
+        match self.objects.get_mut(h.0) {
             Some((Obj::Eta(file), bytes)) => {
-                file.refactorize(&m).map_err(GpuError::Linalg)?;
+                *file = fresh;
                 // Shrink accounting back to the base factorization size.
-                let new_bytes = m.size_bytes() + n * 8;
+                let new_bytes = mbytes + n * 8;
                 if *bytes > new_bytes {
                     self.mem.free(*bytes - new_bytes);
                 }
@@ -1430,16 +1348,13 @@ impl GpuDevice {
         x: VectorHandle,
         stream: StreamId,
     ) -> Result<VectorHandle> {
-        let y = {
-            let m = self.sparse(a)?;
-            let v = self.vector(x)?;
-            m.matvec(v)?
-        };
-        let nnz = self.sparse(a)?.nnz();
+        let m = self.objects.sparse(a)?;
+        let v = self.objects.vector(x)?;
+        let nnz = m.nnz();
+        let mut y = self.pool.take(m.rows());
+        m.matvec_into(v, &mut y)?;
         self.charge_sparse_kernel("spmv", flops::spmv(nnz), (nnz * 16) as f64, stream);
-        let bytes = y.len() * 8;
-        let id = self.insert(Obj::Vector(y), bytes)?;
-        Ok(VectorHandle(id))
+        self.insert_vector(y)
     }
 
     /// Transposed sparse product `y = Aᵀ x`.
@@ -1449,21 +1364,18 @@ impl GpuDevice {
         x: VectorHandle,
         stream: StreamId,
     ) -> Result<VectorHandle> {
-        let y = {
-            let m = self.sparse(a)?;
-            let v = self.vector(x)?;
-            m.matvec_transposed(v)?
-        };
-        let nnz = self.sparse(a)?.nnz();
+        let m = self.objects.sparse(a)?;
+        let v = self.objects.vector(x)?;
+        let nnz = m.nnz();
+        let mut y = self.pool.take(m.cols());
+        m.matvec_transposed_into(v, &mut y)?;
         self.charge_sparse_kernel(
             "spmv_transposed",
             flops::spmv(nnz),
             (nnz * 16) as f64,
             stream,
         );
-        let bytes = y.len() * 8;
-        let id = self.insert(Obj::Vector(y), bytes)?;
-        Ok(VectorHandle(id))
+        self.insert_vector(y)
     }
 
     /// Sparse LU factorization (GLU-class kernel; charged at the sparse
@@ -1474,7 +1386,7 @@ impl GpuDevice {
         stream: StreamId,
     ) -> Result<SparseFactorHandle> {
         let f = {
-            let m = self.sparse(a)?;
+            let m = self.objects.sparse(a)?;
             SparseLu::factorize(&m.to_csc())?
         };
         let fill = f.fill_nnz();
@@ -1496,21 +1408,18 @@ impl GpuDevice {
         b: VectorHandle,
         stream: StreamId,
     ) -> Result<VectorHandle> {
-        let x = {
-            let fac = self.sparse_factors(f)?;
-            let rhs = self.vector(b)?;
-            fac.solve(rhs)?
-        };
-        let fill = self.sparse_factors(f)?.fill_nnz();
+        let fac = self.objects.sparse_factors(f)?;
+        let rhs = self.objects.vector(b)?;
+        let fill = fac.fill_nnz();
+        let mut x = self.pool.take(fac.dim());
+        fac.solve_into(rhs, &mut x)?;
         self.charge_sparse_kernel(
             "sparse_solve",
             flops::spmv(fill),
             (fill * 16) as f64,
             stream,
         );
-        let bytes = x.len() * 8;
-        let id = self.insert(Obj::Vector(x), bytes)?;
-        Ok(VectorHandle(id))
+        self.insert_vector(x)
     }
 
     // ---- sparse-path kernels (Section 5.4's second code path) ----
@@ -1523,20 +1432,17 @@ impl GpuDevice {
         j: usize,
         stream: StreamId,
     ) -> Result<VectorHandle> {
-        let col = {
-            let m = self.sparse(a)?;
-            if j >= m.cols() {
-                return Err(GpuError::Linalg(LinalgError::OutOfBounds {
-                    index: j,
-                    bound: m.cols(),
-                }));
-            }
-            let mut col = vec![0.0; m.rows()];
-            for (i, c) in col.iter_mut().enumerate() {
-                *c = m.get(i, j);
-            }
-            col
-        };
+        let m = self.objects.sparse(a)?;
+        if j >= m.cols() {
+            return Err(GpuError::Linalg(LinalgError::OutOfBounds {
+                index: j,
+                bound: m.cols(),
+            }));
+        }
+        let mut col = self.pool.take(m.rows());
+        for (i, c) in col.iter_mut().enumerate() {
+            *c = m.get(i, j);
+        }
         let bytes = col.len() * 8;
         self.charge_sparse_kernel(
             "extract_column_sparse",
@@ -1544,8 +1450,7 @@ impl GpuDevice {
             (2 * bytes) as f64,
             stream,
         );
-        let id = self.insert(Obj::Vector(col), bytes)?;
-        Ok(VectorHandle(id))
+        self.insert_vector(col)
     }
 
     /// Fused sparse pricing kernel: reduced costs `d = c − Aᵀ y` with `A`
@@ -1558,31 +1463,27 @@ impl GpuDevice {
         c: VectorHandle,
         stream: StreamId,
     ) -> Result<VectorHandle> {
-        let d = {
-            let m = self.sparse(a)?;
-            let yv = self.vector(y)?;
-            let cv = self.vector(c)?;
-            let mut d = m.matvec_transposed(yv)?;
-            if cv.len() != d.len() {
-                return Err(GpuError::Linalg(LinalgError::DimensionMismatch {
-                    context: format!("pricing_sparse: c {} vs AtY {}", cv.len(), d.len()),
-                }));
-            }
-            for (di, ci) in d.iter_mut().zip(cv.iter()) {
-                *di = ci - *di;
-            }
-            d
-        };
-        let nnz = self.sparse(a)?.nnz();
+        let m = self.objects.sparse(a)?;
+        let yv = self.objects.vector(y)?;
+        let cv = self.objects.vector(c)?;
+        let nnz = m.nnz();
+        let mut d = self.pool.take(m.cols());
+        m.matvec_transposed_into(yv, &mut d)?;
+        if cv.len() != d.len() {
+            return Err(GpuError::Linalg(LinalgError::DimensionMismatch {
+                context: format!("pricing_sparse: c {} vs AtY {}", cv.len(), d.len()),
+            }));
+        }
+        for (di, ci) in d.iter_mut().zip(cv.iter()) {
+            *di = ci - *di;
+        }
         self.charge_sparse_kernel(
             "pricing_sparse",
             flops::spmv(nnz) + d.len() as f64,
             (nnz * 16) as f64,
             stream,
         );
-        let bytes = d.len() * 8;
-        let id = self.insert(Obj::Vector(d), bytes)?;
-        Ok(VectorHandle(id))
+        self.insert_vector(d)
     }
 
     /// Fused sparse residual kernel `r = b − A x` (CSR).
@@ -1593,31 +1494,27 @@ impl GpuDevice {
         x: VectorHandle,
         stream: StreamId,
     ) -> Result<VectorHandle> {
-        let r = {
-            let m = self.sparse(a)?;
-            let xv = self.vector(x)?;
-            let bv = self.vector(b)?;
-            let ax = m.matvec(xv)?;
-            if bv.len() != ax.len() {
-                return Err(GpuError::Linalg(LinalgError::DimensionMismatch {
-                    context: format!("residual_sparse: b {} vs Ax {}", bv.len(), ax.len()),
-                }));
-            }
-            bv.iter()
-                .zip(ax.iter())
-                .map(|(bi, ai)| bi - ai)
-                .collect::<Vec<f64>>()
-        };
-        let nnz = self.sparse(a)?.nnz();
+        let m = self.objects.sparse(a)?;
+        let xv = self.objects.vector(x)?;
+        let bv = self.objects.vector(b)?;
+        let nnz = m.nnz();
+        let mut r = self.pool.take(m.rows());
+        m.matvec_into(xv, &mut r)?;
+        if bv.len() != r.len() {
+            return Err(GpuError::Linalg(LinalgError::DimensionMismatch {
+                context: format!("residual_sparse: b {} vs Ax {}", bv.len(), r.len()),
+            }));
+        }
+        for (ri, bi) in r.iter_mut().zip(bv.iter()) {
+            *ri = bi - *ri;
+        }
         self.charge_sparse_kernel(
             "residual_sparse",
             flops::spmv(nnz) + r.len() as f64,
             (nnz * 16) as f64,
             stream,
         );
-        let bytes = r.len() * 8;
-        let id = self.insert(Obj::Vector(r), bytes)?;
-        Ok(VectorHandle(id))
+        self.insert_vector(r)
     }
 
     /// Gathers basis columns from a CSR matrix and sparse-LU-factorizes
@@ -1630,7 +1527,7 @@ impl GpuDevice {
         stream: StreamId,
     ) -> Result<SparseEtaHandle> {
         let file = {
-            let m = self.sparse(a)?;
+            let m = self.objects.sparse(a)?;
             let basis = m.to_csc().select_columns(cols)?;
             SparseEtaFile::factorize(&basis)?
         };
@@ -1654,23 +1551,18 @@ impl GpuDevice {
         b: VectorHandle,
         stream: StreamId,
     ) -> Result<VectorHandle> {
-        let x = {
-            let file = self.sparse_eta(h)?;
-            let rhs = self.vector(b)?;
-            file.ftran(rhs)?
-        };
-        let (n, k, fill) = {
-            let file = self.sparse_eta(h)?;
-            (file.dim(), file.eta_count(), file.fill_nnz())
-        };
+        let file = self.objects.sparse_eta(h)?;
+        let rhs = self.objects.vector(b)?;
+        let (n, k, fill) = (file.dim(), file.eta_count(), file.fill_nnz());
+        let mut x = self.pool.take(n);
+        file.ftran_into(rhs, &mut x)?;
         self.charge_sparse_kernel(
             "sparse_eta_ftran",
             flops::spmv(fill) + flops::eta_apply(k, n),
             (fill * 16 + k * n * 8) as f64,
             stream,
         );
-        let id = self.insert(Obj::Vector(x), n * 8)?;
-        Ok(VectorHandle(id))
+        self.insert_vector(x)
     }
 
     /// BTRAN through a sparse eta file.
@@ -1680,23 +1572,19 @@ impl GpuDevice {
         c: VectorHandle,
         stream: StreamId,
     ) -> Result<VectorHandle> {
-        let y = {
-            let file = self.sparse_eta(h)?;
-            let rhs = self.vector(c)?;
-            file.btran(rhs)?
-        };
-        let (n, k, fill) = {
-            let file = self.sparse_eta(h)?;
-            (file.dim(), file.eta_count(), file.fill_nnz())
-        };
+        let file = self.objects.sparse_eta(h)?;
+        let rhs = self.objects.vector(c)?;
+        let (n, k, fill) = (file.dim(), file.eta_count(), file.fill_nnz());
+        let mut y = self.pool.take(n);
+        self.work.resize(n, 0.0);
+        file.btran_into(rhs, &mut self.work, &mut y)?;
         self.charge_sparse_kernel(
             "sparse_eta_btran",
             flops::spmv(fill) + flops::eta_apply(k, n),
             (fill * 16 + k * n * 8) as f64,
             stream,
         );
-        let id = self.insert(Obj::Vector(y), n * 8)?;
-        Ok(VectorHandle(id))
+        self.insert_vector(y)
     }
 
     /// Rank-1 basis update on a sparse eta file (no host transfer).
@@ -1707,11 +1595,11 @@ impl GpuDevice {
         alpha: VectorHandle,
         stream: StreamId,
     ) -> Result<()> {
-        let alpha_v = self.vector(alpha)?.clone();
+        let alpha_v = self.objects.vector(alpha)?.clone();
         let n = alpha_v.len();
         let add_bytes = n * 8;
         self.mem.alloc(add_bytes)?;
-        match self.objects.get_mut(&h.0) {
+        match self.objects.get_mut(h.0) {
             Some((Obj::SparseEta(file), bytes)) => match file.update(leaving_pos, alpha_v) {
                 Ok(()) => {
                     *bytes += add_bytes;
@@ -1739,11 +1627,11 @@ impl GpuDevice {
         stream: StreamId,
     ) -> Result<()> {
         let basis = {
-            let m = self.sparse(a)?;
+            let m = self.objects.sparse(a)?;
             m.to_csc().select_columns(cols)?
         };
         let fill;
-        match self.objects.get_mut(&h.0) {
+        match self.objects.get_mut(h.0) {
             Some((Obj::SparseEta(file), bytes)) => {
                 file.refactorize(&basis).map_err(GpuError::Linalg)?;
                 fill = file.fill_nnz();
@@ -1768,7 +1656,7 @@ impl GpuDevice {
 
     /// Eta count of a sparse eta file.
     pub fn sparse_eta_count(&self, h: SparseEtaHandle) -> Result<usize> {
-        Ok(self.sparse_eta(h)?.eta_count())
+        Ok(self.objects.sparse_eta(h)?.eta_count())
     }
 
     /// Frees a sparse eta handle.
@@ -1789,7 +1677,7 @@ impl GpuDevice {
         self.charge_h2d(add_bytes, stream);
         self.charge_sparse_kernel("append_row_sparse", 0.0, add_bytes as f64, stream);
         self.mem.alloc(add_bytes)?;
-        match self.objects.get_mut(&h.0) {
+        match self.objects.get_mut(h.0) {
             Some((Obj::Sparse(m), bytes)) => {
                 m.push_row_grow(entries, new_cols)
                     .map_err(GpuError::Linalg)?;
@@ -1842,9 +1730,9 @@ impl GpuDevice {
         let done = self.streams.enqueue(stream, t);
         let batch_flops: f64 = per_lane.iter().map(|p| p.0).sum();
         let batch_bytes: f64 = per_lane.iter().map(|p| p.1).sum();
-        self.registry.incr(names::GPU_KERNEL_LAUNCHES, 1.0);
-        self.registry.incr(names::GPU_KERNEL_FLOPS, batch_flops);
-        self.registry.incr(names::GPU_KERNEL_NS, t);
+        self.ledger.incr(Series::KernelLaunches, 1.0);
+        self.ledger.incr(Series::KernelFlops, batch_flops);
+        self.ledger.incr(Series::KernelNs, t);
         let track = self.track;
         let batch = per_lane.len();
         gmip_trace::record(|| {
@@ -1894,8 +1782,8 @@ impl GpuDevice {
         let mut mats = Vec::with_capacity(systems.len());
         let mut rhs = Vec::with_capacity(systems.len());
         for &(mh, vh) in systems {
-            mats.push(self.matrix(mh)?.clone());
-            rhs.push(self.vector(vh)?.clone());
+            mats.push(self.objects.matrix(mh)?.clone());
+            rhs.push(self.objects.vector(vh)?.clone());
         }
         let xs = lbatch::lu_factor_solve_batch(&mats, &rhs);
         // Per-problem execution time without launch latency; the batch pays
@@ -1913,9 +1801,9 @@ impl GpuDevice {
             .iter()
             .map(|m| flops::lu(m.rows()) + flops::lu_solve(m.rows()))
             .sum::<f64>();
-        self.registry.incr(names::GPU_KERNEL_LAUNCHES, 1.0);
-        self.registry.incr(names::GPU_KERNEL_NS, t);
-        self.registry.incr(names::GPU_KERNEL_FLOPS, batch_flops);
+        self.ledger.incr(Series::KernelLaunches, 1.0);
+        self.ledger.incr(Series::KernelNs, t);
+        self.ledger.incr(Series::KernelFlops, batch_flops);
         let track = self.track;
         let batch = mats.len();
         gmip_trace::record(|| {
@@ -1932,10 +1820,7 @@ impl GpuDevice {
         });
         let mut out = Vec::with_capacity(xs.len());
         for x in xs {
-            let x = x.map_err(GpuError::Linalg)?;
-            let bytes = x.len() * 8;
-            let id = self.insert(Obj::Vector(x), bytes)?;
-            out.push(VectorHandle(id));
+            out.push(self.insert_vector(x.map_err(GpuError::Linalg)?)?);
         }
         Ok(out)
     }
@@ -2001,6 +1886,66 @@ mod tests {
             Err(GpuError::InvalidHandle(_))
         ));
         assert!(dev.free(h.0).is_err());
+    }
+
+    #[test]
+    fn stale_and_wrong_typed_handles_are_invalid() {
+        let mut dev = small_gpu();
+        let v = dev.upload_vector(&[1.0, 2.0, 3.0], DEFAULT_STREAM).unwrap();
+        let m = dev.upload_matrix(&test_matrix(), DEFAULT_STREAM).unwrap();
+        // A handle of one type used as another: same id, wrong payload.
+        assert_eq!(
+            dev.download_matrix(MatrixHandle(v.0), DEFAULT_STREAM),
+            Err(GpuError::InvalidHandle(v.0))
+        );
+        assert_eq!(
+            dev.download_vector(VectorHandle(m.0), DEFAULT_STREAM),
+            Err(GpuError::InvalidHandle(m.0))
+        );
+        assert!(dev.lu_solve(FactorHandle(m.0), v, DEFAULT_STREAM).is_err());
+        assert!(dev.eta_count(EtaHandle(v.0)).is_err());
+        assert!(dev
+            .append_row(MatrixHandle(v.0), &[1.0], DEFAULT_STREAM)
+            .is_err());
+        // Freed, then double-freed.
+        dev.free_vector(v).unwrap();
+        assert_eq!(dev.free_vector(v), Err(GpuError::InvalidHandle(v.0)));
+        assert!(dev.vec_get(v, 0, DEFAULT_STREAM).is_err());
+        // The slot's next tenant gets a new generation: the old handle stays
+        // dead even though it names the same slot.
+        let w = dev.upload_vector(&[9.0], DEFAULT_STREAM).unwrap();
+        assert_eq!(w.0 as u32, v.0 as u32, "slot reused");
+        assert_ne!(w, v);
+        assert!(dev.vec_get(v, 0, DEFAULT_STREAM).is_err());
+        assert_eq!(dev.vec_get(w, 0, DEFAULT_STREAM).unwrap(), 9.0);
+    }
+
+    #[test]
+    fn buffer_recycling_leaves_device_memory_accounting_alone() {
+        let mut dev = small_gpu();
+        let a = dev.upload_vector(&[1.0; 32], DEFAULT_STREAM).unwrap();
+        let b = dev.upload_vector(&[2.0; 8], DEFAULT_STREAM).unwrap();
+        assert_eq!(dev.memory().used(), 40 * 8);
+        dev.free_vector(a).unwrap();
+        assert_eq!(dev.pool_retained_bytes(), 32 * 8);
+        // The product lands in the recycled 32-element buffer but is
+        // modelled — and zero-initialised — as the 8-element vector it is.
+        let c = dev.vec_mul(b, b, DEFAULT_STREAM).unwrap();
+        assert_eq!(dev.pool_retained_bytes(), 0);
+        assert_eq!(dev.memory().used(), 16 * 8);
+        assert_eq!(dev.memory().peak(), 40 * 8);
+        assert_eq!(dev.memory().allocation_count(), 3);
+        assert_eq!(
+            dev.download_vector(c, DEFAULT_STREAM).unwrap(),
+            vec![4.0; 8]
+        );
+        let e = dev.alloc_unit_vector(8, 2, DEFAULT_STREAM).unwrap();
+        dev.free_vector(c).unwrap();
+        let e2 = dev.alloc_unit_vector(8, 5, DEFAULT_STREAM).unwrap();
+        let mut want = vec![0.0; 8];
+        want[5] = 1.0;
+        assert_eq!(dev.download_vector(e2, DEFAULT_STREAM).unwrap(), want);
+        assert_ne!(e, e2);
     }
 
     #[test]

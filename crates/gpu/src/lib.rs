@@ -32,6 +32,7 @@ pub mod device;
 pub mod kernels;
 pub mod memory;
 pub mod node;
+mod objects;
 pub mod stats;
 pub mod stream;
 

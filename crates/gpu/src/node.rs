@@ -97,7 +97,7 @@ impl Accel {
 
     /// Snapshot of the device's metrics registry (`gpu.*` series).
     pub fn metrics(&self) -> gmip_trace::MetricsRegistry {
-        self.inner.lock().metrics().clone()
+        self.inner.lock().metrics()
     }
 
     /// A GPU accelerator with `gib` GiB of memory over PCIe.

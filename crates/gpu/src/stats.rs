@@ -4,14 +4,119 @@
 //! count host↔device transfers (Section 5's reuse arguments), E4 counts
 //! kernel launches (batching), E1/E8 report simulated busy time.
 //!
-//! Since the observability refactor the ledger of record is a
-//! [`gmip_trace::MetricsRegistry`] owned by the device (keys in
-//! [`gmip_trace::names`], `gpu.*`); [`DeviceStats`] remains the stable
-//! reporting view, materialized on demand by [`DeviceStats::from_registry`]
-//! and convertible back with [`DeviceStats::to_registry`] for session-level
-//! aggregation.
+//! The ledger of record is the device's private `Ledger`: one `f64` slot
+//! per `gpu.*` series of [`gmip_trace::names`], bumped by array index on
+//! every charge — a simulated operation must not cost a string-keyed map
+//! lookup. The two public views are materialized from it only when read:
+//!
+//! * [`DeviceStats`], the stable reporting struct, filled straight from the
+//!   slots by [`GpuDevice::stats`](crate::device::GpuDevice::stats);
+//! * a [`MetricsRegistry`] holding exactly the series that were ever
+//!   charged, built by [`GpuDevice::metrics`](crate::device::GpuDevice::metrics)
+//!   for session-level merging.
+//!
+//! Each slot accumulates in charge order, so both views carry the same bits
+//! a registry updated per operation would. [`DeviceStats::from_registry`]
+//! and [`DeviceStats::to_registry`] convert between the two views.
 
 use gmip_trace::{names, MetricsRegistry};
+
+/// The `gpu.*` series a device keeps, as slots of its [`Ledger`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Series {
+    H2dTransfers,
+    H2dBytes,
+    D2hTransfers,
+    D2hBytes,
+    KernelLaunches,
+    KernelFlops,
+    TransferNs,
+    KernelNs,
+    Syncs,
+    /// The one gauge: high-water mark of device bytes over object inserts.
+    MemPeakBytes,
+}
+
+/// Registry key of every [`Series`], in slot order.
+const SERIES_NAMES: [&str; 10] = [
+    names::GPU_H2D_TRANSFERS,
+    names::GPU_H2D_BYTES,
+    names::GPU_D2H_TRANSFERS,
+    names::GPU_D2H_BYTES,
+    names::GPU_KERNEL_LAUNCHES,
+    names::GPU_KERNEL_FLOPS,
+    names::GPU_TRANSFER_NS,
+    names::GPU_KERNEL_NS,
+    names::GPU_SYNCS,
+    names::GPU_MEM_PEAK_BYTES,
+];
+
+/// Fixed-slot ledger of a device's `gpu.*` series.
+///
+/// A slot is *touched* once anything has been charged to it; untouched
+/// series are absent from the materialized registry, as they would be from
+/// one updated per operation.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Ledger {
+    values: [f64; SERIES_NAMES.len()],
+    touched: u16,
+}
+
+impl Ledger {
+    /// Adds `by` to counter `series`.
+    #[inline]
+    pub(crate) fn incr(&mut self, series: Series, by: f64) {
+        self.values[series as usize] += by;
+        self.touched |= 1 << series as usize;
+    }
+
+    /// Raises gauge `series` to `value` if larger.
+    #[inline]
+    pub(crate) fn max_gauge(&mut self, series: Series, value: f64) {
+        let slot = &mut self.values[series as usize];
+        if self.touched & (1 << series as usize) == 0 {
+            self.touched |= 1 << series as usize;
+            *slot = f64::NEG_INFINITY;
+        }
+        if value > *slot {
+            *slot = value;
+        }
+    }
+
+    fn get(&self, series: Series) -> f64 {
+        self.values[series as usize]
+    }
+
+    /// The reporting view over the eight transfer/kernel counters.
+    pub(crate) fn stats(&self) -> DeviceStats {
+        DeviceStats {
+            h2d_transfers: self.get(Series::H2dTransfers) as u64,
+            h2d_bytes: self.get(Series::H2dBytes) as u64,
+            d2h_transfers: self.get(Series::D2hTransfers) as u64,
+            d2h_bytes: self.get(Series::D2hBytes) as u64,
+            kernel_launches: self.get(Series::KernelLaunches) as u64,
+            flops: self.get(Series::KernelFlops),
+            transfer_ns: self.get(Series::TransferNs),
+            kernel_ns: self.get(Series::KernelNs),
+        }
+    }
+
+    /// The touched series as a registry.
+    pub(crate) fn to_registry(&self) -> MetricsRegistry {
+        let mut r = MetricsRegistry::new();
+        for (i, name) in SERIES_NAMES.into_iter().enumerate() {
+            if self.touched & (1 << i) == 0 {
+                continue;
+            }
+            if i == Series::MemPeakBytes as usize {
+                r.set_gauge(name, self.values[i]);
+            } else {
+                r.incr(name, self.values[i]);
+            }
+        }
+        r
+    }
+}
 
 /// Cumulative counters maintained by a [`crate::device::GpuDevice`].
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -116,6 +221,26 @@ mod tests {
         assert_eq!(a.total_bytes(), 300);
         assert_eq!(a.kernel_launches, 6);
         assert_eq!(a.busy_ns(), 24.0);
+    }
+
+    #[test]
+    fn ledger_matches_a_registry_updated_per_operation() {
+        let mut ledger = Ledger::default();
+        let mut reference = MetricsRegistry::new();
+        assert!(ledger.to_registry().is_empty());
+        for (i, by) in [0.1, 0.7, 1e9, 3.3].into_iter().enumerate() {
+            ledger.incr(Series::KernelNs, by);
+            reference.incr(names::GPU_KERNEL_NS, by);
+            ledger.incr(Series::KernelLaunches, 1.0);
+            reference.incr(names::GPU_KERNEL_LAUNCHES, 1.0);
+            let used = [64.0, 8.0, 4096.0, 0.0][i];
+            ledger.max_gauge(Series::MemPeakBytes, used);
+            reference.max_gauge(names::GPU_MEM_PEAK_BYTES, used);
+        }
+        // Same keys present (transfers and syncs stay absent), same bits.
+        assert_eq!(ledger.to_registry(), reference);
+        assert_eq!(ledger.to_registry().counters().count(), 2);
+        assert_eq!(ledger.stats(), DeviceStats::from_registry(&reference));
     }
 
     #[test]

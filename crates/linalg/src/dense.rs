@@ -258,8 +258,19 @@ impl DenseMatrix {
 
     /// Copies column `j` into a new vector.
     pub fn col(&self, j: usize) -> Vec<f64> {
+        let mut out = vec![0.0; self.rows];
+        self.col_into(j, &mut out);
+        out
+    }
+
+    /// Copies column `j` into `out` (length [`rows`](Self::rows)) without
+    /// allocating.
+    pub fn col_into(&self, j: usize, out: &mut [f64]) {
         debug_assert!(j < self.cols);
-        (0..self.rows).map(|i| self.get(i, j)).collect()
+        debug_assert_eq!(out.len(), self.rows);
+        for (i, o) in out.iter_mut().enumerate() {
+            *o = self.get(i, j);
+        }
     }
 
     /// Raw row-major storage.
@@ -305,40 +316,58 @@ impl DenseMatrix {
 
     /// Matrix–vector product `y = A x` (BLAS `gemv` with alpha=1, beta=0).
     pub fn matvec(&self, x: &[f64]) -> Result<Vec<f64>> {
-        if x.len() != self.cols {
+        let mut y = vec![0.0; self.rows];
+        self.matvec_into(x, &mut y)?;
+        Ok(y)
+    }
+
+    /// In-place form of [`matvec`](Self::matvec): writes `y` (length
+    /// [`rows`](Self::rows)) without allocating. Same loop order, same bits.
+    pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) -> Result<()> {
+        if x.len() != self.cols || y.len() != self.rows {
             return Err(LinalgError::DimensionMismatch {
                 context: format!(
-                    "matvec: A is {}x{}, x has {}",
+                    "matvec: A is {}x{}, x has {}, y has {}",
                     self.rows,
                     self.cols,
-                    x.len()
+                    x.len(),
+                    y.len()
                 ),
             });
         }
-        let mut y = vec![0.0; self.rows];
-        for i in 0..self.rows {
-            y[i] = dot(self.row(i), x);
+        for (i, yi) in y.iter_mut().enumerate() {
+            *yi = dot(self.row(i), x);
         }
-        Ok(y)
+        Ok(())
     }
 
     /// Transposed matrix–vector product `y = Aᵀ x`.
     pub fn matvec_transposed(&self, x: &[f64]) -> Result<Vec<f64>> {
-        if x.len() != self.rows {
+        let mut y = vec![0.0; self.cols];
+        self.matvec_transposed_into(x, &mut y)?;
+        Ok(y)
+    }
+
+    /// In-place form of [`matvec_transposed`](Self::matvec_transposed):
+    /// overwrites `y` (length [`cols`](Self::cols)) without allocating.
+    /// Same loop order, same bits.
+    pub fn matvec_transposed_into(&self, x: &[f64], y: &mut [f64]) -> Result<()> {
+        if x.len() != self.rows || y.len() != self.cols {
             return Err(LinalgError::DimensionMismatch {
                 context: format!(
-                    "matvec_transposed: A is {}x{}, x has {}",
+                    "matvec_transposed: A is {}x{}, x has {}, y has {}",
                     self.rows,
                     self.cols,
-                    x.len()
+                    x.len(),
+                    y.len()
                 ),
             });
         }
-        let mut y = vec![0.0; self.cols];
+        y.fill(0.0);
         for i in 0..self.rows {
-            axpy(x[i], self.row(i), &mut y);
+            axpy(x[i], self.row(i), y);
         }
-        Ok(y)
+        Ok(())
     }
 
     /// Matrix–matrix product `C = A B` (BLAS `gemm` with alpha=1, beta=0).

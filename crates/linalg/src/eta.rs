@@ -89,20 +89,43 @@ impl EtaFile {
 
     /// FTRAN: solves `B x = b` through the base LU and the eta file.
     pub fn ftran(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let mut x = self.base.solve(b)?;
-        for e in &self.etas {
-            e.apply_inverse(&mut x);
-        }
+        let mut x = vec![0.0; self.dim()];
+        self.ftran_into(b, &mut x)?;
         Ok(x)
+    }
+
+    /// In-place form of [`ftran`](Self::ftran): writes `x` (length
+    /// [`dim`](Self::dim)) without allocating. Same loop order, same bits.
+    pub fn ftran_into(&self, b: &[f64], x: &mut [f64]) -> Result<()> {
+        self.base.solve_into(b, x)?;
+        for e in &self.etas {
+            e.apply_inverse(x);
+        }
+        Ok(())
     }
 
     /// BTRAN: solves `Bᵀ y = c` (eta transposes in reverse, then base).
     pub fn btran(&self, c: &[f64]) -> Result<Vec<f64>> {
-        let mut y = c.to_vec();
-        for e in self.etas.iter().rev() {
-            e.apply_inverse_transposed(&mut y);
+        let mut work = vec![0.0; self.dim()];
+        let mut y = vec![0.0; self.dim()];
+        self.btran_into(c, &mut work, &mut y)?;
+        Ok(y)
+    }
+
+    /// In-place form of [`btran`](Self::btran): writes `y` without
+    /// allocating; `work` is caller-provided scratch. Both must have
+    /// length [`dim`](Self::dim).
+    pub fn btran_into(&self, c: &[f64], work: &mut [f64], y: &mut [f64]) -> Result<()> {
+        if c.len() != work.len() {
+            return Err(LinalgError::DimensionMismatch {
+                context: format!("btran: basis {}, rhs {}", self.dim(), c.len()),
+            });
         }
-        self.base.solve_transposed(&y)
+        work.copy_from_slice(c);
+        for e in self.etas.iter().rev() {
+            e.apply_inverse_transposed(work);
+        }
+        self.base.solve_transposed_consuming(work, y)
     }
 
     /// Records the basis change "column `leaving_pos` replaced by a column
@@ -257,5 +280,36 @@ mod tests {
         let lhs: f64 = ey.iter().zip(x.iter()).map(|(a, b)| a * b).sum();
         let rhs: f64 = y.iter().zip(ex.iter()).map(|(a, b)| a * b).sum();
         assert!((lhs - rhs).abs() < 1e-12);
+    }
+
+    #[test]
+    fn into_forms_ignore_prior_buffer_contents() {
+        // Recycled output/scratch buffers arrive dirty; the `_into` forms
+        // must give the bits of the allocating forms regardless.
+        let b0 = DenseMatrix::from_rows(&[
+            vec![2.0, 1.0, 1.0],
+            vec![4.0, -6.0, 0.0],
+            vec![-2.0, 7.0, 2.0],
+        ])
+        .unwrap();
+        let mut file = EtaFile::factorize(&b0).unwrap();
+        let alpha = file.ftran(&[1.0, 0.5, -1.0]).unwrap();
+        file.update(1, alpha).unwrap();
+        let rhs = [3.0, -1.0, 0.25];
+        let (mut out, mut work) = ([f64::NAN; 3], [7.0; 3]);
+        file.ftran_into(&rhs, &mut out).unwrap();
+        assert_eq!(out.to_vec(), file.ftran(&rhs).unwrap());
+        out = [-5.0; 3];
+        file.btran_into(&rhs, &mut work, &mut out).unwrap();
+        assert_eq!(out.to_vec(), file.btran(&rhs).unwrap());
+        out = [f64::INFINITY; 3];
+        b0.matvec_transposed_into(&rhs, &mut out).unwrap();
+        assert_eq!(out.to_vec(), b0.matvec_transposed(&rhs).unwrap());
+        b0.col_into(1, &mut out);
+        assert_eq!(out.to_vec(), b0.col(1));
+        // Wrong-sized buffers are errors, not panics.
+        assert!(file.ftran_into(&rhs, &mut [0.0; 2]).is_err());
+        assert!(file.btran_into(&rhs, &mut [0.0; 2], &mut out).is_err());
+        assert!(b0.matvec_into(&rhs, &mut [0.0; 4]).is_err());
     }
 }

@@ -49,20 +49,43 @@ impl SparseEtaFile {
 
     /// FTRAN: solves `B x = b`.
     pub fn ftran(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let mut x = self.base.solve(b)?;
-        for e in &self.etas {
-            e.apply_inverse(&mut x);
-        }
+        let mut x = vec![0.0; self.dim()];
+        self.ftran_into(b, &mut x)?;
         Ok(x)
+    }
+
+    /// In-place form of [`ftran`](Self::ftran): writes `x` (length
+    /// [`dim`](Self::dim)) without allocating. Same loop order, same bits.
+    pub fn ftran_into(&self, b: &[f64], x: &mut [f64]) -> Result<()> {
+        self.base.solve_into(b, x)?;
+        for e in &self.etas {
+            e.apply_inverse(x);
+        }
+        Ok(())
     }
 
     /// BTRAN: solves `Bᵀ y = c`.
     pub fn btran(&self, c: &[f64]) -> Result<Vec<f64>> {
-        let mut y = c.to_vec();
-        for e in self.etas.iter().rev() {
-            e.apply_inverse_transposed(&mut y);
+        let mut work = vec![0.0; self.dim()];
+        let mut y = vec![0.0; self.dim()];
+        self.btran_into(c, &mut work, &mut y)?;
+        Ok(y)
+    }
+
+    /// In-place form of [`btran`](Self::btran): writes `y` without
+    /// allocating; `work` is caller-provided scratch. Both must have
+    /// length [`dim`](Self::dim).
+    pub fn btran_into(&self, c: &[f64], work: &mut [f64], y: &mut [f64]) -> Result<()> {
+        if c.len() != work.len() {
+            return Err(LinalgError::DimensionMismatch {
+                context: format!("sparse btran: basis {}, rhs {}", self.dim(), c.len()),
+            });
         }
-        self.base.solve_transposed(&y)
+        work.copy_from_slice(c);
+        for e in self.etas.iter().rev() {
+            e.apply_inverse_transposed(work);
+        }
+        self.base.solve_transposed_consuming(work, y)
     }
 
     /// Records a basis exchange (same contract as
@@ -171,5 +194,22 @@ mod tests {
         ));
         assert!(f.update(0, vec![1.0]).is_err());
         assert!(f.update(9, vec![1.0; 4]).is_err());
+    }
+
+    #[test]
+    fn into_forms_ignore_prior_buffer_contents() {
+        let csc = CscMatrix::from_dense(&sparse_basis());
+        let mut file = SparseEtaFile::factorize(&csc).unwrap();
+        let alpha = file.ftran(&[1.0, 0.0, 2.0, -1.0]).unwrap();
+        file.update(2, alpha).unwrap();
+        let rhs = [0.5, -3.0, 1.0, 2.0];
+        let (mut out, mut work) = ([f64::NAN; 4], [9.0; 4]);
+        file.ftran_into(&rhs, &mut out).unwrap();
+        assert_eq!(out.to_vec(), file.ftran(&rhs).unwrap());
+        out = [-1.0; 4];
+        file.btran_into(&rhs, &mut work, &mut out).unwrap();
+        assert_eq!(out.to_vec(), file.btran(&rhs).unwrap());
+        assert!(file.ftran_into(&rhs, &mut [0.0; 3]).is_err());
+        assert!(file.btran_into(&rhs, &mut [0.0; 3], &mut out).is_err());
     }
 }

@@ -105,38 +105,73 @@ impl LuFactors {
 
     /// Solves `A x = b`, returning `x`.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
+        let mut x = vec![0.0; self.dim()];
+        self.solve_into(b, &mut x)?;
+        Ok(x)
+    }
+
+    /// In-place form of [`solve`](Self::solve): writes `x` (length
+    /// [`dim`](Self::dim)) without allocating. Same loop order, same bits.
+    pub fn solve_into(&self, b: &[f64], x: &mut [f64]) -> Result<()> {
         let n = self.dim();
-        if b.len() != n {
+        if b.len() != n || x.len() != n {
             return Err(LinalgError::DimensionMismatch {
-                context: format!("solve: system of {}, rhs of {}", n, b.len()),
+                context: format!(
+                    "solve: system of {}, rhs of {}, x of {}",
+                    n,
+                    b.len(),
+                    x.len()
+                ),
             });
         }
         // Apply permutation: y = P b.
-        let mut x: Vec<f64> = self.perm.iter().map(|&p| b[p]).collect();
-        triangular::forward_subst_unit(&self.lu, &mut x)?;
-        triangular::backward_subst(&self.lu, &mut x)?;
-        Ok(x)
+        for (xi, &p) in x.iter_mut().zip(&self.perm) {
+            *xi = b[p];
+        }
+        triangular::forward_subst_unit(&self.lu, x)?;
+        triangular::backward_subst(&self.lu, x)
     }
 
     /// Solves `Aᵀ x = b`, returning `x`. Needed for BTRAN in the revised
     /// simplex method (computing dual prices).
     pub fn solve_transposed(&self, b: &[f64]) -> Result<Vec<f64>> {
+        let mut work = vec![0.0; self.dim()];
+        let mut x = vec![0.0; self.dim()];
+        self.solve_transposed_into(b, &mut work, &mut x)?;
+        Ok(x)
+    }
+
+    /// In-place form of [`solve_transposed`](Self::solve_transposed):
+    /// writes `x` without allocating; `work` is caller-provided scratch.
+    /// Both must have length [`dim`](Self::dim).
+    pub fn solve_transposed_into(&self, b: &[f64], work: &mut [f64], x: &mut [f64]) -> Result<()> {
         let n = self.dim();
-        if b.len() != n {
+        if b.len() != n || work.len() != n {
             return Err(LinalgError::DimensionMismatch {
                 context: format!("solve_transposed: system of {}, rhs of {}", n, b.len()),
             });
         }
+        work.copy_from_slice(b);
+        self.solve_transposed_consuming(work, x)
+    }
+
+    /// [`solve_transposed_into`](Self::solve_transposed_into) with the
+    /// right-hand side already in `z`, which is overwritten.
+    pub(crate) fn solve_transposed_consuming(&self, z: &mut [f64], x: &mut [f64]) -> Result<()> {
+        let n = self.dim();
+        if z.len() != n || x.len() != n {
+            return Err(LinalgError::DimensionMismatch {
+                context: format!("solve_transposed: system of {}, rhs of {}", n, z.len()),
+            });
+        }
         // Aᵀ = (P⁻¹ L U)ᵀ = Uᵀ Lᵀ P⁻ᵀ, so solve Uᵀ z = b, then Lᵀ w = z,
         // then x = Pᵀ w (scatter w back through the permutation).
-        let mut z = b.to_vec();
-        triangular::backward_subst_transposed(&self.lu, &mut z)?;
-        triangular::forward_subst_unit_transposed(&self.lu, &mut z)?;
-        let mut x = vec![0.0; n];
+        triangular::backward_subst_transposed(&self.lu, z)?;
+        triangular::forward_subst_unit_transposed(&self.lu, z)?;
         for (i, &p) in self.perm.iter().enumerate() {
             x[p] = z[i];
         }
-        Ok(x)
+        Ok(())
     }
 
     /// Solves for multiple right-hand sides, each a column of `b`.

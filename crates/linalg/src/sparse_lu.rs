@@ -119,39 +119,48 @@ impl SparseLu {
 
     /// Solves `A x = b`.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
-        if b.len() != self.n {
+        let mut x = vec![0.0; self.n];
+        self.solve_into(b, &mut x)?;
+        Ok(x)
+    }
+
+    /// In-place form of [`solve`](Self::solve): writes `x` (length
+    /// [`dim`](Self::dim)) without allocating. Same loop order, same bits.
+    pub fn solve_into(&self, b: &[f64], x: &mut [f64]) -> Result<()> {
+        if b.len() != self.n || x.len() != self.n {
             return Err(LinalgError::DimensionMismatch {
                 context: format!("sparse solve: system {}, rhs {}", self.n, b.len()),
             });
         }
         // Forward: L y = P b, y indexed by pivot position.
-        let mut y: Vec<f64> = self.perm.iter().map(|&r| b[r]).collect();
+        for (xi, &r) in x.iter_mut().zip(&self.perm) {
+            *xi = b[r];
+        }
         for k in 0..self.n {
-            let yk = y[k];
+            let yk = x[k];
             if yk == 0.0 {
                 continue;
             }
             for &(r, lv) in &self.l_cols[k] {
-                y[self.pinv[r]] -= yk * lv;
+                x[self.pinv[r]] -= yk * lv;
             }
         }
         // Backward: U x = y. Columns processed right to left.
-        let mut xout = y;
         for j in (0..self.n).rev() {
             let col = &self.u_cols[j];
             // Diagonal is the last entry by construction.
             let &(dj, dv) = col.last().expect("U column has a diagonal");
             debug_assert_eq!(dj, j);
-            let xj = xout[j] / dv;
-            xout[j] = xj;
+            let xj = x[j] / dv;
+            x[j] = xj;
             if xj == 0.0 {
                 continue;
             }
             for &(k, uv) in &col[..col.len() - 1] {
-                xout[k] -= uv * xj;
+                x[k] -= uv * xj;
             }
         }
-        Ok(xout)
+        Ok(())
     }
 
     /// Solves `Aᵀ x = b` (the BTRAN direction for a sparse-factored basis).
@@ -159,15 +168,36 @@ impl SparseLu {
     /// `Aᵀ = Uᵀ Lᵀ P`, so solve `Uᵀ z = b`, then `Lᵀ w = z`, then scatter
     /// `x[perm[k]] = w[k]`.
     pub fn solve_transposed(&self, b: &[f64]) -> Result<Vec<f64>> {
-        if b.len() != self.n {
+        let mut work = vec![0.0; self.n];
+        let mut x = vec![0.0; self.n];
+        self.solve_transposed_into(b, &mut work, &mut x)?;
+        Ok(x)
+    }
+
+    /// In-place form of [`solve_transposed`](Self::solve_transposed):
+    /// writes `x` without allocating; `work` is caller-provided scratch.
+    /// Both must have length [`dim`](Self::dim).
+    pub fn solve_transposed_into(&self, b: &[f64], work: &mut [f64], x: &mut [f64]) -> Result<()> {
+        if b.len() != self.n || work.len() != self.n {
             return Err(LinalgError::DimensionMismatch {
                 context: format!("sparse solve_t: system {}, rhs {}", self.n, b.len()),
+            });
+        }
+        work.copy_from_slice(b);
+        self.solve_transposed_consuming(work, x)
+    }
+
+    /// [`solve_transposed_into`](Self::solve_transposed_into) with the
+    /// right-hand side already in `z`, which is overwritten.
+    pub(crate) fn solve_transposed_consuming(&self, z: &mut [f64], x: &mut [f64]) -> Result<()> {
+        if z.len() != self.n || x.len() != self.n {
+            return Err(LinalgError::DimensionMismatch {
+                context: format!("sparse solve_t: system {}, rhs {}", self.n, z.len()),
             });
         }
         // Uᵀ is lower triangular over pivot positions; U stored by columns
         // means Uᵀ's row j = U's column j. Forward solve: for j ascending,
         // z_j = (b_j − Σ_{k<j} U[k][j] z_k) / U[j][j].
-        let mut z = b.to_vec();
         for j in 0..self.n {
             let col = &self.u_cols[j];
             let &(dj, dv) = col.last().expect("U column has a diagonal");
@@ -189,11 +219,10 @@ impl SparseLu {
             z[k] = acc;
         }
         // x = Pᵀ w: row perm[k] of A maps to pivot position k.
-        let mut x = vec![0.0; self.n];
         for (k, &orig_row) in self.perm.iter().enumerate() {
             x[orig_row] = z[k];
         }
-        Ok(x)
+        Ok(())
     }
 
     /// Reconstructs the dense product `L U` re-permuted back to `A`'s row

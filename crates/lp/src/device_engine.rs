@@ -47,6 +47,10 @@ pub struct DeviceEngine {
     gamma: Option<VectorHandle>,
     alpha: Option<VectorHandle>,
     alpha_r: Option<VectorHandle>,
+    /// Host staging buffers for the per-install uploads (σ, nonbasic
+    /// values, and one basis-ordered gather), kept across installs so a warm
+    /// re-solve stages without allocating.
+    stage: [Vec<f64>; 3],
 }
 
 impl DeviceEngine {
@@ -80,6 +84,7 @@ impl DeviceEngine {
             gamma: None,
             alpha: None,
             alpha_r: None,
+            stage: Default::default(),
         })
     }
 
@@ -95,11 +100,12 @@ impl DeviceEngine {
         self.accel.with(f).map_err(LpError::from)
     }
 
-    fn free_opt(&mut self, h: Option<VectorHandle>) {
+    /// Frees a superseded vector inside the caller's device closure (one
+    /// lock for the kernel and its cleanup). Best-effort: a handle could be
+    /// gone only via engine bugs.
+    fn release(d: &mut GpuDevice, h: Option<VectorHandle>) {
         if let Some(h) = h {
-            // Ignore failures: a handle could be gone only via engine bugs,
-            // and freeing is best-effort cleanup.
-            let _ = self.accel.with(|d| d.free_vector(h));
+            let _ = d.free_vector(h);
         }
     }
 
@@ -116,12 +122,17 @@ impl DeviceEngine {
             self.alpha.take(),
             self.alpha_r.take(),
         ];
-        for h in handles {
-            self.free_opt(h);
-        }
-        if let Some(e) = self.eta.take() {
-            let _ = self.accel.with(|d| d.free_eta(e));
-        }
+        let eta = self.eta.take();
+        // Best-effort cleanup under one lock: a handle could be gone only
+        // via engine bugs, so failures are ignored.
+        self.accel.with(|d| {
+            for h in handles.into_iter().flatten() {
+                let _ = d.free_vector(h);
+            }
+            if let Some(e) = eta {
+                let _ = d.free_eta(e);
+            }
+        });
     }
 
     fn eta(&self) -> LpResult<EtaHandle> {
@@ -165,12 +176,17 @@ impl SimplexEngine for DeviceEngine {
             )));
         }
         self.clear_iteration_state();
-        self.lb = view.lb.to_vec();
-        self.ub = view.ub.to_vec();
+        self.lb.clear();
+        self.lb.extend_from_slice(view.lb);
+        self.ub.clear();
+        self.ub.extend_from_slice(view.ub);
 
         // Host-side assembly of the small per-install vectors.
-        let mut sigma = vec![0.0; self.n];
-        let mut x_nb = vec![0.0; self.n];
+        let [mut sigma, mut x_nb, mut basic] = std::mem::take(&mut self.stage);
+        for buf in [&mut sigma, &mut x_nb] {
+            buf.clear();
+            buf.resize(self.n, 0.0);
+        }
         for (j, s) in basis.status.iter().enumerate() {
             match s {
                 VarStatus::Basic(_) => {}
@@ -187,24 +203,29 @@ impl SimplexEngine for DeviceEngine {
                 return Err(LpError::FreeVariable(j));
             }
         }
-        let cb: Vec<f64> = basis.cols.iter().map(|&j| view.c[j]).collect();
-        let lbb: Vec<f64> = basis.cols.iter().map(|&j| view.lb[j]).collect();
-        let ubb: Vec<f64> = basis.cols.iter().map(|&j| view.ub[j]).collect();
+        // Basis-ordered gather of a column vector into the staging buffer.
+        let cols = &basis.cols;
+        let gather = |buf: &mut Vec<f64>, src: &[f64]| {
+            buf.clear();
+            buf.extend(cols.iter().map(|&j| src[j]));
+        };
 
         let a = self.a;
-        let cols = basis.cols.clone();
         let (c_h, b_h, sigma_h, cb_h, lbb_h, ubb_h, eta_h, xb_h) = self.with_dev(|d| {
             let c_h = d.upload_vector(view.c, st)?;
             let b_h = d.upload_vector(view.b, st)?;
             let sigma_h = d.upload_vector(&sigma, st)?;
-            let cb_h = d.upload_vector(&cb, st)?;
-            let lbb_h = d.upload_vector(&lbb, st)?;
-            let ubb_h = d.upload_vector(&ubb, st)?;
+            gather(&mut basic, view.c);
+            let cb_h = d.upload_vector(&basic, st)?;
+            gather(&mut basic, view.lb);
+            let lbb_h = d.upload_vector(&basic, st)?;
+            gather(&mut basic, view.ub);
+            let ubb_h = d.upload_vector(&basic, st)?;
             // Residual w = b − A x_nb, fully on device.
             let xnb_h = d.upload_vector(&x_nb, st)?;
             let w = d.residual(b_h, a, xnb_h, st)?;
             // Basis gather + factorization, on device.
-            let bmat = d.gather_columns(a, &cols, st)?;
+            let bmat = d.gather_columns(a, cols, st)?;
             let eta_h = d.eta_factor(bmat, st)?;
             d.free_matrix(bmat)?;
             let xb_h = d.eta_ftran(eta_h, w, st)?;
@@ -220,10 +241,12 @@ impl SimplexEngine for DeviceEngine {
         self.ubb = Some(ubb_h);
         self.eta = Some(eta_h);
         self.xb = Some(xb_h);
-        let ones = vec![1.0; self.n];
-        let gst = self.stream;
-        let g = self.with_dev(|d| d.upload_vector(&ones, gst))?;
+        // Devex reference weights start at one; σ's staging buffer has the
+        // right length and is no longer needed.
+        sigma.fill(1.0);
+        let g = self.with_dev(|d| d.upload_vector(&sigma, st))?;
         self.gamma = Some(g);
+        self.stage = [sigma, x_nb, basic];
         Ok(())
     }
 
@@ -279,14 +302,15 @@ impl SimplexEngine for DeviceEngine {
         let st = self.stream;
         let eta = self.eta()?;
         let a = self.a;
+        let old = self.alpha;
         let alpha = self.with_dev(|d| {
             let col = d.extract_column(a, q, st)?;
             let alpha = d.eta_ftran(eta, col, st)?;
             d.free_vector(col)?;
+            Self::release(d, old);
             Ok(alpha)
         })?;
-        let old = self.alpha.replace(alpha);
-        self.free_opt(old);
+        self.alpha = Some(alpha);
         Ok(())
     }
 
@@ -325,6 +349,7 @@ impl SimplexEngine for DeviceEngine {
         let lbb = self.req(self.lbb)?;
         let ubb = self.req(self.ubb)?;
         let eta = self.eta()?;
+        let old_ar = self.alpha_r;
         let leaving_sigma = if self.lb[plan.leaving_j] == self.ub[plan.leaving_j] {
             0.0
         } else {
@@ -344,12 +369,14 @@ impl SimplexEngine for DeviceEngine {
             d.vec_set(sigma, plan.q, 0.0, st)?;
             d.vec_set(cb, plan.r, plan.c_q, st)?;
             d.vec_set(lbb, plan.r, plan.lb_q, st)?;
-            d.vec_set(ubb, plan.r, plan.ub_q, st)
+            d.vec_set(ubb, plan.r, plan.ub_q, st)?;
+            // The pivot consumed α (and the Devex row, if any).
+            Self::release(d, Some(alpha));
+            Self::release(d, old_ar);
+            Ok(())
         })?;
-        let old_alpha = self.alpha.take();
-        self.free_opt(old_alpha);
-        let old_ar = self.alpha_r.take();
-        self.free_opt(old_ar);
+        self.alpha = None;
+        self.alpha_r = None;
         Ok(())
     }
 
@@ -385,16 +412,17 @@ impl SimplexEngine for DeviceEngine {
         let eta = self.eta()?;
         let a = self.a;
         let m = self.m;
+        let old = self.alpha_r;
         let ar = self.with_dev(|d| {
             let e = d.alloc_unit_vector(m, r, st)?;
             let rho = d.eta_btran(eta, e, st)?;
             let ar = d.gemv_transposed(a, rho, st)?;
             d.free_vector(e)?;
             d.free_vector(rho)?;
+            Self::release(d, old);
             Ok(ar)
         })?;
-        let old = self.alpha_r.replace(ar);
-        self.free_opt(old);
+        self.alpha_r = Some(ar);
         Ok(())
     }
 

@@ -43,6 +43,10 @@ pub struct SparseDeviceEngine {
     gamma: Option<VectorHandle>,
     alpha: Option<VectorHandle>,
     alpha_r: Option<VectorHandle>,
+    /// Host staging buffers for the per-install uploads (σ, nonbasic
+    /// values, and one basis-ordered gather), kept across installs so a warm
+    /// re-solve stages without allocating.
+    stage: [Vec<f64>; 3],
 }
 
 impl SparseDeviceEngine {
@@ -69,6 +73,7 @@ impl SparseDeviceEngine {
             gamma: None,
             alpha: None,
             alpha_r: None,
+            stage: Default::default(),
         })
     }
 
@@ -84,9 +89,12 @@ impl SparseDeviceEngine {
         self.accel.with(f).map_err(LpError::from)
     }
 
-    fn free_opt(&mut self, h: Option<VectorHandle>) {
+    /// Frees a superseded vector inside the caller's device closure (one
+    /// lock for the kernel and its cleanup). Best-effort: a handle could be
+    /// gone only via engine bugs.
+    fn release(d: &mut GpuDevice, h: Option<VectorHandle>) {
         if let Some(h) = h {
-            let _ = self.accel.with(|d| d.free_vector(h));
+            let _ = d.free_vector(h);
         }
     }
 
@@ -103,12 +111,17 @@ impl SparseDeviceEngine {
             self.alpha.take(),
             self.alpha_r.take(),
         ];
-        for h in handles {
-            self.free_opt(h);
-        }
-        if let Some(e) = self.eta.take() {
-            let _ = self.accel.with(|d| d.free_sparse_eta(e));
-        }
+        let eta = self.eta.take();
+        // Best-effort cleanup under one lock: a handle could be gone only
+        // via engine bugs, so failures are ignored.
+        self.accel.with(|d| {
+            for h in handles.into_iter().flatten() {
+                let _ = d.free_vector(h);
+            }
+            if let Some(e) = eta {
+                let _ = d.free_sparse_eta(e);
+            }
+        });
     }
 
     fn eta(&self) -> LpResult<SparseEtaHandle> {
@@ -151,12 +164,17 @@ impl SimplexEngine for SparseDeviceEngine {
             )));
         }
         self.clear_iteration_state();
-        self.lb = view.lb.to_vec();
-        self.ub = view.ub.to_vec();
-        self.basis_cols = basis.cols.clone();
+        self.lb.clear();
+        self.lb.extend_from_slice(view.lb);
+        self.ub.clear();
+        self.ub.extend_from_slice(view.ub);
+        self.basis_cols.clone_from(&basis.cols);
 
-        let mut sigma = vec![0.0; self.n];
-        let mut x_nb = vec![0.0; self.n];
+        let [mut sigma, mut x_nb, mut basic] = std::mem::take(&mut self.stage);
+        for buf in [&mut sigma, &mut x_nb] {
+            buf.clear();
+            buf.resize(self.n, 0.0);
+        }
         for (j, s) in basis.status.iter().enumerate() {
             match s {
                 VarStatus::Basic(_) => {}
@@ -173,22 +191,27 @@ impl SimplexEngine for SparseDeviceEngine {
                 return Err(LpError::FreeVariable(j));
             }
         }
-        let cb: Vec<f64> = basis.cols.iter().map(|&j| view.c[j]).collect();
-        let lbb: Vec<f64> = basis.cols.iter().map(|&j| view.lb[j]).collect();
-        let ubb: Vec<f64> = basis.cols.iter().map(|&j| view.ub[j]).collect();
+        // Basis-ordered gather of a column vector into the staging buffer.
+        let cols = &basis.cols;
+        let gather = |buf: &mut Vec<f64>, src: &[f64]| {
+            buf.clear();
+            buf.extend(cols.iter().map(|&j| src[j]));
+        };
 
         let a = self.a;
-        let cols = basis.cols.clone();
         let (c_h, b_h, sigma_h, cb_h, lbb_h, ubb_h, eta_h, xb_h) = self.with_dev(|d| {
             let c_h = d.upload_vector(view.c, S)?;
             let b_h = d.upload_vector(view.b, S)?;
             let sigma_h = d.upload_vector(&sigma, S)?;
-            let cb_h = d.upload_vector(&cb, S)?;
-            let lbb_h = d.upload_vector(&lbb, S)?;
-            let ubb_h = d.upload_vector(&ubb, S)?;
+            gather(&mut basic, view.c);
+            let cb_h = d.upload_vector(&basic, S)?;
+            gather(&mut basic, view.lb);
+            let lbb_h = d.upload_vector(&basic, S)?;
+            gather(&mut basic, view.ub);
+            let ubb_h = d.upload_vector(&basic, S)?;
             let xnb_h = d.upload_vector(&x_nb, S)?;
             let w = d.residual_sparse(b_h, a, xnb_h, S)?;
-            let eta_h = d.sparse_eta_factor(a, &cols, S)?;
+            let eta_h = d.sparse_eta_factor(a, cols, S)?;
             let xb_h = d.sparse_eta_ftran(eta_h, w, S)?;
             d.free_vector(w)?;
             d.free_vector(xnb_h)?;
@@ -202,9 +225,12 @@ impl SimplexEngine for SparseDeviceEngine {
         self.ubb = Some(ubb_h);
         self.eta = Some(eta_h);
         self.xb = Some(xb_h);
-        let ones = vec![1.0; self.n];
-        let g = self.with_dev(|d| d.upload_vector(&ones, S))?;
+        // Devex reference weights start at one; σ's staging buffer has the
+        // right length and is no longer needed.
+        sigma.fill(1.0);
+        let g = self.with_dev(|d| d.upload_vector(&sigma, S))?;
         self.gamma = Some(g);
+        self.stage = [sigma, x_nb, basic];
         Ok(())
     }
 
@@ -262,14 +288,15 @@ impl SimplexEngine for SparseDeviceEngine {
     fn ftran_column(&mut self, q: usize) -> LpResult<()> {
         let eta = self.eta()?;
         let a = self.a;
+        let old = self.alpha;
         let alpha = self.with_dev(|d| {
             let col = d.extract_column_sparse(a, q, S)?;
             let alpha = d.sparse_eta_ftran(eta, col, S)?;
             d.free_vector(col)?;
+            Self::release(d, old);
             Ok(alpha)
         })?;
-        let old = self.alpha.replace(alpha);
-        self.free_opt(old);
+        self.alpha = Some(alpha);
         Ok(())
     }
 
@@ -304,6 +331,7 @@ impl SimplexEngine for SparseDeviceEngine {
         let lbb = self.req(self.lbb)?;
         let ubb = self.req(self.ubb)?;
         let eta = self.eta()?;
+        let old_ar = self.alpha_r;
         let leaving_sigma = if self.lb[plan.leaving_j] == self.ub[plan.leaving_j] {
             0.0
         } else {
@@ -323,13 +351,15 @@ impl SimplexEngine for SparseDeviceEngine {
             d.vec_set(sigma, plan.q, 0.0, S)?;
             d.vec_set(cb, plan.r, plan.c_q, S)?;
             d.vec_set(lbb, plan.r, plan.lb_q, S)?;
-            d.vec_set(ubb, plan.r, plan.ub_q, S)
+            d.vec_set(ubb, plan.r, plan.ub_q, S)?;
+            // The pivot consumed α (and the Devex row, if any).
+            Self::release(d, Some(alpha));
+            Self::release(d, old_ar);
+            Ok(())
         })?;
+        self.alpha = None;
+        self.alpha_r = None;
         self.basis_cols[plan.r] = plan.q;
-        let old_alpha = self.alpha.take();
-        self.free_opt(old_alpha);
-        let old_ar = self.alpha_r.take();
-        self.free_opt(old_ar);
         Ok(())
     }
 
@@ -361,16 +391,17 @@ impl SimplexEngine for SparseDeviceEngine {
         let eta = self.eta()?;
         let a = self.a;
         let m = self.m;
+        let old = self.alpha_r;
         let ar = self.with_dev(|d| {
             let e = d.alloc_unit_vector(m, r, S)?;
             let rho = d.sparse_eta_btran(eta, e, S)?;
             let ar = d.spmv_transposed(a, rho, S)?;
             d.free_vector(e)?;
             d.free_vector(rho)?;
+            Self::release(d, old);
             Ok(ar)
         })?;
-        let old = self.alpha_r.replace(ar);
-        self.free_opt(old);
+        self.alpha_r = Some(ar);
         Ok(())
     }
 

@@ -302,6 +302,8 @@ fn splitmix64(mut z: u64) -> u64 {
 #[derive(Debug)]
 pub struct HierSupervisor {
     instance: MipInstance,
+    /// `instance.integral_indices()`, computed once at construction.
+    integral: Vec<usize>,
     cfg: ParallelConfig,
     hcfg: HierarchyConfig,
     groups: usize,
@@ -409,6 +411,7 @@ impl HierSupervisor {
             last_checkpoint: None,
             plan,
             first_incumbent_ns: None,
+            integral: instance.integral_indices(),
             instance,
             cfg,
             hcfg,
@@ -438,7 +441,7 @@ impl HierSupervisor {
         // every group's pruning value, exactly like the flat cluster.
         if let Some(seed) = sup.cfg.seed_solution.clone() {
             let mut p = seed;
-            for j in sup.instance.integral_indices() {
+            for &j in &sup.integral {
                 if let Some(v) = p.get_mut(j) {
                     *v = v.round();
                 }
@@ -1302,7 +1305,7 @@ impl HierSupervisor {
             if internal > self.gstate[g].incumbent {
                 self.gstate[g].incumbent = internal;
                 let mut p = x;
-                for j in self.instance.integral_indices() {
+                for &j in &self.integral {
                     p[j] = p[j].round();
                 }
                 let tol = self.cfg.prune_tol;
@@ -1333,7 +1336,7 @@ impl HierSupervisor {
                 if internal > self.gstate[g].incumbent {
                     self.gstate[g].incumbent = internal;
                     let mut p = x;
-                    for j in self.instance.integral_indices() {
+                    for &j in &self.integral {
                         p[j] = p[j].round();
                     }
                     // Scoped prune now; the rest of the cluster prunes when

@@ -282,6 +282,8 @@ impl RankState {
 #[derive(Debug)]
 pub struct Supervisor {
     instance: MipInstance,
+    /// `instance.integral_indices()`, computed once at construction.
+    integral: Vec<usize>,
     cfg: ParallelConfig,
     tree: SearchTree<ParPayload>,
     workers: Vec<Worker>,
@@ -352,6 +354,7 @@ impl Supervisor {
             last_checkpoint: None,
             plan,
             first_incumbent_ns: None,
+            integral: instance.integral_indices(),
             instance,
             cfg,
         };
@@ -365,7 +368,7 @@ impl Supervisor {
         // instance, so every dispatched assignment prunes against it.
         if let Some(seed) = sup.cfg.seed_solution.clone() {
             let mut p = seed;
-            for j in sup.instance.integral_indices() {
+            for &j in &sup.integral {
                 if let Some(v) = p.get_mut(j) {
                     *v = v.round();
                 }
@@ -807,7 +810,7 @@ impl Supervisor {
         if let Some((internal, x)) = report.heur {
             if internal > self.incumbent_internal() {
                 let mut p = x;
-                for j in self.instance.integral_indices() {
+                for &j in &self.integral {
                     p[j] = p[j].round();
                 }
                 self.incumbent = Some((internal, p));
@@ -834,7 +837,7 @@ impl Supervisor {
                 self.tree.settle(id, NodeState::Feasible, internal);
                 if internal > self.incumbent_internal() {
                     let mut p = x;
-                    for j in self.instance.integral_indices() {
+                    for &j in &self.integral {
                         p[j] = p[j].round();
                     }
                     self.incumbent = Some((internal, p));

@@ -53,6 +53,8 @@ pub struct Worker {
     accel: Accel,
     backend: LpBackend,
     instance: MipInstance,
+    /// `instance.integral_indices()`, computed once at construction.
+    integral: Vec<usize>,
     int_tol: f64,
     /// Completion time of this worker's last assignment (DES bookkeeping).
     pub busy_until: f64,
@@ -164,6 +166,7 @@ impl Worker {
                     cleanup: Box::new(cleanup),
                     slot: 0,
                 },
+                integral: instance.integral_indices(),
                 instance: instance.clone(),
                 int_tol,
                 busy_until: 0.0,
@@ -209,6 +212,7 @@ impl Worker {
             id,
             accel,
             backend,
+            integral: instance.integral_indices(),
             instance: instance.clone(),
             int_tol,
             busy_until: 0.0,
@@ -416,9 +420,9 @@ impl Worker {
                 } else {
                     // Fractionality check.
                     let frac: Vec<usize> = self
-                        .instance
-                        .integral_indices()
-                        .into_iter()
+                        .integral
+                        .iter()
+                        .copied()
                         .filter(|&j| (sol.x[j] - sol.x[j].round()).abs() > self.int_tol)
                         .collect();
                     if frac.is_empty() {
