@@ -16,7 +16,7 @@
 //! scaling sweep; its `wall` keys are real time and exempt from the gate), and
 //! `<dir>/BENCH_baseline.json` (the full regression baseline the
 //! `bench-regression` CI job compares against). With `--scale-smoke`,
-//! only the E10 4/64/256-rank cells are re-run and written to
+//! only the E10 4/64/256/1024-rank cells are re-run and written to
 //! `<dir>/BENCH_scale_smoke.json` (the `scale-smoke` CI job compares them
 //! against the committed full record); no experiments are printed unless
 //! ids are also given.

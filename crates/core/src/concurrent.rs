@@ -114,15 +114,7 @@ pub fn solve_concurrent(
 
     while tree.has_active() && nodes < cfg.node_limit {
         // Wave selection: up to `lanes` best-bound nodes.
-        let mut wave: Vec<NodeId> = tree.active_ids().to_vec();
-        wave.sort_by(|&a, &b| {
-            tree.node(b)
-                .bound
-                .partial_cmp(&tree.node(a).bound)
-                .expect("bounds are never NaN")
-                .then(a.cmp(&b))
-        });
-        wave.truncate(lanes.len());
+        let wave: Vec<NodeId> = tree.iter_in(0).take(lanes.len()).collect();
         waves += 1;
 
         // Dispatch: each node to its lane; evaluation overlaps in sim time.
@@ -131,7 +123,7 @@ pub fn solve_concurrent(
             tree.begin_evaluation(id);
             nodes += 1;
             let bounds = tree.node(id).data.bounds.clone();
-            let warm = tree.node_mut(id).data.parent_basis.take();
+            let warm = tree.data_mut(id).parent_basis.take();
             lane.apply_node_bounds(&bounds)?;
             let sol = match warm {
                 Some(b) if b.n() == lane.standard().n() + lane.standard().m() => {

@@ -139,26 +139,12 @@ pub fn solve_first_order_wave(
 
     loop {
         // Refill idle lanes from the best-bound frontier.
-        let mut frontier: Vec<NodeId> = tree
-            .active_ids()
-            .iter()
-            .copied()
-            .filter(|id| !in_flight.iter().any(|f| f.as_ref() == Some(id)))
-            .collect();
-        frontier.sort_by(|&a, &b| {
-            tree.node(b)
-                .bound
-                .partial_cmp(&tree.node(a).bound)
-                .expect("bounds are never NaN")
-                .then(a.cmp(&b))
-        });
-        let mut next = frontier.into_iter();
         let mut pending: Vec<(usize, NodeId)> = Vec::new();
         for slot in 0..width {
             if in_flight[slot].is_some() || nodes >= cfg.node_limit {
                 continue;
             }
-            let Some(id) = next.next() else { break };
+            let Some(id) = tree.best() else { break };
             tree.begin_evaluation(id);
             nodes += 1;
             pending.push((slot, id));
@@ -195,7 +181,7 @@ pub fn solve_first_order_wave(
         }
 
         for (slot, id, bounds) in loads {
-            let warm = tree.node_mut(id).data.parent_iterates.take();
+            let warm = tree.data_mut(id).parent_iterates.take();
             let mut lb = std.lb.clone();
             let mut ub = std.ub.clone();
             for bc in &bounds {

@@ -78,19 +78,13 @@ pub fn solve_with_node_engine(
 
     while nodes < cfg.node_limit {
         // Best-bound node first (ties broken by id for determinism).
-        let Some(id) = tree.active_ids().iter().copied().max_by(|&a, &b| {
-            tree.node(a)
-                .bound
-                .partial_cmp(&tree.node(b).bound)
-                .expect("bounds are never NaN")
-                .then(b.cmp(&a))
-        }) else {
+        let Some(id) = tree.best() else {
             break;
         };
         tree.begin_evaluation(id);
         nodes += 1;
         let bounds = tree.node(id).data.bounds.clone();
-        let warm = std::mem::take(&mut tree.node_mut(id).data.warm);
+        let warm = std::mem::take(&mut tree.data_mut(id).warm);
         match engine.solve_node(&bounds, warm.as_start())? {
             NodeLpOutcome::Infeasible => {
                 tree.settle(id, NodeState::Infeasible, f64::NEG_INFINITY);

@@ -663,7 +663,7 @@ impl<E: SimplexEngine> MipSolver<E> {
         if self.cfg.warm_start {
             if let Some(b) = self.cfg.root_basis.clone() {
                 let root = tree.root();
-                tree.node_mut(root).data.parent_basis = Some(b);
+                tree.data_mut(root).parent_basis = Some(b);
             }
         }
         let mut lp_slot: Option<LpSolver<E>> = None;
@@ -712,7 +712,7 @@ impl<E: SimplexEngine> MipSolver<E> {
             stats.nodes += 1;
             let is_root = id == tree.root();
             let mut bounds = tree.node(id).data.bounds.clone();
-            let parent_basis = tree.node_mut(id).data.parent_basis.take();
+            let parent_basis = tree.data_mut(id).parent_basis.take();
             let branch_info = tree.node(id).data.branch_info;
 
             let node_t0 = self.sim_now_ns();

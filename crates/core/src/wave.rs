@@ -187,30 +187,12 @@ pub fn solve_batched_wave(
         // host planner takes the reference pivot path eagerly (journaling
         // the device kernels), and the journal joins the wave in flight —
         // no barrier, no waiting on busier lanes.
-        let mut frontier: Vec<NodeId> = tree
-            .active_ids()
-            .iter()
-            .copied()
-            .filter(|&id| {
-                !in_flight
-                    .iter()
-                    .any(|f| matches!(f, Some((fid, _, _)) if *fid == id))
-            })
-            .collect();
-        frontier.sort_by(|&a, &b| {
-            tree.node(b)
-                .bound
-                .partial_cmp(&tree.node(a).bound)
-                .expect("bounds are never NaN")
-                .then(a.cmp(&b))
-        });
-        let mut next = frontier.into_iter();
         let mut pending: Vec<(usize, NodeId)> = Vec::new();
         for slot in 0..width {
             if in_flight[slot].is_some() || nodes >= cfg.node_limit {
                 continue;
             }
-            let Some(id) = next.next() else { break };
+            let Some(id) = tree.best() else { break };
             tree.begin_evaluation(id);
             nodes += 1;
             pending.push((slot, id));
@@ -249,7 +231,7 @@ pub fn solve_batched_wave(
         }
 
         for (slot, id, bounds) in loads {
-            let warm = tree.node_mut(id).data.parent_basis.take();
+            let warm = tree.data_mut(id).parent_basis.take();
             let parent_id = tree.node(id).data.parent_id;
             let lane = &mut lanes[slot];
             lane.apply_node_bounds(&bounds)?;

@@ -32,9 +32,11 @@
 use crate::chaos::FaultPlan;
 use crate::checkpoint::Checkpoint;
 use crate::comm::{
-    subtree_bytes, Assignment, Delivery, IncumbentUpdate, LoadSummary, NetworkModel, NodeOutcome,
-    NodeReport, INCUMBENT_BROADCAST_BYTES, STEAL_CONTROL_BYTES,
+    subtree_bytes, IncumbentUpdate, LoadSummary, NodeOutcome, NodeReport,
+    INCUMBENT_BROADCAST_BYTES, STEAL_CONTROL_BYTES,
 };
+use crate::exchange::{assignment, exchange, Completion};
+use crate::roster::{InFlight, Roster};
 use crate::supervisor::{ParPayload, ParallelConfig, ParallelStats};
 use crate::worker::Worker;
 use gmip_core::MipStatus;
@@ -45,8 +47,8 @@ use gmip_tree::{NodeId, NodeState, SearchTree};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
-/// Hard ceiling on the simulated rank count. The DES keeps O(ranks) state
-/// per event round; widths beyond this are almost certainly a typo
+/// Hard ceiling on the simulated rank count. The DES keeps a simulated
+/// device per rank; widths beyond this are almost certainly a typo
 /// (`cluster:1000000x8`) and would OOM the simulation, so strategy parsing
 /// rejects them up front.
 pub const MAX_RANKS: usize = 4096;
@@ -219,36 +221,6 @@ impl Ord for HEvent {
     }
 }
 
-/// One outstanding sub-supervisor → worker exchange.
-#[derive(Debug)]
-struct InFlight {
-    dispatch: u64,
-    node: NodeId,
-    report: Option<NodeReport>,
-}
-
-/// Liveness bookkeeping for one rank (mirrors the flat supervisor's).
-#[derive(Debug, Clone)]
-struct RankState {
-    alive: bool,
-    retired: bool,
-    respawn_pending: bool,
-    respawns: usize,
-    down_since: f64,
-}
-
-impl RankState {
-    fn fresh() -> Self {
-        Self {
-            alive: true,
-            retired: false,
-            respawn_pending: false,
-            respawns: 0,
-            down_since: 0.0,
-        }
-    }
-}
-
 /// Liveness + protocol state of one sub-supervisor group.
 #[derive(Debug, Clone)]
 struct GroupState {
@@ -309,9 +281,9 @@ pub struct HierSupervisor {
     groups: usize,
     tree: SearchTree<ParPayload>,
     workers: Vec<Worker>,
-    ranks: Vec<RankState>,
+    /// Per-rank liveness and outstanding exchange.
+    ranks: Roster,
     lost_busy_ns: Vec<f64>,
-    in_flight: Vec<Option<InFlight>>,
     gstate: Vec<GroupState>,
     /// The root's (lagged) view of each group: last summarized
     /// (open, best bound).
@@ -325,6 +297,8 @@ pub struct HierSupervisor {
     root_incumbent: Option<(f64, Vec<f64>)>,
     /// Migrating subtree batches: xfer id → (destination group, nodes).
     in_transit: BTreeMap<u64, (usize, Vec<NodeId>)>,
+    /// Batches in transit toward each group.
+    inbound: Vec<usize>,
     /// Incumbent updates on the wire: xfer id → (from group, value, point).
     inc_updates: BTreeMap<u64, (usize, f64, Vec<f64>)>,
     /// Group → root incumbent updates not yet merged; termination must
@@ -383,9 +357,8 @@ impl HierSupervisor {
             .map(|chaos| FaultPlan::new(chaos, cfg.workers));
         let mut sup = Self {
             tree: SearchTree::with_root(ParPayload::default(), node_bytes),
-            ranks: vec![RankState::fresh(); cfg.workers],
+            ranks: Roster::new(cfg.workers),
             lost_busy_ns: vec![0.0; cfg.workers],
-            in_flight: (0..cfg.workers).map(|_| None).collect(),
             gstate: vec![GroupState::fresh(); groups],
             root_view: vec![(0, f64::NEG_INFINITY); groups],
             workers,
@@ -397,6 +370,7 @@ impl HierSupervisor {
             now: 0.0,
             root_incumbent: None,
             in_transit: BTreeMap::new(),
+            inbound: vec![0; groups],
             inc_updates: BTreeMap::new(),
             pending_root_updates: 0,
             steal_counter: 0,
@@ -463,7 +437,7 @@ impl HierSupervisor {
         if sup.cfg.warm_start {
             if let Some(b) = sup.cfg.root_basis.clone() {
                 let root = sup.tree.root();
-                sup.tree.node_mut(root).data.warm_basis = Some(b);
+                sup.tree.data_mut(root).warm_basis = Some(b);
             }
         }
         Ok(sup)
@@ -522,7 +496,8 @@ impl HierSupervisor {
         debug_assert!(!nodes.is_empty());
         let mut bytes = 0usize;
         for &id in &nodes {
-            self.tree.node_mut(id).data.partition = dest;
+            self.tree.data_mut(id).partition = dest;
+            self.tree.set_group(id, dest);
             bytes += subtree_bytes(&self.tree.node(id).data.bounds);
         }
         let mut transfer = 0.0;
@@ -532,6 +507,7 @@ impl HierSupervisor {
         let xfer = self.next_xfer;
         self.next_xfer += 1;
         self.in_transit.insert(xfer, (dest, nodes));
+        self.inbound[dest] += 1;
         self.push_event(
             self.now + transfer,
             dest,
@@ -539,189 +515,38 @@ impl HierSupervisor {
         );
     }
 
-    /// Dispatches work inside every group, then lets starved groups ask
-    /// the root for steals. Returns how many evaluations started.
-    fn dispatch(&mut self) -> LpResult<usize> {
-        // Bucket the open frontier by owning group once per round; picks
-        // below are content-ordered, so removal order cannot leak in.
-        let mut buckets: Vec<Vec<NodeId>> = vec![Vec::new(); self.groups];
-        for &id in self.tree.active_ids() {
-            buckets[self.tree.node(id).data.partition].push(id);
-        }
-        let mut inflight_per_group = vec![0usize; self.groups];
-        for (w, f) in self.in_flight.iter().enumerate() {
-            if f.is_some() {
-                inflight_per_group[self.group_of(w)] += 1;
-            }
-        }
-        let mut started = 0;
-        for w in 0..self.workers.len() {
-            let g = self.group_of(w);
-            if !self.gstate[g].alive
-                || !self.ranks[w].alive
-                || self.in_flight[w].is_some()
-                || self.workers[w].busy_until > self.now
-            {
+    /// Dispatches work inside every group that has both open nodes and an
+    /// idle rank, then lets starved groups ask the root for steals.
+    fn dispatch(&mut self) -> LpResult<()> {
+        for g in 0..self.groups {
+            if !self.gstate[g].alive || self.tree.open_in(g) == 0 {
                 continue;
             }
-            let width = self.ranks_of(g).len();
-            let ramping = self.cfg.ramp_up && (buckets[g].len() + inflight_per_group[g]) < width;
-            let pick = if buckets[g].is_empty() {
-                None
-            } else if ramping {
-                // Breadth-first widening inside the group.
-                buckets[g]
-                    .iter()
-                    .enumerate()
-                    .min_by(|(_, &a), (_, &b)| {
-                        self.tree
-                            .node(a)
-                            .depth
-                            .cmp(&self.tree.node(b).depth)
-                            .then(a.cmp(&b))
-                    })
-                    .map(|(i, _)| i)
-            } else {
-                // Best bound first.
-                buckets[g]
-                    .iter()
-                    .enumerate()
-                    .min_by(|(_, &a), (_, &b)| {
-                        self.tree
-                            .node(b)
-                            .bound
-                            .partial_cmp(&self.tree.node(a).bound)
-                            .expect("bounds are never NaN")
-                            .then(a.cmp(&b))
-                    })
-                    .map(|(i, _)| i)
-            };
-            let Some(i) = pick else {
+            let ranks = self.ranks_of(g);
+            if self.ranks.idle_in(ranks.clone()).next().is_none() {
                 continue;
-            };
-            let id = buckets[g].swap_remove(i);
-            inflight_per_group[g] += 1;
-            self.tree.begin_evaluation(id);
-            let node = self.tree.node(id);
-            let assignment = Assignment {
-                node_id: id,
-                bounds: node.data.bounds.clone(),
-                warm_basis: if self.cfg.warm_start {
-                    node.data.warm_basis.clone()
+            }
+            // Each start moves one node from the group's open set to its
+            // in-flight count, so the sum is invariant across the round.
+            let ramping = self.cfg.ramp_up
+                && self.tree.open_in(g) + self.ranks.outstanding_in(ranks.clone()) < ranks.len();
+            let mut from = ranks.start;
+            while let Some(w) = self.ranks.next_idle(from).filter(|&w| w < ranks.end) {
+                from = w + 1;
+                if self.workers[w].busy_until > self.now {
+                    continue; // still computing an exchange that was written off
+                }
+                let pick = if ramping {
+                    // Breadth-first widening inside the group: fewer open
+                    // nodes than ranks, so this scan is short.
+                    self.tree
+                        .iter_in(g)
+                        .min_by_key(|&id| (self.tree.node(id).depth, id))
                 } else {
-                    None
-                },
-                incumbent: self.gstate[g].incumbent,
-            };
-            let dispatch = self.next_dispatch;
-            self.next_dispatch += 1;
-            let a_bytes = assignment.bytes();
-            self.stats.messages += 1;
-            self.stats.message_bytes += a_bytes;
-            self.stats
-                .metrics
-                .incr(names::CLUSTER_NODES_DISPATCHED, 1.0);
-            started += 1;
-            let net: NetworkModel = self.cfg.network;
-            let ack_ns = self
-                .plan
-                .as_ref()
-                .map(|p| p.cfg().ack_timeout_ns)
-                .unwrap_or(f64::INFINITY);
-            // Sub-supervisor → worker leg (intra-group: the unmodified
-            // network model, the unmodified fate stream).
-            let Delivery::Delivered {
-                transfer_ns: send_ns,
-                injected_ns: send_delay,
-            } = net.ship(a_bytes, self.plan.as_mut())
-            else {
-                self.stats.faults.drops += 1;
-                let (t0, nid) = (self.now, id as u64);
-                gmip_trace::record(|| {
-                    TraceSpan::instant(Track::cluster_rank(0), "fault.drop", t0)
-                        .arg("node", nid)
-                        .arg("leg", "assignment")
-                });
-                self.in_flight[w] = Some(InFlight {
-                    dispatch,
-                    node: id,
-                    report: None,
-                });
-                self.push_event(self.now + ack_ns, w, HEventKind::AckTimeout { dispatch });
-                continue;
-            };
-            if send_delay > 0.0 {
-                self.stats.faults.delays += 1;
-            }
-            let eval_start = self.now + send_ns;
-            let slow = self
-                .plan
-                .as_ref()
-                .map(|p| p.slowdown(w, eval_start))
-                .unwrap_or(1.0);
-            if slow > 1.0 {
-                self.stats.faults.straggles += 1;
-            }
-            self.workers[w].slowdown = slow;
-            let report = self.workers[w].evaluate(&assignment)?;
-            let r_bytes = report.bytes();
-            self.stats.messages += 1;
-            self.stats.message_bytes += r_bytes;
-            let rank = Track::cluster_rank((w + 1) as u32);
-            let (t0, eval_ns, nid) = (self.now, report.eval_ns, id as u64);
-            gmip_trace::record(|| {
-                TraceSpan::complete(rank, "recv", send_ns, t0)
-                    .arg("node", nid)
-                    .arg("bytes", a_bytes as u64)
-                    .arg("delayed_ns", send_delay)
-            });
-            gmip_trace::record(|| {
-                TraceSpan::complete(rank, "eval", eval_ns, t0 + send_ns).arg("node", nid)
-            });
-            // Worker → sub-supervisor leg.
-            match net.ship(r_bytes, self.plan.as_mut()) {
-                Delivery::Delivered {
-                    transfer_ns: reply_ns,
-                    injected_ns: reply_delay,
-                } => {
-                    if reply_delay > 0.0 {
-                        self.stats.faults.delays += 1;
-                    }
-                    let done = self.now + send_ns + report.eval_ns + reply_ns;
-                    gmip_trace::record(|| {
-                        TraceSpan::complete(rank, "send", reply_ns, t0 + send_ns + eval_ns)
-                            .arg("node", nid)
-                            .arg("bytes", r_bytes as u64)
-                            .arg("delayed_ns", reply_delay)
-                    });
-                    self.workers[w].busy_until = done;
-                    self.in_flight[w] = Some(InFlight {
-                        dispatch,
-                        node: id,
-                        report: Some(report),
-                    });
-                    self.push_event(done, w, HEventKind::Deliver { dispatch });
-                }
-                Delivery::Dropped => {
-                    self.stats.faults.drops += 1;
-                    let busy = self.now + send_ns + report.eval_ns;
-                    gmip_trace::record(|| {
-                        TraceSpan::instant(rank, "fault.drop", t0 + send_ns + eval_ns)
-                            .arg("node", nid)
-                            .arg("leg", "report")
-                    });
-                    self.workers[w].busy_until = busy;
-                    self.in_flight[w] = Some(InFlight {
-                        dispatch,
-                        node: id,
-                        report: Some(report),
-                    });
-                    self.push_event(
-                        (self.now + ack_ns).max(busy),
-                        w,
-                        HEventKind::AckTimeout { dispatch },
-                    );
-                }
+                    self.tree.best_in(g)
+                };
+                let Some(id) = pick else { break };
+                self.start(g, w, id)?;
             }
         }
         // A group whose frontier ran dry while it still has an idle rank
@@ -733,16 +558,16 @@ impl HierSupervisor {
                 if !gs.alive
                     || gs.steal_pending
                     || self.now < gs.steal_backoff_until
-                    || !buckets[g].is_empty()
+                    || self.tree.open_in(g) > 0
+                    || self.inbound[g] > 0
                 {
                     continue;
                 }
-                let idle = self.ranks_of(g).any(|w| {
-                    self.ranks[w].alive
-                        && self.in_flight[w].is_none()
-                        && self.workers[w].busy_until <= self.now
-                });
-                if !idle || self.in_transit.values().any(|(d, _)| *d == g) {
+                let idle = self
+                    .ranks
+                    .idle_in(self.ranks_of(g))
+                    .any(|w| self.workers[w].busy_until <= self.now);
+                if !idle {
                     continue;
                 }
                 self.gstate[g].steal_pending = true;
@@ -759,7 +584,42 @@ impl HierSupervisor {
                 );
             }
         }
-        Ok(started)
+        Ok(())
+    }
+
+    /// Ships group `g`'s open node `id` to its idle rank `w` and schedules
+    /// what comes back (intra-group: the unmodified network model, the
+    /// unmodified fate stream).
+    fn start(&mut self, g: usize, w: usize, id: NodeId) -> LpResult<()> {
+        self.tree.begin_evaluation(id);
+        let node = self.tree.node(id);
+        let assignment = assignment(node, self.cfg.warm_start, self.gstate[g].incumbent);
+        let dispatch = self.next_dispatch;
+        self.next_dispatch += 1;
+        let (report, completion) = exchange(
+            &mut self.workers[w],
+            w,
+            &assignment,
+            self.now,
+            self.cfg.network,
+            &mut self.plan,
+            &mut self.stats,
+        )?;
+        self.ranks.park(
+            w,
+            InFlight {
+                dispatch,
+                node: id,
+                report,
+            },
+        );
+        match completion {
+            Completion::Deliver(at) => self.push_event(at, w, HEventKind::Deliver { dispatch }),
+            Completion::AckTimeout(at) => {
+                self.push_event(at, w, HEventKind::AckTimeout { dispatch })
+            }
+        }
+        Ok(())
     }
 
     /// A group whose ranks are *all* permanently retired can never make
@@ -767,7 +627,7 @@ impl HierSupervisor {
     /// retirements are forever): routing work there would deadlock the
     /// solve, so every migration path checks this first.
     fn group_retired(&self, g: usize) -> bool {
-        self.ranks_of(g).all(|w| self.ranks[w].retired)
+        self.ranks_of(g).all(|w| self.ranks[w].retired())
     }
 
     /// Returns a lost in-flight subproblem to its group's open set.
@@ -789,37 +649,27 @@ impl HierSupervisor {
 
     fn on_deliver(&mut self, worker: usize, dispatch: u64) {
         let g = self.group_of(worker);
-        if !self.ranks[worker].alive || !self.gstate[g].alive {
+        if !self.ranks[worker].alive() || !self.gstate[g].alive {
             return; // rank or its sub-supervisor died with the report in transit
         }
-        if self.in_flight[worker]
-            .as_ref()
-            .is_none_or(|f| f.dispatch != dispatch)
-        {
+        let Some(inf) = self.ranks.take_exchange(worker, dispatch) else {
             return; // stale delivery of a written-off exchange
-        }
-        let inf = self.in_flight[worker].take().expect("checked above");
+        };
         let report = inf.report.expect("delivered exchanges carry a report");
         self.process(worker, report);
     }
 
     fn on_ack_timeout(&mut self, worker: usize, dispatch: u64) {
-        if self.in_flight[worker]
-            .as_ref()
-            .is_none_or(|f| f.dispatch != dispatch)
-        {
-            return;
+        if let Some(inf) = self.ranks.take_exchange(worker, dispatch) {
+            self.reassign(inf.node);
         }
-        let inf = self.in_flight[worker].take().expect("checked above");
-        self.reassign(inf.node);
     }
 
     fn on_rank_crash(&mut self, worker: usize) {
-        if !self.ranks[worker].alive || self.ranks[worker].retired {
+        if !self.ranks[worker].alive() {
             return;
         }
-        self.ranks[worker].alive = false;
-        self.ranks[worker].down_since = self.now;
+        self.ranks.crash(worker, self.now);
         self.stats.faults.crashes += 1;
         let ts = self.now;
         gmip_trace::record(|| {
@@ -835,7 +685,7 @@ impl HierSupervisor {
     }
 
     fn on_rank_detect(&mut self, worker: usize) {
-        if let Some(inf) = self.in_flight[worker].take() {
+        if let Some(inf) = self.ranks.take(worker) {
             self.reassign(inf.node);
         }
         self.last_checkpoint = Some(self.snapshot());
@@ -846,16 +696,13 @@ impl HierSupervisor {
             .cfg()
             .max_respawns;
         let backoff_base = self.plan.as_ref().expect("plan").cfg().respawn_backoff_ns;
-        let others_alive = (0..self.ranks.len())
-            .filter(|&o| o != worker)
-            .any(|o| self.ranks[o].alive || self.ranks[o].respawn_pending);
-        if self.ranks[worker].respawns < max_respawns || !others_alive {
+        if self.ranks[worker].respawns < max_respawns || !self.ranks.others_viable(worker) {
             let exp = self.ranks[worker].respawns.min(20) as u32;
             let backoff = backoff_base * f64::from(1u32 << exp.min(20));
-            self.ranks[worker].respawn_pending = true;
+            self.ranks.await_respawn(worker);
             self.push_event(self.now + backoff, worker, HEventKind::RankRespawn);
         } else {
-            self.ranks[worker].retired = true;
+            self.ranks.retire(worker);
             self.stats.faults.degraded_ranks += 1;
             let ts = self.now;
             gmip_trace::record(|| {
@@ -868,14 +715,13 @@ impl HierSupervisor {
             // If that retired the group's last rank, its frontier would
             // starve forever: ship it to groups that still have ranks.
             let g = self.group_of(worker);
-            if self.ranks_of(g).all(|w| self.ranks[w].retired) {
+            if self.ranks_of(g).all(|w| self.ranks[w].retired()) {
                 self.evacuate_group(g);
             }
         }
     }
 
     fn on_rank_respawn(&mut self, worker: usize) -> LpResult<()> {
-        self.ranks[worker].respawn_pending = false;
         self.lost_busy_ns[worker] += self.workers[worker].busy_ns;
         let mut fresh = Worker::new_with_backend(
             worker,
@@ -891,8 +737,7 @@ impl HierSupervisor {
         .with_propagation(self.cfg.propagate, self.cfg.heuristic_period);
         fresh.busy_until = self.now;
         self.workers[worker] = fresh;
-        self.ranks[worker].alive = true;
-        self.ranks[worker].respawns += 1;
+        self.ranks.respawn(worker);
         self.stats.faults.respawns += 1;
         let (t0, dur) = (
             self.ranks[worker].down_since,
@@ -914,23 +759,16 @@ impl HierSupervisor {
         // is the unit of recovery, the exchange results are gone.
         let mut lost: Vec<NodeId> = Vec::new();
         for w in self.ranks_of(g) {
-            if let Some(inf) = self.in_flight[w].take() {
+            if let Some(inf) = self.ranks.take(w) {
                 lost.push(inf.node);
             }
         }
-        let mut open: Vec<NodeId> = self
-            .tree
-            .active_ids()
-            .iter()
-            .copied()
-            .filter(|&id| self.tree.node(id).data.partition == g)
-            .collect();
-        open.sort_unstable();
         // Active nodes enter transit through the same fence as steals.
-        for &id in &open {
+        let written_off = lost.len();
+        lost.extend(self.tree.iter_in(g));
+        for &id in &lost[written_off..] {
             self.tree.begin_evaluation(id);
         }
-        lost.extend(open);
         lost.sort_unstable();
         if lost.is_empty() {
             return;
@@ -1055,15 +893,8 @@ impl HierSupervisor {
         if !self.gstate[g].alive {
             return;
         }
-        let mut open = 0usize;
-        let mut bound = f64::NEG_INFINITY;
-        for &id in self.tree.active_ids() {
-            let n = self.tree.node(id);
-            if n.data.partition == g {
-                open += 1;
-                bound = bound.max(n.bound);
-            }
-        }
+        let open = self.tree.open_in(g);
+        let bound = self.tree.best_bound_in(g).unwrap_or(f64::NEG_INFINITY);
         // Delta compression: ship only when the load report changed since
         // the last one. Idle groups fall silent (the root's view of them is
         // already exact), so root traffic follows *activity*, not wall time.
@@ -1135,38 +966,42 @@ impl HierSupervisor {
         // groups prune when their own broadcast arrives, so pruning power
         // honestly lags the root-link latency.
         let tol = self.cfg.prune_tol;
-        self.tree
-            .prune_dominated_where(value, tol, |n| n.data.partition == g);
+        self.tree.prune_dominated_in(g, value, tol);
     }
 
     /// The root arbitrates a steal: pick a victim from the summary view
     /// with the seeded policy, or deny.
     fn on_steal_request(&mut self, thief: usize) {
-        let mut cands: Vec<usize> = (0..self.groups)
-            .filter(|&g| {
-                g != thief
-                    && self.gstate[g].alive
-                    && !self.group_retired(g)
-                    && self.root_view[g].0 >= 2
-            })
-            .collect();
-        cands.sort_by(|&a, &b| {
-            self.root_view[b]
-                .0
-                .cmp(&self.root_view[a].0)
-                .then(a.cmp(&b))
-        });
-        if cands.is_empty() || !self.gstate[thief].alive {
-            let transfer = self.ship_root(STEAL_CONTROL_BYTES);
-            self.push_event(self.now + transfer, thief, HEventKind::StealDenyAtGroup);
+        // The two most-loaded viable victims in the root's summary view
+        // (ties to the lower group id).
+        let mut top: [Option<usize>; 2] = [None; 2];
+        for g in 0..self.groups {
+            if g == thief
+                || !self.gstate[g].alive
+                || self.group_retired(g)
+                || self.root_view[g].0 < 2
+            {
+                continue;
+            }
+            let busier = |than: Option<usize>| {
+                than.is_none_or(|t| self.root_view[g].0 > self.root_view[t].0)
+            };
+            if busier(top[0]) {
+                top = [Some(g), top[0]];
+            } else if busier(top[1]) {
+                top[1] = Some(g);
+            }
+        }
+        let cands = top.iter().flatten().count();
+        if cands == 0 || !self.gstate[thief].alive {
+            self.deny_steal(thief);
             return;
         }
-        // Seeded choice among the top-2 most-loaded candidates: determinism
-        // with a pinch of decorrelation so thieves don't all mob one victim.
-        let pick =
-            splitmix64(self.hcfg.steal_seed ^ self.steal_counter) as usize % cands.len().min(2);
+        // Seeded choice between them: determinism with a pinch of
+        // decorrelation so thieves don't all mob one victim.
+        let pick = splitmix64(self.hcfg.steal_seed ^ self.steal_counter) as usize % cands;
         self.steal_counter += 1;
-        let victim = cands[pick];
+        let victim = top[pick].expect("pick < cands");
         let transfer = self.ship_root(STEAL_CONTROL_BYTES);
         let (ts, v) = (self.now, victim as u64);
         gmip_trace::record(|| {
@@ -1212,26 +1047,13 @@ impl HierSupervisor {
             self.deny_steal(thief);
             return;
         }
-        let mut owned: Vec<NodeId> = self
-            .tree
-            .active_ids()
-            .iter()
-            .copied()
-            .filter(|&id| self.tree.node(id).data.partition == victim)
-            .collect();
-        if owned.len() < 2 {
+        if self.tree.open_in(victim) < 2 {
             self.deny_steal(thief);
             return;
         }
-        owned.sort_by(|&a, &b| {
-            self.tree
-                .node(a)
-                .depth
-                .cmp(&self.tree.node(b).depth)
-                .then(a.cmp(&b))
-        });
-        let n = (owned.len() / 2).max(1).min(self.hcfg.steal_max);
-        let batch: Vec<NodeId> = owned.into_iter().take(n).collect();
+        let mut batch: Vec<NodeId> = self.tree.iter_in(victim).collect();
+        batch.sort_unstable_by_key(|&id| (self.tree.node(id).depth, id));
+        batch.truncate((batch.len() / 2).max(1).min(self.hcfg.steal_max));
         for &id in &batch {
             self.tree.begin_evaluation(id); // the fence: out of the active set
         }
@@ -1253,6 +1075,7 @@ impl HierSupervisor {
             return;
         };
         debug_assert_eq!(dest, g);
+        self.inbound[g] -= 1;
         if !self.gstate[g].alive || self.group_retired(g) {
             // The destination died (or lost its last rank for good) while
             // the batch was on the wire: re-route to the first group that
@@ -1270,6 +1093,7 @@ impl HierSupervisor {
                     let xfer2 = self.next_xfer;
                     self.next_xfer += 1;
                     self.in_transit.insert(xfer2, (g, nodes));
+                    self.inbound[g] += 1;
                     self.push_event(
                         self.now + self.hcfg.summary_every_ns,
                         g,
@@ -1283,7 +1107,7 @@ impl HierSupervisor {
         self.gstate[g].deny_streak = 0; // fed: probe eagerly again next time
         self.hier.transit_arrivals += nodes.len();
         for id in nodes {
-            debug_assert_eq!(self.tree.node(id).data.partition, g);
+            debug_assert_eq!(self.tree.node(id).group, g);
             self.tree.reopen(id);
         }
     }
@@ -1309,8 +1133,7 @@ impl HierSupervisor {
                     p[j] = p[j].round();
                 }
                 let tol = self.cfg.prune_tol;
-                self.tree
-                    .prune_dominated_where(internal, tol, |n| n.data.partition == g);
+                self.tree.prune_dominated_in(g, internal, tol);
                 let upd = IncumbentUpdate {
                     value: internal,
                     x: p.clone(),
@@ -1342,8 +1165,7 @@ impl HierSupervisor {
                     // Scoped prune now; the rest of the cluster prunes when
                     // the root's broadcast reaches it.
                     let tol = self.cfg.prune_tol;
-                    self.tree
-                        .prune_dominated_where(internal, tol, |n| n.data.partition == g);
+                    self.tree.prune_dominated_in(g, internal, tol);
                     // Push the update (value + point) to the root.
                     let upd = IncumbentUpdate {
                         value: internal,
@@ -1460,7 +1282,7 @@ impl HierSupervisor {
                 let frontier: Vec<Vec<BoundChange>> = self
                     .tree
                     .iter()
-                    .filter(|n| n.state.is_open() && n.data.partition == g)
+                    .filter(|n| n.state.is_open() && n.group == g)
                     .map(|n| n.data.bounds.clone())
                     .collect();
                 Checkpoint::new(frontier, None)
@@ -1482,7 +1304,7 @@ impl HierSupervisor {
             // still climbing to the root — terminating before the last
             // incumbent update lands would report a stale objective.
             if !self.tree.has_active()
-                && self.in_flight.iter().all(Option::is_none)
+                && self.ranks.outstanding() == 0
                 && self.in_transit.is_empty()
                 && self.pending_root_updates == 0
             {

@@ -28,8 +28,10 @@
 pub mod chaos;
 pub mod checkpoint;
 pub mod comm;
+mod exchange;
 pub mod hierarchy;
 pub mod lease;
+mod roster;
 pub mod supervisor;
 pub mod threaded;
 pub mod worker;

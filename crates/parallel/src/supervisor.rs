@@ -19,7 +19,9 @@
 
 use crate::chaos::{ChaosConfig, FaultPlan, FaultStats};
 use crate::checkpoint::Checkpoint;
-use crate::comm::{Assignment, Delivery, NetworkModel, NodeOutcome, NodeReport};
+use crate::comm::{NetworkModel, NodeOutcome, NodeReport};
+use crate::exchange::{assignment, exchange, Completion};
+use crate::roster::{InFlight, Roster};
 use crate::worker::Worker;
 use gmip_core::MipStatus;
 use gmip_gpu::CostModel;
@@ -239,45 +241,6 @@ impl Ord for Event {
     }
 }
 
-/// One outstanding supervisor→worker exchange.
-#[derive(Debug)]
-struct InFlight {
-    /// Exchange id; guards against stale Deliver/AckTimeout events.
-    dispatch: u64,
-    /// The node being evaluated.
-    node: NodeId,
-    /// The evaluated report (None when the assignment was dropped on the
-    /// wire and the worker never saw it).
-    report: Option<NodeReport>,
-}
-
-/// Liveness bookkeeping for one rank.
-#[derive(Debug, Clone)]
-struct RankState {
-    /// Currently able to accept work.
-    alive: bool,
-    /// Permanently removed after exhausting its respawn budget.
-    retired: bool,
-    /// A respawn event is scheduled for this rank.
-    respawn_pending: bool,
-    /// Respawns consumed so far.
-    respawns: usize,
-    /// When the current outage began (valid while down).
-    down_since: f64,
-}
-
-impl RankState {
-    fn fresh() -> Self {
-        Self {
-            alive: true,
-            retired: false,
-            respawn_pending: false,
-            respawns: 0,
-            down_since: 0.0,
-        }
-    }
-}
-
 /// The discrete-event supervisor.
 #[derive(Debug)]
 pub struct Supervisor {
@@ -287,12 +250,11 @@ pub struct Supervisor {
     cfg: ParallelConfig,
     tree: SearchTree<ParPayload>,
     workers: Vec<Worker>,
-    ranks: Vec<RankState>,
+    /// Per-rank liveness and outstanding exchange.
+    ranks: Roster,
     /// Busy time of crashed incarnations, per rank (the replacement worker
     /// starts its own ledger at zero).
     lost_busy_ns: Vec<f64>,
-    /// Per-worker outstanding exchange.
-    in_flight: Vec<Option<InFlight>>,
     events: BinaryHeap<Reverse<Event>>,
     next_seq: u64,
     next_dispatch: u64,
@@ -333,17 +295,15 @@ impl Supervisor {
             );
         }
         let node_bytes = (instance.num_cons() + 2 * instance.num_vars()) * 8 + 128;
-        let in_flight = (0..cfg.workers).map(|_| None).collect();
         let plan = cfg
             .chaos
             .clone()
             .map(|chaos| FaultPlan::new(chaos, cfg.workers));
         let mut sup = Self {
             tree: SearchTree::with_root(ParPayload::default(), node_bytes),
-            ranks: vec![RankState::fresh(); cfg.workers],
+            ranks: Roster::new(cfg.workers),
             lost_busy_ns: vec![0.0; cfg.workers],
             workers,
-            in_flight,
             events: BinaryHeap::new(),
             next_seq: 0,
             next_dispatch: 0,
@@ -387,7 +347,7 @@ impl Supervisor {
         if sup.cfg.warm_start {
             if let Some(b) = sup.cfg.root_basis.clone() {
                 let root = sup.tree.root();
-                sup.tree.node_mut(root).data.warm_basis = Some(b);
+                sup.tree.data_mut(root).warm_basis = Some(b);
             }
         }
         Ok(sup)
@@ -417,7 +377,8 @@ impl Supervisor {
                 )
             })
             .collect();
-        sup.tree.branch(sup.tree.root(), f64::INFINITY, children);
+        let ids = sup.tree.branch(sup.tree.root(), f64::INFINITY, children);
+        sup.index_partitions(&ids);
         sup.incumbent = checkpoint.incumbent.clone();
         sup.last_checkpoint = Some(checkpoint.clone());
         Ok(sup)
@@ -448,208 +409,123 @@ impl Supervisor {
             .unwrap_or(f64::NEG_INFINITY)
     }
 
-    /// Picks the next node for `worker` under the configured policy, or
-    /// `None` if nothing eligible is open. `in_flight_count` is the number
-    /// of outstanding exchanges, hoisted by [`Self::dispatch`]: a dispatch
-    /// moves one node from the active set to in-flight, so the ramping
-    /// predicate's sum is invariant across one dispatch round and counting
-    /// per candidate worker would be O(ranks²) at four-digit rank counts.
-    fn pick_node(&self, worker: usize, in_flight_count: usize) -> Option<NodeId> {
-        let ramping =
-            self.cfg.ramp_up && (self.tree.active_ids().len() + in_flight_count) < self.cfg.workers;
-        let eligible = |id: &&NodeId| -> bool {
-            match self.cfg.load_balance {
-                LoadBalance::Dynamic => true,
-                LoadBalance::Static => {
-                    let p = self.tree.node(**id).data.partition;
-                    // A retired rank's partition is orphaned work: any
-                    // survivor may adopt it (graceful degradation).
-                    p == worker || self.ranks.get(p).is_some_and(|r| r.retired)
-                }
+    /// Mirrors the static partition of `ids` into the tree's scheduling
+    /// groups. Dynamic balancing draws every pick from one global order, so
+    /// there the partition stays a payload tag (it only feeds the migration
+    /// counter) and every node keeps group 0.
+    fn index_partitions(&mut self, ids: &[NodeId]) {
+        if self.cfg.load_balance == LoadBalance::Static {
+            for &id in ids {
+                self.tree.set_group(id, self.tree.node(id).data.partition);
             }
-        };
-        let ids = self.tree.active_ids();
-        if ramping {
-            // Breadth-first widening: shallowest node first.
-            ids.iter()
-                .filter(eligible)
-                .min_by(|&&a, &&b| {
-                    self.tree
-                        .node(a)
-                        .depth
-                        .cmp(&self.tree.node(b).depth)
-                        .then(a.cmp(&b))
-                })
-                .copied()
-        } else {
-            // Best bound first.
-            ids.iter()
-                .filter(eligible)
-                .min_by(|&&a, &&b| {
-                    self.tree
-                        .node(b)
-                        .bound
-                        .partial_cmp(&self.tree.node(a).bound)
-                        .expect("bounds are never NaN")
-                        .then(a.cmp(&b))
-                })
-                .copied()
         }
     }
 
-    /// Dispatches work to every idle alive worker. Returns how many started.
-    fn dispatch(&mut self) -> LpResult<usize> {
-        let mut started = 0;
-        let mut in_flight_count = self.in_flight.iter().filter(|f| f.is_some()).count();
-        for w in 0..self.workers.len() {
-            if !self.ranks[w].alive
-                || self.in_flight[w].is_some()
-                || self.workers[w].busy_until > self.now
-            {
-                continue;
-            }
-            let Some(id) = self.pick_node(w, in_flight_count) else {
-                continue;
-            };
-            // Every path below parks an exchange in `in_flight[w]`.
-            in_flight_count += 1;
-            self.tree.begin_evaluation(id);
-            let node = self.tree.node(id);
-            let assignment = Assignment {
-                node_id: id,
-                bounds: node.data.bounds.clone(),
-                warm_basis: if self.cfg.warm_start {
-                    node.data.warm_basis.clone()
-                } else {
-                    None
-                },
-                incumbent: self.incumbent_internal(),
-            };
-            let dispatch = self.next_dispatch;
-            self.next_dispatch += 1;
-            let a_bytes = assignment.bytes();
-            self.stats.messages += 1;
-            self.stats.message_bytes += a_bytes;
-            self.stats
-                .metrics
-                .incr(names::CLUSTER_NODES_DISPATCHED, 1.0);
-            // A dynamic pick landing off the node's static partition is a
-            // load-balance migration (work stealing).
-            if self.tree.node(id).data.partition != w {
-                self.stats.metrics.incr(names::CLUSTER_MIGRATIONS, 1.0);
-            }
-            started += 1;
-            let net: NetworkModel = self.cfg.network;
-            let ack_ns = self
-                .plan
-                .as_ref()
-                .map(|p| p.cfg().ack_timeout_ns)
-                .unwrap_or(f64::INFINITY);
-            // Supervisor → worker leg.
-            let Delivery::Delivered {
-                transfer_ns: send_ns,
-                injected_ns: send_delay,
-            } = net.ship(a_bytes, self.plan.as_mut())
-            else {
-                // The assignment vanishes on the wire: the worker never
-                // hears of it, the supervisor notices at the ack timeout.
-                self.stats.faults.drops += 1;
-                let (t0, nid) = (self.now, id as u64);
-                gmip_trace::record(|| {
-                    TraceSpan::instant(Track::cluster_rank(0), "fault.drop", t0)
-                        .arg("node", nid)
-                        .arg("leg", "assignment")
-                });
-                self.in_flight[w] = Some(InFlight {
-                    dispatch,
-                    node: id,
-                    report: None,
-                });
-                self.push_event(self.now + ack_ns, w, EventKind::AckTimeout { dispatch });
-                continue;
-            };
-            if send_delay > 0.0 {
-                self.stats.faults.delays += 1;
-            }
-            // Straggler windows slow the device for evaluations starting
-            // inside them.
-            let eval_start = self.now + send_ns;
-            let slow = self
-                .plan
-                .as_ref()
-                .map(|p| p.slowdown(w, eval_start))
-                .unwrap_or(1.0);
-            if slow > 1.0 {
-                self.stats.faults.straggles += 1;
-            }
-            self.workers[w].slowdown = slow;
-            // Evaluate now (numerically); deliver at the modeled time.
-            let report = self.workers[w].evaluate(&assignment)?;
-            let r_bytes = report.bytes();
-            self.stats.messages += 1;
-            self.stats.message_bytes += r_bytes;
-            // Per-rank trace lane (lane 0 is the supervisor): the assignment
-            // transfer, the device evaluation, and the report transfer render
-            // as consecutive spans on the rank's timeline.
-            let rank = Track::cluster_rank((w + 1) as u32);
-            let (t0, eval_ns, nid) = (self.now, report.eval_ns, id as u64);
-            gmip_trace::record(|| {
-                TraceSpan::complete(rank, "recv", send_ns, t0)
-                    .arg("node", nid)
-                    .arg("bytes", a_bytes as u64)
-                    .arg("delayed_ns", send_delay)
-            });
-            gmip_trace::record(|| {
-                TraceSpan::complete(rank, "eval", eval_ns, t0 + send_ns).arg("node", nid)
-            });
-            // Worker → supervisor leg.
-            match net.ship(r_bytes, self.plan.as_mut()) {
-                Delivery::Delivered {
-                    transfer_ns: reply_ns,
-                    injected_ns: reply_delay,
-                } => {
-                    if reply_delay > 0.0 {
-                        self.stats.faults.delays += 1;
-                    }
-                    let done = self.now + send_ns + report.eval_ns + reply_ns;
-                    gmip_trace::record(|| {
-                        TraceSpan::complete(rank, "send", reply_ns, t0 + send_ns + eval_ns)
-                            .arg("node", nid)
-                            .arg("bytes", r_bytes as u64)
-                            .arg("delayed_ns", reply_delay)
-                    });
-                    self.workers[w].busy_until = done;
-                    self.in_flight[w] = Some(InFlight {
-                        dispatch,
-                        node: id,
-                        report: Some(report),
-                    });
-                    self.push_event(done, w, EventKind::Deliver { dispatch });
+    /// Picks the next node for `worker` under the configured policy, or
+    /// `None` if nothing eligible is open.
+    fn pick_node(&self, worker: usize, ramping: bool) -> Option<NodeId> {
+        // A static rank draws from its own partition, plus the orphaned
+        // partitions of retired ranks: any survivor may adopt those
+        // (graceful degradation).
+        let (own, orphaned): (usize, &[usize]) = match self.cfg.load_balance {
+            LoadBalance::Dynamic => (0, &[]),
+            LoadBalance::Static => (worker, self.ranks.retired()),
+        };
+        let groups = std::iter::once(own).chain(orphaned.iter().copied());
+        if ramping {
+            // Breadth-first widening: shallowest node first. Ramping means
+            // fewer open nodes than ranks, so this scan is short.
+            groups
+                .flat_map(|g| self.tree.iter_in(g))
+                .min_by_key(|&id| (self.tree.node(id).depth, id))
+        } else {
+            self.tree.best_among(groups)
+        }
+    }
+
+    /// The lowest idle rank at or after `from` that some open node is
+    /// eligible for.
+    fn next_candidate(&self, from: usize) -> Option<usize> {
+        if !self.tree.has_active() {
+            return None;
+        }
+        let mut w = self.ranks.next_idle(from)?;
+        // Under static balancing with no orphaned work, a rank is a
+        // candidate only if its own partition has open nodes: leapfrog
+        // between the idle ranks and the non-empty partitions.
+        if self.cfg.load_balance == LoadBalance::Static
+            && self
+                .ranks
+                .retired()
+                .iter()
+                .all(|&p| self.tree.open_in(p) == 0)
+        {
+            loop {
+                let g = self.tree.next_open_group(w)?;
+                if g == w {
+                    break;
                 }
-                Delivery::Dropped => {
-                    // The worker did the work but its report is lost.
-                    self.stats.faults.drops += 1;
-                    let busy = self.now + send_ns + report.eval_ns;
-                    gmip_trace::record(|| {
-                        TraceSpan::instant(rank, "fault.drop", t0 + send_ns + eval_ns)
-                            .arg("node", nid)
-                            .arg("leg", "report")
-                    });
-                    self.workers[w].busy_until = busy;
-                    self.in_flight[w] = Some(InFlight {
-                        dispatch,
-                        node: id,
-                        report: Some(report),
-                    });
-                    self.push_event(
-                        (self.now + ack_ns).max(busy),
-                        w,
-                        EventKind::AckTimeout { dispatch },
-                    );
-                }
+                w = self.ranks.next_idle(g)?;
             }
         }
-        Ok(started)
+        Some(w)
+    }
+
+    /// Dispatches work to every idle alive worker that has any.
+    fn dispatch(&mut self) -> LpResult<()> {
+        // A dispatch moves one node from the active set to in-flight, so
+        // the ramping predicate's sum is invariant across the round.
+        let ramping = self.cfg.ramp_up
+            && self.tree.active_ids().len() + self.ranks.outstanding() < self.cfg.workers;
+        let mut from = 0;
+        while let Some(w) = self.next_candidate(from) {
+            from = w + 1;
+            if self.workers[w].busy_until > self.now {
+                continue;
+            }
+            if let Some(id) = self.pick_node(w, ramping) {
+                self.start(w, id)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Ships open node `id` to idle rank `w` and schedules what comes back.
+    fn start(&mut self, w: usize, id: NodeId) -> LpResult<()> {
+        self.tree.begin_evaluation(id);
+        let node = self.tree.node(id);
+        let assignment = assignment(node, self.cfg.warm_start, self.incumbent_internal());
+        // A dynamic pick landing off the node's static partition is a
+        // load-balance migration (work stealing).
+        if node.data.partition != w {
+            self.stats.metrics.incr(names::CLUSTER_MIGRATIONS, 1.0);
+        }
+        let dispatch = self.next_dispatch;
+        self.next_dispatch += 1;
+        let (report, completion) = exchange(
+            &mut self.workers[w],
+            w,
+            &assignment,
+            self.now,
+            self.cfg.network,
+            &mut self.plan,
+            &mut self.stats,
+        )?;
+        self.ranks.park(
+            w,
+            InFlight {
+                dispatch,
+                node: id,
+                report,
+            },
+        );
+        match completion {
+            Completion::Deliver(at) => self.push_event(at, w, EventKind::Deliver { dispatch }),
+            Completion::AckTimeout(at) => {
+                self.push_event(at, w, EventKind::AckTimeout { dispatch })
+            }
+        }
+        Ok(())
     }
 
     /// Returns a lost in-flight subproblem to the open set so another rank
@@ -675,16 +551,12 @@ impl Supervisor {
     /// A report reaches the supervisor (unless it is stale: the rank died
     /// or the exchange was already written off).
     fn on_deliver(&mut self, worker: usize, dispatch: u64) {
-        if !self.ranks[worker].alive {
+        if !self.ranks[worker].alive() {
             return; // rank died with the report in transit; Detect handles it
         }
-        if self.in_flight[worker]
-            .as_ref()
-            .is_none_or(|f| f.dispatch != dispatch)
-        {
+        let Some(inf) = self.ranks.take_exchange(worker, dispatch) else {
             return; // stale delivery of a written-off exchange
-        }
-        let inf = self.in_flight[worker].take().expect("checked above");
+        };
         let report = inf.report.expect("delivered exchanges carry a report");
         self.process(worker, report);
     }
@@ -692,25 +564,20 @@ impl Supervisor {
     /// The ack timer for a dropped exchange fires: write it off and
     /// reassign the subproblem.
     fn on_ack_timeout(&mut self, worker: usize, dispatch: u64) {
-        if self.in_flight[worker]
-            .as_ref()
-            .is_none_or(|f| f.dispatch != dispatch)
-        {
-            return; // already resolved (e.g. crash detection got there first)
+        // `None`: already resolved (e.g. crash detection got there first).
+        if let Some(inf) = self.ranks.take_exchange(worker, dispatch) {
+            self.reassign(inf.node);
         }
-        let inf = self.in_flight[worker].take().expect("checked above");
-        self.reassign(inf.node);
     }
 
     /// A planned crash lands on the rank: device state and any in-flight
     /// evaluation are gone. The supervisor only *notices* a heartbeat
     /// timeout later.
     fn on_crash(&mut self, worker: usize) {
-        if !self.ranks[worker].alive || self.ranks[worker].retired {
+        if !self.ranks[worker].alive() {
             return; // the planned crash hit an already-dead rank
         }
-        self.ranks[worker].alive = false;
-        self.ranks[worker].down_since = self.now;
+        self.ranks.crash(worker, self.now);
         self.stats.faults.crashes += 1;
         let ts = self.now;
         gmip_trace::record(|| {
@@ -729,7 +596,7 @@ impl Supervisor {
     /// refresh the recovery checkpoint, and schedule a respawn (or retire
     /// the rank when its budget is spent).
     fn on_detect(&mut self, worker: usize) {
-        if let Some(inf) = self.in_flight[worker].take() {
+        if let Some(inf) = self.ranks.take(worker) {
             self.reassign(inf.node);
         }
         // Refresh the recovery checkpoint: this is the restart file a real
@@ -742,18 +609,15 @@ impl Supervisor {
             .cfg()
             .max_respawns;
         let backoff_base = self.plan.as_ref().expect("plan").cfg().respawn_backoff_ns;
-        let others_alive = (0..self.ranks.len())
-            .filter(|&o| o != worker)
-            .any(|o| self.ranks[o].alive || self.ranks[o].respawn_pending);
-        if self.ranks[worker].respawns < max_respawns || !others_alive {
+        if self.ranks[worker].respawns < max_respawns || !self.ranks.others_viable(worker) {
             // Exponential backoff; the last viable rank is always granted a
             // respawn so the search can terminate.
             let exp = self.ranks[worker].respawns.min(20) as u32;
             let backoff = backoff_base * f64::from(1u32 << exp.min(20));
-            self.ranks[worker].respawn_pending = true;
+            self.ranks.await_respawn(worker);
             self.push_event(self.now + backoff, worker, EventKind::Respawn);
         } else {
-            self.ranks[worker].retired = true;
+            self.ranks.retire(worker);
             self.stats.faults.degraded_ranks += 1;
             let ts = self.now;
             gmip_trace::record(|| {
@@ -769,7 +633,6 @@ impl Supervisor {
     /// The replacement rank comes up: fresh device, matrix re-uploaded,
     /// warm-start state gone.
     fn on_respawn(&mut self, worker: usize) -> LpResult<()> {
-        self.ranks[worker].respawn_pending = false;
         self.lost_busy_ns[worker] += self.workers[worker].busy_ns;
         let mut fresh = Worker::new_with_backend(
             worker,
@@ -785,8 +648,7 @@ impl Supervisor {
         .with_propagation(self.cfg.propagate, self.cfg.heuristic_period);
         fresh.busy_until = self.now;
         self.workers[worker] = fresh;
-        self.ranks[worker].alive = true;
-        self.ranks[worker].respawns += 1;
+        self.ranks.respawn(worker);
         self.stats.faults.respawns += 1;
         let (t0, dur) = (
             self.ranks[worker].down_since,
@@ -916,7 +778,8 @@ impl Supervisor {
                 } else {
                     vec![mk(false, parent_partition), mk(true, parent_partition)]
                 };
-                self.tree.branch(id, bound, children);
+                let ids = self.tree.branch(id, bound, children);
+                self.index_partitions(&ids);
             }
         }
     }
@@ -945,7 +808,7 @@ impl Supervisor {
             // Done when no open nodes remain and nothing is in flight —
             // fault events scheduled past this point hit a machine whose
             // job already finished.
-            if !self.tree.has_active() && self.in_flight.iter().all(Option::is_none) {
+            if !self.tree.has_active() && self.ranks.outstanding() == 0 {
                 break if self.incumbent.is_some() {
                     MipStatus::Optimal
                 } else {

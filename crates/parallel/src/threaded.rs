@@ -15,6 +15,7 @@
 
 use crate::chaos::FaultPlan;
 use crate::comm::{Assignment, NodeOutcome, NodeReport};
+use crate::exchange::assignment;
 use crate::supervisor::{ParPayload, ParallelConfig};
 use crate::worker::Worker;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
@@ -139,31 +140,16 @@ pub fn solve_threaded(instance: &MipInstance, cfg: &ParallelConfig) -> LpResult<
     loop {
         // Dispatch best-bound nodes to idle workers.
         while !idle.is_empty() && nodes + assigned.len() < cfg.node_limit {
-            let Some(id) = tree.active_ids().iter().copied().min_by(|&a, &b| {
-                tree.node(b)
-                    .bound
-                    .partial_cmp(&tree.node(a).bound)
-                    .expect("bounds are never NaN")
-                    .then(a.cmp(&b))
-            }) else {
+            let Some(id) = tree.best() else {
                 break;
             };
             let w = idle.pop().expect("checked non-empty");
             tree.begin_evaluation(id);
-            let node = tree.node(id);
-            let a = Assignment {
-                node_id: id,
-                bounds: node.data.bounds.clone(),
-                warm_basis: if cfg.warm_start {
-                    node.data.warm_basis.clone()
-                } else {
-                    None
-                },
-                incumbent: incumbent
-                    .as_ref()
-                    .map(|(v, _)| *v)
-                    .unwrap_or(f64::NEG_INFINITY),
-            };
+            let cur = incumbent
+                .as_ref()
+                .map(|(v, _)| *v)
+                .unwrap_or(f64::NEG_INFINITY);
+            let a = assignment(tree.node(id), cfg.warm_start, cur);
             assigned.insert(id, w);
             work_txs[w]
                 .send(WorkerMsg::Work(a))

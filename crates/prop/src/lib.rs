@@ -317,7 +317,7 @@ impl Propagator {
 
     /// Lockstep propagation of a whole wave of boxes through the
     /// accelerator's **executing** backend: per round, one fused dispatch
-    /// runs [`Self::propagate_round`] for every still-iterating lane
+    /// runs one propagation round for every still-iterating lane
     /// (lanes drop out as their fixpoints or contradictions land), then
     /// [`charge_wave`] charges the matching `prop.activity` /
     /// `prop.tighten` / `prop.reduce` kernel trios — exactly the charges

@@ -6,7 +6,9 @@
 //! * [`node`] — node lifecycle (active → evaluating → feasible/infeasible/
 //!   pruned/branched);
 //! * [`tree`] — the arena-backed [`tree::SearchTree`] with active-set
-//!   tracking, bound pruning, and Strategy-1 device-memory accounting;
+//!   tracking, a per-group ordered frontier (every best-first pick is the
+//!   head of a set), bound pruning, and Strategy-1 device-memory
+//!   accounting;
 //! * [`policy`] — node-selection policies, including the GPU-aware
 //!   [`policy::ReuseAffinity`] scheduler of Section 5.3;
 //! * [`snapshot`] — consistent snapshots (Section 2.1) with validation;

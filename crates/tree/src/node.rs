@@ -71,6 +71,13 @@ pub struct Node<D> {
     /// The relaxation bound established for this node (in maximize sense;
     /// `+inf` until evaluated). Used for best-first selection and pruning.
     pub bound: f64,
+    /// Scheduling group: the partition a hierarchical or statically
+    /// balanced cluster dispatches this node under (0 everywhere else).
+    /// The tree keeps one ordered open set per group; change it with
+    /// [`crate::tree::SearchTree::set_group`].
+    pub group: usize,
+    /// Index of this node in the tree's active vector while it is open.
+    pub(crate) slot: usize,
     /// Children ids (empty unless `Branched`).
     pub children: Vec<NodeId>,
     /// Short human-readable label of the branching decision that created

@@ -37,11 +37,7 @@ impl<D> NodeSelection<D> for BestFirst {
     }
 
     fn select(&mut self, tree: &SearchTree<D>) -> Option<NodeId> {
-        tree.active_ids().iter().copied().min_by(|&a, &b| {
-            let (ba, bb) = (tree.node(a).bound, tree.node(b).bound);
-            // max bound first; tie → lowest id
-            bb.partial_cmp(&ba).unwrap().then(a.cmp(&b))
-        })
+        tree.best()
     }
 }
 
@@ -155,18 +151,15 @@ mod tests {
     ///                 /      \
     ///              n1(b=5)   n2(b=9)
     ///              /    \
-    ///          n3(b=4)  n4(b=5)
-    /// with n2, n3, n4 active.
+    ///          n3(b=5)  n4(b=5)
+    /// with n2, n3, n4 active (children inherit the bound their parent
+    /// branched at).
     fn sample_tree() -> SearchTree<()> {
         let mut t = SearchTree::with_root((), 64);
         t.begin_evaluation(0);
-        let kids = t.branch(0, 10.0, [("L".into(), ()), ("R".into(), ())]);
-        let (n1, n2) = (kids[0], kids[1]);
-        t.node_mut(n2).bound = 9.0;
-        t.begin_evaluation(n1);
-        let kids2 = t.branch(n1, 5.0, [("LL".into(), ()), ("LR".into(), ())]);
-        t.node_mut(kids2[0]).bound = 4.0;
-        t.node_mut(kids2[1]).bound = 5.0;
+        let kids = t.branch(0, 9.0, [("L".into(), ()), ("R".into(), ())]);
+        t.begin_evaluation(kids[0]);
+        t.branch(kids[0], 5.0, [("LL".into(), ()), ("LR".into(), ())]);
         t
     }
 

@@ -177,7 +177,7 @@ mod tests {
         t2.begin_evaluation(kids[0]);
         t2.branch(kids[0], 4.0, [("LL".into(), ())]);
         // Manually corrupt: mark kids[0] open again.
-        t2.node_mut(kids[0]).state = NodeState::Active;
+        t2.corrupt_state(kids[0], NodeState::Active);
         let s = capture(&t2, None);
         assert!(matches!(
             validate(&t2, &s),

@@ -6,16 +6,75 @@
 //! as it is being evaluated") while each node's relaxation is shipped to the
 //! accelerator; [`SearchTree::approx_bytes`] is what Strategy 1 must fit in
 //! device memory instead.
+//!
+//! # The ordered frontier
+//!
+//! Every best-first driver in the workspace picks by one total order —
+//! largest bound first, ties to the lowest id — so the tree keeps the open
+//! set *in* that order: one `BTreeSet` of `(bound desc, id asc)` keys per
+//! *group*. A group is a small integer stored on the node: the partition a
+//! hierarchical or statically balanced cluster schedules it under, and 0
+//! everywhere else. Each open node also records its slot in the flat
+//! `active` vector, so leaving the active set is a `swap_remove`. The index
+//! is maintained by every method that opens or closes a node (`branch`,
+//! `reopen`, `begin_evaluation`, the prunes, `set_group`) and by nothing
+//! else: nodes are handed out immutably, and [`SearchTree::data_mut`]
+//! reaches only the payload, so a bound, state or group cannot change behind
+//! it.
+//!
+//! With `F` open nodes, `G` groups holding any, and `k` nodes pruned:
+//!
+//! | operation | scanning the active vector | ordered frontier |
+//! |---|---|---|
+//! | `begin_evaluation` | O(F) `position` | O(log F) |
+//! | best-first pick (`best`, `best_in`) | O(F) `min_by` | O(log F) |
+//! | first `k` of the order (`iter_in`) | O(F log F) sort | O(k + log F) |
+//! | `best_open_bound` | O(F) | O(G) |
+//! | `open_in` / `best_bound_in` of one group | O(F) filter | O(1) / O(log F) |
+//! | `prune_dominated` | O(F) | O(G + k log F) |
+//! | `prune_dominated_in` one group | O(F) filter | O(k log F) |
+//! | `branch` / `reopen`, per node opened | O(1) | O(log F) |
+//!
+//! [`SearchTree::active_ids`] is the same set in *unspecified* order
+//! (removal swaps the last id into the vacated slot): callers that scan it
+//! must break ties by id, as the three non-best-first policies do.
 
 use crate::node::{Node, NodeId, NodeState};
 use crate::stats::TreeStats;
+use std::collections::BTreeSet;
+
+/// Frontier key: ascending order is (bound descending, id ascending).
+type Key = (u64, NodeId);
+
+/// `Node::slot` of a node that is not in the active set.
+const NOT_OPEN: usize = usize::MAX;
+
+/// Maps a bound to bits whose unsigned order is the *reverse* of the
+/// bound's numeric order, and equal exactly when `partial_cmp` says
+/// `Equal`: `-0.0` is folded onto `+0.0` first (or ties between the two
+/// would stop falling through to the id), `±inf` order like any other
+/// value, NaN is a caller bug.
+fn descending_bits(bound: f64) -> u64 {
+    assert!(!bound.is_nan(), "bounds are never NaN");
+    let bits = (bound + 0.0).to_bits();
+    let ascending = if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | (1 << 63)
+    };
+    !ascending
+}
 
 /// The search tree: arena storage, active-set tracking, statistics.
 #[derive(Debug, Clone)]
 pub struct SearchTree<D> {
     nodes: Vec<Node<D>>,
-    /// Open (Active) node ids; selection policies draw from this.
+    /// Open (Active) node ids, in unspecified order.
     active: Vec<NodeId>,
+    /// The same set, ordered, per group (indexed by group id).
+    open: Vec<BTreeSet<Key>>,
+    /// Groups whose ordered set is non-empty.
+    open_groups: BTreeSet<usize>,
     stats: TreeStats,
     /// Bytes a node occupies when parked on a device (Strategy 1
     /// accounting): payload-independent estimate set by the owner.
@@ -31,6 +90,8 @@ impl<D> SearchTree<D> {
             depth: 0,
             state: NodeState::Active,
             bound: f64::INFINITY,
+            group: 0,
+            slot: NOT_OPEN,
             children: Vec::new(),
             label: "root".to_string(),
             data,
@@ -38,12 +99,16 @@ impl<D> SearchTree<D> {
         let mut stats = TreeStats::default();
         stats.created = 1;
         stats.max_active = 1;
-        Self {
+        let mut tree = Self {
             nodes: vec![root],
-            active: vec![0],
+            active: Vec::new(),
+            open: Vec::new(),
+            open_groups: BTreeSet::new(),
             stats,
             node_bytes,
-        }
+        };
+        tree.open_node(0);
+        tree
     }
 
     /// The root's id.
@@ -69,12 +134,14 @@ impl<D> SearchTree<D> {
         &self.nodes[id]
     }
 
-    /// Mutable node access.
-    pub fn node_mut(&mut self, id: NodeId) -> &mut Node<D> {
-        &mut self.nodes[id]
+    /// Mutable access to a node's payload — the only part of a node the
+    /// frontier index does not depend on.
+    pub fn data_mut(&mut self, id: NodeId) -> &mut D {
+        &mut self.nodes[id].data
     }
 
-    /// The current active (open, unevaluated) node ids.
+    /// The current active (open, unevaluated) node ids, in unspecified
+    /// order.
     pub fn active_ids(&self) -> &[NodeId] {
         &self.active
     }
@@ -89,13 +156,45 @@ impl<D> SearchTree<D> {
         &self.stats
     }
 
+    fn key(&self, id: NodeId) -> Key {
+        (descending_bits(self.nodes[id].bound), id)
+    }
+
+    /// Enters `id` into the active vector and its group's ordered set.
+    fn open_node(&mut self, id: NodeId) {
+        let (key, group) = (self.key(id), self.nodes[id].group);
+        self.nodes[id].slot = self.active.len();
+        self.active.push(id);
+        if group >= self.open.len() {
+            self.open.resize_with(group + 1, BTreeSet::new);
+        }
+        if self.open[group].is_empty() {
+            self.open_groups.insert(group);
+        }
+        self.open[group].insert(key);
+    }
+
+    /// Takes `id` out of the active vector and its group's ordered set.
+    fn close_node(&mut self, id: NodeId) {
+        let (key, group) = (self.key(id), self.nodes[id].group);
+        let slot = std::mem::replace(&mut self.nodes[id].slot, NOT_OPEN);
+        self.active.swap_remove(slot);
+        if let Some(&moved) = self.active.get(slot) {
+            self.nodes[moved].slot = slot;
+        }
+        self.open[group].remove(&key);
+        if self.open[group].is_empty() {
+            self.open_groups.remove(&group);
+        }
+    }
+
     /// Removes `id` from the active set and marks it `Evaluating`. Returns
     /// `false` if the node was not active.
     pub fn begin_evaluation(&mut self, id: NodeId) -> bool {
-        let Some(pos) = self.active.iter().position(|&a| a == id) else {
+        if self.nodes[id].state != NodeState::Active {
             return false;
-        };
-        self.active.swap_remove(pos);
+        }
+        self.close_node(id);
         self.nodes[id].state = NodeState::Evaluating;
         true
     }
@@ -111,10 +210,26 @@ impl<D> SearchTree<D> {
             return false;
         }
         self.nodes[id].state = NodeState::Active;
-        self.active.push(id);
+        self.open_node(id);
         self.stats.reopened += 1;
         self.stats.max_active = self.stats.max_active.max(self.active.len());
         true
+    }
+
+    /// Moves a node to scheduling group `group`. An open node changes
+    /// ordered sets; any other node just carries the tag until it reopens.
+    pub fn set_group(&mut self, id: NodeId, group: usize) {
+        if self.nodes[id].group == group {
+            return;
+        }
+        let open = self.nodes[id].state == NodeState::Active;
+        if open {
+            self.close_node(id);
+        }
+        self.nodes[id].group = group;
+        if open {
+            self.open_node(id);
+        }
     }
 
     /// Marks an evaluating node as a terminal leaf with the given state and
@@ -132,8 +247,8 @@ impl<D> SearchTree<D> {
         }
     }
 
-    /// Expands an evaluating node into children; each child becomes Active.
-    /// Returns the new ids.
+    /// Expands an evaluating node into children; each child becomes Active
+    /// in its parent's group. Returns the new ids.
     pub fn branch(
         &mut self,
         id: NodeId,
@@ -145,6 +260,7 @@ impl<D> SearchTree<D> {
         self.nodes[id].bound = bound;
         self.stats.branched += 1;
         let depth = self.nodes[id].depth + 1;
+        let group = self.nodes[id].group;
         let mut ids = Vec::new();
         for (label, data) in children {
             let cid = self.nodes.len();
@@ -154,11 +270,13 @@ impl<D> SearchTree<D> {
                 depth,
                 state: NodeState::Active,
                 bound,
+                group,
+                slot: NOT_OPEN,
                 children: Vec::new(),
                 label,
                 data,
             });
-            self.active.push(cid);
+            self.open_node(cid);
             self.stats.created += 1;
             self.stats.max_depth = self.stats.max_depth.max(depth);
             ids.push(cid);
@@ -173,52 +291,82 @@ impl<D> SearchTree<D> {
     /// number pruned. This is global bound-pruning after a new incumbent.
     pub fn prune_dominated(&mut self, incumbent: f64, tol: f64) -> usize {
         let mut pruned = 0;
-        let mut keep = Vec::with_capacity(self.active.len());
-        for &id in &self.active {
-            if self.nodes[id].bound <= incumbent + tol {
-                self.nodes[id].state = NodeState::Pruned;
-                self.stats.pruned += 1;
-                pruned += 1;
-            } else {
-                keep.push(id);
-            }
+        let mut from = 0;
+        while let Some(group) = self.next_open_group(from) {
+            pruned += self.prune_dominated_in(group, incumbent, tol);
+            from = group + 1;
         }
-        self.active = keep;
         pruned
     }
 
-    /// Like [`Self::prune_dominated`], but only prunes active nodes for
-    /// which `eligible` holds. The hierarchical cluster uses this for
-    /// *group-scoped* pruning: a sub-supervisor that learns a new incumbent
-    /// may only prune the frontier it owns — other groups prune when the
-    /// root's broadcast reaches them, so pruning power honestly lags the
-    /// modeled message latency.
-    pub fn prune_dominated_where<F>(&mut self, incumbent: f64, tol: f64, eligible: F) -> usize
-    where
-        F: Fn(&Node<D>) -> bool,
-    {
+    /// Like [`Self::prune_dominated`], but only within one group. The
+    /// hierarchical cluster uses this for *group-scoped* pruning: a
+    /// sub-supervisor that learns a new incumbent may only prune the
+    /// frontier it owns — other groups prune when the root's broadcast
+    /// reaches them, so pruning power honestly lags the modeled message
+    /// latency.
+    pub fn prune_dominated_in(&mut self, group: usize, incumbent: f64, tol: f64) -> usize {
         let mut pruned = 0;
-        let mut keep = Vec::with_capacity(self.active.len());
-        for &id in &self.active {
-            if self.nodes[id].bound <= incumbent + tol && eligible(&self.nodes[id]) {
-                self.nodes[id].state = NodeState::Pruned;
-                self.stats.pruned += 1;
-                pruned += 1;
-            } else {
-                keep.push(id);
+        // The dominated nodes are exactly a tail of the group's order.
+        while let Some(&(_, id)) = self.open.get(group).and_then(BTreeSet::last) {
+            if self.nodes[id].bound > incumbent + tol {
+                break;
             }
+            self.close_node(id);
+            self.nodes[id].state = NodeState::Pruned;
+            self.stats.pruned += 1;
+            pruned += 1;
         }
-        self.active = keep;
         pruned
+    }
+
+    /// The best open node of the whole frontier: largest bound, ties to the
+    /// lowest id. `None` when no work remains.
+    pub fn best(&self) -> Option<NodeId> {
+        self.best_among(self.open_groups.iter().copied())
+    }
+
+    /// The best open node of one group.
+    pub fn best_in(&self, group: usize) -> Option<NodeId> {
+        self.best_among([group])
+    }
+
+    /// The best open node across `groups`, by the same order.
+    pub fn best_among(&self, groups: impl IntoIterator<Item = usize>) -> Option<NodeId> {
+        groups
+            .into_iter()
+            .filter_map(|g| self.open.get(g)?.first())
+            .min()
+            .map(|&(_, id)| id)
+    }
+
+    /// Open nodes of one group, best first.
+    pub fn iter_in(&self, group: usize) -> impl Iterator<Item = NodeId> + '_ {
+        self.open
+            .get(group)
+            .into_iter()
+            .flat_map(|set| set.iter().map(|&(_, id)| id))
+    }
+
+    /// How many open nodes one group holds.
+    pub fn open_in(&self, group: usize) -> usize {
+        self.open.get(group).map_or(0, BTreeSet::len)
+    }
+
+    /// Best (largest) bound among one group's open nodes.
+    pub fn best_bound_in(&self, group: usize) -> Option<f64> {
+        self.best_in(group).map(|id| self.nodes[id].bound)
+    }
+
+    /// The lowest-numbered group at or after `from` that holds open nodes.
+    pub fn next_open_group(&self, from: usize) -> Option<usize> {
+        self.open_groups.range(from..).next().copied()
     }
 
     /// Best (largest) bound among open nodes — the global dual bound.
     /// `None` when no work remains.
     pub fn best_open_bound(&self) -> Option<f64> {
-        self.active
-            .iter()
-            .map(|&id| self.nodes[id].bound)
-            .fold(None, |acc, b| Some(acc.map_or(b, |a: f64| a.max(b))))
+        self.best().map(|id| self.nodes[id].bound)
     }
 
     /// Approximate bytes to store the tree's nodes on a device (Strategy 1
@@ -240,6 +388,13 @@ impl<D> SearchTree<D> {
     /// Iterator over all nodes.
     pub fn iter(&self) -> impl Iterator<Item = &Node<D>> {
         self.nodes.iter()
+    }
+
+    /// Overwrites a node's state behind the index, for tests of validators
+    /// that must reject trees the API cannot build.
+    #[cfg(test)]
+    pub(crate) fn corrupt_state(&mut self, id: NodeId, state: NodeState) {
+        self.nodes[id].state = state;
     }
 }
 
@@ -317,24 +472,61 @@ mod tests {
     #[test]
     fn prune_keeps_improving_nodes() {
         let mut t = two_level_tree();
-        t.node_mut(1).bound = 20.0;
+        // Node 1 branches again at bound 20: its children survive an
+        // incumbent of 15, node 2 (bound 10) does not.
+        t.begin_evaluation(1);
+        t.branch(1, 20.0, [("L".into(), 3), ("R".into(), 4)]);
         let pruned = t.prune_dominated(15.0, 1e-9);
         assert_eq!(pruned, 1);
-        assert_eq!(t.active_ids(), &[1]);
+        assert_eq!(t.node(2).state, NodeState::Pruned);
+        assert_eq!(t.best(), Some(3), "ties go to the lowest id");
         assert_eq!(t.best_open_bound(), Some(20.0));
     }
 
     #[test]
-    fn scoped_prune_only_touches_eligible_nodes() {
+    fn scoped_prune_only_touches_its_group() {
         let mut t = two_level_tree();
-        // Both children carry bound 10; prune only the even-id one.
-        let pruned = t.prune_dominated_where(10.0, 1e-9, |n| n.id % 2 == 0);
-        assert_eq!(pruned, 1);
+        // Both children carry bound 10; move node 2 to group 1 and prune
+        // only there.
+        t.set_group(2, 1);
+        assert_eq!((t.open_in(0), t.open_in(1)), (1, 1));
+        assert_eq!(t.prune_dominated_in(1, 10.0, 1e-9), 1);
         assert_eq!(t.active_ids(), &[1]);
         assert_eq!(t.node(2).state, NodeState::Pruned);
+        assert_eq!(t.next_open_group(0), Some(0));
+        assert_eq!(t.next_open_group(1), None);
         // The survivor is still prunable by an unscoped pass.
         assert_eq!(t.prune_dominated(10.0, 1e-9), 1);
         assert!(t.all_settled());
+    }
+
+    #[test]
+    fn groups_order_independently_and_merge_by_the_same_key() {
+        let mut t = two_level_tree();
+        t.begin_evaluation(1);
+        let kids = t.branch(1, 7.0, [("L".into(), 3), ("R".into(), 4)]);
+        t.set_group(kids[1], 2);
+        // Group 0 holds node 2 (bound 10) and node 3 (bound 7).
+        assert_eq!(t.iter_in(0).collect::<Vec<_>>(), vec![2, 3]);
+        assert_eq!(t.best_in(2), Some(4));
+        assert_eq!(t.best_bound_in(2), Some(7.0));
+        assert_eq!(t.best_in(5), None, "unknown groups are empty");
+        assert_eq!(t.best_among([2, 5]), Some(4));
+        assert_eq!(t.best(), Some(2));
+        // An evaluating node carries its group until it reopens.
+        t.begin_evaluation(3);
+        t.set_group(3, 2);
+        assert_eq!(t.open_in(2), 1);
+        t.reopen(3);
+        assert_eq!(t.iter_in(2).collect::<Vec<_>>(), vec![3, 4]);
+    }
+
+    #[test]
+    fn negative_zero_ties_with_zero() {
+        assert_eq!(descending_bits(-0.0), descending_bits(0.0));
+        assert!(descending_bits(f64::INFINITY) < descending_bits(1.0));
+        assert!(descending_bits(1.0) < descending_bits(-1.0));
+        assert!(descending_bits(-1.0) < descending_bits(f64::NEG_INFINITY));
     }
 
     #[test]

@@ -1,0 +1,267 @@
+//! Golden pins for every scheduler that draws from the shared ordered
+//! frontier of `gmip-tree`.
+//!
+//! The frontier index changes *how* the next node is found, never *which*
+//! node it is: every driver picks by the same total order (bound desc, id
+//! asc). These fingerprints were recorded at the last commit whose drivers
+//! still scanned and sorted `active_ids()` themselves (`6881efc`); a
+//! scheduler change that moves any of them has changed the search, not just
+//! its cost.
+//!
+//! The chaos plans pin the hierarchy's recovery paths — `evacuate_group`,
+//! `reassign` and the steal-deny backoff — which no benchmark workload
+//! reaches. The last test is the cost side of the same contract: a frontier
+//! too large for any per-pick scan to drain.
+
+use gmip::core::{
+    solve_batched_wave, solve_concurrent, solve_first_order_wave, BatchedWaveConfig,
+    ConcurrentConfig, FirstOrderWaveConfig,
+};
+use gmip::gpu::{Accel, CostModel, DeviceConfig};
+use gmip::parallel::{
+    solve_hierarchical, solve_parallel, solve_threaded, ChaosConfig, HierResult, HierarchyConfig,
+    LoadBalance, ParallelConfig, ParallelResult,
+};
+use gmip::problems::generators::{bin_packing, knapsack};
+use gmip::problems::MipInstance;
+use gmip::tree::{NodeState, SearchTree};
+
+fn cluster_instance() -> MipInstance {
+    knapsack(46, 0.5, 7)
+}
+
+fn wave_instance() -> MipInstance {
+    bin_packing(5, 1.0, 3)
+}
+
+fn gpu() -> Accel {
+    Accel::gpu_with(DeviceConfig {
+        cost: CostModel::gpu_pcie(),
+        mem_capacity: 1 << 30,
+        streams: 1,
+    })
+}
+
+fn pcfg(workers: usize) -> ParallelConfig {
+    ParallelConfig {
+        workers,
+        gpu_mem: 1 << 26,
+        ..Default::default()
+    }
+}
+
+fn flat_pin(r: &ParallelResult) -> String {
+    format!(
+        "obj={:016x} nodes={} msgs={} launches={} makespan={:016x}",
+        r.objective.to_bits(),
+        r.stats.nodes,
+        r.stats.messages,
+        r.stats.metrics.counter("gpu.kernel.launches"),
+        r.stats.makespan_ns.to_bits(),
+    )
+}
+
+fn hier_pin(r: &HierResult) -> String {
+    format!(
+        "obj={:016x} nodes={} msgs={} root={} steals={} stolen={} denied={} reassigned={} \
+         evacuated={} launches={} makespan={:016x}",
+        r.objective.to_bits(),
+        r.stats.nodes,
+        r.stats.messages,
+        r.hier.root_messages,
+        r.hier.steals,
+        r.hier.stolen_subtrees,
+        r.hier.steal_denied,
+        r.stats.faults.reassignments,
+        r.stats.faults.group_reassigned_subtrees,
+        r.stats.metrics.counter("gpu.kernel.launches"),
+        r.stats.makespan_ns.to_bits(),
+    )
+}
+
+fn wave_pin(r: &gmip::core::WaveResult) -> String {
+    format!(
+        "obj={:016x} nodes={} supersteps={} launches={} makespan={:016x}",
+        r.objective.to_bits(),
+        r.nodes,
+        r.supersteps,
+        r.device.kernel_launches,
+        r.makespan_ns.to_bits(),
+    )
+}
+
+fn hier(chaos: Option<ChaosConfig>) -> HierResult {
+    solve_hierarchical(
+        &cluster_instance(),
+        ParallelConfig { chaos, ..pcfg(256) },
+        HierarchyConfig {
+            fanout: 16,
+            ..Default::default()
+        },
+    )
+    .expect("hierarchical solve")
+}
+
+/// Fault windows are sized from this: the fault-free 256x16 makespan, ns.
+const CLEAN_MAKESPAN_NS: f64 = 2.11e7;
+
+#[test]
+fn flat_64_dynamic() {
+    let r = solve_parallel(&cluster_instance(), pcfg(64)).expect("flat solve");
+    assert_eq!(
+        flat_pin(&r),
+        "obj=409aec0000000000 nodes=1299 msgs=2598 launches=34639 makespan=417447ee05f92c67"
+    );
+}
+
+#[test]
+fn flat_64_static() {
+    let cfg = ParallelConfig {
+        load_balance: LoadBalance::Static,
+        ..pcfg(64)
+    };
+    let r = solve_parallel(&cluster_instance(), cfg).expect("static flat solve");
+    assert_eq!(
+        flat_pin(&r),
+        "obj=409aec0000000000 nodes=2494 msgs=4988 launches=66432 makespan=4197b1c9651eb754"
+    );
+}
+
+#[test]
+fn hier_256x16_plain() {
+    let r = hier(None);
+    assert_eq!(r.hier.max_evaluations_per_node, 1);
+    assert!(r.hier.steals > 0 && r.hier.steal_denied > 0);
+    assert_eq!(hier_pin(&r), "obj=409aec0000000000 nodes=2517 msgs=6479 root=1445 steals=20 stolen=36 denied=370 reassigned=0 evacuated=0 launches=66973 makespan=417420264c5f92c7");
+}
+
+#[test]
+fn hier_256x16_sub_crash() {
+    let r = hier(Some(ChaosConfig {
+        sub_crashes: 3,
+        crashes: 6,
+        horizon_ns: CLEAN_MAKESPAN_NS * 0.8,
+        ..ChaosConfig::quiet(11)
+    }));
+    assert!(r.stats.faults.sub_crashes > 0, "no sub-crash landed");
+    assert!(
+        r.stats.faults.group_reassigned_subtrees > 0,
+        "evacuate_group not reached"
+    );
+    assert!(r.stats.faults.reassignments > 0, "reassign not reached");
+    assert_eq!(hier_pin(&r), "obj=409aec0000000000 nodes=2499 msgs=6663 root=1591 steals=30 stolen=80 denied=405 reassigned=1 evacuated=105 launches=67165 makespan=417449ee32bbac69");
+}
+
+#[test]
+fn hier_256x16_kill_group() {
+    let r = hier(Some(ChaosConfig {
+        kill_group: Some(1),
+        kill_group_at_ns: CLEAN_MAKESPAN_NS * 0.5,
+        max_respawns: 0,
+        drop_prob: 0.02,
+        ..ChaosConfig::quiet(5)
+    }));
+    assert!(r.stats.faults.degraded_ranks >= 16, "group 1 not wiped");
+    assert!(
+        r.stats.faults.group_reassigned_subtrees > 0,
+        "evacuate_group not reached"
+    );
+    assert!(r.stats.faults.reassignments > 0, "reassign not reached");
+    assert_eq!(hier_pin(&r), "obj=409aec0000000000 nodes=2391 msgs=6640 root=1674 steals=42 stolen=58 denied=376 reassigned=120 evacuated=50 launches=65364 makespan=41751b09cf5c28fd");
+}
+
+#[test]
+fn batched_wave_64() {
+    let plain = BatchedWaveConfig {
+        lanes: 64,
+        ..Default::default()
+    };
+    let r = solve_batched_wave(&wave_instance(), &plain, gpu()).expect("wave solve");
+    assert_eq!(
+        wave_pin(&r),
+        "obj=4008000000000000 nodes=1119 supersteps=678 launches=2236 makespan=418831f13b05aeaa"
+    );
+    let prop = BatchedWaveConfig {
+        propagate: true,
+        heuristic_period: 8,
+        ..plain
+    };
+    let r = solve_batched_wave(&wave_instance(), &prop, gpu()).expect("propagating wave solve");
+    assert_eq!(
+        wave_pin(&r),
+        "obj=4008000000000000 nodes=335 supersteps=372 launches=1278 makespan=417416bf57b87ba5"
+    );
+}
+
+#[test]
+fn first_order_wave_64() {
+    let cfg = FirstOrderWaveConfig {
+        lanes: 64,
+        ..Default::default()
+    };
+    let r = solve_first_order_wave(&wave_instance(), &cfg, gpu()).expect("first-order solve");
+    assert_eq!(
+        wave_pin(&r),
+        "obj=4008000000000000 nodes=469 supersteps=10636 launches=34567 makespan=41b10c62e2b60c65"
+    );
+}
+
+#[test]
+fn concurrent_lanes() {
+    let r = solve_concurrent(&wave_instance(), &ConcurrentConfig::default(), gpu())
+        .expect("concurrent solve");
+    assert_eq!(
+        format!(
+            "obj={:016x} nodes={} waves={} launches={} makespan={:016x}",
+            r.objective.to_bits(),
+            r.nodes,
+            r.waves,
+            r.device.kernel_launches,
+            r.makespan_ns.to_bits(),
+        ),
+        "obj=4008000000000000 nodes=1113 waves=280 launches=39655 makespan=41b19130e82d80fc"
+    );
+}
+
+/// Real threads race for reports, so only the optimum is pinned.
+#[test]
+fn threaded_objective() {
+    let r = solve_threaded(&knapsack(20, 0.5, 7), &pcfg(2)).expect("threaded solve");
+    assert_eq!(
+        format!("obj={:016x}", r.objective.to_bits()),
+        "obj=4088580000000000"
+    );
+}
+
+/// 200 000 open nodes grown and then emptied best-first, one `best()` +
+/// `begin_evaluation` per node: 4·10¹⁰ steps for code that scans the active
+/// set per pick, under a second for the ordered frontier. The drain must
+/// come out in the one order every driver relies on.
+#[test]
+fn frontier_of_200k_nodes_drains_in_order() {
+    const FRONTIER: usize = 200_000;
+    let mut tree = SearchTree::with_root((), 64);
+    while tree.active_ids().len() < FRONTIER {
+        let id = tree.best().expect("frontier is growing");
+        tree.begin_evaluation(id);
+        // A thousand distinct bounds: every bound is shared by many nodes.
+        let bound = 1e6 - (id % 1000) as f64;
+        tree.branch(id, bound, [(String::new(), ()), (String::new(), ())]);
+    }
+    assert_eq!(tree.stats().max_active, FRONTIER);
+    let mut last = (f64::INFINITY, 0);
+    while let Some(id) = tree.best() {
+        let bound = tree.node(id).bound;
+        assert!(
+            bound < last.0 || (bound == last.0 && id > last.1),
+            "node {id} (bound {bound}) drained after node {} (bound {})",
+            last.1,
+            last.0
+        );
+        last = (bound, id);
+        assert!(tree.begin_evaluation(id));
+        tree.settle(id, NodeState::Pruned, bound);
+    }
+    assert_eq!(tree.stats().pruned, FRONTIER);
+    assert!(tree.all_settled());
+}
