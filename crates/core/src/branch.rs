@@ -16,12 +16,13 @@ pub fn fractionality(x: f64) -> f64 {
     (x - x.round()).abs()
 }
 
-/// Returns the integral-variable indices whose values are fractional beyond
-/// `tol`.
-pub fn fractional_vars(instance: &MipInstance, x: &[f64], tol: f64) -> Vec<usize> {
-    instance
-        .integral_indices()
-        .into_iter()
+/// Returns those of the `integral` variable indices whose values in `x` are
+/// fractional beyond `tol` (the search kernel's fractional filter; callers
+/// pass the index list they cached at construction).
+pub fn fractional_vars(integral: &[usize], x: &[f64], tol: f64) -> Vec<usize> {
+    integral
+        .iter()
+        .copied()
         .filter(|&j| fractionality(x[j]) > tol)
         .collect()
 }
@@ -81,6 +82,34 @@ pub struct BranchDecision {
     pub up_lb: f64,
 }
 
+impl BranchDecision {
+    /// Branching on `var` at its value in `x`.
+    pub fn on(var: usize, x: &[f64]) -> Self {
+        Self {
+            var,
+            value: x[var],
+            down_ub: x[var].floor(),
+            up_lb: x[var].ceil(),
+        }
+    }
+}
+
+/// The most-fractional rule: the candidate (must be non-empty) farthest
+/// from its nearest integer, ties to the lowest index.
+pub fn most_fractional(x: &[f64], candidates: &[usize]) -> BranchDecision {
+    let var = candidates
+        .iter()
+        .copied()
+        .max_by(|&a, &b| {
+            fractionality(x[a])
+                .partial_cmp(&fractionality(x[b]))
+                .expect("fractionality is never NaN")
+                .then(b.cmp(&a)) // tie → lowest index
+        })
+        .expect("branching on an integral point");
+    BranchDecision::on(var, x)
+}
+
 /// Picks a branching variable among `candidates` (must be non-empty).
 ///
 /// * `MostFractional`: maximize distance to the nearest integer.
@@ -95,16 +124,7 @@ pub fn decide(
 ) -> BranchDecision {
     assert!(!candidates.is_empty(), "branching on an integral point");
     let var = match rule {
-        BranchRule::Strong | BranchRule::MostFractional => candidates
-            .iter()
-            .copied()
-            .max_by(|&a, &b| {
-                fractionality(x[a])
-                    .partial_cmp(&fractionality(x[b]))
-                    .expect("fractionality is never NaN")
-                    .then(b.cmp(&a)) // tie → lowest index
-            })
-            .expect("non-empty candidates"),
+        BranchRule::Strong | BranchRule::MostFractional => return most_fractional(x, candidates),
         BranchRule::PseudoCost => candidates
             .iter()
             .copied()
@@ -124,12 +144,7 @@ pub fn decide(
             })
             .expect("non-empty candidates"),
     };
-    BranchDecision {
-        var,
-        value: x[var],
-        down_ub: x[var].floor(),
-        up_lb: x[var].ceil(),
-    }
+    BranchDecision::on(var, x)
 }
 
 #[cfg(test)]
@@ -149,7 +164,7 @@ mod tests {
     fn fractional_vars_filters() {
         let m = figure1_knapsack();
         let x = [1.0, 0.5, 0.0, 0.999999999];
-        let f = fractional_vars(&m, &x, 1e-6);
+        let f = fractional_vars(&m.integral_indices(), &x, 1e-6);
         assert_eq!(f, vec![1]);
     }
 

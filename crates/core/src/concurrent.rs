@@ -18,13 +18,11 @@
 //! concurrency mechanism the paper describes so experiment E4 can measure
 //! it; the full-featured sequential orchestrator is [`crate::MipSolver`].
 
-use crate::branch;
+use crate::search::{self, Incumbent, Rules, Verdict};
 use crate::solver::{MipStatus, NodePayload};
 use gmip_gpu::{Accel, DeviceStats};
-use gmip_lp::{
-    Basis, BoundChange, DeviceEngine, LpConfig, LpResult, LpSolver, LpStatus, StandardLp,
-};
-use gmip_problems::{MipInstance, Objective};
+use gmip_lp::{Basis, DeviceEngine, LpConfig, LpResult, LpSolver, LpStatus, StandardLp};
+use gmip_problems::MipInstance;
 use gmip_tree::{NodeId, NodeState, SearchTree};
 
 /// Configuration of the concurrent-lane solver.
@@ -100,17 +98,12 @@ pub fn solve_concurrent(
         })?);
     }
 
-    let internal = |source: f64| match instance.objective {
-        Objective::Maximize => source,
-        Objective::Minimize => -source,
-    };
-    let node_bytes = (instance.num_cons() + 2 * instance.num_vars()) * 8 + 128;
+    let rules = Rules::new(instance, cfg.int_tol, cfg.prune_tol);
     let mut tree: SearchTree<NodePayload> =
-        SearchTree::with_root(NodePayload::default(), node_bytes);
-    let mut incumbent: Option<(f64, Vec<f64>)> = None;
+        SearchTree::with_root(NodePayload::default(), search::node_bytes(instance));
+    let mut incumbent = Incumbent::default();
     let mut nodes = 0usize;
     let mut waves = 0usize;
-    let integral = instance.integral_indices();
 
     while tree.has_active() && nodes < cfg.node_limit {
         // Wave selection: up to `lanes` best-bound nodes.
@@ -122,20 +115,15 @@ pub fn solve_concurrent(
         for (lane, &id) in lanes.iter_mut().zip(&wave) {
             tree.begin_evaluation(id);
             nodes += 1;
-            let bounds = tree.node(id).data.bounds.clone();
             let warm = tree.data_mut(id).parent_basis.take();
-            lane.apply_node_bounds(&bounds)?;
+            lane.apply_node_bounds(&tree.node(id).data.bounds)?;
             let sol = match warm {
+                // Dimension drift cannot happen without cuts; guard anyway.
                 Some(b) if b.n() == lane.standard().n() + lane.standard().m() => {
                     lane.set_warm_basis(b)?;
                     lane.resolve()?
                 }
-                Some(b) => {
-                    // Dimension drift cannot happen without cuts; guard anyway.
-                    let _ = b;
-                    lane.solve()?
-                }
-                None => lane.solve()?,
+                _ => lane.solve()?,
             };
             outcomes.push((id, sol, lane.basis().cloned()));
         }
@@ -154,99 +142,38 @@ pub fn solve_concurrent(
                     ))
                 }
                 LpStatus::Optimal => {
-                    let bound = internal(sol.objective);
-                    let inc = incumbent
-                        .as_ref()
-                        .map(|(v, _)| *v)
-                        .unwrap_or(f64::NEG_INFINITY);
-                    if bound <= inc + cfg.prune_tol {
-                        tree.settle(id, NodeState::Pruned, bound);
-                        continue;
-                    }
-                    let frac: Vec<usize> = integral
-                        .iter()
-                        .copied()
-                        .filter(|&j| (sol.x[j] - sol.x[j].round()).abs() > cfg.int_tol)
-                        .collect();
-                    if frac.is_empty() {
-                        tree.settle(id, NodeState::Feasible, bound);
-                        let mut p = sol.x.clone();
-                        for &j in &integral {
-                            p[j] = p[j].round();
+                    let bound = rules.internal(sol.objective);
+                    match rules.verdict(bound, &sol.x, incumbent.value()) {
+                        Verdict::Pruned => tree.settle(id, NodeState::Pruned, bound),
+                        Verdict::Integral => {
+                            tree.settle(id, NodeState::Feasible, bound);
+                            incumbent.install(&rules, &mut tree, bound, sol.x, || 0.0);
                         }
-                        incumbent = Some((bound, p));
-                        tree.prune_dominated(bound, cfg.prune_tol);
-                        continue;
-                    }
-                    let d = branch::decide(
-                        crate::config::BranchRule::MostFractional,
-                        instance,
-                        &sol.x,
-                        &frac,
-                        &branch::PseudoCosts::default(),
-                    );
-                    let parent_bounds = tree.node(id).data.bounds.clone();
-                    let (mut lo, mut hi) = (instance.vars[d.var].lb, instance.vars[d.var].ub);
-                    for bc in &parent_bounds {
-                        if bc.var == d.var {
-                            lo = bc.lb;
-                            hi = bc.ub;
+                        Verdict::Fractional { decision: d, .. } => {
+                            let parent = &tree.node(id).data.bounds;
+                            let kids =
+                                search::children(instance, parent, d.var, d.value).map(|c| {
+                                    let payload = NodePayload {
+                                        bounds: c.bounds,
+                                        parent_basis: basis.clone(),
+                                        branch_info: None,
+                                    };
+                                    (c.label, payload)
+                                });
+                            tree.branch(id, bound, kids);
                         }
                     }
-                    let mk = |up: bool| {
-                        let mut b = parent_bounds.clone();
-                        let label = if up {
-                            b.push(BoundChange {
-                                var: d.var,
-                                lb: d.up_lb,
-                                ub: hi,
-                            });
-                            format!("x{} ≥ {}", d.var, d.up_lb)
-                        } else {
-                            b.push(BoundChange {
-                                var: d.var,
-                                lb: lo,
-                                ub: d.down_ub,
-                            });
-                            format!("x{} ≤ {}", d.var, d.down_ub)
-                        };
-                        (
-                            label,
-                            NodePayload {
-                                bounds: b,
-                                parent_basis: basis.clone(),
-                                branch_info: None,
-                            },
-                        )
-                    };
-                    tree.branch(id, bound, vec![mk(false), mk(true)]);
                 }
             }
         }
     }
 
-    let status = if tree.has_active() {
-        MipStatus::NodeLimit
-    } else if incumbent.is_some() {
-        MipStatus::Optimal
-    } else {
-        MipStatus::Infeasible
-    };
-    let (objective, x) = match incumbent {
-        Some((v, p)) => (
-            match instance.objective {
-                Objective::Maximize => v,
-                Objective::Minimize => -v,
-            },
-            p,
-        ),
-        None => (f64::NAN, Vec::new()),
-    };
+    let done = rules.finish(incumbent, tree.has_active());
     let peak = accel.with(|d| d.memory().peak());
     Ok(ConcurrentResult {
-        status,
-        objective,
-        x,
+        status: done.status,
+        objective: done.objective,
+        x: done.x,
         nodes,
         waves,
         makespan_ns: accel.elapsed_ns(),

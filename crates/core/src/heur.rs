@@ -59,13 +59,10 @@ pub fn dive<E: SimplexEngine>(
     int_tol: f64,
 ) -> LpResult<Option<(f64, Vec<f64>)>> {
     let mut x = start_x.to_vec();
+    let integral = instance.integral_indices();
     for _ in 0..max_depth {
         // Find the least-fractional fractional variable (most roundable).
-        let frac_vars: Vec<usize> = instance
-            .integral_indices()
-            .into_iter()
-            .filter(|&j| (x[j] - x[j].round()).abs() > int_tol)
-            .collect();
+        let frac_vars = crate::branch::fractional_vars(&integral, &x, int_tol);
         if frac_vars.is_empty() {
             // Integral: verify and report (restoring the node's bounds).
             lp.apply_node_bounds(node_bounds)?;

@@ -3,6 +3,9 @@
 //! The branch-and-cut MIP solver — the paper's primary contribution
 //! realized over the simulated accelerated platform:
 //!
+//! * [`search`] — the search kernel every branch-and-bound driver in the
+//!   workspace calls: sense mapping, the incumbent, the node-LP verdict,
+//!   child construction, result finishing;
 //! * [`solver`] — the branch-and-cut orchestrator ([`solver::MipSolver`]),
 //!   generic over the LP engine (host reference, simulated device, pooled
 //!   Big-MIP device);
@@ -18,9 +21,13 @@
 //!   Section 5.4 (dense-device / sparse-device / host paths);
 //! * [`concurrent`] — wave-based concurrent node evaluation on one device
 //!   via streams (Section 5.5);
-//! * [`wave`] — the batched-wave driver: fused lockstep node-LP kernels on
-//!   a shared device-resident matrix with event-based retire-and-refill
-//!   (Sections 4.3, 5.5);
+//! * [`wave`] — the lockstep wave loop and its journaled-simplex lanes:
+//!   fused node-LP kernels on a shared device-resident matrix with
+//!   event-based retire-and-refill (Sections 4.3, 5.5);
+//! * [`fo_wave`] — the same loop over restarted-PDHG lanes with exact host
+//!   cleanup;
+//! * [`node_bnb`] — best-first branch and bound over any
+//!   `gmip_lp::NodeLpEngine` (simplex, interior point, first-order);
 //! * [`colgen`] — column generation (cutting stock): the master LP's dual
 //!   prices feed a pricing knapsack solved by this crate's own
 //!   branch and cut (the Section 3 host-side technique list);
@@ -39,6 +46,7 @@ pub mod fo_wave;
 pub mod heur;
 pub mod node_bnb;
 pub mod presolve;
+pub mod search;
 pub mod solver;
 pub mod strategy;
 pub mod wave;

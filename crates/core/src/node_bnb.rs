@@ -10,12 +10,12 @@
 //! objective. Swapping simplex for IPM or restarted PDHG is a one-line
 //! change at the call site.
 
-use crate::branch;
+use crate::search::{self, Incumbent, Rules, Verdict};
 use crate::solver::MipStatus;
 use gmip_lp::{BoundChange, LpResult, NodeLpEngine, NodeLpOutcome, NodeWarmHandoff};
-use gmip_problems::{MipInstance, Objective};
+use gmip_problems::MipInstance;
 use gmip_trace::MetricsRegistry;
-use gmip_tree::{NodeId, NodeState, SearchTree};
+use gmip_tree::{NodeState, SearchTree};
 
 /// Tree-side knobs of the engine-generic driver.
 #[derive(Debug, Clone)]
@@ -66,15 +66,11 @@ pub fn solve_with_node_engine(
     engine: &mut dyn NodeLpEngine,
     cfg: &NodeBnbConfig,
 ) -> LpResult<NodeBnbResult> {
-    let internal = |source: f64| match instance.objective {
-        Objective::Maximize => source,
-        Objective::Minimize => -source,
-    };
-    let node_bytes = (instance.num_cons() + 2 * instance.num_vars()) * 8 + 128;
-    let mut tree: SearchTree<BnbPayload> = SearchTree::with_root(BnbPayload::default(), node_bytes);
-    let mut incumbent: Option<(f64, Vec<f64>)> = None;
+    let rules = Rules::new(instance, cfg.int_tol, cfg.prune_tol);
+    let mut tree: SearchTree<BnbPayload> =
+        SearchTree::with_root(BnbPayload::default(), search::node_bytes(instance));
+    let mut incumbent = Incumbent::default();
     let mut nodes = 0usize;
-    let integral = instance.integral_indices();
 
     while nodes < cfg.node_limit {
         // Best-bound node first (ties broken by id for determinism).
@@ -83,9 +79,8 @@ pub fn solve_with_node_engine(
         };
         tree.begin_evaluation(id);
         nodes += 1;
-        let bounds = tree.node(id).data.bounds.clone();
         let warm = std::mem::take(&mut tree.data_mut(id).warm);
-        match engine.solve_node(&bounds, warm.as_start())? {
+        match engine.solve_node(&tree.node(id).data.bounds, warm.as_start())? {
             NodeLpOutcome::Infeasible => {
                 tree.settle(id, NodeState::Infeasible, f64::NEG_INFINITY);
             }
@@ -95,103 +90,41 @@ pub fn solve_with_node_engine(
                 ));
             }
             NodeLpOutcome::Pruned { bound } => {
-                tree.settle(id, NodeState::Pruned, internal(bound));
+                tree.settle(id, NodeState::Pruned, rules.internal(bound));
             }
             NodeLpOutcome::Optimal {
                 objective, x, warm, ..
             } => {
-                let bound = internal(objective);
-                let inc = incumbent
-                    .as_ref()
-                    .map(|(v, _)| *v)
-                    .unwrap_or(f64::NEG_INFINITY);
-                if bound <= inc + cfg.prune_tol {
-                    tree.settle(id, NodeState::Pruned, bound);
-                    continue;
-                }
-                let frac: Vec<usize> = integral
-                    .iter()
-                    .copied()
-                    .filter(|&j| (x[j] - x[j].round()).abs() > cfg.int_tol)
-                    .collect();
-                if frac.is_empty() {
-                    tree.settle(id, NodeState::Feasible, bound);
-                    let mut p = x.clone();
-                    for &j in &integral {
-                        p[j] = p[j].round();
+                let bound = rules.internal(objective);
+                match rules.verdict(bound, &x, incumbent.value()) {
+                    Verdict::Pruned => tree.settle(id, NodeState::Pruned, bound),
+                    Verdict::Integral => {
+                        tree.settle(id, NodeState::Feasible, bound);
+                        incumbent.install(&rules, &mut tree, bound, x, || 0.0);
+                        engine.set_incumbent(objective);
                     }
-                    incumbent = Some((bound, p));
-                    tree.prune_dominated(bound, cfg.prune_tol);
-                    engine.set_incumbent(objective);
-                    continue;
-                }
-                let d = branch::decide(
-                    crate::config::BranchRule::MostFractional,
-                    instance,
-                    &x,
-                    &frac,
-                    &branch::PseudoCosts::default(),
-                );
-                let parent_bounds = tree.node(id).data.bounds.clone();
-                let (mut lo, mut hi) = (instance.vars[d.var].lb, instance.vars[d.var].ub);
-                for bc in &parent_bounds {
-                    if bc.var == d.var {
-                        lo = bc.lb;
-                        hi = bc.ub;
+                    Verdict::Fractional { decision: d, .. } => {
+                        let kids =
+                            search::children(instance, &tree.node(id).data.bounds, d.var, d.value)
+                                .map(|c| {
+                                    let payload = BnbPayload {
+                                        bounds: c.bounds,
+                                        warm: warm.clone(),
+                                    };
+                                    (c.label, payload)
+                                });
+                        tree.branch(id, bound, kids);
                     }
                 }
-                let mk = |up: bool| {
-                    let mut b = parent_bounds.clone();
-                    let label = if up {
-                        b.push(BoundChange {
-                            var: d.var,
-                            lb: d.up_lb,
-                            ub: hi,
-                        });
-                        format!("x{} ≥ {}", d.var, d.up_lb)
-                    } else {
-                        b.push(BoundChange {
-                            var: d.var,
-                            lb: lo,
-                            ub: d.down_ub,
-                        });
-                        format!("x{} ≤ {}", d.var, d.down_ub)
-                    };
-                    (
-                        label,
-                        BnbPayload {
-                            bounds: b,
-                            warm: warm.clone(),
-                        },
-                    )
-                };
-                tree.branch(id, bound, vec![mk(false), mk(true)]);
             }
         }
-        let _: NodeId = id;
     }
 
-    let status = if tree.has_active() {
-        MipStatus::NodeLimit
-    } else if incumbent.is_some() {
-        MipStatus::Optimal
-    } else {
-        MipStatus::Infeasible
-    };
-    let (objective, x) = match incumbent {
-        Some((v, p)) => (
-            match instance.objective {
-                Objective::Maximize => v,
-                Objective::Minimize => -v,
-            },
-            p,
-        ),
-        None => (f64::NAN, Vec::new()),
-    };
+    let done = rules.finish(incumbent, tree.has_active());
     Ok(NodeBnbResult {
-        status,
-        objective,
-        x,
+        status: done.status,
+        objective: done.objective,
+        x: done.x,
         nodes,
         metrics: engine.take_metrics(),
     })

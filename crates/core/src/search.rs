@@ -1,0 +1,483 @@
+//! The search kernel: the mechanics every branch-and-bound driver repeats,
+//! written once.
+//!
+//! The paper describes *one* branch-and-cut algorithm (Section 2.1); its
+//! strategies differ in where the node LP runs and who schedules it, not in
+//! what happens to a node once its LP is back. That part lives here:
+//!
+//! * the objective **sense mapping** — every driver searches in an internal
+//!   maximize sense ([`Rules::internal`] / [`Rules::to_source`]);
+//! * the [`Incumbent`] — value read, validated warm seed, and the install
+//!   sequence (round integral coordinates, stamp the first-incumbent time,
+//!   prune the dominated frontier);
+//! * the node-LP [`Verdict`] — pruned, integral, or fractional with a
+//!   branching decision — from the bound, the point, the cached integral
+//!   index list and the two tolerances ([`Rules`]);
+//! * [`children`] — a variable's effective bounds under the node's
+//!   cumulative changes, the two child [`BoundChange`]s and their labels;
+//! * [`Rules::finish`] — terminal status and the source-sense result.
+//!
+//! Drivers keep what genuinely differs between them at the call site: which
+//! tolerance a report-side prune uses, whether a rounded point is re-checked
+//! before it replaces the LP point, which margin a heuristic candidate must
+//! clear, where children are placed. A per-node hook (a cut pool, a
+//! progress series) attaches to [`Rules::verdict_with`] and
+//! [`Incumbent::set`] and reaches every driver.
+
+use crate::branch::{self, BranchDecision};
+use crate::solver::MipStatus;
+use gmip_lp::BoundChange;
+use gmip_problems::{MipInstance, Objective};
+use gmip_tree::SearchTree;
+
+/// Modeled bytes of one tree node: its branch bounds plus a basis snapshot.
+pub fn node_bytes(instance: &MipInstance) -> usize {
+    (instance.num_cons() + 2 * instance.num_vars()) * 8 + 128
+}
+
+/// What a node's LP relaxation means for the tree.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Verdict {
+    /// The bound cannot beat the incumbent by more than the prune tolerance.
+    Pruned,
+    /// Every integral variable is integral within tolerance: the point is a
+    /// new incumbent candidate.
+    Integral,
+    /// Some integral variables are fractional: branch.
+    Fractional {
+        /// The fractional integral variables, in index order.
+        frac: Vec<usize>,
+        /// The variable to branch on.
+        decision: BranchDecision,
+    },
+}
+
+/// The per-solve constants a node outcome is decided by.
+#[derive(Debug, Clone)]
+pub struct Rules {
+    sense: Objective,
+    integral: Vec<usize>,
+    /// Integrality tolerance.
+    pub int_tol: f64,
+    /// Pruning tolerance.
+    pub prune_tol: f64,
+}
+
+impl Rules {
+    /// Caches `instance`'s sense and integral index list.
+    pub fn new(instance: &MipInstance, int_tol: f64, prune_tol: f64) -> Self {
+        Self {
+            sense: instance.objective,
+            integral: instance.integral_indices(),
+            int_tol,
+            prune_tol,
+        }
+    }
+
+    /// Source sense → internal maximize sense.
+    #[inline]
+    pub fn internal(&self, source: f64) -> f64 {
+        match self.sense {
+            Objective::Maximize => source,
+            Objective::Minimize => -source,
+        }
+    }
+
+    /// Internal maximize sense → source sense (the map is its own inverse).
+    #[inline]
+    pub fn to_source(&self, value: f64) -> f64 {
+        self.internal(value)
+    }
+
+    /// The prune test: `bound` (internal sense) cannot beat `incumbent` by
+    /// more than the prune tolerance. A bound exactly at
+    /// `incumbent + prune_tol` is dominated.
+    #[inline]
+    pub fn dominated(&self, bound: f64, incumbent: f64) -> bool {
+        bound <= incumbent + self.prune_tol
+    }
+
+    /// The integral variables of `x` that are fractional beyond `int_tol`.
+    pub fn fractional(&self, x: &[f64]) -> Vec<usize> {
+        branch::fractional_vars(&self.integral, x, self.int_tol)
+    }
+
+    /// Decides a solved node: prune test first (so a dominated node's point
+    /// is never read), then the fractional filter, then `decide` picks the
+    /// branching variable among the fractional candidates.
+    pub fn verdict_with(
+        &self,
+        bound: f64,
+        x: &[f64],
+        incumbent: f64,
+        decide: impl FnOnce(&[usize]) -> BranchDecision,
+    ) -> Verdict {
+        if self.dominated(bound, incumbent) {
+            return Verdict::Pruned;
+        }
+        let frac = self.fractional(x);
+        if frac.is_empty() {
+            return Verdict::Integral;
+        }
+        let decision = decide(&frac);
+        Verdict::Fractional { frac, decision }
+    }
+
+    /// [`Self::verdict_with`] under the most-fractional rule.
+    pub fn verdict(&self, bound: f64, x: &[f64], incumbent: f64) -> Verdict {
+        self.verdict_with(bound, x, incumbent, |frac| branch::most_fractional(x, frac))
+    }
+
+    /// `x` with every integral coordinate rounded to its nearest integer.
+    pub fn rounded(&self, mut x: Vec<f64>) -> Vec<f64> {
+        for &j in &self.integral {
+            if let Some(v) = x.get_mut(j) {
+                *v = v.round();
+            }
+        }
+        x
+    }
+
+    /// Terminal status and source-sense result of a finished search: `open`
+    /// says work was left behind (a node limit stopped the search).
+    pub fn finish(&self, incumbent: Incumbent, open: bool) -> Finished {
+        let status = if open {
+            MipStatus::NodeLimit
+        } else if incumbent.is_some() {
+            MipStatus::Optimal
+        } else {
+            MipStatus::Infeasible
+        };
+        let (objective, x) = match incumbent.best {
+            Some((v, p)) => (self.to_source(v), p),
+            None => (f64::NAN, Vec::new()),
+        };
+        Finished {
+            status,
+            objective,
+            x,
+        }
+    }
+}
+
+/// What [`Rules::finish`] hands a driver for its result struct.
+#[derive(Debug, Clone)]
+pub struct Finished {
+    /// Terminal status.
+    pub status: MipStatus,
+    /// Incumbent objective in the source sense (`NaN` if none).
+    pub objective: f64,
+    /// Incumbent point (empty if none).
+    pub x: Vec<f64>,
+}
+
+/// The best integer-feasible point found so far, in the internal maximize
+/// sense, and when the first one was found.
+#[derive(Debug, Clone, Default)]
+pub struct Incumbent {
+    best: Option<(f64, Vec<f64>)>,
+    first_ns: Option<f64>,
+}
+
+impl Incumbent {
+    /// The incumbent value (`-∞` while there is none).
+    #[inline]
+    pub fn value(&self) -> f64 {
+        self.best
+            .as_ref()
+            .map(|(v, _)| *v)
+            .unwrap_or(f64::NEG_INFINITY)
+    }
+
+    /// Whether a feasible point is held.
+    pub fn is_some(&self) -> bool {
+        self.best.is_some()
+    }
+
+    /// The held `(value, point)` (what a checkpoint records).
+    pub fn best(&self) -> Option<&(f64, Vec<f64>)> {
+        self.best.as_ref()
+    }
+
+    /// Simulated time the first incumbent was stored, ns.
+    pub fn first_ns(&self) -> Option<f64> {
+        self.first_ns
+    }
+
+    /// Replaces the held point from a checkpoint; the first-incumbent stamp
+    /// stays as it is (a restart has not *found* anything yet).
+    pub fn restore(&mut self, best: Option<(f64, Vec<f64>)>) {
+        self.best = best;
+    }
+
+    /// Stores `(value, point)` as it is and stamps the first-incumbent time
+    /// (`now` is only read for the first one; a driver that reports no such
+    /// time passes `|| 0.0`). The caller has decided that the point improves.
+    pub fn set(&mut self, value: f64, point: Vec<f64>, now: impl FnOnce() -> f64) {
+        self.best = Some((value, point));
+        self.first_ns.get_or_insert_with(now);
+    }
+
+    /// [`Self::set`], then prunes the frontier the new value dominates.
+    pub fn accept<D>(
+        &mut self,
+        rules: &Rules,
+        tree: &mut SearchTree<D>,
+        value: f64,
+        point: Vec<f64>,
+        now: impl FnOnce() -> f64,
+    ) {
+        self.set(value, point, now);
+        tree.prune_dominated(value, rules.prune_tol);
+    }
+
+    /// The install sequence for an LP point: round its integral
+    /// coordinates, then [`Self::accept`].
+    pub fn install<D>(
+        &mut self,
+        rules: &Rules,
+        tree: &mut SearchTree<D>,
+        value: f64,
+        x: Vec<f64>,
+        now: impl FnOnce() -> f64,
+    ) {
+        self.accept(rules, tree, value, rules.rounded(x), now);
+    }
+
+    /// The warm-seed entry point: `seed` (a pooled source-sense point)
+    /// becomes the initial incumbent if, with its integral coordinates
+    /// rounded, it validates integer-feasible on *this* instance — a
+    /// perturbed re-submission may have made it infeasible. Returns whether
+    /// it was taken.
+    pub fn seed(&mut self, rules: &Rules, instance: &MipInstance, seed: &[f64], now: f64) -> bool {
+        let p = rules.rounded(seed.to_vec());
+        let ok = instance.is_integer_feasible(&p, 1e-6);
+        if ok {
+            let value = rules.internal(instance.objective_value(&p));
+            self.set(value, p, || now);
+        }
+        ok
+    }
+}
+
+/// One child of a branching: its tree label and cumulative bound changes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Child {
+    /// `"<var> ≤ <floor>"` or `"<var> ≥ <ceil>"`.
+    pub label: String,
+    /// The parent's bound changes plus this child's.
+    pub bounds: Vec<BoundChange>,
+}
+
+/// Effective bounds of structural `var` under a node's cumulative changes
+/// (the last change to `var` wins; the instance bounds if there is none).
+pub fn effective_bounds(instance: &MipInstance, bounds: &[BoundChange], var: usize) -> (f64, f64) {
+    bounds
+        .iter()
+        .rev()
+        .find(|bc| bc.var == var)
+        .map_or((instance.vars[var].lb, instance.vars[var].ub), |bc| {
+            (bc.lb, bc.ub)
+        })
+}
+
+/// The `[down, up]` children of branching on `var` at fractional `value`
+/// under `parent` bounds: `var ≤ ⌊value⌋` keeps the effective lower bound,
+/// `var ≥ ⌈value⌉` the effective upper bound.
+pub fn children(
+    instance: &MipInstance,
+    parent: &[BoundChange],
+    var: usize,
+    value: f64,
+) -> [Child; 2] {
+    let (lo, hi) = effective_bounds(instance, parent, var);
+    let name = &instance.vars[var].name;
+    let child = |label: String, lb: f64, ub: f64| {
+        let mut bounds = Vec::with_capacity(parent.len() + 1);
+        bounds.extend_from_slice(parent);
+        bounds.push(BoundChange { var, lb, ub });
+        Child { label, bounds }
+    };
+    let (down, up) = (value.floor(), value.ceil());
+    [
+        child(format!("{name} ≤ {down}"), lo, down),
+        child(format!("{name} ≥ {up}"), up, hi),
+    ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gmip_problems::catalog::{figure1_knapsack, textbook_mip};
+    use gmip_problems::generators::set_cover;
+
+    fn rules(m: &MipInstance) -> Rules {
+        Rules::new(m, 1e-6, 1e-6)
+    }
+
+    #[test]
+    fn a_bound_exactly_at_incumbent_plus_tolerance_prunes() {
+        let r = Rules::new(&figure1_knapsack(), 1e-6, 0.5);
+        let x = [1.0, 0.5, 0.0, 0.0];
+        assert_eq!(r.verdict(10.5, &x, 10.0), Verdict::Pruned);
+        assert!(matches!(
+            r.verdict(10.5 + 1e-9, &x, 10.0),
+            Verdict::Fractional { .. }
+        ));
+        // No incumbent: nothing finite is dominated.
+        assert!(!r.dominated(-1e300, Incumbent::default().value()));
+    }
+
+    #[test]
+    fn a_pruned_verdict_never_reads_the_point() {
+        // Bound-stating engines report dominated nodes without a point.
+        assert_eq!(
+            rules(&figure1_knapsack()).verdict(3.0, &[], 5.0),
+            Verdict::Pruned
+        );
+    }
+
+    #[test]
+    fn verdict_filters_by_int_tol_and_branches_most_fractional() {
+        let r = rules(&figure1_knapsack());
+        assert_eq!(
+            r.verdict(9.0, &[1.0, 0.0, 0.9999999, 0.0], 0.0),
+            Verdict::Integral
+        );
+        let x = [0.9, 0.5, 0.2, 0.5];
+        let Verdict::Fractional { frac, decision } = r.verdict(9.0, &x, 0.0) else {
+            panic!("fractional point");
+        };
+        assert_eq!(frac, vec![0, 1, 2, 3]);
+        // Ties go to the lowest index.
+        assert_eq!((decision.var, decision.value), (1, 0.5));
+    }
+
+    #[test]
+    fn minimize_sign_round_trip() {
+        let cover = set_cover(6, 5, 0.4, 1);
+        assert_eq!(cover.objective, Objective::Minimize);
+        let r = rules(&cover);
+        assert_eq!(r.internal(7.25), -7.25);
+        assert_eq!(r.to_source(r.internal(7.25)), 7.25);
+        // A cheaper cover is a larger internal value.
+        assert!(r.internal(3.0) > r.internal(4.0));
+        let max = rules(&figure1_knapsack());
+        assert_eq!(max.internal(7.25), 7.25);
+        let mut inc = Incumbent::default();
+        inc.set(r.internal(12.0), vec![1.0], || 5.0);
+        let done = r.finish(inc, false);
+        assert_eq!((done.status, done.objective), (MipStatus::Optimal, 12.0));
+    }
+
+    #[test]
+    fn finish_statuses() {
+        let r = rules(&figure1_knapsack());
+        let done = r.finish(Incumbent::default(), false);
+        assert_eq!(done.status, MipStatus::Infeasible);
+        assert!(done.objective.is_nan() && done.x.is_empty());
+        assert_eq!(
+            r.finish(Incumbent::default(), true).status,
+            MipStatus::NodeLimit
+        );
+    }
+
+    #[test]
+    fn children_keep_the_effective_bounds_of_a_rebranched_variable() {
+        let m = textbook_mip();
+        // x0 was already branched to [2, 4] (after an earlier [0, 4]).
+        let parent = [
+            BoundChange {
+                var: 0,
+                lb: 0.0,
+                ub: 4.0,
+            },
+            BoundChange {
+                var: 1,
+                lb: 1.0,
+                ub: 1.0,
+            },
+            BoundChange {
+                var: 0,
+                lb: 2.0,
+                ub: 4.0,
+            },
+        ];
+        assert_eq!(effective_bounds(&m, &parent, 0), (2.0, 4.0));
+        let [down, up] = children(&m, &parent, 0, 2.5);
+        assert_eq!(down.bounds[..3], parent);
+        assert_eq!(
+            down.bounds[3],
+            BoundChange {
+                var: 0,
+                lb: 2.0,
+                ub: 2.0
+            }
+        );
+        assert_eq!(
+            up.bounds[3],
+            BoundChange {
+                var: 0,
+                lb: 3.0,
+                ub: 4.0
+            }
+        );
+        let name = &m.vars[0].name;
+        assert_eq!(down.label, format!("{name} ≤ 2"));
+        assert_eq!(up.label, format!("{name} ≥ 3"));
+        // An unbranched variable falls back to the instance bounds.
+        assert_eq!(effective_bounds(&m, &[], 1), (m.vars[1].lb, m.vars[1].ub));
+    }
+
+    #[test]
+    fn install_rounds_stamps_once_and_prunes() {
+        let m = figure1_knapsack();
+        let r = rules(&m);
+        let mut tree: SearchTree<()> = SearchTree::with_root((), 64);
+        let root = tree.root();
+        tree.begin_evaluation(root);
+        let ids = tree.branch(root, 20.0, [(String::new(), ()), (String::new(), ())]);
+        tree.begin_evaluation(ids[0]);
+        tree.branch(ids[0], 12.0, [(String::new(), ()), (String::new(), ())]);
+        let mut inc = Incumbent::default();
+        inc.install(
+            &r,
+            &mut tree,
+            14.0,
+            vec![0.9999999, 0.0, 1.0000001, 0.0],
+            || 7.0,
+        );
+        assert_eq!(inc.best(), Some(&(14.0, vec![1.0, 0.0, 1.0, 0.0])));
+        assert_eq!(inc.first_ns(), Some(7.0));
+        // The two bound-12 children are dominated, the bound-20 one is not.
+        assert_eq!(tree.active_ids(), &[ids[1]]);
+        inc.accept(&r, &mut tree, 15.0, vec![1.0, 0.0, 1.0, 0.0], || 9.0);
+        assert_eq!(
+            (inc.value(), inc.first_ns()),
+            (15.0, Some(7.0)),
+            "the stamp is the first incumbent's"
+        );
+    }
+
+    #[test]
+    fn warm_seed_is_validated_on_this_instance() {
+        let m = figure1_knapsack();
+        let r = rules(&m);
+        // Items 0 and 2 fit (the catalog optimum); slightly off-integral
+        // coordinates are rounded before validation.
+        let seed = [1.0, 0.0, 0.9999999, 0.0];
+        let mut inc = Incumbent::default();
+        assert!(inc.seed(&r, &m, &seed, 0.0));
+        assert_eq!(inc.best(), Some(&(14.0, vec![1.0, 0.0, 1.0, 0.0])));
+        assert_eq!(inc.first_ns(), Some(0.0));
+        // The same seed on a perturbed instance (capacity cut to 1) is
+        // infeasible and leaves the incumbent empty.
+        let mut tight = m.clone();
+        tight.cons[0].rhs = 1.0;
+        let mut inc = Incumbent::default();
+        assert!(!inc.seed(&r, &tight, &seed, 0.0));
+        assert!(!inc.is_some() && inc.first_ns().is_none());
+        // A seed of the wrong length is rejected, not indexed.
+        assert!(!inc.seed(&r, &m, &[1.0], 0.0));
+    }
+}

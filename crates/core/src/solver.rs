@@ -11,13 +11,14 @@ use crate::branch::{self, PseudoCosts};
 use crate::config::{MipConfig, PolicyKind};
 use crate::cut::{self, Cut};
 use crate::heur;
+use crate::search::{self, Incumbent, Rules, Verdict};
 use gmip_gpu::{Accel, DeviceStats, DEFAULT_STREAM};
 use gmip_linalg::DenseMatrix;
 use gmip_lp::{
     Basis, BoundChange, CertKind, LpCertificate, LpError, LpResult, LpSolution, LpSolver, LpStatus,
     SimplexEngine, StandardLp,
 };
-use gmip_problems::{MipInstance, Objective};
+use gmip_problems::MipInstance;
 use gmip_prop::Propagator;
 use gmip_trace::{names, Event, MetricsRegistry, Track};
 use gmip_tree::{
@@ -161,8 +162,8 @@ impl PolicyImpl {
 /// The branch-and-cut MIP solver, generic over the LP engine.
 pub struct MipSolver<E: SimplexEngine> {
     instance: MipInstance,
-    /// `instance.integral_indices()`, computed once at construction.
-    integral: Vec<usize>,
+    /// Sense, integral index list and tolerances, fixed at construction.
+    rules: Rules,
     cfg: MipConfig,
     factory: Box<dyn Fn(&DenseMatrix) -> LpResult<E>>,
     host: Accel,
@@ -247,17 +248,15 @@ impl<E: SimplexEngine> MipSolver<E> {
         tree_device: Option<Accel>,
         factory: impl Fn(&DenseMatrix) -> LpResult<E> + 'static,
     ) -> Self {
-        // Per-node device footprint: branch bounds + a basis snapshot.
-        let node_bytes = (instance.num_cons() + 2 * instance.num_vars()) * 8 + 128;
         Self {
-            integral: instance.integral_indices(),
+            rules: Rules::new(&instance, cfg.int_tol, cfg.prune_tol),
+            node_bytes: search::node_bytes(&instance),
             instance,
             cfg,
             factory: Box::new(factory),
             host: Accel::cpu(),
             lp_accel,
             tree_device,
-            node_bytes,
             strategy_name,
             overlap_host: false,
         }
@@ -273,30 +272,15 @@ impl<E: SimplexEngine> MipSolver<E> {
         &self.instance
     }
 
-    /// Converts a source-sense objective to the internal maximize sense.
-    fn internal(&self, source: f64) -> f64 {
-        match self.instance.objective {
-            Objective::Maximize => source,
-            Objective::Minimize => -source,
-        }
-    }
-
-    /// Converts an internal maximize-sense value back to the source sense.
-    fn to_source(&self, internal: f64) -> f64 {
-        match self.instance.objective {
-            Objective::Maximize => internal,
-            Objective::Minimize => -internal,
-        }
-    }
-
     fn charge_host(&self, flops: f64, bytes: f64) {
         self.host
             .with(|d| d.charge_custom(flops, bytes, false, DEFAULT_STREAM));
     }
 
     /// The solver's simulated "now", ns: host and LP-device timelines add
-    /// when serialized and take the max under Strategy-3 overlap — the same
-    /// composition as the final `sim_time_ns`.
+    /// when serialized and take the max under Strategy-3 overlap (many-core
+    /// host work proceeds concurrently with the device's LP stream). The
+    /// final `sim_time_ns` is this clock read at the end.
     fn sim_now_ns(&self) -> f64 {
         let h = self.host.elapsed_ns();
         let d = self.lp_accel.as_ref().map(Accel::elapsed_ns).unwrap_or(0.0);
@@ -362,20 +346,6 @@ impl<E: SimplexEngine> MipSolver<E> {
         }
     }
 
-    /// Effective bounds of structural `var` under a node's cumulative
-    /// changes.
-    fn effective_bounds(&self, bounds: &[BoundChange], var: usize) -> (f64, f64) {
-        let mut lo = self.instance.vars[var].lb;
-        let mut hi = self.instance.vars[var].ub;
-        for bc in bounds {
-            if bc.var == var {
-                lo = bc.lb;
-                hi = bc.ub;
-            }
-        }
-        (lo, hi)
-    }
-
     /// Root cut loop: separate → add → warm re-solve, bounded rounds.
     fn cut_rounds(
         &self,
@@ -392,8 +362,7 @@ impl<E: SimplexEngine> MipSolver<E> {
             if sol.status != LpStatus::Optimal {
                 break;
             }
-            let frac = branch::fractional_vars(&self.instance, &sol.x, self.cfg.int_tol);
-            if frac.is_empty() {
+            if self.rules.fractional(&sol.x).is_empty() {
                 break;
             }
             // CPU-side separation cost (Section 5.2).
@@ -490,10 +459,6 @@ impl<E: SimplexEngine> MipSolver<E> {
                     Self::capture_certificate(&mut lp, &sol, bounds, stats);
                 }
                 let basis = lp.basis().cloned();
-                // Root diving (Hybrid strategy).
-                if self.cfg.heuristics.diving && sol.status == LpStatus::Optimal {
-                    // handled by the caller via `dive_root`
-                }
                 *lp_slot = Some(lp);
                 Ok((sol, basis))
             } else {
@@ -511,7 +476,8 @@ impl<E: SimplexEngine> MipSolver<E> {
                 if self.cfg.collect_certificates {
                     Self::capture_certificate(lp, &sol, bounds, stats);
                 }
-                Ok((sol.clone(), lp.basis().cloned()))
+                let basis = lp.basis().cloned();
+                Ok((sol, basis))
             }
         } else {
             // Fresh engine per node: rebuild (re-uploading the matrix on
@@ -571,7 +537,7 @@ impl<E: SimplexEngine> MipSolver<E> {
 
         let mut best = (candidates[0], f64::NEG_INFINITY);
         for &j in &candidates {
-            let (mut lo, mut hi) = self.effective_bounds(bounds, j);
+            let (mut lo, mut hi) = search::effective_bounds(&self.instance, bounds, j);
             if !lo.is_finite() {
                 lo = x[j].floor() - 1.0; // conservative finite box for probes
             }
@@ -601,7 +567,7 @@ impl<E: SimplexEngine> MipSolver<E> {
                     Ok(sol) => match sol.status {
                         LpStatus::Optimal => {
                             stats.lp_iterations += sol.iterations;
-                            let child = self.internal(sol.objective);
+                            let child = self.rules.internal(sol.objective);
                             *deg_slot = (parent_internal - child).max(0.0);
                             let f = x[j] - x[j].floor();
                             pseudo.record(j, up, *deg_slot, f);
@@ -638,23 +604,15 @@ impl<E: SimplexEngine> MipSolver<E> {
             strategy: self.strategy_name,
             ..Default::default()
         };
-        let mut incumbent: Option<(f64, Vec<f64>)> = None; // (internal, x)
-                                                           // Warm-start entry points: a pooled solution becomes the initial
-                                                           // incumbent (after validating on *this* instance — a perturbed
-                                                           // re-submission may have made it infeasible), and a pooled basis
-                                                           // warm-starts the root relaxation like a parent basis would.
+        let mut incumbent = Incumbent::default();
+        // Warm-start entry points: a pooled solution becomes the initial
+        // incumbent (after validating on *this* instance — a perturbed
+        // re-submission may have made it infeasible), and a pooled basis
+        // warm-starts the root relaxation like a parent basis would.
         if let Some(seed) = &self.cfg.warm_solution {
-            let mut p = seed.clone();
-            for &j in &self.integral {
-                if let Some(v) = p.get_mut(j) {
-                    *v = v.round();
-                }
-            }
-            if self.instance.is_integer_feasible(&p, 1e-6) {
-                let internal = self.internal(self.instance.objective_value(&p));
-                incumbent = Some((internal, p));
+            if incumbent.seed(&self.rules, &self.instance, seed, self.sim_now_ns()) {
                 stats.metrics.incr(names::BB_WARM_SEEDS, 1.0);
-                let obj = self.to_source(internal);
+                let obj = self.rules.to_source(incumbent.value());
                 gmip_trace::record(|| {
                     Event::instant(Track::solver(), "warm_seed", 0.0).arg("objective", obj)
                 });
@@ -672,7 +630,6 @@ impl<E: SimplexEngine> MipSolver<E> {
         let nnz: usize = self.instance.cons.iter().map(|c| c.coeffs.len()).sum();
         let propagator = (self.cfg.propagate || self.cfg.heuristics.fix_and_propagate_period > 0)
             .then(|| Propagator::new(&self.instance));
-        let mut first_incumbent_ns: Option<f64> = incumbent.as_ref().map(|_| self.sim_now_ns());
 
         self.tree_alloc(&mut stats); // root record
 
@@ -682,9 +639,10 @@ impl<E: SimplexEngine> MipSolver<E> {
                 break;
             }
             // Gap / objective-limit early termination.
-            if let Some((inc, _)) = &incumbent {
+            if incumbent.is_some() {
+                let inc = incumbent.value();
                 if let Some(limit) = self.cfg.objective_limit {
-                    if *inc >= self.internal(limit) - 1e-12 {
+                    if inc >= self.rules.internal(limit) - 1e-12 {
                         early_stop = Some(MipStatus::ObjectiveLimit);
                         break;
                     }
@@ -702,12 +660,10 @@ impl<E: SimplexEngine> MipSolver<E> {
             tree.begin_evaluation(id);
             // Pre-LP bound pruning against the current incumbent.
             let inherited = tree.node(id).bound;
-            if let Some((inc, _)) = &incumbent {
-                if inherited <= inc + self.cfg.prune_tol {
-                    tree.settle(id, NodeState::Pruned, inherited);
-                    policy.notify(id);
-                    continue;
-                }
+            if incumbent.is_some() && self.rules.dominated(inherited, incumbent.value()) {
+                tree.settle(id, NodeState::Pruned, inherited);
+                policy.notify(id);
+                continue;
             }
             stats.nodes += 1;
             let is_root = id == tree.root();
@@ -759,14 +715,15 @@ impl<E: SimplexEngine> MipSolver<E> {
                         if let Some(lp) = &lp_slot {
                             stats.metrics.merge(lp.metrics());
                         }
-                        return Ok(self.finish(MipStatus::Unbounded, None, stats, tree));
+                        let status = Some(MipStatus::Unbounded);
+                        return Ok(self.finish(status, Incumbent::default(), stats, tree));
                     }
                     return Err(LpError::Shape(
                         "child LP unbounded under tightened bounds".into(),
                     ));
                 }
                 LpStatus::Optimal => {
-                    let internal = self.internal(sol.objective);
+                    let internal = self.rules.internal(sol.objective);
                     if is_root {
                         stats.root_basis = basis.clone();
                     }
@@ -779,46 +736,43 @@ impl<E: SimplexEngine> MipSolver<E> {
                             bi.frac,
                         );
                     }
-                    let inc_val = incumbent
-                        .as_ref()
-                        .map(|(v, _)| *v)
-                        .unwrap_or(f64::NEG_INFINITY);
-                    if internal <= inc_val + self.cfg.prune_tol {
-                        tree.settle(id, NodeState::Pruned, internal);
-                        self.node_span(id, "pruned", node_t0);
-                        continue;
-                    }
-                    let frac = branch::fractional_vars(&self.instance, &sol.x, self.cfg.int_tol);
-                    if frac.is_empty() {
-                        tree.settle(id, NodeState::Feasible, internal);
-                        self.node_span(id, "integer_feasible", node_t0);
-                        if self.accept_incumbent(&sol.x, internal, &mut incumbent) {
-                            stats.metrics.incr(names::BB_INCUMBENTS, 1.0);
-                            first_incumbent_ns.get_or_insert_with(|| self.sim_now_ns());
-                            self.incumbent_mark(self.to_source(internal), "node");
+                    let verdict =
+                        self.rules
+                            .verdict_with(internal, &sol.x, incumbent.value(), |frac| {
+                                let rule = self.cfg.branching;
+                                branch::decide(rule, &self.instance, &sol.x, frac, &pseudo)
+                            });
+                    let (frac, mut decision) = match verdict {
+                        Verdict::Pruned => {
+                            tree.settle(id, NodeState::Pruned, internal);
+                            self.node_span(id, "pruned", node_t0);
+                            continue;
                         }
-                        if let Some((inc, _)) = &incumbent {
-                            tree.prune_dominated(*inc, self.cfg.prune_tol);
+                        Verdict::Integral => {
+                            tree.settle(id, NodeState::Feasible, internal);
+                            self.node_span(id, "integer_feasible", node_t0);
+                            if internal > incumbent.value() {
+                                let point = self.checked_rounding(sol.x);
+                                let now = || self.sim_now_ns();
+                                incumbent.accept(&self.rules, &mut tree, internal, point, now);
+                                stats.metrics.incr(names::BB_INCUMBENTS, 1.0);
+                                self.incumbent_mark(self.rules.to_source(internal), "node");
+                            }
+                            continue;
                         }
-                        continue;
-                    }
+                        Verdict::Fractional { frac, decision } => (frac, decision),
+                    };
                     // Heuristics.
                     if self.cfg.heuristics.rounding {
                         self.charge_host(2.0 * nnz as f64, (nnz * 16) as f64);
                         if let Some((obj, p)) = heur::rounding(&self.instance, &sol.x, 1e-6) {
-                            let cand = self.internal(obj);
-                            let cur = incumbent
-                                .as_ref()
-                                .map(|(v, _)| *v)
-                                .unwrap_or(f64::NEG_INFINITY);
-                            if cand > cur + self.cfg.prune_tol {
-                                incumbent = Some((cand, p));
-                                stats.heur_incumbents += 1;
-                                stats.metrics.incr(names::BB_INCUMBENTS, 1.0);
-                                first_incumbent_ns.get_or_insert_with(|| self.sim_now_ns());
-                                self.incumbent_mark(self.to_source(cand), "rounding");
-                                tree.prune_dominated(cand, self.cfg.prune_tol);
-                            }
+                            self.offer_heuristic(
+                                "rounding",
+                                (obj, p),
+                                &mut incumbent,
+                                &mut tree,
+                                &mut stats,
+                            );
                         }
                     }
                     // Fix-and-propagate dive (gmip-prop), on its period.
@@ -839,26 +793,21 @@ impl<E: SimplexEngine> MipSolver<E> {
                         if out.aborted {
                             stats.metrics.incr(names::HEUR_ABORTS, 1.0);
                         }
-                        if let Some((obj, pt)) = out.candidate {
-                            let cand = self.internal(obj);
-                            let cur = incumbent
-                                .as_ref()
-                                .map(|(v, _)| *v)
-                                .unwrap_or(f64::NEG_INFINITY);
-                            if cand > cur + self.cfg.prune_tol {
-                                incumbent = Some((cand, pt));
-                                stats.heur_incumbents += 1;
-                                stats.metrics.incr(names::BB_INCUMBENTS, 1.0);
+                        if let Some(cand) = out.candidate {
+                            if self.offer_heuristic(
+                                "fix_and_propagate",
+                                cand,
+                                &mut incumbent,
+                                &mut tree,
+                                &mut stats,
+                            ) {
                                 stats.metrics.incr(names::HEUR_INCUMBENTS, 1.0);
-                                first_incumbent_ns.get_or_insert_with(|| self.sim_now_ns());
-                                self.incumbent_mark(self.to_source(cand), "fix_and_propagate");
-                                tree.prune_dominated(cand, self.cfg.prune_tol);
                             }
                         }
                     }
                     if is_root && self.cfg.heuristics.diving && self.cfg.engine_reuse {
                         let lp = lp_slot.as_mut().expect("root lp present");
-                        if let Some((obj, p)) = heur::dive(
+                        if let Some(cand) = heur::dive(
                             lp,
                             &self.instance,
                             &bounds,
@@ -866,24 +815,16 @@ impl<E: SimplexEngine> MipSolver<E> {
                             self.cfg.heuristics.dive_depth,
                             self.cfg.int_tol,
                         )? {
-                            let cand = self.internal(obj);
-                            let cur = incumbent
-                                .as_ref()
-                                .map(|(v, _)| *v)
-                                .unwrap_or(f64::NEG_INFINITY);
-                            if cand > cur + self.cfg.prune_tol {
-                                incumbent = Some((cand, p));
-                                stats.heur_incumbents += 1;
-                                stats.metrics.incr(names::BB_INCUMBENTS, 1.0);
-                                first_incumbent_ns.get_or_insert_with(|| self.sim_now_ns());
-                                self.incumbent_mark(self.to_source(cand), "diving");
-                                tree.prune_dominated(cand, self.cfg.prune_tol);
-                            }
+                            self.offer_heuristic(
+                                "diving",
+                                cand,
+                                &mut incumbent,
+                                &mut tree,
+                                &mut stats,
+                            );
                         }
                     }
                     // Branch.
-                    let mut decision =
-                        branch::decide(self.cfg.branching, &self.instance, &sol.x, &frac, &pseudo);
                     if self.cfg.branching == crate::config::BranchRule::Strong
                         && self.cfg.engine_reuse
                         && self.cfg.warm_start
@@ -900,58 +841,26 @@ impl<E: SimplexEngine> MipSolver<E> {
                                 &mut pseudo,
                                 &mut stats,
                             )?;
-                            decision = branch::BranchDecision {
-                                var,
-                                value: sol.x[var],
-                                down_ub: sol.x[var].floor(),
-                                up_lb: sol.x[var].ceil(),
-                            };
+                            decision = branch::BranchDecision::on(var, &sol.x);
                         }
                     }
-                    let (cur_lb, cur_ub) = self.effective_bounds(&bounds, decision.var);
                     let f = decision.value - decision.value.floor();
-                    let mk_child = |up: bool| {
-                        let mut child_bounds = bounds.clone();
-                        if up {
-                            child_bounds.push(BoundChange {
+                    let child = |c: search::Child, up: bool| {
+                        let payload = NodePayload {
+                            bounds: c.bounds,
+                            parent_basis: basis.clone(),
+                            branch_info: Some(BranchInfo {
                                 var: decision.var,
-                                lb: decision.up_lb,
-                                ub: cur_ub,
-                            });
-                        } else {
-                            child_bounds.push(BoundChange {
-                                var: decision.var,
-                                lb: cur_lb,
-                                ub: decision.down_ub,
-                            });
-                        }
-                        let label = if up {
-                            format!(
-                                "{} ≥ {}",
-                                self.instance.vars[decision.var].name, decision.up_lb
-                            )
-                        } else {
-                            format!(
-                                "{} ≤ {}",
-                                self.instance.vars[decision.var].name, decision.down_ub
-                            )
+                                up,
+                                frac: f,
+                                parent_bound: internal,
+                            }),
                         };
-                        (
-                            label,
-                            NodePayload {
-                                bounds: child_bounds,
-                                parent_basis: basis.clone(),
-                                branch_info: Some(BranchInfo {
-                                    var: decision.var,
-                                    up,
-                                    frac: f,
-                                    parent_bound: internal,
-                                }),
-                            },
-                        )
+                        (c.label, payload)
                     };
-                    let children = vec![mk_child(false), mk_child(true)];
-                    tree.branch(id, internal, children);
+                    let [down, up] =
+                        search::children(&self.instance, &bounds, decision.var, decision.value);
+                    tree.branch(id, internal, [child(down, false), child(up, true)]);
                     self.node_span(id, "branched", node_t0);
                     self.tree_alloc(&mut stats);
                     self.tree_alloc(&mut stats);
@@ -959,73 +868,61 @@ impl<E: SimplexEngine> MipSolver<E> {
             }
         }
 
-        let status = match early_stop {
-            Some(s) => s,
-            None if incumbent.is_some() => MipStatus::Optimal,
-            None => MipStatus::Infeasible,
-        };
         // Gap for early stops.
         if early_stop.is_some() {
             let best_open = tree.best_open_bound().unwrap_or(f64::NEG_INFINITY);
-            let inc = incumbent
-                .as_ref()
-                .map(|(v, _)| *v)
-                .unwrap_or(f64::NEG_INFINITY);
-            stats.gap = (best_open - inc).max(0.0);
+            stats.gap = (best_open - incumbent.value()).max(0.0);
         }
         stats.tree = tree.stats().clone();
         if let Some(lp) = &lp_slot {
             stats.metrics.merge(lp.metrics());
         }
-        if let Some(t) = first_incumbent_ns {
+        if let Some(t) = incumbent.first_ns() {
             stats.metrics.set_gauge(names::HEUR_FIRST_INCUMBENT_NS, t);
         }
-        Ok(self.finish_with_incumbent(status, incumbent, stats, tree))
+        Ok(self.finish(early_stop, incumbent, stats, tree))
     }
 
-    /// Installs a candidate incumbent if it improves; returns whether it did.
-    fn accept_incumbent(
-        &self,
-        x: &[f64],
-        internal: f64,
-        incumbent: &mut Option<(f64, Vec<f64>)>,
-    ) -> bool {
-        // Round integral variables for exact reporting; verify.
-        let mut p = x.to_vec();
-        for &j in &self.integral {
-            p[j] = p[j].round();
-        }
-        let point = if self.instance.is_integer_feasible(&p, 1e-5) {
+    /// An integral LP point with its integral coordinates rounded for exact
+    /// reporting — unless rounding breaks feasibility, in which case the LP
+    /// point stands.
+    fn checked_rounding(&self, x: Vec<f64>) -> Vec<f64> {
+        let p = self.rules.rounded(x.clone());
+        if self.instance.is_integer_feasible(&p, 1e-5) {
             p
         } else {
-            x.to_vec()
-        };
-        let cur = incumbent
-            .as_ref()
-            .map(|(v, _)| *v)
-            .unwrap_or(f64::NEG_INFINITY);
-        if internal > cur {
-            *incumbent = Some((internal, point));
-            true
-        } else {
-            false
+            x
         }
     }
 
-    fn finish(
+    /// Installs a heuristic's `(source-sense objective, point)` if it beats
+    /// the incumbent by more than the prune tolerance; returns whether it
+    /// did.
+    fn offer_heuristic(
         &self,
-        status: MipStatus,
-        incumbent: Option<(f64, Vec<f64>)>,
-        stats: SolveStats,
-        tree: SearchTree<NodePayload>,
-    ) -> MipResult {
-        self.finish_with_incumbent(status, incumbent, stats, tree)
+        source: &'static str,
+        (obj, point): (f64, Vec<f64>),
+        incumbent: &mut Incumbent,
+        tree: &mut SearchTree<NodePayload>,
+        stats: &mut SolveStats,
+    ) -> bool {
+        let cand = self.rules.internal(obj);
+        let improves = cand > incumbent.value() + self.cfg.prune_tol;
+        if improves {
+            incumbent.accept(&self.rules, tree, cand, point, || self.sim_now_ns());
+            stats.heur_incumbents += 1;
+            stats.metrics.incr(names::BB_INCUMBENTS, 1.0);
+            self.incumbent_mark(self.rules.to_source(cand), source);
+        }
+        improves
     }
 
-    fn finish_with_incumbent(
+    /// Builds the result. `stopped: None` means the search ran to
+    /// completion, and the status follows from the incumbent.
+    fn finish(
         &self,
-        status: MipStatus,
-        incumbent: Option<(f64, Vec<f64>)>,
+        stopped: Option<MipStatus>,
+        incumbent: Incumbent,
         mut stats: SolveStats,
         tree: SearchTree<NodePayload>,
     ) -> MipResult {
@@ -1033,59 +930,35 @@ impl<E: SimplexEngine> MipSolver<E> {
         if let Some(a) = &self.lp_accel {
             stats.device = a.stats();
         }
-        let host_ns = self.host.elapsed_ns();
-        let dev_ns = self.lp_accel.as_ref().map(Accel::elapsed_ns).unwrap_or(0.0);
-        stats.sim_time_ns = if self.overlap_host {
-            // Strategy 3: many-core host work proceeds concurrently with the
-            // device's LP stream.
-            host_ns.max(dev_ns)
-        } else {
-            host_ns + dev_ns
-        };
+        stats.sim_time_ns = self.sim_now_ns();
         if stats.tree.created == 0 {
             stats.tree = tree.stats().clone();
         }
         // Fold node-lifecycle counters and the executor ledgers into the
         // unified metrics registry (the CLI/bench summary view).
-        let (created, branched, feasible, infeas, pruned) = (
-            stats.tree.created,
-            stats.tree.branched,
-            stats.tree.feasible,
-            stats.tree.infeasible,
-            stats.tree.pruned,
-        );
-        let (evaluated, cuts, heur, lp_iters) = (
-            stats.nodes,
-            stats.cuts,
-            stats.heur_incumbents,
-            stats.lp_iterations,
-        );
-        let m = &mut stats.metrics;
-        m.incr(names::BB_NODES_CREATED, created as f64);
-        m.incr(names::BB_NODES_EVALUATED, evaluated as f64);
-        m.incr(names::BB_NODES_BRANCHED, branched as f64);
-        m.incr(names::BB_NODES_INTEGER_FEASIBLE, feasible as f64);
-        m.incr(names::BB_NODES_INFEASIBLE, infeas as f64);
-        m.incr(names::BB_NODES_PRUNED, pruned as f64);
-        m.incr(names::BB_CUTS_ADDED, cuts as f64);
-        m.incr(names::BB_HEUR_INCUMBENTS, heur as f64);
+        let (t, m) = (&stats.tree, &mut stats.metrics);
+        m.incr(names::BB_NODES_CREATED, t.created as f64);
+        m.incr(names::BB_NODES_EVALUATED, stats.nodes as f64);
+        m.incr(names::BB_NODES_BRANCHED, t.branched as f64);
+        m.incr(names::BB_NODES_INTEGER_FEASIBLE, t.feasible as f64);
+        m.incr(names::BB_NODES_INFEASIBLE, t.infeasible as f64);
+        m.incr(names::BB_NODES_PRUNED, t.pruned as f64);
+        m.incr(names::BB_CUTS_ADDED, stats.cuts as f64);
+        m.incr(names::BB_HEUR_INCUMBENTS, stats.heur_incumbents as f64);
         // lp.* iterations were merged from the LP solver when an engine was
         // retained; the fresh-engine-per-node path only has the field count.
         if m.counter(names::LP_ITERATIONS) == 0.0 {
-            m.incr(names::LP_ITERATIONS, lp_iters as f64);
+            m.incr(names::LP_ITERATIONS, stats.lp_iterations as f64);
         }
         stats.metrics.merge(&self.host.metrics());
         if let Some(a) = &self.lp_accel {
             stats.metrics.merge(&a.metrics());
         }
-        let (objective, x) = match &incumbent {
-            Some((internal, p)) => (self.to_source(*internal), p.clone()),
-            None => (f64::NAN, Vec::new()),
-        };
+        let done = self.rules.finish(incumbent, false);
         MipResult {
-            status,
-            objective,
-            x,
+            status: stopped.unwrap_or(done.status),
+            objective: done.objective,
+            x: done.x,
             stats,
             tree,
         }

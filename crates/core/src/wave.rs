@@ -15,7 +15,7 @@
 //! rule), and parent bases are kept device-resident in an LRU pool so a
 //! child's warm start is usually a pool hit instead of an H2D upload.
 
-use crate::branch;
+use crate::search::{self, Incumbent, Rules, Verdict};
 use crate::solver::MipStatus;
 use gmip_gpu::{Accel, BackendKind, DeviceStats};
 use gmip_linalg::batch::batch_size_bytes;
@@ -25,7 +25,7 @@ use gmip_lp::{
     wave_width, Basis, BoundChange, LpConfig, LpResult, LpSolution, LpSolver, LpStatus,
     RecordingEngine, StandardLp,
 };
-use gmip_problems::{MipInstance, Objective};
+use gmip_problems::MipInstance;
 use gmip_trace::{names, MetricsRegistry};
 use gmip_tree::{NodeId, NodeState, SearchTree};
 
@@ -110,14 +110,156 @@ pub struct WaveResult {
     pub first_incumbent_ns: Option<f64>,
 }
 
-/// Node payload of the batched-wave tree: bounds, the parent's basis for a
-/// warm start, and the parent's id (the warm-basis pool key — both children
-/// share it, so the second child is a pool hit).
+/// The knobs of the lockstep loop, read from either wave config.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WaveKnobs {
+    pub int_tol: f64,
+    pub prune_tol: f64,
+    pub node_limit: usize,
+    pub propagate: bool,
+    pub propagate_rounds: usize,
+    pub heuristic_period: usize,
+}
+
+/// What a retired lane tells the loop about its node.
+pub(crate) enum Retired<W> {
+    /// The lane found the node's box or relaxation infeasible.
+    Infeasible,
+    /// The lane retired on a safe bound (internal sense) the incumbent
+    /// cutoff dominates; no point exists.
+    Pruned(f64),
+    /// The node's exact LP outcome and the warm artifact its children share.
+    Lp(LpSolution, W),
+}
+
+/// A set of device lanes the lockstep loop keeps full: node LPs go in at
+/// [`LaneSet::load`], advance together in [`LaneSet::run_to_retire`], and
+/// come out exact at [`LaneSet::retire`]. Two implementors: journaled
+/// simplex lanes (here) and PDHG lanes with host cleanup
+/// ([`crate::fo_wave`]).
+pub(crate) trait LaneSet {
+    /// What a branched node hands both children for their warm start.
+    type Warm: Clone + Default;
+
+    /// Starts node `id` (under `bounds`) in idle lane `slot`; `refill` says
+    /// the slot has held a node before.
+    fn load(
+        &mut self,
+        slot: usize,
+        id: NodeId,
+        bounds: &[BoundChange],
+        warm: Self::Warm,
+        refill: bool,
+    ) -> LpResult<()>;
+
+    /// Whether a loaded lane has not retired yet.
+    fn busy(&self) -> bool;
+
+    /// Advances the wave until at least one lane retires; returns the
+    /// retired slots.
+    fn run_to_retire(&mut self) -> Vec<usize>;
+
+    /// Collects retired lane `slot`, which ran node `id`; `node_bounds` are
+    /// the node's own (unpropagated) bounds, for an exact host finish.
+    fn retire(
+        &mut self,
+        slot: usize,
+        id: NodeId,
+        node_bounds: &[BoundChange],
+    ) -> LpResult<Retired<Self::Warm>>;
+
+    /// A new incumbent: lanes that state bounds mid-flight start pruning
+    /// against `cutoff` (internal sense) at their next check.
+    fn set_cutoff(&mut self, _cutoff: f64) {}
+
+    /// Merges the engine's and the lanes' counters into `into` and returns
+    /// `[supersteps, retires, refills]`.
+    fn merge_metrics(&mut self, into: &mut MetricsRegistry) -> [usize; 3];
+}
+
+/// Node payload of a wave tree: the node's bounds and its parent's warm
+/// artifact.
 #[derive(Debug, Clone, Default)]
-struct WavePayload {
+struct WaveNode<W> {
     bounds: Vec<BoundChange>,
-    parent_basis: Option<Basis>,
-    parent_id: NodeId,
+    warm: W,
+}
+
+/// Journaled-simplex lanes: each lane's host planner takes the reference
+/// pivot path eagerly at load (journaling the device kernels), and the
+/// journal replays in flight through fused batched launches. The warm
+/// artifact is the parent's basis keyed by the parent's id — both children
+/// share the key, so the second child is a warm-basis-pool hit.
+struct SimplexLanes {
+    lanes: Vec<LpSolver<RecordingEngine>>,
+    wave: BatchedWaveEngine,
+    /// The outcome each in-flight lane will deliver when it retires.
+    solved: Vec<Option<(LpSolution, Option<Basis>)>>,
+}
+
+impl LaneSet for SimplexLanes {
+    type Warm = Option<(Basis, NodeId)>;
+
+    fn load(
+        &mut self,
+        slot: usize,
+        _id: NodeId,
+        bounds: &[BoundChange],
+        warm: Self::Warm,
+        refill: bool,
+    ) -> LpResult<()> {
+        let lane = &mut self.lanes[slot];
+        lane.apply_node_bounds(bounds)?;
+        let sol = match warm {
+            Some((b, parent)) if b.n() == lane.standard().n() + lane.standard().m() => {
+                self.wave.touch_basis(parent as u64, 8 * (b.m() + b.n()))?;
+                lane.set_warm_basis(b)?;
+                lane.resolve()?
+            }
+            _ => lane.solve()?,
+        };
+        let basis = lane.basis().cloned();
+        let ops = lane.engine_mut().take_ops();
+        if refill {
+            self.wave.note_refill();
+        }
+        self.wave.load_lane(slot, ops);
+        self.solved[slot] = Some((sol, basis));
+        Ok(())
+    }
+
+    fn busy(&self) -> bool {
+        self.wave.any_busy()
+    }
+
+    fn run_to_retire(&mut self) -> Vec<usize> {
+        self.wave.run_to_retire()
+    }
+
+    fn retire(
+        &mut self,
+        slot: usize,
+        id: NodeId,
+        _node_bounds: &[BoundChange],
+    ) -> LpResult<Retired<Self::Warm>> {
+        let (sol, basis) = self.solved[slot]
+            .take()
+            .expect("retired slot was in flight");
+        Ok(Retired::Lp(sol, basis.map(|b| (b, id))))
+    }
+
+    fn merge_metrics(&mut self, into: &mut MetricsRegistry) -> [usize; 3] {
+        into.merge(self.wave.metrics());
+        for lane in &mut self.lanes {
+            into.merge(&lane.take_metrics());
+        }
+        let c = self.wave.metrics();
+        [
+            c.counter(names::WAVE_SUPERSTEPS) as usize,
+            c.counter(names::WAVE_RETIRES) as usize,
+            c.counter(names::WAVE_REFILLS) as usize,
+        ]
+    }
 }
 
 /// Solves `instance` with a batched lockstep wave of up to `cfg.lanes` node
@@ -153,43 +295,65 @@ pub fn solve_batched_wave(
             RecordingEngine::new(a.clone())
         }));
     }
-    lanes.truncate(width);
-    let mut wave = BatchedWaveEngine::new(accel.clone(), &ext, width, cfg.basis_pool_bytes)?;
-
-    let internal = |source: f64| match instance.objective {
-        Objective::Maximize => source,
-        Objective::Minimize => -source,
+    let wave = BatchedWaveEngine::new(accel.clone(), &ext, width, cfg.basis_pool_bytes)?;
+    let knobs = WaveKnobs {
+        int_tol: cfg.int_tol,
+        prune_tol: cfg.prune_tol,
+        node_limit: cfg.node_limit,
+        propagate: cfg.propagate,
+        propagate_rounds: cfg.propagate_rounds,
+        heuristic_period: cfg.heuristic_period,
     };
-    let node_bytes = (instance.num_cons() + 2 * instance.num_vars()) * 8 + 128;
-    let mut tree: SearchTree<WavePayload> =
-        SearchTree::with_root(WavePayload::default(), node_bytes);
-    let mut incumbent: Option<(f64, Vec<f64>)> = None;
-    let mut nodes = 0usize;
-    let integral = instance.integral_indices();
+    let solved = (0..width).map(|_| None).collect();
+    run_wave(
+        instance,
+        knobs,
+        accel,
+        width,
+        SimplexLanes {
+            lanes,
+            wave,
+            solved,
+        },
+    )
+}
 
-    // The outcome a slot's in-flight lane will deliver when it retires.
-    let mut in_flight: Vec<Option<(NodeId, LpSolution, Option<Basis>)>> =
-        (0..width).map(|_| None).collect();
+/// The lockstep wave loop: refill idle lanes from the best-bound frontier →
+/// batched `prop.*` over the refill batch → load → run to the next retire →
+/// settle the retired nodes → `heur.*` dive wave → finish, over the `width`
+/// lanes of `lanes` (the effective width after memory auto-sizing). Lanes that
+/// finish their node LP retire at a stream-event boundary and are refilled
+/// immediately; no lane waits in a join-all for the slowest of its wave.
+pub(crate) fn run_wave<L: LaneSet>(
+    instance: &MipInstance,
+    k: WaveKnobs,
+    accel: Accel,
+    width: usize,
+    mut lanes: L,
+) -> LpResult<WaveResult> {
+    let rules = Rules::new(instance, k.int_tol, k.prune_tol);
+    let mut tree: SearchTree<WaveNode<L::Warm>> =
+        SearchTree::with_root(WaveNode::default(), search::node_bytes(instance));
+    let mut incumbent = Incumbent::default();
+    let mut nodes = 0usize;
+    let mut in_flight: Vec<Option<NodeId>> = vec![None; width];
     let mut filled_once = vec![false; width];
 
     // Domain propagation + fix-and-propagate support (gmip-prop).
     let propagator =
-        (cfg.propagate || cfg.heuristic_period > 0).then(|| gmip_prop::Propagator::new(instance));
+        (k.propagate || k.heuristic_period > 0).then(|| gmip_prop::Propagator::new(instance));
     let mut aux = MetricsRegistry::default();
-    let mut first_incumbent_ns: Option<f64> = None;
     // Fractional retiree seeds awaiting the next heuristic wave, and the
     // retire count since it last ran.
     let mut heur_seeds: Vec<(Vec<BoundChange>, Vec<f64>)> = Vec::new();
     let mut since_heur = 0usize;
 
     loop {
-        // Refill every idle slot from the best-bound frontier: the lane's
-        // host planner takes the reference pivot path eagerly (journaling
-        // the device kernels), and the journal joins the wave in flight —
-        // no barrier, no waiting on busier lanes.
+        // Refill every idle slot from the best-bound frontier — no barrier,
+        // no waiting on busier lanes.
         let mut pending: Vec<(usize, NodeId)> = Vec::new();
         for slot in 0..width {
-            if in_flight[slot].is_some() || nodes >= cfg.node_limit {
+            if in_flight[slot].is_some() || nodes >= k.node_limit {
                 continue;
             }
             let Some(id) = tree.best() else { break };
@@ -201,16 +365,16 @@ pub fn solve_batched_wave(
         // Batched domain propagation across the whole refill batch: every
         // lane's box tightens in one fused `prop.*` kernel-trio sequence;
         // boxes that propagate to a contradiction settle without spending a
-        // lane (or any simplex work) on them.
+        // lane (or any LP work) on them.
         let mut loads: Vec<(usize, NodeId, Vec<BoundChange>)> = Vec::new();
         let mut settled_by_prop = 0usize;
-        if cfg.propagate {
+        if k.propagate {
             let p = propagator.as_ref().expect("propagator built");
             let mut boxes: Vec<(Vec<f64>, Vec<f64>)> = pending
                 .iter()
                 .map(|&(_, id)| p.node_box(&tree.node(id).data.bounds))
                 .collect();
-            let outs = p.propagate_wave(&accel, &mut boxes, cfg.propagate_rounds);
+            let outs = p.propagate_wave(&accel, &mut boxes, k.propagate_rounds);
             for ((&(slot, id), out), (lb, ub)) in pending.iter().zip(&outs).zip(&boxes) {
                 aux.incr(names::PROP_NODES, 1.0);
                 aux.incr(names::PROP_ROUNDS, out.rounds as f64);
@@ -225,128 +389,80 @@ pub fn solve_batched_wave(
             }
         } else {
             for &(slot, id) in &pending {
-                let bounds = tree.node(id).data.bounds.clone();
-                loads.push((slot, id, bounds));
+                loads.push((slot, id, tree.node(id).data.bounds.clone()));
             }
         }
 
         for (slot, id, bounds) in loads {
-            let warm = tree.data_mut(id).parent_basis.take();
-            let parent_id = tree.node(id).data.parent_id;
-            let lane = &mut lanes[slot];
-            lane.apply_node_bounds(&bounds)?;
-            let sol = match warm {
-                Some(b) if b.n() == lane.standard().n() + lane.standard().m() => {
-                    wave.touch_basis(parent_id as u64, 8 * (b.m() + b.n()))?;
-                    lane.set_warm_basis(b)?;
-                    lane.resolve()?
-                }
-                Some(_) | None => lane.solve()?,
-            };
-            let basis = lane.basis().cloned();
-            let ops = lane.engine_mut().take_ops();
-            if filled_once[slot] {
-                wave.note_refill();
-            }
-            filled_once[slot] = true;
-            wave.load_lane(slot, ops);
-            in_flight[slot] = Some((id, sol, basis));
+            let warm = std::mem::take(&mut tree.data_mut(id).warm);
+            let refill = std::mem::replace(&mut filled_once[slot], true);
+            lanes.load(slot, id, &bounds, warm, refill)?;
+            in_flight[slot] = Some(id);
         }
 
-        if !wave.any_busy() {
+        if !lanes.busy() {
             // A refill batch fully settled by propagation leaves no lane
             // busy while the frontier may still hold work: refill again.
-            if settled_by_prop > 0 && tree.has_active() && nodes < cfg.node_limit {
+            if settled_by_prop > 0 && tree.has_active() && nodes < k.node_limit {
                 continue;
             }
             break;
         }
 
-        // Advance the wave until at least one lane retires, then fold the
-        // retired outcomes; busy lanes keep their in-flight journals.
-        for slot in wave.run_to_retire() {
-            let (id, sol, basis) = in_flight[slot].take().expect("retired slot was in flight");
+        // Advance the wave until at least one lane retires, then settle the
+        // retired nodes; busy lanes stay in flight.
+        for slot in lanes.run_to_retire() {
+            let id = in_flight[slot].take().expect("retired slot was in flight");
+            let (sol, warm) = match lanes.retire(slot, id, &tree.node(id).data.bounds)? {
+                Retired::Infeasible => {
+                    tree.settle(id, NodeState::Infeasible, f64::NEG_INFINITY);
+                    continue;
+                }
+                // The safe bound never undercuts the node optimum, so
+                // pruning on it can never cut off a true optimum.
+                Retired::Pruned(bound) => {
+                    tree.settle(id, NodeState::Pruned, bound);
+                    continue;
+                }
+                Retired::Lp(sol, warm) => (sol, warm),
+            };
             match sol.status {
                 LpStatus::Infeasible => tree.settle(id, NodeState::Infeasible, f64::NEG_INFINITY),
                 LpStatus::Unbounded => {
                     return Err(gmip_lp::LpError::Shape(
-                        "unbounded node in batched wave solve".into(),
+                        "unbounded node in wave solve".into(),
                     ))
                 }
                 LpStatus::Optimal => {
-                    let bound = internal(sol.objective);
-                    let inc = incumbent
-                        .as_ref()
-                        .map(|(v, _)| *v)
-                        .unwrap_or(f64::NEG_INFINITY);
-                    if bound <= inc + cfg.prune_tol {
-                        tree.settle(id, NodeState::Pruned, bound);
-                        continue;
-                    }
-                    let frac: Vec<usize> = integral
-                        .iter()
-                        .copied()
-                        .filter(|&j| (sol.x[j] - sol.x[j].round()).abs() > cfg.int_tol)
-                        .collect();
-                    if frac.is_empty() {
-                        tree.settle(id, NodeState::Feasible, bound);
-                        let mut p = sol.x.clone();
-                        for &j in &integral {
-                            p[j] = p[j].round();
+                    let bound = rules.internal(sol.objective);
+                    match rules.verdict(bound, &sol.x, incumbent.value()) {
+                        Verdict::Pruned => tree.settle(id, NodeState::Pruned, bound),
+                        Verdict::Integral => {
+                            tree.settle(id, NodeState::Feasible, bound);
+                            incumbent
+                                .install(&rules, &mut tree, bound, sol.x, || accel.elapsed_ns());
+                            lanes.set_cutoff(bound + k.prune_tol);
                         }
-                        incumbent = Some((bound, p));
-                        first_incumbent_ns.get_or_insert_with(|| accel.elapsed_ns());
-                        tree.prune_dominated(bound, cfg.prune_tol);
-                        continue;
-                    }
-                    // Seed the fix-and-propagate wave with this fractional
-                    // retiree (bounded backlog: one seed per lane).
-                    if cfg.heuristic_period > 0 && heur_seeds.len() < width {
-                        heur_seeds.push((tree.node(id).data.bounds.clone(), sol.x.clone()));
-                    }
-                    since_heur += 1;
-                    let d = branch::decide(
-                        crate::config::BranchRule::MostFractional,
-                        instance,
-                        &sol.x,
-                        &frac,
-                        &branch::PseudoCosts::default(),
-                    );
-                    let parent_bounds = tree.node(id).data.bounds.clone();
-                    let (mut lo, mut hi) = (instance.vars[d.var].lb, instance.vars[d.var].ub);
-                    for bc in &parent_bounds {
-                        if bc.var == d.var {
-                            lo = bc.lb;
-                            hi = bc.ub;
+                        Verdict::Fractional { decision: d, .. } => {
+                            let parent = &tree.node(id).data.bounds;
+                            // Seed the fix-and-propagate wave with this
+                            // fractional retiree (bounded backlog: one seed
+                            // per lane).
+                            if k.heuristic_period > 0 && heur_seeds.len() < width {
+                                heur_seeds.push((parent.clone(), sol.x));
+                            }
+                            since_heur += 1;
+                            let kids =
+                                search::children(instance, parent, d.var, d.value).map(|c| {
+                                    let node = WaveNode {
+                                        bounds: c.bounds,
+                                        warm: warm.clone(),
+                                    };
+                                    (c.label, node)
+                                });
+                            tree.branch(id, bound, kids);
                         }
                     }
-                    let mk = |up: bool| {
-                        let mut b = parent_bounds.clone();
-                        let label = if up {
-                            b.push(BoundChange {
-                                var: d.var,
-                                lb: d.up_lb,
-                                ub: hi,
-                            });
-                            format!("x{} ≥ {}", d.var, d.up_lb)
-                        } else {
-                            b.push(BoundChange {
-                                var: d.var,
-                                lb: lo,
-                                ub: d.down_ub,
-                            });
-                            format!("x{} ≤ {}", d.var, d.down_ub)
-                        };
-                        (
-                            label,
-                            WavePayload {
-                                bounds: b,
-                                parent_basis: basis.clone(),
-                                parent_id: id,
-                            },
-                        )
-                    };
-                    tree.branch(id, bound, vec![mk(false), mk(true)]);
                 }
             }
         }
@@ -355,8 +471,7 @@ pub fn solve_batched_wave(
         // accumulated, dive from every collected seed in one fused wave
         // (round → propagate → repair or abort per lane) and install the
         // best improving candidate as an early incumbent.
-        if cfg.heuristic_period > 0 && since_heur >= cfg.heuristic_period && !heur_seeds.is_empty()
-        {
+        if k.heuristic_period > 0 && since_heur >= k.heuristic_period && !heur_seeds.is_empty() {
             let p = propagator.as_ref().expect("propagator built");
             let staged: Vec<(Vec<f64>, Vec<f64>, Vec<f64>)> = heur_seeds
                 .drain(..)
@@ -373,7 +488,7 @@ pub fn solve_batched_wave(
                     ub0: ub,
                 })
                 .collect();
-            let outs = p.dive_wave(&accel, &seeds, cfg.int_tol, cfg.propagate_rounds);
+            let outs = p.dive_wave(&accel, &seeds, k.int_tol, k.propagate_rounds);
             let mut rounds = Vec::with_capacity(outs.len());
             let mut best: Option<(f64, Vec<f64>)> = None;
             for out in outs {
@@ -384,7 +499,7 @@ pub fn solve_batched_wave(
                     aux.incr(names::HEUR_ABORTS, 1.0);
                 }
                 if let Some((obj, pt)) = out.candidate {
-                    let cand = internal(obj);
+                    let cand = rules.internal(obj);
                     if best.as_ref().map(|(b, _)| cand > *b).unwrap_or(true) {
                         best = Some((cand, pt));
                     }
@@ -393,60 +508,38 @@ pub fn solve_batched_wave(
             gmip_prop::charge_wave(&accel, p.nnz(), p.num_vars(), &rounds);
             since_heur = 0;
             if let Some((cand, pt)) = best {
-                let cur = incumbent
-                    .as_ref()
-                    .map(|(v, _)| *v)
-                    .unwrap_or(f64::NEG_INFINITY);
-                if cand > cur + cfg.prune_tol {
-                    incumbent = Some((cand, pt));
-                    first_incumbent_ns.get_or_insert_with(|| accel.elapsed_ns());
+                if cand > incumbent.value() + k.prune_tol {
+                    incumbent.accept(&rules, &mut tree, cand, pt, || accel.elapsed_ns());
                     aux.incr(names::HEUR_INCUMBENTS, 1.0);
-                    tree.prune_dominated(cand, cfg.prune_tol);
+                    lanes.set_cutoff(cand + k.prune_tol);
                 }
             }
         }
     }
 
-    let status = if tree.has_active() || in_flight.iter().any(Option::is_some) {
-        MipStatus::NodeLimit
-    } else if incumbent.is_some() {
-        MipStatus::Optimal
-    } else {
-        MipStatus::Infeasible
-    };
-    let (objective, x) = match incumbent {
-        Some((v, p)) => (
-            match instance.objective {
-                Objective::Maximize => v,
-                Objective::Minimize => -v,
-            },
-            p,
-        ),
-        None => (f64::NAN, Vec::new()),
-    };
+    let first_incumbent_ns = incumbent.first_ns();
+    let open = tree.has_active() || in_flight.iter().any(Option::is_some);
+    let done = rules.finish(incumbent, open);
 
     let mut metrics = accel.metrics();
-    metrics.merge(wave.metrics());
-    let wave_counters = wave.metrics().clone();
-    for lane in &mut lanes {
-        metrics.merge(&lane.take_metrics());
-    }
+    let [supersteps, retires, refills] = lanes.merge_metrics(&mut metrics);
     metrics.merge(&aux);
     // Real wall-clock of the executing backend (`wall.*`, empty under the
-    // simulator) — outside the byte-determinism surface.
+    // simulator) — reported, but never part of the byte-determinism
+    // surface: diffs and bench gates skip the namespace.
     metrics.merge(&accel.wall_metrics());
     if let Some(t) = first_incumbent_ns {
         metrics.set_gauge(names::HEUR_FIRST_INCUMBENT_NS, t);
     }
     let peak = accel.with(|d| d.memory().peak());
     Ok(WaveResult {
-        status,
-        objective,
-        x,
+        status: done.status,
+        objective: done.objective,
+        x: done.x,
         nodes,
-        supersteps: wave_counters.counter(names::WAVE_SUPERSTEPS) as usize,
-        retires: wave_counters.counter(names::WAVE_RETIRES) as usize,
-        refills: wave_counters.counter(names::WAVE_REFILLS) as usize,
+        supersteps,
+        retires,
+        refills,
         width,
         makespan_ns: accel.elapsed_ns(),
         device: accel.stats(),
@@ -457,7 +550,7 @@ pub fn solve_batched_wave(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::concurrent::{solve_concurrent, ConcurrentConfig};
     use gmip_problems::catalog::textbook_mip;
@@ -566,35 +659,37 @@ mod tests {
         assert!(wide.peak_device_bytes < 2 * narrow.peak_device_bytes);
     }
 
+    /// Everything of a wave result that must replay byte-identically:
+    /// optimum, node and superstep counts, the bitwise simulated makespan
+    /// and every counter outside the real-time `wall.*` namespace.
+    pub(crate) fn fingerprint(r: &WaveResult) -> (String, usize, usize, String, Vec<String>) {
+        let counters = r
+            .metrics
+            .counters()
+            .filter(|(k, _)| !k.starts_with("wall."))
+            .map(|(k, v)| format!("{k}={v:?}"))
+            .collect();
+        (
+            format!("{:?}", r.objective),
+            r.nodes,
+            r.supersteps,
+            format!("{:?}", r.makespan_ns),
+            counters,
+        )
+    }
+
     #[test]
     fn native_backend_matches_sim_byte_for_byte() {
         let m = knapsack(12, 0.5, 4);
         let run = |backend: BackendKind| {
-            let r = solve_batched_wave(
-                &m,
-                &BatchedWaveConfig {
-                    lanes: 4,
-                    propagate: true,
-                    heuristic_period: 2,
-                    backend,
-                    ..Default::default()
-                },
-                Accel::gpu(1),
-            )
-            .unwrap();
-            let mut counters: Vec<(String, String)> = r
-                .metrics
-                .counters()
-                .filter(|(k, _)| !k.starts_with("wall."))
-                .map(|(k, v)| (k.to_string(), format!("{v:?}")))
-                .collect();
-            counters.sort();
-            (
-                format!("{:?}", r.objective),
-                r.nodes,
-                format!("{:?}", r.makespan_ns),
-                counters,
-            )
+            let cfg = BatchedWaveConfig {
+                lanes: 4,
+                propagate: true,
+                heuristic_period: 2,
+                backend,
+                ..Default::default()
+            };
+            fingerprint(&solve_batched_wave(&m, &cfg, Accel::gpu(1)).unwrap())
         };
         let sim = run(BackendKind::Sim);
         for threads in [1, 3] {

@@ -29,23 +29,21 @@
 //! merge order at the root is canonical because every exchange is guarded
 //! by its dispatch id and every migration by its transfer id.
 
-use crate::chaos::FaultPlan;
 use crate::checkpoint::Checkpoint;
+use crate::cluster::{Cluster, EventQueue, Recovery};
 use crate::comm::{
-    subtree_bytes, IncumbentUpdate, LoadSummary, NodeOutcome, NodeReport,
-    INCUMBENT_BROADCAST_BYTES, STEAL_CONTROL_BYTES,
+    subtree_bytes, IncumbentUpdate, LoadSummary, NodeReport, INCUMBENT_BROADCAST_BYTES,
+    STEAL_CONTROL_BYTES,
 };
-use crate::exchange::{assignment, exchange, Completion};
-use crate::roster::{InFlight, Roster};
-use crate::supervisor::{ParPayload, ParallelConfig, ParallelStats};
-use crate::worker::Worker;
+use crate::exchange::{settle_outcome, Completion, Settled};
+use crate::supervisor::{ParallelConfig, ParallelStats};
+use gmip_core::search::Incumbent;
 use gmip_core::MipStatus;
 use gmip_lp::{BoundChange, LpResult};
-use gmip_problems::{MipInstance, Objective};
+use gmip_problems::MipInstance;
 use gmip_trace::{names, Event as TraceSpan, Track};
-use gmip_tree::{NodeId, NodeState, SearchTree};
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use gmip_tree::NodeId;
+use std::collections::BTreeMap;
 
 /// Hard ceiling on the simulated rank count. The DES keeps a simulated
 /// device per rank; widths beyond this are almost certainly a typo
@@ -194,33 +192,6 @@ enum HEventKind {
     },
 }
 
-#[derive(Debug, PartialEq)]
-struct HEvent {
-    time: f64,
-    /// Global monotone tie-break, as in the flat supervisor: identical
-    /// times resolve in push order, keeping the run deterministic.
-    seq: u64,
-    entity: usize,
-    kind: HEventKind,
-}
-
-impl Eq for HEvent {}
-
-impl PartialOrd for HEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for HEvent {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.time
-            .partial_cmp(&other.time)
-            .expect("event times are never NaN")
-            .then(self.seq.cmp(&other.seq))
-    }
-}
-
 /// Liveness + protocol state of one sub-supervisor group.
 #[derive(Debug, Clone)]
 struct GroupState {
@@ -273,28 +244,22 @@ fn splitmix64(mut z: u64) -> u64 {
 /// The two-tier discrete-event supervisor.
 #[derive(Debug)]
 pub struct HierSupervisor {
-    instance: MipInstance,
-    /// `instance.integral_indices()`, computed once at construction.
-    integral: Vec<usize>,
-    cfg: ParallelConfig,
+    /// The ranks, the tree, the clock and the ledger.
+    c: Cluster,
     hcfg: HierarchyConfig,
     groups: usize,
-    tree: SearchTree<ParPayload>,
-    workers: Vec<Worker>,
-    /// Per-rank liveness and outstanding exchange.
-    ranks: Roster,
-    lost_busy_ns: Vec<f64>,
     gstate: Vec<GroupState>,
     /// The root's (lagged) view of each group: last summarized
     /// (open, best bound).
     root_view: Vec<(usize, f64)>,
-    events: BinaryHeap<Reverse<HEvent>>,
-    next_seq: u64,
-    next_dispatch: u64,
+    /// Scheduled events; `entity` is a rank id for the rank-tier kinds and
+    /// a group id for the group-tier kinds.
+    events: EventQueue<HEventKind>,
     next_xfer: u64,
-    now: f64,
-    /// The only place a feasible *point* lives above the workers.
-    root_incumbent: Option<(f64, Vec<f64>)>,
+    /// The only place a feasible *point* lives above the workers, and the
+    /// simulated time the root first held one (E12's
+    /// time-to-first-incumbent; the `heur.first_incumbent_ns` gauge).
+    root_incumbent: Incumbent,
     /// Migrating subtree batches: xfer id → (destination group, nodes).
     in_transit: BTreeMap<u64, (usize, Vec<NodeId>)>,
     /// Batches in transit toward each group.
@@ -307,14 +272,7 @@ pub struct HierSupervisor {
     steal_counter: u64,
     /// Determinism audit: merges per node id.
     eval_counts: Vec<u32>,
-    stats: ParallelStats,
     hier: HierStats,
-    snapshots: Vec<Checkpoint>,
-    last_checkpoint: Option<Checkpoint>,
-    plan: Option<FaultPlan>,
-    /// Simulated time the root first held an incumbent (E12's
-    /// time-to-first-incumbent; the `heur.first_incumbent_ns` gauge).
-    first_incumbent_ns: Option<f64>,
 }
 
 impl HierSupervisor {
@@ -333,125 +291,61 @@ impl HierSupervisor {
             cfg.workers
         );
         let groups = cfg.workers.div_ceil(hcfg.fanout);
-        let mut workers = Vec::with_capacity(cfg.workers);
-        for id in 0..cfg.workers {
-            workers.push(
-                Worker::new_with_backend(
-                    id,
-                    &instance,
-                    cfg.gpu_cost.clone(),
-                    cfg.gpu_mem,
-                    cfg.lp.clone(),
-                    cfg.int_tol,
-                    cfg.batched_lanes,
-                    cfg.first_order_lanes,
-                    cfg.backend,
-                )?
-                .with_propagation(cfg.propagate, cfg.heuristic_period),
-            );
-        }
-        let node_bytes = (instance.num_cons() + 2 * instance.num_vars()) * 8 + 128;
-        let plan = cfg
-            .chaos
-            .clone()
-            .map(|chaos| FaultPlan::new(chaos, cfg.workers));
         let mut sup = Self {
-            tree: SearchTree::with_root(ParPayload::default(), node_bytes),
-            ranks: Roster::new(cfg.workers),
-            lost_busy_ns: vec![0.0; cfg.workers],
+            c: Cluster::new(instance, cfg)?,
             gstate: vec![GroupState::fresh(); groups],
             root_view: vec![(0, f64::NEG_INFINITY); groups],
-            workers,
             groups,
-            events: BinaryHeap::new(),
-            next_seq: 0,
-            next_dispatch: 0,
+            events: EventQueue::new(),
             next_xfer: 0,
-            now: 0.0,
-            root_incumbent: None,
+            root_incumbent: Incumbent::default(),
             in_transit: BTreeMap::new(),
             inbound: vec![0; groups],
             inc_updates: BTreeMap::new(),
             pending_root_updates: 0,
             steal_counter: 0,
             eval_counts: Vec::new(),
-            stats: ParallelStats::default(),
             hier: HierStats {
                 groups,
                 fanout: hcfg.fanout,
                 ..HierStats::default()
             },
-            snapshots: Vec::new(),
-            last_checkpoint: None,
-            plan,
-            first_incumbent_ns: None,
-            integral: instance.integral_indices(),
-            instance,
-            cfg,
             hcfg,
         };
-        if let Some(plan) = &sup.plan {
-            let rank_crashes = plan.crash_schedule().to_vec();
-            let sub_crashes = plan.sub_crash_schedule(groups);
-            let chaos = plan.cfg().clone();
-            for (time, worker) in rank_crashes {
-                sup.push_event(time, worker, HEventKind::RankCrash);
+        if let Some(plan) = &sup.c.plan {
+            let chaos = plan.cfg();
+            for &(time, worker) in plan.crash_schedule() {
+                sup.events.push(time, worker, HEventKind::RankCrash);
             }
-            for (time, group) in sub_crashes {
-                sup.push_event(time, group, HEventKind::SubCrash);
+            for (time, group) in plan.sub_crash_schedule(groups) {
+                sup.events.push(time, group, HEventKind::SubCrash);
             }
-            if let Some(g) = chaos.kill_group {
-                if g < groups {
-                    for w in sup.ranks_of(g) {
-                        sup.push_event(chaos.kill_group_at_ns, w, HEventKind::RankCrash);
-                    }
+            if let Some(g) = chaos.kill_group.filter(|&g| g < groups) {
+                let lo = g * sup.hcfg.fanout;
+                for w in lo..(lo + sup.hcfg.fanout).min(sup.c.cfg.workers) {
+                    sup.events
+                        .push(chaos.kill_group_at_ns, w, HEventKind::RankCrash);
                 }
             }
         }
         for g in 0..groups {
-            sup.push_event(sup.hcfg.summary_every_ns, g, HEventKind::SummaryDue);
+            sup.events
+                .push(sup.hcfg.summary_every_ns, g, HEventKind::SummaryDue);
         }
         // Warm-start entry point: a pooled solution seeds the root *and*
         // every group's pruning value, exactly like the flat cluster.
-        if let Some(seed) = sup.cfg.seed_solution.clone() {
-            let mut p = seed;
-            for &j in &sup.integral {
-                if let Some(v) = p.get_mut(j) {
-                    *v = v.round();
-                }
-            }
-            if sup.instance.is_integer_feasible(&p, 1e-6) {
-                let source = sup.instance.objective_value(&p);
-                let internal = match sup.instance.objective {
-                    Objective::Maximize => source,
-                    Objective::Minimize => -source,
-                };
-                sup.root_incumbent = Some((internal, p));
-                sup.first_incumbent_ns = Some(0.0);
+        if let Some(seed) = &sup.c.cfg.seed_solution {
+            if sup
+                .root_incumbent
+                .seed(&sup.c.rules, &sup.c.instance, seed, 0.0)
+            {
                 for g in &mut sup.gstate {
-                    g.incumbent = internal;
+                    g.incumbent = sup.root_incumbent.value();
                 }
-                sup.stats.metrics.incr(names::BB_WARM_SEEDS, 1.0);
-            }
-        }
-        if sup.cfg.warm_start {
-            if let Some(b) = sup.cfg.root_basis.clone() {
-                let root = sup.tree.root();
-                sup.tree.data_mut(root).warm_basis = Some(b);
+                sup.c.stats.metrics.incr(names::BB_WARM_SEEDS, 1.0);
             }
         }
         Ok(sup)
-    }
-
-    fn push_event(&mut self, time: f64, entity: usize, kind: HEventKind) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.events.push(Reverse(HEvent {
-            time,
-            seq,
-            entity,
-            kind,
-        }));
     }
 
     fn group_of(&self, rank: usize) -> usize {
@@ -460,18 +354,12 @@ impl HierSupervisor {
 
     fn ranks_of(&self, group: usize) -> std::ops::Range<usize> {
         let lo = group * self.hcfg.fanout;
-        lo..((group + 1) * self.hcfg.fanout).min(self.cfg.workers)
-    }
-
-    fn to_source(&self, internal: f64) -> f64 {
-        match self.instance.objective {
-            Objective::Maximize => internal,
-            Objective::Minimize => -internal,
-        }
+        lo..((group + 1) * self.hcfg.fanout).min(self.c.cfg.workers)
     }
 
     fn root_slow(&self) -> f64 {
-        self.plan
+        self.c
+            .plan
             .as_ref()
             .map(|p| p.cfg().root_slow_factor)
             .unwrap_or(1.0)
@@ -485,9 +373,9 @@ impl HierSupervisor {
     fn ship_root(&mut self, bytes: usize) -> f64 {
         self.hier.root_messages += 1;
         self.hier.root_message_bytes += bytes;
-        self.stats.messages += 1;
-        self.stats.message_bytes += bytes;
-        self.cfg.network.transfer_ns(bytes) * self.root_slow()
+        self.c.stats.messages += 1;
+        self.c.stats.message_bytes += bytes;
+        self.c.cfg.network.transfer_ns(bytes) * self.root_slow()
     }
 
     /// Moves `nodes` (already `Evaluating`) onto the wire toward group
@@ -496,9 +384,9 @@ impl HierSupervisor {
         debug_assert!(!nodes.is_empty());
         let mut bytes = 0usize;
         for &id in &nodes {
-            self.tree.data_mut(id).partition = dest;
-            self.tree.set_group(id, dest);
-            bytes += subtree_bytes(&self.tree.node(id).data.bounds);
+            self.c.tree.data_mut(id).partition = dest;
+            self.c.tree.set_group(id, dest);
+            bytes += subtree_bytes(&self.c.tree.node(id).data.bounds);
         }
         let mut transfer = 0.0;
         for _ in 0..hops {
@@ -508,8 +396,8 @@ impl HierSupervisor {
         self.next_xfer += 1;
         self.in_transit.insert(xfer, (dest, nodes));
         self.inbound[dest] += 1;
-        self.push_event(
-            self.now + transfer,
+        self.events.push(
+            self.c.now + transfer,
             dest,
             HEventKind::SubtreeArrive { xfer },
         );
@@ -519,31 +407,33 @@ impl HierSupervisor {
     /// idle rank, then lets starved groups ask the root for steals.
     fn dispatch(&mut self) -> LpResult<()> {
         for g in 0..self.groups {
-            if !self.gstate[g].alive || self.tree.open_in(g) == 0 {
+            if !self.gstate[g].alive || self.c.tree.open_in(g) == 0 {
                 continue;
             }
             let ranks = self.ranks_of(g);
-            if self.ranks.idle_in(ranks.clone()).next().is_none() {
+            if self.c.ranks.idle_in(ranks.clone()).next().is_none() {
                 continue;
             }
             // Each start moves one node from the group's open set to its
             // in-flight count, so the sum is invariant across the round.
-            let ramping = self.cfg.ramp_up
-                && self.tree.open_in(g) + self.ranks.outstanding_in(ranks.clone()) < ranks.len();
+            let ramping = self.c.cfg.ramp_up
+                && self.c.tree.open_in(g) + self.c.ranks.outstanding_in(ranks.clone())
+                    < ranks.len();
             let mut from = ranks.start;
-            while let Some(w) = self.ranks.next_idle(from).filter(|&w| w < ranks.end) {
+            while let Some(w) = self.c.ranks.next_idle(from).filter(|&w| w < ranks.end) {
                 from = w + 1;
-                if self.workers[w].busy_until > self.now {
+                if self.c.workers[w].busy_until > self.c.now {
                     continue; // still computing an exchange that was written off
                 }
                 let pick = if ramping {
                     // Breadth-first widening inside the group: fewer open
                     // nodes than ranks, so this scan is short.
-                    self.tree
+                    self.c
+                        .tree
                         .iter_in(g)
-                        .min_by_key(|&id| (self.tree.node(id).depth, id))
+                        .min_by_key(|&id| (self.c.tree.node(id).depth, id))
                 } else {
-                    self.tree.best_in(g)
+                    self.c.tree.best_in(g)
                 };
                 let Some(id) = pick else { break };
                 self.start(g, w, id)?;
@@ -557,28 +447,29 @@ impl HierSupervisor {
                 let gs = &self.gstate[g];
                 if !gs.alive
                     || gs.steal_pending
-                    || self.now < gs.steal_backoff_until
-                    || self.tree.open_in(g) > 0
+                    || self.c.now < gs.steal_backoff_until
+                    || self.c.tree.open_in(g) > 0
                     || self.inbound[g] > 0
                 {
                     continue;
                 }
                 let idle = self
+                    .c
                     .ranks
                     .idle_in(self.ranks_of(g))
-                    .any(|w| self.workers[w].busy_until <= self.now);
+                    .any(|w| self.c.workers[w].busy_until <= self.c.now);
                 if !idle {
                     continue;
                 }
                 self.gstate[g].steal_pending = true;
                 let transfer = self.ship_root(STEAL_CONTROL_BYTES);
-                let ts = self.now;
+                let ts = self.c.now;
                 gmip_trace::record(|| {
                     TraceSpan::instant(Track::cluster_rank(0), names::SPAN_HIER_STEAL_REQUEST, ts)
                         .arg("thief", g as u64)
                 });
-                self.push_event(
-                    self.now + transfer,
+                self.events.push(
+                    self.c.now + transfer,
                     0,
                     HEventKind::StealRequestAtRoot { thief: g },
                 );
@@ -591,32 +482,11 @@ impl HierSupervisor {
     /// what comes back (intra-group: the unmodified network model, the
     /// unmodified fate stream).
     fn start(&mut self, g: usize, w: usize, id: NodeId) -> LpResult<()> {
-        self.tree.begin_evaluation(id);
-        let node = self.tree.node(id);
-        let assignment = assignment(node, self.cfg.warm_start, self.gstate[g].incumbent);
-        let dispatch = self.next_dispatch;
-        self.next_dispatch += 1;
-        let (report, completion) = exchange(
-            &mut self.workers[w],
-            w,
-            &assignment,
-            self.now,
-            self.cfg.network,
-            &mut self.plan,
-            &mut self.stats,
-        )?;
-        self.ranks.park(
-            w,
-            InFlight {
-                dispatch,
-                node: id,
-                report,
-            },
-        );
+        let (dispatch, completion) = self.c.start(w, id, self.gstate[g].incumbent)?;
         match completion {
-            Completion::Deliver(at) => self.push_event(at, w, HEventKind::Deliver { dispatch }),
+            Completion::Deliver(at) => self.events.push(at, w, HEventKind::Deliver { dispatch }),
             Completion::AckTimeout(at) => {
-                self.push_event(at, w, HEventKind::AckTimeout { dispatch })
+                self.events.push(at, w, HEventKind::AckTimeout { dispatch })
             }
         }
         Ok(())
@@ -627,127 +497,23 @@ impl HierSupervisor {
     /// retirements are forever): routing work there would deadlock the
     /// solve, so every migration path checks this first.
     fn group_retired(&self, g: usize) -> bool {
-        self.ranks_of(g).all(|w| self.ranks[w].retired())
-    }
-
-    /// Returns a lost in-flight subproblem to its group's open set.
-    fn reassign(&mut self, node: NodeId) {
-        if self.tree.reopen(node) {
-            self.stats.faults.reassignments += 1;
-            debug_assert!(
-                self.last_checkpoint
-                    .as_ref()
-                    .is_none_or(|c| c.covers(&self.tree.node(node).data.bounds)),
-                "recovery invariant: the last checkpoint must cover every lost subproblem"
-            );
-            let (ts, nid) = (self.now, node as u64);
-            gmip_trace::record(|| {
-                TraceSpan::instant(Track::cluster_rank(0), "recovery.reassign", ts).arg("node", nid)
-            });
-        }
-    }
-
-    fn on_deliver(&mut self, worker: usize, dispatch: u64) {
-        let g = self.group_of(worker);
-        if !self.ranks[worker].alive() || !self.gstate[g].alive {
-            return; // rank or its sub-supervisor died with the report in transit
-        }
-        let Some(inf) = self.ranks.take_exchange(worker, dispatch) else {
-            return; // stale delivery of a written-off exchange
-        };
-        let report = inf.report.expect("delivered exchanges carry a report");
-        self.process(worker, report);
-    }
-
-    fn on_ack_timeout(&mut self, worker: usize, dispatch: u64) {
-        if let Some(inf) = self.ranks.take_exchange(worker, dispatch) {
-            self.reassign(inf.node);
-        }
-    }
-
-    fn on_rank_crash(&mut self, worker: usize) {
-        if !self.ranks[worker].alive() {
-            return;
-        }
-        self.ranks.crash(worker, self.now);
-        self.stats.faults.crashes += 1;
-        let ts = self.now;
-        gmip_trace::record(|| {
-            TraceSpan::instant(Track::cluster_rank((worker + 1) as u32), "fault.crash", ts)
-        });
-        let hb = self
-            .plan
-            .as_ref()
-            .expect("crash events imply a plan")
-            .cfg()
-            .heartbeat_timeout_ns;
-        self.push_event(self.now + hb, worker, HEventKind::RankDetect);
+        self.ranks_of(g).all(|w| self.c.ranks[w].retired())
     }
 
     fn on_rank_detect(&mut self, worker: usize) {
-        if let Some(inf) = self.ranks.take(worker) {
-            self.reassign(inf.node);
-        }
-        self.last_checkpoint = Some(self.snapshot());
-        let max_respawns = self
-            .plan
-            .as_ref()
-            .expect("detect events imply a plan")
-            .cfg()
-            .max_respawns;
-        let backoff_base = self.plan.as_ref().expect("plan").cfg().respawn_backoff_ns;
-        if self.ranks[worker].respawns < max_respawns || !self.ranks.others_viable(worker) {
-            let exp = self.ranks[worker].respawns.min(20) as u32;
-            let backoff = backoff_base * f64::from(1u32 << exp.min(20));
-            self.ranks.await_respawn(worker);
-            self.push_event(self.now + backoff, worker, HEventKind::RankRespawn);
-        } else {
-            self.ranks.retire(worker);
-            self.stats.faults.degraded_ranks += 1;
-            let ts = self.now;
-            gmip_trace::record(|| {
-                TraceSpan::instant(
-                    Track::cluster_rank((worker + 1) as u32),
-                    "recovery.degrade",
-                    ts,
-                )
-            });
-            // If that retired the group's last rank, its frontier would
-            // starve forever: ship it to groups that still have ranks.
-            let g = self.group_of(worker);
-            if self.ranks_of(g).all(|w| self.ranks[w].retired()) {
-                self.evacuate_group(g);
+        self.c.reassign_in_flight(worker);
+        self.c.last_checkpoint = Some(self.snapshot());
+        match self.c.recover(worker) {
+            Recovery::RespawnAt(at) => self.events.push(at, worker, HEventKind::RankRespawn),
+            Recovery::Retired => {
+                // If that retired the group's last rank, its frontier would
+                // starve forever: ship it to groups that still have ranks.
+                let g = self.group_of(worker);
+                if self.group_retired(g) {
+                    self.evacuate_group(g);
+                }
             }
         }
-    }
-
-    fn on_rank_respawn(&mut self, worker: usize) -> LpResult<()> {
-        self.lost_busy_ns[worker] += self.workers[worker].busy_ns;
-        let mut fresh = Worker::new_with_backend(
-            worker,
-            &self.instance,
-            self.cfg.gpu_cost.clone(),
-            self.cfg.gpu_mem,
-            self.cfg.lp.clone(),
-            self.cfg.int_tol,
-            self.cfg.batched_lanes,
-            self.cfg.first_order_lanes,
-            self.cfg.backend,
-        )?
-        .with_propagation(self.cfg.propagate, self.cfg.heuristic_period);
-        fresh.busy_until = self.now;
-        self.workers[worker] = fresh;
-        self.ranks.respawn(worker);
-        self.stats.faults.respawns += 1;
-        let (t0, dur) = (
-            self.ranks[worker].down_since,
-            self.now - self.ranks[worker].down_since,
-        );
-        let lane = Track::cluster_rank((worker + 1) as u32);
-        gmip_trace::record(|| TraceSpan::complete(lane, "down", dur, t0));
-        let ts = self.now;
-        gmip_trace::record(|| TraceSpan::instant(lane, "recovery.respawn", ts));
-        Ok(())
     }
 
     /// Ships every open subproblem group `g` owns (plus any written-off
@@ -759,15 +525,15 @@ impl HierSupervisor {
         // is the unit of recovery, the exchange results are gone.
         let mut lost: Vec<NodeId> = Vec::new();
         for w in self.ranks_of(g) {
-            if let Some(inf) = self.ranks.take(w) {
+            if let Some(inf) = self.c.ranks.take(w) {
                 lost.push(inf.node);
             }
         }
         // Active nodes enter transit through the same fence as steals.
         let written_off = lost.len();
-        lost.extend(self.tree.iter_in(g));
+        lost.extend(self.c.tree.iter_in(g));
         for &id in &lost[written_off..] {
-            self.tree.begin_evaluation(id);
+            self.c.tree.begin_evaluation(id);
         }
         lost.sort_unstable();
         if lost.is_empty() {
@@ -783,12 +549,12 @@ impl HierSupervisor {
             // Nobody can adopt the work: reopen locally and wait for the
             // group's own recovery.
             for id in lost {
-                self.reassign(id);
+                self.c.reassign(id);
             }
             return;
         }
-        self.stats.faults.group_reassigned_subtrees += lost.len();
-        let (ts, n) = (self.now, lost.len() as u64);
+        self.c.stats.faults.group_reassigned_subtrees += lost.len();
+        let (ts, n) = (self.c.now, lost.len() as u64);
         gmip_trace::record(|| {
             TraceSpan::instant(
                 Track::cluster_rank(0),
@@ -815,20 +581,15 @@ impl HierSupervisor {
             return; // the planned crash hit an already-dead sub-supervisor
         }
         self.gstate[g].alive = false;
-        self.gstate[g].down_since = self.now;
-        self.stats.faults.sub_crashes += 1;
-        let ts = self.now;
+        self.gstate[g].down_since = self.c.now;
+        self.c.stats.faults.sub_crashes += 1;
+        let ts = self.c.now;
         gmip_trace::record(|| {
             TraceSpan::instant(Track::cluster_rank(0), names::SPAN_FAULT_SUB_CRASH, ts)
                 .arg("group", g as u64)
         });
-        let hb = self
-            .plan
-            .as_ref()
-            .expect("sub-crash events imply a plan")
-            .cfg()
-            .heartbeat_timeout_ns;
-        self.push_event(self.now + hb, g, HEventKind::SubDetect);
+        let hb = self.c.chaos().heartbeat_timeout_ns;
+        self.events.push(self.c.now + hb, g, HEventKind::SubDetect);
     }
 
     /// The root notices the dead sub-supervisor: every subtree the group
@@ -837,20 +598,14 @@ impl HierSupervisor {
     /// infrastructure, not a device, so it has no retirement path; it
     /// comes back empty and re-acquires work by stealing).
     fn on_sub_detect(&mut self, g: usize) {
-        self.last_checkpoint = Some(self.snapshot());
+        self.c.last_checkpoint = Some(self.snapshot());
         self.root_view[g] = (0, f64::NEG_INFINITY);
         self.gstate[g].steal_pending = false;
         self.evacuate_group(g);
-        let backoff_base = self
-            .plan
-            .as_ref()
-            .expect("sub-detect events imply a plan")
-            .cfg()
-            .respawn_backoff_ns;
-        let exp = self.gstate[g].respawns.min(20) as u32;
-        let backoff = backoff_base * f64::from(1u32 << exp.min(20));
+        let backoff = self.c.respawn_backoff(self.gstate[g].respawns);
         self.gstate[g].respawn_pending = true;
-        self.push_event(self.now + backoff, g, HEventKind::SubRespawn);
+        self.events
+            .push(self.c.now + backoff, g, HEventKind::SubRespawn);
     }
 
     fn on_sub_respawn(&mut self, g: usize) {
@@ -861,21 +616,21 @@ impl HierSupervisor {
         // The replacement must re-announce its (empty) load: drop the
         // delta-compression memory so the next due tick ships a summary.
         self.gstate[g].last_summary = None;
-        self.stats.faults.sub_respawns += 1;
+        self.c.stats.faults.sub_respawns += 1;
         // The replacement knows nothing: it re-learns the incumbent from
         // the root's next broadcast — but the root can tell it the current
         // value right here, in the respawn handshake.
-        if let Some((v, _)) = &self.root_incumbent {
-            self.gstate[g].incumbent = *v;
+        if self.root_incumbent.is_some() {
+            self.gstate[g].incumbent = self.root_incumbent.value();
         }
         let (t0, dur) = (
             self.gstate[g].down_since,
-            self.now - self.gstate[g].down_since,
+            self.c.now - self.gstate[g].down_since,
         );
         gmip_trace::record(|| {
             TraceSpan::complete(Track::cluster_rank(0), "sub.down", dur, t0).arg("group", g as u64)
         });
-        let ts = self.now;
+        let ts = self.c.now;
         gmip_trace::record(|| {
             TraceSpan::instant(Track::cluster_rank(0), names::SPAN_RECOVERY_SUB_RESPAWN, ts)
                 .arg("group", g as u64)
@@ -885,16 +640,16 @@ impl HierSupervisor {
     fn on_summary_due(&mut self, g: usize) {
         // The timer always re-arms, even through an outage — the group's
         // replacement resumes the cadence without root involvement.
-        self.push_event(
-            self.now + self.hcfg.summary_every_ns,
+        self.events.push(
+            self.c.now + self.hcfg.summary_every_ns,
             g,
             HEventKind::SummaryDue,
         );
         if !self.gstate[g].alive {
             return;
         }
-        let open = self.tree.open_in(g);
-        let bound = self.tree.best_bound_in(g).unwrap_or(f64::NEG_INFINITY);
+        let open = self.c.tree.open_in(g);
+        let bound = self.c.tree.best_bound_in(g).unwrap_or(f64::NEG_INFINITY);
         // Delta compression: ship only when the load report changed since
         // the last one. Idle groups fall silent (the root's view of them is
         // already exact), so root traffic follows *activity*, not wall time.
@@ -908,8 +663,8 @@ impl HierSupervisor {
             best_bound: bound,
         };
         let transfer = self.ship_root(summary.bytes());
-        self.push_event(
-            self.now + transfer,
+        self.events.push(
+            self.c.now + transfer,
             g,
             HEventKind::SummaryArrive { open, bound },
         );
@@ -918,7 +673,7 @@ impl HierSupervisor {
     fn on_summary_arrive(&mut self, g: usize, open: usize, bound: f64) {
         self.hier.summaries += 1;
         self.root_view[g] = (open, bound);
-        let (ts, o) = (self.now, open as u64);
+        let (ts, o) = (self.c.now, open as u64);
         gmip_trace::record(|| {
             TraceSpan::instant(Track::cluster_rank(0), names::SPAN_HIER_SUMMARY, ts)
                 .arg("group", g as u64)
@@ -931,11 +686,10 @@ impl HierSupervisor {
         let Some((from, value, x)) = self.inc_updates.remove(&xfer) else {
             return;
         };
-        let best = self.root_incumbent.as_ref().map(|(v, _)| *v);
-        if best.is_none_or(|b| value > b) {
-            self.root_incumbent = Some((value, x));
-            self.first_incumbent_ns.get_or_insert(self.now);
-            let (ts, obj) = (self.now, self.to_source(value));
+        if value > self.root_incumbent.value() {
+            let ts = self.c.now;
+            self.root_incumbent.set(value, x, || ts);
+            let obj = self.c.rules.to_source(value);
             gmip_trace::record(|| {
                 TraceSpan::instant(Track::cluster_rank(0), names::SPAN_HIER_INCUMBENT, ts)
                     .arg("objective", obj)
@@ -948,8 +702,8 @@ impl HierSupervisor {
                 }
                 self.hier.incumbent_broadcasts += 1;
                 let transfer = self.ship_root(INCUMBENT_BROADCAST_BYTES);
-                self.push_event(
-                    self.now + transfer,
+                self.events.push(
+                    self.c.now + transfer,
                     g,
                     HEventKind::IncumbentAtGroup { value },
                 );
@@ -965,8 +719,8 @@ impl HierSupervisor {
         // Group-scoped pruning: only the frontier this group owns — other
         // groups prune when their own broadcast arrives, so pruning power
         // honestly lags the root-link latency.
-        let tol = self.cfg.prune_tol;
-        self.tree.prune_dominated_in(g, value, tol);
+        let tol = self.c.cfg.prune_tol;
+        self.c.tree.prune_dominated_in(g, value, tol);
     }
 
     /// The root arbitrates a steal: pick a victim from the summary view
@@ -1003,14 +757,14 @@ impl HierSupervisor {
         self.steal_counter += 1;
         let victim = top[pick].expect("pick < cands");
         let transfer = self.ship_root(STEAL_CONTROL_BYTES);
-        let (ts, v) = (self.now, victim as u64);
+        let (ts, v) = (self.c.now, victim as u64);
         gmip_trace::record(|| {
             TraceSpan::instant(Track::cluster_rank(0), names::SPAN_HIER_STEAL_GRANT, ts)
                 .arg("thief", thief as u64)
                 .arg("victim", v)
         });
-        self.push_event(
-            self.now + transfer,
+        self.events.push(
+            self.c.now + transfer,
             victim,
             HEventKind::StealOrderAtVictim { thief },
         );
@@ -1018,7 +772,8 @@ impl HierSupervisor {
 
     fn deny_steal(&mut self, thief: usize) {
         let transfer = self.ship_root(STEAL_CONTROL_BYTES);
-        self.push_event(self.now + transfer, thief, HEventKind::StealDenyAtGroup);
+        self.events
+            .push(self.c.now + transfer, thief, HEventKind::StealDenyAtGroup);
     }
 
     fn on_steal_deny(&mut self, g: usize) {
@@ -1029,9 +784,9 @@ impl HierSupervisor {
         // number of times per idle stretch instead of once per tick.
         let shift = self.gstate[g].deny_streak.min(10);
         self.gstate[g].steal_backoff_until =
-            self.now + self.hcfg.summary_every_ns * (1u64 << shift) as f64;
+            self.c.now + self.hcfg.summary_every_ns * (1u64 << shift) as f64;
         self.gstate[g].deny_streak = self.gstate[g].deny_streak.saturating_add(1);
-        let ts = self.now;
+        let ts = self.c.now;
         gmip_trace::record(|| {
             TraceSpan::instant(Track::cluster_rank(0), names::SPAN_HIER_STEAL_DENY, ts)
                 .arg("thief", g as u64)
@@ -1047,19 +802,19 @@ impl HierSupervisor {
             self.deny_steal(thief);
             return;
         }
-        if self.tree.open_in(victim) < 2 {
+        if self.c.tree.open_in(victim) < 2 {
             self.deny_steal(thief);
             return;
         }
-        let mut batch: Vec<NodeId> = self.tree.iter_in(victim).collect();
-        batch.sort_unstable_by_key(|&id| (self.tree.node(id).depth, id));
+        let mut batch: Vec<NodeId> = self.c.tree.iter_in(victim).collect();
+        batch.sort_unstable_by_key(|&id| (self.c.tree.node(id).depth, id));
         batch.truncate((batch.len() / 2).max(1).min(self.hcfg.steal_max));
         for &id in &batch {
-            self.tree.begin_evaluation(id); // the fence: out of the active set
+            self.c.tree.begin_evaluation(id); // the fence: out of the active set
         }
         self.hier.steals += 1;
         self.hier.stolen_subtrees += batch.len();
-        let (ts, k) = (self.now, batch.len() as u64);
+        let (ts, k) = (self.c.now, batch.len() as u64);
         gmip_trace::record(|| {
             TraceSpan::instant(Track::cluster_rank(0), names::SPAN_HIER_HANDOFF, ts)
                 .arg("from", victim as u64)
@@ -1094,8 +849,8 @@ impl HierSupervisor {
                     self.next_xfer += 1;
                     self.in_transit.insert(xfer2, (g, nodes));
                     self.inbound[g] += 1;
-                    self.push_event(
-                        self.now + self.hcfg.summary_every_ns,
+                    self.events.push(
+                        self.c.now + self.hcfg.summary_every_ns,
                         g,
                         HEventKind::SubtreeArrive { xfer: xfer2 },
                     );
@@ -1107,15 +862,70 @@ impl HierSupervisor {
         self.gstate[g].deny_streak = 0; // fed: probe eagerly again next time
         self.hier.transit_arrivals += nodes.len();
         for id in nodes {
-            debug_assert_eq!(self.tree.node(id).group, g);
-            self.tree.reopen(id);
+            debug_assert_eq!(self.c.tree.node(id).group, g);
+            self.c.tree.reopen(id);
+        }
+    }
+
+    /// Group `g`'s incumbent sink: an improving integer-feasible point
+    /// tightens the group's own pruning value now (scoped prune — the rest
+    /// of the cluster prunes when the root's broadcast reaches it) and is
+    /// pushed, value and point, to the root.
+    fn offer(&mut self, g: usize, value: f64, x: Vec<f64>) {
+        if value > self.gstate[g].incumbent {
+            self.gstate[g].incumbent = value;
+            let upd = IncumbentUpdate {
+                value,
+                x: self.c.rules.rounded(x),
+            };
+            self.c
+                .tree
+                .prune_dominated_in(g, value, self.c.cfg.prune_tol);
+            let transfer = self.ship_root(upd.bytes());
+            let xfer = self.next_xfer;
+            self.next_xfer += 1;
+            self.inc_updates.insert(xfer, (g, value, upd.x));
+            self.pending_root_updates += 1;
+            self.events.push(
+                self.c.now + transfer,
+                0,
+                HEventKind::IncumbentAtRoot { xfer },
+            );
+        }
+    }
+
+    /// Where the children of a node of `partition` at `depth` go: spread
+    /// over *groups* by binary fan-out near the root, then inherit — once
+    /// the frontier is wide enough every group owns a subtree and
+    /// intra-group dispatch takes over. A permanently retired group must
+    /// never be a target — fall back to the parent's group, or to any group
+    /// that still has ranks (last-rank immunity guarantees one exists).
+    fn placement(&self, partition: usize, depth: usize) -> [usize; 2] {
+        let route = |p: usize| {
+            if !self.group_retired(p) {
+                p
+            } else if !self.group_retired(partition) {
+                partition
+            } else {
+                (0..self.groups)
+                    .find(|&o| !self.group_retired(o))
+                    .expect("last-rank immunity: some group has a rank")
+            }
+        };
+        if depth < 63 && (1usize << (depth + 1)) <= self.groups * 2 {
+            [
+                route((partition * 2) % self.groups),
+                route((partition * 2 + 1) % self.groups),
+            ]
+        } else {
+            [route(partition); 2]
         }
     }
 
     /// Processes one merged report (counted toward the determinism audit).
     fn process(&mut self, worker: usize, report: NodeReport) {
-        self.stats.nodes += 1;
-        self.stats.lp_iterations += report.lp_iterations;
+        self.c.stats.nodes += 1;
+        self.c.stats.lp_iterations += report.lp_iterations;
         let id = report.node_id;
         if id >= self.eval_counts.len() {
             self.eval_counts.resize(id + 1, 0);
@@ -1123,149 +933,39 @@ impl HierSupervisor {
         self.eval_counts[id] += 1;
         let g = self.group_of(worker);
         // A fix-and-propagate candidate rides along with any outcome and
-        // enters the group's incumbent path (scoped prune now, root push for
-        // the cluster-wide broadcast) before the node itself is settled.
-        if let Some((internal, x)) = report.heur {
-            if internal > self.gstate[g].incumbent {
-                self.gstate[g].incumbent = internal;
-                let mut p = x;
-                for &j in &self.integral {
-                    p[j] = p[j].round();
-                }
-                let tol = self.cfg.prune_tol;
-                self.tree.prune_dominated_in(g, internal, tol);
-                let upd = IncumbentUpdate {
-                    value: internal,
-                    x: p.clone(),
-                };
-                let transfer = self.ship_root(upd.bytes());
-                let xfer = self.next_xfer;
-                self.next_xfer += 1;
-                self.inc_updates.insert(xfer, (g, internal, p));
-                self.pending_root_updates += 1;
-                self.push_event(self.now + transfer, 0, HEventKind::IncumbentAtRoot { xfer });
-            }
+        // enters the group's incumbent path before the node itself is
+        // settled.
+        if let Some((value, x)) = report.heur {
+            self.offer(g, value, x);
         }
-        match report.outcome {
-            NodeOutcome::Infeasible => {
-                self.tree
-                    .settle(id, NodeState::Infeasible, f64::NEG_INFINITY);
-            }
-            NodeOutcome::Pruned { bound } => {
-                self.tree.settle(id, NodeState::Pruned, bound);
-            }
-            NodeOutcome::IntegerFeasible { internal, x } => {
-                self.tree.settle(id, NodeState::Feasible, internal);
-                if internal > self.gstate[g].incumbent {
-                    self.gstate[g].incumbent = internal;
-                    let mut p = x;
-                    for &j in &self.integral {
-                        p[j] = p[j].round();
-                    }
-                    // Scoped prune now; the rest of the cluster prunes when
-                    // the root's broadcast reaches it.
-                    let tol = self.cfg.prune_tol;
-                    self.tree.prune_dominated_in(g, internal, tol);
-                    // Push the update (value + point) to the root.
-                    let upd = IncumbentUpdate {
-                        value: internal,
-                        x: p.clone(),
-                    };
-                    let transfer = self.ship_root(upd.bytes());
-                    let xfer = self.next_xfer;
-                    self.next_xfer += 1;
-                    self.inc_updates.insert(xfer, (g, internal, p));
-                    self.pending_root_updates += 1;
-                    self.push_event(self.now + transfer, 0, HEventKind::IncumbentAtRoot { xfer });
-                }
-            }
-            NodeOutcome::Branch {
+        let settled = settle_outcome(
+            &self.c.rules,
+            &self.c.instance,
+            &mut self.c.tree,
+            id,
+            report.outcome,
+            self.gstate[g].incumbent,
+            &mut self.c.stats.root_basis,
+        );
+        match settled {
+            Settled::Closed => {}
+            Settled::Feasible { value, x } => self.offer(g, value, x),
+            Settled::Branch {
                 bound,
-                var,
-                value,
-                basis,
+                mut children,
             } => {
-                if id == self.tree.root() && self.stats.root_basis.is_none() {
-                    self.stats.root_basis = basis.clone();
+                let parent = self.c.tree.node(id);
+                let parts = self.placement(parent.data.partition, parent.depth);
+                for (child, part) in children.iter_mut().zip(parts) {
+                    child.1.partition = part;
                 }
-                if bound <= self.gstate[g].incumbent + self.cfg.prune_tol {
-                    self.tree.settle(id, NodeState::Pruned, bound);
-                    return;
-                }
-                let parent = self.tree.node(id);
-                let parent_partition = parent.data.partition;
-                let parent_depth = parent.depth;
-                let bounds = parent.data.bounds.clone();
-                let (mut lo, mut hi) = (self.instance.vars[var].lb, self.instance.vars[var].ub);
-                for bc in &bounds {
-                    if bc.var == var {
-                        lo = bc.lb;
-                        hi = bc.ub;
-                    }
-                }
-                let name = self.instance.vars[var].name.clone();
-                let mk = |up: bool, part: usize| {
-                    let mut child_bounds = bounds.clone();
-                    let label = if up {
-                        child_bounds.push(BoundChange {
-                            var,
-                            lb: value.ceil(),
-                            ub: hi,
-                        });
-                        format!("{name} ≥ {}", value.ceil())
-                    } else {
-                        child_bounds.push(BoundChange {
-                            var,
-                            lb: lo,
-                            ub: value.floor(),
-                        });
-                        format!("{name} ≤ {}", value.floor())
-                    };
-                    (
-                        label,
-                        ParPayload {
-                            bounds: child_bounds,
-                            warm_basis: basis.clone(),
-                            partition: part,
-                        },
-                    )
-                };
-                // Spread subtrees over *groups* by binary fan-out near the
-                // root, then inherit: once the frontier is wide enough every
-                // group owns a subtree and intra-group dispatch takes over.
-                // A permanently retired group must never be a target — fall
-                // back to the parent's group, or to any group that still
-                // has ranks (last-rank immunity guarantees one exists).
-                let route = |p: usize| {
-                    if !self.group_retired(p) {
-                        p
-                    } else if !self.group_retired(parent_partition) {
-                        parent_partition
-                    } else {
-                        (0..self.groups)
-                            .find(|&o| !self.group_retired(o))
-                            .expect("last-rank immunity: some group has a rank")
-                    }
-                };
-                let spread = parent_depth < 63 && (1usize << (parent_depth + 1)) <= self.groups * 2;
-                let children = if spread {
-                    let (d, u) = (
-                        route((parent_partition * 2) % self.groups),
-                        route((parent_partition * 2 + 1) % self.groups),
-                    );
-                    vec![mk(false, d), mk(true, u)]
-                } else {
-                    let p = route(parent_partition);
-                    vec![mk(false, p), mk(true, p)]
-                };
-                let ids = self.tree.branch(id, bound, children);
+                let ids = self.c.tree.branch(id, bound, children);
                 // A child spread to a *different* group physically travels
                 // there: through the same in-transit fence as a steal, over
                 // two root-link hops. Same-group children are live at once.
-                for cid in ids {
-                    let dest = self.tree.node(cid).data.partition;
+                for (cid, dest) in ids.into_iter().zip(parts) {
                     if dest != g {
-                        self.tree.begin_evaluation(cid);
+                        self.c.tree.begin_evaluation(cid);
                         self.ship_subtrees(dest, vec![cid], 2);
                     }
                 }
@@ -1280,6 +980,7 @@ impl HierSupervisor {
         let mut parts: Vec<Checkpoint> = (0..self.groups)
             .map(|g| {
                 let frontier: Vec<Vec<BoundChange>> = self
+                    .c
                     .tree
                     .iter()
                     .filter(|n| n.state.is_open() && n.group == g)
@@ -1288,135 +989,90 @@ impl HierSupervisor {
                 Checkpoint::new(frontier, None)
             })
             .collect();
-        parts.push(Checkpoint::new(Vec::new(), self.root_incumbent.clone()));
+        parts.push(Checkpoint::new(
+            Vec::new(),
+            self.root_incumbent.best().cloned(),
+        ));
         Checkpoint::merge(parts)
     }
 
     /// Runs to completion (or node limit); consumes the supervisor.
     pub fn run(mut self) -> LpResult<HierResult> {
-        let mut last_checkpoint_at = 0usize;
-        let status = loop {
-            if self.stats.nodes >= self.cfg.node_limit {
-                break MipStatus::NodeLimit;
+        // Breaks with whether the node limit cut the search short.
+        let stopped = loop {
+            if self.c.stats.nodes >= self.c.cfg.node_limit {
+                break true;
             }
             self.dispatch()?;
             // Done only when nothing is open, in flight, in transit, *or*
             // still climbing to the root — terminating before the last
             // incumbent update lands would report a stale objective.
-            if !self.tree.has_active()
-                && self.ranks.outstanding() == 0
+            if !self.c.tree.has_active()
+                && self.c.ranks.outstanding() == 0
                 && self.in_transit.is_empty()
                 && self.pending_root_updates == 0
             {
-                break if self.root_incumbent.is_some() {
-                    MipStatus::Optimal
-                } else {
-                    MipStatus::Infeasible
-                };
+                break false;
             }
-            let Some(Reverse(ev)) = self.events.pop() else {
-                break if self.root_incumbent.is_some() {
-                    MipStatus::Optimal
-                } else {
-                    MipStatus::Infeasible
-                };
+            let Some(ev) = self.events.pop() else {
+                break false;
             };
-            self.now = self.now.max(ev.time);
-            let nodes_before = self.stats.nodes;
+            self.c.now = self.c.now.max(ev.time);
+            let nodes_before = self.c.stats.nodes;
+            let entity = ev.entity;
             match ev.kind {
-                HEventKind::Deliver { dispatch } => self.on_deliver(ev.entity, dispatch),
-                HEventKind::AckTimeout { dispatch } => self.on_ack_timeout(ev.entity, dispatch),
-                HEventKind::RankCrash => self.on_rank_crash(ev.entity),
-                HEventKind::RankDetect => self.on_rank_detect(ev.entity),
-                HEventKind::RankRespawn => self.on_rank_respawn(ev.entity)?,
-                HEventKind::SubCrash => self.on_sub_crash(ev.entity),
-                HEventKind::SubDetect => self.on_sub_detect(ev.entity),
-                HEventKind::SubRespawn => self.on_sub_respawn(ev.entity),
-                HEventKind::SummaryDue => self.on_summary_due(ev.entity),
-                HEventKind::SummaryArrive { open, bound } => {
-                    self.on_summary_arrive(ev.entity, open, bound)
-                }
-                HEventKind::IncumbentAtRoot { xfer } => self.on_incumbent_at_root(xfer),
-                HEventKind::IncumbentAtGroup { value } => {
-                    self.on_incumbent_at_group(ev.entity, value)
-                }
-                HEventKind::StealRequestAtRoot { thief } => self.on_steal_request(thief),
-                HEventKind::StealDenyAtGroup => self.on_steal_deny(ev.entity),
-                HEventKind::StealOrderAtVictim { thief } => self.on_steal_order(ev.entity, thief),
-                HEventKind::SubtreeArrive { xfer } => self.on_subtree_arrive(ev.entity, xfer),
-            }
-            if self.stats.nodes > nodes_before {
-                if let Some(every) = self.cfg.checkpoint_every {
-                    if self.stats.nodes >= last_checkpoint_at + every {
-                        last_checkpoint_at = self.stats.nodes;
-                        let snap = self.snapshot();
-                        let (t0, dur) = (self.now, 2_000.0 + snap.bytes() as f64);
-                        let (ck_bytes, frontier) =
-                            (snap.bytes() as u64, snap.frontier.len() as u64);
-                        gmip_trace::record(|| {
-                            TraceSpan::complete(Track::cluster_rank(0), "checkpoint", dur, t0)
-                                .arg("bytes", ck_bytes)
-                                .arg("frontier", frontier)
-                        });
-                        self.now += dur;
-                        self.last_checkpoint = Some(snap.clone());
-                        self.snapshots.push(snap);
-                        self.stats.checkpoints += 1;
+                // A report whose sub-supervisor died in the meantime is lost
+                // with it: the group's evacuation reassigns the node.
+                HEventKind::Deliver { dispatch } if self.gstate[self.group_of(entity)].alive => {
+                    if let Some(report) = self.c.delivered(entity, dispatch) {
+                        self.process(entity, report);
                     }
                 }
+                HEventKind::Deliver { .. } => {}
+                HEventKind::AckTimeout { dispatch } => self.c.ack_timeout(entity, dispatch),
+                HEventKind::RankCrash => {
+                    if let Some(at) = self.c.crash(entity) {
+                        self.events.push(at, entity, HEventKind::RankDetect);
+                    }
+                }
+                HEventKind::RankDetect => self.on_rank_detect(entity),
+                HEventKind::RankRespawn => self.c.respawn(entity)?,
+                HEventKind::SubCrash => self.on_sub_crash(entity),
+                HEventKind::SubDetect => self.on_sub_detect(entity),
+                HEventKind::SubRespawn => self.on_sub_respawn(entity),
+                HEventKind::SummaryDue => self.on_summary_due(entity),
+                HEventKind::SummaryArrive { open, bound } => {
+                    self.on_summary_arrive(entity, open, bound)
+                }
+                HEventKind::IncumbentAtRoot { xfer } => self.on_incumbent_at_root(xfer),
+                HEventKind::IncumbentAtGroup { value } => self.on_incumbent_at_group(entity, value),
+                HEventKind::StealRequestAtRoot { thief } => self.on_steal_request(thief),
+                HEventKind::StealDenyAtGroup => self.on_steal_deny(entity),
+                HEventKind::StealOrderAtVictim { thief } => self.on_steal_order(entity, thief),
+                HEventKind::SubtreeArrive { xfer } => self.on_subtree_arrive(entity, xfer),
+            }
+            if self.c.checkpoint_due(nodes_before) {
+                let snap = self.snapshot();
+                self.c.store_checkpoint(snap);
             }
         };
-        self.stats.makespan_ns = self.now;
-        self.stats.worker_busy_ns = self
-            .workers
-            .iter()
-            .zip(&self.lost_busy_ns)
-            .map(|(w, lost)| w.busy_ns + lost)
-            .collect();
-        if self.now > 0.0 {
-            let busy_sum: f64 = self.stats.worker_busy_ns.iter().sum();
-            self.stats.idle_fraction = 1.0 - busy_sum / (self.now * self.workers.len() as f64);
-        }
-        self.stats.tree = self.tree.stats().clone();
+        self.c.close_ledger();
         self.hier.max_evaluations_per_node = self.eval_counts.iter().copied().max().unwrap_or(0);
-        let (msgs, bytes, ckpts) = (
-            self.stats.messages,
-            self.stats.message_bytes,
-            self.stats.checkpoints,
+        let (h, f) = (&self.hier, self.c.stats.faults);
+        let m = &mut self.c.stats.metrics;
+        m.set_gauge(names::HIER_GROUPS, h.groups as f64);
+        m.incr(names::HIER_ROOT_MESSAGES, h.root_messages as f64);
+        m.incr(names::HIER_ROOT_BYTES, h.root_message_bytes as f64);
+        m.incr(names::HIER_SUMMARIES, h.summaries as f64);
+        m.incr(
+            names::HIER_INCUMBENT_BROADCASTS,
+            h.incumbent_broadcasts as f64,
         );
-        self.stats
-            .metrics
-            .incr(names::CLUSTER_MESSAGES, msgs as f64);
-        self.stats.metrics.incr(names::CLUSTER_BYTES, bytes as f64);
-        self.stats
-            .metrics
-            .incr(names::CLUSTER_CHECKPOINTS, ckpts as f64);
-        {
-            let h = self.hier.clone();
-            let m = &mut self.stats.metrics;
-            m.set_gauge(names::HIER_GROUPS, h.groups as f64);
-            m.incr(names::HIER_ROOT_MESSAGES, h.root_messages as f64);
-            m.incr(names::HIER_ROOT_BYTES, h.root_message_bytes as f64);
-            m.incr(names::HIER_SUMMARIES, h.summaries as f64);
-            m.incr(
-                names::HIER_INCUMBENT_BROADCASTS,
-                h.incumbent_broadcasts as f64,
-            );
-            m.incr(names::HIER_STEALS, h.steals as f64);
-            m.incr(names::HIER_STEAL_SUBTREES, h.stolen_subtrees as f64);
-            m.incr(names::HIER_STEAL_DENIED, h.steal_denied as f64);
-            m.incr(names::HIER_TRANSIT_ARRIVALS, h.transit_arrivals as f64);
-        }
-        if self.plan.is_some() {
-            let f = self.stats.faults;
-            let m = &mut self.stats.metrics;
-            m.incr(names::FAULT_CRASHES, f.crashes as f64);
-            m.incr(names::FAULT_DROPS, f.drops as f64);
-            m.incr(names::FAULT_DELAYS, f.delays as f64);
-            m.incr(names::FAULT_STRAGGLES, f.straggles as f64);
-            m.incr(names::RECOVERY_REASSIGNMENTS, f.reassignments as f64);
-            m.incr(names::RECOVERY_RESPAWNS, f.respawns as f64);
-            m.incr(names::RECOVERY_DEGRADED_RANKS, f.degraded_ranks as f64);
+        m.incr(names::HIER_STEALS, h.steals as f64);
+        m.incr(names::HIER_STEAL_SUBTREES, h.stolen_subtrees as f64);
+        m.incr(names::HIER_STEAL_DENIED, h.steal_denied as f64);
+        m.incr(names::HIER_TRANSIT_ARRIVALS, h.transit_arrivals as f64);
+        if self.c.plan.is_some() {
             m.incr(names::FAULT_SUB_CRASHES, f.sub_crashes as f64);
             m.incr(names::RECOVERY_SUB_RESPAWNS, f.sub_respawns as f64);
             m.incr(
@@ -1424,25 +1080,17 @@ impl HierSupervisor {
                 f.group_reassigned_subtrees as f64,
             );
         }
-        for w in &self.workers {
-            self.stats.metrics.merge(&w.metrics());
+        if let Some(t) = self.root_incumbent.first_ns() {
+            m.set_gauge(names::HEUR_FIRST_INCUMBENT_NS, t);
         }
-        if let Some(t) = self.first_incumbent_ns {
-            self.stats
-                .metrics
-                .set_gauge(names::HEUR_FIRST_INCUMBENT_NS, t);
-        }
-        let (objective, x) = match &self.root_incumbent {
-            Some((v, p)) => (self.to_source(*v), p.clone()),
-            None => (f64::NAN, Vec::new()),
-        };
+        let done = self.c.rules.finish(self.root_incumbent, stopped);
         Ok(HierResult {
-            status,
-            objective,
-            x,
-            stats: self.stats,
+            status: done.status,
+            objective: done.objective,
+            x: done.x,
+            stats: self.c.stats,
             hier: self.hier,
-            snapshots: self.snapshots,
+            snapshots: self.c.snapshots,
         })
     }
 }
@@ -1460,17 +1108,9 @@ pub fn solve_hierarchical(
 mod tests {
     use super::*;
     use crate::chaos::ChaosConfig;
-    use crate::supervisor::solve_parallel;
+    use crate::supervisor::{solve_parallel, tests::cfg};
     use gmip_problems::catalog::{infeasible_instance, textbook_mip};
     use gmip_problems::generators::knapsack::{knapsack, knapsack_brute_force};
-
-    fn cfg(workers: usize) -> ParallelConfig {
-        ParallelConfig {
-            workers,
-            gpu_mem: 1 << 24,
-            ..Default::default()
-        }
-    }
 
     fn hcfg(fanout: usize) -> HierarchyConfig {
         HierarchyConfig {

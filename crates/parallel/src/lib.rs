@@ -27,6 +27,7 @@
 
 pub mod chaos;
 pub mod checkpoint;
+mod cluster;
 pub mod comm;
 mod exchange;
 pub mod hierarchy;

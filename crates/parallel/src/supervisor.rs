@@ -17,20 +17,18 @@
 //! backoff respawns, and graceful degradation to fewer ranks when a rank's
 //! respawn budget is exhausted.
 
-use crate::chaos::{ChaosConfig, FaultPlan, FaultStats};
+use crate::chaos::{ChaosConfig, FaultStats};
 use crate::checkpoint::Checkpoint;
-use crate::comm::{NetworkModel, NodeOutcome, NodeReport};
-use crate::exchange::{assignment, exchange, Completion};
-use crate::roster::{InFlight, Roster};
-use crate::worker::Worker;
+use crate::cluster::{Cluster, EventQueue, Recovery};
+use crate::comm::{NetworkModel, NodeReport};
+use crate::exchange::{settle_outcome, Completion, Settled};
+use gmip_core::search::Incumbent;
 use gmip_core::MipStatus;
 use gmip_gpu::CostModel;
 use gmip_lp::{Basis, BoundChange, LpConfig, LpResult};
-use gmip_problems::{MipInstance, Objective};
+use gmip_problems::MipInstance;
 use gmip_trace::{names, Event as TraceSpan, MetricsRegistry, Track};
-use gmip_tree::{NodeId, NodeState, SearchTree, TreeStats};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use gmip_tree::{NodeId, TreeStats};
 
 /// Work-distribution mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -214,140 +212,39 @@ enum EventKind {
     Respawn,
 }
 
-#[derive(Debug, PartialEq)]
-struct Event {
-    time: f64,
-    /// Global monotone tie-break: identical times resolve in push order,
-    /// keeping the heap order (and therefore the whole run) deterministic.
-    seq: u64,
-    worker: usize,
-    kind: EventKind,
-}
-
-impl Eq for Event {}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.time
-            .partial_cmp(&other.time)
-            .expect("event times are never NaN")
-            .then(self.seq.cmp(&other.seq))
-    }
-}
-
 /// The discrete-event supervisor.
 #[derive(Debug)]
 pub struct Supervisor {
-    instance: MipInstance,
-    /// `instance.integral_indices()`, computed once at construction.
-    integral: Vec<usize>,
-    cfg: ParallelConfig,
-    tree: SearchTree<ParPayload>,
-    workers: Vec<Worker>,
-    /// Per-rank liveness and outstanding exchange.
-    ranks: Roster,
-    /// Busy time of crashed incarnations, per rank (the replacement worker
-    /// starts its own ledger at zero).
-    lost_busy_ns: Vec<f64>,
-    events: BinaryHeap<Reverse<Event>>,
-    next_seq: u64,
-    next_dispatch: u64,
-    now: f64,
-    incumbent: Option<(f64, Vec<f64>)>,
-    stats: ParallelStats,
-    snapshots: Vec<Checkpoint>,
-    /// The most recent consistent snapshot (periodic or taken at a crash
-    /// detection) — what a real deployment would have on disk.
-    last_checkpoint: Option<Checkpoint>,
-    /// The seeded fault plan (None = reliable machine).
-    plan: Option<FaultPlan>,
-    /// Simulated time of the first incumbent (E12's time-to-first-incumbent
-    /// metric; surfaced as the `heur.first_incumbent_ns` gauge).
-    first_incumbent_ns: Option<f64>,
+    /// The ranks, the tree, the clock and the ledger.
+    c: Cluster,
+    /// Scheduled events; `entity` is the rank.
+    events: EventQueue<EventKind>,
+    /// The incumbent and the simulated time of the first one (E12's
+    /// time-to-first-incumbent metric; surfaced as the
+    /// `heur.first_incumbent_ns` gauge).
+    incumbent: Incumbent,
 }
 
 impl Supervisor {
     /// Builds a supervisor and its worker ranks; schedules any planned
     /// crashes on the event queue.
     pub fn new(instance: MipInstance, cfg: ParallelConfig) -> LpResult<Self> {
-        assert!(cfg.workers >= 1, "need at least one worker");
-        let mut workers = Vec::with_capacity(cfg.workers);
-        for id in 0..cfg.workers {
-            workers.push(
-                Worker::new_with_backend(
-                    id,
-                    &instance,
-                    cfg.gpu_cost.clone(),
-                    cfg.gpu_mem,
-                    cfg.lp.clone(),
-                    cfg.int_tol,
-                    cfg.batched_lanes,
-                    cfg.first_order_lanes,
-                    cfg.backend,
-                )?
-                .with_propagation(cfg.propagate, cfg.heuristic_period),
-            );
-        }
-        let node_bytes = (instance.num_cons() + 2 * instance.num_vars()) * 8 + 128;
-        let plan = cfg
-            .chaos
-            .clone()
-            .map(|chaos| FaultPlan::new(chaos, cfg.workers));
         let mut sup = Self {
-            tree: SearchTree::with_root(ParPayload::default(), node_bytes),
-            ranks: Roster::new(cfg.workers),
-            lost_busy_ns: vec![0.0; cfg.workers],
-            workers,
-            events: BinaryHeap::new(),
-            next_seq: 0,
-            next_dispatch: 0,
-            now: 0.0,
-            incumbent: None,
-            stats: ParallelStats::default(),
-            snapshots: Vec::new(),
-            last_checkpoint: None,
-            plan,
-            first_incumbent_ns: None,
-            integral: instance.integral_indices(),
-            instance,
-            cfg,
+            c: Cluster::new(instance, cfg)?,
+            events: EventQueue::new(),
+            incumbent: Incumbent::default(),
         };
-        if let Some(plan) = &sup.plan {
-            for &(time, worker) in &plan.crash_schedule().to_vec() {
-                sup.push_event(time, worker, EventKind::Crash);
+        if let Some(plan) = &sup.c.plan {
+            for &(time, worker) in plan.crash_schedule() {
+                sup.events.push(time, worker, EventKind::Crash);
             }
         }
         // Warm-start entry point: a pooled solution becomes the initial
         // incumbent once it re-validates on this (possibly perturbed)
         // instance, so every dispatched assignment prunes against it.
-        if let Some(seed) = sup.cfg.seed_solution.clone() {
-            let mut p = seed;
-            for &j in &sup.integral {
-                if let Some(v) = p.get_mut(j) {
-                    *v = v.round();
-                }
-            }
-            if sup.instance.is_integer_feasible(&p, 1e-6) {
-                let source = sup.instance.objective_value(&p);
-                let internal = match sup.instance.objective {
-                    Objective::Maximize => source,
-                    Objective::Minimize => -source,
-                };
-                sup.incumbent = Some((internal, p));
-                sup.first_incumbent_ns = Some(0.0);
-                sup.stats.metrics.incr(names::BB_WARM_SEEDS, 1.0);
-            }
-        }
-        if sup.cfg.warm_start {
-            if let Some(b) = sup.cfg.root_basis.clone() {
-                let root = sup.tree.root();
-                sup.tree.data_mut(root).warm_basis = Some(b);
+        if let Some(seed) = &sup.c.cfg.seed_solution {
+            if sup.incumbent.seed(&sup.c.rules, &sup.c.instance, seed, 0.0) {
+                sup.c.stats.metrics.incr(names::BB_WARM_SEEDS, 1.0);
             }
         }
         Ok(sup)
@@ -361,7 +258,7 @@ impl Supervisor {
     ) -> LpResult<Self> {
         let mut sup = Self::new(instance, cfg)?;
         // Expand the root into the checkpointed frontier.
-        sup.tree.begin_evaluation(sup.tree.root());
+        sup.c.tree.begin_evaluation(sup.c.tree.root());
         let children: Vec<(String, ParPayload)> = checkpoint
             .frontier
             .iter()
@@ -372,41 +269,19 @@ impl Supervisor {
                     ParPayload {
                         bounds: bounds.clone(),
                         warm_basis: None,
-                        partition: i % sup.cfg.workers,
+                        partition: i % sup.c.cfg.workers,
                     },
                 )
             })
             .collect();
-        let ids = sup.tree.branch(sup.tree.root(), f64::INFINITY, children);
+        let ids = sup
+            .c
+            .tree
+            .branch(sup.c.tree.root(), f64::INFINITY, children);
         sup.index_partitions(&ids);
-        sup.incumbent = checkpoint.incumbent.clone();
-        sup.last_checkpoint = Some(checkpoint.clone());
+        sup.incumbent.restore(checkpoint.incumbent.clone());
+        sup.c.last_checkpoint = Some(checkpoint.clone());
         Ok(sup)
-    }
-
-    fn push_event(&mut self, time: f64, worker: usize, kind: EventKind) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.events.push(Reverse(Event {
-            time,
-            seq,
-            worker,
-            kind,
-        }));
-    }
-
-    fn to_source(&self, internal: f64) -> f64 {
-        match self.instance.objective {
-            Objective::Maximize => internal,
-            Objective::Minimize => -internal,
-        }
-    }
-
-    fn incumbent_internal(&self) -> f64 {
-        self.incumbent
-            .as_ref()
-            .map(|(v, _)| *v)
-            .unwrap_or(f64::NEG_INFINITY)
     }
 
     /// Mirrors the static partition of `ids` into the tree's scheduling
@@ -414,9 +289,11 @@ impl Supervisor {
     /// there the partition stays a payload tag (it only feeds the migration
     /// counter) and every node keeps group 0.
     fn index_partitions(&mut self, ids: &[NodeId]) {
-        if self.cfg.load_balance == LoadBalance::Static {
+        if self.c.cfg.load_balance == LoadBalance::Static {
             for &id in ids {
-                self.tree.set_group(id, self.tree.node(id).data.partition);
+                self.c
+                    .tree
+                    .set_group(id, self.c.tree.node(id).data.partition);
             }
         }
     }
@@ -427,45 +304,46 @@ impl Supervisor {
         // A static rank draws from its own partition, plus the orphaned
         // partitions of retired ranks: any survivor may adopt those
         // (graceful degradation).
-        let (own, orphaned): (usize, &[usize]) = match self.cfg.load_balance {
+        let (own, orphaned): (usize, &[usize]) = match self.c.cfg.load_balance {
             LoadBalance::Dynamic => (0, &[]),
-            LoadBalance::Static => (worker, self.ranks.retired()),
+            LoadBalance::Static => (worker, self.c.ranks.retired()),
         };
         let groups = std::iter::once(own).chain(orphaned.iter().copied());
         if ramping {
             // Breadth-first widening: shallowest node first. Ramping means
             // fewer open nodes than ranks, so this scan is short.
             groups
-                .flat_map(|g| self.tree.iter_in(g))
-                .min_by_key(|&id| (self.tree.node(id).depth, id))
+                .flat_map(|g| self.c.tree.iter_in(g))
+                .min_by_key(|&id| (self.c.tree.node(id).depth, id))
         } else {
-            self.tree.best_among(groups)
+            self.c.tree.best_among(groups)
         }
     }
 
     /// The lowest idle rank at or after `from` that some open node is
     /// eligible for.
     fn next_candidate(&self, from: usize) -> Option<usize> {
-        if !self.tree.has_active() {
+        if !self.c.tree.has_active() {
             return None;
         }
-        let mut w = self.ranks.next_idle(from)?;
+        let mut w = self.c.ranks.next_idle(from)?;
         // Under static balancing with no orphaned work, a rank is a
         // candidate only if its own partition has open nodes: leapfrog
         // between the idle ranks and the non-empty partitions.
-        if self.cfg.load_balance == LoadBalance::Static
+        if self.c.cfg.load_balance == LoadBalance::Static
             && self
+                .c
                 .ranks
                 .retired()
                 .iter()
-                .all(|&p| self.tree.open_in(p) == 0)
+                .all(|&p| self.c.tree.open_in(p) == 0)
         {
             loop {
-                let g = self.tree.next_open_group(w)?;
+                let g = self.c.tree.next_open_group(w)?;
                 if g == w {
                     break;
                 }
-                w = self.ranks.next_idle(g)?;
+                w = self.c.ranks.next_idle(g)?;
             }
         }
         Some(w)
@@ -475,12 +353,12 @@ impl Supervisor {
     fn dispatch(&mut self) -> LpResult<()> {
         // A dispatch moves one node from the active set to in-flight, so
         // the ramping predicate's sum is invariant across the round.
-        let ramping = self.cfg.ramp_up
-            && self.tree.active_ids().len() + self.ranks.outstanding() < self.cfg.workers;
+        let ramping = self.c.cfg.ramp_up
+            && self.c.tree.active_ids().len() + self.c.ranks.outstanding() < self.c.cfg.workers;
         let mut from = 0;
         while let Some(w) = self.next_candidate(from) {
             from = w + 1;
-            if self.workers[w].busy_until > self.now {
+            if self.c.workers[w].busy_until > self.c.now {
                 continue;
             }
             if let Some(id) = self.pick_node(w, ramping) {
@@ -492,293 +370,94 @@ impl Supervisor {
 
     /// Ships open node `id` to idle rank `w` and schedules what comes back.
     fn start(&mut self, w: usize, id: NodeId) -> LpResult<()> {
-        self.tree.begin_evaluation(id);
-        let node = self.tree.node(id);
-        let assignment = assignment(node, self.cfg.warm_start, self.incumbent_internal());
         // A dynamic pick landing off the node's static partition is a
         // load-balance migration (work stealing).
-        if node.data.partition != w {
-            self.stats.metrics.incr(names::CLUSTER_MIGRATIONS, 1.0);
+        if self.c.tree.node(id).data.partition != w {
+            self.c.stats.metrics.incr(names::CLUSTER_MIGRATIONS, 1.0);
         }
-        let dispatch = self.next_dispatch;
-        self.next_dispatch += 1;
-        let (report, completion) = exchange(
-            &mut self.workers[w],
-            w,
-            &assignment,
-            self.now,
-            self.cfg.network,
-            &mut self.plan,
-            &mut self.stats,
-        )?;
-        self.ranks.park(
-            w,
-            InFlight {
-                dispatch,
-                node: id,
-                report,
-            },
-        );
+        let (dispatch, completion) = self.c.start(w, id, self.incumbent.value())?;
         match completion {
-            Completion::Deliver(at) => self.push_event(at, w, EventKind::Deliver { dispatch }),
+            Completion::Deliver(at) => self.events.push(at, w, EventKind::Deliver { dispatch }),
             Completion::AckTimeout(at) => {
-                self.push_event(at, w, EventKind::AckTimeout { dispatch })
+                self.events.push(at, w, EventKind::AckTimeout { dispatch })
             }
         }
         Ok(())
     }
 
-    /// Returns a lost in-flight subproblem to the open set so another rank
-    /// can pick it up. The supervisor's tree is the live checkpoint: the
-    /// node's payload (bounds, warm basis) is still there, and the last
-    /// materialized [`Checkpoint`] provably covers it.
-    fn reassign(&mut self, node: NodeId) {
-        if self.tree.reopen(node) {
-            self.stats.faults.reassignments += 1;
-            debug_assert!(
-                self.last_checkpoint
-                    .as_ref()
-                    .is_none_or(|c| c.covers(&self.tree.node(node).data.bounds)),
-                "recovery invariant: the last checkpoint must cover every lost subproblem"
-            );
-            let (ts, nid) = (self.now, node as u64);
-            gmip_trace::record(|| {
-                TraceSpan::instant(Track::cluster_rank(0), "recovery.reassign", ts).arg("node", nid)
-            });
-        }
-    }
-
-    /// A report reaches the supervisor (unless it is stale: the rank died
-    /// or the exchange was already written off).
-    fn on_deliver(&mut self, worker: usize, dispatch: u64) {
-        if !self.ranks[worker].alive() {
-            return; // rank died with the report in transit; Detect handles it
-        }
-        let Some(inf) = self.ranks.take_exchange(worker, dispatch) else {
-            return; // stale delivery of a written-off exchange
-        };
-        let report = inf.report.expect("delivered exchanges carry a report");
-        self.process(worker, report);
-    }
-
-    /// The ack timer for a dropped exchange fires: write it off and
-    /// reassign the subproblem.
-    fn on_ack_timeout(&mut self, worker: usize, dispatch: u64) {
-        // `None`: already resolved (e.g. crash detection got there first).
-        if let Some(inf) = self.ranks.take_exchange(worker, dispatch) {
-            self.reassign(inf.node);
-        }
-    }
-
-    /// A planned crash lands on the rank: device state and any in-flight
-    /// evaluation are gone. The supervisor only *notices* a heartbeat
-    /// timeout later.
-    fn on_crash(&mut self, worker: usize) {
-        if !self.ranks[worker].alive() {
-            return; // the planned crash hit an already-dead rank
-        }
-        self.ranks.crash(worker, self.now);
-        self.stats.faults.crashes += 1;
-        let ts = self.now;
-        gmip_trace::record(|| {
-            TraceSpan::instant(Track::cluster_rank((worker + 1) as u32), "fault.crash", ts)
-        });
-        let hb = self
-            .plan
-            .as_ref()
-            .expect("crash events imply a plan")
-            .cfg()
-            .heartbeat_timeout_ns;
-        self.push_event(self.now + hb, worker, EventKind::Detect);
-    }
-
     /// Missing heartbeats reveal the crash: reassign the lost subproblem,
-    /// refresh the recovery checkpoint, and schedule a respawn (or retire
-    /// the rank when its budget is spent).
+    /// refresh the recovery checkpoint — the restart file a real deployment
+    /// would rewrite once the failure is known — and schedule a respawn
+    /// (unless the rank's budget is spent).
     fn on_detect(&mut self, worker: usize) {
-        if let Some(inf) = self.ranks.take(worker) {
-            self.reassign(inf.node);
-        }
-        // Refresh the recovery checkpoint: this is the restart file a real
-        // deployment would rewrite once the failure is known.
-        self.last_checkpoint = Some(self.snapshot());
-        let max_respawns = self
-            .plan
-            .as_ref()
-            .expect("detect events imply a plan")
-            .cfg()
-            .max_respawns;
-        let backoff_base = self.plan.as_ref().expect("plan").cfg().respawn_backoff_ns;
-        if self.ranks[worker].respawns < max_respawns || !self.ranks.others_viable(worker) {
-            // Exponential backoff; the last viable rank is always granted a
-            // respawn so the search can terminate.
-            let exp = self.ranks[worker].respawns.min(20) as u32;
-            let backoff = backoff_base * f64::from(1u32 << exp.min(20));
-            self.ranks.await_respawn(worker);
-            self.push_event(self.now + backoff, worker, EventKind::Respawn);
-        } else {
-            self.ranks.retire(worker);
-            self.stats.faults.degraded_ranks += 1;
-            let ts = self.now;
-            gmip_trace::record(|| {
-                TraceSpan::instant(
-                    Track::cluster_rank((worker + 1) as u32),
-                    "recovery.degrade",
-                    ts,
-                )
-            });
+        self.c.reassign_in_flight(worker);
+        self.c.last_checkpoint = Some(self.snapshot());
+        if let Recovery::RespawnAt(at) = self.c.recover(worker) {
+            self.events.push(at, worker, EventKind::Respawn);
         }
     }
 
-    /// The replacement rank comes up: fresh device, matrix re-uploaded,
-    /// warm-start state gone.
-    fn on_respawn(&mut self, worker: usize) -> LpResult<()> {
-        self.lost_busy_ns[worker] += self.workers[worker].busy_ns;
-        let mut fresh = Worker::new_with_backend(
-            worker,
-            &self.instance,
-            self.cfg.gpu_cost.clone(),
-            self.cfg.gpu_mem,
-            self.cfg.lp.clone(),
-            self.cfg.int_tol,
-            self.cfg.batched_lanes,
-            self.cfg.first_order_lanes,
-            self.cfg.backend,
-        )?
-        .with_propagation(self.cfg.propagate, self.cfg.heuristic_period);
-        fresh.busy_until = self.now;
-        self.workers[worker] = fresh;
-        self.ranks.respawn(worker);
-        self.stats.faults.respawns += 1;
-        let (t0, dur) = (
-            self.ranks[worker].down_since,
-            self.now - self.ranks[worker].down_since,
-        );
-        let lane = Track::cluster_rank((worker + 1) as u32);
-        gmip_trace::record(|| TraceSpan::complete(lane, "down", dur, t0));
-        let ts = self.now;
-        gmip_trace::record(|| TraceSpan::instant(lane, "recovery.respawn", ts));
-        Ok(())
+    /// The incumbent sink: installs an integer-feasible point a report
+    /// carried if it improves; `source` names a heuristic origin.
+    fn offer(&mut self, worker: usize, value: f64, x: Vec<f64>, source: Option<&'static str>) {
+        if value > self.incumbent.value() {
+            let ts = self.c.now;
+            self.incumbent
+                .install(&self.c.rules, &mut self.c.tree, value, x, || ts);
+            let obj = self.c.rules.to_source(value);
+            gmip_trace::record(|| {
+                let mark = TraceSpan::instant(Track::cluster_rank(0), "incumbent", ts)
+                    .arg("objective", obj)
+                    .arg("worker", worker as u64);
+                match source {
+                    Some(source) => mark.arg("source", source),
+                    None => mark,
+                }
+            });
+        }
     }
 
     /// Processes one delivered report.
     fn process(&mut self, worker: usize, report: NodeReport) {
-        self.stats.nodes += 1;
-        self.stats.lp_iterations += report.lp_iterations;
+        self.c.stats.nodes += 1;
+        self.c.stats.lp_iterations += report.lp_iterations;
         let id = report.node_id;
         // A fix-and-propagate candidate rides along with any outcome; it
         // enters the incumbent path before the node itself is settled so the
         // broadcastable bound is as tight as possible.
-        if let Some((internal, x)) = report.heur {
-            if internal > self.incumbent_internal() {
-                let mut p = x;
-                for &j in &self.integral {
-                    p[j] = p[j].round();
-                }
-                self.incumbent = Some((internal, p));
-                self.first_incumbent_ns.get_or_insert(self.now);
-                self.tree.prune_dominated(internal, self.cfg.prune_tol);
-                let (ts, obj) = (self.now, self.to_source(internal));
-                gmip_trace::record(|| {
-                    TraceSpan::instant(Track::cluster_rank(0), "incumbent", ts)
-                        .arg("objective", obj)
-                        .arg("worker", worker as u64)
-                        .arg("source", "fix_and_propagate")
-                });
-            }
+        if let Some((value, x)) = report.heur {
+            self.offer(worker, value, x, Some("fix_and_propagate"));
         }
-        match report.outcome {
-            NodeOutcome::Infeasible => {
-                self.tree
-                    .settle(id, NodeState::Infeasible, f64::NEG_INFINITY);
-            }
-            NodeOutcome::Pruned { bound } => {
-                self.tree.settle(id, NodeState::Pruned, bound);
-            }
-            NodeOutcome::IntegerFeasible { internal, x } => {
-                self.tree.settle(id, NodeState::Feasible, internal);
-                if internal > self.incumbent_internal() {
-                    let mut p = x;
-                    for &j in &self.integral {
-                        p[j] = p[j].round();
-                    }
-                    self.incumbent = Some((internal, p));
-                    self.first_incumbent_ns.get_or_insert(self.now);
-                    self.tree.prune_dominated(internal, self.cfg.prune_tol);
-                    let (ts, obj) = (self.now, self.to_source(internal));
-                    gmip_trace::record(|| {
-                        TraceSpan::instant(Track::cluster_rank(0), "incumbent", ts)
-                            .arg("objective", obj)
-                            .arg("worker", worker as u64)
-                    });
-                }
-            }
-            NodeOutcome::Branch {
+        let settled = settle_outcome(
+            &self.c.rules,
+            &self.c.instance,
+            &mut self.c.tree,
+            id,
+            report.outcome,
+            self.incumbent.value(),
+            &mut self.c.stats.root_basis,
+        );
+        match settled {
+            Settled::Closed => {}
+            Settled::Feasible { value, x } => self.offer(worker, value, x, None),
+            Settled::Branch {
                 bound,
-                var,
-                value,
-                basis,
+                mut children,
             } => {
-                if id == self.tree.root() && self.stats.root_basis.is_none() {
-                    self.stats.root_basis = basis.clone();
-                }
-                if bound <= self.incumbent_internal() + self.cfg.prune_tol {
-                    self.tree.settle(id, NodeState::Pruned, bound);
-                    return;
-                }
-                let parent = self.tree.node(id);
-                let parent_partition = parent.data.partition;
-                let parent_depth = parent.depth;
-                let bounds = parent.data.bounds.clone();
-                let (mut lo, mut hi) = (self.instance.vars[var].lb, self.instance.vars[var].ub);
-                for bc in &bounds {
-                    if bc.var == var {
-                        lo = bc.lb;
-                        hi = bc.ub;
-                    }
-                }
-                let name = self.instance.vars[var].name.clone();
-                let mk = |up: bool, part: usize| {
-                    let mut child_bounds = bounds.clone();
-                    let label = if up {
-                        child_bounds.push(BoundChange {
-                            var,
-                            lb: value.ceil(),
-                            ub: hi,
-                        });
-                        format!("{name} ≥ {}", value.ceil())
-                    } else {
-                        child_bounds.push(BoundChange {
-                            var,
-                            lb: lo,
-                            ub: value.floor(),
-                        });
-                        format!("{name} ≤ {}", value.floor())
-                    };
-                    (
-                        label,
-                        ParPayload {
-                            bounds: child_bounds,
-                            warm_basis: basis.clone(),
-                            partition: part,
-                        },
-                    )
-                };
                 // Static partitioning: spread subtrees over all workers by
                 // binary fan-out near the root (depth d covers 2^(d+1)
                 // partitions), then inherit — every worker owns a subtree
                 // once the frontier is wide enough.
-                let spread =
-                    parent_depth < 63 && (1usize << (parent_depth + 1)) <= self.cfg.workers * 2;
-                let children = if spread {
-                    vec![
-                        mk(false, (parent_partition * 2) % self.cfg.workers.max(1)),
-                        mk(true, (parent_partition * 2 + 1) % self.cfg.workers.max(1)),
-                    ]
-                } else {
-                    vec![mk(false, parent_partition), mk(true, parent_partition)]
-                };
-                let ids = self.tree.branch(id, bound, children);
+                let parent = self.c.tree.node(id);
+                let (part, depth, n) = (parent.data.partition, parent.depth, self.c.cfg.workers);
+                let [down, up] = &mut children;
+                (down.1.partition, up.1.partition) =
+                    if depth < 63 && (1usize << (depth + 1)) <= n * 2 {
+                        ((part * 2) % n.max(1), (part * 2 + 1) % n.max(1))
+                    } else {
+                        (part, part)
+                    };
+                let ids = self.c.tree.branch(id, bound, children);
                 self.index_partitions(&ids);
             }
         }
@@ -789,130 +468,69 @@ impl Supervisor {
     /// (the two parallel complications of Section 2.1).
     pub fn snapshot(&self) -> Checkpoint {
         let mut frontier: Vec<Vec<BoundChange>> = Vec::new();
-        for n in self.tree.iter() {
+        for n in self.c.tree.iter() {
             if n.state.is_open() {
                 frontier.push(n.data.bounds.clone());
             }
         }
-        Checkpoint::new(frontier, self.incumbent.clone())
+        Checkpoint::new(frontier, self.incumbent.best().cloned())
     }
 
     /// Runs to completion (or node limit); consumes the supervisor.
     pub fn run(mut self) -> LpResult<ParallelResult> {
-        let mut last_checkpoint_at = 0usize;
-        let status = loop {
-            if self.stats.nodes >= self.cfg.node_limit {
-                break MipStatus::NodeLimit;
+        // Breaks with whether the node limit cut the search short.
+        let stopped = loop {
+            if self.c.stats.nodes >= self.c.cfg.node_limit {
+                break true;
             }
             self.dispatch()?;
             // Done when no open nodes remain and nothing is in flight —
             // fault events scheduled past this point hit a machine whose
             // job already finished.
-            if !self.tree.has_active() && self.ranks.outstanding() == 0 {
-                break if self.incumbent.is_some() {
-                    MipStatus::Optimal
-                } else {
-                    MipStatus::Infeasible
-                };
+            if !self.c.tree.has_active() && self.c.ranks.outstanding() == 0 {
+                break false;
             }
-            let Some(Reverse(ev)) = self.events.pop() else {
+            let Some(ev) = self.events.pop() else {
                 // Defensive: outstanding work always has a pending event.
-                break if self.incumbent.is_some() {
-                    MipStatus::Optimal
-                } else {
-                    MipStatus::Infeasible
-                };
+                break false;
             };
             // Clock is monotone even when checkpoint serialization pushed it
             // past an already-scheduled completion.
-            self.now = self.now.max(ev.time);
-            let nodes_before = self.stats.nodes;
+            self.c.now = self.c.now.max(ev.time);
+            let nodes_before = self.c.stats.nodes;
+            let worker = ev.entity;
             match ev.kind {
-                EventKind::Deliver { dispatch } => self.on_deliver(ev.worker, dispatch),
-                EventKind::AckTimeout { dispatch } => self.on_ack_timeout(ev.worker, dispatch),
-                EventKind::Crash => self.on_crash(ev.worker),
-                EventKind::Detect => self.on_detect(ev.worker),
-                EventKind::Respawn => self.on_respawn(ev.worker)?,
-            }
-            if self.stats.nodes > nodes_before {
-                if let Some(every) = self.cfg.checkpoint_every {
-                    if self.stats.nodes >= last_checkpoint_at + every {
-                        last_checkpoint_at = self.stats.nodes;
-                        let snap = self.snapshot();
-                        // Stop-the-world serialization: the supervisor's clock
-                        // advances while the snapshot is written (~1 GB/s).
-                        let (t0, dur) = (self.now, 2_000.0 + snap.bytes() as f64);
-                        let (ck_bytes, frontier) =
-                            (snap.bytes() as u64, snap.frontier.len() as u64);
-                        gmip_trace::record(|| {
-                            TraceSpan::complete(Track::cluster_rank(0), "checkpoint", dur, t0)
-                                .arg("bytes", ck_bytes)
-                                .arg("frontier", frontier)
-                        });
-                        self.now += dur;
-                        self.last_checkpoint = Some(snap.clone());
-                        self.snapshots.push(snap);
-                        self.stats.checkpoints += 1;
+                EventKind::Deliver { dispatch } => {
+                    if let Some(report) = self.c.delivered(worker, dispatch) {
+                        self.process(worker, report);
                     }
                 }
+                EventKind::AckTimeout { dispatch } => self.c.ack_timeout(worker, dispatch),
+                EventKind::Crash => {
+                    if let Some(at) = self.c.crash(worker) {
+                        self.events.push(at, worker, EventKind::Detect);
+                    }
+                }
+                EventKind::Detect => self.on_detect(worker),
+                EventKind::Respawn => self.c.respawn(worker)?,
+            }
+            if self.c.checkpoint_due(nodes_before) {
+                let snap = self.snapshot();
+                self.c.store_checkpoint(snap);
             }
         };
-        // Drain bookkeeping.
-        self.stats.makespan_ns = self.now;
-        self.stats.worker_busy_ns = self
-            .workers
-            .iter()
-            .zip(&self.lost_busy_ns)
-            .map(|(w, lost)| w.busy_ns + lost)
-            .collect();
-        if self.now > 0.0 {
-            let busy_sum: f64 = self.stats.worker_busy_ns.iter().sum();
-            self.stats.idle_fraction = 1.0 - busy_sum / (self.now * self.workers.len() as f64);
+        self.c.close_ledger();
+        if let Some(t) = self.incumbent.first_ns() {
+            let gauge = names::HEUR_FIRST_INCUMBENT_NS;
+            self.c.stats.metrics.set_gauge(gauge, t);
         }
-        self.stats.tree = self.tree.stats().clone();
-        // Fold the communication counters and every rank's device/LP ledger
-        // into the unified metrics registry.
-        let (msgs, bytes, ckpts) = (
-            self.stats.messages,
-            self.stats.message_bytes,
-            self.stats.checkpoints,
-        );
-        self.stats
-            .metrics
-            .incr(names::CLUSTER_MESSAGES, msgs as f64);
-        self.stats.metrics.incr(names::CLUSTER_BYTES, bytes as f64);
-        self.stats
-            .metrics
-            .incr(names::CLUSTER_CHECKPOINTS, ckpts as f64);
-        if self.plan.is_some() {
-            let f = self.stats.faults;
-            let m = &mut self.stats.metrics;
-            m.incr(names::FAULT_CRASHES, f.crashes as f64);
-            m.incr(names::FAULT_DROPS, f.drops as f64);
-            m.incr(names::FAULT_DELAYS, f.delays as f64);
-            m.incr(names::FAULT_STRAGGLES, f.straggles as f64);
-            m.incr(names::RECOVERY_REASSIGNMENTS, f.reassignments as f64);
-            m.incr(names::RECOVERY_RESPAWNS, f.respawns as f64);
-            m.incr(names::RECOVERY_DEGRADED_RANKS, f.degraded_ranks as f64);
-        }
-        for w in &self.workers {
-            self.stats.metrics.merge(&w.metrics());
-        }
-        if let Some(t) = self.first_incumbent_ns {
-            self.stats
-                .metrics
-                .set_gauge(names::HEUR_FIRST_INCUMBENT_NS, t);
-        }
-        let (objective, x) = match &self.incumbent {
-            Some((v, p)) => (self.to_source(*v), p.clone()),
-            None => (f64::NAN, Vec::new()),
-        };
+        let done = self.c.rules.finish(self.incumbent, stopped);
         Ok(ParallelResult {
-            status,
-            objective,
-            x,
-            stats: self.stats,
-            snapshots: self.snapshots,
+            status: done.status,
+            objective: done.objective,
+            x: done.x,
+            stats: self.c.stats,
+            snapshots: self.c.snapshots,
         })
     }
 }
@@ -923,12 +541,13 @@ pub fn solve_parallel(instance: &MipInstance, cfg: ParallelConfig) -> LpResult<P
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use gmip_problems::catalog::{infeasible_instance, textbook_mip};
     use gmip_problems::generators::knapsack::{knapsack, knapsack_brute_force};
 
-    fn cfg(workers: usize) -> ParallelConfig {
+    /// `workers` ranks with small devices: the unit tests' cluster.
+    pub(crate) fn cfg(workers: usize) -> ParallelConfig {
         ParallelConfig {
             workers,
             gpu_mem: 1 << 24,

@@ -14,15 +14,16 @@
 //! recovery protocol as the discrete-event supervisor, on real threads.
 
 use crate::chaos::FaultPlan;
-use crate::comm::{Assignment, NodeOutcome, NodeReport};
-use crate::exchange::assignment;
+use crate::comm::{Assignment, NodeReport};
+use crate::exchange::{assignment, settle_outcome, Settled};
 use crate::supervisor::{ParPayload, ParallelConfig};
 use crate::worker::Worker;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use gmip_core::search::{self, Incumbent, Rules};
 use gmip_core::MipStatus;
-use gmip_lp::{BoundChange, LpError, LpResult};
-use gmip_problems::{MipInstance, Objective};
-use gmip_tree::{NodeState, SearchTree};
+use gmip_lp::{LpError, LpResult};
+use gmip_problems::MipInstance;
+use gmip_tree::SearchTree;
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -46,26 +47,10 @@ fn spawn_worker(
     crash_at: Option<usize>,
 ) -> (Sender<WorkerMsg>, std::thread::JoinHandle<()>) {
     let (tx, rx): (Sender<WorkerMsg>, Receiver<WorkerMsg>) = unbounded();
-    let inst = instance.clone();
-    let gpu_cost = cfg.gpu_cost.clone();
-    let (gpu_mem, lp_cfg, int_tol) = (cfg.gpu_mem, cfg.lp.clone(), cfg.int_tol);
-    let lanes = cfg.batched_lanes;
-    let fo_lanes = cfg.first_order_lanes;
-    let (propagate, heur_period) = (cfg.propagate, cfg.heuristic_period);
-    let exec_backend = cfg.backend;
+    let (inst, cfg) = (instance.clone(), cfg.clone());
     let handle = std::thread::spawn(move || {
-        let mut worker = match Worker::new_with_backend(
-            id,
-            &inst,
-            gpu_cost,
-            gpu_mem,
-            lp_cfg,
-            int_tol,
-            lanes,
-            fo_lanes,
-            exec_backend,
-        ) {
-            Ok(w) => w.with_propagation(propagate, heur_period),
+        let mut worker = match Worker::for_rank(id, &inst, &cfg) {
+            Ok(w) => w,
             Err(e) => {
                 let _ = rtx.send(Err(e));
                 return;
@@ -127,11 +112,19 @@ pub fn solve_threaded(instance: &MipInstance, cfg: &ParallelConfig) -> LpResult<
     let keeper = chaos_on.then(|| report_tx.clone());
     drop(report_tx);
 
-    let node_bytes = (instance.num_cons() + 2 * instance.num_vars()) * 8 + 128;
-    let mut tree: SearchTree<ParPayload> = SearchTree::with_root(ParPayload::default(), node_bytes);
+    let rules = Rules::new(instance, cfg.int_tol, cfg.prune_tol);
+    let mut tree: SearchTree<ParPayload> =
+        SearchTree::with_root(ParPayload::default(), search::node_bytes(instance));
     let mut idle: Vec<usize> = (0..cfg.workers).collect();
     let mut assigned: HashMap<usize, usize> = HashMap::new(); // node → worker
-    let mut incumbent: Option<(f64, Vec<f64>)> = None;
+    let mut incumbent = Incumbent::default();
+    // The incumbent sink: an improving point is installed (rounded, and the
+    // frontier pruned) exactly as the DES supervisors do.
+    let offer = |incumbent: &mut Incumbent, tree: &mut SearchTree<ParPayload>, value, x| {
+        if value > incumbent.value() {
+            incumbent.install(&rules, tree, value, x, || 0.0);
+        }
+    };
     let mut nodes = 0usize;
     let mut worker_error: Option<LpError> = None;
     let mut respawns = 0usize;
@@ -145,11 +138,7 @@ pub fn solve_threaded(instance: &MipInstance, cfg: &ParallelConfig) -> LpResult<
             };
             let w = idle.pop().expect("checked non-empty");
             tree.begin_evaluation(id);
-            let cur = incumbent
-                .as_ref()
-                .map(|(v, _)| *v)
-                .unwrap_or(f64::NEG_INFINITY);
-            let a = assignment(tree.node(id), cfg.warm_start, cur);
+            let a = assignment(tree.node(id), cfg.warm_start, incumbent.value());
             assigned.insert(id, w);
             work_txs[w]
                 .send(WorkerMsg::Work(a))
@@ -207,79 +196,23 @@ pub fn solve_threaded(instance: &MipInstance, cfg: &ParallelConfig) -> LpResult<
 
         // Install any ridden-along fix-and-propagate candidate first so the
         // node outcome below prunes against the tightest incumbent.
-        if let Some((hv, hx)) = report.heur.clone() {
-            let cur = incumbent
-                .as_ref()
-                .map(|(v, _)| *v)
-                .unwrap_or(f64::NEG_INFINITY);
-            if hv > cur {
-                incumbent = Some((hv, hx));
-                tree.prune_dominated(hv, cfg.prune_tol);
-            }
+        if let Some((value, x)) = report.heur {
+            offer(&mut incumbent, &mut tree, value, x);
         }
-        match report.outcome {
-            NodeOutcome::Infeasible => tree.settle(id, NodeState::Infeasible, f64::NEG_INFINITY),
-            NodeOutcome::Pruned { bound } => tree.settle(id, NodeState::Pruned, bound),
-            NodeOutcome::IntegerFeasible { internal: iv, x } => {
-                tree.settle(id, NodeState::Feasible, iv);
-                let cur = incumbent
-                    .as_ref()
-                    .map(|(v, _)| *v)
-                    .unwrap_or(f64::NEG_INFINITY);
-                if iv > cur {
-                    incumbent = Some((iv, x));
-                    tree.prune_dominated(iv, cfg.prune_tol);
-                }
-            }
-            NodeOutcome::Branch {
-                bound,
-                var,
-                value,
-                basis,
-            } => {
-                let cur = incumbent
-                    .as_ref()
-                    .map(|(v, _)| *v)
-                    .unwrap_or(f64::NEG_INFINITY);
-                if bound <= cur + cfg.prune_tol {
-                    tree.settle(id, NodeState::Pruned, bound);
-                } else {
-                    let parent_bounds = tree.node(id).data.bounds.clone();
-                    let (mut lo, mut hi) = (instance.vars[var].lb, instance.vars[var].ub);
-                    for bc in &parent_bounds {
-                        if bc.var == var {
-                            lo = bc.lb;
-                            hi = bc.ub;
-                        }
-                    }
-                    let mk = |up: bool| {
-                        let mut b = parent_bounds.clone();
-                        let label = if up {
-                            b.push(BoundChange {
-                                var,
-                                lb: value.ceil(),
-                                ub: hi,
-                            });
-                            format!("x{var} ≥ {}", value.ceil())
-                        } else {
-                            b.push(BoundChange {
-                                var,
-                                lb: lo,
-                                ub: value.floor(),
-                            });
-                            format!("x{var} ≤ {}", value.floor())
-                        };
-                        (
-                            label,
-                            ParPayload {
-                                bounds: b,
-                                warm_basis: basis.clone(),
-                                partition: 0,
-                            },
-                        )
-                    };
-                    tree.branch(id, bound, vec![mk(false), mk(true)]);
-                }
+        let cur = incumbent.value();
+        match settle_outcome(
+            &rules,
+            instance,
+            &mut tree,
+            id,
+            report.outcome,
+            cur,
+            &mut None,
+        ) {
+            Settled::Closed => {}
+            Settled::Feasible { value, x } => offer(&mut incumbent, &mut tree, value, x),
+            Settled::Branch { bound, children } => {
+                tree.branch(id, bound, children);
             }
         }
     }
@@ -295,27 +228,11 @@ pub fn solve_threaded(instance: &MipInstance, cfg: &ParallelConfig) -> LpResult<
         return Err(e);
     }
 
-    let status = if tree.has_active() {
-        MipStatus::NodeLimit
-    } else if incumbent.is_some() {
-        MipStatus::Optimal
-    } else {
-        MipStatus::Infeasible
-    };
-    let (objective, x) = match incumbent {
-        Some((v, p)) => (
-            match instance.objective {
-                Objective::Maximize => v,
-                Objective::Minimize => -v,
-            },
-            p,
-        ),
-        None => (f64::NAN, Vec::new()),
-    };
+    let done = rules.finish(incumbent, tree.has_active());
     Ok(ThreadedResult {
-        status,
-        objective,
-        x,
+        status: done.status,
+        objective: done.objective,
+        x: done.x,
         nodes,
         wall_ms: started.elapsed().as_secs_f64() * 1e3,
         respawns,
@@ -326,16 +243,9 @@ pub fn solve_threaded(instance: &MipInstance, cfg: &ParallelConfig) -> LpResult<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::supervisor::tests::cfg;
     use gmip_problems::catalog::{infeasible_instance, textbook_mip};
     use gmip_problems::generators::knapsack::{knapsack, knapsack_brute_force};
-
-    fn cfg(workers: usize) -> ParallelConfig {
-        ParallelConfig {
-            workers,
-            gpu_mem: 1 << 24,
-            ..Default::default()
-        }
-    }
 
     #[test]
     fn threaded_matches_brute_force() {
@@ -385,6 +295,21 @@ mod tests {
             "crash points must kill at least one thread"
         );
         assert!(r.reassignments >= 1, "a dead worker held a subproblem");
+    }
+
+    #[test]
+    fn incumbent_point_is_exactly_integral() {
+        // The LP optimum of these lands on 0.9999999999999996-style
+        // coordinates; every driver rounds them on install.
+        use gmip_problems::generators::set_cover;
+        for m in [knapsack(14, 0.5, 3), set_cover(18, 14, 0.25, 2)] {
+            let r = solve_threaded(&m, &cfg(2)).unwrap();
+            assert_eq!(r.status, MipStatus::Optimal);
+            for j in m.integral_indices() {
+                assert_eq!(r.x[j].fract(), 0.0, "{}: x[{j}] = {:e}", m.name, r.x[j]);
+            }
+            assert!(m.is_integer_feasible(&r.x, 1e-9), "{}", m.name);
+        }
     }
 
     #[test]

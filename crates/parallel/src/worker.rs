@@ -7,13 +7,14 @@
 //! it consumed, which the discrete-event supervisor uses to schedule.
 
 use crate::comm::{Assignment, NodeOutcome, NodeReport};
+use gmip_core::search::{Rules, Verdict};
 use gmip_gpu::{Accel, CostModel, DeviceConfig};
 use gmip_lp::wave::BatchedWaveEngine;
 use gmip_lp::{
     wave_width, DeviceEngine, FirstOrderWaveEngine, FoOutcome, HostEngine, LpConfig, LpResult,
     LpSolution, LpSolver, LpStatus, PdhgConfig, RecordingEngine, StandardLp,
 };
-use gmip_problems::{MipInstance, Objective};
+use gmip_problems::MipInstance;
 use gmip_prop::Propagator;
 use gmip_trace::names;
 
@@ -45,6 +46,12 @@ enum LpBackend {
     },
 }
 
+/// Margin of the worker-side prune against the incumbent value shipped with
+/// the assignment. The supervisor re-tests every `Branch` report against its
+/// *current* incumbent with the configured prune tolerance; the rank only
+/// cuts what is dominated beyond rounding noise.
+const REPORT_PRUNE_TOL: f64 = 1e-9;
+
 /// A worker rank in the simulated cluster.
 #[derive(Debug)]
 pub struct Worker {
@@ -53,9 +60,9 @@ pub struct Worker {
     accel: Accel,
     backend: LpBackend,
     instance: MipInstance,
-    /// `instance.integral_indices()`, computed once at construction.
-    integral: Vec<usize>,
-    int_tol: f64,
+    /// The rank's verdict rules: the instance's sense and integral indices,
+    /// the configured `int_tol`, and [`REPORT_PRUNE_TOL`].
+    rules: Rules,
     /// Completion time of this worker's last assignment (DES bookkeeping).
     pub busy_until: f64,
     /// Accumulated busy simulated time.
@@ -147,47 +154,32 @@ impl Worker {
         .with_trace_group(gmip_trace::TrackGroup::Gpu(id as u16))
         .with_backend(exec_backend);
         let std = StandardLp::from_instance(instance, &[]);
-        if let Some(lanes) = first_order_lanes {
-            let csr_bytes = gmip_linalg::CsrMatrix::from_dense(&std.a).size_bytes();
-            let width = wave_width(
-                lanes,
-                gpu_mem,
-                csr_bytes,
-                FirstOrderWaveEngine::per_lane_bytes(std.m(), std.n()),
-            );
-            let fo = FirstOrderWaveEngine::new(accel.clone(), &std, width, PdhgConfig::default())?;
-            let cleanup = LpSolver::new(std.clone(), lp_cfg, |a| HostEngine::new(a.clone()));
-            return Ok(Self {
-                id,
-                accel,
-                backend: LpBackend::FirstOrder {
+        let backend = match (first_order_lanes, batched_lanes) {
+            (Some(lanes), _) => {
+                let csr_bytes = gmip_linalg::CsrMatrix::from_dense(&std.a).size_bytes();
+                let width = wave_width(
+                    lanes,
+                    gpu_mem,
+                    csr_bytes,
+                    FirstOrderWaveEngine::per_lane_bytes(std.m(), std.n()),
+                );
+                let fo =
+                    FirstOrderWaveEngine::new(accel.clone(), &std, width, PdhgConfig::default())?;
+                let cleanup = LpSolver::new(std.clone(), lp_cfg, |a| HostEngine::new(a.clone()));
+                LpBackend::FirstOrder {
                     std: Box::new(std),
                     fo: Box::new(fo),
                     cleanup: Box::new(cleanup),
                     slot: 0,
-                },
-                integral: instance.integral_indices(),
-                instance: instance.clone(),
-                int_tol,
-                busy_until: 0.0,
-                busy_ns: 0.0,
-                nodes: 0,
-                slowdown: 1.0,
-                propagator: None,
-                propagate: false,
-                heuristic_period: 0,
-                prop_rounds: 8,
-                prop_metrics: gmip_trace::MetricsRegistry::default(),
-            });
-        }
-        let backend = match batched_lanes {
-            None => {
+                }
+            }
+            (None, None) => {
                 let factory_accel = accel.clone();
                 LpBackend::PerKernel(Box::new(LpSolver::try_new(std, lp_cfg, |a| {
                     DeviceEngine::new(factory_accel, a)
                 })?))
             }
-            Some(lanes) => {
+            (None, Some(lanes)) => {
                 let mut ext = None;
                 let lp = LpSolver::new(std, lp_cfg, |a| {
                     ext = Some(a.clone());
@@ -212,9 +204,8 @@ impl Worker {
             id,
             accel,
             backend,
-            integral: instance.integral_indices(),
+            rules: Rules::new(instance, int_tol, REPORT_PRUNE_TOL),
             instance: instance.clone(),
-            int_tol,
             busy_until: 0.0,
             busy_ns: 0.0,
             nodes: 0,
@@ -225,6 +216,27 @@ impl Worker {
             prop_rounds: 8,
             prop_metrics: gmip_trace::MetricsRegistry::default(),
         })
+    }
+
+    /// Rank `id` of a cluster configured by `cfg`: LP backend, executing
+    /// backend, propagation and dive cadence all as the config says.
+    pub(crate) fn for_rank(
+        id: usize,
+        instance: &MipInstance,
+        cfg: &crate::supervisor::ParallelConfig,
+    ) -> LpResult<Self> {
+        let worker = Self::new_with_backend(
+            id,
+            instance,
+            cfg.gpu_cost.clone(),
+            cfg.gpu_mem,
+            cfg.lp.clone(),
+            cfg.int_tol,
+            cfg.batched_lanes,
+            cfg.first_order_lanes,
+            cfg.backend,
+        )?;
+        Ok(worker.with_propagation(cfg.propagate, cfg.heuristic_period))
     }
 
     /// Enables domain propagation and/or the fix-and-propagate dive on this
@@ -319,10 +331,6 @@ impl Worker {
                 fo.run_to_retire();
                 let r = fo.take_lane(*slot)?;
                 *slot = (*slot + 1) % fo.width();
-                let to_source = |internal: f64| match self.instance.objective {
-                    Objective::Maximize => internal,
-                    Objective::Minimize => -internal,
-                };
                 match r.outcome {
                     FoOutcome::Infeasible => Ok((
                         LpSolution {
@@ -340,7 +348,7 @@ impl Worker {
                     FoOutcome::BoundPruned => Ok((
                         LpSolution {
                             status: LpStatus::Optimal,
-                            objective: to_source(r.safe_bound),
+                            objective: self.rules.to_source(r.safe_bound),
                             x: Vec::new(),
                             iterations: r.iterations,
                         },
@@ -358,17 +366,29 @@ impl Worker {
         }
     }
 
-    fn internal(&self, source: f64) -> f64 {
-        match self.instance.objective {
-            Objective::Maximize => source,
-            Objective::Minimize => -source,
-        }
-    }
-
     /// Evaluates an assignment, returning the report. The simulated device
     /// time consumed is measured as the device-frontier delta.
     pub fn evaluate(&mut self, a: &Assignment) -> LpResult<NodeReport> {
         let t0 = self.accel.elapsed_ns();
+        let (outcome, lp_iterations, heur) = self.decide(a)?;
+        self.nodes += 1;
+        let eval_ns = (self.accel.elapsed_ns() - t0) * self.slowdown.max(1.0);
+        self.busy_ns += eval_ns;
+        Ok(NodeReport {
+            node_id: a.node_id,
+            outcome,
+            eval_ns,
+            lp_iterations,
+            heur,
+        })
+    }
+
+    /// What the report says: the node's outcome, the LP iterations spent on
+    /// it and any dive candidate riding along.
+    fn decide(
+        &mut self,
+        a: &Assignment,
+    ) -> LpResult<(NodeOutcome, usize, Option<(f64, Vec<f64>)>)> {
         // Domain propagation before any LP work: infeasible boxes settle
         // with `prop.*` kernel charges only, feasible ones tighten.
         let mut tightened: Option<Assignment> = None;
@@ -387,16 +407,7 @@ impl Worker {
                 .incr(names::PROP_TIGHTENINGS, out.tightenings as f64);
             if out.infeasible {
                 self.prop_metrics.incr(names::PROP_INFEASIBLE, 1.0);
-                self.nodes += 1;
-                let eval_ns = (self.accel.elapsed_ns() - t0) * self.slowdown.max(1.0);
-                self.busy_ns += eval_ns;
-                return Ok(NodeReport {
-                    node_id: a.node_id,
-                    outcome: NodeOutcome::Infeasible,
-                    eval_ns,
-                    lp_iterations: 0,
-                    heur: None,
-                });
+                return Ok((NodeOutcome::Infeasible, 0, None));
             }
             tightened = Some(Assignment {
                 bounds: p.bound_changes(&lb, &ub),
@@ -405,7 +416,6 @@ impl Worker {
         }
         let a = tightened.as_ref().unwrap_or(a);
         let (sol, basis) = self.solve_assignment(a)?;
-        self.nodes += 1;
         let outcome = match sol.status {
             LpStatus::Infeasible => NodeOutcome::Infeasible,
             LpStatus::Unbounded => {
@@ -414,50 +424,29 @@ impl Worker {
                 ))
             }
             LpStatus::Optimal => {
-                let internal = self.internal(sol.objective);
-                if internal <= a.incumbent + 1e-9 {
-                    NodeOutcome::Pruned { bound: internal }
-                } else {
-                    // Fractionality check.
-                    let frac: Vec<usize> = self
-                        .integral
-                        .iter()
-                        .copied()
-                        .filter(|&j| (sol.x[j] - sol.x[j].round()).abs() > self.int_tol)
-                        .collect();
-                    if frac.is_empty() {
-                        NodeOutcome::IntegerFeasible {
-                            internal,
-                            x: sol.x.clone(),
-                        }
-                    } else {
-                        // Most-fractional branching variable.
-                        let var = frac
-                            .into_iter()
-                            .max_by(|&x1, &x2| {
-                                let f1 = (sol.x[x1] - sol.x[x1].round()).abs();
-                                let f2 = (sol.x[x2] - sol.x[x2].round()).abs();
-                                f1.partial_cmp(&f2)
-                                    .expect("fractionality is never NaN")
-                                    .then(x2.cmp(&x1))
-                            })
-                            .expect("non-empty");
-                        NodeOutcome::Branch {
-                            bound: internal,
-                            var,
-                            value: sol.x[var],
-                            basis,
-                        }
-                    }
+                let internal = self.rules.internal(sol.objective);
+                match self.rules.verdict(internal, &sol.x, a.incumbent) {
+                    Verdict::Pruned => NodeOutcome::Pruned { bound: internal },
+                    Verdict::Integral => NodeOutcome::IntegerFeasible {
+                        internal,
+                        x: sol.x.clone(),
+                    },
+                    Verdict::Fractional { decision, .. } => NodeOutcome::Branch {
+                        bound: internal,
+                        var: decision.var,
+                        value: decision.value,
+                        basis,
+                    },
                 }
             }
         };
         // Fix-and-propagate dive on branched nodes, every
-        // `heuristic_period`-th evaluation: the candidate rides along in
-        // the report and feeds the supervisor's incumbent-broadcast path.
+        // `heuristic_period`-th evaluation (`nodes` counts this one once the
+        // report is built): the candidate rides along in the report and
+        // feeds the supervisor's incumbent-broadcast path.
         let mut heur: Option<(f64, Vec<f64>)> = None;
         if self.heuristic_period > 0
-            && self.nodes.is_multiple_of(self.heuristic_period)
+            && (self.nodes + 1).is_multiple_of(self.heuristic_period)
             && matches!(outcome, NodeOutcome::Branch { .. })
         {
             let p = self.propagator.as_ref().expect("propagator built");
@@ -468,7 +457,7 @@ impl Worker {
                 ub0: &ub,
             }];
             let out = p
-                .dive_wave(&self.accel, &seeds, self.int_tol, self.prop_rounds)
+                .dive_wave(&self.accel, &seeds, self.rules.int_tol, self.prop_rounds)
                 .pop()
                 .expect("one seed in, one dive out");
             gmip_prop::charge_wave(&self.accel, p.nnz(), p.num_vars(), &[out.rounds.max(1)]);
@@ -479,22 +468,14 @@ impl Worker {
                 self.prop_metrics.incr(names::HEUR_ABORTS, 1.0);
             }
             if let Some((obj, pt)) = out.candidate {
-                let internal = self.internal(obj);
-                if internal > a.incumbent + 1e-9 {
+                let internal = self.rules.internal(obj);
+                if internal > a.incumbent + REPORT_PRUNE_TOL {
                     self.prop_metrics.incr(names::HEUR_INCUMBENTS, 1.0);
                     heur = Some((internal, pt));
                 }
             }
         }
-        let eval_ns = (self.accel.elapsed_ns() - t0) * self.slowdown.max(1.0);
-        self.busy_ns += eval_ns;
-        Ok(NodeReport {
-            node_id: a.node_id,
-            outcome,
-            eval_ns,
-            lp_iterations: sol.iterations,
-            heur,
-        })
+        Ok((outcome, sol.iterations, heur))
     }
 }
 

@@ -1,0 +1,335 @@
+//! Golden pins for the search paths `frontier_golden.rs` does not reach.
+//!
+//! Recorded at `bc2b640`, the last commit where every driver carried its
+//! own prune test, fractional filter, incumbent install and child
+//! construction. The shared kernel (`gmip_core::search`) decides the same
+//! outcomes from the same inputs, so none of these may move: objective and
+//! point bits, node counts, simulated clocks, launch and message counts,
+//! heuristic counters and — where the tree is returned — every label and
+//! bound of the rendered tree.
+
+use gmip::core::{
+    solve_batched_wave, solve_first_order_wave, solve_with_node_engine, BatchedWaveConfig,
+    FirstOrderWaveConfig, MipConfig, MipResult, MipSolver, NodeBnbConfig, WaveResult,
+};
+use gmip::gpu::{Accel, CostModel, DeviceConfig};
+use gmip::lp::{
+    FirstOrderNodeEngine, IpmConfig, IpmNodeEngine, NodeLpEngine, PdhgConfig, SimplexNodeEngine,
+    StandardLp,
+};
+use gmip::parallel::{
+    solve_hierarchical, solve_parallel, HierarchyConfig, ParallelConfig, ParallelResult,
+};
+use gmip::problems::generators::{bin_packing, knapsack, set_cover};
+use gmip::problems::MipInstance;
+use gmip::tree::render::render;
+
+fn gpu() -> Accel {
+    Accel::gpu_with(DeviceConfig {
+        cost: CostModel::gpu_pcie(),
+        mem_capacity: 1 << 30,
+        streams: 1,
+    })
+}
+
+/// FNV-1a over the bit patterns of a point: moves if any coordinate moves
+/// by one ulp, so unrounded or differently rounded incumbents show up.
+fn point_hash(x: &[f64]) -> u64 {
+    x.iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
+        (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn text_hash(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A minimization instance: every sign-mapping site is on the path.
+fn cover_instance() -> MipInstance {
+    set_cover(18, 14, 0.25, 5)
+}
+
+fn node_engine_pin(m: &MipInstance, engine: &mut dyn NodeLpEngine) -> String {
+    let r = solve_with_node_engine(m, engine, &NodeBnbConfig::default()).expect("engine solve");
+    format!(
+        "{:?} obj={:016x} nodes={} x={:016x} iters={} pruned={}",
+        r.status,
+        r.objective.to_bits(),
+        r.nodes,
+        point_hash(&r.x),
+        r.metrics.counter("lp.simplex.iterations") + r.metrics.counter("fo.iterations"),
+        r.metrics.counter("fo.bound_pruned"),
+    )
+}
+
+#[test]
+fn node_engine_simplex() {
+    let got = [knapsack(13, 0.5, 1), cover_instance()].map(|m| {
+        let mut e = SimplexNodeEngine::host(StandardLp::from_instance(&m, &[]));
+        node_engine_pin(&m, &mut e)
+    });
+    assert_eq!(
+        got,
+        [
+            "Optimal obj=4080280000000000 nodes=261 x=8786179f62dae92f iters=303 pruned=0",
+            "Optimal obj=4034000000000000 nodes=9 x=308352d4f9fa3add iters=45 pruned=0",
+        ]
+    );
+}
+
+#[test]
+fn node_engine_ipm() {
+    let got = [knapsack(13, 0.5, 1), cover_instance()].map(|m| {
+        let mut e = IpmNodeEngine::new(StandardLp::from_instance(&m, &[]), IpmConfig::default());
+        node_engine_pin(&m, &mut e)
+    });
+    assert_eq!(
+        got,
+        [
+            "Optimal obj=408027fffffe1e05 nodes=261 x=8786179f62dae92f iters=0 pruned=0",
+            "Optimal obj=40340000013c53a6 nodes=5 x=308352d4f9fa3add iters=0 pruned=0",
+        ]
+    );
+}
+
+#[test]
+fn node_engine_first_order() {
+    let got = [knapsack(13, 0.5, 1), cover_instance()].map(|m| {
+        let std = StandardLp::from_instance(&m, &[]);
+        let mut e =
+            FirstOrderNodeEngine::new(gpu(), std, PdhgConfig::default()).expect("fo engine");
+        node_engine_pin(&m, &mut e)
+    });
+    assert_eq!(
+        got,
+        [
+            "Optimal obj=4080280000000000 nodes=261 x=8786179f62dae92f iters=225513 pruned=77",
+            "Optimal obj=4034000000000000 nodes=11 x=b08352d4f9fa3add iters=5694 pruned=3",
+        ]
+    );
+}
+
+fn wave_pin(r: &WaveResult) -> String {
+    format!(
+        "{:?} obj={:016x} nodes={} supersteps={} retires={} refills={} launches={} \
+         makespan={:016x} first={:016x} x={:016x} heur={}/{} prop={}/{}",
+        r.status,
+        r.objective.to_bits(),
+        r.nodes,
+        r.supersteps,
+        r.retires,
+        r.refills,
+        r.device.kernel_launches,
+        r.makespan_ns.to_bits(),
+        r.first_incumbent_ns.unwrap_or(f64::NAN).to_bits(),
+        point_hash(&r.x),
+        r.metrics.counter("heur.incumbents"),
+        r.metrics.counter("heur.attempts"),
+        r.metrics.counter("prop.infeasible"),
+        r.metrics.counter("prop.tightenings"),
+    )
+}
+
+#[test]
+fn batched_wave_propagate_dive() {
+    let cfg = BatchedWaveConfig {
+        lanes: 8,
+        propagate: true,
+        heuristic_period: 2,
+        ..Default::default()
+    };
+    let got = [bin_packing(5, 1.0, 3), cover_instance()]
+        .map(|m| wave_pin(&solve_batched_wave(&m, &cfg, gpu()).expect("wave solve")));
+    assert_eq!(
+        got,
+        [
+            "Optimal obj=4008000000000000 nodes=335 supersteps=1076 retires=303 refills=295 launches=4809 makespan=4187842b12aaa9d0 first=414f29e99f20586d x=574a3110292eaa1d heur=1/167 prop=0/4053",
+            "Optimal obj=4034000000000000 nodes=9 supersteps=224 retires=9 refills=4 launches=295 makespan=41448e6a68acf139 first=413b6f58fc962fcc x=308352d4f9fa3add heur=2/4 prop=0/5",
+        ]
+    );
+}
+
+#[test]
+fn first_order_wave_propagate_dive() {
+    let cfg = FirstOrderWaveConfig {
+        lanes: 8,
+        propagate: true,
+        heuristic_period: 2,
+        ..Default::default()
+    };
+    let got = [bin_packing(5, 1.0, 3), cover_instance()]
+        .map(|m| wave_pin(&solve_first_order_wave(&m, &cfg, gpu()).expect("fo solve")));
+    assert_eq!(
+        got,
+        [
+            "Optimal obj=4008000000000000 nodes=385 supersteps=8844 retires=289 refills=281 launches=32358 makespan=41af8edfdc2e571d first=41954260502f23f2 x=02ea3110292eaa1d heur=1/191 prop=0/4578",
+            "Optimal obj=4034000000000000 nodes=9 supersteps=2396 retires=9 refills=5 launches=7847 makespan=418e081995431e20 first=4184155103b2a075 x=b08352d4f9fa3add heur=1/4 prop=0/5",
+        ]
+    );
+}
+
+fn mip_pin(r: &MipResult) -> String {
+    format!(
+        "{:?} obj={:016x} nodes={} lp_iters={} cuts={} heur={} sim={:016x} x={:016x} \
+         tree={:016x} incumbents={} first={:016x}",
+        r.status,
+        r.objective.to_bits(),
+        r.stats.nodes,
+        r.stats.lp_iterations,
+        r.stats.cuts,
+        r.stats.heur_incumbents,
+        r.stats.sim_time_ns.to_bits(),
+        point_hash(&r.x),
+        text_hash(&render(&r.tree)),
+        r.stats.metrics.counter("bb.incumbents"),
+        r.stats.metrics.gauge("heur.first_incumbent_ns").to_bits(),
+    )
+}
+
+#[test]
+fn host_solver_propagate_fix_and_propagate() {
+    let mut cfg = MipConfig::default();
+    cfg.propagate = true;
+    cfg.heuristics.fix_and_propagate_period = 3;
+    let host = |m: MipInstance| {
+        mip_pin(
+            &MipSolver::host_baseline(m, cfg.clone())
+                .solve()
+                .expect("host solve"),
+        )
+    };
+    let got = [
+        host(knapsack(35, 0.5, 9)),
+        host(cover_instance()),
+        host(bin_packing(4, 1.0, 3)),
+        mip_pin(
+            &MipSolver::on_accel(bin_packing(4, 1.0, 3), cfg.clone(), gpu())
+                .solve()
+                .expect("device solve"),
+        ),
+    ];
+    assert_eq!(
+        got,
+        [
+            "Optimal obj=4095480000000000 nodes=311 lp_iters=866 cuts=19 heur=2 sim=40b3da0000000026 x=0befc885e76ecb37 tree=d7c214b3cc40094b incumbents=3 first=4045b33333333334",
+            "Optimal obj=4034000000000000 nodes=1 lp_iters=36 cuts=6 heur=0 sim=403ecccccccccccd x=308352d4f9fa3add tree=7229a2988ab6195d incumbents=1 first=403ecccccccccccd",
+            "Optimal obj=4008000000000000 nodes=47 lp_iters=612 cuts=37 heur=1 sim=409593d70a3d70a0 x=b175fafd354b0935 tree=a5bdff4b0805c8e9 incumbents=1 first=4061199999999999",
+            "Optimal obj=4008000000000000 nodes=47 lp_iters=612 cuts=37 heur=1 sim=419efae01ad97bc7 x=b175fafd354b0935 tree=a5bdff4b0805c8e9 incumbents=1 first=41869d6fb90a9062",
+        ]
+    );
+}
+
+#[test]
+fn host_solver_warm_solution() {
+    let m = knapsack(35, 0.5, 9);
+    let cfg = MipConfig {
+        warm_solution: Some(vec![0.0; m.num_vars()]),
+        ..Default::default()
+    };
+    let r = MipSolver::host_baseline(m, cfg).solve().expect("seeded");
+    assert_eq!(
+        mip_pin(&r),
+        "Optimal obj=4095480000000000 nodes=311 lp_iters=866 cuts=19 heur=2 sim=4090a0000000000a x=0befc885e76ecb37 tree=cf3c3e0975b6f869 incumbents=3 first=0000000000000000"
+    );
+}
+
+fn flat_pin(r: &ParallelResult) -> String {
+    format!(
+        "{:?} obj={:016x} nodes={} msgs={} bytes={} launches={} makespan={:016x} x={:016x} \
+         seeds={} first={:016x}",
+        r.status,
+        r.objective.to_bits(),
+        r.stats.nodes,
+        r.stats.messages,
+        r.stats.message_bytes,
+        r.stats.metrics.counter("gpu.kernel.launches"),
+        r.stats.makespan_ns.to_bits(),
+        point_hash(&r.x),
+        r.stats.metrics.counter("bb.warm.seeds"),
+        r.stats.metrics.gauge("heur.first_incumbent_ns").to_bits(),
+    )
+}
+
+fn pcfg(workers: usize) -> ParallelConfig {
+    ParallelConfig {
+        workers,
+        gpu_mem: 1 << 26,
+        ..Default::default()
+    }
+}
+
+#[test]
+fn flat_cluster_seed_solution() {
+    let m = knapsack(30, 0.5, 7);
+    let plain = solve_parallel(&m, pcfg(8)).expect("plain");
+    // The optimum as seed (the whole tree prunes against it from node one),
+    // and a feasible but poor seed (the empty knapsack).
+    let seeded = |seed: Vec<f64>| {
+        let cfg = ParallelConfig {
+            seed_solution: Some(seed),
+            ..pcfg(8)
+        };
+        flat_pin(&solve_parallel(&m, cfg).expect("seeded"))
+    };
+    let got = [
+        flat_pin(&plain),
+        seeded(plain.x.clone()),
+        seeded(vec![0.0; m.num_vars()]),
+    ];
+    assert_eq!(
+        got,
+        [
+            "Optimal obj=4091500000000000 nodes=821 msgs=1642 bytes=310856 launches=21749 makespan=418c02c5d30ec8ea x=b53a3110292eaa1d seeds=0 first=416ce2182a190812",
+            "Optimal obj=4091500000000000 nodes=821 msgs=1642 bytes=305728 launches=21749 makespan=418c042aaffffeb8 x=b53a3110292eaa1d seeds=1 first=0000000000000000",
+            "Optimal obj=4091500000000000 nodes=821 msgs=1642 bytes=310856 launches=21749 makespan=418c02c5d30ec8ea x=b53a3110292eaa1d seeds=1 first=0000000000000000",
+        ]
+    );
+}
+
+#[test]
+fn clusters_propagate_dive() {
+    let cfg = ParallelConfig {
+        propagate: true,
+        heuristic_period: 2,
+        ..pcfg(16)
+    };
+    let m = knapsack(30, 0.5, 7);
+    let h = solve_hierarchical(
+        &m,
+        cfg.clone(),
+        HierarchyConfig {
+            fanout: 4,
+            ..Default::default()
+        },
+    )
+    .expect("hier");
+    let got = [
+        flat_pin(&solve_parallel(&m, cfg.clone()).expect("flat")),
+        flat_pin(&solve_parallel(&bin_packing(4, 1.0, 3), cfg).expect("flat minimize")),
+        format!(
+            "{:?} obj={:016x} nodes={} msgs={} root={} steals={} broadcasts={} launches={} \
+             makespan={:016x} x={:016x} first={:016x}",
+            h.status,
+            h.objective.to_bits(),
+            h.stats.nodes,
+            h.stats.messages,
+            h.hier.root_messages,
+            h.hier.steals,
+            h.hier.incumbent_broadcasts,
+            h.stats.metrics.counter("gpu.kernel.launches"),
+            h.stats.makespan_ns.to_bits(),
+            point_hash(&h.x),
+            h.stats.metrics.gauge("heur.first_incumbent_ns").to_bits(),
+        ),
+    ];
+    assert_eq!(
+        got,
+        [
+            "Optimal obj=4091500000000000 nodes=819 msgs=1638 bytes=310160 launches=24954 makespan=4180f1f9bff59907 x=b53a3110292eaa1d seeds=0 first=4154ee77918de5b5",
+            "Optimal obj=4008000000000000 nodes=65 msgs=130 bytes=21248 launches=3009 makespan=415be71bf6faa2d9 x=87f5fafd354b0935 seeds=0 first=4150cf4bd30eca8a",
+            "Optimal obj=4091500000000000 nodes=847 msgs=2600 root=906 steals=10 broadcasts=15 launches=25763 makespan=4180f4f54de077cd x=b53a3110292eaa1d first=4154eff3e6e33b0a",
+        ]
+    );
+}
