@@ -87,7 +87,6 @@ impl Default for FirstOrderWaveConfig {
 /// so a single host solver serves them all — the paper's CPU-delegation
 /// rule for sequential tails.
 struct PdhgLanes {
-    std: StandardLp,
     fo: FirstOrderWaveEngine,
     cleanup: LpSolver<HostEngine>,
 }
@@ -103,17 +102,11 @@ impl LaneSet for PdhgLanes {
         warm: Self::Warm,
         refill: bool,
     ) -> LpResult<()> {
-        let mut lb = self.std.lb.clone();
-        let mut ub = self.std.ub.clone();
-        for bc in bounds {
-            lb[bc.var] = bc.lb;
-            ub[bc.var] = bc.ub;
-        }
         if refill {
             self.fo.note_refill();
         }
         let warm = warm.as_ref().map(|(x, y)| (x.as_slice(), y.as_slice()));
-        self.fo.load_lane(slot, id as u64, &lb, &ub, warm)
+        self.fo.load_lane(slot, id as u64, bounds, warm)
     }
 
     fn busy(&self) -> bool {
@@ -179,9 +172,7 @@ pub fn solve_first_order_wave(
     let per_lane = FirstOrderWaveEngine::per_lane_bytes(std.m(), std.n());
     let width = wave_width(cfg.lanes, accel.mem_capacity(), matrix_bytes, per_lane);
     let fo = FirstOrderWaveEngine::new(accel.clone(), &std, width, cfg.pdhg.clone())?;
-    let cleanup = LpSolver::new(std.clone(), LpConfig::standard(), |a| {
-        HostEngine::new(a.clone())
-    });
+    let cleanup = LpSolver::new(std, LpConfig::standard(), |a| HostEngine::new(a.clone()));
     let knobs = WaveKnobs {
         int_tol: cfg.int_tol,
         prune_tol: cfg.prune_tol,
@@ -190,13 +181,7 @@ pub fn solve_first_order_wave(
         propagate_rounds: cfg.propagate_rounds,
         heuristic_period: cfg.heuristic_period,
     };
-    run_wave(
-        instance,
-        knobs,
-        accel,
-        width,
-        PdhgLanes { std, fo, cleanup },
-    )
+    run_wave(instance, knobs, accel, width, PdhgLanes { fo, cleanup })
 }
 
 #[cfg(test)]

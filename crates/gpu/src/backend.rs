@@ -7,19 +7,20 @@
 //! the only source of traced time. They differ in *who runs the lane
 //! numerics*:
 //!
-//! * [`SimAccelerator`] runs each lane body sequentially on the calling
-//!   thread (exactly the pre-trait host loops), then applies the charge.
-//! * [`NativeAccelerator`] fans the lane bodies across a persistent
-//!   [`rayon::ThreadPool`] — one parallel dispatch per kernel class per
-//!   superstep — and measures real wall-clock per class into a `wall.*`
+//! * [`SimAccelerator`] runs the arena blocks (and opaque lane bodies)
+//!   sequentially on the calling thread, then applies the charge.
+//! * [`NativeAccelerator`] fans them across a persistent
+//!   [`rayon::ThreadPool`] — one parallel dispatch per first-order
+//!   superstep ([`Accelerator::fo_step`], KKT checks included), one per
+//!   opaque class — and measures real wall-clock per class into a `wall.*`
 //!   metric family. Within a lane the floating-point operation order is
-//!   untouched (the bodies in [`crate::kernels`] are shared verbatim), so
-//!   lane outcomes are bit-identical across backends and thread counts;
-//!   only wall-clock varies, and wall-clock never enters traces or
-//!   simulated `_ns` totals.
+//!   untouched (the block kernel in [`crate::kernels`] is shared verbatim
+//!   and a block is run by exactly one thread), so lane outcomes are
+//!   bit-identical across backends and thread counts; only wall-clock
+//!   varies, and wall-clock never enters traces or simulated `_ns` totals.
 
 use crate::device::GpuDevice;
-use crate::kernels::{self, AxpyLane, SpmvLane, SpmvTLane};
+use crate::kernels::{self, FoArena, FoBlock};
 use crate::stream::StreamId;
 use gmip_linalg::CsrMatrix;
 use gmip_trace::{names, MetricsRegistry};
@@ -61,16 +62,53 @@ impl BackendKind {
 }
 
 /// One simulated cost charge a fused dispatch applies after executing its
-/// lane bodies: the same `(flops, bytes)` pairs the pre-trait code handed
-/// to `batched_wave_kernel{_sparse}` directly.
-#[derive(Debug)]
-pub struct WaveCharge<'a> {
-    /// Kernel-class span name (`fo.spmv`, `prop.activity`, ...).
+/// lane bodies: a kernel class whose `lanes` active instances each cost
+/// `per_lane` ([`GpuDevice::batched_wave_kernel_uniform`]).
+#[derive(Debug, Clone, Copy)]
+pub struct WaveCharge {
+    /// Kernel-class span name (`fo.norm`, `prop.activity`, ...).
     pub name: &'static str,
-    /// Per-active-lane `(flops, bytes)` of this class.
-    pub per_lane: &'a [(f64, f64)],
+    /// Active lanes of this class.
+    pub lanes: usize,
+    /// `(flops, bytes)` of each lane's instance.
+    pub per_lane: (f64, f64),
     /// Charge at the sparse throughput instead of the dense rate.
     pub sparse: bool,
+}
+
+/// What one [`Accelerator::fo_step`] charges: `busy` lanes, each costing
+/// the same `(flops, bytes)` per kernel class.
+#[derive(Debug, Clone, Copy)]
+pub struct FoStepCharges {
+    /// Busy lanes — padding inside a block is never charged.
+    pub busy: usize,
+    /// Each of the two SpMV classes (`fo.spmv_t`, `fo.spmv`; sparse rate).
+    pub spmv: (f64, f64),
+    /// The `fo.axpy` class (dense rate).
+    pub axpy: (f64, f64),
+}
+
+/// The `fo.norm` class of a step on which lanes land on a KKT check. The
+/// check's math lives in `gmip-lp`, so it arrives as a body — and it rides
+/// the step's own dispatch: a block is checked by the thread that just
+/// stepped it, so a checking superstep costs no second fan-out.
+pub struct FoCheck<'a> {
+    /// Lanes on a check.
+    pub lanes: usize,
+    /// `(flops, bytes)` of each lane's check (dense rate).
+    pub per_lane: (f64, f64),
+    /// Called with `(block index, block)` for every block of the arena,
+    /// right after the block stepped; calls may run concurrently.
+    pub body: &'a (dyn Fn(usize, &FoBlock) + Sync),
+}
+
+impl std::fmt::Debug for FoCheck<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FoCheck")
+            .field("lanes", &self.lanes)
+            .field("per_lane", &self.per_lane)
+            .finish_non_exhaustive()
+    }
 }
 
 /// A per-lane executing body for classes whose numerics live outside
@@ -88,43 +126,32 @@ pub trait Accelerator: Send + Sync + std::fmt::Debug {
     /// Threads lane bodies fan across (1 for the simulator).
     fn threads(&self) -> usize;
 
-    /// Fused `fo.spmv_t` over all active lanes: `aty = Aᵀy`.
-    fn fo_spmv_t(
+    /// One batched PDHG iteration of every busy lane of `arena`
+    /// ([`kernels::fo_step_block`] per block, the shared `csr` walked once
+    /// per block) and, in the same dispatch, `check`'s body on each block;
+    /// then — under one device lock — the three class charges `fo.spmv_t`,
+    /// `fo.axpy`, `fo.spmv` for the *busy* lanes (padding lanes of a block
+    /// are never charged: the modeled device packs busy lanes), the
+    /// retire-boundary stream event, and `check`'s `fo.norm` charge.
+    fn fo_step(
         &self,
         csr: &CsrMatrix,
-        lanes: &mut [SpmvTLane<'_>],
-        per_lane: &[(f64, f64)],
-        stream: StreamId,
-    ) -> f64;
-
-    /// Fused `fo.axpy`: projected primal step + over-relaxation.
-    fn fo_axpy(
-        &self,
         c_tilde: &[f64],
-        lanes: &mut [AxpyLane<'_>],
-        per_lane: &[(f64, f64)],
-        stream: StreamId,
-    ) -> f64;
-
-    /// Fused `fo.spmv`: `ax = Ax̂`, dual ascent, averaging sums.
-    fn fo_spmv(
-        &self,
-        csr: &CsrMatrix,
         b: &[f64],
-        lanes: &mut [SpmvLane<'_>],
-        per_lane: &[(f64, f64)],
+        arena: &mut FoArena,
+        charges: &FoStepCharges,
+        check: Option<&FoCheck<'_>>,
         stream: StreamId,
     ) -> f64;
 
     /// Fused dispatch of opaque per-lane bodies under wall-clock class
     /// `class`, followed by the listed cost charges in order. Used for the
-    /// `fo.norm` checks (whose safe-bound math lives in `gmip-lp`) and the
     /// propagation/dive sweeps (whose math lives in `gmip-prop`).
     fn fused_dispatch(
         &self,
         class: &'static str,
         bodies: &mut [LaneBody<'_>],
-        charges: &[WaveCharge<'_>],
+        charges: &[WaveCharge],
         stream: StreamId,
     ) -> f64;
 
@@ -140,15 +167,44 @@ pub trait Accelerator: Send + Sync + std::fmt::Debug {
     fn wall(&self) -> MetricsRegistry;
 }
 
-fn apply_charges(dev: &Mutex<GpuDevice>, charges: &[WaveCharge<'_>], stream: StreamId) -> f64 {
+/// One block's share of an [`Accelerator::fo_step`] dispatch.
+fn step_block(
+    csr: &CsrMatrix,
+    c_tilde: &[f64],
+    b: &[f64],
+    (index, blk): (usize, &mut FoBlock),
+    check: Option<&FoCheck<'_>>,
+) {
+    kernels::fo_step_block(csr, c_tilde, b, blk);
+    if let Some(check) = check {
+        (check.body)(index, blk);
+    }
+}
+
+fn charge_fo_step(
+    dev: &Mutex<GpuDevice>,
+    charges: &FoStepCharges,
+    check: Option<&FoCheck<'_>>,
+    stream: StreamId,
+) -> f64 {
+    let FoStepCharges { busy, spmv, axpy } = *charges;
+    let mut d = dev.lock();
+    let mut ns = d.batched_wave_kernel_uniform("fo.spmv_t", busy, spmv, true, stream)
+        + d.batched_wave_kernel_uniform("fo.axpy", busy, axpy, false, stream)
+        + d.batched_wave_kernel_uniform("fo.spmv", busy, spmv, true, stream);
+    // Retire boundaries are stream events, not device barriers.
+    let _ = d.record_event(stream);
+    if let Some(c) = check {
+        ns += d.batched_wave_kernel_uniform("fo.norm", c.lanes, c.per_lane, false, stream);
+    }
+    ns
+}
+
+fn apply_charges(dev: &Mutex<GpuDevice>, charges: &[WaveCharge], stream: StreamId) -> f64 {
     let mut d = dev.lock();
     let mut total = 0.0;
     for c in charges {
-        total += if c.sparse {
-            d.batched_wave_kernel_sparse(c.name, c.per_lane, stream)
-        } else {
-            d.batched_wave_kernel(c.name, c.per_lane, stream)
-        };
+        total += d.batched_wave_kernel_uniform(c.name, c.lanes, c.per_lane, c.sparse, stream);
     }
     total
 }
@@ -177,57 +233,27 @@ impl Accelerator for SimAccelerator {
         1
     }
 
-    fn fo_spmv_t(
+    fn fo_step(
         &self,
         csr: &CsrMatrix,
-        lanes: &mut [SpmvTLane<'_>],
-        per_lane: &[(f64, f64)],
-        stream: StreamId,
-    ) -> f64 {
-        for lane in lanes.iter_mut() {
-            kernels::spmv_t_lane(csr, lane);
-        }
-        self.dev
-            .lock()
-            .batched_wave_kernel_sparse("fo.spmv_t", per_lane, stream)
-    }
-
-    fn fo_axpy(
-        &self,
         c_tilde: &[f64],
-        lanes: &mut [AxpyLane<'_>],
-        per_lane: &[(f64, f64)],
-        stream: StreamId,
-    ) -> f64 {
-        for lane in lanes.iter_mut() {
-            kernels::axpy_lane(c_tilde, lane);
-        }
-        self.dev
-            .lock()
-            .batched_wave_kernel("fo.axpy", per_lane, stream)
-    }
-
-    fn fo_spmv(
-        &self,
-        csr: &CsrMatrix,
         b: &[f64],
-        lanes: &mut [SpmvLane<'_>],
-        per_lane: &[(f64, f64)],
+        arena: &mut FoArena,
+        charges: &FoStepCharges,
+        check: Option<&FoCheck<'_>>,
         stream: StreamId,
     ) -> f64 {
-        for lane in lanes.iter_mut() {
-            kernels::spmv_lane(csr, b, lane);
+        for item in arena.blocks_mut().iter_mut().enumerate() {
+            step_block(csr, c_tilde, b, item, check);
         }
-        self.dev
-            .lock()
-            .batched_wave_kernel_sparse("fo.spmv", per_lane, stream)
+        charge_fo_step(&self.dev, charges, check, stream)
     }
 
     fn fused_dispatch(
         &self,
         _class: &'static str,
         bodies: &mut [LaneBody<'_>],
-        charges: &[WaveCharge<'_>],
+        charges: &[WaveCharge],
         stream: StreamId,
     ) -> f64 {
         for body in bodies.iter_mut() {
@@ -261,13 +287,17 @@ pub struct NativeAccelerator {
 
 impl NativeAccelerator {
     /// Builds the backend over a shared device with `threads` pool
-    /// threads (0 = `rayon::current_num_threads()`).
+    /// threads (0 = `rayon::current_num_threads()`), clamped to the host's
+    /// available parallelism: a pool wider than the machine only adds
+    /// wake-ups. `wall.threads` reports the effective count.
     pub fn new(dev: Arc<Mutex<GpuDevice>>, threads: usize) -> Self {
         let threads = if threads == 0 {
             rayon::current_num_threads()
         } else {
             threads
         };
+        let host = std::thread::available_parallelism().map_or(1, |p| p.get());
+        let threads = threads.min(host);
         let mut wall = MetricsRegistry::new();
         wall.set_gauge(names::WALL_THREADS, threads as f64);
         Self {
@@ -279,19 +309,22 @@ impl NativeAccelerator {
 
     fn wall_key(class: &str) -> &'static str {
         match class {
-            "fo.spmv_t" => names::WALL_FO_SPMV_T,
-            "fo.axpy" => names::WALL_FO_AXPY,
-            "fo.spmv" => names::WALL_FO_SPMV,
-            "fo.norm" => names::WALL_FO_NORM,
+            "fo.step" => names::WALL_FO_STEP,
             "prop.round" => names::WALL_PROP_ROUND,
             "heur.dive" => names::WALL_HEUR_DIVE,
             _ => names::WALL_OTHER,
         }
     }
 
-    /// Runs `f` over every lane, each lane touched by exactly one pool
-    /// thread, timing the fan-out under the class's wall key.
-    fn run_lanes<T: Send>(&self, class: &'static str, lanes: &mut [T], f: impl Fn(&mut T) + Sync) {
+    /// Runs `f` over every item (an arena block, an opaque lane body) with
+    /// its index, each touched by exactly one pool thread, timing the
+    /// fan-out under the class's wall key.
+    fn run_lanes<T: Send>(
+        &self,
+        class: &'static str,
+        lanes: &mut [T],
+        f: impl Fn(usize, &mut T) + Sync,
+    ) {
         let t0 = Instant::now();
         let base = lanes.as_mut_ptr() as usize;
         self.pool.dispatch(lanes.len(), &|i| {
@@ -299,7 +332,7 @@ impl NativeAccelerator {
             // blocks until all are done, so the `&mut` borrows are disjoint
             // and live for the call.
             let lane = unsafe { &mut *(base as *mut T).add(i) };
-            f(lane);
+            f(i, lane);
         });
         let mut wall = self.wall.lock();
         wall.incr(Self::wall_key(class), t0.elapsed().as_nanos() as f64);
@@ -316,54 +349,30 @@ impl Accelerator for NativeAccelerator {
         self.pool.num_threads()
     }
 
-    fn fo_spmv_t(
+    fn fo_step(
         &self,
         csr: &CsrMatrix,
-        lanes: &mut [SpmvTLane<'_>],
-        per_lane: &[(f64, f64)],
-        stream: StreamId,
-    ) -> f64 {
-        self.run_lanes("fo.spmv_t", lanes, |lane| kernels::spmv_t_lane(csr, lane));
-        self.dev
-            .lock()
-            .batched_wave_kernel_sparse("fo.spmv_t", per_lane, stream)
-    }
-
-    fn fo_axpy(
-        &self,
         c_tilde: &[f64],
-        lanes: &mut [AxpyLane<'_>],
-        per_lane: &[(f64, f64)],
-        stream: StreamId,
-    ) -> f64 {
-        self.run_lanes("fo.axpy", lanes, |lane| kernels::axpy_lane(c_tilde, lane));
-        self.dev
-            .lock()
-            .batched_wave_kernel("fo.axpy", per_lane, stream)
-    }
-
-    fn fo_spmv(
-        &self,
-        csr: &CsrMatrix,
         b: &[f64],
-        lanes: &mut [SpmvLane<'_>],
-        per_lane: &[(f64, f64)],
+        arena: &mut FoArena,
+        charges: &FoStepCharges,
+        check: Option<&FoCheck<'_>>,
         stream: StreamId,
     ) -> f64 {
-        self.run_lanes("fo.spmv", lanes, |lane| kernels::spmv_lane(csr, b, lane));
-        self.dev
-            .lock()
-            .batched_wave_kernel_sparse("fo.spmv", per_lane, stream)
+        self.run_lanes("fo.step", arena.blocks_mut(), |i, blk| {
+            step_block(csr, c_tilde, b, (i, blk), check)
+        });
+        charge_fo_step(&self.dev, charges, check, stream)
     }
 
     fn fused_dispatch(
         &self,
         class: &'static str,
         bodies: &mut [LaneBody<'_>],
-        charges: &[WaveCharge<'_>],
+        charges: &[WaveCharge],
         stream: StreamId,
     ) -> f64 {
-        self.run_lanes(class, bodies, |body| body());
+        self.run_lanes(class, bodies, |_, body| body());
         apply_charges(&self.dev, charges, stream)
     }
 
@@ -384,7 +393,9 @@ impl Accelerator for NativeAccelerator {
 mod tests {
     use super::*;
     use crate::device::{DeviceConfig, DEFAULT_STREAM};
+    use crate::kernels::FO_BLOCK;
     use gmip_linalg::DenseMatrix;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     fn dev() -> Arc<Mutex<GpuDevice>> {
         Arc::new(Mutex::new(GpuDevice::new(DeviceConfig::gpu(1))))
@@ -404,30 +415,71 @@ mod tests {
 
     #[test]
     fn both_backends_charge_identical_ns() {
-        let per_lane = vec![(1000.0, 4000.0); 4];
+        let charges = FoStepCharges {
+            busy: 4,
+            spmv: (1000.0, 4000.0),
+            axpy: (1000.0, 4000.0),
+        };
         let sim = SimAccelerator::new(dev());
         let nat = NativeAccelerator::new(dev(), 2);
         let csr = CsrMatrix::from_dense(&DenseMatrix::identity(3));
         let run = |a: &dyn Accelerator| {
-            let mut ys = vec![vec![1.0, 2.0, 3.0]; 4];
-            let mut atys = vec![vec![0.0; 3]; 4];
-            let mut lanes: Vec<SpmvTLane<'_>> = ys
-                .iter_mut()
-                .zip(atys.iter_mut())
-                .map(|(y, aty)| SpmvTLane { y, aty })
-                .collect();
-            let t = a.fo_spmv_t(&csr, &mut lanes, &per_lane, DEFAULT_STREAM);
-            (t, atys)
+            // Four busy lanes spread over two blocks.
+            let mut arena = FoArena::new(3, 3, 12);
+            for slot in [0, 5, 8, 11] {
+                let (blk, lane) = arena.lane_mut(slot);
+                kernels::scatter(&mut blk.y, lane, &[1.0, 2.0, 3.0]);
+                kernels::scatter(&mut blk.ub, lane, &[1.0; 3]);
+                blk.set_steps(lane, 0.5, 0.5);
+            }
+            // The check body sees each block once, already stepped.
+            let seen = [AtomicU32::new(0), AtomicU32::new(0)];
+            let check = FoCheck {
+                lanes: 2,
+                per_lane: (8.0, 64.0),
+                body: &|i, blk| {
+                    assert_eq!(blk.aty[FO_BLOCK * 2], 3.0, "lane 0, stepped");
+                    seen[i].fetch_add(1, Ordering::Relaxed);
+                },
+            };
+            let mut step = |check| {
+                a.fo_step(
+                    &csr,
+                    &[0.0; 3],
+                    &[0.0; 3],
+                    &mut arena,
+                    &charges,
+                    check,
+                    DEFAULT_STREAM,
+                )
+            };
+            let unchecked = step(None);
+            let t = step(Some(&check));
+            assert!(seen.iter().all(|n| n.load(Ordering::Relaxed) == 1));
+            assert!(t > unchecked, "the fo.norm class is charged on top");
+            (t, arena.blocks_mut().to_vec())
         };
         let (t_sim, out_sim) = run(&sim);
         let (t_nat, out_nat) = run(&nat);
         assert_eq!(t_sim.to_bits(), t_nat.to_bits());
-        assert_eq!(out_sim, out_nat);
+        for (a, b) in out_sim.iter().zip(&out_nat) {
+            assert_eq!(a.aty, b.aty);
+            assert_eq!(a.y, b.y);
+        }
+        assert_eq!(out_sim[0].aty[FO_BLOCK * 2 + 5], 3.0);
         // Wall clock exists only on the native side and never under gpu.*.
         assert!(sim.wall().is_empty());
         let wall = nat.wall();
-        assert!(wall.counter(names::WALL_DISPATCHES) >= 1.0);
-        assert!(wall.counter(names::WALL_FO_SPMV_T) > 0.0);
+        assert_eq!(wall.counter(names::WALL_DISPATCHES), 2.0);
+        assert!(wall.counter(names::WALL_FO_STEP) > 0.0);
+    }
+
+    #[test]
+    fn native_pool_is_clamped_to_the_host() {
+        let host = std::thread::available_parallelism().map_or(1, |p| p.get());
+        let nat = NativeAccelerator::new(dev(), host + 7);
+        assert_eq!(nat.threads(), host);
+        assert_eq!(nat.wall().gauge(names::WALL_THREADS), host as f64);
     }
 
     #[test]
@@ -446,22 +498,16 @@ mod tests {
             .iter_mut()
             .map(|c| c as &mut (dyn FnMut() + Send))
             .collect();
-        let per_lane = vec![(10.0, 10.0); 8];
+        let charge = |name, sparse| WaveCharge {
+            name,
+            lanes: 8,
+            per_lane: (10.0, 10.0),
+            sparse,
+        };
         let t = nat.fused_dispatch(
             "prop.round",
             &mut bodies,
-            &[
-                WaveCharge {
-                    name: "prop.activity",
-                    per_lane: &per_lane,
-                    sparse: true,
-                },
-                WaveCharge {
-                    name: "prop.reduce",
-                    per_lane: &per_lane,
-                    sparse: false,
-                },
-            ],
+            &[charge("prop.activity", true), charge("prop.reduce", false)],
             DEFAULT_STREAM,
         );
         assert!(t > 0.0);

@@ -1707,7 +1707,29 @@ impl GpuDevice {
         stream: StreamId,
     ) -> f64 {
         let rate = self.cost.dense_flops_per_ns;
-        self.batched_wave_kernel_at(name, per_lane, stream, rate)
+        self.batched_wave_kernel_at(name, per_lane.iter().copied(), stream, rate)
+    }
+
+    /// [`Self::batched_wave_kernel`] (`sparse`: [`_sparse`]) for a class
+    /// whose `lanes` instances all cost the same `(flops, bytes)`: charge,
+    /// ledger and trace event are bit for bit those of a `lanes`-long slice
+    /// of that pair, which the caller no longer has to keep.
+    ///
+    /// [`_sparse`]: Self::batched_wave_kernel_sparse
+    pub fn batched_wave_kernel_uniform(
+        &mut self,
+        name: &'static str,
+        lanes: usize,
+        per_lane: (f64, f64),
+        sparse: bool,
+        stream: StreamId,
+    ) -> f64 {
+        let rate = if sparse {
+            self.cost.sparse_flops_per_ns
+        } else {
+            self.cost.dense_flops_per_ns
+        };
+        self.batched_wave_kernel_at(name, std::iter::repeat_n(per_lane, lanes), stream, rate)
     }
 
     /// Shared body of the dense/sparse fused wave launches, parameterized
@@ -1715,26 +1737,26 @@ impl GpuDevice {
     fn batched_wave_kernel_at(
         &mut self,
         name: &'static str,
-        per_lane: &[(f64, f64)],
+        per_lane: impl ExactSizeIterator<Item = (f64, f64)> + Clone,
         stream: StreamId,
         flops_per_ns: f64,
     ) -> f64 {
-        if per_lane.is_empty() {
+        let batch = per_lane.len();
+        if batch == 0 {
             return 0.0;
         }
         let per_op_ns = per_lane
-            .iter()
-            .map(|&(fl, by)| (fl / flops_per_ns).max(by / self.cost.mem_bw_bytes_per_ns))
+            .clone()
+            .map(|(fl, by)| (fl / flops_per_ns).max(by / self.cost.mem_bw_bytes_per_ns))
             .fold(0.0, f64::max);
-        let t = self.cost.batched_kernel_ns(per_lane.len(), per_op_ns);
+        let t = self.cost.batched_kernel_ns(batch, per_op_ns);
         let done = self.streams.enqueue(stream, t);
-        let batch_flops: f64 = per_lane.iter().map(|p| p.0).sum();
-        let batch_bytes: f64 = per_lane.iter().map(|p| p.1).sum();
+        let batch_flops: f64 = per_lane.clone().map(|p| p.0).sum();
+        let batch_bytes: f64 = per_lane.map(|p| p.1).sum();
         self.ledger.incr(Series::KernelLaunches, 1.0);
         self.ledger.incr(Series::KernelFlops, batch_flops);
         self.ledger.incr(Series::KernelNs, t);
         let track = self.track;
-        let batch = per_lane.len();
         gmip_trace::record(|| {
             Event::complete(
                 Track {
@@ -1765,7 +1787,7 @@ impl GpuDevice {
         stream: StreamId,
     ) -> f64 {
         let rate = self.cost.sparse_flops_per_ns;
-        self.batched_wave_kernel_at(name, per_lane, stream, rate)
+        self.batched_wave_kernel_at(name, per_lane.iter().copied(), stream, rate)
     }
 
     /// Batched factor-and-solve: one launch covering `systems.len()`
@@ -1858,6 +1880,37 @@ mod tests {
         assert_eq!(back, m);
         assert_eq!(dev.stats().d2h_transfers, 1);
         assert!(dev.elapsed_ns() > 0.0);
+    }
+
+    #[test]
+    fn uniform_wave_charge_equals_the_slice_it_stands_for() {
+        // Odd, non-integer costs: the repeated sum must round like the
+        // slice's, not like `lanes * cost`.
+        let pair = (1234.567, 89_012.345);
+        for (lanes, sparse) in [(1usize, false), (7, true), (64, false), (257, true)] {
+            let (mut by_slice, mut uniform) = (small_gpu(), small_gpu());
+            let per_lane = vec![pair; lanes];
+            let a = if sparse {
+                by_slice.batched_wave_kernel_sparse("fo.spmv", &per_lane, DEFAULT_STREAM)
+            } else {
+                by_slice.batched_wave_kernel("fo.axpy", &per_lane, DEFAULT_STREAM)
+            };
+            let b = uniform.batched_wave_kernel_uniform("k", lanes, pair, sparse, DEFAULT_STREAM);
+            assert_eq!(a.to_bits(), b.to_bits());
+            assert_eq!(by_slice.stats(), uniform.stats());
+            assert_eq!(
+                by_slice.stats().flops.to_bits(),
+                uniform.stats().flops.to_bits()
+            );
+            assert_eq!(
+                by_slice.elapsed_ns().to_bits(),
+                uniform.elapsed_ns().to_bits()
+            );
+        }
+        assert_eq!(
+            small_gpu().batched_wave_kernel_uniform("k", 0, pair, false, DEFAULT_STREAM),
+            0.0
+        );
     }
 
     #[test]

@@ -37,14 +37,15 @@ pub mod stats;
 pub mod stream;
 
 pub use backend::{
-    Accelerator, BackendKind, LaneBody, NativeAccelerator, SimAccelerator, WaveCharge,
+    Accelerator, BackendKind, FoCheck, FoStepCharges, LaneBody, NativeAccelerator, SimAccelerator,
+    WaveCharge,
 };
 pub use cost::CostModel;
 pub use device::{
     CholeskyHandle, DeviceConfig, EtaHandle, FactorHandle, GpuDevice, GpuError, MatrixHandle,
     RawHandle, SparseEtaHandle, SparseFactorHandle, SparseHandle, VectorHandle, DEFAULT_STREAM,
 };
-pub use kernels::{AxpyLane, SpmvLane, SpmvTLane};
+pub use kernels::{FoArena, FoBlock, FO_BLOCK};
 pub use memory::{DeviceMemory, OutOfMemory};
 pub use node::{Accel, AccelKind, ComputeNode};
 pub use stats::DeviceStats;

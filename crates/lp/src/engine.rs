@@ -180,6 +180,14 @@ pub struct HostEngine {
     eta: Option<EtaFile>,
     alpha: Option<Vec<f64>>,
     alpha_r: Option<Vec<f64>>,
+    /// Engine-owned scratch of the per-iteration kernels, sized at
+    /// [`install`](SimplexEngine::install): dual prices `y`, BTRAN work
+    /// space, and the unit vector / entering column (length `m`); `Aᵀy`
+    /// (length `n`).
+    y: Vec<f64>,
+    work: Vec<f64>,
+    col: Vec<f64>,
+    aty: Vec<f64>,
 }
 
 impl HostEngine {
@@ -200,6 +208,10 @@ impl HostEngine {
             eta: None,
             alpha: None,
             alpha_r: None,
+            y: Vec::new(),
+            work: Vec::new(),
+            col: Vec::new(),
+            aty: Vec::new(),
         }
     }
 
@@ -210,6 +222,21 @@ impl HostEngine {
     fn alpha(&self) -> LpResult<&Vec<f64>> {
         self.alpha.as_ref().ok_or(LpError::NotInstalled)
     }
+
+    /// Dual prices into `self.y` (`Bᵀy = c_B`) and `Aᵀy` into `self.aty`:
+    /// the reduced cost of column `j` is `c[j] - aty[j]`.
+    fn price_out(&mut self) -> LpResult<()> {
+        let eta = self.eta.as_ref().ok_or(LpError::NotInstalled)?;
+        eta.btran_into(&self.cb, &mut self.work, &mut self.y)?;
+        self.a.matvec_transposed_into(&self.y, &mut self.aty)?;
+        Ok(())
+    }
+}
+
+/// `dst ← src`, reusing `dst`'s allocation.
+fn assign(dst: &mut Vec<f64>, src: impl IntoIterator<Item = f64>) {
+    dst.clear();
+    dst.extend(src);
 }
 
 impl SimplexEngine for HostEngine {
@@ -233,24 +260,30 @@ impl SimplexEngine for HostEngine {
                 view.b.len()
             )));
         }
-        self.b = view.b.to_vec();
-        self.c = view.c.to_vec();
-        self.lb = view.lb.to_vec();
-        self.ub = view.ub.to_vec();
-        self.sigma = basis
-            .status
-            .iter()
-            .enumerate()
-            .map(|(j, s)| {
-                if self.lb[j] == self.ub[j] {
-                    0.0
-                } else {
-                    s.sigma()
-                }
-            })
-            .collect();
-        // Nonbasic point and residual.
-        let mut x_nb = vec![0.0; n];
+        assign(&mut self.b, view.b.iter().copied());
+        assign(&mut self.c, view.c.iter().copied());
+        assign(&mut self.lb, view.lb.iter().copied());
+        assign(&mut self.ub, view.ub.iter().copied());
+        let (lb, ub) = (&self.lb, &self.ub);
+        assign(
+            &mut self.sigma,
+            basis.status.iter().enumerate().map(
+                |(j, s)| {
+                    if lb[j] == ub[j] {
+                        0.0
+                    } else {
+                        s.sigma()
+                    }
+                },
+            ),
+        );
+        for v in [&mut self.y, &mut self.work, &mut self.col] {
+            v.resize(m, 0.0);
+        }
+        // Nonbasic point (in the `aty` scratch) and residual (in `col`).
+        let x_nb = &mut self.aty;
+        x_nb.clear();
+        x_nb.resize(n, 0.0);
         for (j, s) in basis.status.iter().enumerate() {
             match s {
                 VarStatus::AtLower => x_nb[j] = self.lb[j],
@@ -261,8 +294,10 @@ impl SimplexEngine for HostEngine {
                 return Err(LpError::FreeVariable(j));
             }
         }
-        let ax = self.a.matvec(&x_nb)?;
-        let w: Vec<f64> = self.b.iter().zip(&ax).map(|(bi, ai)| bi - ai).collect();
+        self.a.matvec_into(x_nb, &mut self.work)?;
+        for ((wi, bi), ai) in self.col.iter_mut().zip(&self.b).zip(&self.work) {
+            *wi = bi - ai;
+        }
         // Factorize the basis.
         let mut bmat = DenseMatrix::zeros(m, m);
         for (i, &j) in basis.cols.iter().enumerate() {
@@ -271,12 +306,14 @@ impl SimplexEngine for HostEngine {
             }
         }
         let eta = EtaFile::factorize(&bmat)?;
-        self.xb = eta.ftran(&w)?;
+        self.xb.resize(m, 0.0);
+        eta.ftran_into(&self.col, &mut self.xb)?;
         self.eta = Some(eta);
-        self.cb = basis.cols.iter().map(|&j| self.c[j]).collect();
-        self.lbb = basis.cols.iter().map(|&j| self.lb[j]).collect();
-        self.ubb = basis.cols.iter().map(|&j| self.ub[j]).collect();
-        self.gamma = vec![1.0; n];
+        assign(&mut self.cb, basis.cols.iter().map(|&j| self.c[j]));
+        assign(&mut self.lbb, basis.cols.iter().map(|&j| self.lb[j]));
+        assign(&mut self.ubb, basis.cols.iter().map(|&j| self.ub[j]));
+        self.gamma.clear();
+        self.gamma.resize(n, 1.0);
         self.alpha = None;
         self.alpha_r = None;
         Ok(())
@@ -289,14 +326,13 @@ impl SimplexEngine for HostEngine {
     }
 
     fn price(&mut self) -> LpResult<Option<(usize, f64)>> {
-        let y = self.eta()?.btran(&self.cb)?;
-        let aty = self.a.matvec_transposed(&y)?;
+        self.price_out()?;
         let mut best: Option<(usize, f64)> = None;
         for j in 0..self.n() {
             if self.sigma[j] == 0.0 {
                 continue;
             }
-            let d = self.c[j] - aty[j];
+            let d = self.c[j] - self.aty[j];
             let score = self.sigma[j] * d;
             if best.is_none_or(|(_, b)| score < b) {
                 best = Some((j, score));
@@ -306,14 +342,26 @@ impl SimplexEngine for HostEngine {
     }
 
     fn reduced_costs_host(&mut self) -> LpResult<Vec<f64>> {
-        let y = self.eta()?.btran(&self.cb)?;
-        let aty = self.a.matvec_transposed(&y)?;
-        Ok(self.c.iter().zip(&aty).map(|(ci, ai)| ci - ai).collect())
+        self.price_out()?;
+        Ok(self
+            .c
+            .iter()
+            .zip(&self.aty)
+            .map(|(ci, ai)| ci - ai)
+            .collect())
     }
 
     fn ftran_column(&mut self, q: usize) -> LpResult<()> {
-        let col = self.a.col(q);
-        self.alpha = Some(self.eta()?.ftran(&col)?);
+        // Sized to the matrix (not the factorization): a cut appended
+        // without a re-install stays a dimension error below.
+        self.col.resize(self.a.rows(), 0.0);
+        self.a.col_into(q, &mut self.col);
+        // Reuses the previous column's buffer unless a pivot moved it into
+        // the eta file.
+        let mut alpha = self.alpha.take().unwrap_or_default();
+        alpha.resize(self.col.len(), 0.0);
+        self.eta()?.ftran_into(&self.col, &mut alpha)?;
+        self.alpha = Some(alpha);
         Ok(())
     }
 
@@ -347,8 +395,8 @@ impl SimplexEngine for HostEngine {
     }
 
     fn apply_flip(&mut self, q: usize, dir: f64, t: f64, new_sigma: f64) -> LpResult<()> {
-        let alpha = self.alpha()?.clone();
-        for (xi, ai) in self.xb.iter_mut().zip(&alpha) {
+        let alpha = self.alpha.as_ref().ok_or(LpError::NotInstalled)?;
+        for (xi, ai) in self.xb.iter_mut().zip(alpha) {
             *xi -= dir * t * ai;
         }
         self.sigma[q] = new_sigma;
@@ -356,7 +404,9 @@ impl SimplexEngine for HostEngine {
     }
 
     fn apply_pivot(&mut self, plan: &PivotPlan) -> LpResult<()> {
-        let alpha = self.alpha()?.clone();
+        // The FTRAN column moves into the eta file; it is stale after the
+        // pivot anyway.
+        let alpha = self.alpha.take().ok_or(LpError::NotInstalled)?;
         for (xi, ai) in self.xb.iter_mut().zip(&alpha) {
             *xi -= plan.dir * plan.t * ai;
         }
@@ -374,7 +424,6 @@ impl SimplexEngine for HostEngine {
         self.cb[plan.r] = plan.c_q;
         self.lbb[plan.r] = plan.lb_q;
         self.ubb[plan.r] = plan.ub_q;
-        self.alpha = None;
         self.alpha_r = None;
         Ok(())
     }
@@ -412,16 +461,20 @@ impl SimplexEngine for HostEngine {
     }
 
     fn btran_row(&mut self, r: usize) -> LpResult<()> {
-        let m = self.m();
-        let mut e = vec![0.0; m];
-        e[r] = 1.0;
-        let rho = self.eta()?.btran(&e)?;
-        self.alpha_r = Some(self.a.matvec_transposed(&rho)?);
+        let eta = self.eta.as_ref().ok_or(LpError::NotInstalled)?;
+        // `col` holds e_r, `y` receives ρ = B⁻ᵀ e_r.
+        self.col.fill(0.0);
+        self.col[r] = 1.0;
+        eta.btran_into(&self.col, &mut self.work, &mut self.y)?;
+        let mut alpha_r = self.alpha_r.take().unwrap_or_default();
+        alpha_r.resize(self.a.cols(), 0.0);
+        self.a.matvec_transposed_into(&self.y, &mut alpha_r)?;
+        self.alpha_r = Some(alpha_r);
         Ok(())
     }
 
     fn dual_ratio(&mut self, leaving_below: bool, tol: f64) -> LpResult<Option<(usize, f64)>> {
-        let d = self.reduced_costs_host()?;
+        self.price_out()?;
         let ar = self.alpha_r.as_ref().ok_or(LpError::NotInstalled)?;
         let mut best: Option<(usize, f64)> = None;
         for j in 0..self.n() {
@@ -435,7 +488,7 @@ impl SimplexEngine for HostEngine {
             if !eligible {
                 continue;
             }
-            let ratio = (d[j] / ar[j]).abs();
+            let ratio = ((self.c[j] - self.aty[j]) / ar[j]).abs();
             if best.is_none_or(|(_, br)| ratio < br - 1e-12) {
                 best = Some((j, ratio));
             }
@@ -457,14 +510,13 @@ impl SimplexEngine for HostEngine {
     }
 
     fn price_devex(&mut self) -> LpResult<Option<(usize, f64)>> {
-        let y = self.eta()?.btran(&self.cb)?;
-        let aty = self.a.matvec_transposed(&y)?;
+        self.price_out()?;
         let mut best: Option<(usize, f64, f64)> = None; // (j, merit, sigma_d)
         for j in 0..self.n() {
             if self.sigma[j] == 0.0 {
                 continue;
             }
-            let d = self.c[j] - aty[j];
+            let d = self.c[j] - self.aty[j];
             let sd = self.sigma[j] * d;
             if sd >= 0.0 {
                 continue;

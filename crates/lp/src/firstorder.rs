@@ -4,11 +4,56 @@
 //! whose kernel classes desynchronize as lanes progress, a first-order lane
 //! has exactly one iteration shape — two SpMVs against the one shared
 //! device-resident CSR matrix plus vector axpy/projection work — so *every*
-//! active lane is always on the same kernel class and a superstep is three
-//! fused launches (`fo.spmv_t`, `fo.axpy`, `fo.spmv`), four on KKT-check
-//! steps (`fo.norm`). No factorization state exists at all: per-lane memory
-//! is a handful of vectors, which is what lets the wave scale to hundreds
-//! of lanes ("Batched First-Order Methods for Parallel LP Solving in MIP").
+//! active lane is always on the same kernel class. A superstep is **one
+//! batched kernel** over all lanes ([`gmip_gpu::Accelerator::fo_step`]),
+//! charged to the simulator as the three fused launches it stands for
+//! (`fo.spmv_t`, `fo.axpy`, `fo.spmv`), four on KKT-check steps
+//! (`fo.norm`). No factorization state exists at all: per-lane memory is a
+//! handful of vectors, which is what lets the wave scale to hundreds of
+//! lanes ("Batched First-Order Methods for Parallel LP Solving in MIP").
+//!
+//! # The arena
+//!
+//! Lane state lives in a [`FoArena`]: blocks of [`FO_BLOCK`] lanes, every
+//! state vector of a block stored element-major with the block's lanes
+//! innermost (`x[block][j][lane]`, likewise `y`, the averaging sums, the
+//! restart points, the bounds and the kernel scratch, plus per-lane `τ/σ`):
+//!
+//! ```text
+//! block 0                                block 1
+//! x:  x₀ of lanes 0..8 | x₁ of lanes 0..8 | …    x₀ of lanes 8..16 | …
+//! y:  y₀ of lanes 0..8 | …                       …
+//! ```
+//!
+//! The step walks the shared CSR **once per block** with the innermost
+//! loop over the block's lanes, and a *block* is what a backend hands to a
+//! thread: `Sim` runs blocks in order, `Native` fans them across its pool
+//! in one dispatch per superstep. Within a lane the floating-point order is
+//! the sequential one (see [`gmip_gpu::kernels`]), so iterates are
+//! bit-identical across backends, widths and thread counts. A slot that is
+//! empty — or retired and not yet taken — is *inert*: its report sits
+//! outside the arena, its arena state is all zero with `τ = σ = 0`, and
+//! whatever the kernel computes for it is finite and unobservable (a block
+//! with only a few busy lanes steps just those; see
+//! [`gmip_gpu::kernels::fo_step_block`]). The
+//! simulated charges count **busy lanes only**: padding inside a block is
+//! an artefact of how the host lays lanes out, not work the modeled device
+//! (which packs its busy lanes) would do.
+//!
+//! Everything that is per-lane and scalar — loading a node, the `fo.norm`
+//! KKT check, the retire/restart decision — gathers that one lane into
+//! contiguous engine-owned memory and runs plain sequential code, so a
+//! steady-state [`FirstOrderWaveEngine::superstep`] allocates nothing.
+//! That memory is per block, because the block is the grain of the check
+//! too: on a checking superstep the `fo.norm` body rides the step's own
+//! dispatch — whoever stepped a block checks its lanes next — so the
+//! checks run block-parallel on `Native` with no second fan-out. A check
+//! leaves the lane's running average in the block's staging, which is
+//! what the lane reports if it retires; only the decisions (they touch
+//! the cutoff, the counters, the restart state) run afterwards on the
+//! caller, in ascending slot order.
+//!
+//! # The method
 //!
 //! Numerically each lane runs **restarted PDHG** (primal-dual hybrid
 //! gradient) on the internal maximize form `max cᵀx, Ax = b, l ≤ x ≤ u`:
@@ -40,15 +85,17 @@
 //! iteration-capped) survivors are handed to exact simplex cleanup by the
 //! driver before branching, as the paper does.
 
-use crate::problem::StandardLp;
+use crate::problem::{BoundChange, StandardLp};
 use crate::{LpError, LpResult};
 use gmip_gpu::cost::flops;
+use gmip_gpu::kernels::{fill_lane, gather, scatter};
 use gmip_gpu::{
-    Accel, AxpyLane, RawHandle, SparseHandle, SpmvLane, SpmvTLane, StreamId, WaveCharge,
-    DEFAULT_STREAM,
+    Accel, FoArena, FoBlock, FoCheck, FoStepCharges, RawHandle, SparseHandle, StreamId,
+    DEFAULT_STREAM, FO_BLOCK,
 };
 use gmip_linalg::CsrMatrix;
 use gmip_trace::{names, MetricsRegistry};
+use std::sync::Mutex;
 
 /// Tuning parameters of the restarted-PDHG lanes.
 #[derive(Debug, Clone)]
@@ -119,16 +166,10 @@ pub struct FoLaneReport {
     pub y: Vec<f64>,
 }
 
-/// One lane's PDHG state.
+/// One lane's bookkeeping; its vectors live in the engine's [`FoArena`].
 #[derive(Debug)]
 struct FoLane {
     token: u64,
-    lb: Vec<f64>,
-    ub: Vec<f64>,
-    x: Vec<f64>,
-    y: Vec<f64>,
-    x_sum: Vec<f64>,
-    y_sum: Vec<f64>,
     sum_count: usize,
     iters: usize,
     restarts: usize,
@@ -136,44 +177,48 @@ struct FoLane {
     omega: f64,
     /// KKT merit at the last restart point (`+∞` until first measured).
     merit0: f64,
-    x_restart: Vec<f64>,
-    y_restart: Vec<f64>,
     /// Best safe dual bound seen (monotone min; every sample is valid).
     safe_bound: f64,
     outcome: Option<FoOutcome>,
     reported: bool,
-    /// Executing-kernel buffers (`Aᵀy`, the over-relaxed point `x̂`, and
-    /// `Ax̂`): host memory backing the lane's share of the fused
-    /// dispatches. Per-lane (not engine-shared) so backends may run lanes
-    /// concurrently; the modeled device footprint is unchanged
-    /// ([`FirstOrderWaveEngine::per_lane_bytes`] already charges these
-    /// vectors as lane state).
-    aty: Vec<f64>,
-    xhat: Vec<f64>,
-    ax: Vec<f64>,
+    /// On a KKT check in the superstep under way (busy lanes only).
+    checking: bool,
 }
 
-/// KKT quantities a `fo.norm` check body computes for one lane; consumed
-/// sequentially by the retire/restart decision at the superstep boundary.
-#[derive(Debug, Default)]
+/// One arena block's `fo.norm` task: the unit the checks fan out by, and
+/// the contiguous memory the block's lanes load through, check into and
+/// report from. Each task sits behind its own lock so the check bodies,
+/// which share the engine immutably, can write it; exactly one body ever
+/// takes a given lock, so it is never contended.
+#[derive(Debug)]
+struct BlockCheck {
+    /// Lane-contiguous `FO_BLOCK × n` / `FO_BLOCK × m`: a busy lane's
+    /// running average at its last check, and — from the moment it retires
+    /// until it is taken — its reported iterates.
+    x: Vec<f64>,
+    y: Vec<f64>,
+    /// KKT quantities of each lane's last check.
+    out: [CheckOut; FO_BLOCK],
+    /// One lane's box gathered contiguous.
+    lb: Vec<f64>,
+    ub: Vec<f64>,
+    /// `A·x̄` of the lane being checked.
+    ax: Vec<f64>,
+    /// [`safe_dual_bound_into`]'s clamped dual and its `Aᵀy`.
+    yc: Vec<f64>,
+    aty: Vec<f64>,
+}
+
+/// Why locking a block's task can fail at all.
+const TASK_LOCK: &str = "an earlier fo.norm check panicked holding this block's task";
+
+/// KKT quantities of one lane's running average (which itself sits in
+/// [`BlockCheck::x`] / [`BlockCheck::y`]).
+#[derive(Debug, Clone, Copy, Default)]
 struct CheckOut {
-    x_avg: Vec<f64>,
-    y_avg: Vec<f64>,
     primal_res: f64,
     obj: f64,
     bound: f64,
-}
-
-/// Borrowed lane state a `fo.norm` check body works on.
-struct CheckCell<'a> {
-    slot: usize,
-    inv: f64,
-    lb: &'a [f64],
-    ub: &'a [f64],
-    x_sum: &'a [f64],
-    y_sum: &'a [f64],
-    ax: &'a mut [f64],
-    out: CheckOut,
 }
 
 /// Activity-based implied-bound tightening over the equality rows.
@@ -279,7 +324,24 @@ pub fn safe_dual_bound(
     slack_rows: &[(usize, f64)],
     y: &[f64],
 ) -> f64 {
-    let mut yc = y.to_vec();
+    let (mut yc, mut aty) = (vec![0.0; y.len()], vec![0.0; c.len()]);
+    safe_dual_bound_into(a, b, c, lb, ub, slack_rows, y, &mut yc, &mut aty)
+}
+
+/// [`safe_dual_bound`] over caller-owned scratch: `yc` (length `m`) takes
+/// the clamped dual, `aty` (length `n`) its `Aᵀy`.
+fn safe_dual_bound_into(
+    a: &CsrMatrix,
+    b: &[f64],
+    c: &[f64],
+    lb: &[f64],
+    ub: &[f64],
+    slack_rows: &[(usize, f64)],
+    y: &[f64],
+    yc: &mut [f64],
+    aty: &mut [f64],
+) -> f64 {
+    yc.copy_from_slice(y);
     for &(row, coef) in slack_rows {
         if coef > 0.0 {
             yc[row] = yc[row].max(0.0);
@@ -287,8 +349,9 @@ pub fn safe_dual_bound(
             yc[row] = yc[row].min(0.0);
         }
     }
-    let aty = a.matvec_transposed(&yc).expect("engine shapes match");
-    let mut bound: f64 = b.iter().zip(&yc).map(|(&bi, &yi)| bi * yi).sum();
+    a.matvec_transposed_into(yc, aty)
+        .expect("engine shapes match");
+    let mut bound: f64 = b.iter().zip(yc.iter()).map(|(&bi, &yi)| bi * yi).sum();
     for j in 0..c.len() {
         let r = c[j] - aty[j];
         let term = if r > 0.0 {
@@ -311,9 +374,86 @@ pub fn safe_dual_bound(
     bound
 }
 
+/// What the `fo.norm` body reads of the engine while the step holds the
+/// arena: everything but the arena.
+struct Checker<'a> {
+    lanes: &'a [Option<FoLane>],
+    checks: &'a [Mutex<BlockCheck>],
+    csr: &'a CsrMatrix,
+    b: &'a [f64],
+    c: &'a [f64],
+    slack_rows: &'a [(usize, f64)],
+}
+
+impl Checker<'_> {
+    /// The `fo.norm` task of arena block `block` (just stepped): for each
+    /// of its lanes on a check, gathers the running average (into the
+    /// block's staging) and the box, and evaluates the KKT quantities.
+    fn check_block(&self, block: usize, blk: &FoBlock) {
+        let (m, n) = (self.b.len(), self.c.len());
+        let first = block * FO_BLOCK;
+        let lanes = &self.lanes[first..self.lanes.len().min(first + FO_BLOCK)];
+        if !lanes.iter().flatten().any(|lane| lane.checking) {
+            return;
+        }
+        let mut task = self.checks[block].lock().expect(TASK_LOCK);
+        let BlockCheck {
+            x,
+            y,
+            out,
+            lb,
+            ub,
+            ax,
+            yc,
+            aty,
+        } = &mut *task;
+        for (l, lane) in lanes.iter().enumerate() {
+            let Some(lane) = lane.as_ref().filter(|lane| lane.checking) else {
+                continue;
+            };
+            let inv = 1.0 / lane.sum_count.max(1) as f64;
+            let (x, y) = (&mut x[l * n..(l + 1) * n], &mut y[l * m..(l + 1) * m]);
+            gather(&blk.x_sum, l, x);
+            gather(&blk.y_sum, l, y);
+            for v in x.iter_mut().chain(y.iter_mut()) {
+                *v *= inv;
+            }
+            gather(&blk.lb, l, lb);
+            gather(&blk.ub, l, ub);
+            self.csr
+                .matvec_into(x, ax)
+                .expect("lane shapes fixed at load");
+            let primal_res = ax
+                .iter()
+                .zip(self.b)
+                .map(|(&axi, &bi)| (axi - bi) * (axi - bi))
+                .sum::<f64>()
+                .sqrt();
+            let obj: f64 = self.c.iter().zip(x.iter()).map(|(&cj, &xj)| cj * xj).sum();
+            let bound = safe_dual_bound_into(
+                self.csr,
+                self.b,
+                self.c,
+                lb,
+                ub,
+                self.slack_rows,
+                y,
+                yc,
+                aty,
+            );
+            out[l] = CheckOut {
+                primal_res,
+                obj,
+                bound,
+            };
+        }
+    }
+}
+
 /// The lockstep restarted-PDHG wave: all lanes iterate against one shared
 /// device-resident CSR matrix; each superstep is one PDHG iteration for
-/// every busy lane, issued as at most four fused batched launches.
+/// every busy lane — one batched kernel, charged as at most four fused
+/// launches.
 #[derive(Debug)]
 pub struct FirstOrderWaveEngine {
     accel: Accel,
@@ -326,6 +466,9 @@ pub struct FirstOrderWaveEngine {
     c: Vec<f64>,
     /// `−c`: the minimization gradient the x-step descends.
     c_tilde: Vec<f64>,
+    /// The standard form's column box: what [`Self::load_lane`] starts from.
+    root_lb: Vec<f64>,
+    root_ub: Vec<f64>,
     /// `(row, coefficient)` of each inequality slack (dual sign clamps).
     slack_rows: Vec<(usize, f64)>,
     /// Base step scale `η = 1/‖A‖_F`.
@@ -336,6 +479,9 @@ pub struct FirstOrderWaveEngine {
     cutoff: f64,
     cfg: PdhgConfig,
     lanes: Vec<Option<FoLane>>,
+    arena: FoArena,
+    /// One per arena block.
+    checks: Vec<Mutex<BlockCheck>>,
     lane_state: Vec<RawHandle>,
     metrics: MetricsRegistry,
 }
@@ -364,6 +510,20 @@ impl FirstOrderWaveEngine {
         let mut metrics = MetricsRegistry::new();
         metrics.max_gauge(names::FO_WIDTH, width as f64);
         metrics.max_gauge(names::FO_MATRIX_BYTES, matrix_bytes as f64);
+        let checks = (0..width.div_ceil(FO_BLOCK))
+            .map(|_| {
+                Mutex::new(BlockCheck {
+                    x: vec![0.0; FO_BLOCK * n],
+                    y: vec![0.0; FO_BLOCK * m],
+                    out: [CheckOut::default(); FO_BLOCK],
+                    lb: vec![0.0; n],
+                    ub: vec![0.0; n],
+                    ax: vec![0.0; m],
+                    yc: vec![0.0; m],
+                    aty: vec![0.0; n],
+                })
+            })
+            .collect();
         Ok(Self {
             accel,
             stream: DEFAULT_STREAM,
@@ -372,6 +532,8 @@ impl FirstOrderWaveEngine {
             b: std.b.clone(),
             c: std.c.clone(),
             c_tilde: std.c.iter().map(|&v| -v).collect(),
+            root_lb: std.lb.clone(),
+            root_ub: std.ub.clone(),
             slack_rows: std
                 .slacks
                 .iter()
@@ -382,6 +544,8 @@ impl FirstOrderWaveEngine {
             cutoff: f64::NEG_INFINITY,
             cfg,
             lanes: (0..width).map(|_| None).collect(),
+            arena: FoArena::new(m, n, width),
+            checks,
             lane_state,
             csr,
             metrics,
@@ -465,40 +629,45 @@ impl FirstOrderWaveEngine {
             .incr(names::FO_CLEANUP_ITERS, simplex_iterations as f64);
     }
 
-    /// Loads a node into idle `slot`: per-node bounds (length `n`,
-    /// including slack columns), an optional `(x, y)` warm start (the
-    /// parent's averaged iterates), and the caller's `token` to identify
-    /// the lane's report. Charges the H2D transfer of the lane's vectors
-    /// and runs the load-time activity-bound infeasibility check; an
-    /// infeasible lane retires at the next superstep boundary without
-    /// iterating.
+    /// Loads a node into idle `slot`: its box — `bounds` on top of the
+    /// standard form's own column bounds, built in the slot's block
+    /// scratch — an optional `(x, y)` warm start (the parent's
+    /// averaged iterates), and the caller's `token` to identify the lane's
+    /// report. Charges the H2D transfer of the lane's vectors and runs the
+    /// load-time activity-bound infeasibility check; an infeasible lane
+    /// retires at the next superstep boundary without iterating.
     pub fn load_lane(
         &mut self,
         slot: usize,
         token: u64,
-        lb: &[f64],
-        ub: &[f64],
+        bounds: &[BoundChange],
         warm: Option<(&[f64], &[f64])>,
     ) -> LpResult<()> {
         let (m, n) = (self.m(), self.n());
         if !self.lane_idle(slot) {
             return Err(LpError::Shape(format!("lane {slot} loaded while occupied")));
         }
-        if lb.len() != n || ub.len() != n {
-            return Err(LpError::Shape(format!(
-                "lane bounds: engine n={n}, lb {} ub {}",
-                lb.len(),
-                ub.len()
-            )));
+        let (block, l) = (slot / FO_BLOCK, slot % FO_BLOCK);
+        let BlockCheck { lb, ub, x, y, .. } = self.checks[block].get_mut().expect(TASK_LOCK);
+        let (x, y) = (&mut x[l * n..(l + 1) * n], &mut y[l * m..(l + 1) * m]);
+        lb.copy_from_slice(&self.root_lb);
+        ub.copy_from_slice(&self.root_ub);
+        for bc in bounds {
+            if bc.var >= n {
+                return Err(LpError::Shape(format!(
+                    "bound change on column {} of {n}",
+                    bc.var
+                )));
+            }
+            lb[bc.var] = bc.lb;
+            ub[bc.var] = bc.ub;
         }
-        let mut lb = lb.to_vec();
-        let mut ub = ub.to_vec();
         // Implied-bound tightening: gives every column a finite box (so
         // safe bounds stay finite) and doubles as a cheap infeasibility
         // proof when branch bounds cross.
-        let tight_ok = tighten_bounds(&self.csr, &self.b, &mut lb, &mut ub);
+        let tight_ok = tighten_bounds(&self.csr, &self.b, lb, ub);
         let mut h2d = 8 * 2 * n;
-        let (mut x, y) = match warm {
+        match warm {
             Some((wx, wy)) => {
                 if wx.len() != n || wy.len() != m {
                     return Err(LpError::Shape(format!(
@@ -508,25 +677,25 @@ impl FirstOrderWaveEngine {
                     )));
                 }
                 h2d += 8 * (n + m);
-                (wx.to_vec(), wy.to_vec())
+                x.copy_from_slice(wx);
+                y.copy_from_slice(wy);
             }
             None => {
-                let x0 = (0..n)
-                    .map(|j| match (lb[j].is_finite(), ub[j].is_finite()) {
+                for j in 0..n {
+                    x[j] = match (lb[j].is_finite(), ub[j].is_finite()) {
                         (true, true) => 0.5 * (lb[j] + ub[j]),
                         (true, false) => lb[j],
                         (false, true) => ub[j],
                         (false, false) => 0.0,
-                    })
-                    .collect();
-                (x0, vec![0.0; m])
+                    };
+                }
+                y.fill(0.0);
             }
-        };
+        }
         for j in 0..n {
             x[j] = x[j].max(lb[j]).min(ub[j]);
         }
-        let stream = self.stream;
-        self.accel.exec().transfer(h2d, true, stream);
+        self.accel.exec().transfer(h2d, true, self.stream);
 
         // Activity-bound infeasibility check: a row whose minimal (or
         // maximal) activity over the box already misses `b` can never be
@@ -544,57 +713,66 @@ impl FirstOrderWaveEngine {
                 lo > self.b[i] + 1e-9 || hi < self.b[i] - 1e-9
             });
 
-        let lane = FoLane {
+        if infeasible {
+            // Never iterates: the slot stays inert and the loaded point,
+            // already where reports are read from, is the report.
+            self.metrics.incr(names::FO_INFEASIBLE, 1.0);
+        } else {
+            // An idle slot is all zero (cleared at retire), so the sums
+            // and the kernel scratch need no reset.
+            let (blk, lane) = self.arena.lane_mut(slot);
+            scatter(&mut blk.lb, lane, lb);
+            scatter(&mut blk.ub, lane, ub);
+            scatter(&mut blk.x, lane, x);
+            scatter(&mut blk.y, lane, y);
+            scatter(&mut blk.x_restart, lane, x);
+            scatter(&mut blk.y_restart, lane, y);
+            blk.set_steps(lane, self.eta, self.eta);
+        }
+        self.lanes[slot] = Some(FoLane {
             token,
-            lb,
-            ub,
-            x_sum: vec![0.0; n],
-            y_sum: vec![0.0; m],
             sum_count: 0,
             iters: 0,
             restarts: 0,
             omega: 1.0,
             merit0: f64::INFINITY,
-            x_restart: x.clone(),
-            y_restart: y.clone(),
             safe_bound: f64::INFINITY,
             outcome: infeasible.then_some(FoOutcome::Infeasible),
             reported: false,
-            aty: vec![0.0; n],
-            xhat: vec![0.0; n],
-            ax: vec![0.0; m],
-            x,
-            y,
-        };
-        if infeasible {
-            self.metrics.incr(names::FO_INFEASIBLE, 1.0);
-        }
-        self.lanes[slot] = Some(lane);
+            checking: false,
+        });
         Ok(())
     }
 
     /// Executes one lockstep superstep: every busy lane advances by one
-    /// PDHG iteration via fused `fo.spmv_t` / `fo.axpy` / `fo.spmv`
-    /// launches (plus `fo.norm` for lanes on a KKT check), then
-    /// convergence / safe-bound-prune / restart decisions fire at the
-    /// boundary. Returns the slots that retired (including lanes found
-    /// infeasible at load time).
+    /// PDHG iteration in one batched [`gmip_gpu::Accelerator::fo_step`]
+    /// (charged as the fused `fo.spmv_t` / `fo.axpy` / `fo.spmv` launches,
+    /// plus `fo.norm` for lanes on a KKT check), then convergence /
+    /// safe-bound-prune / restart decisions fire at the boundary. Returns
+    /// the slots that retired (including lanes found infeasible at load
+    /// time). Allocates only that list, and only when a lane retires.
     pub fn superstep(&mut self) -> Vec<usize> {
+        // Lane bookkeeping for the iteration about to run: who is busy,
+        // who lands on a KKT check, who retired at load.
         let mut retired = Vec::new();
-        for slot in 0..self.lanes.len() {
-            if let Some(l) = self.lanes[slot].as_mut() {
-                if l.outcome.is_some() && !l.reported {
-                    l.reported = true;
-                    retired.push(slot);
-                }
+        let (mut busy, mut checking) = (0usize, 0usize);
+        for (slot, lane) in self.lanes.iter_mut().enumerate() {
+            let Some(l) = lane else { continue };
+            if l.outcome.is_none() {
+                busy += 1;
+                l.sum_count += 1;
+                l.iters += 1;
+                l.checking =
+                    l.iters.is_multiple_of(self.cfg.check_every) || l.iters >= self.cfg.max_iters;
+                checking += usize::from(l.checking);
+            } else if !l.reported {
+                l.reported = true;
+                retired.push(slot);
             }
         }
-        let busy: Vec<usize> = (0..self.lanes.len())
-            .filter(|&s| self.lane_busy(s))
-            .collect();
         let exec = self.accel.exec();
         let stream = self.stream;
-        if busy.is_empty() {
+        if busy == 0 {
             if !retired.is_empty() {
                 self.metrics.incr(names::FO_RETIRES, retired.len() as f64);
                 exec.record_event(stream);
@@ -603,203 +781,75 @@ impl FirstOrderWaveEngine {
         }
 
         self.metrics.incr(names::FO_SUPERSTEPS, 1.0);
-        self.metrics.incr(names::FO_ITERATIONS, busy.len() as f64);
+        self.metrics.incr(names::FO_ITERATIONS, busy as f64);
         let (m, n) = (self.m(), self.n());
         let nnz = self.csr.nnz();
 
-        // The fused launches of this superstep: every busy lane is on the
-        // identical kernel class — perfect lockstep, three launches, plus
-        // one `fo.norm` reduction for the lanes on a check boundary. Each
-        // class is one executing dispatch through the backend, which also
-        // applies the simulated charge; within a lane the operation order
-        // is fixed by the `gmip_gpu::kernels` bodies, so outcomes are
-        // backend- and thread-count-independent.
-        let spmv: Vec<(f64, f64)> = busy
-            .iter()
-            .map(|_| (flops::spmv(nnz), (16 * nnz + 8 * (m + n)) as f64))
-            .collect();
-        let axpy: Vec<(f64, f64)> = busy
-            .iter()
-            .map(|_| ((6 * n + 4 * m) as f64, (8 * (4 * n + 3 * m)) as f64))
-            .collect();
-
-        let eta = self.eta;
-        {
-            let mut lanes: Vec<SpmvTLane<'_>> = self
-                .lanes
-                .iter_mut()
-                .filter_map(|o| o.as_mut())
-                .filter(|l| l.outcome.is_none())
-                .map(|l| SpmvTLane {
-                    y: &l.y,
-                    aty: &mut l.aty,
-                })
-                .collect();
-            exec.fo_spmv_t(&self.csr, &mut lanes, &spmv, stream);
-        }
-        {
-            let c_tilde = &self.c_tilde;
-            let mut lanes: Vec<AxpyLane<'_>> = self
-                .lanes
-                .iter_mut()
-                .filter_map(|o| o.as_mut())
-                .filter(|l| l.outcome.is_none())
-                .map(|l| AxpyLane {
-                    tau: eta / l.omega,
-                    x: &mut l.x,
-                    xhat: &mut l.xhat,
-                    aty: &l.aty,
-                    lb: &l.lb,
-                    ub: &l.ub,
-                })
-                .collect();
-            exec.fo_axpy(c_tilde, &mut lanes, &axpy, stream);
-        }
-        {
-            let mut lanes: Vec<SpmvLane<'_>> = self
-                .lanes
-                .iter_mut()
-                .filter_map(|o| o.as_mut())
-                .filter(|l| l.outcome.is_none())
-                .map(|l| SpmvLane {
-                    sigma: eta * l.omega,
-                    xhat: &l.xhat,
-                    ax: &mut l.ax,
-                    x: &l.x,
-                    y: &mut l.y,
-                    x_sum: &mut l.x_sum,
-                    y_sum: &mut l.y_sum,
-                })
-                .collect();
-            exec.fo_spmv(&self.csr, &self.b, &mut lanes, &spmv, stream);
-        }
-
-        // Host bookkeeping at the iteration boundary.
-        let (check_every, max_iters) = (self.cfg.check_every, self.cfg.max_iters);
-        let mut checking = 0usize;
-        for &slot in &busy {
-            let lane = self.lanes[slot].as_mut().expect("busy slot occupied");
-            lane.sum_count += 1;
-            lane.iters += 1;
-            if lane.iters.is_multiple_of(check_every) || lane.iters >= max_iters {
-                checking += 1;
-            }
-        }
-        let norm: Vec<(f64, f64)> = (0..checking)
-            .map(|_| ((4 * (n + m)) as f64, (8 * (n + m)) as f64))
-            .collect();
-        self.metrics.incr(
-            names::FO_FUSED_LAUNCHES,
-            if norm.is_empty() { 3.0 } else { 4.0 },
+        // Every busy lane is on the identical kernel class — perfect
+        // lockstep: one executing dispatch through the backend, which also
+        // applies the class charges and the retire-boundary event. On a
+        // checking superstep the `fo.norm` phase — KKT evaluation of the
+        // running average of each checking lane — rides the same dispatch,
+        // block by block behind the step.
+        let checker = Checker {
+            lanes: &self.lanes,
+            checks: &self.checks,
+            csr: &self.csr,
+            b: &self.b,
+            c: &self.c,
+            slack_rows: &self.slack_rows,
+        };
+        let check = FoCheck {
+            lanes: checking,
+            per_lane: ((4 * (n + m)) as f64, (8 * (n + m)) as f64),
+            body: &|block, blk| checker.check_block(block, blk),
+        };
+        exec.fo_step(
+            &self.csr,
+            &self.c_tilde,
+            &self.b,
+            &mut self.arena,
+            &FoStepCharges {
+                busy,
+                spmv: (flops::spmv(nnz), (16 * nnz + 8 * (m + n)) as f64),
+                axpy: ((6 * n + 4 * m) as f64, (8 * (4 * n + 3 * m)) as f64),
+            },
+            (checking > 0).then_some(&check),
+            stream,
         );
 
-        // `fo.norm` phase: KKT evaluation of the running average for the
-        // checking lanes, one executing dispatch; retire/restart decisions
-        // are applied sequentially afterwards (they mutate shared engine
-        // state and must stay in ascending slot order).
-        let mut checks: Vec<(usize, f64, CheckOut)> = Vec::with_capacity(checking);
-        if checking > 0 {
-            let csr = &self.csr;
-            let b = &self.b;
-            let c = &self.c;
-            let slack_rows = &self.slack_rows;
-            let mut cells: Vec<CheckCell<'_>> = self
-                .lanes
-                .iter_mut()
-                .enumerate()
-                .filter_map(|(slot, o)| o.as_mut().map(|l| (slot, l)))
-                .filter(|(_, l)| l.outcome.is_none())
-                .filter(|(_, l)| l.iters.is_multiple_of(check_every) || l.iters >= max_iters)
-                .map(|(slot, l)| CheckCell {
-                    slot,
-                    inv: 1.0 / l.sum_count.max(1) as f64,
-                    lb: &l.lb,
-                    ub: &l.ub,
-                    x_sum: &l.x_sum,
-                    y_sum: &l.y_sum,
-                    ax: &mut l.ax,
-                    out: CheckOut::default(),
-                })
-                .collect();
-            let mut closures: Vec<_> = cells
-                .iter_mut()
-                .map(|cell| {
-                    move || {
-                        let x_avg: Vec<f64> = cell.x_sum.iter().map(|&v| v * cell.inv).collect();
-                        let y_avg: Vec<f64> = cell.y_sum.iter().map(|&v| v * cell.inv).collect();
-                        csr.matvec_into(&x_avg, cell.ax)
-                            .expect("lane shapes fixed at load");
-                        let primal_res = cell
-                            .ax
-                            .iter()
-                            .zip(b)
-                            .map(|(&axi, &bi)| (axi - bi) * (axi - bi))
-                            .sum::<f64>()
-                            .sqrt();
-                        let obj: f64 = c.iter().zip(&x_avg).map(|(&cj, &xj)| cj * xj).sum();
-                        let bound =
-                            safe_dual_bound(csr, b, c, cell.lb, cell.ub, slack_rows, &y_avg);
-                        cell.out = CheckOut {
-                            x_avg,
-                            y_avg,
-                            primal_res,
-                            obj,
-                            bound,
-                        };
-                    }
-                })
-                .collect();
-            let mut bodies: Vec<gmip_gpu::LaneBody<'_>> = closures
-                .iter_mut()
-                .map(|c| c as &mut (dyn FnMut() + Send))
-                .collect();
-            exec.fused_dispatch(
-                "fo.norm",
-                &mut bodies,
-                &[WaveCharge {
-                    name: "fo.norm",
-                    per_lane: &norm,
-                    sparse: false,
-                }],
-                stream,
-            );
-            drop(bodies);
-            drop(closures);
-            checks = cells
-                .into_iter()
-                .map(|cell| (cell.slot, cell.inv, cell.out))
-                .collect();
-        }
+        self.metrics.incr(
+            names::FO_FUSED_LAUNCHES,
+            if checking == 0 { 3.0 } else { 4.0 },
+        );
 
-        for (slot, inv, chk) in checks {
-            if let Some(outcome) = self.decide_lane(slot, inv, &chk) {
-                let lane = self.lanes[slot].as_mut().expect("busy slot occupied");
-                lane.outcome = Some(outcome);
-                lane.reported = true;
-                retired.push(slot);
-                let counter = match outcome {
-                    FoOutcome::Converged => names::FO_CONVERGED,
-                    FoOutcome::BoundPruned => names::FO_BOUND_PRUNED,
-                    FoOutcome::Infeasible => names::FO_INFEASIBLE,
-                    FoOutcome::IterLimit => names::FO_ITER_LIMIT,
-                };
-                self.metrics.incr(counter, 1.0);
+        // The retire/restart decisions mutate shared engine state and must
+        // stay in ascending slot order, so they are applied sequentially
+        // afterwards.
+        if checking > 0 {
+            for slot in 0..self.lanes.len() {
+                if self.lanes[slot].as_ref().is_some_and(|l| l.checking) {
+                    if let Some(outcome) = self.decide_lane(slot) {
+                        self.retire_lane(slot, outcome);
+                        retired.push(slot);
+                    }
+                }
             }
         }
         if !retired.is_empty() {
             self.metrics.incr(names::FO_RETIRES, retired.len() as f64);
         }
-        // Retire boundaries are stream events, not device barriers.
-        exec.record_event(stream);
         retired
     }
 
     /// Retire/restart decision for one checking lane, fed by the KKT
-    /// quantities its `fo.norm` body computed. Returns the outcome if the
-    /// lane retires at this boundary.
-    fn decide_lane(&mut self, slot: usize, inv: f64, chk: &CheckOut) -> Option<FoOutcome> {
+    /// quantities [`Checker::check_block`] left in its block's task. Returns
+    /// the outcome if the lane retires at this boundary.
+    fn decide_lane(&mut self, slot: usize) -> Option<FoOutcome> {
         let (m, n) = (self.m(), self.n());
-        let cutoff = self.cutoff;
+        let (block, l) = (slot / FO_BLOCK, slot % FO_BLOCK);
+        let task = self.checks[block].get_mut().expect(TASK_LOCK);
+        let chk = task.out[l];
         let lane = self.lanes[slot].as_mut().expect("busy slot occupied");
         let at_cap = lane.iters >= self.cfg.max_iters;
         lane.safe_bound = lane.safe_bound.min(chk.bound);
@@ -807,8 +857,7 @@ impl FirstOrderWaveEngine {
         // Early safe-bound prune: the wave's structural advantage — the
         // lane states a valid bound after a handful of iterations and
         // retires the moment the incumbent dominates it.
-        if lane.safe_bound <= cutoff {
-            self.adopt_average(slot, inv, &chk.y_avg);
+        if lane.safe_bound <= self.cutoff {
             return Some(FoOutcome::BoundPruned);
         }
 
@@ -817,11 +866,9 @@ impl FirstOrderWaveEngine {
             && chk.bound.is_finite()
             && gap <= self.cfg.tol * (1.0 + chk.obj.abs());
         if converged {
-            self.adopt_average(slot, inv, &chk.y_avg);
             return Some(FoOutcome::Converged);
         }
         if at_cap {
-            self.adopt_average(slot, inv, &chk.y_avg);
             return Some(FoOutcome::IterLimit);
         }
 
@@ -830,7 +877,6 @@ impl FirstOrderWaveEngine {
         } else {
             f64::INFINITY
         };
-        let lane = self.lanes[slot].as_mut().expect("busy slot occupied");
         if lane.merit0.is_infinite() {
             if merit.is_finite() {
                 lane.merit0 = merit;
@@ -838,30 +884,29 @@ impl FirstOrderWaveEngine {
         } else if merit <= self.cfg.restart_beta * lane.merit0 {
             // Restart to the running average, and adapt the primal weight
             // from the movement ratio since the last restart point.
+            let (x_avg, y_avg) = (&task.x[l * n..(l + 1) * n], &task.y[l * m..(l + 1) * m]);
+            let (blk, _) = self.arena.lane_mut(slot);
             let mut dx = 0.0;
             let mut dy = 0.0;
-            for j in 0..n {
-                let d = chk.x_avg[j] - lane.x_restart[j];
+            for (j, &xj) in x_avg.iter().enumerate() {
+                let d = xj - blk.x_restart[j * FO_BLOCK + l];
                 dx += d * d;
             }
-            for i in 0..m {
-                let d = chk.y_avg[i] - lane.y_restart[i];
+            for (i, &yi) in y_avg.iter().enumerate() {
+                let d = yi - blk.y_restart[i * FO_BLOCK + l];
                 dy += d * d;
             }
             let (dx, dy) = (dx.sqrt(), dy.sqrt());
             if dx > 1e-12 && dy > 1e-12 {
                 lane.omega = (lane.omega * dy / dx).sqrt().clamp(1e-4, 1e4);
             }
-            lane.x.copy_from_slice(&chk.x_avg[..n]);
-            lane.y.copy_from_slice(&chk.y_avg);
-            lane.x_restart.copy_from_slice(&lane.x);
-            lane.y_restart.copy_from_slice(&lane.y);
-            for v in lane.x_sum.iter_mut() {
-                *v = 0.0;
-            }
-            for v in lane.y_sum.iter_mut() {
-                *v = 0.0;
-            }
+            scatter(&mut blk.x, l, x_avg);
+            scatter(&mut blk.y, l, y_avg);
+            scatter(&mut blk.x_restart, l, x_avg);
+            scatter(&mut blk.y_restart, l, y_avg);
+            fill_lane(&mut blk.x_sum, l, 0.0);
+            fill_lane(&mut blk.y_sum, l, 0.0);
+            blk.set_steps(l, self.eta / lane.omega, self.eta * lane.omega);
             lane.sum_count = 0;
             lane.merit0 = merit;
             lane.restarts += 1;
@@ -870,17 +915,26 @@ impl FirstOrderWaveEngine {
         None
     }
 
-    /// Writes the running average into the lane's iterates (the vectors a
-    /// retired lane reports).
-    fn adopt_average(&mut self, slot: usize, inv: f64, y_avg: &[f64]) {
-        let n = self.c.len();
-        let lane = self.lanes[slot].as_mut().expect("slot occupied");
-        if lane.sum_count > 0 {
-            for j in 0..n {
-                lane.x[j] = lane.x_sum[j] * inv;
-            }
-            lane.y.copy_from_slice(y_avg);
-        }
+    /// Retires checking lane `slot`. Its running average — the reported
+    /// iterates — already sits in its block's staging, so nothing is
+    /// copied; the arena slot goes inert.
+    fn retire_lane(&mut self, slot: usize, outcome: FoOutcome) {
+        let lane = self.lanes[slot].as_mut().expect("busy slot occupied");
+        // A checking lane has iterated since its last restart, so the
+        // average exists.
+        debug_assert!(lane.sum_count > 0);
+        lane.outcome = Some(outcome);
+        lane.reported = true;
+        lane.checking = false;
+        let (blk, l) = self.arena.lane_mut(slot);
+        blk.clear_lane(l);
+        let counter = match outcome {
+            FoOutcome::Converged => names::FO_CONVERGED,
+            FoOutcome::BoundPruned => names::FO_BOUND_PRUNED,
+            FoOutcome::Infeasible => names::FO_INFEASIBLE,
+            FoOutcome::IterLimit => names::FO_ITER_LIMIT,
+        };
+        self.metrics.incr(counter, 1.0);
     }
 
     /// Runs supersteps until at least one lane retires (or nothing is
@@ -900,23 +954,25 @@ impl FirstOrderWaveEngine {
     /// Takes the report of a retired lane, freeing `slot` for a refill.
     /// Charges the D2H transfer of the reported iterates.
     pub fn take_lane(&mut self, slot: usize) -> LpResult<FoLaneReport> {
-        let lane = self.lanes[slot]
-            .take()
-            .ok_or_else(|| LpError::Shape(format!("take_lane on empty slot {slot}")))?;
-        let outcome = lane
-            .outcome
-            .ok_or_else(|| LpError::Shape(format!("take_lane on busy slot {slot}")))?;
-        let bytes = 8 * (lane.x.len() + lane.y.len());
-        let stream = self.stream;
-        self.accel.exec().transfer(bytes, false, stream);
+        let outcome = match &self.lanes[slot] {
+            None => return Err(LpError::Shape(format!("take_lane on empty slot {slot}"))),
+            Some(lane) => lane
+                .outcome
+                .ok_or_else(|| LpError::Shape(format!("take_lane on busy slot {slot}")))?,
+        };
+        let lane = self.lanes[slot].take().expect("matched occupied above");
+        let (m, n) = (self.m(), self.n());
+        self.accel.exec().transfer(8 * (n + m), false, self.stream);
+        let (block, l) = (slot / FO_BLOCK, slot % FO_BLOCK);
+        let task = self.checks[block].get_mut().expect(TASK_LOCK);
         Ok(FoLaneReport {
             token: lane.token,
             outcome,
             iterations: lane.iters,
             restarts: lane.restarts,
             safe_bound: lane.safe_bound,
-            x: lane.x,
-            y: lane.y,
+            x: task.x[l * n..(l + 1) * n].to_vec(),
+            y: task.y[l * m..(l + 1) * m].to_vec(),
         })
     }
 }
@@ -962,7 +1018,7 @@ mod tests {
         let std = StandardLp::from_instance(&textbook_lp(), &[]);
         let expected = host_optimum(&std);
         let mut fo = engine(&std, 1, PdhgConfig::default());
-        fo.load_lane(0, 7, &std.lb, &std.ub, None).unwrap();
+        fo.load_lane(0, 7, &[], None).unwrap();
         let retired = fo.run_to_retire();
         assert_eq!(retired, vec![0]);
         let r = fo.take_lane(0).unwrap();
@@ -1011,11 +1067,12 @@ mod tests {
         let mut fo = engine(&std, 2, PdhgConfig::default());
         // Fix x0 beyond what row feasibility allows: lb far above any
         // attainable activity.
-        let mut lb = std.lb.clone();
-        let mut ub = std.ub.clone();
-        lb[0] = 1e6;
-        ub[0] = 1e6;
-        fo.load_lane(0, 1, &lb, &ub, None).unwrap();
+        let dead = BoundChange {
+            var: 0,
+            lb: 1e6,
+            ub: 1e6,
+        };
+        fo.load_lane(0, 1, &[dead], None).unwrap();
         let retired = fo.run_to_retire();
         assert_eq!(retired, vec![0]);
         let r = fo.take_lane(0).unwrap();
@@ -1031,7 +1088,7 @@ mod tests {
         let mut fo = engine(&std, 1, PdhgConfig::default());
         // An incumbent far above the optimum dominates every node bound.
         fo.set_cutoff(expected + 1e3);
-        fo.load_lane(0, 3, &std.lb, &std.ub, None).unwrap();
+        fo.load_lane(0, 3, &[], None).unwrap();
         let retired = fo.run_to_retire();
         assert_eq!(retired, vec![0]);
         let r = fo.take_lane(0).unwrap();
@@ -1048,11 +1105,11 @@ mod tests {
     fn retire_refill_bookkeeping() {
         let std = StandardLp::from_instance(&textbook_lp(), &[]);
         let mut fo = engine(&std, 2, PdhgConfig::default());
-        fo.load_lane(0, 10, &std.lb, &std.ub, None).unwrap();
-        fo.load_lane(1, 11, &std.lb, &std.ub, None).unwrap();
+        fo.load_lane(0, 10, &[], None).unwrap();
+        fo.load_lane(1, 11, &[], None).unwrap();
         assert!(fo.any_busy());
         // Loading an occupied slot is rejected.
-        assert!(fo.load_lane(0, 12, &std.lb, &std.ub, None).is_err());
+        assert!(fo.load_lane(0, 12, &[], None).is_err());
         let mut taken = 0;
         while fo.any_busy() || (0..fo.width()).any(|s| !fo.lane_idle(s)) {
             for slot in fo.run_to_retire() {
@@ -1060,8 +1117,7 @@ mod tests {
                 taken += 1;
                 // Refill once with a warm start from the retired lane.
                 if taken <= 1 {
-                    fo.load_lane(slot, 12, &std.lb, &std.ub, Some((&r.x, &r.y)))
-                        .unwrap();
+                    fo.load_lane(slot, 12, &[], Some((&r.x, &r.y))).unwrap();
                     fo.note_refill();
                 }
             }
@@ -1082,13 +1138,12 @@ mod tests {
     fn warm_started_lane_converges_faster() {
         let std = StandardLp::from_instance(&textbook_lp(), &[]);
         let mut fo = engine(&std, 1, PdhgConfig::default());
-        fo.load_lane(0, 0, &std.lb, &std.ub, None).unwrap();
+        fo.load_lane(0, 0, &[], None).unwrap();
         fo.run_to_retire();
         let cold = fo.take_lane(0).unwrap();
         assert_eq!(cold.outcome, FoOutcome::Converged);
         // Re-solve the same node from the parent's iterates.
-        fo.load_lane(0, 1, &std.lb, &std.ub, Some((&cold.x, &cold.y)))
-            .unwrap();
+        fo.load_lane(0, 1, &[], Some((&cold.x, &cold.y))).unwrap();
         fo.run_to_retire();
         let warm = fo.take_lane(0).unwrap();
         assert_eq!(warm.outcome, FoOutcome::Converged);
@@ -1100,6 +1155,139 @@ mod tests {
         );
     }
 
+    /// Every `f64` the arena holds, with the slot-major index of its lane.
+    fn arena_values(fo: &mut FirstOrderWaveEngine) -> Vec<(usize, f64)> {
+        let mut out = Vec::new();
+        for (b, blk) in fo.arena.blocks_mut().iter().enumerate() {
+            for v in [
+                &blk.x,
+                &blk.y,
+                &blk.x_sum,
+                &blk.y_sum,
+                &blk.x_restart,
+                &blk.y_restart,
+                &blk.lb,
+                &blk.ub,
+                &blk.aty,
+                &blk.xhat,
+                &blk.ax,
+            ] {
+                out.extend(
+                    v.iter()
+                        .enumerate()
+                        .map(|(k, &e)| (b * FO_BLOCK + k % FO_BLOCK, e)),
+                );
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn retired_lane_keeps_its_report_while_the_block_steps_on() {
+        let std = StandardLp::from_instance(&textbook_lp(), &[]);
+        let cfg = PdhgConfig::default();
+        let mut fo = engine(&std, 1, cfg.clone());
+        fo.load_lane(0, 0, &[], None).unwrap();
+        fo.run_to_retire();
+        let solved = fo.take_lane(0).unwrap();
+
+        // Lane 0 starts at the solution and retires at its first check;
+        // lane 1 starts cold in the same block and iterates far longer.
+        let start = |late: usize| {
+            let mut fo = engine(&std, 2, cfg.clone());
+            fo.load_lane(0, 7, &[], Some((&solved.x, &solved.y)))
+                .unwrap();
+            fo.load_lane(1, 8, &[], None).unwrap();
+            assert_eq!(fo.run_to_retire(), vec![0]);
+            for _ in 0..late {
+                assert!(fo.lane_busy(1), "lane 1 must outlive the delay");
+                assert!(fo.superstep().is_empty());
+            }
+            let inert = arena_values(&mut fo)
+                .into_iter()
+                .filter(|&(slot, _)| slot != 1)
+                .all(|(_, e)| e.to_bits() == 0);
+            assert!(inert, "retired and empty slots hold +0.0 only");
+            fo.take_lane(0).unwrap()
+        };
+        let (now, later) = (start(0), start(5));
+        assert_eq!(now.outcome, FoOutcome::Converged);
+        assert_eq!(now.iterations, later.iterations);
+        assert_eq!(now.safe_bound.to_bits(), later.safe_bound.to_bits());
+        let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&now.x), bits(&later.x));
+        assert_eq!(bits(&now.y), bits(&later.y));
+    }
+
+    #[test]
+    fn padding_and_empty_slots_stay_finite() {
+        let mip = textbook_mip();
+        let std = StandardLp::from_instance(&mip, &[]);
+        // Three lanes of an eight-lane block; slot 1 is loaded infeasible
+        // (never scattered), slot 2 is refilled once.
+        let mut fo = engine(&std, 3, PdhgConfig::default());
+        let dead = BoundChange {
+            var: 0,
+            lb: 1e6,
+            ub: 1e6,
+        };
+        fo.load_lane(0, 0, &[], None).unwrap();
+        fo.load_lane(1, 1, &[dead], None).unwrap();
+        fo.load_lane(2, 2, &[], None).unwrap();
+        let mut refilled = false;
+        while (0..3).any(|s| !fo.lane_idle(s)) {
+            for slot in fo.run_to_retire() {
+                let r = fo.take_lane(slot).unwrap();
+                assert!(r.x.iter().chain(&r.y).all(|e| e.is_finite()));
+                if slot == 2 && !refilled {
+                    refilled = true;
+                    fo.load_lane(2, 3, &[], Some((&r.x, &r.y))).unwrap();
+                }
+            }
+            assert!(arena_values(&mut fo).iter().all(|(_, e)| e.is_finite()));
+        }
+        assert!(refilled);
+        assert!(arena_values(&mut fo).iter().all(|(_, e)| e.to_bits() == 0));
+    }
+
+    #[test]
+    fn bound_changes_override_the_root_box_and_are_range_checked() {
+        let mip = textbook_mip();
+        let narrowed = BoundChange {
+            var: 0,
+            lb: 0.0,
+            ub: 1.0,
+        };
+        // Loading the change on the root form equals loading the root box
+        // of a form lowered with the change already applied.
+        let mut by_change = engine(
+            &StandardLp::from_instance(&mip, &[]),
+            1,
+            PdhgConfig::default(),
+        );
+        by_change.load_lane(0, 0, &[narrowed], None).unwrap();
+        let mut by_form = engine(
+            &StandardLp::from_instance(&mip, &[narrowed]),
+            1,
+            PdhgConfig::default(),
+        );
+        by_form.load_lane(0, 0, &[], None).unwrap();
+        by_change.run_to_retire();
+        by_form.run_to_retire();
+        let (a, b) = (
+            by_change.take_lane(0).unwrap(),
+            by_form.take_lane(0).unwrap(),
+        );
+        assert_eq!((a.outcome, a.iterations), (b.outcome, b.iterations));
+        assert_eq!(a.x, b.x);
+        assert_eq!(a.y, b.y);
+        let out_of_range = BoundChange {
+            var: by_change.n(),
+            ..narrowed
+        };
+        assert!(by_change.load_lane(0, 1, &[out_of_range], None).is_err());
+    }
+
     #[test]
     fn supersteps_fuse_launches_in_lockstep() {
         let std = StandardLp::from_instance(&textbook_lp(), &[]);
@@ -1107,8 +1295,7 @@ mod tests {
         let mut fo =
             FirstOrderWaveEngine::new(accel.clone(), &std, 4, PdhgConfig::default()).unwrap();
         for slot in 0..4 {
-            fo.load_lane(slot, slot as u64, &std.lb, &std.ub, None)
-                .unwrap();
+            fo.load_lane(slot, slot as u64, &[], None).unwrap();
         }
         let before = accel.stats().kernel_launches;
         fo.superstep();

@@ -478,17 +478,11 @@ impl NodeLpEngine for FirstOrderNodeEngine {
         bounds: &[BoundChange],
         warm: NodeWarmStart<'_>,
     ) -> LpResult<NodeLpOutcome> {
-        let mut lb = self.std.lb.clone();
-        let mut ub = self.std.ub.clone();
-        for bc in bounds {
-            if bc.var >= self.std.n_structural {
-                return Err(LpError::Shape(format!(
-                    "bound change on non-structural column {}",
-                    bc.var
-                )));
-            }
-            lb[bc.var] = bc.lb;
-            ub[bc.var] = bc.ub;
+        if let Some(bc) = bounds.iter().find(|bc| bc.var >= self.std.n_structural) {
+            return Err(LpError::Shape(format!(
+                "bound change on non-structural column {}",
+                bc.var
+            )));
         }
         let warm_iter = match warm {
             NodeWarmStart::Iterates { x, y } => Some((x, y)),
@@ -496,7 +490,7 @@ impl NodeLpEngine for FirstOrderNodeEngine {
         };
         let token = self.next_token;
         self.next_token += 1;
-        self.fo.load_lane(0, token, &lb, &ub, warm_iter)?;
+        self.fo.load_lane(0, token, bounds, warm_iter)?;
         self.fo.run_to_retire();
         let report = self.fo.take_lane(0)?;
         match report.outcome {

@@ -39,7 +39,6 @@ enum LpBackend {
     /// solving to optimality), and converged lanes are finished by exact
     /// host simplex before the outcome is reported.
     FirstOrder {
-        std: Box<StandardLp>,
         fo: Box<FirstOrderWaveEngine>,
         cleanup: Box<LpSolver<HostEngine>>,
         slot: usize,
@@ -167,7 +166,6 @@ impl Worker {
                     FirstOrderWaveEngine::new(accel.clone(), &std, width, PdhgConfig::default())?;
                 let cleanup = LpSolver::new(std.clone(), lp_cfg, |a| HostEngine::new(a.clone()));
                 LpBackend::FirstOrder {
-                    std: Box::new(std),
                     fo: Box::new(fo),
                     cleanup: Box::new(cleanup),
                     slot: 0,
@@ -312,22 +310,11 @@ impl Worker {
                 *slot = (*slot + 1) % wave.width();
                 Ok((sol, lp.basis().cloned()))
             }
-            LpBackend::FirstOrder {
-                std,
-                fo,
-                cleanup,
-                slot,
-            } => {
-                let mut lb = std.lb.clone();
-                let mut ub = std.ub.clone();
-                for bc in &a.bounds {
-                    lb[bc.var] = bc.lb;
-                    ub[bc.var] = bc.ub;
-                }
+            LpBackend::FirstOrder { fo, cleanup, slot } => {
                 // The lane prunes itself the moment its safe bound drops
                 // to the incumbent — matching the report-side prune rule.
                 fo.set_cutoff(a.incumbent);
-                fo.load_lane(*slot, a.node_id as u64, &lb, &ub, None)?;
+                fo.load_lane(*slot, a.node_id as u64, &a.bounds, None)?;
                 fo.run_to_retire();
                 let r = fo.take_lane(*slot)?;
                 *slot = (*slot + 1) % fo.width();

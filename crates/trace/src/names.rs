@@ -238,14 +238,11 @@ pub const HEUR_FIRST_INCUMBENT_NS: &str = "heur.first_incumbent_ns";
 // surface: it never feeds traces, simulated `_ns` totals, or the bench
 // regression gate — sim-charged ns remain the only timing oracle.
 
-/// Real wall ns spent in fused `fo.spmv_t` dispatches (native backend).
-pub const WALL_FO_SPMV_T: &str = "wall.fo.spmv_t.ns";
-/// Real wall ns spent in fused `fo.axpy` dispatches (native backend).
-pub const WALL_FO_AXPY: &str = "wall.fo.axpy.ns";
-/// Real wall ns spent in fused `fo.spmv` dispatches (native backend).
-pub const WALL_FO_SPMV: &str = "wall.fo.spmv.ns";
-/// Real wall ns spent in fused `fo.norm` check dispatches (native backend).
-pub const WALL_FO_NORM: &str = "wall.fo.norm.ns";
+/// Real wall ns spent in batched PDHG step dispatches — one per superstep,
+/// the whole `fo.spmv_t → fo.axpy → fo.spmv` chain and, on checking
+/// supersteps, the `fo.norm` checks riding the same dispatch (native
+/// backend).
+pub const WALL_FO_STEP: &str = "wall.fo.step.ns";
 /// Real wall ns spent in fused propagation-round dispatches (one dispatch
 /// executes a full activity+tighten+reduce sweep per active lane).
 pub const WALL_PROP_ROUND: &str = "wall.prop.round.ns";
@@ -422,10 +419,7 @@ mod tests {
         // `wall.*` so determinism-sensitive consumers (trace diffs, the
         // bench gate) can exclude the whole family with one prefix check.
         for name in [
-            WALL_FO_SPMV_T,
-            WALL_FO_AXPY,
-            WALL_FO_SPMV,
-            WALL_FO_NORM,
+            WALL_FO_STEP,
             WALL_PROP_ROUND,
             WALL_HEUR_DIVE,
             WALL_OTHER,
@@ -436,7 +430,7 @@ mod tests {
         }
         // Conversely no wall key may end in the `_ns` suffix the bench
         // gate treats as simulated time.
-        for name in [WALL_FO_SPMV_T, WALL_PROP_ROUND, WALL_HEUR_DIVE] {
+        for name in [WALL_FO_STEP, WALL_PROP_ROUND, WALL_HEUR_DIVE] {
             assert!(!name.ends_with("_ns"), "{name}");
         }
     }

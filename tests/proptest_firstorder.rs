@@ -97,7 +97,7 @@ proptest! {
         };
         let mut fo = FirstOrderWaveEngine::new(gmip::gpu::Accel::gpu(1), &std, 1, cfg)
             .expect("engine");
-        fo.load_lane(0, 0, &std.lb, &std.ub, None).expect("load");
+        fo.load_lane(0, 0, &[], None).expect("load");
         fo.run_to_retire();
         let report = fo.take_lane(0).expect("take");
         prop_assert_ne!(

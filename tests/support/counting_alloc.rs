@@ -1,0 +1,46 @@
+//! A counting global allocator for the allocation-pinning tests
+//! (`device_alloc.rs`, `fo_alloc.rs`), included by `#[path]`: the system
+//! allocator plus a per-thread counter, so counts are exact under the
+//! harness's one-thread-per-test scheduling.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator plus a per-thread allocation counter.
+struct Counting;
+
+// SAFETY: every call forwards unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter is a const-initialised thread-local
+// `Cell` without a destructor, so touching it never allocates or re-enters.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|c| c.set(c.get() + 1));
+        // SAFETY: the caller's obligations are passed through as received.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through `alloc`/`realloc` above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.with(|c| c.set(c.get() + 1));
+        // SAFETY: as for `alloc`; the block belongs to `System`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Allocations this thread makes while running `f`.
+pub fn allocations_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (ALLOCATIONS.with(Cell::get) - before, out)
+}
