@@ -16,6 +16,7 @@ use crate::table::{fmt_ns, Table};
 use gmip_core::{break_even_density, choose_path, MipConfig, MipSolver};
 use gmip_gpu::{CostModel, DEFAULT_STREAM as S};
 use gmip_linalg::{CsrMatrix, DenseMatrix};
+use gmip_lp::{DeviceEngine, SparseDeviceEngine};
 use gmip_problems::generators::{
     fixed_charge_flow, knapsack, random_mip, set_cover, RandomMipConfig,
 };
@@ -159,9 +160,9 @@ pub fn run() -> String {
             cfg.cuts.enabled = false;
             cfg.heuristics.rounding = false;
             let r = if engine == "dense" {
-                MipSolver::on_accel(inst.clone(), cfg, accel.clone()).solve()
+                MipSolver::<DeviceEngine>::on_accel(inst.clone(), cfg, accel.clone()).solve()
             } else {
-                MipSolver::on_accel_sparse(inst.clone(), cfg, accel.clone()).solve()
+                MipSolver::<SparseDeviceEngine>::on_accel(inst.clone(), cfg, accel.clone()).solve()
             }
             .expect("relaxation solve");
             assert_eq!(r.status, gmip_core::MipStatus::Optimal);
@@ -205,7 +206,8 @@ pub fn run() -> String {
     let mut cfg = MipConfig::default();
     cfg.cuts.enabled = false;
     cfg.heuristics.rounding = false;
-    let dense_small = MipSolver::on_accel(inst.clone(), cfg.clone(), gpu(2 << 20)).solve();
+    let dense_small =
+        MipSolver::<DeviceEngine>::on_accel(inst.clone(), cfg.clone(), gpu(2 << 20)).solve();
     t.row(vec![
         "dense".into(),
         match &dense_small {
@@ -213,7 +215,8 @@ pub fn run() -> String {
             Err(e) => format!("{e}").chars().take(40).collect(),
         },
     ]);
-    let sparse_small = MipSolver::on_accel_sparse(inst.clone(), cfg, gpu(2 << 20)).solve();
+    let sparse_small =
+        MipSolver::<SparseDeviceEngine>::on_accel(inst.clone(), cfg, gpu(2 << 20)).solve();
     t.row(vec![
         "sparse".into(),
         match &sparse_small {

@@ -11,6 +11,7 @@
 use crate::experiments::gpu;
 use crate::table::{fmt_bytes, Table};
 use gmip_core::{MipConfig, MipSolver};
+use gmip_lp::DeviceEngine;
 use gmip_problems::generators::knapsack;
 
 /// Runs the experiment and returns the report text.
@@ -34,7 +35,7 @@ pub fn run() -> String {
         cfg.cuts.max_rounds = max_rounds.max(1);
         cfg.node_limit = 1; // root only: isolate the cut loop
         cfg.heuristics.rounding = false;
-        let mut solver = MipSolver::on_accel(instance.clone(), cfg, accel.clone());
+        let mut solver = MipSolver::<DeviceEngine>::on_accel(instance.clone(), cfg, accel.clone());
         let r = solver.solve().expect("root solve");
         let s = accel.stats();
         // Root bound = best open bound after the single evaluated node.

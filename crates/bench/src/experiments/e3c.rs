@@ -12,6 +12,7 @@
 use crate::experiments::gpu;
 use crate::table::{fmt_bytes, fmt_ns, Table};
 use gmip_core::{MipConfig, MipSolver, PolicyKind};
+use gmip_lp::DeviceEngine;
 use gmip_problems::generators::{random_mip, RandomMipConfig};
 
 /// Runs the experiment and returns the report text.
@@ -51,7 +52,8 @@ pub fn run() -> String {
             cfg.policy = policy;
             cfg.cuts.enabled = false;
             cfg.heuristics.rounding = false;
-            let mut solver = MipSolver::on_accel(instance.clone(), cfg, accel.clone());
+            let mut solver =
+                MipSolver::<DeviceEngine>::on_accel(instance.clone(), cfg, accel.clone());
             let r = solver.solve().expect("solve");
             let s = accel.stats();
             if engine_reuse && policy == PolicyKind::BestFirst {

@@ -11,6 +11,7 @@
 use crate::table::{fmt_ns, Table};
 use gmip_core::{MipConfig, MipSolver};
 use gmip_gpu::{Accel, CostModel, DeviceConfig};
+use gmip_lp::DeviceEngine;
 use gmip_problems::generators::{random_mip, RandomMipConfig};
 
 /// Runs the experiment and returns the report text.
@@ -30,7 +31,8 @@ pub fn run() -> String {
     let cpu_accel = Accel::cpu();
     let mut cfg = MipConfig::default();
     cfg.heuristics.rounding = false;
-    let mut solver = MipSolver::on_accel(instance.clone(), cfg.clone(), cpu_accel.clone());
+    let mut solver =
+        MipSolver::<DeviceEngine>::on_accel(instance.clone(), cfg.clone(), cpu_accel.clone());
     let cpu_r = solver.solve().expect("cpu run");
     let cpu_ns = cpu_r.stats.sim_time_ns;
 
@@ -56,7 +58,7 @@ pub fn run() -> String {
             mem_capacity: 1 << 30,
             streams: 1,
         });
-        let mut solver = MipSolver::on_accel(instance.clone(), cfg.clone(), accel);
+        let mut solver = MipSolver::<DeviceEngine>::on_accel(instance.clone(), cfg.clone(), accel);
         let r = solver.solve().expect("gpu run");
         assert!(
             (r.objective - cpu_r.objective).abs() < 1e-5,

@@ -9,8 +9,8 @@
 //! cargo run --release -p gmip-bench --bin report -- e1 e4
 //! ```
 //!
-//! Criterion microbenchmarks (wall-clock performance of the kernels, LP
-//! engine, and solver) live under `benches/`.
+//! Wall-clock measurement of the kernels, LP engines and solvers is
+//! `examples/wallbench`'s job, not this crate's.
 
 #![warn(missing_docs)]
 

@@ -415,12 +415,20 @@ pub fn run(args: &[String]) -> Result<String, String> {
 pub fn generate(o: &Options) -> Result<MipInstance, String> {
     let p = &o.positional;
     let family = p.first().ok_or("generate needs a family name")?;
-    let num = |i: usize, what: &str| -> Result<usize, String> {
-        p.get(i)
+    // The generators assert their size arguments; out-of-range input is an
+    // error here, not a panic there.
+    let size = |i: usize, what: &str, min: usize| -> Result<usize, String> {
+        let n: usize = p
+            .get(i)
             .ok_or(format!("{family} needs {what}"))?
             .parse()
-            .map_err(|_| format!("{what} must be an integer"))
+            .map_err(|_| format!("{what} must be an integer"))?;
+        if n < min {
+            return Err(format!("{what} must be at least {min}"));
+        }
+        Ok(n)
     };
+    let num = |i: usize, what: &str| size(i, what, 1);
     let fnum = |i: usize, what: &str| -> Result<f64, String> {
         p.get(i)
             .ok_or(format!("{family} needs {what}"))?
@@ -429,12 +437,14 @@ pub fn generate(o: &Options) -> Result<MipInstance, String> {
     };
     Ok(match family.as_str() {
         "knapsack" => generators::knapsack(num(1, "<items>")?, 0.5, o.seed),
-        "setcover" => generators::set_cover(
-            num(1, "<elements>")?,
-            num(2, "<sets>")?,
-            fnum(3, "<density>")?,
-            o.seed,
-        ),
+        "setcover" => {
+            let (elements, sets) = (num(1, "<elements>")?, num(2, "<sets>")?);
+            let density = fnum(3, "<density>")?;
+            if !(density > 0.0 && density <= 1.0) {
+                return Err("<density> must be in (0, 1]".into());
+            }
+            generators::set_cover(elements, sets, density, o.seed)
+        }
         "gap" => {
             generators::generalized_assignment(num(1, "<agents>")?, num(2, "<tasks>")?, o.seed)
         }
@@ -442,8 +452,8 @@ pub fn generate(o: &Options) -> Result<MipInstance, String> {
             generators::unit_commitment(num(1, "<generators>")?, num(2, "<periods>")?, o.seed)
         }
         "netflow" => generators::fixed_charge_flow(
-            num(1, "<nodes>")?,
-            num(2, "<extra-arcs>")?,
+            size(1, "<nodes>", 2)?,
+            size(2, "<extra-arcs>", 0)?,
             fnum(3, "<supply>")?,
             o.seed,
         ),
@@ -1068,6 +1078,22 @@ mod tests {
         assert!(generate(&o).is_err());
         o.positional = s(&["setcover", "5"]);
         assert!(generate(&o).is_err(), "missing parameters rejected");
+        // Sizes and densities the generators would assert on are errors
+        // naming the argument, not panics.
+        for (args, what) in [
+            (&["binpack", "0"][..], "<items>"),
+            (&["knapsack", "0"], "<items>"),
+            (&["gap", "0", "3"], "<agents>"),
+            (&["ucommit", "0", "2"], "<generators>"),
+            (&["netflow", "1", "0", "5"], "<nodes>"),
+            (&["facility", "0", "2", "25"], "<customers>"),
+            (&["setcover", "5", "0", "0.3"], "<sets>"),
+            (&["setcover", "5", "5", "7"], "<density>"),
+        ] {
+            o.positional = s(args);
+            let err = generate(&o).expect_err("out of range");
+            assert!(err.contains(what), "{args:?}: {err}");
+        }
     }
 
     #[test]

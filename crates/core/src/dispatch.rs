@@ -10,11 +10,14 @@
 //! for GPUs would need to be written which dynamically takes different code
 //! paths based on the input matrix characteristics."
 //!
-//! Both solver versions exist here — the dense engine
-//! ([`gmip_lp::DeviceEngine`]) and the sparse engine
-//! ([`gmip_lp::SparseDeviceEngine`]) — and [`solve_with_dispatch`] is the
-//! super-solver: it inspects the input's density and nonzero count at
-//! runtime and takes the matching path (delegating tiny sparse inputs to
+//! This module is the super-solver, and what it dispatches over is one
+//! orchestration with two kernel sets, chosen at run time: the device
+//! simplex is written once ([`gmip_lp::DeviceSimplex`]) over a storage
+//! parameter, and [`gmip_lp::DeviceEngine`] / [`gmip_lp::SparseDeviceEngine`]
+//! are its dense-resident and CSR-resident instances — each with its own
+//! kernels, kernel names and cost formulas, neither a second copy of the
+//! solver. [`solve_with_dispatch`] inspects the input's density and nonzero
+//! count and takes the matching instance (delegating tiny sparse inputs to
 //! the CPU, per Section 3's "sparse matrix computations … can be delegated
 //! to the multi-core processors").
 
@@ -22,7 +25,7 @@ use crate::config::MipConfig;
 use crate::solver::{MipResult, MipSolver};
 use crate::wave::{solve_batched_wave, BatchedWaveConfig, WaveResult};
 use gmip_gpu::{Accel, CostModel};
-use gmip_lp::LpResult;
+use gmip_lp::{DeviceEngine, LpResult, SparseDeviceEngine};
 use gmip_problems::MipInstance;
 
 /// The chosen code path.
@@ -80,9 +83,11 @@ pub fn solve_with_dispatch(
     let path = choose_path(&instance, &gpu.with(|d| d.cost_model().clone()));
     let result = match path {
         CodePath::DenseDevice | CodePath::BatchedWave => {
-            MipSolver::on_accel(instance, cfg, gpu).solve()?
+            MipSolver::<DeviceEngine>::on_accel(instance, cfg, gpu).solve()?
         }
-        CodePath::SparseDevice => MipSolver::on_accel_sparse(instance, cfg, gpu).solve()?,
+        CodePath::SparseDevice => {
+            MipSolver::<SparseDeviceEngine>::on_accel(instance, cfg, gpu).solve()?
+        }
         CodePath::SparseHost => MipSolver::host_baseline(instance, cfg).solve()?,
     };
     Ok((path, result))
@@ -115,7 +120,7 @@ pub fn solve_with_dispatch_batched(
             Ok((CodePath::BatchedWave, BatchedDispatch::Wave(Box::new(r))))
         }
         CodePath::SparseDevice => {
-            let r = MipSolver::on_accel_sparse(instance, cfg, gpu).solve()?;
+            let r = MipSolver::<SparseDeviceEngine>::on_accel(instance, cfg, gpu).solve()?;
             Ok((path, BatchedDispatch::Fallback(Box::new(r))))
         }
         CodePath::SparseHost => {

@@ -28,16 +28,12 @@
 //!   cleanup;
 //! * [`node_bnb`] — best-first branch and bound over any
 //!   `gmip_lp::NodeLpEngine` (simplex, interior point, first-order);
-//! * [`colgen`] — column generation (cutting stock): the master LP's dual
-//!   prices feed a pricing knapsack solved by this crate's own
-//!   branch and cut (the Section 3 host-side technique list);
 //! * [`config`] — solver configuration.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod branch;
-pub mod colgen;
 pub mod concurrent;
 pub mod config;
 pub mod cut;
@@ -51,7 +47,6 @@ pub mod solver;
 pub mod strategy;
 pub mod wave;
 
-pub use colgen::{solve_cutting_stock, CuttingStockResult};
 pub use concurrent::{solve_concurrent, ConcurrentConfig, ConcurrentResult};
 pub use config::{BranchRule, CutConfig, HeurConfig, MipConfig, PolicyKind};
 pub use dispatch::{
@@ -60,7 +55,7 @@ pub use dispatch::{
 };
 pub use fo_wave::{solve_first_order_wave, FirstOrderWaveConfig};
 pub use node_bnb::{solve_with_node_engine, NodeBnbConfig, NodeBnbResult};
-pub use presolve::{presolve, solve_host_with_presolve, PresolveResult};
+pub use presolve::{presolve, PresolveResult};
 pub use solver::{BranchInfo, MipResult, MipSolver, MipStatus, NodePayload, SolveStats};
 pub use strategy::{big_mip_cost, plan, Strategy, StrategyPlan};
 pub use wave::{solve_batched_wave, BatchedWaveConfig, WaveResult};

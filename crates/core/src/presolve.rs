@@ -283,42 +283,38 @@ pub fn presolve(instance: &MipInstance, max_rounds: usize) -> PresolveResult {
     }
 }
 
-/// Convenience: presolve, solve on the host baseline, postsolve. Returns
-/// `(status, objective, x_original_space)`.
-pub fn solve_host_with_presolve(
-    instance: &MipInstance,
-    cfg: crate::MipConfig,
-) -> gmip_lp::LpResult<(crate::MipStatus, f64, Vec<f64>)> {
-    let pre = presolve(instance, 5);
-    if pre.infeasible {
-        return Ok((crate::MipStatus::Infeasible, f64::NAN, Vec::new()));
-    }
-    if pre.kept.is_empty() {
-        // Everything fixed: the remaining point is the only candidate.
-        let x = pre.postsolve(&[]);
-        return if instance.is_integer_feasible(&x, 1e-6) {
-            Ok((crate::MipStatus::Optimal, instance.objective_value(&x), x))
-        } else {
-            Ok((crate::MipStatus::Infeasible, f64::NAN, Vec::new()))
-        };
-    }
-    let mut solver = crate::MipSolver::host_baseline(pre.reduced.clone(), cfg);
-    let r = solver.solve()?;
-    match r.status {
-        crate::MipStatus::Optimal | crate::MipStatus::NodeLimit if !r.x.is_empty() => {
-            let x = pre.postsolve(&r.x);
-            Ok((r.status, instance.objective_value(&x), x))
-        }
-        other => Ok((other, f64::NAN, Vec::new())),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{MipConfig, MipSolver, MipStatus};
     use gmip_problems::catalog::{infeasible_instance, small_suite};
     use gmip_problems::{Objective, Variable};
+
+    /// Presolve, solve the reduced instance on the host baseline, postsolve:
+    /// `(status, objective, x)` in the original space.
+    fn solve_host_with_presolve(instance: &MipInstance) -> (MipStatus, f64, Vec<f64>) {
+        let infeasible = (MipStatus::Infeasible, f64::NAN, Vec::new());
+        let pre = presolve(instance, 5);
+        if pre.infeasible {
+            return infeasible;
+        }
+        let x = if pre.kept.is_empty() {
+            // Everything fixed: the remaining point is the only candidate.
+            pre.postsolve(&[])
+        } else {
+            let r = MipSolver::host_baseline(pre.reduced.clone(), MipConfig::default())
+                .solve()
+                .expect("presolved");
+            if r.status != MipStatus::Optimal {
+                return (r.status, f64::NAN, Vec::new());
+            }
+            pre.postsolve(&r.x)
+        };
+        if !instance.is_integer_feasible(&x, 1e-6) {
+            return infeasible;
+        }
+        (MipStatus::Optimal, instance.objective_value(&x), x)
+    }
 
     #[test]
     fn redundant_rows_dropped() {
@@ -399,8 +395,7 @@ mod tests {
         for entry in small_suite() {
             let mut direct = MipSolver::host_baseline(entry.instance.clone(), MipConfig::default());
             let dr = direct.solve().expect("direct");
-            let (status, objective, x) =
-                solve_host_with_presolve(&entry.instance, MipConfig::default()).expect("presolved");
+            let (status, objective, x) = solve_host_with_presolve(&entry.instance);
             assert_eq!(dr.status, status, "{}", entry.id);
             if dr.status == MipStatus::Optimal {
                 assert!(
@@ -431,7 +426,7 @@ mod tests {
         let pre = presolve(&m, 3);
         assert_eq!(pre.vars_fixed(), 1);
         assert_eq!(pre.fixed[0].0, 0);
-        let (status, obj, x) = solve_host_with_presolve(&m, MipConfig::default()).expect("solve");
+        let (status, obj, x) = solve_host_with_presolve(&m);
         assert_eq!(status, MipStatus::Optimal);
         assert_eq!(obj, 9.0);
         assert_eq!(x[0], 0.0);

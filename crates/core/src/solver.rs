@@ -15,8 +15,8 @@ use crate::search::{self, Incumbent, Rules, Verdict};
 use gmip_gpu::{Accel, DeviceStats, DEFAULT_STREAM};
 use gmip_linalg::DenseMatrix;
 use gmip_lp::{
-    Basis, BoundChange, CertKind, LpCertificate, LpError, LpResult, LpSolution, LpSolver, LpStatus,
-    SimplexEngine, StandardLp,
+    Basis, BoundChange, CertKind, DeviceSimplex, LpCertificate, LpError, LpResult, LpSolution,
+    LpSolver, LpStatus, MatrixStorage, SimplexEngine, StandardLp,
 };
 use gmip_problems::MipInstance;
 use gmip_prop::Propagator;
@@ -195,16 +195,21 @@ impl MipSolver<gmip_lp::HostEngine> {
     }
 }
 
-impl MipSolver<gmip_lp::DeviceEngine> {
+impl<M: MatrixStorage + 'static> MipSolver<DeviceSimplex<M>> {
     /// A solver whose LPs run on the given accelerator (any strategy plan
-    /// whose LP executor is a single device).
+    /// whose LP executor is a single device), with the matrix resident as
+    /// `M`: `MipSolver::<DeviceEngine>` runs the dense kernel set,
+    /// `MipSolver::<SparseDeviceEngine>` the CSR one — Section 5.4's two
+    /// "MIP solver versions", which [`crate::dispatch`] picks between.
     pub fn on_accel(instance: MipInstance, cfg: MipConfig, accel: Accel) -> Self {
         let factory_accel = accel.clone();
-        MipSolver::with_factory(instance, cfg, "device", Some(accel), None, move |a| {
-            gmip_lp::DeviceEngine::new(factory_accel.clone(), a)
+        MipSolver::with_factory(instance, cfg, M::NAME, Some(accel), None, move |a| {
+            DeviceSimplex::new(factory_accel.clone(), a)
         })
     }
+}
 
+impl MipSolver<gmip_lp::DeviceEngine> {
     /// A solver resolved from a [`crate::strategy::StrategyPlan`].
     pub fn with_plan(instance: MipInstance, plan: crate::strategy::StrategyPlan) -> Self {
         let factory_accel = plan.lp_accel.clone();
@@ -219,22 +224,6 @@ impl MipSolver<gmip_lp::DeviceEngine> {
         solver.host = plan.host;
         solver.overlap_host = plan.overlap_host;
         solver
-    }
-}
-
-impl MipSolver<gmip_lp::SparseDeviceEngine> {
-    /// A solver whose LPs run through the **sparse** device engine — the
-    /// second "MIP solver version" of Section 5.4, for sparse inputs.
-    pub fn on_accel_sparse(instance: MipInstance, cfg: MipConfig, accel: Accel) -> Self {
-        let factory_accel = accel.clone();
-        MipSolver::with_factory(
-            instance,
-            cfg,
-            "device-sparse",
-            Some(accel),
-            None,
-            move |a| gmip_lp::SparseDeviceEngine::new(factory_accel.clone(), a),
-        )
     }
 }
 
@@ -260,11 +249,6 @@ impl<E: SimplexEngine> MipSolver<E> {
             strategy_name,
             overlap_host: false,
         }
-    }
-
-    /// Enables overlapped host/device time accounting (Strategy 3).
-    pub fn set_overlap_host(&mut self, overlap: bool) {
-        self.overlap_host = overlap;
     }
 
     /// The instance being solved.
@@ -1252,7 +1236,8 @@ mod tests {
         use gmip_trace::TraceSession;
         let session = TraceSession::start();
         let m = knapsack(12, 0.5, 3);
-        let mut s = MipSolver::on_accel(m, MipConfig::default(), Accel::gpu(1));
+        let mut s =
+            MipSolver::<gmip_lp::DeviceEngine>::on_accel(m, MipConfig::default(), Accel::gpu(1));
         let r = s.solve().unwrap();
         let trace = session.finish();
         let mm = &r.stats.metrics;

@@ -152,11 +152,6 @@ pub mod flops {
         2.0 / 3.0 * (n as f64).powi(3)
     }
 
-    /// Cholesky factorization of an `n × n` SPD matrix: (1/3)n³.
-    pub fn cholesky(n: usize) -> f64 {
-        1.0 / 3.0 * (n as f64).powi(3)
-    }
-
     /// Triangular solve pair against an `n × n` factorization: 2n².
     pub fn lu_solve(n: usize) -> f64 {
         2.0 * (n as f64) * (n as f64)
@@ -165,11 +160,6 @@ pub mod flops {
     /// Dense matrix–vector product, `m × n`: 2mn.
     pub fn gemv(m: usize, n: usize) -> f64 {
         2.0 * m as f64 * n as f64
-    }
-
-    /// Dense matrix–matrix product, `m × k` by `k × n`: 2mkn.
-    pub fn gemm(m: usize, k: usize, n: usize) -> f64 {
-        2.0 * m as f64 * k as f64 * n as f64
     }
 
     /// Sparse matrix–vector product with `nnz` nonzeros: 2·nnz.
@@ -262,9 +252,7 @@ mod tests {
     fn flop_counts() {
         assert_eq!(flops::lu_solve(10), 200.0);
         assert_eq!(flops::gemv(3, 4), 24.0);
-        assert_eq!(flops::gemm(2, 3, 4), 48.0);
         assert_eq!(flops::spmv(100), 200.0);
         assert!((flops::lu(3) - 18.0).abs() < 1e-12);
-        assert!((flops::cholesky(3) - 9.0).abs() < 1e-12);
     }
 }

@@ -24,8 +24,8 @@ use crate::objects::{BufferPool, Obj, ObjectTable};
 use crate::stats::{DeviceStats, Ledger, Series};
 use crate::stream::{Event as StreamEvent, StreamId, StreamSet};
 use gmip_linalg::{
-    batch as lbatch, CholeskyFactors, CsrMatrix, DenseMatrix, EtaFile, LinalgError, LuFactors,
-    SparseEtaFile, SparseLu,
+    batch as lbatch, CsrMatrix, DenseMatrix, EtaFile, LinalgError, LuFactors, SparseEtaFile,
+    SparseLu,
 };
 use gmip_trace::{Event, MetricsRegistry, Track, TrackGroup};
 
@@ -89,10 +89,6 @@ handle_type!(
 handle_type!(
     /// Handle to device-resident dense LU factors.
     FactorHandle
-);
-handle_type!(
-    /// Handle to device-resident Cholesky factors.
-    CholeskyHandle
 );
 handle_type!(
     /// Handle to a device-resident CSR sparse matrix.
@@ -228,11 +224,6 @@ impl GpuDevice {
         self.track = group;
     }
 
-    /// The trace track group this device emits spans on.
-    pub fn trace_group(&self) -> TrackGroup {
-        self.track
-    }
-
     /// Simulated time at the device completion frontier, ns.
     pub fn elapsed_ns(&self) -> f64 {
         self.streams.frontier()
@@ -246,11 +237,6 @@ impl GpuDevice {
     /// Records an event on `stream`.
     pub fn record_event(&self, stream: StreamId) -> StreamEvent {
         self.streams.record(stream)
-    }
-
-    /// Makes `stream` wait on `event`.
-    pub fn wait_event(&mut self, stream: StreamId, event: StreamEvent) {
-        self.streams.wait(stream, event)
     }
 
     /// Synchronizes all streams; returns the joined timestamp.
@@ -407,25 +393,6 @@ impl GpuDevice {
         Ok(RawHandle(id))
     }
 
-    /// Downloads a device matrix to the host (one D2H transfer).
-    pub fn download_matrix(&mut self, h: MatrixHandle, stream: StreamId) -> Result<DenseMatrix> {
-        let m = self.objects.matrix(h)?.clone();
-        self.charge_d2h(m.size_bytes(), stream);
-        Ok(m)
-    }
-
-    /// Downloads a device CSR matrix to the host (one D2H transfer) — the
-    /// Section 5.2 "latest copy of the matrix" leg for the sparse path.
-    pub fn download_matrix_sparse(
-        &mut self,
-        h: SparseHandle,
-        stream: StreamId,
-    ) -> Result<CsrMatrix> {
-        let m = self.objects.sparse(h)?.clone();
-        self.charge_d2h(m.size_bytes(), stream);
-        Ok(m)
-    }
-
     /// Downloads a device vector (one D2H transfer).
     pub fn download_vector(&mut self, h: VectorHandle, stream: StreamId) -> Result<Vec<f64>> {
         let v = self.objects.vector(h)?.clone();
@@ -454,11 +421,6 @@ impl GpuDevice {
 
     /// Frees a vector handle.
     pub fn free_vector(&mut self, h: VectorHandle) -> Result<()> {
-        self.free(h.0)
-    }
-
-    /// Frees a factor handle.
-    pub fn free_factors(&mut self, h: FactorHandle) -> Result<()> {
         self.free(h.0)
     }
 
@@ -522,40 +484,6 @@ impl GpuDevice {
         Ok(FactorHandle(id))
     }
 
-    /// Cholesky-factorizes a device-resident SPD matrix (the cuSOLVER
-    /// `potrf`-class kernel; (1/3)n³ flops — half of LU).
-    pub fn cholesky_factor(&mut self, h: MatrixHandle, stream: StreamId) -> Result<CholeskyHandle> {
-        let m = self.objects.matrix(h)?;
-        let n = m.rows();
-        let mbytes = m.size_bytes();
-        let f = CholeskyFactors::factorize(m)?;
-        self.charge_dense_kernel("cholesky_factor", flops::cholesky(n), mbytes as f64, stream);
-        let id = self.insert(Obj::Cholesky(f), mbytes)?;
-        Ok(CholeskyHandle(id))
-    }
-
-    /// Solves an SPD system through device-resident Cholesky factors.
-    pub fn cholesky_solve(
-        &mut self,
-        f: CholeskyHandle,
-        b: VectorHandle,
-        stream: StreamId,
-    ) -> Result<VectorHandle> {
-        let x = {
-            let fac = self.objects.cholesky(f)?;
-            let rhs = self.objects.vector(b)?;
-            fac.solve(rhs)?
-        };
-        let n = x.len();
-        self.charge_dense_kernel(
-            "cholesky_solve",
-            flops::lu_solve(n),
-            (n * n * 8) as f64,
-            stream,
-        );
-        self.insert_vector(x)
-    }
-
     /// Solves `A x = b` for a device-resident rhs; result stays on device.
     pub fn lu_solve(
         &mut self,
@@ -569,28 +497,6 @@ impl GpuDevice {
         let mut x = self.pool.take(n);
         fac.solve_into(rhs, &mut x)?;
         self.charge_dense_kernel("lu_solve", flops::lu_solve(n), (n * n * 8) as f64, stream);
-        self.insert_vector(x)
-    }
-
-    /// Solves `Aᵀ x = b` (BTRAN-style) for a device-resident rhs.
-    pub fn lu_solve_transposed(
-        &mut self,
-        f: FactorHandle,
-        b: VectorHandle,
-        stream: StreamId,
-    ) -> Result<VectorHandle> {
-        let fac = self.objects.factors(f)?;
-        let rhs = self.objects.vector(b)?;
-        let n = fac.dim();
-        let mut x = self.pool.take(n);
-        self.work.resize(n, 0.0);
-        fac.solve_transposed_into(rhs, &mut self.work, &mut x)?;
-        self.charge_dense_kernel(
-            "lu_solve_transposed",
-            flops::lu_solve(n),
-            (n * n * 8) as f64,
-            stream,
-        );
         self.insert_vector(x)
     }
 
@@ -698,42 +604,6 @@ impl GpuDevice {
         };
         let n = self.objects.vector(v)?.len();
         self.charge_dense_kernel("argmin_masked", n as f64, (2 * n * 8) as f64, stream);
-        self.charge_d2h(16, stream);
-        Ok(result)
-    }
-
-    /// Device ratio-test reduction for the primal simplex: over rows where
-    /// `alpha[i] > tol`, minimizes `xb[i] / alpha[i]`; returns the winning
-    /// row and ratio. One kernel + a 16-byte scalar readback.
-    pub fn ratio_argmin(
-        &mut self,
-        xb: VectorHandle,
-        alpha: VectorHandle,
-        tol: f64,
-        stream: StreamId,
-    ) -> Result<Option<(usize, f64)>> {
-        let result = {
-            let x = self.objects.vector(xb)?;
-            let a = self.objects.vector(alpha)?;
-            if x.len() != a.len() {
-                return Err(GpuError::Linalg(LinalgError::DimensionMismatch {
-                    context: format!("ratio_argmin: {} vs {}", x.len(), a.len()),
-                }));
-            }
-            let mut best: Option<(usize, f64)> = None;
-            for i in 0..x.len() {
-                if a[i] > tol {
-                    let r = x[i] / a[i];
-                    // Tie-break on lower index for determinism (Bland-friendly).
-                    if best.is_none_or(|(_, br)| r < br - 1e-12) {
-                        best = Some((i, r));
-                    }
-                }
-            }
-            best
-        };
-        let n = self.objects.vector(xb)?.len();
-        self.charge_dense_kernel("ratio_argmin", (2 * n) as f64, (2 * n * 8) as f64, stream);
         self.charge_d2h(16, stream);
         Ok(result)
     }
@@ -1618,42 +1488,6 @@ impl GpuDevice {
         Ok(())
     }
 
-    /// Refactorizes a sparse eta file from basis columns of the CSR matrix.
-    pub fn sparse_eta_refactorize(
-        &mut self,
-        h: SparseEtaHandle,
-        a: SparseHandle,
-        cols: &[usize],
-        stream: StreamId,
-    ) -> Result<()> {
-        let basis = {
-            let m = self.objects.sparse(a)?;
-            m.to_csc().select_columns(cols)?
-        };
-        let fill;
-        match self.objects.get_mut(h.0) {
-            Some((Obj::SparseEta(file), bytes)) => {
-                file.refactorize(&basis).map_err(GpuError::Linalg)?;
-                fill = file.fill_nnz();
-                let new_bytes = fill * 16 + cols.len() * 8;
-                if *bytes > new_bytes {
-                    self.mem.free(*bytes - new_bytes);
-                } else {
-                    self.mem.alloc(new_bytes - *bytes)?;
-                }
-                *bytes = new_bytes;
-            }
-            _ => return Err(GpuError::InvalidHandle(h.0)),
-        }
-        self.charge_sparse_kernel(
-            "sparse_eta_refactorize",
-            flops::sparse_lu(fill),
-            (fill * 16) as f64,
-            stream,
-        );
-        Ok(())
-    }
-
     /// Eta count of a sparse eta file.
     pub fn sparse_eta_count(&self, h: SparseEtaHandle) -> Result<usize> {
         Ok(self.objects.sparse_eta(h)?.eta_count())
@@ -1869,6 +1703,11 @@ mod tests {
         .unwrap()
     }
 
+    /// The device's copy of a matrix, read without charging a transfer.
+    fn resident(dev: &GpuDevice, h: MatrixHandle) -> Result<DenseMatrix> {
+        dev.objects.matrix(h).cloned()
+    }
+
     #[test]
     fn upload_download_roundtrip_charges_transfers() {
         let mut dev = small_gpu();
@@ -1876,9 +1715,11 @@ mod tests {
         let h = dev.upload_matrix(&m, DEFAULT_STREAM).unwrap();
         assert_eq!(dev.stats().h2d_transfers, 1);
         assert_eq!(dev.stats().h2d_bytes, 72);
-        let back = dev.download_matrix(h, DEFAULT_STREAM).unwrap();
-        assert_eq!(back, m);
+        assert_eq!(resident(&dev, h).unwrap(), m);
+        let v = dev.upload_vector(m.row(1), DEFAULT_STREAM).unwrap();
+        assert_eq!(dev.download_vector(v, DEFAULT_STREAM).unwrap(), m.row(1));
         assert_eq!(dev.stats().d2h_transfers, 1);
+        assert_eq!(dev.stats().d2h_bytes, 24);
         assert!(dev.elapsed_ns() > 0.0);
     }
 
@@ -1934,10 +1775,7 @@ mod tests {
         let used = dev.memory().used();
         dev.free_matrix(h).unwrap();
         assert_eq!(dev.memory().used(), used - 72);
-        assert!(matches!(
-            dev.download_matrix(h, DEFAULT_STREAM),
-            Err(GpuError::InvalidHandle(_))
-        ));
+        assert!(matches!(resident(&dev, h), Err(GpuError::InvalidHandle(_))));
         assert!(dev.free(h.0).is_err());
     }
 
@@ -1948,7 +1786,7 @@ mod tests {
         let m = dev.upload_matrix(&test_matrix(), DEFAULT_STREAM).unwrap();
         // A handle of one type used as another: same id, wrong payload.
         assert_eq!(
-            dev.download_matrix(MatrixHandle(v.0), DEFAULT_STREAM),
+            resident(&dev, MatrixHandle(v.0)),
             Err(GpuError::InvalidHandle(v.0))
         );
         assert_eq!(
@@ -2027,7 +1865,7 @@ mod tests {
         let transfers_before = dev.stats().total_transfers();
         let b = dev.gather_columns(ah, &[2, 0], DEFAULT_STREAM).unwrap();
         assert_eq!(dev.stats().total_transfers(), transfers_before);
-        let bm = dev.download_matrix(b, DEFAULT_STREAM).unwrap();
+        let bm = resident(&dev, b).unwrap();
         assert_eq!(bm.cols(), 2);
         assert_eq!(bm.get(0, 0), 1.0); // col 2 of A
         assert_eq!(bm.get(0, 1), 2.0); // col 0 of A
@@ -2060,30 +1898,6 @@ mod tests {
         let mask3 = dev.upload_vector(&[0.0, 0.0, 0.0], DEFAULT_STREAM).unwrap();
         assert!(dev
             .argmin_masked(d, mask3, DEFAULT_STREAM)
-            .unwrap()
-            .is_none());
-    }
-
-    #[test]
-    fn ratio_test_reduction() {
-        let mut dev = small_gpu();
-        let xb = dev.upload_vector(&[4.0, 3.0, 8.0], DEFAULT_STREAM).unwrap();
-        let alpha = dev
-            .upload_vector(&[2.0, -1.0, 4.0], DEFAULT_STREAM)
-            .unwrap();
-        let (row, ratio) = dev
-            .ratio_argmin(xb, alpha, 1e-9, DEFAULT_STREAM)
-            .unwrap()
-            .unwrap();
-        // Ratios: 4/2=2 (row 0), row 1 ineligible, 8/4=2 (row 2) → tie, lowest index.
-        assert_eq!(row, 0);
-        assert!((ratio - 2.0).abs() < 1e-12);
-        // All ineligible → unbounded signal.
-        let neg = dev
-            .upload_vector(&[-1.0, -1.0, -1.0], DEFAULT_STREAM)
-            .unwrap();
-        assert!(dev
-            .ratio_argmin(xb, neg, 1e-9, DEFAULT_STREAM)
             .unwrap()
             .is_none());
     }
@@ -2125,7 +1939,7 @@ mod tests {
             .unwrap();
         assert_eq!(dev.stats().h2d_transfers, h2d_before + 1);
         assert_eq!(dev.memory().used(), used_before + 24);
-        let m = dev.download_matrix(ah, DEFAULT_STREAM).unwrap();
+        let m = resident(&dev, ah).unwrap();
         assert_eq!(m.rows(), 4);
         assert_eq!(m.row(3), &[1.0, 1.0, 1.0]);
     }
@@ -2228,24 +2042,6 @@ mod tests {
     }
 
     #[test]
-    fn cholesky_kernel() {
-        let mut dev = small_gpu();
-        // SPD: L0 L0t for L0 = [[2,0],[1,3]].
-        let a = DenseMatrix::from_rows(&[vec![4.0, 2.0], vec![2.0, 10.0]]).unwrap();
-        let ah = dev.upload_matrix(&a, DEFAULT_STREAM).unwrap();
-        let f = dev.cholesky_factor(ah, DEFAULT_STREAM).unwrap();
-        let b = dev.upload_vector(&[6.0, 12.0], DEFAULT_STREAM).unwrap();
-        let x = dev.cholesky_solve(f, b, DEFAULT_STREAM).unwrap();
-        let xv = dev.download_vector(x, DEFAULT_STREAM).unwrap();
-        let ax = a.matvec(&xv).unwrap();
-        assert!((ax[0] - 6.0).abs() < 1e-9 && (ax[1] - 12.0).abs() < 1e-9);
-        // Indefinite rejected.
-        let bad = DenseMatrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 1.0]]).unwrap();
-        let bh = dev.upload_matrix(&bad, DEFAULT_STREAM).unwrap();
-        assert!(dev.cholesky_factor(bh, DEFAULT_STREAM).is_err());
-    }
-
-    #[test]
     fn sparse_path_kernels() {
         let mut dev = small_gpu();
         // A = [[4, 0, -1, 1], [0, 5, 0, 0], [-1, 0, 3, 0]] (3x4 CSR).
@@ -2320,15 +2116,11 @@ mod tests {
         dev.sparse_eta_update(eta, 2, alpha, DEFAULT_STREAM)
             .unwrap();
         assert_eq!(dev.sparse_eta_count(eta).unwrap(), 1);
-        // Refactorize from the true new basis [0, 1, 3].
-        dev.sparse_eta_refactorize(eta, ah, &[0, 1, 3], DEFAULT_STREAM)
-            .unwrap();
-        assert_eq!(dev.sparse_eta_count(eta).unwrap(), 0);
 
         // Cut append: row over cols 0..4 plus new slack col 4.
         dev.append_row_sparse(ah, &[(0, 1.0), (4, 1.0)], 5, DEFAULT_STREAM)
             .unwrap();
-        let m = dev.download_matrix_sparse(ah, DEFAULT_STREAM).unwrap();
+        let m = dev.objects.sparse(ah).unwrap();
         assert_eq!(m.rows(), 4);
         assert_eq!(m.cols(), 5);
         assert_eq!(m.get(3, 4), 1.0);
@@ -2376,7 +2168,7 @@ mod tests {
 
         dev.append_column(ah, &[1.0, 0.0, 0.0], DEFAULT_STREAM)
             .unwrap();
-        let m = dev.download_matrix(ah, DEFAULT_STREAM).unwrap();
+        let m = resident(&dev, ah).unwrap();
         assert_eq!(m.cols(), 4);
         assert_eq!(m.get(0, 3), 1.0);
 

@@ -42,11 +42,11 @@ pub use backend::{
 };
 pub use cost::CostModel;
 pub use device::{
-    CholeskyHandle, DeviceConfig, EtaHandle, FactorHandle, GpuDevice, GpuError, MatrixHandle,
-    RawHandle, SparseEtaHandle, SparseFactorHandle, SparseHandle, VectorHandle, DEFAULT_STREAM,
+    DeviceConfig, EtaHandle, FactorHandle, GpuDevice, GpuError, MatrixHandle, RawHandle,
+    SparseEtaHandle, SparseFactorHandle, SparseHandle, VectorHandle, DEFAULT_STREAM,
 };
 pub use kernels::{FoArena, FoBlock, FO_BLOCK};
 pub use memory::{DeviceMemory, OutOfMemory};
-pub use node::{Accel, AccelKind, ComputeNode};
+pub use node::{Accel, AccelKind};
 pub use stats::DeviceStats;
 pub use stream::{Event, StreamId, StreamSet};

@@ -1,14 +1,13 @@
-//! Compute-node composition: a host CPU plus one or more accelerators.
+//! The shareable device handle.
 //!
-//! Models the node architecture the paper assumes (Section 3: "modern
-//! architectures in which the CPUs comprise of many processor cores in
-//! addition to multiple GPUs serving as accelerators"). The [`Accel`]
-//! wrapper makes a device shareable across solver components (the
-//! orchestrator, the LP engine, the cut separator) the way a CUDA context
-//! is shared by host threads.
+//! The paper assumes nodes "in which the CPUs comprise of many processor
+//! cores in addition to multiple GPUs serving as accelerators" (Section 3);
+//! a strategy plan composes such a node from [`Accel`]s — one per GPU plus
+//! [`Accel::cpu`] for the host. The [`Accel`] wrapper makes a device
+//! shareable across solver components (the orchestrator, the LP engine,
+//! the cut separator) the way a CUDA context is shared by host threads.
 
 use crate::backend::{Accelerator, BackendKind, NativeAccelerator, SimAccelerator};
-use crate::cost::CostModel;
 use crate::device::{DeviceConfig, GpuDevice};
 use crate::stats::DeviceStats;
 use parking_lot::Mutex;
@@ -142,11 +141,6 @@ impl Accel {
         self.inner.lock().stats()
     }
 
-    /// The device's cost-model name (preset identification in reports).
-    pub fn cost_name(&self) -> &'static str {
-        self.inner.lock().cost_model().name
-    }
-
     /// Device memory capacity in bytes.
     pub fn mem_capacity(&self) -> usize {
         self.inner.lock().memory().capacity()
@@ -155,63 +149,6 @@ impl Accel {
     /// Device memory currently in use, bytes.
     pub fn mem_used(&self) -> usize {
         self.inner.lock().memory().used()
-    }
-}
-
-/// A compute node: one host executor plus `gpus` accelerators.
-#[derive(Debug, Clone)]
-pub struct ComputeNode {
-    /// The host CPU executor.
-    pub host: Accel,
-    /// The node's accelerators.
-    pub gpus: Vec<Accel>,
-}
-
-impl ComputeNode {
-    /// Builds a node with `n_gpus` GPUs of `gib` GiB each. Each GPU's trace
-    /// spans land on its own track group (`Gpu(0)`, `Gpu(1)`, ...).
-    pub fn new(n_gpus: usize, gib: usize) -> Self {
-        Self {
-            host: Accel::cpu(),
-            gpus: (0..n_gpus)
-                .map(|i| Accel::gpu(gib).with_trace_group(gmip_trace::TrackGroup::Gpu(i as u16)))
-                .collect(),
-        }
-    }
-
-    /// Builds a node whose GPUs use a custom cost model.
-    pub fn with_cost(n_gpus: usize, mem_capacity: usize, cost: CostModel) -> Self {
-        Self {
-            host: Accel::cpu(),
-            gpus: (0..n_gpus)
-                .map(|i| {
-                    Accel::gpu_with(DeviceConfig {
-                        cost: cost.clone(),
-                        mem_capacity,
-                        streams: 1,
-                    })
-                    .with_trace_group(gmip_trace::TrackGroup::Gpu(i as u16))
-                })
-                .collect(),
-        }
-    }
-
-    /// The node's makespan: the max simulated time over host and devices.
-    pub fn makespan_ns(&self) -> f64 {
-        let mut t = self.host.elapsed_ns();
-        for g in &self.gpus {
-            t = t.max(g.elapsed_ns());
-        }
-        t
-    }
-
-    /// Aggregated stats over host + devices.
-    pub fn total_stats(&self) -> DeviceStats {
-        let mut s = self.host.stats();
-        for g in &self.gpus {
-            s.merge(&g.stats());
-        }
-        s
     }
 }
 
@@ -241,31 +178,5 @@ mod tests {
         let s = c.stats();
         assert_eq!(s.h2d_transfers, 1);
         assert_eq!(s.transfer_ns, 0.0);
-    }
-
-    #[test]
-    fn node_makespan_is_max_over_executors() {
-        let node = ComputeNode::new(2, 1);
-        let m = DenseMatrix::identity(16);
-        node.gpus[0]
-            .with(|d| {
-                let h = d.upload_matrix(&m, DEFAULT_STREAM)?;
-                d.lu_factor(h, DEFAULT_STREAM)
-            })
-            .unwrap();
-        let t0 = node.gpus[0].elapsed_ns();
-        assert!(t0 > 0.0);
-        assert_eq!(node.gpus[1].elapsed_ns(), 0.0);
-        assert_eq!(node.makespan_ns(), t0);
-        let total = node.total_stats();
-        assert_eq!(total.h2d_transfers, 1);
-    }
-
-    #[test]
-    fn custom_cost_node() {
-        let node = ComputeNode::with_cost(1, 1 << 20, CostModel::gpu_nvlink());
-        assert_eq!(node.gpus[0].cost_name(), "gpu-nvlink");
-        assert_eq!(node.gpus[0].mem_capacity(), 1 << 20);
-        assert_eq!(node.gpus[0].mem_used(), 0);
     }
 }

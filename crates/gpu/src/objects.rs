@@ -15,18 +15,15 @@
 //! charged per object exactly as if every buffer were fresh.
 
 use crate::device::{
-    CholeskyHandle, EtaHandle, FactorHandle, GpuError, MatrixHandle, Result, SparseEtaHandle,
-    SparseFactorHandle, SparseHandle, VectorHandle,
+    EtaHandle, FactorHandle, GpuError, MatrixHandle, Result, SparseEtaHandle, SparseFactorHandle,
+    SparseHandle, VectorHandle,
 };
-use gmip_linalg::{
-    CholeskyFactors, CsrMatrix, DenseMatrix, EtaFile, LuFactors, SparseEtaFile, SparseLu,
-};
+use gmip_linalg::{CsrMatrix, DenseMatrix, EtaFile, LuFactors, SparseEtaFile, SparseLu};
 
 /// Payload of one device object.
 #[derive(Debug)]
 pub(crate) enum Obj {
     Matrix(DenseMatrix),
-    Cholesky(CholeskyFactors),
     Vector(Vec<f64>),
     Factors(LuFactors),
     Sparse(CsrMatrix),
@@ -147,7 +144,6 @@ macro_rules! typed_lookup {
 
 typed_lookup! {
     matrix(MatrixHandle) -> Matrix(DenseMatrix);
-    cholesky(CholeskyHandle) -> Cholesky(CholeskyFactors);
     vector(VectorHandle) -> Vector(Vec<f64>);
     factors(FactorHandle) -> Factors(LuFactors);
     sparse(SparseHandle) -> Sparse(CsrMatrix);

@@ -68,15 +68,6 @@ impl StreamSet {
         }
     }
 
-    /// Makes `stream` wait for `event` (its timeline cannot proceed before
-    /// the event's timestamp).
-    pub fn wait(&mut self, stream: StreamId, event: Event) {
-        let t = &mut self.completion_ns[stream];
-        if *t < event.at_ns {
-            *t = event.at_ns;
-        }
-    }
-
     /// Device-wide completion frontier (max over streams).
     pub fn frontier(&self) -> f64 {
         self.completion_ns.iter().copied().fold(0.0, f64::max)
@@ -131,21 +122,6 @@ mod tests {
         for i in 0..3 {
             assert_eq!(s.stream_time(i), 99.0);
         }
-    }
-
-    #[test]
-    fn events_order_cross_stream_work() {
-        let mut s = StreamSet::new(2);
-        s.enqueue(0, 100.0);
-        let e = s.record(0);
-        // Stream 1 must wait for stream 0's work before its kernel.
-        s.wait(1, e);
-        s.enqueue(1, 10.0);
-        assert_eq!(s.stream_time(1), 110.0);
-        // Waiting on a past event is a no-op.
-        let past = Event { at_ns: 5.0 };
-        s.wait(1, past);
-        assert_eq!(s.stream_time(1), 110.0);
     }
 
     #[test]

@@ -13,22 +13,6 @@ use crate::lu::LuFactors;
 use crate::Result;
 use rayon::prelude::*;
 
-/// Factorizes every matrix in the batch. The `i`-th result corresponds to
-/// the `i`-th input; an individual singular matrix yields an `Err` in its
-/// slot without failing the rest of the batch.
-pub fn lu_factorize_batch(mats: &[DenseMatrix]) -> Vec<Result<LuFactors>> {
-    mats.par_iter().map(LuFactors::factorize).collect()
-}
-
-/// Solves `Aᵢ xᵢ = bᵢ` for every factored system in the batch.
-pub fn lu_solve_batch(factors: &[LuFactors], rhs: &[Vec<f64>]) -> Vec<Result<Vec<f64>>> {
-    factors
-        .par_iter()
-        .zip(rhs.par_iter())
-        .map(|(f, b)| f.solve(b))
-        .collect()
-}
-
 /// One-shot batched factor+solve: returns `xᵢ` with `Aᵢ xᵢ = bᵢ`.
 ///
 /// This is the granularity at which Section 5.5's "dozens of branch-and-cut
@@ -37,14 +21,6 @@ pub fn lu_factor_solve_batch(mats: &[DenseMatrix], rhs: &[Vec<f64>]) -> Vec<Resu
     mats.par_iter()
         .zip(rhs.par_iter())
         .map(|(a, b)| LuFactors::factorize(a)?.solve(b))
-        .collect()
-}
-
-/// Batched matrix–vector products `yᵢ = Aᵢ xᵢ`.
-pub fn matvec_batch(mats: &[DenseMatrix], xs: &[Vec<f64>]) -> Vec<Result<Vec<f64>>> {
-    mats.par_iter()
-        .zip(xs.par_iter())
-        .map(|(a, x)| a.matvec(x))
         .collect()
 }
 
@@ -91,34 +67,11 @@ mod tests {
             vec![0.0, 0.0, 1.0],
         ])
         .unwrap();
-        let results = lu_factorize_batch(&[good.clone(), singular, good]);
+        let rhs = vec![vec![1.0, 2.0, 3.0]; 3];
+        let results = lu_factor_solve_batch(&[good.clone(), singular, good], &rhs);
         assert!(results[0].is_ok());
         assert!(results[1].is_err());
         assert!(results[2].is_ok());
-    }
-
-    #[test]
-    fn separate_factor_then_solve() {
-        let mats: Vec<_> = (0..4).map(|i| spd_like(i as f64)).collect();
-        let factors: Vec<LuFactors> = lu_factorize_batch(&mats)
-            .into_iter()
-            .map(|r| r.unwrap())
-            .collect();
-        let rhs: Vec<Vec<f64>> = (0..4).map(|i| vec![i as f64, 1.0, 2.0]).collect();
-        let xs = lu_solve_batch(&factors, &rhs);
-        for ((a, b), x) in mats.iter().zip(&rhs).zip(&xs) {
-            let ax = a.matvec(x.as_ref().unwrap()).unwrap();
-            assert!(max_abs_diff(&ax, b) < 1e-10);
-        }
-    }
-
-    #[test]
-    fn batched_matvec() {
-        let mats = vec![DenseMatrix::identity(2), spd_like(1.0)];
-        let xs = vec![vec![3.0, 4.0], vec![1.0, 0.0, 0.0]];
-        let ys = matvec_batch(&mats, &xs);
-        assert_eq!(ys[0].as_ref().unwrap(), &vec![3.0, 4.0]);
-        assert_eq!(ys[1].as_ref().unwrap(), &vec![5.0, 1.0, 0.5]);
     }
 
     #[test]

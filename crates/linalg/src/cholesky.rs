@@ -92,26 +92,6 @@ impl CholeskyFactors {
         }
         Ok(y)
     }
-
-    /// Log-determinant of `A` (numerically stable via `2 Σ ln l_jj`).
-    pub fn log_det(&self) -> f64 {
-        (0..self.dim()).map(|j| self.l.get(j, j).ln()).sum::<f64>() * 2.0
-    }
-}
-
-/// Forms the SPD normal-equations matrix `A Aᵀ` of an `m × n` matrix — the
-/// interior-point building block mentioned above.
-pub fn normal_equations(a: &DenseMatrix) -> DenseMatrix {
-    let m = a.rows();
-    let mut aat = DenseMatrix::zeros(m, m);
-    for i in 0..m {
-        for j in i..m {
-            let v = crate::dense::dot(a.row(i), a.row(j));
-            aat.set(i, j, v);
-            aat.set(j, i, v);
-        }
-    }
-    aat
 }
 
 #[cfg(test)]
@@ -154,14 +134,6 @@ mod tests {
     }
 
     #[test]
-    fn log_det_matches_lu_determinant() {
-        let a = spd3();
-        let f = CholeskyFactors::factorize(&a).unwrap();
-        let det = crate::LuFactors::factorize(&a).unwrap().determinant();
-        assert!((f.log_det() - det.ln()).abs() < 1e-9);
-    }
-
-    #[test]
     fn indefinite_rejected() {
         let a = DenseMatrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 1.0]]).unwrap();
         assert!(matches!(
@@ -170,30 +142,5 @@ mod tests {
         ));
         let rect = DenseMatrix::zeros(2, 3);
         assert!(CholeskyFactors::factorize(&rect).is_err());
-    }
-
-    #[test]
-    fn normal_equations_are_spd() {
-        let a = DenseMatrix::from_rows(&[
-            vec![1.0, 2.0, 0.0, 1.0],
-            vec![0.0, 1.0, 1.0, 0.0],
-            vec![2.0, 0.0, 1.0, 1.0],
-        ])
-        .unwrap();
-        let aat = normal_equations(&a);
-        assert_eq!(aat.rows(), 3);
-        // Symmetric…
-        for i in 0..3 {
-            for j in 0..3 {
-                assert_eq!(aat.get(i, j), aat.get(j, i));
-            }
-        }
-        // …and Cholesky-factorizable (full row rank).
-        let f = CholeskyFactors::factorize(&aat).unwrap();
-        // Solve A Aᵀ y = b and verify.
-        let b = vec![3.0, 1.0, 2.0];
-        let y = f.solve(&b).unwrap();
-        let ay = aat.matvec(&y).unwrap();
-        assert!(max_abs_diff(&ay, &b) < 1e-9);
     }
 }

@@ -1,113 +1,10 @@
-//! Dense matrices and vectors with BLAS-style operations.
+//! Dense matrices with BLAS-style operations.
 //!
 //! [`DenseMatrix`] is stored row-major in a single contiguous `Vec<f64>`,
 //! which matches the access pattern of the blocked kernels in [`crate::lu`]
 //! and keeps host↔device transfers in `gmip-gpu` a single contiguous copy.
 
 use crate::{LinalgError, Result};
-
-/// A dense column vector of `f64` entries.
-///
-/// Thin wrapper over `Vec<f64>` adding the BLAS-1 operations the simplex and
-/// factorization kernels need, with checked dimensions.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DenseVector {
-    data: Vec<f64>,
-}
-
-impl DenseVector {
-    /// Creates a vector of `n` zeros.
-    pub fn zeros(n: usize) -> Self {
-        Self { data: vec![0.0; n] }
-    }
-
-    /// Creates a vector from existing data.
-    pub fn from_vec(data: Vec<f64>) -> Self {
-        Self { data }
-    }
-
-    /// Number of entries.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Returns `true` if the vector has no entries.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Immutable view of the underlying storage.
-    #[inline]
-    pub fn as_slice(&self) -> &[f64] {
-        &self.data
-    }
-
-    /// Mutable view of the underlying storage.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
-    /// Consumes the vector, returning its storage.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
-    /// Dot product `self · other`.
-    pub fn dot(&self, other: &DenseVector) -> Result<f64> {
-        if self.len() != other.len() {
-            return Err(LinalgError::DimensionMismatch {
-                context: format!("dot: {} vs {}", self.len(), other.len()),
-            });
-        }
-        Ok(dot(&self.data, &other.data))
-    }
-
-    /// `self ← self + alpha * other` (BLAS `axpy`).
-    pub fn axpy(&mut self, alpha: f64, other: &DenseVector) -> Result<()> {
-        if self.len() != other.len() {
-            return Err(LinalgError::DimensionMismatch {
-                context: format!("axpy: {} vs {}", self.len(), other.len()),
-            });
-        }
-        axpy(alpha, &other.data, &mut self.data);
-        Ok(())
-    }
-
-    /// Scales every entry by `alpha`.
-    pub fn scale(&mut self, alpha: f64) {
-        for x in &mut self.data {
-            *x *= alpha;
-        }
-    }
-
-    /// Euclidean norm.
-    pub fn norm2(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
-    /// Infinity norm (largest absolute entry); 0 for the empty vector.
-    pub fn norm_inf(&self) -> f64 {
-        self.data.iter().fold(0.0, |acc, x| acc.max(x.abs()))
-    }
-}
-
-impl std::ops::Index<usize> for DenseVector {
-    type Output = f64;
-    #[inline]
-    fn index(&self, i: usize) -> &f64 {
-        &self.data[i]
-    }
-}
-
-impl std::ops::IndexMut<usize> for DenseVector {
-    #[inline]
-    fn index_mut(&mut self, i: usize) -> &mut f64 {
-        &mut self.data[i]
-    }
-}
 
 /// Raw slice dot product; the hot inner loop of pricing and FTRAN/BTRAN.
 #[inline]
@@ -171,22 +68,6 @@ impl DenseMatrix {
             m.data[i * n + i] = 1.0;
         }
         m
-    }
-
-    /// Builds a matrix from row-major data. `data.len()` must equal
-    /// `rows * cols`.
-    pub fn from_row_major(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self> {
-        if data.len() != rows * cols {
-            return Err(LinalgError::DimensionMismatch {
-                context: format!(
-                    "from_row_major: {} entries for {}x{} matrix",
-                    data.len(),
-                    rows,
-                    cols
-                ),
-            });
-        }
-        Ok(Self { rows, cols, data })
     }
 
     /// Builds a matrix from a slice of rows (each row a `Vec<f64>` of equal
@@ -452,50 +333,11 @@ impl DenseMatrix {
             .count();
         nnz as f64 / self.data.len() as f64
     }
-
-    /// Frobenius norm.
-    pub fn norm_frobenius(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
-    /// Maximum absolute entry; 0 for an empty matrix.
-    pub fn norm_max(&self) -> f64 {
-        self.data.iter().fold(0.0, |acc: f64, x| acc.max(x.abs()))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn vector_basics() {
-        let mut v = DenseVector::zeros(3);
-        assert_eq!(v.len(), 3);
-        v[1] = 2.0;
-        assert_eq!(v.as_slice(), &[0.0, 2.0, 0.0]);
-        v.scale(2.0);
-        assert_eq!(v[1], 4.0);
-    }
-
-    #[test]
-    fn vector_dot_and_axpy() {
-        let a = DenseVector::from_vec(vec![1.0, 2.0, 3.0]);
-        let b = DenseVector::from_vec(vec![4.0, 5.0, 6.0]);
-        assert_eq!(a.dot(&b).unwrap(), 32.0);
-        let mut c = a.clone();
-        c.axpy(2.0, &b).unwrap();
-        assert_eq!(c.as_slice(), &[9.0, 12.0, 15.0]);
-    }
-
-    #[test]
-    fn vector_dim_mismatch() {
-        let a = DenseVector::zeros(2);
-        let b = DenseVector::zeros(3);
-        assert!(a.dot(&b).is_err());
-        let mut a = a;
-        assert!(a.axpy(1.0, &b).is_err());
-    }
 
     #[test]
     fn dot_unrolled_matches_naive() {
@@ -598,15 +440,5 @@ mod tests {
         m.set(0, 0, 1.0);
         m.set(1, 1, 1e-15); // below ZERO_TOL: not counted
         assert!((m.density() - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn norms() {
-        let m = DenseMatrix::from_rows(&[vec![3.0, 0.0], vec![0.0, -4.0]]).unwrap();
-        assert!((m.norm_frobenius() - 5.0).abs() < 1e-12);
-        assert_eq!(m.norm_max(), 4.0);
-        let v = DenseVector::from_vec(vec![3.0, -4.0]);
-        assert!((v.norm2() - 5.0).abs() < 1e-12);
-        assert_eq!(v.norm_inf(), 4.0);
     }
 }

@@ -14,7 +14,48 @@
 //! trigger knob exposed to the solver.
 
 use crate::lu::LuFactors;
+use crate::sparse::CscMatrix;
+use crate::sparse_lu::SparseLu;
 use crate::{DenseMatrix, LinalgError, Result, PIVOT_TOL};
+
+/// A factorization of the initial basis `B₀` that an [`EtaFile`] sits on:
+/// the dense LU of [`crate::lu`] or the left-looking sparse LU of
+/// [`crate::sparse_lu`] (the KLU/GLU-class routine of Section 4.2). The
+/// eta updates on top are the same dense columns either way.
+pub trait BaseFactor: Sized {
+    /// The form the square basis matrix is handed over in.
+    type Matrix;
+    /// Factorizes `b`.
+    fn factorize(b: &Self::Matrix) -> Result<Self>;
+    /// Dimension of the factored system.
+    fn dim(&self) -> usize;
+    /// Solves `B₀ x = b` into `x`.
+    fn solve_into(&self, b: &[f64], x: &mut [f64]) -> Result<()>;
+    /// Solves `B₀ᵀ x = z` into `x`, overwriting the right-hand side `z`.
+    fn solve_transposed_consuming(&self, z: &mut [f64], x: &mut [f64]) -> Result<()>;
+}
+
+macro_rules! base_factor {
+    ($factors:ty, $matrix:ty) => {
+        impl BaseFactor for $factors {
+            type Matrix = $matrix;
+            fn factorize(b: &$matrix) -> Result<Self> {
+                <$factors>::factorize(b)
+            }
+            fn dim(&self) -> usize {
+                self.dim()
+            }
+            fn solve_into(&self, b: &[f64], x: &mut [f64]) -> Result<()> {
+                self.solve_into(b, x)
+            }
+            fn solve_transposed_consuming(&self, z: &mut [f64], x: &mut [f64]) -> Result<()> {
+                self.solve_transposed_consuming(z, x)
+            }
+        }
+    };
+}
+base_factor!(LuFactors, DenseMatrix);
+base_factor!(SparseLu, CscMatrix);
 
 /// One eta matrix: the identity with column [`col`](Self::col) replaced by
 /// [`eta`](Self::eta).
@@ -57,18 +98,32 @@ impl EtaFactor {
     }
 }
 
-/// A factored basis: LU of the initial basis plus a file of eta updates.
+/// A factored basis: a [`BaseFactor`] of the initial basis (dense LU
+/// unless named otherwise) plus a file of eta updates.
 #[derive(Debug, Clone)]
-pub struct EtaFile {
-    base: LuFactors,
+pub struct EtaFile<B = LuFactors> {
+    base: B,
     etas: Vec<EtaFactor>,
 }
 
-impl EtaFile {
+/// An eta file over a sparse LU of the initial basis (handed over as a
+/// square CSC) — the representation the CSR-resident simplex engine keeps
+/// on the device (Section 5.4).
+pub type SparseEtaFile = EtaFile<SparseLu>;
+
+impl SparseEtaFile {
+    /// Stored nonzeros of the base factorization (cost-model input).
+    #[inline]
+    pub fn fill_nnz(&self) -> usize {
+        self.base.fill_nnz()
+    }
+}
+
+impl<B: BaseFactor> EtaFile<B> {
     /// Factorizes the initial basis matrix `b0`.
-    pub fn factorize(b0: &DenseMatrix) -> Result<Self> {
+    pub fn factorize(b0: &B::Matrix) -> Result<Self> {
         Ok(Self {
-            base: LuFactors::factorize(b0)?,
+            base: B::factorize(b0)?,
             etas: Vec::new(),
         })
     }
@@ -157,14 +212,6 @@ impl EtaFile {
         });
         Ok(())
     }
-
-    /// Replaces the factorization with a fresh LU of `b` and clears the eta
-    /// file (periodic refactorization for numerical hygiene).
-    pub fn refactorize(&mut self, b: &DenseMatrix) -> Result<()> {
-        self.base = LuFactors::factorize(b)?;
-        self.etas.clear();
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -178,7 +225,7 @@ mod tests {
     fn eta_updates_agree_with_refactorization() {
         let n = 3;
         let mut explicit = DenseMatrix::identity(n);
-        let mut file = EtaFile::factorize(&explicit).unwrap();
+        let mut file: EtaFile = EtaFile::factorize(&explicit).unwrap();
 
         let new_cols = [
             (0usize, vec![2.0, 1.0, 0.0]),
@@ -211,25 +258,9 @@ mod tests {
     }
 
     #[test]
-    fn refactorize_clears_etas() {
-        let b0 = DenseMatrix::identity(2);
-        let mut file = EtaFile::factorize(&b0).unwrap();
-        let alpha = file.ftran(&[3.0, 1.0]).unwrap();
-        file.update(0, alpha).unwrap();
-        assert_eq!(file.eta_count(), 1);
-        let mut b1 = DenseMatrix::identity(2);
-        b1.set(0, 0, 3.0);
-        b1.set(1, 0, 1.0);
-        file.refactorize(&b1).unwrap();
-        assert_eq!(file.eta_count(), 0);
-        let x = file.ftran(&[3.0, 1.0]).unwrap();
-        assert!(max_abs_diff(&x, &[1.0, 0.0]) < 1e-12);
-    }
-
-    #[test]
     fn zero_pivot_update_rejected() {
         let b0 = DenseMatrix::identity(2);
-        let mut file = EtaFile::factorize(&b0).unwrap();
+        let mut file: EtaFile = EtaFile::factorize(&b0).unwrap();
         // alpha with zero at the leaving position → singular basis.
         assert!(matches!(
             file.update(0, vec![0.0, 1.0]),
@@ -292,7 +323,7 @@ mod tests {
             vec![-2.0, 7.0, 2.0],
         ])
         .unwrap();
-        let mut file = EtaFile::factorize(&b0).unwrap();
+        let mut file: EtaFile = EtaFile::factorize(&b0).unwrap();
         let alpha = file.ftran(&[1.0, 0.5, -1.0]).unwrap();
         file.update(1, alpha).unwrap();
         let rhs = [3.0, -1.0, 0.25];
@@ -311,5 +342,75 @@ mod tests {
         assert!(file.ftran_into(&rhs, &mut [0.0; 2]).is_err());
         assert!(file.btran_into(&rhs, &mut [0.0; 2], &mut out).is_err());
         assert!(b0.matvec_into(&rhs, &mut [0.0; 4]).is_err());
+    }
+
+    fn sparse_basis() -> DenseMatrix {
+        DenseMatrix::from_rows(&[
+            vec![4.0, 0.0, -1.0, 0.0],
+            vec![0.0, 5.0, 0.0, -2.0],
+            vec![-1.0, 0.0, 6.0, 0.0],
+            vec![0.0, -2.0, 0.0, 7.0],
+        ])
+        .unwrap()
+    }
+
+    #[test]
+    fn sparse_base_matches_dense_base_through_updates() {
+        let dense_b0 = sparse_basis();
+        let csc = CscMatrix::from_dense(&dense_b0);
+        let mut sparse = SparseEtaFile::factorize(&csc).unwrap();
+        let mut dense: EtaFile = EtaFile::factorize(&dense_b0).unwrap();
+        assert_eq!(sparse.dim(), 4);
+        assert_eq!(sparse.eta_count(), 0);
+        assert!(sparse.fill_nnz() >= 4);
+
+        let new_cols = [
+            (1usize, vec![0.5, 2.0, 0.0, 1.0]),
+            (3usize, vec![1.0, 0.0, 3.0, 0.5]),
+        ];
+        for (pos, col) in new_cols {
+            let alpha_s = sparse.ftran(&col).unwrap();
+            let alpha_d = dense.ftran(&col).unwrap();
+            assert!(max_abs_diff(&alpha_s, &alpha_d) < 1e-9);
+            sparse.update(pos, alpha_s).unwrap();
+            dense.update(pos, alpha_d).unwrap();
+            let rhs = vec![1.0, -1.0, 2.0, 0.5];
+            let xs = sparse.ftran(&rhs).unwrap();
+            let xd = dense.ftran(&rhs).unwrap();
+            assert!(max_abs_diff(&xs, &xd) < 1e-9, "ftran diverged");
+            let ys = sparse.btran(&rhs).unwrap();
+            let yd = dense.btran(&rhs).unwrap();
+            assert!(max_abs_diff(&ys, &yd) < 1e-9, "btran diverged");
+        }
+        assert_eq!(sparse.eta_count(), 2);
+    }
+
+    #[test]
+    fn sparse_base_update_validation() {
+        let csc = CscMatrix::from_dense(&sparse_basis());
+        let mut f = SparseEtaFile::factorize(&csc).unwrap();
+        assert!(matches!(
+            f.update(0, vec![0.0, 1.0, 1.0, 1.0]),
+            Err(LinalgError::Singular { .. })
+        ));
+        assert!(f.update(0, vec![1.0]).is_err());
+        assert!(f.update(9, vec![1.0; 4]).is_err());
+    }
+
+    #[test]
+    fn sparse_base_into_forms_ignore_prior_buffer_contents() {
+        let csc = CscMatrix::from_dense(&sparse_basis());
+        let mut file = SparseEtaFile::factorize(&csc).unwrap();
+        let alpha = file.ftran(&[1.0, 0.0, 2.0, -1.0]).unwrap();
+        file.update(2, alpha).unwrap();
+        let rhs = [0.5, -3.0, 1.0, 2.0];
+        let (mut out, mut work) = ([f64::NAN; 4], [9.0; 4]);
+        file.ftran_into(&rhs, &mut out).unwrap();
+        assert_eq!(out.to_vec(), file.ftran(&rhs).unwrap());
+        out = [-1.0; 4];
+        file.btran_into(&rhs, &mut work, &mut out).unwrap();
+        assert_eq!(out.to_vec(), file.btran(&rhs).unwrap());
+        assert!(file.ftran_into(&rhs, &mut [0.0; 3]).is_err());
+        assert!(file.btran_into(&rhs, &mut [0.0; 3], &mut out).is_err());
     }
 }

@@ -7,13 +7,12 @@
 //! cuSPARSE-class sparse routines, and the batched small-matrix operations of
 //! Section 4.3). It provides:
 //!
-//! * [`dense`] — row-major dense matrices and vectors with BLAS-1/2/3
+//! * [`dense`] — row-major dense matrices and slice kernels with BLAS-1/2/3
 //!   style operations (`axpy`, `gemv`, `gemm`, ...);
 //! * [`cholesky`] — Cholesky factorization for SPD systems (normal
 //!   equations of interior-point methods);
 //! * [`lu`] — LU factorization with partial pivoting and solves;
 //! * [`triangular`] — forward/backward substitution primitives;
-//! * [`qr`] — Householder QR for least-squares style uses;
 //! * [`batch`] — batched factor/solve over many small independent matrices
 //!   (the MAGMA-style batch mode that Section 5.5 builds on);
 //! * [`sparse`] — COO/CSR/CSC storage, sparse-matrix/vector products,
@@ -23,9 +22,6 @@
 //! * [`eta`] — product-form-of-inverse eta files with FTRAN/BTRAN, the basis
 //!   update representation from the revised simplex literature (Section 4.3's
 //!   "modified product form of inverse");
-//! * [`update`] — rank-1 update helpers (Sherman–Morrison) for the
-//!   "iterative updates, incremental updates and reuse" the paper says GPU
-//!   vendors' libraries lack;
 //! * [`norms`] — residual and norm helpers used by tests and accuracy checks.
 //!
 //! Everything is pure, deterministic CPU code: the simulated accelerator in
@@ -39,22 +35,18 @@ pub mod batch;
 pub mod cholesky;
 pub mod dense;
 pub mod eta;
-pub mod eta_sparse;
 pub mod lu;
 pub mod norms;
-pub mod qr;
 pub mod scalar;
 pub mod sparse;
 pub mod sparse_lu;
 pub mod triangular;
-pub mod update;
 
 pub use cholesky::CholeskyFactors;
-pub use dense::{DenseMatrix, DenseVector};
-pub use eta::{EtaFactor, EtaFile};
-pub use eta_sparse::SparseEtaFile;
+pub use dense::DenseMatrix;
+pub use eta::{BaseFactor, EtaFactor, EtaFile, SparseEtaFile};
 pub use lu::LuFactors;
-pub use scalar::{Scalar, APPROX_TOL, PIVOT_TOL, ZERO_TOL};
+pub use scalar::{Scalar, PIVOT_TOL, ZERO_TOL};
 pub use sparse::{CooMatrix, CscMatrix, CsrMatrix};
 pub use sparse_lu::SparseLu;
 

@@ -19,9 +19,6 @@ use crate::{LinalgError, Result, PIVOT_TOL};
 pub struct LuFactors {
     lu: DenseMatrix,
     perm: Vec<usize>,
-    /// Number of row interchanges performed (parity gives the determinant
-    /// sign flip).
-    swaps: usize,
 }
 
 impl LuFactors {
@@ -38,7 +35,6 @@ impl LuFactors {
         let n = a.rows();
         let mut lu = a.clone();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut swaps = 0usize;
 
         for k in 0..n {
             // Partial pivoting: find the largest |entry| in column k at or
@@ -58,7 +54,6 @@ impl LuFactors {
             if piv_row != k {
                 lu.swap_rows(piv_row, k);
                 perm.swap(piv_row, k);
-                swaps += 1;
             }
             let pivot = lu.get(k, k);
             // Eliminate below the pivot; the multiplier is stored in place
@@ -81,19 +76,13 @@ impl LuFactors {
                 }
             }
         }
-        Ok(Self { lu, perm, swaps })
+        Ok(Self { lu, perm })
     }
 
     /// Dimension of the factored matrix.
     #[inline]
     pub fn dim(&self) -> usize {
         self.lu.rows()
-    }
-
-    /// The packed LU matrix (L strictly lower with unit diagonal, U upper).
-    #[inline]
-    pub fn packed(&self) -> &DenseMatrix {
-        &self.lu
     }
 
     /// Row permutation: position `i` of the permuted system holds original
@@ -174,49 +163,6 @@ impl LuFactors {
         Ok(())
     }
 
-    /// Solves for multiple right-hand sides, each a column of `b`.
-    pub fn solve_matrix(&self, b: &DenseMatrix) -> Result<DenseMatrix> {
-        if b.rows() != self.dim() {
-            return Err(LinalgError::DimensionMismatch {
-                context: format!(
-                    "solve_matrix: system {}, rhs {}x{}",
-                    self.dim(),
-                    b.rows(),
-                    b.cols()
-                ),
-            });
-        }
-        let mut out = DenseMatrix::zeros(b.rows(), b.cols());
-        for j in 0..b.cols() {
-            let col = b.col(j);
-            let x = self.solve(&col)?;
-            for i in 0..b.rows() {
-                out.set(i, j, x[i]);
-            }
-        }
-        Ok(out)
-    }
-
-    /// Determinant of the original matrix, computed from the product of `U`'s
-    /// diagonal and the permutation parity.
-    pub fn determinant(&self) -> f64 {
-        let mut det = if self.swaps.is_multiple_of(2) {
-            1.0
-        } else {
-            -1.0
-        };
-        for i in 0..self.dim() {
-            det *= self.lu.get(i, i);
-        }
-        det
-    }
-
-    /// Explicit inverse (for tests and small matrices only; solves against
-    /// the identity column by column).
-    pub fn inverse(&self) -> Result<DenseMatrix> {
-        self.solve_matrix(&DenseMatrix::identity(self.dim()))
-    }
-
     /// Reconstructs `P A` as `L U` — used by property tests to verify the
     /// factorization invariant.
     pub fn reconstruct_permuted(&self) -> DenseMatrix {
@@ -288,24 +234,6 @@ mod tests {
     }
 
     #[test]
-    fn determinant_of_known_matrix() {
-        // det = 2*(-6*2 - 0*7) - 1*(4*2 - 0*(-2)) + 1*(4*7 - (-6)*(-2)) = -16
-        let a = well_conditioned_3x3();
-        let f = LuFactors::factorize(&a).unwrap();
-        assert!((f.determinant() - (-16.0)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn inverse_times_a_is_identity() {
-        let a = well_conditioned_3x3();
-        let f = LuFactors::factorize(&a).unwrap();
-        let inv = f.inverse().unwrap();
-        let prod = inv.matmul(&a).unwrap();
-        let id = DenseMatrix::identity(3);
-        assert!(max_abs_diff(prod.as_slice(), id.as_slice()) < 1e-9);
-    }
-
-    #[test]
     fn singular_matrix_rejected() {
         let a = DenseMatrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 4.0]]).unwrap();
         assert!(matches!(
@@ -327,16 +255,5 @@ mod tests {
         let x = f.solve(&[3.0, 7.0]).unwrap();
         assert!((x[0] - 7.0).abs() < 1e-12);
         assert!((x[1] - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn solve_matrix_multiple_rhs() {
-        let a = well_conditioned_3x3();
-        let f = LuFactors::factorize(&a).unwrap();
-        let rhs =
-            DenseMatrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0], vec![1.0, 1.0]]).unwrap();
-        let x = f.solve_matrix(&rhs).unwrap();
-        let ax = a.matmul(&x).unwrap();
-        assert!(max_abs_diff(ax.as_slice(), rhs.as_slice()) < 1e-9);
     }
 }

@@ -11,11 +11,6 @@ pub fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
         .fold(0.0, |acc, (x, y)| acc.max((x - y).abs()))
 }
 
-/// Euclidean norm of a slice.
-pub fn norm2(a: &[f64]) -> f64 {
-    a.iter().map(|x| x * x).sum::<f64>().sqrt()
-}
-
 /// Infinity norm of a slice (0 for empty input).
 pub fn norm_inf(a: &[f64]) -> f64 {
     a.iter().fold(0.0, |acc, x| acc.max(x.abs()))
@@ -33,7 +28,6 @@ mod tests {
     #[test]
     fn diff_and_norms() {
         assert_eq!(max_abs_diff(&[1.0, 2.0], &[1.5, 2.0]), 0.5);
-        assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-12);
         assert_eq!(norm_inf(&[-7.0, 2.0]), 7.0);
         assert_eq!(norm_inf(&[]), 0.0);
     }

@@ -82,65 +82,9 @@ pub const ZERO_TOL: f64 = 1e-12;
 /// this threshold cause the factorization to report the matrix as singular.
 pub const PIVOT_TOL: f64 = 1e-10;
 
-/// Tolerance used by tests and residual checks when comparing floating-point
-/// results that went through a factorization (accumulated rounding).
-pub const APPROX_TOL: f64 = 1e-7;
-
-/// Returns `true` if `x` is within `tol` of zero.
-#[inline]
-pub fn is_zero(x: f64, tol: f64) -> bool {
-    x.abs() <= tol
-}
-
-/// Returns `true` if `a` and `b` agree to within an absolute tolerance of
-/// `tol` *or* a relative tolerance of `tol` (whichever is looser). Suitable
-/// for comparing quantities whose scale is not known a priori.
-#[inline]
-pub fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
-    let diff = (a - b).abs();
-    if diff <= tol {
-        return true;
-    }
-    let scale = a.abs().max(b.abs());
-    diff <= tol * scale
-}
-
-/// Clamps tiny values to exact zero; used to suppress cancellation noise when
-/// building sparse results.
-#[inline]
-pub fn snap_zero(x: f64, tol: f64) -> f64 {
-    if x.abs() <= tol {
-        0.0
-    } else {
-        x
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn zero_classification() {
-        assert!(is_zero(0.0, ZERO_TOL));
-        assert!(is_zero(1e-13, ZERO_TOL));
-        assert!(!is_zero(1e-9, ZERO_TOL));
-    }
-
-    #[test]
-    fn approx_equality_absolute_and_relative() {
-        assert!(approx_eq(1.0, 1.0 + 1e-9, 1e-7));
-        assert!(approx_eq(1e12, 1e12 * (1.0 + 1e-9), 1e-7));
-        assert!(!approx_eq(1.0, 1.1, 1e-7));
-        assert!(approx_eq(0.0, 0.0, 1e-12));
-    }
-
-    #[test]
-    fn snapping_suppresses_noise() {
-        assert_eq!(snap_zero(1e-15, ZERO_TOL), 0.0);
-        assert_eq!(snap_zero(0.5, ZERO_TOL), 0.5);
-        assert_eq!(snap_zero(-1e-15, ZERO_TOL), 0.0);
-    }
 
     #[test]
     fn f64_scalar_impl() {

@@ -113,63 +113,6 @@ pub struct CsrMatrix {
 }
 
 impl CsrMatrix {
-    /// Builds a CSR matrix from raw parts, validating the structure.
-    pub fn from_parts(
-        rows: usize,
-        cols: usize,
-        row_ptr: Vec<usize>,
-        col_idx: Vec<usize>,
-        values: Vec<f64>,
-    ) -> Result<Self> {
-        if row_ptr.len() != rows + 1 {
-            return Err(LinalgError::InvalidFormat {
-                context: format!("row_ptr length {} != rows+1 {}", row_ptr.len(), rows + 1),
-            });
-        }
-        if col_idx.len() != values.len() {
-            return Err(LinalgError::InvalidFormat {
-                context: "col_idx/values length mismatch".into(),
-            });
-        }
-        if *row_ptr.last().unwrap_or(&0) != col_idx.len() {
-            return Err(LinalgError::InvalidFormat {
-                context: "row_ptr end != nnz".into(),
-            });
-        }
-        for w in row_ptr.windows(2) {
-            if w[0] > w[1] {
-                return Err(LinalgError::InvalidFormat {
-                    context: "row_ptr not monotone".into(),
-                });
-            }
-        }
-        for r in 0..rows {
-            let seg = &col_idx[row_ptr[r]..row_ptr[r + 1]];
-            for w in seg.windows(2) {
-                if w[0] >= w[1] {
-                    return Err(LinalgError::InvalidFormat {
-                        context: format!("row {r} column indices not strictly increasing"),
-                    });
-                }
-            }
-            if let Some(&last) = seg.last() {
-                if last >= cols {
-                    return Err(LinalgError::OutOfBounds {
-                        index: last,
-                        bound: cols,
-                    });
-                }
-            }
-        }
-        Ok(Self {
-            rows,
-            cols,
-            row_ptr,
-            col_idx,
-            values,
-        })
-    }
-
     /// An empty (all-zero) matrix.
     pub fn zeros(rows: usize, cols: usize) -> Self {
         Self {
@@ -475,17 +418,6 @@ impl CscMatrix {
             .zip(self.values[lo..hi].iter().copied())
     }
 
-    /// Copies column `j` into a dense scratch vector of length `rows`.
-    pub fn scatter_col(&self, j: usize, out: &mut [f64]) {
-        debug_assert_eq!(out.len(), self.rows);
-        for x in out.iter_mut() {
-            *x = 0.0;
-        }
-        for (i, v) in self.col_iter(j) {
-            out[i] = v;
-        }
-    }
-
     /// Sparse matrix–vector product `y = A x` (column-oriented accumulate).
     pub fn matvec(&self, x: &[f64]) -> Result<Vec<f64>> {
         if x.len() != self.cols {
@@ -701,20 +633,6 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_validation() {
-        // Bad row_ptr length.
-        assert!(CsrMatrix::from_parts(2, 2, vec![0, 1], vec![0], vec![1.0]).is_err());
-        // Non-monotone row_ptr.
-        assert!(CsrMatrix::from_parts(2, 2, vec![0, 2, 1], vec![0, 1], vec![1.0, 1.0]).is_err());
-        // Unsorted columns within a row.
-        assert!(CsrMatrix::from_parts(1, 3, vec![0, 2], vec![2, 0], vec![1.0, 1.0]).is_err());
-        // Column out of bounds.
-        assert!(CsrMatrix::from_parts(1, 2, vec![0, 1], vec![5], vec![1.0]).is_err());
-        // Valid.
-        assert!(CsrMatrix::from_parts(1, 3, vec![0, 2], vec![0, 2], vec![1.0, 2.0]).is_ok());
-    }
-
-    #[test]
     fn push_row_appends_cut() {
         let mut csr = sample_coo().to_csr();
         csr.push_row(&[(0, 1.0), (1, 1.0)]).unwrap();
@@ -758,14 +676,6 @@ mod tests {
         assert!(csr.push_row_grow(&[(0, 1.0)], 2).is_err());
         assert!(csr.push_row_grow(&[(2, 1.0), (1, 1.0)], 5).is_err());
         assert!(csr.push_row_grow(&[(9, 1.0)], 5).is_err());
-    }
-
-    #[test]
-    fn scatter_col() {
-        let csc = sample_coo().to_csc();
-        let mut buf = vec![9.0; 3];
-        csc.scatter_col(0, &mut buf);
-        assert_eq!(buf, vec![1.0, 0.0, 4.0]);
     }
 
     #[test]

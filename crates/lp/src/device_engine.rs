@@ -6,29 +6,305 @@
 //!
 //! * the constraint matrix is uploaded **once** at engine construction and
 //!   never re-transferred; cuts extend it in place (Section 5.2);
-//! * basis assembly ([`GpuDevice::gather_columns`]), factorization, eta
-//!   updates, FTRAN/BTRAN, pricing, and both ratio tests run on the device;
+//! * basis assembly, factorization, eta updates, FTRAN/BTRAN, pricing, and
+//!   both ratio tests run on the device;
 //! * per iteration, only O(1) scalars (argmin results, pivot values) cross
 //!   the link — "rank-1 updates and resolving the updated matrix repeatedly
 //!   with no data transfer from host to device or vice versa";
 //! * per basis **install** (node start, refactorization), only small
 //!   vectors (`c`, `b`, statuses, basic bounds) are uploaded.
 //!
-//! Running the same driver over [`crate::engine::HostEngine`] and this
-//! engine yields identical pivots; the difference is the simulated cost
-//! ledger, which the experiments read.
+//! There is one orchestration, [`DeviceSimplex`], and two kernel sets under
+//! it — Section 5.4's "two different MIP solver versions" reduced to a
+//! storage parameter. [`MatrixStorage`] names exactly the operations that
+//! touch the matrix or the factored basis; it is implemented for a dense
+//! device matrix ([`DeviceEngine`]: work and transfers proportional to
+//! `m·n`, dense LU) and for a CSR one ([`SparseDeviceEngine`]: proportional
+//! to `nnz`, charged at the device's much lower sparse throughput, sparse
+//! LU). Everything else (the vector kernels, the ratio tests, the iteration
+//! state) is written once.
+//!
+//! Running the same driver over [`crate::engine::HostEngine`] and either
+//! storage yields identical pivots on the same problem; the difference is
+//! the simulated cost ledger, which the experiments read and which lets the
+//! super-solver dispatch of `gmip-core` choose a storage on cost grounds.
 
 use crate::basis::{Basis, VarStatus};
 use crate::engine::{PivotPlan, ProblemView, SimplexEngine};
 use crate::{LpError, LpResult};
-use gmip_gpu::{Accel, EtaHandle, GpuDevice, MatrixHandle, StreamId, VectorHandle, DEFAULT_STREAM};
-use gmip_linalg::DenseMatrix;
+use gmip_gpu::device::Result as GpuResult;
+use gmip_gpu::{
+    Accel, EtaHandle, GpuDevice, MatrixHandle, SparseEtaHandle, SparseHandle, StreamId,
+    VectorHandle, DEFAULT_STREAM,
+};
+use gmip_linalg::{CsrMatrix, DenseMatrix};
+use std::fmt::Debug;
 
-/// Simplex engine whose numerical state lives on a simulated accelerator.
+/// How the constraint matrix and the factored basis live on the device:
+/// the operations in which a dense-resident and a CSR-resident simplex
+/// differ. Each implementation keeps its own kernel sequence, kernel names
+/// and cost formulas.
+pub trait MatrixStorage: Copy + Debug {
+    /// Handle to the factored basis (base LU plus eta updates).
+    type Eta: Copy + Debug;
+    /// Short name of an engine over this storage, for reports.
+    const NAME: &'static str;
+
+    /// Uploads the extended matrix in this storage's format.
+    fn upload(d: &mut GpuDevice, a: &DenseMatrix, st: StreamId) -> GpuResult<Self>;
+    /// Frees the matrix.
+    fn free(self, d: &mut GpuDevice) -> GpuResult<()>;
+    /// `b − A x`.
+    fn residual(
+        self,
+        d: &mut GpuDevice,
+        b: VectorHandle,
+        x: VectorHandle,
+        st: StreamId,
+    ) -> GpuResult<VectorHandle>;
+    /// Assembles the basis from columns `cols` and factorizes it.
+    fn factor_basis(self, d: &mut GpuDevice, cols: &[usize], st: StreamId) -> GpuResult<Self::Eta>;
+    /// FTRAN: solves `B x = b`.
+    fn eta_ftran(
+        d: &mut GpuDevice,
+        eta: Self::Eta,
+        b: VectorHandle,
+        st: StreamId,
+    ) -> GpuResult<VectorHandle>;
+    /// BTRAN: solves `Bᵀ y = c`.
+    fn eta_btran(
+        d: &mut GpuDevice,
+        eta: Self::Eta,
+        c: VectorHandle,
+        st: StreamId,
+    ) -> GpuResult<VectorHandle>;
+    /// Rank-1 basis exchange at position `r` with FTRAN image `alpha`.
+    fn eta_update(
+        d: &mut GpuDevice,
+        eta: Self::Eta,
+        r: usize,
+        alpha: VectorHandle,
+        st: StreamId,
+    ) -> GpuResult<()>;
+    /// Eta factors accumulated since the last factorization.
+    fn eta_count(d: &GpuDevice, eta: Self::Eta) -> GpuResult<usize>;
+    /// Frees the factored basis.
+    fn eta_free(d: &mut GpuDevice, eta: Self::Eta) -> GpuResult<()>;
+    /// Reduced costs `c − Aᵀ y`.
+    fn pricing(
+        self,
+        d: &mut GpuDevice,
+        y: VectorHandle,
+        c: VectorHandle,
+        st: StreamId,
+    ) -> GpuResult<VectorHandle>;
+    /// Column `j` as a dense device vector.
+    fn extract_column(self, d: &mut GpuDevice, j: usize, st: StreamId) -> GpuResult<VectorHandle>;
+    /// The tableau row `Aᵀ ρ`.
+    fn row_times_matrix(
+        self,
+        d: &mut GpuDevice,
+        rho: VectorHandle,
+        st: StreamId,
+    ) -> GpuResult<VectorHandle>;
+    /// Appends a cut: `row` spans the current columns, `col` is the new
+    /// slack column.
+    fn append_cut(self, d: &mut GpuDevice, row: &[f64], col: &[f64], st: StreamId)
+        -> GpuResult<()>;
+}
+
+impl MatrixStorage for MatrixHandle {
+    type Eta = EtaHandle;
+    const NAME: &'static str = "device";
+
+    fn upload(d: &mut GpuDevice, a: &DenseMatrix, st: StreamId) -> GpuResult<Self> {
+        d.upload_matrix(a, st)
+    }
+    fn free(self, d: &mut GpuDevice) -> GpuResult<()> {
+        d.free_matrix(self)
+    }
+    fn residual(
+        self,
+        d: &mut GpuDevice,
+        b: VectorHandle,
+        x: VectorHandle,
+        st: StreamId,
+    ) -> GpuResult<VectorHandle> {
+        d.residual(b, self, x, st)
+    }
+    fn factor_basis(self, d: &mut GpuDevice, cols: &[usize], st: StreamId) -> GpuResult<EtaHandle> {
+        let bmat = d.gather_columns(self, cols, st)?;
+        let eta = d.eta_factor(bmat, st)?;
+        d.free_matrix(bmat)?;
+        Ok(eta)
+    }
+    fn eta_ftran(
+        d: &mut GpuDevice,
+        eta: EtaHandle,
+        b: VectorHandle,
+        st: StreamId,
+    ) -> GpuResult<VectorHandle> {
+        d.eta_ftran(eta, b, st)
+    }
+    fn eta_btran(
+        d: &mut GpuDevice,
+        eta: EtaHandle,
+        c: VectorHandle,
+        st: StreamId,
+    ) -> GpuResult<VectorHandle> {
+        d.eta_btran(eta, c, st)
+    }
+    fn eta_update(
+        d: &mut GpuDevice,
+        eta: EtaHandle,
+        r: usize,
+        alpha: VectorHandle,
+        st: StreamId,
+    ) -> GpuResult<()> {
+        d.eta_update(eta, r, alpha, st)
+    }
+    fn eta_count(d: &GpuDevice, eta: EtaHandle) -> GpuResult<usize> {
+        d.eta_count(eta)
+    }
+    fn eta_free(d: &mut GpuDevice, eta: EtaHandle) -> GpuResult<()> {
+        d.free_eta(eta)
+    }
+    fn pricing(
+        self,
+        d: &mut GpuDevice,
+        y: VectorHandle,
+        c: VectorHandle,
+        st: StreamId,
+    ) -> GpuResult<VectorHandle> {
+        d.pricing(self, y, c, st)
+    }
+    fn extract_column(self, d: &mut GpuDevice, j: usize, st: StreamId) -> GpuResult<VectorHandle> {
+        d.extract_column(self, j, st)
+    }
+    fn row_times_matrix(
+        self,
+        d: &mut GpuDevice,
+        rho: VectorHandle,
+        st: StreamId,
+    ) -> GpuResult<VectorHandle> {
+        d.gemv_transposed(self, rho, st)
+    }
+    fn append_cut(
+        self,
+        d: &mut GpuDevice,
+        row: &[f64],
+        col: &[f64],
+        st: StreamId,
+    ) -> GpuResult<()> {
+        d.append_row(self, row, st)?;
+        d.append_column(self, col, st)
+    }
+}
+
+impl MatrixStorage for SparseHandle {
+    type Eta = SparseEtaHandle;
+    const NAME: &'static str = "device-sparse";
+
+    fn upload(d: &mut GpuDevice, a: &DenseMatrix, st: StreamId) -> GpuResult<Self> {
+        d.upload_sparse(&CsrMatrix::from_dense(a), st)
+    }
+    fn free(self, d: &mut GpuDevice) -> GpuResult<()> {
+        d.free_sparse(self)
+    }
+    fn residual(
+        self,
+        d: &mut GpuDevice,
+        b: VectorHandle,
+        x: VectorHandle,
+        st: StreamId,
+    ) -> GpuResult<VectorHandle> {
+        d.residual_sparse(b, self, x, st)
+    }
+    fn factor_basis(
+        self,
+        d: &mut GpuDevice,
+        cols: &[usize],
+        st: StreamId,
+    ) -> GpuResult<SparseEtaHandle> {
+        d.sparse_eta_factor(self, cols, st)
+    }
+    fn eta_ftran(
+        d: &mut GpuDevice,
+        eta: SparseEtaHandle,
+        b: VectorHandle,
+        st: StreamId,
+    ) -> GpuResult<VectorHandle> {
+        d.sparse_eta_ftran(eta, b, st)
+    }
+    fn eta_btran(
+        d: &mut GpuDevice,
+        eta: SparseEtaHandle,
+        c: VectorHandle,
+        st: StreamId,
+    ) -> GpuResult<VectorHandle> {
+        d.sparse_eta_btran(eta, c, st)
+    }
+    fn eta_update(
+        d: &mut GpuDevice,
+        eta: SparseEtaHandle,
+        r: usize,
+        alpha: VectorHandle,
+        st: StreamId,
+    ) -> GpuResult<()> {
+        d.sparse_eta_update(eta, r, alpha, st)
+    }
+    fn eta_count(d: &GpuDevice, eta: SparseEtaHandle) -> GpuResult<usize> {
+        d.sparse_eta_count(eta)
+    }
+    fn eta_free(d: &mut GpuDevice, eta: SparseEtaHandle) -> GpuResult<()> {
+        d.free_sparse_eta(eta)
+    }
+    fn pricing(
+        self,
+        d: &mut GpuDevice,
+        y: VectorHandle,
+        c: VectorHandle,
+        st: StreamId,
+    ) -> GpuResult<VectorHandle> {
+        d.pricing_sparse(self, y, c, st)
+    }
+    fn extract_column(self, d: &mut GpuDevice, j: usize, st: StreamId) -> GpuResult<VectorHandle> {
+        d.extract_column_sparse(self, j, st)
+    }
+    fn row_times_matrix(
+        self,
+        d: &mut GpuDevice,
+        rho: VectorHandle,
+        st: StreamId,
+    ) -> GpuResult<VectorHandle> {
+        d.spmv_transposed(self, rho, st)
+    }
+    fn append_cut(
+        self,
+        d: &mut GpuDevice,
+        row: &[f64],
+        _col: &[f64],
+        st: StreamId,
+    ) -> GpuResult<()> {
+        // Sparse form: the cut row's nonzeros plus its slack at the new
+        // column index (= current column count).
+        let mut entries: Vec<(usize, f64)> = row
+            .iter()
+            .enumerate()
+            .filter(|(_, v)| v.abs() > 1e-12)
+            .map(|(j, &v)| (j, v))
+            .collect();
+        entries.push((row.len(), 1.0));
+        d.append_row_sparse(self, &entries, row.len() + 1, st)
+    }
+}
+
+/// Simplex engine whose numerical state lives on a simulated accelerator,
+/// with the matrix held as `M`.
 #[derive(Debug)]
-pub struct DeviceEngine {
+pub struct DeviceSimplex<M: MatrixStorage> {
     accel: Accel,
-    a: MatrixHandle,
+    a: M,
     stream: StreamId,
     m: usize,
     n: usize,
@@ -43,7 +319,7 @@ pub struct DeviceEngine {
     lbb: Option<VectorHandle>,
     ubb: Option<VectorHandle>,
     xb: Option<VectorHandle>,
-    eta: Option<EtaHandle>,
+    eta: Option<M::Eta>,
     gamma: Option<VectorHandle>,
     alpha: Option<VectorHandle>,
     alpha_r: Option<VectorHandle>,
@@ -53,7 +329,13 @@ pub struct DeviceEngine {
     stage: [Vec<f64>; 3],
 }
 
-impl DeviceEngine {
+/// The dense-resident engine: dense kernels, dense LU under the eta file.
+pub type DeviceEngine = DeviceSimplex<MatrixHandle>;
+
+/// The CSR-resident engine: sparse kernels, sparse LU under the eta file.
+pub type SparseDeviceEngine = DeviceSimplex<SparseHandle>;
+
+impl<M: MatrixStorage> DeviceSimplex<M> {
     /// Uploads the extended matrix to the accelerator and builds an engine
     /// on the default stream.
     pub fn new(accel: Accel, a: &DenseMatrix) -> LpResult<Self> {
@@ -64,7 +346,7 @@ impl DeviceEngine {
     /// — the Section 5.5 mechanism that lets several engines share one
     /// device with overlapping execution.
     pub fn new_on_stream(accel: Accel, a: &DenseMatrix, stream: StreamId) -> LpResult<Self> {
-        let handle = accel.with(|d| d.upload_matrix(a, stream))?;
+        let handle = accel.with(|d| M::upload(d, a, stream))?;
         Ok(Self {
             accel,
             a: handle,
@@ -93,10 +375,7 @@ impl DeviceEngine {
         &self.accel
     }
 
-    fn with_dev<R>(
-        &self,
-        f: impl FnOnce(&mut GpuDevice) -> Result<R, gmip_gpu::GpuError>,
-    ) -> LpResult<R> {
+    fn with_dev<R>(&self, f: impl FnOnce(&mut GpuDevice) -> GpuResult<R>) -> LpResult<R> {
         self.accel.with(f).map_err(LpError::from)
     }
 
@@ -130,12 +409,12 @@ impl DeviceEngine {
                 let _ = d.free_vector(h);
             }
             if let Some(e) = eta {
-                let _ = d.free_eta(e);
+                let _ = M::eta_free(d, e);
             }
         });
     }
 
-    fn eta(&self) -> LpResult<EtaHandle> {
+    fn eta(&self) -> LpResult<M::Eta> {
         self.eta.ok_or(LpError::NotInstalled)
     }
 
@@ -144,14 +423,14 @@ impl DeviceEngine {
     }
 }
 
-impl Drop for DeviceEngine {
+impl<M: MatrixStorage> Drop for DeviceSimplex<M> {
     fn drop(&mut self) {
         self.clear_iteration_state();
-        let _ = self.accel.with(|d| d.free_matrix(self.a));
+        let _ = self.accel.with(|d| self.a.free(d));
     }
 }
 
-impl SimplexEngine for DeviceEngine {
+impl<M: MatrixStorage> SimplexEngine for DeviceSimplex<M> {
     fn m(&self) -> usize {
         self.m
     }
@@ -223,12 +502,10 @@ impl SimplexEngine for DeviceEngine {
             let ubb_h = d.upload_vector(&basic, st)?;
             // Residual w = b − A x_nb, fully on device.
             let xnb_h = d.upload_vector(&x_nb, st)?;
-            let w = d.residual(b_h, a, xnb_h, st)?;
-            // Basis gather + factorization, on device.
-            let bmat = d.gather_columns(a, cols, st)?;
-            let eta_h = d.eta_factor(bmat, st)?;
-            d.free_matrix(bmat)?;
-            let xb_h = d.eta_ftran(eta_h, w, st)?;
+            let w = a.residual(d, b_h, xnb_h, st)?;
+            // Basis assembly + factorization, on device.
+            let eta_h = a.factor_basis(d, cols, st)?;
+            let xb_h = M::eta_ftran(d, eta_h, w, st)?;
             d.free_vector(w)?;
             d.free_vector(xnb_h)?;
             Ok((c_h, b_h, sigma_h, cb_h, lbb_h, ubb_h, eta_h, xb_h))
@@ -253,10 +530,7 @@ impl SimplexEngine for DeviceEngine {
     fn append_cut(&mut self, row: &[f64], col: &[f64]) -> LpResult<()> {
         let st = self.stream;
         let a = self.a;
-        self.with_dev(|d| {
-            d.append_row(a, row, st)?;
-            d.append_column(a, col, st)
-        })?;
+        self.with_dev(|d| a.append_cut(d, row, col, st))?;
         self.m += 1;
         self.n += 1;
         Ok(())
@@ -270,8 +544,8 @@ impl SimplexEngine for DeviceEngine {
         let sigma = self.req(self.sigma)?;
         let a = self.a;
         self.with_dev(|d| {
-            let y = d.eta_btran(eta, cb, st)?;
-            let dvec = d.pricing(a, y, c, st)?;
+            let y = M::eta_btran(d, eta, cb, st)?;
+            let dvec = a.pricing(d, y, c, st)?;
             let score = d.vec_mul(dvec, sigma, st)?;
             let best = d.argmin_masked(score, sigma, st)?;
             d.free_vector(y)?;
@@ -288,8 +562,8 @@ impl SimplexEngine for DeviceEngine {
         let c = self.req(self.c)?;
         let a = self.a;
         self.with_dev(|d| {
-            let y = d.eta_btran(eta, cb, st)?;
-            let dvec = d.pricing(a, y, c, st)?;
+            let y = M::eta_btran(d, eta, cb, st)?;
+            let dvec = a.pricing(d, y, c, st)?;
             // Honest full-vector D2H transfer (the Bland fallback's cost).
             let out = d.download_vector(dvec, st)?;
             d.free_vector(y)?;
@@ -304,8 +578,8 @@ impl SimplexEngine for DeviceEngine {
         let a = self.a;
         let old = self.alpha;
         let alpha = self.with_dev(|d| {
-            let col = d.extract_column(a, q, st)?;
-            let alpha = d.eta_ftran(eta, col, st)?;
+            let col = a.extract_column(d, q, st)?;
+            let alpha = M::eta_ftran(d, eta, col, st)?;
             d.free_vector(col)?;
             Self::release(d, old);
             Ok(alpha)
@@ -364,7 +638,7 @@ impl SimplexEngine for DeviceEngine {
                 Some((plan.r, plan.entering_val)),
                 st,
             )?;
-            d.eta_update(eta, plan.r, alpha, st)?;
+            M::eta_update(d, eta, plan.r, alpha, st)?;
             d.vec_set(sigma, plan.leaving_j, leaving_sigma, st)?;
             d.vec_set(sigma, plan.q, 0.0, st)?;
             d.vec_set(cb, plan.r, plan.c_q, st)?;
@@ -394,7 +668,7 @@ impl SimplexEngine for DeviceEngine {
 
     fn eta_count(&self) -> usize {
         match self.eta {
-            Some(e) => self.accel.with(|d| d.eta_count(e)).unwrap_or(0),
+            Some(e) => self.accel.with(|d| M::eta_count(d, e)).unwrap_or(0),
             None => 0,
         }
     }
@@ -415,8 +689,8 @@ impl SimplexEngine for DeviceEngine {
         let old = self.alpha_r;
         let ar = self.with_dev(|d| {
             let e = d.alloc_unit_vector(m, r, st)?;
-            let rho = d.eta_btran(eta, e, st)?;
-            let ar = d.gemv_transposed(a, rho, st)?;
+            let rho = M::eta_btran(d, eta, e, st)?;
+            let ar = a.row_times_matrix(d, rho, st)?;
             d.free_vector(e)?;
             d.free_vector(rho)?;
             Self::release(d, old);
@@ -435,8 +709,8 @@ impl SimplexEngine for DeviceEngine {
         let ar = self.req(self.alpha_r)?;
         let a = self.a;
         self.with_dev(|d| {
-            let y = d.eta_btran(eta, cb, st)?;
-            let dvec = d.pricing(a, y, c, st)?;
+            let y = M::eta_btran(d, eta, cb, st)?;
+            let dvec = a.pricing(d, y, c, st)?;
             let best = d.dual_ratio_argmin(dvec, ar, sigma, leaving_below, tol, st)?;
             d.free_vector(y)?;
             d.free_vector(dvec)?;
@@ -464,7 +738,7 @@ impl SimplexEngine for DeviceEngine {
         let eta = self.eta()?;
         let cb = self.req(self.cb)?;
         self.with_dev(|d| {
-            let y = d.eta_btran(eta, cb, st)?;
+            let y = M::eta_btran(d, eta, cb, st)?;
             let out = d.download_vector(y, st)?;
             d.free_vector(y)?;
             Ok(out)
@@ -480,8 +754,8 @@ impl SimplexEngine for DeviceEngine {
         let gamma = self.req(self.gamma)?;
         let a = self.a;
         self.with_dev(|d| {
-            let y = d.eta_btran(eta, cb, st)?;
-            let dvec = d.pricing(a, y, c, st)?;
+            let y = M::eta_btran(d, eta, cb, st)?;
+            let dvec = a.pricing(d, y, c, st)?;
             let best = d.devex_argmax(dvec, sigma, gamma, 0.0, st)?;
             d.free_vector(y)?;
             d.free_vector(dvec)?;
@@ -512,22 +786,24 @@ impl SimplexEngine for DeviceEngine {
 mod tests {
     use super::*;
     use crate::engine::HostEngine;
-    use crate::problem::StandardLp;
+    use crate::problem::{BoundChange, StandardLp};
     use crate::solver::{LpConfig, LpSolver, LpStatus};
     use gmip_problems::catalog::{textbook_lp, textbook_mip};
-    use gmip_problems::generators::{knapsack, set_cover};
+    use gmip_problems::generators::{knapsack, set_cover, unit_commitment};
 
-    fn device_solver(std: StandardLp, accel: Accel) -> LpSolver<DeviceEngine> {
+    fn device_solver<M: MatrixStorage + 'static>(
+        std: StandardLp,
+        accel: Accel,
+    ) -> LpSolver<DeviceSimplex<M>> {
         LpSolver::new(std, LpConfig::standard(), |a| {
-            DeviceEngine::new(accel, a).expect("device upload")
+            DeviceSimplex::new(accel, a).expect("device upload")
         })
     }
 
-    #[test]
-    fn device_solves_textbook_lp() {
+    fn solves_textbook_lp<M: MatrixStorage + 'static>() {
         let accel = Accel::gpu(1);
         let std = StandardLp::from_instance(&textbook_lp(), &[]);
-        let mut solver = device_solver(std, accel.clone());
+        let mut solver = device_solver::<M>(std, accel.clone());
         let sol = solver.solve().unwrap();
         assert_eq!(sol.status, LpStatus::Optimal);
         assert!((sol.objective - 21.0).abs() < 1e-7);
@@ -538,11 +814,12 @@ mod tests {
         assert!(stats.kernel_launches > 0);
     }
 
-    #[test]
-    fn device_matches_host_on_instances() {
+    fn matches_host_pivot_for_pivot<M: MatrixStorage + 'static>() {
         for (name, mip) in [
             ("knapsack", knapsack(10, 0.5, 3)),
             ("setcover", set_cover(6, 6, 0.4, 3)),
+            ("setcover8", set_cover(8, 8, 0.3, 5)),
+            ("ucommit", unit_commitment(2, 2, 5)),
             ("textbook", textbook_mip()),
         ] {
             let std = StandardLp::from_instance(&mip, &[]);
@@ -550,7 +827,7 @@ mod tests {
                 HostEngine::new(a.clone())
             });
             let hsol = host.solve().unwrap();
-            let mut dev = device_solver(std, Accel::gpu(1));
+            let mut dev = device_solver::<M>(std, Accel::gpu(1));
             let dsol = dev.solve().unwrap();
             assert_eq!(hsol.status, dsol.status, "{name}");
             if hsol.status == LpStatus::Optimal {
@@ -568,24 +845,27 @@ mod tests {
         }
     }
 
-    #[test]
-    fn matrix_uploaded_once_across_warm_resolves() {
+    fn warm_resolves_and_cuts<M: MatrixStorage + 'static>() {
         let accel = Accel::gpu(1);
         let std = StandardLp::from_instance(&textbook_mip(), &[]);
-        let mut solver = device_solver(std, accel.clone());
-        solver.solve().unwrap();
+        let mut solver = device_solver::<M>(std, accel.clone());
+        let base = solver.solve().unwrap();
+        assert_eq!(base.status, LpStatus::Optimal);
         let bytes_after_solve = accel.stats().h2d_bytes;
         // Several warm re-solves with different branch bounds.
         for ub0 in [3.0, 2.0, 1.0] {
             solver
-                .apply_node_bounds(&[crate::problem::BoundChange {
+                .apply_node_bounds(&[BoundChange {
                     var: 0,
                     lb: 0.0,
                     ub: ub0,
                 }])
                 .unwrap();
-            let sol = solver.resolve().unwrap();
-            assert_eq!(sol.status, LpStatus::Optimal);
+            let warm = solver.resolve().unwrap();
+            assert_eq!(warm.status, LpStatus::Optimal);
+            if ub0 <= 2.0 {
+                assert!(warm.objective < base.objective);
+            }
         }
         let bytes_after_resolves = accel.stats().h2d_bytes;
         // The matrix (largest object) must not have been re-sent: per-resolve
@@ -597,32 +877,71 @@ mod tests {
             per_resolve < matrix_bytes * 4,
             "per-resolve H2D {per_resolve}B looks like matrix re-uploads"
         );
+        // Cut flow: the cut arrives via H2D (row + slack), per Section 5.2.
+        solver.apply_node_bounds(&[]).unwrap();
+        let h2d_before = accel.stats().h2d_transfers;
+        solver.add_cut(&[(0, 1.0), (1, 1.0)], 4.0).unwrap();
+        let cutted = solver.resolve().unwrap();
+        assert_eq!(cutted.status, LpStatus::Optimal);
+        assert!(cutted.objective < base.objective - 1e-6);
+        assert!(cutted.x[0] + cutted.x[1] <= 4.0 + 1e-7);
+        assert!(accel.stats().h2d_transfers > h2d_before);
     }
 
-    #[test]
-    fn device_engine_frees_memory_on_drop() {
+    fn frees_memory_on_drop<M: MatrixStorage + 'static>() {
         let accel = Accel::gpu(1);
         {
             let std = StandardLp::from_instance(&textbook_lp(), &[]);
-            let mut solver = device_solver(std, accel.clone());
+            let mut solver = device_solver::<M>(std, accel.clone());
             solver.solve().unwrap();
             assert!(accel.mem_used() > 0);
         }
         assert_eq!(accel.mem_used(), 0, "engine leaked device memory");
     }
 
+    macro_rules! storage_suite {
+        ($name:ident, $storage:ty) => {
+            mod $name {
+                use super::*;
+
+                #[test]
+                fn solves_textbook_lp() {
+                    super::solves_textbook_lp::<$storage>();
+                }
+
+                #[test]
+                fn matches_host_pivot_for_pivot() {
+                    super::matches_host_pivot_for_pivot::<$storage>();
+                }
+
+                #[test]
+                fn warm_resolves_and_cuts() {
+                    super::warm_resolves_and_cuts::<$storage>();
+                }
+
+                #[test]
+                fn frees_memory_on_drop() {
+                    super::frees_memory_on_drop::<$storage>();
+                }
+            }
+        };
+    }
+    storage_suite!(dense, MatrixHandle);
+    storage_suite!(csr, SparseHandle);
+
     #[test]
-    fn device_cut_flow() {
+    fn csr_transfers_scale_with_nnz_not_size() {
+        // A very sparse instance: uploading CSR must move far fewer bytes
+        // than the dense extended matrix would.
+        let mip = set_cover(40, 40, 0.05, 9);
+        let std = StandardLp::from_instance(&mip, &[]);
+        let dense_bytes = (std.m() * (std.n() + std.m()) * 8) as u64;
         let accel = Accel::gpu(1);
-        let std = StandardLp::from_instance(&textbook_mip(), &[]);
-        let mut solver = device_solver(std, accel.clone());
-        let base = solver.solve().unwrap();
-        let d2h_before = accel.stats().h2d_transfers;
-        solver.add_cut(&[(0, 1.0), (1, 1.0)], 4.0).unwrap();
-        let cutted = solver.resolve().unwrap();
-        assert_eq!(cutted.status, LpStatus::Optimal);
-        assert!(cutted.objective < base.objective - 1e-6);
-        // The cut arrived via H2D (row + slack column), per Section 5.2.
-        assert!(accel.stats().h2d_transfers > d2h_before);
+        let _solver = device_solver::<SparseHandle>(std, accel.clone());
+        let uploaded = accel.stats().h2d_bytes;
+        assert!(
+            uploaded < dense_bytes / 2,
+            "CSR upload {uploaded} B vs dense {dense_bytes} B"
+        );
     }
 }

@@ -11,8 +11,9 @@
 //! * [`engine`] — the per-iteration numerical interface
 //!   ([`engine::SimplexEngine`]) with the pure-host reference engine;
 //! * [`device_engine`] — the same interface executed as simulated device
-//!   kernels, matrix resident on the accelerator, only scalars crossing the
-//!   link per iteration;
+//!   kernels, matrix resident on the accelerator (dense or CSR: one engine
+//!   over a storage parameter), only scalars crossing the link per
+//!   iteration;
 //! * [`simplex`] — the primal bounded-variable revised simplex driver
 //!   (two-phase, Dantzig pricing with Bland anti-cycling fallback,
 //!   periodic refactorization);
@@ -39,12 +40,11 @@ pub mod node_engine;
 pub mod problem;
 pub mod simplex;
 pub mod solver;
-pub mod sparse_engine;
 pub mod wave;
 
 pub use basis::{Basis, VarStatus};
 pub use certificate::{CertKind, LpCertificate};
-pub use device_engine::DeviceEngine;
+pub use device_engine::{DeviceEngine, DeviceSimplex, MatrixStorage, SparseDeviceEngine};
 pub use engine::{HostEngine, ProblemView, SimplexEngine};
 pub use firstorder::{safe_dual_bound, FirstOrderWaveEngine, FoLaneReport, FoOutcome, PdhgConfig};
 pub use ipm::{solve_ipm, IpmConfig, IpmSolution};
@@ -55,7 +55,6 @@ pub use node_engine::{
 pub use problem::{BoundChange, StandardLp};
 pub use simplex::{PricingRule, PrimalConfig};
 pub use solver::{ColKind, LpConfig, LpSolution, LpSolver, LpStatus};
-pub use sparse_engine::SparseDeviceEngine;
 pub use wave::{wave_width, BatchedWaveEngine, RecordingEngine, WaveClass, WaveOp};
 
 use gmip_gpu::GpuError;

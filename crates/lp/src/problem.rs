@@ -130,29 +130,6 @@ impl StandardLp {
         self.c.len()
     }
 
-    /// Appends a cut row `coeffsᵀ x_structural ≤ rhs`: adds the row (padded
-    /// with zeros over non-structural columns), a fresh slack column, and the
-    /// corresponding `b`/`c`/bound entries. Returns the new slack's column
-    /// index.
-    pub fn add_cut_row(&mut self, coeffs: &[(usize, f64)], rhs: f64) -> usize {
-        let n_before = self.n();
-        let mut row = vec![0.0; n_before];
-        for &(j, v) in coeffs {
-            debug_assert!(j < self.n_structural, "cuts are over structural vars");
-            row[j] = v;
-        }
-        self.a.push_row(&row).expect("row width matches");
-        let m_now = self.a.rows();
-        let mut slack_col = vec![0.0; m_now];
-        slack_col[m_now - 1] = 1.0;
-        self.a.push_col(&slack_col).expect("col height matches");
-        self.b.push(rhs);
-        self.c.push(0.0);
-        self.lb.push(0.0);
-        self.ub.push(f64::INFINITY);
-        n_before
-    }
-
     /// Objective value in the *source instance's* sense for a structural
     /// point (undoes the internal negation for minimize problems).
     pub fn source_objective(&self, structural_x: &[f64]) -> f64 {
@@ -234,23 +211,6 @@ mod tests {
         // Other bounds untouched.
         assert_eq!(lp.lb[1], 0.0);
         assert_eq!(lp.ub[1], 10.0);
-    }
-
-    #[test]
-    fn add_cut_grows_both_dimensions() {
-        let mut lp = StandardLp::from_instance(&textbook_lp(), &[]);
-        let (m0, n0) = (lp.m(), lp.n());
-        let slack = lp.add_cut_row(&[(0, 1.0), (1, 1.0)], 4.0);
-        assert_eq!(slack, n0);
-        assert_eq!(lp.m(), m0 + 1);
-        assert_eq!(lp.n(), n0 + 1);
-        // Cut row: x + y + s_cut = 4, zeros elsewhere.
-        assert_eq!(lp.a.get(m0, 0), 1.0);
-        assert_eq!(lp.a.get(m0, 1), 1.0);
-        assert_eq!(lp.a.get(m0, n0), 1.0);
-        assert_eq!(lp.b[m0], 4.0);
-        // Older rows have a zero in the new column.
-        assert_eq!(lp.a.get(0, n0), 0.0);
     }
 
     #[test]

@@ -275,24 +275,10 @@ impl<E: SimplexEngine> LpSolver<E> {
         }
     }
 
-    /// Dual prices of the current optimal basis, in the **source** sense
-    /// (negated back for minimize problems). One value per row; cut rows
-    /// included at the end. Requires a prior solve.
-    pub fn dual_prices(&mut self) -> LpResult<Vec<f64>> {
-        if self.basis.is_none() {
-            return Err(LpError::NotInstalled);
-        }
-        let y = self.engine.dual_prices()?;
-        Ok(if self.std.negated {
-            y.iter().map(|v| -v).collect()
-        } else {
-            y
-        })
-    }
-
-    /// Dual prices in the **internal maximize** sense (no source-sense
-    /// negation) — the sense certificate checks are stated in. Requires a
-    /// prior solve.
+    /// Dual prices of the current optimal basis in the **internal maximize**
+    /// sense (no source-sense negation) — the sense certificate checks are
+    /// stated in. One value per row; cut rows included at the end. Requires
+    /// a prior solve.
     pub fn dual_prices_internal(&mut self) -> LpResult<Vec<f64>> {
         if self.basis.is_none() {
             return Err(LpError::NotInstalled);
@@ -908,7 +894,7 @@ mod tests {
         let mut lp = host_solver(std);
         let sol = lp.solve().unwrap();
         assert_eq!(sol.status, LpStatus::Optimal);
-        let y = lp.dual_prices().unwrap();
+        let y = lp.dual_prices_internal().unwrap();
         assert_eq!(y.len(), 2);
         assert!((y[0] - 0.75).abs() < 1e-7, "y = {y:?}");
         assert!((y[1] - 0.5).abs() < 1e-7);
@@ -918,7 +904,7 @@ mod tests {
         // Unsolved solver refuses.
         let std2 = StandardLp::from_instance(&textbook_lp(), &[]);
         let mut fresh = host_solver(std2);
-        assert!(fresh.dual_prices().is_err());
+        assert!(fresh.dual_prices_internal().is_err());
     }
 
     #[test]
@@ -929,13 +915,13 @@ mod tests {
         let std = StandardLp::from_instance(&m, &[]);
         let mut host = host_solver(std.clone());
         host.solve().unwrap();
-        let hy = host.dual_prices().unwrap();
+        let hy = host.dual_prices_internal().unwrap();
         let accel = Accel::gpu(1);
         let mut dev = LpSolver::new(std, LpConfig::standard(), |a| {
             DeviceEngine::new(accel.clone(), a).unwrap()
         });
         dev.solve().unwrap();
-        let dy = dev.dual_prices().unwrap();
+        let dy = dev.dual_prices_internal().unwrap();
         for (a, b) in hy.iter().zip(&dy) {
             assert!((a - b).abs() < 1e-9, "host {hy:?} vs device {dy:?}");
         }
@@ -976,8 +962,8 @@ mod tests {
     #[test]
     fn devex_engines_agree() {
         use crate::device_engine::DeviceEngine;
+        use crate::device_engine::SparseDeviceEngine;
         use crate::simplex::PricingRule;
-        use crate::sparse_engine::SparseDeviceEngine;
         use gmip_gpu::Accel;
         let m = gmip_problems::generators::set_cover(12, 12, 0.3, 9);
         let std = StandardLp::from_instance(&m, &[]);

@@ -18,19 +18,6 @@
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-/// The kinds of fault a plan can inject (used for reporting/labels).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
-    /// A worker rank dies, losing its device state and in-flight work.
-    Crash,
-    /// A message (assignment or report) is silently lost.
-    MessageDrop,
-    /// A message pays extra latency on the wire.
-    MessageDelay,
-    /// A worker's evaluations slow down for a time window.
-    Straggler,
-}
-
 /// Tunable fault-injection profile. Every field is deterministic given
 /// `seed`; the concrete schedule is sampled once by [`FaultPlan::new`].
 #[derive(Debug, Clone, PartialEq)]

@@ -7,7 +7,7 @@
 //! E6 can report communication overhead alongside speedup.
 
 use crate::chaos::FaultPlan;
-use gmip_lp::{Basis, BoundChange, VarStatus};
+use gmip_lp::{Basis, BoundChange};
 
 /// Point-to-point network cost model.
 #[derive(Debug, Clone, Copy)]
@@ -227,18 +227,6 @@ pub fn subtree_bytes(bounds: &[BoundChange]) -> usize {
     16 + bounds.len() * 24
 }
 
-/// Compact basis size helper (used when sizing checkpoint payloads).
-pub fn basis_bytes(b: &Basis) -> usize {
-    b.cols.len() * 8
-        + b.status
-            .iter()
-            .map(|s| match s {
-                VarStatus::Basic(_) => 9,
-                _ => 1,
-            })
-            .sum::<usize>()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -361,12 +349,5 @@ mod tests {
         };
         assert_eq!(subtree_bytes(&[bc; 3]), 16 + 72);
         assert_eq!(subtree_bytes(&[]), 16);
-    }
-
-    #[test]
-    fn basis_bytes_counts_statuses() {
-        let b = Basis::with_basic_cols(vec![0], 3);
-        // 1 basic col (8) + statuses: one Basic (9) + two nonbasic (1 each).
-        assert_eq!(basis_bytes(&b), 8 + 9 + 2);
     }
 }

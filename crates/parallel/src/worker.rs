@@ -8,11 +8,11 @@
 
 use crate::comm::{Assignment, NodeOutcome, NodeReport};
 use gmip_core::search::{Rules, Verdict};
-use gmip_gpu::{Accel, CostModel, DeviceConfig};
+use gmip_gpu::{Accel, DeviceConfig};
 use gmip_lp::wave::BatchedWaveEngine;
 use gmip_lp::{
-    wave_width, DeviceEngine, FirstOrderWaveEngine, FoOutcome, HostEngine, LpConfig, LpResult,
-    LpSolution, LpSolver, LpStatus, PdhgConfig, RecordingEngine, StandardLp,
+    wave_width, DeviceEngine, FirstOrderWaveEngine, FoOutcome, HostEngine, LpResult, LpSolution,
+    LpSolver, LpStatus, PdhgConfig, RecordingEngine, StandardLp,
 };
 use gmip_problems::MipInstance;
 use gmip_prop::Propagator;
@@ -58,7 +58,6 @@ pub struct Worker {
     pub id: usize,
     accel: Accel,
     backend: LpBackend,
-    instance: MipInstance,
     /// The rank's verdict rules: the instance's sense and integral indices,
     /// the configured `int_tol`, and [`REPORT_PRUNE_TOL`].
     rules: Rules,
@@ -88,83 +87,42 @@ pub struct Worker {
 }
 
 impl Worker {
-    /// Creates a worker with its own simulated device and uploads the
-    /// instance's LP matrix to it.
-    pub fn new(
+    /// Rank `id` of a cluster configured by `cfg`, with its own simulated
+    /// device and the instance's LP matrix uploaded to it. The config picks
+    /// the LP backend — `first_order_lanes: Some(n)` the restarted-PDHG
+    /// evaluator with up to `n` lane reservations, else `batched_lanes:
+    /// Some(n)` the batched wave evaluator (both clamped by device memory
+    /// next to the shared matrix), else per-kernel device simplex — who
+    /// executes the rank's fused lane dispatches (simulated charges are
+    /// identical either way), and the propagation and dive cadence.
+    pub(crate) fn for_rank(
         id: usize,
         instance: &MipInstance,
-        gpu_cost: CostModel,
-        gpu_mem: usize,
-        lp_cfg: LpConfig,
-        int_tol: f64,
-    ) -> LpResult<Self> {
-        Self::new_with_lanes(id, instance, gpu_cost, gpu_mem, lp_cfg, int_tol, None)
-    }
-
-    /// Like [`Worker::new`], but `batched_lanes: Some(n)` switches this
-    /// rank's LP backend to the batched wave evaluator with up to `n` lane
-    /// reservations (clamped by device memory next to the shared matrix).
-    pub fn new_with_lanes(
-        id: usize,
-        instance: &MipInstance,
-        gpu_cost: CostModel,
-        gpu_mem: usize,
-        lp_cfg: LpConfig,
-        int_tol: f64,
-        batched_lanes: Option<usize>,
-    ) -> LpResult<Self> {
-        Self::new_with_backend(
-            id,
-            instance,
-            gpu_cost,
-            gpu_mem,
-            lp_cfg,
-            int_tol,
-            batched_lanes,
-            None,
-            gmip_gpu::BackendKind::Sim,
-        )
-    }
-
-    /// Like [`Worker::new_with_lanes`], but `first_order_lanes: Some(n)`
-    /// switches this rank to the restarted-PDHG evaluator with up to `n`
-    /// lane reservations (takes precedence over `batched_lanes`), and
-    /// `exec_backend` selects who executes the rank's fused lane
-    /// dispatches (simulated charges are identical either way).
-    #[allow(clippy::too_many_arguments)]
-    pub fn new_with_backend(
-        id: usize,
-        instance: &MipInstance,
-        gpu_cost: CostModel,
-        gpu_mem: usize,
-        lp_cfg: LpConfig,
-        int_tol: f64,
-        batched_lanes: Option<usize>,
-        first_order_lanes: Option<usize>,
-        exec_backend: gmip_gpu::BackendKind,
+        cfg: &crate::supervisor::ParallelConfig,
     ) -> LpResult<Self> {
         // Each rank's device gets its own trace track group, so a Perfetto
         // view shows one GPU timeline per worker.
         let accel = Accel::gpu_with(DeviceConfig {
-            cost: gpu_cost,
-            mem_capacity: gpu_mem,
+            cost: cfg.gpu_cost.clone(),
+            mem_capacity: cfg.gpu_mem,
             streams: 1,
         })
         .with_trace_group(gmip_trace::TrackGroup::Gpu(id as u16))
-        .with_backend(exec_backend);
+        .with_backend(cfg.backend);
         let std = StandardLp::from_instance(instance, &[]);
-        let backend = match (first_order_lanes, batched_lanes) {
+        let backend = match (cfg.first_order_lanes, cfg.batched_lanes) {
             (Some(lanes), _) => {
                 let csr_bytes = gmip_linalg::CsrMatrix::from_dense(&std.a).size_bytes();
                 let width = wave_width(
                     lanes,
-                    gpu_mem,
+                    cfg.gpu_mem,
                     csr_bytes,
                     FirstOrderWaveEngine::per_lane_bytes(std.m(), std.n()),
                 );
                 let fo =
                     FirstOrderWaveEngine::new(accel.clone(), &std, width, PdhgConfig::default())?;
-                let cleanup = LpSolver::new(std.clone(), lp_cfg, |a| HostEngine::new(a.clone()));
+                let cleanup =
+                    LpSolver::new(std.clone(), cfg.lp.clone(), |a| HostEngine::new(a.clone()));
                 LpBackend::FirstOrder {
                     fo: Box::new(fo),
                     cleanup: Box::new(cleanup),
@@ -173,20 +131,20 @@ impl Worker {
             }
             (None, None) => {
                 let factory_accel = accel.clone();
-                LpBackend::PerKernel(Box::new(LpSolver::try_new(std, lp_cfg, |a| {
+                LpBackend::PerKernel(Box::new(LpSolver::try_new(std, cfg.lp.clone(), |a| {
                     DeviceEngine::new(factory_accel, a)
                 })?))
             }
             (None, Some(lanes)) => {
                 let mut ext = None;
-                let lp = LpSolver::new(std, lp_cfg, |a| {
+                let lp = LpSolver::new(std, cfg.lp.clone(), |a| {
                     ext = Some(a.clone());
                     RecordingEngine::new(a.clone())
                 });
                 let ext = ext.expect("engine factory runs during solver construction");
                 let width = wave_width(
                     lanes,
-                    gpu_mem,
+                    cfg.gpu_mem,
                     ext.size_bytes(),
                     BatchedWaveEngine::per_lane_bytes(ext.rows(), ext.cols()),
                 );
@@ -198,53 +156,22 @@ impl Worker {
                 }
             }
         };
+        let needs_propagator = cfg.propagate || cfg.heuristic_period > 0;
         Ok(Self {
             id,
             accel,
             backend,
-            rules: Rules::new(instance, int_tol, REPORT_PRUNE_TOL),
-            instance: instance.clone(),
+            rules: Rules::new(instance, cfg.int_tol, REPORT_PRUNE_TOL),
+            propagator: needs_propagator.then(|| Propagator::new(instance)),
             busy_until: 0.0,
             busy_ns: 0.0,
             nodes: 0,
             slowdown: 1.0,
-            propagator: None,
-            propagate: false,
-            heuristic_period: 0,
+            propagate: cfg.propagate,
+            heuristic_period: cfg.heuristic_period,
             prop_rounds: 8,
             prop_metrics: gmip_trace::MetricsRegistry::default(),
         })
-    }
-
-    /// Rank `id` of a cluster configured by `cfg`: LP backend, executing
-    /// backend, propagation and dive cadence all as the config says.
-    pub(crate) fn for_rank(
-        id: usize,
-        instance: &MipInstance,
-        cfg: &crate::supervisor::ParallelConfig,
-    ) -> LpResult<Self> {
-        let worker = Self::new_with_backend(
-            id,
-            instance,
-            cfg.gpu_cost.clone(),
-            cfg.gpu_mem,
-            cfg.lp.clone(),
-            cfg.int_tol,
-            cfg.batched_lanes,
-            cfg.first_order_lanes,
-            cfg.backend,
-        )?;
-        Ok(worker.with_propagation(cfg.propagate, cfg.heuristic_period))
-    }
-
-    /// Enables domain propagation and/or the fix-and-propagate dive on this
-    /// rank (both off by default). `heuristic_period = 0` disables the dive.
-    pub fn with_propagation(mut self, propagate: bool, heuristic_period: usize) -> Self {
-        self.propagate = propagate;
-        self.heuristic_period = heuristic_period;
-        self.propagator =
-            (propagate || heuristic_period > 0).then(|| Propagator::new(&self.instance));
-        self
     }
 
     /// The worker's device (stats queries).
@@ -469,19 +396,23 @@ impl Worker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::supervisor::ParallelConfig;
     use gmip_lp::BoundChange;
     use gmip_problems::catalog::textbook_mip;
 
+    /// Rank 0 on a 16 MiB device, LP backend as the lane options say.
+    fn mk_rank(batched_lanes: Option<usize>, first_order_lanes: Option<usize>) -> Worker {
+        let cfg = ParallelConfig {
+            gpu_mem: 1 << 24,
+            batched_lanes,
+            first_order_lanes,
+            ..Default::default()
+        };
+        Worker::for_rank(0, &textbook_mip(), &cfg).unwrap()
+    }
+
     fn mk_worker() -> Worker {
-        Worker::new(
-            0,
-            &textbook_mip(),
-            CostModel::gpu_pcie(),
-            1 << 24,
-            LpConfig::standard(),
-            1e-6,
-        )
-        .unwrap()
+        mk_rank(None, None)
     }
 
     #[test]
@@ -588,18 +519,7 @@ mod tests {
 
     #[test]
     fn wave_backend_matches_per_kernel_with_fewer_launches() {
-        let mk = |lanes: Option<usize>| {
-            Worker::new_with_lanes(
-                0,
-                &textbook_mip(),
-                CostModel::gpu_pcie(),
-                1 << 24,
-                LpConfig::standard(),
-                1e-6,
-                lanes,
-            )
-            .unwrap()
-        };
+        let mk = |lanes: Option<usize>| mk_rank(lanes, None);
         let assignments = [
             Assignment {
                 node_id: 0,
@@ -655,20 +575,7 @@ mod tests {
 
     #[test]
     fn first_order_backend_matches_per_kernel_outcomes() {
-        let mk_fo = || {
-            Worker::new_with_backend(
-                0,
-                &textbook_mip(),
-                CostModel::gpu_pcie(),
-                1 << 24,
-                LpConfig::standard(),
-                1e-6,
-                None,
-                Some(2),
-                gmip_gpu::BackendKind::Sim,
-            )
-            .unwrap()
-        };
+        let mk_fo = || mk_rank(None, Some(2));
         // Root relaxation: exact cleanup makes the branch decision match
         // the per-kernel simplex worker exactly.
         let root = Assignment {

@@ -337,14 +337,6 @@ impl MipInstance {
         }
     }
 
-    /// The worst possible objective (starting incumbent value).
-    pub fn worst_objective(&self) -> f64 {
-        match self.objective {
-            Objective::Maximize => f64::NEG_INFINITY,
-            Objective::Minimize => f64::INFINITY,
-        }
-    }
-
     /// Dense constraint matrix `A` (one row per constraint).
     pub fn to_dense(&self) -> DenseMatrix {
         let mut a = DenseMatrix::zeros(self.num_cons(), self.num_vars());
@@ -430,11 +422,9 @@ mod tests {
         let m = tiny();
         assert_eq!(m.objective_value(&[1.0, 0.0]), 1.0);
         assert!(m.is_better(2.0, 1.0));
-        assert_eq!(m.worst_objective(), f64::NEG_INFINITY);
         let mut mm = tiny();
         mm.objective = Objective::Minimize;
         assert!(mm.is_better(1.0, 2.0));
-        assert_eq!(mm.worst_objective(), f64::INFINITY);
     }
 
     #[test]

@@ -44,20 +44,6 @@ use gmip_trace::names;
 /// Numeric tolerance of the activity arithmetic (matches root presolve).
 const TOL: f64 = 1e-9;
 
-/// Configuration of node propagation.
-#[derive(Debug, Clone)]
-pub struct PropConfig {
-    /// Maximum propagation rounds per node (each round is one
-    /// activity + tighten + reduce kernel trio).
-    pub max_rounds: usize,
-}
-
-impl Default for PropConfig {
-    fn default() -> Self {
-        Self { max_rounds: 8 }
-    }
-}
-
 /// Outcome of one propagation-to-fixpoint call.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PropOutcome {

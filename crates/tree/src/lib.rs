@@ -13,15 +13,11 @@
 //!   [`policy::ReuseAffinity`] scheduler of Section 5.3;
 //! * [`snapshot`] — consistent snapshots (Section 2.1) with validation;
 //! * [`render`] — the ASCII solution-tree rendering reproducing Figure 1;
-//! * [`stats`] — tree counters;
-//! * [`ivm`] — the Integer-Vector-Matrix constant-memory permutation-tree
-//!   encoding of the related work (Gmys et al.), with a flow-shop
-//!   branch-and-bound driving it.
+//! * [`stats`] — tree counters.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod ivm;
 pub mod node;
 pub mod policy;
 pub mod render;
@@ -29,7 +25,6 @@ pub mod snapshot;
 pub mod stats;
 pub mod tree;
 
-pub use ivm::{solve_flowshop_ivm, FlowShop, IvmStats, IvmTree};
 pub use node::{Node, NodeId, NodeState};
 pub use policy::{BestFirst, BreadthFirst, DepthFirst, NodeSelection, ReuseAffinity};
 pub use snapshot::{capture, completion_invariant, validate, Snapshot, SnapshotError};

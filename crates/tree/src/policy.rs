@@ -9,6 +9,16 @@
 //! their matrix state on the device. [`BestFirst`]/[`DepthFirst`]/
 //! [`BreadthFirst`] are the conventional baselines it is compared against
 //! in experiment E3c.
+//!
+//! Only [`BestFirst`] reads the tree's ordered frontier. The other three
+//! still scan [`SearchTree::active_ids`] per pick, on purpose: their orders
+//! (depth, and tree distance to a node that changes every pick) are not the
+//! frontier's `(bound, id)` key, so indexing them means a second and third
+//! ordered set maintained on every open and close — paid by every driver —
+//! for policies that only the serial host solver offers (`--policy`, F1's
+//! depth-first rendering, E3c's comparison) and no wave, cluster or serve
+//! path ever selects. Their trees are the small ones those experiments
+//! enumerate; the scan costs O(frontier) there and nothing anywhere else.
 
 use crate::node::NodeId;
 use crate::tree::SearchTree;

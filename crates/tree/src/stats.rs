@@ -28,11 +28,6 @@ impl TreeStats {
     pub fn leaves(&self) -> usize {
         self.feasible + self.infeasible + self.pruned
     }
-
-    /// Nodes evaluated (settled leaves + branched interiors).
-    pub fn evaluated(&self) -> usize {
-        self.leaves() + self.branched
-    }
 }
 
 #[cfg(test)]
@@ -52,6 +47,5 @@ mod tests {
             reopened: 0,
         };
         assert_eq!(s.leaves(), 4);
-        assert_eq!(s.evaluated(), 7);
     }
 }

@@ -5,12 +5,10 @@
 //! * at every step the captured snapshot validates;
 //! * the completion invariant (paper Figure 1) holds once the active set
 //!   drains;
-//! * every selection policy always returns an active node;
-//! * IVM leaf enumeration matches factorials under random interleavings of
-//!   descend/prune.
+//! * every selection policy always returns an active node.
 
 use gmip_tree::policy::{BestFirst, BreadthFirst, DepthFirst, NodeSelection, ReuseAffinity};
-use gmip_tree::{capture, completion_invariant, validate, IvmTree, NodeState, SearchTree};
+use gmip_tree::{capture, completion_invariant, validate, NodeState, SearchTree};
 use proptest::prelude::*;
 
 /// One scripted step of a search trace.
@@ -109,48 +107,5 @@ proptest! {
         }
         prop_assert!(completion_invariant(&tree));
         prop_assert!(tree.all_settled());
-    }
-
-    /// Randomly interleaved descend/prune IVM walks never double-count or
-    /// skip leaves: visiting with "always descend, prune at leaves" yields
-    /// exactly n! leaves regardless of where the walk starts pruning first.
-    #[test]
-    fn ivm_walks_partition_the_leaf_space(
-        n in 2usize..6,
-        prune_first in proptest::collection::vec(any::<bool>(), 0..8),
-    ) {
-        let mut t = IvmTree::new(n);
-        // Apply a random prefix of moves.
-        let mut skipped_subtrees = 0usize;
-        for &p in &prune_first {
-            if !t.is_active() {
-                break;
-            }
-            if p && !t.at_leaf() {
-                // Count the subtree we're about to skip, then skip it.
-                let depth = t.depth();
-                let remaining_items = n - depth - 1;
-                let subtree_leaves: usize = (1..=remaining_items).product();
-                skipped_subtrees += subtree_leaves.max(1);
-                if !t.prune_and_advance() {
-                    break;
-                }
-            } else if t.at_leaf() {
-                skipped_subtrees += 1;
-                if !t.prune_and_advance() {
-                    break;
-                }
-            } else {
-                t.descend();
-            }
-        }
-        // Count what's left and check the total.
-        let rest = t.count_leaves();
-        let total: usize = (1..=n).product();
-        prop_assert_eq!(
-            rest + skipped_subtrees,
-            total,
-            "leaves lost or double-counted (n = {})", n
-        );
     }
 }

@@ -622,16 +622,6 @@ impl Rat {
         })
     }
 
-    /// Numerator (reduced form).
-    pub fn numerator(&self) -> &Int {
-        &self.num
-    }
-
-    /// Denominator (reduced form, positive).
-    pub fn denominator(&self) -> &Int {
-        &self.den
-    }
-
     /// Exactly zero?
     pub fn is_zero(&self) -> bool {
         self.num.is_zero()

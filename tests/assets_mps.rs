@@ -4,6 +4,7 @@
 
 use gmip::core::{MipConfig, MipSolver, MipStatus};
 use gmip::gpu::Accel;
+use gmip::lp::DeviceEngine;
 use gmip::problems::mps::{read_mps, write_mps};
 use proptest::prelude::*;
 
@@ -27,7 +28,11 @@ fn bundled_assets_solve_consistently() {
             instance.is_integer_feasible(&hr.x, 1e-5),
             "{name}: incumbent infeasible"
         );
-        let mut dev = MipSolver::on_accel(instance.clone(), MipConfig::default(), Accel::gpu(1));
+        let mut dev = MipSolver::<DeviceEngine>::on_accel(
+            instance.clone(),
+            MipConfig::default(),
+            Accel::gpu(1),
+        );
         let dr = dev.solve().unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(
             (hr.objective - dr.objective).abs() < 1e-5,

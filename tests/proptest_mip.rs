@@ -4,6 +4,7 @@
 
 use gmip::core::{MipConfig, MipSolver, MipStatus};
 use gmip::gpu::Accel;
+use gmip::lp::DeviceEngine;
 use gmip::problems::generators::{random_mip, RandomMipConfig};
 use gmip::problems::MipInstance;
 use proptest::prelude::*;
@@ -94,7 +95,7 @@ proptest! {
         });
         let mut host = MipSolver::host_baseline(inst.clone(), MipConfig::default());
         let hr = host.solve().expect("host");
-        let mut dev = MipSolver::on_accel(inst, MipConfig::default(), Accel::gpu(1));
+        let mut dev = MipSolver::<DeviceEngine>::on_accel(inst, MipConfig::default(), Accel::gpu(1));
         let dr = dev.solve().expect("device");
         prop_assert_eq!(hr.status, dr.status);
         if hr.status == MipStatus::Optimal {

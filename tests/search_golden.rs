@@ -7,20 +7,28 @@
 //! point bits, node counts, simulated clocks, launch and message counts,
 //! heuristic counters and — where the tree is returned — every label and
 //! bound of the rendered tree.
+//!
+//! The device-engine pins at the end (`sparse_device_solver_with_cuts`,
+//! `device_engines_solve_resolve_cut`) were recorded at `ebf9a09`, the last
+//! commit with a hand-copied sparse engine beside the dense one: the one
+//! `DeviceSimplex<M>` must charge each storage's ledger exactly as its copy
+//! did.
 
 use gmip::core::{
     solve_batched_wave, solve_first_order_wave, solve_with_node_engine, BatchedWaveConfig,
     FirstOrderWaveConfig, MipConfig, MipResult, MipSolver, NodeBnbConfig, WaveResult,
 };
 use gmip::gpu::{Accel, CostModel, DeviceConfig};
+use gmip::linalg::DenseMatrix;
 use gmip::lp::{
-    FirstOrderNodeEngine, IpmConfig, IpmNodeEngine, NodeLpEngine, PdhgConfig, SimplexNodeEngine,
-    StandardLp,
+    BoundChange, DeviceEngine, FirstOrderNodeEngine, IpmConfig, IpmNodeEngine, LpConfig,
+    LpSolution, LpSolver, NodeLpEngine, PdhgConfig, PricingRule, SimplexEngine, SimplexNodeEngine,
+    SparseDeviceEngine, StandardLp,
 };
 use gmip::parallel::{
     solve_hierarchical, solve_parallel, HierarchyConfig, ParallelConfig, ParallelResult,
 };
-use gmip::problems::generators::{bin_packing, knapsack, set_cover};
+use gmip::problems::generators::{bin_packing, knapsack, set_cover, unit_commitment};
 use gmip::problems::MipInstance;
 use gmip::tree::render::render;
 
@@ -205,7 +213,7 @@ fn host_solver_propagate_fix_and_propagate() {
         host(cover_instance()),
         host(bin_packing(4, 1.0, 3)),
         mip_pin(
-            &MipSolver::on_accel(bin_packing(4, 1.0, 3), cfg.clone(), gpu())
+            &MipSolver::<DeviceEngine>::on_accel(bin_packing(4, 1.0, 3), cfg.clone(), gpu())
                 .solve()
                 .expect("device solve"),
         ),
@@ -330,6 +338,116 @@ fn clusters_propagate_dive() {
             "Optimal obj=4091500000000000 nodes=819 msgs=1638 bytes=310160 launches=24954 makespan=4180f1f9bff59907 x=b53a3110292eaa1d seeds=0 first=4154ee77918de5b5",
             "Optimal obj=4008000000000000 nodes=65 msgs=130 bytes=21248 launches=3009 makespan=415be71bf6faa2d9 x=87f5fafd354b0935 seeds=0 first=4150cf4bd30eca8a",
             "Optimal obj=4091500000000000 nodes=847 msgs=2600 root=906 steals=10 broadcasts=15 launches=25763 makespan=4180f4f54de077cd x=b53a3110292eaa1d first=4154eff3e6e33b0a",
+        ]
+    );
+}
+
+/// The dense-device pin format plus the strategy label and the LP
+/// accelerator's ledger (launches, bytes over the link in each direction).
+fn device_mip_pin(r: &MipResult) -> String {
+    format!(
+        "{} {} launches={} h2d={} d2h={}",
+        r.stats.strategy,
+        mip_pin(r),
+        r.stats.device.kernel_launches,
+        r.stats.device.h2d_bytes,
+        r.stats.device.d2h_bytes,
+    )
+}
+
+#[test]
+fn sparse_device_solver_with_cuts() {
+    let cfg = MipConfig::default();
+    assert!(cfg.cuts.enabled);
+    let got = [
+        set_cover(40, 60, 0.06, 5),
+        bin_packing(4, 1.0, 3),
+        unit_commitment(4, 4, 2),
+    ]
+    .map(|m| {
+        device_mip_pin(
+            &MipSolver::<SparseDeviceEngine>::on_accel(m, cfg.clone(), gpu())
+                .solve()
+                .expect("sparse device solve"),
+        )
+    });
+    assert_eq!(
+        got,
+        [
+            "device-sparse Optimal obj=4053400000000000 nodes=1 lp_iters=102 cuts=0 heur=0 sim=416c15c5c0586bda x=7b7b38c6cf34ac55 tree=e64ff0e2be1a8965 incumbents=1 first=416c15c5c0586bda launches=931 h2d=25144 d2h=4752",
+            "device-sparse Optimal obj=4008000000000000 nodes=189 lp_iters=2404 cuts=37 heur=1 sim=41bca3637663b6c5 x=2815fafd354b0935 tree=cfeec7557c92d10c incumbents=1 first=41b7911a24ffff1a launches=28730 h2d=1372304 d2h=201816",
+            "device-sparse Optimal obj=40c46b8000000000 nodes=7 lp_iters=93 cuts=17 heur=0 sim=41718e221a0cad8e x=edf2f148a6b7d615 tree=8305825bc71ad0e0 incumbents=1 first=4170135072f762a1 launches=1104 h2d=130120 d2h=24368",
+        ]
+    );
+}
+
+/// One `LpSolver` driven through solve → bound change + `resolve` →
+/// `add_cut` + `resolve`, pinned after each step: objective and point bits,
+/// iterations, and the engine's whole ledger.
+fn lp_pin<E: SimplexEngine>(
+    m: &MipInstance,
+    pricing: PricingRule,
+    engine: fn(Accel, &DenseMatrix) -> E,
+) -> String {
+    let accel = gpu();
+    let mut cfg = LpConfig::standard();
+    cfg.primal.pricing = pricing;
+    let factory_accel = accel.clone();
+    let mut lp = LpSolver::new(StandardLp::from_instance(m, &[]), cfg, move |a| {
+        engine(factory_accel.clone(), a)
+    });
+    let mut steps = Vec::new();
+    let mut pin = |sol: LpSolution| {
+        let s = accel.stats();
+        steps.push(format!(
+            "{:?} obj={:016x} x={:016x} iters={} launches={} h2d={} d2h={} ns={:016x}",
+            sol.status,
+            sol.objective.to_bits(),
+            point_hash(&sol.x),
+            sol.iterations,
+            s.kernel_launches,
+            s.h2d_bytes,
+            s.d2h_bytes,
+            accel.elapsed_ns().to_bits(),
+        ));
+    };
+    pin(lp.solve().expect("solve"));
+    lp.apply_node_bounds(&[BoundChange {
+        var: 0,
+        lb: 1.0,
+        ub: 1.0,
+    }])
+    .expect("bounds");
+    pin(lp.resolve().expect("bound resolve"));
+    lp.apply_node_bounds(&[]).expect("bounds");
+    lp.add_cut(&[(0, -1.0), (1, -1.0), (2, -1.0)], -1.5)
+        .expect("cut");
+    pin(lp.resolve().expect("cut resolve"));
+    steps.join(" | ")
+}
+
+#[test]
+fn device_engines_solve_resolve_cut() {
+    let dense = |a: Accel, m: &DenseMatrix| DeviceEngine::new(a, m).expect("dense upload");
+    let sparse = |a: Accel, m: &DenseMatrix| SparseDeviceEngine::new(a, m).expect("csr upload");
+    let mut got = Vec::new();
+    for m in [set_cover(24, 30, 0.12, 5), unit_commitment(3, 4, 5)] {
+        for pricing in [PricingRule::Dantzig, PricingRule::Devex] {
+            got.push(lp_pin(&m, pricing, dense));
+            got.push(lp_pin(&m, pricing, sparse));
+        }
+    }
+    assert_eq!(
+        got,
+        [
+            "Optimal obj=403bffffffffffff x=e2a82c3d5e7b3381 iters=51 launches=472 h2d=23448 d2h=2456 ns=415c61d47ae147c6 | Optimal obj=403d000000000000 x=e83a3110292eaa1d iters=0 launches=485 h2d=29976 d2h=2688 ns=415d8196570a3d88 | Optimal obj=403c800000000000 x=758a3110292eaa1d iters=1 launches=511 h2d=37496 d2h=2984 ns=415f727a159e26d2",
+            "Optimal obj=403c000000000000 x=4e25edba5b029cda iters=51 launches=470 h2d=10880 d2h=2456 ns=415c5022f3cf3d17 | Optimal obj=403d000000000000 x=e83a3110292eaa1d iters=0 launches=481 h2d=17408 d2h=2688 ns=415d6030540da763 | Optimal obj=403c800000000000 x=758a3110292eaa1d iters=1 launches=504 h2d=24176 d2h=2984 ns=415f2faf4622c8bc",
+            "Optimal obj=403c000000000000 x=b1ea3110292eaa1d iters=42 launches=503 h2d=23400 d2h=2720 ns=415f63f78da740f4 | Optimal obj=403d000000000000 x=e83a3110292eaa1d iters=0 launches=515 h2d=29928 d2h=2952 ns=41603df488888895 | Optimal obj=403c800000000000 x=758a3110292eaa1d iters=1 launches=540 h2d=37448 d2h=3248 ns=4161327e3ae147b6",
+            "Optimal obj=403c000000000000 x=b1ea3110292eaa1d iters=42 launches=501 h2d=10832 d2h=2720 ns=415f51c0a627fc3f | Optimal obj=403d000000000000 x=683a3110292eaa1d iters=0 launches=511 h2d=17360 d2h=2952 ns=41602cfeec09c0af | Optimal obj=403c800000000000 x=f58a3110292eaa1d iters=1 launches=533 h2d=24128 d2h=3248 ns=416110d65cd49a1f",
+            "Optimal obj=40c3e91498498498 x=7e7cac0d38c62ab1 iters=41 launches=380 h2d=26312 d2h=2120 ns=415699837f6e5d51 | Optimal obj=40c47358dc8dc8dc x=468fd36f29b401a8 iters=1 launches=404 h2d=33264 d2h=2440 ns=4158673af654321a | Optimal obj=40c45c5222222222 x=875295d066b4d8ca iters=2 launches=441 h2d=41256 d2h=2824 ns=415b0619cdf01242",
+            "Optimal obj=40c3e91498498498 x=7e7cac0d38c62ab1 iters=41 launches=378 h2d=10480 d2h=2120 ns=4156875eb3099707 | Optimal obj=40c47358dc8dc8dc x=468fd36f29b401a8 iters=1 launches=400 h2d=17432 d2h=2440 ns=4158454d265bff64 | Optimal obj=40c45c5222222222 x=875295d066b4d8ca iters=2 launches=434 h2d=24624 d2h=2824 ns=415ac2ad7ca8642d",
+            "Optimal obj=40c3e91498498498 x=7e7cac0d38c62ab1 iters=41 launches=481 h2d=26600 d2h=2696 ns=415dce78530ecaab | Optimal obj=40c47358dc8dc8dc x=468fd36f29b401a8 iters=1 launches=504 h2d=33552 d2h=3016 ns=415f945f6eeeef19 | Optimal obj=40c45c5222222222 x=875295d066b4d8ca iters=2 launches=540 h2d=41544 d2h=3400 ns=416115b6f530ecbf",
+            "Optimal obj=40c3e91498498498 x=7e7cac0d38c62ab1 iters=41 launches=479 h2d=10768 d2h=2696 ns=415dbb9501a01a30 | Optimal obj=40c47358dc8dc8dc x=468fd36f29b401a8 iters=1 launches=500 h2d=17720 d2h=3016 ns=415f71b2effd666e | Optimal obj=40c45c5222222222 x=875295d066b4d8ca iters=2 launches=533 h2d=24912 d2h=3400 ns=4160f3a159451467",
         ]
     );
 }
