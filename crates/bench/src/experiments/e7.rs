@@ -114,11 +114,13 @@ pub fn run() -> String {
     let (update_ns, refactor_ns) = dev
         .with(|d| -> Result<(f64, f64), gmip_gpu::GpuError> {
             let bh = d.upload_matrix(&b0, S)?;
-            let eta = d.eta_factor(bh, S)?;
+            let (eta, col, alpha) = (d.vacant_eta(), d.vacant_vector(), d.vacant_vector());
+            let every_column: Vec<usize> = (0..n).collect();
+            d.eta_factor(bh, &every_column, eta, S)?;
             // One rank-1 update: FTRAN a column, record an eta.
-            let col = d.extract_column(bh, 0, S)?;
+            d.extract_column(bh, 0, col, S)?;
             let t0 = d.elapsed_ns();
-            let alpha = d.eta_ftran(eta, col, S)?;
+            d.eta_ftran(eta, col, alpha, S)?;
             d.eta_update(eta, 0, alpha, S)?;
             let t1 = d.elapsed_ns();
             // Full refactorization for comparison.

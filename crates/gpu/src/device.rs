@@ -20,13 +20,10 @@
 
 use crate::cost::{flops, CostModel};
 use crate::memory::{DeviceMemory, OutOfMemory};
-use crate::objects::{BufferPool, Obj, ObjectTable};
+use crate::objects::{BufferPool, Obj, ObjectTable, Resident};
 use crate::stats::{DeviceStats, Ledger, Series};
 use crate::stream::{Event as StreamEvent, StreamId, StreamSet};
-use gmip_linalg::{
-    batch as lbatch, CsrMatrix, DenseMatrix, EtaFile, LinalgError, LuFactors, SparseEtaFile,
-    SparseLu,
-};
+use gmip_linalg::{batch as lbatch, CsrMatrix, DenseMatrix, LinalgError, LuFactors, SparseLu};
 use gmip_trace::{Event, MetricsRegistry, Track, TrackGroup};
 
 /// Errors surfaced by device operations.
@@ -75,6 +72,14 @@ macro_rules! handle_type {
         $(#[$doc])*
         #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
         pub struct $name(pub(crate) u64);
+
+        impl From<$name> for u64 {
+            /// The raw object id, as [`GpuDevice::free`] and
+            /// [`GpuDevice::vacate`] take it.
+            fn from(h: $name) -> u64 {
+                h.0
+            }
+        }
     };
 }
 
@@ -155,7 +160,16 @@ impl DeviceConfig {
 /// * handles index a generation-checked slab, so a lookup never hashes and
 ///   a stale or wrong-typed handle is still [`GpuError::InvalidHandle`];
 /// * the host buffers behind freed device vectors are recycled through a
-///   small bounded pool that kernel results and uploads draw from.
+///   small bounded pool that handle-returning kernels and uploads draw from;
+/// * the simplex kernels write *resident* objects in place: a vector made
+///   by [`vacant_vector`](Self::vacant_vector) (an eta file made by
+///   [`vacant_eta`](Self::vacant_eta)) keeps its handle and host storage
+///   for life, a kernel's result moves in as its *tenant*, and
+///   [`vacate`](Self::vacate) moves the tenant out. Re-tenanting charges
+///   [`DeviceMemory`] what creating and freeing an object did — an
+///   allocation of the result's length, then the release of the tenant it
+///   replaces — while the host creates nothing
+///   ([`objects_created`](Self::objects_created) stands still).
 ///
 /// None of this is visible in simulated time, counters or device bytes:
 /// [`DeviceMemory`] models every object as if its buffer were fresh.
@@ -210,6 +224,14 @@ impl GpuDevice {
         self.ledger.to_registry()
     }
 
+    /// Device objects ever created — uploads, handle-returning kernel
+    /// results, factorizations, raw reservations, vacant residents. A
+    /// host-side count that modelled memory knows nothing of: in-place
+    /// kernels exist so that a warm simplex iteration does not move it.
+    pub fn objects_created(&self) -> u64 {
+        self.objects.created()
+    }
+
     /// Host bytes held by the recycling pool of freed vector buffers —
     /// bounded by a constant times the largest vector the device has seen.
     /// Says nothing about modelled device memory (see [`Self::memory`]).
@@ -259,11 +281,61 @@ impl GpuDevice {
 
     // ---- internal plumbing ----
 
-    fn insert(&mut self, obj: Obj, bytes: usize) -> Result<u64> {
+    /// Modelled allocation: every tenant of device memory pays it, and the
+    /// peak gauge follows.
+    fn alloc(&mut self, bytes: usize) -> Result<()> {
         self.mem.alloc(bytes)?;
         self.ledger
             .max_gauge(Series::MemPeakBytes, self.mem.used() as f64);
-        Ok(self.objects.insert(obj, bytes))
+        Ok(())
+    }
+
+    fn insert(&mut self, obj: Obj, bytes: usize) -> Result<u64> {
+        self.alloc(bytes)?;
+        Ok(self.objects.insert(obj, bytes, true))
+    }
+
+    /// Runs a kernel whose result is resident vector `out`. `kernel` fills
+    /// the vector's detached storage (last argument; the one before is the
+    /// device's scratch) while it reads other objects, and returns what
+    /// `charge` needs; the result then moves in as `out`'s tenant. A kernel
+    /// that fails leaves `out` unreadable, still accounting for whatever
+    /// tenant it had.
+    fn write_vector<T>(
+        &mut self,
+        out: VectorHandle,
+        kernel: impl FnOnce(&ObjectTable, &mut Vec<f64>, &mut Vec<f64>) -> Result<T>,
+        charge: impl FnOnce(&mut Self, T),
+    ) -> Result<()> {
+        let mut buf = self.objects.detach(out)?;
+        match kernel(&self.objects, &mut self.work, &mut buf) {
+            Ok(t) => {
+                charge(self, t);
+                self.settle(out, buf)
+            }
+            Err(e) => {
+                self.objects.attach(out, buf, None);
+                Err(e)
+            }
+        }
+    }
+
+    /// Moves `buf` in as the tenant of resident vector `out`, the way the
+    /// ledger saw one kernel result supersede another: a modelled
+    /// allocation of its length, then the release of the tenant it replaces.
+    fn settle(&mut self, out: VectorHandle, buf: Vec<f64>) -> Result<()> {
+        let bytes = buf.len() * 8;
+        match self.alloc(bytes) {
+            Ok(()) => {
+                let replaced = self.objects.attach(out, buf, Some(bytes));
+                self.mem.free(replaced);
+                Ok(())
+            }
+            Err(e) => {
+                self.objects.attach(out, buf, None);
+                Err(e)
+            }
+        }
     }
 
     /// Installs a kernel's result vector as a new device object.
@@ -378,10 +450,28 @@ impl GpuDevice {
         Ok(h)
     }
 
+    /// Creates a resident device vector with no tenant: a handle and host
+    /// storage for the in-place kernels to write (their `out` argument) and
+    /// [`vacate`](Self::vacate) to empty. It owns no modelled byte until a
+    /// result moves in, and takes the length of whatever does.
+    pub fn vacant_vector(&mut self) -> VectorHandle {
+        VectorHandle(self.objects.insert(Obj::Vector(Vec::new()), 0, false))
+    }
+
+    /// Uploads `v` into resident vector `out` (one H2D transfer).
+    pub fn upload_into(&mut self, out: VectorHandle, v: &[f64], stream: StreamId) -> Result<()> {
+        let mut buf = self.objects.detach(out)?;
+        buf.clear();
+        buf.extend_from_slice(v);
+        self.settle(out, buf)?;
+        self.charge_h2d(std::mem::size_of_val(v), stream);
+        Ok(())
+    }
+
     /// Uploads a CSR sparse matrix (one H2D transfer of values + indices).
     pub fn upload_sparse(&mut self, m: &CsrMatrix, stream: StreamId) -> Result<SparseHandle> {
         let bytes = m.size_bytes();
-        let id = self.insert(Obj::Sparse(m.clone()), bytes)?;
+        let id = self.insert(Obj::Sparse(Box::new(m.clone())), bytes)?;
         self.charge_h2d(bytes, stream);
         Ok(SparseHandle(id))
     }
@@ -400,8 +490,23 @@ impl GpuDevice {
         Ok(v)
     }
 
-    /// Frees any device object by raw id (all handle types deref to ids).
-    pub fn free(&mut self, id: u64) -> Result<()> {
+    /// Ends the tenancy of a resident object: its modelled bytes are
+    /// released and it answers no read until a kernel writes it again;
+    /// handle and host storage stay. Vacating a vacant object does nothing.
+    pub fn vacate(&mut self, id: impl Into<u64>) -> Result<()> {
+        let id = id.into();
+        let r = self
+            .objects
+            .resident_mut(id)
+            .ok_or(GpuError::InvalidHandle(id))?;
+        self.mem.free(std::mem::take(r.bytes));
+        *r.live = false;
+        Ok(())
+    }
+
+    /// Frees any device object (every handle type converts to its id).
+    pub fn free(&mut self, id: impl Into<u64>) -> Result<()> {
+        let id = id.into();
         match self.objects.remove(id) {
             Some((obj, bytes)) => {
                 self.mem.free(bytes);
@@ -424,11 +529,6 @@ impl GpuDevice {
         self.free(h.0)
     }
 
-    /// Frees an eta-file handle.
-    pub fn free_eta(&mut self, h: EtaHandle) -> Result<()> {
-        self.free(h.0)
-    }
-
     /// Frees a raw allocation.
     pub fn free_raw(&mut self, h: RawHandle) -> Result<()> {
         self.free(h.0)
@@ -441,38 +541,6 @@ impl GpuDevice {
 
     // ---- dense kernels ----
 
-    /// Device-side gather of columns `cols` of matrix `h` into a new device
-    /// matrix (no host transfer — this is how the simplex assembles the basis
-    /// matrix `B` from the constraint matrix without leaving the device).
-    pub fn gather_columns(
-        &mut self,
-        h: MatrixHandle,
-        cols: &[usize],
-        stream: StreamId,
-    ) -> Result<MatrixHandle> {
-        let src = self.objects.matrix(h)?;
-        let rows = src.rows();
-        for &c in cols {
-            if c >= src.cols() {
-                return Err(GpuError::Linalg(LinalgError::OutOfBounds {
-                    index: c,
-                    bound: src.cols(),
-                }));
-            }
-        }
-        let mut out = DenseMatrix::zeros(rows, cols.len());
-        for (jj, &c) in cols.iter().enumerate() {
-            for i in 0..rows {
-                out.set(i, jj, src.get(i, c));
-            }
-        }
-        let bytes = out.size_bytes();
-        // Memory-bound device kernel: read + write the gathered block.
-        self.charge_dense_kernel("gather_columns", 0.0, 2.0 * bytes as f64, stream);
-        let id = self.insert(Obj::Matrix(out), bytes)?;
-        Ok(MatrixHandle(id))
-    }
-
     /// LU-factorizes a device matrix (cuSOLVER `getrf`-class kernel).
     pub fn lu_factor(&mut self, h: MatrixHandle, stream: StreamId) -> Result<FactorHandle> {
         let m = self.objects.matrix(h)?;
@@ -480,7 +548,7 @@ impl GpuDevice {
         let f = LuFactors::factorize(m)?;
         let bytes = m.size_bytes() + n * std::mem::size_of::<usize>();
         self.charge_dense_kernel("lu_factor", flops::lu(n), m.size_bytes() as f64, stream);
-        let id = self.insert(Obj::Factors(f), bytes)?;
+        let id = self.insert(Obj::Factors(Box::new(f)), bytes)?;
         Ok(FactorHandle(id))
     }
 
@@ -521,25 +589,31 @@ impl GpuDevice {
         self.insert_vector(y)
     }
 
-    /// Transposed product `y = Aᵀ x`, all device-resident.
+    /// Transposed product `out = Aᵀ x`, all device-resident.
     pub fn gemv_transposed(
         &mut self,
         a: MatrixHandle,
         x: VectorHandle,
+        out: VectorHandle,
         stream: StreamId,
-    ) -> Result<VectorHandle> {
-        let m = self.objects.matrix(a)?;
-        let v = self.objects.vector(x)?;
-        let (rows, cols) = (m.rows(), m.cols());
-        let mut y = self.pool.take(cols);
-        m.matvec_transposed_into(v, &mut y)?;
-        self.charge_dense_kernel(
-            "gemv_transposed",
-            flops::gemv(rows, cols),
-            (rows * cols * 8) as f64,
-            stream,
-        );
-        self.insert_vector(y)
+    ) -> Result<()> {
+        self.write_vector(
+            out,
+            |objects, _, y| {
+                let m = objects.matrix(a)?;
+                y.resize(m.cols(), 0.0);
+                m.matvec_transposed_into(objects.vector(x)?, y)?;
+                Ok((m.rows(), m.cols()))
+            },
+            |dev, (rows, cols)| {
+                dev.charge_dense_kernel(
+                    "gemv_transposed",
+                    flops::gemv(rows, cols),
+                    (rows * cols * 8) as f64,
+                    stream,
+                )
+            },
+        )
     }
 
     /// Fused pricing kernel: reduced costs `d = c − Aᵀ y` in one launch.
@@ -552,29 +626,35 @@ impl GpuDevice {
         a: MatrixHandle,
         y: VectorHandle,
         c: VectorHandle,
+        out: VectorHandle,
         stream: StreamId,
-    ) -> Result<VectorHandle> {
-        let m = self.objects.matrix(a)?;
-        let yv = self.objects.vector(y)?;
-        let cv = self.objects.vector(c)?;
-        let (rows, cols) = (m.rows(), m.cols());
-        let mut d = self.pool.take(cols);
-        m.matvec_transposed_into(yv, &mut d)?;
-        if cv.len() != d.len() {
-            return Err(GpuError::Linalg(LinalgError::DimensionMismatch {
-                context: format!("pricing: c {} vs AtY {}", cv.len(), d.len()),
-            }));
-        }
-        for (di, ci) in d.iter_mut().zip(cv.iter()) {
-            *di = ci - *di;
-        }
-        self.charge_dense_kernel(
-            "pricing",
-            flops::gemv(rows, cols) + cols as f64,
-            (rows * cols * 8) as f64,
-            stream,
-        );
-        self.insert_vector(d)
+    ) -> Result<()> {
+        self.write_vector(
+            out,
+            |objects, _, d| {
+                let m = objects.matrix(a)?;
+                let cv = objects.vector(c)?;
+                d.resize(m.cols(), 0.0);
+                m.matvec_transposed_into(objects.vector(y)?, d)?;
+                if cv.len() != d.len() {
+                    return Err(GpuError::Linalg(LinalgError::DimensionMismatch {
+                        context: format!("pricing: c {} vs AtY {}", cv.len(), d.len()),
+                    }));
+                }
+                for (di, ci) in d.iter_mut().zip(cv.iter()) {
+                    *di = ci - *di;
+                }
+                Ok((m.rows(), m.cols()))
+            },
+            |dev, (rows, cols)| {
+                dev.charge_dense_kernel(
+                    "pricing",
+                    flops::gemv(rows, cols) + cols as f64,
+                    (rows * cols * 8) as f64,
+                    stream,
+                )
+            },
+        )
     }
 
     /// Device reduction: index and value of the minimum entry of `v` among
@@ -663,26 +743,31 @@ impl GpuDevice {
         }
     }
 
-    /// Copies column `j` of a device matrix into a new device vector
+    /// Copies column `j` of a device matrix into resident vector `out`
     /// (memory-bound kernel, no host transfer).
     pub fn extract_column(
         &mut self,
         h: MatrixHandle,
         j: usize,
+        out: VectorHandle,
         stream: StreamId,
-    ) -> Result<VectorHandle> {
-        let m = self.objects.matrix(h)?;
-        if j >= m.cols() {
-            return Err(GpuError::Linalg(LinalgError::OutOfBounds {
-                index: j,
-                bound: m.cols(),
-            }));
-        }
-        let mut col = self.pool.take(m.rows());
-        m.col_into(j, &mut col);
-        let bytes = col.len() * 8;
-        self.charge_dense_kernel("extract_column", 0.0, (2 * bytes) as f64, stream);
-        self.insert_vector(col)
+    ) -> Result<()> {
+        self.write_vector(
+            out,
+            |objects, _, col| {
+                let m = objects.matrix(h)?;
+                if j >= m.cols() {
+                    return Err(GpuError::Linalg(LinalgError::OutOfBounds {
+                        index: j,
+                        bound: m.cols(),
+                    }));
+                }
+                col.resize(m.rows(), 0.0);
+                m.col_into(j, col);
+                Ok(col.len() * 8)
+            },
+            |dev, bytes| dev.charge_dense_kernel("extract_column", 0.0, (2 * bytes) as f64, stream),
+        )
     }
 
     /// Appends a column to a device matrix from the host (a cut's slack
@@ -705,80 +790,97 @@ impl GpuDevice {
         }
     }
 
-    /// Fused residual kernel `r = b − A x`, all device-resident (used to
+    /// Fused residual kernel `out = b − A x`, all device-resident (used to
     /// recompute basic values after a basis install without any transfer).
     pub fn residual(
         &mut self,
         b: VectorHandle,
         a: MatrixHandle,
         x: VectorHandle,
+        out: VectorHandle,
         stream: StreamId,
-    ) -> Result<VectorHandle> {
-        let m = self.objects.matrix(a)?;
-        let xv = self.objects.vector(x)?;
-        let bv = self.objects.vector(b)?;
-        let (rows, cols) = (m.rows(), m.cols());
-        let mut r = self.pool.take(rows);
-        m.matvec_into(xv, &mut r)?;
-        if bv.len() != r.len() {
-            return Err(GpuError::Linalg(LinalgError::DimensionMismatch {
-                context: format!("residual: b {} vs Ax {}", bv.len(), r.len()),
-            }));
-        }
-        for (ri, bi) in r.iter_mut().zip(bv.iter()) {
-            *ri = bi - *ri;
-        }
-        self.charge_dense_kernel(
-            "residual",
-            flops::gemv(rows, cols) + rows as f64,
-            (rows * cols * 8) as f64,
-            stream,
-        );
-        self.insert_vector(r)
+    ) -> Result<()> {
+        self.write_vector(
+            out,
+            |objects, _, r| {
+                let m = objects.matrix(a)?;
+                let bv = objects.vector(b)?;
+                r.resize(m.rows(), 0.0);
+                m.matvec_into(objects.vector(x)?, r)?;
+                if bv.len() != r.len() {
+                    return Err(GpuError::Linalg(LinalgError::DimensionMismatch {
+                        context: format!("residual: b {} vs Ax {}", bv.len(), r.len()),
+                    }));
+                }
+                for (ri, bi) in r.iter_mut().zip(bv.iter()) {
+                    *ri = bi - *ri;
+                }
+                Ok((m.rows(), m.cols()))
+            },
+            |dev, (rows, cols)| {
+                dev.charge_dense_kernel(
+                    "residual",
+                    flops::gemv(rows, cols) + rows as f64,
+                    (rows * cols * 8) as f64,
+                    stream,
+                )
+            },
+        )
     }
 
-    /// Elementwise product `c = a ⊙ b` (used to score pricing candidates by
-    /// status sign before the argmin reduction).
+    /// Elementwise product `out = a ⊙ b` (used to score pricing candidates
+    /// by status sign before the argmin reduction).
     pub fn vec_mul(
         &mut self,
         a: VectorHandle,
         b: VectorHandle,
+        out: VectorHandle,
         stream: StreamId,
-    ) -> Result<VectorHandle> {
-        let av = self.objects.vector(a)?;
-        let bv = self.objects.vector(b)?;
-        if av.len() != bv.len() {
-            return Err(GpuError::Linalg(LinalgError::DimensionMismatch {
-                context: format!("vec_mul: {} vs {}", av.len(), bv.len()),
-            }));
-        }
-        let n = av.len();
-        let mut c = self.pool.take(n);
-        for (ci, (x, y)) in c.iter_mut().zip(av.iter().zip(bv.iter())) {
-            *ci = x * y;
-        }
-        self.charge_dense_kernel("vec_mul", n as f64, (3 * n * 8) as f64, stream);
-        self.insert_vector(c)
+    ) -> Result<()> {
+        self.write_vector(
+            out,
+            |objects, _, c| {
+                let av = objects.vector(a)?;
+                let bv = objects.vector(b)?;
+                if av.len() != bv.len() {
+                    return Err(GpuError::Linalg(LinalgError::DimensionMismatch {
+                        context: format!("vec_mul: {} vs {}", av.len(), bv.len()),
+                    }));
+                }
+                c.clear();
+                c.extend(av.iter().zip(bv.iter()).map(|(x, y)| x * y));
+                Ok(c.len())
+            },
+            |dev, n| dev.charge_dense_kernel("vec_mul", n as f64, (3 * n * 8) as f64, stream),
+        )
     }
 
-    /// Creates the unit vector `e_r` of length `n` directly on the device
-    /// (no host transfer — used by the dual simplex to form BTRAN rows).
+    /// Writes the unit vector `e_r` of length `n` into resident vector
+    /// `out`, directly on the device (no host transfer — used by the dual
+    /// simplex to form BTRAN rows).
     pub fn alloc_unit_vector(
         &mut self,
         n: usize,
         r: usize,
+        out: VectorHandle,
         stream: StreamId,
-    ) -> Result<VectorHandle> {
+    ) -> Result<()> {
         if r >= n {
             return Err(GpuError::Linalg(LinalgError::OutOfBounds {
                 index: r,
                 bound: n,
             }));
         }
-        let mut v = self.pool.take(n);
-        v[r] = 1.0;
-        self.charge_dense_kernel("alloc_unit_vector", 0.0, (n * 8) as f64, stream);
-        self.insert_vector(v)
+        self.write_vector(
+            out,
+            |_, _, v| {
+                v.clear();
+                v.resize(n, 0.0);
+                v[r] = 1.0;
+                Ok(())
+            },
+            |dev, ()| dev.charge_dense_kernel("alloc_unit_vector", 0.0, (n * 8) as f64, stream),
+        )
     }
 
     /// Fused bounded-variable primal ratio-test kernel.
@@ -1086,60 +1188,122 @@ impl GpuDevice {
 
     // ---- eta-file (PFI) kernels: Section 5.1's rank-1 update path ----
 
-    /// Builds an eta file over a fresh LU factorization of a device matrix.
-    pub fn eta_factor(&mut self, basis: MatrixHandle, stream: StreamId) -> Result<EtaHandle> {
-        let m = self.objects.matrix(basis)?;
-        let n = m.rows();
-        let mbytes = m.size_bytes();
-        let file = EtaFile::factorize(m)?;
-        self.charge_dense_kernel("eta_factor", flops::lu(n), mbytes as f64, stream);
-        // Account LU + headroom for eta growth (charged as it grows).
-        let bytes = mbytes + n * 8;
-        let id = self.insert(Obj::Eta(file), bytes)?;
-        Ok(EtaHandle(id))
+    /// Creates a resident eta file with no tenant: a handle and host storage
+    /// that [`eta_factor`](Self::eta_factor) factorizes into, install after
+    /// install. It owns no modelled byte until then.
+    pub fn vacant_eta(&mut self) -> EtaHandle {
+        EtaHandle(self.objects.insert(Obj::Eta(Box::default()), 0, false))
     }
 
-    /// FTRAN through the eta file: solves `B x = b` with b device-resident.
+    /// Basis install on the device: gathers columns `cols` of matrix `a`
+    /// (no host transfer — this is how the simplex assembles the basis `B`
+    /// from the constraint matrix without leaving the device) and
+    /// LU-factorizes them, in the storage of resident eta file `eta`, whose
+    /// previous factors and eta updates are dropped.
+    ///
+    /// Modelled as the two kernels it fuses on the host: `gather_columns`
+    /// materializes the basis block, `eta_factor` produces the factors and
+    /// the block is released; a singular basis releases it too.
+    pub fn eta_factor(
+        &mut self,
+        a: MatrixHandle,
+        cols: &[usize],
+        eta: EtaHandle,
+        stream: StreamId,
+    ) -> Result<()> {
+        let src = self.objects.matrix(a)?;
+        if let Some(&c) = cols.iter().find(|&&c| c >= src.cols()) {
+            return Err(GpuError::Linalg(LinalgError::OutOfBounds {
+                index: c,
+                bound: src.cols(),
+            }));
+        }
+        let n = src.rows();
+        let gathered = n * cols.len() * 8;
+        let factored = match self.objects.resident_with(eta.0, a.0) {
+            Some((
+                Resident {
+                    obj: Obj::Eta(file),
+                    live,
+                    ..
+                },
+                Obj::Matrix(src),
+            )) => {
+                *live = false;
+                file.refactorize_columns(src, cols)
+            }
+            _ => return Err(GpuError::InvalidHandle(eta.0)),
+        };
+        // Memory-bound device kernel: read + write the gathered block.
+        self.charge_dense_kernel("gather_columns", 0.0, 2.0 * gathered as f64, stream);
+        self.alloc(gathered)?;
+        let tenant = factored.map_err(GpuError::from).and_then(|()| {
+            self.charge_dense_kernel("eta_factor", flops::lu(n), gathered as f64, stream);
+            // Account LU + headroom for eta growth (charged as it grows).
+            self.alloc(gathered + n * 8)
+        });
+        self.mem.free(gathered);
+        tenant?;
+        if let Some(r) = self.objects.resident_mut(eta.0) {
+            self.mem.free(std::mem::replace(r.bytes, gathered + n * 8));
+            *r.live = true;
+        }
+        Ok(())
+    }
+
+    /// FTRAN through the eta file: solves `B out = b` with b device-resident.
     pub fn eta_ftran(
         &mut self,
         h: EtaHandle,
         b: VectorHandle,
+        out: VectorHandle,
         stream: StreamId,
-    ) -> Result<VectorHandle> {
-        let file = self.objects.eta(h)?;
-        let rhs = self.objects.vector(b)?;
-        let (n, k) = (file.dim(), file.eta_count());
-        let mut x = self.pool.take(n);
-        file.ftran_into(rhs, &mut x)?;
-        self.charge_dense_kernel(
-            "eta_ftran",
-            flops::lu_solve(n) + flops::eta_apply(k, n),
-            ((n * n + k * n) * 8) as f64,
-            stream,
-        );
-        self.insert_vector(x)
+    ) -> Result<()> {
+        self.write_vector(
+            out,
+            |objects, _, x| {
+                let file = objects.eta(h)?;
+                x.resize(file.dim(), 0.0);
+                file.ftran_into(objects.vector(b)?, x)?;
+                Ok((file.dim(), file.eta_count()))
+            },
+            |dev, (n, k)| {
+                dev.charge_dense_kernel(
+                    "eta_ftran",
+                    flops::lu_solve(n) + flops::eta_apply(k, n),
+                    ((n * n + k * n) * 8) as f64,
+                    stream,
+                )
+            },
+        )
     }
 
-    /// BTRAN through the eta file: solves `Bᵀ y = c`.
+    /// BTRAN through the eta file: solves `Bᵀ out = c`.
     pub fn eta_btran(
         &mut self,
         h: EtaHandle,
         c: VectorHandle,
+        out: VectorHandle,
         stream: StreamId,
-    ) -> Result<VectorHandle> {
-        let file = self.objects.eta(h)?;
-        let rhs = self.objects.vector(c)?;
-        let (n, k) = (file.dim(), file.eta_count());
-        let mut y = self.pool.take(n);
-        self.work.resize(n, 0.0);
-        file.btran_into(rhs, &mut self.work, &mut y)?;
-        self.charge_dense_kernel(
-            "eta_btran",
-            flops::lu_solve(n) + flops::eta_apply(k, n),
-            ((n * n + k * n) * 8) as f64,
-            stream,
-        );
-        self.insert_vector(y)
+    ) -> Result<()> {
+        self.write_vector(
+            out,
+            |objects, work, y| {
+                let file = objects.eta(h)?;
+                y.resize(file.dim(), 0.0);
+                work.resize(file.dim(), 0.0);
+                file.btran_into(objects.vector(c)?, work, y)?;
+                Ok((file.dim(), file.eta_count()))
+            },
+            |dev, (n, k)| {
+                dev.charge_dense_kernel(
+                    "eta_btran",
+                    flops::lu_solve(n) + flops::eta_apply(k, n),
+                    ((n * n + k * n) * 8) as f64,
+                    stream,
+                )
+            },
+        )
     }
 
     /// Applies a basis-exchange rank-1 update: position `leaving_pos` of the
@@ -1153,33 +1317,31 @@ impl GpuDevice {
         alpha: VectorHandle,
         stream: StreamId,
     ) -> Result<()> {
-        let alpha_v = self.objects.vector(alpha)?.clone();
+        let alpha_v = self.objects.vector(alpha)?;
         let n = alpha_v.len();
         let add_bytes = n * 8;
         self.mem.alloc(add_bytes)?;
-        match self.objects.get_mut(h.0) {
-            Some((Obj::Eta(file), bytes)) => match file.update(leaving_pos, alpha_v) {
-                Ok(()) => {
-                    *bytes += add_bytes;
-                }
-                Err(e) => {
-                    self.mem.free(add_bytes);
-                    return Err(GpuError::Linalg(e));
-                }
-            },
-            _ => {
-                self.mem.free(add_bytes);
-                return Err(GpuError::InvalidHandle(h.0));
-            }
+        let updated = match self.objects.resident_with(h.0, alpha.0) {
+            Some((
+                Resident {
+                    obj: Obj::Eta(file),
+                    bytes,
+                    live: &mut true,
+                },
+                Obj::Vector(alpha_v),
+            )) => file
+                .update(leaving_pos, alpha_v)
+                .map(|()| *bytes += add_bytes)
+                .map_err(GpuError::Linalg),
+            _ => Err(GpuError::InvalidHandle(h.0)),
+        };
+        if updated.is_err() {
+            self.mem.free(add_bytes);
         }
+        updated?;
         // A small device-side kernel appends the eta column.
         self.charge_dense_kernel("eta_update", n as f64, add_bytes as f64, stream);
         Ok(())
-    }
-
-    /// Number of eta factors accumulated on a device eta file.
-    pub fn eta_count(&self, h: EtaHandle) -> Result<usize> {
-        Ok(self.objects.eta(h)?.eta_count())
     }
 
     /// Refactorizes the eta file from a device basis matrix, clearing the
@@ -1190,21 +1352,28 @@ impl GpuDevice {
         basis: MatrixHandle,
         stream: StreamId,
     ) -> Result<()> {
-        let m = self.objects.matrix(basis)?;
-        let (n, mbytes) = (m.rows(), m.size_bytes());
-        let fresh = EtaFile::factorize(m)?;
-        match self.objects.get_mut(h.0) {
-            Some((Obj::Eta(file), bytes)) => {
-                *file = fresh;
+        let n = match self.objects.resident_with(h.0, basis.0) {
+            Some((
+                Resident {
+                    obj: Obj::Eta(file),
+                    bytes,
+                    live,
+                },
+                Obj::Matrix(m),
+            )) => {
+                *live = false;
+                file.refactorize(m)?;
+                *live = true;
                 // Shrink accounting back to the base factorization size.
-                let new_bytes = mbytes + n * 8;
+                let new_bytes = m.size_bytes() + m.rows() * 8;
                 if *bytes > new_bytes {
                     self.mem.free(*bytes - new_bytes);
                 }
                 *bytes = new_bytes;
+                m.rows()
             }
             _ => return Err(GpuError::InvalidHandle(h.0)),
-        }
+        };
         self.charge_dense_kernel("eta_refactorize", flops::lu(n), (n * n * 8) as f64, stream);
         Ok(())
     }
@@ -1227,25 +1396,31 @@ impl GpuDevice {
         self.insert_vector(y)
     }
 
-    /// Transposed sparse product `y = Aᵀ x`.
+    /// Transposed sparse product `out = Aᵀ x`.
     pub fn spmv_transposed(
         &mut self,
         a: SparseHandle,
         x: VectorHandle,
+        out: VectorHandle,
         stream: StreamId,
-    ) -> Result<VectorHandle> {
-        let m = self.objects.sparse(a)?;
-        let v = self.objects.vector(x)?;
-        let nnz = m.nnz();
-        let mut y = self.pool.take(m.cols());
-        m.matvec_transposed_into(v, &mut y)?;
-        self.charge_sparse_kernel(
-            "spmv_transposed",
-            flops::spmv(nnz),
-            (nnz * 16) as f64,
-            stream,
-        );
-        self.insert_vector(y)
+    ) -> Result<()> {
+        self.write_vector(
+            out,
+            |objects, _, y| {
+                let m = objects.sparse(a)?;
+                y.resize(m.cols(), 0.0);
+                m.matvec_transposed_into(objects.vector(x)?, y)?;
+                Ok(m.nnz())
+            },
+            |dev, nnz| {
+                dev.charge_sparse_kernel(
+                    "spmv_transposed",
+                    flops::spmv(nnz),
+                    (nnz * 16) as f64,
+                    stream,
+                )
+            },
+        )
     }
 
     /// Sparse LU factorization (GLU-class kernel; charged at the sparse
@@ -1267,7 +1442,7 @@ impl GpuDevice {
             stream,
         );
         let bytes = fill * 16;
-        let id = self.insert(Obj::SparseFactors(f), bytes)?;
+        let id = self.insert(Obj::SparseFactors(Box::new(f)), bytes)?;
         Ok(SparseFactorHandle(id))
     }
 
@@ -1294,36 +1469,41 @@ impl GpuDevice {
 
     // ---- sparse-path kernels (Section 5.4's second code path) ----
 
-    /// Extracts column `j` of a device CSR matrix into a dense device
-    /// vector (sparse gather kernel; no host transfer).
+    /// Extracts column `j` of a device CSR matrix into resident dense
+    /// vector `out` (sparse gather kernel; no host transfer).
     pub fn extract_column_sparse(
         &mut self,
         a: SparseHandle,
         j: usize,
+        out: VectorHandle,
         stream: StreamId,
-    ) -> Result<VectorHandle> {
-        let m = self.objects.sparse(a)?;
-        if j >= m.cols() {
-            return Err(GpuError::Linalg(LinalgError::OutOfBounds {
-                index: j,
-                bound: m.cols(),
-            }));
-        }
-        let mut col = self.pool.take(m.rows());
-        for (i, c) in col.iter_mut().enumerate() {
-            *c = m.get(i, j);
-        }
-        let bytes = col.len() * 8;
-        self.charge_sparse_kernel(
-            "extract_column_sparse",
-            col.len() as f64,
-            (2 * bytes) as f64,
-            stream,
-        );
-        self.insert_vector(col)
+    ) -> Result<()> {
+        self.write_vector(
+            out,
+            |objects, _, col| {
+                let m = objects.sparse(a)?;
+                if j >= m.cols() {
+                    return Err(GpuError::Linalg(LinalgError::OutOfBounds {
+                        index: j,
+                        bound: m.cols(),
+                    }));
+                }
+                col.clear();
+                col.extend((0..m.rows()).map(|i| m.get(i, j)));
+                Ok(col.len())
+            },
+            |dev, rows| {
+                dev.charge_sparse_kernel(
+                    "extract_column_sparse",
+                    rows as f64,
+                    (2 * rows * 8) as f64,
+                    stream,
+                )
+            },
+        )
     }
 
-    /// Fused sparse pricing kernel: reduced costs `d = c − Aᵀ y` with `A`
+    /// Fused sparse pricing kernel: reduced costs `out = c − Aᵀ y` with `A`
     /// in CSR — the sparse path's analogue of [`Self::pricing`], charged at
     /// sparse throughput over `nnz` instead of dense throughput over `m·n`.
     pub fn pricing_sparse(
@@ -1331,77 +1511,109 @@ impl GpuDevice {
         a: SparseHandle,
         y: VectorHandle,
         c: VectorHandle,
+        out: VectorHandle,
         stream: StreamId,
-    ) -> Result<VectorHandle> {
-        let m = self.objects.sparse(a)?;
-        let yv = self.objects.vector(y)?;
-        let cv = self.objects.vector(c)?;
-        let nnz = m.nnz();
-        let mut d = self.pool.take(m.cols());
-        m.matvec_transposed_into(yv, &mut d)?;
-        if cv.len() != d.len() {
-            return Err(GpuError::Linalg(LinalgError::DimensionMismatch {
-                context: format!("pricing_sparse: c {} vs AtY {}", cv.len(), d.len()),
-            }));
-        }
-        for (di, ci) in d.iter_mut().zip(cv.iter()) {
-            *di = ci - *di;
-        }
-        self.charge_sparse_kernel(
-            "pricing_sparse",
-            flops::spmv(nnz) + d.len() as f64,
-            (nnz * 16) as f64,
-            stream,
-        );
-        self.insert_vector(d)
+    ) -> Result<()> {
+        self.write_vector(
+            out,
+            |objects, _, d| {
+                let m = objects.sparse(a)?;
+                let cv = objects.vector(c)?;
+                d.resize(m.cols(), 0.0);
+                m.matvec_transposed_into(objects.vector(y)?, d)?;
+                if cv.len() != d.len() {
+                    return Err(GpuError::Linalg(LinalgError::DimensionMismatch {
+                        context: format!("pricing_sparse: c {} vs AtY {}", cv.len(), d.len()),
+                    }));
+                }
+                for (di, ci) in d.iter_mut().zip(cv.iter()) {
+                    *di = ci - *di;
+                }
+                Ok((m.nnz(), d.len()))
+            },
+            |dev, (nnz, cols)| {
+                dev.charge_sparse_kernel(
+                    "pricing_sparse",
+                    flops::spmv(nnz) + cols as f64,
+                    (nnz * 16) as f64,
+                    stream,
+                )
+            },
+        )
     }
 
-    /// Fused sparse residual kernel `r = b − A x` (CSR).
+    /// Fused sparse residual kernel `out = b − A x` (CSR).
     pub fn residual_sparse(
         &mut self,
         b: VectorHandle,
         a: SparseHandle,
         x: VectorHandle,
+        out: VectorHandle,
         stream: StreamId,
-    ) -> Result<VectorHandle> {
-        let m = self.objects.sparse(a)?;
-        let xv = self.objects.vector(x)?;
-        let bv = self.objects.vector(b)?;
-        let nnz = m.nnz();
-        let mut r = self.pool.take(m.rows());
-        m.matvec_into(xv, &mut r)?;
-        if bv.len() != r.len() {
-            return Err(GpuError::Linalg(LinalgError::DimensionMismatch {
-                context: format!("residual_sparse: b {} vs Ax {}", bv.len(), r.len()),
-            }));
-        }
-        for (ri, bi) in r.iter_mut().zip(bv.iter()) {
-            *ri = bi - *ri;
-        }
-        self.charge_sparse_kernel(
-            "residual_sparse",
-            flops::spmv(nnz) + r.len() as f64,
-            (nnz * 16) as f64,
-            stream,
-        );
-        self.insert_vector(r)
+    ) -> Result<()> {
+        self.write_vector(
+            out,
+            |objects, _, r| {
+                let m = objects.sparse(a)?;
+                let bv = objects.vector(b)?;
+                r.resize(m.rows(), 0.0);
+                m.matvec_into(objects.vector(x)?, r)?;
+                if bv.len() != r.len() {
+                    return Err(GpuError::Linalg(LinalgError::DimensionMismatch {
+                        context: format!("residual_sparse: b {} vs Ax {}", bv.len(), r.len()),
+                    }));
+                }
+                for (ri, bi) in r.iter_mut().zip(bv.iter()) {
+                    *ri = bi - *ri;
+                }
+                Ok((m.nnz(), r.len()))
+            },
+            |dev, (nnz, rows)| {
+                dev.charge_sparse_kernel(
+                    "residual_sparse",
+                    flops::spmv(nnz) + rows as f64,
+                    (nnz * 16) as f64,
+                    stream,
+                )
+            },
+        )
+    }
+
+    /// Creates a resident sparse eta file with no tenant, for
+    /// [`sparse_eta_factor`](Self::sparse_eta_factor) to factorize into.
+    pub fn vacant_sparse_eta(&mut self) -> SparseEtaHandle {
+        SparseEtaHandle(
+            self.objects
+                .insert(Obj::SparseEta(Box::default()), 0, false),
+        )
     }
 
     /// Gathers basis columns from a CSR matrix and sparse-LU-factorizes
-    /// them, producing a sparse eta file (the sparse path's basis install:
-    /// gather + GLU-class factorization in one fused device operation).
+    /// them into resident sparse eta file `eta`, whose previous factors and
+    /// eta updates are dropped (the sparse path's basis install: gather +
+    /// GLU-class factorization in one fused device operation).
     pub fn sparse_eta_factor(
         &mut self,
         a: SparseHandle,
         cols: &[usize],
+        eta: SparseEtaHandle,
         stream: StreamId,
-    ) -> Result<SparseEtaHandle> {
-        let file = {
-            let m = self.objects.sparse(a)?;
-            let basis = m.to_csc().select_columns(cols)?;
-            SparseEtaFile::factorize(&basis)?
+    ) -> Result<()> {
+        let fill = match self.objects.resident_with(eta.0, a.0) {
+            Some((
+                Resident {
+                    obj: Obj::SparseEta(file),
+                    live,
+                    ..
+                },
+                Obj::Sparse(m),
+            )) => {
+                *live = false;
+                file.refactorize(&m.to_csc().select_columns(cols)?)?;
+                file.fill_nnz()
+            }
+            _ => return Err(GpuError::InvalidHandle(eta.0)),
         };
-        let fill = file.fill_nnz();
         // Gather traffic + factorization work, all at sparse throughput.
         self.charge_sparse_kernel(
             "sparse_eta_factor",
@@ -1409,9 +1621,13 @@ impl GpuDevice {
             (fill * 16) as f64,
             stream,
         );
-        let bytes = fill * 16 + cols.len() * 8;
-        let id = self.insert(Obj::SparseEta(file), bytes)?;
-        Ok(SparseEtaHandle(id))
+        let tenant = fill * 16 + cols.len() * 8;
+        self.alloc(tenant)?;
+        if let Some(r) = self.objects.resident_mut(eta.0) {
+            self.mem.free(std::mem::replace(r.bytes, tenant));
+            *r.live = true;
+        }
+        Ok(())
     }
 
     /// FTRAN through a sparse eta file.
@@ -1419,20 +1635,26 @@ impl GpuDevice {
         &mut self,
         h: SparseEtaHandle,
         b: VectorHandle,
+        out: VectorHandle,
         stream: StreamId,
-    ) -> Result<VectorHandle> {
-        let file = self.objects.sparse_eta(h)?;
-        let rhs = self.objects.vector(b)?;
-        let (n, k, fill) = (file.dim(), file.eta_count(), file.fill_nnz());
-        let mut x = self.pool.take(n);
-        file.ftran_into(rhs, &mut x)?;
-        self.charge_sparse_kernel(
-            "sparse_eta_ftran",
-            flops::spmv(fill) + flops::eta_apply(k, n),
-            (fill * 16 + k * n * 8) as f64,
-            stream,
-        );
-        self.insert_vector(x)
+    ) -> Result<()> {
+        self.write_vector(
+            out,
+            |objects, _, x| {
+                let file = objects.sparse_eta(h)?;
+                x.resize(file.dim(), 0.0);
+                file.ftran_into(objects.vector(b)?, x)?;
+                Ok((file.dim(), file.eta_count(), file.fill_nnz()))
+            },
+            |dev, (n, k, fill)| {
+                dev.charge_sparse_kernel(
+                    "sparse_eta_ftran",
+                    flops::spmv(fill) + flops::eta_apply(k, n),
+                    (fill * 16 + k * n * 8) as f64,
+                    stream,
+                )
+            },
+        )
     }
 
     /// BTRAN through a sparse eta file.
@@ -1440,21 +1662,27 @@ impl GpuDevice {
         &mut self,
         h: SparseEtaHandle,
         c: VectorHandle,
+        out: VectorHandle,
         stream: StreamId,
-    ) -> Result<VectorHandle> {
-        let file = self.objects.sparse_eta(h)?;
-        let rhs = self.objects.vector(c)?;
-        let (n, k, fill) = (file.dim(), file.eta_count(), file.fill_nnz());
-        let mut y = self.pool.take(n);
-        self.work.resize(n, 0.0);
-        file.btran_into(rhs, &mut self.work, &mut y)?;
-        self.charge_sparse_kernel(
-            "sparse_eta_btran",
-            flops::spmv(fill) + flops::eta_apply(k, n),
-            (fill * 16 + k * n * 8) as f64,
-            stream,
-        );
-        self.insert_vector(y)
+    ) -> Result<()> {
+        self.write_vector(
+            out,
+            |objects, work, y| {
+                let file = objects.sparse_eta(h)?;
+                y.resize(file.dim(), 0.0);
+                work.resize(file.dim(), 0.0);
+                file.btran_into(objects.vector(c)?, work, y)?;
+                Ok((file.dim(), file.eta_count(), file.fill_nnz()))
+            },
+            |dev, (n, k, fill)| {
+                dev.charge_sparse_kernel(
+                    "sparse_eta_btran",
+                    flops::spmv(fill) + flops::eta_apply(k, n),
+                    (fill * 16 + k * n * 8) as f64,
+                    stream,
+                )
+            },
+        )
     }
 
     /// Rank-1 basis update on a sparse eta file (no host transfer).
@@ -1465,37 +1693,30 @@ impl GpuDevice {
         alpha: VectorHandle,
         stream: StreamId,
     ) -> Result<()> {
-        let alpha_v = self.objects.vector(alpha)?.clone();
+        let alpha_v = self.objects.vector(alpha)?;
         let n = alpha_v.len();
         let add_bytes = n * 8;
         self.mem.alloc(add_bytes)?;
-        match self.objects.get_mut(h.0) {
-            Some((Obj::SparseEta(file), bytes)) => match file.update(leaving_pos, alpha_v) {
-                Ok(()) => {
-                    *bytes += add_bytes;
-                }
-                Err(e) => {
-                    self.mem.free(add_bytes);
-                    return Err(GpuError::Linalg(e));
-                }
-            },
-            _ => {
-                self.mem.free(add_bytes);
-                return Err(GpuError::InvalidHandle(h.0));
-            }
+        let updated = match self.objects.resident_with(h.0, alpha.0) {
+            Some((
+                Resident {
+                    obj: Obj::SparseEta(file),
+                    bytes,
+                    live: &mut true,
+                },
+                Obj::Vector(alpha_v),
+            )) => file
+                .update(leaving_pos, alpha_v)
+                .map(|()| *bytes += add_bytes)
+                .map_err(GpuError::Linalg),
+            _ => Err(GpuError::InvalidHandle(h.0)),
+        };
+        if updated.is_err() {
+            self.mem.free(add_bytes);
         }
+        updated?;
         self.charge_dense_kernel("sparse_eta_update", n as f64, add_bytes as f64, stream);
         Ok(())
-    }
-
-    /// Eta count of a sparse eta file.
-    pub fn sparse_eta_count(&self, h: SparseEtaHandle) -> Result<usize> {
-        Ok(self.objects.sparse_eta(h)?.eta_count())
-    }
-
-    /// Frees a sparse eta handle.
-    pub fn free_sparse_eta(&mut self, h: SparseEtaHandle) -> Result<()> {
-        self.free(h.0)
     }
 
     /// Appends a cut row to a device CSR matrix, growing the column count
@@ -1794,7 +2015,9 @@ mod tests {
             Err(GpuError::InvalidHandle(m.0))
         );
         assert!(dev.lu_solve(FactorHandle(m.0), v, DEFAULT_STREAM).is_err());
-        assert!(dev.eta_count(EtaHandle(v.0)).is_err());
+        assert!(dev
+            .eta_update(EtaHandle(v.0), 0, v, DEFAULT_STREAM)
+            .is_err());
         assert!(dev
             .append_row(MatrixHandle(v.0), &[1.0], DEFAULT_STREAM)
             .is_err());
@@ -1819,9 +2042,9 @@ mod tests {
         assert_eq!(dev.memory().used(), 40 * 8);
         dev.free_vector(a).unwrap();
         assert_eq!(dev.pool_retained_bytes(), 32 * 8);
-        // The product lands in the recycled 32-element buffer but is
-        // modelled — and zero-initialised — as the 8-element vector it is.
-        let c = dev.vec_mul(b, b, DEFAULT_STREAM).unwrap();
+        // The copy lands in the recycled 32-element buffer but is modelled
+        // as the 8-element vector it is.
+        let c = dev.upload_vector(&[4.0; 8], DEFAULT_STREAM).unwrap();
         assert_eq!(dev.pool_retained_bytes(), 0);
         assert_eq!(dev.memory().used(), 16 * 8);
         assert_eq!(dev.memory().peak(), 40 * 8);
@@ -1830,13 +2053,80 @@ mod tests {
             dev.download_vector(c, DEFAULT_STREAM).unwrap(),
             vec![4.0; 8]
         );
-        let e = dev.alloc_unit_vector(8, 2, DEFAULT_STREAM).unwrap();
-        dev.free_vector(c).unwrap();
-        let e2 = dev.alloc_unit_vector(8, 5, DEFAULT_STREAM).unwrap();
-        let mut want = vec![0.0; 8];
-        want[5] = 1.0;
-        assert_eq!(dev.download_vector(e2, DEFAULT_STREAM).unwrap(), want);
-        assert_ne!(e, e2);
+        dev.free_vector(b).unwrap();
+        assert_eq!(dev.pool_retained_bytes(), 8 * 8);
+    }
+
+    #[test]
+    fn re_tenanting_is_an_allocation_then_a_release_and_creates_nothing() {
+        let mut dev = small_gpu();
+        let x = dev
+            .upload_vector(&[1.0, -2.0, 3.0], DEFAULT_STREAM)
+            .unwrap();
+        let out = dev.vacant_vector();
+        let created = dev.objects_created();
+        // Vacant: no modelled byte, no readable tenant, not an allocation.
+        assert_eq!(dev.memory().used(), 24);
+        assert_eq!(dev.memory().allocation_count(), 1);
+        assert!(dev.vec_get(out, 0, DEFAULT_STREAM).is_err());
+        assert!(dev.vec_mul(out, x, out, DEFAULT_STREAM).is_err());
+
+        // A result moves in: the ledger sees a 24-byte object appear.
+        dev.vec_mul(x, x, out, DEFAULT_STREAM).unwrap();
+        assert_eq!(dev.memory().used(), 48);
+        assert_eq!(dev.memory().allocation_count(), 2);
+        assert_eq!(dev.vec_get(out, 1, DEFAULT_STREAM).unwrap(), 4.0);
+        // Superseded in place: the new tenant is allocated *before* the old
+        // one is released, as when a kernel result replaced an object the
+        // engine still held — 72 bytes for a moment, 56 after.
+        dev.alloc_unit_vector(4, 3, out, DEFAULT_STREAM).unwrap();
+        assert_eq!(dev.memory().used(), 24 + 32);
+        assert_eq!(dev.memory().peak(), 24 + 24 + 32);
+        assert_eq!(
+            dev.metrics().gauge(gmip_trace::names::GPU_MEM_PEAK_BYTES),
+            80.0
+        );
+        assert_eq!(dev.memory().allocation_count(), 3);
+        assert_eq!(
+            dev.download_vector(out, DEFAULT_STREAM).unwrap(),
+            vec![0.0, 0.0, 0.0, 1.0]
+        );
+
+        // Vacated: bytes back, reads refused, handle and storage kept.
+        dev.vacate(out).unwrap();
+        dev.vacate(out).unwrap();
+        assert_eq!(dev.memory().used(), 24);
+        assert!(dev.download_vector(out, DEFAULT_STREAM).is_err());
+        // An output may not double as an input of the kernel writing it,
+        // and a failed kernel leaves it unreadable but still accounted for.
+        dev.upload_into(out, &[5.0, 6.0, 7.0], DEFAULT_STREAM)
+            .unwrap();
+        assert!(dev.vec_mul(out, x, out, DEFAULT_STREAM).is_err());
+        assert!(dev.vec_get(out, 0, DEFAULT_STREAM).is_err());
+        assert_eq!(dev.memory().used(), 48);
+        dev.vec_mul(x, x, out, DEFAULT_STREAM).unwrap();
+        assert_eq!(dev.memory().used(), 48);
+
+        // A tenant that does not fit: the result is not readable, the
+        // previous tenant's bytes stay accounted for.
+        let mut tiny = GpuDevice::new(DeviceConfig {
+            cost: CostModel::gpu_pcie(),
+            mem_capacity: 40,
+            streams: 1,
+        });
+        let y = tiny.upload_vector(&[1.0, 2.0], DEFAULT_STREAM).unwrap();
+        let slot = tiny.vacant_vector();
+        tiny.vec_mul(y, y, slot, DEFAULT_STREAM).unwrap();
+        assert!(matches!(
+            tiny.vec_mul(y, y, slot, DEFAULT_STREAM),
+            Err(GpuError::Oom(_))
+        ));
+        assert_eq!(tiny.memory().used(), 32);
+        assert!(tiny.vec_get(slot, 0, DEFAULT_STREAM).is_err());
+
+        assert_eq!(dev.objects_created(), created);
+        dev.free_vector(out).unwrap();
+        assert_eq!(dev.memory().used(), 24);
     }
 
     #[test]
@@ -1858,28 +2148,14 @@ mod tests {
     }
 
     #[test]
-    fn gather_columns_builds_basis_without_transfer() {
-        let mut dev = small_gpu();
-        let a = test_matrix();
-        let ah = dev.upload_matrix(&a, DEFAULT_STREAM).unwrap();
-        let transfers_before = dev.stats().total_transfers();
-        let b = dev.gather_columns(ah, &[2, 0], DEFAULT_STREAM).unwrap();
-        assert_eq!(dev.stats().total_transfers(), transfers_before);
-        let bm = resident(&dev, b).unwrap();
-        assert_eq!(bm.cols(), 2);
-        assert_eq!(bm.get(0, 0), 1.0); // col 2 of A
-        assert_eq!(bm.get(0, 1), 2.0); // col 0 of A
-        assert!(dev.gather_columns(ah, &[99], DEFAULT_STREAM).is_err());
-    }
-
-    #[test]
     fn pricing_and_argmin() {
         let mut dev = small_gpu();
         let a = DenseMatrix::from_rows(&[vec![1.0, 0.0, 2.0], vec![0.0, 1.0, 1.0]]).unwrap();
         let ah = dev.upload_matrix(&a, DEFAULT_STREAM).unwrap();
         let y = dev.upload_vector(&[1.0, 1.0], DEFAULT_STREAM).unwrap();
         let c = dev.upload_vector(&[3.0, 0.5, 4.0], DEFAULT_STREAM).unwrap();
-        let d = dev.pricing(ah, y, c, DEFAULT_STREAM).unwrap();
+        let d = dev.vacant_vector();
+        dev.pricing(ah, y, c, d, DEFAULT_STREAM).unwrap();
         // d = c - At y = [3-1, 0.5-1, 4-3] = [2, -0.5, 1]
         let dv = dev.download_vector(d, DEFAULT_STREAM).unwrap();
         assert_eq!(dv, vec![2.0, -0.5, 1.0]);
@@ -1902,20 +2178,37 @@ mod tests {
             .is_none());
     }
 
+    /// Eta factors on a resident file, read without charging anything.
+    fn eta_count(dev: &GpuDevice, h: EtaHandle) -> usize {
+        dev.objects.eta(h).unwrap().eta_count()
+    }
+
     #[test]
     fn eta_workflow_on_device() {
         let mut dev = small_gpu();
-        let b0 = DenseMatrix::identity(3);
-        let bh = dev.upload_matrix(&b0, DEFAULT_STREAM).unwrap();
-        let eta = dev.eta_factor(bh, DEFAULT_STREAM).unwrap();
+        // The basis is columns [3, 1, 2] of A = [e0 | e1 | e2 | e0]: I(3),
+        // gathered and factorized without a transfer.
+        let mut a = DenseMatrix::identity(3);
+        a.push_col(&[1.0, 0.0, 0.0]).unwrap();
+        let ah = dev.upload_matrix(&a, DEFAULT_STREAM).unwrap();
+        let (eta, alpha, x) = (dev.vacant_eta(), dev.vacant_vector(), dev.vacant_vector());
         let col = dev.upload_vector(&[2.0, 1.0, 0.0], DEFAULT_STREAM).unwrap();
-        let alpha = dev.eta_ftran(eta, col, DEFAULT_STREAM).unwrap();
+        assert!(dev.eta_ftran(eta, col, alpha, DEFAULT_STREAM).is_err());
+        let (transfers, used) = (dev.stats().total_transfers(), dev.memory().used());
+        dev.eta_factor(ah, &[3, 1, 2], eta, DEFAULT_STREAM).unwrap();
+        assert_eq!(dev.stats().total_transfers(), transfers);
+        // The gathered 3x3 block is gone again; LU + permutation stay.
+        assert_eq!(dev.memory().used(), used + 72 + 24);
+        assert_eq!(dev.memory().peak(), used + 72 + 72 + 24);
+        assert!(dev
+            .eta_factor(ah, &[99, 1, 2], eta, DEFAULT_STREAM)
+            .is_err());
+        dev.eta_ftran(eta, col, alpha, DEFAULT_STREAM).unwrap();
         dev.eta_update(eta, 0, alpha, DEFAULT_STREAM).unwrap();
-        assert_eq!(dev.eta_count(eta).unwrap(), 1);
+        assert_eq!(eta_count(&dev, eta), 1);
         // Solve B x = [2,1,0] where B has column 0 replaced by [2,1,0]:
         // x should be e0.
-        let rhs = dev.upload_vector(&[2.0, 1.0, 0.0], DEFAULT_STREAM).unwrap();
-        let x = dev.eta_ftran(eta, rhs, DEFAULT_STREAM).unwrap();
+        dev.eta_ftran(eta, col, x, DEFAULT_STREAM).unwrap();
         let xv = dev.download_vector(x, DEFAULT_STREAM).unwrap();
         assert!((xv[0] - 1.0).abs() < 1e-9);
         assert!(xv[1].abs() < 1e-9);
@@ -1925,7 +2218,28 @@ mod tests {
         b1.set(1, 0, 1.0);
         let b1h = dev.upload_matrix(&b1, DEFAULT_STREAM).unwrap();
         dev.eta_refactorize(eta, b1h, DEFAULT_STREAM).unwrap();
-        assert_eq!(dev.eta_count(eta).unwrap(), 0);
+        assert_eq!(eta_count(&dev, eta), 0);
+
+        // A singular basis (column 0 twice) strands nothing: the gathered
+        // block is released, the file answers no solve, and the next good
+        // factorization lands on the bytes of the first.
+        dev.vacate(eta).unwrap();
+        let vacated = dev.memory().used();
+        for _ in 0..3 {
+            assert!(matches!(
+                dev.eta_factor(ah, &[0, 3, 2], eta, DEFAULT_STREAM),
+                Err(GpuError::Linalg(LinalgError::Singular { .. }))
+            ));
+            assert_eq!(dev.memory().used(), vacated);
+            assert!(dev.eta_ftran(eta, col, x, DEFAULT_STREAM).is_err());
+        }
+        dev.eta_factor(ah, &[0, 1, 2], eta, DEFAULT_STREAM).unwrap();
+        assert_eq!(dev.memory().used(), vacated + 72 + 24);
+        dev.eta_ftran(eta, col, x, DEFAULT_STREAM).unwrap();
+        assert_eq!(
+            dev.download_vector(x, DEFAULT_STREAM).unwrap(),
+            vec![2.0, 1.0, 0.0]
+        );
     }
 
     #[test]
@@ -2055,19 +2369,23 @@ mod tests {
         let ah = dev.upload_sparse(&a, DEFAULT_STREAM).unwrap();
 
         // Column extraction.
-        let c2 = dev.extract_column_sparse(ah, 2, DEFAULT_STREAM).unwrap();
+        let [c2, dvec, r, z, w, alpha] = [(); 6].map(|()| dev.vacant_vector());
+        dev.extract_column_sparse(ah, 2, c2, DEFAULT_STREAM)
+            .unwrap();
         assert_eq!(
             dev.download_vector(c2, DEFAULT_STREAM).unwrap(),
             vec![-1.0, 0.0, 3.0]
         );
-        assert!(dev.extract_column_sparse(ah, 9, DEFAULT_STREAM).is_err());
+        assert!(dev
+            .extract_column_sparse(ah, 9, c2, DEFAULT_STREAM)
+            .is_err());
 
         // Sparse pricing: d = c - At y.
         let y = dev.upload_vector(&[1.0, 1.0, 1.0], DEFAULT_STREAM).unwrap();
         let c = dev
             .upload_vector(&[5.0, 6.0, 3.0, 2.0], DEFAULT_STREAM)
             .unwrap();
-        let dvec = dev.pricing_sparse(ah, y, c, DEFAULT_STREAM).unwrap();
+        dev.pricing_sparse(ah, y, c, dvec, DEFAULT_STREAM).unwrap();
         assert_eq!(
             dev.download_vector(dvec, DEFAULT_STREAM).unwrap(),
             vec![2.0, 1.0, 1.0, 1.0]
@@ -2078,27 +2396,29 @@ mod tests {
             .upload_vector(&[1.0, 0.0, 0.0, 0.0], DEFAULT_STREAM)
             .unwrap();
         let b = dev.upload_vector(&[5.0, 5.0, 5.0], DEFAULT_STREAM).unwrap();
-        let r = dev.residual_sparse(b, ah, x, DEFAULT_STREAM).unwrap();
+        dev.residual_sparse(b, ah, x, r, DEFAULT_STREAM).unwrap();
         assert_eq!(
             dev.download_vector(r, DEFAULT_STREAM).unwrap(),
             vec![1.0, 5.0, 6.0]
         );
 
         // Basis gather + sparse eta factorization over cols [0,1,2].
-        let eta = dev
-            .sparse_eta_factor(ah, &[0, 1, 2], DEFAULT_STREAM)
+        let eta = dev.vacant_sparse_eta();
+        let eta_count = |dev: &GpuDevice| dev.objects.sparse_eta(eta).map(|file| file.eta_count());
+        assert!(eta_count(&dev).is_err());
+        dev.sparse_eta_factor(ah, &[0, 1, 2], eta, DEFAULT_STREAM)
             .unwrap();
-        assert_eq!(dev.sparse_eta_count(eta).unwrap(), 0);
+        assert_eq!(eta_count(&dev), Ok(0));
         // Solve B z = col 0 of A -> z = e0.
         let rhs = dev
             .upload_vector(&[4.0, 0.0, -1.0], DEFAULT_STREAM)
             .unwrap();
-        let z = dev.sparse_eta_ftran(eta, rhs, DEFAULT_STREAM).unwrap();
+        dev.sparse_eta_ftran(eta, rhs, z, DEFAULT_STREAM).unwrap();
         let zv = dev.download_vector(z, DEFAULT_STREAM).unwrap();
         assert!((zv[0] - 1.0).abs() < 1e-9 && zv[1].abs() < 1e-9 && zv[2].abs() < 1e-9);
         // BTRAN against e1: check Bt w = e1.
-        let e1 = dev.alloc_unit_vector(3, 1, DEFAULT_STREAM).unwrap();
-        let w = dev.sparse_eta_btran(eta, e1, DEFAULT_STREAM).unwrap();
+        let e1 = dev.upload_vector(&[0.0, 1.0, 0.0], DEFAULT_STREAM).unwrap();
+        dev.sparse_eta_btran(eta, e1, w, DEFAULT_STREAM).unwrap();
         let wv = dev.download_vector(w, DEFAULT_STREAM).unwrap();
         let bt = DenseMatrix::from_rows(&[
             vec![4.0, 0.0, -1.0],
@@ -2111,11 +2431,22 @@ mod tests {
         assert!((btw[1] - 1.0).abs() < 1e-9 && btw[0].abs() < 1e-9);
 
         // Update: replace basis position 2 with column 3 of A (= e0).
-        let col3 = dev.extract_column_sparse(ah, 3, DEFAULT_STREAM).unwrap();
-        let alpha = dev.sparse_eta_ftran(eta, col3, DEFAULT_STREAM).unwrap();
+        dev.extract_column_sparse(ah, 3, c2, DEFAULT_STREAM)
+            .unwrap();
+        dev.sparse_eta_ftran(eta, c2, alpha, DEFAULT_STREAM)
+            .unwrap();
         dev.sparse_eta_update(eta, 2, alpha, DEFAULT_STREAM)
             .unwrap();
-        assert_eq!(dev.sparse_eta_count(eta).unwrap(), 1);
+        assert_eq!(eta_count(&dev), Ok(1));
+        // A singular gather (column 1 twice) leaves no factors to solve
+        // with and strands no byte.
+        dev.vacate(eta).unwrap();
+        let vacated = dev.memory().used();
+        assert!(dev
+            .sparse_eta_factor(ah, &[1, 1, 2], eta, DEFAULT_STREAM)
+            .is_err());
+        assert_eq!(dev.memory().used(), vacated);
+        assert!(dev.sparse_eta_ftran(eta, rhs, z, DEFAULT_STREAM).is_err());
 
         // Cut append: row over cols 0..4 plus new slack col 4.
         dev.append_row_sparse(ah, &[(0, 1.0), (4, 1.0)], 5, DEFAULT_STREAM)
@@ -2125,7 +2456,7 @@ mod tests {
         assert_eq!(m.cols(), 5);
         assert_eq!(m.get(3, 4), 1.0);
 
-        dev.free_sparse_eta(eta).unwrap();
+        dev.free(eta).unwrap();
     }
 
     #[test]
@@ -2158,13 +2489,14 @@ mod tests {
         let ah = dev.upload_matrix(&a, DEFAULT_STREAM).unwrap();
         // Column extraction needs no transfer.
         let transfers = dev.stats().total_transfers();
-        let c1 = dev.extract_column(ah, 1, DEFAULT_STREAM).unwrap();
+        let (c1, r) = (dev.vacant_vector(), dev.vacant_vector());
+        dev.extract_column(ah, 1, c1, DEFAULT_STREAM).unwrap();
         assert_eq!(dev.stats().total_transfers(), transfers);
         assert_eq!(
             dev.download_vector(c1, DEFAULT_STREAM).unwrap(),
             vec![1.0, -6.0, 7.0]
         );
-        assert!(dev.extract_column(ah, 9, DEFAULT_STREAM).is_err());
+        assert!(dev.extract_column(ah, 9, c1, DEFAULT_STREAM).is_err());
 
         dev.append_column(ah, &[1.0, 0.0, 0.0], DEFAULT_STREAM)
             .unwrap();
@@ -2177,7 +2509,7 @@ mod tests {
             .upload_vector(&[0.0, 0.0, 0.0, 1.0], DEFAULT_STREAM)
             .unwrap();
         let b = dev.upload_vector(&[5.0, 5.0, 5.0], DEFAULT_STREAM).unwrap();
-        let r = dev.residual(b, ah, x, DEFAULT_STREAM).unwrap();
+        dev.residual(b, ah, x, r, DEFAULT_STREAM).unwrap();
         assert_eq!(
             dev.download_vector(r, DEFAULT_STREAM).unwrap(),
             vec![4.0, 5.0, 5.0]
@@ -2191,22 +2523,23 @@ mod tests {
             .upload_vector(&[1.0, -2.0, 3.0], DEFAULT_STREAM)
             .unwrap();
         let b = dev.upload_vector(&[2.0, 2.0, 0.0], DEFAULT_STREAM).unwrap();
-        let c = dev.vec_mul(a, b, DEFAULT_STREAM).unwrap();
+        let (c, e) = (dev.vacant_vector(), dev.vacant_vector());
+        dev.vec_mul(a, b, c, DEFAULT_STREAM).unwrap();
         assert_eq!(
             dev.download_vector(c, DEFAULT_STREAM).unwrap(),
             vec![2.0, -4.0, 0.0]
         );
         let short = dev.upload_vector(&[1.0], DEFAULT_STREAM).unwrap();
-        assert!(dev.vec_mul(a, short, DEFAULT_STREAM).is_err());
+        assert!(dev.vec_mul(a, short, c, DEFAULT_STREAM).is_err());
 
         let transfers_before = dev.stats().h2d_transfers;
-        let e = dev.alloc_unit_vector(4, 2, DEFAULT_STREAM).unwrap();
+        dev.alloc_unit_vector(4, 2, e, DEFAULT_STREAM).unwrap();
         assert_eq!(dev.stats().h2d_transfers, transfers_before);
         assert_eq!(
             dev.download_vector(e, DEFAULT_STREAM).unwrap(),
             vec![0.0, 0.0, 1.0, 0.0]
         );
-        assert!(dev.alloc_unit_vector(4, 9, DEFAULT_STREAM).is_err());
+        assert!(dev.alloc_unit_vector(4, 9, e, DEFAULT_STREAM).is_err());
     }
 
     #[test]

@@ -13,6 +13,12 @@
 //! vectors. Recycling is a host-side economy only: modelled device bytes
 //! are [`DeviceMemory`](crate::memory::DeviceMemory)'s business and are
 //! charged per object exactly as if every buffer were fresh.
+//!
+//! So is residency. A slot can outlive its *tenant*: a vacated object keeps
+//! its slot, its handle and its host storage but owns no modelled byte and
+//! answers no read, until a kernel writes it again and its result moves in
+//! (`detach` / `attach`, [`Resident`]). To `DeviceMemory` a re-tenanted
+//! slot is a freed object and a new one; on the host nothing was created.
 
 use crate::device::{
     EtaHandle, FactorHandle, GpuError, MatrixHandle, Result, SparseEtaHandle, SparseFactorHandle,
@@ -20,16 +26,18 @@ use crate::device::{
 };
 use gmip_linalg::{CsrMatrix, DenseMatrix, EtaFile, LuFactors, SparseEtaFile, SparseLu};
 
-/// Payload of one device object.
+/// Payload of one device object. The wide payloads are boxed: a slot is
+/// sized by the widest variant, and an engine keeps some twenty slots —
+/// mostly vectors — for life.
 #[derive(Debug)]
 pub(crate) enum Obj {
     Matrix(DenseMatrix),
     Vector(Vec<f64>),
-    Factors(LuFactors),
-    Sparse(CsrMatrix),
-    SparseFactors(SparseLu),
-    Eta(EtaFile),
-    SparseEta(SparseEtaFile),
+    Factors(Box<LuFactors>),
+    Sparse(Box<CsrMatrix>),
+    SparseFactors(Box<SparseLu>),
+    Eta(Box<EtaFile>),
+    SparseEta(Box<SparseEtaFile>),
     Raw,
 }
 
@@ -37,9 +45,21 @@ pub(crate) enum Obj {
 struct Slot {
     /// Bumped on every free, so handles to earlier tenants stop matching.
     generation: u32,
-    /// Modelled device bytes of the current tenant.
+    /// Whether the payload is a tenant kernels may read; a vacated or
+    /// half-written resident object is not.
+    live: bool,
+    /// Modelled device bytes the slot still accounts for.
     bytes: usize,
     obj: Option<Obj>,
+}
+
+/// A resident object as the kernel that re-tenants it sees it: the storage
+/// whether or not a tenant is live, and the two fields that say so.
+#[derive(Debug)]
+pub(crate) struct Resident<'a> {
+    pub(crate) obj: &'a mut Obj,
+    pub(crate) bytes: &'a mut usize,
+    pub(crate) live: &'a mut bool,
 }
 
 /// Slab of live device objects, addressed by generation-tagged handles.
@@ -47,6 +67,7 @@ struct Slot {
 pub(crate) struct ObjectTable {
     slots: Vec<Slot>,
     free: Vec<u32>,
+    created: u64,
 }
 
 const INDEX_BITS: u32 = 32;
@@ -59,8 +80,9 @@ fn split(id: u64) -> (usize, u32) {
 }
 
 impl ObjectTable {
-    /// Stores `obj`, returning its handle id.
-    pub(crate) fn insert(&mut self, obj: Obj, bytes: usize) -> u64 {
+    /// Stores `obj`, returning its handle id; `live` says whether it moves
+    /// in as a tenant of `bytes` modelled bytes or as vacant storage.
+    pub(crate) fn insert(&mut self, obj: Obj, bytes: usize, live: bool) -> u64 {
         let index = match self.free.pop() {
             Some(i) => i,
             None => {
@@ -68,20 +90,28 @@ impl ObjectTable {
                 // Generations start at 1 so no live handle is ever id 0.
                 self.slots.push(Slot {
                     generation: 1,
+                    live: false,
                     bytes: 0,
                     obj: None,
                 });
                 i
             }
         };
+        self.created += 1;
         let slot = &mut self.slots[index as usize];
         slot.bytes = bytes;
+        slot.live = live;
         slot.obj = Some(obj);
         u64::from(slot.generation) << INDEX_BITS | u64::from(index)
     }
 
-    /// Removes the object `id` names, returning it with its modelled bytes;
-    /// `None` when `id` is not live.
+    /// Objects ever stored: what a warm simplex iteration must not move.
+    pub(crate) fn created(&self) -> u64 {
+        self.created
+    }
+
+    /// Removes the object `id` names, returning it with the modelled bytes
+    /// it still accounted for; `None` when `id` is not in the table.
     pub(crate) fn remove(&mut self, id: u64) -> Option<(Obj, usize)> {
         let (index, generation) = split(id);
         let slot = self.slots.get_mut(index)?;
@@ -101,7 +131,7 @@ impl ObjectTable {
     fn get(&self, id: u64) -> Option<&Obj> {
         let (index, generation) = split(id);
         let slot = self.slots.get(index)?;
-        if slot.generation != generation {
+        if slot.generation != generation || !slot.live {
             return None;
         }
         slot.obj.as_ref()
@@ -110,12 +140,38 @@ impl ObjectTable {
     /// The live object `id` names and its modelled byte count, both mutable
     /// (kernels that grow an object in place adjust the count).
     pub(crate) fn get_mut(&mut self, id: u64) -> Option<(&mut Obj, &mut usize)> {
+        let r = self.resident_mut(id).filter(|r| *r.live)?;
+        Some((r.obj, r.bytes))
+    }
+
+    /// The object `id` names, tenanted or vacant.
+    pub(crate) fn resident_mut(&mut self, id: u64) -> Option<Resident<'_>> {
         let (index, generation) = split(id);
         let slot = self.slots.get_mut(index)?;
         if slot.generation != generation {
             return None;
         }
-        Some((slot.obj.as_mut()?, &mut slot.bytes))
+        Some(Resident {
+            obj: slot.obj.as_mut()?,
+            bytes: &mut slot.bytes,
+            live: &mut slot.live,
+        })
+    }
+
+    /// Resident object `id` for a kernel to write, together with the live
+    /// object `source` it reads from.
+    pub(crate) fn resident_with(&mut self, id: u64, source: u64) -> Option<(Resident<'_>, &Obj)> {
+        let ((i, gen_i), (j, gen_j)) = (split(id), split(source));
+        let [dst, src] = self.slots.get_disjoint_mut([i, j]).ok()?;
+        if dst.generation != gen_i || src.generation != gen_j || !src.live {
+            return None;
+        }
+        let resident = Resident {
+            obj: dst.obj.as_mut()?,
+            bytes: &mut dst.bytes,
+            live: &mut dst.live,
+        };
+        Some((resident, src.obj.as_ref()?))
     }
 
     /// Mutable payload of a device vector.
@@ -123,6 +179,53 @@ impl ObjectTable {
         match self.get_mut(h.0) {
             Some((Obj::Vector(v), _)) => Ok(v),
             _ => Err(GpuError::InvalidHandle(h.0)),
+        }
+    }
+
+    /// Takes the storage of vector `h`, tenanted or vacant, for a kernel to
+    /// fill while it reads other objects. Until [`attach`](Self::attach)
+    /// gives it back `h` answers no read — not even as an input of the
+    /// kernel that is writing it.
+    pub(crate) fn detach(&mut self, h: VectorHandle) -> Result<Vec<f64>> {
+        match self.resident_mut(h.0) {
+            Some(Resident {
+                obj: Obj::Vector(v),
+                live,
+                ..
+            }) => {
+                *live = false;
+                Ok(std::mem::take(v))
+            }
+            _ => Err(GpuError::InvalidHandle(h.0)),
+        }
+    }
+
+    /// Gives vector `h` its storage back. With `tenant = Some(bytes)` the
+    /// contents become its live tenant, accounting for `bytes`, and the
+    /// bytes of the tenant it replaces are returned; with `None` the
+    /// contents are not to be read and the slot keeps accounting for what it
+    /// did (returns 0).
+    pub(crate) fn attach(
+        &mut self,
+        h: VectorHandle,
+        buf: Vec<f64>,
+        tenant: Option<usize>,
+    ) -> usize {
+        let Some(Resident {
+            obj: Obj::Vector(v),
+            bytes,
+            live,
+        }) = self.resident_mut(h.0)
+        else {
+            return 0;
+        };
+        *v = buf;
+        match tenant {
+            Some(new) => {
+                *live = true;
+                std::mem::replace(bytes, new)
+            }
+            None => 0,
         }
     }
 }
@@ -209,14 +312,14 @@ mod tests {
     #[test]
     fn stale_and_recycled_handles_never_resolve() {
         let mut t = ObjectTable::default();
-        let a = t.insert(Obj::Vector(vec![1.0]), 8);
+        let a = t.insert(Obj::Vector(vec![1.0]), 8, true);
         assert!(t.vector(VectorHandle(a)).is_ok());
         assert!(matches!(t.remove(a), Some((Obj::Vector(_), 8))));
         // Freed, then double-freed.
         assert!(t.vector(VectorHandle(a)).is_err());
         assert!(t.remove(a).is_none());
         // The slot is reused, under a new generation.
-        let b = t.insert(Obj::Vector(vec![2.0]), 8);
+        let b = t.insert(Obj::Vector(vec![2.0]), 8, true);
         assert_eq!(split(a).0, split(b).0);
         assert_ne!(a, b);
         assert!(t.vector(VectorHandle(a)).is_err());
@@ -231,13 +334,13 @@ mod tests {
     #[test]
     fn exhausted_generation_retires_the_slot() {
         let mut t = ObjectTable::default();
-        let a = t.insert(Obj::Raw, 0);
+        let a = t.insert(Obj::Raw, 0, true);
         t.slots[0].generation = u32::MAX;
         let last = u64::from(u32::MAX) << INDEX_BITS | (a & u64::from(u32::MAX));
         assert!(t.remove(last).is_some());
         assert!(t.free.is_empty(), "retired slot must not be reused");
         assert!(t.remove(last).is_none());
-        let b = t.insert(Obj::Raw, 0);
+        let b = t.insert(Obj::Raw, 0, true);
         assert_eq!(split(b).0, 1);
     }
 

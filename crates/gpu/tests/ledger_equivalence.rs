@@ -1,5 +1,6 @@
-//! Property tests: the device's fixed-slot ledger, slab handle table and
-//! buffer pool are invisible. A random operation sequence is driven through
+//! Property tests: the device's fixed-slot ledger, slab handle table, buffer
+//! pool and resident (re-tenanted) vectors are invisible. A random operation
+//! sequence is driven through
 //! a [`GpuDevice`] and, in lockstep, through a reference `MetricsRegistry`
 //! updated the way the device used to do it (`incr` / `max_gauge` per
 //! operation) plus a by-hand model of device memory; the materialized views
@@ -21,6 +22,9 @@ struct Lockstep {
     live: Vec<(VectorHandle, usize)>,
     /// Handles already freed: they must stay dead whatever is allocated next.
     dead: Vec<VectorHandle>,
+    /// A resident vector the in-place kernels write, with the modelled
+    /// bytes of its tenant (`None` while vacant).
+    resident: (VectorHandle, Option<usize>),
     /// A resident CSR matrix (rows, cols, nnz) for the sparse kernels.
     sparse: (SparseHandle, usize, usize, usize),
     used: usize,
@@ -41,6 +45,7 @@ impl Lockstep {
         let mut reference = MetricsRegistry::new();
         let bytes = csr.size_bytes();
         let handle = dev.upload_sparse(&csr, DEFAULT_STREAM).expect("fits");
+        let resident = dev.vacant_vector();
         reference.max_gauge(names::GPU_MEM_PEAK_BYTES, bytes as f64);
         let t = dev.cost_model().transfer_ns(bytes);
         reference.incr(names::GPU_H2D_TRANSFERS, 1.0);
@@ -51,6 +56,7 @@ impl Lockstep {
             reference,
             live: Vec::new(),
             dead: Vec::new(),
+            resident: (resident, None),
             sparse: (handle, csr.rows(), csr.cols(), csr.nnz()),
             used: bytes,
             peak: bytes,
@@ -86,6 +92,24 @@ impl Lockstep {
         self.largest_vector = self.largest_vector.max(len);
     }
 
+    /// Books a kernel result of `len` elements moving into the resident
+    /// vector: to device memory an object of that size appears, then the
+    /// one it supersedes goes — and the host creates nothing.
+    fn ref_retenant(&mut self, len: usize, created_before: u64) {
+        self.used += len * 8;
+        self.peak = self.peak.max(self.used);
+        self.reference
+            .max_gauge(names::GPU_MEM_PEAK_BYTES, self.used as f64);
+        self.used -= self.resident.1.replace(len * 8).unwrap_or(0);
+        self.largest_vector = self.largest_vector.max(len);
+        assert_eq!(self.dev.objects_created(), created_before);
+    }
+
+    fn vacate(&mut self) {
+        self.dev.vacate(self.resident.0).expect("resident handle");
+        self.used -= self.resident.1.take().unwrap_or(0);
+    }
+
     fn upload(&mut self, len: usize, seed: u64) {
         let v: Vec<f64> = (0..len)
             .map(|i| (seed % 97) as f64 - 48.0 + i as f64)
@@ -119,23 +143,27 @@ impl Lockstep {
     }
 
     /// `vec_mul` of a live vector with itself: a dense kernel whose result
-    /// is drawn from the pool.
+    /// moves into the resident vector.
     fn vec_mul(&mut self, pick: usize) {
         if self.live.is_empty() {
             return;
         }
         let (h, bytes) = self.live[pick % self.live.len()];
         let n = bytes / 8;
-        let out = self.dev.vec_mul(h, h, DEFAULT_STREAM).expect("same length");
+        let created = self.dev.objects_created();
+        self.dev
+            .vec_mul(h, h, self.resident.0, DEFAULT_STREAM)
+            .expect("same length");
         let t = self
             .dev
             .cost_model()
             .dense_kernel_ns(n as f64, (3 * n * 8) as f64);
         self.ref_kernel(n as f64, t);
-        self.ref_insert(out, n);
+        self.ref_retenant(n, created);
     }
 
-    /// `spmv` / `spmv_transposed` against the resident CSR matrix.
+    /// `spmv` (a new device vector) / `spmv_transposed` (into the resident
+    /// one) against the resident CSR matrix.
     fn spmv(&mut self, transposed: bool) {
         let (a, rows, cols, nnz) = self.sparse;
         let (in_len, out_len) = if transposed {
@@ -149,18 +177,24 @@ impl Lockstep {
             .expect("fits");
         self.ref_insert(x, in_len);
         self.ref_transfer(in_len * 8, true);
+        let created = self.dev.objects_created();
         let y = if transposed {
-            self.dev.spmv_transposed(a, x, DEFAULT_STREAM)
+            self.dev
+                .spmv_transposed(a, x, self.resident.0, DEFAULT_STREAM)
+                .expect("shapes agree");
+            None
         } else {
-            self.dev.spmv(a, x, DEFAULT_STREAM)
-        }
-        .expect("shapes agree");
+            Some(self.dev.spmv(a, x, DEFAULT_STREAM).expect("shapes agree"))
+        };
         let t = self
             .dev
             .cost_model()
             .sparse_kernel_ns(flops::spmv(nnz), (nnz * 16) as f64);
         self.ref_kernel(flops::spmv(nnz), t);
-        self.ref_insert(y, out_len);
+        match y {
+            Some(y) => self.ref_insert(y, out_len),
+            None => self.ref_retenant(out_len, created),
+        }
     }
 
     fn batched(&mut self, lanes: usize, seed: u64, sparse: bool) {
@@ -218,6 +252,13 @@ impl Lockstep {
         assert_eq!(self.dev.memory().peak(), self.peak);
         // ...and bounded on the host.
         assert!(self.dev.pool_retained_bytes() <= 16 * 8 * self.largest_vector);
+        // A vacated resident vector answers no read (and charges none).
+        if self.resident.1.is_none() {
+            assert!(matches!(
+                self.dev.download_vector(self.resident.0, DEFAULT_STREAM),
+                Err(GpuError::InvalidHandle(_))
+            ));
+        }
         // No later allocation ever resurrects a freed handle.
         for &h in &self.dead {
             assert!(matches!(
@@ -254,7 +295,7 @@ proptest! {
                     ls.dev.charge_transfer(a * 8, seed % 2 == 0, DEFAULT_STREAM);
                     ls.ref_transfer(a * 8, seed % 2 == 0);
                 }
-                8 => ls.free(a),
+                8 => ls.vacate(),
                 _ => {
                     ls.dev.synchronize();
                     ls.reference.incr(names::GPU_SYNCS, 1.0);

@@ -44,11 +44,28 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
 }
 
 /// A dense row-major matrix of `f64` entries.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Default, PartialEq)]
 pub struct DenseMatrix {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
+}
+
+impl Clone for DenseMatrix {
+    fn clone(&self) -> Self {
+        Self {
+            rows: self.rows,
+            cols: self.cols,
+            data: self.data.clone(),
+        }
+    }
+
+    /// Overwrites `self` with `source`, reusing `self`'s allocation.
+    fn clone_from(&mut self, source: &Self) {
+        self.rows = source.rows;
+        self.cols = source.cols;
+        self.data.clone_from(&source.data);
+    }
 }
 
 impl DenseMatrix {
@@ -152,6 +169,28 @@ impl DenseMatrix {
         for (i, o) in out.iter_mut().enumerate() {
             *o = self.get(i, j);
         }
+    }
+
+    /// Overwrites `self` with columns `cols` of `src` (column `k` of the
+    /// result is column `cols[k]` of `src`), reusing `self`'s allocation —
+    /// the basis gather of a simplex install. On an out-of-range column
+    /// `self` is left untouched.
+    pub fn assign_columns(&mut self, src: &DenseMatrix, cols: &[usize]) -> Result<()> {
+        if let Some(&c) = cols.iter().find(|&&c| c >= src.cols) {
+            return Err(LinalgError::OutOfBounds {
+                index: c,
+                bound: src.cols,
+            });
+        }
+        self.rows = src.rows;
+        self.cols = cols.len();
+        self.data.clear();
+        self.data.reserve(src.rows * cols.len());
+        for i in 0..src.rows {
+            let row = src.row(i);
+            self.data.extend(cols.iter().map(|&c| row[c]));
+        }
+        Ok(())
     }
 
     /// Raw row-major storage.

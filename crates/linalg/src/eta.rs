@@ -21,12 +21,14 @@ use crate::{DenseMatrix, LinalgError, Result, PIVOT_TOL};
 /// A factorization of the initial basis `B₀` that an [`EtaFile`] sits on:
 /// the dense LU of [`crate::lu`] or the left-looking sparse LU of
 /// [`crate::sparse_lu`] (the KLU/GLU-class routine of Section 4.2). The
-/// eta updates on top are the same dense columns either way.
-pub trait BaseFactor: Sized {
+/// eta updates on top are the same dense columns either way. The default
+/// value factors the `0 × 0` system.
+pub trait BaseFactor: Default {
     /// The form the square basis matrix is handed over in.
     type Matrix;
-    /// Factorizes `b`.
-    fn factorize(b: &Self::Matrix) -> Result<Self>;
+    /// Replaces this factorization by that of `b`, reusing its storage
+    /// where the representation allows; a failure leaves the default.
+    fn refactorize(&mut self, b: &Self::Matrix) -> Result<()>;
     /// Dimension of the factored system.
     fn dim(&self) -> usize;
     /// Solves `B₀ x = b` into `x`.
@@ -39,8 +41,8 @@ macro_rules! base_factor {
     ($factors:ty, $matrix:ty) => {
         impl BaseFactor for $factors {
             type Matrix = $matrix;
-            fn factorize(b: &$matrix) -> Result<Self> {
-                <$factors>::factorize(b)
+            fn refactorize(&mut self, b: &$matrix) -> Result<()> {
+                self.refactorize(b)
             }
             fn dim(&self) -> usize {
                 self.dim()
@@ -59,16 +61,16 @@ base_factor!(SparseLu, CscMatrix);
 
 /// One eta matrix: the identity with column [`col`](Self::col) replaced by
 /// [`eta`](Self::eta).
-#[derive(Debug, Clone)]
-pub struct EtaFactor {
+#[derive(Debug, Clone, Copy)]
+pub struct EtaFactor<'a> {
     /// The replaced column index.
     pub col: usize,
     /// The replacement column (length = basis dimension). The diagonal entry
     /// `eta[col]` must be bounded away from zero.
-    pub eta: Vec<f64>,
+    pub eta: &'a [f64],
 }
 
-impl EtaFactor {
+impl EtaFactor<'_> {
     /// Applies `E⁻¹` to `x` in place.
     ///
     /// With `E = I + (η − e_r) e_rᵀ`, the inverse application is
@@ -100,10 +102,19 @@ impl EtaFactor {
 
 /// A factored basis: a [`BaseFactor`] of the initial basis (dense LU
 /// unless named otherwise) plus a file of eta updates.
-#[derive(Debug, Clone)]
+///
+/// The file owns its storage for good: a refactorization reuses the base
+/// factor's buffers and the eta columns live back to back in one arena, so
+/// a simplex that refactorizes and updates the same file allocates only
+/// while that storage is still growing. The default value is the empty file
+/// over the `0 × 0` basis.
+#[derive(Debug, Clone, Default)]
 pub struct EtaFile<B = LuFactors> {
     base: B,
-    etas: Vec<EtaFactor>,
+    /// Replaced position of each eta factor, in update order.
+    eta_pos: Vec<usize>,
+    /// The eta columns back to back, [`dim`](Self::dim) entries each.
+    eta_cols: Vec<f64>,
 }
 
 /// An eta file over a sparse LU of the initial basis (handed over as a
@@ -119,13 +130,34 @@ impl SparseEtaFile {
     }
 }
 
+impl EtaFile<LuFactors> {
+    /// Refactorizes over the basis made of columns `cols` of `a`, gathered
+    /// straight into the file's LU storage, and drops the eta updates. A
+    /// failure leaves the empty file.
+    pub fn refactorize_columns(&mut self, a: &DenseMatrix, cols: &[usize]) -> Result<()> {
+        self.clear_etas();
+        self.base.refactorize_columns(a, cols)
+    }
+}
+
 impl<B: BaseFactor> EtaFile<B> {
     /// Factorizes the initial basis matrix `b0`.
     pub fn factorize(b0: &B::Matrix) -> Result<Self> {
-        Ok(Self {
-            base: B::factorize(b0)?,
-            etas: Vec::new(),
-        })
+        let mut file = Self::default();
+        file.refactorize(b0)?;
+        Ok(file)
+    }
+
+    /// Refactorizes over `b0` in this file's storage and drops the eta
+    /// updates (periodic refactorization). A failure leaves the empty file.
+    pub fn refactorize(&mut self, b0: &B::Matrix) -> Result<()> {
+        self.clear_etas();
+        self.base.refactorize(b0)
+    }
+
+    fn clear_etas(&mut self) {
+        self.eta_pos.clear();
+        self.eta_cols.clear();
     }
 
     /// Basis dimension.
@@ -139,7 +171,19 @@ impl<B: BaseFactor> EtaFile<B> {
     /// FTRAN/BTRAN cost against factorization cost.
     #[inline]
     pub fn eta_count(&self) -> usize {
-        self.etas.len()
+        self.eta_pos.len()
+    }
+
+    /// The eta factors in update order.
+    fn factors(&self) -> impl DoubleEndedIterator<Item = EtaFactor<'_>> {
+        let n = self.dim();
+        self.eta_pos
+            .iter()
+            .enumerate()
+            .map(move |(k, &col)| EtaFactor {
+                col,
+                eta: &self.eta_cols[k * n..(k + 1) * n],
+            })
     }
 
     /// FTRAN: solves `B x = b` through the base LU and the eta file.
@@ -153,7 +197,7 @@ impl<B: BaseFactor> EtaFile<B> {
     /// [`dim`](Self::dim)) without allocating. Same loop order, same bits.
     pub fn ftran_into(&self, b: &[f64], x: &mut [f64]) -> Result<()> {
         self.base.solve_into(b, x)?;
-        for e in &self.etas {
+        for e in self.factors() {
             e.apply_inverse(x);
         }
         Ok(())
@@ -177,7 +221,7 @@ impl<B: BaseFactor> EtaFile<B> {
             });
         }
         work.copy_from_slice(c);
-        for e in self.etas.iter().rev() {
+        for e in self.factors().rev() {
             e.apply_inverse_transposed(work);
         }
         self.base.solve_transposed_consuming(work, y)
@@ -185,11 +229,11 @@ impl<B: BaseFactor> EtaFile<B> {
 
     /// Records the basis change "column `leaving_pos` replaced by a column
     /// whose FTRAN image is `alpha`" (i.e. `alpha = B⁻¹ a_entering`, computed
-    /// *before* the update).
+    /// *before* the update), copying `alpha` into the file.
     ///
     /// Fails if the pivot element `alpha[leaving_pos]` is numerically zero —
     /// such an exchange would make the basis singular.
-    pub fn update(&mut self, leaving_pos: usize, alpha: Vec<f64>) -> Result<()> {
+    pub fn update(&mut self, leaving_pos: usize, alpha: &[f64]) -> Result<()> {
         if alpha.len() != self.dim() {
             return Err(LinalgError::DimensionMismatch {
                 context: format!("eta update: basis {}, alpha {}", self.dim(), alpha.len()),
@@ -206,10 +250,8 @@ impl<B: BaseFactor> EtaFile<B> {
                 column: leaving_pos,
             });
         }
-        self.etas.push(EtaFactor {
-            col: leaving_pos,
-            eta: alpha,
-        });
+        self.eta_pos.push(leaving_pos);
+        self.eta_cols.extend_from_slice(alpha);
         Ok(())
     }
 }
@@ -235,7 +277,7 @@ mod tests {
         for (pos, col) in new_cols {
             // alpha = B⁻¹ a_new computed with the *current* representation.
             let alpha = file.ftran(&col).unwrap();
-            file.update(pos, alpha).unwrap();
+            file.update(pos, &alpha).unwrap();
             for i in 0..n {
                 explicit.set(i, pos, col[i]);
             }
@@ -263,13 +305,13 @@ mod tests {
         let mut file: EtaFile = EtaFile::factorize(&b0).unwrap();
         // alpha with zero at the leaving position → singular basis.
         assert!(matches!(
-            file.update(0, vec![0.0, 1.0]),
+            file.update(0, &[0.0, 1.0]),
             Err(LinalgError::Singular { .. })
         ));
         // Wrong length.
-        assert!(file.update(0, vec![1.0]).is_err());
+        assert!(file.update(0, &[1.0]).is_err());
         // Out-of-range position.
-        assert!(file.update(5, vec![1.0, 1.0]).is_err());
+        assert!(file.update(5, &[1.0, 1.0]).is_err());
     }
 
     #[test]
@@ -277,7 +319,7 @@ mod tests {
         // E x, then E⁻¹ should restore x.
         let e = EtaFactor {
             col: 1,
-            eta: vec![0.5, 2.0, -1.0],
+            eta: &[0.5, 2.0, -1.0],
         };
         let x0 = [1.0, 2.0, 3.0];
         // Compute E x0 explicitly: (E x)_i = x_i + eta_i * x_r for i != r,
@@ -300,7 +342,7 @@ mod tests {
         // For any x, y: (E⁻ᵀ y) · x == y · (E⁻¹ x).
         let e = EtaFactor {
             col: 0,
-            eta: vec![4.0, 1.0, -2.0],
+            eta: &[4.0, 1.0, -2.0],
         };
         let x = [1.0, -1.0, 2.0];
         let y = [0.5, 3.0, 1.0];
@@ -325,7 +367,7 @@ mod tests {
         .unwrap();
         let mut file: EtaFile = EtaFile::factorize(&b0).unwrap();
         let alpha = file.ftran(&[1.0, 0.5, -1.0]).unwrap();
-        file.update(1, alpha).unwrap();
+        file.update(1, &alpha).unwrap();
         let rhs = [3.0, -1.0, 0.25];
         let (mut out, mut work) = ([f64::NAN; 3], [7.0; 3]);
         file.ftran_into(&rhs, &mut out).unwrap();
@@ -372,8 +414,8 @@ mod tests {
             let alpha_s = sparse.ftran(&col).unwrap();
             let alpha_d = dense.ftran(&col).unwrap();
             assert!(max_abs_diff(&alpha_s, &alpha_d) < 1e-9);
-            sparse.update(pos, alpha_s).unwrap();
-            dense.update(pos, alpha_d).unwrap();
+            sparse.update(pos, &alpha_s).unwrap();
+            dense.update(pos, &alpha_d).unwrap();
             let rhs = vec![1.0, -1.0, 2.0, 0.5];
             let xs = sparse.ftran(&rhs).unwrap();
             let xd = dense.ftran(&rhs).unwrap();
@@ -390,11 +432,11 @@ mod tests {
         let csc = CscMatrix::from_dense(&sparse_basis());
         let mut f = SparseEtaFile::factorize(&csc).unwrap();
         assert!(matches!(
-            f.update(0, vec![0.0, 1.0, 1.0, 1.0]),
+            f.update(0, &[0.0, 1.0, 1.0, 1.0]),
             Err(LinalgError::Singular { .. })
         ));
-        assert!(f.update(0, vec![1.0]).is_err());
-        assert!(f.update(9, vec![1.0; 4]).is_err());
+        assert!(f.update(0, &[1.0]).is_err());
+        assert!(f.update(9, &[1.0; 4]).is_err());
     }
 
     #[test]
@@ -402,7 +444,7 @@ mod tests {
         let csc = CscMatrix::from_dense(&sparse_basis());
         let mut file = SparseEtaFile::factorize(&csc).unwrap();
         let alpha = file.ftran(&[1.0, 0.0, 2.0, -1.0]).unwrap();
-        file.update(2, alpha).unwrap();
+        file.update(2, &alpha).unwrap();
         let rhs = [0.5, -3.0, 1.0, 2.0];
         let (mut out, mut work) = ([f64::NAN; 4], [9.0; 4]);
         file.ftran_into(&rhs, &mut out).unwrap();

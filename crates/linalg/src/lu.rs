@@ -15,7 +15,11 @@ use crate::{LinalgError, Result, PIVOT_TOL};
 /// (unit diagonal implied) and the upper part (with diagonal) holds `U`.
 /// `perm[i]` gives the original row index that ended up in position `i`,
 /// i.e. `(PA)[i][j] = A[perm[i]][j]`.
-#[derive(Debug, Clone)]
+///
+/// The default value is the (trivial) factorization of the `0 × 0` matrix;
+/// it is also what a failed in-place refactorization leaves behind, so
+/// stale factors can never answer a solve.
+#[derive(Debug, Clone, Default)]
 pub struct LuFactors {
     lu: DenseMatrix,
     perm: Vec<usize>,
@@ -27,14 +31,51 @@ impl LuFactors {
     /// Returns [`LinalgError::Singular`] if a pivot below [`PIVOT_TOL`] is
     /// encountered.
     pub fn factorize(a: &DenseMatrix) -> Result<Self> {
-        if !a.is_square() {
+        let mut f = Self::default();
+        f.refactorize(a)?;
+        Ok(f)
+    }
+
+    /// [`factorize`](Self::factorize) into this value's storage: no
+    /// allocation once it has held a matrix of `a`'s size. A failure leaves
+    /// the default (empty) factors.
+    pub fn refactorize(&mut self, a: &DenseMatrix) -> Result<()> {
+        self.lu.clone_from(a);
+        let done = self.eliminate();
+        self.or_reset(done)
+    }
+
+    /// Factorizes the square matrix made of columns `cols` of `a` (the
+    /// simplex basis gathered from the constraint matrix), assembling it
+    /// directly in this value's storage. A failure leaves the default
+    /// (empty) factors.
+    pub fn refactorize_columns(&mut self, a: &DenseMatrix, cols: &[usize]) -> Result<()> {
+        let done = self
+            .lu
+            .assign_columns(a, cols)
+            .and_then(|()| self.eliminate());
+        self.or_reset(done)
+    }
+
+    fn or_reset(&mut self, done: Result<()>) -> Result<()> {
+        if done.is_err() {
+            *self = Self::default();
+        }
+        done
+    }
+
+    /// Gaussian elimination with partial pivoting of the matrix held in
+    /// `lu`, in place.
+    fn eliminate(&mut self) -> Result<()> {
+        let lu = &mut self.lu;
+        if !lu.is_square() {
             return Err(LinalgError::DimensionMismatch {
-                context: format!("LU of {}x{} matrix", a.rows(), a.cols()),
+                context: format!("LU of {}x{} matrix", lu.rows(), lu.cols()),
             });
         }
-        let n = a.rows();
-        let mut lu = a.clone();
-        let mut perm: Vec<usize> = (0..n).collect();
+        let n = lu.rows();
+        self.perm.clear();
+        self.perm.extend(0..n);
 
         for k in 0..n {
             // Partial pivoting: find the largest |entry| in column k at or
@@ -53,7 +94,7 @@ impl LuFactors {
             }
             if piv_row != k {
                 lu.swap_rows(piv_row, k);
-                perm.swap(piv_row, k);
+                self.perm.swap(piv_row, k);
             }
             let pivot = lu.get(k, k);
             // Eliminate below the pivot; the multiplier is stored in place
@@ -76,7 +117,7 @@ impl LuFactors {
                 }
             }
         }
-        Ok(Self { lu, perm })
+        Ok(())
     }
 
     /// Dimension of the factored matrix.
@@ -240,6 +281,35 @@ mod tests {
             LuFactors::factorize(&a),
             Err(LinalgError::Singular { .. })
         ));
+    }
+
+    #[test]
+    fn refactorization_in_place_matches_fresh_factors_and_fails_empty() {
+        let a = DenseMatrix::from_rows(&[
+            vec![9.0, 2.0, 1.0, 1.0, 0.5],
+            vec![9.0, 4.0, -6.0, 0.0, 1.0],
+            vec![9.0, -2.0, 7.0, 2.0, 2.0],
+        ])
+        .unwrap();
+        // A used value, larger than what it is about to hold.
+        let mut f = LuFactors::factorize(&DenseMatrix::identity(4)).unwrap();
+        f.refactorize_columns(&a, &[1, 2, 3]).unwrap();
+        let fresh = LuFactors::factorize(&well_conditioned_3x3()).unwrap();
+        assert_eq!(f.perm(), fresh.perm());
+        let b = [5.0, -2.0, 9.0];
+        assert_eq!(f.solve(&b).unwrap(), fresh.solve(&b).unwrap());
+        assert_eq!(
+            f.solve_transposed(&b).unwrap(),
+            fresh.solve_transposed(&b).unwrap()
+        );
+        // Two equal columns, a column out of range, a non-square gather:
+        // each failure leaves the empty factors, never the previous ones.
+        for cols in [&[0, 0, 1][..], &[1, 2, 7], &[1, 2]] {
+            f.refactorize_columns(&a, &[1, 2, 3]).unwrap();
+            assert!(f.refactorize_columns(&a, cols).is_err());
+            assert_eq!(f.dim(), 0);
+            assert!(f.solve(&b).is_err());
+        }
     }
 
     #[test]

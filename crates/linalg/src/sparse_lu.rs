@@ -14,8 +14,9 @@
 use crate::sparse::CscMatrix;
 use crate::{LinalgError, Result, PIVOT_TOL, ZERO_TOL};
 
-/// Sparse LU factors of a square matrix, `P A = L U`.
-#[derive(Debug, Clone)]
+/// Sparse LU factors of a square matrix, `P A = L U`. The default value
+/// factors the `0 × 0` matrix.
+#[derive(Debug, Clone, Default)]
 pub struct SparseLu {
     n: usize,
     /// Columns of L (unit diagonal implicit); entries are `(original_row, value)`
@@ -102,6 +103,14 @@ impl SparseLu {
             perm,
             pinv,
         })
+    }
+
+    /// Replaces these factors by those of `a`; a failure leaves the default
+    /// (empty) factors, so stale ones can never answer a solve.
+    pub fn refactorize(&mut self, a: &CscMatrix) -> Result<()> {
+        *self = Self::default();
+        *self = Self::factorize(a)?;
+        Ok(())
     }
 
     /// Dimension of the factored matrix.

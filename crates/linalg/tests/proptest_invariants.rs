@@ -172,9 +172,9 @@ proptest! {
             if alpha[pos].abs() < 1e-6 {
                 continue; // degenerate exchange; skip
             }
-            dense_file.update(pos, alpha.clone()).expect("dense update");
+            dense_file.update(pos, &alpha).expect("dense update");
             let alpha_s = sparse_file.ftran(&col).expect("sparse ftran");
-            sparse_file.update(pos, alpha_s).expect("sparse update");
+            sparse_file.update(pos, &alpha_s).expect("sparse update");
             for i in 0..n {
                 explicit.set(i, pos, col[i]);
             }
@@ -189,6 +189,28 @@ proptest! {
             let y_fresh = fresh.solve_transposed(&rhs).expect("solve_t");
             prop_assert!(norms::max_abs_diff(&y_eta, &y_fresh) < 1e-6);
         }
+        // The used files, refactorized in place over the explicit basis
+        // (gathered in a shuffled column order and un-shuffled by `cols`),
+        // answer with the bits of files that never held anything else.
+        let cols: Vec<usize> = (0..n).rev().collect();
+        let mut reversed = explicit.clone();
+        for i in 0..n {
+            reversed.row_mut(i).reverse();
+        }
+        dense_file.refactorize_columns(&reversed, &cols).expect("in-place gather + LU");
+        sparse_file.refactorize(&CscMatrix::from_dense(&explicit)).expect("sparse refactorize");
+        let fresh: EtaFile = EtaFile::factorize(&explicit).expect("fresh file");
+        let fresh_sparse = SparseEtaFile::factorize(&CscMatrix::from_dense(&explicit))
+            .expect("fresh sparse file");
+        prop_assert_eq!(dense_file.eta_count(), 0);
+        prop_assert_eq!(sparse_file.eta_count(), 0);
+        let rhs: Vec<f64> = (0..n).map(|i| 1.0 - (i as f64) * 0.25).collect();
+        prop_assert_eq!(dense_file.ftran(&rhs).expect("ftran"), fresh.ftran(&rhs).expect("ftran"));
+        prop_assert_eq!(dense_file.btran(&rhs).expect("btran"), fresh.btran(&rhs).expect("btran"));
+        prop_assert_eq!(
+            sparse_file.ftran(&rhs).expect("ftran"),
+            fresh_sparse.ftran(&rhs).expect("ftran")
+        );
     }
 
     /// Dense → CSR → CSC → dense round trip is exact for exactly-representable

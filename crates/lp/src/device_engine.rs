@@ -24,6 +24,14 @@
 //! LU). Everything else (the vector kernels, the ratio tests, the iteration
 //! state) is written once.
 //!
+//! The iteration state is *resident*: at its first install an engine
+//! creates one workspace on its device — the state vectors, the per-call
+//! scratch, the eta file — and every later kernel writes into it. What the
+//! paper's model sees is unchanged: a kernel result still costs device
+//! memory the moment it exists and gives it back where the engine is done
+//! with it ([`GpuDevice::vacate`]). What the host sees is that a node LP
+//! creates no device object at all.
+//!
 //! Running the same driver over [`crate::engine::HostEngine`] and either
 //! storage yields identical pivots on the same problem; the difference is
 //! the simulated cost ledger, which the experiments read and which lets the
@@ -43,41 +51,52 @@ use std::fmt::Debug;
 /// How the constraint matrix and the factored basis live on the device:
 /// the operations in which a dense-resident and a CSR-resident simplex
 /// differ. Each implementation keeps its own kernel sequence, kernel names
-/// and cost formulas.
-pub trait MatrixStorage: Copy + Debug {
+/// and cost formulas. Kernels with a result write it into the resident
+/// vector (or eta file) passed as `out`.
+pub trait MatrixStorage: Copy + Debug + Into<u64> {
     /// Handle to the factored basis (base LU plus eta updates).
-    type Eta: Copy + Debug;
+    type Eta: Copy + Debug + Into<u64>;
     /// Short name of an engine over this storage, for reports.
     const NAME: &'static str;
 
     /// Uploads the extended matrix in this storage's format.
     fn upload(d: &mut GpuDevice, a: &DenseMatrix, st: StreamId) -> GpuResult<Self>;
-    /// Frees the matrix.
-    fn free(self, d: &mut GpuDevice) -> GpuResult<()>;
-    /// `b − A x`.
+    /// `out = b − A x`.
     fn residual(
         self,
         d: &mut GpuDevice,
         b: VectorHandle,
         x: VectorHandle,
+        out: VectorHandle,
         st: StreamId,
-    ) -> GpuResult<VectorHandle>;
-    /// Assembles the basis from columns `cols` and factorizes it.
-    fn factor_basis(self, d: &mut GpuDevice, cols: &[usize], st: StreamId) -> GpuResult<Self::Eta>;
-    /// FTRAN: solves `B x = b`.
+    ) -> GpuResult<()>;
+    /// A resident factored basis, empty until the first
+    /// [`factor_basis`](Self::factor_basis).
+    fn eta_new(d: &mut GpuDevice) -> Self::Eta;
+    /// Assembles the basis from columns `cols` and factorizes it into `eta`.
+    fn factor_basis(
+        self,
+        d: &mut GpuDevice,
+        cols: &[usize],
+        eta: Self::Eta,
+        st: StreamId,
+    ) -> GpuResult<()>;
+    /// FTRAN: solves `B out = b`.
     fn eta_ftran(
         d: &mut GpuDevice,
         eta: Self::Eta,
         b: VectorHandle,
+        out: VectorHandle,
         st: StreamId,
-    ) -> GpuResult<VectorHandle>;
-    /// BTRAN: solves `Bᵀ y = c`.
+    ) -> GpuResult<()>;
+    /// BTRAN: solves `Bᵀ out = c`.
     fn eta_btran(
         d: &mut GpuDevice,
         eta: Self::Eta,
         c: VectorHandle,
+        out: VectorHandle,
         st: StreamId,
-    ) -> GpuResult<VectorHandle>;
+    ) -> GpuResult<()>;
     /// Rank-1 basis exchange at position `r` with FTRAN image `alpha`.
     fn eta_update(
         d: &mut GpuDevice,
@@ -86,27 +105,31 @@ pub trait MatrixStorage: Copy + Debug {
         alpha: VectorHandle,
         st: StreamId,
     ) -> GpuResult<()>;
-    /// Eta factors accumulated since the last factorization.
-    fn eta_count(d: &GpuDevice, eta: Self::Eta) -> GpuResult<usize>;
-    /// Frees the factored basis.
-    fn eta_free(d: &mut GpuDevice, eta: Self::Eta) -> GpuResult<()>;
-    /// Reduced costs `c − Aᵀ y`.
+    /// Reduced costs `out = c − Aᵀ y`.
     fn pricing(
         self,
         d: &mut GpuDevice,
         y: VectorHandle,
         c: VectorHandle,
+        out: VectorHandle,
         st: StreamId,
-    ) -> GpuResult<VectorHandle>;
+    ) -> GpuResult<()>;
     /// Column `j` as a dense device vector.
-    fn extract_column(self, d: &mut GpuDevice, j: usize, st: StreamId) -> GpuResult<VectorHandle>;
-    /// The tableau row `Aᵀ ρ`.
+    fn extract_column(
+        self,
+        d: &mut GpuDevice,
+        j: usize,
+        out: VectorHandle,
+        st: StreamId,
+    ) -> GpuResult<()>;
+    /// The tableau row `out = Aᵀ ρ`.
     fn row_times_matrix(
         self,
         d: &mut GpuDevice,
         rho: VectorHandle,
+        out: VectorHandle,
         st: StreamId,
-    ) -> GpuResult<VectorHandle>;
+    ) -> GpuResult<()>;
     /// Appends a cut: `row` spans the current columns, `col` is the new
     /// slack column.
     fn append_cut(self, d: &mut GpuDevice, row: &[f64], col: &[f64], st: StreamId)
@@ -120,39 +143,45 @@ impl MatrixStorage for MatrixHandle {
     fn upload(d: &mut GpuDevice, a: &DenseMatrix, st: StreamId) -> GpuResult<Self> {
         d.upload_matrix(a, st)
     }
-    fn free(self, d: &mut GpuDevice) -> GpuResult<()> {
-        d.free_matrix(self)
-    }
     fn residual(
         self,
         d: &mut GpuDevice,
         b: VectorHandle,
         x: VectorHandle,
+        out: VectorHandle,
         st: StreamId,
-    ) -> GpuResult<VectorHandle> {
-        d.residual(b, self, x, st)
+    ) -> GpuResult<()> {
+        d.residual(b, self, x, out, st)
     }
-    fn factor_basis(self, d: &mut GpuDevice, cols: &[usize], st: StreamId) -> GpuResult<EtaHandle> {
-        let bmat = d.gather_columns(self, cols, st)?;
-        let eta = d.eta_factor(bmat, st)?;
-        d.free_matrix(bmat)?;
-        Ok(eta)
+    fn eta_new(d: &mut GpuDevice) -> EtaHandle {
+        d.vacant_eta()
+    }
+    fn factor_basis(
+        self,
+        d: &mut GpuDevice,
+        cols: &[usize],
+        eta: EtaHandle,
+        st: StreamId,
+    ) -> GpuResult<()> {
+        d.eta_factor(self, cols, eta, st)
     }
     fn eta_ftran(
         d: &mut GpuDevice,
         eta: EtaHandle,
         b: VectorHandle,
+        out: VectorHandle,
         st: StreamId,
-    ) -> GpuResult<VectorHandle> {
-        d.eta_ftran(eta, b, st)
+    ) -> GpuResult<()> {
+        d.eta_ftran(eta, b, out, st)
     }
     fn eta_btran(
         d: &mut GpuDevice,
         eta: EtaHandle,
         c: VectorHandle,
+        out: VectorHandle,
         st: StreamId,
-    ) -> GpuResult<VectorHandle> {
-        d.eta_btran(eta, c, st)
+    ) -> GpuResult<()> {
+        d.eta_btran(eta, c, out, st)
     }
     fn eta_update(
         d: &mut GpuDevice,
@@ -163,31 +192,33 @@ impl MatrixStorage for MatrixHandle {
     ) -> GpuResult<()> {
         d.eta_update(eta, r, alpha, st)
     }
-    fn eta_count(d: &GpuDevice, eta: EtaHandle) -> GpuResult<usize> {
-        d.eta_count(eta)
-    }
-    fn eta_free(d: &mut GpuDevice, eta: EtaHandle) -> GpuResult<()> {
-        d.free_eta(eta)
-    }
     fn pricing(
         self,
         d: &mut GpuDevice,
         y: VectorHandle,
         c: VectorHandle,
+        out: VectorHandle,
         st: StreamId,
-    ) -> GpuResult<VectorHandle> {
-        d.pricing(self, y, c, st)
+    ) -> GpuResult<()> {
+        d.pricing(self, y, c, out, st)
     }
-    fn extract_column(self, d: &mut GpuDevice, j: usize, st: StreamId) -> GpuResult<VectorHandle> {
-        d.extract_column(self, j, st)
+    fn extract_column(
+        self,
+        d: &mut GpuDevice,
+        j: usize,
+        out: VectorHandle,
+        st: StreamId,
+    ) -> GpuResult<()> {
+        d.extract_column(self, j, out, st)
     }
     fn row_times_matrix(
         self,
         d: &mut GpuDevice,
         rho: VectorHandle,
+        out: VectorHandle,
         st: StreamId,
-    ) -> GpuResult<VectorHandle> {
-        d.gemv_transposed(self, rho, st)
+    ) -> GpuResult<()> {
+        d.gemv_transposed(self, rho, out, st)
     }
     fn append_cut(
         self,
@@ -208,41 +239,45 @@ impl MatrixStorage for SparseHandle {
     fn upload(d: &mut GpuDevice, a: &DenseMatrix, st: StreamId) -> GpuResult<Self> {
         d.upload_sparse(&CsrMatrix::from_dense(a), st)
     }
-    fn free(self, d: &mut GpuDevice) -> GpuResult<()> {
-        d.free_sparse(self)
-    }
     fn residual(
         self,
         d: &mut GpuDevice,
         b: VectorHandle,
         x: VectorHandle,
+        out: VectorHandle,
         st: StreamId,
-    ) -> GpuResult<VectorHandle> {
-        d.residual_sparse(b, self, x, st)
+    ) -> GpuResult<()> {
+        d.residual_sparse(b, self, x, out, st)
+    }
+    fn eta_new(d: &mut GpuDevice) -> SparseEtaHandle {
+        d.vacant_sparse_eta()
     }
     fn factor_basis(
         self,
         d: &mut GpuDevice,
         cols: &[usize],
+        eta: SparseEtaHandle,
         st: StreamId,
-    ) -> GpuResult<SparseEtaHandle> {
-        d.sparse_eta_factor(self, cols, st)
+    ) -> GpuResult<()> {
+        d.sparse_eta_factor(self, cols, eta, st)
     }
     fn eta_ftran(
         d: &mut GpuDevice,
         eta: SparseEtaHandle,
         b: VectorHandle,
+        out: VectorHandle,
         st: StreamId,
-    ) -> GpuResult<VectorHandle> {
-        d.sparse_eta_ftran(eta, b, st)
+    ) -> GpuResult<()> {
+        d.sparse_eta_ftran(eta, b, out, st)
     }
     fn eta_btran(
         d: &mut GpuDevice,
         eta: SparseEtaHandle,
         c: VectorHandle,
+        out: VectorHandle,
         st: StreamId,
-    ) -> GpuResult<VectorHandle> {
-        d.sparse_eta_btran(eta, c, st)
+    ) -> GpuResult<()> {
+        d.sparse_eta_btran(eta, c, out, st)
     }
     fn eta_update(
         d: &mut GpuDevice,
@@ -253,31 +288,33 @@ impl MatrixStorage for SparseHandle {
     ) -> GpuResult<()> {
         d.sparse_eta_update(eta, r, alpha, st)
     }
-    fn eta_count(d: &GpuDevice, eta: SparseEtaHandle) -> GpuResult<usize> {
-        d.sparse_eta_count(eta)
-    }
-    fn eta_free(d: &mut GpuDevice, eta: SparseEtaHandle) -> GpuResult<()> {
-        d.free_sparse_eta(eta)
-    }
     fn pricing(
         self,
         d: &mut GpuDevice,
         y: VectorHandle,
         c: VectorHandle,
+        out: VectorHandle,
         st: StreamId,
-    ) -> GpuResult<VectorHandle> {
-        d.pricing_sparse(self, y, c, st)
+    ) -> GpuResult<()> {
+        d.pricing_sparse(self, y, c, out, st)
     }
-    fn extract_column(self, d: &mut GpuDevice, j: usize, st: StreamId) -> GpuResult<VectorHandle> {
-        d.extract_column_sparse(self, j, st)
+    fn extract_column(
+        self,
+        d: &mut GpuDevice,
+        j: usize,
+        out: VectorHandle,
+        st: StreamId,
+    ) -> GpuResult<()> {
+        d.extract_column_sparse(self, j, out, st)
     }
     fn row_times_matrix(
         self,
         d: &mut GpuDevice,
         rho: VectorHandle,
+        out: VectorHandle,
         st: StreamId,
-    ) -> GpuResult<VectorHandle> {
-        d.spmv_transposed(self, rho, st)
+    ) -> GpuResult<()> {
+        d.spmv_transposed(self, rho, out, st)
     }
     fn append_cut(
         self,
@@ -299,6 +336,118 @@ impl MatrixStorage for SparseHandle {
     }
 }
 
+/// An engine's resident objects on its device, created once and written in
+/// place ever after; every vector takes the length of what a kernel last
+/// put there, so a cut that grows the problem needs no resizing pass.
+#[derive(Debug, Clone, Copy)]
+struct Workspace<E> {
+    // Iteration state: tenanted from one install to the next (`alpha` and
+    // `alpha_r` from the FTRAN / BTRAN that makes them to the pivot that
+    // consumes them).
+    c: VectorHandle,
+    b: VectorHandle,
+    sigma: VectorHandle,
+    cb: VectorHandle,
+    lbb: VectorHandle,
+    ubb: VectorHandle,
+    xb: VectorHandle,
+    gamma: VectorHandle,
+    alpha: VectorHandle,
+    alpha_r: VectorHandle,
+    eta: E,
+    // Per-call scratch: tenanted inside one engine call.
+    y: VectorHandle,
+    d: VectorHandle,
+    score: VectorHandle,
+    e_r: VectorHandle,
+    rho: VectorHandle,
+    w: VectorHandle,
+    x_nb: VectorHandle,
+    col: VectorHandle,
+}
+
+impl<E: Copy + Into<u64>> Workspace<E> {
+    fn create(d: &mut GpuDevice, eta: E) -> Self {
+        let mut v = || d.vacant_vector();
+        Self {
+            c: v(),
+            b: v(),
+            sigma: v(),
+            cb: v(),
+            lbb: v(),
+            ubb: v(),
+            xb: v(),
+            gamma: v(),
+            alpha: v(),
+            alpha_r: v(),
+            eta,
+            y: v(),
+            d: v(),
+            score: v(),
+            e_r: v(),
+            rho: v(),
+            w: v(),
+            x_nb: v(),
+            col: v(),
+        }
+    }
+
+    fn state(&self) -> [VectorHandle; 10] {
+        [
+            self.c,
+            self.b,
+            self.sigma,
+            self.cb,
+            self.lbb,
+            self.ubb,
+            self.xb,
+            self.gamma,
+            self.alpha,
+            self.alpha_r,
+        ]
+    }
+
+    fn scratch(&self) -> [VectorHandle; 8] {
+        [
+            self.y, self.d, self.score, self.e_r, self.rho, self.w, self.x_nb, self.col,
+        ]
+    }
+
+    /// Ends every tenancy of the iteration state, as an install begins.
+    fn vacate_state(&self, d: &mut GpuDevice) {
+        vacate(d, self.state());
+        let _ = d.vacate(self.eta);
+    }
+
+    fn free(&self, d: &mut GpuDevice) {
+        for h in self.state().into_iter().chain(self.scratch()) {
+            let _ = d.free(h);
+        }
+        let _ = d.free(self.eta);
+    }
+}
+
+/// Ends the tenancies of `vectors` inside the caller's device closure (one
+/// lock for the kernels and their cleanup). Best-effort: a handle could be
+/// gone only via engine bugs.
+fn vacate<const N: usize>(d: &mut GpuDevice, vectors: [VectorHandle; N]) {
+    for h in vectors {
+        let _ = d.vacate(h);
+    }
+}
+
+/// Runs `kernels`, then releases the per-call `scratch` they tenanted —
+/// whether they succeeded or not, so a failed call strands no device byte.
+fn with_scratch<const N: usize, R>(
+    d: &mut GpuDevice,
+    scratch: [VectorHandle; N],
+    kernels: impl FnOnce(&mut GpuDevice) -> GpuResult<R>,
+) -> GpuResult<R> {
+    let out = kernels(d);
+    vacate(d, scratch);
+    out
+}
+
 /// Simplex engine whose numerical state lives on a simulated accelerator,
 /// with the matrix held as `M`.
 #[derive(Debug)]
@@ -311,18 +460,16 @@ pub struct DeviceSimplex<M: MatrixStorage> {
     // Host copies needed for install-time assembly and fixed-column checks.
     lb: Vec<f64>,
     ub: Vec<f64>,
-    // Device-resident iteration state.
-    c: Option<VectorHandle>,
-    b: Option<VectorHandle>,
-    sigma: Option<VectorHandle>,
-    cb: Option<VectorHandle>,
-    lbb: Option<VectorHandle>,
-    ubb: Option<VectorHandle>,
-    xb: Option<VectorHandle>,
-    eta: Option<M::Eta>,
-    gamma: Option<VectorHandle>,
-    alpha: Option<VectorHandle>,
-    alpha_r: Option<VectorHandle>,
+    /// The resident workspace, created at the first install.
+    ws: Option<Workspace<M::Eta>>,
+    /// Whether the iteration state is that of a completed install.
+    installed: bool,
+    /// Whether `alpha` / `alpha_r` hold an FTRAN column / BTRAN row no
+    /// pivot has consumed yet.
+    alpha_live: bool,
+    alpha_r_live: bool,
+    /// Eta factors accumulated since the last install.
+    etas: usize,
     /// Host staging buffers for the per-install uploads (σ, nonbasic
     /// values, and one basis-ordered gather), kept across installs so a warm
     /// re-solve stages without allocating.
@@ -355,17 +502,11 @@ impl<M: MatrixStorage> DeviceSimplex<M> {
             n: a.cols(),
             lb: Vec::new(),
             ub: Vec::new(),
-            c: None,
-            b: None,
-            sigma: None,
-            cb: None,
-            lbb: None,
-            ubb: None,
-            xb: None,
-            eta: None,
-            gamma: None,
-            alpha: None,
-            alpha_r: None,
+            ws: None,
+            installed: false,
+            alpha_live: false,
+            alpha_r_live: false,
+            etas: 0,
             stage: Default::default(),
         })
     }
@@ -379,54 +520,38 @@ impl<M: MatrixStorage> DeviceSimplex<M> {
         self.accel.with(f).map_err(LpError::from)
     }
 
-    /// Frees a superseded vector inside the caller's device closure (one
-    /// lock for the kernel and its cleanup). Best-effort: a handle could be
-    /// gone only via engine bugs.
-    fn release(d: &mut GpuDevice, h: Option<VectorHandle>) {
-        if let Some(h) = h {
-            let _ = d.free_vector(h);
+    /// The workspace, once an install has filled it.
+    fn ws(&self) -> LpResult<Workspace<M::Eta>> {
+        self.ws
+            .filter(|_| self.installed)
+            .ok_or(LpError::NotInstalled)
+    }
+
+    /// The workspace with an unconsumed FTRAN column in `alpha`.
+    fn ws_alpha(&self) -> LpResult<Workspace<M::Eta>> {
+        if !self.alpha_live {
+            return Err(LpError::NotInstalled);
         }
+        self.ws()
     }
 
-    fn clear_iteration_state(&mut self) {
-        let handles = [
-            self.c.take(),
-            self.b.take(),
-            self.sigma.take(),
-            self.cb.take(),
-            self.lbb.take(),
-            self.ubb.take(),
-            self.xb.take(),
-            self.gamma.take(),
-            self.alpha.take(),
-            self.alpha_r.take(),
-        ];
-        let eta = self.eta.take();
-        // Best-effort cleanup under one lock: a handle could be gone only
-        // via engine bugs, so failures are ignored.
-        self.accel.with(|d| {
-            for h in handles.into_iter().flatten() {
-                let _ = d.free_vector(h);
-            }
-            if let Some(e) = eta {
-                let _ = M::eta_free(d, e);
-            }
-        });
-    }
-
-    fn eta(&self) -> LpResult<M::Eta> {
-        self.eta.ok_or(LpError::NotInstalled)
-    }
-
-    fn req(&self, h: Option<VectorHandle>) -> LpResult<VectorHandle> {
-        h.ok_or(LpError::NotInstalled)
+    /// The workspace with an unconsumed BTRAN row in `alpha_r`.
+    fn ws_alpha_r(&self) -> LpResult<Workspace<M::Eta>> {
+        if !self.alpha_r_live {
+            return Err(LpError::NotInstalled);
+        }
+        self.ws()
     }
 }
 
 impl<M: MatrixStorage> Drop for DeviceSimplex<M> {
     fn drop(&mut self) {
-        self.clear_iteration_state();
-        let _ = self.accel.with(|d| self.a.free(d));
+        self.accel.with(|d| {
+            if let Some(ws) = self.ws {
+                ws.free(d);
+            }
+            let _ = d.free(self.a);
+        });
     }
 }
 
@@ -454,18 +579,22 @@ impl<M: MatrixStorage> SimplexEngine for DeviceSimplex<M> {
                 view.b.len()
             )));
         }
-        self.clear_iteration_state();
+        self.installed = false;
+        self.alpha_live = false;
+        self.alpha_r_live = false;
+        self.etas = 0;
         self.lb.clear();
         self.lb.extend_from_slice(view.lb);
         self.ub.clear();
         self.ub.extend_from_slice(view.ub);
 
         // Host-side assembly of the small per-install vectors.
-        let [mut sigma, mut x_nb, mut basic] = std::mem::take(&mut self.stage);
-        for buf in [&mut sigma, &mut x_nb] {
+        let [sigma, x_nb, basic] = &mut self.stage;
+        for buf in [&mut *sigma, &mut *x_nb] {
             buf.clear();
             buf.resize(self.n, 0.0);
         }
+        let mut free_variable = None;
         for (j, s) in basis.status.iter().enumerate() {
             match s {
                 VarStatus::Basic(_) => {}
@@ -479,7 +608,8 @@ impl<M: MatrixStorage> SimplexEngine for DeviceSimplex<M> {
                 }
             }
             if !matches!(s, VarStatus::Basic(_)) && !x_nb[j].is_finite() {
-                return Err(LpError::FreeVariable(j));
+                free_variable = Some(j);
+                break;
             }
         }
         // Basis-ordered gather of a column vector into the staging buffer.
@@ -490,40 +620,41 @@ impl<M: MatrixStorage> SimplexEngine for DeviceSimplex<M> {
         };
 
         let a = self.a;
-        let (c_h, b_h, sigma_h, cb_h, lbb_h, ubb_h, eta_h, xb_h) = self.with_dev(|d| {
-            let c_h = d.upload_vector(view.c, st)?;
-            let b_h = d.upload_vector(view.b, st)?;
-            let sigma_h = d.upload_vector(&sigma, st)?;
-            gather(&mut basic, view.c);
-            let cb_h = d.upload_vector(&basic, st)?;
-            gather(&mut basic, view.lb);
-            let lbb_h = d.upload_vector(&basic, st)?;
-            gather(&mut basic, view.ub);
-            let ubb_h = d.upload_vector(&basic, st)?;
-            // Residual w = b − A x_nb, fully on device.
-            let xnb_h = d.upload_vector(&x_nb, st)?;
-            let w = a.residual(d, b_h, xnb_h, st)?;
-            // Basis assembly + factorization, on device.
-            let eta_h = a.factor_basis(d, cols, st)?;
-            let xb_h = M::eta_ftran(d, eta_h, w, st)?;
-            d.free_vector(w)?;
-            d.free_vector(xnb_h)?;
-            Ok((c_h, b_h, sigma_h, cb_h, lbb_h, ubb_h, eta_h, xb_h))
+        let ws = &mut self.ws;
+        self.accel.with(|d| {
+            // The previous install's state goes first, whatever comes next.
+            let ws = *ws.get_or_insert_with(|| {
+                let eta = M::eta_new(d);
+                Workspace::create(d, eta)
+            });
+            ws.vacate_state(d);
+            if let Some(j) = free_variable {
+                return Err(LpError::FreeVariable(j));
+            }
+            with_scratch(d, [ws.x_nb, ws.w], |d| {
+                d.upload_into(ws.c, view.c, st)?;
+                d.upload_into(ws.b, view.b, st)?;
+                d.upload_into(ws.sigma, sigma, st)?;
+                gather(basic, view.c);
+                d.upload_into(ws.cb, basic, st)?;
+                gather(basic, view.lb);
+                d.upload_into(ws.lbb, basic, st)?;
+                gather(basic, view.ub);
+                d.upload_into(ws.ubb, basic, st)?;
+                // Residual w = b − A x_nb, fully on device.
+                d.upload_into(ws.x_nb, x_nb, st)?;
+                a.residual(d, ws.b, ws.x_nb, ws.w, st)?;
+                // Basis assembly + factorization, on device.
+                a.factor_basis(d, cols, ws.eta, st)?;
+                M::eta_ftran(d, ws.eta, ws.w, ws.xb, st)
+            })?;
+            // Devex reference weights start at one; σ's staging buffer has
+            // the right length and is no longer needed.
+            sigma.fill(1.0);
+            d.upload_into(ws.gamma, sigma, st)?;
+            Ok(())
         })?;
-        self.c = Some(c_h);
-        self.b = Some(b_h);
-        self.sigma = Some(sigma_h);
-        self.cb = Some(cb_h);
-        self.lbb = Some(lbb_h);
-        self.ubb = Some(ubb_h);
-        self.eta = Some(eta_h);
-        self.xb = Some(xb_h);
-        // Devex reference weights start at one; σ's staging buffer has the
-        // right length and is no longer needed.
-        sigma.fill(1.0);
-        let g = self.with_dev(|d| d.upload_vector(&sigma, st))?;
-        self.gamma = Some(g);
-        self.stage = [sigma, x_nb, basic];
+        self.installed = true;
         Ok(())
     }
 
@@ -538,92 +669,72 @@ impl<M: MatrixStorage> SimplexEngine for DeviceSimplex<M> {
 
     fn price(&mut self) -> LpResult<Option<(usize, f64)>> {
         let st = self.stream;
-        let eta = self.eta()?;
-        let cb = self.req(self.cb)?;
-        let c = self.req(self.c)?;
-        let sigma = self.req(self.sigma)?;
+        let ws = self.ws()?;
         let a = self.a;
         self.with_dev(|d| {
-            let y = M::eta_btran(d, eta, cb, st)?;
-            let dvec = a.pricing(d, y, c, st)?;
-            let score = d.vec_mul(dvec, sigma, st)?;
-            let best = d.argmin_masked(score, sigma, st)?;
-            d.free_vector(y)?;
-            d.free_vector(dvec)?;
-            d.free_vector(score)?;
-            Ok(best)
+            with_scratch(d, [ws.y, ws.d, ws.score], |d| {
+                M::eta_btran(d, ws.eta, ws.cb, ws.y, st)?;
+                a.pricing(d, ws.y, ws.c, ws.d, st)?;
+                d.vec_mul(ws.d, ws.sigma, ws.score, st)?;
+                d.argmin_masked(ws.score, ws.sigma, st)
+            })
         })
     }
 
     fn reduced_costs_host(&mut self) -> LpResult<Vec<f64>> {
         let st = self.stream;
-        let eta = self.eta()?;
-        let cb = self.req(self.cb)?;
-        let c = self.req(self.c)?;
+        let ws = self.ws()?;
         let a = self.a;
         self.with_dev(|d| {
-            let y = M::eta_btran(d, eta, cb, st)?;
-            let dvec = a.pricing(d, y, c, st)?;
-            // Honest full-vector D2H transfer (the Bland fallback's cost).
-            let out = d.download_vector(dvec, st)?;
-            d.free_vector(y)?;
-            d.free_vector(dvec)?;
-            Ok(out)
+            with_scratch(d, [ws.y, ws.d], |d| {
+                M::eta_btran(d, ws.eta, ws.cb, ws.y, st)?;
+                a.pricing(d, ws.y, ws.c, ws.d, st)?;
+                // Honest full-vector D2H transfer (the Bland fallback's cost).
+                d.download_vector(ws.d, st)
+            })
         })
     }
 
     fn ftran_column(&mut self, q: usize) -> LpResult<()> {
         let st = self.stream;
-        let eta = self.eta()?;
+        let ws = self.ws()?;
         let a = self.a;
-        let old = self.alpha;
-        let alpha = self.with_dev(|d| {
-            let col = a.extract_column(d, q, st)?;
-            let alpha = M::eta_ftran(d, eta, col, st)?;
-            d.free_vector(col)?;
-            Self::release(d, old);
-            Ok(alpha)
+        self.alpha_live = false;
+        self.with_dev(|d| {
+            with_scratch(d, [ws.col], |d| {
+                a.extract_column(d, q, ws.col, st)?;
+                M::eta_ftran(d, ws.eta, ws.col, ws.alpha, st)
+            })
         })?;
-        self.alpha = Some(alpha);
+        self.alpha_live = true;
         Ok(())
     }
 
     fn alpha_entry(&mut self, i: usize) -> LpResult<f64> {
         let st = self.stream;
-        let alpha = self.req(self.alpha)?;
-        self.with_dev(|d| d.vec_get(alpha, i, st))
+        let ws = self.ws_alpha()?;
+        self.with_dev(|d| d.vec_get(ws.alpha, i, st))
     }
 
     fn ratio_test(&mut self, dir: f64, tol: f64) -> LpResult<Option<(usize, f64, bool)>> {
         let st = self.stream;
-        let xb = self.req(self.xb)?;
-        let alpha = self.req(self.alpha)?;
-        let lbb = self.req(self.lbb)?;
-        let ubb = self.req(self.ubb)?;
-        self.with_dev(|d| d.ratio_test_bounded(xb, alpha, lbb, ubb, dir, tol, st))
+        let ws = self.ws_alpha()?;
+        self.with_dev(|d| d.ratio_test_bounded(ws.xb, ws.alpha, ws.lbb, ws.ubb, dir, tol, st))
     }
 
     fn apply_flip(&mut self, q: usize, dir: f64, t: f64, new_sigma: f64) -> LpResult<()> {
         let st = self.stream;
-        let xb = self.req(self.xb)?;
-        let alpha = self.req(self.alpha)?;
-        let sigma = self.req(self.sigma)?;
+        let ws = self.ws_alpha()?;
         self.with_dev(|d| {
-            d.basic_step(xb, alpha, dir, t, None, st)?;
-            d.vec_set(sigma, q, new_sigma, st)
+            d.basic_step(ws.xb, ws.alpha, dir, t, None, st)?;
+            d.vec_set(ws.sigma, q, new_sigma, st)
         })
     }
 
     fn apply_pivot(&mut self, plan: &PivotPlan) -> LpResult<()> {
         let st = self.stream;
-        let xb = self.req(self.xb)?;
-        let alpha = self.req(self.alpha)?;
-        let sigma = self.req(self.sigma)?;
-        let cb = self.req(self.cb)?;
-        let lbb = self.req(self.lbb)?;
-        let ubb = self.req(self.ubb)?;
-        let eta = self.eta()?;
-        let old_ar = self.alpha_r;
+        let ws = self.ws_alpha()?;
+        let alpha_r_live = self.alpha_r_live;
         let leaving_sigma = if self.lb[plan.leaving_j] == self.ub[plan.leaving_j] {
             0.0
         } else {
@@ -631,153 +742,137 @@ impl<M: MatrixStorage> SimplexEngine for DeviceSimplex<M> {
         };
         self.with_dev(|d| {
             d.basic_step(
-                xb,
-                alpha,
+                ws.xb,
+                ws.alpha,
                 plan.dir,
                 plan.t,
                 Some((plan.r, plan.entering_val)),
                 st,
             )?;
-            M::eta_update(d, eta, plan.r, alpha, st)?;
-            d.vec_set(sigma, plan.leaving_j, leaving_sigma, st)?;
-            d.vec_set(sigma, plan.q, 0.0, st)?;
-            d.vec_set(cb, plan.r, plan.c_q, st)?;
-            d.vec_set(lbb, plan.r, plan.lb_q, st)?;
-            d.vec_set(ubb, plan.r, plan.ub_q, st)?;
+            M::eta_update(d, ws.eta, plan.r, ws.alpha, st)?;
+            d.vec_set(ws.sigma, plan.leaving_j, leaving_sigma, st)?;
+            d.vec_set(ws.sigma, plan.q, 0.0, st)?;
+            d.vec_set(ws.cb, plan.r, plan.c_q, st)?;
+            d.vec_set(ws.lbb, plan.r, plan.lb_q, st)?;
+            d.vec_set(ws.ubb, plan.r, plan.ub_q, st)?;
             // The pivot consumed α (and the Devex row, if any).
-            Self::release(d, Some(alpha));
-            Self::release(d, old_ar);
+            vacate(d, [ws.alpha]);
+            if alpha_r_live {
+                vacate(d, [ws.alpha_r]);
+            }
             Ok(())
         })?;
-        self.alpha = None;
-        self.alpha_r = None;
+        self.etas += 1;
+        self.alpha_live = false;
+        self.alpha_r_live = false;
         Ok(())
     }
 
     fn basic_values(&mut self) -> LpResult<Vec<f64>> {
         let st = self.stream;
-        let xb = self.req(self.xb)?;
-        self.with_dev(|d| d.download_vector(xb, st))
+        let ws = self.ws()?;
+        self.with_dev(|d| d.download_vector(ws.xb, st))
     }
 
     fn basic_entry(&mut self, i: usize) -> LpResult<f64> {
         let st = self.stream;
-        let xb = self.req(self.xb)?;
-        self.with_dev(|d| d.vec_get(xb, i, st))
+        let ws = self.ws()?;
+        self.with_dev(|d| d.vec_get(ws.xb, i, st))
     }
 
     fn eta_count(&self) -> usize {
-        match self.eta {
-            Some(e) => self.accel.with(|d| M::eta_count(d, e)).unwrap_or(0),
-            None => 0,
-        }
+        self.etas
     }
 
     fn primal_infeas(&mut self, tol: f64) -> LpResult<Option<(usize, f64, bool)>> {
         let st = self.stream;
-        let xb = self.req(self.xb)?;
-        let lbb = self.req(self.lbb)?;
-        let ubb = self.req(self.ubb)?;
-        self.with_dev(|d| d.primal_infeas_argmax(xb, lbb, ubb, tol, st))
+        let ws = self.ws()?;
+        self.with_dev(|d| d.primal_infeas_argmax(ws.xb, ws.lbb, ws.ubb, tol, st))
     }
 
     fn btran_row(&mut self, r: usize) -> LpResult<()> {
         let st = self.stream;
-        let eta = self.eta()?;
+        let ws = self.ws()?;
         let a = self.a;
         let m = self.m;
-        let old = self.alpha_r;
-        let ar = self.with_dev(|d| {
-            let e = d.alloc_unit_vector(m, r, st)?;
-            let rho = M::eta_btran(d, eta, e, st)?;
-            let ar = a.row_times_matrix(d, rho, st)?;
-            d.free_vector(e)?;
-            d.free_vector(rho)?;
-            Self::release(d, old);
-            Ok(ar)
+        self.alpha_r_live = false;
+        self.with_dev(|d| {
+            with_scratch(d, [ws.e_r, ws.rho], |d| {
+                d.alloc_unit_vector(m, r, ws.e_r, st)?;
+                M::eta_btran(d, ws.eta, ws.e_r, ws.rho, st)?;
+                a.row_times_matrix(d, ws.rho, ws.alpha_r, st)
+            })
         })?;
-        self.alpha_r = Some(ar);
+        self.alpha_r_live = true;
         Ok(())
     }
 
     fn dual_ratio(&mut self, leaving_below: bool, tol: f64) -> LpResult<Option<(usize, f64)>> {
         let st = self.stream;
-        let eta = self.eta()?;
-        let cb = self.req(self.cb)?;
-        let c = self.req(self.c)?;
-        let sigma = self.req(self.sigma)?;
-        let ar = self.req(self.alpha_r)?;
+        let ws = self.ws_alpha_r()?;
         let a = self.a;
         self.with_dev(|d| {
-            let y = M::eta_btran(d, eta, cb, st)?;
-            let dvec = a.pricing(d, y, c, st)?;
-            let best = d.dual_ratio_argmin(dvec, ar, sigma, leaving_below, tol, st)?;
-            d.free_vector(y)?;
-            d.free_vector(dvec)?;
-            Ok(best)
+            with_scratch(d, [ws.y, ws.d], |d| {
+                M::eta_btran(d, ws.eta, ws.cb, ws.y, st)?;
+                a.pricing(d, ws.y, ws.c, ws.d, st)?;
+                d.dual_ratio_argmin(ws.d, ws.alpha_r, ws.sigma, leaving_below, tol, st)
+            })
         })
     }
 
     fn alpha_r_entry(&mut self, j: usize) -> LpResult<f64> {
         let st = self.stream;
-        let ar = self.req(self.alpha_r)?;
-        self.with_dev(|d| d.vec_get(ar, j, st))
+        let ws = self.ws_alpha_r()?;
+        self.with_dev(|d| d.vec_get(ws.alpha_r, j, st))
     }
 
     fn btran_row_host(&mut self, r: usize) -> LpResult<Vec<f64>> {
         let st = self.stream;
         self.btran_row(r)?;
-        let ar = self.req(self.alpha_r)?;
+        let ws = self.ws_alpha_r()?;
         // The Section 5.2 device→host leg: the tableau row crosses the link
         // so the CPU-side cut generator can read it.
-        self.with_dev(|d| d.download_vector(ar, st))
+        self.with_dev(|d| d.download_vector(ws.alpha_r, st))
     }
 
     fn dual_prices(&mut self) -> LpResult<Vec<f64>> {
         let st = self.stream;
-        let eta = self.eta()?;
-        let cb = self.req(self.cb)?;
+        let ws = self.ws()?;
         self.with_dev(|d| {
-            let y = M::eta_btran(d, eta, cb, st)?;
-            let out = d.download_vector(y, st)?;
-            d.free_vector(y)?;
-            Ok(out)
+            with_scratch(d, [ws.y], |d| {
+                M::eta_btran(d, ws.eta, ws.cb, ws.y, st)?;
+                d.download_vector(ws.y, st)
+            })
         })
     }
 
     fn price_devex(&mut self) -> LpResult<Option<(usize, f64)>> {
         let st = self.stream;
-        let eta = self.eta()?;
-        let cb = self.req(self.cb)?;
-        let c = self.req(self.c)?;
-        let sigma = self.req(self.sigma)?;
-        let gamma = self.req(self.gamma)?;
+        let ws = self.ws()?;
         let a = self.a;
         self.with_dev(|d| {
-            let y = M::eta_btran(d, eta, cb, st)?;
-            let dvec = a.pricing(d, y, c, st)?;
-            let best = d.devex_argmax(dvec, sigma, gamma, 0.0, st)?;
-            d.free_vector(y)?;
-            d.free_vector(dvec)?;
-            Ok(best)
+            with_scratch(d, [ws.y, ws.d], |d| {
+                M::eta_btran(d, ws.eta, ws.cb, ws.y, st)?;
+                a.pricing(d, ws.y, ws.c, ws.d, st)?;
+                d.devex_argmax(ws.d, ws.sigma, ws.gamma, 0.0, st)
+            })
         })
     }
 
     fn devex_update(&mut self, q: usize, leaving_j: usize) -> LpResult<()> {
         let st = self.stream;
-        let ar = self.req(self.alpha_r)?;
-        let gamma = self.req(self.gamma)?;
+        let ws = self.ws_alpha_r()?;
         let (arq, gamma_q) = self.with_dev(|d| {
-            let arq = d.vec_get(ar, q, st)?;
-            let gq = d.vec_get(gamma, q, st)?;
+            let arq = d.vec_get(ws.alpha_r, q, st)?;
+            let gq = d.vec_get(ws.gamma, q, st)?;
             Ok((arq, gq))
         })?;
         if arq.abs() < 1e-12 {
             return Err(LpError::Shape("devex update with zero pivot".into()));
         }
         self.with_dev(|d| {
-            d.devex_weight_update(gamma, ar, arq, gamma_q, st)?;
-            d.vec_set(gamma, leaving_j, (gamma_q / (arq * arq)).max(1.0), st)
+            d.devex_weight_update(ws.gamma, ws.alpha_r, arq, gamma_q, st)?;
+            d.vec_set(ws.gamma, leaving_j, (gamma_q / (arq * arq)).max(1.0), st)
         })
     }
 }
@@ -787,9 +882,12 @@ mod tests {
     use super::*;
     use crate::engine::HostEngine;
     use crate::problem::{BoundChange, StandardLp};
+    use crate::simplex::{primal_solve, PrimalConfig};
     use crate::solver::{LpConfig, LpSolver, LpStatus};
+    use gmip_linalg::LinalgError;
     use gmip_problems::catalog::{textbook_lp, textbook_mip};
     use gmip_problems::generators::{knapsack, set_cover, unit_commitment};
+    use proptest::prelude::*;
 
     fn device_solver<M: MatrixStorage + 'static>(
         std: StandardLp,
@@ -899,6 +997,248 @@ mod tests {
         assert_eq!(accel.mem_used(), 0, "engine leaked device memory");
     }
 
+    /// `[A | I]` with two equal structural columns: the basis {0, 1} is
+    /// singular, the slack basis {2, 3} is fine.
+    fn twin_columns() -> DenseMatrix {
+        DenseMatrix::from_rows(&[vec![1.0, 1.0, 1.0, 0.0], vec![2.0, 2.0, 0.0, 1.0]]).unwrap()
+    }
+
+    fn failed_installs_leak_nothing<M: MatrixStorage>() {
+        let (c, lb, ub, b) = ([1.0, 1.0, 0.0, 0.0], [0.0; 4], [10.0; 4], [4.0, 6.0]);
+        let view = ProblemView {
+            c: &c,
+            lb: &lb,
+            ub: &ub,
+            b: &b,
+        };
+        let good = Basis::with_basic_cols(vec![2, 3], 4);
+        let singular = Basis::with_basic_cols(vec![0, 1], 4);
+        let accel = Accel::gpu(1);
+        let engine = || DeviceSimplex::<M>::new(accel.clone(), &twin_columns()).unwrap();
+
+        let mut fresh = engine();
+        fresh.install(view, &good).unwrap();
+        let installed = accel.mem_used();
+        drop(fresh);
+        assert_eq!(accel.mem_used(), 0);
+
+        let mut e = engine();
+        e.install(view, &good).unwrap();
+        assert_eq!(accel.mem_used(), installed);
+        let created = accel.with(|d| d.objects_created());
+        let mut stranded = None;
+        for _ in 0..3 {
+            assert!(matches!(
+                e.install(view, &singular),
+                Err(LpError::Numerics(LinalgError::Singular { .. }))
+            ));
+            // What the failed install had uploaded stays until the next
+            // install takes it back — the same bytes every time, less than
+            // a whole install, and none of them usable.
+            let used = accel.mem_used();
+            assert_eq!(*stranded.get_or_insert(used), used);
+            assert!(used < installed);
+            assert!(matches!(e.price(), Err(LpError::NotInstalled)));
+            assert!(matches!(e.basic_values(), Err(LpError::NotInstalled)));
+        }
+        e.install(view, &good).unwrap();
+        assert_eq!(accel.mem_used(), installed);
+        assert_eq!(accel.with(|d| d.objects_created()), created);
+        assert_eq!(e.basic_values().unwrap(), vec![4.0, 6.0]);
+        drop(e);
+        assert_eq!(accel.mem_used(), 0, "engine leaked device memory");
+    }
+
+    fn consumed_vectors_stay_consumed<M: MatrixStorage>() {
+        // max x0 + x1 over x0 + x1 + s0 = 4, 2 x0 + x1 + s1 = 6.
+        let a =
+            DenseMatrix::from_rows(&[vec![1.0, 1.0, 1.0, 0.0], vec![2.0, 1.0, 0.0, 1.0]]).unwrap();
+        let (c, lb, ub, b) = ([1.0, 1.0, 0.0, 0.0], [0.0; 4], [10.0; 4], [4.0, 6.0]);
+        let view = ProblemView {
+            c: &c,
+            lb: &lb,
+            ub: &ub,
+            b: &b,
+        };
+        let mut e = DeviceSimplex::<M>::new(Accel::gpu(1), &a).unwrap();
+        let not_installed = |r: LpResult<()>| assert_eq!(r, Err(LpError::NotInstalled));
+        not_installed(e.price().map(drop));
+        e.install(view, &Basis::with_basic_cols(vec![2, 3], 4))
+            .unwrap();
+        // Installed, but no FTRAN column / BTRAN row yet.
+        not_installed(e.ratio_test(1.0, 1e-9).map(drop));
+        not_installed(e.alpha_entry(0).map(drop));
+        not_installed(e.dual_ratio(true, 1e-9).map(drop));
+        not_installed(e.alpha_r_entry(0).map(drop));
+
+        e.btran_row(1).unwrap();
+        e.ftran_column(0).unwrap();
+        assert_eq!(e.alpha_entry(1).unwrap(), 2.0);
+        assert_eq!(e.alpha_r_entry(0).unwrap(), 2.0);
+        let (r, t, upper) = e.ratio_test(1.0, 1e-9).unwrap().unwrap();
+        assert_eq!((r, t, upper), (1, 3.0, false));
+        e.apply_pivot(&PivotPlan {
+            r,
+            q: 0,
+            leaving_j: 3,
+            dir: 1.0,
+            t,
+            entering_val: t,
+            leaving_sigma: -1.0,
+            c_q: c[0],
+            lb_q: lb[0],
+            ub_q: ub[0],
+        })
+        .unwrap();
+        assert_eq!(e.eta_count(), 1);
+        // The pivot consumed both: their storage is still on the device,
+        // their contents are nobody's to read.
+        not_installed(e.ratio_test(1.0, 1e-9).map(drop));
+        not_installed(e.alpha_entry(1).map(drop));
+        not_installed(e.apply_flip(1, 1.0, 0.0, 1.0));
+        not_installed(e.dual_ratio(true, 1e-9).map(drop));
+        not_installed(e.alpha_r_entry(0).map(drop));
+        not_installed(e.devex_update(1, 3));
+        assert_eq!(e.basic_values().unwrap(), vec![1.0, 3.0]);
+        // Fresh ones are readable again.
+        e.ftran_column(1).unwrap();
+        e.btran_row(0).unwrap();
+        assert_eq!(e.alpha_entry(0).unwrap(), 0.5);
+        assert_eq!(e.alpha_r_entry(3).unwrap(), -0.5);
+
+        // A nonbasic column without a finite bound fails the install before
+        // anything reaches the device — and keeps the staging buffers.
+        let staged: Vec<usize> = e.stage.iter().map(Vec::capacity).collect();
+        let free_ub = [10.0, f64::INFINITY, 10.0, 10.0];
+        let mut at_upper = Basis::with_basic_cols(vec![2, 3], 4);
+        at_upper.status[1] = VarStatus::AtUpper;
+        let unbounded = ProblemView {
+            ub: &free_ub,
+            ..view
+        };
+        assert_eq!(
+            e.install(unbounded, &at_upper),
+            Err(LpError::FreeVariable(1))
+        );
+        not_installed(e.price().map(drop));
+        assert_eq!(
+            e.stage.iter().map(Vec::capacity).collect::<Vec<_>>(),
+            staged
+        );
+        assert!(staged.iter().all(|&cap| cap > 0));
+    }
+
+    /// Everything an install determines, bit for bit: `x_B`, the duals, the
+    /// reduced costs, a tableau row, and the pivot path a primal solve takes
+    /// from there (iterations, final basis, final `x_B`).
+    fn install_fingerprint<M: MatrixStorage>(
+        e: &mut DeviceSimplex<M>,
+        view: ProblemView<'_>,
+        basis: &Basis,
+    ) -> LpResult<(Vec<Vec<u64>>, usize, Vec<usize>)> {
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        e.install(view, basis)?;
+        let mut vectors = vec![
+            bits(e.basic_values()?),
+            bits(e.dual_prices()?),
+            bits(e.reduced_costs_host()?),
+            bits(e.btran_row_host(basis.m() - 1)?),
+        ];
+        let mut basis = basis.clone();
+        let (_, iterations) = primal_solve(e, view, &mut basis, &PrimalConfig::default())?;
+        vectors.push(bits(e.basic_values()?));
+        Ok((vectors, iterations, basis.cols))
+    }
+
+    /// `install(A)`, pivots, `append_cut`, `install(B)` on one engine against
+    /// `install(B)` on an engine that has never held anything else.
+    fn used_engine_installs_like_a_fresh_one<M: MatrixStorage>(
+        rows: &[Vec<f64>],
+        c: &[f64],
+        b: &[f64],
+        cut: (&[f64], f64),
+    ) -> std::result::Result<(), proptest::test_runner::TestCaseError> {
+        let (m, n) = (rows.len(), rows[0].len());
+        // [A | I], columns boxed so no direction is unbounded.
+        let mut a = DenseMatrix::from_rows(rows).unwrap();
+        for i in 0..m {
+            let mut slack = vec![0.0; m];
+            slack[i] = 1.0;
+            a.push_col(&slack).unwrap();
+        }
+        let mut c = c.to_vec();
+        c.resize(n + m, 0.0);
+        let (mut lb, mut ub, mut b) = (vec![0.0; n + m], vec![8.0; n + m], b.to_vec());
+        ub[n..].fill(f64::INFINITY);
+        let view_a = ProblemView {
+            c: &c,
+            lb: &lb,
+            ub: &ub,
+            b: &b,
+        };
+        let slack_basis = Basis::with_basic_cols((n..n + m).collect(), n + m);
+
+        let mut used = DeviceSimplex::<M>::new(Accel::gpu(1), &a).unwrap();
+        let mut basis = slack_basis.clone();
+        used.install(view_a, &basis).unwrap();
+        primal_solve(&mut used, view_a, &mut basis, &PrimalConfig::default()).unwrap();
+        // Leave an unconsumed FTRAN column and BTRAN row behind as well.
+        used.ftran_column(0).unwrap();
+        used.btran_row(0).unwrap();
+
+        // The cut row over the structural columns, its slack basic in the
+        // new row; B is the grown problem from the slack basis.
+        let mut row = cut.0.to_vec();
+        row.resize(n + m, 0.0);
+        let mut slack = vec![0.0; m + 1];
+        slack[m] = 1.0;
+        used.append_cut(&row, &slack).unwrap();
+        a.push_row(&row).unwrap();
+        a.push_col(&slack).unwrap();
+        c.push(0.0);
+        lb.push(0.0);
+        ub.push(f64::INFINITY);
+        b.push(cut.1);
+        let view_b = ProblemView {
+            c: &c,
+            lb: &lb,
+            ub: &ub,
+            b: &b,
+        };
+        let mut basis_b = slack_basis;
+        basis_b.extend_for_cuts(n + m, 1);
+
+        let mut fresh = DeviceSimplex::<M>::new(Accel::gpu(1), &a).unwrap();
+        prop_assert_eq!(
+            install_fingerprint(&mut used, view_b, &basis_b),
+            install_fingerprint(&mut fresh, view_b, &basis_b)
+        );
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        /// Resident buffers cannot resurrect stale state: whatever an engine
+        /// held before — longer or shorter vectors, an eta file full of
+        /// updates, unconsumed α and α_r — a later install reads none of it.
+        #[test]
+        fn used_engines_install_like_fresh_ones(
+            (rows, c, b, cut) in (1usize..4, 2usize..6).prop_flat_map(|(m, n)| {
+                let entry = || (-4i32..9).prop_map(|v| f64::from(v) / 2.0);
+                (
+                    proptest::collection::vec(proptest::collection::vec(entry(), n), m),
+                    proptest::collection::vec(entry(), n),
+                    proptest::collection::vec((1i32..20).prop_map(f64::from), m),
+                    (proptest::collection::vec(entry(), n), (1i32..12).prop_map(f64::from)),
+                )
+            })
+        ) {
+            used_engine_installs_like_a_fresh_one::<MatrixHandle>(&rows, &c, &b, (&cut.0, cut.1))?;
+            used_engine_installs_like_a_fresh_one::<SparseHandle>(&rows, &c, &b, (&cut.0, cut.1))?;
+        }
+    }
+
     macro_rules! storage_suite {
         ($name:ident, $storage:ty) => {
             mod $name {
@@ -922,6 +1262,16 @@ mod tests {
                 #[test]
                 fn frees_memory_on_drop() {
                     super::frees_memory_on_drop::<$storage>();
+                }
+
+                #[test]
+                fn failed_installs_leak_nothing() {
+                    super::failed_installs_leak_nothing::<$storage>();
+                }
+
+                #[test]
+                fn consumed_vectors_stay_consumed() {
+                    super::consumed_vectors_stay_consumed::<$storage>();
                 }
             }
         };

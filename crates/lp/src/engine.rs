@@ -298,14 +298,9 @@ impl SimplexEngine for HostEngine {
         for ((wi, bi), ai) in self.col.iter_mut().zip(&self.b).zip(&self.work) {
             *wi = bi - ai;
         }
-        // Factorize the basis.
-        let mut bmat = DenseMatrix::zeros(m, m);
-        for (i, &j) in basis.cols.iter().enumerate() {
-            for r in 0..m {
-                bmat.set(r, i, self.a.get(r, j));
-            }
-        }
-        let eta = EtaFile::factorize(&bmat)?;
+        // Gather and factorize the basis, in the previous file's storage.
+        let mut eta = self.eta.take().unwrap_or_default();
+        eta.refactorize_columns(&self.a, &basis.cols)?;
         self.xb.resize(m, 0.0);
         eta.ftran_into(&self.col, &mut self.xb)?;
         self.eta = Some(eta);
@@ -356,8 +351,7 @@ impl SimplexEngine for HostEngine {
         // without a re-install stays a dimension error below.
         self.col.resize(self.a.rows(), 0.0);
         self.a.col_into(q, &mut self.col);
-        // Reuses the previous column's buffer unless a pivot moved it into
-        // the eta file.
+        // Reuses the previous column's buffer unless a pivot consumed it.
         let mut alpha = self.alpha.take().unwrap_or_default();
         alpha.resize(self.col.len(), 0.0);
         self.eta()?.ftran_into(&self.col, &mut alpha)?;
@@ -404,8 +398,8 @@ impl SimplexEngine for HostEngine {
     }
 
     fn apply_pivot(&mut self, plan: &PivotPlan) -> LpResult<()> {
-        // The FTRAN column moves into the eta file; it is stale after the
-        // pivot anyway.
+        // The eta file keeps a copy of the FTRAN column, which is stale
+        // after the pivot.
         let alpha = self.alpha.take().ok_or(LpError::NotInstalled)?;
         for (xi, ai) in self.xb.iter_mut().zip(&alpha) {
             *xi -= plan.dir * plan.t * ai;
@@ -414,7 +408,7 @@ impl SimplexEngine for HostEngine {
         self.eta
             .as_mut()
             .ok_or(LpError::NotInstalled)?
-            .update(plan.r, alpha)?;
+            .update(plan.r, &alpha)?;
         self.sigma[plan.leaving_j] = if self.lb[plan.leaving_j] == self.ub[plan.leaving_j] {
             0.0
         } else {
