@@ -149,8 +149,10 @@ pub fn run() -> String {
         out.push('\n');
     }
     out.push_str(
-        "shape check: strategy 2/3 fastest in-regime; strategy 1 spills when the tree \
-         outgrows the device; strategy 4 alone survives matrix>device.\n",
+        "shape check: strategy 2/3 need the fewest nodes in-regime and finish first or \
+         within 2% of it (strategy 1 never ships a cut and pays for that in nodes); \
+         strategy 1 spills when the tree outgrows the device; strategy 4 alone survives \
+         matrix>device.\n",
     );
     out
 }

@@ -233,7 +233,7 @@ impl LaneSet for SimplexLanes {
     }
 
     fn run_to_retire(&mut self) -> Vec<usize> {
-        self.wave.run_to_retire()
+        self.wave.run_to_retire().to_vec()
     }
 
     fn retire(
@@ -748,6 +748,44 @@ pub(crate) mod tests {
         .unwrap();
         assert_eq!(r.status, MipStatus::Infeasible);
         assert!(r.metrics.counter(names::PROP_INFEASIBLE) >= 1.0);
+    }
+
+    /// The wave is sized to fill the device, so the warm-basis pool's first
+    /// miss finds no free byte: it must spill or go unpooled, not fail — and
+    /// a starved pool changes what the solve costs, never what it searches
+    /// (the reference is a roomy device running the same effective width).
+    #[test]
+    fn a_device_the_wave_fills_still_solves() {
+        use gmip_gpu::{CostModel, DeviceConfig};
+        use gmip_problems::generators::bin_packing;
+        for m in [knapsack(30, 0.5, 3), bin_packing(4, 1.0, 2)] {
+            let solve = |mem_capacity: usize, lanes: usize| {
+                let cfg = BatchedWaveConfig {
+                    lanes,
+                    ..Default::default()
+                };
+                let device = Accel::gpu_with(DeviceConfig {
+                    cost: CostModel::gpu_pcie(),
+                    mem_capacity,
+                    streams: 1,
+                });
+                solve_batched_wave(&m, &cfg, device)
+                    .unwrap_or_else(|e| panic!("{} on {mem_capacity} B: {e}", m.name))
+            };
+            for kib in [8, 16, 32, 64] {
+                let small = solve(kib << 10, 64);
+                assert!(small.metrics.counter(names::BATCH_BASIS_MISSES) > 0.0);
+                let roomy = solve(1 << 20, small.width);
+                assert_eq!(roomy.metrics.counter(names::BATCH_BASIS_EVICTIONS), 0.0);
+                assert_eq!(
+                    (small.status, small.objective.to_bits(), small.nodes),
+                    (MipStatus::Optimal, roomy.objective.to_bits(), roomy.nodes),
+                    "{} on {kib} KiB, {} lanes",
+                    m.name,
+                    small.width
+                );
+            }
+        }
     }
 
     #[test]

@@ -64,8 +64,18 @@ impl From<LinalgError> for GpuError {
 /// Device-operation result alias.
 pub type Result<T> = std::result::Result<T, GpuError>;
 
+/// An index a kernel was handed that its vector does not have.
+fn out_of_bounds(index: usize, bound: usize) -> GpuError {
+    GpuError::Linalg(LinalgError::OutOfBounds { index, bound })
+}
+
 /// The default stream (stream 0), always present.
 pub const DEFAULT_STREAM: StreamId = 0;
+
+/// A scalar store `vector[index] = value` that rides a kernel launch as an
+/// argument (see [`GpuDevice::basic_step`]): the host names a position and a
+/// value, the kernel writes it, and nothing crosses the link for it.
+pub type ScalarWrite = (VectorHandle, usize, f64);
 
 macro_rules! handle_type {
     ($(#[$doc:meta])* $name:ident) => {
@@ -458,13 +468,28 @@ impl GpuDevice {
         VectorHandle(self.objects.insert(Obj::Vector(Vec::new()), 0, false))
     }
 
-    /// Uploads `v` into resident vector `out` (one H2D transfer).
-    pub fn upload_into(&mut self, out: VectorHandle, v: &[f64], stream: StreamId) -> Result<()> {
-        let mut buf = self.objects.detach(out)?;
-        buf.clear();
-        buf.extend_from_slice(v);
-        self.settle(out, buf)?;
-        self.charge_h2d(std::mem::size_of_val(v), stream);
+    /// Uploads every `(out, v)` of `parts` into its resident vector as one
+    /// *staged* transfer: the host packs the payloads into one staging
+    /// buffer and the link is crossed once, for the summed bytes. The
+    /// vectors are written and their tenancies settled in list order (each a
+    /// modelled allocation, then the release of the tenant it supersedes),
+    /// and the transfer is charged once every destination exists: a part
+    /// that does not fit leaves the earlier ones uploaded, itself unreadable,
+    /// and the link untouched.
+    pub fn upload_staged(
+        &mut self,
+        parts: &[(VectorHandle, &[f64])],
+        stream: StreamId,
+    ) -> Result<()> {
+        let mut bytes = 0;
+        for &(out, v) in parts {
+            let mut buf = self.objects.detach(out)?;
+            buf.clear();
+            buf.extend_from_slice(v);
+            self.settle(out, buf)?;
+            bytes += std::mem::size_of_val(v);
+        }
+        self.charge_h2d(bytes, stream);
         Ok(())
     }
 
@@ -688,59 +713,78 @@ impl GpuDevice {
         Ok(result)
     }
 
-    /// Sets one element of a device vector (tiny H2D write, as when flipping
-    /// a basis-membership mask entry after a pivot).
-    pub fn vec_set(
+    /// Reads `N` elements of device vectors, `at[k] = (vector, index)`, in
+    /// one scalar readback (a single D2H transfer of `8·N` bytes). Nothing
+    /// is charged unless every position exists.
+    pub fn vec_get<const N: usize>(
         &mut self,
-        h: VectorHandle,
-        idx: usize,
-        value: f64,
+        at: [(VectorHandle, usize); N],
         stream: StreamId,
-    ) -> Result<()> {
-        let v = self.objects.vector_mut(h)?;
-        let len = v.len();
-        *v.get_mut(idx)
-            .ok_or(GpuError::Linalg(LinalgError::OutOfBounds {
-                index: idx,
-                bound: len,
-            }))? = value;
-        self.charge_h2d(8, stream);
+    ) -> Result<[f64; N]> {
+        let mut out = [0.0; N];
+        for (o, (h, idx)) in out.iter_mut().zip(at) {
+            let v = self.objects.vector(h)?;
+            *o = *v.get(idx).ok_or_else(|| out_of_bounds(idx, v.len()))?;
+        }
+        self.charge_d2h(8 * N, stream);
+        Ok(out)
+    }
+
+    /// Checks that every [`ScalarWrite`] of `writes` names an element of a
+    /// live vector — before the kernel carrying them mutates anything.
+    fn check_writes(&self, writes: &[ScalarWrite]) -> Result<()> {
+        for &(h, idx, _) in writes {
+            let len = self.objects.vector(h)?.len();
+            if idx >= len {
+                return Err(out_of_bounds(idx, len));
+            }
+        }
         Ok(())
     }
 
-    /// Reads one element of a device vector (tiny D2H readback).
-    pub fn vec_get(&mut self, h: VectorHandle, idx: usize, stream: StreamId) -> Result<f64> {
-        let v = self.objects.vector(h)?;
-        let val = *v
-            .get(idx)
-            .ok_or(GpuError::Linalg(LinalgError::OutOfBounds {
-                index: idx,
-                bound: v.len(),
-            }))?;
-        self.charge_d2h(8, stream);
-        Ok(val)
-    }
-
-    /// Appends a row to a device matrix **from the host** (the Section 5.2
+    /// Appends a cut to a device matrix **from the host** (the Section 5.2
     /// cut-incorporation path: generated on CPU, shipped H2D, spliced in by
-    /// a device kernel).
-    pub fn append_row(&mut self, h: MatrixHandle, row: &[f64], stream: StreamId) -> Result<()> {
-        let add_bytes = std::mem::size_of_val(row);
-        // Charge the transfer and the splice kernel before mutating.
-        self.charge_h2d(add_bytes, stream);
-        self.charge_dense_kernel("append_row", 0.0, add_bytes as f64, stream);
-        self.mem.alloc(add_bytes)?;
-        match self.objects.get_mut(h.0) {
-            Some((Obj::Matrix(m), bytes)) => {
-                m.push_row(row).map_err(GpuError::Linalg)?;
-                *bytes += add_bytes;
-                Ok(())
-            }
-            _ => {
-                self.mem.free(add_bytes);
-                Err(GpuError::InvalidHandle(h.0))
-            }
+    /// device kernels). `row` spans the current columns and `col`, the cut's
+    /// slack column, the grown row count; both cross the link in one staged
+    /// transfer and each is spliced in by its own kernel. A cut of the wrong
+    /// shape, or one the device has no room for, is refused before anything
+    /// is charged or changed.
+    pub fn append_cut(
+        &mut self,
+        h: MatrixHandle,
+        row: &[f64],
+        col: &[f64],
+        stream: StreamId,
+    ) -> Result<()> {
+        let m = self.objects.matrix(h)?;
+        if row.len() != m.cols() || col.len() != m.rows() + 1 {
+            return Err(GpuError::Linalg(LinalgError::DimensionMismatch {
+                context: format!(
+                    "append_cut: row {} col {} onto {}x{}",
+                    row.len(),
+                    col.len(),
+                    m.rows(),
+                    m.cols()
+                ),
+            }));
         }
+        // Room for both or for neither: a cut is never half appended.
+        let (row_bytes, col_bytes) = (std::mem::size_of_val(row), std::mem::size_of_val(col));
+        self.mem.alloc(row_bytes)?;
+        if let Err(e) = self.mem.alloc(col_bytes) {
+            self.mem.free(row_bytes);
+            return Err(e.into());
+        }
+        self.charge_h2d(row_bytes + col_bytes, stream);
+        self.charge_dense_kernel("append_row", 0.0, row_bytes as f64, stream);
+        self.charge_dense_kernel("append_column", 0.0, col_bytes as f64, stream);
+        let Some((Obj::Matrix(m), bytes)) = self.objects.get_mut(h.0) else {
+            return Err(GpuError::InvalidHandle(h.0));
+        };
+        m.push_row(row)?;
+        m.push_col(col)?;
+        *bytes += row_bytes + col_bytes;
+        Ok(())
     }
 
     /// Copies column `j` of a device matrix into resident vector `out`
@@ -768,26 +812,6 @@ impl GpuDevice {
             },
             |dev, bytes| dev.charge_dense_kernel("extract_column", 0.0, (2 * bytes) as f64, stream),
         )
-    }
-
-    /// Appends a column to a device matrix from the host (a cut's slack
-    /// column arriving with the cut row, Section 5.2).
-    pub fn append_column(&mut self, h: MatrixHandle, col: &[f64], stream: StreamId) -> Result<()> {
-        let add_bytes = std::mem::size_of_val(col);
-        self.charge_h2d(add_bytes, stream);
-        self.charge_dense_kernel("append_column", 0.0, add_bytes as f64, stream);
-        self.mem.alloc(add_bytes)?;
-        match self.objects.get_mut(h.0) {
-            Some((Obj::Matrix(m), bytes)) => {
-                m.push_col(col).map_err(GpuError::Linalg)?;
-                *bytes += add_bytes;
-                Ok(())
-            }
-            _ => {
-                self.mem.free(add_bytes);
-                Err(GpuError::InvalidHandle(h.0))
-            }
-        }
     }
 
     /// Fused residual kernel `out = b − A x`, all device-resident (used to
@@ -952,35 +976,29 @@ impl GpuDevice {
         Ok(result)
     }
 
-    /// Fused basic-solution update: `xb ← xb − dir·t·α`, then optionally
-    /// `xb[r] = new_val` (installing the entering variable's value in the
-    /// leaving slot). One kernel, no transfer.
+    /// Fused basic-solution update: `xb ← xb − dir·t·α`, then the scalar
+    /// stores of `writes` in list order — what a pivot changes besides the
+    /// step (the entering variable's value in the leaving slot, the two
+    /// statuses, the entering column's cost and bounds in the basis-ordered
+    /// vectors). The stores are launch arguments: one kernel, no transfer,
+    /// and nothing is touched unless every one of them is in range.
     pub fn basic_step(
         &mut self,
         xb: VectorHandle,
         alpha: VectorHandle,
         dir: f64,
         t: f64,
-        set: Option<(usize, f64)>,
+        writes: &[ScalarWrite],
         stream: StreamId,
     ) -> Result<()> {
-        {
-            let alen = self.objects.vector(alpha)?.len();
-            let xlen = self.objects.vector(xb)?.len();
-            if alen != xlen {
-                return Err(GpuError::Linalg(LinalgError::DimensionMismatch {
-                    context: format!("basic_step: {xlen} vs {alen}"),
-                }));
-            }
-            if let Some((r, _)) = set {
-                if r >= xlen {
-                    return Err(GpuError::Linalg(LinalgError::OutOfBounds {
-                        index: r,
-                        bound: xlen,
-                    }));
-                }
-            }
+        let alen = self.objects.vector(alpha)?.len();
+        let xlen = self.objects.vector(xb)?.len();
+        if alen != xlen {
+            return Err(GpuError::Linalg(LinalgError::DimensionMismatch {
+                context: format!("basic_step: {xlen} vs {alen}"),
+            }));
         }
+        self.check_writes(writes)?;
         self.work.clear();
         self.work.extend_from_slice(self.objects.vector(alpha)?);
         let n = self.work.len();
@@ -988,8 +1006,8 @@ impl GpuDevice {
         for (xi, ai) in x.iter_mut().zip(self.work.iter()) {
             *xi -= dir * t * ai;
         }
-        if let Some((r, v)) = set {
-            x[r] = v;
+        for &(h, idx, value) in writes {
+            self.objects.vector_mut(h)?[idx] = value;
         }
         self.charge_dense_kernel("basic_step", (2 * n) as f64, (2 * n * 8) as f64, stream);
         Ok(())
@@ -1144,24 +1162,27 @@ impl GpuDevice {
 
     /// Devex reference-weight update after a pivot: for every column,
     /// `γ_j ← max(γ_j, (α_r[j]/α_rq)² · γ_q)`, then `γ_q` is re-anchored in
-    /// the leaving slot: the caller sets the leaving variable's weight via
-    /// [`Self::vec_set`]. One elementwise kernel, no transfer.
+    /// the leaving variable's slot, `γ[leaving] = max(γ_q / α_rq², 1)`. One
+    /// elementwise kernel, no transfer: `α_rq`, `γ_q` and `leaving` are
+    /// launch arguments.
     pub fn devex_weight_update(
         &mut self,
         gamma: VectorHandle,
         alpha_r: VectorHandle,
         alpha_rq: f64,
         gamma_q: f64,
+        leaving: usize,
         stream: StreamId,
     ) -> Result<()> {
-        {
-            let glen = self.objects.vector(gamma)?.len();
-            let alen = self.objects.vector(alpha_r)?.len();
-            if glen != alen {
-                return Err(GpuError::Linalg(LinalgError::DimensionMismatch {
-                    context: format!("devex_weight_update: {glen} vs {alen}"),
-                }));
-            }
+        let glen = self.objects.vector(gamma)?.len();
+        let alen = self.objects.vector(alpha_r)?.len();
+        if glen != alen {
+            return Err(GpuError::Linalg(LinalgError::DimensionMismatch {
+                context: format!("devex_weight_update: {glen} vs {alen}"),
+            }));
+        }
+        if leaving >= glen {
+            return Err(out_of_bounds(leaving, glen));
         }
         if alpha_rq.abs() < 1e-12 {
             return Err(GpuError::Linalg(LinalgError::Singular { column: 0 }));
@@ -1177,6 +1198,7 @@ impl GpuDevice {
                 *gj = cand;
             }
         }
+        g[leaving] = (gamma_q / (alpha_rq * alpha_rq)).max(1.0);
         self.charge_dense_kernel(
             "devex_weight_update",
             (3 * n) as f64,
@@ -2019,19 +2041,19 @@ mod tests {
             .eta_update(EtaHandle(v.0), 0, v, DEFAULT_STREAM)
             .is_err());
         assert!(dev
-            .append_row(MatrixHandle(v.0), &[1.0], DEFAULT_STREAM)
+            .append_cut(MatrixHandle(v.0), &[1.0], &[1.0], DEFAULT_STREAM)
             .is_err());
         // Freed, then double-freed.
         dev.free_vector(v).unwrap();
         assert_eq!(dev.free_vector(v), Err(GpuError::InvalidHandle(v.0)));
-        assert!(dev.vec_get(v, 0, DEFAULT_STREAM).is_err());
+        assert!(dev.vec_get([(v, 0)], DEFAULT_STREAM).is_err());
         // The slot's next tenant gets a new generation: the old handle stays
         // dead even though it names the same slot.
         let w = dev.upload_vector(&[9.0], DEFAULT_STREAM).unwrap();
         assert_eq!(w.0 as u32, v.0 as u32, "slot reused");
         assert_ne!(w, v);
-        assert!(dev.vec_get(v, 0, DEFAULT_STREAM).is_err());
-        assert_eq!(dev.vec_get(w, 0, DEFAULT_STREAM).unwrap(), 9.0);
+        assert!(dev.vec_get([(v, 0)], DEFAULT_STREAM).is_err());
+        assert_eq!(dev.vec_get([(w, 0)], DEFAULT_STREAM).unwrap(), [9.0]);
     }
 
     #[test]
@@ -2068,14 +2090,14 @@ mod tests {
         // Vacant: no modelled byte, no readable tenant, not an allocation.
         assert_eq!(dev.memory().used(), 24);
         assert_eq!(dev.memory().allocation_count(), 1);
-        assert!(dev.vec_get(out, 0, DEFAULT_STREAM).is_err());
+        assert!(dev.vec_get([(out, 0)], DEFAULT_STREAM).is_err());
         assert!(dev.vec_mul(out, x, out, DEFAULT_STREAM).is_err());
 
         // A result moves in: the ledger sees a 24-byte object appear.
         dev.vec_mul(x, x, out, DEFAULT_STREAM).unwrap();
         assert_eq!(dev.memory().used(), 48);
         assert_eq!(dev.memory().allocation_count(), 2);
-        assert_eq!(dev.vec_get(out, 1, DEFAULT_STREAM).unwrap(), 4.0);
+        assert_eq!(dev.vec_get([(out, 1)], DEFAULT_STREAM).unwrap(), [4.0]);
         // Superseded in place: the new tenant is allocated *before* the old
         // one is released, as when a kernel result replaced an object the
         // engine still held — 72 bytes for a moment, 56 after.
@@ -2099,10 +2121,10 @@ mod tests {
         assert!(dev.download_vector(out, DEFAULT_STREAM).is_err());
         // An output may not double as an input of the kernel writing it,
         // and a failed kernel leaves it unreadable but still accounted for.
-        dev.upload_into(out, &[5.0, 6.0, 7.0], DEFAULT_STREAM)
+        dev.upload_staged(&[(out, &[5.0, 6.0, 7.0])], DEFAULT_STREAM)
             .unwrap();
         assert!(dev.vec_mul(out, x, out, DEFAULT_STREAM).is_err());
-        assert!(dev.vec_get(out, 0, DEFAULT_STREAM).is_err());
+        assert!(dev.vec_get([(out, 0)], DEFAULT_STREAM).is_err());
         assert_eq!(dev.memory().used(), 48);
         dev.vec_mul(x, x, out, DEFAULT_STREAM).unwrap();
         assert_eq!(dev.memory().used(), 48);
@@ -2122,7 +2144,7 @@ mod tests {
             Err(GpuError::Oom(_))
         ));
         assert_eq!(tiny.memory().used(), 32);
-        assert!(tiny.vec_get(slot, 0, DEFAULT_STREAM).is_err());
+        assert!(tiny.vec_get([(slot, 0)], DEFAULT_STREAM).is_err());
 
         assert_eq!(dev.objects_created(), created);
         dev.free_vector(out).unwrap();
@@ -2243,19 +2265,33 @@ mod tests {
     }
 
     #[test]
-    fn append_row_charges_h2d_and_grows() {
+    fn append_cut_is_one_transfer_two_splices() {
         let mut dev = small_gpu();
         let a = test_matrix();
         let ah = dev.upload_matrix(&a, DEFAULT_STREAM).unwrap();
-        let h2d_before = dev.stats().h2d_transfers;
+        let before = dev.stats();
         let used_before = dev.memory().used();
-        dev.append_row(ah, &[1.0, 1.0, 1.0], DEFAULT_STREAM)
+        dev.append_cut(ah, &[1.0, 1.0, 1.0], &[0.0, 0.0, 0.0, 1.0], DEFAULT_STREAM)
             .unwrap();
-        assert_eq!(dev.stats().h2d_transfers, h2d_before + 1);
-        assert_eq!(dev.memory().used(), used_before + 24);
+        let after = dev.stats();
+        assert_eq!(after.h2d_transfers, before.h2d_transfers + 1);
+        assert_eq!(after.h2d_bytes, before.h2d_bytes + 24 + 32);
+        assert_eq!(after.kernel_launches, before.kernel_launches + 2);
+        assert_eq!(dev.memory().used(), used_before + 24 + 32);
         let m = resident(&dev, ah).unwrap();
-        assert_eq!(m.rows(), 4);
-        assert_eq!(m.row(3), &[1.0, 1.0, 1.0]);
+        assert_eq!((m.rows(), m.cols()), (4, 4));
+        assert_eq!(m.row(3), &[1.0, 1.0, 1.0, 1.0]);
+        assert_eq!(m.get(0, 3), 0.0);
+        // A cut of the wrong shape is refused with nothing charged.
+        let charged = dev.stats();
+        assert!(dev
+            .append_cut(ah, &[1.0; 4], &[0.0; 4], DEFAULT_STREAM)
+            .is_err());
+        assert!(dev
+            .append_cut(ah, &[1.0; 3], &[0.0; 5], DEFAULT_STREAM)
+            .is_err());
+        assert_eq!(dev.stats(), charged);
+        assert_eq!(dev.memory().used(), used_before + 24 + 32);
     }
 
     #[test]
@@ -2473,13 +2509,77 @@ mod tests {
     }
 
     #[test]
-    fn vec_set_get() {
+    fn vec_get_reads_several_scalars_in_one_readback() {
         let mut dev = small_gpu();
         let v = dev.upload_vector(&[1.0, 2.0, 3.0], DEFAULT_STREAM).unwrap();
-        dev.vec_set(v, 1, 9.0, DEFAULT_STREAM).unwrap();
-        assert_eq!(dev.vec_get(v, 1, DEFAULT_STREAM).unwrap(), 9.0);
-        assert!(dev.vec_set(v, 5, 0.0, DEFAULT_STREAM).is_err());
-        assert!(dev.vec_get(v, 5, DEFAULT_STREAM).is_err());
+        let w = dev.upload_vector(&[9.0], DEFAULT_STREAM).unwrap();
+        let before = dev.stats();
+        assert_eq!(
+            dev.vec_get([(v, 1), (w, 0)], DEFAULT_STREAM).unwrap(),
+            [2.0, 9.0]
+        );
+        let after = dev.stats();
+        assert_eq!(after.d2h_transfers, before.d2h_transfers + 1);
+        assert_eq!(after.d2h_bytes, before.d2h_bytes + 16);
+        // One bad position refuses the whole readback, uncharged.
+        assert!(dev.vec_get([(v, 1), (w, 1)], DEFAULT_STREAM).is_err());
+        assert!(dev.vec_get([(v, 5)], DEFAULT_STREAM).is_err());
+        assert_eq!(dev.stats(), after);
+    }
+
+    /// Everything `DeviceMemory` can tell apart: used, peak, allocations.
+    fn memory_view(dev: &GpuDevice) -> [usize; 3] {
+        let mem = dev.memory();
+        [mem.used(), mem.peak(), mem.allocation_count()]
+    }
+
+    #[test]
+    fn staged_upload_books_memory_like_one_upload_per_vector() {
+        let parts: [&[f64]; 3] = [&[1.0; 5], &[2.0; 2], &[3.0; 7]];
+        // Every capacity from "nothing fits" to "all of it fits twice": the
+        // second round re-tenants, so a part is allocated while the tenant it
+        // supersedes is still accounted for.
+        for capacity in (0..=2 * 8 * 14).step_by(8) {
+            let device = || {
+                let mut dev = GpuDevice::new(DeviceConfig {
+                    cost: CostModel::gpu_pcie(),
+                    mem_capacity: capacity,
+                    streams: 1,
+                });
+                let slots = [(); 3].map(|()| dev.vacant_vector());
+                (dev, slots)
+            };
+            let (mut staged, s) = device();
+            let (mut single, t) = device();
+            for round in 0..2 {
+                let list: Vec<(VectorHandle, &[f64])> =
+                    (0..3).map(|k| (s[(k + round) % 3], parts[k])).collect();
+                let together = staged.upload_staged(&list, DEFAULT_STREAM);
+                let apart = (0..3).try_for_each(|k| {
+                    single.upload_staged(&[(t[(k + round) % 3], parts[k])], DEFAULT_STREAM)
+                });
+                assert_eq!(together, apart, "capacity {capacity}");
+                assert_eq!(
+                    memory_view(&staged),
+                    memory_view(&single),
+                    "capacity {capacity}"
+                );
+                // What did land answers reads; what did not, does not.
+                for k in 0..3 {
+                    assert_eq!(
+                        staged.download_vector(s[k], DEFAULT_STREAM).ok(),
+                        single.download_vector(t[k], DEFAULT_STREAM).ok()
+                    );
+                }
+                if together.is_ok() {
+                    // Same bytes over the link, in one crossing instead of three.
+                    let (a, b) = (staged.stats(), single.stats());
+                    assert_eq!(a.h2d_bytes, b.h2d_bytes);
+                    assert_eq!(a.h2d_transfers, 1 + round as u64);
+                    assert_eq!(b.h2d_transfers, 3 * (1 + round as u64));
+                }
+            }
+        }
     }
 
     #[test]
@@ -2498,21 +2598,21 @@ mod tests {
         );
         assert!(dev.extract_column(ah, 9, c1, DEFAULT_STREAM).is_err());
 
-        dev.append_column(ah, &[1.0, 0.0, 0.0], DEFAULT_STREAM)
+        dev.append_cut(ah, &[0.0; 3], &[1.0, 0.0, 0.0, 0.0], DEFAULT_STREAM)
             .unwrap();
         let m = resident(&dev, ah).unwrap();
-        assert_eq!(m.cols(), 4);
+        assert_eq!((m.rows(), m.cols()), (4, 4));
         assert_eq!(m.get(0, 3), 1.0);
 
-        // r = b - A x with x = e3 (the new column): r = b - [1,0,0].
+        // r = b - A x with x = e3 (the new column): r = b - [1,0,0,0].
         let x = dev
             .upload_vector(&[0.0, 0.0, 0.0, 1.0], DEFAULT_STREAM)
             .unwrap();
-        let b = dev.upload_vector(&[5.0, 5.0, 5.0], DEFAULT_STREAM).unwrap();
+        let b = dev.upload_vector(&[5.0; 4], DEFAULT_STREAM).unwrap();
         dev.residual(b, ah, x, r, DEFAULT_STREAM).unwrap();
         assert_eq!(
             dev.download_vector(r, DEFAULT_STREAM).unwrap(),
-            vec![4.0, 5.0, 5.0]
+            vec![4.0, 5.0, 5.0, 5.0]
         );
     }
 
@@ -2591,16 +2691,69 @@ mod tests {
         let alpha = dev
             .upload_vector(&[2.0, -1.0, 0.5], DEFAULT_STREAM)
             .unwrap();
-        dev.basic_step(xb, alpha, 1.0, 2.0, Some((0, 7.5)), DEFAULT_STREAM)
-            .unwrap();
-        // xb - 2*alpha = [0, 7, 0]; then xb[0] = 7.5.
+        let sigma = dev.upload_vector(&[-1.0, 0.0], DEFAULT_STREAM).unwrap();
+        let before = dev.stats();
+        dev.basic_step(
+            xb,
+            alpha,
+            1.0,
+            2.0,
+            &[(xb, 0, 7.5), (sigma, 1, 1.0), (sigma, 0, 0.0)],
+            DEFAULT_STREAM,
+        )
+        .unwrap();
+        // xb - 2*alpha = [0, 7, 0]; then xb[0] = 7.5 and the two statuses.
+        assert_eq!(dev.stats().total_transfers(), before.total_transfers());
+        assert_eq!(dev.stats().kernel_launches, before.kernel_launches + 1);
         assert_eq!(
             dev.download_vector(xb, DEFAULT_STREAM).unwrap(),
             vec![7.5, 7.0, 0.0]
         );
+        assert_eq!(
+            dev.download_vector(sigma, DEFAULT_STREAM).unwrap(),
+            vec![0.0, 1.0]
+        );
+        // One store out of range: no step, no store, no launch.
+        let launches = dev.stats().kernel_launches;
         assert!(dev
-            .basic_step(xb, alpha, 1.0, 0.0, Some((9, 0.0)), DEFAULT_STREAM)
+            .basic_step(
+                xb,
+                alpha,
+                1.0,
+                1.0,
+                &[(xb, 1, 0.0), (sigma, 2, 0.0)],
+                DEFAULT_STREAM
+            )
             .is_err());
+        assert_eq!(dev.stats().kernel_launches, launches);
+        assert_eq!(
+            dev.download_vector(xb, DEFAULT_STREAM).unwrap(),
+            vec![7.5, 7.0, 0.0]
+        );
+    }
+
+    #[test]
+    fn devex_weight_update_re_anchors_the_leaving_slot() {
+        let mut dev = small_gpu();
+        let gamma = dev.upload_vector(&[1.0, 1.0, 9.0], DEFAULT_STREAM).unwrap();
+        let alpha_r = dev.upload_vector(&[4.0, 2.0, 1.0], DEFAULT_STREAM).unwrap();
+        let transfers = dev.stats().total_transfers();
+        // q = 1: α_rq = 2, γ_q = 1; candidates (α_r[j]/2)² = [4, 1, 0.25].
+        dev.devex_weight_update(gamma, alpha_r, 2.0, 1.0, 2, DEFAULT_STREAM)
+            .unwrap();
+        assert_eq!(dev.stats().total_transfers(), transfers);
+        // Slot 2 (the leaving variable) takes max(γ_q / α_rq², 1) = 1.
+        assert_eq!(
+            dev.download_vector(gamma, DEFAULT_STREAM).unwrap(),
+            vec![4.0, 1.0, 1.0]
+        );
+        assert!(dev
+            .devex_weight_update(gamma, alpha_r, 2.0, 1.0, 3, DEFAULT_STREAM)
+            .is_err());
+        assert_eq!(
+            dev.download_vector(gamma, DEFAULT_STREAM).unwrap(),
+            vec![4.0, 1.0, 1.0]
+        );
     }
 
     #[test]

@@ -22,9 +22,10 @@ struct Lockstep {
     live: Vec<(VectorHandle, usize)>,
     /// Handles already freed: they must stay dead whatever is allocated next.
     dead: Vec<VectorHandle>,
-    /// A resident vector the in-place kernels write, with the modelled
-    /// bytes of its tenant (`None` while vacant).
-    resident: (VectorHandle, Option<usize>),
+    /// Resident vectors with the modelled bytes of their tenants (`None`
+    /// while vacant): the in-place kernels write the first, a staged upload
+    /// all three.
+    resident: [(VectorHandle, Option<usize>); 3],
     /// A resident CSR matrix (rows, cols, nnz) for the sparse kernels.
     sparse: (SparseHandle, usize, usize, usize),
     used: usize,
@@ -45,7 +46,7 @@ impl Lockstep {
         let mut reference = MetricsRegistry::new();
         let bytes = csr.size_bytes();
         let handle = dev.upload_sparse(&csr, DEFAULT_STREAM).expect("fits");
-        let resident = dev.vacant_vector();
+        let resident = [(); 3].map(|()| (dev.vacant_vector(), None));
         reference.max_gauge(names::GPU_MEM_PEAK_BYTES, bytes as f64);
         let t = dev.cost_model().transfer_ns(bytes);
         reference.incr(names::GPU_H2D_TRANSFERS, 1.0);
@@ -56,7 +57,7 @@ impl Lockstep {
             reference,
             live: Vec::new(),
             dead: Vec::new(),
-            resident: (resident, None),
+            resident,
             sparse: (handle, csr.rows(), csr.cols(), csr.nnz()),
             used: bytes,
             peak: bytes,
@@ -92,22 +93,62 @@ impl Lockstep {
         self.largest_vector = self.largest_vector.max(len);
     }
 
-    /// Books a kernel result of `len` elements moving into the resident
-    /// vector: to device memory an object of that size appears, then the
+    /// Books a result of `len` elements moving into resident vector
+    /// `which`: to device memory an object of that size appears, then the
     /// one it supersedes goes — and the host creates nothing.
-    fn ref_retenant(&mut self, len: usize, created_before: u64) {
+    fn ref_retenant(&mut self, which: usize, len: usize, created_before: u64) {
         self.used += len * 8;
         self.peak = self.peak.max(self.used);
         self.reference
             .max_gauge(names::GPU_MEM_PEAK_BYTES, self.used as f64);
-        self.used -= self.resident.1.replace(len * 8).unwrap_or(0);
+        self.used -= self.resident[which].1.replace(len * 8).unwrap_or(0);
         self.largest_vector = self.largest_vector.max(len);
         assert_eq!(self.dev.objects_created(), created_before);
     }
 
-    fn vacate(&mut self) {
-        self.dev.vacate(self.resident.0).expect("resident handle");
-        self.used -= self.resident.1.take().unwrap_or(0);
+    fn vacate(&mut self, which: usize) {
+        let (h, tenant) = &mut self.resident[which % 3];
+        self.dev.vacate(*h).expect("resident handle");
+        self.used -= tenant.take().unwrap_or(0);
+    }
+
+    /// A staged upload of three vectors (lengths `len`, `len / 2`, `len +
+    /// 3`) into the residents, rotated by `seed`: the link is crossed once
+    /// for the summed bytes, the tenancies change hands in list order.
+    fn upload_staged(&mut self, len: usize, seed: u64) {
+        let payload: Vec<f64> = (0..len + 3)
+            .map(|i| (seed % 89) as f64 - i as f64)
+            .collect();
+        let lens = [len, len / 2, len + 3];
+        let order = [0, 1, 2].map(|k| (k + seed as usize) % 3);
+        let parts: Vec<(VectorHandle, &[f64])> = order
+            .iter()
+            .zip(lens)
+            .map(|(&which, n)| (self.resident[which].0, &payload[..n]))
+            .collect();
+        let created = self.dev.objects_created();
+        self.dev
+            .upload_staged(&parts, DEFAULT_STREAM)
+            .expect("fits");
+        for (which, n) in order.into_iter().zip(lens) {
+            self.ref_retenant(which, n, created);
+        }
+        // One crossing: one latency for the lot, not one per vector.
+        let bytes = 8 * lens.iter().sum::<usize>();
+        let cost = self.dev.cost_model();
+        let t = cost.link_latency_ns + bytes as f64 / cost.link_bw_bytes_per_ns;
+        self.reference.incr(names::GPU_H2D_TRANSFERS, 1.0);
+        self.reference.incr(names::GPU_H2D_BYTES, bytes as f64);
+        self.reference.incr(names::GPU_TRANSFER_NS, t);
+        for (which, n) in order.into_iter().zip(lens) {
+            assert_eq!(
+                self.dev
+                    .download_vector(self.resident[which].0, DEFAULT_STREAM)
+                    .expect("tenanted"),
+                &payload[..n]
+            );
+            self.ref_transfer(n * 8, false);
+        }
     }
 
     fn upload(&mut self, len: usize, seed: u64) {
@@ -152,14 +193,14 @@ impl Lockstep {
         let n = bytes / 8;
         let created = self.dev.objects_created();
         self.dev
-            .vec_mul(h, h, self.resident.0, DEFAULT_STREAM)
+            .vec_mul(h, h, self.resident[0].0, DEFAULT_STREAM)
             .expect("same length");
         let t = self
             .dev
             .cost_model()
             .dense_kernel_ns(n as f64, (3 * n * 8) as f64);
         self.ref_kernel(n as f64, t);
-        self.ref_retenant(n, created);
+        self.ref_retenant(0, n, created);
     }
 
     /// `spmv` (a new device vector) / `spmv_transposed` (into the resident
@@ -180,7 +221,7 @@ impl Lockstep {
         let created = self.dev.objects_created();
         let y = if transposed {
             self.dev
-                .spmv_transposed(a, x, self.resident.0, DEFAULT_STREAM)
+                .spmv_transposed(a, x, self.resident[0].0, DEFAULT_STREAM)
                 .expect("shapes agree");
             None
         } else {
@@ -193,7 +234,7 @@ impl Lockstep {
         self.ref_kernel(flops::spmv(nnz), t);
         match y {
             Some(y) => self.ref_insert(y, out_len),
-            None => self.ref_retenant(out_len, created),
+            None => self.ref_retenant(0, out_len, created),
         }
     }
 
@@ -253,11 +294,13 @@ impl Lockstep {
         // ...and bounded on the host.
         assert!(self.dev.pool_retained_bytes() <= 16 * 8 * self.largest_vector);
         // A vacated resident vector answers no read (and charges none).
-        if self.resident.1.is_none() {
-            assert!(matches!(
-                self.dev.download_vector(self.resident.0, DEFAULT_STREAM),
-                Err(GpuError::InvalidHandle(_))
-            ));
+        for (h, tenant) in self.resident {
+            if tenant.is_none() {
+                assert!(matches!(
+                    self.dev.download_vector(h, DEFAULT_STREAM),
+                    Err(GpuError::InvalidHandle(_))
+                ));
+            }
         }
         // No later allocation ever resurrects a freed handle.
         for &h in &self.dead {
@@ -280,7 +323,7 @@ proptest! {
     /// operation, over random mixes of every charging path.
     #[test]
     fn ledger_matches_reference_registry(
-        ops in proptest::collection::vec((0u8..10, 0usize..40, any::<u64>()), 0..60)
+        ops in proptest::collection::vec((0u8..11, 0usize..40, any::<u64>()), 0..60)
     ) {
         let mut ls = Lockstep::new();
         for (kind, a, seed) in ops {
@@ -295,7 +338,8 @@ proptest! {
                     ls.dev.charge_transfer(a * 8, seed % 2 == 0, DEFAULT_STREAM);
                     ls.ref_transfer(a * 8, seed % 2 == 0);
                 }
-                8 => ls.vacate(),
+                8 => ls.vacate(a),
+                9 => ls.upload_staged(a, seed),
                 _ => {
                     ls.dev.synchronize();
                     ls.reference.incr(names::GPU_SYNCS, 1.0);
@@ -362,8 +406,8 @@ fn slab_rejects_stale_handles_and_recycling_is_invisible() {
         let v = [round as f64, 0.5];
         let h = dev.upload_vector(&v, DEFAULT_STREAM).unwrap();
         assert_ne!(h, previous);
-        assert!(dev.vec_get(previous, 0, DEFAULT_STREAM).is_err());
-        assert!(dev.vec_get(a, 0, DEFAULT_STREAM).is_err());
+        assert!(dev.vec_get([(previous, 0)], DEFAULT_STREAM).is_err());
+        assert!(dev.vec_get([(a, 0)], DEFAULT_STREAM).is_err());
         assert_eq!(dev.download_vector(h, DEFAULT_STREAM).unwrap(), v);
         assert_eq!(dev.memory().used(), 16);
         dev.free_vector(h).unwrap();

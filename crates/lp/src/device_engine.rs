@@ -8,11 +8,18 @@
 //!   never re-transferred; cuts extend it in place (Section 5.2);
 //! * basis assembly, factorization, eta updates, FTRAN/BTRAN, pricing, and
 //!   both ratio tests run on the device;
-//! * per iteration, only O(1) scalars (argmin results, pivot values) cross
-//!   the link — "rank-1 updates and resolving the updated matrix repeatedly
-//!   with no data transfer from host to device or vice versa";
+//! * per iteration, only O(1) scalars cross the link, and only device to
+//!   host: the reduction results and pivot entries the host reads back to
+//!   choose the next kernel. What a pivot *stores* (the entering value, two
+//!   statuses, a cost and two bounds) rides its step kernel as launch
+//!   arguments — "rank-1 updates and resolving the updated matrix
+//!   repeatedly with no data transfer from host to device or vice versa";
 //! * per basis **install** (node start, refactorization), only small
-//!   vectors (`c`, `b`, statuses, basic bounds) are uploaded.
+//!   vectors (`c`, `b`, statuses, basic bounds, nonbasic values, Devex
+//!   weights) are uploaded, staged into one transfer;
+//! * so every [`SimplexEngine`] call crosses the link **at most once in
+//!   each direction** — what a transfer costs first is its latency, not its
+//!   bytes.
 //!
 //! There is one orchestration, [`DeviceSimplex`], and two kernel sets under
 //! it — Section 5.4's "two different MIP solver versions" reduced to a
@@ -227,8 +234,7 @@ impl MatrixStorage for MatrixHandle {
         col: &[f64],
         st: StreamId,
     ) -> GpuResult<()> {
-        d.append_row(self, row, st)?;
-        d.append_column(self, col, st)
+        d.append_cut(self, row, col, st)
     }
 }
 
@@ -470,10 +476,11 @@ pub struct DeviceSimplex<M: MatrixStorage> {
     alpha_r_live: bool,
     /// Eta factors accumulated since the last install.
     etas: usize,
-    /// Host staging buffers for the per-install uploads (σ, nonbasic
-    /// values, and one basis-ordered gather), kept across installs so a warm
-    /// re-solve stages without allocating.
-    stage: [Vec<f64>; 3],
+    /// Host staging buffers for the install upload (σ, nonbasic values,
+    /// the basis-ordered `c_B` / `l_B` / `u_B`, and the initial Devex
+    /// weights), kept across installs so a warm re-solve stages without
+    /// allocating.
+    stage: [Vec<f64>; 6],
 }
 
 /// The dense-resident engine: dense kernels, dense LU under the eta file.
@@ -589,7 +596,7 @@ impl<M: MatrixStorage> SimplexEngine for DeviceSimplex<M> {
         self.ub.extend_from_slice(view.ub);
 
         // Host-side assembly of the small per-install vectors.
-        let [sigma, x_nb, basic] = &mut self.stage;
+        let [sigma, x_nb, cb, lbb, ubb, gamma] = &mut self.stage;
         for buf in [&mut *sigma, &mut *x_nb] {
             buf.clear();
             buf.resize(self.n, 0.0);
@@ -612,12 +619,19 @@ impl<M: MatrixStorage> SimplexEngine for DeviceSimplex<M> {
                 break;
             }
         }
-        // Basis-ordered gather of a column vector into the staging buffer.
+        // Basis-ordered gathers of the column vectors.
         let cols = &basis.cols;
-        let gather = |buf: &mut Vec<f64>, src: &[f64]| {
+        for (buf, src) in [
+            (&mut *cb, view.c),
+            (&mut *lbb, view.lb),
+            (&mut *ubb, view.ub),
+        ] {
             buf.clear();
             buf.extend(cols.iter().map(|&j| src[j]));
-        };
+        }
+        // Devex reference weights start at one.
+        gamma.clear();
+        gamma.resize(self.n, 1.0);
 
         let a = self.a;
         let ws = &mut self.ws;
@@ -632,26 +646,31 @@ impl<M: MatrixStorage> SimplexEngine for DeviceSimplex<M> {
                 return Err(LpError::FreeVariable(j));
             }
             with_scratch(d, [ws.x_nb, ws.w], |d| {
-                d.upload_into(ws.c, view.c, st)?;
-                d.upload_into(ws.b, view.b, st)?;
-                d.upload_into(ws.sigma, sigma, st)?;
-                gather(basic, view.c);
-                d.upload_into(ws.cb, basic, st)?;
-                gather(basic, view.lb);
-                d.upload_into(ws.lbb, basic, st)?;
-                gather(basic, view.ub);
-                d.upload_into(ws.ubb, basic, st)?;
+                // Everything the install needs from the host crosses the
+                // link once.
+                d.upload_staged(
+                    &[
+                        (ws.c, view.c),
+                        (ws.b, view.b),
+                        (ws.sigma, sigma),
+                        (ws.cb, cb),
+                        (ws.lbb, lbb),
+                        (ws.ubb, ubb),
+                        (ws.x_nb, x_nb),
+                        (ws.gamma, gamma),
+                    ],
+                    st,
+                )?;
                 // Residual w = b − A x_nb, fully on device.
-                d.upload_into(ws.x_nb, x_nb, st)?;
                 a.residual(d, ws.b, ws.x_nb, ws.w, st)?;
+                // x_N is spent, and goes before the factorization's
+                // temporaries arrive: γ now lands with the rest instead of
+                // after them, and must not stand beside both.
+                vacate(d, [ws.x_nb]);
                 // Basis assembly + factorization, on device.
                 a.factor_basis(d, cols, ws.eta, st)?;
                 M::eta_ftran(d, ws.eta, ws.w, ws.xb, st)
             })?;
-            // Devex reference weights start at one; σ's staging buffer has
-            // the right length and is no longer needed.
-            sigma.fill(1.0);
-            d.upload_into(ws.gamma, sigma, st)?;
             Ok(())
         })?;
         self.installed = true;
@@ -713,7 +732,7 @@ impl<M: MatrixStorage> SimplexEngine for DeviceSimplex<M> {
     fn alpha_entry(&mut self, i: usize) -> LpResult<f64> {
         let st = self.stream;
         let ws = self.ws_alpha()?;
-        self.with_dev(|d| d.vec_get(ws.alpha, i, st))
+        self.with_dev(|d| d.vec_get([(ws.alpha, i)], st).map(|[v]| v))
     }
 
     fn ratio_test(&mut self, dir: f64, tol: f64) -> LpResult<Option<(usize, f64, bool)>> {
@@ -725,36 +744,39 @@ impl<M: MatrixStorage> SimplexEngine for DeviceSimplex<M> {
     fn apply_flip(&mut self, q: usize, dir: f64, t: f64, new_sigma: f64) -> LpResult<()> {
         let st = self.stream;
         let ws = self.ws_alpha()?;
-        self.with_dev(|d| {
-            d.basic_step(ws.xb, ws.alpha, dir, t, None, st)?;
-            d.vec_set(ws.sigma, q, new_sigma, st)
-        })
+        self.with_dev(|d| d.basic_step(ws.xb, ws.alpha, dir, t, &[(ws.sigma, q, new_sigma)], st))
     }
 
     fn apply_pivot(&mut self, plan: &PivotPlan) -> LpResult<()> {
         let st = self.stream;
         let ws = self.ws_alpha()?;
         let alpha_r_live = self.alpha_r_live;
-        let leaving_sigma = if self.lb[plan.leaving_j] == self.ub[plan.leaving_j] {
-            0.0
-        } else {
-            plan.leaving_sigma
+        // A fixed column leaves ineligible. A leaving column that does not
+        // exist is for the kernel's argument check to refuse.
+        let fixed = self.lb.get(plan.leaving_j).zip(self.ub.get(plan.leaving_j));
+        let leaving_sigma = match fixed {
+            Some((lb, ub)) if lb == ub => 0.0,
+            _ => plan.leaving_sigma,
         };
         self.with_dev(|d| {
+            // Everything the pivot stores besides the step rides the step
+            // kernel as arguments, checked before x_B or the eta file move.
             d.basic_step(
                 ws.xb,
                 ws.alpha,
                 plan.dir,
                 plan.t,
-                Some((plan.r, plan.entering_val)),
+                &[
+                    (ws.xb, plan.r, plan.entering_val),
+                    (ws.sigma, plan.leaving_j, leaving_sigma),
+                    (ws.sigma, plan.q, 0.0),
+                    (ws.cb, plan.r, plan.c_q),
+                    (ws.lbb, plan.r, plan.lb_q),
+                    (ws.ubb, plan.r, plan.ub_q),
+                ],
                 st,
             )?;
             M::eta_update(d, ws.eta, plan.r, ws.alpha, st)?;
-            d.vec_set(ws.sigma, plan.leaving_j, leaving_sigma, st)?;
-            d.vec_set(ws.sigma, plan.q, 0.0, st)?;
-            d.vec_set(ws.cb, plan.r, plan.c_q, st)?;
-            d.vec_set(ws.lbb, plan.r, plan.lb_q, st)?;
-            d.vec_set(ws.ubb, plan.r, plan.ub_q, st)?;
             // The pivot consumed α (and the Devex row, if any).
             vacate(d, [ws.alpha]);
             if alpha_r_live {
@@ -777,7 +799,7 @@ impl<M: MatrixStorage> SimplexEngine for DeviceSimplex<M> {
     fn basic_entry(&mut self, i: usize) -> LpResult<f64> {
         let st = self.stream;
         let ws = self.ws()?;
-        self.with_dev(|d| d.vec_get(ws.xb, i, st))
+        self.with_dev(|d| d.vec_get([(ws.xb, i)], st).map(|[v]| v))
     }
 
     fn eta_count(&self) -> usize {
@@ -823,7 +845,7 @@ impl<M: MatrixStorage> SimplexEngine for DeviceSimplex<M> {
     fn alpha_r_entry(&mut self, j: usize) -> LpResult<f64> {
         let st = self.stream;
         let ws = self.ws_alpha_r()?;
-        self.with_dev(|d| d.vec_get(ws.alpha_r, j, st))
+        self.with_dev(|d| d.vec_get([(ws.alpha_r, j)], st).map(|[v]| v))
     }
 
     fn btran_row_host(&mut self, r: usize) -> LpResult<Vec<f64>> {
@@ -862,17 +884,13 @@ impl<M: MatrixStorage> SimplexEngine for DeviceSimplex<M> {
     fn devex_update(&mut self, q: usize, leaving_j: usize) -> LpResult<()> {
         let st = self.stream;
         let ws = self.ws_alpha_r()?;
-        let (arq, gamma_q) = self.with_dev(|d| {
-            let arq = d.vec_get(ws.alpha_r, q, st)?;
-            let gq = d.vec_get(ws.gamma, q, st)?;
-            Ok((arq, gq))
-        })?;
-        if arq.abs() < 1e-12 {
-            return Err(LpError::Shape("devex update with zero pivot".into()));
-        }
-        self.with_dev(|d| {
-            d.devex_weight_update(ws.gamma, ws.alpha_r, arq, gamma_q, st)?;
-            d.vec_set(ws.gamma, leaving_j, (gamma_q / (arq * arq)).max(1.0), st)
+        self.accel.with(|d| {
+            let [arq, gamma_q] = d.vec_get([(ws.alpha_r, q), (ws.gamma, q)], st)?;
+            if arq.abs() < 1e-12 {
+                return Err(LpError::Shape("devex update with zero pivot".into()));
+            }
+            d.devex_weight_update(ws.gamma, ws.alpha_r, arq, gamma_q, leaving_j, st)?;
+            Ok(())
         })
     }
 }
@@ -1128,6 +1146,69 @@ mod tests {
         assert!(staged.iter().all(|&cap| cap > 0));
     }
 
+    /// A pivot's stores are arguments of its step kernel, checked before the
+    /// kernel moves anything: a plan naming a column or row that does not
+    /// exist leaves `x_B`, the statuses and the eta file as they were.
+    fn bad_pivot_plans_change_nothing<M: MatrixStorage>() {
+        // max x0 + x1 over x0 + x1 + s0 = 4, 2 x0 + x1 + s1 = 6.
+        let a =
+            DenseMatrix::from_rows(&[vec![1.0, 1.0, 1.0, 0.0], vec![2.0, 1.0, 0.0, 1.0]]).unwrap();
+        let (c, lb, ub, b) = ([1.0, 1.0, 0.0, 0.0], [0.0; 4], [10.0; 4], [4.0, 6.0]);
+        let view = ProblemView {
+            c: &c,
+            lb: &lb,
+            ub: &ub,
+            b: &b,
+        };
+        let accel = Accel::gpu(1);
+        let mut e = DeviceSimplex::<M>::new(accel.clone(), &a).unwrap();
+        e.install(view, &Basis::with_basic_cols(vec![2, 3], 4))
+            .unwrap();
+        e.ftran_column(0).unwrap();
+        let (r, t, _) = e.ratio_test(1.0, 1e-9).unwrap().unwrap();
+        let good = PivotPlan {
+            r,
+            q: 0,
+            leaving_j: 3,
+            dir: 1.0,
+            t,
+            entering_val: t,
+            leaving_sigma: -1.0,
+            c_q: c[0],
+            lb_q: lb[0],
+            ub_q: ub[0],
+        };
+        let launches = accel.stats().kernel_launches;
+        for bad in [
+            PivotPlan { q: 4, ..good },
+            PivotPlan {
+                leaving_j: 4,
+                ..good
+            },
+            PivotPlan { r: 2, ..good },
+        ] {
+            let refused = |r: LpResult<()>| {
+                assert!(matches!(
+                    r,
+                    Err(LpError::Numerics(LinalgError::OutOfBounds { .. }))
+                ));
+            };
+            refused(e.apply_pivot(&bad));
+            refused(e.apply_flip(4, 1.0, t, 1.0));
+            assert_eq!(accel.stats().kernel_launches, launches, "nothing ran");
+            assert_eq!(e.eta_count(), 0);
+            assert_eq!(e.basic_values().unwrap(), vec![4.0, 6.0]);
+        }
+        // α is still there for the plan that is right, and what follows it
+        // is what follows a single eta update.
+        e.apply_pivot(&good).unwrap();
+        assert_eq!(e.eta_count(), 1);
+        assert_eq!(e.basic_values().unwrap(), vec![1.0, 3.0]);
+        assert_eq!(e.price().unwrap(), Some((1, -0.5)));
+        e.ftran_column(1).unwrap();
+        assert_eq!(e.alpha_entry(0).unwrap(), 0.5);
+    }
+
     /// Everything an install determines, bit for bit: `x_B`, the duals, the
     /// reduced costs, a tableau row, and the pivot path a primal solve takes
     /// from there (iterations, final basis, final `x_B`).
@@ -1272,6 +1353,11 @@ mod tests {
                 #[test]
                 fn consumed_vectors_stay_consumed() {
                     super::consumed_vectors_stay_consumed::<$storage>();
+                }
+
+                #[test]
+                fn bad_pivot_plans_change_nothing() {
+                    super::bad_pivot_plans_change_nothing::<$storage>();
                 }
             }
         };

@@ -21,6 +21,10 @@
 //!   contributes
 //!   its instance of the class (BTRAN, FTRAN, pricing scan, ratio
 //!   reduction, pivot update) and the batch pays a single launch latency;
+//! * **one staged link crossing per direction per superstep**: the lanes'
+//!   install uploads and solution read-backs of a step are packed into one
+//!   H2D and one D2H transfer of their summed bytes, so the link latency —
+//!   like the launch latency — is paid per superstep, not per lane;
 //! * **event-based retire-and-refill**: a lane whose node LP reaches
 //!   optimality exits the wave at a superstep boundary (a stream event,
 //!   *not* a device-wide `synchronize`) and is refilled immediately, so
@@ -68,7 +72,8 @@ pub enum WaveClass {
     Gather,
 }
 
-/// Deterministic fusion order within a superstep.
+/// Deterministic fusion order within a superstep: the declaration order of
+/// [`WaveClass`], so `class as usize` indexes it.
 const CLASS_ORDER: [WaveClass; 7] = [
     WaveClass::Factor,
     WaveClass::Ftran,
@@ -106,8 +111,11 @@ pub enum WaveOp {
         /// Memory traffic of this lane's instance, bytes.
         bytes: f64,
     },
-    /// A host↔device transfer (charged per lane; transfers are latency, not
-    /// launches, and per-lane engines pay the identical ones).
+    /// A host↔device transfer. The transfers the lanes make in one superstep
+    /// are staged — summed per direction and charged as one crossing each
+    /// way — the way [`crate::DeviceEngine`] stages the vectors of its
+    /// install; see [`RecordingEngine`] for which crossings the two engines
+    /// share.
     Transfer {
         /// Payload bytes.
         bytes: usize,
@@ -119,6 +127,26 @@ pub enum WaveOp {
 /// A [`SimplexEngine`] that runs the reference host numerics while
 /// journaling the device kernels an equivalent [`crate::DeviceEngine`]
 /// would have launched, one [`WaveOp`] per kernel.
+///
+/// What crosses the link, journal against device engine:
+///
+/// * **shared** — the install upload (one staged H2D; the journal's is
+///   `8(3n + 4m)` bytes, the device engine's `8(4n + 4m)` because it ships
+///   the initial Devex weights γ with it), a cut's row and slack column (one
+///   H2D of both), and the full-vector read-backs (`basic_values`,
+///   `reduced_costs_host`, `btran_row_host`, `dual_prices`: one D2H each).
+///   The scalar stores of a pivot or a bound flip cross in neither: they are
+///   arguments of the `Update` kernel here and of `basic_step` there;
+/// * **modelled differently** — scalars coming *back*. The device engine
+///   ends every reduction (pricing, both ratio tests, the infeasibility
+///   argmax) with a 16–24 byte D2H read-back and reads pivot entries
+///   (`alpha_entry`, `basic_entry`, `alpha_r_entry`, the two of
+///   `devex_update`) as 8-byte D2H gathers, one link latency per call. The
+///   journal folds a reduction's result into its kernel and books a pivot
+///   entry as a [`WaveClass::Gather`] kernel instance — a fused *launch*
+///   across lanes, not a link crossing — which is the batched reading of
+///   the same step: the wave's host sees one gather per superstep, not one
+///   per lane.
 ///
 /// `sim_now_ns` stays `None`: the eager host solve is *planning*, not
 /// execution — simulated time accrues only when the journal is replayed
@@ -191,9 +219,9 @@ impl SimplexEngine for RecordingEngine {
 
     fn install(&mut self, view: ProblemView<'_>, basis: &Basis) -> LpResult<()> {
         let (m, n) = (self.inner.m(), self.inner.n());
-        // The DeviceEngine install leg: seven small vectors up (c, b, σ,
-        // c_B, l_B, u_B, x_N), then residual + basis gather + factorization
-        // + the initial FTRAN, then γ up.
+        // The DeviceEngine install leg: one staged upload of the small
+        // vectors (c, b, σ, c_B, l_B, u_B, x_N), then residual + basis
+        // gather + factorization + the initial FTRAN.
         self.transfer(8 * (3 * n + 4 * m), true);
         self.kernel(
             WaveClass::Factor,
@@ -253,7 +281,8 @@ impl SimplexEngine for RecordingEngine {
 
     fn apply_pivot(&mut self, plan: &PivotPlan) -> LpResult<()> {
         let m = self.inner.m();
-        // Basic step + eta append + the five status/bound writes.
+        // Basic step + eta append + the status/bound stores riding the step
+        // as arguments.
         self.kernel(
             WaveClass::Update,
             2.0 * m as f64 + 8.0,
@@ -351,7 +380,8 @@ struct PoolEntry {
 
 /// The lockstep replayer: owns the shared device matrix, the per-lane
 /// journals, and the warm-basis pool; every superstep issues at most one
-/// fused launch per [`WaveClass`] present across the active lanes.
+/// fused launch per [`WaveClass`] present across the active lanes and
+/// crosses the link at most once in each direction.
 #[derive(Debug)]
 pub struct BatchedWaveEngine {
     accel: Accel,
@@ -362,8 +392,15 @@ pub struct BatchedWaveEngine {
     logs: Vec<VecDeque<WaveOp>>,
     /// LRU, most-recent first.
     pool: Vec<PoolEntry>,
+    /// Bytes the pool's entries hold, never above `pool_budget`.
+    pool_used: usize,
     pool_budget: usize,
     metrics: MetricsRegistry,
+    /// Superstep scratch, sized for the full width once: the `(flops,
+    /// bytes)` instances of each class in lane order, and the slots that
+    /// retired.
+    class_lanes: [Vec<(f64, f64)>; CLASS_ORDER.len()],
+    retired: Vec<usize>,
 }
 
 impl BatchedWaveEngine {
@@ -399,8 +436,11 @@ impl BatchedWaveEngine {
             lane_state,
             logs: (0..width).map(|_| VecDeque::new()).collect(),
             pool: Vec::new(),
+            pool_used: 0,
             pool_budget,
             metrics,
+            class_lanes: std::array::from_fn(|_| Vec::with_capacity(width)),
+            retired: Vec::with_capacity(width),
         })
     }
 
@@ -450,8 +490,12 @@ impl BatchedWaveEngine {
 
     /// Touches the warm-basis pool for `key` (a node id whose basis warm
     /// starts a child). A hit costs nothing — the basis is already device
-    /// resident; a miss uploads it (H2D) and may LRU-evict older bases,
-    /// each spill charged as a real D2H transfer.
+    /// resident. A miss uploads it (H2D) after making room: LRU entries
+    /// spill, each a real D2H transfer, until the newcomer fits the pool
+    /// budget *and* what is free on the device — the wave is sized to fill
+    /// the device, so the budget alone promises nothing. A basis that not
+    /// even an empty pool can hold is uploaded for this one use and pooled
+    /// nowhere: a miss every time, never an error.
     pub fn touch_basis(&mut self, key: u64, bytes: usize) -> LpResult<()> {
         if let Some(pos) = self.pool.iter().position(|e| e.key == key) {
             let e = self.pool.remove(pos);
@@ -460,39 +504,55 @@ impl BatchedWaveEngine {
             return Ok(());
         }
         self.metrics.incr(names::BATCH_BASIS_MISSES, 1.0);
-        let stream = self.stream;
-        let handle = self.accel.with(|d| -> gmip_gpu::device::Result<_> {
-            d.charge_transfer(bytes, true, stream);
-            d.alloc_raw(bytes)
+        let Self {
+            accel,
+            stream,
+            pool,
+            pool_used,
+            pool_budget,
+            metrics,
+            ..
+        } = self;
+        accel.with(|d| -> gmip_gpu::device::Result<()> {
+            // Poolable if an empty pool could hold it; then LRU entries make
+            // room until it fits the budget and the device's free bytes.
+            if bytes <= *pool_budget && bytes <= d.memory().available() + *pool_used {
+                while *pool_used + bytes > *pool_budget || bytes > d.memory().available() {
+                    let victim = pool.pop().expect("an empty pool holds the entry");
+                    *pool_used -= victim.bytes;
+                    metrics.incr(names::BATCH_BASIS_EVICTIONS, 1.0);
+                    metrics.incr(names::BATCH_BASIS_SPILL_BYTES, victim.bytes as f64);
+                    d.charge_transfer(victim.bytes, false, *stream);
+                    d.free_raw(victim.handle)?;
+                }
+                let handle = d.alloc_raw(bytes)?;
+                pool.insert(0, PoolEntry { key, bytes, handle });
+                *pool_used += bytes;
+            }
+            // Pooled or not, this use needs the basis on the device.
+            d.charge_transfer(bytes, true, *stream);
+            Ok(())
         })?;
-        self.pool.insert(0, PoolEntry { key, bytes, handle });
-        let mut used: usize = self.pool.iter().map(|e| e.bytes).sum();
-        while used > self.pool_budget && self.pool.len() > 1 {
-            let victim = self.pool.pop().expect("len > 1");
-            used -= victim.bytes;
-            self.metrics.incr(names::BATCH_BASIS_EVICTIONS, 1.0);
-            self.metrics
-                .incr(names::BATCH_BASIS_SPILL_BYTES, victim.bytes as f64);
-            self.accel.with(|d| -> gmip_gpu::device::Result<_> {
-                d.charge_transfer(victim.bytes, false, stream);
-                d.free_raw(victim.handle)?;
-                Ok(())
-            })?;
-        }
         Ok(())
     }
 
     /// Executes one lockstep superstep: every busy lane advances by exactly
-    /// one journaled op; same-class kernels fuse into one batched launch;
-    /// transfers are charged per lane. Returns the slots that retired
-    /// (journal exhausted) at this step's boundary — the stream-event
-    /// moment the driver refills them, with no device-wide barrier.
-    pub fn superstep(&mut self) -> Vec<usize> {
-        let mut kernels: Vec<(WaveClass, f64, f64)> = Vec::new();
-        let mut transfers: Vec<(usize, bool)> = Vec::new();
-        let mut retired = Vec::new();
-        for slot in 0..self.logs.len() {
-            let Some(op) = self.logs[slot].pop_front() else {
+    /// one journaled op. Same-class kernels fuse into one batched launch;
+    /// the lanes' transfers are staged into one H2D and one D2H crossing of
+    /// their summed bytes, charged ahead of the launches. Returns the slots
+    /// that retired (journal exhausted) at this step's boundary — the
+    /// stream-event moment the driver refills them, with no device-wide
+    /// barrier. Allocates nothing.
+    pub fn superstep(&mut self) -> &[usize] {
+        self.retired.clear();
+        for lanes in &mut self.class_lanes {
+            lanes.clear();
+        }
+        // Staged link traffic of this step, per direction: `None` until a
+        // lane transfers that way.
+        let (mut h2d, mut d2h) = (None::<usize>, None::<usize>);
+        for (slot, log) in self.logs.iter_mut().enumerate() {
+            let Some(op) = log.pop_front() else {
                 continue;
             };
             match op {
@@ -500,55 +560,52 @@ impl BatchedWaveEngine {
                     class,
                     flops,
                     bytes,
-                } => kernels.push((class, flops, bytes)),
-                WaveOp::Transfer { bytes, h2d } => transfers.push((bytes, h2d)),
-            }
-            if self.logs[slot].is_empty() {
-                retired.push(slot);
-            }
-        }
-        if kernels.is_empty() && transfers.is_empty() {
-            return retired;
-        }
-        self.metrics.incr(names::WAVE_SUPERSTEPS, 1.0);
-        let stream = self.stream;
-        self.accel.with(|d| {
-            for &(bytes, h2d) in &transfers {
-                d.charge_transfer(bytes, h2d, stream);
-            }
-            for class in CLASS_ORDER {
-                let lanes: Vec<(f64, f64)> = kernels
-                    .iter()
-                    .filter(|k| k.0 == class)
-                    .map(|k| (k.1, k.2))
-                    .collect();
-                if !lanes.is_empty() {
-                    d.batched_wave_kernel(class.span_name(), &lanes, stream);
+                } => self.class_lanes[class as usize].push((flops, bytes)),
+                WaveOp::Transfer { bytes, h2d: up } => {
+                    let staged = if up { &mut h2d } else { &mut d2h };
+                    *staged.get_or_insert(0) += bytes;
                 }
             }
+            if log.is_empty() {
+                self.retired.push(slot);
+            }
+        }
+        let fused = self.class_lanes.iter().filter(|l| !l.is_empty()).count();
+        if fused == 0 && h2d.is_none() && d2h.is_none() {
+            return &self.retired;
+        }
+        let stream = self.stream;
+        self.accel.with(|d| {
+            if let Some(bytes) = h2d {
+                d.charge_transfer(bytes, true, stream);
+            }
+            if let Some(bytes) = d2h {
+                d.charge_transfer(bytes, false, stream);
+            }
+            for class in CLASS_ORDER {
+                // `batched_wave_kernel` charges nothing for an empty class.
+                d.batched_wave_kernel(class.span_name(), &self.class_lanes[class as usize], stream);
+            }
+            // The retire boundary is a stream event, not a synchronize: the
+            // host observes it on this stream's timeline only.
+            let _ = d.record_event(stream);
         });
-        let fused = CLASS_ORDER
-            .iter()
-            .filter(|&&c| kernels.iter().any(|k| k.0 == c))
-            .count();
+        self.metrics.incr(names::WAVE_SUPERSTEPS, 1.0);
         self.metrics.incr(names::WAVE_FUSED_LAUNCHES, fused as f64);
-        self.metrics.incr(names::WAVE_RETIRES, retired.len() as f64);
-        // The retire boundary is a stream event, not a synchronize: the
-        // host observes it on this stream's timeline only.
-        let _ = self.accel.with(|d| d.record_event(stream));
-        retired
+        self.metrics
+            .incr(names::WAVE_RETIRES, self.retired.len() as f64);
+        &self.retired
     }
 
     /// Runs supersteps until at least one lane retires (or nothing is
     /// busy). Returns the retired slots.
-    pub fn run_to_retire(&mut self) -> Vec<usize> {
+    pub fn run_to_retire(&mut self) -> &[usize] {
         while self.any_busy() {
-            let retired = self.superstep();
-            if !retired.is_empty() {
-                return retired;
+            if !self.superstep().is_empty() {
+                return &self.retired;
             }
         }
-        Vec::new()
+        &[]
     }
 }
 
@@ -602,6 +659,54 @@ mod tests {
                 ..
             }
         )));
+    }
+
+    #[test]
+    fn class_order_is_the_declaration_order() {
+        for (i, class) in CLASS_ORDER.into_iter().enumerate() {
+            assert_eq!(class as usize, i);
+        }
+    }
+
+    #[test]
+    fn a_superstep_stages_its_lanes_transfers() {
+        let accel = Accel::gpu(1);
+        let mut wave =
+            BatchedWaveEngine::new(accel.clone(), &DenseMatrix::zeros(2, 4), 3, 0).unwrap();
+        let up = |bytes| WaveOp::Transfer { bytes, h2d: true };
+        let down = |bytes| WaveOp::Transfer { bytes, h2d: false };
+        let ftran = WaveOp::Kernel {
+            class: WaveClass::Ftran,
+            flops: 8.0,
+            bytes: 64.0,
+        };
+        wave.load_lane(0, vec![up(80), down(16)]);
+        wave.load_lane(1, vec![up(40), ftran]);
+        wave.load_lane(2, vec![down(24)]);
+        let before = accel.stats();
+        let clock = accel.elapsed_ns();
+        assert_eq!(wave.superstep(), [2]);
+        // Three lane transfers, two crossings, H2D first: the clock moved by
+        // exactly the two charges.
+        let s = accel.stats();
+        assert_eq!(s.h2d_transfers - before.h2d_transfers, 1);
+        assert_eq!(s.h2d_bytes - before.h2d_bytes, 120);
+        assert_eq!(s.d2h_transfers - before.d2h_transfers, 1);
+        assert_eq!(s.d2h_bytes - before.d2h_bytes, 24);
+        assert_eq!(s.kernel_launches, before.kernel_launches);
+        let cost = CostModel::gpu_pcie();
+        assert_eq!(
+            accel.elapsed_ns(),
+            clock + cost.transfer_ns(120) + cost.transfer_ns(24)
+        );
+        assert_eq!(wave.superstep(), [0, 1]);
+        let s = accel.stats();
+        assert_eq!(s.h2d_transfers - before.h2d_transfers, 1);
+        assert_eq!(s.d2h_transfers - before.d2h_transfers, 2);
+        assert_eq!(s.kernel_launches - before.kernel_launches, 1);
+        assert!(wave.superstep().is_empty() && !wave.any_busy());
+        assert_eq!(wave.metrics().counter(names::WAVE_SUPERSTEPS), 2.0);
+        assert_eq!(wave.metrics().counter(names::WAVE_FUSED_LAUNCHES), 1.0);
     }
 
     #[test]
@@ -680,5 +785,56 @@ mod tests {
         assert!(m.counter(names::BATCH_BASIS_EVICTIONS) >= 1.0);
         assert!(m.counter(names::BATCH_BASIS_SPILL_BYTES) >= 128.0);
         assert!(accel.stats().d2h_transfers >= 1, "spill must be charged");
+    }
+
+    #[test]
+    fn a_full_device_spills_the_pool_or_skips_it() {
+        // Matrix 256 B + one lane 448 B on a 1000 B device: 296 B are free,
+        // whatever the pool's budget says.
+        let accel = Accel::gpu_with(DeviceConfig {
+            cost: CostModel::gpu_pcie(),
+            mem_capacity: 1000,
+            streams: 1,
+        });
+        let ext = DenseMatrix::zeros(4, 8);
+        let mut wave = BatchedWaveEngine::new(accel.clone(), &ext, 1, 1 << 20).unwrap();
+        assert_eq!(accel.mem_used(), 1000 - 296);
+        wave.touch_basis(1, 128).unwrap();
+        wave.touch_basis(2, 128).unwrap();
+        assert_eq!(accel.mem_used(), 1000 - 40);
+        // The third basis fits only where the first was: that one spills
+        // (D2H), then the newcomer is uploaded.
+        let before = accel.stats();
+        wave.touch_basis(3, 128).unwrap();
+        let s = accel.stats();
+        assert_eq!(
+            (
+                s.d2h_bytes - before.d2h_bytes,
+                s.h2d_bytes - before.h2d_bytes
+            ),
+            (128, 128)
+        );
+        assert_eq!(accel.mem_used(), 1000 - 40);
+        wave.touch_basis(2, 128).unwrap(); // still resident
+        assert_eq!(accel.stats(), s);
+        // A basis no empty pool could hold is uploaded for this use only —
+        // each time — and spills nobody.
+        for _ in 0..2 {
+            let before = accel.stats();
+            wave.touch_basis(9, 400).unwrap();
+            let s = accel.stats();
+            assert_eq!(s.h2d_bytes - before.h2d_bytes, 400);
+            assert_eq!(s.d2h_transfers, before.d2h_transfers);
+            assert_eq!(accel.mem_used(), 1000 - 40);
+        }
+        let m = wave.metrics();
+        assert_eq!(m.counter(names::BATCH_BASIS_HITS), 1.0);
+        assert_eq!(m.counter(names::BATCH_BASIS_MISSES), 5.0);
+        assert_eq!(m.counter(names::BATCH_BASIS_EVICTIONS), 1.0);
+        // A budget below the entry size behaves the same way.
+        let mut tight = BatchedWaveEngine::new(Accel::gpu(1), &ext, 1, 100).unwrap();
+        tight.touch_basis(1, 128).unwrap();
+        tight.touch_basis(1, 128).unwrap();
+        assert_eq!(tight.metrics().counter(names::BATCH_BASIS_MISSES), 2.0);
     }
 }

@@ -131,7 +131,7 @@ fn warm_device_bookkeeping_allocates_nothing() {
             d.charge_transfer(64, true, S);
             let h = d.upload_vector(&v, S).unwrap();
             d.vec_mul(h, h, p, S).unwrap();
-            let _ = d.vec_get(p, 3, S).unwrap();
+            let _ = d.vec_get([(p, 3)], S).unwrap();
             d.vacate(p).unwrap();
             d.free_vector(h).unwrap();
             d.synchronize();

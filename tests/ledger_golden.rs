@@ -7,13 +7,23 @@
 //! order, so the memory high-water mark, the allocation count, the launch
 //! and transfer counters and every simulated nanosecond stay where they
 //! were, and an engine still leaves `mem_used() == 0` behind when dropped.
+//!
+//! Re-recorded at the commit that packed the link (the child of `93186d6`):
+//! an install uploads its eight vectors in one staged transfer, a pivot's
+//! scalar stores are arguments of its step kernel, and every engine call is
+//! held to at most one link crossing per direction ([`LinkChecked`]). What
+//! moved is what that rule is about — transfer counts, H2D bytes (8 per
+//! former scalar store) and the clock; peak bytes, allocation counts,
+//! launches, D2H bytes, iterations and optima are those of `ccf9fe5`.
 
 use gmip::core::{solve_concurrent, ConcurrentConfig};
 use gmip::gpu::{Accel, CostModel, DeviceConfig};
 use gmip::linalg::DenseMatrix;
+use gmip::lp::engine::PivotPlan;
 use gmip::lp::{
-    DeviceEngine, LpConfig, LpSolution, LpSolver, LpStatus, PricingRule, SimplexEngine,
-    SparseDeviceEngine, StandardLp,
+    Basis, BatchedWaveEngine, BoundChange, DeviceEngine, LpConfig, LpResult, LpSolution, LpSolver,
+    LpStatus, PricingRule, ProblemView, RecordingEngine, SimplexEngine, SparseDeviceEngine,
+    StandardLp, WaveOp,
 };
 use gmip::parallel::{solve_parallel, ParallelConfig};
 use gmip::problems::generators::{bin_packing, knapsack};
@@ -47,9 +57,139 @@ fn ledger_pin(accel: &Accel) -> String {
     )
 }
 
+/// Runs `f` and returns it with the link crossings it made, `[H2D, D2H]`,
+/// and the H2D bytes — having asserted the link rule: at most one crossing
+/// in each direction.
+fn crossing<R>(accel: &Accel, what: &str, f: impl FnOnce() -> R) -> (R, [u64; 2], u64) {
+    let before = accel.stats();
+    let out = f();
+    let after = accel.stats();
+    let grew = [
+        after.h2d_transfers - before.h2d_transfers,
+        after.d2h_transfers - before.d2h_transfers,
+    ];
+    assert!(
+        grew[0] <= 1 && grew[1] <= 1,
+        "{what} crossed the link {grew:?} times [H2D, D2H]"
+    );
+    (out, grew, after.h2d_bytes - before.h2d_bytes)
+}
+
+/// The link rule, asserted where it can be broken: a [`SimplexEngine`] that
+/// forwards to `inner` and checks around *every* trait call that the call
+/// crossed the link at most once in each direction — an install exactly
+/// once upward with `8(4n + 4m)` bytes, a pivot or a bound flip not at all.
+struct LinkChecked<E> {
+    inner: E,
+    accel: Accel,
+    /// Calls checked: installs, cuts, pivots + flips, Devex updates.
+    seen: [usize; 4],
+}
+
+impl<E: SimplexEngine> LinkChecked<E> {
+    fn call<R>(&mut self, what: &str, f: impl FnOnce(&mut E) -> R) -> (R, [u64; 2], u64) {
+        let inner = &mut self.inner;
+        crossing(&self.accel, what, || f(inner))
+    }
+
+    fn checked<R>(&mut self, what: &str, f: impl FnOnce(&mut E) -> R) -> R {
+        self.call(what, f).0
+    }
+
+    /// A call whose scalars ride its kernels: no crossing at all.
+    fn on_device<R>(&mut self, what: &str, f: impl FnOnce(&mut E) -> R) -> R {
+        let (out, grew, _) = self.call(what, f);
+        assert_eq!(grew, [0, 0], "{what} crossed the link");
+        out
+    }
+}
+
+impl<E: SimplexEngine> SimplexEngine for LinkChecked<E> {
+    fn m(&self) -> usize {
+        self.inner.m()
+    }
+    fn n(&self) -> usize {
+        self.inner.n()
+    }
+    fn sim_now_ns(&self) -> Option<f64> {
+        self.inner.sim_now_ns()
+    }
+    fn eta_count(&self) -> usize {
+        self.inner.eta_count()
+    }
+    fn install(&mut self, view: ProblemView<'_>, basis: &Basis) -> LpResult<()> {
+        let (m, n) = (self.m(), self.n());
+        let (out, grew, bytes) = self.call("install", |e| e.install(view, basis));
+        out?;
+        assert_eq!(grew, [1, 0], "install: one staged upload, nothing back");
+        assert_eq!(bytes, 8 * (4 * n + 4 * m) as u64, "install payload");
+        self.seen[0] += 1;
+        Ok(())
+    }
+    fn append_cut(&mut self, row: &[f64], col: &[f64]) -> LpResult<()> {
+        self.seen[1] += 1;
+        self.checked("append_cut", |e| e.append_cut(row, col))
+    }
+    fn price(&mut self) -> LpResult<Option<(usize, f64)>> {
+        self.checked("price", |e| e.price())
+    }
+    fn reduced_costs_host(&mut self) -> LpResult<Vec<f64>> {
+        self.checked("reduced_costs_host", |e| e.reduced_costs_host())
+    }
+    fn ftran_column(&mut self, q: usize) -> LpResult<()> {
+        self.on_device("ftran_column", |e| e.ftran_column(q))
+    }
+    fn alpha_entry(&mut self, i: usize) -> LpResult<f64> {
+        self.checked("alpha_entry", |e| e.alpha_entry(i))
+    }
+    fn ratio_test(&mut self, dir: f64, tol: f64) -> LpResult<Option<(usize, f64, bool)>> {
+        self.checked("ratio_test", |e| e.ratio_test(dir, tol))
+    }
+    fn apply_flip(&mut self, q: usize, dir: f64, t: f64, new_sigma: f64) -> LpResult<()> {
+        self.seen[2] += 1;
+        self.on_device("apply_flip", |e| e.apply_flip(q, dir, t, new_sigma))
+    }
+    fn apply_pivot(&mut self, plan: &PivotPlan) -> LpResult<()> {
+        self.seen[2] += 1;
+        self.on_device("apply_pivot", |e| e.apply_pivot(plan))
+    }
+    fn basic_values(&mut self) -> LpResult<Vec<f64>> {
+        self.checked("basic_values", |e| e.basic_values())
+    }
+    fn basic_entry(&mut self, i: usize) -> LpResult<f64> {
+        self.checked("basic_entry", |e| e.basic_entry(i))
+    }
+    fn primal_infeas(&mut self, tol: f64) -> LpResult<Option<(usize, f64, bool)>> {
+        self.checked("primal_infeas", |e| e.primal_infeas(tol))
+    }
+    fn btran_row(&mut self, r: usize) -> LpResult<()> {
+        self.on_device("btran_row", |e| e.btran_row(r))
+    }
+    fn dual_ratio(&mut self, leaving_below: bool, tol: f64) -> LpResult<Option<(usize, f64)>> {
+        self.checked("dual_ratio", |e| e.dual_ratio(leaving_below, tol))
+    }
+    fn alpha_r_entry(&mut self, j: usize) -> LpResult<f64> {
+        self.checked("alpha_r_entry", |e| e.alpha_r_entry(j))
+    }
+    fn btran_row_host(&mut self, r: usize) -> LpResult<Vec<f64>> {
+        self.checked("btran_row_host", |e| e.btran_row_host(r))
+    }
+    fn dual_prices(&mut self) -> LpResult<Vec<f64>> {
+        self.checked("dual_prices", |e| e.dual_prices())
+    }
+    fn price_devex(&mut self) -> LpResult<Option<(usize, f64)>> {
+        self.checked("price_devex", |e| e.price_devex())
+    }
+    fn devex_update(&mut self, q: usize, leaving_j: usize) -> LpResult<()> {
+        self.seen[3] += 1;
+        self.checked("devex_update", |e| e.devex_update(q, leaving_j))
+    }
+}
+
 /// `knapsack(46)`: the root, 100 branch re-solves (fix an item down, give it
 /// its box back), then two cut rounds each followed by twelve more re-solves
-/// on the grown matrix — and the engine dropped at the end.
+/// on the grown matrix — and the engine dropped at the end. Every engine
+/// call of it runs under [`LinkChecked`].
 fn engine_ledger<E: SimplexEngine>(
     pricing: PricingRule,
     engine: fn(Accel, &DenseMatrix) -> E,
@@ -62,14 +202,18 @@ fn engine_ledger<E: SimplexEngine>(
         cfg.primal.pricing = pricing;
         let factory_accel = accel.clone();
         let mut lp = LpSolver::new(StandardLp::from_instance(&m, &[]), cfg, move |a| {
-            engine(factory_accel.clone(), a)
+            LinkChecked {
+                inner: engine(factory_accel.clone(), a),
+                accel: factory_accel.clone(),
+                seen: [0; 4],
+            }
         });
         let mut count = |sol: LpSolution| {
             iterations += sol.iterations;
             optimal += usize::from(sol.status == LpStatus::Optimal);
         };
         count(lp.solve().expect("root LP"));
-        let mut branch = |lp: &mut LpSolver<E>, j: usize| {
+        let mut branch = |lp: &mut LpSolver<LinkChecked<E>>, j: usize| {
             let (lb, ub) = (m.vars[j].lb, m.vars[j].ub);
             for to in [lb, ub] {
                 lp.set_var_bounds(j, lb, to).expect("structural column");
@@ -89,6 +233,19 @@ fn engine_ledger<E: SimplexEngine>(
                 branch(&mut lp, (11 * k + 3) % m.num_vars());
             }
         }
+        // The run covers what the rule is about: warm installs, both cuts,
+        // pivots, and the Devex weight update exactly when Devex prices.
+        let [installs, cuts, steps, devex] = lp.engine().seen;
+        assert!(
+            installs > 125 && steps > 100,
+            "{installs} installs, {steps} steps"
+        );
+        assert_eq!(cuts, 2);
+        assert_eq!(
+            devex > 0,
+            pricing == PricingRule::Devex,
+            "{devex} Devex updates"
+        );
     }
     format!(
         "optimal={optimal} iters={iterations} {}",
@@ -109,11 +266,66 @@ fn dense_and_csr_engines_root_branch_cut() {
     assert_eq!(
         got,
         [
-            "optimal=125 iters=146 peak=3440 allocs=4436 used=0 launches=3123 h2d=2635/402848 d2h=870/13744 ns=418ca4b6a6789a13",
-            "optimal=125 iters=146 peak=3144 allocs=4184 used=0 launches=2871 h2d=2633/402560 d2h=870/13744 ns=418bac3528b3c42e",
-            "optimal=125 iters=145 peak=3440 allocs=4317 used=0 launches=3020 h2d=2649/402960 d2h=906/14008 ns=418c7d26cb2a186d",
-            "optimal=125 iters=145 peak=3144 allocs=4065 used=0 launches=2768 h2d=2647/402672 d2h=906/14008 ns=418b84a58ee2e72f",
+            "optimal=125 iters=146 peak=3440 allocs=4436 used=0 launches=3123 h2d=253/397808 d2h=870/13744 ns=418148f286789aed",
+            "optimal=125 iters=146 peak=3144 allocs=4184 used=0 launches=2871 h2d=253/397520 d2h=870/13744 ns=418052e208b3c4e1",
+            "optimal=125 iters=145 peak=3440 allocs=4317 used=0 launches=3020 h2d=253/397808 d2h=887/14008 ns=4180f919e07f6e98",
+            "optimal=125 iters=145 peak=3144 allocs=4065 used=0 launches=2768 h2d=253/397520 d2h=887/14008 ns=41800309a4383d31",
         ]
+    );
+}
+
+/// The link rule on the wave side: sixteen lanes replay the journals of
+/// sixteen different `bin_packing(5)` node LPs in lockstep, and no superstep
+/// crosses the link more than once in each direction, however many lanes
+/// transfer in it.
+#[test]
+fn a_superstep_crosses_the_link_at_most_once_each_way() {
+    let m = bin_packing(5, 1.0, 3);
+    let std = StandardLp::from_instance(&m, &[]);
+    let mut ext = None;
+    let mut lp = LpSolver::new(std, LpConfig::standard(), |a: &DenseMatrix| {
+        ext = Some(a.clone());
+        RecordingEngine::new(a.clone())
+    });
+    lp.solve().expect("root LP");
+    let root_ops = lp.engine_mut().take_ops();
+    let accel = gpu();
+    let ext = ext.expect("engine factory ran");
+    let mut wave = BatchedWaveEngine::new(accel.clone(), &ext, 16, 1 << 16).expect("wave");
+    let (mut lane_transfers, mut staged) = (0, 0);
+    for slot in 0..16 {
+        // Lane `slot` fixes variable `slot` up or down: sixteen warm
+        // re-solves of different lengths, the first behind the root journal.
+        lp.apply_node_bounds(&[BoundChange {
+            var: slot,
+            lb: (slot % 2) as f64,
+            ub: (slot % 2) as f64,
+        }])
+        .expect("structural column");
+        lp.resolve().expect("node LP");
+        let mut ops = lp.engine_mut().take_ops();
+        if slot == 0 {
+            ops.splice(0..0, root_ops.iter().copied());
+        }
+        lane_transfers += ops
+            .iter()
+            .filter(|op| matches!(op, WaveOp::Transfer { .. }))
+            .count();
+        wave.load_lane(slot, ops);
+    }
+    let mut supersteps = 0;
+    while wave.any_busy() {
+        let ((), grew, _) = crossing(&accel, "superstep", || {
+            wave.superstep();
+        });
+        staged += grew[0] + grew[1];
+        supersteps += 1;
+    }
+    // The rule had something to pack: far more lane transfers than crossings.
+    assert!(supersteps > 50 && staged > 0);
+    assert!(
+        lane_transfers as u64 >= 4 * staged,
+        "{lane_transfers} lane transfers in {staged} crossings"
     );
 }
 
@@ -136,7 +348,7 @@ fn two_engines_share_one_device() {
             r.waves,
             ledger_pin(&accel)
         ),
-        "obj=4008000000000000 nodes=1113 waves=557 peak=13880 allocs=45554 used=0 launches=39655 h2d=26933/3439960 d2h=12395/238808 ns=41be3b79a2fa5436"
+        "obj=4008000000000000 nodes=1113 waves=557 peak=13880 allocs=45554 used=0 launches=39655 h2d=1899/3345920 d2h=12395/238808 ns=41b3de2da3a4f91b"
     );
 }
 
@@ -168,6 +380,6 @@ fn four_rank_cluster() {
             m.counter("gpu.transfer.ns").to_bits(),
             r.stats.makespan_ns.to_bits(),
         ),
-        "obj=409aec0000000000 nodes=1295 peak=2520 launches=34532 h2d=4126616 d2h=152104 kernel_ns=41b077751b1eb72a transfer_ns=41b742fec0000124 makespan=41a48d5128f5c208"
+        "obj=409aec0000000000 nodes=1295 peak=2520 launches=34532 h2d=4062656 d2h=152104 kernel_ns=41b077751b1eb72a transfer_ns=419ec23878000082 makespan=419938f5c6d39dc7"
     );
 }

@@ -13,6 +13,16 @@
 //! commit with a hand-copied sparse engine beside the dense one: the one
 //! `DeviceSimplex<M>` must charge each storage's ledger exactly as its copy
 //! did.
+//!
+//! Six tests had their device-side pins re-recorded at the commit that
+//! packed the link (the child of `93186d6`; `frontier_golden.rs` has the
+//! summary): `batched_wave_propagate_dive`, `device_engines_solve_resolve_cut`,
+//! `sparse_device_solver_with_cuts`, the device row of
+//! `host_solver_propagate_fix_and_propagate`, `clusters_propagate_dive` and
+//! `flat_cluster_seed_solution`. Outside the discrete-event clusters only
+//! simulated times and H2D bytes (8 per scalar store that became a kernel
+//! argument) moved; objective and point bits, iterations, nodes, cuts,
+//! trees, launches and D2H bytes stayed.
 
 use gmip::core::{
     solve_batched_wave, solve_first_order_wave, solve_with_node_engine, BatchedWaveConfig,
@@ -153,8 +163,8 @@ fn batched_wave_propagate_dive() {
     assert_eq!(
         got,
         [
-            "Optimal obj=4008000000000000 nodes=335 supersteps=1076 retires=303 refills=295 launches=4809 makespan=4187842b12aaa9d0 first=414f29e99f20586d x=574a3110292eaa1d heur=1/167 prop=0/4053",
-            "Optimal obj=4034000000000000 nodes=9 supersteps=224 retires=9 refills=4 launches=295 makespan=41448e6a68acf139 first=413b6f58fc962fcc x=308352d4f9fa3add heur=2/4 prop=0/5",
+            "Optimal obj=4008000000000000 nodes=335 supersteps=1076 retires=303 refills=295 launches=4809 makespan=41854b5212aaaa61 first=414ca5619f205874 x=574a3110292eaa1d heur=1/167 prop=0/4053",
+            "Optimal obj=4034000000000000 nodes=9 supersteps=224 retires=9 refills=4 launches=295 makespan=4143f22a68acf139 first=413b4848fc962fcc x=308352d4f9fa3add heur=2/4 prop=0/5",
         ]
     );
 }
@@ -224,7 +234,7 @@ fn host_solver_propagate_fix_and_propagate() {
             "Optimal obj=4095480000000000 nodes=311 lp_iters=866 cuts=19 heur=2 sim=40b3da0000000026 x=0befc885e76ecb37 tree=d7c214b3cc40094b incumbents=3 first=4045b33333333334",
             "Optimal obj=4034000000000000 nodes=1 lp_iters=36 cuts=6 heur=0 sim=403ecccccccccccd x=308352d4f9fa3add tree=7229a2988ab6195d incumbents=1 first=403ecccccccccccd",
             "Optimal obj=4008000000000000 nodes=47 lp_iters=612 cuts=37 heur=1 sim=409593d70a3d70a0 x=b175fafd354b0935 tree=a5bdff4b0805c8e9 incumbents=1 first=4061199999999999",
-            "Optimal obj=4008000000000000 nodes=47 lp_iters=612 cuts=37 heur=1 sim=419efae01ad97bc7 x=b175fafd354b0935 tree=a5bdff4b0805c8e9 incumbents=1 first=41869d6fb90a9062",
+            "Optimal obj=4008000000000000 nodes=47 lp_iters=612 cuts=37 heur=1 sim=4195cf56bad97a5b x=b175fafd354b0935 tree=a5bdff4b0805c8e9 incumbents=1 first=41803245ee5fe619",
         ]
     );
 }
@@ -289,9 +299,9 @@ fn flat_cluster_seed_solution() {
     assert_eq!(
         got,
         [
-            "Optimal obj=4091500000000000 nodes=821 msgs=1642 bytes=310856 launches=21749 makespan=418c02c5d30ec8ea x=b53a3110292eaa1d seeds=0 first=416ce2182a190812",
-            "Optimal obj=4091500000000000 nodes=821 msgs=1642 bytes=305728 launches=21749 makespan=418c042aaffffeb8 x=b53a3110292eaa1d seeds=1 first=0000000000000000",
-            "Optimal obj=4091500000000000 nodes=821 msgs=1642 bytes=310856 launches=21749 makespan=418c02c5d30ec8ea x=b53a3110292eaa1d seeds=1 first=0000000000000000",
+            "Optimal obj=4091500000000000 nodes=821 msgs=1642 bytes=310856 launches=21749 makespan=41814815683fb717 x=b53a3110292eaa1d seeds=0 first=4162885fb333334f",
+            "Optimal obj=4091500000000000 nodes=821 msgs=1642 bytes=305728 launches=21749 makespan=4181481388091a27 x=b53a3110292eaa1d seeds=1 first=0000000000000000",
+            "Optimal obj=4091500000000000 nodes=821 msgs=1642 bytes=310856 launches=21749 makespan=41814815683fb717 x=b53a3110292eaa1d seeds=1 first=0000000000000000",
         ]
     );
 }
@@ -335,9 +345,9 @@ fn clusters_propagate_dive() {
     assert_eq!(
         got,
         [
-            "Optimal obj=4091500000000000 nodes=819 msgs=1638 bytes=310160 launches=24954 makespan=4180f1f9bff59907 x=b53a3110292eaa1d seeds=0 first=4154ee77918de5b5",
-            "Optimal obj=4008000000000000 nodes=65 msgs=130 bytes=21248 launches=3009 makespan=415be71bf6faa2d9 x=87f5fafd354b0935 seeds=0 first=4150cf4bd30eca8a",
-            "Optimal obj=4091500000000000 nodes=847 msgs=2600 root=906 steals=10 broadcasts=15 launches=25763 makespan=4180f4f54de077cd x=b53a3110292eaa1d first=4154eff3e6e33b0a",
+            "Optimal obj=4091500000000000 nodes=819 msgs=1638 bytes=310216 launches=24957 makespan=4175d31a302c3621 x=b53a3110292eaa1d seeds=0 first=414dcedd231bcb56",
+            "Optimal obj=4008000000000000 nodes=65 msgs=130 bytes=21416 launches=3009 makespan=4152d0d815c7c2e3 x=87f5fafd354b0935 seeds=0 first=41468e76a61d950e",
+            "Optimal obj=4091500000000000 nodes=848 msgs=2612 root=916 steals=12 broadcasts=15 launches=25757 makespan=4175c32540d540b5 x=b53a3110292eaa1d first=414dd1d5cdc67601",
         ]
     );
 }
@@ -374,9 +384,9 @@ fn sparse_device_solver_with_cuts() {
     assert_eq!(
         got,
         [
-            "device-sparse Optimal obj=4053400000000000 nodes=1 lp_iters=102 cuts=0 heur=0 sim=416c15c5c0586bda x=7b7b38c6cf34ac55 tree=e64ff0e2be1a8965 incumbents=1 first=416c15c5c0586bda launches=931 h2d=25144 d2h=4752",
-            "device-sparse Optimal obj=4008000000000000 nodes=189 lp_iters=2404 cuts=37 heur=1 sim=41bca3637663b6c5 x=2815fafd354b0935 tree=cfeec7557c92d10c incumbents=1 first=41b7911a24ffff1a launches=28730 h2d=1372304 d2h=201816",
-            "device-sparse Optimal obj=40c46b8000000000 nodes=7 lp_iters=93 cuts=17 heur=0 sim=41718e221a0cad8e x=edf2f148a6b7d615 tree=8305825bc71ad0e0 incumbents=1 first=4170135072f762a1 launches=1104 h2d=130120 d2h=24368",
+            "device-sparse Optimal obj=4053400000000000 nodes=1 lp_iters=102 cuts=0 heur=0 sim=416242f695adc161 x=7b7b38c6cf34ac55 tree=e64ff0e2be1a8965 incumbents=1 first=416242f695adc161 launches=931 h2d=21192 d2h=4752",
+            "device-sparse Optimal obj=4008000000000000 nodes=189 lp_iters=2404 cuts=37 heur=1 sim=41b40240590e6008 x=2815fafd354b0935 tree=cfeec7557c92d10c incumbents=1 first=41b0b4dc8a555509 launches=28730 h2d=1276144 d2h=201816",
+            "device-sparse Optimal obj=40c46b8000000000 nodes=7 lp_iters=93 cuts=17 heur=0 sim=41678d231ec405ec x=edf2f148a6b7d615 tree=8305825bc71ad0e0 incumbents=1 first=4165d00110997006 launches=1104 h2d=126560 d2h=24368",
         ]
     );
 }
@@ -440,14 +450,14 @@ fn device_engines_solve_resolve_cut() {
     assert_eq!(
         got,
         [
-            "Optimal obj=403bffffffffffff x=e2a82c3d5e7b3381 iters=51 launches=472 h2d=23448 d2h=2456 ns=415c61d47ae147c6 | Optimal obj=403d000000000000 x=e83a3110292eaa1d iters=0 launches=485 h2d=29976 d2h=2688 ns=415d8196570a3d88 | Optimal obj=403c800000000000 x=758a3110292eaa1d iters=1 launches=511 h2d=37496 d2h=2984 ns=415f727a159e26d2",
-            "Optimal obj=403c000000000000 x=4e25edba5b029cda iters=51 launches=470 h2d=10880 d2h=2456 ns=415c5022f3cf3d17 | Optimal obj=403d000000000000 x=e83a3110292eaa1d iters=0 launches=481 h2d=17408 d2h=2688 ns=415d6030540da763 | Optimal obj=403c800000000000 x=758a3110292eaa1d iters=1 launches=504 h2d=24176 d2h=2984 ns=415f2faf4622c8bc",
-            "Optimal obj=403c000000000000 x=b1ea3110292eaa1d iters=42 launches=503 h2d=23400 d2h=2720 ns=415f63f78da740f4 | Optimal obj=403d000000000000 x=e83a3110292eaa1d iters=0 launches=515 h2d=29928 d2h=2952 ns=41603df488888895 | Optimal obj=403c800000000000 x=758a3110292eaa1d iters=1 launches=540 h2d=37448 d2h=3248 ns=4161327e3ae147b6",
-            "Optimal obj=403c000000000000 x=b1ea3110292eaa1d iters=42 launches=501 h2d=10832 d2h=2720 ns=415f51c0a627fc3f | Optimal obj=403d000000000000 x=683a3110292eaa1d iters=0 launches=511 h2d=17360 d2h=2952 ns=41602cfeec09c0af | Optimal obj=403c800000000000 x=f58a3110292eaa1d iters=1 launches=533 h2d=24128 d2h=3248 ns=416110d65cd49a1f",
-            "Optimal obj=40c3e91498498498 x=7e7cac0d38c62ab1 iters=41 launches=380 h2d=26312 d2h=2120 ns=415699837f6e5d51 | Optimal obj=40c47358dc8dc8dc x=468fd36f29b401a8 iters=1 launches=404 h2d=33264 d2h=2440 ns=4158673af654321a | Optimal obj=40c45c5222222222 x=875295d066b4d8ca iters=2 launches=441 h2d=41256 d2h=2824 ns=415b0619cdf01242",
-            "Optimal obj=40c3e91498498498 x=7e7cac0d38c62ab1 iters=41 launches=378 h2d=10480 d2h=2120 ns=4156875eb3099707 | Optimal obj=40c47358dc8dc8dc x=468fd36f29b401a8 iters=1 launches=400 h2d=17432 d2h=2440 ns=4158454d265bff64 | Optimal obj=40c45c5222222222 x=875295d066b4d8ca iters=2 launches=434 h2d=24624 d2h=2824 ns=415ac2ad7ca8642d",
-            "Optimal obj=40c3e91498498498 x=7e7cac0d38c62ab1 iters=41 launches=481 h2d=26600 d2h=2696 ns=415dce78530ecaab | Optimal obj=40c47358dc8dc8dc x=468fd36f29b401a8 iters=1 launches=504 h2d=33552 d2h=3016 ns=415f945f6eeeef19 | Optimal obj=40c45c5222222222 x=875295d066b4d8ca iters=2 launches=540 h2d=41544 d2h=3400 ns=416115b6f530ecbf",
-            "Optimal obj=40c3e91498498498 x=7e7cac0d38c62ab1 iters=41 launches=479 h2d=10768 d2h=2696 ns=415dbb9501a01a30 | Optimal obj=40c47358dc8dc8dc x=468fd36f29b401a8 iters=1 launches=500 h2d=17720 d2h=3016 ns=415f71b2effd666e | Optimal obj=40c45c5222222222 x=875295d066b4d8ca iters=2 launches=533 h2d=24912 d2h=3400 ns=4160f3a159451467",
+            "Optimal obj=403bffffffffffff x=e2a82c3d5e7b3381 iters=51 launches=472 h2d=21504 d2h=2456 ns=415293e7fae147be | Optimal obj=403d000000000000 x=e83a3110292eaa1d iters=0 launches=485 h2d=28032 d2h=2688 ns=41532af1d70a3d80 | Optimal obj=403c800000000000 x=758a3110292eaa1d iters=1 launches=511 h2d=35512 d2h=2984 ns=41545884c048d16d",
+            "Optimal obj=403c000000000000 x=4e25edba5b029cda iters=51 launches=470 h2d=8936 d2h=2456 ns=4152823673cf3d0a | Optimal obj=403d000000000000 x=e83a3110292eaa1d iters=0 launches=481 h2d=15464 d2h=2688 ns=4153098bd40da756 | Optimal obj=403c800000000000 x=758a3110292eaa1d iters=1 launches=504 h2d=22192 d2h=2984 ns=41541f7df0cd7352",
+            "Optimal obj=403c000000000000 x=b1ea3110292eaa1d iters=42 launches=503 h2d=21504 d2h=2720 ns=415453c80da740e0 | Optimal obj=403d000000000000 x=e83a3110292eaa1d iters=0 launches=515 h2d=28032 d2h=2952 ns=4154e30191111116 | Optimal obj=403c800000000000 x=758a3110292eaa1d iters=1 launches=540 h2d=35512 d2h=3248 ns=415608c4206d3a10",
+            "Optimal obj=403c000000000000 x=b1ea3110292eaa1d iters=42 launches=501 h2d=8936 d2h=2720 ns=415441912627fc22 | Optimal obj=403d000000000000 x=683a3110292eaa1d iters=0 launches=511 h2d=15464 d2h=2952 ns=4154c1165813813f | Optimal obj=403c800000000000 x=f58a3110292eaa1d iters=1 launches=533 h2d=22192 d2h=3248 ns=4155cf386453dede",
+            "Optimal obj=40c3e91498498498 x=7e7cac0d38c62ab1 iters=41 launches=380 h2d=24832 d2h=2120 ns=414e041154320fe8 | Optimal obj=40c47358dc8dc8dc x=468fd36f29b401a8 iters=1 launches=404 h2d=31744 d2h=2440 ns=415016334ba98764 | Optimal obj=40c45c5222222222 x=875295d066b4d8ca iters=2 launches=441 h2d=39656 d2h=2824 ns=4151c0ec789abce1",
+            "Optimal obj=40c3e91498498498 x=7e7cac0d38c62ab1 iters=41 launches=378 h2d=9000 d2h=2120 ns=414ddfc7bb688341 | Optimal obj=40c47358dc8dc8dc x=468fd36f29b401a8 iters=1 launches=400 h2d=15912 d2h=2440 ns=414fe88af762a94a | Optimal obj=40c45c5222222222 x=875295d066b4d8ca iters=2 launches=434 h2d=23024 d2h=2824 ns=4151874427530ec2",
+            "Optimal obj=40c3e91498498498 x=7e7cac0d38c62ab1 iters=41 launches=481 h2d=24832 d2h=2696 ns=415377d77db97531 | Optimal obj=40c47358dc8dc8dc x=468fd36f29b401a8 iters=1 launches=504 h2d=31744 d2h=3016 ns=41548431c4444448 | Optimal obj=40c45c5222222222 x=875295d066b4d8ca iters=2 launches=540 h2d=39656 d2h=3400 ns=4156271a950c8402",
+            "Optimal obj=40c3e91498498498 x=7e7cac0d38c62ab1 iters=41 launches=479 h2d=9000 d2h=2696 ns=415364f42c4ac4aa | Optimal obj=40c47358dc8dc8dc x=468fd36f29b401a8 iters=1 launches=500 h2d=15912 d2h=3016 ns=415461854552bb91 | Optimal obj=40c45c5222222222 x=875295d066b4d8ca iters=2 launches=533 h2d=23024 d2h=3400 ns=4155ecb35d34d34e",
         ]
     );
 }

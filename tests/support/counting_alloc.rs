@@ -1,7 +1,7 @@
 //! A counting global allocator for the allocation-pinning tests
-//! (`device_alloc.rs`, `fo_alloc.rs`), included by `#[path]`: the system
-//! allocator plus a per-thread counter, so counts are exact under the
-//! harness's one-thread-per-test scheduling.
+//! (`device_alloc.rs`, `fo_alloc.rs`, `wave_alloc.rs`), included by
+//! `#[path]`: the system allocator plus a per-thread counter, so counts are
+//! exact under the harness's one-thread-per-test scheduling.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
