@@ -4,12 +4,13 @@
 use gmip_core::{
     choose_path, plan, presolve, solve_batched_wave, solve_first_order_wave, solve_with_dispatch,
     BatchedWaveConfig, FirstOrderWaveConfig, MipConfig, MipResult, MipSolver, MipStatus,
-    PolicyKind, Strategy,
+    PolicyKind, Strategy, WaveResult, DEFAULT_PROPAGATE_ROUNDS,
 };
 use gmip_gpu::{Accel, CostModel};
 use gmip_lp::PricingRule;
 use gmip_parallel::{
-    solve_hierarchical, solve_parallel, ChaosConfig, HierarchyConfig, ParallelConfig, MAX_RANKS,
+    solve_hierarchical, solve_parallel, ChaosConfig, HierStats, HierarchyConfig, ParallelConfig,
+    ParallelStats, MAX_RANKS,
 };
 use gmip_problems::generators;
 use gmip_problems::mps::{read_mps, write_mps};
@@ -84,7 +85,8 @@ SOLVE OPTIONS:
                      nodes settle without simplex/PDHG work, integer bounds
                      tighten. Works on every strategy including the wave
                      backends and cluster ranks
-  --prop-rounds <n>  propagation fixpoint round cap      (default: 8)
+  --prop-rounds <n>  propagation fixpoint round cap      (default: 8;
+                     cluster ranks always use 8: another value is an error)
   --heur-period <n>  run a fix-and-propagate dive every n nodes (waves: one
                      fused dive across the whole frontier); improving
                      feasible candidates become incumbents early (0 = off)
@@ -167,7 +169,7 @@ impl Default for Options {
             cuts: true,
             heuristics: true,
             propagate: false,
-            prop_rounds: 8,
+            prop_rounds: DEFAULT_PROPAGATE_ROUNDS,
             heur_period: 0,
             backend: gmip_gpu::BackendKind::Sim,
             presolve: false,
@@ -648,6 +650,124 @@ fn postsolve_map(
     }
 }
 
+/// A strategy's width suffix (`<n>` of `batched:<n>`, `cluster:<n>`, ...):
+/// an integer >= 1, or `err`.
+fn width(spec: &str, err: &str) -> Result<usize, String> {
+    spec.parse()
+        .ok()
+        .filter(|&n: &usize| n >= 1)
+        .ok_or_else(|| err.to_string())
+}
+
+/// The report of a cluster solve, flat (`hier: None`) or hierarchical.
+fn report_cluster(
+    out: &mut String,
+    o: &Options,
+    status: MipStatus,
+    (objective, x): (f64, &[f64]),
+    stats: &ParallelStats,
+    hier: Option<&HierStats>,
+) {
+    out.push_str(&format!("status: {status:?}\n"));
+    if !x.is_empty() {
+        out.push_str(&format!("objective: {objective}\n"));
+    }
+    out.push_str(&format!(
+        "nodes: {}   lp iterations: {}   messages: {} ({} B)   makespan: {:.3} ms\n",
+        stats.nodes,
+        stats.lp_iterations,
+        stats.messages,
+        stats.message_bytes,
+        stats.makespan_ns / 1e6
+    ));
+    if let Some(h) = hier {
+        out.push_str(&format!(
+            "hierarchy: {} groups x {}   root messages: {} ({} B)   \
+             summaries: {}   steals: {} ({} subtrees, {} denied)\n",
+            h.groups,
+            h.fanout,
+            h.root_messages,
+            h.root_message_bytes,
+            h.summaries,
+            h.steals,
+            h.stolen_subtrees,
+            h.steal_denied
+        ));
+    }
+    if o.faults.is_some() {
+        let f = &stats.faults;
+        // The group tier's three counters exist only under a hierarchy.
+        let [sub_crashes, shipped, sub_respawned] = match hier {
+            Some(_) => [
+                format!(" {} sub-crashes,", f.sub_crashes),
+                format!(" {} group subtrees shipped,", f.group_reassigned_subtrees),
+                format!(" {} sub-respawned,", f.sub_respawns),
+            ],
+            None => Default::default(),
+        };
+        out.push_str(&format!(
+            "faults: {} crashes,{sub_crashes} {} drops, {} delays, {} straggles   \
+             recovery: {} reassigned,{shipped} {} respawned,{sub_respawned} {} ranks retired\n",
+            f.crashes,
+            f.drops,
+            f.delays,
+            f.straggles,
+            f.reassignments,
+            f.respawns,
+            f.degraded_ranks
+        ));
+    }
+    if o.metrics {
+        out.push('\n');
+        out.push_str(&gmip_trace::export::summary(&stats.metrics));
+    }
+}
+
+/// The report of a lockstep-wave solve; `pdhg` adds the first-order wave's
+/// counter line.
+fn report_wave(
+    out: &mut String,
+    o: &Options,
+    (objective, x): (f64, &[f64]),
+    r: &WaveResult,
+    pdhg: bool,
+) {
+    out.push_str(&format!("status: {:?}\n", r.status));
+    if !x.is_empty() {
+        out.push_str(&format!("objective: {objective}\n"));
+    }
+    out.push_str(&format!(
+        "nodes: {}   wave width: {}   supersteps: {}   retires: {}   refills: {}\n",
+        r.nodes, r.width, r.supersteps, r.retires, r.refills
+    ));
+    if pdhg {
+        out.push_str(&format!(
+            "pdhg: {} iterations, {} restarts, {} bound-pruned, {} cleanups\n",
+            r.metrics.counter("fo.iterations"),
+            r.metrics.counter("fo.restarts"),
+            r.metrics.counter("fo.bound_pruned"),
+            r.metrics.counter("fo.cleanups"),
+        ));
+    }
+    out.push_str(&format!("makespan: {:.3} ms\n", r.makespan_ns / 1e6));
+    if o.stats {
+        let d = &r.device;
+        out.push_str(&format!(
+            "device: {} kernels, {} H2D ({} B), {} D2H ({} B), peak mem {} B\n",
+            d.kernel_launches,
+            d.h2d_transfers,
+            d.h2d_bytes,
+            d.d2h_transfers,
+            d.d2h_bytes,
+            r.peak_device_bytes
+        ));
+    }
+    if o.metrics {
+        out.push('\n');
+        out.push_str(&gmip_trace::export::summary(&r.metrics));
+    }
+}
+
 /// Solves an instance per the options; returns the formatted report.
 pub fn solve(instance: MipInstance, o: &Options) -> Result<String, String> {
     instance.validate().map_err(|e| format!("{e}"))?;
@@ -693,24 +813,30 @@ pub fn solve(instance: MipInstance, o: &Options) -> Result<String, String> {
         // groups the ranks under sub-supervisors of width <fanout>.
         let (ranks_spec, fanout) = match spec.split_once('x') {
             Some((r, f)) => {
-                let fanout = f.parse().ok().filter(|&f: &usize| f >= 1).ok_or_else(|| {
-                    "cluster fan-out needs a group width >= 1, e.g. cluster:64x8".to_string()
-                })?;
+                let fanout = width(
+                    f,
+                    "cluster fan-out needs a group width >= 1, e.g. cluster:64x8",
+                )?;
                 (r, Some(fanout))
             }
             None => (spec, None),
         };
-        let workers = ranks_spec
-            .parse()
-            .ok()
-            .filter(|&w: &usize| w >= 1)
-            .ok_or_else(|| "cluster needs a worker count >= 1, e.g. cluster:4".to_string())?;
+        let workers = width(
+            ranks_spec,
+            "cluster needs a worker count >= 1, e.g. cluster:4",
+        )?;
         if workers > MAX_RANKS {
             // Guard against absurd widths: the DES keeps O(ranks) state per
             // event round, so a typo like cluster:10000000 would exhaust
             // memory instead of producing a curve.
             return Err(format!(
                 "cluster:{workers} exceeds the simulation ceiling of {MAX_RANKS} ranks"
+            ));
+        }
+        if o.prop_rounds != DEFAULT_PROPAGATE_ROUNDS {
+            return Err(format!(
+                "--prop-rounds is not configurable on cluster:<workers>: \
+                 ranks always cap propagation at {DEFAULT_PROPAGATE_ROUNDS} rounds"
             ));
         }
         let chaos = o
@@ -729,112 +855,37 @@ pub fn solve(instance: MipInstance, o: &Options) -> Result<String, String> {
             backend: o.backend,
             ..Default::default()
         };
-        if let Some(fanout) = fanout {
-            let hcfg = HierarchyConfig {
-                fanout,
-                ..Default::default()
-            };
-            let r = solve_hierarchical(&work, pcfg, hcfg).map_err(|e| format!("{e}"))?;
-            write_trace(session, o, &mut out)?;
-            let (objective, x) = postsolve_map(&instance, &pre, r.objective, &r.x);
-            out.push_str(&format!("status: {:?}\n", r.status));
-            if !x.is_empty() {
-                out.push_str(&format!("objective: {objective}\n"));
+        let (r, hier) = match fanout {
+            Some(fanout) => {
+                let hcfg = HierarchyConfig {
+                    fanout,
+                    ..Default::default()
+                };
+                let r = solve_hierarchical(&work, pcfg, hcfg).map_err(|e| format!("{e}"))?;
+                ((r.status, r.objective, r.x, r.stats), Some(r.hier))
             }
-            out.push_str(&format!(
-                "nodes: {}   lp iterations: {}   messages: {} ({} B)   makespan: {:.3} ms\n",
-                r.stats.nodes,
-                r.stats.lp_iterations,
-                r.stats.messages,
-                r.stats.message_bytes,
-                r.stats.makespan_ns / 1e6
-            ));
-            let h = &r.hier;
-            out.push_str(&format!(
-                "hierarchy: {} groups x {}   root messages: {} ({} B)   \
-                 summaries: {}   steals: {} ({} subtrees, {} denied)\n",
-                h.groups,
-                h.fanout,
-                h.root_messages,
-                h.root_message_bytes,
-                h.summaries,
-                h.steals,
-                h.stolen_subtrees,
-                h.steal_denied
-            ));
-            if o.faults.is_some() {
-                let f = &r.stats.faults;
-                out.push_str(&format!(
-                    "faults: {} crashes, {} sub-crashes, {} drops, {} delays, {} straggles   \
-                     recovery: {} reassigned, {} group subtrees shipped, {} respawned, \
-                     {} sub-respawned, {} ranks retired\n",
-                    f.crashes,
-                    f.sub_crashes,
-                    f.drops,
-                    f.delays,
-                    f.straggles,
-                    f.reassignments,
-                    f.group_reassigned_subtrees,
-                    f.respawns,
-                    f.sub_respawns,
-                    f.degraded_ranks
-                ));
+            None => {
+                let r = solve_parallel(&work, pcfg).map_err(|e| format!("{e}"))?;
+                ((r.status, r.objective, r.x, r.stats), None)
             }
-            if o.metrics {
-                out.push('\n');
-                out.push_str(&gmip_trace::export::summary(&r.stats.metrics));
-            }
-            return Ok(out);
-        }
-        let r = solve_parallel(&work, pcfg).map_err(|e| format!("{e}"))?;
+        };
         write_trace(session, o, &mut out)?;
-        let (objective, x) = postsolve_map(&instance, &pre, r.objective, &r.x);
-        out.push_str(&format!("status: {:?}\n", r.status));
-        if !x.is_empty() {
-            out.push_str(&format!("objective: {objective}\n"));
-        }
-        out.push_str(&format!(
-            "nodes: {}   lp iterations: {}   messages: {} ({} B)   makespan: {:.3} ms\n",
-            r.stats.nodes,
-            r.stats.lp_iterations,
-            r.stats.messages,
-            r.stats.message_bytes,
-            r.stats.makespan_ns / 1e6
-        ));
-        if o.faults.is_some() {
-            let f = &r.stats.faults;
-            out.push_str(&format!(
-                "faults: {} crashes, {} drops, {} delays, {} straggles   \
-                 recovery: {} reassigned, {} respawned, {} ranks retired\n",
-                f.crashes,
-                f.drops,
-                f.delays,
-                f.straggles,
-                f.reassignments,
-                f.respawns,
-                f.degraded_ranks
-            ));
-        }
-        if o.metrics {
-            out.push('\n');
-            out.push_str(&gmip_trace::export::summary(&r.stats.metrics));
-        }
+        let (status, objective, x, stats) = r;
+        let (objective, x) = postsolve_map(&instance, &pre, objective, &x);
+        report_cluster(&mut out, o, status, (objective, &x), &stats, hier.as_ref());
         return Ok(out);
     }
     if o.faults.is_some() {
         return Err("--faults requires the cluster:<workers> strategy".to_string());
     }
 
-    // The batched wave reports wave-level statistics (supersteps, retires,
-    // refills) that have no slot in MipResult, so it too is handled apart.
-    if let Some(spec) = o.strategy.strip_prefix("batched:") {
-        let lanes = spec
-            .parse()
-            .ok()
-            .filter(|&l: &usize| l >= 1)
-            .ok_or_else(|| "batched needs a lane count >= 1, e.g. batched:8".to_string())?;
+    // The two lockstep waves report wave-level statistics (supersteps,
+    // retires, refills) that have no slot in MipResult, so they too are
+    // handled apart: journaled simplex lanes, or restarted-PDHG lanes with
+    // their PDHG-specific counters.
+    let wave = if let Some(spec) = o.strategy.strip_prefix("batched:") {
         let wcfg = BatchedWaveConfig {
-            lanes,
+            lanes: width(spec, "batched needs a lane count >= 1, e.g. batched:8")?,
             lp: cfg.lp.clone(),
             node_limit: o.node_limit,
             propagate: o.propagate,
@@ -843,48 +894,16 @@ pub fn solve(instance: MipInstance, o: &Options) -> Result<String, String> {
             backend: o.backend,
             ..Default::default()
         };
-        let accel = Accel::gpu(o.gpu_mem_gib);
-        let r = solve_batched_wave(&work, &wcfg, accel).map_err(|e| format!("{e}"))?;
-        write_trace(session, o, &mut out)?;
-        let (objective, x) = postsolve_map(&instance, &pre, r.objective, &r.x);
-        out.push_str(&format!("status: {:?}\n", r.status));
-        if !x.is_empty() {
-            out.push_str(&format!("objective: {objective}\n"));
-        }
-        out.push_str(&format!(
-            "nodes: {}   wave width: {}   supersteps: {}   retires: {}   refills: {}\n",
-            r.nodes, r.width, r.supersteps, r.retires, r.refills
-        ));
-        out.push_str(&format!("makespan: {:.3} ms\n", r.makespan_ns / 1e6));
-        if o.stats {
-            let d = &r.device;
-            out.push_str(&format!(
-                "device: {} kernels, {} H2D ({} B), {} D2H ({} B), peak mem {} B\n",
-                d.kernel_launches,
-                d.h2d_transfers,
-                d.h2d_bytes,
-                d.d2h_transfers,
-                d.d2h_bytes,
-                r.peak_device_bytes
-            ));
-        }
-        if o.metrics {
-            out.push('\n');
-            out.push_str(&gmip_trace::export::summary(&r.metrics));
-        }
-        return Ok(out);
-    }
-
-    // First-order wave: restarted PDHG lanes in lockstep, reported with
-    // the same wave-level statistics plus the PDHG-specific counters.
-    if let Some(spec) = o.strategy.strip_prefix("firstorder:") {
-        let lanes = spec
-            .parse()
-            .ok()
-            .filter(|&l: &usize| l >= 1)
-            .ok_or_else(|| "firstorder needs a lane count >= 1, e.g. firstorder:64".to_string())?;
+        Some((
+            solve_batched_wave(&work, &wcfg, Accel::gpu(o.gpu_mem_gib)),
+            false,
+        ))
+    } else if let Some(spec) = o.strategy.strip_prefix("firstorder:") {
         let wcfg = FirstOrderWaveConfig {
-            lanes,
+            lanes: width(
+                spec,
+                "firstorder needs a lane count >= 1, e.g. firstorder:64",
+            )?,
             node_limit: o.node_limit,
             propagate: o.propagate,
             propagate_rounds: o.prop_rounds,
@@ -892,42 +911,18 @@ pub fn solve(instance: MipInstance, o: &Options) -> Result<String, String> {
             backend: o.backend,
             ..Default::default()
         };
-        let accel = Accel::gpu(o.gpu_mem_gib);
-        let r = solve_first_order_wave(&work, &wcfg, accel).map_err(|e| format!("{e}"))?;
+        Some((
+            solve_first_order_wave(&work, &wcfg, Accel::gpu(o.gpu_mem_gib)),
+            true,
+        ))
+    } else {
+        None
+    };
+    if let Some((r, pdhg)) = wave {
+        let r = r.map_err(|e| format!("{e}"))?;
         write_trace(session, o, &mut out)?;
         let (objective, x) = postsolve_map(&instance, &pre, r.objective, &r.x);
-        out.push_str(&format!("status: {:?}\n", r.status));
-        if !x.is_empty() {
-            out.push_str(&format!("objective: {objective}\n"));
-        }
-        out.push_str(&format!(
-            "nodes: {}   wave width: {}   supersteps: {}   retires: {}   refills: {}\n",
-            r.nodes, r.width, r.supersteps, r.retires, r.refills
-        ));
-        out.push_str(&format!(
-            "pdhg: {} iterations, {} restarts, {} bound-pruned, {} cleanups\n",
-            r.metrics.counter("fo.iterations"),
-            r.metrics.counter("fo.restarts"),
-            r.metrics.counter("fo.bound_pruned"),
-            r.metrics.counter("fo.cleanups"),
-        ));
-        out.push_str(&format!("makespan: {:.3} ms\n", r.makespan_ns / 1e6));
-        if o.stats {
-            let d = &r.device;
-            out.push_str(&format!(
-                "device: {} kernels, {} H2D ({} B), {} D2H ({} B), peak mem {} B\n",
-                d.kernel_launches,
-                d.h2d_transfers,
-                d.h2d_bytes,
-                d.d2h_transfers,
-                d.d2h_bytes,
-                r.peak_device_bytes
-            ));
-        }
-        if o.metrics {
-            out.push('\n');
-            out.push_str(&gmip_trace::export::summary(&r.metrics));
-        }
+        report_wave(&mut out, o, (objective, &x), &r, pdhg);
         return Ok(out);
     }
 
@@ -948,16 +943,12 @@ pub fn solve(instance: MipInstance, o: &Options) -> Result<String, String> {
                 "cpu-orchestrated" => Strategy::CpuOrchestrated,
                 "gpu-only" => Strategy::GpuOnly,
                 "hybrid" => Strategy::Hybrid,
-                s if s.starts_with("big-mip:") => {
-                    let devices = s["big-mip:".len()..]
-                        .parse()
-                        .ok()
-                        .filter(|&d: &usize| d >= 1)
-                        .ok_or_else(|| {
-                            "big-mip needs a device count >= 1, e.g. big-mip:4".to_string()
-                        })?;
-                    Strategy::BigMip { devices }
-                }
+                s if s.starts_with("big-mip:") => Strategy::BigMip {
+                    devices: width(
+                        &s["big-mip:".len()..],
+                        "big-mip needs a device count >= 1, e.g. big-mip:4",
+                    )?,
+                },
                 other => return Err(format!("unknown strategy `{other}`")),
             };
             let p = plan(strategy, cfg, CostModel::gpu_pcie(), gpu_mem);
@@ -1175,6 +1166,23 @@ mod tests {
         wrong.faults = Some("7".into());
         let err = solve(gmip_problems::catalog::figure1_knapsack(), &wrong).unwrap_err();
         assert!(err.contains("cluster"), "{err}");
+    }
+
+    #[test]
+    fn prop_rounds_on_a_cluster_is_rejected_not_dropped() {
+        // A rank's round cap is a constant: a value the solve would ignore
+        // must come back as Err, flat or hierarchical, the way `--faults`
+        // does outside `cluster:`. The default itself passes.
+        let m = gmip_problems::catalog::figure1_knapsack;
+        for strategy in ["cluster:3", "cluster:4x2"] {
+            let mut o = Options::default();
+            o.strategy = strategy.into();
+            o.propagate = true;
+            assert!(solve(m(), &o).unwrap().contains("status: Optimal"));
+            o.prop_rounds = 3;
+            let err = solve(m(), &o).unwrap_err();
+            assert!(err.contains("--prop-rounds"), "{strategy}: {err}");
+        }
     }
 
     #[test]

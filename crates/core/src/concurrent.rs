@@ -116,16 +116,8 @@ pub fn solve_concurrent(
             tree.begin_evaluation(id);
             nodes += 1;
             let warm = tree.data_mut(id).parent_basis.take();
-            lane.apply_node_bounds(&tree.node(id).data.bounds)?;
-            let sol = match warm {
-                // Dimension drift cannot happen without cuts; guard anyway.
-                Some(b) if b.n() == lane.standard().n() + lane.standard().m() => {
-                    lane.set_warm_basis(b)?;
-                    lane.resolve()?
-                }
-                _ => lane.solve()?,
-            };
-            outcomes.push((id, sol, lane.basis().cloned()));
+            let (sol, basis) = lane.solve_node(&tree.node(id).data.bounds, warm)?;
+            outcomes.push((id, sol, basis));
         }
         // Join the wave (device synchronize: streams meet at the frontier).
         accel.with(|d| {

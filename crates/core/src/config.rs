@@ -81,6 +81,11 @@ impl Default for HeurConfig {
     }
 }
 
+/// Propagation round cap per node wherever no flag sets one: the default of
+/// [`MipConfig::propagate_rounds`] and of both wave configs, and what a
+/// cluster rank (whose config carries no such field) always uses.
+pub const DEFAULT_PROPAGATE_ROUNDS: usize = 8;
+
 /// Full branch-and-cut configuration.
 #[derive(Debug, Clone)]
 pub struct MipConfig {
@@ -154,7 +159,7 @@ impl Default for MipConfig {
             cuts: CutConfig::default(),
             heuristics: HeurConfig::default(),
             propagate: false,
-            propagate_rounds: 8,
+            propagate_rounds: DEFAULT_PROPAGATE_ROUNDS,
             engine_reuse: true,
             warm_start: true,
             gap_rel: 0.0,

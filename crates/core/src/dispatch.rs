@@ -23,7 +23,6 @@
 
 use crate::config::MipConfig;
 use crate::solver::{MipResult, MipSolver};
-use crate::wave::{solve_batched_wave, BatchedWaveConfig, WaveResult};
 use gmip_gpu::{Accel, CostModel};
 use gmip_lp::{DeviceEngine, LpResult, SparseDeviceEngine};
 use gmip_problems::MipInstance;
@@ -33,9 +32,6 @@ use gmip_problems::MipInstance;
 pub enum CodePath {
     /// Dense kernels on the accelerator.
     DenseDevice,
-    /// Dense kernels on the accelerator, many node LPs per fused batched
-    /// launch ([`crate::wave::solve_batched_wave`], Sections 4.3, 5.5).
-    BatchedWave,
     /// Sparse (CSR/GLU-class) kernels on the accelerator.
     SparseDevice,
     /// Sparse handling on the host CPU (the input is too small for any
@@ -82,52 +78,13 @@ pub fn solve_with_dispatch(
 ) -> LpResult<(CodePath, MipResult)> {
     let path = choose_path(&instance, &gpu.with(|d| d.cost_model().clone()));
     let result = match path {
-        CodePath::DenseDevice | CodePath::BatchedWave => {
-            MipSolver::<DeviceEngine>::on_accel(instance, cfg, gpu).solve()?
-        }
+        CodePath::DenseDevice => MipSolver::<DeviceEngine>::on_accel(instance, cfg, gpu).solve()?,
         CodePath::SparseDevice => {
             MipSolver::<SparseDeviceEngine>::on_accel(instance, cfg, gpu).solve()?
         }
         CodePath::SparseHost => MipSolver::host_baseline(instance, cfg).solve()?,
     };
     Ok((path, result))
-}
-
-/// The outcome of [`solve_with_dispatch_batched`]: the batched wave when
-/// the dense path was eligible, otherwise the regular dispatch result.
-#[derive(Debug)]
-pub enum BatchedDispatch {
-    /// The dense path ran as a batched lockstep wave of node LPs.
-    Wave(Box<WaveResult>),
-    /// The instance dispatched to a non-dense path; the regular solver ran.
-    Fallback(Box<MipResult>),
-}
-
-/// The super-MIP solver with the batched wave preferred on the dense path:
-/// dense inputs run `wave.lanes` node LPs per fused launch; sparse and tiny
-/// inputs fall back to [`solve_with_dispatch`]'s paths (the batched wave's
-/// shared-matrix trick needs the dense engines).
-pub fn solve_with_dispatch_batched(
-    instance: MipInstance,
-    cfg: MipConfig,
-    wave: BatchedWaveConfig,
-    gpu: Accel,
-) -> LpResult<(CodePath, BatchedDispatch)> {
-    let path = choose_path(&instance, &gpu.with(|d| d.cost_model().clone()));
-    match path {
-        CodePath::DenseDevice | CodePath::BatchedWave => {
-            let r = solve_batched_wave(&instance, &wave, gpu)?;
-            Ok((CodePath::BatchedWave, BatchedDispatch::Wave(Box::new(r))))
-        }
-        CodePath::SparseDevice => {
-            let r = MipSolver::<SparseDeviceEngine>::on_accel(instance, cfg, gpu).solve()?;
-            Ok((path, BatchedDispatch::Fallback(Box::new(r))))
-        }
-        CodePath::SparseHost => {
-            let r = MipSolver::host_baseline(instance, cfg).solve()?;
-            Ok((path, BatchedDispatch::Fallback(Box::new(r))))
-        }
-    }
 }
 
 #[cfg(test)]

@@ -23,11 +23,12 @@
 //!    host work), so every objective the tree acts on is exact and the
 //!    device never runs a sequential cleanup.
 
-use crate::wave::{run_wave, LaneSet, Retired, WaveKnobs, WaveResult};
+use crate::search::{NodeHook, PropCharge, Rules};
+use crate::wave::{run_wave, LaneSet, WaveResult};
 use gmip_gpu::{Accel, BackendKind};
 use gmip_linalg::CsrMatrix;
 use gmip_lp::{
-    wave_width, BoundChange, FirstOrderWaveEngine, FoOutcome, HostEngine, LpConfig, LpResult,
+    wave_width, BoundChange, FirstOrderWaveEngine, HostEngine, LpConfig, LpResult, LpSolution,
     LpSolver, PdhgConfig, StandardLp,
 };
 use gmip_problems::MipInstance;
@@ -73,7 +74,7 @@ impl Default for FirstOrderWaveConfig {
             prune_tol: 1e-6,
             node_limit: 100_000,
             propagate: false,
-            propagate_rounds: 8,
+            propagate_rounds: crate::DEFAULT_PROPAGATE_ROUNDS,
             heuristic_period: 0,
             backend: BackendKind::Sim,
         }
@@ -122,22 +123,11 @@ impl LaneSet for PdhgLanes {
     fn retire(
         &mut self,
         slot: usize,
-        id: NodeId,
+        _id: NodeId,
         node_bounds: &[BoundChange],
-    ) -> LpResult<Retired<Self::Warm>> {
-        let report = self.fo.take_lane(slot)?;
-        debug_assert_eq!(report.token, id as u64);
-        Ok(match report.outcome {
-            FoOutcome::Infeasible => Retired::Infeasible,
-            FoOutcome::BoundPruned => Retired::Pruned(report.safe_bound),
-            FoOutcome::Converged | FoOutcome::IterLimit => {
-                // Exact host cleanup before the tree acts on the node.
-                self.cleanup.apply_node_bounds(node_bounds)?;
-                let sol = self.cleanup.solve()?;
-                self.fo.note_cleanup(sol.iterations);
-                Retired::Lp(sol, Some((report.x, report.y)))
-            }
-        })
+    ) -> LpResult<(LpSolution, Self::Warm)> {
+        let (sol, lane) = self.fo.finish_lane(slot, &mut self.cleanup, node_bounds)?;
+        Ok((sol, Some((lane.x, lane.y))))
     }
 
     fn set_cutoff(&mut self, cutoff: f64) {
@@ -173,15 +163,17 @@ pub fn solve_first_order_wave(
     let width = wave_width(cfg.lanes, accel.mem_capacity(), matrix_bytes, per_lane);
     let fo = FirstOrderWaveEngine::new(accel.clone(), &std, width, cfg.pdhg.clone())?;
     let cleanup = LpSolver::new(std, LpConfig::standard(), |a| HostEngine::new(a.clone()));
-    let knobs = WaveKnobs {
-        int_tol: cfg.int_tol,
-        prune_tol: cfg.prune_tol,
-        node_limit: cfg.node_limit,
-        propagate: cfg.propagate,
-        propagate_rounds: cfg.propagate_rounds,
-        heuristic_period: cfg.heuristic_period,
-    };
-    run_wave(instance, knobs, accel, width, PdhgLanes { fo, cleanup })
+    let hook = NodeHook::new(
+        instance,
+        cfg.propagate,
+        cfg.propagate_rounds,
+        cfg.heuristic_period,
+        width,
+        PropCharge::Batch(accel.clone()),
+    );
+    let rules = Rules::new(instance, cfg.int_tol, cfg.prune_tol);
+    let lanes = PdhgLanes { fo, cleanup };
+    run_wave(instance, rules, hook, cfg.node_limit, accel, width, lanes)
 }
 
 #[cfg(test)]

@@ -48,10 +48,11 @@ pub mod strategy;
 pub mod wave;
 
 pub use concurrent::{solve_concurrent, ConcurrentConfig, ConcurrentResult};
-pub use config::{BranchRule, CutConfig, HeurConfig, MipConfig, PolicyKind};
+pub use config::{
+    BranchRule, CutConfig, HeurConfig, MipConfig, PolicyKind, DEFAULT_PROPAGATE_ROUNDS,
+};
 pub use dispatch::{
-    break_even_density, choose_path, solve_with_dispatch, solve_with_dispatch_batched,
-    BatchedDispatch, CodePath, MIN_DEVICE_NNZ,
+    break_even_density, choose_path, solve_with_dispatch, CodePath, MIN_DEVICE_NNZ,
 };
 pub use fo_wave::{solve_first_order_wave, FirstOrderWaveConfig};
 pub use node_bnb::{solve_with_node_engine, NodeBnbConfig, NodeBnbResult};

@@ -21,6 +21,7 @@
 //! maps a reduced-space solution back to the original variables.
 
 use gmip_problems::{Constraint, MipInstance, Sense};
+use gmip_prop::{activity, tighten_row};
 
 const TOL: f64 = 1e-9;
 
@@ -62,22 +63,6 @@ impl PresolveResult {
     }
 }
 
-/// Row activity bounds under the current variable bounds.
-fn activity(coeffs: &[(usize, f64)], lb: &[f64], ub: &[f64]) -> (f64, f64) {
-    let mut min = 0.0;
-    let mut max = 0.0;
-    for &(j, a) in coeffs {
-        if a > 0.0 {
-            min += a * lb[j];
-            max += a * ub[j];
-        } else {
-            min += a * ub[j];
-            max += a * lb[j];
-        }
-    }
-    (min, max)
-}
-
 /// Presolves `instance` with up to `max_rounds` propagation rounds.
 pub fn presolve(instance: &MipInstance, max_rounds: usize) -> PresolveResult {
     let n = instance.num_vars();
@@ -95,101 +80,26 @@ pub fn presolve(instance: &MipInstance, max_rounds: usize) -> PresolveResult {
                 continue;
             }
             let (min_act, max_act) = activity(&con.coeffs, &lb, &ub);
-            // Feasibility / redundancy by sense.
-            match con.sense {
-                Sense::Le => {
-                    if min_act > con.rhs + TOL {
-                        infeasible = true;
-                        break 'rounds;
-                    }
-                    if max_act <= con.rhs + TOL {
-                        redundant[ci] = true;
-                        changed = true;
-                        continue;
-                    }
-                }
-                Sense::Ge => {
-                    if max_act < con.rhs - TOL {
-                        infeasible = true;
-                        break 'rounds;
-                    }
-                    if min_act >= con.rhs - TOL {
-                        redundant[ci] = true;
-                        changed = true;
-                        continue;
-                    }
-                }
-                Sense::Eq => {
-                    if min_act > con.rhs + TOL || max_act < con.rhs - TOL {
-                        infeasible = true;
-                        break 'rounds;
-                    }
-                }
+            // Redundancy: the row's worst-case activity can never violate
+            // it (such a row is never also infeasible).
+            let redundant_row = match con.sense {
+                Sense::Le => max_act <= con.rhs + TOL,
+                Sense::Ge => min_act >= con.rhs - TOL,
+                Sense::Eq => false,
+            };
+            if redundant_row {
+                redundant[ci] = true;
+                changed = true;
+                continue;
             }
-            // Bound propagation. For ≤ rows (and the ≤ side of =):
-            // a_j > 0:  x_j ≤ (rhs − (min_act − a_j·lb_j)) / a_j
-            // a_j < 0:  x_j ≥ (rhs − (min_act − a_j·ub_j)) / a_j
-            // For ≥ rows (and the ≥ side of =), symmetric with max_act.
-            let le_side = con.sense != Sense::Ge;
-            let ge_side = con.sense != Sense::Le;
-            for &(j, a) in &con.coeffs {
-                if a.abs() < TOL {
-                    continue;
-                }
-                if le_side && min_act.is_finite() {
-                    if a > 0.0 {
-                        let rest = min_act - a * lb[j];
-                        let mut cand = (con.rhs - rest) / a;
-                        if integral[j] {
-                            cand = (cand + TOL).floor();
-                        }
-                        if cand < ub[j] - TOL {
-                            ub[j] = cand;
-                            bounds_tightened += 1;
-                            changed = true;
-                        }
-                    } else {
-                        let rest = min_act - a * ub[j];
-                        let mut cand = (con.rhs - rest) / a;
-                        if integral[j] {
-                            cand = (cand - TOL).ceil();
-                        }
-                        if cand > lb[j] + TOL {
-                            lb[j] = cand;
-                            bounds_tightened += 1;
-                            changed = true;
-                        }
-                    }
-                }
-                if ge_side && max_act.is_finite() {
-                    if a > 0.0 {
-                        let rest = max_act - a * ub[j];
-                        let mut cand = (con.rhs - rest) / a;
-                        if integral[j] {
-                            cand = (cand - TOL).ceil();
-                        }
-                        if cand > lb[j] + TOL {
-                            lb[j] = cand;
-                            bounds_tightened += 1;
-                            changed = true;
-                        }
-                    } else {
-                        let rest = max_act - a * lb[j];
-                        let mut cand = (con.rhs - rest) / a;
-                        if integral[j] {
-                            cand = (cand + TOL).floor();
-                        }
-                        if cand < ub[j] - TOL {
-                            ub[j] = cand;
-                            bounds_tightened += 1;
-                            changed = true;
-                        }
-                    }
-                }
-                if lb[j] > ub[j] + 1e-7 {
+            // Feasibility and bound propagation: the sweep's row step.
+            let act = (min_act, max_act);
+            match tighten_row(con, &integral, act, &mut lb, &mut ub, &mut bounds_tightened) {
+                None => {
                     infeasible = true;
                     break 'rounds;
                 }
+                Some(moved) => changed |= moved,
             }
         }
         if !changed {

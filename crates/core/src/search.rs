@@ -26,9 +26,13 @@
 
 use crate::branch::{self, BranchDecision};
 use crate::solver::MipStatus;
+use gmip_gpu::{Accel, DEFAULT_STREAM};
 use gmip_lp::BoundChange;
 use gmip_problems::{MipInstance, Objective};
+use gmip_prop::{DiveSeed, Propagator};
+use gmip_trace::{names, MetricsRegistry};
 use gmip_tree::SearchTree;
+use std::borrow::Cow;
 
 /// Modeled bytes of one tree node: its branch bounds plus a basis snapshot.
 pub fn node_bytes(instance: &MipInstance) -> usize {
@@ -257,6 +261,202 @@ impl Incumbent {
             self.set(value, p, || now);
         }
         ok
+    }
+}
+
+/// Who runs and pays for the hook's propagation sweeps.
+#[derive(Debug, Clone)]
+pub enum PropCharge {
+    /// The serial solver, `(host executor, LP device)`: scalar host sweeps,
+    /// one node at a time, charged as `prop.*` launches on the LP device —
+    /// or, on the host baseline (`None`), as the equivalent sweep arithmetic
+    /// on the host executor.
+    Serial(Accel, Option<Accel>),
+    /// A device batch of any width: fused `prop.round` / `heur.dive` lane
+    /// dispatches through the accelerator's executing backend, charged as
+    /// one `prop.*` kernel trio per lockstep round.
+    Batch(Accel),
+}
+
+/// Charges the `rounds` propagation rounds of one scalar sweep of the serial
+/// solver: `prop.*` launches on its LP device, else host arithmetic.
+fn charge_scalar(host: &Accel, lp: &Option<Accel>, p: &Propagator, rounds: usize) {
+    match lp {
+        Some(a) => {
+            gmip_prop::charge_wave(a, p.nnz(), p.num_vars(), &[rounds]);
+        }
+        None => {
+            let (total, nnz) = (rounds as f64, p.nnz() as f64);
+            let (flops, bytes) = (total * 6.0 * nnz, total * 28.0 * nnz);
+            host.with(|d| d.charge_custom(flops, bytes, false, DEFAULT_STREAM));
+        }
+    }
+}
+
+/// The per-node propagate / dive hook every tree driver calls: domain
+/// propagation of node boxes before their LPs ([`Self::tighten`]) and the
+/// fix-and-propagate dive from fractional LP points ([`Self::dive`]), with
+/// the `prop.*` / `heur.*` counters they feed. What stays with the caller
+/// is the margin a dive candidate must clear to become an incumbent.
+#[derive(Debug)]
+pub struct NodeHook {
+    /// `None` when propagation and the dive are both off: nothing is built.
+    propagator: Option<Propagator>,
+    propagate: bool,
+    rounds: usize,
+    period: usize,
+    charge: PropCharge,
+    /// The wave backlog: fractional retirees awaiting the next dive, at most
+    /// `backlog_cap`, and the retirees seen since the last one.
+    seeds: Vec<(Vec<BoundChange>, Vec<f64>)>,
+    backlog_cap: usize,
+    since_dive: usize,
+    /// The `prop.*` / `heur.*` counters accumulated so far.
+    pub metrics: MetricsRegistry,
+}
+
+impl NodeHook {
+    /// A hook over `instance`: `propagate` turns [`Self::tighten`] on,
+    /// `period > 0` the dive; `rounds` caps every propagation fixpoint and
+    /// `backlog_cap` the seeds [`Self::seed`] keeps (the wave's width).
+    pub fn new(
+        instance: &MipInstance,
+        propagate: bool,
+        rounds: usize,
+        period: usize,
+        backlog_cap: usize,
+        charge: PropCharge,
+    ) -> Self {
+        Self {
+            propagator: (propagate || period > 0).then(|| Propagator::new(instance)),
+            propagate,
+            rounds,
+            period,
+            charge,
+            seeds: Vec::new(),
+            backlog_cap,
+            since_dive: 0,
+            metrics: MetricsRegistry::default(),
+        }
+    }
+
+    /// Propagates a batch of node boxes to their fixpoints before any LP
+    /// work is spent on them: `None` for a box that propagates to a
+    /// contradiction (the node settles infeasible), else the bounds the
+    /// node's LP and its children take — tightened, or the node's own when
+    /// propagation is off. Every reduction is activity-sound, so the
+    /// optimum survives.
+    pub fn tighten<'a>(
+        &mut self,
+        batch: &[&'a [BoundChange]],
+    ) -> Vec<Option<Cow<'a, [BoundChange]>>> {
+        let Some(p) = self.propagator.as_ref().filter(|_| self.propagate) else {
+            return batch.iter().map(|&b| Some(Cow::Borrowed(b))).collect();
+        };
+        let mut boxes: Vec<_> = batch.iter().map(|b| p.node_box(b)).collect();
+        let outs = match &self.charge {
+            PropCharge::Batch(accel) => p.propagate_wave(accel, &mut boxes, self.rounds),
+            PropCharge::Serial(host, lp) => boxes
+                .iter_mut()
+                .map(|(lb, ub)| {
+                    let out = p.propagate(lb, ub, self.rounds);
+                    charge_scalar(host, lp, p, out.rounds);
+                    out
+                })
+                .collect(),
+        };
+        let m = &mut self.metrics;
+        outs.iter()
+            .zip(&boxes)
+            .map(|(out, (lb, ub))| {
+                m.incr(names::PROP_NODES, 1.0);
+                m.incr(names::PROP_ROUNDS, out.rounds as f64);
+                m.incr(names::PROP_TIGHTENINGS, out.tightenings as f64);
+                if out.infeasible {
+                    m.incr(names::PROP_INFEASIBLE, 1.0);
+                }
+                (!out.infeasible).then(|| Cow::Owned(p.bound_changes(lb, ub)))
+            })
+            .collect()
+    }
+
+    /// Whether the `n`-th evaluated node (1-based) of a driver that dives
+    /// node by node is due a dive.
+    pub fn dive_due(&self, n: usize) -> bool {
+        self.period > 0 && n.is_multiple_of(self.period)
+    }
+
+    /// Fix-and-propagate dives from `seeds` — `(node bounds, LP point)`
+    /// pairs — in one batch: round, propagate, repair or abort per seed.
+    /// The best candidate (internal sense) is offered to `install`, which
+    /// applies the caller's acceptance margin and says whether it took it.
+    pub fn dive(
+        &mut self,
+        rules: &Rules,
+        seeds: &[(&[BoundChange], &[f64])],
+        install: impl FnOnce(f64, Vec<f64>) -> bool,
+    ) {
+        let p = self.propagator.as_ref().expect("a diving hook is built");
+        let boxes: Vec<_> = seeds.iter().map(|(b, _)| p.node_box(b)).collect();
+        let lanes: Vec<_> = seeds
+            .iter()
+            .zip(&boxes)
+            .map(|((_, x0), (lb0, ub0))| DiveSeed { x0, lb0, ub0 })
+            .collect();
+        let outs = match &self.charge {
+            PropCharge::Batch(accel) => {
+                let outs = p.dive_wave(accel, &lanes, rules.int_tol, self.rounds);
+                let rounds: Vec<_> = outs.iter().map(|o| o.rounds.max(1)).collect();
+                gmip_prop::charge_wave(accel, p.nnz(), p.num_vars(), &rounds);
+                outs
+            }
+            PropCharge::Serial(host, lp) => lanes
+                .iter()
+                .map(|s| {
+                    let out = p.fix_and_propagate(s.x0, s.lb0, s.ub0, rules.int_tol, self.rounds);
+                    charge_scalar(host, lp, p, out.rounds);
+                    out
+                })
+                .collect(),
+        };
+        let mut best: Option<(f64, Vec<f64>)> = None;
+        for out in outs {
+            self.metrics.incr(names::HEUR_ATTEMPTS, 1.0);
+            self.metrics.incr(names::HEUR_REPAIRS, out.repairs as f64);
+            if out.aborted {
+                self.metrics.incr(names::HEUR_ABORTS, 1.0);
+            }
+            if let Some((obj, point)) = out.candidate {
+                let value = rules.internal(obj);
+                if best.as_ref().is_none_or(|(b, _)| value > *b) {
+                    best = Some((value, point));
+                }
+            }
+        }
+        if best.is_some_and(|(value, point)| install(value, point)) {
+            self.metrics.incr(names::HEUR_INCUMBENTS, 1.0);
+        }
+    }
+
+    /// A wave's fractional retiree joins the dive backlog (while there is
+    /// room) and counts toward the dive period.
+    pub fn seed(&mut self, bounds: &[BoundChange], x: Vec<f64>) {
+        if self.period > 0 && self.seeds.len() < self.backlog_cap {
+            self.seeds.push((bounds.to_vec(), x));
+        }
+        self.since_dive += 1;
+    }
+
+    /// [`Self::dive`] from the whole backlog, once a period's worth of
+    /// fractional retirees has accumulated.
+    pub fn dive_backlog(&mut self, rules: &Rules, install: impl FnOnce(f64, Vec<f64>) -> bool) {
+        if self.period == 0 || self.since_dive < self.period || self.seeds.is_empty() {
+            return;
+        }
+        let backlog = std::mem::take(&mut self.seeds);
+        let seeds: Vec<_> = backlog.iter().map(|(b, x)| (&b[..], &x[..])).collect();
+        self.dive(rules, &seeds, install);
+        self.since_dive = 0;
     }
 }
 

@@ -11,7 +11,7 @@ use crate::branch::{self, PseudoCosts};
 use crate::config::{MipConfig, PolicyKind};
 use crate::cut::{self, Cut};
 use crate::heur;
-use crate::search::{self, Incumbent, Rules, Verdict};
+use crate::search::{self, Incumbent, NodeHook, PropCharge, Rules, Verdict};
 use gmip_gpu::{Accel, DeviceStats, DEFAULT_STREAM};
 use gmip_linalg::DenseMatrix;
 use gmip_lp::{
@@ -19,12 +19,12 @@ use gmip_lp::{
     LpSolver, LpStatus, MatrixStorage, SimplexEngine, StandardLp,
 };
 use gmip_problems::MipInstance;
-use gmip_prop::Propagator;
 use gmip_trace::{names, Event, MetricsRegistry, Track};
 use gmip_tree::{
     BestFirst, BreadthFirst, DepthFirst, NodeId, NodeSelection, NodeState, ReuseAffinity,
     SearchTree,
 };
+use std::borrow::Cow;
 
 /// How a child node was created (for pseudocost learning).
 #[derive(Debug, Clone, Copy)]
@@ -296,21 +296,6 @@ impl<E: SimplexEngine> MipSolver<E> {
         });
     }
 
-    /// Charges the propagation kernel trios for `rounds` (one entry per
-    /// lane; the per-kernel solver always runs one lane). On a device
-    /// backend the cost lands on the LP accelerator as `prop.*` batched
-    /// launches over the resident CSR matrix; the host baseline pays the
-    /// equivalent sweep arithmetic on the host executor.
-    fn charge_prop(&self, p: &Propagator, rounds: &[usize]) {
-        if let Some(a) = &self.lp_accel {
-            gmip_prop::charge_wave(a, p.nnz(), p.num_vars(), rounds);
-        } else {
-            let total: f64 = rounds.iter().sum::<usize>() as f64;
-            let nnz = p.nnz() as f64;
-            self.charge_host(total * 6.0 * nnz, total * 28.0 * nnz);
-        }
-    }
-
     /// Strategy-1 accounting: park a node's record in device memory, or
     /// spill (evict to host with a transfer charge) when full. A working-set
     /// reserve is kept free so the LP engine's own buffers never starve —
@@ -419,7 +404,8 @@ impl<E: SimplexEngine> MipSolver<E> {
     }
 
     /// Evaluates one node, returning the LP solution and the post-solve
-    /// basis (for children warm starts).
+    /// basis (for children warm starts): build or borrow the solver, one
+    /// node LP, root cut rounds, certificate, keep or drop the solver.
     #[allow(clippy::too_many_arguments)]
     fn evaluate(
         &self,
@@ -430,67 +416,42 @@ impl<E: SimplexEngine> MipSolver<E> {
         global_cuts: &mut Vec<Cut>,
         stats: &mut SolveStats,
     ) -> LpResult<(LpSolution, Option<Basis>)> {
-        if self.cfg.engine_reuse {
-            if is_root {
-                let std = StandardLp::from_instance(&self.instance, &[]);
-                let mut lp = LpSolver::try_new(std, self.cfg.lp.clone(), |a| (self.factory)(a))?;
-                let mut sol = lp.solve()?;
-                stats.lp_iterations += sol.iterations;
-                if sol.status == LpStatus::Optimal {
-                    self.cut_rounds(&mut lp, &mut sol, global_cuts, stats)?;
-                }
-                if self.cfg.collect_certificates {
-                    Self::capture_certificate(&mut lp, &sol, bounds, stats);
-                }
-                let basis = lp.basis().cloned();
-                *lp_slot = Some(lp);
-                Ok((sol, basis))
-            } else {
-                let lp = lp_slot.as_mut().expect("root evaluated first");
-                lp.apply_node_bounds(bounds)?;
-                let sol = if self.cfg.warm_start {
-                    if let Some(b) = parent_basis {
-                        lp.set_warm_basis(b)?;
-                    }
-                    lp.resolve()?
-                } else {
-                    lp.solve()?
-                };
-                stats.lp_iterations += sol.iterations;
-                if self.cfg.collect_certificates {
-                    Self::capture_certificate(lp, &sol, bounds, stats);
-                }
-                let basis = lp.basis().cloned();
-                Ok((sol, basis))
-            }
-        } else {
-            // Fresh engine per node: rebuild (re-uploading the matrix on
-            // device backends — the costly baseline the paper warns about).
-            let std = StandardLp::from_instance(&self.instance, bounds);
-            let mut lp = LpSolver::try_new(std, self.cfg.lp.clone(), |a| (self.factory)(a))?;
+        let reuse = self.cfg.engine_reuse;
+        // The retained solver is built over — and its root LP solved in —
+        // the instance's own box: it ignores what propagation just took off
+        // the root's, although the root's children inherit that. A fresh
+        // engine per node (re-uploading the matrix on device backends — the
+        // costly baseline the paper warns about) bakes the node's box in.
+        let built_over: &[BoundChange] = if reuse { &[] } else { bounds };
+        let mut fresh = None;
+        if is_root || !reuse {
+            let std = StandardLp::from_instance(&self.instance, built_over);
+            let lp = fresh.insert(LpSolver::try_new(std, self.cfg.lp.clone(), |a| {
+                (self.factory)(a)
+            })?);
             for (coeffs, rhs) in global_cuts.iter() {
                 lp.add_cut(coeffs, *rhs)?;
             }
-            let mut sol = match parent_basis {
-                Some(b) if self.cfg.warm_start => {
-                    lp.set_warm_basis(b)?;
-                    lp.resolve()?
-                }
-                _ => lp.solve()?,
-            };
-            stats.lp_iterations += sol.iterations;
-            if is_root && sol.status == LpStatus::Optimal {
-                self.cut_rounds(&mut lp, &mut sol, global_cuts, stats)?;
-            }
-            if self.cfg.collect_certificates {
-                Self::capture_certificate(&mut lp, &sol, bounds, stats);
-            }
-            let basis = lp.basis().cloned();
-            if is_root {
-                *lp_slot = Some(lp);
-            }
-            Ok((sol, basis))
         }
+        let lp = match fresh.as_mut() {
+            Some(lp) => lp,
+            None => lp_slot.as_mut().expect("root evaluated first"),
+        };
+        let warm = parent_basis.filter(|_| self.cfg.warm_start);
+        let lp_bounds = if is_root { built_over } else { bounds };
+        let (mut sol, mut basis) = lp.solve_node(lp_bounds, warm)?;
+        stats.lp_iterations += sol.iterations;
+        if is_root && sol.status == LpStatus::Optimal {
+            self.cut_rounds(lp, &mut sol, global_cuts, stats)?;
+            basis = lp.basis().cloned();
+        }
+        if self.cfg.collect_certificates {
+            Self::capture_certificate(lp, &sol, bounds, stats);
+        }
+        if is_root {
+            *lp_slot = fresh;
+        }
+        Ok((sol, basis))
     }
 
     /// Strong branching: probes the `strong_candidates` most-fractional
@@ -612,8 +573,14 @@ impl<E: SimplexEngine> MipSolver<E> {
         let mut global_cuts: Vec<Cut> = Vec::new();
         let mut early_stop: Option<MipStatus> = None;
         let nnz: usize = self.instance.cons.iter().map(|c| c.coeffs.len()).sum();
-        let propagator = (self.cfg.propagate || self.cfg.heuristics.fix_and_propagate_period > 0)
-            .then(|| Propagator::new(&self.instance));
+        let mut hook = NodeHook::new(
+            &self.instance,
+            self.cfg.propagate,
+            self.cfg.propagate_rounds,
+            self.cfg.heuristics.fix_and_propagate_period,
+            1,
+            PropCharge::Serial(self.host.clone(), self.lp_accel.clone()),
+        );
 
         self.tree_alloc(&mut stats); // root record
 
@@ -651,34 +618,17 @@ impl<E: SimplexEngine> MipSolver<E> {
             }
             stats.nodes += 1;
             let is_root = id == tree.root();
-            let mut bounds = tree.node(id).data.bounds.clone();
             let parent_basis = tree.data_mut(id).parent_basis.take();
             let branch_info = tree.node(id).data.branch_info;
 
             let node_t0 = self.sim_now_ns();
-            // Domain propagation: tighten the node's box (and detect
-            // infeasibility) before any simplex work is spent. Tightened
-            // bounds flow into the node's LP and its children; every
-            // reduction is activity-sound, so the optimum survives.
-            if self.cfg.propagate {
-                let p = propagator.as_ref().expect("propagator built");
-                let (mut lb, mut ub) = p.node_box(&bounds);
-                let out = p.propagate(&mut lb, &mut ub, self.cfg.propagate_rounds);
-                self.charge_prop(p, &[out.rounds]);
-                stats.metrics.incr(names::PROP_NODES, 1.0);
-                stats.metrics.incr(names::PROP_ROUNDS, out.rounds as f64);
-                stats
-                    .metrics
-                    .incr(names::PROP_TIGHTENINGS, out.tightenings as f64);
-                if out.infeasible {
-                    stats.metrics.incr(names::PROP_INFEASIBLE, 1.0);
-                    tree.settle(id, NodeState::Infeasible, f64::NEG_INFINITY);
-                    policy.notify(id);
-                    self.node_span(id, "prop_infeasible", node_t0);
-                    continue;
-                }
-                bounds = p.bound_changes(&lb, &ub);
-            }
+            let own = &tree.node(id).data.bounds;
+            let Some(bounds) = hook.tighten(&[own]).pop().flatten().map(Cow::into_owned) else {
+                tree.settle(id, NodeState::Infeasible, f64::NEG_INFINITY);
+                policy.notify(id);
+                self.node_span(id, "prop_infeasible", node_t0);
+                continue;
+            };
             let (sol, basis) = self.evaluate(
                 &mut lp_slot,
                 is_root,
@@ -752,46 +702,29 @@ impl<E: SimplexEngine> MipSolver<E> {
                         if let Some((obj, p)) = heur::rounding(&self.instance, &sol.x, 1e-6) {
                             self.offer_heuristic(
                                 "rounding",
-                                (obj, p),
+                                self.rules.internal(obj),
+                                p,
                                 &mut incumbent,
                                 &mut tree,
                                 &mut stats,
                             );
                         }
                     }
-                    // Fix-and-propagate dive (gmip-prop), on its period.
-                    let fp_period = self.cfg.heuristics.fix_and_propagate_period;
-                    if fp_period > 0 && stats.nodes.is_multiple_of(fp_period) {
-                        let p = propagator.as_ref().expect("propagator built");
-                        let (lb, ub) = p.node_box(&bounds);
-                        let out = p.fix_and_propagate(
-                            &sol.x,
-                            &lb,
-                            &ub,
-                            self.cfg.int_tol,
-                            self.cfg.propagate_rounds,
-                        );
-                        self.charge_prop(p, &[out.rounds]);
-                        stats.metrics.incr(names::HEUR_ATTEMPTS, 1.0);
-                        stats.metrics.incr(names::HEUR_REPAIRS, out.repairs as f64);
-                        if out.aborted {
-                            stats.metrics.incr(names::HEUR_ABORTS, 1.0);
-                        }
-                        if let Some(cand) = out.candidate {
-                            if self.offer_heuristic(
+                    if hook.dive_due(stats.nodes) {
+                        hook.dive(&self.rules, &[(&bounds, &sol.x)], |value, point| {
+                            self.offer_heuristic(
                                 "fix_and_propagate",
-                                cand,
+                                value,
+                                point,
                                 &mut incumbent,
                                 &mut tree,
                                 &mut stats,
-                            ) {
-                                stats.metrics.incr(names::HEUR_INCUMBENTS, 1.0);
-                            }
-                        }
+                            )
+                        });
                     }
                     if is_root && self.cfg.heuristics.diving && self.cfg.engine_reuse {
                         let lp = lp_slot.as_mut().expect("root lp present");
-                        if let Some(cand) = heur::dive(
+                        if let Some((obj, p)) = heur::dive(
                             lp,
                             &self.instance,
                             &bounds,
@@ -801,7 +734,8 @@ impl<E: SimplexEngine> MipSolver<E> {
                         )? {
                             self.offer_heuristic(
                                 "diving",
-                                cand,
+                                self.rules.internal(obj),
+                                p,
                                 &mut incumbent,
                                 &mut tree,
                                 &mut stats,
@@ -858,6 +792,7 @@ impl<E: SimplexEngine> MipSolver<E> {
             stats.gap = (best_open - incumbent.value()).max(0.0);
         }
         stats.tree = tree.stats().clone();
+        stats.metrics.merge(&hook.metrics);
         if let Some(lp) = &lp_slot {
             stats.metrics.merge(lp.metrics());
         }
@@ -879,18 +814,18 @@ impl<E: SimplexEngine> MipSolver<E> {
         }
     }
 
-    /// Installs a heuristic's `(source-sense objective, point)` if it beats
-    /// the incumbent by more than the prune tolerance; returns whether it
-    /// did.
+    /// Installs a heuristic's point of internal-sense value `cand` if it
+    /// beats the incumbent by more than the prune tolerance; returns whether
+    /// it did.
     fn offer_heuristic(
         &self,
         source: &'static str,
-        (obj, point): (f64, Vec<f64>),
+        cand: f64,
+        point: Vec<f64>,
         incumbent: &mut Incumbent,
         tree: &mut SearchTree<NodePayload>,
         stats: &mut SolveStats,
     ) -> bool {
-        let cand = self.rules.internal(obj);
         let improves = cand > incumbent.value() + self.cfg.prune_tol;
         if improves {
             incumbent.accept(&self.rules, tree, cand, point, || self.sim_now_ns());
@@ -1153,6 +1088,39 @@ mod tests {
         let r = s.solve().unwrap();
         assert_eq!(r.status, MipStatus::Optimal);
         assert!((r.objective - expected).abs() < 1e-6);
+    }
+
+    #[test]
+    fn root_basis_warm_starts_the_root_with_and_without_engine_reuse() {
+        // The pooled basis is the cut-free root's (a basis from after cut
+        // rounds has cut-slack columns and degrades to a cold root).
+        let m = knapsack(16, 0.5, 2);
+        for engine_reuse in [true, false] {
+            let mut cfg = MipConfig {
+                engine_reuse,
+                ..Default::default()
+            };
+            cfg.cuts.enabled = false;
+            let cold = MipSolver::host_baseline(m.clone(), cfg.clone())
+                .solve()
+                .unwrap();
+            cfg.root_basis = cold.stats.root_basis.clone();
+            assert!(cfg.root_basis.is_some());
+            let warm = MipSolver::host_baseline(m.clone(), cfg).solve().unwrap();
+            let root_solves = |r: &MipResult| r.stats.metrics.counter(names::LP_SOLVES);
+            assert_eq!(
+                (root_solves(&cold), root_solves(&warm)),
+                (1.0, 0.0),
+                "reuse {engine_reuse}: the warm root is a resolve"
+            );
+            assert!(
+                warm.stats.lp_iterations < cold.stats.lp_iterations,
+                "reuse {engine_reuse}: {} vs {}",
+                warm.stats.lp_iterations,
+                cold.stats.lp_iterations
+            );
+            assert_eq!(warm.objective.to_bits(), cold.objective.to_bits());
+        }
     }
 
     #[test]

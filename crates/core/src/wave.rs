@@ -15,7 +15,7 @@
 //! rule), and parent bases are kept device-resident in an LRU pool so a
 //! child's warm start is usually a pool hit instead of an H2D upload.
 
-use crate::search::{self, Incumbent, Rules, Verdict};
+use crate::search::{self, Incumbent, NodeHook, PropCharge, Rules, Verdict};
 use crate::solver::MipStatus;
 use gmip_gpu::{Accel, BackendKind, DeviceStats};
 use gmip_linalg::batch::batch_size_bytes;
@@ -28,6 +28,7 @@ use gmip_lp::{
 use gmip_problems::MipInstance;
 use gmip_trace::{names, MetricsRegistry};
 use gmip_tree::{NodeId, NodeState, SearchTree};
+use std::borrow::Cow;
 
 /// Configuration of the batched-wave solver.
 #[derive(Debug, Clone)]
@@ -70,7 +71,7 @@ impl Default for BatchedWaveConfig {
             node_limit: 100_000,
             basis_pool_bytes: 1 << 20,
             propagate: false,
-            propagate_rounds: 8,
+            propagate_rounds: crate::DEFAULT_PROPAGATE_ROUNDS,
             heuristic_period: 0,
             backend: BackendKind::Sim,
         }
@@ -110,28 +111,6 @@ pub struct WaveResult {
     pub first_incumbent_ns: Option<f64>,
 }
 
-/// The knobs of the lockstep loop, read from either wave config.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct WaveKnobs {
-    pub int_tol: f64,
-    pub prune_tol: f64,
-    pub node_limit: usize,
-    pub propagate: bool,
-    pub propagate_rounds: usize,
-    pub heuristic_period: usize,
-}
-
-/// What a retired lane tells the loop about its node.
-pub(crate) enum Retired<W> {
-    /// The lane found the node's box or relaxation infeasible.
-    Infeasible,
-    /// The lane retired on a safe bound (internal sense) the incumbent
-    /// cutoff dominates; no point exists.
-    Pruned(f64),
-    /// The node's exact LP outcome and the warm artifact its children share.
-    Lp(LpSolution, W),
-}
-
 /// A set of device lanes the lockstep loop keeps full: node LPs go in at
 /// [`LaneSet::load`], advance together in [`LaneSet::run_to_retire`], and
 /// come out exact at [`LaneSet::retire`]. Two implementors: journaled
@@ -159,14 +138,17 @@ pub(crate) trait LaneSet {
     /// retired slots.
     fn run_to_retire(&mut self) -> Vec<usize>;
 
-    /// Collects retired lane `slot`, which ran node `id`; `node_bounds` are
-    /// the node's own (unpropagated) bounds, for an exact host finish.
+    /// Collects retired lane `slot`, which ran node `id`: the node's LP
+    /// outcome — exact, or a dominated safe bound without a point (see
+    /// [`gmip_lp::FirstOrderWaveEngine::finish_lane`]) — and the warm artifact
+    /// its children share. `node_bounds` are the node's own (unpropagated)
+    /// bounds, for an exact host finish.
     fn retire(
         &mut self,
         slot: usize,
         id: NodeId,
         node_bounds: &[BoundChange],
-    ) -> LpResult<Retired<Self::Warm>>;
+    ) -> LpResult<(LpSolution, Self::Warm)>;
 
     /// A new incumbent: lanes that state bounds mid-flight start pruning
     /// against `cutoff` (internal sense) at their next check.
@@ -208,23 +190,14 @@ impl LaneSet for SimplexLanes {
         warm: Self::Warm,
         refill: bool,
     ) -> LpResult<()> {
-        let lane = &mut self.lanes[slot];
-        lane.apply_node_bounds(bounds)?;
-        let sol = match warm {
-            Some((b, parent)) if b.n() == lane.standard().n() + lane.standard().m() => {
-                self.wave.touch_basis(parent as u64, 8 * (b.m() + b.n()))?;
-                lane.set_warm_basis(b)?;
-                lane.resolve()?
-            }
-            _ => lane.solve()?,
-        };
-        let basis = lane.basis().cloned();
-        let ops = lane.engine_mut().take_ops();
         if refill {
             self.wave.note_refill();
         }
-        self.wave.load_lane(slot, ops);
-        self.solved[slot] = Some((sol, basis));
+        let warm = warm.map(|(b, parent)| (b, parent as u64));
+        let out = self
+            .wave
+            .journal_node(&mut self.lanes[slot], slot, bounds, warm)?;
+        self.solved[slot] = Some(out);
         Ok(())
     }
 
@@ -241,11 +214,11 @@ impl LaneSet for SimplexLanes {
         slot: usize,
         id: NodeId,
         _node_bounds: &[BoundChange],
-    ) -> LpResult<Retired<Self::Warm>> {
+    ) -> LpResult<(LpSolution, Self::Warm)> {
         let (sol, basis) = self.solved[slot]
             .take()
             .expect("retired slot was in flight");
-        Ok(Retired::Lp(sol, basis.map(|b| (b, id))))
+        Ok((sol, basis.map(|b| (b, id))))
     }
 
     fn merge_metrics(&mut self, into: &mut MetricsRegistry) -> [usize; 3] {
@@ -296,18 +269,20 @@ pub fn solve_batched_wave(
         }));
     }
     let wave = BatchedWaveEngine::new(accel.clone(), &ext, width, cfg.basis_pool_bytes)?;
-    let knobs = WaveKnobs {
-        int_tol: cfg.int_tol,
-        prune_tol: cfg.prune_tol,
-        node_limit: cfg.node_limit,
-        propagate: cfg.propagate,
-        propagate_rounds: cfg.propagate_rounds,
-        heuristic_period: cfg.heuristic_period,
-    };
+    let hook = NodeHook::new(
+        instance,
+        cfg.propagate,
+        cfg.propagate_rounds,
+        cfg.heuristic_period,
+        width,
+        PropCharge::Batch(accel.clone()),
+    );
     let solved = (0..width).map(|_| None).collect();
     run_wave(
         instance,
-        knobs,
+        Rules::new(instance, cfg.int_tol, cfg.prune_tol),
+        hook,
+        cfg.node_limit,
         accel,
         width,
         SimplexLanes {
@@ -324,14 +299,17 @@ pub fn solve_batched_wave(
 /// lanes of `lanes` (the effective width after memory auto-sizing). Lanes that
 /// finish their node LP retire at a stream-event boundary and are refilled
 /// immediately; no lane waits in a join-all for the slowest of its wave.
+/// `hook` propagates every refill batch and dives from the fractional
+/// retirees' backlog (one seed per lane), both as batches on `accel`.
 pub(crate) fn run_wave<L: LaneSet>(
     instance: &MipInstance,
-    k: WaveKnobs,
+    rules: Rules,
+    mut hook: NodeHook,
+    node_limit: usize,
     accel: Accel,
     width: usize,
     mut lanes: L,
 ) -> LpResult<WaveResult> {
-    let rules = Rules::new(instance, k.int_tol, k.prune_tol);
     let mut tree: SearchTree<WaveNode<L::Warm>> =
         SearchTree::with_root(WaveNode::default(), search::node_bytes(instance));
     let mut incumbent = Incumbent::default();
@@ -339,21 +317,12 @@ pub(crate) fn run_wave<L: LaneSet>(
     let mut in_flight: Vec<Option<NodeId>> = vec![None; width];
     let mut filled_once = vec![false; width];
 
-    // Domain propagation + fix-and-propagate support (gmip-prop).
-    let propagator =
-        (k.propagate || k.heuristic_period > 0).then(|| gmip_prop::Propagator::new(instance));
-    let mut aux = MetricsRegistry::default();
-    // Fractional retiree seeds awaiting the next heuristic wave, and the
-    // retire count since it last ran.
-    let mut heur_seeds: Vec<(Vec<BoundChange>, Vec<f64>)> = Vec::new();
-    let mut since_heur = 0usize;
-
     loop {
         // Refill every idle slot from the best-bound frontier — no barrier,
         // no waiting on busier lanes.
         let mut pending: Vec<(usize, NodeId)> = Vec::new();
         for slot in 0..width {
-            if in_flight[slot].is_some() || nodes >= k.node_limit {
+            if in_flight[slot].is_some() || nodes >= node_limit {
                 continue;
             }
             let Some(id) = tree.best() else { break };
@@ -366,34 +335,22 @@ pub(crate) fn run_wave<L: LaneSet>(
         // lane's box tightens in one fused `prop.*` kernel-trio sequence;
         // boxes that propagate to a contradiction settle without spending a
         // lane (or any LP work) on them.
-        let mut loads: Vec<(usize, NodeId, Vec<BoundChange>)> = Vec::new();
+        let batch: Vec<&[BoundChange]> = pending
+            .iter()
+            .map(|&(_, id)| tree.node(id).data.bounds.as_slice())
+            .collect();
+        let tightened: Vec<Option<Vec<BoundChange>>> = hook
+            .tighten(&batch)
+            .into_iter()
+            .map(|b| b.map(Cow::into_owned))
+            .collect();
         let mut settled_by_prop = 0usize;
-        if k.propagate {
-            let p = propagator.as_ref().expect("propagator built");
-            let mut boxes: Vec<(Vec<f64>, Vec<f64>)> = pending
-                .iter()
-                .map(|&(_, id)| p.node_box(&tree.node(id).data.bounds))
-                .collect();
-            let outs = p.propagate_wave(&accel, &mut boxes, k.propagate_rounds);
-            for ((&(slot, id), out), (lb, ub)) in pending.iter().zip(&outs).zip(&boxes) {
-                aux.incr(names::PROP_NODES, 1.0);
-                aux.incr(names::PROP_ROUNDS, out.rounds as f64);
-                aux.incr(names::PROP_TIGHTENINGS, out.tightenings as f64);
-                if out.infeasible {
-                    aux.incr(names::PROP_INFEASIBLE, 1.0);
-                    tree.settle(id, NodeState::Infeasible, f64::NEG_INFINITY);
-                    settled_by_prop += 1;
-                } else {
-                    loads.push((slot, id, p.bound_changes(lb, ub)));
-                }
-            }
-        } else {
-            for &(slot, id) in &pending {
-                loads.push((slot, id, tree.node(id).data.bounds.clone()));
-            }
-        }
-
-        for (slot, id, bounds) in loads {
+        for ((slot, id), bounds) in pending.into_iter().zip(tightened) {
+            let Some(bounds) = bounds else {
+                tree.settle(id, NodeState::Infeasible, f64::NEG_INFINITY);
+                settled_by_prop += 1;
+                continue;
+            };
             let warm = std::mem::take(&mut tree.data_mut(id).warm);
             let refill = std::mem::replace(&mut filled_once[slot], true);
             lanes.load(slot, id, &bounds, warm, refill)?;
@@ -403,7 +360,7 @@ pub(crate) fn run_wave<L: LaneSet>(
         if !lanes.busy() {
             // A refill batch fully settled by propagation leaves no lane
             // busy while the frontier may still hold work: refill again.
-            if settled_by_prop > 0 && tree.has_active() && nodes < k.node_limit {
+            if settled_by_prop > 0 && tree.has_active() && nodes < node_limit {
                 continue;
             }
             break;
@@ -413,19 +370,7 @@ pub(crate) fn run_wave<L: LaneSet>(
         // retired nodes; busy lanes stay in flight.
         for slot in lanes.run_to_retire() {
             let id = in_flight[slot].take().expect("retired slot was in flight");
-            let (sol, warm) = match lanes.retire(slot, id, &tree.node(id).data.bounds)? {
-                Retired::Infeasible => {
-                    tree.settle(id, NodeState::Infeasible, f64::NEG_INFINITY);
-                    continue;
-                }
-                // The safe bound never undercuts the node optimum, so
-                // pruning on it can never cut off a true optimum.
-                Retired::Pruned(bound) => {
-                    tree.settle(id, NodeState::Pruned, bound);
-                    continue;
-                }
-                Retired::Lp(sol, warm) => (sol, warm),
-            };
+            let (sol, warm) = lanes.retire(slot, id, &tree.node(id).data.bounds)?;
             match sol.status {
                 LpStatus::Infeasible => tree.settle(id, NodeState::Infeasible, f64::NEG_INFINITY),
                 LpStatus::Unbounded => {
@@ -436,22 +381,19 @@ pub(crate) fn run_wave<L: LaneSet>(
                 LpStatus::Optimal => {
                     let bound = rules.internal(sol.objective);
                     match rules.verdict(bound, &sol.x, incumbent.value()) {
+                        // Also where a lane's safe bound lands: it never
+                        // undercuts the node optimum, so pruning on it can
+                        // never cut off a true optimum.
                         Verdict::Pruned => tree.settle(id, NodeState::Pruned, bound),
                         Verdict::Integral => {
                             tree.settle(id, NodeState::Feasible, bound);
                             incumbent
                                 .install(&rules, &mut tree, bound, sol.x, || accel.elapsed_ns());
-                            lanes.set_cutoff(bound + k.prune_tol);
+                            lanes.set_cutoff(bound + rules.prune_tol);
                         }
                         Verdict::Fractional { decision: d, .. } => {
                             let parent = &tree.node(id).data.bounds;
-                            // Seed the fix-and-propagate wave with this
-                            // fractional retiree (bounded backlog: one seed
-                            // per lane).
-                            if k.heuristic_period > 0 && heur_seeds.len() < width {
-                                heur_seeds.push((parent.clone(), sol.x));
-                            }
-                            since_heur += 1;
+                            hook.seed(parent, sol.x);
                             let kids =
                                 search::children(instance, parent, d.var, d.value).map(|c| {
                                     let node = WaveNode {
@@ -468,53 +410,16 @@ pub(crate) fn run_wave<L: LaneSet>(
         }
 
         // Batched fix-and-propagate: once enough fractional retirees have
-        // accumulated, dive from every collected seed in one fused wave
-        // (round → propagate → repair or abort per lane) and install the
-        // best improving candidate as an early incumbent.
-        if k.heuristic_period > 0 && since_heur >= k.heuristic_period && !heur_seeds.is_empty() {
-            let p = propagator.as_ref().expect("propagator built");
-            let staged: Vec<(Vec<f64>, Vec<f64>, Vec<f64>)> = heur_seeds
-                .drain(..)
-                .map(|(bounds, x)| {
-                    let (lb, ub) = p.node_box(&bounds);
-                    (x, lb, ub)
-                })
-                .collect();
-            let seeds: Vec<gmip_prop::DiveSeed<'_>> = staged
-                .iter()
-                .map(|(x, lb, ub)| gmip_prop::DiveSeed {
-                    x0: x,
-                    lb0: lb,
-                    ub0: ub,
-                })
-                .collect();
-            let outs = p.dive_wave(&accel, &seeds, k.int_tol, k.propagate_rounds);
-            let mut rounds = Vec::with_capacity(outs.len());
-            let mut best: Option<(f64, Vec<f64>)> = None;
-            for out in outs {
-                rounds.push(out.rounds.max(1));
-                aux.incr(names::HEUR_ATTEMPTS, 1.0);
-                aux.incr(names::HEUR_REPAIRS, out.repairs as f64);
-                if out.aborted {
-                    aux.incr(names::HEUR_ABORTS, 1.0);
-                }
-                if let Some((obj, pt)) = out.candidate {
-                    let cand = rules.internal(obj);
-                    if best.as_ref().map(|(b, _)| cand > *b).unwrap_or(true) {
-                        best = Some((cand, pt));
-                    }
-                }
+        // accumulated, dive from every collected seed in one fused wave and
+        // install the best improving candidate as an early incumbent.
+        hook.dive_backlog(&rules, |cand, pt| {
+            let improves = cand > incumbent.value() + rules.prune_tol;
+            if improves {
+                incumbent.accept(&rules, &mut tree, cand, pt, || accel.elapsed_ns());
+                lanes.set_cutoff(cand + rules.prune_tol);
             }
-            gmip_prop::charge_wave(&accel, p.nnz(), p.num_vars(), &rounds);
-            since_heur = 0;
-            if let Some((cand, pt)) = best {
-                if cand > incumbent.value() + k.prune_tol {
-                    incumbent.accept(&rules, &mut tree, cand, pt, || accel.elapsed_ns());
-                    aux.incr(names::HEUR_INCUMBENTS, 1.0);
-                    lanes.set_cutoff(cand + k.prune_tol);
-                }
-            }
-        }
+            improves
+        });
     }
 
     let first_incumbent_ns = incumbent.first_ns();
@@ -523,7 +428,7 @@ pub(crate) fn run_wave<L: LaneSet>(
 
     let mut metrics = accel.metrics();
     let [supersteps, retires, refills] = lanes.merge_metrics(&mut metrics);
-    metrics.merge(&aux);
+    metrics.merge(&hook.metrics);
     // Real wall-clock of the executing backend (`wall.*`, empty under the
     // simulator) — reported, but never part of the byte-determinism
     // surface: diffs and bench gates skip the namespace.

@@ -623,7 +623,7 @@ impl FirstOrderWaveEngine {
 
     /// Records a host-simplex cleanup of a converged (or capped) lane:
     /// `fo.cleanups` and the pivots it spent (`fo.cleanup.iterations`).
-    pub fn note_cleanup(&mut self, simplex_iterations: usize) {
+    pub(crate) fn note_cleanup(&mut self, simplex_iterations: usize) {
         self.metrics.incr(names::FO_CLEANUPS, 1.0);
         self.metrics
             .incr(names::FO_CLEANUP_ITERS, simplex_iterations as f64);

@@ -30,7 +30,7 @@
 
 use crate::basis::Basis;
 use crate::engine::{HostEngine, SimplexEngine};
-use crate::firstorder::{FirstOrderWaveEngine, FoOutcome, PdhgConfig};
+use crate::firstorder::{FirstOrderWaveEngine, FoLaneReport, FoOutcome, PdhgConfig};
 use crate::ipm::{solve_ipm, IpmConfig};
 use crate::problem::{BoundChange, StandardLp};
 use crate::solver::{LpConfig, LpSolution, LpSolver, LpStatus};
@@ -175,16 +175,13 @@ impl<E: SimplexEngine> SimplexNodeEngine<E> {
     }
 }
 
-fn simplex_outcome<E: SimplexEngine>(lp: &LpSolver<E>, sol: LpSolution) -> NodeLpOutcome {
+fn simplex_outcome(sol: LpSolution, basis: Option<Basis>) -> NodeLpOutcome {
     match sol.status {
         LpStatus::Optimal => NodeLpOutcome::Optimal {
             objective: sol.objective,
             x: sol.x,
             iterations: sol.iterations,
-            warm: lp
-                .basis()
-                .cloned()
-                .map_or(NodeWarmHandoff::None, NodeWarmHandoff::Basis),
+            warm: basis.map_or(NodeWarmHandoff::None, NodeWarmHandoff::Basis),
         },
         LpStatus::Infeasible => NodeLpOutcome::Infeasible,
         LpStatus::Unbounded => NodeLpOutcome::Unbounded,
@@ -201,16 +198,12 @@ impl<E: SimplexEngine> NodeLpEngine for SimplexNodeEngine<E> {
         bounds: &[BoundChange],
         warm: NodeWarmStart<'_>,
     ) -> LpResult<NodeLpOutcome> {
-        self.lp.apply_node_bounds(bounds)?;
-        let sol = match warm {
-            // A shape-mismatched basis (e.g. cuts were added since) just
-            // degrades to a cold solve — never an error.
-            NodeWarmStart::Basis(b) if self.lp.set_warm_basis(b.clone()).is_ok() => {
-                self.lp.resolve()?
-            }
-            _ => self.lp.solve()?,
+        let warm = match warm {
+            NodeWarmStart::Basis(b) => Some(b.clone()),
+            _ => None,
         };
-        Ok(simplex_outcome(&self.lp, sol))
+        let (sol, basis) = self.lp.solve_node(bounds, warm)?;
+        Ok(simplex_outcome(sol, basis))
     }
 
     fn take_metrics(&mut self) -> MetricsRegistry {
@@ -323,22 +316,8 @@ impl IpmNodeEngine {
             HostEngine::new(a.clone())
         });
         lp.apply_node_bounds(bounds)?;
-        let sol = lp.solve()?;
         // IPM hands off nothing reusable; neither does its fallback.
-        Ok(match simplex_outcome(&lp, sol) {
-            NodeLpOutcome::Optimal {
-                objective,
-                x,
-                iterations,
-                ..
-            } => NodeLpOutcome::Optimal {
-                objective,
-                x,
-                iterations,
-                warm: NodeWarmHandoff::None,
-            },
-            other => other,
-        })
+        Ok(simplex_outcome(lp.solve()?, None))
     }
 }
 
@@ -439,6 +418,47 @@ fn reduced_structural_index(reduced: &StandardLp, jj: usize) -> usize {
 // First-order
 // ---------------------------------------------------------------------------
 
+impl FirstOrderWaveEngine {
+    /// Collects retired lane `slot` as an LP outcome a tree can act on —
+    /// the PDHG-plus-cleanup evaluator every driver shares — next to the
+    /// lane's report (its averaged iterates warm-start the children). A lane
+    /// that proved its box infeasible at load is `Infeasible`. A lane that
+    /// retired on its safe bound is `Optimal` with that bound as objective
+    /// and **no point**: the cutoff dominates it, so the prune rule retires
+    /// the node without reading `x`. A converged or capped lane's node is
+    /// solved exactly by `cleanup` under `bounds` (the paper's CPU
+    /// delegation of sequential tails), counted as `fo.cleanups`; only then
+    /// are the solution's `iterations` pivots, not PDHG iterations.
+    pub fn finish_lane(
+        &mut self,
+        slot: usize,
+        cleanup: &mut LpSolver<HostEngine>,
+        bounds: &[BoundChange],
+    ) -> LpResult<(LpSolution, FoLaneReport)> {
+        let r = self.take_lane(slot)?;
+        let unsolved = |status, objective| LpSolution {
+            status,
+            objective,
+            x: Vec::new(),
+            iterations: r.iterations,
+        };
+        let sol = match r.outcome {
+            FoOutcome::Infeasible => unsolved(LpStatus::Infeasible, f64::NAN),
+            FoOutcome::BoundPruned => {
+                // The sense map is its own inverse: internal bound → source.
+                unsolved(LpStatus::Optimal, cleanup.internal_objective(r.safe_bound))
+            }
+            FoOutcome::Converged | FoOutcome::IterLimit => {
+                cleanup.apply_node_bounds(bounds)?;
+                let sol = cleanup.solve()?;
+                self.note_cleanup(sol.iterations);
+                sol
+            }
+        };
+        Ok((sol, r))
+    }
+}
+
 /// [`NodeLpEngine`] over a width-1 [`FirstOrderWaveEngine`]: PDHG states
 /// the node's safe bound (so incumbent-dominated nodes retire early as
 /// [`NodeLpOutcome::Pruned`]) and converged or iteration-capped lanes are
@@ -492,35 +512,24 @@ impl NodeLpEngine for FirstOrderNodeEngine {
         self.next_token += 1;
         self.fo.load_lane(0, token, bounds, warm_iter)?;
         self.fo.run_to_retire();
-        let report = self.fo.take_lane(0)?;
-        match report.outcome {
-            FoOutcome::Infeasible => Ok(NodeLpOutcome::Infeasible),
-            FoOutcome::BoundPruned => {
-                let sign = if self.std.negated { -1.0 } else { 1.0 };
-                Ok(NodeLpOutcome::Pruned {
-                    bound: sign * report.safe_bound,
-                })
-            }
-            FoOutcome::Converged | FoOutcome::IterLimit => {
-                // Exact cleanup before the tree acts on the node, as the
-                // paper prescribes for first-order node LPs.
-                self.cleanup.apply_node_bounds(bounds)?;
-                let sol = self.cleanup.solve()?;
-                Ok(match sol.status {
-                    LpStatus::Optimal => NodeLpOutcome::Optimal {
-                        objective: sol.objective,
-                        x: sol.x,
-                        iterations: report.iterations + sol.iterations,
-                        warm: NodeWarmHandoff::Iterates {
-                            x: report.x,
-                            y: report.y,
-                        },
-                    },
-                    LpStatus::Infeasible => NodeLpOutcome::Infeasible,
-                    LpStatus::Unbounded => NodeLpOutcome::Unbounded,
-                })
-            }
-        }
+        let (sol, lane) = self.fo.finish_lane(0, &mut self.cleanup, bounds)?;
+        Ok(match sol.status {
+            LpStatus::Infeasible => NodeLpOutcome::Infeasible,
+            LpStatus::Unbounded => NodeLpOutcome::Unbounded,
+            // No point: the lane retired on its safe bound.
+            LpStatus::Optimal if sol.x.is_empty() => NodeLpOutcome::Pruned {
+                bound: sol.objective,
+            },
+            LpStatus::Optimal => NodeLpOutcome::Optimal {
+                objective: sol.objective,
+                x: sol.x,
+                iterations: lane.iterations + sol.iterations,
+                warm: NodeWarmHandoff::Iterates {
+                    x: lane.x,
+                    y: lane.y,
+                },
+            },
+        })
     }
 
     fn set_incumbent(&mut self, objective: f64) {
@@ -664,6 +673,57 @@ mod tests {
             panic!("optimal expected")
         };
         assert!(warm_iters <= iterations, "{warm_iters} vs {iterations}");
+    }
+
+    #[test]
+    fn finish_lane_finishes_every_outcome_and_counts_cleanups() {
+        use gmip_trace::names;
+        let mip = textbook_mip();
+        let std = StandardLp::from_instance(&mip, &[]);
+        let reference = solve_relaxation_host(&mip, &[]).unwrap();
+        let run = |cfg: PdhgConfig, cutoff: f64, bounds: &[BoundChange]| {
+            let mut fo = FirstOrderWaveEngine::new(Accel::gpu(1), &std, 1, cfg).unwrap();
+            let mut cleanup = SimplexNodeEngine::host(std.clone());
+            fo.set_cutoff(cutoff);
+            fo.load_lane(0, 0, bounds, None).unwrap();
+            fo.run_to_retire();
+            let (sol, lane) = fo.finish_lane(0, cleanup.solver_mut(), bounds).unwrap();
+            assert!(fo.lane_idle(0), "the slot is free for a refill");
+            (sol, lane, fo.take_metrics())
+        };
+        let none = f64::NEG_INFINITY;
+        // Converged, and capped after one check: both are cleaned up exactly.
+        let capped = PdhgConfig {
+            max_iters: 4,
+            ..Default::default()
+        };
+        for (cfg, counter) in [
+            (PdhgConfig::default(), names::FO_CONVERGED),
+            (capped, names::FO_ITER_LIMIT),
+        ] {
+            let (sol, lane, m) = run(cfg, none, &[]);
+            assert_eq!(sol.objective.to_bits(), reference.objective.to_bits());
+            assert!(lane.iterations > 0 && sol.x.len() == std.n_structural);
+            assert_eq!(
+                (m.counter(counter), m.counter(names::FO_CLEANUPS)),
+                (1.0, 1.0)
+            );
+            assert_eq!(m.counter(names::FO_CLEANUP_ITERS), sol.iterations as f64);
+        }
+        // A bound-pruned lane is a point-less bound; a lane infeasible at
+        // load never iterated. Neither needs a cleanup.
+        let (sol, lane, m) = run(PdhgConfig::default(), reference.objective + 1e3, &[]);
+        assert_eq!((sol.status, sol.x.len()), (LpStatus::Optimal, 0));
+        assert!(sol.objective >= reference.objective && sol.iterations == lane.iterations);
+        assert_eq!(m.counter(names::FO_CLEANUPS), 0.0);
+        let dead = [BoundChange {
+            var: 0,
+            lb: 1e6,
+            ub: 1e6,
+        }];
+        let (sol, _, m) = run(PdhgConfig::default(), none, &dead);
+        assert_eq!((sol.status, sol.iterations), (LpStatus::Infeasible, 0));
+        assert_eq!(m.counter(names::FO_CLEANUPS), 0.0);
     }
 
     #[test]

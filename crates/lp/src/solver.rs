@@ -304,10 +304,15 @@ impl<E: SimplexEngine> LpSolver<E> {
         self.basis.as_ref()
     }
 
+    /// Whether `basis` has the problem's current shape, cut rows included.
+    pub(crate) fn fits(&self, basis: &Basis) -> bool {
+        basis.n() == self.total_cols() && basis.m() == self.total_rows()
+    }
+
     /// Installs a warm-start basis (e.g. the parent node's, Section 5.3).
     /// The basis must match the current column count.
     pub fn set_warm_basis(&mut self, basis: Basis) -> LpResult<()> {
-        if basis.n() != self.total_cols() || basis.m() != self.total_rows() {
+        if !self.fits(&basis) {
             return Err(LpError::Shape(format!(
                 "warm basis {}x{} vs problem {}x{}",
                 basis.m(),
@@ -536,7 +541,28 @@ impl<E: SimplexEngine> LpSolver<E> {
         )
     }
 
-    /// Like [`Self::resolve`], but with both drivers capped at `max_iters`
+    /// One node LP — the warm-simplex evaluator every driver shares:
+    /// `bounds` on top of the instance box, then a dual re-solve from `warm`
+    /// when it has the problem's current shape, a cold two-phase solve
+    /// otherwise (a basis from before a cut round degrades, it is never an
+    /// error). Returns the solution and the post-solve basis the node's
+    /// children warm-start from.
+    pub fn solve_node(
+        &mut self,
+        bounds: &[BoundChange],
+        warm: Option<Basis>,
+    ) -> LpResult<(LpSolution, Option<Basis>)> {
+        self.apply_node_bounds(bounds)?;
+        let sol = match warm.filter(|b| self.fits(b)) {
+            Some(b) => {
+                self.basis = Some(b);
+                self.resolve()?
+            }
+            None => self.solve()?,
+        };
+        Ok((sol, self.basis.clone()))
+    }
+
     /// iterations — the strong-branching probe mode. An iteration-limit hit
     /// is returned as `Err(LpError::IterationLimit)`; the stored basis is
     /// left at whatever state the probe reached (callers re-install warm
@@ -1011,6 +1037,37 @@ mod tests {
         let drained = solver.take_metrics();
         assert_eq!(drained.counter(names::LP_RESOLVES), 1.0);
         assert!(solver.metrics().is_empty());
+    }
+
+    #[test]
+    fn solve_node_warm_starts_on_shape_and_degrades_off_it() {
+        let m = unit_commitment(3, 3, 7);
+        let up = [BoundChange {
+            var: 0,
+            lb: 1.0,
+            ub: 1.0,
+        }];
+        let mut by_hand = host_solver(StandardLp::from_instance(&m, &[]));
+        let mut by_node = host_solver(StandardLp::from_instance(&m, &[]));
+        let (root, parent) = by_node.solve_node(&[], None).unwrap();
+        assert_eq!(root.iterations, by_hand.solve().unwrap().iterations);
+        let parent = parent.expect("a solved node hands back its basis");
+        // On shape: the pivots of `set_warm_basis` + `resolve`.
+        by_hand.apply_node_bounds(&up).unwrap();
+        by_hand.set_warm_basis(parent.clone()).unwrap();
+        let reference = by_hand.resolve().unwrap();
+        let (warm, _) = by_node.solve_node(&up, Some(parent.clone())).unwrap();
+        assert_eq!(
+            (warm.iterations, warm.objective.to_bits()),
+            (reference.iterations, reference.objective.to_bits())
+        );
+        assert_eq!(by_node.metrics().counter(names::LP_RESOLVES), 1.0);
+        // Off shape (a cut row was added since): a cold solve, not an error.
+        by_node.add_cut(&[(0, 1.0), (1, 1.0)], 2.0).unwrap();
+        let (cold, basis) = by_node.solve_node(&up, Some(parent)).unwrap();
+        assert_eq!(cold.status, LpStatus::Optimal);
+        assert_eq!(by_node.metrics().counter(names::LP_SOLVES), 2.0);
+        assert!(by_node.fits(&basis.unwrap()));
     }
 
     #[test]

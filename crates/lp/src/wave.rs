@@ -45,6 +45,8 @@
 
 use crate::basis::Basis;
 use crate::engine::{HostEngine, PivotPlan, ProblemView, SimplexEngine};
+use crate::problem::BoundChange;
+use crate::solver::{LpSolution, LpSolver};
 use crate::LpResult;
 use gmip_gpu::cost::flops;
 use gmip_gpu::{Accel, MatrixHandle, RawHandle, StreamId, DEFAULT_STREAM};
@@ -478,6 +480,31 @@ impl BatchedWaveEngine {
         self.logs[slot] = ops.into();
     }
 
+    /// One node LP into lane `slot` — the journal-and-replay evaluator
+    /// every driver shares: a warm basis of the right shape is made device
+    /// resident under `key` (a pool hit, or a charged upload), the host
+    /// planner `lp` takes the reference pivot path while its engine journals
+    /// the device kernels, and the journal is loaded for lockstep replay.
+    /// Returns what the lane delivers once it retires.
+    pub fn journal_node(
+        &mut self,
+        lp: &mut LpSolver<RecordingEngine>,
+        slot: usize,
+        bounds: &[BoundChange],
+        warm: Option<(Basis, u64)>,
+    ) -> LpResult<(LpSolution, Option<Basis>)> {
+        let warm = match warm {
+            Some((b, key)) if lp.fits(&b) => {
+                self.touch_basis(key, 8 * (b.m() + b.n()))?;
+                Some(b)
+            }
+            _ => None,
+        };
+        let out = lp.solve_node(bounds, warm)?;
+        self.load_lane(slot, lp.engine_mut().take_ops());
+        Ok(out)
+    }
+
     /// Wave-level counters (`wave.*` / `batch.*`).
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
@@ -496,7 +523,7 @@ impl BatchedWaveEngine {
     /// the device, so the budget alone promises nothing. A basis that not
     /// even an empty pool can hold is uploaded for this one use and pooled
     /// nowhere: a miss every time, never an error.
-    pub fn touch_basis(&mut self, key: u64, bytes: usize) -> LpResult<()> {
+    fn touch_basis(&mut self, key: u64, bytes: usize) -> LpResult<()> {
         if let Some(pos) = self.pool.iter().position(|e| e.key == key) {
             let e = self.pool.remove(pos);
             self.pool.insert(0, e);

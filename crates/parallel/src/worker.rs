@@ -7,16 +7,15 @@
 //! it consumed, which the discrete-event supervisor uses to schedule.
 
 use crate::comm::{Assignment, NodeOutcome, NodeReport};
-use gmip_core::search::{Rules, Verdict};
+use gmip_core::search::{NodeHook, PropCharge, Rules, Verdict};
+use gmip_core::DEFAULT_PROPAGATE_ROUNDS;
 use gmip_gpu::{Accel, DeviceConfig};
 use gmip_lp::wave::BatchedWaveEngine;
 use gmip_lp::{
-    wave_width, DeviceEngine, FirstOrderWaveEngine, FoOutcome, HostEngine, LpResult, LpSolution,
-    LpSolver, LpStatus, PdhgConfig, RecordingEngine, StandardLp,
+    wave_width, Basis, BoundChange, DeviceEngine, FirstOrderWaveEngine, HostEngine, LpResult,
+    LpSolution, LpSolver, LpStatus, PdhgConfig, RecordingEngine, StandardLp,
 };
 use gmip_problems::MipInstance;
-use gmip_prop::Propagator;
-use gmip_trace::names;
 
 /// The worker's LP execution backend.
 #[derive(Debug)]
@@ -72,18 +71,10 @@ pub struct Worker {
     /// `eval_ns` is multiplied by this, modeling a thermally-throttled or
     /// contended device.
     pub slowdown: f64,
-    /// Domain propagation + fix-and-propagate support; `None` when both are
-    /// off (the default).
-    propagator: Option<Propagator>,
-    /// Propagate every assignment's box before its LP when set.
-    propagate: bool,
-    /// Run the fix-and-propagate dive on every this-many-th branched node
-    /// (`0` = off).
-    heuristic_period: usize,
-    /// Propagation round cap per node.
-    prop_rounds: usize,
-    /// `prop.*` / `heur.*` counters of this rank.
-    prop_metrics: gmip_trace::MetricsRegistry,
+    /// Propagates every assignment's box before its LP and dives from every
+    /// `heuristic_period`-th branched node, as the config says; holds this
+    /// rank's `prop.*` / `heur.*` counters.
+    hook: NodeHook,
 }
 
 impl Worker {
@@ -156,21 +147,25 @@ impl Worker {
                 }
             }
         };
-        let needs_propagator = cfg.propagate || cfg.heuristic_period > 0;
+        // One-lane batches through the rank's executing backend.
+        let hook = NodeHook::new(
+            instance,
+            cfg.propagate,
+            DEFAULT_PROPAGATE_ROUNDS,
+            cfg.heuristic_period,
+            1,
+            PropCharge::Batch(accel.clone()),
+        );
         Ok(Self {
             id,
             accel,
             backend,
             rules: Rules::new(instance, cfg.int_tol, REPORT_PRUNE_TOL),
-            propagator: needs_propagator.then(|| Propagator::new(instance)),
+            hook,
             busy_until: 0.0,
             busy_ns: 0.0,
             nodes: 0,
             slowdown: 1.0,
-            propagate: cfg.propagate,
-            heuristic_period: cfg.heuristic_period,
-            prop_rounds: 8,
-            prop_metrics: gmip_trace::MetricsRegistry::default(),
         })
     }
 
@@ -194,88 +189,40 @@ impl Worker {
                 m.merge(cleanup.metrics());
             }
         }
-        m.merge(&self.prop_metrics);
+        m.merge(&self.hook.metrics);
         m
     }
 
-    /// Runs one node LP on whichever backend the rank was built with.
+    /// Runs one node LP, under `bounds`, on whichever backend the rank was
+    /// built with.
     fn solve_assignment(
         &mut self,
         a: &Assignment,
-    ) -> LpResult<(LpSolution, Option<gmip_lp::Basis>)> {
+        bounds: &[BoundChange],
+    ) -> LpResult<(LpSolution, Option<Basis>)> {
         match &mut self.backend {
-            LpBackend::PerKernel(lp) => {
-                lp.apply_node_bounds(&a.bounds)?;
-                let sol = match a.warm_basis.clone() {
-                    Some(b) => {
-                        lp.set_warm_basis(b)?;
-                        lp.resolve()?
-                    }
-                    None => lp.solve()?,
-                };
-                Ok((sol, lp.basis().cloned()))
-            }
+            LpBackend::PerKernel(lp) => lp.solve_node(bounds, a.warm_basis.clone()),
             LpBackend::Wave { lp, wave, slot } => {
-                lp.apply_node_bounds(&a.bounds)?;
-                let sol = match a.warm_basis.clone() {
-                    Some(b) => {
-                        // Pool the basis under the node id: a reassigned or
-                        // re-dispatched node hits instead of re-uploading.
-                        wave.touch_basis(a.node_id as u64, 8 * (b.m() + b.n()))?;
-                        lp.set_warm_basis(b)?;
-                        lp.resolve()?
-                    }
-                    None => lp.solve()?,
-                };
-                // Replay the journaled kernels through fused batched
-                // launches; successive assignments rotate the lane state.
-                let ops = lp.engine_mut().take_ops();
-                wave.load_lane(*slot, ops);
+                // The basis is pooled under the node id: a reassigned or
+                // re-dispatched node hits instead of re-uploading.
+                let warm = a.warm_basis.clone().map(|b| (b, a.node_id as u64));
+                let out = wave.journal_node(lp, *slot, bounds, warm)?;
                 while wave.any_busy() {
                     wave.superstep();
                 }
+                // Successive assignments rotate the lane state.
                 *slot = (*slot + 1) % wave.width();
-                Ok((sol, lp.basis().cloned()))
+                Ok(out)
             }
             LpBackend::FirstOrder { fo, cleanup, slot } => {
                 // The lane prunes itself the moment its safe bound drops
                 // to the incumbent — matching the report-side prune rule.
                 fo.set_cutoff(a.incumbent);
-                fo.load_lane(*slot, a.node_id as u64, &a.bounds, None)?;
+                fo.load_lane(*slot, a.node_id as u64, bounds, None)?;
                 fo.run_to_retire();
-                let r = fo.take_lane(*slot)?;
+                let (sol, _) = fo.finish_lane(*slot, cleanup, bounds)?;
                 *slot = (*slot + 1) % fo.width();
-                match r.outcome {
-                    FoOutcome::Infeasible => Ok((
-                        LpSolution {
-                            status: LpStatus::Infeasible,
-                            objective: 0.0,
-                            x: Vec::new(),
-                            iterations: r.iterations,
-                        },
-                        None,
-                    )),
-                    // The safe bound is at or below the incumbent cutoff:
-                    // report it as the node's (dominated) objective bound;
-                    // the prune rule in `evaluate` retires it without ever
-                    // reading `x`.
-                    FoOutcome::BoundPruned => Ok((
-                        LpSolution {
-                            status: LpStatus::Optimal,
-                            objective: self.rules.to_source(r.safe_bound),
-                            x: Vec::new(),
-                            iterations: r.iterations,
-                        },
-                        None,
-                    )),
-                    FoOutcome::Converged | FoOutcome::IterLimit => {
-                        // Exact host cleanup before the outcome is acted on.
-                        cleanup.apply_node_bounds(&a.bounds)?;
-                        let sol = cleanup.solve()?;
-                        fo.note_cleanup(sol.iterations);
-                        Ok((sol, None))
-                    }
-                }
+                Ok((sol, None))
             }
         }
     }
@@ -305,31 +252,10 @@ impl Worker {
     ) -> LpResult<(NodeOutcome, usize, Option<(f64, Vec<f64>)>)> {
         // Domain propagation before any LP work: infeasible boxes settle
         // with `prop.*` kernel charges only, feasible ones tighten.
-        let mut tightened: Option<Assignment> = None;
-        if self.propagate {
-            let p = self.propagator.as_ref().expect("propagator built");
-            // A one-lane wave through the rank's executing backend — the
-            // charges are identical to the host propagate + charge_wave
-            // pair this replaced.
-            let mut boxes = vec![p.node_box(&a.bounds)];
-            let out = p.propagate_wave(&self.accel, &mut boxes, self.prop_rounds)[0];
-            let (lb, ub) = boxes.pop().expect("one lane in, one box out");
-            self.prop_metrics.incr(names::PROP_NODES, 1.0);
-            self.prop_metrics
-                .incr(names::PROP_ROUNDS, out.rounds as f64);
-            self.prop_metrics
-                .incr(names::PROP_TIGHTENINGS, out.tightenings as f64);
-            if out.infeasible {
-                self.prop_metrics.incr(names::PROP_INFEASIBLE, 1.0);
-                return Ok((NodeOutcome::Infeasible, 0, None));
-            }
-            tightened = Some(Assignment {
-                bounds: p.bound_changes(&lb, &ub),
-                ..a.clone()
-            });
-        }
-        let a = tightened.as_ref().unwrap_or(a);
-        let (sol, basis) = self.solve_assignment(a)?;
+        let Some(bounds) = self.hook.tighten(&[&a.bounds]).pop().flatten() else {
+            return Ok((NodeOutcome::Infeasible, 0, None));
+        };
+        let (sol, basis) = self.solve_assignment(a, &bounds)?;
         let outcome = match sol.status {
             LpStatus::Infeasible => NodeOutcome::Infeasible,
             LpStatus::Unbounded => {
@@ -359,35 +285,15 @@ impl Worker {
         // report is built): the candidate rides along in the report and
         // feeds the supervisor's incumbent-broadcast path.
         let mut heur: Option<(f64, Vec<f64>)> = None;
-        if self.heuristic_period > 0
-            && (self.nodes + 1).is_multiple_of(self.heuristic_period)
-            && matches!(outcome, NodeOutcome::Branch { .. })
-        {
-            let p = self.propagator.as_ref().expect("propagator built");
-            let (lb, ub) = p.node_box(&a.bounds);
-            let seeds = [gmip_prop::DiveSeed {
-                x0: &sol.x,
-                lb0: &lb,
-                ub0: &ub,
-            }];
-            let out = p
-                .dive_wave(&self.accel, &seeds, self.rules.int_tol, self.prop_rounds)
-                .pop()
-                .expect("one seed in, one dive out");
-            gmip_prop::charge_wave(&self.accel, p.nnz(), p.num_vars(), &[out.rounds.max(1)]);
-            self.prop_metrics.incr(names::HEUR_ATTEMPTS, 1.0);
-            self.prop_metrics
-                .incr(names::HEUR_REPAIRS, out.repairs as f64);
-            if out.aborted {
-                self.prop_metrics.incr(names::HEUR_ABORTS, 1.0);
-            }
-            if let Some((obj, pt)) = out.candidate {
-                let internal = self.rules.internal(obj);
-                if internal > a.incumbent + REPORT_PRUNE_TOL {
-                    self.prop_metrics.incr(names::HEUR_INCUMBENTS, 1.0);
-                    heur = Some((internal, pt));
-                }
-            }
+        if self.hook.dive_due(self.nodes + 1) && matches!(outcome, NodeOutcome::Branch { .. }) {
+            self.hook
+                .dive(&self.rules, &[(&bounds, &sol.x)], |internal, pt| {
+                    let improves = internal > a.incumbent + REPORT_PRUNE_TOL;
+                    if improves {
+                        heur = Some((internal, pt));
+                    }
+                    improves
+                });
         }
         Ok((outcome, sol.iterations, heur))
     }

@@ -38,7 +38,7 @@
 
 use gmip_gpu::{Accel, LaneBody, DEFAULT_STREAM};
 use gmip_lp::BoundChange;
-use gmip_problems::{MipInstance, Sense};
+use gmip_problems::{Constraint, MipInstance, Sense};
 use gmip_trace::names;
 
 /// Numeric tolerance of the activity arithmetic (matches root presolve).
@@ -212,86 +212,10 @@ impl Propagator {
     ) -> RoundStep {
         let mut changed = false;
         for con in &self.instance.cons {
-            let (min_act, max_act) = activity(&con.coeffs, lb, ub);
-            match con.sense {
-                Sense::Le => {
-                    if min_act > con.rhs + TOL {
-                        return RoundStep::Infeasible;
-                    }
-                }
-                Sense::Ge => {
-                    if max_act < con.rhs - TOL {
-                        return RoundStep::Infeasible;
-                    }
-                }
-                Sense::Eq => {
-                    if min_act > con.rhs + TOL || max_act < con.rhs - TOL {
-                        return RoundStep::Infeasible;
-                    }
-                }
-            }
-            // Residual-activity tightening. For ≤ rows (and the ≤ side
-            // of =): a_j > 0 caps x_j from above, a_j < 0 from below;
-            // for ≥ rows, symmetric with the max activity.
-            let le_side = con.sense != Sense::Ge;
-            let ge_side = con.sense != Sense::Le;
-            for &(j, a) in &con.coeffs {
-                if a.abs() < TOL {
-                    continue;
-                }
-                if le_side && min_act.is_finite() {
-                    if a > 0.0 {
-                        let rest = min_act - a * lb[j];
-                        let mut cand = (con.rhs - rest) / a;
-                        if self.integral[j] {
-                            cand = (cand + TOL).floor();
-                        }
-                        if cand < ub[j] - TOL {
-                            ub[j] = cand;
-                            *tightenings += 1;
-                            changed = true;
-                        }
-                    } else {
-                        let rest = min_act - a * ub[j];
-                        let mut cand = (con.rhs - rest) / a;
-                        if self.integral[j] {
-                            cand = (cand - TOL).ceil();
-                        }
-                        if cand > lb[j] + TOL {
-                            lb[j] = cand;
-                            *tightenings += 1;
-                            changed = true;
-                        }
-                    }
-                }
-                if ge_side && max_act.is_finite() {
-                    if a > 0.0 {
-                        let rest = max_act - a * ub[j];
-                        let mut cand = (con.rhs - rest) / a;
-                        if self.integral[j] {
-                            cand = (cand - TOL).ceil();
-                        }
-                        if cand > lb[j] + TOL {
-                            lb[j] = cand;
-                            *tightenings += 1;
-                            changed = true;
-                        }
-                    } else {
-                        let rest = max_act - a * lb[j];
-                        let mut cand = (con.rhs - rest) / a;
-                        if self.integral[j] {
-                            cand = (cand + TOL).floor();
-                        }
-                        if cand < ub[j] - TOL {
-                            ub[j] = cand;
-                            *tightenings += 1;
-                            changed = true;
-                        }
-                    }
-                }
-                if lb[j] > ub[j] + 1e-7 {
-                    return RoundStep::Infeasible;
-                }
+            let act = activity(&con.coeffs, lb, ub);
+            match tighten_row(con, &self.integral, act, lb, ub, tightenings) {
+                None => return RoundStep::Infeasible,
+                Some(moved) => changed |= moved,
             }
         }
         if changed {
@@ -541,9 +465,94 @@ impl Propagator {
     }
 }
 
+/// One row of a propagation sweep, given its activity bounds `(min, max)`
+/// under the box: the feasibility check, then the residual-activity
+/// tightening of every variable in the row with integral bounds rounded
+/// inward — the `prop.tighten` kernel's per-row work, shared with
+/// gmip-core's root presolve. `None` on a contradiction (partial tightenings
+/// stay applied), else whether a bound moved; every strict tightening bumps
+/// `tightenings`.
+#[inline]
+pub fn tighten_row(
+    con: &Constraint,
+    integral: &[bool],
+    (min_act, max_act): (f64, f64),
+    lb: &mut [f64],
+    ub: &mut [f64],
+    tightenings: &mut usize,
+) -> Option<bool> {
+    // For ≤ rows (and the ≤ side of =): a_j > 0 caps x_j from above,
+    // a_j < 0 from below; for ≥ rows, symmetric with the max activity.
+    let le_side = con.sense != Sense::Ge;
+    let ge_side = con.sense != Sense::Le;
+    if (le_side && min_act > con.rhs + TOL) || (ge_side && max_act < con.rhs - TOL) {
+        return None;
+    }
+    let mut changed = false;
+    for &(j, a) in &con.coeffs {
+        if a.abs() < TOL {
+            continue;
+        }
+        if le_side && min_act.is_finite() {
+            if a > 0.0 {
+                let rest = min_act - a * lb[j];
+                let mut cand = (con.rhs - rest) / a;
+                if integral[j] {
+                    cand = (cand + TOL).floor();
+                }
+                if cand < ub[j] - TOL {
+                    ub[j] = cand;
+                    *tightenings += 1;
+                    changed = true;
+                }
+            } else {
+                let rest = min_act - a * ub[j];
+                let mut cand = (con.rhs - rest) / a;
+                if integral[j] {
+                    cand = (cand - TOL).ceil();
+                }
+                if cand > lb[j] + TOL {
+                    lb[j] = cand;
+                    *tightenings += 1;
+                    changed = true;
+                }
+            }
+        }
+        if ge_side && max_act.is_finite() {
+            if a > 0.0 {
+                let rest = max_act - a * ub[j];
+                let mut cand = (con.rhs - rest) / a;
+                if integral[j] {
+                    cand = (cand - TOL).ceil();
+                }
+                if cand > lb[j] + TOL {
+                    lb[j] = cand;
+                    *tightenings += 1;
+                    changed = true;
+                }
+            } else {
+                let rest = max_act - a * lb[j];
+                let mut cand = (con.rhs - rest) / a;
+                if integral[j] {
+                    cand = (cand + TOL).floor();
+                }
+                if cand < ub[j] - TOL {
+                    ub[j] = cand;
+                    *tightenings += 1;
+                    changed = true;
+                }
+            }
+        }
+        if lb[j] > ub[j] + 1e-7 {
+            return None;
+        }
+    }
+    Some(changed)
+}
+
 /// Row activity bounds under the current box (worst-case per coefficient
 /// sign — the `prop.activity` kernel's per-row work).
-fn activity(coeffs: &[(usize, f64)], lb: &[f64], ub: &[f64]) -> (f64, f64) {
+pub fn activity(coeffs: &[(usize, f64)], lb: &[f64], ub: &[f64]) -> (f64, f64) {
     let mut min = 0.0;
     let mut max = 0.0;
     for &(j, a) in coeffs {

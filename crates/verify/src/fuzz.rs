@@ -4,7 +4,8 @@
 //! random-MIP generator), computes its ground truth with the exact
 //! rational [`crate::oracle`], and then runs every solve strategy in the
 //! repo — host baseline, simulated-device plan, DES cluster (clean and
-//! under a chaos fault plan), threaded cluster, batched wave — checking
+//! under a chaos fault plan), threaded cluster, batched wave, and the
+//! host / wave / cluster drivers with propagation and the dive on — checking
 //! each result against the oracle: status, objective within the declared
 //! float tolerance, exact incumbent re-evaluation, and (for the host
 //! strategy) exact validation of the emitted LP certificates. Metamorphic
@@ -76,6 +77,16 @@ pub struct StrategyOutput {
     /// Claimed incumbent (may be empty when the strategy doesn't report
     /// points).
     pub x: Vec<f64>,
+}
+
+impl StrategyOutput {
+    fn new(status: MipStatus, objective: f64, x: Vec<f64>) -> Self {
+        Self {
+            status,
+            objective,
+            x,
+        }
+    }
 }
 
 /// A pluggable way to solve an instance (the fuzz driver's unit of test).
@@ -159,26 +170,40 @@ fn device_strategy(m: &MipInstance) -> Result<StrategyOutput, String> {
     );
     let mut s = MipSolver::with_plan(m.clone(), p);
     let r = s.solve().map_err(|e| e.to_string())?;
-    Ok(StrategyOutput {
-        status: r.status,
-        objective: r.objective,
-        x: r.x,
-    })
+    Ok(StrategyOutput::new(r.status, r.objective, r.x))
 }
 
-fn cluster_strategy(m: &MipInstance, chaos: Option<ChaosConfig>) -> Result<StrategyOutput, String> {
+/// The dive period of the `+prop` strategies: with propagation on, every
+/// second node also runs the fix-and-propagate dive.
+const PROP_DIVE_PERIOD: usize = 2;
+
+fn host_prop_strategy(m: &MipInstance) -> Result<StrategyOutput, String> {
+    let mut cfg = MipConfig {
+        propagate: true,
+        ..MipConfig::default()
+    };
+    cfg.heuristics.fix_and_propagate_period = PROP_DIVE_PERIOD;
+    let r = MipSolver::host_baseline(m.clone(), cfg)
+        .solve()
+        .map_err(|e| e.to_string())?;
+    Ok(StrategyOutput::new(r.status, r.objective, r.x))
+}
+
+fn cluster_strategy(
+    m: &MipInstance,
+    chaos: Option<ChaosConfig>,
+    prop: bool,
+) -> Result<StrategyOutput, String> {
     let cfg = ParallelConfig {
         workers: 3,
         gpu_mem: 1 << 26,
         chaos,
+        propagate: prop,
+        heuristic_period: if prop { PROP_DIVE_PERIOD } else { 0 },
         ..Default::default()
     };
     let r = solve_parallel(m, cfg).map_err(|e| e.to_string())?;
-    Ok(StrategyOutput {
-        status: r.status,
-        objective: r.objective,
-        x: r.x,
-    })
+    Ok(StrategyOutput::new(r.status, r.objective, r.x))
 }
 
 fn threaded_strategy(m: &MipInstance) -> Result<StrategyOutput, String> {
@@ -188,41 +213,49 @@ fn threaded_strategy(m: &MipInstance) -> Result<StrategyOutput, String> {
         ..Default::default()
     };
     let r = solve_threaded(m, &cfg).map_err(|e| e.to_string())?;
-    Ok(StrategyOutput {
-        status: r.status,
-        objective: r.objective,
-        x: r.x,
-    })
+    Ok(StrategyOutput::new(r.status, r.objective, r.x))
 }
 
-fn batched_strategy(m: &MipInstance) -> Result<StrategyOutput, String> {
+fn batched_strategy(m: &MipInstance, prop: bool) -> Result<StrategyOutput, String> {
     let r = solve_batched_wave(
         m,
         &BatchedWaveConfig {
             lanes: 3,
+            propagate: prop,
+            heuristic_period: if prop { PROP_DIVE_PERIOD } else { 0 },
             ..Default::default()
         },
         Accel::gpu(1),
     )
     .map_err(|e| e.to_string())?;
-    Ok(StrategyOutput {
-        status: r.status,
-        objective: r.objective,
-        x: r.x,
-    })
+    Ok(StrategyOutput::new(r.status, r.objective, r.x))
 }
 
 /// The built-in strategy set (the host baseline is run separately so its
-/// certificates can be validated).
+/// certificates can be validated). The `+prop` entries put the node hook —
+/// propagation on, a dive every second node — under the oracle on each of
+/// its three drivers: the serial solver, the wave loop and the cluster rank.
 fn builtin_strategies(chaos: bool, seed: u64) -> Vec<(String, StrategyRunner)> {
     let mut v: Vec<(String, StrategyRunner)> = vec![
         ("device".into(), Box::new(device_strategy)),
         (
             "cluster".into(),
-            Box::new(|m: &MipInstance| cluster_strategy(m, None)),
+            Box::new(|m: &MipInstance| cluster_strategy(m, None, false)),
         ),
         ("threaded".into(), Box::new(threaded_strategy)),
-        ("batched:3".into(), Box::new(batched_strategy)),
+        (
+            "batched:3".into(),
+            Box::new(|m: &MipInstance| batched_strategy(m, false)),
+        ),
+        ("host+prop".into(), Box::new(host_prop_strategy)),
+        (
+            "batched:3+prop".into(),
+            Box::new(|m: &MipInstance| batched_strategy(m, true)),
+        ),
+        (
+            "cluster+prop".into(),
+            Box::new(|m: &MipInstance| cluster_strategy(m, None, true)),
+        ),
     ];
     if chaos {
         v.push((
@@ -236,6 +269,7 @@ fn builtin_strategies(chaos: bool, seed: u64) -> Vec<(String, StrategyRunner)> {
                         delay_ns: 15_000.0,
                         ..ChaosConfig::quiet(seed)
                     }),
+                    false,
                 )
             }),
         ));
@@ -290,14 +324,8 @@ fn host_with_certificates(
     };
     let mut s = MipSolver::host_baseline(m.clone(), cfg);
     let r = s.solve().map_err(|e| e.to_string())?;
-    Ok((
-        StrategyOutput {
-            status: r.status,
-            objective: r.objective,
-            x: r.x,
-        },
-        r.stats.certificates,
-    ))
+    let out = StrategyOutput::new(r.status, r.objective, r.x);
+    Ok((out, r.stats.certificates))
 }
 
 /// Shrinks a failing instance against a reproduction predicate and writes
