@@ -7,7 +7,10 @@
 //!   vice versa" — per-iteration link traffic is O(1) scalars, and what it
 //!   costs is counted in *crossings* (each one a link latency), not only in
 //!   bytes: a pivot's scalar stores ride its kernels as arguments, so what
-//!   still crosses per pivot is the read-back of each reduction;
+//!   still crosses per pivot is the read-back of each reduction. Launches
+//!   are counted the same way: every engine call is one launch chain, so a
+//!   pivot costs four launches (`price`, `ftran_column`, `ratio_test`,
+//!   `apply_pivot`), not one per kernel;
 //! * the eta-file (product-form-of-inverse) update beats refactorizing the
 //!   basis every iteration.
 
@@ -31,7 +34,7 @@ pub fn run() -> String {
     let mut t = Table::new(&[
         "basis scheme",
         "iters",
-        "kernels",
+        "launches",
         "transfers",
         "link bytes",
         "sim time",
@@ -94,6 +97,16 @@ pub fn run() -> String {
         fmt_ns(accel.elapsed_ns()),
         100.0 * latency_ns / accel.elapsed_ns()
     ));
+    let launch_ns = s.kernel_launches as f64 * accel.with(|d| d.cost_model().launch_latency_ns);
+    out.push_str(&format!(
+        "per-iteration kernel launches: {:.2} ({} for {} pivots); launch latency is {} of the {} solve ({:.0}%)\n",
+        s.kernel_launches as f64 / sol.iterations.max(1) as f64,
+        s.kernel_launches,
+        sol.iterations,
+        fmt_ns(launch_ns),
+        fmt_ns(accel.elapsed_ns()),
+        100.0 * launch_ns / accel.elapsed_ns()
+    ));
     out.push_str(&format!(
         "eta-file vs per-iteration refactorization: {:.2}x faster\n",
         times[2] / times[0]
@@ -130,5 +143,14 @@ mod tests {
             .and_then(|v| v.parse().ok())
             .expect("crossings line parses");
         assert!(per_pivot < 3.0, "{per_pivot} link crossings per pivot");
+        // ...and in launches: one chain per engine call, four calls a pivot.
+        let launches: f64 = s
+            .lines()
+            .find(|l| l.contains("per-iteration kernel launches"))
+            .and_then(|l| l.split(':').nth(1))
+            .and_then(|l| l.split_whitespace().next())
+            .and_then(|v| v.parse().ok())
+            .expect("launches line parses");
+        assert!(launches < 4.5, "{launches} kernel launches per pivot");
     }
 }

@@ -11,7 +11,9 @@
 //! device, each bound to its own stream (and each holding its own copy of
 //! the matrix — the paper's memory-for-concurrency trade). Every wave, up
 //! to `lanes` best-bound active nodes are dispatched; their warm dual
-//! re-solves overlap in simulated device time, and the wave joins at a
+//! re-solves overlap in simulated device time — their link crossings and
+//! kernel bodies, that is: the lanes' launches leave through the device's
+//! one launch-issue queue, one after another — and the wave joins at a
 //! device synchronize before outcomes are folded into the tree.
 //!
 //! Cuts and heuristics are intentionally off here: this driver isolates the

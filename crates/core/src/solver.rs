@@ -908,6 +908,32 @@ mod tests {
         assert!(r.tree.all_settled());
     }
 
+    /// `bin_packing(6)` seeds 3 and 7: the root's GMI cuts start violated at
+    /// the all-lower-bounds point, and a cold solve under them used to come
+    /// back `Infeasible` from phase 1 — at the root on seed 3 (one node, no
+    /// answer). With cuts on, the optimum is the cut-free one.
+    #[test]
+    fn binpack6_with_cuts_reaches_the_cut_free_optimum() {
+        use gmip_problems::generators::bin_packing;
+        for seed in [3, 7] {
+            let solve = |cuts: bool| {
+                let mut cfg = MipConfig::default();
+                cfg.cuts.enabled = cuts;
+                // These LPs stall the dual simplex at every other node; the
+                // default cap takes the same road a hundred times slower.
+                cfg.lp.dual.base.max_iters = 200;
+                let mut s = MipSolver::host_baseline(bin_packing(6, 1.0, seed), cfg);
+                s.solve().expect("no numerical failure")
+            };
+            let (with_cuts, cut_free) = (solve(true), solve(false));
+            assert_eq!(with_cuts.status, MipStatus::Optimal, "seed {seed}");
+            assert_eq!(cut_free.status, MipStatus::Optimal, "seed {seed}");
+            assert!(with_cuts.stats.cuts > 0, "seed {seed}: no cut was added");
+            assert_eq!(with_cuts.objective, cut_free.objective, "seed {seed}");
+            assert_eq!(with_cuts.objective, 3.0, "seed {seed}");
+        }
+    }
+
     #[test]
     fn figure1_knapsack_optimum_is_14() {
         let r = solve_host(figure1_knapsack());

@@ -118,19 +118,23 @@ impl CostModel {
         self.link_latency_ns + bytes as f64 / self.link_bw_bytes_per_ns
     }
 
-    /// Time for a dense kernel doing `flops` floating-point operations over
-    /// `bytes` of traffic: launch latency plus the roofline max of compute
-    /// and memory time.
+    /// Execution time of a kernel body doing `flops` floating-point
+    /// operations at `flops_per_ns` over `bytes` of traffic: the roofline max
+    /// of compute and memory time, no launch.
+    pub fn body_ns(&self, flops: f64, bytes: f64, flops_per_ns: f64) -> f64 {
+        (flops / flops_per_ns).max(bytes / self.mem_bw_bytes_per_ns)
+    }
+
+    /// Time for a dense kernel launched on its own: launch latency plus its
+    /// [body](Self::body_ns) at the dense throughput.
     pub fn dense_kernel_ns(&self, flops: f64, bytes: f64) -> f64 {
-        self.launch_latency_ns
-            + (flops / self.dense_flops_per_ns).max(bytes / self.mem_bw_bytes_per_ns)
+        self.launch_latency_ns + self.body_ns(flops, bytes, self.dense_flops_per_ns)
     }
 
     /// Time for an irregular/sparse kernel (same roofline shape, lower
     /// effective compute throughput).
     pub fn sparse_kernel_ns(&self, flops: f64, bytes: f64) -> f64 {
-        self.launch_latency_ns
-            + (flops / self.sparse_flops_per_ns).max(bytes / self.mem_bw_bytes_per_ns)
+        self.launch_latency_ns + self.body_ns(flops, bytes, self.sparse_flops_per_ns)
     }
 
     /// Time for a *batched* kernel of `batch` independent small problems each

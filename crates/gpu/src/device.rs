@@ -194,6 +194,19 @@ pub struct GpuDevice {
     pool: BufferPool,
     /// Scratch for kernels that need a temporary beside their result.
     work: Vec<f64>,
+    /// Whether a launch chain is open, and whether it has launched.
+    chain: Chain,
+}
+
+/// Where the device stands in a launch chain ([`GpuDevice::chain`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Chain {
+    /// No chain: every kernel is a launch of its own.
+    Closed,
+    /// Inside a chain that has not launched yet.
+    Open,
+    /// Inside a chain whose launch has been paid.
+    Launched,
 }
 
 impl GpuDevice {
@@ -208,6 +221,7 @@ impl GpuDevice {
             objects: ObjectTable::default(),
             pool: BufferPool::default(),
             work: Vec::new(),
+            chain: Chain::Closed,
         }
     }
 
@@ -385,22 +399,59 @@ impl GpuDevice {
         self.trace_span("d2h", stream, done, t, bytes as f64);
     }
 
-    fn charge_dense_kernel(&mut self, name: &'static str, fl: f64, bytes: f64, stream: StreamId) {
-        let t = self.cost.dense_kernel_ns(fl, bytes);
-        let done = self.streams.enqueue(stream, t);
-        self.ledger.incr(Series::KernelLaunches, 1.0);
+    /// Runs `kernels` as one **launch chain**: the kernels it charges back
+    /// to back are issued as a single launch (a captured graph, a persistent
+    /// kernel — Section 5.1's "repeatedly … with no data transfer"). The
+    /// first pays the launch latency and counts as the chain's one launch;
+    /// each later one is charged its roofline body only. Flops, bytes, span
+    /// names, transfers and modelled memory are those of the kernels
+    /// launched one by one. The scope closes when `kernels` returns,
+    /// whatever it returns.
+    pub fn chain<R>(&mut self, kernels: impl FnOnce(&mut Self) -> R) -> R {
+        let outer = std::mem::replace(&mut self.chain, Chain::Open);
+        let out = kernels(self);
+        self.chain = outer;
+        out
+    }
+
+    /// Charges one kernel of `fl` flops at `flops_per_ns` over `bytes`: a
+    /// launch through the device's issue queue, unless it continues a chain.
+    fn charge_kernel(
+        &mut self,
+        name: &'static str,
+        fl: f64,
+        bytes: f64,
+        flops_per_ns: f64,
+        stream: StreamId,
+    ) {
+        let body = self.cost.body_ns(fl, bytes, flops_per_ns);
+        let (t, done) = if self.chain == Chain::Launched {
+            (body, self.streams.enqueue(stream, body))
+        } else {
+            let t = self.cost.launch_latency_ns + body;
+            self.ledger.incr(Series::KernelLaunches, 1.0);
+            (t, self.launch(stream, t))
+        };
         self.ledger.incr(Series::KernelFlops, fl);
         self.ledger.incr(Series::KernelNs, t);
         self.trace_span(name, stream, done, t, bytes);
     }
 
+    /// Issues a launch of total duration `t` on `stream`; an open chain has
+    /// had its launch from here on.
+    fn launch(&mut self, stream: StreamId, t: f64) -> f64 {
+        if self.chain == Chain::Open {
+            self.chain = Chain::Launched;
+        }
+        self.streams.launch(stream, t, self.cost.launch_latency_ns)
+    }
+
+    fn charge_dense_kernel(&mut self, name: &'static str, fl: f64, bytes: f64, stream: StreamId) {
+        self.charge_kernel(name, fl, bytes, self.cost.dense_flops_per_ns, stream);
+    }
+
     fn charge_sparse_kernel(&mut self, name: &'static str, fl: f64, bytes: f64, stream: StreamId) {
-        let t = self.cost.sparse_kernel_ns(fl, bytes);
-        let done = self.streams.enqueue(stream, t);
-        self.ledger.incr(Series::KernelLaunches, 1.0);
-        self.ledger.incr(Series::KernelFlops, fl);
-        self.ledger.incr(Series::KernelNs, t);
-        self.trace_span(name, stream, done, t, bytes);
+        self.charge_kernel(name, fl, bytes, self.cost.sparse_flops_per_ns, stream);
     }
 
     /// Charges a host↔device transfer of `bytes` without moving payload —
@@ -1824,10 +1875,10 @@ impl GpuDevice {
         }
         let per_op_ns = per_lane
             .clone()
-            .map(|(fl, by)| (fl / flops_per_ns).max(by / self.cost.mem_bw_bytes_per_ns))
+            .map(|(fl, by)| self.cost.body_ns(fl, by, flops_per_ns))
             .fold(0.0, f64::max);
         let t = self.cost.batched_kernel_ns(batch, per_op_ns);
-        let done = self.streams.enqueue(stream, t);
+        let done = self.launch(stream, t);
         let batch_flops: f64 = per_lane.clone().map(|p| p.0).sum();
         let batch_bytes: f64 = per_lane.map(|p| p.1).sum();
         self.ledger.incr(Series::KernelLaunches, 1.0);
@@ -1895,7 +1946,7 @@ impl GpuDevice {
             })
             .fold(0.0, f64::max);
         let t = self.cost.batched_kernel_ns(mats.len(), per_op_ns);
-        let done = self.streams.enqueue(stream, t);
+        let done = self.launch(stream, t);
         let batch_flops = mats
             .iter()
             .map(|m| flops::lu(m.rows()) + flops::lu_solve(m.rows()))

@@ -15,8 +15,10 @@
 //! * dense vs. sparse efficiency (Sections 3, 5.4) — two throughput knobs;
 //! * host↔device transfer minimization (Section 5) — counted and charged;
 //! * kernel-launch amortization via batching (Sections 4.3, 5.5) —
-//!   [`device::GpuDevice::batched_lu_solve`] pays one launch per batch;
-//! * streams (Section 5.5) — per-stream logical timelines that overlap;
+//!   [`device::GpuDevice::batched_lu_solve`] pays one launch per batch, and
+//!   the kernels of a [`device::GpuDevice::chain`] one between them;
+//! * streams (Section 5.5) — per-stream timelines whose kernel bodies and
+//!   transfers overlap, fed by the device's one launch-issue queue;
 //! * device memory capacity as a regime boundary (Section 3) — allocation
 //!   failures are real errors the solver strategies must handle.
 //!

@@ -417,3 +417,109 @@ fn slab_rejects_stale_handles_and_recycling_is_invisible() {
     assert_eq!(dev.memory().allocation_count(), 1001);
     assert!(dev.pool_retained_bytes() <= 16 * 8 * 3);
 }
+
+/// A three-kernel launch chain modelled by hand: `vec_mul` (dense),
+/// `spmv_transposed` (sparse), `vec_mul` again — one launch, every flop,
+/// every body; to device memory the chain is the three kernels.
+#[test]
+fn a_chain_pays_one_launch_and_every_body() {
+    let dense = DenseMatrix::from_rows(&[vec![4.0, 0.0, -1.0], vec![0.0, 5.0, 0.5]])
+        .expect("rectangular rows");
+    let csr = CsrMatrix::from_dense(&dense);
+    // The same program on two devices: kernel by kernel, and as one chain.
+    let run = |chained: bool| {
+        let mut dev = GpuDevice::new(DeviceConfig::gpu(1));
+        let a = dev.upload_sparse(&csr, DEFAULT_STREAM).expect("fits");
+        let x = dev
+            .upload_vector(&[1.0, 2.0], DEFAULT_STREAM)
+            .expect("fits");
+        let [sq, y, ysq] = [(); 3].map(|()| dev.vacant_vector());
+        let before = (dev.metrics(), dev.elapsed_ns());
+        let kernels = |d: &mut GpuDevice| {
+            d.vec_mul(x, x, sq, DEFAULT_STREAM)?;
+            d.spmv_transposed(a, sq, y, DEFAULT_STREAM)?;
+            d.vec_mul(y, y, ysq, DEFAULT_STREAM)
+        };
+        if chained {
+            dev.chain(kernels).expect("shapes agree");
+        } else {
+            kernels(&mut dev).expect("shapes agree");
+        }
+        assert_eq!(
+            dev.download_vector(ysq, DEFAULT_STREAM).expect("tenanted"),
+            [16.0, 400.0, 1.0]
+        );
+        (dev, before)
+    };
+    let (plain, _) = run(false);
+    let (mut dev, (mut reference, started)) = run(true);
+
+    let cost = dev.cost_model().clone();
+    let nnz = csr.nnz();
+    let kernels = [
+        (2.0, 48.0, cost.dense_flops_per_ns),
+        (
+            flops::spmv(nnz),
+            (nnz * 16) as f64,
+            cost.sparse_flops_per_ns,
+        ),
+        (3.0, 72.0, cost.dense_flops_per_ns),
+    ];
+    let mut now = started;
+    reference.incr(names::GPU_KERNEL_LAUNCHES, 1.0);
+    for (k, (fl, bytes, rate)) in kernels.into_iter().enumerate() {
+        let body = (fl / rate).max(bytes / cost.mem_bw_bytes_per_ns);
+        let t = if k == 0 {
+            cost.launch_latency_ns + body
+        } else {
+            body
+        };
+        reference.incr(names::GPU_KERNEL_FLOPS, fl);
+        reference.incr(names::GPU_KERNEL_NS, t);
+        now += t;
+    }
+    // The read-back that checked the result.
+    let t = cost.transfer_ns(24);
+    reference.incr(names::GPU_D2H_TRANSFERS, 1.0);
+    reference.incr(names::GPU_D2H_BYTES, 24.0);
+    reference.incr(names::GPU_TRANSFER_NS, t);
+    reference.max_gauge(names::GPU_MEM_PEAK_BYTES, dev.memory().peak() as f64);
+    now += t;
+    let got = dev.metrics();
+    assert_eq!(got, reference);
+    for ((k, a), (_, b)) in got.counters().zip(reference.counters()) {
+        assert_eq!(a.to_bits(), b.to_bits(), "counter {k}");
+    }
+    assert_eq!(dev.elapsed_ns().to_bits(), now.to_bits());
+    // Two launches and their latency are all the chain saved.
+    assert_eq!(plain.stats().kernel_launches, 3);
+    assert_eq!(
+        plain.metrics().counter(names::GPU_KERNEL_FLOPS),
+        got.counter(names::GPU_KERNEL_FLOPS)
+    );
+    assert!(plain.elapsed_ns() - dev.elapsed_ns() > 1.99 * cost.launch_latency_ns);
+    // Modelled memory saw the same allocations either way.
+    let memory = |d: &GpuDevice| {
+        let m = d.memory();
+        (m.used(), m.peak(), m.allocation_count())
+    };
+    assert_eq!(memory(&dev), memory(&plain));
+
+    // A chain that fails midway leaves the scope closed: the next kernel is
+    // a launch of its own again.
+    let x = dev
+        .upload_vector(&[1.0, 2.0], DEFAULT_STREAM)
+        .expect("fits");
+    let longer = dev.upload_vector(&[1.0; 3], DEFAULT_STREAM).expect("fits");
+    let out = dev.vacant_vector();
+    let launches = dev.stats().kernel_launches;
+    let failed = dev.chain(|d| {
+        d.vec_mul(x, x, out, DEFAULT_STREAM)?;
+        d.vec_mul(x, longer, out, DEFAULT_STREAM)
+    });
+    assert!(matches!(failed, Err(GpuError::Linalg(_))));
+    assert_eq!(dev.stats().kernel_launches, launches + 1);
+    dev.charge_custom(1.0, 8.0, false, DEFAULT_STREAM);
+    dev.charge_custom(1.0, 8.0, false, DEFAULT_STREAM);
+    assert_eq!(dev.stats().kernel_launches, launches + 3);
+}

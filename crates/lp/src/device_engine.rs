@@ -19,7 +19,13 @@
 //!   weights) are uploaded, staged into one transfer;
 //! * so every [`SimplexEngine`] call crosses the link **at most once in
 //!   each direction** — what a transfer costs first is its latency, not its
-//!   bytes.
+//!   bytes;
+//! * and every call is **at most one kernel launch**: the kernels it runs
+//!   back to back (`eta_btran → pricing → vec_mul → argmin_masked` for a
+//!   `price`) are one launch chain ([`GpuDevice::chain`]) — the first pays
+//!   the launch latency, the rest their bodies. What a small kernel costs
+//!   first is its launch, and `on_device` is the one door to the device, so
+//!   no call can pay it twice.
 //!
 //! There is one orchestration, [`DeviceSimplex`], and two kernel sets under
 //! it — Section 5.4's "two different MIP solver versions" reduced to a
@@ -433,6 +439,13 @@ impl<E: Copy + Into<u64>> Workspace<E> {
     }
 }
 
+/// The one way an engine call reaches its device: one lock, and the kernels
+/// `call` runs back to back are one launch chain ([`GpuDevice::chain`]) — so
+/// a [`SimplexEngine`] call costs at most one kernel launch.
+fn on_device<R>(accel: &Accel, call: impl FnOnce(&mut GpuDevice) -> R) -> R {
+    accel.with(|d| d.chain(call))
+}
+
 /// Ends the tenancies of `vectors` inside the caller's device closure (one
 /// lock for the kernels and their cleanup). Best-effort: a handle could be
 /// gone only via engine bugs.
@@ -500,7 +513,7 @@ impl<M: MatrixStorage> DeviceSimplex<M> {
     /// — the Section 5.5 mechanism that lets several engines share one
     /// device with overlapping execution.
     pub fn new_on_stream(accel: Accel, a: &DenseMatrix, stream: StreamId) -> LpResult<Self> {
-        let handle = accel.with(|d| M::upload(d, a, stream))?;
+        let handle = on_device(&accel, |d| M::upload(d, a, stream))?;
         Ok(Self {
             accel,
             a: handle,
@@ -524,7 +537,7 @@ impl<M: MatrixStorage> DeviceSimplex<M> {
     }
 
     fn with_dev<R>(&self, f: impl FnOnce(&mut GpuDevice) -> GpuResult<R>) -> LpResult<R> {
-        self.accel.with(f).map_err(LpError::from)
+        on_device(&self.accel, f).map_err(LpError::from)
     }
 
     /// The workspace, once an install has filled it.
@@ -553,7 +566,7 @@ impl<M: MatrixStorage> DeviceSimplex<M> {
 
 impl<M: MatrixStorage> Drop for DeviceSimplex<M> {
     fn drop(&mut self) {
-        self.accel.with(|d| {
+        on_device(&self.accel, |d| {
             if let Some(ws) = self.ws {
                 ws.free(d);
             }
@@ -635,7 +648,7 @@ impl<M: MatrixStorage> SimplexEngine for DeviceSimplex<M> {
 
         let a = self.a;
         let ws = &mut self.ws;
-        self.accel.with(|d| {
+        on_device(&self.accel, |d| {
             // The previous install's state goes first, whatever comes next.
             let ws = *ws.get_or_insert_with(|| {
                 let eta = M::eta_new(d);
@@ -884,7 +897,7 @@ impl<M: MatrixStorage> SimplexEngine for DeviceSimplex<M> {
     fn devex_update(&mut self, q: usize, leaving_j: usize) -> LpResult<()> {
         let st = self.stream;
         let ws = self.ws_alpha_r()?;
-        self.accel.with(|d| {
+        on_device(&self.accel, |d| {
             let [arq, gamma_q] = d.vec_get([(ws.alpha_r, q), (ws.gamma, q)], st)?;
             if arq.abs() < 1e-12 {
                 return Err(LpError::Shape("devex update with zero pivot".into()));

@@ -468,28 +468,54 @@ impl<E: SimplexEngine> LpSolver<E> {
             }
         }
 
-        let view1 = ProblemView {
-            c: &c1,
-            lb: &lb1,
-            ub: &ub1,
-            b: &self.b,
-        };
-        let (out1, it1) = primal_solve_traced(
-            &mut self.engine,
-            view1,
-            &mut basis,
-            &self.cfg.primal,
-            &mut self.metrics,
-        )?;
-        if let PrimalOutcome::Unbounded { entering } = out1 {
-            return Err(LpError::Shape(format!(
-                "phase 1 reported unbounded at column {entering} (internal error)"
-            )));
-        }
-        // Feasibility: phase-1 objective must be ~0.
-        let x1 = assemble_point(&mut self.engine, view1, &basis)?;
-        let infeasibility: f64 = -c1.iter().zip(&x1).map(|(ci, xi)| ci * xi).sum::<f64>();
-        if infeasibility > self.cfg.dual.feas_tol.max(1e-7) * (1.0 + self.b.len() as f64) {
+        // An artificial must end at 0; a relaxed cut slack must only get
+        // back to its real range [0, ∞). Held at (-∞, 0] for good it could
+        // never go slack again, and phase 1 would minimise infeasibility with
+        // every initially-violated cut tight or violated — infeasible though
+        // the LP is not. So when a pass ends infeasible, every relaxed slack
+        // it brought to 0 gets its range back at cost 0, and phase 1 goes on
+        // from the same basis until it is feasible or releases nothing.
+        let mut it1 = 0;
+        loop {
+            let view1 = ProblemView {
+                c: &c1,
+                lb: &lb1,
+                ub: &ub1,
+                b: &self.b,
+            };
+            let (out1, it) = primal_solve_traced(
+                &mut self.engine,
+                view1,
+                &mut basis,
+                &self.cfg.primal,
+                &mut self.metrics,
+            )?;
+            it1 += it;
+            if let PrimalOutcome::Unbounded { entering } = out1 {
+                return Err(LpError::Shape(format!(
+                    "phase 1 reported unbounded at column {entering} (internal error)"
+                )));
+            }
+            // Feasibility: phase-1 objective must be ~0.
+            let x1 = assemble_point(&mut self.engine, view1, &basis)?;
+            let infeasibility: f64 = -c1.iter().zip(&x1).map(|(ci, xi)| ci * xi).sum::<f64>();
+            if infeasibility <= self.cfg.dual.feas_tol.max(1e-7) * (1.0 + self.b.len() as f64) {
+                break;
+            }
+            let mut released = false;
+            for k in 0..self.n_cuts {
+                let j = self.cut_slack_col(k);
+                if c1[j] == 1.0 && x1[j] >= -self.cfg.dual.feas_tol {
+                    (lb1[j], ub1[j], c1[j]) = (0.0, f64::INFINITY, 0.0);
+                    if basis.status[j] == VarStatus::AtUpper {
+                        basis.status[j] = VarStatus::AtLower;
+                    }
+                    released = true;
+                }
+            }
+            if released {
+                continue;
+            }
             // Phase-1 duals are a Farkas witness: with the phase-1 costs
             // still installed, y = c1_B B⁻¹ satisfies
             // Σⱼ min(zⱼlⱼ, zⱼuⱼ) = yᵀb + δ > yᵀb (δ = phase-1 infeasibility)
@@ -631,13 +657,16 @@ impl<E: SimplexEngine> LpSolver<E> {
             &mut self.metrics,
         ) {
             Ok(r) => r,
-            Err(LpError::IterationLimit { .. }) => {
+            Err(LpError::IterationLimit { iterations }) => {
                 // Dual stall: highly degenerate bases (dense cut rows are
                 // the usual culprit) can cycle the dual ratio test, which
                 // has no Bland fallback. Discard the stalled basis and
                 // re-solve cold — the two-phase primal driver carries
-                // anti-cycling and the cost is one scratch solve.
-                return self.solve_inner();
+                // anti-cycling and the cost is one scratch solve, on top of
+                // the stalled pivots.
+                let mut sol = self.solve_inner()?;
+                sol.iterations += iterations;
+                return Ok(sol);
             }
             Err(e) => {
                 // Keep the (partially pivoted) basis so the solver object
@@ -893,6 +922,26 @@ mod tests {
         let sol = solver.solve().unwrap();
         assert_eq!(sol.status, LpStatus::Optimal);
         assert!(sol.x[0] + sol.x[1] <= 4.0 + 1e-7);
+    }
+
+    /// A cut slack that starts violated is relaxed for phase 1, not pinned
+    /// to its relaxed side: here the one feasible point has the cut slack at
+    /// 3, and a phase 1 that never lets it above 0 calls the LP infeasible.
+    #[test]
+    fn an_initially_violated_cut_may_end_slack() {
+        use gmip_problems::{Constraint, MipInstance, Objective, Sense, Variable};
+        let mut m = MipInstance::new("pinned", Objective::Maximize);
+        m.add_var(Variable::continuous("x", 0.0, 10.0, 1.0));
+        m.add_con(Constraint::new("fix", vec![(0, 1.0)], Sense::Eq, 5.0));
+        let mut solver = host_solver(StandardLp::from_instance(&m, &[]));
+        // x ≥ 2 in ≤ form: violated at x = 0, where the cold solve starts.
+        solver.add_cut(&[(0, -1.0)], -2.0).unwrap();
+        let sol = solver.solve().unwrap();
+        assert_eq!(sol.status, LpStatus::Optimal);
+        assert!((sol.x[0] - 5.0).abs() < 1e-9, "x = {:?}", sol.x);
+        // A cut nothing can satisfy is still infeasible.
+        solver.add_cut(&[(0, -1.0)], -6.0).unwrap();
+        assert_eq!(solver.solve().unwrap().status, LpStatus::Infeasible);
     }
 
     #[test]

@@ -5,12 +5,13 @@
 //! on the same GPU" — and Section 4.3 adds that *batched* small-matrix
 //! routines (Rennich-style) are the right kernel shape for it, because one
 //! fused launch amortizes the launch latency that per-lane engines pay per
-//! kernel per lane per pivot.
+//! engine call per lane per pivot.
 //!
 //! The per-lane baseline ([`crate::DeviceEngine`] lanes in
 //! `gmip_core::concurrent`) parks one private matrix copy per lane and
-//! charges one launch per FTRAN/BTRAN/pricing kernel per lane. This module
-//! inverts both decisions:
+//! issues one launch per engine call per lane — through the device's one
+//! launch-issue queue, so N lanes' launches follow one another however
+//! many streams they sit on. This module inverts both decisions:
 //!
 //! * **one shared device-resident `[A | I]` matrix** serves every lane
 //!   (per-lane state is a small reservation), so the wave width is bounded
@@ -35,8 +36,8 @@
 //!
 //! Numerically, each lane is a [`RecordingEngine`]: a [`HostEngine`] that
 //! takes the exact pivot path of the reference implementation while
-//! journaling one [`WaveOp`] per device kernel the equivalent
-//! [`crate::DeviceEngine`] would have launched. The wave engine then
+//! journaling one [`WaveOp`] per kernel *class* an engine call touches. The
+//! wave engine then
 //! replays those journals in lockstep against the simulated device, which
 //! is where the simulated-ns clock and the kernel/transfer ledger accrue.
 //! Identical pivot paths are the repository's standing engine-equivalence
@@ -127,8 +128,17 @@ pub enum WaveOp {
 }
 
 /// A [`SimplexEngine`] that runs the reference host numerics while
-/// journaling the device kernels an equivalent [`crate::DeviceEngine`]
-/// would have launched, one [`WaveOp`] per kernel.
+/// journaling the device work of each call, one [`WaveOp`] per kernel
+/// **class** the call touches — not per kernel, and not per launch. A
+/// [`crate::DeviceEngine`] call is one launch chain whatever it runs (an
+/// install's `residual → eta_factor → eta_ftran` is one launch there, one
+/// `Factor` op here); `price` is one launch there and two ops here
+/// (`Btran`, `Pricing`). The journal is cut by class because a class is
+/// what fuses *across lanes*: in a superstep every lane's `Btran` instance
+/// joins one batched launch, every `Pricing` instance the next, and a
+/// chain of different kernels has no such batched form. So a one-lane wave
+/// launches no less than a device engine; the saving starts at the second
+/// lane.
 ///
 /// What crosses the link, journal against device engine:
 ///

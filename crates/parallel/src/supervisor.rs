@@ -570,8 +570,10 @@ pub(crate) mod tests {
         }
     }
 
+    /// Same optimum through the wave backend; no launch saving is claimed —
+    /// a rank's wave is one lane wide (see `wave_backend_matches_per_kernel`).
     #[test]
-    fn batched_workers_match_default_with_fewer_launches() {
+    fn batched_workers_match_default() {
         let m = knapsack(12, 0.5, 1);
         let baseline = solve_parallel(&m, cfg(3)).unwrap();
         let batched = solve_parallel(
@@ -584,14 +586,6 @@ pub(crate) mod tests {
         .unwrap();
         assert_eq!(batched.status, MipStatus::Optimal);
         assert!((batched.objective - baseline.objective).abs() < 1e-6);
-        // The wave backend fuses kernel classes: fewer launches, same work.
-        let launches = |r: &ParallelResult| r.stats.metrics.counter("gpu.kernel.launches");
-        assert!(
-            launches(&batched) < launches(&baseline),
-            "{} vs {}",
-            launches(&batched),
-            launches(&baseline)
-        );
         assert!(batched.stats.metrics.counter("wave.fused_launches") > 0.0);
     }
 

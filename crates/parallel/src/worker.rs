@@ -423,8 +423,13 @@ mod tests {
         assert!((straggler.busy_ns - 4.0 * healthy.busy_ns).abs() < 1e-6);
     }
 
+    /// A rank evaluates one node at a time, so its wave has no second lane
+    /// to fuse with: the wave backend buys a rank nothing in launches (its
+    /// journal books one launch per kernel class a call touches, the
+    /// per-kernel engine one per call) — what it must do is take the same
+    /// pivots to the same outcome.
     #[test]
-    fn wave_backend_matches_per_kernel_with_fewer_launches() {
+    fn wave_backend_matches_per_kernel() {
         let mk = |lanes: Option<usize>| mk_rank(lanes, None);
         let assignments = [
             Assignment {
@@ -470,12 +475,6 @@ mod tests {
             }
             assert_eq!(rk.lp_iterations, rw.lp_iterations);
         }
-        assert!(
-            wave.accel().stats().kernel_launches < per_kernel.accel().stats().kernel_launches,
-            "{} vs {}",
-            wave.accel().stats().kernel_launches,
-            per_kernel.accel().stats().kernel_launches
-        );
         assert!(wave.metrics().counter("wave.fused_launches") > 0.0);
     }
 

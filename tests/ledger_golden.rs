@@ -15,6 +15,14 @@
 //! moved is what that rule is about — transfer counts, H2D bytes (8 per
 //! former scalar store) and the clock; peak bytes, allocation counts,
 //! launches, D2H bytes, iterations and optima are those of `ccf9fe5`.
+//!
+//! Re-recorded again at the commit that packed the launch queue (the child
+//! of `6288956`): every engine call is one launch chain, held to at most one
+//! kernel launch by the same wrapper, and a device has one launch-issue
+//! queue however many streams. What moved is launches and the clock (and,
+//! in the cluster, the last bit of a transfer-time sum taken in another
+//! order); peak bytes, allocation counts, transfers, bytes, iterations and
+//! optima are still those of `ccf9fe5`.
 
 use gmip::core::{solve_concurrent, ConcurrentConfig};
 use gmip::gpu::{Accel, CostModel, DeviceConfig};
@@ -57,28 +65,42 @@ fn ledger_pin(accel: &Accel) -> String {
     )
 }
 
-/// Runs `f` and returns it with the link crossings it made, `[H2D, D2H]`,
-/// and the H2D bytes — having asserted the link rule: at most one crossing
-/// in each direction.
-fn crossing<R>(accel: &Accel, what: &str, f: impl FnOnce() -> R) -> (R, [u64; 2], u64) {
+/// What one call moved on the device's ledger.
+struct Grew {
+    /// Link crossings, `[H2D, D2H]`.
+    link: [u64; 2],
+    h2d_bytes: u64,
+    launches: u64,
+}
+
+/// Runs `f` and returns it with what it moved — having asserted the link
+/// rule: at most one crossing in each direction.
+fn crossing<R>(accel: &Accel, what: &str, f: impl FnOnce() -> R) -> (R, Grew) {
     let before = accel.stats();
     let out = f();
     let after = accel.stats();
-    let grew = [
-        after.h2d_transfers - before.h2d_transfers,
-        after.d2h_transfers - before.d2h_transfers,
-    ];
+    let grew = Grew {
+        link: [
+            after.h2d_transfers - before.h2d_transfers,
+            after.d2h_transfers - before.d2h_transfers,
+        ],
+        h2d_bytes: after.h2d_bytes - before.h2d_bytes,
+        launches: after.kernel_launches - before.kernel_launches,
+    };
     assert!(
-        grew[0] <= 1 && grew[1] <= 1,
-        "{what} crossed the link {grew:?} times [H2D, D2H]"
+        grew.link[0] <= 1 && grew.link[1] <= 1,
+        "{what} crossed the link {:?} times [H2D, D2H]",
+        grew.link
     );
-    (out, grew, after.h2d_bytes - before.h2d_bytes)
+    (out, grew)
 }
 
-/// The link rule, asserted where it can be broken: a [`SimplexEngine`] that
-/// forwards to `inner` and checks around *every* trait call that the call
-/// crossed the link at most once in each direction — an install exactly
-/// once upward with `8(4n + 4m)` bytes, a pivot or a bound flip not at all.
+/// The link and launch rules, asserted where they can be broken: a
+/// [`SimplexEngine`] that forwards to `inner` and checks around *every*
+/// trait call that the call crossed the link at most once in each direction
+/// and launched at most once — an install exactly once upward with
+/// `8(4n + 4m)` bytes and one launch chain, a pivot or a bound flip one
+/// launch and no crossing, a scalar gather no launch at all.
 struct LinkChecked<E> {
     inner: E,
     accel: Accel,
@@ -87,19 +109,50 @@ struct LinkChecked<E> {
 }
 
 impl<E: SimplexEngine> LinkChecked<E> {
-    fn call<R>(&mut self, what: &str, f: impl FnOnce(&mut E) -> R) -> (R, [u64; 2], u64) {
+    fn call<R>(&mut self, what: &str, f: impl FnOnce(&mut E) -> R) -> (R, Grew) {
         let inner = &mut self.inner;
-        crossing(&self.accel, what, || f(inner))
+        let (out, grew) = crossing(&self.accel, what, || f(inner));
+        assert!(
+            grew.launches <= 1,
+            "{what} launched {} kernels",
+            grew.launches
+        );
+        (out, grew)
     }
 
     fn checked<R>(&mut self, what: &str, f: impl FnOnce(&mut E) -> R) -> R {
         self.call(what, f).0
     }
 
-    /// A call whose scalars ride its kernels: no crossing at all.
-    fn on_device<R>(&mut self, what: &str, f: impl FnOnce(&mut E) -> R) -> R {
-        let (out, grew, _) = self.call(what, f);
-        assert_eq!(grew, [0, 0], "{what} crossed the link");
+    /// A call that is exactly one launch chain; an error (a refused
+    /// argument, a singular basis) may have launched nothing.
+    fn one_launch<R>(
+        &mut self,
+        what: &str,
+        f: impl FnOnce(&mut E) -> LpResult<R>,
+    ) -> (LpResult<R>, Grew) {
+        let (out, grew) = self.call(what, f);
+        if out.is_ok() {
+            assert_eq!(grew.launches, 1, "{what}: one launch chain");
+        }
+        (out, grew)
+    }
+
+    fn launched<R>(&mut self, what: &str, f: impl FnOnce(&mut E) -> LpResult<R>) -> LpResult<R> {
+        self.one_launch(what, f).0
+    }
+
+    /// One launch chain, its scalars riding the kernels: no crossing at all.
+    fn on_device<R>(&mut self, what: &str, f: impl FnOnce(&mut E) -> LpResult<R>) -> LpResult<R> {
+        let (out, grew) = self.one_launch(what, f);
+        assert_eq!(grew.link, [0, 0], "{what} crossed the link");
+        out
+    }
+
+    /// A read-back of values already on the device: no kernel runs for it.
+    fn gathered<R>(&mut self, what: &str, f: impl FnOnce(&mut E) -> R) -> R {
+        let (out, grew) = self.call(what, f);
+        assert_eq!(grew.launches, 0, "{what} launched a kernel");
         out
     }
 }
@@ -119,10 +172,18 @@ impl<E: SimplexEngine> SimplexEngine for LinkChecked<E> {
     }
     fn install(&mut self, view: ProblemView<'_>, basis: &Basis) -> LpResult<()> {
         let (m, n) = (self.m(), self.n());
-        let (out, grew, bytes) = self.call("install", |e| e.install(view, basis));
+        let (out, grew) = self.one_launch("install", |e| e.install(view, basis));
         out?;
-        assert_eq!(grew, [1, 0], "install: one staged upload, nothing back");
-        assert_eq!(bytes, 8 * (4 * n + 4 * m) as u64, "install payload");
+        assert_eq!(
+            grew.link,
+            [1, 0],
+            "install: one staged upload, nothing back"
+        );
+        assert_eq!(
+            grew.h2d_bytes,
+            8 * (4 * n + 4 * m) as u64,
+            "install payload"
+        );
         self.seen[0] += 1;
         Ok(())
     }
@@ -131,7 +192,7 @@ impl<E: SimplexEngine> SimplexEngine for LinkChecked<E> {
         self.checked("append_cut", |e| e.append_cut(row, col))
     }
     fn price(&mut self) -> LpResult<Option<(usize, f64)>> {
-        self.checked("price", |e| e.price())
+        self.launched("price", |e| e.price())
     }
     fn reduced_costs_host(&mut self) -> LpResult<Vec<f64>> {
         self.checked("reduced_costs_host", |e| e.reduced_costs_host())
@@ -140,7 +201,7 @@ impl<E: SimplexEngine> SimplexEngine for LinkChecked<E> {
         self.on_device("ftran_column", |e| e.ftran_column(q))
     }
     fn alpha_entry(&mut self, i: usize) -> LpResult<f64> {
-        self.checked("alpha_entry", |e| e.alpha_entry(i))
+        self.gathered("alpha_entry", |e| e.alpha_entry(i))
     }
     fn ratio_test(&mut self, dir: f64, tol: f64) -> LpResult<Option<(usize, f64, bool)>> {
         self.checked("ratio_test", |e| e.ratio_test(dir, tol))
@@ -154,10 +215,10 @@ impl<E: SimplexEngine> SimplexEngine for LinkChecked<E> {
         self.on_device("apply_pivot", |e| e.apply_pivot(plan))
     }
     fn basic_values(&mut self) -> LpResult<Vec<f64>> {
-        self.checked("basic_values", |e| e.basic_values())
+        self.gathered("basic_values", |e| e.basic_values())
     }
     fn basic_entry(&mut self, i: usize) -> LpResult<f64> {
-        self.checked("basic_entry", |e| e.basic_entry(i))
+        self.gathered("basic_entry", |e| e.basic_entry(i))
     }
     fn primal_infeas(&mut self, tol: f64) -> LpResult<Option<(usize, f64, bool)>> {
         self.checked("primal_infeas", |e| e.primal_infeas(tol))
@@ -166,10 +227,10 @@ impl<E: SimplexEngine> SimplexEngine for LinkChecked<E> {
         self.on_device("btran_row", |e| e.btran_row(r))
     }
     fn dual_ratio(&mut self, leaving_below: bool, tol: f64) -> LpResult<Option<(usize, f64)>> {
-        self.checked("dual_ratio", |e| e.dual_ratio(leaving_below, tol))
+        self.launched("dual_ratio", |e| e.dual_ratio(leaving_below, tol))
     }
     fn alpha_r_entry(&mut self, j: usize) -> LpResult<f64> {
-        self.checked("alpha_r_entry", |e| e.alpha_r_entry(j))
+        self.gathered("alpha_r_entry", |e| e.alpha_r_entry(j))
     }
     fn btran_row_host(&mut self, r: usize) -> LpResult<Vec<f64>> {
         self.checked("btran_row_host", |e| e.btran_row_host(r))
@@ -266,10 +327,10 @@ fn dense_and_csr_engines_root_branch_cut() {
     assert_eq!(
         got,
         [
-            "optimal=125 iters=146 peak=3440 allocs=4436 used=0 launches=3123 h2d=253/397808 d2h=870/13744 ns=418148f286789aed",
-            "optimal=125 iters=146 peak=3144 allocs=4184 used=0 launches=2871 h2d=253/397520 d2h=870/13744 ns=418052e208b3c4e1",
-            "optimal=125 iters=145 peak=3440 allocs=4317 used=0 launches=3020 h2d=253/397808 d2h=887/14008 ns=4180f919e07f6e98",
-            "optimal=125 iters=145 peak=3144 allocs=4065 used=0 launches=2768 h2d=253/397520 d2h=887/14008 ns=41800309a4383d31",
+            "optimal=125 iters=146 peak=3440 allocs=4436 used=0 launches=1187 h2d=253/397808 d2h=870/13744 ns=4173cca50cf13568",
+            "optimal=125 iters=146 peak=3144 allocs=4184 used=0 launches=1187 h2d=253/397520 d2h=870/13744 ns=4173ccb411678a0a",
+            "optimal=125 iters=145 peak=3440 allocs=4317 used=0 launches=1221 h2d=253/397808 d2h=887/14008 ns=41743887c0fedcb7",
+            "optimal=125 iters=145 peak=3144 allocs=4065 used=0 launches=1221 h2d=253/397520 d2h=887/14008 ns=4174389748707a9e",
         ]
     );
 }
@@ -315,10 +376,10 @@ fn a_superstep_crosses_the_link_at_most_once_each_way() {
     }
     let mut supersteps = 0;
     while wave.any_busy() {
-        let ((), grew, _) = crossing(&accel, "superstep", || {
+        let ((), grew) = crossing(&accel, "superstep", || {
             wave.superstep();
         });
-        staged += grew[0] + grew[1];
+        staged += grew.link[0] + grew.link[1];
         supersteps += 1;
     }
     // The rule had something to pack: far more lane transfers than crossings.
@@ -348,7 +409,7 @@ fn two_engines_share_one_device() {
             r.waves,
             ledger_pin(&accel)
         ),
-        "obj=4008000000000000 nodes=1113 waves=557 peak=13880 allocs=45554 used=0 launches=39655 h2d=1899/3345920 d2h=12395/238808 ns=41b3de2da3a4f91b"
+        "obj=4008000000000000 nodes=1113 waves=557 peak=13880 allocs=45554 used=0 launches=16197 h2d=1899/3345920 d2h=12395/238808 ns=41aed873d1999992"
     );
 }
 
@@ -380,6 +441,6 @@ fn four_rank_cluster() {
             m.counter("gpu.transfer.ns").to_bits(),
             r.stats.makespan_ns.to_bits(),
         ),
-        "obj=409aec0000000000 nodes=1295 peak=2520 launches=34532 h2d=4062656 d2h=152104 kernel_ns=41b077751b1eb72a transfer_ns=419ec23878000082 makespan=419938f5c6d39dc7"
+        "obj=409aec0000000000 nodes=1295 peak=2520 launches=13230 h2d=4062656 d2h=152104 kernel_ns=41993c766c7ae1e6 transfer_ns=419ec23878000083 makespan=418d72e87222204a"
     );
 }
