@@ -1,0 +1,36 @@
+#!/usr/bin/env bash
+# Non-test Rust lines per crate, and a cap on any one source file.
+#
+# A file's non-test lines are those above its inline `#[cfg(test)] mod … {`;
+# a `tests.rs` (declared `#[cfg(test)] mod tests;` by its parent) has none.
+# Prints a Markdown table (to $GITHUB_STEP_SUMMARY when set, else stdout)
+# and fails if any file under crates/*/src is longer than the cap, tests
+# included — a file that size wants splitting whatever is in it.
+set -euo pipefail
+cap=${1:-1600}
+out=${GITHUB_STEP_SUMMARY:-/dev/stdout}
+fail=0
+{
+  echo "| crate | files | non-test lines | largest file | lines |"
+  echo "|---|---:|---:|---|---:|"
+} >> "$out"
+for dir in crates/*/src; do
+  files=0 total=0 largest="" largest_lines=0
+  while IFS= read -r f; do
+    lines=$(wc -l < "$f")
+    if [ "$(basename "$f")" = tests.rs ]; then
+      code=0
+    else
+      code=$(awk 'prev ~ /^#\[cfg\(test\)\]/ && /^mod [a-z_]+ \{/ { print NR - 2; done = 1; exit }
+                  { prev = $0 } END { if (!done) print NR }' "$f")
+    fi
+    files=$((files + 1)) total=$((total + code))
+    if [ "$lines" -gt "$largest_lines" ]; then largest=$f largest_lines=$lines; fi
+    if [ "$lines" -gt "$cap" ]; then
+      echo "::error file=$f::$lines lines, over the $cap-line cap: split it by concern"
+      fail=1
+    fi
+  done < <(find "$dir" -name '*.rs' | sort)
+  echo "| $(basename "$(dirname "$dir")") | $files | $total | ${largest#"$dir"/} | $largest_lines |" >> "$out"
+done
+exit $fail

@@ -70,8 +70,8 @@ pub fn run() -> String {
         dev.with(|d| -> Result<(), gmip_gpu::GpuError> {
             let ah = d.upload_sparse(&sparse, S)?;
             let bh = d.upload_vector(&b, S)?;
-            let f = d.sparse_lu_factor(ah, S)?;
-            let x = d.sparse_solve(f, bh, S)?;
+            let f = d.lu_factor(ah, S)?;
+            let x = d.lu_solve(f, bh, S)?;
             d.download_vector(x, S)?;
             Ok(())
         })

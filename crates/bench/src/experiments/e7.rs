@@ -147,7 +147,7 @@ pub fn run() -> String {
         let dev = gpu(1 << 30);
         dev.with(|d| {
             let h = d.upload_sparse(&sp, S)?;
-            d.sparse_lu_factor(h, S)
+            d.lu_factor(h, S)
         })
         .expect("sparse LU");
         let s = dev.stats();

@@ -12,11 +12,11 @@ use crate::config::{MipConfig, PolicyKind};
 use crate::cut::{self, Cut};
 use crate::heur;
 use crate::search::{self, Incumbent, NodeHook, PropCharge, Rules, Verdict};
-use gmip_gpu::{Accel, DeviceStats, DEFAULT_STREAM};
+use gmip_gpu::{Accel, DeviceStats, Storage, DEFAULT_STREAM};
 use gmip_linalg::DenseMatrix;
 use gmip_lp::{
     Basis, BoundChange, CertKind, DeviceSimplex, LpCertificate, LpError, LpResult, LpSolution,
-    LpSolver, LpStatus, MatrixStorage, SimplexEngine, StandardLp,
+    LpSolver, LpStatus, SimplexEngine, StandardLp,
 };
 use gmip_problems::MipInstance;
 use gmip_trace::{names, Event, MetricsRegistry, Track};
@@ -195,7 +195,7 @@ impl MipSolver<gmip_lp::HostEngine> {
     }
 }
 
-impl<M: MatrixStorage + 'static> MipSolver<DeviceSimplex<M>> {
+impl<M: Storage + 'static> MipSolver<DeviceSimplex<M>> {
     /// A solver whose LPs run on the given accelerator (any strategy plan
     /// whose LP executor is a single device), with the matrix resident as
     /// `M`: `MipSolver::<DeviceEngine>` runs the dense kernel set,

@@ -1,0 +1,704 @@
+//! The simulated GPU device.
+//!
+//! A [`GpuDevice`] owns device "memory" (byte-accounted; payloads live in
+//! host RAM since this is a simulator), a set of [`stream`](crate::stream)
+//! timelines, and cumulative [`DeviceStats`]. Every operation:
+//!
+//! 1. performs the *real* numerics by calling into `gmip-linalg`,
+//! 2. charges simulated time from the [`CostModel`] onto a stream, and
+//! 3. updates transfer/launch counters.
+//!
+//! The same type serves as the "CPU backend": construct it with
+//! [`CostModel::cpu_host`] and a large memory capacity, and host execution
+//! is simulated under the same accounting. This mirrors the paper's framing,
+//! where CPU and GPU execution differ in relative costs, not in kind.
+//!
+//! The kernel set is deliberately shaped around what a GPU-resident revised
+//! simplex needs (Section 5.1): basis gather, LU factor/solve, eta-file
+//! FTRAN/BTRAN, fused pricing, and masked argmin/ratio-test reductions that
+//! return only a scalar to the host. It is split by concern:
+//!
+//! * this module — the device itself: handles, charging (transfers, kernel
+//!   launches, launch chains, batched waves) and memory tenancy;
+//! * [`storage`] — the kernels that read the constraint matrix or a
+//!   factored basis, each written once over a [`Storage`];
+//! * `simplex` — the vector kernels of an iteration: ratio tests, Devex,
+//!   the masked reductions.
+
+mod simplex;
+pub mod storage;
+#[cfg(test)]
+mod tests;
+
+pub use storage::Storage;
+
+use crate::cost::CostModel;
+use crate::memory::{DeviceMemory, OutOfMemory};
+use crate::objects::{BufferPool, Obj, ObjectTable};
+use crate::stats::{DeviceStats, Ledger, Series};
+use crate::stream::{Event as StreamEvent, StreamId, StreamSet};
+use gmip_linalg::{CsrMatrix, DenseMatrix, LinalgError};
+use gmip_trace::{Event, MetricsRegistry, Track, TrackGroup};
+use std::marker::PhantomData;
+
+/// Errors surfaced by device operations.
+#[derive(Debug, Clone, PartialEq)]
+pub enum GpuError {
+    /// Device memory exhausted.
+    Oom(OutOfMemory),
+    /// A handle did not refer to a live object of the expected kind.
+    InvalidHandle(u64),
+    /// The underlying numerical kernel failed.
+    Linalg(LinalgError),
+}
+
+impl std::fmt::Display for GpuError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            GpuError::Oom(o) => write!(f, "{o}"),
+            GpuError::InvalidHandle(h) => write!(f, "invalid device handle {h}"),
+            GpuError::Linalg(e) => write!(f, "kernel failure: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for GpuError {}
+
+impl From<OutOfMemory> for GpuError {
+    fn from(e: OutOfMemory) -> Self {
+        GpuError::Oom(e)
+    }
+}
+
+impl From<LinalgError> for GpuError {
+    fn from(e: LinalgError) -> Self {
+        GpuError::Linalg(e)
+    }
+}
+
+/// Device-operation result alias.
+pub type Result<T> = std::result::Result<T, GpuError>;
+
+/// An index a kernel was handed that its vector does not have.
+fn out_of_bounds(index: usize, bound: usize) -> GpuError {
+    GpuError::Linalg(LinalgError::OutOfBounds { index, bound })
+}
+
+/// The default stream (stream 0), always present.
+pub const DEFAULT_STREAM: StreamId = 0;
+
+/// A scalar store `vector[index] = value` that rides a kernel launch as an
+/// argument (see [`GpuDevice::basic_step`]): the host names a position and a
+/// value, the kernel writes it, and nothing crosses the link for it.
+pub type ScalarWrite = (VectorHandle, usize, f64);
+
+macro_rules! handle_type {
+    ($(#[$doc:meta])* $name:ident $(<$storage:ident>)?) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub struct $name$(<$storage>)?(pub(crate) u64 $(, pub(crate) PhantomData<$storage>)?);
+
+        impl$(<$storage>)? From<$name$(<$storage>)?> for u64 {
+            /// The raw object id, as [`GpuDevice::free`] and
+            /// [`GpuDevice::vacate`] take it.
+            fn from(h: $name$(<$storage>)?) -> u64 {
+                h.0
+            }
+        }
+    };
+}
+
+handle_type!(
+    /// Handle to a device-resident dense matrix.
+    MatrixHandle
+);
+handle_type!(
+    /// Handle to a device-resident dense vector.
+    VectorHandle
+);
+handle_type!(
+    /// Handle to a device-resident CSR sparse matrix.
+    SparseHandle
+);
+handle_type!(
+    /// Handle to device-resident LU factors of a matrix held as `S`: dense
+    /// LU over a [`MatrixHandle`], sparse LU over a [`SparseHandle`].
+    Factors<S>
+);
+handle_type!(
+    /// Handle to a device-resident eta file (PFI basis representation) over
+    /// a matrix held as `S`: the storage's LU of the initial basis plus the
+    /// eta updates since.
+    Eta<S>
+);
+
+/// Handle to device-resident dense LU factors.
+pub type FactorHandle = Factors<MatrixHandle>;
+/// Handle to device-resident sparse LU factors.
+pub type SparseFactorHandle = Factors<SparseHandle>;
+/// Handle to a device-resident eta file over dense LU.
+pub type EtaHandle = Eta<MatrixHandle>;
+/// Handle to a device-resident sparse eta file (sparse LU base + eta
+/// updates — the sparse code path's basis representation).
+pub type SparseEtaHandle = Eta<SparseHandle>;
+handle_type!(
+    /// Handle to a raw byte allocation (used to account for non-matrix
+    /// structures parked in device memory, e.g. the B&B tree in Strategy 1).
+    RawHandle
+);
+
+/// Configuration of a simulated device.
+#[derive(Debug, Clone)]
+pub struct DeviceConfig {
+    /// Cost model charged for every operation.
+    pub cost: CostModel,
+    /// Device memory capacity in bytes.
+    pub mem_capacity: usize,
+    /// Initial number of streams.
+    pub streams: usize,
+}
+
+impl DeviceConfig {
+    /// A data-center GPU with `gib` GiB of memory on PCIe.
+    pub fn gpu(gib: usize) -> Self {
+        Self {
+            cost: CostModel::gpu_pcie(),
+            mem_capacity: gib << 30,
+            streams: 1,
+        }
+    }
+
+    /// A host CPU "device": cpu cost model, effectively unbounded memory.
+    pub fn cpu() -> Self {
+        Self {
+            cost: CostModel::cpu_host(),
+            mem_capacity: usize::MAX / 2,
+            streams: 1,
+        }
+    }
+}
+
+/// A simulated accelerator device.
+///
+/// Simulating an operation is meant to cost next to nothing beside the
+/// numerics it stands for, so the bookkeeping is O(1) and allocation-free:
+///
+/// * the `gpu.*` series live in a fixed-slot ledger bumped by index and
+///   turned into a [`MetricsRegistry`] / [`DeviceStats`] only when
+///   [`metrics`](Self::metrics) / [`stats`](Self::stats) are read;
+/// * handles index a generation-checked slab, so a lookup never hashes and
+///   a stale or wrong-typed handle is still [`GpuError::InvalidHandle`];
+/// * the host buffers behind freed device vectors are recycled through a
+///   small bounded pool that handle-returning kernels and uploads draw from;
+/// * the simplex kernels write *resident* objects in place: a vector made
+///   by [`vacant_vector`](Self::vacant_vector) (an eta file made by
+///   [`vacant_eta`](Self::vacant_eta)) keeps its handle and host storage
+///   for life, a kernel's result moves in as its *tenant*, and
+///   [`vacate`](Self::vacate) moves the tenant out. Re-tenanting charges
+///   [`DeviceMemory`] what creating and freeing an object did — an
+///   allocation of the result's length, then the release of the tenant it
+///   replaces — while the host creates nothing
+///   ([`objects_created`](Self::objects_created) stands still).
+///
+/// None of this is visible in simulated time, counters or device bytes:
+/// [`DeviceMemory`] models every object as if its buffer were fresh.
+#[derive(Debug)]
+pub struct GpuDevice {
+    cost: CostModel,
+    mem: DeviceMemory,
+    streams: StreamSet,
+    ledger: Ledger,
+    track: TrackGroup,
+    objects: ObjectTable,
+    pool: BufferPool,
+    /// Scratch for kernels that need a temporary beside their result.
+    work: Vec<f64>,
+    /// Whether a launch chain is open, and whether it has launched.
+    chain: Chain,
+}
+
+/// Where the device stands in a launch chain ([`GpuDevice::chain`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Chain {
+    /// No chain: every kernel is a launch of its own.
+    Closed,
+    /// Inside a chain that has not launched yet.
+    Open,
+    /// Inside a chain whose launch has been paid.
+    Launched,
+}
+
+impl GpuDevice {
+    /// Creates a device from a configuration.
+    pub fn new(config: DeviceConfig) -> Self {
+        Self {
+            cost: config.cost,
+            mem: DeviceMemory::new(config.mem_capacity),
+            streams: StreamSet::new(config.streams),
+            ledger: Ledger::default(),
+            track: TrackGroup::Gpu(0),
+            objects: ObjectTable::default(),
+            pool: BufferPool::default(),
+            work: Vec::new(),
+            chain: Chain::Closed,
+        }
+    }
+
+    /// The device's cost model.
+    pub fn cost_model(&self) -> &CostModel {
+        &self.cost
+    }
+
+    /// Memory accounting view.
+    pub fn memory(&self) -> &DeviceMemory {
+        &self.mem
+    }
+
+    /// Cumulative operation counters, read straight off the ledger.
+    pub fn stats(&self) -> DeviceStats {
+        self.ledger.stats()
+    }
+
+    /// The device's metrics (counters/gauges under the `gpu.*` names of
+    /// [`gmip_trace::names`]), materialized from the ledger: exactly the
+    /// series charged so far, each with the bits a registry updated per
+    /// operation would hold.
+    pub fn metrics(&self) -> MetricsRegistry {
+        self.ledger.to_registry()
+    }
+
+    /// Device objects ever created — uploads, handle-returning kernel
+    /// results, factorizations, raw reservations, vacant residents. A
+    /// host-side count that modelled memory knows nothing of: in-place
+    /// kernels exist so that a warm simplex iteration does not move it.
+    pub fn objects_created(&self) -> u64 {
+        self.objects.created()
+    }
+
+    /// Host bytes held by the recycling pool of freed vector buffers —
+    /// bounded by a constant times the largest vector the device has seen.
+    /// Says nothing about modelled device memory (see [`Self::memory`]).
+    pub fn pool_retained_bytes(&self) -> usize {
+        self.pool.retained_bytes()
+    }
+
+    /// Assigns the trace track group this device's spans land on (which
+    /// GPU index, or the host group for a CPU executor). Defaults to
+    /// `TrackGroup::Gpu(0)`.
+    pub fn set_trace_group(&mut self, group: TrackGroup) {
+        self.track = group;
+    }
+
+    /// Simulated time at the device completion frontier, ns.
+    pub fn elapsed_ns(&self) -> f64 {
+        self.streams.frontier()
+    }
+
+    /// Creates an additional stream; returns its id.
+    pub fn create_stream(&mut self) -> StreamId {
+        self.streams.create()
+    }
+
+    /// Records an event on `stream`.
+    pub fn record_event(&self, stream: StreamId) -> StreamEvent {
+        self.streams.record(stream)
+    }
+
+    /// Synchronizes all streams; returns the joined timestamp.
+    pub fn synchronize(&mut self) -> f64 {
+        let t = self.streams.sync();
+        self.ledger.incr(Series::Syncs, 1.0);
+        let track = self.track;
+        gmip_trace::record(|| {
+            Event::instant(
+                Track {
+                    group: track,
+                    lane: 0,
+                },
+                "sync",
+                t,
+            )
+        });
+        t
+    }
+
+    // ---- internal plumbing ----
+
+    /// Modelled allocation: every tenant of device memory pays it, and the
+    /// peak gauge follows.
+    #[inline]
+    fn alloc(&mut self, bytes: usize) -> Result<()> {
+        self.mem.alloc(bytes)?;
+        self.ledger
+            .max_gauge(Series::MemPeakBytes, self.mem.used() as f64);
+        Ok(())
+    }
+
+    fn insert(&mut self, obj: Obj, bytes: usize) -> Result<u64> {
+        self.alloc(bytes)?;
+        Ok(self.objects.insert(obj, bytes, true))
+    }
+
+    /// Runs a kernel whose result is resident vector `out`. `kernel` fills
+    /// the vector's detached storage (last argument; the one before is the
+    /// device's scratch) while it reads other objects, and returns what
+    /// `charge` needs; the result then moves in as `out`'s tenant. A kernel
+    /// that fails leaves `out` unreadable, still accounting for whatever
+    /// tenant it had.
+    fn write_vector<T>(
+        &mut self,
+        out: VectorHandle,
+        kernel: impl FnOnce(&ObjectTable, &mut Vec<f64>, &mut Vec<f64>) -> Result<T>,
+        charge: impl FnOnce(&mut Self, T),
+    ) -> Result<()> {
+        let mut buf = self.objects.detach(out)?;
+        match kernel(&self.objects, &mut self.work, &mut buf) {
+            Ok(t) => {
+                charge(self, t);
+                self.settle(out, buf)
+            }
+            Err(e) => {
+                self.objects.attach(out, buf, None);
+                Err(e)
+            }
+        }
+    }
+
+    /// Moves `buf` in as the tenant of resident vector `out`, the way the
+    /// ledger saw one kernel result supersede another: a modelled
+    /// allocation of its length, then the release of the tenant it replaces.
+    #[inline]
+    fn settle(&mut self, out: VectorHandle, buf: Vec<f64>) -> Result<()> {
+        let bytes = buf.len() * 8;
+        match self.alloc(bytes) {
+            Ok(()) => {
+                let replaced = self.objects.attach(out, buf, Some(bytes));
+                self.mem.free(replaced);
+                Ok(())
+            }
+            Err(e) => {
+                self.objects.attach(out, buf, None);
+                Err(e)
+            }
+        }
+    }
+
+    /// Installs a kernel's result vector as a new device object.
+    fn insert_vector(&mut self, v: Vec<f64>) -> Result<VectorHandle> {
+        let bytes = v.len() * 8;
+        Ok(VectorHandle(self.insert(Obj::Vector(v), bytes)?))
+    }
+
+    /// Emits a span for an operation that occupied `[done - t, done)` on
+    /// `stream` (`enqueue` returns the stream's new completion frontier, so
+    /// the span start is recovered by subtracting the charged cost).
+    fn trace_span(&self, name: &'static str, stream: StreamId, done: f64, t: f64, bytes: f64) {
+        let track = Track {
+            group: self.track,
+            lane: stream as u32,
+        };
+        gmip_trace::record(|| {
+            Event::complete(track, name, done - t, t).arg("bytes", bytes.max(0.0) as u64)
+        });
+    }
+
+    fn charge_h2d(&mut self, bytes: usize, stream: StreamId) {
+        let t = self.cost.transfer_ns(bytes);
+        let done = self.streams.enqueue(stream, t);
+        self.ledger.incr(Series::H2dTransfers, 1.0);
+        self.ledger.incr(Series::H2dBytes, bytes as f64);
+        self.ledger.incr(Series::TransferNs, t);
+        self.trace_span("h2d", stream, done, t, bytes as f64);
+    }
+
+    fn charge_d2h(&mut self, bytes: usize, stream: StreamId) {
+        let t = self.cost.transfer_ns(bytes);
+        let done = self.streams.enqueue(stream, t);
+        self.ledger.incr(Series::D2hTransfers, 1.0);
+        self.ledger.incr(Series::D2hBytes, bytes as f64);
+        self.ledger.incr(Series::TransferNs, t);
+        self.trace_span("d2h", stream, done, t, bytes as f64);
+    }
+
+    /// Runs `kernels` as one **launch chain**: the kernels it charges back
+    /// to back are issued as a single launch (a captured graph, a persistent
+    /// kernel — Section 5.1's "repeatedly … with no data transfer"). The
+    /// first pays the launch latency and counts as the chain's one launch;
+    /// each later one is charged its roofline body only. Flops, bytes, span
+    /// names, transfers and modelled memory are those of the kernels
+    /// launched one by one. The scope closes when `kernels` returns,
+    /// whatever it returns.
+    pub fn chain<R>(&mut self, kernels: impl FnOnce(&mut Self) -> R) -> R {
+        let outer = std::mem::replace(&mut self.chain, Chain::Open);
+        let out = kernels(self);
+        self.chain = outer;
+        out
+    }
+
+    /// Charges one kernel of `fl` flops at `flops_per_ns` over `bytes`: a
+    /// launch through the device's issue queue, unless it continues a chain.
+    fn charge_kernel(
+        &mut self,
+        name: &'static str,
+        fl: f64,
+        bytes: f64,
+        flops_per_ns: f64,
+        stream: StreamId,
+    ) {
+        let body = self.cost.body_ns(fl, bytes, flops_per_ns);
+        let (t, done) = if self.chain == Chain::Launched {
+            (body, self.streams.enqueue(stream, body))
+        } else {
+            let t = self.cost.launch_latency_ns + body;
+            self.ledger.incr(Series::KernelLaunches, 1.0);
+            (t, self.launch(stream, t))
+        };
+        self.ledger.incr(Series::KernelFlops, fl);
+        self.ledger.incr(Series::KernelNs, t);
+        self.trace_span(name, stream, done, t, bytes);
+    }
+
+    /// Issues a launch of total duration `t` on `stream`; an open chain has
+    /// had its launch from here on.
+    fn launch(&mut self, stream: StreamId, t: f64) -> f64 {
+        if self.chain == Chain::Open {
+            self.chain = Chain::Launched;
+        }
+        self.streams.launch(stream, t, self.cost.launch_latency_ns)
+    }
+
+    /// The flop throughput a kernel is charged against: the device's
+    /// sparse rate (irregular gather/scatter access, Section 5.4) or its
+    /// dense one.
+    #[inline]
+    fn flops_per_ns(&self, sparse: bool) -> f64 {
+        if sparse {
+            self.cost.sparse_flops_per_ns
+        } else {
+            self.cost.dense_flops_per_ns
+        }
+    }
+
+    fn charge_dense_kernel(&mut self, name: &'static str, fl: f64, bytes: f64, stream: StreamId) {
+        self.charge_kernel(name, fl, bytes, self.cost.dense_flops_per_ns, stream);
+    }
+
+    /// Charges a host↔device transfer of `bytes` without moving payload —
+    /// used to model data movement of structures the simulator does not
+    /// materialize (e.g. Strategy 1 spilling tree nodes to the host when
+    /// device memory fills).
+    pub fn charge_transfer(&mut self, bytes: usize, h2d: bool, stream: StreamId) {
+        if h2d {
+            self.charge_h2d(bytes, stream);
+        } else {
+            self.charge_d2h(bytes, stream);
+        }
+    }
+
+    /// Charges an arbitrary modeled computation to this executor without
+    /// moving data — used to account for host-side work (cut generation,
+    /// heuristics) whose numerics run outside the kernel set, and for
+    /// modeling distributed collectives in the Big-MIP strategy.
+    pub fn charge_custom(&mut self, flops: f64, bytes: f64, sparse: bool, stream: StreamId) {
+        let rate = self.flops_per_ns(sparse);
+        self.charge_kernel("custom", flops, bytes, rate, stream);
+    }
+
+    // ---- memory & transfer operations ----
+
+    /// Uploads a dense matrix to the device (one H2D transfer).
+    pub fn upload_matrix(&mut self, m: &DenseMatrix, stream: StreamId) -> Result<MatrixHandle> {
+        let bytes = m.size_bytes();
+        let id = self.insert(Obj::Matrix(m.clone()), bytes)?;
+        self.charge_h2d(bytes, stream);
+        Ok(MatrixHandle(id))
+    }
+
+    /// Uploads a dense vector (one H2D transfer).
+    pub fn upload_vector(&mut self, v: &[f64], stream: StreamId) -> Result<VectorHandle> {
+        let mut buf = self.pool.take(v.len());
+        buf.copy_from_slice(v);
+        let h = self.insert_vector(buf)?;
+        self.charge_h2d(std::mem::size_of_val(v), stream);
+        Ok(h)
+    }
+
+    /// Creates a resident device vector with no tenant: a handle and host
+    /// storage for the in-place kernels to write (their `out` argument) and
+    /// [`vacate`](Self::vacate) to empty. It owns no modelled byte until a
+    /// result moves in, and takes the length of whatever does.
+    pub fn vacant_vector(&mut self) -> VectorHandle {
+        VectorHandle(self.objects.insert(Obj::Vector(Vec::new()), 0, false))
+    }
+
+    /// Uploads every `(out, v)` of `parts` into its resident vector as one
+    /// *staged* transfer: the host packs the payloads into one staging
+    /// buffer and the link is crossed once, for the summed bytes. The
+    /// vectors are written and their tenancies settled in list order (each a
+    /// modelled allocation, then the release of the tenant it supersedes),
+    /// and the transfer is charged once every destination exists: a part
+    /// that does not fit leaves the earlier ones uploaded, itself unreadable,
+    /// and the link untouched.
+    pub fn upload_staged(
+        &mut self,
+        parts: &[(VectorHandle, &[f64])],
+        stream: StreamId,
+    ) -> Result<()> {
+        let mut bytes = 0;
+        for &(out, v) in parts {
+            let mut buf = self.objects.detach(out)?;
+            buf.clear();
+            buf.extend_from_slice(v);
+            self.settle(out, buf)?;
+            bytes += std::mem::size_of_val(v);
+        }
+        self.charge_h2d(bytes, stream);
+        Ok(())
+    }
+
+    /// Uploads a CSR sparse matrix (one H2D transfer of values + indices).
+    pub fn upload_sparse(&mut self, m: &CsrMatrix, stream: StreamId) -> Result<SparseHandle> {
+        let bytes = m.size_bytes();
+        let id = self.insert(Obj::Sparse(Box::new(m.clone())), bytes)?;
+        self.charge_h2d(bytes, stream);
+        Ok(SparseHandle(id))
+    }
+
+    /// Reserves raw device bytes without payload (accounting for structures
+    /// like Strategy 1's on-device tree).
+    pub fn alloc_raw(&mut self, bytes: usize) -> Result<RawHandle> {
+        let id = self.insert(Obj::Raw, bytes)?;
+        Ok(RawHandle(id))
+    }
+
+    /// Downloads a device vector (one D2H transfer).
+    pub fn download_vector(&mut self, h: VectorHandle, stream: StreamId) -> Result<Vec<f64>> {
+        let v = self.objects.vector(h)?.clone();
+        self.charge_d2h(std::mem::size_of_val(v.as_slice()), stream);
+        Ok(v)
+    }
+
+    /// Ends the tenancy of a resident object: its modelled bytes are
+    /// released and it answers no read until a kernel writes it again;
+    /// handle and host storage stay. Vacating a vacant object does nothing.
+    pub fn vacate(&mut self, id: impl Into<u64>) -> Result<()> {
+        let id = id.into();
+        let r = self
+            .objects
+            .resident_mut(id)
+            .ok_or(GpuError::InvalidHandle(id))?;
+        self.mem.free(std::mem::take(r.bytes));
+        *r.live = false;
+        Ok(())
+    }
+
+    /// Frees any device object (every handle type converts to its id).
+    pub fn free(&mut self, id: impl Into<u64>) -> Result<()> {
+        let id = id.into();
+        match self.objects.remove(id) {
+            Some((obj, bytes)) => {
+                self.mem.free(bytes);
+                if let Obj::Vector(buf) = obj {
+                    self.pool.put(buf);
+                }
+                Ok(())
+            }
+            None => Err(GpuError::InvalidHandle(id)),
+        }
+    }
+
+    // ---- batched wave launches (Sections 4.3, 5.5) ----
+
+    /// One **fused** batched launch of a wave-kernel class: `per_lane`
+    /// carries the `(flops, bytes)` of each active lane's instance of the
+    /// kernel. The batch pays a single launch latency; execution time is
+    /// the [`CostModel::batched_kernel_ns`] wave model over the worst
+    /// per-lane roofline, and the flop ledger accrues the per-lane sum —
+    /// the Rennich-style amortization of Section 4.3 applied to the
+    /// lockstep node-LP wave of Section 5.5. Returns the charged ns.
+    pub fn batched_wave_kernel(
+        &mut self,
+        name: &'static str,
+        per_lane: &[(f64, f64)],
+        stream: StreamId,
+    ) -> f64 {
+        let rate = self.cost.dense_flops_per_ns;
+        self.batched_wave_kernel_at(name, per_lane.iter().copied(), stream, rate)
+    }
+
+    /// [`Self::batched_wave_kernel`] (`sparse`: [`_sparse`]) for a class
+    /// whose `lanes` instances all cost the same `(flops, bytes)`: charge,
+    /// ledger and trace event are bit for bit those of a `lanes`-long slice
+    /// of that pair, which the caller no longer has to keep.
+    ///
+    /// [`_sparse`]: Self::batched_wave_kernel_sparse
+    pub fn batched_wave_kernel_uniform(
+        &mut self,
+        name: &'static str,
+        lanes: usize,
+        per_lane: (f64, f64),
+        sparse: bool,
+        stream: StreamId,
+    ) -> f64 {
+        let rate = self.flops_per_ns(sparse);
+        self.batched_wave_kernel_at(name, std::iter::repeat_n(per_lane, lanes), stream, rate)
+    }
+
+    /// Shared body of the dense/sparse fused wave launches, parameterized
+    /// by the flop throughput the per-lane roofline charges against.
+    fn batched_wave_kernel_at(
+        &mut self,
+        name: &'static str,
+        per_lane: impl ExactSizeIterator<Item = (f64, f64)> + Clone,
+        stream: StreamId,
+        flops_per_ns: f64,
+    ) -> f64 {
+        let batch = per_lane.len();
+        if batch == 0 {
+            return 0.0;
+        }
+        let per_op_ns = per_lane
+            .clone()
+            .map(|(fl, by)| self.cost.body_ns(fl, by, flops_per_ns))
+            .fold(0.0, f64::max);
+        let t = self.cost.batched_kernel_ns(batch, per_op_ns);
+        let done = self.launch(stream, t);
+        let batch_flops: f64 = per_lane.clone().map(|p| p.0).sum();
+        let batch_bytes: f64 = per_lane.map(|p| p.1).sum();
+        self.ledger.incr(Series::KernelLaunches, 1.0);
+        self.ledger.incr(Series::KernelFlops, batch_flops);
+        self.ledger.incr(Series::KernelNs, t);
+        let track = self.track;
+        gmip_trace::record(|| {
+            Event::complete(
+                Track {
+                    group: track,
+                    lane: stream as u32,
+                },
+                name,
+                done - t,
+                t,
+            )
+            .arg("batch", batch)
+            .arg("bytes", batch_bytes.max(0.0) as u64)
+        });
+        t
+    }
+
+    /// One fused batched launch of a **sparse** wave-kernel class: same
+    /// wave model as [`Self::batched_wave_kernel`], but per-lane flops are
+    /// charged at the device's sparse throughput (irregular gather/scatter
+    /// access, Section 5.4) instead of the dense rate. This is the launch
+    /// shape of the first-order engine's `fo.spmv` / `fo.spmv_t` classes,
+    /// whose cost is proportional to `nnz` rather than to basis size.
+    /// Returns the charged ns.
+    pub fn batched_wave_kernel_sparse(
+        &mut self,
+        name: &'static str,
+        per_lane: &[(f64, f64)],
+        stream: StreamId,
+    ) -> f64 {
+        let rate = self.cost.sparse_flops_per_ns;
+        self.batched_wave_kernel_at(name, per_lane.iter().copied(), stream, rate)
+    }
+}

@@ -44,8 +44,9 @@ pub use backend::{
 };
 pub use cost::CostModel;
 pub use device::{
-    DeviceConfig, EtaHandle, FactorHandle, GpuDevice, GpuError, MatrixHandle, RawHandle,
-    SparseEtaHandle, SparseFactorHandle, SparseHandle, VectorHandle, DEFAULT_STREAM,
+    DeviceConfig, Eta, EtaHandle, FactorHandle, Factors, GpuDevice, GpuError, MatrixHandle,
+    RawHandle, SparseEtaHandle, SparseFactorHandle, SparseHandle, Storage, VectorHandle,
+    DEFAULT_STREAM,
 };
 pub use kernels::{FoArena, FoBlock, FO_BLOCK};
 pub use memory::{DeviceMemory, OutOfMemory};

@@ -19,18 +19,22 @@
 //! answers no read, until a kernel writes it again and its result moves in
 //! (`detach` / `attach`, [`Resident`]). To `DeviceMemory` a re-tenanted
 //! slot is a freed object and a new one; on the host nothing was created.
+//!
+//! The lookups are `#[inline]`: the storage-generic kernels are instantiated
+//! in the crates that call them, where a lookup that is not would be a call
+//! across the crate boundary (3–5 ns on every kernel of a 30 ns pivot step).
 
-use crate::device::{
-    EtaHandle, FactorHandle, GpuError, MatrixHandle, Result, SparseEtaHandle, SparseFactorHandle,
-    SparseHandle, VectorHandle,
-};
+use crate::device::{GpuError, Result, VectorHandle};
 use gmip_linalg::{CsrMatrix, DenseMatrix, EtaFile, LuFactors, SparseEtaFile, SparseLu};
 
 /// Payload of one device object. The wide payloads are boxed: a slot is
 /// sized by the widest variant, and an engine keeps some twenty slots —
 /// mostly vectors — for life.
+///
+/// `pub` in name only, like [`Payload`]: this module is private, and the
+/// sealed half of [`Storage`](crate::device::Storage) has to name both.
 #[derive(Debug)]
-pub(crate) enum Obj {
+pub enum Obj {
     Matrix(DenseMatrix),
     Vector(Vec<f64>),
     Factors(Box<LuFactors>),
@@ -72,6 +76,7 @@ pub(crate) struct ObjectTable {
 
 const INDEX_BITS: u32 = 32;
 
+#[inline]
 fn split(id: u64) -> (usize, u32) {
     (
         (id & u64::from(u32::MAX)) as usize,
@@ -128,6 +133,7 @@ impl ObjectTable {
         Some((obj, slot.bytes))
     }
 
+    #[inline]
     fn get(&self, id: u64) -> Option<&Obj> {
         let (index, generation) = split(id);
         let slot = self.slots.get(index)?;
@@ -137,14 +143,25 @@ impl ObjectTable {
         slot.obj.as_ref()
     }
 
+    /// The payload of the live object `id` names; a handle that is stale
+    /// or names an object of another type than `P` is invalid.
+    pub(crate) fn read<P: Payload>(&self, id: impl Into<u64>) -> Result<&P> {
+        let id = id.into();
+        self.get(id)
+            .and_then(P::of)
+            .ok_or(GpuError::InvalidHandle(id))
+    }
+
     /// The live object `id` names and its modelled byte count, both mutable
     /// (kernels that grow an object in place adjust the count).
+    #[inline]
     pub(crate) fn get_mut(&mut self, id: u64) -> Option<(&mut Obj, &mut usize)> {
         let r = self.resident_mut(id).filter(|r| *r.live)?;
         Some((r.obj, r.bytes))
     }
 
     /// The object `id` names, tenanted or vacant.
+    #[inline]
     pub(crate) fn resident_mut(&mut self, id: u64) -> Option<Resident<'_>> {
         let (index, generation) = split(id);
         let slot = self.slots.get_mut(index)?;
@@ -160,6 +177,7 @@ impl ObjectTable {
 
     /// Resident object `id` for a kernel to write, together with the live
     /// object `source` it reads from.
+    #[inline]
     pub(crate) fn resident_with(&mut self, id: u64, source: u64) -> Option<(Resident<'_>, &Obj)> {
         let ((i, gen_i), (j, gen_j)) = (split(id), split(source));
         let [dst, src] = self.slots.get_disjoint_mut([i, j]).ok()?;
@@ -174,7 +192,14 @@ impl ObjectTable {
         Some((resident, src.obj.as_ref()?))
     }
 
+    /// Payload of a live device vector.
+    #[inline]
+    pub(crate) fn vector(&self, h: VectorHandle) -> Result<&Vec<f64>> {
+        self.read(h)
+    }
+
     /// Mutable payload of a device vector.
+    #[inline]
     pub(crate) fn vector_mut(&mut self, h: VectorHandle) -> Result<&mut Vec<f64>> {
         match self.get_mut(h.0) {
             Some((Obj::Vector(v), _)) => Ok(v),
@@ -186,6 +211,7 @@ impl ObjectTable {
     /// fill while it reads other objects. Until [`attach`](Self::attach)
     /// gives it back `h` answers no read — not even as an input of the
     /// kernel that is writing it.
+    #[inline]
     pub(crate) fn detach(&mut self, h: VectorHandle) -> Result<Vec<f64>> {
         match self.resident_mut(h.0) {
             Some(Resident {
@@ -205,6 +231,7 @@ impl ObjectTable {
     /// bytes of the tenant it replaces are returned; with `None` the
     /// contents are not to be read and the slot keeps accounting for what it
     /// did (returns 0).
+    #[inline]
     pub(crate) fn attach(
         &mut self,
         h: VectorHandle,
@@ -230,29 +257,49 @@ impl ObjectTable {
     }
 }
 
-macro_rules! typed_lookup {
-    ($($name:ident($handle:ty) -> $variant:ident($payload:ty);)*) => {
-        impl ObjectTable {
-            $(
-                pub(crate) fn $name(&self, h: $handle) -> Result<&$payload> {
-                    match self.get(h.0) {
-                        Some(Obj::$variant(x)) => Ok(x),
-                        _ => Err(GpuError::InvalidHandle(h.0)),
+/// A payload type and the [`Obj`] variant that holds it: objects are looked
+/// up by what the caller means to read, and an object of another type is
+/// not there.
+pub trait Payload: Sized {
+    fn of(obj: &Obj) -> Option<&Self>;
+    fn of_mut(obj: &mut Obj) -> Option<&mut Self>;
+    fn into_obj(self) -> Obj;
+}
+
+macro_rules! payloads {
+    ($($variant:ident($payload:ty);)*) => {
+        $(
+            impl Payload for $payload {
+                #[inline]
+                fn of(obj: &Obj) -> Option<&Self> {
+                    match obj {
+                        Obj::$variant(x) => Some(x),
+                        _ => None,
                     }
                 }
-            )*
-        }
+                #[inline]
+                fn of_mut(obj: &mut Obj) -> Option<&mut Self> {
+                    match obj {
+                        Obj::$variant(x) => Some(x),
+                        _ => None,
+                    }
+                }
+                fn into_obj(self) -> Obj {
+                    Obj::$variant(self.into())
+                }
+            }
+        )*
     };
 }
 
-typed_lookup! {
-    matrix(MatrixHandle) -> Matrix(DenseMatrix);
-    vector(VectorHandle) -> Vector(Vec<f64>);
-    factors(FactorHandle) -> Factors(LuFactors);
-    sparse(SparseHandle) -> Sparse(CsrMatrix);
-    sparse_factors(SparseFactorHandle) -> SparseFactors(SparseLu);
-    eta(EtaHandle) -> Eta(EtaFile);
-    sparse_eta(SparseEtaHandle) -> SparseEta(SparseEtaFile);
+payloads! {
+    Matrix(DenseMatrix);
+    Vector(Vec<f64>);
+    Factors(LuFactors);
+    Sparse(CsrMatrix);
+    SparseFactors(SparseLu);
+    Eta(EtaFile);
+    SparseEta(SparseEtaFile);
 }
 
 /// Bounded pool of host buffers recycled from freed device vectors.
@@ -325,7 +372,7 @@ mod tests {
         assert!(t.vector(VectorHandle(a)).is_err());
         assert_eq!(t.vector(VectorHandle(b)).unwrap(), &vec![2.0]);
         // Wrong type.
-        assert!(t.matrix(MatrixHandle(b)).is_err());
+        assert!(t.read::<DenseMatrix>(b).is_err());
         // Ids that were never issued.
         assert!(t.remove(0).is_none());
         assert!(t.remove(u64::MAX).is_none());

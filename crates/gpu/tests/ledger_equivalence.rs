@@ -7,12 +7,82 @@
 //! must carry the same keys and the same bits.
 
 use gmip_gpu::cost::flops;
+use gmip_gpu::device::storage::Class;
 use gmip_gpu::{
-    DeviceConfig, DeviceStats, GpuDevice, GpuError, SparseHandle, VectorHandle, DEFAULT_STREAM,
+    DeviceConfig, DeviceStats, Eta, GpuDevice, GpuError, MatrixHandle, SparseHandle, Storage,
+    VectorHandle, DEFAULT_STREAM,
 };
-use gmip_linalg::{CsrMatrix, DenseMatrix};
+use gmip_linalg::{CsrMatrix, DenseMatrix, SparseLu};
 use gmip_trace::{names, MetricsRegistry};
 use proptest::prelude::*;
+
+/// One storage's share of the fixture: the 3×4 matrix `a`, the square
+/// block of its first three columns, a matrix for cuts to grow, and a
+/// resident eta file with what the reference knows of its tenant.
+#[derive(Clone, Copy)]
+struct Side<M: Storage> {
+    a: M,
+    square: M,
+    cuts: M,
+    /// Rows and columns of `cuts`.
+    cut_shape: (usize, usize),
+    eta: Eta<M>,
+    /// Modelled bytes of the eta file's tenant and the eta updates on it.
+    tenant: Option<(usize, usize)>,
+}
+
+/// Where the reference keeps a storage's [`Side`], and whether it prices
+/// that storage as the sparse one.
+trait Model: Storage {
+    const SPARSE: bool;
+    fn side(ls: &mut Lockstep) -> &mut Side<Self>;
+}
+
+impl Model for MatrixHandle {
+    const SPARSE: bool = false;
+    fn side(ls: &mut Lockstep) -> &mut Side<Self> {
+        &mut ls.dense
+    }
+}
+
+impl Model for SparseHandle {
+    const SPARSE: bool = true;
+    fn side(ls: &mut Lockstep) -> &mut Side<Self> {
+        &mut ls.sparse
+    }
+}
+
+/// The cost model of every class written out by hand, independently of the
+/// device's class table: `(flops, bytes, charged at the sparse rate)` over a
+/// matrix's `(rows, cols, stored entries)`, or a factored basis's
+/// `(dimension, eta updates, stored factor entries)`.
+fn class_cost(sparse: bool, class: Class, r: usize, c: usize, z: usize) -> (f64, usize, bool) {
+    let eta = flops::eta_apply(c, r);
+    match (class, sparse) {
+        (Class::Residual, false) => (flops::gemv(r, c) + r as f64, r * c * 8, false),
+        (Class::Residual, true) => (flops::spmv(z) + r as f64, z * 16, true),
+        (Class::Pricing, false) => (flops::gemv(r, c) + c as f64, r * c * 8, false),
+        (Class::Pricing, true) => (flops::spmv(z) + c as f64, z * 16, true),
+        (Class::ExtractColumn, false) => (0.0, 16 * r, false),
+        (Class::ExtractColumn, true) => (r as f64, 16 * r, true),
+        (Class::Matvec | Class::MatvecTransposed, false) => (flops::gemv(r, c), r * c * 8, false),
+        (Class::Matvec | Class::MatvecTransposed, true) => (flops::spmv(z), z * 16, true),
+        (Class::LuFactor | Class::EtaFactor, false) => (flops::lu(r), r * r * 8, false),
+        (Class::LuFactor | Class::EtaFactor, true) => (flops::sparse_lu(z), z * 16, true),
+        (Class::LuSolve, false) => (flops::lu_solve(r), r * r * 8, false),
+        (Class::LuSolve, true) => (flops::spmv(z), z * 16, true),
+        (Class::EtaFtran | Class::EtaBtran, false) => {
+            (flops::lu_solve(r) + eta, (r * r + c * r) * 8, false)
+        }
+        (Class::EtaFtran | Class::EtaBtran, true) => {
+            (flops::spmv(z) + eta, z * 16 + c * r * 8, true)
+        }
+        // Dense rate on both storages: the eta column is dense.
+        (Class::EtaUpdate, _) => (r as f64, r * 8, false),
+        (Class::AppendCut, false) => (0.0, z * 8, false),
+        (Class::AppendCut, true) => (0.0, z * 16 + 8, true),
+    }
+}
 
 /// The device under test next to the reference bookkeeping.
 struct Lockstep {
@@ -26,8 +96,16 @@ struct Lockstep {
     /// while vacant): the in-place kernels write the first, a staged upload
     /// all three.
     resident: [(VectorHandle, Option<usize>); 3],
-    /// A resident CSR matrix (rows, cols, nnz) for the sparse kernels.
-    sparse: (SparseHandle, usize, usize, usize),
+    /// The same fixture on either storage, for the matrix and factor
+    /// kernel classes.
+    dense: Side<MatrixHandle>,
+    sparse: Side<SparseHandle>,
+    /// Nonzeros of the 3×4 matrix, and of the sparse LU of its square block.
+    nnz: usize,
+    fill: usize,
+    /// Inputs of length 4 and 3 the class kernels read.
+    x4: VectorHandle,
+    x3: VectorHandle,
     used: usize,
     peak: usize,
     largest_vector: usize,
@@ -35,34 +113,64 @@ struct Lockstep {
 
 impl Lockstep {
     fn new() -> Self {
-        let mut dev = GpuDevice::new(DeviceConfig::gpu(1));
-        let dense = DenseMatrix::from_rows(&[
+        let a = DenseMatrix::from_rows(&[
             vec![4.0, 0.0, -1.0, 0.5],
             vec![0.0, 5.0, 0.0, 0.0],
             vec![-1.0, 0.0, 3.0, 0.0],
         ])
         .expect("rectangular rows");
-        let csr = CsrMatrix::from_dense(&dense);
-        let mut reference = MetricsRegistry::new();
-        let bytes = csr.size_bytes();
-        let handle = dev.upload_sparse(&csr, DEFAULT_STREAM).expect("fits");
-        let resident = [(); 3].map(|()| (dev.vacant_vector(), None));
-        reference.max_gauge(names::GPU_MEM_PEAK_BYTES, bytes as f64);
-        let t = dev.cost_model().transfer_ns(bytes);
-        reference.incr(names::GPU_H2D_TRANSFERS, 1.0);
-        reference.incr(names::GPU_H2D_BYTES, bytes as f64);
-        reference.incr(names::GPU_TRANSFER_NS, t);
-        Self {
+        let square = DenseMatrix::from_rows(&[
+            vec![4.0, 0.0, -1.0],
+            vec![0.0, 5.0, 0.0],
+            vec![-1.0, 0.0, 3.0],
+        ])
+        .expect("rectangular rows");
+        let csr = CsrMatrix::from_dense(&a);
+        let csr_square = CsrMatrix::from_dense(&square);
+        fn side<M: Storage>(dev: &mut GpuDevice, a: &DenseMatrix, square: &DenseMatrix) -> Side<M> {
+            let mut upload = |m| M::upload(dev, m, DEFAULT_STREAM).expect("fits");
+            Side {
+                a: upload(a),
+                square: upload(square),
+                cuts: upload(a),
+                cut_shape: (a.rows(), a.cols()),
+                eta: dev.vacant_eta(),
+                tenant: None,
+            }
+        }
+        let mut dev = GpuDevice::new(DeviceConfig::gpu(1));
+        let mut ls = Self {
+            dense: side(&mut dev, &a, &square),
+            sparse: side(&mut dev, &a, &square),
+            nnz: csr.nnz(),
+            fill: SparseLu::factorize(&csr_square.to_csc())
+                .expect("nonsingular")
+                .fill_nnz(),
+            x4: dev
+                .upload_vector(&[1.0, 2.0, -1.0, 0.5], DEFAULT_STREAM)
+                .expect("fits"),
+            x3: dev
+                .upload_vector(&[1.0, -2.0, 3.0], DEFAULT_STREAM)
+                .expect("fits"),
+            resident: [(); 3].map(|()| (dev.vacant_vector(), None)),
             dev,
-            reference,
+            reference: MetricsRegistry::new(),
             live: Vec::new(),
             dead: Vec::new(),
-            resident,
-            sparse: (handle, csr.rows(), csr.cols(), csr.nnz()),
-            used: bytes,
-            peak: bytes,
-            largest_vector: 0,
+            used: 0,
+            peak: 0,
+            largest_vector: 4,
+        };
+        // The fixture's uploads, in the order they were made.
+        let (d, s, sq) = (a.size_bytes(), csr.size_bytes(), csr_square.size_bytes());
+        for bytes in [d, square.size_bytes(), d, s, sq, s, 32, 24] {
+            ls.used += bytes;
+            ls.peak = ls.used;
+            ls.reference
+                .max_gauge(names::GPU_MEM_PEAK_BYTES, ls.used as f64);
+            ls.ref_transfer(bytes, true);
         }
+        ls
     }
 
     fn ref_transfer(&mut self, bytes: usize, h2d: bool) {
@@ -167,7 +275,7 @@ impl Lockstep {
             return;
         }
         let (h, bytes) = self.live.swap_remove(pick % self.live.len());
-        self.dev.free_vector(h).expect("live handle");
+        self.dev.free(h).expect("live handle");
         self.used -= bytes;
         self.dead.push(h);
     }
@@ -203,38 +311,144 @@ impl Lockstep {
         self.ref_retenant(0, n, created);
     }
 
-    /// `spmv` (a new device vector) / `spmv_transposed` (into the resident
-    /// one) against the resident CSR matrix.
-    fn spmv(&mut self, transposed: bool) {
-        let (a, rows, cols, nnz) = self.sparse;
-        let (in_len, out_len) = if transposed {
-            (rows, cols)
+    /// Books a kernel of `class` on storage `M` over the given sizes.
+    fn ref_class<M: Model>(&mut self, class: Class, r: usize, c: usize, z: usize) {
+        let (fl, bytes, sparse_rate) = class_cost(M::SPARSE, class, r, c, z);
+        let cost = self.dev.cost_model();
+        let t = if sparse_rate {
+            cost.sparse_kernel_ns(fl, bytes as f64)
         } else {
-            (cols, rows)
+            cost.dense_kernel_ns(fl, bytes as f64)
         };
-        let x = self
-            .dev
-            .upload_vector(&vec![1.0; in_len], DEFAULT_STREAM)
-            .expect("fits");
-        self.ref_insert(x, in_len);
-        self.ref_transfer(in_len * 8, true);
+        self.ref_kernel(fl, t);
+    }
+
+    /// Books a modelled allocation that is not an object insert.
+    fn ref_alloc(&mut self, bytes: usize, gauge: bool) {
+        self.used += bytes;
+        self.peak = self.peak.max(self.used);
+        if gauge {
+            self.reference
+                .max_gauge(names::GPU_MEM_PEAK_BYTES, self.used as f64);
+        }
+    }
+
+    /// One kernel of class `pick` on storage `M`, against the fixture: the
+    /// device runs it, the reference books what the cost model says it is.
+    fn class<M: Model>(&mut self, pick: usize) {
+        let class = Class::ALL[pick % Class::ALL.len()];
+        let side = *M::side(self);
+        let (x4, x3, out) = (self.x4, self.x3, self.resident[0].0);
+        // Entries the 3×4 matrix stores, and the LU of its square block.
+        let stored = if M::SPARSE { self.nnz } else { 12 };
+        let fill = if M::SPARSE { self.fill } else { 9 };
         let created = self.dev.objects_created();
-        let y = if transposed {
-            self.dev
-                .spmv_transposed(a, x, self.resident[0].0, DEFAULT_STREAM)
+        let st = DEFAULT_STREAM;
+        match class {
+            Class::Matvec => {
+                let y = self.dev.matvec(side.a, x4, st).expect("shapes agree");
+                self.ref_class::<M>(class, 3, 4, stored);
+                self.ref_insert(y, 3);
+            }
+            Class::MatvecTransposed | Class::Residual | Class::Pricing | Class::ExtractColumn => {
+                let len = match class {
+                    Class::MatvecTransposed => {
+                        self.dev.matvec_transposed(side.a, x3, out, st).map(|()| 4)
+                    }
+                    Class::Residual => self.dev.residual(x3, side.a, x4, out, st).map(|()| 3),
+                    Class::Pricing => self.dev.pricing(side.a, x3, x4, out, st).map(|()| 4),
+                    _ => self.dev.extract_column(side.a, 3, out, st).map(|()| 3),
+                }
                 .expect("shapes agree");
-            None
-        } else {
-            Some(self.dev.spmv(a, x, DEFAULT_STREAM).expect("shapes agree"))
-        };
-        let t = self
-            .dev
-            .cost_model()
-            .sparse_kernel_ns(flops::spmv(nnz), (nnz * 16) as f64);
-        self.ref_kernel(flops::spmv(nnz), t);
-        match y {
-            Some(y) => self.ref_insert(y, out_len),
-            None => self.ref_retenant(0, out_len, created),
+                self.ref_class::<M>(class, 3, 4, stored);
+                self.ref_retenant(0, len, created);
+            }
+            Class::LuFactor | Class::LuSolve => {
+                let f = self.dev.lu_factor(side.square, st).expect("nonsingular");
+                self.ref_class::<M>(Class::LuFactor, 3, 0, fill);
+                // Dense: packed factors and permutation; sparse: the fill.
+                let bytes = if M::SPARSE { fill * 16 } else { 9 * 8 + 3 * 8 };
+                self.ref_alloc(bytes, true);
+                if class == Class::LuSolve {
+                    let x = self.dev.lu_solve(f, x3, st).expect("factored");
+                    self.ref_class::<M>(class, 3, 0, fill);
+                    self.ref_insert(x, 3);
+                }
+                self.dev.free(f).expect("live factors");
+                self.used -= bytes;
+            }
+            Class::EtaFactor => {
+                self.dev
+                    .eta_factor(side.a, &[0, 1, 2], side.eta, st)
+                    .expect("nonsingular");
+                if !M::SPARSE {
+                    // The gathered block is staged, factorized, released.
+                    let t = self.dev.cost_model().dense_kernel_ns(0.0, 2.0 * 72.0);
+                    self.ref_kernel(0.0, t);
+                    self.ref_alloc(72, true);
+                }
+                self.ref_class::<M>(class, 3, 0, fill);
+                let bytes = if M::SPARSE { fill * 16 + 24 } else { 72 + 24 };
+                self.ref_alloc(bytes, true);
+                if !M::SPARSE {
+                    self.used -= 72;
+                }
+                let replaced = M::side(self).tenant.replace((bytes, 0));
+                self.used -= replaced.map_or(0, |(bytes, _)| bytes);
+            }
+            Class::EtaFtran | Class::EtaBtran => {
+                let solved = if class == Class::EtaFtran {
+                    self.dev.eta_ftran(side.eta, x3, out, st)
+                } else {
+                    self.dev.eta_btran(side.eta, x3, out, st)
+                };
+                // A vacant eta file answers no solve, and charges none.
+                // (The refused kernel leaves `out` unreadable, its bytes
+                // accounted for until the next tenant moves in.)
+                let Some((_, etas)) = side.tenant else {
+                    assert!(matches!(solved, Err(GpuError::InvalidHandle(_))));
+                    return;
+                };
+                solved.expect("factored");
+                self.ref_class::<M>(class, 3, etas, fill);
+                self.ref_retenant(0, 3, created);
+            }
+            Class::EtaUpdate => {
+                let updated = self.dev.eta_update(side.eta, pick % 3, x3, st);
+                // The eta column is reserved first, and released if there is
+                // no file for it.
+                self.ref_alloc(24, false);
+                let Some((bytes, etas)) = side.tenant else {
+                    assert!(matches!(updated, Err(GpuError::InvalidHandle(_))));
+                    self.used -= 24;
+                    return;
+                };
+                updated.expect("nonzero pivot");
+                self.ref_class::<M>(class, 3, 1, 3);
+                M::side(self).tenant = Some((bytes + 24, etas + 1));
+            }
+            Class::AppendCut => {
+                let (rows, cols) = side.cut_shape;
+                let row = vec![1.0; cols];
+                let mut col = vec![0.0; rows + 1];
+                col[rows] = 1.0;
+                self.dev
+                    .append_cut(side.cuts, &row, &col, st)
+                    .expect("well-shaped cut");
+                let entries = if M::SPARSE { cols + 1 } else { cols };
+                let (_, row_bytes, _) = class_cost(M::SPARSE, class, 1, cols, entries);
+                let col_bytes = if M::SPARSE { 0 } else { (rows + 1) * 8 };
+                // Parts are reserved one by one, outside the peak gauge.
+                self.ref_alloc(row_bytes, false);
+                self.ref_transfer(row_bytes + col_bytes, true);
+                self.ref_class::<M>(class, 1, cols, entries);
+                if !M::SPARSE {
+                    self.ref_alloc(col_bytes, false);
+                    let t = self.dev.cost_model().dense_kernel_ns(0.0, col_bytes as f64);
+                    self.ref_kernel(0.0, t);
+                }
+                M::side(self).cut_shape = (rows + 1, cols + 1);
+            }
         }
     }
 
@@ -308,7 +522,7 @@ impl Lockstep {
                 self.dev.download_vector(h, DEFAULT_STREAM),
                 Err(GpuError::InvalidHandle(_))
             ));
-            assert!(self.dev.free_vector(h).is_err());
+            assert!(self.dev.free(h).is_err());
         }
     }
 }
@@ -323,7 +537,7 @@ proptest! {
     /// operation, over random mixes of every charging path.
     #[test]
     fn ledger_matches_reference_registry(
-        ops in proptest::collection::vec((0u8..11, 0usize..40, any::<u64>()), 0..60)
+        ops in proptest::collection::vec((0u8..12, 0usize..40, any::<u64>()), 0..60)
     ) {
         let mut ls = Lockstep::new();
         for (kind, a, seed) in ops {
@@ -332,7 +546,8 @@ proptest! {
                 2 => ls.free(a),
                 3 => ls.dense_custom((seed % 100_000) as f64, (a * 64) as f64, a % 2 == 0),
                 4 => ls.vec_mul(a),
-                5 => ls.spmv(a % 2 == 0),
+                5 | 11 if seed % 2 == 0 => ls.class::<MatrixHandle>(a),
+                5 | 11 => ls.class::<SparseHandle>(a),
                 6 => ls.batched(a % 9, seed, a % 2 == 0),
                 7 => {
                     ls.dev.charge_transfer(a * 8, seed % 2 == 0, DEFAULT_STREAM);
@@ -374,7 +589,7 @@ fn untouched_series_stay_absent() {
         dev.metrics().gauges().collect::<Vec<_>>(),
         [(names::GPU_MEM_PEAK_BYTES, 0.0)]
     );
-    dev.free_raw(raw).unwrap();
+    dev.free(raw).unwrap();
 }
 
 #[test]
@@ -383,17 +598,14 @@ fn slab_rejects_stale_handles_and_recycling_is_invisible() {
     let a = dev.upload_vector(&[1.0, 2.0, 3.0], DEFAULT_STREAM).unwrap();
     let (used, peak) = (dev.memory().used(), dev.memory().peak());
     assert_eq!((used, peak), (24, 24));
-    dev.free_vector(a).unwrap();
+    dev.free(a).unwrap();
     assert_eq!(dev.memory().used(), 0);
     // Freed, then double-freed.
     assert!(matches!(
         dev.download_vector(a, DEFAULT_STREAM),
         Err(GpuError::InvalidHandle(_))
     ));
-    assert!(matches!(
-        dev.free_vector(a),
-        Err(GpuError::InvalidHandle(_))
-    ));
+    assert!(matches!(dev.free(a), Err(GpuError::InvalidHandle(_))));
     assert_eq!(
         dev.memory().used(),
         0,
@@ -410,7 +622,7 @@ fn slab_rejects_stale_handles_and_recycling_is_invisible() {
         assert!(dev.vec_get([(a, 0)], DEFAULT_STREAM).is_err());
         assert_eq!(dev.download_vector(h, DEFAULT_STREAM).unwrap(), v);
         assert_eq!(dev.memory().used(), 16);
-        dev.free_vector(h).unwrap();
+        dev.free(h).unwrap();
         previous = h;
     }
     assert_eq!(dev.memory().peak(), 24);
@@ -419,7 +631,7 @@ fn slab_rejects_stale_handles_and_recycling_is_invisible() {
 }
 
 /// A three-kernel launch chain modelled by hand: `vec_mul` (dense),
-/// `spmv_transposed` (sparse), `vec_mul` again — one launch, every flop,
+/// `matvec_transposed` (CSR), `vec_mul` again — one launch, every flop,
 /// every body; to device memory the chain is the three kernels.
 #[test]
 fn a_chain_pays_one_launch_and_every_body() {
@@ -437,7 +649,7 @@ fn a_chain_pays_one_launch_and_every_body() {
         let before = (dev.metrics(), dev.elapsed_ns());
         let kernels = |d: &mut GpuDevice| {
             d.vec_mul(x, x, sq, DEFAULT_STREAM)?;
-            d.spmv_transposed(a, sq, y, DEFAULT_STREAM)?;
+            d.matvec_transposed(a, sq, y, DEFAULT_STREAM)?;
             d.vec_mul(y, y, ysq, DEFAULT_STREAM)
         };
         if chained {

@@ -31,6 +31,8 @@ pub trait BaseFactor: Default {
     fn refactorize(&mut self, b: &Self::Matrix) -> Result<()>;
     /// Dimension of the factored system.
     fn dim(&self) -> usize;
+    /// Entries the factors store (cost-model input).
+    fn fill_nnz(&self) -> usize;
     /// Solves `B₀ x = b` into `x`.
     fn solve_into(&self, b: &[f64], x: &mut [f64]) -> Result<()>;
     /// Solves `B₀ᵀ x = z` into `x`, overwriting the right-hand side `z`.
@@ -46,6 +48,9 @@ macro_rules! base_factor {
             }
             fn dim(&self) -> usize {
                 self.dim()
+            }
+            fn fill_nnz(&self) -> usize {
+                self.fill_nnz()
             }
             fn solve_into(&self, b: &[f64], x: &mut [f64]) -> Result<()> {
                 self.solve_into(b, x)
@@ -122,14 +127,6 @@ pub struct EtaFile<B = LuFactors> {
 /// on the device (Section 5.4).
 pub type SparseEtaFile = EtaFile<SparseLu>;
 
-impl SparseEtaFile {
-    /// Stored nonzeros of the base factorization (cost-model input).
-    #[inline]
-    pub fn fill_nnz(&self) -> usize {
-        self.base.fill_nnz()
-    }
-}
-
 impl EtaFile<LuFactors> {
     /// Refactorizes over the basis made of columns `cols` of `a`, gathered
     /// straight into the file's LU storage, and drops the eta updates. A
@@ -164,6 +161,12 @@ impl<B: BaseFactor> EtaFile<B> {
     #[inline]
     pub fn dim(&self) -> usize {
         self.base.dim()
+    }
+
+    /// Entries the base factorization stores (cost-model input).
+    #[inline]
+    pub fn fill_nnz(&self) -> usize {
+        self.base.fill_nnz()
     }
 
     /// Number of accumulated eta factors since the last refactorization —

@@ -126,6 +126,13 @@ impl LuFactors {
         self.lu.rows()
     }
 
+    /// Entries the packed factors store, `n²` — the dense counterpart of
+    /// [`SparseLu::fill_nnz`](crate::SparseLu::fill_nnz).
+    #[inline]
+    pub fn fill_nnz(&self) -> usize {
+        self.lu.rows() * self.lu.cols()
+    }
+
     /// Row permutation: position `i` of the permuted system holds original
     /// row `perm()[i]`.
     #[inline]

@@ -27,15 +27,16 @@
 //!   first is its launch, and `on_device` is the one door to the device, so
 //!   no call can pay it twice.
 //!
-//! There is one orchestration, [`DeviceSimplex`], and two kernel sets under
+//! There is one orchestration, [`DeviceSimplex`], and one kernel set under
 //! it — Section 5.4's "two different MIP solver versions" reduced to a
-//! storage parameter. [`MatrixStorage`] names exactly the operations that
-//! touch the matrix or the factored basis; it is implemented for a dense
-//! device matrix ([`DeviceEngine`]: work and transfers proportional to
-//! `m·n`, dense LU) and for a CSR one ([`SparseDeviceEngine`]: proportional
-//! to `nnz`, charged at the device's much lower sparse throughput, sparse
-//! LU). Everything else (the vector kernels, the ratio tests, the iteration
-//! state) is written once.
+//! storage parameter. The device's kernels that touch the matrix or the
+//! factored basis are generic over a [`Storage`], and the engine calls them
+//! with the handle it holds: a dense device matrix ([`DeviceEngine`]: work
+//! and transfers proportional to `m·n`, dense LU) or a CSR one
+//! ([`SparseDeviceEngine`]: proportional to `nnz`, charged at the device's
+//! much lower sparse throughput, sparse LU). What a kernel computes is the
+//! same either way; what it is called in a trace and what it costs is the
+//! storage's class table.
 //!
 //! The iteration state is *resident*: at its first install an engine
 //! creates one workspace on its device — the state vectors, the per-call
@@ -55,304 +56,16 @@ use crate::engine::{PivotPlan, ProblemView, SimplexEngine};
 use crate::{LpError, LpResult};
 use gmip_gpu::device::Result as GpuResult;
 use gmip_gpu::{
-    Accel, EtaHandle, GpuDevice, MatrixHandle, SparseEtaHandle, SparseHandle, StreamId,
-    VectorHandle, DEFAULT_STREAM,
+    Accel, Eta, GpuDevice, MatrixHandle, SparseHandle, Storage, StreamId, VectorHandle,
+    DEFAULT_STREAM,
 };
-use gmip_linalg::{CsrMatrix, DenseMatrix};
-use std::fmt::Debug;
-
-/// How the constraint matrix and the factored basis live on the device:
-/// the operations in which a dense-resident and a CSR-resident simplex
-/// differ. Each implementation keeps its own kernel sequence, kernel names
-/// and cost formulas. Kernels with a result write it into the resident
-/// vector (or eta file) passed as `out`.
-pub trait MatrixStorage: Copy + Debug + Into<u64> {
-    /// Handle to the factored basis (base LU plus eta updates).
-    type Eta: Copy + Debug + Into<u64>;
-    /// Short name of an engine over this storage, for reports.
-    const NAME: &'static str;
-
-    /// Uploads the extended matrix in this storage's format.
-    fn upload(d: &mut GpuDevice, a: &DenseMatrix, st: StreamId) -> GpuResult<Self>;
-    /// `out = b − A x`.
-    fn residual(
-        self,
-        d: &mut GpuDevice,
-        b: VectorHandle,
-        x: VectorHandle,
-        out: VectorHandle,
-        st: StreamId,
-    ) -> GpuResult<()>;
-    /// A resident factored basis, empty until the first
-    /// [`factor_basis`](Self::factor_basis).
-    fn eta_new(d: &mut GpuDevice) -> Self::Eta;
-    /// Assembles the basis from columns `cols` and factorizes it into `eta`.
-    fn factor_basis(
-        self,
-        d: &mut GpuDevice,
-        cols: &[usize],
-        eta: Self::Eta,
-        st: StreamId,
-    ) -> GpuResult<()>;
-    /// FTRAN: solves `B out = b`.
-    fn eta_ftran(
-        d: &mut GpuDevice,
-        eta: Self::Eta,
-        b: VectorHandle,
-        out: VectorHandle,
-        st: StreamId,
-    ) -> GpuResult<()>;
-    /// BTRAN: solves `Bᵀ out = c`.
-    fn eta_btran(
-        d: &mut GpuDevice,
-        eta: Self::Eta,
-        c: VectorHandle,
-        out: VectorHandle,
-        st: StreamId,
-    ) -> GpuResult<()>;
-    /// Rank-1 basis exchange at position `r` with FTRAN image `alpha`.
-    fn eta_update(
-        d: &mut GpuDevice,
-        eta: Self::Eta,
-        r: usize,
-        alpha: VectorHandle,
-        st: StreamId,
-    ) -> GpuResult<()>;
-    /// Reduced costs `out = c − Aᵀ y`.
-    fn pricing(
-        self,
-        d: &mut GpuDevice,
-        y: VectorHandle,
-        c: VectorHandle,
-        out: VectorHandle,
-        st: StreamId,
-    ) -> GpuResult<()>;
-    /// Column `j` as a dense device vector.
-    fn extract_column(
-        self,
-        d: &mut GpuDevice,
-        j: usize,
-        out: VectorHandle,
-        st: StreamId,
-    ) -> GpuResult<()>;
-    /// The tableau row `out = Aᵀ ρ`.
-    fn row_times_matrix(
-        self,
-        d: &mut GpuDevice,
-        rho: VectorHandle,
-        out: VectorHandle,
-        st: StreamId,
-    ) -> GpuResult<()>;
-    /// Appends a cut: `row` spans the current columns, `col` is the new
-    /// slack column.
-    fn append_cut(self, d: &mut GpuDevice, row: &[f64], col: &[f64], st: StreamId)
-        -> GpuResult<()>;
-}
-
-impl MatrixStorage for MatrixHandle {
-    type Eta = EtaHandle;
-    const NAME: &'static str = "device";
-
-    fn upload(d: &mut GpuDevice, a: &DenseMatrix, st: StreamId) -> GpuResult<Self> {
-        d.upload_matrix(a, st)
-    }
-    fn residual(
-        self,
-        d: &mut GpuDevice,
-        b: VectorHandle,
-        x: VectorHandle,
-        out: VectorHandle,
-        st: StreamId,
-    ) -> GpuResult<()> {
-        d.residual(b, self, x, out, st)
-    }
-    fn eta_new(d: &mut GpuDevice) -> EtaHandle {
-        d.vacant_eta()
-    }
-    fn factor_basis(
-        self,
-        d: &mut GpuDevice,
-        cols: &[usize],
-        eta: EtaHandle,
-        st: StreamId,
-    ) -> GpuResult<()> {
-        d.eta_factor(self, cols, eta, st)
-    }
-    fn eta_ftran(
-        d: &mut GpuDevice,
-        eta: EtaHandle,
-        b: VectorHandle,
-        out: VectorHandle,
-        st: StreamId,
-    ) -> GpuResult<()> {
-        d.eta_ftran(eta, b, out, st)
-    }
-    fn eta_btran(
-        d: &mut GpuDevice,
-        eta: EtaHandle,
-        c: VectorHandle,
-        out: VectorHandle,
-        st: StreamId,
-    ) -> GpuResult<()> {
-        d.eta_btran(eta, c, out, st)
-    }
-    fn eta_update(
-        d: &mut GpuDevice,
-        eta: EtaHandle,
-        r: usize,
-        alpha: VectorHandle,
-        st: StreamId,
-    ) -> GpuResult<()> {
-        d.eta_update(eta, r, alpha, st)
-    }
-    fn pricing(
-        self,
-        d: &mut GpuDevice,
-        y: VectorHandle,
-        c: VectorHandle,
-        out: VectorHandle,
-        st: StreamId,
-    ) -> GpuResult<()> {
-        d.pricing(self, y, c, out, st)
-    }
-    fn extract_column(
-        self,
-        d: &mut GpuDevice,
-        j: usize,
-        out: VectorHandle,
-        st: StreamId,
-    ) -> GpuResult<()> {
-        d.extract_column(self, j, out, st)
-    }
-    fn row_times_matrix(
-        self,
-        d: &mut GpuDevice,
-        rho: VectorHandle,
-        out: VectorHandle,
-        st: StreamId,
-    ) -> GpuResult<()> {
-        d.gemv_transposed(self, rho, out, st)
-    }
-    fn append_cut(
-        self,
-        d: &mut GpuDevice,
-        row: &[f64],
-        col: &[f64],
-        st: StreamId,
-    ) -> GpuResult<()> {
-        d.append_cut(self, row, col, st)
-    }
-}
-
-impl MatrixStorage for SparseHandle {
-    type Eta = SparseEtaHandle;
-    const NAME: &'static str = "device-sparse";
-
-    fn upload(d: &mut GpuDevice, a: &DenseMatrix, st: StreamId) -> GpuResult<Self> {
-        d.upload_sparse(&CsrMatrix::from_dense(a), st)
-    }
-    fn residual(
-        self,
-        d: &mut GpuDevice,
-        b: VectorHandle,
-        x: VectorHandle,
-        out: VectorHandle,
-        st: StreamId,
-    ) -> GpuResult<()> {
-        d.residual_sparse(b, self, x, out, st)
-    }
-    fn eta_new(d: &mut GpuDevice) -> SparseEtaHandle {
-        d.vacant_sparse_eta()
-    }
-    fn factor_basis(
-        self,
-        d: &mut GpuDevice,
-        cols: &[usize],
-        eta: SparseEtaHandle,
-        st: StreamId,
-    ) -> GpuResult<()> {
-        d.sparse_eta_factor(self, cols, eta, st)
-    }
-    fn eta_ftran(
-        d: &mut GpuDevice,
-        eta: SparseEtaHandle,
-        b: VectorHandle,
-        out: VectorHandle,
-        st: StreamId,
-    ) -> GpuResult<()> {
-        d.sparse_eta_ftran(eta, b, out, st)
-    }
-    fn eta_btran(
-        d: &mut GpuDevice,
-        eta: SparseEtaHandle,
-        c: VectorHandle,
-        out: VectorHandle,
-        st: StreamId,
-    ) -> GpuResult<()> {
-        d.sparse_eta_btran(eta, c, out, st)
-    }
-    fn eta_update(
-        d: &mut GpuDevice,
-        eta: SparseEtaHandle,
-        r: usize,
-        alpha: VectorHandle,
-        st: StreamId,
-    ) -> GpuResult<()> {
-        d.sparse_eta_update(eta, r, alpha, st)
-    }
-    fn pricing(
-        self,
-        d: &mut GpuDevice,
-        y: VectorHandle,
-        c: VectorHandle,
-        out: VectorHandle,
-        st: StreamId,
-    ) -> GpuResult<()> {
-        d.pricing_sparse(self, y, c, out, st)
-    }
-    fn extract_column(
-        self,
-        d: &mut GpuDevice,
-        j: usize,
-        out: VectorHandle,
-        st: StreamId,
-    ) -> GpuResult<()> {
-        d.extract_column_sparse(self, j, out, st)
-    }
-    fn row_times_matrix(
-        self,
-        d: &mut GpuDevice,
-        rho: VectorHandle,
-        out: VectorHandle,
-        st: StreamId,
-    ) -> GpuResult<()> {
-        d.spmv_transposed(self, rho, out, st)
-    }
-    fn append_cut(
-        self,
-        d: &mut GpuDevice,
-        row: &[f64],
-        _col: &[f64],
-        st: StreamId,
-    ) -> GpuResult<()> {
-        // Sparse form: the cut row's nonzeros plus its slack at the new
-        // column index (= current column count).
-        let mut entries: Vec<(usize, f64)> = row
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.abs() > 1e-12)
-            .map(|(j, &v)| (j, v))
-            .collect();
-        entries.push((row.len(), 1.0));
-        d.append_row_sparse(self, &entries, row.len() + 1, st)
-    }
-}
+use gmip_linalg::DenseMatrix;
 
 /// An engine's resident objects on its device, created once and written in
 /// place ever after; every vector takes the length of what a kernel last
 /// put there, so a cut that grows the problem needs no resizing pass.
 #[derive(Debug, Clone, Copy)]
-struct Workspace<E> {
+struct Workspace<M> {
     // Iteration state: tenanted from one install to the next (`alpha` and
     // `alpha_r` from the FTRAN / BTRAN that makes them to the pivot that
     // consumes them).
@@ -366,7 +79,7 @@ struct Workspace<E> {
     gamma: VectorHandle,
     alpha: VectorHandle,
     alpha_r: VectorHandle,
-    eta: E,
+    eta: Eta<M>,
     // Per-call scratch: tenanted inside one engine call.
     y: VectorHandle,
     d: VectorHandle,
@@ -378,8 +91,9 @@ struct Workspace<E> {
     col: VectorHandle,
 }
 
-impl<E: Copy + Into<u64>> Workspace<E> {
-    fn create(d: &mut GpuDevice, eta: E) -> Self {
+impl<M: Storage> Workspace<M> {
+    fn create(d: &mut GpuDevice) -> Self {
+        let eta = d.vacant_eta();
         let mut v = || d.vacant_vector();
         Self {
             c: v(),
@@ -470,7 +184,7 @@ fn with_scratch<const N: usize, R>(
 /// Simplex engine whose numerical state lives on a simulated accelerator,
 /// with the matrix held as `M`.
 #[derive(Debug)]
-pub struct DeviceSimplex<M: MatrixStorage> {
+pub struct DeviceSimplex<M: Storage> {
     accel: Accel,
     a: M,
     stream: StreamId,
@@ -480,7 +194,7 @@ pub struct DeviceSimplex<M: MatrixStorage> {
     lb: Vec<f64>,
     ub: Vec<f64>,
     /// The resident workspace, created at the first install.
-    ws: Option<Workspace<M::Eta>>,
+    ws: Option<Workspace<M>>,
     /// Whether the iteration state is that of a completed install.
     installed: bool,
     /// Whether `alpha` / `alpha_r` hold an FTRAN column / BTRAN row no
@@ -502,7 +216,7 @@ pub type DeviceEngine = DeviceSimplex<MatrixHandle>;
 /// The CSR-resident engine: sparse kernels, sparse LU under the eta file.
 pub type SparseDeviceEngine = DeviceSimplex<SparseHandle>;
 
-impl<M: MatrixStorage> DeviceSimplex<M> {
+impl<M: Storage> DeviceSimplex<M> {
     /// Uploads the extended matrix to the accelerator and builds an engine
     /// on the default stream.
     pub fn new(accel: Accel, a: &DenseMatrix) -> LpResult<Self> {
@@ -541,14 +255,14 @@ impl<M: MatrixStorage> DeviceSimplex<M> {
     }
 
     /// The workspace, once an install has filled it.
-    fn ws(&self) -> LpResult<Workspace<M::Eta>> {
+    fn ws(&self) -> LpResult<Workspace<M>> {
         self.ws
             .filter(|_| self.installed)
             .ok_or(LpError::NotInstalled)
     }
 
     /// The workspace with an unconsumed FTRAN column in `alpha`.
-    fn ws_alpha(&self) -> LpResult<Workspace<M::Eta>> {
+    fn ws_alpha(&self) -> LpResult<Workspace<M>> {
         if !self.alpha_live {
             return Err(LpError::NotInstalled);
         }
@@ -556,7 +270,7 @@ impl<M: MatrixStorage> DeviceSimplex<M> {
     }
 
     /// The workspace with an unconsumed BTRAN row in `alpha_r`.
-    fn ws_alpha_r(&self) -> LpResult<Workspace<M::Eta>> {
+    fn ws_alpha_r(&self) -> LpResult<Workspace<M>> {
         if !self.alpha_r_live {
             return Err(LpError::NotInstalled);
         }
@@ -564,7 +278,7 @@ impl<M: MatrixStorage> DeviceSimplex<M> {
     }
 }
 
-impl<M: MatrixStorage> Drop for DeviceSimplex<M> {
+impl<M: Storage> Drop for DeviceSimplex<M> {
     fn drop(&mut self) {
         on_device(&self.accel, |d| {
             if let Some(ws) = self.ws {
@@ -575,7 +289,7 @@ impl<M: MatrixStorage> Drop for DeviceSimplex<M> {
     }
 }
 
-impl<M: MatrixStorage> SimplexEngine for DeviceSimplex<M> {
+impl<M: Storage> SimplexEngine for DeviceSimplex<M> {
     fn m(&self) -> usize {
         self.m
     }
@@ -650,10 +364,7 @@ impl<M: MatrixStorage> SimplexEngine for DeviceSimplex<M> {
         let ws = &mut self.ws;
         on_device(&self.accel, |d| {
             // The previous install's state goes first, whatever comes next.
-            let ws = *ws.get_or_insert_with(|| {
-                let eta = M::eta_new(d);
-                Workspace::create(d, eta)
-            });
+            let ws = *ws.get_or_insert_with(|| Workspace::create(d));
             ws.vacate_state(d);
             if let Some(j) = free_variable {
                 return Err(LpError::FreeVariable(j));
@@ -675,14 +386,14 @@ impl<M: MatrixStorage> SimplexEngine for DeviceSimplex<M> {
                     st,
                 )?;
                 // Residual w = b − A x_nb, fully on device.
-                a.residual(d, ws.b, ws.x_nb, ws.w, st)?;
+                d.residual(ws.b, a, ws.x_nb, ws.w, st)?;
                 // x_N is spent, and goes before the factorization's
                 // temporaries arrive: γ now lands with the rest instead of
                 // after them, and must not stand beside both.
                 vacate(d, [ws.x_nb]);
                 // Basis assembly + factorization, on device.
-                a.factor_basis(d, cols, ws.eta, st)?;
-                M::eta_ftran(d, ws.eta, ws.w, ws.xb, st)
+                d.eta_factor(a, cols, ws.eta, st)?;
+                d.eta_ftran(ws.eta, ws.w, ws.xb, st)
             })?;
             Ok(())
         })?;
@@ -693,7 +404,7 @@ impl<M: MatrixStorage> SimplexEngine for DeviceSimplex<M> {
     fn append_cut(&mut self, row: &[f64], col: &[f64]) -> LpResult<()> {
         let st = self.stream;
         let a = self.a;
-        self.with_dev(|d| a.append_cut(d, row, col, st))?;
+        self.with_dev(|d| d.append_cut(a, row, col, st))?;
         self.m += 1;
         self.n += 1;
         Ok(())
@@ -705,8 +416,8 @@ impl<M: MatrixStorage> SimplexEngine for DeviceSimplex<M> {
         let a = self.a;
         self.with_dev(|d| {
             with_scratch(d, [ws.y, ws.d, ws.score], |d| {
-                M::eta_btran(d, ws.eta, ws.cb, ws.y, st)?;
-                a.pricing(d, ws.y, ws.c, ws.d, st)?;
+                d.eta_btran(ws.eta, ws.cb, ws.y, st)?;
+                d.pricing(a, ws.y, ws.c, ws.d, st)?;
                 d.vec_mul(ws.d, ws.sigma, ws.score, st)?;
                 d.argmin_masked(ws.score, ws.sigma, st)
             })
@@ -719,8 +430,8 @@ impl<M: MatrixStorage> SimplexEngine for DeviceSimplex<M> {
         let a = self.a;
         self.with_dev(|d| {
             with_scratch(d, [ws.y, ws.d], |d| {
-                M::eta_btran(d, ws.eta, ws.cb, ws.y, st)?;
-                a.pricing(d, ws.y, ws.c, ws.d, st)?;
+                d.eta_btran(ws.eta, ws.cb, ws.y, st)?;
+                d.pricing(a, ws.y, ws.c, ws.d, st)?;
                 // Honest full-vector D2H transfer (the Bland fallback's cost).
                 d.download_vector(ws.d, st)
             })
@@ -734,8 +445,8 @@ impl<M: MatrixStorage> SimplexEngine for DeviceSimplex<M> {
         self.alpha_live = false;
         self.with_dev(|d| {
             with_scratch(d, [ws.col], |d| {
-                a.extract_column(d, q, ws.col, st)?;
-                M::eta_ftran(d, ws.eta, ws.col, ws.alpha, st)
+                d.extract_column(a, q, ws.col, st)?;
+                d.eta_ftran(ws.eta, ws.col, ws.alpha, st)
             })
         })?;
         self.alpha_live = true;
@@ -789,7 +500,7 @@ impl<M: MatrixStorage> SimplexEngine for DeviceSimplex<M> {
                 ],
                 st,
             )?;
-            M::eta_update(d, ws.eta, plan.r, ws.alpha, st)?;
+            d.eta_update(ws.eta, plan.r, ws.alpha, st)?;
             // The pivot consumed α (and the Devex row, if any).
             vacate(d, [ws.alpha]);
             if alpha_r_live {
@@ -834,8 +545,8 @@ impl<M: MatrixStorage> SimplexEngine for DeviceSimplex<M> {
         self.with_dev(|d| {
             with_scratch(d, [ws.e_r, ws.rho], |d| {
                 d.alloc_unit_vector(m, r, ws.e_r, st)?;
-                M::eta_btran(d, ws.eta, ws.e_r, ws.rho, st)?;
-                a.row_times_matrix(d, ws.rho, ws.alpha_r, st)
+                d.eta_btran(ws.eta, ws.e_r, ws.rho, st)?;
+                d.matvec_transposed(a, ws.rho, ws.alpha_r, st)
             })
         })?;
         self.alpha_r_live = true;
@@ -848,8 +559,8 @@ impl<M: MatrixStorage> SimplexEngine for DeviceSimplex<M> {
         let a = self.a;
         self.with_dev(|d| {
             with_scratch(d, [ws.y, ws.d], |d| {
-                M::eta_btran(d, ws.eta, ws.cb, ws.y, st)?;
-                a.pricing(d, ws.y, ws.c, ws.d, st)?;
+                d.eta_btran(ws.eta, ws.cb, ws.y, st)?;
+                d.pricing(a, ws.y, ws.c, ws.d, st)?;
                 d.dual_ratio_argmin(ws.d, ws.alpha_r, ws.sigma, leaving_below, tol, st)
             })
         })
@@ -875,7 +586,7 @@ impl<M: MatrixStorage> SimplexEngine for DeviceSimplex<M> {
         let ws = self.ws()?;
         self.with_dev(|d| {
             with_scratch(d, [ws.y], |d| {
-                M::eta_btran(d, ws.eta, ws.cb, ws.y, st)?;
+                d.eta_btran(ws.eta, ws.cb, ws.y, st)?;
                 d.download_vector(ws.y, st)
             })
         })
@@ -887,8 +598,8 @@ impl<M: MatrixStorage> SimplexEngine for DeviceSimplex<M> {
         let a = self.a;
         self.with_dev(|d| {
             with_scratch(d, [ws.y, ws.d], |d| {
-                M::eta_btran(d, ws.eta, ws.cb, ws.y, st)?;
-                a.pricing(d, ws.y, ws.c, ws.d, st)?;
+                d.eta_btran(ws.eta, ws.cb, ws.y, st)?;
+                d.pricing(a, ws.y, ws.c, ws.d, st)?;
                 d.devex_argmax(ws.d, ws.sigma, ws.gamma, 0.0, st)
             })
         })
@@ -920,7 +631,7 @@ mod tests {
     use gmip_problems::generators::{knapsack, set_cover, unit_commitment};
     use proptest::prelude::*;
 
-    fn device_solver<M: MatrixStorage + 'static>(
+    fn device_solver<M: Storage + 'static>(
         std: StandardLp,
         accel: Accel,
     ) -> LpSolver<DeviceSimplex<M>> {
@@ -929,7 +640,7 @@ mod tests {
         })
     }
 
-    fn solves_textbook_lp<M: MatrixStorage + 'static>() {
+    fn solves_textbook_lp<M: Storage + 'static>() {
         let accel = Accel::gpu(1);
         let std = StandardLp::from_instance(&textbook_lp(), &[]);
         let mut solver = device_solver::<M>(std, accel.clone());
@@ -943,7 +654,7 @@ mod tests {
         assert!(stats.kernel_launches > 0);
     }
 
-    fn matches_host_pivot_for_pivot<M: MatrixStorage + 'static>() {
+    fn matches_host_pivot_for_pivot<M: Storage + 'static>() {
         for (name, mip) in [
             ("knapsack", knapsack(10, 0.5, 3)),
             ("setcover", set_cover(6, 6, 0.4, 3)),
@@ -974,7 +685,7 @@ mod tests {
         }
     }
 
-    fn warm_resolves_and_cuts<M: MatrixStorage + 'static>() {
+    fn warm_resolves_and_cuts<M: Storage + 'static>() {
         let accel = Accel::gpu(1);
         let std = StandardLp::from_instance(&textbook_mip(), &[]);
         let mut solver = device_solver::<M>(std, accel.clone());
@@ -1017,7 +728,7 @@ mod tests {
         assert!(accel.stats().h2d_transfers > h2d_before);
     }
 
-    fn frees_memory_on_drop<M: MatrixStorage + 'static>() {
+    fn frees_memory_on_drop<M: Storage + 'static>() {
         let accel = Accel::gpu(1);
         {
             let std = StandardLp::from_instance(&textbook_lp(), &[]);
@@ -1034,7 +745,7 @@ mod tests {
         DenseMatrix::from_rows(&[vec![1.0, 1.0, 1.0, 0.0], vec![2.0, 2.0, 0.0, 1.0]]).unwrap()
     }
 
-    fn failed_installs_leak_nothing<M: MatrixStorage>() {
+    fn failed_installs_leak_nothing<M: Storage>() {
         let (c, lb, ub, b) = ([1.0, 1.0, 0.0, 0.0], [0.0; 4], [10.0; 4], [4.0, 6.0]);
         let view = ProblemView {
             c: &c,
@@ -1080,7 +791,7 @@ mod tests {
         assert_eq!(accel.mem_used(), 0, "engine leaked device memory");
     }
 
-    fn consumed_vectors_stay_consumed<M: MatrixStorage>() {
+    fn consumed_vectors_stay_consumed<M: Storage>() {
         // max x0 + x1 over x0 + x1 + s0 = 4, 2 x0 + x1 + s1 = 6.
         let a =
             DenseMatrix::from_rows(&[vec![1.0, 1.0, 1.0, 0.0], vec![2.0, 1.0, 0.0, 1.0]]).unwrap();
@@ -1162,7 +873,7 @@ mod tests {
     /// A pivot's stores are arguments of its step kernel, checked before the
     /// kernel moves anything: a plan naming a column or row that does not
     /// exist leaves `x_B`, the statuses and the eta file as they were.
-    fn bad_pivot_plans_change_nothing<M: MatrixStorage>() {
+    fn bad_pivot_plans_change_nothing<M: Storage>() {
         // max x0 + x1 over x0 + x1 + s0 = 4, 2 x0 + x1 + s1 = 6.
         let a =
             DenseMatrix::from_rows(&[vec![1.0, 1.0, 1.0, 0.0], vec![2.0, 1.0, 0.0, 1.0]]).unwrap();
@@ -1225,7 +936,7 @@ mod tests {
     /// Everything an install determines, bit for bit: `x_B`, the duals, the
     /// reduced costs, a tableau row, and the pivot path a primal solve takes
     /// from there (iterations, final basis, final `x_B`).
-    fn install_fingerprint<M: MatrixStorage>(
+    fn install_fingerprint<M: Storage>(
         e: &mut DeviceSimplex<M>,
         view: ProblemView<'_>,
         basis: &Basis,
@@ -1246,7 +957,7 @@ mod tests {
 
     /// `install(A)`, pivots, `append_cut`, `install(B)` on one engine against
     /// `install(B)` on an engine that has never held anything else.
-    fn used_engine_installs_like_a_fresh_one<M: MatrixStorage>(
+    fn used_engine_installs_like_a_fresh_one<M: Storage>(
         rows: &[Vec<f64>],
         c: &[f64],
         b: &[f64],

@@ -980,9 +980,9 @@ impl FirstOrderWaveEngine {
 impl Drop for FirstOrderWaveEngine {
     fn drop(&mut self) {
         self.accel.with(|d| {
-            let _ = d.free_sparse(self.matrix);
+            let _ = d.free(self.matrix);
             for &h in &self.lane_state {
-                let _ = d.free_raw(h);
+                let _ = d.free(h);
             }
         });
     }

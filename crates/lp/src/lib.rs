@@ -44,7 +44,7 @@ pub mod wave;
 
 pub use basis::{Basis, VarStatus};
 pub use certificate::{CertKind, LpCertificate};
-pub use device_engine::{DeviceEngine, DeviceSimplex, MatrixStorage, SparseDeviceEngine};
+pub use device_engine::{DeviceEngine, DeviceSimplex, SparseDeviceEngine};
 pub use engine::{HostEngine, ProblemView, SimplexEngine};
 pub use firstorder::{safe_dual_bound, FirstOrderWaveEngine, FoLaneReport, FoOutcome, PdhgConfig};
 pub use ipm::{solve_ipm, IpmConfig, IpmSolution};

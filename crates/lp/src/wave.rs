@@ -560,7 +560,7 @@ impl BatchedWaveEngine {
                     metrics.incr(names::BATCH_BASIS_EVICTIONS, 1.0);
                     metrics.incr(names::BATCH_BASIS_SPILL_BYTES, victim.bytes as f64);
                     d.charge_transfer(victim.bytes, false, *stream);
-                    d.free_raw(victim.handle)?;
+                    d.free(victim.handle)?;
                 }
                 let handle = d.alloc_raw(bytes)?;
                 pool.insert(0, PoolEntry { key, bytes, handle });
@@ -649,12 +649,12 @@ impl BatchedWaveEngine {
 impl Drop for BatchedWaveEngine {
     fn drop(&mut self) {
         self.accel.with(|d| {
-            let _ = d.free_matrix(self.matrix);
+            let _ = d.free(self.matrix);
             for &h in &self.lane_state {
-                let _ = d.free_raw(h);
+                let _ = d.free(h);
             }
             for e in &self.pool {
-                let _ = d.free_raw(e.handle);
+                let _ = d.free(e.handle);
             }
         });
     }

@@ -133,7 +133,7 @@ fn warm_device_bookkeeping_allocates_nothing() {
             d.vec_mul(h, h, p, S).unwrap();
             let _ = d.vec_get([(p, 3)], S).unwrap();
             d.vacate(p).unwrap();
-            d.free_vector(h).unwrap();
+            d.free(h).unwrap();
             d.synchronize();
         });
         let _ = accel.stats();
@@ -158,14 +158,14 @@ fn pool_is_bounded_by_the_largest_vector_seen() {
             .map(|i| d.upload_vector(&vec![1.0; 1 + (i * 37) % 500], S).unwrap())
             .collect();
         for h in handles {
-            d.free_vector(h).unwrap();
+            d.free(h).unwrap();
         }
         assert!(d.pool_retained_bytes() <= 16 * 8 * 500);
         // Small requests never grow what is retained.
         let before = d.pool_retained_bytes();
         for _ in 0..100 {
             let h = d.upload_vector(&[1.0; 4], S).unwrap();
-            d.free_vector(h).unwrap();
+            d.free(h).unwrap();
         }
         assert_eq!(d.pool_retained_bytes(), before);
         assert_eq!(d.memory().used(), 0);

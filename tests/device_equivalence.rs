@@ -67,8 +67,8 @@ proptest! {
             let x = d.lu_solve(f, bh, S)?;
             let xd = d.download_vector(x, S)?;
             let sh = d.upload_sparse(&CsrMatrix::from_dense(&a), S)?;
-            let sf = d.sparse_lu_factor(sh, S)?;
-            let xs_h = d.sparse_solve(sf, bh, S)?;
+            let sf = d.lu_factor(sh, S)?;
+            let xs_h = d.lu_solve(sf, bh, S)?;
             let xs = d.download_vector(xs_h, S)?;
             Ok((xd, xs))
         }).expect("paths");
@@ -92,7 +92,7 @@ proptest! {
             for k in 0..ops {
                 let x = vec![k as f64 + 1.0; a.cols()];
                 let xh = d.upload_vector(&x, S)?;
-                let yh = d.gemv(ah, xh, S)?;
+                let yh = d.matvec(ah, xh, S)?;
                 vecs.push(xh);
                 vecs.push(yh);
                 let t = d.elapsed_ns();
@@ -100,9 +100,9 @@ proptest! {
                 last_clock = t;
             }
             for v in vecs {
-                d.free_vector(v)?;
+                d.free(v)?;
             }
-            d.free_matrix(ah)?;
+            d.free(ah)?;
             Ok(())
         }).expect("ops");
         prop_assert_eq!(accel.mem_used(), 0, "device memory leaked");
