@@ -28,9 +28,12 @@
 //! into one link crossing per superstep and direction, while the
 //! first-order wave still pays a link latency per lane load and take.
 //! Both waves beat the per-lane engines on the heavy family at every width
-//! ≥ 16 (the simplex wave at every width, on both families): per-lane
+//! ≥ 16 (the simplex wave at every width on the light one): per-lane
 //! launches queue at the device's one issue slot, so that column does not
-//! fall with the width — Section 5.5's batching-beats-streams, by 3–15×.
+//! fall with the width — Section 5.5's batching-beats-streams, by 1.3–6×.
+//! At four lanes the heavy family goes the other way: a per-lane pivot is
+//! two launch chains and one read-back, a four-lane wave's one launch per
+//! kernel class — the waves' saving starts where lanes share a launch.
 //! Every optimum served by every engine is checked against the
 //! `gmip-verify` exact oracle.
 //!
@@ -335,9 +338,11 @@ pub fn run() -> String {
          first-order wave still pays one per lane load and take. The per-lane\n\
          column does not fall with the width — its launches are issued one at\n\
          a time whatever stream they sit on — so both waves beat it on the\n\
-         heavy family from 16 lanes on, and the simplex wave everywhere. Every\n\
-         optimum above matches the gmip-verify exact oracle. (machine-readable\n\
-         copy: BENCH_e11.json)\n",
+         heavy family from 16 lanes on, and the simplex wave at every width on\n\
+         the light one. At four lanes the heavy family's per-lane engines are\n\
+         ahead: their pivot is two launch chains, a narrow wave's one launch\n\
+         per kernel class. Every optimum above matches the gmip-verify exact\n\
+         oracle. (machine-readable copy: BENCH_e11.json)\n",
     );
     out
 }

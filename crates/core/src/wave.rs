@@ -499,10 +499,13 @@ pub(crate) mod tests {
         assert!(r.retires >= r.nodes, "every node's lane must retire");
     }
 
+    /// From eight lanes: a per-lane pivot is two launch chains, which is
+    /// what a one-lane wave's costs per class, so the wave saves launches
+    /// only once enough lanes share each of its own.
     #[test]
     fn fewer_launches_and_ns_than_per_lane_concurrent() {
         let m = knapsack(16, 0.5, 7);
-        for lanes in [4usize, 8] {
+        for lanes in [8usize, 16] {
             let per_lane = solve_concurrent(
                 &m,
                 &ConcurrentConfig {

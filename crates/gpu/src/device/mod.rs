@@ -215,6 +215,9 @@ pub struct GpuDevice {
     work: Vec<f64>,
     /// Whether a launch chain is open, and whether it has launched.
     chain: Chain,
+    /// The read-backs an open chain has staged: their stream and summed
+    /// bytes, crossing the link once when the scope closes.
+    readback: Option<(StreamId, usize)>,
 }
 
 /// Where the device stands in a launch chain ([`GpuDevice::chain`]).
@@ -241,6 +244,7 @@ impl GpuDevice {
             pool: BufferPool::default(),
             work: Vec::new(),
             chain: Chain::Closed,
+            readback: None,
         }
     }
 
@@ -411,7 +415,32 @@ impl GpuDevice {
         self.trace_span("h2d", stream, done, t, bytes as f64);
     }
 
+    /// A read-back of `bytes`. Outside a launch chain it crosses the link
+    /// now; inside one it is *staged* — the value sits in the device-side
+    /// result buffer, where the chain's later kernels read it, and the host
+    /// gets every staged value in one transfer when the chain ends.
     fn charge_d2h(&mut self, bytes: usize, stream: StreamId) {
+        if self.chain == Chain::Closed {
+            return self.cross_d2h(bytes, stream);
+        }
+        match &mut self.readback {
+            Some((staged_on, staged)) if *staged_on == stream => *staged += bytes,
+            _ => {
+                self.flush_readback();
+                self.readback = Some((stream, bytes));
+            }
+        }
+    }
+
+    /// Sends what the chain staged across the link: one D2H transfer of the
+    /// summed bytes, enqueued behind the chain's last kernel.
+    fn flush_readback(&mut self) {
+        if let Some((stream, bytes)) = self.readback.take() {
+            self.cross_d2h(bytes, stream);
+        }
+    }
+
+    fn cross_d2h(&mut self, bytes: usize, stream: StreamId) {
         let t = self.cost.transfer_ns(bytes);
         let done = self.streams.enqueue(stream, t);
         self.ledger.incr(Series::D2hTransfers, 1.0);
@@ -426,12 +455,28 @@ impl GpuDevice {
     /// first pays the launch latency and counts as the chain's one launch;
     /// each later one is charged its roofline body only. Flops, bytes, span
     /// names, transfers and modelled memory are those of the kernels
-    /// launched one by one. The scope closes when `kernels` returns,
-    /// whatever it returns.
+    /// launched one by one.
+    ///
+    /// A chain's **read-backs are staged** the way an install's uploads are
+    /// ([`upload_staged`](Self::upload_staged)): every D2H charged inside
+    /// the scope — a reduction's 16–24 byte result, a
+    /// [`vec_get`](Self::vec_get), a [`download_vector`](Self::download_vector)
+    /// — is summed, and the sum crosses the link once, after the chain's
+    /// last kernel. The same bytes, one envelope. A result a later kernel of
+    /// the chain needs (the row a ratio test chose, the pivot element under
+    /// it) is read where the reduction left it on the device, so `kernels`
+    /// may branch on it — a conditional node of a captured graph, the loop
+    /// of a persistent kernel — and a chain whose reduction finds nothing
+    /// simply ends early. A chain that reads nothing back crosses nothing.
+    ///
+    /// The scope closes when `kernels` returns, whatever it returns: a chain
+    /// that fails midway has charged the kernels it ran and sends back what
+    /// they staged.
     pub fn chain<R>(&mut self, kernels: impl FnOnce(&mut Self) -> R) -> R {
         let outer = std::mem::replace(&mut self.chain, Chain::Open);
         let out = kernels(self);
         self.chain = outer;
+        self.flush_readback();
         out
     }
 

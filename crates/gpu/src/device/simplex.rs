@@ -1,7 +1,10 @@
 //! The vector kernels of a simplex iteration: the masked reductions that
 //! hand the host one scalar (pricing argmin, both ratio tests, the primal
 //! infeasibility argmax, Devex), the fused step that applies a pivot, and
-//! the small elementwise kernels between them. None of them reads the
+//! the small elementwise kernels between them. A reduction's result is a
+//! read-back: outside a launch chain it crosses the link at once, inside one
+//! ([`GpuDevice::chain`]) it is staged with the chain's other read-backs and
+//! the chain's later kernels read it on the device. None of them reads the
 //! constraint matrix or the factored basis — those kernels are written over
 //! a [`Storage`](super::Storage) in [`storage`](super::storage) — so there
 //! is one of each, whatever the matrix is held as.

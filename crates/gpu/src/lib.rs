@@ -13,7 +13,8 @@
 //! a measurable quantity here:
 //!
 //! * dense vs. sparse efficiency (Sections 3, 5.4) — two throughput knobs;
-//! * host↔device transfer minimization (Section 5) — counted and charged;
+//! * host↔device transfer minimization (Section 5) — counted and charged,
+//!   and the read-backs of a [`device::GpuDevice::chain`] cross as one;
 //! * kernel-launch amortization via batching (Sections 4.3, 5.5) —
 //!   [`device::GpuDevice::batched_lu_solve`] pays one launch per batch, and
 //!   the kernels of a [`device::GpuDevice::chain`] one between them;

@@ -630,9 +630,11 @@ fn slab_rejects_stale_handles_and_recycling_is_invisible() {
     assert!(dev.pool_retained_bytes() <= 16 * 8 * 3);
 }
 
-/// A three-kernel launch chain modelled by hand: `vec_mul` (dense),
-/// `matvec_transposed` (CSR), `vec_mul` again — one launch, every flop,
-/// every body; to device memory the chain is the three kernels.
+/// A four-kernel launch chain modelled by hand: `vec_mul` (dense),
+/// `matvec_transposed` (CSR), an `argmin_masked` whose result the host wants,
+/// `vec_mul` again, and a gather of the entry the argmin chose — one launch,
+/// every flop, every body, and the two read-backs staged into one transfer
+/// behind the last kernel; to device memory the chain is the four kernels.
 #[test]
 fn a_chain_pays_one_launch_and_every_body() {
     let dense = DenseMatrix::from_rows(&[vec![4.0, 0.0, -1.0], vec![0.0, 5.0, 0.5]])
@@ -650,13 +652,20 @@ fn a_chain_pays_one_launch_and_every_body() {
         let kernels = |d: &mut GpuDevice| {
             d.vec_mul(x, x, sq, DEFAULT_STREAM)?;
             d.matvec_transposed(a, sq, y, DEFAULT_STREAM)?;
-            d.vec_mul(y, y, ysq, DEFAULT_STREAM)
+            // The chain goes on from what the reduction found.
+            let (at, least) = d
+                .argmin_masked(y, y, DEFAULT_STREAM)?
+                .expect("nonzero mask");
+            d.vec_mul(y, y, ysq, DEFAULT_STREAM)?;
+            let [squared] = d.vec_get([(ysq, at)], DEFAULT_STREAM)?;
+            Ok::<_, GpuError>((at, least, squared))
         };
-        if chained {
-            dev.chain(kernels).expect("shapes agree");
+        let found = if chained {
+            dev.chain(kernels)
         } else {
-            kernels(&mut dev).expect("shapes agree");
-        }
+            kernels(&mut dev)
+        };
+        assert_eq!(found.expect("shapes agree"), (2, 1.0, 1.0));
         assert_eq!(
             dev.download_vector(ysq, DEFAULT_STREAM).expect("tenanted"),
             [16.0, 400.0, 1.0]
@@ -675,6 +684,7 @@ fn a_chain_pays_one_launch_and_every_body() {
             (nnz * 16) as f64,
             cost.sparse_flops_per_ns,
         ),
+        (3.0, 48.0, cost.dense_flops_per_ns),
         (3.0, 72.0, cost.dense_flops_per_ns),
     ];
     let mut now = started;
@@ -690,26 +700,34 @@ fn a_chain_pays_one_launch_and_every_body() {
         reference.incr(names::GPU_KERNEL_NS, t);
         now += t;
     }
-    // The read-back that checked the result.
-    let t = cost.transfer_ns(24);
-    reference.incr(names::GPU_D2H_TRANSFERS, 1.0);
-    reference.incr(names::GPU_D2H_BYTES, 24.0);
-    reference.incr(names::GPU_TRANSFER_NS, t);
+    // The chain's staged read-back (the argmin's 16 bytes and the gather's
+    // 8, behind the last kernel), then the one that checked the result.
+    for bytes in [16 + 8, 24] {
+        let t = cost.transfer_ns(bytes);
+        reference.incr(names::GPU_D2H_TRANSFERS, 1.0);
+        reference.incr(names::GPU_D2H_BYTES, bytes as f64);
+        reference.incr(names::GPU_TRANSFER_NS, t);
+        now += t;
+    }
     reference.max_gauge(names::GPU_MEM_PEAK_BYTES, dev.memory().peak() as f64);
-    now += t;
     let got = dev.metrics();
     assert_eq!(got, reference);
     for ((k, a), (_, b)) in got.counters().zip(reference.counters()) {
         assert_eq!(a.to_bits(), b.to_bits(), "counter {k}");
     }
     assert_eq!(dev.elapsed_ns().to_bits(), now.to_bits());
-    // Two launches and their latency are all the chain saved.
-    assert_eq!(plain.stats().kernel_launches, 3);
+    // Three launches, one link crossing and their latencies are all the
+    // chain saved: the same flops, the same bytes back.
+    assert_eq!(plain.stats().kernel_launches, 4);
+    assert_eq!(plain.stats().d2h_transfers, 3);
+    assert_eq!(plain.stats().d2h_bytes, dev.stats().d2h_bytes);
     assert_eq!(
         plain.metrics().counter(names::GPU_KERNEL_FLOPS),
         got.counter(names::GPU_KERNEL_FLOPS)
     );
-    assert!(plain.elapsed_ns() - dev.elapsed_ns() > 1.99 * cost.launch_latency_ns);
+    let saved = plain.elapsed_ns() - dev.elapsed_ns();
+    assert!(saved > 2.99 * cost.launch_latency_ns + 0.99 * cost.link_latency_ns);
+    assert!(saved < 3.01 * cost.launch_latency_ns + 1.01 * cost.link_latency_ns);
     // Modelled memory saw the same allocations either way.
     let memory = |d: &GpuDevice| {
         let m = d.memory();
@@ -734,4 +752,70 @@ fn a_chain_pays_one_launch_and_every_body() {
     dev.charge_custom(1.0, 8.0, false, DEFAULT_STREAM);
     dev.charge_custom(1.0, 8.0, false, DEFAULT_STREAM);
     assert_eq!(dev.stats().kernel_launches, launches + 3);
+}
+
+/// A chain's read-backs are staged: summed, one transfer, behind the last
+/// kernel — the D2H twin of `upload_staged`.
+#[test]
+fn a_chain_crosses_back_once() {
+    let mut dev = GpuDevice::new(DeviceConfig::gpu(1));
+    let cost = dev.cost_model().clone();
+    let x = dev
+        .upload_vector(&[3.0, 1.0, 2.0], DEFAULT_STREAM)
+        .expect("fits");
+    let [out, cube] = [(); 2].map(|()| dev.vacant_vector());
+    let link = |d: &GpuDevice| {
+        let s = d.stats();
+        (s.d2h_transfers, s.d2h_bytes)
+    };
+
+    // Three read-backs in a chain of three kernels: 16 + 8 + 24 bytes in one
+    // envelope, enqueued after the last kernel — the clock is the kernels'
+    // bodies, one launch, and one transfer of the sum.
+    let (before, started) = (link(&dev), dev.elapsed_ns());
+    let kernel_ns = dev.stats().kernel_ns;
+    let (least, entry, all) = dev
+        .chain(|d| {
+            let least = d.argmin_masked(x, x, DEFAULT_STREAM)?;
+            let [entry] = d.vec_get([(x, 2)], DEFAULT_STREAM)?;
+            assert_eq!(link(d), before, "nothing crosses while the chain runs");
+            d.vec_mul(x, x, out, DEFAULT_STREAM)?;
+            let all = d.download_vector(out, DEFAULT_STREAM)?;
+            d.vec_mul(out, x, cube, DEFAULT_STREAM)?;
+            Ok::<_, GpuError>((least, entry, all))
+        })
+        .expect("shapes agree");
+    assert_eq!((least, entry), (Some((1, 1.0)), 2.0));
+    assert_eq!(all, [9.0, 1.0, 4.0]);
+    assert_eq!(link(&dev), (before.0 + 1, before.1 + 16 + 8 + 24));
+    let kernels = dev.stats().kernel_ns - kernel_ns;
+    let expected = kernels + cost.transfer_ns(48);
+    assert!(
+        (dev.elapsed_ns() - started - expected).abs() < 1e-6,
+        "the transfer follows the last kernel"
+    );
+
+    // A chain that reads nothing back crosses nothing.
+    let before = link(&dev);
+    dev.chain(|d| d.vec_mul(x, x, out, DEFAULT_STREAM))
+        .expect("shapes agree");
+    assert_eq!(link(&dev), before);
+
+    // A chain that fails midway has charged the kernel it ran and sends
+    // back what that kernel staged; the scope is closed and nothing stays
+    // staged for the next transfer to pick up.
+    let longer = dev.upload_vector(&[1.0; 4], DEFAULT_STREAM).expect("fits");
+    let (before, launches) = (link(&dev), dev.stats().kernel_launches);
+    let used = dev.memory().used();
+    let failed = dev.chain(|d| {
+        d.argmin_masked(x, x, DEFAULT_STREAM)?;
+        d.vec_mul(x, longer, out, DEFAULT_STREAM)
+    });
+    assert!(matches!(failed, Err(GpuError::Linalg(_))));
+    assert_eq!(dev.stats().kernel_launches, launches + 1);
+    assert_eq!(link(&dev), (before.0 + 1, before.1 + 16));
+    assert_eq!(dev.memory().used(), used);
+    // Outside a chain a read-back crosses at once, alone.
+    dev.vec_get([(x, 0)], DEFAULT_STREAM).expect("in range");
+    assert_eq!(link(&dev), (before.0 + 2, before.1 + 16 + 8));
 }

@@ -8,24 +8,36 @@
 //!   never re-transferred; cuts extend it in place (Section 5.2);
 //! * basis assembly, factorization, eta updates, FTRAN/BTRAN, pricing, and
 //!   both ratio tests run on the device;
-//! * per iteration, only O(1) scalars cross the link, and only device to
-//!   host: the reduction results and pivot entries the host reads back to
-//!   choose the next kernel. What a pivot *stores* (the entering value, two
-//!   statuses, a cost and two bounds) rides its step kernel as launch
-//!   arguments — "rank-1 updates and resolving the updated matrix
-//!   repeatedly with no data transfer from host to device or vice versa";
+//! * a pivot is **one round trip**: two engine calls, a *select* and an
+//!   *apply*, each one lock, one kernel launch and at most one link crossing
+//!   per direction — so two launches and one crossing per pivot, whatever
+//!   the pricing rule and whichever simplex. The select
+//!   ([`SimplexEngine::primal_select`]: `price → ftran_column → ratio_test`;
+//!   [`SimplexEngine::dual_select`]: `primal_infeas → btran_row → dual_ratio`
+//!   and the two pivot entries) runs as one launch chain
+//!   ([`GpuDevice::chain`]) that *selects on the device*: the index a
+//!   reduction finds is read by the chain's next kernel where the reduction
+//!   left it, a chain whose reduction finds nothing ends early, and what the
+//!   host needs to go on (the reductions' 16–24 byte results, the pivot
+//!   entries) is staged and crosses the link **once**, behind the chain's
+//!   last kernel. The apply ([`SimplexEngine::primal_apply`] /
+//!   [`SimplexEngine::dual_apply`]) is one chain with nothing to read back:
+//!   what a pivot *stores* (the entering value, two statuses, a cost and two
+//!   bounds) rides its step kernel as launch arguments — "rank-1 updates and
+//!   resolving the updated matrix repeatedly with no data transfer from host
+//!   to device or vice versa". (Under Devex the apply reads the weight
+//!   update's two scalars back, 16 bytes in its one envelope.) The
+//!   primitives the pivot-shaped calls are made of remain engine calls of
+//!   their own — one chain, one crossing each — for the trait's default
+//!   bodies and the Bland fallback, whose full reduced-cost read-back is the
+//!   honest cost of choosing the column on the host;
 //! * per basis **install** (node start, refactorization), only small
 //!   vectors (`c`, `b`, statuses, basic bounds, nonbasic values, Devex
 //!   weights) are uploaded, staged into one transfer;
-//! * so every [`SimplexEngine`] call crosses the link **at most once in
-//!   each direction** — what a transfer costs first is its latency, not its
-//!   bytes;
-//! * and every call is **at most one kernel launch**: the kernels it runs
-//!   back to back (`eta_btran → pricing → vec_mul → argmin_masked` for a
-//!   `price`) are one launch chain ([`GpuDevice::chain`]) — the first pays
-//!   the launch latency, the rest their bodies. What a small kernel costs
-//!   first is its launch, and `on_device` is the one door to the device, so
-//!   no call can pay it twice.
+//! * what a transfer costs first is its latency, not its bytes, and what a
+//!   small kernel costs first is its launch: `DeviceSimplex::call` (one
+//!   lock, one chain, read-backs staged) is the one door an installed engine
+//!   has to its device, so no call can pay either twice.
 //!
 //! There is one orchestration, [`DeviceSimplex`], and one kernel set under
 //! it — Section 5.4's "two different MIP solver versions" reduced to a
@@ -52,7 +64,12 @@
 //! super-solver dispatch of `gmip-core` choose a storage on cost grounds.
 
 use crate::basis::{Basis, VarStatus};
-use crate::engine::{PivotPlan, ProblemView, SimplexEngine};
+use crate::dual::DualConfig;
+use crate::engine::{
+    dual_pivot_element, entering_dir, improving, DualPick, PivotPlan, PrimalPick, ProblemView,
+    SimplexEngine,
+};
+use crate::simplex::{PricingRule, PrimalConfig};
 use crate::{LpError, LpResult};
 use gmip_gpu::device::Result as GpuResult;
 use gmip_gpu::{
@@ -171,14 +188,211 @@ fn vacate<const N: usize>(d: &mut GpuDevice, vectors: [VectorHandle; N]) {
 
 /// Runs `kernels`, then releases the per-call `scratch` they tenanted —
 /// whether they succeeded or not, so a failed call strands no device byte.
-fn with_scratch<const N: usize, R>(
+fn with_scratch<const N: usize, R, E>(
     d: &mut GpuDevice,
     scratch: [VectorHandle; N],
-    kernels: impl FnOnce(&mut GpuDevice) -> GpuResult<R>,
-) -> GpuResult<R> {
+    kernels: impl FnOnce(&mut GpuDevice) -> Result<R, E>,
+) -> Result<R, E> {
     let out = kernels(d);
     vacate(d, scratch);
     out
+}
+
+/// What the host knows of the iteration state on the device.
+#[derive(Debug, Default)]
+struct Live {
+    /// Whether the state is that of a completed install.
+    installed: bool,
+    /// Whether `alpha` / `alpha_r` hold an FTRAN column / BTRAN row no
+    /// pivot has consumed yet.
+    alpha: bool,
+    alpha_r: bool,
+    /// Eta factors accumulated since the last install.
+    etas: usize,
+}
+
+/// One engine call's view of an installed engine: the handles its kernels
+/// name and the host-side record they keep. Each method is the kernel
+/// sequence of one [`SimplexEngine`] primitive, to be run inside the call's
+/// one launch chain ([`on_device`]) — alone for the primitive itself, back
+/// to back for a pivot-shaped call.
+struct Call<'e, M> {
+    ws: Workspace<M>,
+    a: M,
+    st: StreamId,
+    m: usize,
+    lb: &'e [f64],
+    ub: &'e [f64],
+    live: &'e mut Live,
+}
+
+impl<M: Storage> Call<'_, M> {
+    /// The workspace, with an unconsumed FTRAN column in `alpha`.
+    fn alpha(&self) -> LpResult<Workspace<M>> {
+        self.live
+            .alpha
+            .then_some(self.ws)
+            .ok_or(LpError::NotInstalled)
+    }
+
+    /// The workspace, with an unconsumed BTRAN row in `alpha_r`.
+    fn alpha_r(&self) -> LpResult<Workspace<M>> {
+        self.live
+            .alpha_r
+            .then_some(self.ws)
+            .ok_or(LpError::NotInstalled)
+    }
+
+    /// Reduced costs `d = c − Aᵀy`, `Bᵀy = c_B`, into the `d` scratch for
+    /// `reduce` to read; `scratch` is what the three of them tenant.
+    fn priced<const N: usize, R>(
+        &self,
+        d: &mut GpuDevice,
+        scratch: [VectorHandle; N],
+        reduce: impl FnOnce(&mut GpuDevice) -> GpuResult<R>,
+    ) -> LpResult<R> {
+        let (ws, a, st) = (self.ws, self.a, self.st);
+        Ok(with_scratch(d, scratch, |d| {
+            d.eta_btran(ws.eta, ws.cb, ws.y, st)?;
+            d.pricing(a, ws.y, ws.c, ws.d, st)?;
+            reduce(d)
+        })?)
+    }
+
+    fn price(&self, d: &mut GpuDevice, rule: PricingRule) -> LpResult<Option<(usize, f64)>> {
+        let (ws, st) = (self.ws, self.st);
+        match rule {
+            PricingRule::Dantzig => self.priced(d, [ws.y, ws.d, ws.score], |d| {
+                d.vec_mul(ws.d, ws.sigma, ws.score, st)?;
+                d.argmin_masked(ws.score, ws.sigma, st)
+            }),
+            PricingRule::Devex => self.priced(d, [ws.y, ws.d], |d| {
+                d.devex_argmax(ws.d, ws.sigma, ws.gamma, 0.0, st)
+            }),
+        }
+    }
+
+    fn reduced_costs_host(&self, d: &mut GpuDevice) -> LpResult<Vec<f64>> {
+        // Honest full-vector D2H transfer (the Bland fallback's cost).
+        let ws = self.ws;
+        self.priced(d, [ws.y, ws.d], |d| d.download_vector(ws.d, self.st))
+    }
+
+    fn ftran_column(&mut self, d: &mut GpuDevice, q: usize) -> LpResult<()> {
+        let (ws, a, st) = (self.ws, self.a, self.st);
+        self.live.alpha = false;
+        with_scratch(d, [ws.col], |d| {
+            d.extract_column(a, q, ws.col, st)?;
+            d.eta_ftran(ws.eta, ws.col, ws.alpha, st)
+        })?;
+        self.live.alpha = true;
+        Ok(())
+    }
+
+    fn ratio_test(
+        &self,
+        d: &mut GpuDevice,
+        dir: f64,
+        tol: f64,
+    ) -> LpResult<Option<(usize, f64, bool)>> {
+        let ws = self.alpha()?;
+        Ok(d.ratio_test_bounded(ws.xb, ws.alpha, ws.lbb, ws.ubb, dir, tol, self.st)?)
+    }
+
+    fn apply_flip(
+        &self,
+        d: &mut GpuDevice,
+        q: usize,
+        dir: f64,
+        t: f64,
+        new_sigma: f64,
+    ) -> LpResult<()> {
+        let ws = self.alpha()?;
+        let writes = [(ws.sigma, q, new_sigma)];
+        Ok(d.basic_step(ws.xb, ws.alpha, dir, t, &writes, self.st)?)
+    }
+
+    fn apply_pivot(&mut self, d: &mut GpuDevice, plan: &PivotPlan) -> LpResult<()> {
+        let ws = self.alpha()?;
+        let st = self.st;
+        // A fixed column leaves ineligible. A leaving column that does not
+        // exist is for the kernel's argument check to refuse.
+        let fixed = self.lb.get(plan.leaving_j).zip(self.ub.get(plan.leaving_j));
+        let leaving_sigma = match fixed {
+            Some((lb, ub)) if lb == ub => 0.0,
+            _ => plan.leaving_sigma,
+        };
+        // Everything the pivot stores besides the step rides the step
+        // kernel as arguments, checked before x_B or the eta file move.
+        d.basic_step(
+            ws.xb,
+            ws.alpha,
+            plan.dir,
+            plan.t,
+            &[
+                (ws.xb, plan.r, plan.entering_val),
+                (ws.sigma, plan.leaving_j, leaving_sigma),
+                (ws.sigma, plan.q, 0.0),
+                (ws.cb, plan.r, plan.c_q),
+                (ws.lbb, plan.r, plan.lb_q),
+                (ws.ubb, plan.r, plan.ub_q),
+            ],
+            st,
+        )?;
+        d.eta_update(ws.eta, plan.r, ws.alpha, st)?;
+        // The pivot consumed α (and the Devex row, if any).
+        vacate(d, [ws.alpha]);
+        if self.live.alpha_r {
+            vacate(d, [ws.alpha_r]);
+        }
+        self.live.etas += 1;
+        self.live.alpha = false;
+        self.live.alpha_r = false;
+        Ok(())
+    }
+
+    fn primal_infeas(&self, d: &mut GpuDevice, tol: f64) -> LpResult<Option<(usize, f64, bool)>> {
+        let ws = self.ws;
+        Ok(d.primal_infeas_argmax(ws.xb, ws.lbb, ws.ubb, tol, self.st)?)
+    }
+
+    fn btran_row(&mut self, d: &mut GpuDevice, r: usize) -> LpResult<()> {
+        let (ws, a, st, m) = (self.ws, self.a, self.st, self.m);
+        self.live.alpha_r = false;
+        with_scratch(d, [ws.e_r, ws.rho], |d| {
+            d.alloc_unit_vector(m, r, ws.e_r, st)?;
+            d.eta_btran(ws.eta, ws.e_r, ws.rho, st)?;
+            d.matvec_transposed(a, ws.rho, ws.alpha_r, st)
+        })?;
+        self.live.alpha_r = true;
+        Ok(())
+    }
+
+    fn dual_ratio(
+        &self,
+        d: &mut GpuDevice,
+        leaving_below: bool,
+        tol: f64,
+    ) -> LpResult<Option<(usize, f64)>> {
+        let (ws, st) = (self.alpha_r()?, self.st);
+        self.priced(d, [ws.y, ws.d], |d| {
+            d.dual_ratio_argmin(ws.d, ws.alpha_r, ws.sigma, leaving_below, tol, st)
+        })
+    }
+
+    /// Reads one vector entry back (staged, inside a chain).
+    fn entry(&self, d: &mut GpuDevice, of: VectorHandle, i: usize) -> LpResult<f64> {
+        Ok(d.vec_get([(of, i)], self.st).map(|[v]| v)?)
+    }
+
+    fn devex_update(&self, d: &mut GpuDevice, q: usize, leaving_j: usize) -> LpResult<()> {
+        let (ws, st) = (self.alpha_r()?, self.st);
+        let [arq, gamma_q] = d.vec_get([(ws.alpha_r, q), (ws.gamma, q)], st)?;
+        if arq.abs() < 1e-12 {
+            return Err(LpError::Shape("devex update with zero pivot".into()));
+        }
+        Ok(d.devex_weight_update(ws.gamma, ws.alpha_r, arq, gamma_q, leaving_j, st)?)
+    }
 }
 
 /// Simplex engine whose numerical state lives on a simulated accelerator,
@@ -195,14 +409,7 @@ pub struct DeviceSimplex<M: Storage> {
     ub: Vec<f64>,
     /// The resident workspace, created at the first install.
     ws: Option<Workspace<M>>,
-    /// Whether the iteration state is that of a completed install.
-    installed: bool,
-    /// Whether `alpha` / `alpha_r` hold an FTRAN column / BTRAN row no
-    /// pivot has consumed yet.
-    alpha_live: bool,
-    alpha_r_live: bool,
-    /// Eta factors accumulated since the last install.
-    etas: usize,
+    live: Live,
     /// Host staging buffers for the install upload (σ, nonbasic values,
     /// the basis-ordered `c_B` / `l_B` / `u_B`, and the initial Devex
     /// weights), kept across installs so a warm re-solve stages without
@@ -237,10 +444,7 @@ impl<M: Storage> DeviceSimplex<M> {
             lb: Vec::new(),
             ub: Vec::new(),
             ws: None,
-            installed: false,
-            alpha_live: false,
-            alpha_r_live: false,
-            etas: 0,
+            live: Live::default(),
             stage: Default::default(),
         })
     }
@@ -250,31 +454,33 @@ impl<M: Storage> DeviceSimplex<M> {
         &self.accel
     }
 
-    fn with_dev<R>(&self, f: impl FnOnce(&mut GpuDevice) -> GpuResult<R>) -> LpResult<R> {
-        on_device(&self.accel, f).map_err(LpError::from)
+    /// One engine call on an installed engine: `kernels` runs with the
+    /// engine's [`Call`] view on the device, as one lock and one launch
+    /// chain.
+    fn call<R>(
+        &mut self,
+        kernels: impl FnOnce(&mut Call<'_, M>, &mut GpuDevice) -> LpResult<R>,
+    ) -> LpResult<R> {
+        let ws = self
+            .ws
+            .filter(|_| self.live.installed)
+            .ok_or(LpError::NotInstalled)?;
+        let mut call = Call {
+            ws,
+            a: self.a,
+            st: self.stream,
+            m: self.m,
+            lb: &self.lb,
+            ub: &self.ub,
+            live: &mut self.live,
+        };
+        on_device(&self.accel, |d| kernels(&mut call, d))
     }
 
-    /// The workspace, once an install has filled it.
-    fn ws(&self) -> LpResult<Workspace<M>> {
-        self.ws
-            .filter(|_| self.installed)
-            .ok_or(LpError::NotInstalled)
-    }
-
-    /// The workspace with an unconsumed FTRAN column in `alpha`.
-    fn ws_alpha(&self) -> LpResult<Workspace<M>> {
-        if !self.alpha_live {
-            return Err(LpError::NotInstalled);
-        }
-        self.ws()
-    }
-
-    /// The workspace with an unconsumed BTRAN row in `alpha_r`.
-    fn ws_alpha_r(&self) -> LpResult<Workspace<M>> {
-        if !self.alpha_r_live {
-            return Err(LpError::NotInstalled);
-        }
-        self.ws()
+    /// Entry `i` of the current FTRAN column: the tests' window on α.
+    #[cfg(test)]
+    fn alpha_entry(&mut self, i: usize) -> LpResult<f64> {
+        self.call(|k, d| k.entry(d, k.alpha()?.alpha, i))
     }
 }
 
@@ -313,10 +519,7 @@ impl<M: Storage> SimplexEngine for DeviceSimplex<M> {
                 view.b.len()
             )));
         }
-        self.installed = false;
-        self.alpha_live = false;
-        self.alpha_r_live = false;
-        self.etas = 0;
+        self.live = Live::default();
         self.lb.clear();
         self.lb.extend_from_slice(view.lb);
         self.ub.clear();
@@ -397,224 +600,150 @@ impl<M: Storage> SimplexEngine for DeviceSimplex<M> {
             })?;
             Ok(())
         })?;
-        self.installed = true;
+        self.live.installed = true;
         Ok(())
     }
 
     fn append_cut(&mut self, row: &[f64], col: &[f64]) -> LpResult<()> {
-        let st = self.stream;
-        let a = self.a;
-        self.with_dev(|d| d.append_cut(a, row, col, st))?;
+        let (a, st) = (self.a, self.stream);
+        on_device(&self.accel, |d| d.append_cut(a, row, col, st))?;
         self.m += 1;
         self.n += 1;
         Ok(())
     }
 
     fn price(&mut self) -> LpResult<Option<(usize, f64)>> {
-        let st = self.stream;
-        let ws = self.ws()?;
-        let a = self.a;
-        self.with_dev(|d| {
-            with_scratch(d, [ws.y, ws.d, ws.score], |d| {
-                d.eta_btran(ws.eta, ws.cb, ws.y, st)?;
-                d.pricing(a, ws.y, ws.c, ws.d, st)?;
-                d.vec_mul(ws.d, ws.sigma, ws.score, st)?;
-                d.argmin_masked(ws.score, ws.sigma, st)
-            })
-        })
+        self.call(|k, d| k.price(d, PricingRule::Dantzig))
     }
 
     fn reduced_costs_host(&mut self) -> LpResult<Vec<f64>> {
-        let st = self.stream;
-        let ws = self.ws()?;
-        let a = self.a;
-        self.with_dev(|d| {
-            with_scratch(d, [ws.y, ws.d], |d| {
-                d.eta_btran(ws.eta, ws.cb, ws.y, st)?;
-                d.pricing(a, ws.y, ws.c, ws.d, st)?;
-                // Honest full-vector D2H transfer (the Bland fallback's cost).
-                d.download_vector(ws.d, st)
-            })
-        })
+        self.call(|k, d| k.reduced_costs_host(d))
     }
 
     fn ftran_column(&mut self, q: usize) -> LpResult<()> {
-        let st = self.stream;
-        let ws = self.ws()?;
-        let a = self.a;
-        self.alpha_live = false;
-        self.with_dev(|d| {
-            with_scratch(d, [ws.col], |d| {
-                d.extract_column(a, q, ws.col, st)?;
-                d.eta_ftran(ws.eta, ws.col, ws.alpha, st)
-            })
-        })?;
-        self.alpha_live = true;
-        Ok(())
-    }
-
-    fn alpha_entry(&mut self, i: usize) -> LpResult<f64> {
-        let st = self.stream;
-        let ws = self.ws_alpha()?;
-        self.with_dev(|d| d.vec_get([(ws.alpha, i)], st).map(|[v]| v))
+        self.call(|k, d| k.ftran_column(d, q))
     }
 
     fn ratio_test(&mut self, dir: f64, tol: f64) -> LpResult<Option<(usize, f64, bool)>> {
-        let st = self.stream;
-        let ws = self.ws_alpha()?;
-        self.with_dev(|d| d.ratio_test_bounded(ws.xb, ws.alpha, ws.lbb, ws.ubb, dir, tol, st))
+        self.call(|k, d| k.ratio_test(d, dir, tol))
     }
 
     fn apply_flip(&mut self, q: usize, dir: f64, t: f64, new_sigma: f64) -> LpResult<()> {
-        let st = self.stream;
-        let ws = self.ws_alpha()?;
-        self.with_dev(|d| d.basic_step(ws.xb, ws.alpha, dir, t, &[(ws.sigma, q, new_sigma)], st))
+        self.call(|k, d| k.apply_flip(d, q, dir, t, new_sigma))
     }
 
     fn apply_pivot(&mut self, plan: &PivotPlan) -> LpResult<()> {
-        let st = self.stream;
-        let ws = self.ws_alpha()?;
-        let alpha_r_live = self.alpha_r_live;
-        // A fixed column leaves ineligible. A leaving column that does not
-        // exist is for the kernel's argument check to refuse.
-        let fixed = self.lb.get(plan.leaving_j).zip(self.ub.get(plan.leaving_j));
-        let leaving_sigma = match fixed {
-            Some((lb, ub)) if lb == ub => 0.0,
-            _ => plan.leaving_sigma,
-        };
-        self.with_dev(|d| {
-            // Everything the pivot stores besides the step rides the step
-            // kernel as arguments, checked before x_B or the eta file move.
-            d.basic_step(
-                ws.xb,
-                ws.alpha,
-                plan.dir,
-                plan.t,
-                &[
-                    (ws.xb, plan.r, plan.entering_val),
-                    (ws.sigma, plan.leaving_j, leaving_sigma),
-                    (ws.sigma, plan.q, 0.0),
-                    (ws.cb, plan.r, plan.c_q),
-                    (ws.lbb, plan.r, plan.lb_q),
-                    (ws.ubb, plan.r, plan.ub_q),
-                ],
-                st,
-            )?;
-            d.eta_update(ws.eta, plan.r, ws.alpha, st)?;
-            // The pivot consumed α (and the Devex row, if any).
-            vacate(d, [ws.alpha]);
-            if alpha_r_live {
-                vacate(d, [ws.alpha_r]);
-            }
-            Ok(())
-        })?;
-        self.etas += 1;
-        self.alpha_live = false;
-        self.alpha_r_live = false;
-        Ok(())
+        self.call(|k, d| k.apply_pivot(d, plan))
     }
 
     fn basic_values(&mut self) -> LpResult<Vec<f64>> {
-        let st = self.stream;
-        let ws = self.ws()?;
-        self.with_dev(|d| d.download_vector(ws.xb, st))
+        self.call(|k, d| Ok(d.download_vector(k.ws.xb, k.st)?))
     }
 
     fn basic_entry(&mut self, i: usize) -> LpResult<f64> {
-        let st = self.stream;
-        let ws = self.ws()?;
-        self.with_dev(|d| d.vec_get([(ws.xb, i)], st).map(|[v]| v))
+        self.call(|k, d| k.entry(d, k.ws.xb, i))
     }
 
     fn eta_count(&self) -> usize {
-        self.etas
+        self.live.etas
     }
 
     fn primal_infeas(&mut self, tol: f64) -> LpResult<Option<(usize, f64, bool)>> {
-        let st = self.stream;
-        let ws = self.ws()?;
-        self.with_dev(|d| d.primal_infeas_argmax(ws.xb, ws.lbb, ws.ubb, tol, st))
+        self.call(|k, d| k.primal_infeas(d, tol))
     }
 
     fn btran_row(&mut self, r: usize) -> LpResult<()> {
-        let st = self.stream;
-        let ws = self.ws()?;
-        let a = self.a;
-        let m = self.m;
-        self.alpha_r_live = false;
-        self.with_dev(|d| {
-            with_scratch(d, [ws.e_r, ws.rho], |d| {
-                d.alloc_unit_vector(m, r, ws.e_r, st)?;
-                d.eta_btran(ws.eta, ws.e_r, ws.rho, st)?;
-                d.matvec_transposed(a, ws.rho, ws.alpha_r, st)
-            })
-        })?;
-        self.alpha_r_live = true;
-        Ok(())
+        self.call(|k, d| k.btran_row(d, r))
     }
 
     fn dual_ratio(&mut self, leaving_below: bool, tol: f64) -> LpResult<Option<(usize, f64)>> {
-        let st = self.stream;
-        let ws = self.ws_alpha_r()?;
-        let a = self.a;
-        self.with_dev(|d| {
-            with_scratch(d, [ws.y, ws.d], |d| {
-                d.eta_btran(ws.eta, ws.cb, ws.y, st)?;
-                d.pricing(a, ws.y, ws.c, ws.d, st)?;
-                d.dual_ratio_argmin(ws.d, ws.alpha_r, ws.sigma, leaving_below, tol, st)
-            })
-        })
+        self.call(|k, d| k.dual_ratio(d, leaving_below, tol))
     }
 
     fn alpha_r_entry(&mut self, j: usize) -> LpResult<f64> {
-        let st = self.stream;
-        let ws = self.ws_alpha_r()?;
-        self.with_dev(|d| d.vec_get([(ws.alpha_r, j)], st).map(|[v]| v))
+        self.call(|k, d| k.entry(d, k.alpha_r()?.alpha_r, j))
     }
 
     fn btran_row_host(&mut self, r: usize) -> LpResult<Vec<f64>> {
-        let st = self.stream;
         self.btran_row(r)?;
-        let ws = self.ws_alpha_r()?;
         // The Section 5.2 device→host leg: the tableau row crosses the link
         // so the CPU-side cut generator can read it.
-        self.with_dev(|d| d.download_vector(ws.alpha_r, st))
+        self.call(|k, d| Ok(d.download_vector(k.alpha_r()?.alpha_r, k.st)?))
     }
 
     fn dual_prices(&mut self) -> LpResult<Vec<f64>> {
-        let st = self.stream;
-        let ws = self.ws()?;
-        self.with_dev(|d| {
-            with_scratch(d, [ws.y], |d| {
+        self.call(|k, d| {
+            let (ws, st) = (k.ws, k.st);
+            Ok(with_scratch(d, [ws.y], |d| {
                 d.eta_btran(ws.eta, ws.cb, ws.y, st)?;
                 d.download_vector(ws.y, st)
-            })
+            })?)
         })
     }
 
     fn price_devex(&mut self) -> LpResult<Option<(usize, f64)>> {
-        let st = self.stream;
-        let ws = self.ws()?;
-        let a = self.a;
-        self.with_dev(|d| {
-            with_scratch(d, [ws.y, ws.d], |d| {
-                d.eta_btran(ws.eta, ws.cb, ws.y, st)?;
-                d.pricing(a, ws.y, ws.c, ws.d, st)?;
-                d.devex_argmax(ws.d, ws.sigma, ws.gamma, 0.0, st)
+        self.call(|k, d| k.price(d, PricingRule::Devex))
+    }
+
+    fn devex_update(&mut self, q: usize, leaving_j: usize) -> LpResult<()> {
+        self.call(|k, d| k.devex_update(d, q, leaving_j))
+    }
+
+    // The pivot-shaped calls: the primitives of the default bodies, in the
+    // same order with the same exits, inside one `call` — so one lock, one
+    // launch, and one staged read-back of what the host needs to go on.
+
+    fn primal_select(&mut self, cfg: &PrimalConfig, basis: &Basis) -> LpResult<Option<PrimalPick>> {
+        self.call(|k, d| {
+            let Some(q) = improving(k.price(d, cfg.pricing)?, cfg.price_tol) else {
+                return Ok(None);
+            };
+            // What the device reads as −σ_q beside the argmin's result.
+            let dir = entering_dir(basis, q)?;
+            k.ftran_column(d, q)?;
+            let limit = k.ratio_test(d, dir, cfg.ratio_tol)?;
+            Ok(Some(PrimalPick { q, dir, limit }))
+        })
+    }
+
+    fn primal_apply(&mut self, plan: &PivotPlan, devex: bool) -> LpResult<()> {
+        self.call(|k, d| {
+            if devex {
+                k.btran_row(d, plan.r)?;
+                k.devex_update(d, plan.q, plan.leaving_j)?;
+            }
+            k.apply_pivot(d, plan)
+        })
+    }
+
+    fn dual_select(&mut self, cfg: &DualConfig) -> LpResult<DualPick> {
+        self.call(|k, d| {
+            let Some((r, _viol, below)) = k.primal_infeas(d, cfg.feas_tol)? else {
+                return Ok(DualPick::Feasible);
+            };
+            k.btran_row(d, r)?;
+            let Some((q, _ratio)) = k.dual_ratio(d, below, cfg.base.ratio_tol)? else {
+                return Ok(DualPick::Infeasible { row: r, below });
+            };
+            // The two entries the pivot's geometry needs, gathered where the
+            // reductions left `r` and `q`.
+            let alpha_rq = k.entry(d, k.alpha_r()?.alpha_r, q)?;
+            let alpha_rq = dual_pivot_element(alpha_rq, q, cfg.base.ratio_tol)?;
+            let xbr = k.entry(d, k.ws.xb, r)?;
+            Ok(DualPick::Pivot {
+                r,
+                below,
+                q,
+                alpha_rq,
+                xbr,
             })
         })
     }
 
-    fn devex_update(&mut self, q: usize, leaving_j: usize) -> LpResult<()> {
-        let st = self.stream;
-        let ws = self.ws_alpha_r()?;
-        on_device(&self.accel, |d| {
-            let [arq, gamma_q] = d.vec_get([(ws.alpha_r, q), (ws.gamma, q)], st)?;
-            if arq.abs() < 1e-12 {
-                return Err(LpError::Shape("devex update with zero pivot".into()));
-            }
-            d.devex_weight_update(ws.gamma, ws.alpha_r, arq, gamma_q, leaving_j, st)?;
-            Ok(())
+    fn dual_apply(&mut self, plan: &PivotPlan) -> LpResult<()> {
+        self.call(|k, d| {
+            k.ftran_column(d, plan.q)?;
+            k.apply_pivot(d, plan)
         })
     }
 }
@@ -933,6 +1062,119 @@ mod tests {
         assert_eq!(e.alpha_entry(0).unwrap(), 0.5);
     }
 
+    /// A pivot is one round trip — two launches and one read-back, each
+    /// call one of each at most — on either simplex; a bound flip is the
+    /// same; a select that ends the solve is one launch and one read-back.
+    fn a_pivot_is_one_round_trip<M: Storage>() {
+        // max x0 + x1 over x0 + x1 + s0 = 4, 2 x0 + x1 + s1 = 6.
+        let a =
+            DenseMatrix::from_rows(&[vec![1.0, 1.0, 1.0, 0.0], vec![2.0, 1.0, 0.0, 1.0]]).unwrap();
+        let (c, lb, b) = ([1.0, 1.0, 0.0, 0.0], [0.0; 4], [4.0, 6.0]);
+        let slack = Basis::with_basic_cols(vec![2, 3], 4);
+        let accel = Accel::gpu(1);
+        let mut e = DeviceSimplex::<M>::new(accel.clone(), &a).unwrap();
+        // What a call moved: launches, H2D transfers, D2H transfers and bytes.
+        let seen = std::cell::RefCell::new(accel.stats());
+        let grew = |what: &str, want: (u64, u64, u64)| {
+            let (s, seen) = (accel.stats(), seen.replace(accel.stats()));
+            let got = (
+                s.kernel_launches - seen.kernel_launches,
+                s.d2h_transfers - seen.d2h_transfers,
+                s.d2h_bytes - seen.d2h_bytes,
+            );
+            assert_eq!(s.h2d_transfers, seen.h2d_transfers, "{what} uploaded");
+            assert_eq!(got, want, "{what}: (launches, read-backs, bytes back)");
+        };
+        let install = |e: &mut DeviceSimplex<M>, c: &[f64], ub: &[f64]| {
+            let view = ProblemView {
+                c,
+                lb: &lb,
+                ub,
+                b: &b,
+            };
+            e.install(view, &slack).unwrap();
+            seen.replace(accel.stats());
+        };
+        let (primal, dual) = (PrimalConfig::default(), DualConfig::standard());
+        let plan = |r, q, leaving_j, t: f64, entering_val| PivotPlan {
+            r,
+            q,
+            leaving_j,
+            dir: 1.0,
+            t,
+            entering_val,
+            leaving_sigma: -1.0,
+            c_q: c[q],
+            lb_q: 0.0,
+            ub_q: 10.0,
+        };
+
+        // A primal pivot: the argmin's 16 bytes and the ratio test's 24.
+        install(&mut e, &c, &[10.0; 4]);
+        let pick = e.primal_select(&primal, &slack).unwrap().unwrap();
+        assert_eq!(
+            (pick.q, pick.dir, pick.limit),
+            (0, 1.0, Some((1, 3.0, false)))
+        );
+        grew("primal_select", (1, 1, 16 + 24));
+        e.primal_apply(&plan(1, 0, 3, 3.0, 3.0), false).unwrap();
+        grew("primal_apply", (1, 0, 0));
+        assert_eq!(e.basic_values().unwrap(), vec![1.0, 3.0]);
+
+        // A bound flip: x0 may rise by 1 only, before any row blocks.
+        install(&mut e, &c, &[1.0, 10.0, 10.0, 10.0]);
+        let pick = e.primal_select(&primal, &slack).unwrap().unwrap();
+        assert_eq!((pick.q, pick.limit), (0, Some((1, 3.0, false))));
+        grew("primal_select before a flip", (1, 1, 16 + 24));
+        e.apply_flip(0, 1.0, 1.0, 1.0).unwrap();
+        grew("apply_flip", (1, 0, 0));
+
+        // A select that ends the solve: nothing prices out.
+        install(&mut e, &[-1.0, -1.0, 0.0, 0.0], &[10.0; 4]);
+        assert_eq!(e.primal_select(&primal, &slack).unwrap(), None);
+        grew("terminal primal_select", (1, 1, 16));
+        assert_eq!(e.dual_select(&dual).unwrap(), DualPick::Feasible);
+        grew("terminal dual_select", (1, 1, 24));
+
+        // A dual pivot: s0 = 4 sits above an upper bound of 1. Both
+        // reductions' results and the two pivot entries, 24 + 16 + 8 + 8.
+        // (Costs negated so that the slack basis is dual feasible.)
+        let c_neg = [-1.0, -1.0, 0.0, 0.0];
+        install(&mut e, &c_neg, &[10.0, 10.0, 1.0, 10.0]);
+        let DualPick::Pivot {
+            r,
+            below,
+            q,
+            alpha_rq,
+            xbr,
+        } = e.dual_select(&dual).unwrap()
+        else {
+            panic!("a violated row with an entering column");
+        };
+        assert_eq!((r, below, q, alpha_rq, xbr), (0, false, 0, 1.0, 4.0));
+        grew("dual_select", (1, 1, 24 + 16 + 8 + 8));
+        let delta = (xbr - 1.0) / alpha_rq;
+        e.dual_apply(&PivotPlan {
+            leaving_sigma: 1.0,
+            c_q: c_neg[q],
+            ..plan(r, q, 2, delta, delta)
+        })
+        .unwrap();
+        grew("dual_apply", (1, 0, 0));
+        assert_eq!(e.basic_values().unwrap(), vec![3.0, 0.0]);
+
+        // Infeasible: s0 = 4 above 1 again, and both structurals fixed.
+        install(&mut e, &c_neg, &[0.0, 0.0, 1.0, 10.0]);
+        assert_eq!(
+            e.dual_select(&dual).unwrap(),
+            DualPick::Infeasible {
+                row: 0,
+                below: false
+            }
+        );
+        grew("infeasible dual_select", (1, 1, 24 + 16));
+    }
+
     /// Everything an install determines, bit for bit: `x_B`, the duals, the
     /// reduced costs, a tableau row, and the pivot path a primal solve takes
     /// from there (iterations, final basis, final `x_B`).
@@ -1082,6 +1324,11 @@ mod tests {
                 #[test]
                 fn bad_pivot_plans_change_nothing() {
                     super::bad_pivot_plans_change_nothing::<$storage>();
+                }
+
+                #[test]
+                fn a_pivot_is_one_round_trip() {
+                    super::a_pivot_is_one_round_trip::<$storage>();
                 }
             }
         };

@@ -9,7 +9,7 @@
 //! the reuse pattern the paper prescribes.
 
 use crate::basis::{Basis, VarStatus};
-use crate::engine::{PivotPlan, ProblemView, SimplexEngine};
+use crate::engine::{DualPick, PivotPlan, ProblemView, SimplexEngine};
 use crate::simplex::{note_refactorization, PrimalConfig};
 use crate::{LpError, LpResult};
 use gmip_trace::{names, MetricsRegistry};
@@ -98,21 +98,21 @@ fn dual_loop<E: SimplexEngine>(
             engine.install(view, basis)?;
             note_refactorization(engine, metrics);
         }
-        // --- leaving row: the worst bound violation ---
-        let Some((r, _viol, below)) = engine.primal_infeas(cfg.feas_tol)? else {
-            return Ok((DualOutcome::PrimalFeasible, iter));
+        // --- leaving row (the worst bound violation) and entering column
+        // (the dual ratio test on its BTRAN row): one engine call ---
+        let (r, below, q, alpha_rq, xbr) = match engine.dual_select(cfg)? {
+            DualPick::Feasible => return Ok((DualOutcome::PrimalFeasible, iter)),
+            DualPick::Infeasible { row, below } => {
+                return Ok((DualOutcome::Infeasible { row, below }, iter))
+            }
+            DualPick::Pivot {
+                r,
+                below,
+                q,
+                alpha_rq,
+                xbr,
+            } => (r, below, q, alpha_rq, xbr),
         };
-        // --- entering column via the dual ratio test on the BTRAN row ---
-        engine.btran_row(r)?;
-        let Some((q, _ratio)) = engine.dual_ratio(below, cfg.base.ratio_tol)? else {
-            return Ok((DualOutcome::Infeasible { row: r, below }, iter));
-        };
-        let alpha_rq = engine.alpha_r_entry(q)?;
-        if alpha_rq.abs() < cfg.base.ratio_tol {
-            return Err(LpError::Shape(format!(
-                "dual pivot on numerically zero alpha_r[{q}]"
-            )));
-        }
 
         // --- pivot geometry ---
         let leaving_j = basis.cols[r];
@@ -121,18 +121,16 @@ fn dual_loop<E: SimplexEngine>(
         } else {
             view.ub[leaving_j]
         };
-        let xbr = engine.basic_entry(r)?;
         let delta = (xbr - target) / alpha_rq;
         let xq_old = basis.nonbasic_value(q, view.lb, view.ub);
         let entering_val = xq_old + delta;
 
-        engine.ftran_column(q)?;
         let leaving_to = if below {
             VarStatus::AtLower
         } else {
             VarStatus::AtUpper
         };
-        engine.apply_pivot(&PivotPlan {
+        engine.dual_apply(&PivotPlan {
             r,
             q,
             leaving_j,

@@ -15,6 +15,8 @@
 //! in the crate's test suite.
 
 use crate::basis::{Basis, VarStatus};
+use crate::dual::DualConfig;
+use crate::simplex::{PricingRule, PrimalConfig};
 use crate::{LpError, LpResult};
 use gmip_linalg::{DenseMatrix, EtaFile};
 
@@ -61,7 +63,97 @@ pub struct PivotPlan {
     pub ub_q: f64,
 }
 
+/// What [`SimplexEngine::primal_select`] chose: an entering column, with its
+/// FTRAN column left engine-resident for the step that follows.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PrimalPick {
+    /// Entering column.
+    pub q: usize,
+    /// Its step direction (+1 from its lower bound, −1 from its upper).
+    pub dir: f64,
+    /// The ratio test on its FTRAN column: `(row, t, leaves_at_upper)`, or
+    /// `None` if no basic variable blocks.
+    pub limit: Option<(usize, f64, bool)>,
+}
+
+/// What [`SimplexEngine::dual_select`] found.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum DualPick {
+    /// Every basic variable is within its bounds.
+    Feasible,
+    /// Row `row` is violated and no column can enter: the LP is infeasible.
+    Infeasible {
+        /// The violated row; its BTRAN row is engine-resident.
+        row: usize,
+        /// Whether its basic variable is below its lower bound.
+        below: bool,
+    },
+    /// A dual pivot, the leaving row's BTRAN row engine-resident.
+    Pivot {
+        /// Leaving row.
+        r: usize,
+        /// Whether its basic variable is below its lower bound.
+        below: bool,
+        /// Entering column.
+        q: usize,
+        /// The pivot element `α_r[q]`.
+        alpha_rq: f64,
+        /// The leaving variable's value `x_B[r]`.
+        xbr: f64,
+    },
+}
+
+/// The column a pricing call proposes, if it prices out by more than `tol`.
+pub(crate) fn improving(candidate: Option<(usize, f64)>, tol: f64) -> Option<usize> {
+    candidate.and_then(|(j, score)| (score < -tol).then_some(j))
+}
+
+/// Step direction of nonbasic column `q`: away from the bound it sits at.
+pub(crate) fn entering_dir(basis: &Basis, q: usize) -> LpResult<f64> {
+    match basis.status[q] {
+        VarStatus::AtLower => Ok(1.0),
+        VarStatus::AtUpper => Ok(-1.0),
+        VarStatus::Basic(_) => Err(LpError::Shape(format!("pricing proposed basic column {q}"))),
+    }
+}
+
+/// FTRAN of entering column `q` and the ratio test on it, primitive by
+/// primitive: the tail of a primal select once the column is chosen.
+pub(crate) fn enter<E: SimplexEngine + ?Sized>(
+    engine: &mut E,
+    basis: &Basis,
+    q: usize,
+    ratio_tol: f64,
+) -> LpResult<PrimalPick> {
+    let dir = entering_dir(basis, q)?;
+    engine.ftran_column(q)?;
+    let limit = engine.ratio_test(dir, ratio_tol)?;
+    Ok(PrimalPick { q, dir, limit })
+}
+
+/// Refuses a dual pivot on a numerically zero element.
+pub(crate) fn dual_pivot_element(alpha_rq: f64, q: usize, tol: f64) -> LpResult<f64> {
+    if alpha_rq.abs() < tol {
+        return Err(LpError::Shape(format!(
+            "dual pivot on numerically zero alpha_r[{q}]"
+        )));
+    }
+    Ok(alpha_rq)
+}
+
 /// The per-iteration numerical interface of the revised simplex.
+///
+/// The required methods are the *primitives*: one numerical step each. The
+/// drivers do not call them one by one; they call the four **pivot-shaped**
+/// provided methods — [`primal_select`](Self::primal_select) /
+/// [`primal_apply`](Self::primal_apply), [`dual_select`](Self::dual_select) /
+/// [`dual_apply`](Self::dual_apply) — whose default bodies are exactly the
+/// primitive calls the drivers used to make, in that order, error exits
+/// included. An engine for which a call is expensive in itself (a launch and
+/// a link crossing on [`crate::DeviceSimplex`]) overrides them to do a
+/// pivot's half in one call; an engine that *records* calls
+/// ([`crate::RecordingEngine`], whose journal is cut by kernel class) keeps
+/// the defaults and sees the primitives.
 ///
 /// State machine expectations: [`install`](Self::install) before anything
 /// else; [`ftran_column`](Self::ftran_column) before
@@ -101,9 +193,6 @@ pub trait SimplexEngine {
 
     /// FTRAN of column `q`: `α = B⁻¹ a_q`, kept engine-resident.
     fn ftran_column(&mut self, q: usize) -> LpResult<()>;
-
-    /// Entry `i` of the current FTRAN column (scalar readback).
-    fn alpha_entry(&mut self, i: usize) -> LpResult<f64>;
 
     /// Bounded primal ratio test on the current FTRAN column; returns
     /// `(row, t, leaves_at_upper)` or `None` if no basic variable blocks.
@@ -161,6 +250,60 @@ pub trait SimplexEngine {
     /// `γ_j ← max(γ_j, (α_r[j]/α_r[q])²·γ_q)` for all columns, then the
     /// leaving variable is re-anchored at `max(γ_q/α_r[q]², 1)`.
     fn devex_update(&mut self, q: usize, leaving_j: usize) -> LpResult<()>;
+
+    /// The selecting half of a primal iteration: prices by `cfg.pricing`,
+    /// and if a column prices out by more than `cfg.price_tol`, FTRANs it and
+    /// runs the ratio test on it. `None` means optimal.
+    fn primal_select(&mut self, cfg: &PrimalConfig, basis: &Basis) -> LpResult<Option<PrimalPick>> {
+        let candidate = match cfg.pricing {
+            PricingRule::Dantzig => self.price()?,
+            PricingRule::Devex => self.price_devex()?,
+        };
+        improving(candidate, cfg.price_tol)
+            .map(|q| enter(self, basis, q, cfg.ratio_tol))
+            .transpose()
+    }
+
+    /// The applying half of a primal pivot on the column
+    /// [`primal_select`](Self::primal_select) left resident. With `devex`,
+    /// the reference weights are updated first, from the leaving row of the
+    /// old basis.
+    fn primal_apply(&mut self, plan: &PivotPlan, devex: bool) -> LpResult<()> {
+        if devex {
+            self.btran_row(plan.r)?;
+            self.devex_update(plan.q, plan.leaving_j)?;
+        }
+        self.apply_pivot(plan)
+    }
+
+    /// The selecting half of a dual iteration: the worst bound violation
+    /// beyond `cfg.feas_tol`, the BTRAN row of its basis row, the dual ratio
+    /// test on it, and the two entries the pivot's geometry needs.
+    fn dual_select(&mut self, cfg: &DualConfig) -> LpResult<DualPick> {
+        let Some((r, _viol, below)) = self.primal_infeas(cfg.feas_tol)? else {
+            return Ok(DualPick::Feasible);
+        };
+        self.btran_row(r)?;
+        let Some((q, _ratio)) = self.dual_ratio(below, cfg.base.ratio_tol)? else {
+            return Ok(DualPick::Infeasible { row: r, below });
+        };
+        let alpha_rq = dual_pivot_element(self.alpha_r_entry(q)?, q, cfg.base.ratio_tol)?;
+        let xbr = self.basic_entry(r)?;
+        Ok(DualPick::Pivot {
+            r,
+            below,
+            q,
+            alpha_rq,
+            xbr,
+        })
+    }
+
+    /// The applying half of a dual pivot: FTRAN of the entering column, then
+    /// the pivot.
+    fn dual_apply(&mut self, plan: &PivotPlan) -> LpResult<()> {
+        self.ftran_column(plan.q)?;
+        self.apply_pivot(plan)
+    }
 }
 
 /// Pure-host engine: the reference implementation.
@@ -221,6 +364,12 @@ impl HostEngine {
 
     fn alpha(&self) -> LpResult<&Vec<f64>> {
         self.alpha.as_ref().ok_or(LpError::NotInstalled)
+    }
+
+    /// Entry `i` of the current FTRAN column: the tests' window on α.
+    #[cfg(test)]
+    fn alpha_entry(&self, i: usize) -> LpResult<f64> {
+        Ok(self.alpha()?[i])
     }
 
     /// Dual prices into `self.y` (`Bᵀy = c_B`) and `Aᵀy` into `self.aty`:
@@ -357,10 +506,6 @@ impl SimplexEngine for HostEngine {
         self.eta()?.ftran_into(&self.col, &mut alpha)?;
         self.alpha = Some(alpha);
         Ok(())
-    }
-
-    fn alpha_entry(&mut self, i: usize) -> LpResult<f64> {
-        Ok(self.alpha()?[i])
     }
 
     fn ratio_test(&mut self, dir: f64, tol: f64) -> LpResult<Option<(usize, f64, bool)>> {

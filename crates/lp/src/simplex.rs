@@ -8,7 +8,7 @@
 //! every [`PrimalConfig::refactor_every`] eta updates.
 
 use crate::basis::{Basis, VarStatus};
-use crate::engine::{PivotPlan, ProblemView, SimplexEngine};
+use crate::engine::{enter, PivotPlan, PrimalPick, ProblemView, SimplexEngine};
 use crate::{LpError, LpResult};
 use gmip_trace::{names, Event, MetricsRegistry, Track};
 
@@ -125,33 +125,21 @@ fn primal_loop<E: SimplexEngine>(
             engine.install(view, basis)?;
             note_refactorization(engine, metrics);
         }
-        // --- entering variable ---
-        let q = if bland {
-            bland_entering(engine, view, basis, cfg.price_tol)?
+        // --- entering variable and ratio test (basic blocking vs. bound
+        // flip): one engine call, unless Bland's rule picks the column ---
+        let pick = if bland {
+            bland_select(engine, view, basis, cfg)?
         } else {
-            let candidate = match cfg.pricing {
-                PricingRule::Dantzig => engine.price()?,
-                PricingRule::Devex => engine.price_devex()?,
-            };
-            match candidate {
-                Some((j, score)) if score < -cfg.price_tol => Some(j),
-                _ => None,
-            }
+            engine.primal_select(cfg, basis)?
         };
-        let Some(q) = q else {
+        let Some(PrimalPick {
+            q,
+            dir,
+            limit: basic_limit,
+        }) = pick
+        else {
             return Ok((PrimalOutcome::Optimal, iter));
         };
-        let dir = match basis.status[q] {
-            VarStatus::AtLower => 1.0,
-            VarStatus::AtUpper => -1.0,
-            VarStatus::Basic(_) => {
-                return Err(LpError::Shape(format!("pricing proposed basic column {q}")))
-            }
-        };
-
-        // --- ratio test (basic blocking vs. bound flip) ---
-        engine.ftran_column(q)?;
-        let basic_limit = engine.ratio_test(dir, cfg.ratio_tol)?;
         let flip_limit = view.ub[q] - view.lb[q]; // may be +inf
 
         let t_basic = basic_limit.map(|(_, t, _)| t).unwrap_or(f64::INFINITY);
@@ -172,11 +160,6 @@ fn primal_loop<E: SimplexEngine>(
             track_degeneracy(flip_limit, &mut degenerate_streak, &mut bland, cfg);
         } else {
             let (r, t, leaves_upper) = basic_limit.expect("t_basic finite implies Some");
-            // Devex weights need the leaving row of the OLD basis.
-            if cfg.pricing == PricingRule::Devex && !bland {
-                engine.btran_row(r)?;
-                engine.devex_update(q, basis.cols[r])?;
-            }
             let entering_val = if dir > 0.0 {
                 view.lb[q] + t
             } else {
@@ -188,7 +171,7 @@ fn primal_loop<E: SimplexEngine>(
             } else {
                 VarStatus::AtLower
             };
-            engine.apply_pivot(&PivotPlan {
+            let plan = PivotPlan {
                 r,
                 q,
                 leaving_j,
@@ -199,7 +182,9 @@ fn primal_loop<E: SimplexEngine>(
                 c_q: view.c[q],
                 lb_q: view.lb[q],
                 ub_q: view.ub[q],
-            })?;
+            };
+            // Devex weights need the leaving row of the OLD basis.
+            engine.primal_apply(&plan, cfg.pricing == PricingRule::Devex && !bland)?;
             basis.pivot(r, q, leaving_to);
             track_degeneracy(t, &mut degenerate_streak, &mut bland, cfg);
         }
@@ -219,6 +204,19 @@ fn track_degeneracy(t: f64, streak: &mut usize, bland: &mut bool, cfg: &PrimalCo
         *streak = 0;
         *bland = false;
     }
+}
+
+/// The selecting half of an iteration under Bland's rule, primitive by
+/// primitive: the column on the host, then its FTRAN and ratio test.
+fn bland_select<E: SimplexEngine>(
+    engine: &mut E,
+    view: ProblemView<'_>,
+    basis: &Basis,
+    cfg: &PrimalConfig,
+) -> LpResult<Option<PrimalPick>> {
+    bland_entering(engine, view, basis, cfg.price_tol)?
+        .map(|q| enter(engine, basis, q, cfg.ratio_tol))
+        .transpose()
 }
 
 /// Bland's rule: the lowest-index eligible improving column. Requires the

@@ -132,13 +132,16 @@ pub enum WaveOp {
 /// **class** the call touches — not per kernel, and not per launch. A
 /// [`crate::DeviceEngine`] call is one launch chain whatever it runs (an
 /// install's `residual → eta_factor → eta_ftran` is one launch there, one
-/// `Factor` op here); `price` is one launch there and two ops here
-/// (`Btran`, `Pricing`). The journal is cut by class because a class is
+/// `Factor` op here); a primal select (`price → ftran_column →
+/// ratio_test`) is one launch there and four ops here (`Btran`, `Pricing`,
+/// `Ftran`, `Ratio`). The journal is cut by class because a class is
 /// what fuses *across lanes*: in a superstep every lane's `Btran` instance
 /// joins one batched launch, every `Pricing` instance the next, and a
-/// chain of different kernels has no such batched form. So a one-lane wave
-/// launches no less than a device engine; the saving starts at the second
-/// lane.
+/// chain of different kernels has no such batched form. So a narrow wave
+/// launches *more* than a device engine — a pivot is two chains there and
+/// one launch per class it touches here — and the saving starts where
+/// enough lanes share each launch (E4-C: level at four lanes, 1.5× fewer
+/// at eight).
 ///
 /// What crosses the link, journal against device engine:
 ///
@@ -150,15 +153,22 @@ pub enum WaveOp {
 ///   The scalar stores of a pivot or a bound flip cross in neither: they are
 ///   arguments of the `Update` kernel here and of `basic_step` there;
 /// * **modelled differently** — scalars coming *back*. The device engine
-///   ends every reduction (pricing, both ratio tests, the infeasibility
-///   argmax) with a 16–24 byte D2H read-back and reads pivot entries
-///   (`alpha_entry`, `basic_entry`, `alpha_r_entry`, the two of
-///   `devex_update`) as 8-byte D2H gathers, one link latency per call. The
-///   journal folds a reduction's result into its kernel and books a pivot
-///   entry as a [`WaveClass::Gather`] kernel instance — a fused *launch*
-///   across lanes, not a link crossing — which is the batched reading of
-///   the same step: the wave's host sees one gather per superstep, not one
-///   per lane.
+///   stages them: a pivot's select is one launch chain whose reductions
+///   (pricing, both ratio tests, the infeasibility argmax) leave their
+///   16–24 byte results on the device, where the chain's next kernel reads
+///   them, and whose pivot entries (`basic_entry`, `alpha_r_entry`, the two
+///   of `devex_update`) are gathered there too; all of it crosses the link
+///   once per select, behind the last kernel. The journal sees none of that
+///   grouping — its lanes keep the [`SimplexEngine`] defaults, primitive by
+///   primitive — and books what the device engine stages as follows: a
+///   reduction's result is folded into its kernel, and a pivot entry is a
+///   [`WaveClass::Gather`] kernel instance — a fused *launch* across lanes,
+///   not a link crossing — which is the batched reading of the same step:
+///   the wave's host sees one gather per superstep, not one per lane.
+///
+/// The journal is the reason the pivot-shaped calls have default bodies at
+/// all: it is cut by class, so a lane has to see `btran_row` and
+/// `dual_ratio` as two calls in today's order, not one `dual_select`.
 ///
 /// `sim_now_ns` stays `None`: the eager host solve is *planning*, not
 /// execution — simulated time accrues only when the journal is replayed
@@ -272,11 +282,6 @@ impl SimplexEngine for RecordingEngine {
             8.0 * (m * (k + 2)) as f64,
         );
         self.inner.ftran_column(q)
-    }
-
-    fn alpha_entry(&mut self, i: usize) -> LpResult<f64> {
-        self.kernel(WaveClass::Gather, 1.0, 8.0);
-        self.inner.alpha_entry(i)
     }
 
     fn ratio_test(&mut self, dir: f64, tol: f64) -> LpResult<Option<(usize, f64, bool)>> {

@@ -29,6 +29,13 @@
 //! and the optimum of every pin did not move. `measurements/PR-22.md` lists
 //! every old and new string.
 //!
+//! The same six were re-recorded at the commit that made a device pivot one
+//! round trip (the child of `31a28fd`: a select and an apply per pivot, two
+//! launches and one staged read-back). `concurrent_lanes` moved in launches
+//! and makespan only; the five cluster pins moved as before, workers
+//! reporting earlier still; the wave pins and every optimum did not move.
+//! `measurements/PR-24.md` lists every old and new string.
+//!
 //! The chaos plans pin the hierarchy's recovery paths — `evacuate_group`,
 //! `reassign` and the steal-deny backoff — which no benchmark workload
 //! reaches. The last test is the cost side of the same contract: a frontier
@@ -135,7 +142,7 @@ fn flat_64_dynamic() {
     let r = solve_parallel(&cluster_instance(), pcfg(64)).expect("flat solve");
     assert_eq!(
         flat_pin(&r),
-        "obj=409aec0000000000 nodes=1299 msgs=2598 launches=13271 makespan=415e6338ed3a0757"
+        "obj=409aec0000000000 nodes=1303 msgs=2606 launches=8468 makespan=4152e29c0f5c290d"
     );
 }
 
@@ -148,7 +155,7 @@ fn flat_64_static() {
     let r = solve_parallel(&cluster_instance(), cfg).expect("static flat solve");
     assert_eq!(
         flat_pin(&r),
-        "obj=409aec0000000000 nodes=2474 msgs=4948 launches=25216 makespan=4181507daf92c617"
+        "obj=409aec0000000000 nodes=2525 msgs=5050 launches=16386 makespan=41752746bf258c5a"
     );
 }
 
@@ -157,7 +164,7 @@ fn hier_256x16_plain() {
     let r = hier(None);
     assert_eq!(r.hier.max_evaluations_per_node, 1);
     assert!(r.hier.steals > 0 && r.hier.steal_denied > 0);
-    assert_eq!(hier_pin(&r), "obj=409aec0000000000 nodes=2530 msgs=6171 root=1111 steals=21 stolen=35 denied=292 reassigned=0 evacuated=0 launches=25745 makespan=415e23d306d3a096");
+    assert_eq!(hier_pin(&r), "obj=409aec0000000000 nodes=2484 msgs=6137 root=1169 steals=22 stolen=33 denied=292 reassigned=0 evacuated=0 launches=16094 makespan=4152c2bc97e4b193");
 }
 
 #[test]
@@ -174,7 +181,7 @@ fn hier_256x16_sub_crash() {
         "evacuate_group not reached"
     );
     assert!(r.stats.faults.reassignments > 0, "reassign not reached");
-    assert_eq!(hier_pin(&r), "obj=409aec0000000000 nodes=2487 msgs=6499 root=1457 steals=39 stolen=82 denied=374 reassigned=1 evacuated=58 launches=25553 makespan=415e8d56e224142b");
+    assert_eq!(hier_pin(&r), "obj=409aec0000000000 nodes=2530 msgs=6483 root=1349 steals=28 stolen=62 denied=338 reassigned=1 evacuated=120 launches=16550 makespan=41530435c894ec55");
 }
 
 #[test]
@@ -192,7 +199,7 @@ fn hier_256x16_kill_group() {
         "evacuate_group not reached"
     );
     assert!(r.stats.faults.reassignments > 0, "reassign not reached");
-    assert_eq!(hier_pin(&r), "obj=409aec0000000000 nodes=2435 msgs=6401 root=1347 steals=29 stolen=47 denied=324 reassigned=120 evacuated=24 launches=25406 makespan=415ec0dc4cccccf0");
+    assert_eq!(hier_pin(&r), "obj=409aec0000000000 nodes=2474 msgs=6390 root=1258 steals=24 stolen=38 denied=312 reassigned=120 evacuated=51 launches=16438 makespan=4153ab4cbd70a3ef");
 }
 
 #[test]
@@ -244,7 +251,7 @@ fn concurrent_lanes() {
             r.device.kernel_launches,
             r.makespan_ns.to_bits(),
         ),
-        "obj=4008000000000000 nodes=1113 waves=280 launches=16197 makespan=41ade4c9120b60c5"
+        "obj=4008000000000000 nodes=1113 waves=280 launches=8496 makespan=419b8bc62e93ee0e"
     );
 }
 

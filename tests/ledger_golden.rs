@@ -23,15 +23,23 @@
 //! in the cluster, the last bit of a transfer-time sum taken in another
 //! order); peak bytes, allocation counts, transfers, bytes, iterations and
 //! optima are still those of `ccf9fe5`.
+//!
+//! Re-recorded a third time at the commit that made a pivot one round trip
+//! (the child of `31a28fd`): the drivers call the pivot-shaped `select` /
+//! `apply` methods, each one launch chain whose read-backs are staged into
+//! one transfer. What moved is launches, the D2H transfer *count* and the
+//! clock; peak bytes, allocation counts, H2D transfers, bytes in both
+//! directions, iterations and optima are still those of `ccf9fe5`.
 
 use gmip::core::{solve_concurrent, ConcurrentConfig};
 use gmip::gpu::{Accel, CostModel, DeviceConfig};
 use gmip::linalg::DenseMatrix;
-use gmip::lp::engine::PivotPlan;
+use gmip::lp::dual::DualConfig;
+use gmip::lp::engine::{DualPick, PivotPlan, PrimalPick};
 use gmip::lp::{
     Basis, BatchedWaveEngine, BoundChange, DeviceEngine, LpConfig, LpResult, LpSolution, LpSolver,
-    LpStatus, PricingRule, ProblemView, RecordingEngine, SimplexEngine, SparseDeviceEngine,
-    StandardLp, WaveOp,
+    LpStatus, PricingRule, PrimalConfig, ProblemView, RecordingEngine, SimplexEngine,
+    SparseDeviceEngine, StandardLp, WaveOp,
 };
 use gmip::parallel::{solve_parallel, ParallelConfig};
 use gmip::problems::generators::{bin_packing, knapsack};
@@ -99,13 +107,17 @@ fn crossing<R>(accel: &Accel, what: &str, f: impl FnOnce() -> R) -> (R, Grew) {
 /// [`SimplexEngine`] that forwards to `inner` and checks around *every*
 /// trait call that the call crossed the link at most once in each direction
 /// and launched at most once — an install exactly once upward with
-/// `8(4n + 4m)` bytes and one launch chain, a pivot or a bound flip one
-/// launch and no crossing, a scalar gather no launch at all.
+/// `8(4n + 4m)` bytes and one launch chain; a select exactly one launch and
+/// one read-back, whether it finds a pivot or ends the solve; an apply or a
+/// bound flip one launch and no crossing (under Devex, the 16 bytes of the
+/// weight update's two scalars). So a pivot is one round trip: two
+/// launches, one crossing. The pivot-shaped calls are forwarded as such, so
+/// the drivers reach `inner`'s overrides — and never gather a pivot entry.
 struct LinkChecked<E> {
     inner: E,
     accel: Accel,
-    /// Calls checked: installs, cuts, pivots + flips, Devex updates.
-    seen: [usize; 4],
+    /// Calls checked: installs, cuts, selects, pivots + flips, Devex updates.
+    seen: [usize; 5],
 }
 
 impl<E: SimplexEngine> LinkChecked<E> {
@@ -144,8 +156,21 @@ impl<E: SimplexEngine> LinkChecked<E> {
 
     /// One launch chain, its scalars riding the kernels: no crossing at all.
     fn on_device<R>(&mut self, what: &str, f: impl FnOnce(&mut E) -> LpResult<R>) -> LpResult<R> {
+        self.round_trip(what, 0, f)
+    }
+
+    /// One launch chain and exactly `back` staged read-backs of what it
+    /// found; an error may have ended the chain before either.
+    fn round_trip<R>(
+        &mut self,
+        what: &str,
+        back: u64,
+        f: impl FnOnce(&mut E) -> LpResult<R>,
+    ) -> LpResult<R> {
         let (out, grew) = self.one_launch(what, f);
-        assert_eq!(grew.link, [0, 0], "{what} crossed the link");
+        if out.is_ok() {
+            assert_eq!(grew.link, [0, back], "{what}: crossings [H2D, D2H]");
+        }
         out
     }
 
@@ -200,25 +225,21 @@ impl<E: SimplexEngine> SimplexEngine for LinkChecked<E> {
     fn ftran_column(&mut self, q: usize) -> LpResult<()> {
         self.on_device("ftran_column", |e| e.ftran_column(q))
     }
-    fn alpha_entry(&mut self, i: usize) -> LpResult<f64> {
-        self.gathered("alpha_entry", |e| e.alpha_entry(i))
-    }
     fn ratio_test(&mut self, dir: f64, tol: f64) -> LpResult<Option<(usize, f64, bool)>> {
         self.checked("ratio_test", |e| e.ratio_test(dir, tol))
     }
     fn apply_flip(&mut self, q: usize, dir: f64, t: f64, new_sigma: f64) -> LpResult<()> {
-        self.seen[2] += 1;
+        self.seen[3] += 1;
         self.on_device("apply_flip", |e| e.apply_flip(q, dir, t, new_sigma))
     }
     fn apply_pivot(&mut self, plan: &PivotPlan) -> LpResult<()> {
-        self.seen[2] += 1;
         self.on_device("apply_pivot", |e| e.apply_pivot(plan))
     }
     fn basic_values(&mut self) -> LpResult<Vec<f64>> {
         self.gathered("basic_values", |e| e.basic_values())
     }
-    fn basic_entry(&mut self, i: usize) -> LpResult<f64> {
-        self.gathered("basic_entry", |e| e.basic_entry(i))
+    fn basic_entry(&mut self, _: usize) -> LpResult<f64> {
+        unreachable!("a driver gathered x_B[r]: that is the select's to read back")
     }
     fn primal_infeas(&mut self, tol: f64) -> LpResult<Option<(usize, f64, bool)>> {
         self.checked("primal_infeas", |e| e.primal_infeas(tol))
@@ -229,8 +250,8 @@ impl<E: SimplexEngine> SimplexEngine for LinkChecked<E> {
     fn dual_ratio(&mut self, leaving_below: bool, tol: f64) -> LpResult<Option<(usize, f64)>> {
         self.launched("dual_ratio", |e| e.dual_ratio(leaving_below, tol))
     }
-    fn alpha_r_entry(&mut self, j: usize) -> LpResult<f64> {
-        self.gathered("alpha_r_entry", |e| e.alpha_r_entry(j))
+    fn alpha_r_entry(&mut self, _: usize) -> LpResult<f64> {
+        unreachable!("a driver gathered α_r[q]: that is the select's to read back")
     }
     fn btran_row_host(&mut self, r: usize) -> LpResult<Vec<f64>> {
         self.checked("btran_row_host", |e| e.btran_row_host(r))
@@ -242,8 +263,26 @@ impl<E: SimplexEngine> SimplexEngine for LinkChecked<E> {
         self.checked("price_devex", |e| e.price_devex())
     }
     fn devex_update(&mut self, q: usize, leaving_j: usize) -> LpResult<()> {
-        self.seen[3] += 1;
         self.checked("devex_update", |e| e.devex_update(q, leaving_j))
+    }
+    fn primal_select(&mut self, cfg: &PrimalConfig, basis: &Basis) -> LpResult<Option<PrimalPick>> {
+        self.seen[2] += 1;
+        self.round_trip("primal_select", 1, |e| e.primal_select(cfg, basis))
+    }
+    fn primal_apply(&mut self, plan: &PivotPlan, devex: bool) -> LpResult<()> {
+        self.seen[3] += 1;
+        self.seen[4] += usize::from(devex);
+        self.round_trip("primal_apply", u64::from(devex), |e| {
+            e.primal_apply(plan, devex)
+        })
+    }
+    fn dual_select(&mut self, cfg: &DualConfig) -> LpResult<DualPick> {
+        self.seen[2] += 1;
+        self.round_trip("dual_select", 1, |e| e.dual_select(cfg))
+    }
+    fn dual_apply(&mut self, plan: &PivotPlan) -> LpResult<()> {
+        self.seen[3] += 1;
+        self.on_device("dual_apply", |e| e.dual_apply(plan))
     }
 }
 
@@ -266,7 +305,7 @@ fn engine_ledger<E: SimplexEngine>(
             LinkChecked {
                 inner: engine(factory_accel.clone(), a),
                 accel: factory_accel.clone(),
-                seen: [0; 4],
+                seen: [0; 5],
             }
         });
         let mut count = |sol: LpSolution| {
@@ -296,10 +335,10 @@ fn engine_ledger<E: SimplexEngine>(
         }
         // The run covers what the rule is about: warm installs, both cuts,
         // pivots, and the Devex weight update exactly when Devex prices.
-        let [installs, cuts, steps, devex] = lp.engine().seen;
+        let [installs, cuts, selects, steps, devex] = lp.engine().seen;
         assert!(
-            installs > 125 && steps > 100,
-            "{installs} installs, {steps} steps"
+            installs > 125 && steps > 100 && selects > steps,
+            "{installs} installs, {selects} selects, {steps} steps"
         );
         assert_eq!(cuts, 2);
         assert_eq!(
@@ -327,10 +366,10 @@ fn dense_and_csr_engines_root_branch_cut() {
     assert_eq!(
         got,
         [
-            "optimal=125 iters=146 peak=3440 allocs=4436 used=0 launches=1187 h2d=253/397808 d2h=870/13744 ns=4173cca50cf13568",
-            "optimal=125 iters=146 peak=3144 allocs=4184 used=0 launches=1187 h2d=253/397520 d2h=870/13744 ns=4173ccb411678a0a",
-            "optimal=125 iters=145 peak=3440 allocs=4317 used=0 launches=1221 h2d=253/397808 d2h=887/14008 ns=41743887c0fedcb7",
-            "optimal=125 iters=145 peak=3144 allocs=4065 used=0 launches=1221 h2d=253/397520 d2h=887/14008 ns=4174389748707a9e",
+            "optimal=125 iters=146 peak=3440 allocs=4436 used=0 launches=794 h2d=253/397808 d2h=522/13744 ns=416af6ea19e26bc1",
+            "optimal=125 iters=146 peak=3144 allocs=4184 used=0 launches=794 h2d=253/397520 d2h=522/13744 ns=416af70822cf142b",
+            "optimal=125 iters=145 peak=3440 allocs=4317 used=0 launches=792 h2d=253/397808 d2h=540/14008 ns=416b46f181fdba37",
+            "optimal=125 iters=145 peak=3144 allocs=4065 used=0 launches=792 h2d=253/397520 d2h=540/14008 ns=416b471090e0f542",
         ]
     );
 }
@@ -409,7 +448,7 @@ fn two_engines_share_one_device() {
             r.waves,
             ledger_pin(&accel)
         ),
-        "obj=4008000000000000 nodes=1113 waves=557 peak=13880 allocs=45554 used=0 launches=16197 h2d=1899/3345920 d2h=12395/238808 ns=41aed873d1999992"
+        "obj=4008000000000000 nodes=1113 waves=557 peak=13880 allocs=45554 used=0 launches=8496 h2d=1899/3345920 d2h=5033/238808 ns=419d731ff27d2d8f"
     );
 }
 
@@ -441,6 +480,6 @@ fn four_rank_cluster() {
             m.counter("gpu.transfer.ns").to_bits(),
             r.stats.makespan_ns.to_bits(),
         ),
-        "obj=409aec0000000000 nodes=1295 peak=2520 launches=13230 h2d=4062656 d2h=152104 kernel_ns=41993c766c7ae1e6 transfer_ns=419ec23878000083 makespan=418d72e87222204a"
+        "obj=409aec0000000000 nodes=1295 peak=2520 launches=8418 h2d=4062656 d2h=152104 kernel_ns=41900eda6c7ae1d2 transfer_ns=419364acb8000005 makespan=4182b648ec5f9294"
     );
 }

@@ -32,6 +32,12 @@
 //! discrete-event clusters only launches and simulated times moved —
 //! `measurements/PR-22.md` has every old and new string;
 //! `batched_wave_propagate_dive` and the first-order pins did not move.
+//!
+//! The same five were re-recorded at the commit that made a device pivot one
+//! round trip (the child of `31a28fd`; a select and an apply, two launches
+//! and one staged read-back). Outside the discrete-event clusters only
+//! launches and simulated times moved again — `measurements/PR-24.md` has
+//! every old and new string.
 
 use gmip::core::{
     solve_batched_wave, solve_first_order_wave, solve_with_node_engine, BatchedWaveConfig,
@@ -243,7 +249,7 @@ fn host_solver_propagate_fix_and_propagate() {
             "Optimal obj=4095480000000000 nodes=311 lp_iters=866 cuts=19 heur=2 sim=40b3da0000000026 x=0befc885e76ecb37 tree=d7c214b3cc40094b incumbents=3 first=4045b33333333334",
             "Optimal obj=4034000000000000 nodes=1 lp_iters=36 cuts=6 heur=0 sim=403ecccccccccccd x=308352d4f9fa3add tree=7229a2988ab6195d incumbents=1 first=403ecccccccccccd",
             "Optimal obj=4008000000000000 nodes=47 lp_iters=612 cuts=37 heur=1 sim=409593d70a3d70a0 x=b175fafd354b0935 tree=a5bdff4b0805c8e9 incumbents=1 first=4061199999999999",
-            "Optimal obj=4008000000000000 nodes=47 lp_iters=612 cuts=37 heur=1 sim=418b636775b2f4d0 x=b175fafd354b0935 tree=a5bdff4b0805c8e9 incumbents=1 first=41741df7dcbfcc1f",
+            "Optimal obj=4008000000000000 nodes=47 lp_iters=612 cuts=37 heur=1 sim=41777922eb65e9a1 x=b175fafd354b0935 tree=a5bdff4b0805c8e9 incumbents=1 first=416025ebb97f980b",
         ]
     );
 }
@@ -308,9 +314,9 @@ fn flat_cluster_seed_solution() {
     assert_eq!(
         got,
         [
-            "Optimal obj=4091500000000000 nodes=821 msgs=1642 bytes=310856 launches=8323 makespan=41742a9e1abcdf56 x=b53a3110292eaa1d seeds=0 first=41559971a3d70a45",
-            "Optimal obj=4091500000000000 nodes=821 msgs=1642 bytes=305728 launches=8323 makespan=41742a99301234a8 x=b53a3110292eaa1d seeds=1 first=0000000000000000",
-            "Optimal obj=4091500000000000 nodes=821 msgs=1642 bytes=310856 launches=8323 makespan=41742a9e1abcdf56 x=b53a3110292eaa1d seeds=1 first=0000000000000000",
+            "Optimal obj=4091500000000000 nodes=821 msgs=1642 bytes=310856 launches=5310 makespan=41699825f92c6065 x=b53a3110292eaa1d seeds=0 first=414a701966666658",
+            "Optimal obj=4091500000000000 nodes=821 msgs=1642 bytes=305728 launches=5310 makespan=416998168da7419d x=b53a3110292eaa1d seeds=1 first=0000000000000000",
+            "Optimal obj=4091500000000000 nodes=821 msgs=1642 bytes=310856 launches=5310 makespan=41699825f92c6065 x=b53a3110292eaa1d seeds=1 first=0000000000000000",
         ]
     );
 }
@@ -354,9 +360,9 @@ fn clusters_propagate_dive() {
     assert_eq!(
         got,
         [
-            "Optimal obj=4091500000000000 nodes=819 msgs=1638 bytes=310216 launches=11583 makespan=416b05c35649cb5a x=b53a3110292eaa1d seeds=0 first=4141e7fd231bcb52",
-            "Optimal obj=4008000000000000 nodes=65 msgs=130 bytes=21576 launches=1592 makespan=4146fbb2edf545bf x=87f5fafd354b0935 seeds=0 first=413d3e6d4c3b2a19",
-            "Optimal obj=4091500000000000 nodes=850 msgs=2549 root=849 steals=11 broadcasts=15 launches=11930 makespan=416b2316849cb08f x=b53a3110292eaa1d first=4141eaf5cdc675fd",
+            "Optimal obj=4091500000000000 nodes=819 msgs=1638 bytes=309856 launches=8542 makespan=416247d9d52bb983 x=b53a3110292eaa1d seeds=0 first=41350aba463796af",
+            "Optimal obj=4008000000000000 nodes=65 msgs=130 bytes=21744 launches=1153 makespan=413ca1f86ce6ce68 x=d4f5fafd354b0935 seeds=0 first=41318694a096d639",
+            "Optimal obj=4091500000000000 nodes=849 msgs=2450 root=752 steals=12 broadcasts=15 launches=8817 makespan=416238c17fe0cb41 x=b53a3110292eaa1d first=413510ab9b8cec04",
         ]
     );
 }
@@ -393,9 +399,9 @@ fn sparse_device_solver_with_cuts() {
     assert_eq!(
         got,
         [
-            "device-sparse Optimal obj=4053400000000000 nodes=1 lp_iters=102 cuts=0 heur=0 sim=4154b70d2b5b82b7 x=7b7b38c6cf34ac55 tree=e64ff0e2be1a8965 incumbents=1 first=4154b70d2b5b82b7 launches=413 h2d=21192 d2h=4752",
-            "device-sparse Optimal obj=4008000000000000 nodes=189 lp_iters=2404 cuts=37 heur=1 sim=41a8e912321cc5cc x=2815fafd354b0935 tree=cfeec7557c92d10c incumbents=1 first=41a4daa294aaac4c launches=12889 h2d=1276144 d2h=201816",
-            "device-sparse Optimal obj=40c46b8000000000 nodes=7 lp_iters=93 cuts=17 heur=0 sim=415c55963d880bca x=edf2f148a6b7d615 tree=8305825bc71ad0e0 incumbents=1 first=415a3ae22132e011 launches=489 h2d=126560 d2h=24368",
+            "device-sparse Optimal obj=4053400000000000 nodes=1 lp_iters=102 cuts=0 heur=0 sim=4145326a56b70521 x=7b7b38c6cf34ac55 tree=e64ff0e2be1a8965 incumbents=1 first=4145326a56b70521 launches=209 h2d=21192 d2h=4752",
+            "device-sparse Optimal obj=4008000000000000 nodes=189 lp_iters=2404 cuts=37 heur=1 sim=419286e964398b0b x=2815fafd354b0935 tree=cfeec7557c92d10c incumbents=1 first=418d4e0052aaa997 launches=5557 h2d=1276144 d2h=201816",
+            "device-sparse Optimal obj=40c46b8000000000 nodes=7 lp_iters=93 cuts=17 heur=0 sim=414e8bac7b101785 x=edf2f148a6b7d615 tree=8305825bc71ad0e0 incumbents=1 first=414bc5744265c008 launches=266 h2d=126560 d2h=24368",
         ]
     );
 }
@@ -459,14 +465,14 @@ fn device_engines_solve_resolve_cut() {
     assert_eq!(
         got,
         [
-            "Optimal obj=403bffffffffffff x=e2a82c3d5e7b3381 iters=51 launches=208 h2d=21504 d2h=2456 ns=41450acff5c28f77 | Optimal obj=403d000000000000 x=e83a3110292eaa1d iters=0 launches=212 h2d=28032 d2h=2688 ns=4145ac43ae147b00 | Optimal obj=403c800000000000 x=758a3110292eaa1d iters=1 launches=222 h2d=35512 d2h=2984 ns=41470d698091a2ce",
-            "Optimal obj=403c000000000000 x=4e25edba5b029cda iters=51 launches=208 h2d=8936 d2h=2456 ns=414506ace79e7a07 | Optimal obj=403d000000000000 x=e83a3110292eaa1d iters=0 launches=212 h2d=15464 d2h=2688 ns=4145a7f7a81b4ea2 | Optimal obj=403c800000000000 x=758a3110292eaa1d iters=1 launches=222 h2d=22192 d2h=2984 ns=414708bbe19ae69d",
-            "Optimal obj=403c000000000000 x=b1ea3110292eaa1d iters=42 launches=250 h2d=21504 d2h=2720 ns=414936701b4e81d7 | Optimal obj=403d000000000000 x=e83a3110292eaa1d iters=0 launches=254 h2d=28032 d2h=2952 ns=4149d7e322222248 | Optimal obj=403c800000000000 x=758a3110292eaa1d iters=1 launches=264 h2d=35512 d2h=3248 ns=414b390840da742f",
-            "Optimal obj=403c000000000000 x=b1ea3110292eaa1d iters=42 launches=250 h2d=8936 d2h=2720 ns=414931424c4ff85d | Optimal obj=403d000000000000 x=683a3110292eaa1d iters=0 launches=254 h2d=15464 d2h=2952 ns=4149d28cb027029a | Optimal obj=403c800000000000 x=f58a3110292eaa1d iters=1 launches=264 h2d=22192 d2h=3248 ns=414b3350c8a7bdd8",
-            "Optimal obj=40c3e91498498498 x=7e7cac0d38c62ab1 iters=41 launches=168 h2d=24832 d2h=2120 ns=4141139154320fd6 | Optimal obj=40c47358dc8dc8dc x=468fd36f29b401a8 iters=1 launches=177 h2d=31744 d2h=2440 ns=4142518697530eb6 | Optimal obj=40c45c5222222222 x=875295d066b4d8ca iters=2 launches=192 h2d=39656 d2h=2824 ns=41444f38f13579aa",
-            "Optimal obj=40c3e91498498498 x=7e7cac0d38c62ab1 iters=41 launches=168 h2d=9000 d2h=2120 ns=41410e87bb688347 | Optimal obj=40c47358dc8dc8dc x=468fd36f29b401a8 iters=1 launches=177 h2d=15912 d2h=2440 ns=41424c2af762a950 | Optimal obj=40c45c5222222222 x=875295d066b4d8ca iters=2 launches=192 h2d=23024 d2h=2824 ns=414449484ea61d89",
-            "Optimal obj=40c3e91498498498 x=7e7cac0d38c62ab1 iters=41 launches=240 h2d=24832 d2h=2696 ns=41483a0efb72ea58 | Optimal obj=40c47358dc8dc8dc x=468fd36f29b401a8 iters=1 launches=249 h2d=31744 d2h=3016 ns=4149780388888882 | Optimal obj=40c45c5222222222 x=875295d066b4d8ca iters=2 launches=264 h2d=39656 d2h=3400 ns=414b75b52a1907f1",
-            "Optimal obj=40c3e91498498498 x=7e7cac0d38c62ab1 iters=41 launches=240 h2d=9000 d2h=2696 ns=414833885895894c | Optimal obj=40c47358dc8dc8dc x=468fd36f29b401a8 iters=1 launches=249 h2d=15912 d2h=3016 ns=4149712a8aa57719 | Optimal obj=40c45c5222222222 x=875295d066b4d8ca iters=2 launches=264 h2d=23024 d2h=3400 ns=414b6e46ba69a692",
+            "Optimal obj=403bffffffffffff x=e2a82c3d5e7b3381 iters=51 launches=106 h2d=21504 d2h=2456 ns=4135d9efeb851ec8 | Optimal obj=403d000000000000 x=e83a3110292eaa1d iters=0 launches=110 h2d=28032 d2h=2688 ns=41371cd75c28f5d3 | Optimal obj=403c800000000000 x=758a3110292eaa1d iters=1 launches=117 h2d=35512 d2h=2984 ns=41390c3301234576",
+            "Optimal obj=403c000000000000 x=4e25edba5b029cda iters=51 launches=106 h2d=8936 d2h=2456 ns=4135d1a9cf3cf3e0 | Optimal obj=403d000000000000 x=e83a3110292eaa1d iters=0 launches=110 h2d=15464 d2h=2688 ns=4137143f50369d14 | Optimal obj=403c800000000000 x=758a3110292eaa1d iters=1 launches=117 h2d=22192 d2h=2984 ns=413902d7c335cd06",
+            "Optimal obj=403c000000000000 x=b1ea3110292eaa1d iters=42 launches=88 h2d=21504 d2h=2720 ns=41383dc0369d0373 | Optimal obj=403d000000000000 x=e83a3110292eaa1d iters=0 launches=92 h2d=28032 d2h=2952 ns=413980a64444444e | Optimal obj=403c800000000000 x=758a3110292eaa1d iters=1 launches=99 h2d=35512 d2h=3248 ns=413b700081b4e823",
+            "Optimal obj=403c000000000000 x=b1ea3110292eaa1d iters=42 launches=88 h2d=8936 d2h=2720 ns=41383364989ff078 | Optimal obj=403d000000000000 x=683a3110292eaa1d iters=0 launches=92 h2d=15464 d2h=2952 ns=413975f9604e04f3 | Optimal obj=403c800000000000 x=f58a3110292eaa1d iters=1 launches=99 h2d=22192 d2h=3248 ns=413b6491914f7b6f",
+            "Optimal obj=40c3e91498498498 x=7e7cac0d38c62ab1 iters=41 launches=86 h2d=24832 d2h=2120 ns=4131e312a8641fc3 | Optimal obj=40c47358dc8dc8dc x=468fd36f29b401a8 iters=1 launches=92 h2d=31744 d2h=2440 ns=41338c0d2ea61d77 | Optimal obj=40c45c5222222222 x=875295d066b4d8ca iters=2 launches=101 h2d=39656 d2h=2824 ns=4135e191e26af35c",
+            "Optimal obj=40c3e91498498498 x=7e7cac0d38c62ab1 iters=41 launches=86 h2d=9000 d2h=2120 ns=4131d8ff76d1069b | Optimal obj=40c47358dc8dc8dc x=468fd36f29b401a8 iters=1 launches=92 h2d=15912 d2h=2440 ns=41338155eec552af | Optimal obj=40c45c5222222222 x=875295d066b4d8ca iters=2 launches=101 h2d=23024 d2h=2824 ns=4135d5b09d4c3b1a",
+            "Optimal obj=40c3e91498498498 x=7e7cac0d38c62ab1 iters=41 launches=86 h2d=24832 d2h=2696 ns=4137660df6e5d493 | Optimal obj=40c47358dc8dc8dc x=468fd36f29b401a8 iters=1 launches=92 h2d=31744 d2h=3016 ns=41390f07111110db | Optimal obj=40c45c5222222222 x=875295d066b4d8ca iters=2 launches=101 h2d=39656 d2h=3400 ns=413b648a54320fb6",
+            "Optimal obj=40c3e91498498498 x=7e7cac0d38c62ab1 iters=41 launches=86 h2d=9000 d2h=2696 ns=41375900b12b129c | Optimal obj=40c47358dc8dc8dc x=468fd36f29b401a8 iters=1 launches=92 h2d=15912 d2h=3016 ns=41390155154aee33 | Optimal obj=40c45c5222222222 x=875295d066b4d8ca iters=2 launches=101 h2d=23024 d2h=3400 ns=413b55ad74d34d1c",
         ]
     );
 }
