@@ -27,13 +27,14 @@
 //! at 16 / 64 / 128 lanes): the simplex wave packs its lanes' transfers
 //! into one link crossing per superstep and direction, while the
 //! first-order wave still pays a link latency per lane load and take.
-//! Both waves beat the per-lane engines on the heavy family at every width
-//! ≥ 16 (the simplex wave at every width on the light one): per-lane
-//! launches queue at the device's one issue slot, so that column does not
-//! fall with the width — Section 5.5's batching-beats-streams, by 1.3–6×.
-//! At four lanes the heavy family goes the other way: a per-lane pivot is
-//! two launch chains and one read-back, a four-lane wave's one launch per
-//! kernel class — the waves' saving starts where lanes share a launch.
+//! Per-lane launches queue at the device's one issue slot, so that column
+//! does not fall with the width, and the waves overtake it as they widen —
+//! Section 5.5's batching-beats-streams: on the heavy family the first-order
+//! wave from 16 lanes and the simplex wave from 64, on the light one the
+//! simplex wave from 16. Narrower, the per-lane engines are ahead: a
+//! per-lane pivot is one submission (its apply rides the next select's
+//! launch), while a wave still pays a launch per kernel class per superstep
+//! — the waves' saving starts where enough lanes share each launch.
 //! Every optimum served by every engine is checked against the
 //! `gmip-verify` exact oracle.
 //!
@@ -217,17 +218,21 @@ fn assert_claims(cells: &[CrossCell]) {
             c.simplex_launches
         );
     }
-    // Section 5.5 itself: batching beats streams. From 16 lanes on, each
-    // wave finishes the heavy family before the per-lane engines, whose
-    // launches leave the device's one issue queue one at a time however
-    // many streams they sit on.
-    for c in cells
-        .iter()
-        .filter(|c| c.family == "heavy" && c.lanes >= 16)
-    {
+    // Section 5.5 itself: batching beats streams. Wide enough, each wave
+    // finishes before the per-lane engines, whose launches leave the
+    // device's one issue queue one at a time however many streams they sit
+    // on: on the heavy family the first-order wave from 16 lanes and the
+    // simplex wave from 64, on the light one the simplex wave from 16.
+    for c in cells.iter().filter(|c| c.lanes >= 16) {
+        let (wave, wave_ns) = match c.family {
+            "heavy" if c.lanes < 64 => ("first-order", c.firstorder_ns),
+            "heavy" => ("both", c.simplex_ns.max(c.firstorder_ns)),
+            _ => ("simplex", c.simplex_ns),
+        };
         assert!(
-            c.simplex_ns < c.perlane_ns && c.firstorder_ns < c.perlane_ns,
-            "heavy w{}: per-lane {} ns not behind simplex {} ns and first-order {} ns",
+            wave_ns < c.perlane_ns,
+            "{} w{}: per-lane {} ns not behind the {wave} wave (simplex {} ns, first-order {} ns)",
+            c.family,
             c.lanes,
             c.perlane_ns,
             c.simplex_ns,
@@ -337,12 +342,13 @@ pub fn run() -> String {
          transfers into one link crossing per superstep and direction, the\n\
          first-order wave still pays one per lane load and take. The per-lane\n\
          column does not fall with the width — its launches are issued one at\n\
-         a time whatever stream they sit on — so both waves beat it on the\n\
-         heavy family from 16 lanes on, and the simplex wave at every width on\n\
-         the light one. At four lanes the heavy family's per-lane engines are\n\
-         ahead: their pivot is two launch chains, a narrow wave's one launch\n\
-         per kernel class. Every optimum above matches the gmip-verify exact\n\
-         oracle. (machine-readable copy: BENCH_e11.json)\n",
+         a time whatever stream they sit on — so the waves overtake it as they\n\
+         widen: on the heavy family the first-order wave from 16 lanes and the\n\
+         simplex wave from 64, on the light one the simplex wave from 16.\n\
+         Narrower, the per-lane engines are ahead: their pivot is one\n\
+         submission, a narrow wave's a launch per kernel class. Every optimum\n\
+         above matches the gmip-verify exact oracle. (machine-readable copy:\n\
+         BENCH_e11.json)\n",
     );
     out
 }

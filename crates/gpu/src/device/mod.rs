@@ -227,8 +227,9 @@ enum Chain {
     Closed,
     /// Inside a chain that has not launched yet.
     Open,
-    /// Inside a chain whose launch has been paid.
-    Launched,
+    /// Inside a chain whose launch — on this stream — has been paid, by
+    /// its own first kernel or by the held chain it continues.
+    Launched(StreamId),
 }
 
 impl GpuDevice {
@@ -308,7 +309,8 @@ impl GpuDevice {
         self.streams.record(stream)
     }
 
-    /// Synchronizes all streams; returns the joined timestamp.
+    /// Synchronizes all streams, submitting every held launch chain;
+    /// returns the joined timestamp.
     pub fn synchronize(&mut self) -> f64 {
         let t = self.streams.sync();
         self.ledger.incr(Series::Syncs, 1.0);
@@ -407,6 +409,10 @@ impl GpuDevice {
     }
 
     fn charge_h2d(&mut self, bytes: usize, stream: StreamId) {
+        if self.chain == Chain::Closed {
+            // An unchained transfer submits the launch its stream held.
+            self.streams.set_held(stream, false);
+        }
         let t = self.cost.transfer_ns(bytes);
         let done = self.streams.enqueue(stream, t);
         self.ledger.incr(Series::H2dTransfers, 1.0);
@@ -421,6 +427,7 @@ impl GpuDevice {
     /// gets every staged value in one transfer when the chain ends.
     fn charge_d2h(&mut self, bytes: usize, stream: StreamId) {
         if self.chain == Chain::Closed {
+            self.streams.set_held(stream, false);
             return self.cross_d2h(bytes, stream);
         }
         match &mut self.readback {
@@ -433,9 +440,11 @@ impl GpuDevice {
     }
 
     /// Sends what the chain staged across the link: one D2H transfer of the
-    /// summed bytes, enqueued behind the chain's last kernel.
+    /// summed bytes, enqueued behind the chain's last kernel — which submits
+    /// the launch the chain ran under.
     fn flush_readback(&mut self) {
         if let Some((stream, bytes)) = self.readback.take() {
+            self.streams.set_held(stream, false);
             self.cross_d2h(bytes, stream);
         }
     }
@@ -472,10 +481,25 @@ impl GpuDevice {
     /// The scope closes when `kernels` returns, whatever it returns: a chain
     /// that fails midway has charged the kernels it ran and sends back what
     /// they staged.
+    ///
+    /// A chain is **submitted where the host reads**. One that launched and
+    /// staged no read-back gives the host nothing to wait for, so its launch
+    /// stays *held* on its stream, and the next chain there continues it:
+    /// its kernels are charged their bodies only, and no launch is counted.
+    /// The held launch is submitted by the next chain that stages a
+    /// read-back on the stream (its one D2H crosses behind the last kernel,
+    /// as ever), by anything charged on the stream outside a chain, or by
+    /// [`synchronize`](Self::synchronize) — and submitting it costs nothing
+    /// more, the launch having been paid by its first kernel. A failed chain
+    /// is held like any other. Chains on other streams hold and submit
+    /// their own.
     pub fn chain<R>(&mut self, kernels: impl FnOnce(&mut Self) -> R) -> R {
         let outer = std::mem::replace(&mut self.chain, Chain::Open);
         let out = kernels(self);
-        self.chain = outer;
+        let ran = std::mem::replace(&mut self.chain, outer);
+        if let Chain::Launched(stream) = ran {
+            self.streams.set_held(stream, self.readback.is_none());
+        }
         self.flush_readback();
         out
     }
@@ -491,7 +515,16 @@ impl GpuDevice {
         stream: StreamId,
     ) {
         let body = self.cost.body_ns(fl, bytes, flops_per_ns);
-        let (t, done) = if self.chain == Chain::Launched {
+        let continued = match self.chain {
+            Chain::Launched(_) => true,
+            // An open chain's first kernel continues a held launch.
+            Chain::Open if self.streams.held(stream) => {
+                self.chain = Chain::Launched(stream);
+                true
+            }
+            _ => false,
+        };
+        let (t, done) = if continued {
             (body, self.streams.enqueue(stream, body))
         } else {
             let t = self.cost.launch_latency_ns + body;
@@ -507,7 +540,7 @@ impl GpuDevice {
     /// had its launch from here on.
     fn launch(&mut self, stream: StreamId, t: f64) -> f64 {
         if self.chain == Chain::Open {
-            self.chain = Chain::Launched;
+            self.chain = Chain::Launched(stream);
         }
         self.streams.launch(stream, t, self.cost.launch_latency_ns)
     }

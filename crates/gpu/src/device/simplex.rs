@@ -382,17 +382,19 @@ impl GpuDevice {
         Ok(result)
     }
 
-    /// Devex reference-weight update after a pivot: for every column,
-    /// `γ_j ← max(γ_j, (α_r[j]/α_rq)² · γ_q)`, then `γ_q` is re-anchored in
-    /// the leaving variable's slot, `γ[leaving] = max(γ_q / α_rq², 1)`. One
-    /// elementwise kernel, no transfer: `α_rq`, `γ_q` and `leaving` are
-    /// launch arguments.
+    /// Devex reference-weight update after a pivot on column `q`: with
+    /// `α_rq = α_r[q]` and `γ_q = γ[q]`, for every column `γ_j ← max(γ_j,
+    /// (α_r[j]/α_rq)² · γ_q)`, then `γ_q` is re-anchored in the leaving
+    /// variable's slot, `γ[leaving] = max(γ_q / α_rq², 1)`. One elementwise
+    /// kernel, no transfer: `q` and `leaving` are launch arguments, and the
+    /// kernel gathers `α_rq` and `γ_q` itself — the selection results stay
+    /// on the device. A pivot element below `1e-12` is refused before
+    /// anything moves.
     pub fn devex_weight_update(
         &mut self,
         gamma: VectorHandle,
         alpha_r: VectorHandle,
-        alpha_rq: f64,
-        gamma_q: f64,
+        q: usize,
         leaving: usize,
         stream: StreamId,
     ) -> Result<()> {
@@ -403,9 +405,13 @@ impl GpuDevice {
                 context: format!("devex_weight_update: {glen} vs {alen}"),
             }));
         }
-        if leaving >= glen {
-            return Err(out_of_bounds(leaving, glen));
+        for i in [q, leaving] {
+            if i >= glen {
+                return Err(out_of_bounds(i, glen));
+            }
         }
+        let alpha_rq = self.objects.vector(alpha_r)?[q];
+        let gamma_q = self.objects.vector(gamma)?[q];
         if alpha_rq.abs() < 1e-12 {
             return Err(GpuError::Linalg(LinalgError::Singular { column: 0 }));
         }

@@ -923,8 +923,9 @@ fn devex_weight_update_re_anchors_the_leaving_slot() {
     let gamma = dev.upload_vector(&[1.0, 1.0, 9.0], DEFAULT_STREAM).unwrap();
     let alpha_r = dev.upload_vector(&[4.0, 2.0, 1.0], DEFAULT_STREAM).unwrap();
     let transfers = dev.stats().total_transfers();
-    // q = 1: α_rq = 2, γ_q = 1; candidates (α_r[j]/2)² = [4, 1, 0.25].
-    dev.devex_weight_update(gamma, alpha_r, 2.0, 1.0, 2, DEFAULT_STREAM)
+    // q = 1: the kernel gathers α_rq = 2 and γ_q = 1 itself; candidates
+    // (α_r[j]/2)² = [4, 1, 0.25].
+    dev.devex_weight_update(gamma, alpha_r, 1, 2, DEFAULT_STREAM)
         .unwrap();
     assert_eq!(dev.stats().total_transfers(), transfers);
     // Slot 2 (the leaving variable) takes max(γ_q / α_rq², 1) = 1.
@@ -932,9 +933,20 @@ fn devex_weight_update_re_anchors_the_leaving_slot() {
         dev.download_vector(gamma, DEFAULT_STREAM).unwrap(),
         vec![4.0, 1.0, 1.0]
     );
-    assert!(dev
-        .devex_weight_update(gamma, alpha_r, 2.0, 1.0, 3, DEFAULT_STREAM)
-        .is_err());
+    // A leaving slot or an entering column out of range, or a zero pivot
+    // element, is refused before anything moves or launches.
+    let zero = dev.upload_vector(&[4.0, 0.0, 1.0], DEFAULT_STREAM).unwrap();
+    let launches = dev.stats().kernel_launches;
+    for (alpha_r, q, leaving) in [(alpha_r, 1, 3), (alpha_r, 3, 2), (zero, 1, 2)] {
+        assert!(dev
+            .devex_weight_update(gamma, alpha_r, q, leaving, DEFAULT_STREAM)
+            .is_err());
+    }
+    assert!(matches!(
+        dev.devex_weight_update(gamma, zero, 1, 2, DEFAULT_STREAM),
+        Err(GpuError::Linalg(LinalgError::Singular { .. }))
+    ));
+    assert_eq!(dev.stats().kernel_launches, launches);
     assert_eq!(
         dev.download_vector(gamma, DEFAULT_STREAM).unwrap(),
         vec![4.0, 1.0, 1.0]

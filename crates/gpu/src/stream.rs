@@ -14,6 +14,12 @@
 //! launch to N streamed ones. A program that only ever uses one stream never
 //! waits for the slot (it ends before the stream's own completion time), so
 //! its clock is the plain sum of its costs.
+//!
+//! A stream also knows whether its host-side submission is **held**: its
+//! last launch chain read nothing back, so the device has not been told to
+//! run it yet and the next chain on the stream joins the same submission
+//! instead of launching ([`GpuDevice::chain`](crate::GpuDevice::chain)).
+//! [`StreamSet::sync`] submits every held stream.
 
 /// Identifier of a stream on a device. Stream 0 always exists (the default
 /// stream).
@@ -30,23 +36,40 @@ pub struct Event {
 /// The set of stream timelines of one device.
 #[derive(Debug, Clone)]
 pub struct StreamSet {
-    completion_ns: Vec<f64>,
+    streams: Vec<Stream>,
     /// When the device's launch-issue slot is next free.
     issue_free_ns: f64,
+}
+
+/// One stream: when its last operation completes, and whether its launch
+/// is held open for the next chain.
+#[derive(Debug, Clone, Copy)]
+struct Stream {
+    completion_ns: f64,
+    held: bool,
+}
+
+impl Stream {
+    fn at(completion_ns: f64) -> Self {
+        Self {
+            completion_ns,
+            held: false,
+        }
+    }
 }
 
 impl StreamSet {
     /// Creates a stream set with `n` streams (at least 1 is enforced).
     pub fn new(n: usize) -> Self {
         Self {
-            completion_ns: vec![0.0; n.max(1)],
+            streams: vec![Stream::at(0.0); n.max(1)],
             issue_free_ns: 0.0,
         }
     }
 
     /// Number of streams.
     pub fn len(&self) -> usize {
-        self.completion_ns.len()
+        self.streams.len()
     }
 
     /// Always false: stream 0 exists.
@@ -58,8 +81,8 @@ impl StreamSet {
     /// device-wide frontier so they cannot "execute in the past".
     pub fn create(&mut self) -> StreamId {
         let start = self.frontier();
-        self.completion_ns.push(start);
-        self.completion_ns.len() - 1
+        self.streams.push(Stream::at(start));
+        self.streams.len() - 1
     }
 
     /// Enqueues an operation of duration `cost_ns` that needs no launch of
@@ -69,7 +92,7 @@ impl StreamSet {
     /// # Panics
     /// Panics if `stream` does not exist (device programming error).
     pub fn enqueue(&mut self, stream: StreamId, cost_ns: f64) -> f64 {
-        let t = &mut self.completion_ns[stream];
+        let t = &mut self.streams[stream].completion_ns;
         *t += cost_ns;
         *t
     }
@@ -77,43 +100,59 @@ impl StreamSet {
     /// Enqueues a kernel launch of duration `cost_ns` on `stream`, its first
     /// `issue_ns` (at most `cost_ns`) spent in the device's one issue queue:
     /// the launch starts when both the stream and the issue slot are free,
-    /// and holds the slot for `issue_ns`. Returns the completion timestamp.
+    /// and holds the slot for `issue_ns`. A launch submits whatever launch
+    /// the stream held. Returns the completion timestamp.
     ///
     /// # Panics
     /// Panics if `stream` does not exist (device programming error).
     pub fn launch(&mut self, stream: StreamId, cost_ns: f64, issue_ns: f64) -> f64 {
-        let t = &mut self.completion_ns[stream];
-        let start = t.max(self.issue_free_ns);
+        let s = &mut self.streams[stream];
+        let start = s.completion_ns.max(self.issue_free_ns);
         self.issue_free_ns = start + issue_ns;
-        *t = start + cost_ns;
-        *t
+        s.completion_ns = start + cost_ns;
+        s.held = false;
+        s.completion_ns
+    }
+
+    /// Holds `stream`'s launch open (`true`) or submits it (`false`).
+    ///
+    /// # Panics
+    /// Panics if `stream` does not exist (device programming error).
+    pub(crate) fn set_held(&mut self, stream: StreamId, held: bool) {
+        self.streams[stream].held = held;
+    }
+
+    /// Whether `stream`'s launch is held open for the next chain on it.
+    pub(crate) fn held(&self, stream: StreamId) -> bool {
+        self.streams[stream].held
     }
 
     /// Records an event on `stream`.
     pub fn record(&self, stream: StreamId) -> Event {
         Event {
-            at_ns: self.completion_ns[stream],
+            at_ns: self.streams[stream].completion_ns,
         }
     }
 
     /// Device-wide completion frontier (max over streams).
     pub fn frontier(&self) -> f64 {
-        self.completion_ns.iter().copied().fold(0.0, f64::max)
+        self.streams
+            .iter()
+            .map(|s| s.completion_ns)
+            .fold(0.0, f64::max)
     }
 
-    /// Joins all streams at the frontier (device synchronize); returns the
-    /// frontier timestamp.
+    /// Joins all streams at the frontier (device synchronize), submitting
+    /// every held launch; returns the frontier timestamp.
     pub fn sync(&mut self) -> f64 {
         let f = self.frontier();
-        for t in &mut self.completion_ns {
-            *t = f;
-        }
+        self.streams.fill(Stream::at(f));
         f
     }
 
     /// Current completion time of one stream.
     pub fn stream_time(&self, stream: StreamId) -> f64 {
-        self.completion_ns[stream]
+        self.streams[stream].completion_ns
     }
 }
 

@@ -10,7 +10,7 @@ use gmip_gpu::cost::flops;
 use gmip_gpu::device::storage::Class;
 use gmip_gpu::{
     DeviceConfig, DeviceStats, Eta, GpuDevice, GpuError, MatrixHandle, SparseHandle, Storage,
-    VectorHandle, DEFAULT_STREAM,
+    StreamId, VectorHandle, DEFAULT_STREAM,
 };
 use gmip_linalg::{CsrMatrix, DenseMatrix, SparseLu};
 use gmip_trace::{names, MetricsRegistry};
@@ -630,18 +630,33 @@ fn slab_rejects_stale_handles_and_recycling_is_invisible() {
     assert!(dev.pool_retained_bytes() <= 16 * 8 * 3);
 }
 
+/// How [`a_chain_pays_one_launch_and_every_body`] issues its kernels.
+#[derive(Clone, Copy, PartialEq)]
+enum Issue {
+    /// Kernel by kernel, each a launch of its own.
+    Unchained,
+    /// All four as one chain.
+    OneChain,
+    /// As two chains on one stream: the first reads nothing back, so it is
+    /// held and the second continues it.
+    Held,
+}
+
 /// A four-kernel launch chain modelled by hand: `vec_mul` (dense),
 /// `matvec_transposed` (CSR), an `argmin_masked` whose result the host wants,
 /// `vec_mul` again, and a gather of the entry the argmin chose — one launch,
 /// every flop, every body, and the two read-backs staged into one transfer
 /// behind the last kernel; to device memory the chain is the four kernels.
+/// Split into an apply-shaped chain (the first two kernels, nothing read
+/// back) and a select-shaped one, it is the same to the last bit: the first
+/// chain is held and the second continues it.
 #[test]
 fn a_chain_pays_one_launch_and_every_body() {
     let dense = DenseMatrix::from_rows(&[vec![4.0, 0.0, -1.0], vec![0.0, 5.0, 0.5]])
         .expect("rectangular rows");
     let csr = CsrMatrix::from_dense(&dense);
-    // The same program on two devices: kernel by kernel, and as one chain.
-    let run = |chained: bool| {
+    // The same program on three devices.
+    let run = |issue: Issue| {
         let mut dev = GpuDevice::new(DeviceConfig::gpu(1));
         let a = dev.upload_sparse(&csr, DEFAULT_STREAM).expect("fits");
         let x = dev
@@ -649,9 +664,11 @@ fn a_chain_pays_one_launch_and_every_body() {
             .expect("fits");
         let [sq, y, ysq] = [(); 3].map(|()| dev.vacant_vector());
         let before = (dev.metrics(), dev.elapsed_ns());
-        let kernels = |d: &mut GpuDevice| {
+        let apply = |d: &mut GpuDevice| {
             d.vec_mul(x, x, sq, DEFAULT_STREAM)?;
-            d.matvec_transposed(a, sq, y, DEFAULT_STREAM)?;
+            d.matvec_transposed(a, sq, y, DEFAULT_STREAM)
+        };
+        let select = |d: &mut GpuDevice| {
             // The chain goes on from what the reduction found.
             let (at, least) = d
                 .argmin_masked(y, y, DEFAULT_STREAM)?
@@ -660,10 +677,10 @@ fn a_chain_pays_one_launch_and_every_body() {
             let [squared] = d.vec_get([(ysq, at)], DEFAULT_STREAM)?;
             Ok::<_, GpuError>((at, least, squared))
         };
-        let found = if chained {
-            dev.chain(kernels)
-        } else {
-            kernels(&mut dev)
+        let found = match issue {
+            Issue::Unchained => apply(&mut dev).and_then(|()| select(&mut dev)),
+            Issue::OneChain => dev.chain(|d| apply(d).and_then(|()| select(d))),
+            Issue::Held => dev.chain(apply).and_then(|()| dev.chain(select)),
         };
         assert_eq!(found.expect("shapes agree"), (2, 1.0, 1.0));
         assert_eq!(
@@ -672,8 +689,9 @@ fn a_chain_pays_one_launch_and_every_body() {
         );
         (dev, before)
     };
-    let (plain, _) = run(false);
-    let (mut dev, (mut reference, started)) = run(true);
+    let (plain, _) = run(Issue::Unchained);
+    let (held, _) = run(Issue::Held);
+    let (mut dev, (mut reference, started)) = run(Issue::OneChain);
 
     let cost = dev.cost_model().clone();
     let nnz = csr.nnz();
@@ -716,6 +734,12 @@ fn a_chain_pays_one_launch_and_every_body() {
         assert_eq!(a.to_bits(), b.to_bits(), "counter {k}");
     }
     assert_eq!(dev.elapsed_ns().to_bits(), now.to_bits());
+    // Held and continued, two chains are the one chain.
+    assert_eq!(held.metrics(), got);
+    for ((k, a), (_, b)) in held.metrics().counters().zip(got.counters()) {
+        assert_eq!(a.to_bits(), b.to_bits(), "held counter {k}");
+    }
+    assert_eq!(held.elapsed_ns().to_bits(), now.to_bits());
     // Three launches, one link crossing and their latencies are all the
     // chain saved: the same flops, the same bytes back.
     assert_eq!(plain.stats().kernel_launches, 4);
@@ -735,8 +759,8 @@ fn a_chain_pays_one_launch_and_every_body() {
     };
     assert_eq!(memory(&dev), memory(&plain));
 
-    // A chain that fails midway leaves the scope closed: the next kernel is
-    // a launch of its own again.
+    // A chain that fails midway leaves the scope closed: the next unchained
+    // kernel is a launch of its own again, and so is the one after it.
     let x = dev
         .upload_vector(&[1.0, 2.0], DEFAULT_STREAM)
         .expect("fits");
@@ -818,4 +842,181 @@ fn a_chain_crosses_back_once() {
     // Outside a chain a read-back crosses at once, alone.
     dev.vec_get([(x, 0)], DEFAULT_STREAM).expect("in range");
     assert_eq!(link(&dev), (before.0 + 2, before.1 + 16 + 8));
+}
+
+/// A chain that launched and read nothing back is *held* on its stream: the
+/// next chain there continues its launch, and the pair is one launch and
+/// one crossing with every body charged. Anything charged on that stream
+/// outside a chain, or a synchronize, submits the held launch first; a
+/// chain on another stream holds and submits its own.
+#[test]
+fn a_chain_that_reads_nothing_back_is_held() {
+    fn device(config: DeviceConfig) -> (GpuDevice, [VectorHandle; 4]) {
+        let mut dev = GpuDevice::new(config);
+        let x = dev
+            .upload_vector(&[3.0, 1.0, 2.0], DEFAULT_STREAM)
+            .expect("fits");
+        let longer = dev.upload_vector(&[1.0; 4], DEFAULT_STREAM).expect("fits");
+        let [out, cube] = [(); 2].map(|()| dev.vacant_vector());
+        (dev, [x, longer, out, cube])
+    }
+    // A pivot's two halves in miniature: an apply-shaped chain stores and
+    // reads nothing back, a select-shaped chain reduces and reads back.
+    let apply = |d: &mut GpuDevice, [x, _, out, cube]: [VectorHandle; 4], s| {
+        d.chain(|d| {
+            d.vec_mul(x, x, out, s)?;
+            d.vec_mul(out, x, cube, s)
+        })
+        .expect("shapes agree");
+    };
+    let select = |d: &mut GpuDevice, [x, _, out, cube]: [VectorHandle; 4], s| {
+        d.chain(|d| {
+            let least = d.argmin_masked(cube, cube, s)?;
+            d.vec_mul(cube, x, out, s)?;
+            Ok::<_, GpuError>(least)
+        })
+        .expect("shapes agree")
+    };
+    let counts = |d: &GpuDevice| {
+        let s = d.stats();
+        (s.kernel_launches, s.d2h_transfers)
+    };
+
+    // Apply, then select: one launch, one crossing — to the last bit the
+    // two as one chain.
+    let (mut held, v) = device(DeviceConfig::gpu(1));
+    let (mut one, _) = device(DeviceConfig::gpu(1));
+    let before = counts(&held);
+    apply(&mut held, v, DEFAULT_STREAM);
+    assert_eq!(counts(&held), (before.0 + 1, before.1), "held, not crossed");
+    assert_eq!(select(&mut held, v, DEFAULT_STREAM), Some((1, 1.0)));
+    assert_eq!(counts(&held), (before.0 + 1, before.1 + 1));
+    one.chain(|d| {
+        d.vec_mul(v[0], v[0], v[2], DEFAULT_STREAM)?;
+        d.vec_mul(v[2], v[0], v[3], DEFAULT_STREAM)?;
+        d.argmin_masked(v[3], v[3], DEFAULT_STREAM)?;
+        d.vec_mul(v[3], v[0], v[2], DEFAULT_STREAM)
+    })
+    .expect("shapes agree");
+    assert_eq!(held.metrics(), one.metrics());
+    for ((k, a), (_, b)) in held.metrics().counters().zip(one.metrics().counters()) {
+        assert_eq!(a.to_bits(), b.to_bits(), "counter {k}");
+    }
+    assert_eq!(held.elapsed_ns().to_bits(), one.elapsed_ns().to_bits());
+    // The select submitted the held launch: the next apply launches anew.
+    apply(&mut held, v, DEFAULT_STREAM);
+    assert_eq!(counts(&held), (before.0 + 2, before.1 + 1));
+
+    // Anything charged on the stream outside a chain, or a synchronize,
+    // between the two submits the held launch: two launches for the pair
+    // (an unchained kernel is a third, of its own).
+    type Between = fn(&mut GpuDevice, StreamId);
+    let submitting: [(&str, Between, u64); 4] = [
+        (
+            "an unchained kernel",
+            |d, s| d.charge_custom(1.0, 8.0, false, s),
+            3,
+        ),
+        (
+            "an unchained upload",
+            |d, s| d.charge_transfer(8, true, s),
+            2,
+        ),
+        (
+            "an unchained read-back",
+            |d, s| d.charge_transfer(8, false, s),
+            2,
+        ),
+        (
+            "a synchronize",
+            |d, _| {
+                d.synchronize();
+            },
+            2,
+        ),
+    ];
+    for (what, between, launches) in submitting {
+        let (mut dev, v) = device(DeviceConfig::gpu(1));
+        let before = counts(&dev);
+        apply(&mut dev, v, DEFAULT_STREAM);
+        between(&mut dev, DEFAULT_STREAM);
+        select(&mut dev, v, DEFAULT_STREAM);
+        assert_eq!(counts(&dev).0, before.0 + launches, "{what}");
+    }
+
+    // Another stream holds and submits its own: interleaved pairs on two
+    // streams are one launch each, and neither an unchained kernel nor a
+    // read-back chain on stream 1 submits what stream 0 holds.
+    let (mut dev, v) = device(DeviceConfig::gpu(1));
+    let s1 = dev.create_stream();
+    let before = counts(&dev);
+    apply(&mut dev, v, DEFAULT_STREAM);
+    apply(&mut dev, v, s1);
+    select(&mut dev, v, DEFAULT_STREAM);
+    select(&mut dev, v, s1);
+    assert_eq!(
+        counts(&dev),
+        (before.0 + 2, before.1 + 2),
+        "a pair a stream"
+    );
+    apply(&mut dev, v, DEFAULT_STREAM);
+    dev.charge_custom(1.0, 8.0, false, s1);
+    select(&mut dev, v, s1);
+    select(&mut dev, v, DEFAULT_STREAM);
+    assert_eq!(
+        counts(&dev),
+        (before.0 + 5, before.1 + 4),
+        "stream 0 stayed held"
+    );
+
+    // A failed chain that launched is held like any other.
+    let (mut dev, v) = device(DeviceConfig::gpu(1));
+    let [x, longer, out, _] = v;
+    let before = counts(&dev);
+    let failed = dev.chain(|d| {
+        d.vec_mul(x, x, out, DEFAULT_STREAM)?;
+        d.vec_mul(x, longer, out, DEFAULT_STREAM)
+    });
+    assert!(matches!(failed, Err(GpuError::Linalg(_))));
+    apply(&mut dev, v, DEFAULT_STREAM);
+    select(&mut dev, v, DEFAULT_STREAM);
+    assert_eq!(counts(&dev), (before.0 + 1, before.1 + 1));
+
+    // On an executor whose launches cost nothing, holding moves nothing but
+    // the launch count: fenced by a synchronize after every chain, the same
+    // program has the same clock, flops, kernel time and transfers, bit for
+    // bit.
+    let program = |fence: bool| {
+        let (mut dev, v) = device(DeviceConfig::cpu());
+        for _ in 0..3 {
+            apply(&mut dev, v, DEFAULT_STREAM);
+            if fence {
+                dev.synchronize();
+            }
+            select(&mut dev, v, DEFAULT_STREAM);
+            if fence {
+                dev.synchronize();
+            }
+        }
+        let all = dev.metrics();
+        let mut kept = MetricsRegistry::new();
+        for (k, v) in all.counters() {
+            if ![names::GPU_KERNEL_LAUNCHES, names::GPU_SYNCS].contains(&k) {
+                kept.incr(k, v);
+            }
+        }
+        for (k, v) in all.gauges() {
+            kept.max_gauge(k, v);
+        }
+        let launches = all.counter(names::GPU_KERNEL_LAUNCHES);
+        (kept, dev.elapsed_ns(), launches)
+    };
+    let ((held, held_ns, held_launches), (fenced, fenced_ns, fenced_launches)) =
+        (program(false), program(true));
+    assert_eq!(held, fenced);
+    for ((k, a), (_, b)) in held.counters().zip(fenced.counters()) {
+        assert_eq!(a.to_bits(), b.to_bits(), "counter {k}");
+    }
+    assert_eq!(held_ns.to_bits(), fenced_ns.to_bits());
+    assert_eq!((held_launches, fenced_launches), (3.0, 6.0));
 }

@@ -8,29 +8,33 @@
 //!   never re-transferred; cuts extend it in place (Section 5.2);
 //! * basis assembly, factorization, eta updates, FTRAN/BTRAN, pricing, and
 //!   both ratio tests run on the device;
-//! * a pivot is **one round trip**: two engine calls, a *select* and an
-//!   *apply*, each one lock, one kernel launch and at most one link crossing
-//!   per direction — so two launches and one crossing per pivot, whatever
-//!   the pricing rule and whichever simplex. The select
+//! * a pivot is **one launch and one crossing**: two engine calls, a
+//!   *select* and an *apply*, each one lock and one launch chain
+//!   ([`GpuDevice::chain`]) with at most one link crossing per direction,
+//!   whatever the pricing rule and whichever simplex. The select
 //!   ([`SimplexEngine::primal_select`]: `price → ftran_column → ratio_test`;
 //!   [`SimplexEngine::dual_select`]: `primal_infeas → btran_row → dual_ratio`
-//!   and the two pivot entries) runs as one launch chain
-//!   ([`GpuDevice::chain`]) that *selects on the device*: the index a
+//!   and the two pivot entries) *selects on the device*: the index a
 //!   reduction finds is read by the chain's next kernel where the reduction
 //!   left it, a chain whose reduction finds nothing ends early, and what the
 //!   host needs to go on (the reductions' 16–24 byte results, the pivot
 //!   entries) is staged and crosses the link **once**, behind the chain's
 //!   last kernel. The apply ([`SimplexEngine::primal_apply`] /
-//!   [`SimplexEngine::dual_apply`]) is one chain with nothing to read back:
-//!   what a pivot *stores* (the entering value, two statuses, a cost and two
-//!   bounds) rides its step kernel as launch arguments — "rank-1 updates and
-//!   resolving the updated matrix repeatedly with no data transfer from host
-//!   to device or vice versa". (Under Devex the apply reads the weight
-//!   update's two scalars back, 16 bytes in its one envelope.) The
-//!   primitives the pivot-shaped calls are made of remain engine calls of
-//!   their own — one chain, one crossing each — for the trait's default
-//!   bodies and the Bland fallback, whose full reduced-cost read-back is the
-//!   honest cost of choosing the column on the host;
+//!   [`SimplexEngine::dual_apply`]) reads nothing back: what a pivot
+//!   *stores* (the entering value, two statuses, a cost and two bounds)
+//!   rides its step kernel as launch arguments, and the Devex weight update
+//!   gathers its two scalars on the device — "rank-1 updates and resolving
+//!   the updated matrix repeatedly with no data transfer from host to device
+//!   or vice versa". A chain the host waits for nothing from is *held*, and
+//!   the next select continues it, so an apply costs its kernel bodies and
+//!   no launch of its own; an install rides its first select the same way.
+//!   A terminal primal select stages `x_B` into its envelope, and the
+//!   `basic_values` that follows crosses nothing. A warm node LP of `k` dual
+//!   pivots is `k + 2` launches and `k + 2` read-backs. The primitives the
+//!   pivot-shaped calls are made of remain engine calls of their own for
+//!   the trait's default bodies and the Bland fallback, whose full
+//!   reduced-cost read-back is the honest cost of choosing the column on
+//!   the host;
 //! * per basis **install** (node start, refactorization), only small
 //!   vectors (`c`, `b`, statuses, basic bounds, nonbasic values, Devex
 //!   weights) are uploaded, staged into one transfer;
@@ -73,10 +77,10 @@ use crate::simplex::{PricingRule, PrimalConfig};
 use crate::{LpError, LpResult};
 use gmip_gpu::device::Result as GpuResult;
 use gmip_gpu::{
-    Accel, Eta, GpuDevice, MatrixHandle, SparseHandle, Storage, StreamId, VectorHandle,
+    Accel, Eta, GpuDevice, GpuError, MatrixHandle, SparseHandle, Storage, StreamId, VectorHandle,
     DEFAULT_STREAM,
 };
-use gmip_linalg::DenseMatrix;
+use gmip_linalg::{DenseMatrix, LinalgError};
 
 /// An engine's resident objects on its device, created once and written in
 /// place ever after; every vector takes the length of what a kernel last
@@ -385,13 +389,21 @@ impl<M: Storage> Call<'_, M> {
         Ok(d.vec_get([(of, i)], self.st).map(|[v]| v)?)
     }
 
+    /// The Devex weight update; the kernel gathers `α_r[q]` and `γ_q` where
+    /// they are, so the apply it rides reads nothing back.
     fn devex_update(&self, d: &mut GpuDevice, q: usize, leaving_j: usize) -> LpResult<()> {
         let (ws, st) = (self.alpha_r()?, self.st);
-        let [arq, gamma_q] = d.vec_get([(ws.alpha_r, q), (ws.gamma, q)], st)?;
-        if arq.abs() < 1e-12 {
-            return Err(LpError::Shape("devex update with zero pivot".into()));
-        }
-        Ok(d.devex_weight_update(ws.gamma, ws.alpha_r, arq, gamma_q, leaving_j, st)?)
+        d.devex_weight_update(ws.gamma, ws.alpha_r, q, leaving_j, st)
+            .map_err(|e| match e {
+                GpuError::Linalg(LinalgError::Singular { .. }) => {
+                    LpError::Shape("devex update with zero pivot".into())
+                }
+                e => e.into(),
+            })
+    }
+
+    fn basic_values(&self, d: &mut GpuDevice) -> LpResult<Vec<f64>> {
+        Ok(d.download_vector(self.ws.xb, self.st)?)
     }
 }
 
@@ -415,6 +427,10 @@ pub struct DeviceSimplex<M: Storage> {
     /// weights), kept across installs so a warm re-solve stages without
     /// allocating.
     stage: [Vec<f64>; 6],
+    /// `x_B` as a terminal primal select read it back in its envelope:
+    /// what `basic_values` returns without crossing, if it is the next call.
+    /// Every other call drops it.
+    staged_xb: Option<Vec<f64>>,
 }
 
 /// The dense-resident engine: dense kernels, dense LU under the eta file.
@@ -446,6 +462,7 @@ impl<M: Storage> DeviceSimplex<M> {
             ws: None,
             live: Live::default(),
             stage: Default::default(),
+            staged_xb: None,
         })
     }
 
@@ -461,6 +478,7 @@ impl<M: Storage> DeviceSimplex<M> {
         &mut self,
         kernels: impl FnOnce(&mut Call<'_, M>, &mut GpuDevice) -> LpResult<R>,
     ) -> LpResult<R> {
+        self.staged_xb = None;
         let ws = self
             .ws
             .filter(|_| self.live.installed)
@@ -520,6 +538,7 @@ impl<M: Storage> SimplexEngine for DeviceSimplex<M> {
             )));
         }
         self.live = Live::default();
+        self.staged_xb = None;
         self.lb.clear();
         self.lb.extend_from_slice(view.lb);
         self.ub.clear();
@@ -606,6 +625,7 @@ impl<M: Storage> SimplexEngine for DeviceSimplex<M> {
 
     fn append_cut(&mut self, row: &[f64], col: &[f64]) -> LpResult<()> {
         let (a, st) = (self.a, self.stream);
+        self.staged_xb = None;
         on_device(&self.accel, |d| d.append_cut(a, row, col, st))?;
         self.m += 1;
         self.n += 1;
@@ -637,7 +657,10 @@ impl<M: Storage> SimplexEngine for DeviceSimplex<M> {
     }
 
     fn basic_values(&mut self) -> LpResult<Vec<f64>> {
-        self.call(|k, d| Ok(d.download_vector(k.ws.xb, k.st)?))
+        match self.staged_xb.take() {
+            Some(xb) => Ok(xb),
+            None => self.call(|k, d| k.basic_values(d)),
+        }
     }
 
     fn basic_entry(&mut self, i: usize) -> LpResult<f64> {
@@ -665,10 +688,12 @@ impl<M: Storage> SimplexEngine for DeviceSimplex<M> {
     }
 
     fn btran_row_host(&mut self, r: usize) -> LpResult<Vec<f64>> {
-        self.btran_row(r)?;
-        // The Section 5.2 device→host leg: the tableau row crosses the link
-        // so the CPU-side cut generator can read it.
-        self.call(|k, d| Ok(d.download_vector(k.alpha_r()?.alpha_r, k.st)?))
+        self.call(|k, d| {
+            k.btran_row(d, r)?;
+            // The Section 5.2 device→host leg: the tableau row crosses the
+            // link so the CPU-side cut generator can read it.
+            Ok(d.download_vector(k.alpha_r()?.alpha_r, k.st)?)
+        })
     }
 
     fn dual_prices(&mut self) -> LpResult<Vec<f64>> {
@@ -694,16 +719,21 @@ impl<M: Storage> SimplexEngine for DeviceSimplex<M> {
     // launch, and one staged read-back of what the host needs to go on.
 
     fn primal_select(&mut self, cfg: &PrimalConfig, basis: &Basis) -> LpResult<Option<PrimalPick>> {
-        self.call(|k, d| {
+        let (pick, xb) = self.call(|k, d| {
             let Some(q) = improving(k.price(d, cfg.pricing)?, cfg.price_tol) else {
-                return Ok(None);
+                // The solve ends here, and the host reads x_B next: it
+                // rides this chain's envelope instead of a crossing of its
+                // own.
+                return Ok((None, Some(k.basic_values(d)?)));
             };
             // What the device reads as −σ_q beside the argmin's result.
             let dir = entering_dir(basis, q)?;
             k.ftran_column(d, q)?;
             let limit = k.ratio_test(d, dir, cfg.ratio_tol)?;
-            Ok(Some(PrimalPick { q, dir, limit }))
-        })
+            Ok((Some(PrimalPick { q, dir, limit }), None))
+        })?;
+        self.staged_xb = xb;
+        Ok(pick)
     }
 
     fn primal_apply(&mut self, plan: &PivotPlan, devex: bool) -> LpResult<()> {
@@ -1062,10 +1092,14 @@ mod tests {
         assert_eq!(e.alpha_entry(0).unwrap(), 0.5);
     }
 
-    /// A pivot is one round trip — two launches and one read-back, each
-    /// call one of each at most — on either simplex; a bound flip is the
-    /// same; a select that ends the solve is one launch and one read-back.
-    fn a_pivot_is_one_round_trip<M: Storage>() {
+    /// A pivot is one launch and one read-back: its apply reads nothing
+    /// back, so the device holds that chain open and the next select — which
+    /// does read back — continues it. In steady state an apply and the
+    /// select after it are 1 launch + 1 D2H, for a Dantzig, a Devex and a
+    /// dual pivot and for a bound flip; an install rides its first select
+    /// the same way; a terminal primal select brings `x_B` back in its
+    /// envelope, so the `basic_values` after it crosses nothing.
+    fn a_pivot_is_one_launch<M: Storage>() {
         // max x0 + x1 over x0 + x1 + s0 = 4, 2 x0 + x1 + s1 = 6.
         let a =
             DenseMatrix::from_rows(&[vec![1.0, 1.0, 1.0, 0.0], vec![2.0, 1.0, 0.0, 1.0]]).unwrap();
@@ -1073,17 +1107,21 @@ mod tests {
         let slack = Basis::with_basic_cols(vec![2, 3], 4);
         let accel = Accel::gpu(1);
         let mut e = DeviceSimplex::<M>::new(accel.clone(), &a).unwrap();
-        // What a call moved: launches, H2D transfers, D2H transfers and bytes.
+        // What the calls since the last look moved: launches, D2H transfers
+        // and bytes, H2D transfers.
         let seen = std::cell::RefCell::new(accel.stats());
-        let grew = |what: &str, want: (u64, u64, u64)| {
+        let grew = |what: &str, want: (u64, u64, u64, u64)| {
             let (s, seen) = (accel.stats(), seen.replace(accel.stats()));
             let got = (
                 s.kernel_launches - seen.kernel_launches,
                 s.d2h_transfers - seen.d2h_transfers,
                 s.d2h_bytes - seen.d2h_bytes,
+                s.h2d_transfers - seen.h2d_transfers,
             );
-            assert_eq!(s.h2d_transfers, seen.h2d_transfers, "{what} uploaded");
-            assert_eq!(got, want, "{what}: (launches, read-backs, bytes back)");
+            assert_eq!(
+                got, want,
+                "{what}: (launches, read-backs, bytes back, uploads)"
+            );
         };
         let install = |e: &mut DeviceSimplex<M>, c: &[f64], ub: &[f64]| {
             let view = ProblemView {
@@ -1093,52 +1131,70 @@ mod tests {
                 b: &b,
             };
             e.install(view, &slack).unwrap();
-            seen.replace(accel.stats());
         };
-        let (primal, dual) = (PrimalConfig::default(), DualConfig::standard());
-        let plan = |r, q, leaving_j, t: f64, entering_val| PivotPlan {
+        let plan = |r, q, leaving_j, t: f64| PivotPlan {
             r,
             q,
             leaving_j,
             dir: 1.0,
             t,
-            entering_val,
+            entering_val: t,
             leaving_sigma: -1.0,
             c_q: c[q],
             lb_q: 0.0,
             ub_q: 10.0,
         };
 
-        // A primal pivot: the argmin's 16 bytes and the ratio test's 24.
-        install(&mut e, &c, &[10.0; 4]);
-        let pick = e.primal_select(&primal, &slack).unwrap().unwrap();
-        assert_eq!(
-            (pick.q, pick.dir, pick.limit),
-            (0, 1.0, Some((1, 3.0, false)))
-        );
-        grew("primal_select", (1, 1, 16 + 24));
-        e.primal_apply(&plan(1, 0, 3, 3.0, 3.0), false).unwrap();
-        grew("primal_apply", (1, 0, 0));
-        assert_eq!(e.basic_values().unwrap(), vec![1.0, 3.0]);
+        for pricing in [PricingRule::Dantzig, PricingRule::Devex] {
+            let primal = PrimalConfig {
+                pricing,
+                ..PrimalConfig::default()
+            };
+            let devex = pricing == PricingRule::Devex;
+            // The install and the first select: the argmin's 16 bytes and
+            // the ratio test's 24.
+            install(&mut e, &c, &[10.0; 4]);
+            let pick = e.primal_select(&primal, &slack).unwrap().unwrap();
+            assert_eq!(
+                (pick.q, pick.dir, pick.limit),
+                (0, 1.0, Some((1, 3.0, false)))
+            );
+            grew("install + primal_select", (1, 1, 16 + 24, 1));
+            // A pivot: x0 enters in row 1, s1 leaves; then x1 prices out.
+            e.primal_apply(&plan(1, 0, 3, 3.0), devex).unwrap();
+            let pick = e.primal_select(&primal, &slack).unwrap().unwrap();
+            assert_eq!((pick.q, pick.limit), (1, Some((0, 2.0, false))));
+            grew("primal_apply + primal_select", (1, 1, 16 + 24, 0));
+            // The second pivot, then nothing prices out: x_B rides the
+            // terminal select's envelope and basic_values crosses nothing.
+            e.primal_apply(&plan(0, 1, 2, 2.0), devex).unwrap();
+            assert_eq!(e.primal_select(&primal, &slack).unwrap(), None);
+            grew("primal_apply + terminal select", (1, 1, 16 + 16, 0));
+            assert_eq!(e.basic_values().unwrap(), vec![2.0, 2.0]);
+            grew("basic_values after a terminal select", (0, 0, 0, 0));
+            // The staged copy is spent: a second read crosses.
+            assert_eq!(e.basic_values().unwrap(), vec![2.0, 2.0]);
+            grew("basic_values again", (0, 1, 16, 0));
+        }
 
-        // A bound flip: x0 may rise by 1 only, before any row blocks.
+        // A bound flip: x0 may rise by 1 only, before any row blocks; then
+        // x1 prices out.
+        let primal = PrimalConfig::default();
         install(&mut e, &c, &[1.0, 10.0, 10.0, 10.0]);
         let pick = e.primal_select(&primal, &slack).unwrap().unwrap();
         assert_eq!((pick.q, pick.limit), (0, Some((1, 3.0, false))));
-        grew("primal_select before a flip", (1, 1, 16 + 24));
+        grew("install + primal_select before a flip", (1, 1, 16 + 24, 1));
         e.apply_flip(0, 1.0, 1.0, 1.0).unwrap();
-        grew("apply_flip", (1, 0, 0));
-
-        // A select that ends the solve: nothing prices out.
-        install(&mut e, &[-1.0, -1.0, 0.0, 0.0], &[10.0; 4]);
-        assert_eq!(e.primal_select(&primal, &slack).unwrap(), None);
-        grew("terminal primal_select", (1, 1, 16));
-        assert_eq!(e.dual_select(&dual).unwrap(), DualPick::Feasible);
-        grew("terminal dual_select", (1, 1, 24));
+        let mut flipped = slack.clone();
+        flipped.status[0] = VarStatus::AtUpper;
+        let pick = e.primal_select(&primal, &flipped).unwrap().unwrap();
+        assert_eq!((pick.q, pick.limit), (1, Some((0, 3.0, false))));
+        grew("apply_flip + primal_select", (1, 1, 16 + 24, 0));
 
         // A dual pivot: s0 = 4 sits above an upper bound of 1. Both
         // reductions' results and the two pivot entries, 24 + 16 + 8 + 8.
         // (Costs negated so that the slack basis is dual feasible.)
+        let dual = DualConfig::standard();
         let c_neg = [-1.0, -1.0, 0.0, 0.0];
         install(&mut e, &c_neg, &[10.0, 10.0, 1.0, 10.0]);
         let DualPick::Pivot {
@@ -1152,16 +1208,19 @@ mod tests {
             panic!("a violated row with an entering column");
         };
         assert_eq!((r, below, q, alpha_rq, xbr), (0, false, 0, 1.0, 4.0));
-        grew("dual_select", (1, 1, 24 + 16 + 8 + 8));
+        grew("install + dual_select", (1, 1, 24 + 16 + 8 + 8, 1));
         let delta = (xbr - 1.0) / alpha_rq;
         e.dual_apply(&PivotPlan {
             leaving_sigma: 1.0,
             c_q: c_neg[q],
-            ..plan(r, q, 2, delta, delta)
+            ..plan(r, q, 2, delta)
         })
         .unwrap();
-        grew("dual_apply", (1, 0, 0));
+        assert_eq!(e.dual_select(&dual).unwrap(), DualPick::Feasible);
+        grew("dual_apply + terminal dual_select", (1, 1, 24, 0));
+        // A dual select stages nothing: x_B crosses on its own.
         assert_eq!(e.basic_values().unwrap(), vec![3.0, 0.0]);
+        grew("basic_values after a dual select", (0, 1, 16, 0));
 
         // Infeasible: s0 = 4 above 1 again, and both structurals fixed.
         install(&mut e, &c_neg, &[0.0, 0.0, 1.0, 10.0]);
@@ -1172,7 +1231,97 @@ mod tests {
                 below: false
             }
         );
-        grew("infeasible dual_select", (1, 1, 24 + 16));
+        grew("install + infeasible dual_select", (1, 1, 24 + 16, 1));
+    }
+
+    /// The `x_B` a terminal select brought back is `basic_values`' only if
+    /// nothing came between: an install, a cut, an apply or a failed select
+    /// drops it, and the read after any of them crosses — and sees what
+    /// that call did. A second read crosses again.
+    fn a_staged_x_b_is_never_stale<M: Storage>() {
+        // x0 + x1 + s0 = 4, 2 x0 + x1 + s1 = 6; nothing prices out at the
+        // slack basis.
+        let a =
+            DenseMatrix::from_rows(&[vec![1.0, 1.0, 1.0, 0.0], vec![2.0, 1.0, 0.0, 1.0]]).unwrap();
+        let (c, lb, ub) = ([-1.0, -1.0, 0.0, 0.0], [0.0; 4], [10.0; 4]);
+        let view = |b| ProblemView {
+            c: &c,
+            lb: &lb,
+            ub: &ub,
+            b,
+        };
+        let slack = Basis::with_basic_cols(vec![2, 3], 4);
+        let accel = Accel::gpu(1);
+        let mut e = DeviceSimplex::<M>::new(accel.clone(), &a).unwrap();
+        let crossings = || accel.stats().d2h_transfers;
+        let staged = |e: &mut DeviceSimplex<M>| {
+            e.install(view(&[4.0, 6.0]), &slack).unwrap();
+            assert_eq!(e.primal_select(&PrimalConfig::default(), &slack), Ok(None));
+        };
+        // Untouched, the staged copy is served once.
+        staged(&mut e);
+        let before = crossings();
+        assert_eq!(e.basic_values().unwrap(), vec![4.0, 6.0]);
+        assert_eq!(crossings(), before);
+        assert_eq!(e.basic_values().unwrap(), vec![4.0, 6.0]);
+        assert_eq!(crossings(), before + 1);
+
+        type Interloper<M> = fn(&mut DeviceSimplex<M>, &[f64]) -> LpResult<()>;
+        let interlopers: [(&str, Interloper<M>, Vec<f64>); 4] = [
+            (
+                "install",
+                |e, c| {
+                    let (lb, ub) = ([0.0; 4], [10.0; 4]);
+                    let view = ProblemView {
+                        c,
+                        lb: &lb,
+                        ub: &ub,
+                        b: &[3.0, 5.0],
+                    };
+                    e.install(view, &Basis::with_basic_cols(vec![2, 3], 4))
+                },
+                vec![3.0, 5.0],
+            ),
+            (
+                "append_cut",
+                |e, _| e.append_cut(&[1.0, 0.0, 0.0, 0.0], &[0.0, 0.0, 1.0]),
+                vec![4.0, 6.0],
+            ),
+            (
+                "apply",
+                |e, _| {
+                    // x0 runs to 1 without a basis change.
+                    e.ftran_column(0)?;
+                    e.apply_flip(0, 1.0, 1.0, 1.0)
+                },
+                vec![3.0, 4.0],
+            ),
+            (
+                "failed select",
+                |e, _| {
+                    // Anything prices out, and the basis calls x0 basic.
+                    let eager = PrimalConfig {
+                        price_tol: -10.0,
+                        ..PrimalConfig::default()
+                    };
+                    let wrong = Basis::with_basic_cols(vec![0, 1], 4);
+                    assert!(e.primal_select(&eager, &wrong).is_err());
+                    Ok(())
+                },
+                vec![4.0, 6.0],
+            ),
+        ];
+        for (what, interloper, xb) in interlopers {
+            // A fresh engine each time: the cut grows the one it meets.
+            let mut e = DeviceSimplex::<M>::new(accel.clone(), &a).unwrap();
+            staged(&mut e);
+            interloper(&mut e, &c).unwrap();
+            let before = crossings();
+            assert_eq!(e.basic_values().unwrap(), xb, "{what}");
+            assert_eq!(crossings(), before + 1, "{what}: the staged x_B was served");
+            assert_eq!(e.basic_values().unwrap(), xb, "{what}");
+            assert_eq!(crossings(), before + 2, "{what}");
+        }
     }
 
     /// Everything an install determines, bit for bit: `x_B`, the duals, the
@@ -1327,8 +1476,13 @@ mod tests {
                 }
 
                 #[test]
-                fn a_pivot_is_one_round_trip() {
-                    super::a_pivot_is_one_round_trip::<$storage>();
+                fn a_pivot_is_one_launch() {
+                    super::a_pivot_is_one_launch::<$storage>();
+                }
+
+                #[test]
+                fn a_staged_x_b_is_never_stale() {
+                    super::a_staged_x_b_is_never_stale::<$storage>();
                 }
             }
         };

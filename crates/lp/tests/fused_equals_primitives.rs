@@ -1,18 +1,25 @@
 //! The pivot-shaped calls of `DeviceSimplex` against the primitives they
-//! replace, differentially.
+//! replace, and held launch chains against fenced ones, differentially.
 //!
 //! [`Primitives`] forwards only the *required* [`SimplexEngine`] methods, so
 //! over a real `DeviceSimplex` the drivers run the provided defaults: one
-//! engine call — one lock, one launch, its own link crossing — per
-//! primitive, which is the device path of the parent commit. The engine
-//! itself overrides them with one call per pivot half. The two must be the
-//! same solve bit for bit and the same ledger but for what the fusing is
-//! about: strictly fewer launches and strictly fewer D2H envelopes (the same
-//! bytes in them).
+//! engine call — one lock, one launch chain, its own link crossing — per
+//! primitive. The engine itself overrides them with one call per pivot
+//! half. The two must be the same solve bit for bit and the same ledger but
+//! for what the fusing is about: no more launches (strictly fewer once
+//! there is a pivot) and strictly fewer D2H envelopes (the same bytes in
+//! them). Both hold chains: a primitive that reads nothing back is held for
+//! the next one too.
+//!
+//! [`Fenced`] forwards *every* method and synchronizes the device before
+//! each, so no launch chain is ever held across two engine calls. Held and
+//! fenced must be the same solve and the same ledger — crossings included —
+//! but for strictly fewer launches: holding moves nothing but launches.
 
 use gmip_gpu::{Accel, MatrixHandle, SparseHandle, Storage};
 use gmip_linalg::DenseMatrix;
-use gmip_lp::engine::PivotPlan;
+use gmip_lp::dual::DualConfig;
+use gmip_lp::engine::{DualPick, PivotPlan, PrimalPick};
 use gmip_lp::simplex::{primal_solve, PrimalOutcome};
 use gmip_lp::{
     Basis, BoundChange, DeviceSimplex, LpConfig, LpResult, LpSolver, LpStatus, PricingRule,
@@ -103,6 +110,102 @@ impl<E: SimplexEngine> SimplexEngine for Primitives<'_, E> {
     }
 }
 
+/// Forwards every method of `E`, the pivot-shaped ones included, after a
+/// device synchronize: whatever launch chain the last call held is
+/// submitted before the next call runs.
+struct Fenced<E> {
+    inner: E,
+    accel: Accel,
+}
+
+impl<E> Fenced<E> {
+    fn fenced(&mut self) -> &mut E {
+        self.accel.with(|d| d.synchronize());
+        &mut self.inner
+    }
+}
+
+impl<E: SimplexEngine> SimplexEngine for Fenced<E> {
+    fn m(&self) -> usize {
+        self.inner.m()
+    }
+    fn n(&self) -> usize {
+        self.inner.n()
+    }
+    fn sim_now_ns(&self) -> Option<f64> {
+        self.inner.sim_now_ns()
+    }
+    fn eta_count(&self) -> usize {
+        self.inner.eta_count()
+    }
+    fn install(&mut self, view: ProblemView<'_>, basis: &Basis) -> LpResult<()> {
+        self.fenced().install(view, basis)
+    }
+    fn append_cut(&mut self, row: &[f64], col: &[f64]) -> LpResult<()> {
+        self.fenced().append_cut(row, col)
+    }
+    fn price(&mut self) -> LpResult<Option<(usize, f64)>> {
+        self.fenced().price()
+    }
+    fn reduced_costs_host(&mut self) -> LpResult<Vec<f64>> {
+        self.fenced().reduced_costs_host()
+    }
+    fn ftran_column(&mut self, q: usize) -> LpResult<()> {
+        self.fenced().ftran_column(q)
+    }
+    fn ratio_test(&mut self, dir: f64, tol: f64) -> LpResult<Option<(usize, f64, bool)>> {
+        self.fenced().ratio_test(dir, tol)
+    }
+    fn apply_flip(&mut self, q: usize, dir: f64, t: f64, new_sigma: f64) -> LpResult<()> {
+        self.fenced().apply_flip(q, dir, t, new_sigma)
+    }
+    fn apply_pivot(&mut self, plan: &PivotPlan) -> LpResult<()> {
+        self.fenced().apply_pivot(plan)
+    }
+    fn basic_values(&mut self) -> LpResult<Vec<f64>> {
+        self.fenced().basic_values()
+    }
+    fn basic_entry(&mut self, i: usize) -> LpResult<f64> {
+        self.fenced().basic_entry(i)
+    }
+    fn primal_infeas(&mut self, tol: f64) -> LpResult<Option<(usize, f64, bool)>> {
+        self.fenced().primal_infeas(tol)
+    }
+    fn btran_row(&mut self, r: usize) -> LpResult<()> {
+        self.fenced().btran_row(r)
+    }
+    fn dual_ratio(&mut self, leaving_below: bool, tol: f64) -> LpResult<Option<(usize, f64)>> {
+        self.fenced().dual_ratio(leaving_below, tol)
+    }
+    fn alpha_r_entry(&mut self, j: usize) -> LpResult<f64> {
+        self.fenced().alpha_r_entry(j)
+    }
+    fn btran_row_host(&mut self, r: usize) -> LpResult<Vec<f64>> {
+        self.fenced().btran_row_host(r)
+    }
+    fn dual_prices(&mut self) -> LpResult<Vec<f64>> {
+        self.fenced().dual_prices()
+    }
+    fn price_devex(&mut self) -> LpResult<Option<(usize, f64)>> {
+        self.fenced().price_devex()
+    }
+    fn devex_update(&mut self, q: usize, leaving_j: usize) -> LpResult<()> {
+        self.fenced().devex_update(q, leaving_j)
+    }
+    fn primal_select(&mut self, cfg: &PrimalConfig, basis: &Basis) -> LpResult<Option<PrimalPick>> {
+        self.fenced().primal_select(cfg, basis)
+    }
+    fn primal_apply(&mut self, plan: &PivotPlan, devex: bool) -> LpResult<()> {
+        self.fenced().primal_apply(plan, devex)
+    }
+    fn dual_select(&mut self, cfg: &DualConfig) -> LpResult<DualPick> {
+        self.fenced().dual_select(cfg)
+    }
+    fn dual_apply(&mut self, plan: &PivotPlan) -> LpResult<()> {
+        self.fenced().dual_apply(plan)
+    }
+}
+
 /// The trace recorder is process-wide: one case at a time.
 fn gate() -> MutexGuard<'static, ()> {
     static GATE: Mutex<()> = Mutex::new(());
@@ -120,9 +223,14 @@ struct Ledger {
     spans: BTreeMap<(&'static str, String), usize>,
 }
 
-/// Runs `solve` on a fresh device under a trace session; returns what it
-/// returned, the ledger, and `(launches, D2H transfers)`.
-fn observed<R>(solve: impl FnOnce(Accel) -> R) -> (R, Ledger, (u64, u64)) {
+/// A run: what the solve returned, its [`Ledger`], and `(launches, D2H
+/// transfers)`.
+type Observed<R> = (R, Ledger, (u64, u64));
+
+/// Runs `solve` on a fresh device under a trace session. A fence's
+/// synchronize instants are not kernel spans, and `Syncs` is not in the
+/// ledger.
+fn observed<R>(solve: impl FnOnce(Accel) -> R) -> Observed<R> {
     let accel = Accel::gpu(1);
     let session = TraceSession::start();
     let out = solve(accel.clone());
@@ -130,7 +238,7 @@ fn observed<R>(solve: impl FnOnce(Accel) -> R) -> (R, Ledger, (u64, u64)) {
     let mut spans = BTreeMap::new();
     for e in &trace.events {
         let name = e.event.name;
-        if matches!(e.event.track.group, TrackGroup::Gpu(_)) && name != "d2h" {
+        if matches!(e.event.track.group, TrackGroup::Gpu(_)) && !["d2h", "sync"].contains(&name) {
             *spans
                 .entry((name, format!("{:?}", e.event.args)))
                 .or_insert(0) += 1;
@@ -153,22 +261,47 @@ fn observed<R>(solve: impl FnOnce(Accel) -> R) -> (R, Ledger, (u64, u64)) {
 }
 
 /// Asserts the contract between a fused run and its primitive twin: the
-/// same solve, the same ledger, and — once there is a pivot to fuse —
-/// strictly fewer launches and read-backs.
+/// same solve, the same ledger, no more launches — strictly fewer when
+/// `pivots` says a basis change was fused — and strictly fewer read-backs
+/// (a terminal select carries `x_B` home, so even a solve without a pivot
+/// saves one).
 fn assert_fused_is_primitives<R: PartialEq + std::fmt::Debug>(
     what: &str,
-    pivots: usize,
-    fused: (R, Ledger, (u64, u64)),
-    primitives: (R, Ledger, (u64, u64)),
+    pivots: bool,
+    fused: &Observed<R>,
+    primitives: &Observed<R>,
 ) {
     assert_eq!(fused.0, primitives.0, "{what}: the solves differ");
     assert_eq!(fused.1, primitives.1, "{what}: the ledgers differ");
     let ((launches, back), (launches_p, back_p)) = (fused.2, primitives.2);
-    let fewer = |a: u64, b: u64| if pivots > 0 { a < b } else { a == b };
+    let fewer_launches = if pivots {
+        launches < launches_p
+    } else {
+        launches <= launches_p
+    };
     assert!(
-        fewer(launches, launches_p) && fewer(back, back_p),
-        "{what}, {pivots} pivots: {launches} launches / {back} read-backs fused, \
+        fewer_launches && back < back_p,
+        "{what}: {launches} launches / {back} read-backs fused, \
          {launches_p} / {back_p} by primitive"
+    );
+}
+
+/// Asserts the contract between held and fenced launch chains: the same
+/// solve, the same ledger, the same crossings, and strictly fewer launches
+/// — every case installs before it selects, and an install rides its
+/// select.
+fn assert_held_is_fenced<R: PartialEq + std::fmt::Debug>(
+    what: &str,
+    held: &Observed<R>,
+    fenced: &Observed<R>,
+) {
+    assert_eq!(held.0, fenced.0, "{what}: the solves differ");
+    assert_eq!(held.1, fenced.1, "{what}: the ledgers differ");
+    let ((launches, back), (launches_f, back_f)) = (held.2, fenced.2);
+    assert_eq!(back, back_f, "{what}: held chains moved a crossing");
+    assert!(
+        launches < launches_f,
+        "{what}: {launches} launches held, {launches_f} fenced"
     );
 }
 
@@ -289,6 +422,13 @@ fn device<M: Storage>(accel: Accel) -> impl FnOnce(&DenseMatrix) -> DeviceSimple
     move |a| DeviceSimplex::new(accel, a).expect("device upload")
 }
 
+fn fenced<M: Storage>(accel: Accel) -> impl FnOnce(&DenseMatrix) -> Fenced<DeviceSimplex<M>> {
+    move |a| Fenced {
+        inner: DeviceSimplex::new(accel.clone(), a).expect("device upload"),
+        accel,
+    }
+}
+
 fn primitives<'c, M: Storage>(
     accel: Accel,
     bland: &'c Cell<usize>,
@@ -308,8 +448,11 @@ fn branch_and_cut_agrees<M: Storage>() {
             observed(|accel| branch_and_cut(pricing, primitives::<M>(accel, &bland)));
         let pivots = fused.0.iter().map(|s| s.1).sum::<usize>();
         assert!(pivots > 80, "{pivots} pivots to compare");
-        assert_fused_is_primitives(&format!("{pricing:?}"), pivots, fused, by_primitive);
+        let what = format!("{pricing:?}");
+        assert_fused_is_primitives(&what, true, &fused, &by_primitive);
         assert_eq!(bland.get(), 0, "a knapsack LP needs no Bland pivot");
+        let by_fence = observed(|accel| branch_and_cut(pricing, fenced::<M>(accel)));
+        assert_held_is_fenced(&what, &fused, &by_fence);
     }
 }
 
@@ -322,35 +465,29 @@ fn unbounded_agrees<M: Storage>() {
             pricing,
             ..PrimalConfig::default()
         };
-        let run = |cfg: &PrimalConfig, fused: bool| {
-            observed(|accel| {
-                let (rows, c, b) = ([vec![1.0, -1.0]], [1.0, 1.0], [0.0]);
-                if fused {
-                    slack_start(&rows, &c, &b, f64::INFINITY, cfg, device::<M>(accel))
-                } else {
-                    let bland = Cell::new(0);
-                    slack_start(
-                        &rows,
-                        &c,
-                        &b,
-                        f64::INFINITY,
-                        cfg,
-                        primitives::<M>(accel, &bland),
-                    )
-                }
-            })
-        };
-        let fused = run(&cfg, true);
+        let (rows, c, b) = ([vec![1.0, -1.0]], [1.0, 1.0], [0.0]);
+        let fused =
+            observed(|accel| slack_start(&rows, &c, &b, f64::INFINITY, &cfg, device::<M>(accel)));
         assert!(matches!(
             fused.0,
             Ok((PrimalOutcome::Unbounded { .. }, 1, ..))
         ));
-        assert_fused_is_primitives(
-            &format!("unbounded {pricing:?}"),
-            1,
-            fused,
-            run(&cfg, false),
-        );
+        let bland = Cell::new(0);
+        let by_primitive = observed(|accel| {
+            slack_start(
+                &rows,
+                &c,
+                &b,
+                f64::INFINITY,
+                &cfg,
+                primitives::<M>(accel, &bland),
+            )
+        });
+        let by_fence =
+            observed(|accel| slack_start(&rows, &c, &b, f64::INFINITY, &cfg, fenced::<M>(accel)));
+        let what = format!("unbounded {pricing:?}");
+        assert_fused_is_primitives(&what, true, &fused, &by_primitive);
+        assert_held_is_fenced(&what, &fused, &by_fence);
     }
 }
 
@@ -387,24 +524,32 @@ fn bland_fallback_agrees<M: Storage>() {
         let Ok((PrimalOutcome::Optimal, pivots, ..)) = fused.0 else {
             panic!("{pricing:?}: {:?}", fused.0);
         };
-        assert_fused_is_primitives(&format!("bland {pricing:?}"), pivots, fused, by_primitive);
+        let what = format!("bland {pricing:?}");
+        assert_fused_is_primitives(&what, pivots > 0, &fused, &by_primitive);
         assert!(bland.get() > 0, "{pricing:?} never reached Bland's rule");
+        let by_fence =
+            observed(|accel| slack_start(&rows, &c, &b, f64::INFINITY, &cfg, fenced::<M>(accel)));
+        assert_held_is_fenced(&what, &fused, &by_fence);
     }
 }
 
 /// Random small LPs `max cᵀx, Ax ≤ b, 0 ≤ x ≤ 8` from the slack basis:
-/// pivots, bound flips and early optima in whatever mix the draw gives.
+/// pivots, bound flips and early optima in whatever mix the draw gives. A
+/// bound flip is one launch either way, so only "no more launches" holds.
 fn random_lp_agrees<M: Storage>(pricing: PricingRule, rows: &[Vec<f64>], c: &[f64], b: &[f64]) {
     let cfg = PrimalConfig {
         pricing,
         ..PrimalConfig::default()
     };
     let fused = observed(|accel| slack_start(rows, c, b, 8.0, &cfg, device::<M>(accel)));
+    fused.0.as_ref().expect("a boxed LP solves");
     let bland = Cell::new(0);
     let by_primitive =
         observed(|accel| slack_start(rows, c, b, 8.0, &cfg, primitives::<M>(accel, &bland)));
-    let pivots = fused.0.as_ref().expect("a boxed LP solves").1;
-    assert_fused_is_primitives(&format!("{pricing:?}"), pivots, fused, by_primitive);
+    let by_fence = observed(|accel| slack_start(rows, c, b, 8.0, &cfg, fenced::<M>(accel)));
+    let what = format!("{pricing:?}");
+    assert_fused_is_primitives(&what, false, &fused, &by_primitive);
+    assert_held_is_fenced(&what, &fused, &by_fence);
 }
 
 proptest! {

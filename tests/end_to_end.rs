@@ -205,11 +205,11 @@ fn batched_wave_matches_host_on_seeded_suite() {
 
 /// The batched wave must also agree on the catalog suite, and its fused
 /// launches must undercut the per-lane concurrent evaluator at the same
-/// width on an instance big enough to branch. The width is eight: a device
-/// engine's pivot is two launch chains, which is what a one-lane wave's
-/// pivot costs per class, so the wave's saving starts where enough lanes
-/// share a launch (at four it launches as often, 733 to 698, and is already
-/// the faster in simulated time).
+/// width on an instance big enough to branch. The width is sixteen (350
+/// fused launches to 361): a device engine's pivot is one launch, and the
+/// wave pays one per kernel class per superstep, so its saving starts where
+/// enough lanes share each launch (at eight it launches more, 455 to 349,
+/// and is already the faster in simulated time, 5.11 ms to 6.62).
 #[test]
 fn batched_wave_agrees_on_catalog_and_undercuts_per_lane() {
     use gmip::core::{solve_batched_wave, solve_concurrent, BatchedWaveConfig, ConcurrentConfig};
@@ -235,7 +235,7 @@ fn batched_wave_agrees_on_catalog_and_undercuts_per_lane() {
         );
     }
     let instance = gmip::problems::generators::knapsack(16, 0.5, 21);
-    let lanes = 8;
+    let lanes = 16;
     let per_lane = solve_concurrent(
         &instance,
         &ConcurrentConfig {

@@ -36,6 +36,13 @@
 //! reporting earlier still; the wave pins and every optimum did not move.
 //! `measurements/PR-24.md` lists every old and new string.
 //!
+//! The same six again at the commit that submits a launch chain where the
+//! host reads (the child of `1e998ad`: an apply or an install is held and
+//! the next select continues it, so a pivot is one launch and one
+//! crossing). Same pattern: launches and makespan in `concurrent_lanes`, the
+//! event order in the five cluster pins; `measurements/PR-25.md` lists every
+//! old and new string.
+//!
 //! The chaos plans pin the hierarchy's recovery paths — `evacuate_group`,
 //! `reassign` and the steal-deny backoff — which no benchmark workload
 //! reaches. The last test is the cost side of the same contract: a frontier
@@ -142,7 +149,7 @@ fn flat_64_dynamic() {
     let r = solve_parallel(&cluster_instance(), pcfg(64)).expect("flat solve");
     assert_eq!(
         flat_pin(&r),
-        "obj=409aec0000000000 nodes=1303 msgs=2606 launches=8468 makespan=4152e29c0f5c290d"
+        "obj=409aec0000000000 nodes=1303 msgs=2606 launches=4234 makespan=414a32ddc962fca7"
     );
 }
 
@@ -155,7 +162,7 @@ fn flat_64_static() {
     let r = solve_parallel(&cluster_instance(), cfg).expect("static flat solve");
     assert_eq!(
         flat_pin(&r),
-        "obj=409aec0000000000 nodes=2525 msgs=5050 launches=16386 makespan=41752746bf258c5a"
+        "obj=409aec0000000000 nodes=2523 msgs=5046 launches=8188 makespan=416d5c197e4b187c"
     );
 }
 
@@ -164,7 +171,7 @@ fn hier_256x16_plain() {
     let r = hier(None);
     assert_eq!(r.hier.max_evaluations_per_node, 1);
     assert!(r.hier.steals > 0 && r.hier.steal_denied > 0);
-    assert_eq!(hier_pin(&r), "obj=409aec0000000000 nodes=2484 msgs=6137 root=1169 steals=22 stolen=33 denied=292 reassigned=0 evacuated=0 launches=16094 makespan=4152c2bc97e4b193");
+    assert_eq!(hier_pin(&r), "obj=409aec0000000000 nodes=2398 msgs=5695 root=899 steals=18 stolen=29 denied=220 reassigned=0 evacuated=0 launches=7780 makespan=4149e6e00da740e7");
 }
 
 #[test]
@@ -181,7 +188,7 @@ fn hier_256x16_sub_crash() {
         "evacuate_group not reached"
     );
     assert!(r.stats.faults.reassignments > 0, "reassign not reached");
-    assert_eq!(hier_pin(&r), "obj=409aec0000000000 nodes=2530 msgs=6483 root=1349 steals=28 stolen=62 denied=338 reassigned=1 evacuated=120 launches=16550 makespan=41530435c894ec55");
+    assert_eq!(hier_pin(&r), "obj=409aec0000000000 nodes=2351 msgs=5915 root=1139 steals=32 stolen=48 denied=271 reassigned=1 evacuated=62 launches=7707 makespan=414a5ba875c0bbb1");
 }
 
 #[test]
@@ -199,7 +206,7 @@ fn hier_256x16_kill_group() {
         "evacuate_group not reached"
     );
     assert!(r.stats.faults.reassignments > 0, "reassign not reached");
-    assert_eq!(hier_pin(&r), "obj=409aec0000000000 nodes=2474 msgs=6390 root=1258 steals=24 stolen=38 denied=312 reassigned=120 evacuated=51 launches=16438 makespan=4153ab4cbd70a3ef");
+    assert_eq!(hier_pin(&r), "obj=409aec0000000000 nodes=2446 msgs=6066 root=992 steals=22 stolen=36 denied=215 reassigned=119 evacuated=56 launches=8136 makespan=414a7af3eeeeeefa");
 }
 
 #[test]
@@ -251,7 +258,7 @@ fn concurrent_lanes() {
             r.device.kernel_launches,
             r.makespan_ns.to_bits(),
         ),
-        "obj=4008000000000000 nodes=1113 waves=280 launches=8496 makespan=419b8bc62e93ee0e"
+        "obj=4008000000000000 nodes=1113 waves=280 launches=4248 makespan=4192d58e705b05f8"
     );
 }
 
