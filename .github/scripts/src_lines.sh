@@ -3,13 +3,14 @@
 #
 # A file's non-test lines are those above its inline `#[cfg(test)] mod … {`;
 # a `tests.rs` (declared `#[cfg(test)] mod tests;` by its parent) has none.
-# Prints a Markdown table (to $GITHUB_STEP_SUMMARY when set, else stdout)
-# and fails if any file under crates/*/src is longer than the cap, tests
-# included — a file that size wants splitting whatever is in it.
+# Prints a Markdown table (to $GITHUB_STEP_SUMMARY when set, else stdout),
+# one row per crate and a final **total** row, and fails if any file under
+# crates/*/src is longer than the cap, tests included — a file that size
+# wants splitting whatever is in it.
 set -euo pipefail
 cap=${1:-1600}
 out=${GITHUB_STEP_SUMMARY:-/dev/stdout}
-fail=0
+fail=0 all_files=0 all_total=0
 {
   echo "| crate | files | non-test lines | largest file | lines |"
   echo "|---|---:|---:|---|---:|"
@@ -32,5 +33,7 @@ for dir in crates/*/src; do
     fi
   done < <(find "$dir" -name '*.rs' | sort)
   echo "| $(basename "$(dirname "$dir")") | $files | $total | ${largest#"$dir"/} | $largest_lines |" >> "$out"
+  all_files=$((all_files + files)) all_total=$((all_total + total))
 done
+echo "| **total** | $all_files | $all_total | | |" >> "$out"
 exit $fail

@@ -22,10 +22,13 @@
 //! `wall` keys are explicitly skipped by the `bench-regression` job
 //! because real time is allowed to vary run to run.
 //!
-//! The wall-clock columns are the scaling curve: on a multi-core host the
-//! per-class wall time at width >= 64 improves as threads grow (checked
-//! with headroom up to the machine's available parallelism; on a 1-core
-//! runner the check is vacuous and the sweep still pins identity).
+//! The wall-clock columns are a reported result, not a claim: the `t2/t1`
+//! column gives the two-thread over one-thread wall ratio at width >= 64,
+//! and one line names the cells where more threads were slower. Measured
+//! on a 2-core host, more threads were slower: a ~1 µs lane body cannot
+//! pay a cross-core wake (light w64: 4.7 ms at one thread, 32.3 ms at
+//! two; heavy w64: 51.5 ms and 71.5 ms). The pool clamps to the cores it
+//! may run on, so on one core every thread column is the one-thread time.
 //!
 //! The machine-readable record is `BENCH_e13.json`; `*_ns` keys get the
 //! standard 2% gate, bare keys must be bit-stable, and keys containing
@@ -174,33 +177,15 @@ pub fn sweep(lanes_filter: Option<&[usize]>) -> Vec<BackendCell> {
     cells
 }
 
-/// Asserts the E13 acceptance claims on `cells`.
-///
-/// Identity (optimum, simulated ns, counters) is asserted inside
-/// `run_cell` at every thread count; here the wall-clock scaling shape is
-/// checked up to the host's real parallelism. Real time is noisy, so each
-/// doubling gets generous headroom: going from `t` to `2t` threads (both
-/// within the machine's available parallelism) must not make a wide wave
-/// more than 25% slower. On a multi-core runner that pins the scaling
-/// direction at width >= 64; on a 1-core host only the `threads == 1`
-/// cell qualifies and the check is vacuous.
-fn assert_claims(cells: &[BackendCell]) {
-    let avail = std::thread::available_parallelism().map_or(1, |p| p.get());
-    for c in cells.iter().filter(|c| c.lanes >= 64) {
-        for pair in c.wall.windows(2) {
-            let ((t_lo, w_lo), (t_hi, w_hi)) = (pair[0], pair[1]);
-            if t_hi > avail {
-                continue;
-            }
-            assert!(
-                w_hi <= w_lo * 1.25,
-                "{} w{}: wall-clock got worse with more threads \
-                 ({t_lo} threads: {w_lo:.0} ns, {t_hi} threads: {w_hi:.0} ns)",
-                c.family,
-                c.lanes,
-            );
-        }
-    }
+/// The wide cells (width >= 64) where some thread count above one took
+/// longer than one thread. Reported, never asserted: identity is the claim,
+/// real time is what the host measured.
+fn slower_with_threads(cells: &[BackendCell]) -> Vec<String> {
+    cells
+        .iter()
+        .filter(|c| c.lanes >= 64 && c.wall[1..].iter().any(|&(_, w)| w > c.wall[0].1))
+        .map(|c| format!("{} w{}", c.family, c.lanes))
+        .collect()
 }
 
 /// Runs the experiment and returns the report text.
@@ -208,9 +193,7 @@ pub fn run() -> String {
     let mut out = String::new();
     out.push_str("E13: executing backends — native rayon vs the simulator oracle\n\n");
     let avail = std::thread::available_parallelism().map_or(1, |p| p.get());
-    out.push_str(&format!(
-        "host parallelism: {avail} (wall-clock scaling asserted up to this)\n\n"
-    ));
+    out.push_str(&format!("host parallelism: {avail}\n\n"));
     let cells = sweep(None);
     for c in &cells {
         let (_, m) = e11::instances()
@@ -236,6 +219,7 @@ pub fn run() -> String {
         "wall t=2",
         "wall t=4",
         "wall t=8",
+        "t2/t1",
     ]);
     for c in &cells {
         let mut row = vec![
@@ -248,17 +232,30 @@ pub fn run() -> String {
         for &(_, w) in &c.wall {
             row.push(fmt_ns(w));
         }
+        row.push(if c.lanes >= 64 {
+            format!("{:.2}", c.wall[1].1 / c.wall[0].1)
+        } else {
+            "-".to_string()
+        });
         t.row(row);
     }
     out.push_str(&t.render());
-    assert_claims(&cells);
+    let slower = slower_with_threads(&cells);
+    out.push_str(&format!(
+        "\nmore threads slower at width >= 64: {}\n",
+        if slower.is_empty() {
+            "none".to_string()
+        } else {
+            slower.join(", ")
+        }
+    ));
     out.push_str(
         "\nshape check: at every cell the native backend served the exact-oracle\n\
          optimum with a bitwise-equal simulated makespan and bit-identical\n\
          counters at 1, 2, 4, and 8 rayon threads — the executing backend is\n\
-         invisible to everything but `wall.*`. The wall columns are real time:\n\
-         they scale with threads up to the host's parallelism at width >= 64\n\
-         and are excluded from traces, metric diffs, and the 2% bench gate.\n\
+         invisible to everything but `wall.*`. The wall columns are real time\n\
+         on this host, reported and never asserted, and are excluded from\n\
+         traces, metric diffs, and the 2% bench gate.\n\
          (machine-readable copy: BENCH_e13.json)\n",
     );
     out
@@ -307,7 +304,6 @@ mod tests {
     #[test]
     fn backends_agree_and_json_is_deterministic() {
         let cells = super::sweep(Some(&[16]));
-        super::assert_claims(&cells);
         let a = super::cells_json(&cells);
         assert!(a.contains("\"e13.light.w016.sim_ns\""));
         assert!(a.contains("\"e13.heavy.w016.t04.wall.total\""));

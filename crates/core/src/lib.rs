@@ -26,8 +26,6 @@
 //!   event-based retire-and-refill (Sections 4.3, 5.5);
 //! * [`fo_wave`] — the same loop over restarted-PDHG lanes with exact host
 //!   cleanup;
-//! * [`node_bnb`] — best-first branch and bound over any
-//!   `gmip_lp::NodeLpEngine` (simplex, interior point, first-order);
 //! * [`config`] — solver configuration.
 
 #![warn(missing_docs)]
@@ -40,7 +38,6 @@ pub mod cut;
 pub mod dispatch;
 pub mod fo_wave;
 pub mod heur;
-pub mod node_bnb;
 pub mod presolve;
 pub mod search;
 pub mod solver;
@@ -55,7 +52,6 @@ pub use dispatch::{
     break_even_density, choose_path, solve_with_dispatch, CodePath, MIN_DEVICE_NNZ,
 };
 pub use fo_wave::{solve_first_order_wave, FirstOrderWaveConfig};
-pub use node_bnb::{solve_with_node_engine, NodeBnbConfig, NodeBnbResult};
 pub use presolve::{presolve, PresolveResult};
 pub use solver::{BranchInfo, MipResult, MipSolver, MipStatus, NodePayload, SolveStats};
 pub use strategy::{big_mip_cost, plan, Strategy, StrategyPlan};

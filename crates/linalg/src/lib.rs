@@ -9,8 +9,6 @@
 //!
 //! * [`dense`] — row-major dense matrices and slice kernels with BLAS-1/2/3
 //!   style operations (`axpy`, `gemv`, `gemm`, ...);
-//! * [`cholesky`] — Cholesky factorization for SPD systems (normal
-//!   equations of interior-point methods);
 //! * [`lu`] — LU factorization with partial pivoting and solves;
 //! * [`triangular`] — forward/backward substitution primitives;
 //! * [`batch`] — batched factor/solve over many small independent matrices
@@ -32,7 +30,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod batch;
-pub mod cholesky;
 pub mod dense;
 pub mod eta;
 pub mod lu;
@@ -42,7 +39,6 @@ pub mod sparse;
 pub mod sparse_lu;
 pub mod triangular;
 
-pub use cholesky::CholeskyFactors;
 pub use dense::DenseMatrix;
 pub use eta::{BaseFactor, EtaFactor, EtaFile, SparseEtaFile};
 pub use lu::LuFactors;

@@ -2,15 +2,13 @@
 //!
 //! * `PA = LU` reconstruction for dense LU on random nonsingular matrices;
 //! * solve correctness (`‖Ax − b‖` small) for dense and sparse LU;
-//! * Cholesky `LLᵀ = A` reconstruction and solve residuals on random SPD
-//!   matrices, agreeing with LU on the same system;
 //! * eta-file FTRAN/BTRAN agreement with fresh factorizations through
 //!   random update sequences;
 //! * format-conversion round trips (dense ⇄ CSR ⇄ CSC).
 
 use gmip_linalg::{
-    norms, CholeskyFactors, CooMatrix, CscMatrix, CsrMatrix, DenseMatrix, EtaFile, LuFactors,
-    SparseEtaFile, SparseLu,
+    norms, CooMatrix, CscMatrix, CsrMatrix, DenseMatrix, EtaFile, LuFactors, SparseEtaFile,
+    SparseLu,
 };
 use proptest::prelude::*;
 
@@ -65,22 +63,6 @@ fn sparse_dd_matrix(max_n: usize) -> impl Strategy<Value = DenseMatrix> {
         })
 }
 
-/// Random symmetric positive-definite matrix: symmetrizing a strictly
-/// diagonally-dominant matrix with positive diagonal preserves dominance,
-/// and a symmetric strictly-dd matrix with positive diagonal is SPD.
-fn spd_matrix(max_n: usize) -> impl Strategy<Value = DenseMatrix> {
-    dd_matrix(max_n).prop_map(|a| {
-        let n = a.rows();
-        let mut s = DenseMatrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..n {
-                s.set(i, j, 0.5 * (a.get(i, j) + a.get(j, i)));
-            }
-        }
-        s
-    })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
@@ -104,35 +86,6 @@ proptest! {
         let y = LuFactors::factorize(&a).expect("dd").solve_transposed(&b).expect("solve_t");
         let aty = a.transpose().matvec(&y).expect("dims");
         prop_assert!(norms::relative_residual(&aty, &b) < 1e-8);
-    }
-
-    /// Cholesky on random SPD systems: `LLᵀ` reconstructs `A`, the solve
-    /// residual is bounded, and the solution agrees with LU's.
-    #[test]
-    fn cholesky_reconstructs_and_solves_spd(a in spd_matrix(9)) {
-        let n = a.rows();
-        let f = CholeskyFactors::factorize(&a).expect("SPD by construction");
-        // LLᵀ = A.
-        let l = f.l();
-        let mut llt = DenseMatrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..n {
-                let mut acc = 0.0;
-                for k in 0..=i.min(j) {
-                    acc += l.get(i, k) * l.get(j, k);
-                }
-                llt.set(i, j, acc);
-            }
-        }
-        prop_assert!(norms::max_abs_diff(llt.as_slice(), a.as_slice()) < 1e-9);
-        // Factor → solve residual bound.
-        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 1.3).cos() * 2.0).collect();
-        let x = f.solve(&b).expect("solve");
-        let ax = a.matvec(&x).expect("dims");
-        prop_assert!(norms::relative_residual(&ax, &b) < 1e-8);
-        // Same system through LU lands on the same solution.
-        let x_lu = LuFactors::factorize(&a).expect("nonsingular").solve(&b).expect("lu solve");
-        prop_assert!(norms::max_abs_diff(&x, &x_lu) < 1e-8);
     }
 
     #[test]

@@ -85,7 +85,9 @@
 //! iteration-capped) survivors are handed to exact simplex cleanup by the
 //! driver before branching, as the paper does.
 
+use crate::engine::HostEngine;
 use crate::problem::{BoundChange, StandardLp};
+use crate::solver::{LpSolution, LpSolver, LpStatus};
 use crate::{LpError, LpResult};
 use gmip_gpu::cost::flops;
 use gmip_gpu::kernels::{fill_lane, gather, scatter};
@@ -623,7 +625,7 @@ impl FirstOrderWaveEngine {
 
     /// Records a host-simplex cleanup of a converged (or capped) lane:
     /// `fo.cleanups` and the pivots it spent (`fo.cleanup.iterations`).
-    pub(crate) fn note_cleanup(&mut self, simplex_iterations: usize) {
+    fn note_cleanup(&mut self, simplex_iterations: usize) {
         self.metrics.incr(names::FO_CLEANUPS, 1.0);
         self.metrics
             .incr(names::FO_CLEANUP_ITERS, simplex_iterations as f64);
@@ -975,6 +977,45 @@ impl FirstOrderWaveEngine {
             y: task.y[l * m..(l + 1) * m].to_vec(),
         })
     }
+
+    /// Collects retired lane `slot` as an LP outcome a tree can act on —
+    /// the PDHG-plus-cleanup evaluator every driver shares — next to the
+    /// lane's report (its averaged iterates warm-start the children). A lane
+    /// that proved its box infeasible at load is `Infeasible`. A lane that
+    /// retired on its safe bound is `Optimal` with that bound as objective
+    /// and **no point**: the cutoff dominates it, so the prune rule retires
+    /// the node without reading `x`. A converged or capped lane's node is
+    /// solved exactly by `cleanup` under `bounds` (the paper's CPU
+    /// delegation of sequential tails), counted as `fo.cleanups`; only then
+    /// are the solution's `iterations` pivots, not PDHG iterations.
+    pub fn finish_lane(
+        &mut self,
+        slot: usize,
+        cleanup: &mut LpSolver<HostEngine>,
+        bounds: &[BoundChange],
+    ) -> LpResult<(LpSolution, FoLaneReport)> {
+        let r = self.take_lane(slot)?;
+        let unsolved = |status, objective| LpSolution {
+            status,
+            objective,
+            x: Vec::new(),
+            iterations: r.iterations,
+        };
+        let sol = match r.outcome {
+            FoOutcome::Infeasible => unsolved(LpStatus::Infeasible, f64::NAN),
+            FoOutcome::BoundPruned => {
+                // The sense map is its own inverse: internal bound → source.
+                unsolved(LpStatus::Optimal, cleanup.internal_objective(r.safe_bound))
+            }
+            FoOutcome::Converged | FoOutcome::IterLimit => {
+                cleanup.apply_node_bounds(bounds)?;
+                let sol = cleanup.solve()?;
+                self.note_cleanup(sol.iterations);
+                sol
+            }
+        };
+        Ok((sol, r))
+    }
 }
 
 impl Drop for FirstOrderWaveEngine {
@@ -991,8 +1032,7 @@ impl Drop for FirstOrderWaveEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::HostEngine;
-    use crate::solver::{LpConfig, LpSolver, LpStatus};
+    use crate::solver::{solve_relaxation_host, LpConfig};
     use gmip_problems::catalog::{textbook_lp, textbook_mip};
 
     fn engine(std: &StandardLp, width: usize, cfg: PdhgConfig) -> FirstOrderWaveEngine {
@@ -1153,6 +1193,58 @@ mod tests {
             warm.iterations,
             cold.iterations
         );
+    }
+
+    #[test]
+    fn finish_lane_finishes_every_outcome_and_counts_cleanups() {
+        let mip = textbook_mip();
+        let std = StandardLp::from_instance(&mip, &[]);
+        let reference = solve_relaxation_host(&mip, &[]).unwrap();
+        let run = |cfg: PdhgConfig, cutoff: f64, bounds: &[BoundChange]| {
+            let mut fo = FirstOrderWaveEngine::new(Accel::gpu(1), &std, 1, cfg).unwrap();
+            let mut cleanup = LpSolver::new(std.clone(), LpConfig::standard(), |a| {
+                HostEngine::new(a.clone())
+            });
+            fo.set_cutoff(cutoff);
+            fo.load_lane(0, 0, bounds, None).unwrap();
+            fo.run_to_retire();
+            let (sol, lane) = fo.finish_lane(0, &mut cleanup, bounds).unwrap();
+            assert!(fo.lane_idle(0), "the slot is free for a refill");
+            (sol, lane, fo.take_metrics())
+        };
+        let none = f64::NEG_INFINITY;
+        // Converged, and capped after one check: both are cleaned up exactly.
+        let capped = PdhgConfig {
+            max_iters: 4,
+            ..Default::default()
+        };
+        for (cfg, counter) in [
+            (PdhgConfig::default(), names::FO_CONVERGED),
+            (capped, names::FO_ITER_LIMIT),
+        ] {
+            let (sol, lane, m) = run(cfg, none, &[]);
+            assert_eq!(sol.objective.to_bits(), reference.objective.to_bits());
+            assert!(lane.iterations > 0 && sol.x.len() == std.n_structural);
+            assert_eq!(
+                (m.counter(counter), m.counter(names::FO_CLEANUPS)),
+                (1.0, 1.0)
+            );
+            assert_eq!(m.counter(names::FO_CLEANUP_ITERS), sol.iterations as f64);
+        }
+        // A bound-pruned lane is a point-less bound; a lane infeasible at
+        // load never iterated. Neither needs a cleanup.
+        let (sol, lane, m) = run(PdhgConfig::default(), reference.objective + 1e3, &[]);
+        assert_eq!((sol.status, sol.x.len()), (LpStatus::Optimal, 0));
+        assert!(sol.objective >= reference.objective && sol.iterations == lane.iterations);
+        assert_eq!(m.counter(names::FO_CLEANUPS), 0.0);
+        let dead = [BoundChange {
+            var: 0,
+            lb: 1e6,
+            ub: 1e6,
+        }];
+        let (sol, _, m) = run(PdhgConfig::default(), none, &dead);
+        assert_eq!((sol.status, sol.iterations), (LpStatus::Infeasible, 0));
+        assert_eq!(m.counter(names::FO_CLEANUPS), 0.0);
     }
 
     /// Every `f64` the arena holds, with the slot-major index of its lane.

@@ -19,8 +19,6 @@
 //!   periodic refactorization);
 //! * [`dual`] — the dual simplex driver used for warm re-solves after
 //!   branching bound changes and cut rounds (Sections 5.2, 5.3);
-//! * [`ipm`] — a primal-dual interior-point method over normal equations +
-//!   Cholesky, the alternative LP algorithm of the paper's related work;
 //! * [`wave`] — the batched wave evaluator: host-journaled node LPs
 //!   replayed in lockstep with one fused launch per kernel class per
 //!   superstep on a shared device-resident matrix (Sections 4.3, 5.5);
@@ -35,8 +33,6 @@ pub mod device_engine;
 pub mod dual;
 pub mod engine;
 pub mod firstorder;
-pub mod ipm;
-pub mod node_engine;
 pub mod problem;
 pub mod simplex;
 pub mod solver;
@@ -47,11 +43,6 @@ pub use certificate::{CertKind, LpCertificate};
 pub use device_engine::{DeviceEngine, DeviceSimplex, SparseDeviceEngine};
 pub use engine::{HostEngine, ProblemView, SimplexEngine};
 pub use firstorder::{safe_dual_bound, FirstOrderWaveEngine, FoLaneReport, FoOutcome, PdhgConfig};
-pub use ipm::{solve_ipm, IpmConfig, IpmSolution};
-pub use node_engine::{
-    FirstOrderNodeEngine, IpmNodeEngine, NodeLpEngine, NodeLpOutcome, NodeWarmHandoff,
-    NodeWarmStart, SimplexNodeEngine,
-};
 pub use problem::{BoundChange, StandardLp};
 pub use simplex::{PricingRule, PrimalConfig};
 pub use solver::{ColKind, LpConfig, LpSolution, LpSolver, LpStatus};

@@ -8,11 +8,15 @@
 //! are checked on randomized instances, plus a 200-seed deterministic sweep
 //! of full propagation-enabled solves, every one compared to the exact
 //! oracle's proven optimum.
+//!
+//! The node LP under all of this is held to the same oracle: on random pure
+//! LPs the float simplex reports the exact simplex's status and optimum.
 
 use gmip::core::{MipConfig, MipSolver, MipStatus};
+use gmip::lp::{HostEngine, LpConfig, LpSolver, LpStatus, StandardLp};
 use gmip::problems::generators::{random_mip, RandomMipConfig};
 use gmip::prop::Propagator;
-use gmip::verify::{self, OracleStatus};
+use gmip::verify::{self, ExactLp, ExactStatus, OracleStatus, Rat};
 use proptest::prelude::*;
 
 fn config(propagate: bool, heur_period: usize) -> MipConfig {
@@ -104,6 +108,48 @@ proptest! {
                 prop_assert_eq!(r.status, MipStatus::Infeasible);
             }
             _ => {}
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+    /// The float simplex's *optimum*, not just its feasibility, agrees with
+    /// the exact rational simplex on random pure LPs: the same status, and
+    /// objectives within `1e-6·(1 + |obj|)`. Coefficients sit on the 1/64
+    /// grid, so the exact arithmetic stays cheap.
+    #[test]
+    fn float_simplex_matches_the_exact_simplex_on_random_lps(
+        rows in 2usize..7,
+        cols in 3usize..12,
+        density in 0.2f64..0.9,
+        seed in 0u64..10_000,
+    ) {
+        let inst = random_mip(&RandomMipConfig {
+            rows,
+            cols,
+            density,
+            integral_fraction: 0.0, // pure LPs
+            seed,
+        });
+        let std = StandardLp::from_instance(&inst, &[]);
+        let mut lp = LpSolver::new(std, LpConfig::standard(), |a| HostEngine::new(a.clone()));
+        let float = lp.solve().expect("float simplex");
+        let exact_lp = ExactLp::<Rat>::from_instance(&inst, &[]).expect("exact lowering");
+        let exact = verify::solve_exact(&exact_lp).expect("exact simplex");
+        let status = match exact.status {
+            ExactStatus::Optimal => LpStatus::Optimal,
+            ExactStatus::Infeasible => LpStatus::Infeasible,
+            ExactStatus::Unbounded => LpStatus::Unbounded,
+        };
+        prop_assert_eq!(float.status, status);
+        if let Some(obj) = exact.objective {
+            let obj = obj.approx();
+            prop_assert!(
+                (float.objective - obj).abs() <= 1e-6 * (1.0 + obj.abs()),
+                "float simplex {} vs exact {obj}", float.objective
+            );
         }
     }
 }

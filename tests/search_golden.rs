@@ -48,14 +48,13 @@
 //! and new string.
 
 use gmip::core::{
-    solve_batched_wave, solve_first_order_wave, solve_with_node_engine, BatchedWaveConfig,
-    FirstOrderWaveConfig, MipConfig, MipResult, MipSolver, NodeBnbConfig, WaveResult,
+    solve_batched_wave, solve_first_order_wave, BatchedWaveConfig, FirstOrderWaveConfig, MipConfig,
+    MipResult, MipSolver, WaveResult,
 };
 use gmip::gpu::{Accel, CostModel, DeviceConfig};
 use gmip::linalg::DenseMatrix;
 use gmip::lp::{
-    BoundChange, DeviceEngine, FirstOrderNodeEngine, IpmConfig, IpmNodeEngine, LpConfig,
-    LpSolution, LpSolver, NodeLpEngine, PdhgConfig, PricingRule, SimplexEngine, SimplexNodeEngine,
+    BoundChange, DeviceEngine, LpConfig, LpSolution, LpSolver, PricingRule, SimplexEngine,
     SparseDeviceEngine, StandardLp,
 };
 use gmip::parallel::{
@@ -90,66 +89,6 @@ fn text_hash(s: &str) -> u64 {
 /// A minimization instance: every sign-mapping site is on the path.
 fn cover_instance() -> MipInstance {
     set_cover(18, 14, 0.25, 5)
-}
-
-fn node_engine_pin(m: &MipInstance, engine: &mut dyn NodeLpEngine) -> String {
-    let r = solve_with_node_engine(m, engine, &NodeBnbConfig::default()).expect("engine solve");
-    format!(
-        "{:?} obj={:016x} nodes={} x={:016x} iters={} pruned={}",
-        r.status,
-        r.objective.to_bits(),
-        r.nodes,
-        point_hash(&r.x),
-        r.metrics.counter("lp.simplex.iterations") + r.metrics.counter("fo.iterations"),
-        r.metrics.counter("fo.bound_pruned"),
-    )
-}
-
-#[test]
-fn node_engine_simplex() {
-    let got = [knapsack(13, 0.5, 1), cover_instance()].map(|m| {
-        let mut e = SimplexNodeEngine::host(StandardLp::from_instance(&m, &[]));
-        node_engine_pin(&m, &mut e)
-    });
-    assert_eq!(
-        got,
-        [
-            "Optimal obj=4080280000000000 nodes=261 x=8786179f62dae92f iters=303 pruned=0",
-            "Optimal obj=4034000000000000 nodes=9 x=308352d4f9fa3add iters=45 pruned=0",
-        ]
-    );
-}
-
-#[test]
-fn node_engine_ipm() {
-    let got = [knapsack(13, 0.5, 1), cover_instance()].map(|m| {
-        let mut e = IpmNodeEngine::new(StandardLp::from_instance(&m, &[]), IpmConfig::default());
-        node_engine_pin(&m, &mut e)
-    });
-    assert_eq!(
-        got,
-        [
-            "Optimal obj=408027fffffe1e05 nodes=261 x=8786179f62dae92f iters=0 pruned=0",
-            "Optimal obj=40340000013c53a6 nodes=5 x=308352d4f9fa3add iters=0 pruned=0",
-        ]
-    );
-}
-
-#[test]
-fn node_engine_first_order() {
-    let got = [knapsack(13, 0.5, 1), cover_instance()].map(|m| {
-        let std = StandardLp::from_instance(&m, &[]);
-        let mut e =
-            FirstOrderNodeEngine::new(gpu(), std, PdhgConfig::default()).expect("fo engine");
-        node_engine_pin(&m, &mut e)
-    });
-    assert_eq!(
-        got,
-        [
-            "Optimal obj=4080280000000000 nodes=261 x=8786179f62dae92f iters=225513 pruned=77",
-            "Optimal obj=4034000000000000 nodes=11 x=b08352d4f9fa3add iters=5694 pruned=3",
-        ]
-    );
 }
 
 fn wave_pin(r: &WaveResult) -> String {
