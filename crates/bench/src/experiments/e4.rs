@@ -152,7 +152,7 @@ pub fn run() -> String {
         t.row(vec![
             lanes.to_string(),
             r.nodes.to_string(),
-            r.waves.to_string(),
+            r.supersteps.to_string(),
             fmt_ns(r.makespan_ns),
             format!("{:.2}x", lane1_ns / r.makespan_ns),
             crate::table::fmt_bytes(r.peak_device_bytes as u64),

@@ -9,23 +9,27 @@
 //!
 //! [`solve_concurrent`] keeps `lanes` independent LP engines on **one**
 //! device, each bound to its own stream (and each holding its own copy of
-//! the matrix — the paper's memory-for-concurrency trade). Every wave, up
-//! to `lanes` best-bound active nodes are dispatched; their warm dual
-//! re-solves overlap in simulated device time — their link crossings and
-//! kernel bodies, that is: the lanes' launches leave through the device's
-//! one launch-issue queue, one after another — and the wave joins at a
-//! device synchronize before outcomes are folded into the tree.
+//! the matrix — the paper's memory-for-concurrency trade), as a lane set of
+//! the wave loop ([`crate::wave`]). Every superstep, up to `lanes`
+//! best-bound nodes are dispatched; their warm dual re-solves overlap in
+//! simulated device time — their link crossings and kernel bodies, that is:
+//! the lanes' launches leave through the device's one launch-issue queue —
+//! and the superstep joins at a device synchronize. The node limit is
+//! checked per lane, so a superstep never overshoots it.
 //!
 //! Cuts and heuristics are intentionally off here: this driver isolates the
 //! concurrency mechanism the paper describes so experiment E4 can measure
 //! it; the full-featured sequential orchestrator is [`crate::MipSolver`].
 
-use crate::search::{self, Incumbent, Rules, Verdict};
-use crate::solver::{MipStatus, NodePayload};
-use gmip_gpu::{Accel, DeviceStats};
-use gmip_lp::{Basis, DeviceEngine, LpConfig, LpResult, LpSolver, LpStatus, StandardLp};
+use crate::search::{NodeHook, PropCharge, Rules};
+use crate::wave::{run_wave, LaneSet, WaveResult};
+use gmip_gpu::Accel;
+use gmip_lp::{
+    Basis, BoundChange, DeviceEngine, LpConfig, LpResult, LpSolution, LpSolver, StandardLp,
+};
 use gmip_problems::MipInstance;
-use gmip_tree::{NodeId, NodeState, SearchTree};
+use gmip_trace::MetricsRegistry;
+use gmip_tree::NodeId;
 
 /// Configuration of the concurrent-lane solver.
 #[derive(Debug, Clone)]
@@ -54,35 +58,74 @@ impl Default for ConcurrentConfig {
     }
 }
 
-/// Result of a concurrent-lane solve.
-#[derive(Debug)]
-pub struct ConcurrentResult {
-    /// Terminal status.
-    pub status: MipStatus,
-    /// Incumbent objective (source sense; NaN if none).
-    pub objective: f64,
-    /// Incumbent point.
-    pub x: Vec<f64>,
-    /// Nodes evaluated.
-    pub nodes: usize,
-    /// Dispatch waves executed.
-    pub waves: usize,
-    /// Device completion frontier, ns (overlapped lanes → sub-linear in
-    /// nodes).
-    pub makespan_ns: f64,
-    /// Device ledger.
-    pub device: DeviceStats,
-    /// Peak device memory (grows ≈ linearly with lanes: one matrix copy
-    /// each — the Section 5.5 sizing rule).
-    pub peak_device_bytes: usize,
+/// Per-lane engines, each on its own stream: a lane solves its node LP as
+/// it is loaded and retires at the superstep's synchronize.
+struct EngineLanes {
+    accel: Accel,
+    lanes: Vec<LpSolver<DeviceEngine>>,
+    /// The outcome each loaded lane delivers when it retires.
+    solved: Vec<Option<(LpSolution, Option<Basis>)>>,
+    /// `[supersteps, retires, refills]` so far.
+    counts: [usize; 3],
 }
 
-/// Solves `instance` with `cfg.lanes` concurrent engines on `accel`.
+impl LaneSet for EngineLanes {
+    type Warm = Option<Basis>;
+
+    fn load(
+        &mut self,
+        slot: usize,
+        _id: NodeId,
+        bounds: &[BoundChange],
+        warm: Self::Warm,
+        refill: bool,
+    ) -> LpResult<()> {
+        self.counts[1] += 1;
+        self.counts[2] += usize::from(refill);
+        self.solved[slot] = Some(self.lanes[slot].solve_node(bounds, warm)?);
+        Ok(())
+    }
+
+    fn busy(&self) -> bool {
+        self.solved.iter().any(Option::is_some)
+    }
+
+    fn run_to_retire(&mut self) -> Vec<usize> {
+        // Streams meet at the frontier: every loaded lane is done.
+        self.accel.with(|d| d.synchronize());
+        self.counts[0] += 1;
+        (0..self.solved.len())
+            .filter(|&slot| self.solved[slot].is_some())
+            .collect()
+    }
+
+    fn retire(
+        &mut self,
+        slot: usize,
+        _id: NodeId,
+        _node_bounds: &[BoundChange],
+    ) -> LpResult<(LpSolution, Self::Warm)> {
+        Ok(self.solved[slot]
+            .take()
+            .expect("retired slot was in flight"))
+    }
+
+    fn merge_metrics(&mut self, into: &mut MetricsRegistry) -> [usize; 3] {
+        for lane in &mut self.lanes {
+            into.merge(&lane.take_metrics());
+        }
+        self.counts
+    }
+}
+
+/// Solves `instance` with `cfg.lanes` concurrent engines on `accel`. Its
+/// peak device memory grows ≈ linearly with lanes: one matrix copy each —
+/// the Section 5.5 sizing rule.
 pub fn solve_concurrent(
     instance: &MipInstance,
     cfg: &ConcurrentConfig,
     accel: Accel,
-) -> LpResult<ConcurrentResult> {
+) -> LpResult<WaveResult> {
     assert!(cfg.lanes >= 1, "need at least one lane");
     let std = StandardLp::from_instance(instance, &[]);
     // One engine per lane, each on its own stream, each with its own matrix
@@ -99,86 +142,36 @@ pub fn solve_concurrent(
             DeviceEngine::new_on_stream(factory_accel, a, stream)
         })?);
     }
-
-    let rules = Rules::new(instance, cfg.int_tol, cfg.prune_tol);
-    let mut tree: SearchTree<NodePayload> =
-        SearchTree::with_root(NodePayload::default(), search::node_bytes(instance));
-    let mut incumbent = Incumbent::default();
-    let mut nodes = 0usize;
-    let mut waves = 0usize;
-
-    while tree.has_active() && nodes < cfg.node_limit {
-        // Wave selection: up to `lanes` best-bound nodes.
-        let wave: Vec<NodeId> = tree.iter_in(0).take(lanes.len()).collect();
-        waves += 1;
-
-        // Dispatch: each node to its lane; evaluation overlaps in sim time.
-        let mut outcomes: Vec<(NodeId, gmip_lp::LpSolution, Option<Basis>)> = Vec::new();
-        for (lane, &id) in lanes.iter_mut().zip(&wave) {
-            tree.begin_evaluation(id);
-            nodes += 1;
-            let warm = tree.data_mut(id).parent_basis.take();
-            let (sol, basis) = lane.solve_node(&tree.node(id).data.bounds, warm)?;
-            outcomes.push((id, sol, basis));
-        }
-        // Join the wave (device synchronize: streams meet at the frontier).
-        accel.with(|d| {
-            d.synchronize();
-        });
-
-        // Fold outcomes into the tree.
-        for (id, sol, basis) in outcomes {
-            match sol.status {
-                LpStatus::Infeasible => tree.settle(id, NodeState::Infeasible, f64::NEG_INFINITY),
-                LpStatus::Unbounded => {
-                    return Err(gmip_lp::LpError::Shape(
-                        "unbounded node in concurrent solve".into(),
-                    ))
-                }
-                LpStatus::Optimal => {
-                    let bound = rules.internal(sol.objective);
-                    match rules.verdict(bound, &sol.x, incumbent.value()) {
-                        Verdict::Pruned => tree.settle(id, NodeState::Pruned, bound),
-                        Verdict::Integral => {
-                            tree.settle(id, NodeState::Feasible, bound);
-                            incumbent.install(&rules, &mut tree, bound, sol.x, || 0.0);
-                        }
-                        Verdict::Fractional { decision: d, .. } => {
-                            let parent = &tree.node(id).data.bounds;
-                            let kids =
-                                search::children(instance, parent, d.var, d.value).map(|c| {
-                                    let payload = NodePayload {
-                                        bounds: c.bounds,
-                                        parent_basis: basis.clone(),
-                                        branch_info: None,
-                                    };
-                                    (c.label, payload)
-                                });
-                            tree.branch(id, bound, kids);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    let done = rules.finish(incumbent, tree.has_active());
-    let peak = accel.with(|d| d.memory().peak());
-    Ok(ConcurrentResult {
-        status: done.status,
-        objective: done.objective,
-        x: done.x,
-        nodes,
-        waves,
-        makespan_ns: accel.elapsed_ns(),
-        device: accel.stats(),
-        peak_device_bytes: peak,
-    })
+    // Propagation and the dive off: the hook charges nothing.
+    let hook = NodeHook::new(
+        instance,
+        false,
+        crate::DEFAULT_PROPAGATE_ROUNDS,
+        0,
+        cfg.lanes,
+        PropCharge::Batch(accel.clone()),
+    );
+    let solved = (0..cfg.lanes).map(|_| None).collect();
+    run_wave(
+        instance,
+        Rules::new(instance, cfg.int_tol, cfg.prune_tol),
+        hook,
+        cfg.node_limit,
+        accel.clone(),
+        cfg.lanes,
+        EngineLanes {
+            accel,
+            lanes,
+            solved,
+            counts: [0; 3],
+        },
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::MipStatus;
     use gmip_problems::catalog::textbook_mip;
     use gmip_problems::generators::knapsack::{knapsack, knapsack_brute_force};
 
@@ -211,7 +204,7 @@ mod tests {
             solve_concurrent(&textbook_mip(), &ConcurrentConfig::default(), Accel::gpu(1)).unwrap();
         assert_eq!(r.status, MipStatus::Optimal);
         assert!((r.objective - 20.0).abs() < 1e-6);
-        assert!(r.waves <= r.nodes);
+        assert!(r.supersteps <= r.nodes);
     }
 
     #[test]
@@ -236,7 +229,10 @@ mod tests {
         )
         .unwrap();
         assert!((one.objective - four.objective).abs() < 1e-6);
-        assert!(four.waves < one.waves, "lanes should compress waves");
+        assert!(
+            four.supersteps < one.supersteps,
+            "lanes should compress waves"
+        );
         assert!(
             four.makespan_ns < one.makespan_ns,
             "overlap should cut the makespan: {} vs {}",

@@ -44,7 +44,7 @@ pub mod solver;
 pub mod strategy;
 pub mod wave;
 
-pub use concurrent::{solve_concurrent, ConcurrentConfig, ConcurrentResult};
+pub use concurrent::{solve_concurrent, ConcurrentConfig};
 pub use config::{
     BranchRule, CutConfig, HeurConfig, MipConfig, PolicyKind, DEFAULT_PROPAGATE_ROUNDS,
 };

@@ -2,7 +2,7 @@
 //! Section 4.3 kernel shape.
 //!
 //! Where [`crate::concurrent::solve_concurrent`] keeps one engine (and one
-//! private matrix copy) per lane and joins every wave at a device-wide
+//! private matrix copy) per lane and joins every superstep at a device-wide
 //! `synchronize()`, this driver runs the [`gmip_lp::BatchedWaveEngine`]:
 //! all lanes share one device-resident `[A | I]` matrix, every simplex
 //! kernel class is issued as a single fused batched launch per lockstep
@@ -101,8 +101,9 @@ pub struct WaveResult {
     pub makespan_ns: f64,
     /// Device ledger.
     pub device: DeviceStats,
-    /// Peak device memory — one shared matrix plus per-lane state, so
-    /// roughly flat in lanes (contrast `solve_concurrent`'s linear growth).
+    /// Peak device memory — for the waves one shared matrix plus per-lane
+    /// state, so roughly flat in lanes; for `solve_concurrent` one matrix
+    /// copy per lane, so linear in lanes.
     pub peak_device_bytes: usize,
     /// Merged counters: device ledger + `wave.*`/`batch.*` + per-lane LP.
     pub metrics: MetricsRegistry,
@@ -113,9 +114,9 @@ pub struct WaveResult {
 
 /// A set of device lanes the lockstep loop keeps full: node LPs go in at
 /// [`LaneSet::load`], advance together in [`LaneSet::run_to_retire`], and
-/// come out exact at [`LaneSet::retire`]. Two implementors: journaled
-/// simplex lanes (here) and PDHG lanes with host cleanup
-/// ([`crate::fo_wave`]).
+/// come out exact at [`LaneSet::retire`]. Three implementors: journaled
+/// simplex lanes (here), PDHG lanes with host cleanup ([`crate::fo_wave`])
+/// and per-lane device engines ([`crate::concurrent`]).
 pub(crate) trait LaneSet {
     /// What a branched node hands both children for their warm start.
     type Warm: Clone + Default;

@@ -22,8 +22,9 @@
 //!   launches, launch chains, batched waves) and memory tenancy;
 //! * [`storage`] — the kernels that read the constraint matrix or a
 //!   factored basis, each written once over a [`Storage`];
-//! * `simplex` — the vector kernels of an iteration: ratio tests, Devex,
-//!   the masked reductions.
+//! * `simplex` — the vector kernels of an iteration: the selection rules
+//!   and updates of [`gmip_linalg::pivot`] (ratio tests, Devex, the basic
+//!   step) run on resident vectors and charged, and the masked reductions.
 
 mod simplex;
 pub mod storage;

@@ -1,17 +1,28 @@
 //! The vector kernels of a simplex iteration: the masked reductions that
 //! hand the host one scalar (pricing argmin, both ratio tests, the primal
 //! infeasibility argmax, Devex), the fused step that applies a pivot, and
-//! the small elementwise kernels between them. A reduction's result is a
-//! read-back: outside a launch chain it crosses the link at once, inside one
-//! ([`GpuDevice::chain`]) it is staged with the chain's other read-backs and
-//! the chain's later kernels read it on the device. None of them reads the
-//! constraint matrix or the factored basis — those kernels are written over
-//! a [`Storage`](super::Storage) in [`storage`](super::storage) — so there
-//! is one of each, whatever the matrix is held as.
+//! the small elementwise kernels between them. A selection or update runs
+//! its [`gmip_linalg::pivot`] rule on resident vectors; the kernel adds
+//! length checks, the charge and the read-back. Outside a launch chain a
+//! read-back crosses the link at once, inside one ([`GpuDevice::chain`]) it
+//! is staged and the chain's later kernels read it on the device. None of
+//! them reads the matrix or the factored basis (those kernels are written
+//! over a [`Storage`](super::Storage) in [`storage`](super::storage)), so
+//! there is one of each, whatever the matrix is held as.
 
 use super::{out_of_bounds, GpuDevice, GpuError, Result, ScalarWrite, VectorHandle};
 use crate::stream::StreamId;
-use gmip_linalg::LinalgError;
+use gmip_linalg::{pivot, LinalgError};
+
+/// Refuses a kernel whose vectors are not all as long as the first.
+fn same_len(kernel: &str, lens: &[usize]) -> Result<()> {
+    if lens.iter().all(|&l| l == lens[0]) {
+        return Ok(());
+    }
+    Err(GpuError::Linalg(LinalgError::DimensionMismatch {
+        context: format!("{kernel}: vector lengths {lens:?}"),
+    }))
+}
 
 impl GpuDevice {
     /// Device reduction: index and value of the minimum entry of `v` among
@@ -23,26 +34,19 @@ impl GpuDevice {
         mask: VectorHandle,
         stream: StreamId,
     ) -> Result<Option<(usize, f64)>> {
-        let result = {
-            let vv = self.objects.vector(v)?;
-            let mm = self.objects.vector(mask)?;
-            if vv.len() != mm.len() {
-                return Err(GpuError::Linalg(LinalgError::DimensionMismatch {
-                    context: format!("argmin_masked: {} vs {}", vv.len(), mm.len()),
-                }));
+        let vv = self.objects.vector(v)?;
+        let mm = self.objects.vector(mask)?;
+        same_len("argmin_masked", &[vv.len(), mm.len()])?;
+        let mut best: Option<(usize, f64)> = None;
+        for (i, (&x, &m)) in vv.iter().zip(mm.iter()).enumerate() {
+            if m != 0.0 && best.is_none_or(|(_, b)| x < b) {
+                best = Some((i, x));
             }
-            let mut best: Option<(usize, f64)> = None;
-            for (i, (&x, &m)) in vv.iter().zip(mm.iter()).enumerate() {
-                if m != 0.0 && best.is_none_or(|(_, b)| x < b) {
-                    best = Some((i, x));
-                }
-            }
-            best
-        };
-        let n = self.objects.vector(v)?.len();
+        }
+        let n = vv.len();
         self.charge_dense_kernel("argmin_masked", n as f64, (2 * n * 8) as f64, stream);
         self.charge_d2h(16, stream);
-        Ok(result)
+        Ok(best)
     }
 
     /// Reads `N` elements of device vectors, `at[k] = (vector, index)`, in
@@ -88,11 +92,7 @@ impl GpuDevice {
             |objects, _, c| {
                 let av = objects.vector(a)?;
                 let bv = objects.vector(b)?;
-                if av.len() != bv.len() {
-                    return Err(GpuError::Linalg(LinalgError::DimensionMismatch {
-                        context: format!("vec_mul: {} vs {}", av.len(), bv.len()),
-                    }));
-                }
+                same_len("vec_mul", &[av.len(), bv.len()])?;
                 c.clear();
                 c.extend(av.iter().zip(bv.iter()).map(|(x, y)| x * y));
                 Ok(c.len())
@@ -112,10 +112,7 @@ impl GpuDevice {
         stream: StreamId,
     ) -> Result<()> {
         if r >= n {
-            return Err(GpuError::Linalg(LinalgError::OutOfBounds {
-                index: r,
-                bound: n,
-            }));
+            return Err(out_of_bounds(r, n));
         }
         self.write_vector(
             out,
@@ -129,20 +126,9 @@ impl GpuDevice {
         )
     }
 
-    /// Fused bounded-variable primal ratio-test kernel.
-    ///
-    /// With effective column `α_eff = dir · α`, finds over basic positions
-    /// `i` the smallest step `t ≥ 0` at which a basic variable hits a bound:
-    ///
-    /// * `α_eff[i] >  tol`: variable falls to its lower bound at
-    ///   `t = (xb[i] − lbb[i]) / α_eff[i]`;
-    /// * `α_eff[i] < −tol`: variable rises to its upper bound at
-    ///   `t = (xb[i] − ubb[i]) / α_eff[i]`.
-    ///
-    /// Returns `(row, t, leaves_at_upper)` or `None` when no basic variable
-    /// limits the step (unbounded direction / bound-flip only). Negative
-    /// ratios from degenerate positions are clamped to zero. One kernel plus
-    /// a scalar readback.
+    /// [`pivot::ratio_test`] over resident `x_B`, `α`, `l_B`, `u_B`: one
+    /// kernel (`4m` flops over `4m` words) and a 24-byte read-back of
+    /// `(row, t, leaves_at_upper)`.
     #[allow(clippy::too_many_arguments)]
     pub fn ratio_test_bounded(
         &mut self,
@@ -154,40 +140,13 @@ impl GpuDevice {
         tol: f64,
         stream: StreamId,
     ) -> Result<Option<(usize, f64, bool)>> {
-        let result = {
-            let x = self.objects.vector(xb)?;
-            let a = self.objects.vector(alpha)?;
-            let lb = self.objects.vector(lbb)?;
-            let ub = self.objects.vector(ubb)?;
-            let m = x.len();
-            if a.len() != m || lb.len() != m || ub.len() != m {
-                return Err(GpuError::Linalg(LinalgError::DimensionMismatch {
-                    context: "ratio_test_bounded: vector lengths".into(),
-                }));
-            }
-            let mut best: Option<(usize, f64, bool)> = None;
-            for i in 0..m {
-                let ae = dir * a[i];
-                let (t, upper) = if ae > tol {
-                    if lb[i].is_infinite() {
-                        continue;
-                    }
-                    (((x[i] - lb[i]) / ae).max(0.0), false)
-                } else if ae < -tol {
-                    if ub[i].is_infinite() {
-                        continue;
-                    }
-                    (((x[i] - ub[i]) / ae).max(0.0), true)
-                } else {
-                    continue;
-                };
-                if best.is_none_or(|(_, bt, _)| t < bt - 1e-12) {
-                    best = Some((i, t, upper));
-                }
-            }
-            best
-        };
-        let m = self.objects.vector(xb)?.len();
+        let x = self.objects.vector(xb)?;
+        let a = self.objects.vector(alpha)?;
+        let lb = self.objects.vector(lbb)?;
+        let ub = self.objects.vector(ubb)?;
+        let m = x.len();
+        same_len("ratio_test_bounded", &[m, a.len(), lb.len(), ub.len()])?;
+        let result = pivot::ratio_test(x, a, lb, ub, dir, tol);
         self.charge_dense_kernel(
             "ratio_test_bounded",
             (4 * m) as f64,
@@ -198,12 +157,13 @@ impl GpuDevice {
         Ok(result)
     }
 
-    /// Fused basic-solution update: `xb ← xb − dir·t·α`, then the scalar
-    /// stores of `writes` in list order — what a pivot changes besides the
-    /// step (the entering variable's value in the leaving slot, the two
-    /// statuses, the entering column's cost and bounds in the basis-ordered
-    /// vectors). The stores are launch arguments: one kernel, no transfer,
-    /// and nothing is touched unless every one of them is in range.
+    /// [`pivot::step`] on resident `x_B` along `α`, then the scalar stores
+    /// of `writes` in list order — what a pivot changes besides the step
+    /// (the entering variable's value in the leaving slot, the two statuses,
+    /// the entering column's cost and bounds in the basis-ordered vectors).
+    /// The stores are launch arguments: one kernel (`2m` flops over `2m`
+    /// words), no transfer, and nothing is touched unless every one of them
+    /// is in range.
     pub fn basic_step(
         &mut self,
         xb: VectorHandle,
@@ -215,30 +175,22 @@ impl GpuDevice {
     ) -> Result<()> {
         let alen = self.objects.vector(alpha)?.len();
         let xlen = self.objects.vector(xb)?.len();
-        if alen != xlen {
-            return Err(GpuError::Linalg(LinalgError::DimensionMismatch {
-                context: format!("basic_step: {xlen} vs {alen}"),
-            }));
-        }
+        same_len("basic_step", &[xlen, alen])?;
         self.check_writes(writes)?;
         self.work.clear();
         self.work.extend_from_slice(self.objects.vector(alpha)?);
-        let n = self.work.len();
-        let x = self.objects.vector_mut(xb)?;
-        for (xi, ai) in x.iter_mut().zip(self.work.iter()) {
-            *xi -= dir * t * ai;
-        }
+        pivot::step(self.objects.vector_mut(xb)?, &self.work, dir, t);
         for &(h, idx, value) in writes {
             self.objects.vector_mut(h)?[idx] = value;
         }
+        let n = self.work.len();
         self.charge_dense_kernel("basic_step", (2 * n) as f64, (2 * n * 8) as f64, stream);
         Ok(())
     }
 
-    /// Fused primal-infeasibility reduction for the dual simplex: over basic
-    /// positions, finds the largest bound violation of `xb` against
-    /// `[lbb, ubb]`. Returns `(row, violation, below_lower)` or `None` when
-    /// primal-feasible. One kernel plus a scalar readback.
+    /// [`pivot::primal_infeasibility`] over resident `x_B`, `l_B`, `u_B`:
+    /// one kernel (`2m` flops over `3m` words) and a 24-byte read-back of
+    /// `(row, violation, below_lower)`.
     pub fn primal_infeas_argmax(
         &mut self,
         xb: VectorHandle,
@@ -247,31 +199,12 @@ impl GpuDevice {
         tol: f64,
         stream: StreamId,
     ) -> Result<Option<(usize, f64, bool)>> {
-        let result = {
-            let x = self.objects.vector(xb)?;
-            let lb = self.objects.vector(lbb)?;
-            let ub = self.objects.vector(ubb)?;
-            if lb.len() != x.len() || ub.len() != x.len() {
-                return Err(GpuError::Linalg(LinalgError::DimensionMismatch {
-                    context: "primal_infeas_argmax: vector lengths".into(),
-                }));
-            }
-            let mut best: Option<(usize, f64, bool)> = None;
-            for i in 0..x.len() {
-                let (viol, below) = if x[i] < lb[i] - tol {
-                    (lb[i] - x[i], true)
-                } else if x[i] > ub[i] + tol {
-                    (x[i] - ub[i], false)
-                } else {
-                    continue;
-                };
-                if best.is_none_or(|(_, bv, _)| viol > bv) {
-                    best = Some((i, viol, below));
-                }
-            }
-            best
-        };
-        let m = self.objects.vector(xb)?.len();
+        let x = self.objects.vector(xb)?;
+        let lb = self.objects.vector(lbb)?;
+        let ub = self.objects.vector(ubb)?;
+        let m = x.len();
+        same_len("primal_infeas_argmax", &[m, lb.len(), ub.len()])?;
+        let result = pivot::primal_infeasibility(x, lb, ub, tol);
         self.charge_dense_kernel(
             "primal_infeas_argmax",
             (2 * m) as f64,
@@ -282,15 +215,9 @@ impl GpuDevice {
         Ok(result)
     }
 
-    /// Fused dual ratio-test kernel.
-    ///
-    /// `d` are reduced costs, `alpha_r` the BTRAN row, and `sigma` the status
-    /// vector (−1 at lower bound, +1 at upper bound, 0 basic). When the
-    /// leaving variable violates its **lower** bound (`leaving_below`),
-    /// eligible entering candidates are at-lower with `alpha_r < −tol` or
-    /// at-upper with `alpha_r > tol`; the signs flip otherwise. Minimizes
-    /// `|d_j / alpha_r[j]|`. Returns `(col, |ratio|)` or `None` (dual
-    /// unbounded ⇒ primal infeasible). One kernel plus a scalar readback.
+    /// [`pivot::dual_ratio`] over resident reduced costs `d`, BTRAN row
+    /// `α_r` and statuses `σ`: one kernel (`3n` flops over `3n` words) and
+    /// a 16-byte read-back of `(column, |ratio|)`.
     pub fn dual_ratio_argmin(
         &mut self,
         d: VectorHandle,
@@ -300,35 +227,12 @@ impl GpuDevice {
         tol: f64,
         stream: StreamId,
     ) -> Result<Option<(usize, f64)>> {
-        let result = {
-            let dv = self.objects.vector(d)?;
-            let av = self.objects.vector(alpha_r)?;
-            let sv = self.objects.vector(sigma)?;
-            if av.len() != dv.len() || sv.len() != dv.len() {
-                return Err(GpuError::Linalg(LinalgError::DimensionMismatch {
-                    context: "dual_ratio_argmin: vector lengths".into(),
-                }));
-            }
-            let mut best: Option<(usize, f64)> = None;
-            for j in 0..dv.len() {
-                let eligible = match (sv[j], leaving_below) {
-                    (s, true) if s < 0.0 => av[j] < -tol,
-                    (s, true) if s > 0.0 => av[j] > tol,
-                    (s, false) if s < 0.0 => av[j] > tol,
-                    (s, false) if s > 0.0 => av[j] < -tol,
-                    _ => false,
-                };
-                if !eligible {
-                    continue;
-                }
-                let ratio = (dv[j] / av[j]).abs();
-                if best.is_none_or(|(_, br)| ratio < br - 1e-12) {
-                    best = Some((j, ratio));
-                }
-            }
-            best
-        };
-        let n = self.objects.vector(d)?.len();
+        let dv = self.objects.vector(d)?;
+        let av = self.objects.vector(alpha_r)?;
+        let sv = self.objects.vector(sigma)?;
+        let n = dv.len();
+        same_len("dual_ratio_argmin", &[n, av.len(), sv.len()])?;
+        let result = pivot::dual_ratio(|j| dv[j], av, sv, leaving_below, tol);
         self.charge_dense_kernel(
             "dual_ratio_argmin",
             (3 * n) as f64,
@@ -339,57 +243,33 @@ impl GpuDevice {
         Ok(result)
     }
 
-    /// Fused Devex pricing kernel: over eligible columns (σ_j ≠ 0 and
-    /// σ_j·d_j < −tol), maximizes the Devex merit `d_j² / γ_j`; returns the
-    /// winner's index and its σ·d score (compatible with the Dantzig
-    /// kernel's contract). One kernel + a 16-byte readback.
+    /// [`pivot::devex_price`] over resident reduced costs `d`, statuses `σ`
+    /// and reference weights `γ`: one kernel (`3n` flops over `3n` words)
+    /// and a 16-byte read-back of `(column, σ·d)`.
     pub fn devex_argmax(
         &mut self,
         d: VectorHandle,
         sigma: VectorHandle,
         gamma: VectorHandle,
-        tol: f64,
         stream: StreamId,
     ) -> Result<Option<(usize, f64)>> {
-        let result = {
-            let dv = self.objects.vector(d)?;
-            let sv = self.objects.vector(sigma)?;
-            let gv = self.objects.vector(gamma)?;
-            if sv.len() != dv.len() || gv.len() != dv.len() {
-                return Err(GpuError::Linalg(LinalgError::DimensionMismatch {
-                    context: "devex_argmax: vector lengths".into(),
-                }));
-            }
-            let mut best: Option<(usize, f64, f64)> = None; // (j, merit, sigma_d)
-            for j in 0..dv.len() {
-                if sv[j] == 0.0 {
-                    continue;
-                }
-                let sd = sv[j] * dv[j];
-                if sd >= -tol {
-                    continue;
-                }
-                let merit = dv[j] * dv[j] / gv[j].max(1e-12);
-                if best.is_none_or(|(_, bm, _)| merit > bm) {
-                    best = Some((j, merit, sd));
-                }
-            }
-            best.map(|(j, _, sd)| (j, sd))
-        };
-        let n = self.objects.vector(d)?.len();
+        let dv = self.objects.vector(d)?;
+        let sv = self.objects.vector(sigma)?;
+        let gv = self.objects.vector(gamma)?;
+        let n = dv.len();
+        same_len("devex_argmax", &[n, sv.len(), gv.len()])?;
+        let result = pivot::devex_price(|j| dv[j], sv, gv);
         self.charge_dense_kernel("devex_argmax", (3 * n) as f64, (3 * n * 8) as f64, stream);
         self.charge_d2h(16, stream);
         Ok(result)
     }
 
-    /// Devex reference-weight update after a pivot on column `q`: with
-    /// `α_rq = α_r[q]` and `γ_q = γ[q]`, for every column `γ_j ← max(γ_j,
-    /// (α_r[j]/α_rq)² · γ_q)`, then `γ_q` is re-anchored in the leaving
-    /// variable's slot, `γ[leaving] = max(γ_q / α_rq², 1)`. One elementwise
-    /// kernel, no transfer: `q` and `leaving` are launch arguments, and the
-    /// kernel gathers `α_rq` and `γ_q` itself — the selection results stay
-    /// on the device. A pivot element below `1e-12` is refused before
-    /// anything moves.
+    /// [`pivot::devex_update`] of resident weights `γ` from BTRAN row `α_r`
+    /// for entering column `q` and leaving column `leaving`: one elementwise
+    /// kernel (`3n` flops over `2n` words), no transfer — `q` and `leaving`
+    /// are launch arguments and the kernel gathers `α_r[q]` and `γ_q`
+    /// itself, so the selection results stay on the device. A refused
+    /// update moves nothing and charges nothing.
     pub fn devex_weight_update(
         &mut self,
         gamma: VectorHandle,
@@ -400,33 +280,11 @@ impl GpuDevice {
     ) -> Result<()> {
         let glen = self.objects.vector(gamma)?.len();
         let alen = self.objects.vector(alpha_r)?.len();
-        if glen != alen {
-            return Err(GpuError::Linalg(LinalgError::DimensionMismatch {
-                context: format!("devex_weight_update: {glen} vs {alen}"),
-            }));
-        }
-        for i in [q, leaving] {
-            if i >= glen {
-                return Err(out_of_bounds(i, glen));
-            }
-        }
-        let alpha_rq = self.objects.vector(alpha_r)?[q];
-        let gamma_q = self.objects.vector(gamma)?[q];
-        if alpha_rq.abs() < 1e-12 {
-            return Err(GpuError::Linalg(LinalgError::Singular { column: 0 }));
-        }
+        same_len("devex_weight_update", &[glen, alen])?;
         self.work.clear();
         self.work.extend_from_slice(self.objects.vector(alpha_r)?);
+        pivot::devex_update(self.objects.vector_mut(gamma)?, &self.work, q, leaving)?;
         let n = self.work.len();
-        let g = self.objects.vector_mut(gamma)?;
-        for (gj, arj) in g.iter_mut().zip(self.work.iter()) {
-            let ratio = arj / alpha_rq;
-            let cand = ratio * ratio * gamma_q;
-            if cand > *gj {
-                *gj = cand;
-            }
-        }
-        g[leaving] = (gamma_q / (alpha_rq * alpha_rq)).max(1.0);
         self.charge_dense_kernel(
             "devex_weight_update",
             (3 * n) as f64,

@@ -20,6 +20,9 @@
 //! * [`eta`] — product-form-of-inverse eta files with FTRAN/BTRAN, the basis
 //!   update representation from the revised simplex literature (Section 4.3's
 //!   "modified product form of inverse");
+//! * [`pivot`] — the revised simplex's selection rules and updates (both
+//!   ratio tests, the dual's leaving-row choice, Devex pricing and weights,
+//!   the basic step), the one copy every engine residency runs;
 //! * [`norms`] — residual and norm helpers used by tests and accuracy checks.
 //!
 //! Everything is pure, deterministic CPU code: the simulated accelerator in
@@ -34,6 +37,7 @@ pub mod dense;
 pub mod eta;
 pub mod lu;
 pub mod norms;
+pub mod pivot;
 pub mod scalar;
 pub mod sparse;
 pub mod sparse_lu;

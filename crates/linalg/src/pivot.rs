@@ -1,0 +1,298 @@
+//! The selection rules and updates of a bounded-variable revised simplex
+//! iteration, as pure slice functions: the host engine of `gmip-lp` runs
+//! them on its vectors, the device kernels of `gmip-gpu` on resident ones.
+//! What a rule decides, ties included, is documented here and nowhere else.
+//!
+//! `σ_j` is column `j`'s status weight: −1 at its lower bound, +1 at its
+//! upper, 0 when basic or fixed (never eligible). A reduced cost is a
+//! `d: impl Fn(usize) -> f64`, read only where a rule looks. A rule reads
+//! its slices over their common length, never past it.
+
+use crate::{LinalgError, Result};
+
+/// Bounded primal ratio test on FTRAN column `alpha` for an entering
+/// variable moving in direction `dir` (±1). With `α_eff = dir · α`, the
+/// smallest step `t ≥ 0` at which a basic variable hits a bound: row `i`
+/// falls to `l_B[i]` at `t = (x_B[i] − l_B[i]) / α_eff[i]` if
+/// `α_eff[i] > tol`, rises to `u_B[i]` at `t = (x_B[i] − u_B[i]) / α_eff[i]`
+/// if `α_eff[i] < −tol`; an infinite bound never blocks. A negative ratio (a
+/// degenerate row past its bound) is clamped to 0. Ties: a later row wins
+/// only with a step smaller by more than `1e-12`, so the lowest row wins
+/// among steps within `1e-12`. Returns `(row, t, leaves_at_upper)`, or
+/// `None` when no row blocks.
+pub fn ratio_test(
+    xb: &[f64],
+    alpha: &[f64],
+    lbb: &[f64],
+    ubb: &[f64],
+    dir: f64,
+    tol: f64,
+) -> Option<(usize, f64, bool)> {
+    let mut best: Option<(usize, f64, bool)> = None;
+    let rows = xb.iter().zip(alpha).zip(lbb.iter().zip(ubb));
+    for (i, ((&x, &a), (&lb, &ub))) in rows.enumerate() {
+        let ae = dir * a;
+        let (t, upper) = if ae > tol {
+            if lb.is_infinite() {
+                continue;
+            }
+            (((x - lb) / ae).max(0.0), false)
+        } else if ae < -tol {
+            if ub.is_infinite() {
+                continue;
+            }
+            (((x - ub) / ae).max(0.0), true)
+        } else {
+            continue;
+        };
+        if best.is_none_or(|(_, bt, _)| t < bt - 1e-12) {
+            best = Some((i, t, upper));
+        }
+    }
+    best
+}
+
+/// The dual simplex's leaving row: the largest violation of `[l_B, u_B]` by
+/// `x_B` beyond `tol`, ties keeping the lowest row. Returns `(row,
+/// violation, below_lower)`, or `None` when `x_B` is feasible.
+pub fn primal_infeasibility(
+    xb: &[f64],
+    lbb: &[f64],
+    ubb: &[f64],
+    tol: f64,
+) -> Option<(usize, f64, bool)> {
+    let mut best: Option<(usize, f64, bool)> = None;
+    for (i, ((&x, &lb), &ub)) in xb.iter().zip(lbb).zip(ubb).enumerate() {
+        let (viol, below) = if x < lb - tol {
+            (lb - x, true)
+        } else if x > ub + tol {
+            (x - ub, false)
+        } else {
+            continue;
+        };
+        if best.is_none_or(|(_, bv, _)| viol > bv) {
+            best = Some((i, viol, below));
+        }
+    }
+    best
+}
+
+/// Dual ratio test on BTRAN row `alpha_r` of a leaving row whose basic
+/// variable violates its lower bound (`leaving_below`) or its upper one.
+/// Eligible entering columns:
+///
+/// | `σ_j` | leaving below | leaving above |
+/// |---|---|---|
+/// | −1 (at lower) | `α_r[j] < −tol` | `α_r[j] > tol` |
+/// | +1 (at upper) | `α_r[j] > tol` | `α_r[j] < −tol` |
+/// | 0 | never | never |
+///
+/// Minimizes `|d_j / α_r[j]|` over them; ties as in [`ratio_test`].
+/// Returns `(column, |ratio|)`, or `None` when no column is eligible (the
+/// LP is infeasible).
+pub fn dual_ratio(
+    d: impl Fn(usize) -> f64,
+    alpha_r: &[f64],
+    sigma: &[f64],
+    leaving_below: bool,
+    tol: f64,
+) -> Option<(usize, f64)> {
+    let mut best: Option<(usize, f64)> = None;
+    for (j, (&ar, &s)) in alpha_r.iter().zip(sigma).enumerate() {
+        let eligible = match (s, leaving_below) {
+            (s, true) if s < 0.0 => ar < -tol,
+            (s, true) if s > 0.0 => ar > tol,
+            (s, false) if s < 0.0 => ar > tol,
+            (s, false) if s > 0.0 => ar < -tol,
+            _ => false,
+        };
+        if !eligible {
+            continue;
+        }
+        let ratio = (d(j) / ar).abs();
+        if best.is_none_or(|(_, br)| ratio < br - 1e-12) {
+            best = Some((j, ratio));
+        }
+    }
+    best
+}
+
+/// Devex pricing: among improving columns (`σ_j·d_j < 0`), maximizes the
+/// merit `d_j² / max(γ_j, 1e-12)`, ties keeping the lowest column. Returns
+/// `(column, σ_j·d_j)` — the score the caller's optimality threshold reads —
+/// or `None` when no column improves.
+pub fn devex_price(d: impl Fn(usize) -> f64, sigma: &[f64], gamma: &[f64]) -> Option<(usize, f64)> {
+    let mut best: Option<(usize, f64, f64)> = None; // (j, merit, σ·d)
+    for (j, (&s, &g)) in sigma.iter().zip(gamma).enumerate() {
+        if s == 0.0 {
+            continue;
+        }
+        let dj = d(j);
+        let sd = s * dj;
+        if sd >= 0.0 {
+            continue;
+        }
+        let merit = dj * dj / g.max(1e-12);
+        if best.is_none_or(|(_, bm, _)| merit > bm) {
+            best = Some((j, merit, sd));
+        }
+    }
+    best.map(|(j, _, sd)| (j, sd))
+}
+
+/// Devex reference-weight update for entering column `q` and leaving column
+/// `leaving`, from the leaving row's BTRAN row of the old basis: with
+/// `α_rq = α_r[q]`, every `γ_j ← max(γ_j, (α_r[j]/α_rq)²·γ_q)`, then
+/// `γ[leaving] = max(γ_q/α_rq², 1)`. An index out of range is
+/// [`LinalgError::OutOfBounds`], `|α_rq| < 1e-12` [`LinalgError::Singular`];
+/// either way `gamma` is untouched.
+pub fn devex_update(gamma: &mut [f64], alpha_r: &[f64], q: usize, leaving: usize) -> Result<()> {
+    let bound = gamma.len().min(alpha_r.len());
+    for index in [q, leaving] {
+        if index >= bound {
+            return Err(LinalgError::OutOfBounds { index, bound });
+        }
+    }
+    let (alpha_rq, gamma_q) = (alpha_r[q], gamma[q]);
+    if alpha_rq.abs() < 1e-12 {
+        return Err(LinalgError::Singular { column: q });
+    }
+    for (gj, arj) in gamma.iter_mut().zip(alpha_r) {
+        let ratio = arj / alpha_rq;
+        let cand = ratio * ratio * gamma_q;
+        if cand > *gj {
+            *gj = cand;
+        }
+    }
+    gamma[leaving] = (gamma_q / (alpha_rq * alpha_rq)).max(1.0);
+    Ok(())
+}
+
+/// The basic step of a bound flip or a pivot: `x_B ← x_B − dir·t·α`.
+pub fn step(xb: &mut [f64], alpha: &[f64], dir: f64, t: f64) {
+    for (xi, ai) in xb.iter_mut().zip(alpha) {
+        *xi -= dir * t * ai;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const INF: f64 = f64::INFINITY;
+
+    #[test]
+    fn a_ratio_test_tie_within_the_tolerance_keeps_the_lower_row() {
+        // Steps 2, an exact tie and 2 − 5e-13 (smaller, but inside the tie
+        // band): row 0 wins all three.
+        let alpha = [1.0, 1.0, 1.0];
+        let (lbb, ubb) = ([0.0; 3], [INF; 3]);
+        let xb = [2.0, 2.0, 2.0 - 5e-13];
+        assert_eq!(
+            ratio_test(&xb, &alpha, &lbb, &ubb, 1.0, 1e-9),
+            Some((0, 2.0, false))
+        );
+        // A later row whose step is smaller by more than the band wins.
+        let xb = [2.0, 2.0 - 4e-12, 2.0];
+        assert_eq!(
+            ratio_test(&xb, &alpha, &lbb, &ubb, 1.0, 1e-9),
+            Some((1, 2.0 - 4e-12, false))
+        );
+        // The same on the upper side, moving down.
+        let (lbb, ubb) = ([-INF; 2], [5.0; 2]);
+        assert_eq!(
+            ratio_test(&[3.0, 3.0], &[1.0, 1.0], &lbb, &ubb, -1.0, 1e-9),
+            Some((0, 2.0, true))
+        );
+    }
+
+    #[test]
+    fn a_degenerate_negative_ratio_clamps_to_zero() {
+        // Row 1 already sits below its lower bound: its ratio −1 counts as a
+        // zero step and blocks ahead of row 0's step 3; row 2 lies inside
+        // the pivot tolerance and never blocks.
+        let xb = [3.0, -1.0, -9.0];
+        let alpha = [1.0, 1.0, 1e-10];
+        let (lbb, ubb) = ([0.0; 3], [INF; 3]);
+        assert_eq!(
+            ratio_test(&xb, &alpha, &lbb, &ubb, 1.0, 1e-9),
+            Some((1, 0.0, false))
+        );
+        // Above its upper bound, rising: the same clamp.
+        assert_eq!(
+            ratio_test(&[6.0], &[-1.0], &[0.0], &[5.0], 1.0, 1e-9),
+            Some((0, 0.0, true))
+        );
+        // An infinite blocking bound never blocks.
+        assert_eq!(ratio_test(&[1.0], &[1.0], &[-INF], &[INF], 1.0, 1e-9), None);
+    }
+
+    #[test]
+    fn a_dual_ratio_tie_keeps_the_lower_column_in_every_eligibility_case() {
+        // Columns 0–2 share σ: ratio 2, an exact tie and 2 − 5e-13 (inside
+        // the 1e-12 band). Column 3 has the other σ and a smaller ratio, but
+        // is ineligible on this side; column 4 is basic.
+        for (s, below) in [(-1.0, true), (1.0, true), (-1.0, false), (1.0, false)] {
+            // The α_r sign that makes σ = s eligible on this side.
+            let sign = if (s < 0.0) == below { -1.0 } else { 1.0 };
+            let alpha_r = [sign; 5];
+            let sigma = [s, s, s, -s, 0.0];
+            let d = [2.0, 2.0, 2.0 - 5e-13, 1.0, 0.0];
+            assert_eq!(
+                dual_ratio(|j| d[j], &alpha_r, &sigma, below, 1e-9),
+                Some((0, 2.0)),
+                "σ = {s}, leaving below = {below}"
+            );
+            // The other σ alone is never eligible on this side.
+            let other = [-s, -s, -s, -s, 0.0];
+            assert_eq!(
+                dual_ratio(|j| d[j], &alpha_r, &other, below, 1e-9),
+                None,
+                "σ = {}, leaving below = {below}",
+                -s
+            );
+        }
+        // Entries inside the pivot tolerance are never eligible.
+        assert_eq!(dual_ratio(|_| 1.0, &[-1e-10], &[-1.0], true, 1e-9), None);
+    }
+
+    #[test]
+    fn devex_merit_floors_tiny_weights_at_the_tolerance() {
+        // d = [−1, −3] at lower (σ·d = 1, 3): neither improves. At upper
+        // both do, and weights 0 and 1e-13 both count as 1e-12: merits 1e12
+        // and 9e12, so column 1 wins.
+        let d = [-1.0, -3.0];
+        assert_eq!(devex_price(|j| d[j], &[-1.0, -1.0], &[1.0, 1.0]), None);
+        let sigma = [1.0, 1.0];
+        assert_eq!(
+            devex_price(|j| d[j], &sigma, &[0.0, 1e-13]),
+            Some((1, -3.0))
+        );
+        // A weight at the floor ranks as the floor: 1 / 1e-12 beats 9 / 1.
+        assert_eq!(devex_price(|j| d[j], &sigma, &[0.0, 1.0]), Some((0, -1.0)));
+        // Equal merits keep the lower column; σ = 0 is never priced.
+        let d = [2.0, -2.0, 5.0];
+        assert_eq!(
+            devex_price(|j| d[j], &[-1.0, 1.0, 0.0], &[1e-14, 1e-13, 1.0]),
+            Some((0, -2.0))
+        );
+    }
+
+    #[test]
+    fn a_primal_infeasibility_tie_keeps_the_lower_row() {
+        // Rows 1 and 2 both violate by 3, one below and one above; row 0 is
+        // inside the tolerance.
+        let xb = [-1e-10, -3.0, 8.0];
+        let (lbb, ubb) = ([0.0; 3], [5.0; 3]);
+        assert_eq!(
+            primal_infeasibility(&xb, &lbb, &ubb, 1e-9),
+            Some((1, 3.0, true))
+        );
+        let xb = [1.0, 8.0, -3.0];
+        assert_eq!(
+            primal_infeasibility(&xb, &lbb, &ubb, 1e-9),
+            Some((1, 3.0, false))
+        );
+        assert_eq!(primal_infeasibility(&[1.0], &[0.0], &[5.0], 1e-9), None);
+    }
+}

@@ -67,20 +67,20 @@
 //! the simulated cost ledger, which the experiments read and which lets the
 //! super-solver dispatch of `gmip-core` choose a storage on cost grounds.
 
-use crate::basis::{Basis, VarStatus};
+use crate::basis::Basis;
 use crate::dual::DualConfig;
 use crate::engine::{
-    dual_pivot_element, entering_dir, improving, DualPick, PivotPlan, PrimalPick, ProblemView,
-    SimplexEngine,
+    devex_refused, dual_pivot_element, entering_dir, improving, DualPick, PivotPlan, PrimalPick,
+    ProblemView, SimplexEngine,
 };
 use crate::simplex::{PricingRule, PrimalConfig};
 use crate::{LpError, LpResult};
 use gmip_gpu::device::Result as GpuResult;
 use gmip_gpu::{
-    Accel, Eta, GpuDevice, GpuError, MatrixHandle, SparseHandle, Storage, StreamId, VectorHandle,
+    Accel, Eta, GpuDevice, MatrixHandle, SparseHandle, Storage, StreamId, VectorHandle,
     DEFAULT_STREAM,
 };
-use gmip_linalg::{DenseMatrix, LinalgError};
+use gmip_linalg::DenseMatrix;
 
 /// An engine's resident objects on its device, created once and written in
 /// place ever after; every vector takes the length of what a kernel last
@@ -225,8 +225,6 @@ struct Call<'e, M> {
     a: M,
     st: StreamId,
     m: usize,
-    lb: &'e [f64],
-    ub: &'e [f64],
     live: &'e mut Live,
 }
 
@@ -271,7 +269,7 @@ impl<M: Storage> Call<'_, M> {
                 d.argmin_masked(ws.score, ws.sigma, st)
             }),
             PricingRule::Devex => self.priced(d, [ws.y, ws.d], |d| {
-                d.devex_argmax(ws.d, ws.sigma, ws.gamma, 0.0, st)
+                d.devex_argmax(ws.d, ws.sigma, ws.gamma, st)
             }),
         }
     }
@@ -319,13 +317,6 @@ impl<M: Storage> Call<'_, M> {
     fn apply_pivot(&mut self, d: &mut GpuDevice, plan: &PivotPlan) -> LpResult<()> {
         let ws = self.alpha()?;
         let st = self.st;
-        // A fixed column leaves ineligible. A leaving column that does not
-        // exist is for the kernel's argument check to refuse.
-        let fixed = self.lb.get(plan.leaving_j).zip(self.ub.get(plan.leaving_j));
-        let leaving_sigma = match fixed {
-            Some((lb, ub)) if lb == ub => 0.0,
-            _ => plan.leaving_sigma,
-        };
         // Everything the pivot stores besides the step rides the step
         // kernel as arguments, checked before x_B or the eta file move.
         d.basic_step(
@@ -335,7 +326,7 @@ impl<M: Storage> Call<'_, M> {
             plan.t,
             &[
                 (ws.xb, plan.r, plan.entering_val),
-                (ws.sigma, plan.leaving_j, leaving_sigma),
+                (ws.sigma, plan.leaving_j, plan.leaving_sigma),
                 (ws.sigma, plan.q, 0.0),
                 (ws.cb, plan.r, plan.c_q),
                 (ws.lbb, plan.r, plan.lb_q),
@@ -394,12 +385,7 @@ impl<M: Storage> Call<'_, M> {
     fn devex_update(&self, d: &mut GpuDevice, q: usize, leaving_j: usize) -> LpResult<()> {
         let (ws, st) = (self.alpha_r()?, self.st);
         d.devex_weight_update(ws.gamma, ws.alpha_r, q, leaving_j, st)
-            .map_err(|e| match e {
-                GpuError::Linalg(LinalgError::Singular { .. }) => {
-                    LpError::Shape("devex update with zero pivot".into())
-                }
-                e => e.into(),
-            })
+            .map_err(devex_refused)
     }
 
     fn basic_values(&self, d: &mut GpuDevice) -> LpResult<Vec<f64>> {
@@ -416,9 +402,6 @@ pub struct DeviceSimplex<M: Storage> {
     stream: StreamId,
     m: usize,
     n: usize,
-    // Host copies needed for install-time assembly and fixed-column checks.
-    lb: Vec<f64>,
-    ub: Vec<f64>,
     /// The resident workspace, created at the first install.
     ws: Option<Workspace<M>>,
     live: Live,
@@ -457,8 +440,6 @@ impl<M: Storage> DeviceSimplex<M> {
             stream,
             m: a.rows(),
             n: a.cols(),
-            lb: Vec::new(),
-            ub: Vec::new(),
             ws: None,
             live: Live::default(),
             stage: Default::default(),
@@ -488,8 +469,6 @@ impl<M: Storage> DeviceSimplex<M> {
             a: self.a,
             st: self.stream,
             m: self.m,
-            lb: &self.lb,
-            ub: &self.ub,
             live: &mut self.live,
         };
         on_device(&self.accel, |d| kernels(&mut call, d))
@@ -539,58 +518,24 @@ impl<M: Storage> SimplexEngine for DeviceSimplex<M> {
         }
         self.live = Live::default();
         self.staged_xb = None;
-        self.lb.clear();
-        self.lb.extend_from_slice(view.lb);
-        self.ub.clear();
-        self.ub.extend_from_slice(view.ub);
 
-        // Host-side assembly of the small per-install vectors.
+        // Host-side assembly of the small per-install vectors; Devex
+        // reference weights start at one.
         let [sigma, x_nb, cb, lbb, ubb, gamma] = &mut self.stage;
-        for buf in [&mut *sigma, &mut *x_nb] {
-            buf.clear();
-            buf.resize(self.n, 0.0);
-        }
-        let mut free_variable = None;
-        for (j, s) in basis.status.iter().enumerate() {
-            match s {
-                VarStatus::Basic(_) => {}
-                VarStatus::AtLower => {
-                    x_nb[j] = view.lb[j];
-                    sigma[j] = if view.lb[j] == view.ub[j] { 0.0 } else { -1.0 };
-                }
-                VarStatus::AtUpper => {
-                    x_nb[j] = view.ub[j];
-                    sigma[j] = if view.lb[j] == view.ub[j] { 0.0 } else { 1.0 };
-                }
-            }
-            if !matches!(s, VarStatus::Basic(_)) && !x_nb[j].is_finite() {
-                free_variable = Some(j);
-                break;
-            }
-        }
-        // Basis-ordered gathers of the column vectors.
-        let cols = &basis.cols;
-        for (buf, src) in [
-            (&mut *cb, view.c),
-            (&mut *lbb, view.lb),
-            (&mut *ubb, view.ub),
-        ] {
-            buf.clear();
-            buf.extend(cols.iter().map(|&j| src[j]));
-        }
-        // Devex reference weights start at one.
+        let assembled = view.assemble(
+            basis,
+            [&mut *sigma, &mut *x_nb, &mut *cb, &mut *lbb, &mut *ubb],
+        );
         gamma.clear();
         gamma.resize(self.n, 1.0);
 
         let a = self.a;
         let ws = &mut self.ws;
-        on_device(&self.accel, |d| {
+        on_device(&self.accel, |d| -> LpResult<()> {
             // The previous install's state goes first, whatever comes next.
             let ws = *ws.get_or_insert_with(|| Workspace::create(d));
             ws.vacate_state(d);
-            if let Some(j) = free_variable {
-                return Err(LpError::FreeVariable(j));
-            }
+            assembled?;
             with_scratch(d, [ws.x_nb, ws.w], |d| {
                 // Everything the install needs from the host crosses the
                 // link once.
@@ -614,7 +559,7 @@ impl<M: Storage> SimplexEngine for DeviceSimplex<M> {
                 // after them, and must not stand beside both.
                 vacate(d, [ws.x_nb]);
                 // Basis assembly + factorization, on device.
-                d.eta_factor(a, cols, ws.eta, st)?;
+                d.eta_factor(a, &basis.cols, ws.eta, st)?;
                 d.eta_ftran(ws.eta, ws.w, ws.xb, st)
             })?;
             Ok(())
@@ -781,6 +726,7 @@ impl<M: Storage> SimplexEngine for DeviceSimplex<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::basis::VarStatus;
     use crate::engine::HostEngine;
     use crate::problem::{BoundChange, StandardLp};
     use crate::simplex::{primal_solve, PrimalConfig};

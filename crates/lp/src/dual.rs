@@ -137,7 +137,7 @@ fn dual_loop<E: SimplexEngine>(
             dir: 1.0,
             t: delta,
             entering_val,
-            leaving_sigma: leaving_to.sigma(),
+            leaving_sigma: view.sigma(leaving_j, leaving_to),
             c_q: view.c[q],
             lb_q: view.lb[q],
             ub_q: view.ub[q],

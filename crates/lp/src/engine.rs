@@ -11,14 +11,18 @@
 //!   resident on the device and only scalars crossing the link per
 //!   iteration (the Section 5.1 execution model).
 //!
-//! Equivalence of the two under identical pivoting rules is a property test
-//! in the crate's test suite.
+//! Both run one rule set: the selection rules and updates of
+//! [`gmip_linalg::pivot`] and one install assembly (`ProblemView::assemble`).
+//! The host/device equivalence tests (`matches_host_pivot_for_pivot`,
+//! `tests/device_equivalence.rs`, the `Fenced` differential) check what
+//! still differs: the device's LU / eta file against the host's, staged
+//! transfers, and launch chains.
 
 use crate::basis::{Basis, VarStatus};
 use crate::dual::DualConfig;
 use crate::simplex::{PricingRule, PrimalConfig};
 use crate::{LpError, LpResult};
-use gmip_linalg::{DenseMatrix, EtaFile};
+use gmip_linalg::{pivot, DenseMatrix, EtaFile, LinalgError};
 
 /// A read-only view of the (possibly cut-extended) problem data the engine
 /// needs at basis-install time. The constraint matrix itself lives inside
@@ -34,6 +38,50 @@ pub struct ProblemView<'a> {
     pub ub: &'a [f64],
     /// Right-hand side.
     pub b: &'a [f64],
+}
+
+impl ProblemView<'_> {
+    /// An install's host-side assembly, into reused buffers: σ (0 for basic
+    /// *and* fixed columns) and the nonbasic point `x_N` (basic columns 0),
+    /// both of length `c.len()`, and the basis-ordered `c_B`, `l_B`, `u_B`.
+    /// A nonbasic column at an infinite bound is [`LpError::FreeVariable`].
+    pub(crate) fn assemble(
+        &self,
+        basis: &Basis,
+        [sigma, x_nb, cb, lbb, ubb]: [&mut Vec<f64>; 5],
+    ) -> LpResult<()> {
+        for v in [&mut *sigma, &mut *x_nb] {
+            v.clear();
+            v.resize(self.c.len(), 0.0);
+        }
+        for (j, s) in basis.status.iter().enumerate() {
+            let bound = match s {
+                VarStatus::Basic(_) => continue,
+                VarStatus::AtLower => self.lb[j],
+                VarStatus::AtUpper => self.ub[j],
+            };
+            if !bound.is_finite() {
+                return Err(LpError::FreeVariable(j));
+            }
+            x_nb[j] = bound;
+            sigma[j] = self.sigma(j, *s);
+        }
+        for (buf, src) in [(cb, self.c), (lbb, self.lb), (ubb, self.ub)] {
+            buf.clear();
+            buf.extend(basis.cols.iter().map(|&j| src[j]));
+        }
+        Ok(())
+    }
+
+    /// The status weight of column `j` at nonbasic status `s`: 0 if the
+    /// column is fixed (`lb == ub`, never eligible), else `s.sigma()`.
+    pub(crate) fn sigma(&self, j: usize, s: VarStatus) -> f64 {
+        if self.lb[j] == self.ub[j] {
+            0.0
+        } else {
+            s.sigma()
+        }
+    }
 }
 
 /// Everything the engine must change when a pivot is applied.
@@ -52,8 +100,8 @@ pub struct PivotPlan {
     pub t: f64,
     /// Value the entering variable takes (installed in slot `r`).
     pub entering_val: f64,
-    /// σ weight for the leaving variable (−1 to lower, +1 to upper, 0 if it
-    /// becomes ineligible, e.g. a fixed artificial).
+    /// σ weight the leaving variable takes (−1 at lower, +1 at upper, 0 if
+    /// it is fixed, e.g. an artificial); the engine stores it as given.
     pub leaving_sigma: f64,
     /// Objective coefficient of the entering column.
     pub c_q: f64,
@@ -141,6 +189,17 @@ pub(crate) fn dual_pivot_element(alpha_rq: f64, q: usize, tol: f64) -> LpResult<
     Ok(alpha_rq)
 }
 
+/// A refused Devex update as an engine reports it: a zero pivot element is
+/// a shape error of the pivot, anything else what the rule said.
+pub(crate) fn devex_refused(e: impl Into<LpError>) -> LpError {
+    match e.into() {
+        LpError::Numerics(LinalgError::Singular { .. }) => {
+            LpError::Shape("devex update with zero pivot".into())
+        }
+        e => e,
+    }
+}
+
 /// The per-iteration numerical interface of the revised simplex.
 ///
 /// The required methods are the *primitives*: one numerical step each. The
@@ -176,7 +235,8 @@ pub trait SimplexEngine {
     /// Installs a basis: factorizes `B`, computes basic values
     /// `x_B = B⁻¹(b − N x_N)`, and loads objective/status/bound state.
     /// σ is 0 for basic columns *and* for fixed columns (`lb == ub`), which
-    /// excludes both from pricing.
+    /// excludes both from pricing; every engine assembles σ, `x_N`, `c_B`,
+    /// `l_B` and `u_B` the same way, in `ProblemView::assemble`.
     fn install(&mut self, view: ProblemView<'_>, basis: &Basis) -> LpResult<()>;
 
     /// Appends a cut: `row` spans the current columns, `col` is the new
@@ -194,11 +254,12 @@ pub trait SimplexEngine {
     /// FTRAN of column `q`: `α = B⁻¹ a_q`, kept engine-resident.
     fn ftran_column(&mut self, q: usize) -> LpResult<()>;
 
-    /// Bounded primal ratio test on the current FTRAN column; returns
-    /// `(row, t, leaves_at_upper)` or `None` if no basic variable blocks.
+    /// Bounded primal ratio test ([`pivot::ratio_test`]) on the current
+    /// FTRAN column; returns `(row, t, leaves_at_upper)` or `None` if no
+    /// basic variable blocks.
     fn ratio_test(&mut self, dir: f64, tol: f64) -> LpResult<Option<(usize, f64, bool)>>;
 
-    /// Bound flip of the entering column: `x_B ← x_B − dir·t·α`, σ_q set to
+    /// Bound flip of the entering column: [`pivot::step`], σ_q set to
     /// `new_sigma`.
     fn apply_flip(&mut self, q: usize, dir: f64, t: f64, new_sigma: f64) -> LpResult<()>;
 
@@ -214,14 +275,14 @@ pub trait SimplexEngine {
     /// Number of eta factors accumulated since the last factorization.
     fn eta_count(&self) -> usize;
 
-    /// Largest primal bound violation among basic variables, as
-    /// `(row, violation, below_lower)`.
+    /// Largest primal bound violation among basic variables
+    /// ([`pivot::primal_infeasibility`]), as `(row, violation, below_lower)`.
     fn primal_infeas(&mut self, tol: f64) -> LpResult<Option<(usize, f64, bool)>>;
 
     /// BTRAN row `r`: `ρ = B⁻ᵀ e_r`, then `α_r = Aᵀ ρ`, kept engine-resident.
     fn btran_row(&mut self, r: usize) -> LpResult<()>;
 
-    /// Dual ratio test on the current BTRAN row.
+    /// Dual ratio test ([`pivot::dual_ratio`]) on the current BTRAN row.
     fn dual_ratio(&mut self, leaving_below: bool, tol: f64) -> LpResult<Option<(usize, f64)>>;
 
     /// Entry `j` of the current BTRAN row (scalar readback).
@@ -237,18 +298,15 @@ pub trait SimplexEngine {
     /// subproblem (an honest m-vector transfer on the device engines).
     fn dual_prices(&mut self) -> LpResult<Vec<f64>>;
 
-    /// Devex pricing: among eligible columns (σ_j·d_j < −tol implied by the
-    /// caller's threshold check on the returned score), maximizes the Devex
-    /// merit `d_j²/γ_j`. Returns `(column, σ·d score)` like
-    /// [`price`](Self::price). Engines reset the reference weights γ to 1 at
-    /// every [`install`](Self::install).
+    /// Devex pricing ([`pivot::devex_price`]): returns `(column, σ·d score)`
+    /// like [`price`](Self::price), the caller's threshold check on the
+    /// score deciding optimality. Engines reset the reference weights γ to 1
+    /// at every [`install`](Self::install).
     fn price_devex(&mut self) -> LpResult<Option<(usize, f64)>>;
 
-    /// Devex reference-weight update for the pivot `(entering q, leaving
-    /// row's occupant leaving_j)`. Requires a fresh
-    /// [`btran_row`](Self::btran_row) of the leaving row (old basis):
-    /// `γ_j ← max(γ_j, (α_r[j]/α_r[q])²·γ_q)` for all columns, then the
-    /// leaving variable is re-anchored at `max(γ_q/α_r[q]², 1)`.
+    /// Devex reference-weight update ([`pivot::devex_update`]) for the pivot
+    /// `(entering q, leaving row's occupant leaving_j)`. Requires a fresh
+    /// [`btran_row`](Self::btran_row) of the leaving row (old basis).
     fn devex_update(&mut self, q: usize, leaving_j: usize) -> LpResult<()>;
 
     /// The selecting half of a primal iteration: prices by `cfg.pricing`,
@@ -310,10 +368,7 @@ pub trait SimplexEngine {
 #[derive(Debug)]
 pub struct HostEngine {
     a: DenseMatrix,
-    b: Vec<f64>,
     c: Vec<f64>,
-    lb: Vec<f64>,
-    ub: Vec<f64>,
     sigma: Vec<f64>,
     cb: Vec<f64>,
     lbb: Vec<f64>,
@@ -338,10 +393,7 @@ impl HostEngine {
     pub fn new(a: DenseMatrix) -> Self {
         Self {
             a,
-            b: Vec::new(),
             c: Vec::new(),
-            lb: Vec::new(),
-            ub: Vec::new(),
             sigma: Vec::new(),
             cb: Vec::new(),
             lbb: Vec::new(),
@@ -382,12 +434,6 @@ impl HostEngine {
     }
 }
 
-/// `dst ← src`, reusing `dst`'s allocation.
-fn assign(dst: &mut Vec<f64>, src: impl IntoIterator<Item = f64>) {
-    dst.clear();
-    dst.extend(src);
-}
-
 impl SimplexEngine for HostEngine {
     fn m(&self) -> usize {
         self.a.rows()
@@ -409,42 +455,25 @@ impl SimplexEngine for HostEngine {
                 view.b.len()
             )));
         }
-        assign(&mut self.b, view.b.iter().copied());
-        assign(&mut self.c, view.c.iter().copied());
-        assign(&mut self.lb, view.lb.iter().copied());
-        assign(&mut self.ub, view.ub.iter().copied());
-        let (lb, ub) = (&self.lb, &self.ub);
-        assign(
-            &mut self.sigma,
-            basis.status.iter().enumerate().map(
-                |(j, s)| {
-                    if lb[j] == ub[j] {
-                        0.0
-                    } else {
-                        s.sigma()
-                    }
-                },
-            ),
-        );
+        self.c.clear();
+        self.c.extend_from_slice(view.c);
         for v in [&mut self.y, &mut self.work, &mut self.col] {
             v.resize(m, 0.0);
         }
-        // Nonbasic point (in the `aty` scratch) and residual (in `col`).
-        let x_nb = &mut self.aty;
-        x_nb.clear();
-        x_nb.resize(n, 0.0);
-        for (j, s) in basis.status.iter().enumerate() {
-            match s {
-                VarStatus::AtLower => x_nb[j] = self.lb[j],
-                VarStatus::AtUpper => x_nb[j] = self.ub[j],
-                VarStatus::Basic(_) => {}
-            }
-            if !matches!(s, VarStatus::Basic(_)) && !x_nb[j].is_finite() {
-                return Err(LpError::FreeVariable(j));
-            }
-        }
-        self.a.matvec_into(x_nb, &mut self.work)?;
-        for ((wi, bi), ai) in self.col.iter_mut().zip(&self.b).zip(&self.work) {
+        // The nonbasic point lands in the `aty` scratch, the residual
+        // `b − A x_N` in `col`.
+        view.assemble(
+            basis,
+            [
+                &mut self.sigma,
+                &mut self.aty,
+                &mut self.cb,
+                &mut self.lbb,
+                &mut self.ubb,
+            ],
+        )?;
+        self.a.matvec_into(&self.aty, &mut self.work)?;
+        for ((wi, bi), ai) in self.col.iter_mut().zip(view.b).zip(&self.work) {
             *wi = bi - ai;
         }
         // Gather and factorize the basis, in the previous file's storage.
@@ -453,9 +482,6 @@ impl SimplexEngine for HostEngine {
         self.xb.resize(m, 0.0);
         eta.ftran_into(&self.col, &mut self.xb)?;
         self.eta = Some(eta);
-        assign(&mut self.cb, basis.cols.iter().map(|&j| self.c[j]));
-        assign(&mut self.lbb, basis.cols.iter().map(|&j| self.lb[j]));
-        assign(&mut self.ubb, basis.cols.iter().map(|&j| self.ub[j]));
         self.gamma.clear();
         self.gamma.resize(n, 1.0);
         self.alpha = None;
@@ -510,34 +536,14 @@ impl SimplexEngine for HostEngine {
 
     fn ratio_test(&mut self, dir: f64, tol: f64) -> LpResult<Option<(usize, f64, bool)>> {
         let alpha = self.alpha()?;
-        let mut best: Option<(usize, f64, bool)> = None;
-        for i in 0..self.m() {
-            let ae = dir * alpha[i];
-            let (t, upper) = if ae > tol {
-                if self.lbb[i].is_infinite() {
-                    continue;
-                }
-                (((self.xb[i] - self.lbb[i]) / ae).max(0.0), false)
-            } else if ae < -tol {
-                if self.ubb[i].is_infinite() {
-                    continue;
-                }
-                (((self.xb[i] - self.ubb[i]) / ae).max(0.0), true)
-            } else {
-                continue;
-            };
-            if best.is_none_or(|(_, bt, _)| t < bt - 1e-12) {
-                best = Some((i, t, upper));
-            }
-        }
-        Ok(best)
+        Ok(pivot::ratio_test(
+            &self.xb, alpha, &self.lbb, &self.ubb, dir, tol,
+        ))
     }
 
     fn apply_flip(&mut self, q: usize, dir: f64, t: f64, new_sigma: f64) -> LpResult<()> {
         let alpha = self.alpha.as_ref().ok_or(LpError::NotInstalled)?;
-        for (xi, ai) in self.xb.iter_mut().zip(alpha) {
-            *xi -= dir * t * ai;
-        }
+        pivot::step(&mut self.xb, alpha, dir, t);
         self.sigma[q] = new_sigma;
         Ok(())
     }
@@ -546,19 +552,13 @@ impl SimplexEngine for HostEngine {
         // The eta file keeps a copy of the FTRAN column, which is stale
         // after the pivot.
         let alpha = self.alpha.take().ok_or(LpError::NotInstalled)?;
-        for (xi, ai) in self.xb.iter_mut().zip(&alpha) {
-            *xi -= plan.dir * plan.t * ai;
-        }
+        pivot::step(&mut self.xb, &alpha, plan.dir, plan.t);
         self.xb[plan.r] = plan.entering_val;
         self.eta
             .as_mut()
             .ok_or(LpError::NotInstalled)?
             .update(plan.r, &alpha)?;
-        self.sigma[plan.leaving_j] = if self.lb[plan.leaving_j] == self.ub[plan.leaving_j] {
-            0.0
-        } else {
-            plan.leaving_sigma
-        };
+        self.sigma[plan.leaving_j] = plan.leaving_sigma;
         self.sigma[plan.q] = 0.0;
         self.cb[plan.r] = plan.c_q;
         self.lbb[plan.r] = plan.lb_q;
@@ -583,20 +583,9 @@ impl SimplexEngine for HostEngine {
     }
 
     fn primal_infeas(&mut self, tol: f64) -> LpResult<Option<(usize, f64, bool)>> {
-        let mut best: Option<(usize, f64, bool)> = None;
-        for i in 0..self.m() {
-            let (viol, below) = if self.xb[i] < self.lbb[i] - tol {
-                (self.lbb[i] - self.xb[i], true)
-            } else if self.xb[i] > self.ubb[i] + tol {
-                (self.xb[i] - self.ubb[i], false)
-            } else {
-                continue;
-            };
-            if best.is_none_or(|(_, bv, _)| viol > bv) {
-                best = Some((i, viol, below));
-            }
-        }
-        Ok(best)
+        Ok(pivot::primal_infeasibility(
+            &self.xb, &self.lbb, &self.ubb, tol,
+        ))
     }
 
     fn btran_row(&mut self, r: usize) -> LpResult<()> {
@@ -615,24 +604,14 @@ impl SimplexEngine for HostEngine {
     fn dual_ratio(&mut self, leaving_below: bool, tol: f64) -> LpResult<Option<(usize, f64)>> {
         self.price_out()?;
         let ar = self.alpha_r.as_ref().ok_or(LpError::NotInstalled)?;
-        let mut best: Option<(usize, f64)> = None;
-        for j in 0..self.n() {
-            let eligible = match (self.sigma[j], leaving_below) {
-                (s, true) if s < 0.0 => ar[j] < -tol,
-                (s, true) if s > 0.0 => ar[j] > tol,
-                (s, false) if s < 0.0 => ar[j] > tol,
-                (s, false) if s > 0.0 => ar[j] < -tol,
-                _ => false,
-            };
-            if !eligible {
-                continue;
-            }
-            let ratio = ((self.c[j] - self.aty[j]) / ar[j]).abs();
-            if best.is_none_or(|(_, br)| ratio < br - 1e-12) {
-                best = Some((j, ratio));
-            }
-        }
-        Ok(best)
+        let (c, aty) = (&self.c, &self.aty);
+        Ok(pivot::dual_ratio(
+            |j| c[j] - aty[j],
+            ar,
+            &self.sigma,
+            leaving_below,
+            tol,
+        ))
     }
 
     fn alpha_r_entry(&mut self, j: usize) -> LpResult<f64> {
@@ -650,40 +629,17 @@ impl SimplexEngine for HostEngine {
 
     fn price_devex(&mut self) -> LpResult<Option<(usize, f64)>> {
         self.price_out()?;
-        let mut best: Option<(usize, f64, f64)> = None; // (j, merit, sigma_d)
-        for j in 0..self.n() {
-            if self.sigma[j] == 0.0 {
-                continue;
-            }
-            let d = self.c[j] - self.aty[j];
-            let sd = self.sigma[j] * d;
-            if sd >= 0.0 {
-                continue;
-            }
-            let merit = d * d / self.gamma[j].max(1e-12);
-            if best.is_none_or(|(_, bm, _)| merit > bm) {
-                best = Some((j, merit, sd));
-            }
-        }
-        Ok(best.map(|(j, _, sd)| (j, sd)))
+        let (c, aty) = (&self.c, &self.aty);
+        Ok(pivot::devex_price(
+            |j| c[j] - aty[j],
+            &self.sigma,
+            &self.gamma,
+        ))
     }
 
     fn devex_update(&mut self, q: usize, leaving_j: usize) -> LpResult<()> {
         let ar = self.alpha_r.as_ref().ok_or(LpError::NotInstalled)?;
-        let arq = ar[q];
-        if arq.abs() < 1e-12 {
-            return Err(LpError::Shape("devex update with zero pivot".into()));
-        }
-        let gamma_q = self.gamma[q];
-        for (gj, arj) in self.gamma.iter_mut().zip(ar.iter()) {
-            let ratio = arj / arq;
-            let cand = ratio * ratio * gamma_q;
-            if cand > *gj {
-                *gj = cand;
-            }
-        }
-        self.gamma[leaving_j] = (gamma_q / (arq * arq)).max(1.0);
-        Ok(())
+        pivot::devex_update(&mut self.gamma, ar, q, leaving_j).map_err(devex_refused)
     }
 }
 
@@ -876,6 +832,11 @@ mod tests {
         assert!(e.ratio_test(1.0, 1e-9).is_ok());
         e.btran_row(0).unwrap();
         assert!(e.alpha_r_entry(0).is_ok());
+        // A cut appended without a re-install: the scan for a leaving row
+        // reads x_B's own length, not the grown matrix's row count.
+        e.append_cut(&[1.0, 1.0, 0.0, 0.0], &[0.0, 0.0, 1.0])
+            .unwrap();
+        assert_eq!(e.primal_infeas(1e-9), Ok(None));
     }
 
     #[test]

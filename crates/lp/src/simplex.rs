@@ -178,7 +178,7 @@ fn primal_loop<E: SimplexEngine>(
                 dir,
                 t,
                 entering_val,
-                leaving_sigma: leaving_to.sigma(),
+                leaving_sigma: view.sigma(leaving_j, leaving_to),
                 c_q: view.c[q],
                 lb_q: view.lb[q],
                 ub_q: view.ub[q],

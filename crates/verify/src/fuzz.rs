@@ -4,8 +4,9 @@
 //! random-MIP generator), computes its ground truth with the exact
 //! rational [`crate::oracle`], and then runs every solve strategy in the
 //! repo — host baseline, simulated-device plan, DES cluster (clean and
-//! under a chaos fault plan), threaded cluster, batched wave, and the
-//! host / wave / cluster drivers with propagation and the dive on — checking
+//! under a chaos fault plan), threaded cluster, per-lane engines, batched
+//! simplex and first-order waves, and the host / wave / cluster drivers
+//! with propagation and the dive on — checking
 //! each result against the oracle: status, objective within the declared
 //! float tolerance, exact incumbent re-evaluation, and (for the host
 //! strategy) exact validation of the emitted LP certificates. Metamorphic
@@ -20,7 +21,8 @@ use crate::metamorphic::transforms;
 use crate::oracle::{solve_oracle, OracleResult, OracleStatus};
 use crate::shrink::{shrink_instance, write_repro};
 use gmip_core::{
-    plan, solve_batched_wave, BatchedWaveConfig, MipConfig, MipSolver, MipStatus, Strategy,
+    plan, solve_batched_wave, solve_concurrent, solve_first_order_wave, BatchedWaveConfig,
+    ConcurrentConfig, FirstOrderWaveConfig, MipConfig, MipSolver, MipStatus, Strategy, WaveResult,
 };
 use gmip_gpu::{Accel, CostModel};
 use gmip_parallel::{solve_parallel, solve_threaded, ChaosConfig, ParallelConfig};
@@ -216,19 +218,36 @@ fn threaded_strategy(m: &MipInstance) -> Result<StrategyOutput, String> {
     Ok(StrategyOutput::new(r.status, r.objective, r.x))
 }
 
-fn batched_strategy(m: &MipInstance, prop: bool) -> Result<StrategyOutput, String> {
-    let r = solve_batched_wave(
-        m,
-        &BatchedWaveConfig {
-            lanes: 3,
-            propagate: prop,
-            heuristic_period: if prop { PROP_DIVE_PERIOD } else { 0 },
-            ..Default::default()
-        },
-        Accel::gpu(1),
-    )
-    .map_err(|e| e.to_string())?;
+/// A single-device driver's result, as the fuzzer compares it.
+fn wave_output(r: gmip_lp::LpResult<WaveResult>) -> Result<StrategyOutput, String> {
+    let r = r.map_err(|e| e.to_string())?;
     Ok(StrategyOutput::new(r.status, r.objective, r.x))
+}
+
+fn batched_strategy(m: &MipInstance, prop: bool) -> Result<StrategyOutput, String> {
+    let cfg = BatchedWaveConfig {
+        lanes: 3,
+        propagate: prop,
+        heuristic_period: if prop { PROP_DIVE_PERIOD } else { 0 },
+        ..Default::default()
+    };
+    wave_output(solve_batched_wave(m, &cfg, Accel::gpu(1)))
+}
+
+fn per_lane_strategy(m: &MipInstance) -> Result<StrategyOutput, String> {
+    let cfg = ConcurrentConfig {
+        lanes: 3,
+        ..Default::default()
+    };
+    wave_output(solve_concurrent(m, &cfg, Accel::gpu(1)))
+}
+
+fn first_order_strategy(m: &MipInstance) -> Result<StrategyOutput, String> {
+    let cfg = FirstOrderWaveConfig {
+        lanes: 3,
+        ..Default::default()
+    };
+    wave_output(solve_first_order_wave(m, &cfg, Accel::gpu(1)))
 }
 
 /// The built-in strategy set (the host baseline is run separately so its
@@ -247,6 +266,8 @@ fn builtin_strategies(chaos: bool, seed: u64) -> Vec<(String, StrategyRunner)> {
             "batched:3".into(),
             Box::new(|m: &MipInstance| batched_strategy(m, false)),
         ),
+        ("per-lane:3".into(), Box::new(per_lane_strategy)),
+        ("firstorder:3".into(), Box::new(first_order_strategy)),
         ("host+prop".into(), Box::new(host_prop_strategy)),
         (
             "batched:3+prop".into(),

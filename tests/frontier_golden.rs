@@ -254,7 +254,7 @@ fn concurrent_lanes() {
             "obj={:016x} nodes={} waves={} launches={} makespan={:016x}",
             r.objective.to_bits(),
             r.nodes,
-            r.waves,
+            r.supersteps,
             r.device.kernel_launches,
             r.makespan_ns.to_bits(),
         ),

@@ -505,7 +505,7 @@ fn two_engines_share_one_device() {
             "obj={:016x} nodes={} waves={} {}",
             r.objective.to_bits(),
             r.nodes,
-            r.waves,
+            r.supersteps,
             ledger_pin(&accel)
         ),
         "obj=4008000000000000 nodes=1113 waves=557 peak=13880 allocs=45554 used=0 launches=4248 h2d=1899/3345920 d2h=4248/238808 ns=41942a8ab7d27e64"
