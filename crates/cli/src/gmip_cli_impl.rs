@@ -1,16 +1,12 @@
-//! Implementation of the `gmip` CLI: argument parsing, the `solve` and
-//! `generate` subcommands, and result formatting.
+//! Implementation of the `gmip` CLI: argument parsing, the `solve`,
+//! `verify`, `serve` and `generate` subcommands, and result formatting.
+//! `--strategy` names a row of the solve-path table
+//! ([`gmip_parallel::paths`]), which builds and runs it.
 
-use gmip_core::{
-    choose_path, plan, presolve, solve_batched_wave, solve_first_order_wave, solve_with_dispatch,
-    BatchedWaveConfig, FirstOrderWaveConfig, MipConfig, MipResult, MipSolver, MipStatus,
-    PolicyKind, Strategy, WaveResult, DEFAULT_PROPAGATE_ROUNDS,
-};
-use gmip_gpu::{Accel, CostModel};
+use gmip_core::{presolve, MipResult, PolicyKind, Strategy, WaveResult};
 use gmip_lp::PricingRule;
 use gmip_parallel::{
-    solve_hierarchical, solve_parallel, ChaosConfig, HierStats, HierarchyConfig, ParallelConfig,
-    ParallelStats, MAX_RANKS,
+    ChaosConfig, HierStats, ParallelStats, SolveOptions, SolvePath, Solved, ThreadedResult,
 };
 use gmip_problems::generators;
 use gmip_problems::mps::{read_mps, write_mps};
@@ -47,17 +43,20 @@ SERVE:
   --max-shed-rate <f>  exit nonzero if the shed+reject fraction exceeds f
 
 VERIFY:
-  solve with the float host path, then certify the result against the
-  gmip-verify exact rational oracle: the proven optimum, exact incumbent
-  re-evaluation, and exact validation of every collected dual-bound /
-  Farkas certificate. Exits nonzero on any discrepancy. Accepts the
-  solver-shaping SOLVE OPTIONS (--policy, --no-cuts, --gap, ...).
+  solve along --strategy (default: host), then certify the result against
+  the gmip-verify exact rational oracle: the proven optimum, exact
+  incumbent re-evaluation, and exact validation of every dual-bound /
+  Farkas certificate the branch-and-cut strategies record. Exits nonzero
+  on any discrepancy. Accepts the solver-shaping SOLVE OPTIONS (--policy,
+  --no-cuts, --gap, ...).
 
 SOLVE OPTIONS:
   --strategy <s>     host | cpu-orchestrated | gpu-only | hybrid |
-                     big-mip:<devices> | batched:<lanes> | firstorder:<lanes> |
-                     cluster:<workers> | cluster:<ranks>x<fanout> | auto
-                                              (default: cpu-orchestrated)
+                     big-mip:<devices> | auto | batched:<lanes> |
+                     per-lane:<lanes> | firstorder:<lanes> |
+                     cluster:<workers> | cluster:<ranks>x<fanout> |
+                     threaded:<workers>       (default: cpu-orchestrated)
+                     an option the strategy does not read is an error
                      cluster:<ranks>x<fanout> groups the ranks under
                      sub-supervisors (<fanout> ranks each); the root
                      exchanges only aggregated summaries, incumbent
@@ -66,16 +65,23 @@ SOLVE OPTIONS:
                      lockstep wave on one device: one shared constraint
                      matrix, one fused kernel launch per class per step
                      (the width shrinks automatically if --gpu-mem is tight)
+                     per-lane:<lanes> keeps one device engine, with its own
+                     matrix copy, per stream and joins every superstep:
+                     the baseline both waves are measured against
                      firstorder:<lanes> evaluates node LPs with restarted
                      PDHG lanes in lockstep against one shared CSR matrix:
                      three fused SpMV/axpy launches per superstep at any
                      width, safe dual bounds for early prunes, and exact
                      simplex cleanup of converged lanes before branching
+                     threaded:<workers> runs the cluster's ranks on OS
+                     threads: the same answers, run-dependent paths and
+                     wall time
   --gpu-mem <GiB>    device memory per GPU             (default: 1)
   --node-limit <n>   stop after n nodes                (default: 100000)
   --policy <p>       best | depth | breadth | reuse    (default: best)
   --pricing <r>      dantzig | devex — simplex entering-variable pricing
-                     rule for all LP engines            (default: dantzig)
+                     rule (not firstorder:, whose cleanup is fixed)
+                                                        (default: dantzig)
   --gap <frac>       accept a relative optimality gap (e.g. 0.01)
   --obj-limit <v>    stop at the first incumbent at least this good
   --no-cuts          disable root cutting planes
@@ -83,14 +89,15 @@ SOLVE OPTIONS:
   --propagate        run iterated activity-based bound propagation on every
                      node before its LP (prop.* device kernels): infeasible
                      nodes settle without simplex/PDHG work, integer bounds
-                     tighten. Works on every strategy including the wave
-                     backends and cluster ranks
+                     tighten. Works on every strategy but per-lane:,
+                     including the wave backends and cluster ranks
   --prop-rounds <n>  propagation fixpoint round cap      (default: 8;
-                     cluster ranks always use 8: another value is an error)
+                     cluster and threaded ranks always use 8)
   --heur-period <n>  run a fix-and-propagate dive every n nodes (waves: one
                      fused dive across the whole frontier); improving
                      feasible candidates become incumbents early (0 = off)
-  --backend <b>      sim | native — who executes the fused lane kernels.
+  --backend <b>      sim | native — who executes the fused lane kernels
+                     of batched:, firstorder:, cluster: and threaded:.
                      sim charges the cost model only; native additionally
                      runs them across host threads (RAYON_NUM_THREADS)
                      and reports real wall.* metrics. Simulated traces
@@ -101,7 +108,7 @@ SOLVE OPTIONS:
   --trace <file>     write a Chrome trace-event JSON of the solve
                      (open at ui.perfetto.dev)
   --metrics          print the unified metrics summary table
-  --faults <spec>    inject deterministic faults (cluster strategies only).
+  --faults <spec>    inject deterministic faults (cluster: and threaded:).
                      <spec> is a bare seed (\"7\") or key=value pairs:
                      seed=7,crashes=2,drop=0.02,delay=0.05,stragglers=1
                      hierarchy-only keys: sub-crash=<n>, root-slow=<f>,
@@ -125,27 +132,17 @@ GENERATE OPTIONS:
 #[derive(Debug, Clone)]
 pub struct Options {
     pub positional: Vec<String>,
-    pub strategy: String,
-    pub gpu_mem_gib: usize,
-    pub node_limit: usize,
-    pub policy: PolicyKind,
-    pub pricing: PricingRule,
-    pub cuts: bool,
-    pub heuristics: bool,
-    pub propagate: bool,
-    pub prop_rounds: usize,
-    pub heur_period: usize,
-    pub backend: gmip_gpu::BackendKind,
+    /// `--strategy`; `solve` defaults to cpu-orchestrated, `verify` to host.
+    pub strategy: Option<SolvePath>,
+    /// The solver knobs every strategy is built from.
+    pub solve: SolveOptions,
     pub presolve: bool,
-    pub gap: f64,
-    pub obj_limit: Option<f64>,
     pub tree: bool,
     pub stats: bool,
     pub trace: Option<String>,
     pub metrics: bool,
     pub out: Option<String>,
     pub seed: u64,
-    pub faults: Option<String>,
     pub jobs: usize,
     pub ranks: usize,
     pub tenants: usize,
@@ -161,27 +158,15 @@ impl Default for Options {
     fn default() -> Self {
         Self {
             positional: Vec::new(),
-            strategy: "cpu-orchestrated".into(),
-            gpu_mem_gib: 1,
-            node_limit: 100_000,
-            policy: PolicyKind::BestFirst,
-            pricing: PricingRule::Dantzig,
-            cuts: true,
-            heuristics: true,
-            propagate: false,
-            prop_rounds: DEFAULT_PROPAGATE_ROUNDS,
-            heur_period: 0,
-            backend: gmip_gpu::BackendKind::Sim,
+            strategy: None,
+            solve: SolveOptions::default(),
             presolve: false,
-            gap: 0.0,
-            obj_limit: None,
             tree: false,
             stats: false,
             trace: None,
             metrics: false,
             out: None,
             seed: 0,
-            faults: None,
             jobs: 200,
             ranks: 8,
             tenants: 3,
@@ -195,30 +180,45 @@ impl Default for Options {
     }
 }
 
+/// The value after `flag`, parsed and accepted by `ok`; else an error that
+/// says what it must be.
+fn num<T: std::str::FromStr>(
+    value: Result<String, String>,
+    flag: &str,
+    ok: impl Fn(&T) -> bool,
+    must: &str,
+) -> Result<T, String> {
+    value?
+        .parse()
+        .ok()
+        .filter(|v| ok(v))
+        .ok_or_else(|| format!("{flag} must be {must}"))
+}
+
+/// Accepts every value of its type.
+fn any<T>(_: &T) -> bool {
+    true
+}
+
 /// Parses `args` (after the subcommand) into [`Options`].
 pub fn parse_options(args: &[String]) -> Result<Options, String> {
     let mut o = Options::default();
     let mut it = args.iter().peekable();
+    let positive = |n: &usize| *n >= 1;
+    let fraction = |v: &f64| (0.0..=1.0).contains(v);
     while let Some(a) = it.next() {
         let mut take = |name: &str| -> Result<String, String> {
             it.next()
                 .cloned()
                 .ok_or_else(|| format!("{name} needs a value"))
         };
-        match a.as_str() {
-            "--strategy" => o.strategy = take("--strategy")?,
-            "--gpu-mem" => {
-                o.gpu_mem_gib = take("--gpu-mem")?
-                    .parse()
-                    .map_err(|_| "--gpu-mem must be an integer (GiB)".to_string())?
-            }
-            "--node-limit" => {
-                o.node_limit = take("--node-limit")?
-                    .parse()
-                    .map_err(|_| "--node-limit must be an integer".to_string())?
-            }
+        let (m, a) = (&mut o.solve.mip, a.as_str());
+        match a {
+            "--strategy" => o.strategy = Some(take(a)?.parse()?),
+            "--gpu-mem" => o.solve.gpu_mem_gib = num(take(a), a, any, "an integer (GiB)")?,
+            "--node-limit" => m.node_limit = num(take(a), a, any, "an integer")?,
             "--policy" => {
-                o.policy = match take("--policy")?.as_str() {
+                m.policy = match take(a)?.as_str() {
                     "best" => PolicyKind::BestFirst,
                     "depth" => PolicyKind::DepthFirst,
                     "breadth" => PolicyKind::BreadthFirst,
@@ -227,121 +227,52 @@ pub fn parse_options(args: &[String]) -> Result<Options, String> {
                 }
             }
             "--pricing" => {
-                o.pricing = match take("--pricing")?.as_str() {
+                m.lp.primal.pricing = match take(a)?.as_str() {
                     "dantzig" => PricingRule::Dantzig,
                     "devex" => PricingRule::Devex,
                     other => return Err(format!("unknown pricing rule `{other}`")),
                 }
             }
-            "--gap" => {
-                o.gap = take("--gap")?
-                    .parse()
-                    .map_err(|_| "--gap must be a number".to_string())?
-            }
-            "--obj-limit" => {
-                o.obj_limit = Some(
-                    take("--obj-limit")?
-                        .parse()
-                        .map_err(|_| "--obj-limit must be a number".to_string())?,
-                )
-            }
-            "--no-cuts" => o.cuts = false,
-            "--no-heur" => o.heuristics = false,
-            "--propagate" => o.propagate = true,
-            "--prop-rounds" => {
-                o.prop_rounds = take("--prop-rounds")?
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n >= 1)
-                    .ok_or_else(|| "--prop-rounds must be an integer >= 1".to_string())?
-            }
+            "--gap" => m.gap_rel = num(take(a), a, any, "a number")?,
+            "--obj-limit" => m.objective_limit = Some(num(take(a), a, any, "a number")?),
+            "--no-cuts" => m.cuts.enabled = false,
+            "--no-heur" => m.heuristics.rounding = false,
+            "--propagate" => m.propagate = true,
+            "--prop-rounds" => m.propagate_rounds = num(take(a), a, positive, "an integer >= 1")?,
             "--heur-period" => {
-                o.heur_period = take("--heur-period")?
-                    .parse()
-                    .map_err(|_| "--heur-period must be an integer (0 = off)".to_string())?
+                m.heuristics.fix_and_propagate_period =
+                    num(take(a), a, any, "an integer (0 = off)")?
             }
             "--backend" => {
-                let v = take("--backend")?;
-                o.backend = gmip_gpu::BackendKind::parse(&v)
+                let v = take(a)?;
+                o.solve.backend = gmip_gpu::BackendKind::parse(&v)
                     .ok_or_else(|| format!("--backend must be sim or native, got `{v}`"))?
             }
             "--presolve" => o.presolve = true,
             "--tree" => o.tree = true,
             "--stats" => o.stats = true,
-            "--trace" => o.trace = Some(take("--trace")?),
+            "--trace" => o.trace = Some(take(a)?),
             "--metrics" => o.metrics = true,
-            "--faults" => o.faults = Some(take("--faults")?),
-            "--jobs" => {
-                o.jobs = take("--jobs")?
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n >= 1)
-                    .ok_or_else(|| "--jobs must be an integer >= 1".to_string())?
+            "--faults" => {
+                let spec = take(a)?;
+                o.solve.chaos =
+                    Some(ChaosConfig::parse(&spec).map_err(|e| format!("--faults: {e}"))?)
             }
-            "--ranks" => {
-                o.ranks = take("--ranks")?
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n >= 1)
-                    .ok_or_else(|| "--ranks must be an integer >= 1".to_string())?
-            }
-            "--tenants" => {
-                o.tenants = take("--tenants")?
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n >= 1)
-                    .ok_or_else(|| "--tenants must be an integer >= 1".to_string())?
-            }
+            "--jobs" => o.jobs = num(take(a), a, positive, "an integer >= 1")?,
+            "--ranks" => o.ranks = num(take(a), a, positive, "an integer >= 1")?,
+            "--tenants" => o.tenants = num(take(a), a, positive, "an integer >= 1")?,
             "--mean-gap-us" => {
-                o.mean_gap_us = take("--mean-gap-us")?
-                    .parse()
-                    .ok()
-                    .filter(|&v: &f64| v > 0.0)
-                    .ok_or_else(|| "--mean-gap-us must be a positive number".to_string())?
+                o.mean_gap_us = num(take(a), a, |v: &f64| *v > 0.0, "a positive number")?
             }
-            "--dup" => {
-                o.dup = take("--dup")?
-                    .parse()
-                    .ok()
-                    .filter(|&v: &f64| (0.0..=1.0).contains(&v))
-                    .ok_or_else(|| "--dup must be a fraction in [0, 1]".to_string())?
-            }
-            "--perturb" => {
-                o.perturb = take("--perturb")?
-                    .parse()
-                    .ok()
-                    .filter(|&v: &f64| (0.0..=1.0).contains(&v))
-                    .ok_or_else(|| "--perturb must be a fraction in [0, 1]".to_string())?
-            }
-            "--max-items" => {
-                o.max_items = take("--max-items")?
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n >= 3)
-                    .ok_or_else(|| "--max-items must be an integer >= 3".to_string())?
-            }
-            "--verify-sample" => {
-                o.verify_sample = take("--verify-sample")?
-                    .parse()
-                    .map_err(|_| "--verify-sample must be an integer".to_string())?
-            }
+            "--dup" => o.dup = num(take(a), a, fraction, "a fraction in [0, 1]")?,
+            "--perturb" => o.perturb = num(take(a), a, fraction, "a fraction in [0, 1]")?,
+            "--max-items" => o.max_items = num(take(a), a, |n| *n >= 3, "an integer >= 3")?,
+            "--verify-sample" => o.verify_sample = num(take(a), a, any, "an integer")?,
             "--max-shed-rate" => {
-                o.max_shed_rate = Some(
-                    take("--max-shed-rate")?
-                        .parse()
-                        .ok()
-                        .filter(|&v: &f64| (0.0..=1.0).contains(&v))
-                        .ok_or_else(|| {
-                            "--max-shed-rate must be a fraction in [0, 1]".to_string()
-                        })?,
-                )
+                o.max_shed_rate = Some(num(take(a), a, fraction, "a fraction in [0, 1]")?)
             }
-            "--out" => o.out = Some(take("--out")?),
-            "--seed" => {
-                o.seed = take("--seed")?
-                    .parse()
-                    .map_err(|_| "--seed must be an integer".to_string())?
-            }
+            "--out" => o.out = Some(take(a)?),
+            "--seed" => o.seed = num(take(a), a, any, "an integer")?,
             other if other.starts_with("--") => {
                 return Err(format!("unknown option `{other}` (see `gmip help`)"))
             }
@@ -349,21 +280,6 @@ pub fn parse_options(args: &[String]) -> Result<Options, String> {
         }
     }
     Ok(o)
-}
-
-fn mip_config(o: &Options) -> MipConfig {
-    let mut cfg = MipConfig::default();
-    cfg.node_limit = o.node_limit;
-    cfg.policy = o.policy;
-    cfg.lp.primal.pricing = o.pricing;
-    cfg.cuts.enabled = o.cuts;
-    cfg.heuristics.rounding = o.heuristics;
-    cfg.propagate = o.propagate;
-    cfg.propagate_rounds = o.prop_rounds;
-    cfg.heuristics.fix_and_propagate_period = o.heur_period;
-    cfg.gap_rel = o.gap;
-    cfg.objective_limit = o.obj_limit;
-    cfg
 }
 
 /// Runs a parsed command line; returns the text to print.
@@ -489,9 +405,9 @@ fn write_trace(
     Ok(())
 }
 
-/// Solves with the float host path and certifies the result against the
-/// exact rational oracle; errors on any discrepancy so the process exits
-/// nonzero.
+/// Solves along `--strategy` (default: the host path) and certifies the
+/// result against the exact rational oracle; errors on any discrepancy so
+/// the process exits nonzero.
 pub fn verify(instance: MipInstance, o: &Options) -> Result<String, String> {
     const TOL: f64 = 1e-5;
     instance.validate().map_err(|e| format!("{e}"))?;
@@ -504,16 +420,21 @@ pub fn verify(instance: MipInstance, o: &Options) -> Result<String, String> {
         instance.num_cons()
     ));
 
-    let mut cfg = mip_config(o);
-    cfg.collect_certificates = true;
-    let mut solver = MipSolver::host_baseline(instance.clone(), cfg);
-    let r = solver.solve().map_err(|e| format!("{e}"))?;
+    let path = o.strategy.unwrap_or(SolvePath::Host);
+    let mut opts = o.solve.clone();
+    opts.mip.collect_certificates = true;
+    let solved = path.run(&instance, &opts)?;
+    let claim = gmip_verify::StrategyOutput::from(&solved);
 
     let oracle = gmip_verify::solve_oracle(&instance).map_err(|e| format!("oracle: {e}"))?;
     let exact = oracle.objective.as_ref().map(gmip_verify::Rat::approx);
-    out.push_str(&format!("float host:   {:?}", r.status));
-    if !r.x.is_empty() {
-        out.push_str(&format!(", objective {}", r.objective));
+    out.push_str(&format!(
+        "{:<13} {:?}",
+        format!("float {path}:"),
+        claim.status
+    ));
+    if !claim.x.is_empty() {
+        out.push_str(&format!(", objective {}", claim.objective));
     }
     out.push_str(&format!("\nexact oracle: {:?}", oracle.status));
     if let Some(v) = exact {
@@ -524,42 +445,30 @@ pub fn verify(instance: MipInstance, o: &Options) -> Result<String, String> {
     }
     out.push('\n');
 
-    let status_ok = matches!(
-        (r.status, oracle.status),
-        (MipStatus::Optimal, gmip_verify::OracleStatus::Optimal)
-            | (MipStatus::Infeasible, gmip_verify::OracleStatus::Infeasible)
-            | (MipStatus::Unbounded, gmip_verify::OracleStatus::Unbounded)
-    );
-    if !status_ok {
-        return Err(format!(
-            "status mismatch: float host {:?} vs exact oracle {:?}",
-            r.status, oracle.status
-        ));
+    if let Some(detail) = gmip_verify::disagreement(&instance, &oracle, &claim, TOL) {
+        return Err(format!("{path} disagrees with the exact oracle: {detail}"));
     }
-    if let Some(want) = exact {
-        if (r.objective - want).abs() > TOL * (1.0 + want.abs()) {
-            return Err(format!(
-                "objective mismatch: float host {} vs proven optimum {want}",
-                r.objective
-            ));
-        }
-        gmip_verify::check_incumbent(&instance, &r.x, r.objective, TOL)
-            .map_err(|e| format!("incumbent check: {e}"))?;
+    if exact.is_some() && !claim.x.is_empty() {
         out.push_str("incumbent: exactly feasible, objective certified\n");
     }
-    let certs = gmip_verify::check_certificates(&instance, &r.stats.certificates, TOL);
-    if !certs.failures.is_empty() {
-        return Err(format!(
-            "{} of {} certificates invalid:\n  {}",
-            certs.failures.len(),
-            certs.checked,
-            certs.failures.join("\n  ")
-        ));
+    match &solved {
+        Solved::Mip(r) | Solved::Auto(_, r) => {
+            let certs = gmip_verify::check_certificates(&instance, &r.stats.certificates, TOL);
+            if !certs.failures.is_empty() {
+                return Err(format!(
+                    "{} of {} certificates invalid:\n  {}",
+                    certs.failures.len(),
+                    certs.checked,
+                    certs.failures.join("\n  ")
+                ));
+            }
+            out.push_str(&format!(
+                "certificates: {} checked ({} dual bounds, {} Farkas), all exactly valid\n",
+                certs.checked, certs.dual_bounds, certs.farkas
+            ));
+        }
+        _ => out.push_str("certificates: none (only branch-and-cut strategies record them)\n"),
     }
-    out.push_str(&format!(
-        "certificates: {} checked ({} dual bounds, {} Farkas), all exactly valid\n",
-        certs.checked, certs.dual_bounds, certs.farkas
-    ));
     out.push_str("VERIFIED\n");
     Ok(out)
 }
@@ -568,12 +477,6 @@ pub fn verify(instance: MipInstance, o: &Options) -> Result<String, String> {
 /// and reports the SLO summary; optionally audits served answers against
 /// the exact oracle and gates on the shed rate.
 pub fn serve(o: &Options) -> Result<String, String> {
-    let chaos = o
-        .faults
-        .as_deref()
-        .map(ChaosConfig::parse)
-        .transpose()
-        .map_err(|e| format!("--faults: {e}"))?;
     let tcfg = gmip_serve::TrafficConfig {
         jobs: o.jobs,
         seed: o.seed,
@@ -591,7 +494,7 @@ pub fn serve(o: &Options) -> Result<String, String> {
         o.tenants,
         o.seed,
         o.mean_gap_us,
-        if o.faults.is_some() {
+        if o.solve.chaos.is_some() {
             " (chaos overlay)"
         } else {
             ""
@@ -600,8 +503,8 @@ pub fn serve(o: &Options) -> Result<String, String> {
     let session = o.trace.as_ref().map(|_| gmip_trace::TraceSession::start());
     let scfg = gmip_serve::ServeConfig {
         ranks: o.ranks,
-        node_limit: o.node_limit,
-        chaos,
+        node_limit: o.solve.mip.node_limit,
+        chaos: o.solve.chaos.clone(),
         ..Default::default()
     };
     let report = gmip_serve::Service::new(scfg, tenants).run(jobs.clone());
@@ -632,46 +535,53 @@ pub fn serve(o: &Options) -> Result<String, String> {
     Ok(out)
 }
 
-/// Maps a solution on the (possibly presolve-reduced) instance back to the
-/// original variable space.
-fn postsolve_map(
-    instance: &MipInstance,
-    pre: &Option<gmip_core::PresolveResult>,
-    objective: f64,
-    x: &[f64],
-) -> (f64, Vec<f64>) {
-    match (pre, x.is_empty()) {
-        (_, true) => (objective, x.to_vec()),
-        (Some(pre), false) => {
-            let full = pre.postsolve(x);
-            (instance.objective_value(&full), full)
-        }
-        (None, false) => (objective, x.to_vec()),
-    }
-}
-
-/// A strategy's width suffix (`<n>` of `batched:<n>`, `cluster:<n>`, ...):
-/// an integer >= 1, or `err`.
-fn width(spec: &str, err: &str) -> Result<usize, String> {
-    spec.parse()
-        .ok()
-        .filter(|&n: &usize| n >= 1)
-        .ok_or_else(|| err.to_string())
-}
-
-/// The report of a cluster solve, flat (`hier: None`) or hierarchical.
-fn report_cluster(
-    out: &mut String,
-    o: &Options,
-    status: MipStatus,
-    (objective, x): (f64, &[f64]),
-    stats: &ParallelStats,
-    hier: Option<&HierStats>,
-) {
-    out.push_str(&format!("status: {status:?}\n"));
+/// The counters of a branch-and-cut solve, its point and its tree.
+fn report_mip(out: &mut String, o: &Options, instance: &MipInstance, x: &[f64], r: &MipResult) {
     if !x.is_empty() {
-        out.push_str(&format!("objective: {objective}\n"));
+        let nonzero: Vec<String> = instance
+            .vars
+            .iter()
+            .zip(x)
+            .filter(|(_, &v)| v.abs() > 1e-9)
+            .take(25)
+            .map(|(var, &v)| format!("{}={v}", var.name))
+            .collect();
+        out.push_str(&format!("solution (nonzeros): {}\n", nonzero.join(" ")));
     }
+    out.push_str(&format!(
+        "nodes: {}   lp iterations: {}   cuts: {}\n",
+        r.stats.nodes, r.stats.lp_iterations, r.stats.cuts
+    ));
+    if o.stats {
+        let d = &r.stats.device;
+        out.push_str(&format!(
+            "device: {} kernels, {} H2D ({} B), {} D2H ({} B), spills {}\n",
+            d.kernel_launches,
+            d.h2d_transfers,
+            d.h2d_bytes,
+            d.d2h_transfers,
+            d.d2h_bytes,
+            r.stats.gpu_spills
+        ));
+        out.push_str(&format!(
+            "simulated time: {:.3} ms\n",
+            r.stats.sim_time_ns / 1e6
+        ));
+    }
+    if o.metrics {
+        out.push('\n');
+        out.push_str(&gmip_trace::export::summary(&r.stats.metrics));
+    }
+    if o.tree {
+        out.push('\n');
+        out.push_str(&render::render(&r.tree));
+        out.push_str(render::LEGEND);
+        out.push('\n');
+    }
+}
+
+/// The counters of a cluster solve, flat (`hier: None`) or hierarchical.
+fn report_cluster(out: &mut String, o: &Options, stats: &ParallelStats, hier: Option<&HierStats>) {
     out.push_str(&format!(
         "nodes: {}   lp iterations: {}   messages: {} ({} B)   makespan: {:.3} ms\n",
         stats.nodes,
@@ -694,7 +604,7 @@ fn report_cluster(
             h.steal_denied
         ));
     }
-    if o.faults.is_some() {
+    if o.solve.chaos.is_some() {
         let f = &stats.faults;
         // The group tier's three counters exist only under a hierarchy.
         let [sub_crashes, shipped, sub_respawned] = match hier {
@@ -723,19 +633,9 @@ fn report_cluster(
     }
 }
 
-/// The report of a lockstep-wave solve; `pdhg` adds the first-order wave's
-/// counter line.
-fn report_wave(
-    out: &mut String,
-    o: &Options,
-    (objective, x): (f64, &[f64]),
-    r: &WaveResult,
-    pdhg: bool,
-) {
-    out.push_str(&format!("status: {:?}\n", r.status));
-    if !x.is_empty() {
-        out.push_str(&format!("objective: {objective}\n"));
-    }
+/// The counters of a lockstep-wave solve; `pdhg` adds the first-order
+/// wave's counter line.
+fn report_wave(out: &mut String, o: &Options, r: &WaveResult, pdhg: bool) {
     out.push_str(&format!(
         "nodes: {}   wave width: {}   supersteps: {}   retires: {}   refills: {}\n",
         r.nodes, r.width, r.supersteps, r.retires, r.refills
@@ -765,6 +665,17 @@ fn report_wave(
     if o.metrics {
         out.push('\n');
         out.push_str(&gmip_trace::export::summary(&r.metrics));
+    }
+}
+
+/// The counters of a threaded solve: real time, so they vary run to run.
+fn report_threaded(out: &mut String, o: &Options, r: &ThreadedResult) {
+    out.push_str(&format!("nodes: {}   wall: {:.3} ms\n", r.nodes, r.wall_ms));
+    if o.solve.chaos.is_some() {
+        out.push_str(&format!(
+            "recovery: {} reassigned, {} respawned\n",
+            r.reassignments, r.respawns
+        ));
     }
 }
 
@@ -799,211 +710,36 @@ pub fn solve(instance: MipInstance, o: &Options) -> Result<String, String> {
         (instance.clone(), None)
     };
 
-    let cfg = mip_config(o);
-    let gpu_mem = o.gpu_mem_gib << 30;
+    let path = o
+        .strategy
+        .unwrap_or(SolvePath::Plan(Strategy::CpuOrchestrated));
     // Start span recording before the solver is even constructed so device
     // warm-up (matrix upload, initial factorization) lands in the trace too.
     let session = o.trace.as_ref().map(|_| gmip_trace::TraceSession::start());
-
-    // The cluster strategy goes through the discrete-event supervisor and
-    // reports its own statistics shape, so it is handled apart from the
-    // single-process MipResult paths below.
-    if let Some(spec) = o.strategy.strip_prefix("cluster:") {
-        // `cluster:<ranks>` is the flat star; `cluster:<ranks>x<fanout>`
-        // groups the ranks under sub-supervisors of width <fanout>.
-        let (ranks_spec, fanout) = match spec.split_once('x') {
-            Some((r, f)) => {
-                let fanout = width(
-                    f,
-                    "cluster fan-out needs a group width >= 1, e.g. cluster:64x8",
-                )?;
-                (r, Some(fanout))
-            }
-            None => (spec, None),
-        };
-        let workers = width(
-            ranks_spec,
-            "cluster needs a worker count >= 1, e.g. cluster:4",
-        )?;
-        if workers > MAX_RANKS {
-            // Guard against absurd widths: the DES keeps O(ranks) state per
-            // event round, so a typo like cluster:10000000 would exhaust
-            // memory instead of producing a curve.
-            return Err(format!(
-                "cluster:{workers} exceeds the simulation ceiling of {MAX_RANKS} ranks"
-            ));
-        }
-        if o.prop_rounds != DEFAULT_PROPAGATE_ROUNDS {
-            return Err(format!(
-                "--prop-rounds is not configurable on cluster:<workers>: \
-                 ranks always cap propagation at {DEFAULT_PROPAGATE_ROUNDS} rounds"
-            ));
-        }
-        let chaos = o
-            .faults
-            .as_deref()
-            .map(ChaosConfig::parse)
-            .transpose()
-            .map_err(|e| format!("--faults: {e}"))?;
-        let pcfg = ParallelConfig {
-            workers,
-            gpu_mem,
-            node_limit: o.node_limit,
-            chaos,
-            propagate: o.propagate,
-            heuristic_period: o.heur_period,
-            backend: o.backend,
-            ..Default::default()
-        };
-        let (r, hier) = match fanout {
-            Some(fanout) => {
-                let hcfg = HierarchyConfig {
-                    fanout,
-                    ..Default::default()
-                };
-                let r = solve_hierarchical(&work, pcfg, hcfg).map_err(|e| format!("{e}"))?;
-                ((r.status, r.objective, r.x, r.stats), Some(r.hier))
-            }
-            None => {
-                let r = solve_parallel(&work, pcfg).map_err(|e| format!("{e}"))?;
-                ((r.status, r.objective, r.x, r.stats), None)
-            }
-        };
-        write_trace(session, o, &mut out)?;
-        let (status, objective, x, stats) = r;
-        let (objective, x) = postsolve_map(&instance, &pre, objective, &x);
-        report_cluster(&mut out, o, status, (objective, &x), &stats, hier.as_ref());
-        return Ok(out);
+    let solved = path.run(&work, &o.solve)?;
+    if let Solved::Auto(dispatch, _) = &solved {
+        out.push_str(&format!("dispatch: {dispatch:?}\n"));
     }
-    if o.faults.is_some() {
-        return Err("--faults requires the cluster:<workers> strategy".to_string());
-    }
-
-    // The two lockstep waves report wave-level statistics (supersteps,
-    // retires, refills) that have no slot in MipResult, so they too are
-    // handled apart: journaled simplex lanes, or restarted-PDHG lanes with
-    // their PDHG-specific counters.
-    let wave = if let Some(spec) = o.strategy.strip_prefix("batched:") {
-        let wcfg = BatchedWaveConfig {
-            lanes: width(spec, "batched needs a lane count >= 1, e.g. batched:8")?,
-            lp: cfg.lp.clone(),
-            node_limit: o.node_limit,
-            propagate: o.propagate,
-            propagate_rounds: o.prop_rounds,
-            heuristic_period: o.heur_period,
-            backend: o.backend,
-            ..Default::default()
-        };
-        Some((
-            solve_batched_wave(&work, &wcfg, Accel::gpu(o.gpu_mem_gib)),
-            false,
-        ))
-    } else if let Some(spec) = o.strategy.strip_prefix("firstorder:") {
-        let wcfg = FirstOrderWaveConfig {
-            lanes: width(
-                spec,
-                "firstorder needs a lane count >= 1, e.g. firstorder:64",
-            )?,
-            node_limit: o.node_limit,
-            propagate: o.propagate,
-            propagate_rounds: o.prop_rounds,
-            heuristic_period: o.heur_period,
-            backend: o.backend,
-            ..Default::default()
-        };
-        Some((
-            solve_first_order_wave(&work, &wcfg, Accel::gpu(o.gpu_mem_gib)),
-            true,
-        ))
-    } else {
-        None
-    };
-    if let Some((r, pdhg)) = wave {
-        let r = r.map_err(|e| format!("{e}"))?;
-        write_trace(session, o, &mut out)?;
-        let (objective, x) = postsolve_map(&instance, &pre, r.objective, &r.x);
-        report_wave(&mut out, o, (objective, &x), &r, pdhg);
-        return Ok(out);
-    }
-
-    let result: MipResult = match o.strategy.as_str() {
-        "host" => {
-            let mut s = MipSolver::host_baseline(work, cfg);
-            s.solve().map_err(|e| format!("{e}"))?
-        }
-        "auto" => {
-            let accel = Accel::gpu(o.gpu_mem_gib);
-            let path = choose_path(&work, &CostModel::gpu_pcie());
-            out.push_str(&format!("dispatch: {path:?}\n"));
-            let (_, r) = solve_with_dispatch(work, cfg, accel).map_err(|e| format!("{e}"))?;
-            r
-        }
-        name => {
-            let strategy = match name {
-                "cpu-orchestrated" => Strategy::CpuOrchestrated,
-                "gpu-only" => Strategy::GpuOnly,
-                "hybrid" => Strategy::Hybrid,
-                s if s.starts_with("big-mip:") => Strategy::BigMip {
-                    devices: width(
-                        &s["big-mip:".len()..],
-                        "big-mip needs a device count >= 1, e.g. big-mip:4",
-                    )?,
-                },
-                other => return Err(format!("unknown strategy `{other}`")),
-            };
-            let p = plan(strategy, cfg, CostModel::gpu_pcie(), gpu_mem);
-            let mut s = MipSolver::with_plan(work, p);
-            s.solve().map_err(|e| format!("{e}"))?
-        }
-    };
-
     write_trace(session, o, &mut out)?;
 
-    // Map back through presolve if needed.
-    let (objective, x) = postsolve_map(&instance, &pre, result.objective, &result.x);
-
-    out.push_str(&format!("status: {:?}\n", result.status));
+    // Map a point on the presolve-reduced instance back to the original.
+    let (objective, x) = match (&pre, solved.x()) {
+        (Some(pre), x) if !x.is_empty() => {
+            let full = pre.postsolve(x);
+            (instance.objective_value(&full), full)
+        }
+        (_, x) => (solved.objective(), x.to_vec()),
+    };
+    out.push_str(&format!("status: {:?}\n", solved.status()));
     if !x.is_empty() {
         out.push_str(&format!("objective: {objective}\n"));
-        let nonzero: Vec<String> = instance
-            .vars
-            .iter()
-            .zip(&x)
-            .filter(|(_, &v)| v.abs() > 1e-9)
-            .take(25)
-            .map(|(var, &v)| format!("{}={v}", var.name))
-            .collect();
-        out.push_str(&format!("solution (nonzeros): {}\n", nonzero.join(" ")));
     }
-    out.push_str(&format!(
-        "nodes: {}   lp iterations: {}   cuts: {}\n",
-        result.stats.nodes, result.stats.lp_iterations, result.stats.cuts
-    ));
-    if o.stats {
-        let d = &result.stats.device;
-        out.push_str(&format!(
-            "device: {} kernels, {} H2D ({} B), {} D2H ({} B), spills {}\n",
-            d.kernel_launches,
-            d.h2d_transfers,
-            d.h2d_bytes,
-            d.d2h_transfers,
-            d.d2h_bytes,
-            result.stats.gpu_spills
-        ));
-        out.push_str(&format!(
-            "simulated time: {:.3} ms\n",
-            result.stats.sim_time_ns / 1e6
-        ));
-    }
-    if o.metrics {
-        out.push('\n');
-        out.push_str(&gmip_trace::export::summary(&result.stats.metrics));
-    }
-    if o.tree {
-        out.push('\n');
-        out.push_str(&render::render(&result.tree));
-        out.push_str(render::LEGEND);
-        out.push('\n');
+    match &solved {
+        Solved::Mip(r) | Solved::Auto(_, r) => report_mip(&mut out, o, &instance, &x, r),
+        Solved::Wave(r) => report_wave(&mut out, o, r, matches!(path, SolvePath::FirstOrder(_))),
+        Solved::Cluster(r) => report_cluster(&mut out, o, &r.stats, None),
+        Solved::Hier(r) => report_cluster(&mut out, o, &r.stats, Some(&r.hier)),
+        Solved::Threaded(r) => report_threaded(&mut out, o, r),
     }
     Ok(out)
 }
@@ -1016,13 +752,24 @@ mod tests {
         args.iter().map(|a| a.to_string()).collect()
     }
 
+    /// The options a command line parses to.
+    fn opts(args: &[&str]) -> Options {
+        parse_options(&s(args)).unwrap()
+    }
+
+    fn fig1() -> MipInstance {
+        gmip_problems::catalog::figure1_knapsack()
+    }
+
+    const KNAPSACK15: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../assets/knapsack15.mps");
+
     #[test]
     fn parse_defaults_and_flags() {
-        let o = parse_options(&s(&["file.mps"])).unwrap();
+        let o = opts(&["file.mps"]);
         assert_eq!(o.positional, vec!["file.mps"]);
-        assert_eq!(o.strategy, "cpu-orchestrated");
-        assert!(o.cuts);
-        let o = parse_options(&s(&[
+        assert_eq!(o.strategy, None, "each subcommand picks its own default");
+        assert!(o.solve.mip.cuts.enabled);
+        let o = opts(&[
             "x.mps",
             "--strategy",
             "hybrid",
@@ -1031,21 +778,23 @@ mod tests {
             "reuse",
             "--node-limit",
             "42",
+            "--gpu-mem",
+            "2",
             "--stats",
-        ]))
-        .unwrap();
-        assert_eq!(o.strategy, "hybrid");
-        assert!(!o.cuts);
-        assert_eq!(o.policy, PolicyKind::ReuseAffinity);
-        assert_eq!(o.node_limit, 42);
+        ]);
+        assert_eq!(o.strategy, Some(SolvePath::Plan(Strategy::Hybrid)));
+        assert!(!o.solve.mip.cuts.enabled);
+        assert_eq!(o.solve.mip.policy, PolicyKind::ReuseAffinity);
+        assert_eq!(o.solve.mip.node_limit, 42);
+        assert_eq!(o.solve.gpu_mem_gib, 2);
         assert!(o.stats);
     }
 
     #[test]
     fn parse_gap_and_obj_limit() {
-        let o = parse_options(&s(&["x.mps", "--gap", "0.05", "--obj-limit", "12.5"])).unwrap();
-        assert_eq!(o.gap, 0.05);
-        assert_eq!(o.obj_limit, Some(12.5));
+        let o = opts(&["x.mps", "--gap", "0.05", "--obj-limit", "12.5"]);
+        assert_eq!(o.solve.mip.gap_rel, 0.05);
+        assert_eq!(o.solve.mip.objective_limit, Some(12.5));
     }
 
     #[test]
@@ -1054,6 +803,18 @@ mod tests {
         assert!(parse_options(&s(&["--node-limit"])).is_err());
         assert!(parse_options(&s(&["--node-limit", "abc"])).is_err());
         assert!(parse_options(&s(&["--policy", "zigzag"])).is_err());
+        // A strategy is parsed with the rest of the line: a bad width is an
+        // error before anything runs.
+        for bad in ["batched:0", "cluster:x", "cluster:4097", "warp"] {
+            assert!(parse_options(&s(&["--strategy", bad])).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn every_strategy_spelling_is_in_the_help() {
+        for spelling in gmip_parallel::SPELLINGS.split(" | ") {
+            assert!(HELP.contains(spelling), "HELP does not list {spelling}");
+        }
     }
 
     #[test]
@@ -1097,16 +858,12 @@ mod tests {
         let text = write_mps(&instance);
         let back = read_mps(&text).unwrap();
 
-        let mut host_opts = Options::default();
-        host_opts.strategy = "host".into();
-        host_opts.stats = true;
-        let host_out = solve(back.clone(), &host_opts).unwrap();
+        let host_out = solve(back.clone(), &opts(&["--strategy", "host", "--stats"])).unwrap();
         assert!(host_out.contains("status: Optimal"));
 
-        let mut dev_opts = Options::default();
-        dev_opts.strategy = "auto".into();
-        let dev_out = solve(back.clone(), &dev_opts).unwrap();
+        let dev_out = solve(back.clone(), &opts(&["--strategy", "auto"])).unwrap();
         assert!(dev_out.contains("status: Optimal"));
+        assert!(dev_out.contains("dispatch: DenseDevice"), "{dev_out}");
         // Same objective line in both.
         let grab = |t: &str| {
             t.lines()
@@ -1119,11 +876,8 @@ mod tests {
 
     #[test]
     fn solve_with_presolve_and_tree() {
-        let mut o = Options::default();
-        o.strategy = "host".into();
-        o.presolve = true;
-        o.tree = true;
-        let out = solve(gmip_problems::catalog::figure1_knapsack(), &o).unwrap();
+        let o = opts(&["--strategy", "host", "--presolve", "--tree"]);
+        let out = solve(fig1(), &o).unwrap();
         assert!(out.contains("presolve:"));
         assert!(out.contains("status: Optimal"));
         assert!(out.contains("objective: 14"));
@@ -1132,133 +886,116 @@ mod tests {
 
     #[test]
     fn solve_with_cluster_strategy() {
-        let mut o = Options::default();
-        o.strategy = "cluster:2".into();
-        o.metrics = true;
-        let out = solve(gmip_problems::catalog::figure1_knapsack(), &o).unwrap();
+        let out = solve(fig1(), &opts(&["--strategy", "cluster:2", "--metrics"])).unwrap();
         assert!(out.contains("status: Optimal"), "{out}");
         assert!(out.contains("makespan:"), "{out}");
         assert!(out.contains("cluster.messages"), "{out}");
-        let mut bad = Options::default();
-        bad.strategy = "cluster:x".into();
-        assert!(solve(gmip_problems::catalog::figure1_knapsack(), &bad).is_err());
     }
 
     #[test]
     fn solve_cluster_with_faults() {
-        let mut o = Options::default();
-        o.strategy = "cluster:3".into();
-        o.faults = Some("seed=5,crashes=2,drop=0.1".into());
-        o.metrics = true;
-        let out = solve(gmip_problems::catalog::figure1_knapsack(), &o).unwrap();
+        let o = opts(&[
+            "--strategy",
+            "cluster:3",
+            "--faults",
+            "seed=5,crashes=2,drop=0.1",
+            "--metrics",
+        ]);
+        let out = solve(fig1(), &o).unwrap();
         assert!(out.contains("status: Optimal"), "{out}");
         assert!(out.contains("faults:"), "{out}");
         assert!(out.contains("recovery:"), "{out}");
         assert!(out.contains("fault.drops"), "metrics glossary rows:\n{out}");
         // Bad spec is a parse error, not a panic.
-        let mut bad = Options::default();
-        bad.strategy = "cluster:2".into();
-        bad.faults = Some("drop=2.5".into());
-        assert!(solve(gmip_problems::catalog::figure1_knapsack(), &bad).is_err());
-        // --faults outside the cluster strategy is rejected.
-        let mut wrong = Options::default();
-        wrong.strategy = "host".into();
-        wrong.faults = Some("7".into());
-        let err = solve(gmip_problems::catalog::figure1_knapsack(), &wrong).unwrap_err();
-        assert!(err.contains("cluster"), "{err}");
+        let err = parse_options(&s(&["--faults", "drop=2.5"])).unwrap_err();
+        assert!(err.starts_with("--faults:"), "{err}");
+        // --faults outside the strategies that inject them is rejected.
+        let err = solve(fig1(), &opts(&["--strategy", "host", "--faults", "7"])).unwrap_err();
+        assert_eq!(err, "--faults is not read by --strategy host");
     }
 
     #[test]
-    fn prop_rounds_on_a_cluster_is_rejected_not_dropped() {
-        // A rank's round cap is a constant: a value the solve would ignore
-        // must come back as Err, flat or hierarchical, the way `--faults`
-        // does outside `cluster:`. The default itself passes.
-        let m = gmip_problems::catalog::figure1_knapsack;
-        for strategy in ["cluster:3", "cluster:4x2"] {
-            let mut o = Options::default();
-            o.strategy = strategy.into();
-            o.propagate = true;
-            assert!(solve(m(), &o).unwrap().contains("status: Optimal"));
-            o.prop_rounds = 3;
-            let err = solve(m(), &o).unwrap_err();
-            assert!(err.contains("--prop-rounds"), "{strategy}: {err}");
+    fn an_option_the_strategy_does_not_read_is_rejected_not_dropped() {
+        // A rank's round cap is a constant, the first-order cleanup's pricing
+        // is fixed: a value the solve would ignore comes back as Err, and the
+        // default itself passes.
+        for (strategy, flag, value) in [
+            ("cluster:3", "--prop-rounds", "3"),
+            ("cluster:4x2", "--prop-rounds", "3"),
+            ("firstorder:4", "--pricing", "devex"),
+            ("per-lane:2", "--heur-period", "2"),
+            ("batched:2", "--policy", "depth"),
+            ("host", "--backend", "native"),
+        ] {
+            let o = opts(&["--strategy", strategy]);
+            assert!(solve(fig1(), &o).unwrap().contains("status: Optimal"));
+            let o = opts(&["--strategy", strategy, flag, value]);
+            let err = solve(fig1(), &o).unwrap_err();
+            assert_eq!(err, format!("{flag} is not read by --strategy {strategy}"));
         }
     }
 
     #[test]
     fn solve_with_hierarchical_cluster_strategy() {
-        let mut o = Options::default();
-        o.strategy = "cluster:8x2".into();
-        o.metrics = true;
-        let out = solve(gmip_problems::catalog::figure1_knapsack(), &o).unwrap();
+        let o = opts(&["--strategy", "cluster:8x2", "--metrics"]);
+        let out = solve(fig1(), &o).unwrap();
         assert!(out.contains("status: Optimal"), "{out}");
         assert!(out.contains("objective: 14"), "{out}");
         assert!(out.contains("hierarchy: 4 groups x 2"), "{out}");
         assert!(out.contains("root messages:"), "{out}");
         assert!(out.contains("hier.root.messages"), "{out}");
         // Same topology, same bytes.
-        let again = solve(gmip_problems::catalog::figure1_knapsack(), &o).unwrap();
+        let again = solve(fig1(), &o).unwrap();
         assert_eq!(out, again, "hierarchical solve must be deterministic");
     }
 
     #[test]
     fn solve_hierarchical_with_faults() {
-        let mut o = Options::default();
-        o.strategy = "cluster:8x2".into();
-        o.faults = Some("seed=5,sub-crash=1,root-slow=4,horizon=2e5".into());
-        let out = solve(gmip_problems::catalog::figure1_knapsack(), &o).unwrap();
+        let o = opts(&[
+            "--strategy",
+            "cluster:8x2",
+            "--faults",
+            "seed=5,sub-crash=1,root-slow=4,horizon=2e5",
+        ]);
+        let out = solve(fig1(), &o).unwrap();
         assert!(out.contains("status: Optimal"), "{out}");
         assert!(out.contains("sub-crashes"), "{out}");
         assert!(out.contains("group subtrees shipped"), "{out}");
     }
 
     #[test]
-    fn absurd_cluster_widths_are_rejected_before_the_des() {
-        // Satellite regression: `cluster:` parsing used to accept widths
-        // that OOM the discrete-event simulation; anything past MAX_RANKS
-        // must now fail fast with a clean error.
-        let m = gmip_problems::catalog::figure1_knapsack;
-        for bad in [
-            "cluster:1000000",
-            "cluster:4097",
-            "cluster:1000000x8",
-            "cluster:8x0",
-            "cluster:8x",
-            "cluster:0x8",
-            "cluster:x8",
-        ] {
-            let mut o = Options::default();
-            o.strategy = bad.into();
-            let err = solve(m(), &o).unwrap_err();
-            assert!(
-                err.contains(">= 1") || err.contains("ceiling"),
-                "strategy {bad}: got `{err}`"
-            );
-        }
-        // The ceiling itself is inclusive: E10's largest cell must stay
-        // legal, so cluster:1024x32 has to make it past the guard.
-        let o = parse_options(&s(&["x.mps", "--strategy", "cluster:1024x32"])).unwrap();
-        assert_eq!(o.strategy, "cluster:1024x32");
+    fn solve_with_per_lane_and_threaded_strategies() {
+        let out = solve(fig1(), &opts(&["--strategy", "per-lane:3", "--stats"])).unwrap();
+        assert!(out.contains("objective: 14"), "{out}");
+        assert!(out.contains("wave width: 3"), "{out}");
+        assert!(!out.contains("pdhg:"), "{out}");
+        let o = opts(&["--strategy", "threaded:2", "--faults", "seed=3,crashes=1"]);
+        let out = solve(fig1(), &o).unwrap();
+        assert!(out.contains("objective: 14"), "{out}");
+        assert!(out.contains("wall:"), "{out}");
+        assert!(out.contains("recovery:"), "{out}");
     }
 
     #[test]
     fn parse_propagation_flags() {
-        let o = parse_options(&s(&["x.mps"])).unwrap();
-        assert!(!o.propagate, "propagation is opt-in");
-        assert_eq!(o.prop_rounds, 8);
-        assert_eq!(o.heur_period, 0, "fix-and-propagate is opt-in");
-        let o = parse_options(&s(&[
+        let o = opts(&["x.mps"]);
+        assert!(!o.solve.mip.propagate, "propagation is opt-in");
+        assert_eq!(o.solve.mip.propagate_rounds, 8);
+        assert_eq!(
+            o.solve.mip.heuristics.fix_and_propagate_period, 0,
+            "fix-and-propagate is opt-in"
+        );
+        let o = opts(&[
             "x.mps",
             "--propagate",
             "--prop-rounds",
             "4",
             "--heur-period",
             "3",
-        ]))
-        .unwrap();
-        assert!(o.propagate);
-        assert_eq!(o.prop_rounds, 4);
-        assert_eq!(o.heur_period, 3);
+        ]);
+        assert!(o.solve.mip.propagate);
+        assert_eq!(o.solve.mip.propagate_rounds, 4);
+        assert_eq!(o.solve.mip.heuristics.fix_and_propagate_period, 3);
         assert!(parse_options(&s(&["--prop-rounds", "0"])).is_err());
         assert!(parse_options(&s(&["--heur-period", "x"])).is_err());
     }
@@ -1274,90 +1011,76 @@ mod tests {
             "firstorder:4",
             "cluster:2",
         ] {
-            let mut o = Options::default();
-            o.strategy = strategy.into();
-            o.propagate = true;
-            o.heur_period = 2;
-            o.metrics = true;
-            let out = solve(gmip_problems::catalog::figure1_knapsack(), &o).unwrap();
+            let o = opts(&[
+                "--strategy",
+                strategy,
+                "--propagate",
+                "--heur-period",
+                "2",
+                "--metrics",
+            ]);
+            let out = solve(fig1(), &o).unwrap();
             assert!(out.contains("status: Optimal"), "{strategy}:\n{out}");
             assert!(out.contains("objective: 14"), "{strategy}:\n{out}");
             assert!(out.contains("prop.nodes"), "{strategy}:\n{out}");
             // Deterministic: a rerun produces byte-identical output.
-            assert_eq!(
-                out,
-                solve(gmip_problems::catalog::figure1_knapsack(), &o).unwrap()
-            );
+            assert_eq!(out, solve(fig1(), &o).unwrap());
         }
     }
 
     #[test]
     fn parse_pricing_flag() {
-        let o = parse_options(&s(&["x.mps", "--pricing", "devex"])).unwrap();
-        assert_eq!(o.pricing, PricingRule::Devex);
-        let o = parse_options(&s(&["x.mps", "--pricing", "dantzig"])).unwrap();
-        assert_eq!(o.pricing, PricingRule::Dantzig);
+        let o = opts(&["x.mps", "--pricing", "devex"]);
+        assert_eq!(o.solve.mip.lp.primal.pricing, PricingRule::Devex);
+        let o = opts(&["x.mps", "--pricing", "dantzig"]);
+        assert_eq!(o.solve.mip.lp.primal.pricing, PricingRule::Dantzig);
         assert!(parse_options(&s(&["x.mps", "--pricing", "steepest"])).is_err());
     }
 
     #[test]
     fn solve_with_batched_strategy() {
-        let mut o = Options::default();
-        o.strategy = "batched:4".into();
-        o.stats = true;
-        o.metrics = true;
-        let out = solve(gmip_problems::catalog::figure1_knapsack(), &o).unwrap();
+        let o = opts(&["--strategy", "batched:4", "--stats", "--metrics"]);
+        let out = solve(fig1(), &o).unwrap();
         assert!(out.contains("status: Optimal"), "{out}");
         assert!(out.contains("objective: 14"), "{out}");
         assert!(out.contains("wave width:"), "{out}");
         assert!(out.contains("wave.fused_launches"), "{out}");
         // Devex pricing runs the same strategy to the same answer.
-        let mut dv = Options::default();
-        dv.strategy = "batched:4".into();
-        dv.pricing = PricingRule::Devex;
-        let out = solve(gmip_problems::catalog::figure1_knapsack(), &dv).unwrap();
+        let dv = opts(&["--strategy", "batched:4", "--pricing", "devex"]);
+        let out = solve(fig1(), &dv).unwrap();
         assert!(out.contains("objective: 14"), "{out}");
-        // Bad lane counts are parse errors.
-        let mut bad = Options::default();
-        bad.strategy = "batched:0".into();
-        assert!(solve(gmip_problems::catalog::figure1_knapsack(), &bad).is_err());
-        bad.strategy = "batched:x".into();
-        assert!(solve(gmip_problems::catalog::figure1_knapsack(), &bad).is_err());
     }
 
     #[test]
     fn solve_with_firstorder_strategy() {
-        let mut o = Options::default();
-        o.strategy = "firstorder:4".into();
-        o.stats = true;
-        o.metrics = true;
-        let out = solve(gmip_problems::catalog::figure1_knapsack(), &o).unwrap();
+        let o = opts(&["--strategy", "firstorder:4", "--stats", "--metrics"]);
+        let out = solve(fig1(), &o).unwrap();
         assert!(out.contains("status: Optimal"), "{out}");
         assert!(out.contains("objective: 14"), "{out}");
         assert!(out.contains("wave width:"), "{out}");
         assert!(out.contains("pdhg:"), "{out}");
         assert!(out.contains("fo.fused_launches"), "{out}");
         // Deterministic: a rerun produces byte-identical output.
-        let again = solve(gmip_problems::catalog::figure1_knapsack(), &o).unwrap();
+        let again = solve(fig1(), &o).unwrap();
         assert_eq!(out, again, "firstorder output must replay byte-identically");
     }
 
     #[test]
     fn backend_flag_parses_and_native_output_matches_sim() {
-        let o = parse_options(&s(&["x.mps", "--backend", "native"])).unwrap();
-        assert_eq!(o.backend, gmip_gpu::BackendKind::Native { threads: 0 });
+        let o = opts(&["x.mps", "--backend", "native"]);
+        assert_eq!(
+            o.solve.backend,
+            gmip_gpu::BackendKind::Native { threads: 0 }
+        );
         assert!(parse_options(&s(&["x.mps", "--backend", "cuda"])).is_err());
         assert!(parse_options(&s(&["x.mps", "--backend"])).is_err());
 
         // The native backend's report must match sim byte-for-byte once
         // the (real, run-dependent) wall.* lines are filtered out.
         let run = |backend| {
-            let mut o = Options::default();
-            o.strategy = "firstorder:4".into();
-            o.propagate = true;
-            o.metrics = true;
-            o.backend = backend;
-            let out = solve(gmip_problems::catalog::figure1_knapsack(), &o).unwrap();
+            let mut o = opts(&["--strategy", "firstorder:4", "--propagate", "--metrics"]);
+            o.solve.backend = backend;
+            let out = solve(fig1(), &o).unwrap();
             out.lines()
                 .filter(|l| !l.contains("wall."))
                 .collect::<Vec<_>>()
@@ -1369,31 +1092,33 @@ mod tests {
     }
 
     #[test]
-    fn zero_or_garbage_strategy_widths_error_cleanly() {
-        // Satellite: `cluster:0`, `batched:0`, `firstorder:0`, `big-mip:0`
-        // and unparsable widths must come back as Err (the binary maps Err
-        // to a nonzero exit), never as a panic.
-        let m = gmip_problems::catalog::figure1_knapsack;
-        for bad in [
-            "cluster:0",
-            "cluster:x",
-            "cluster:",
-            "batched:0",
-            "batched:-1",
-            "batched:",
-            "firstorder:0",
-            "firstorder:-1",
-            "firstorder:",
-            "firstorder:x",
-            "big-mip:0",
-            "big-mip:x",
-            "big-mip:",
-        ] {
-            let mut o = Options::default();
-            o.strategy = bad.into();
-            let err = solve(m(), &o).unwrap_err();
-            assert!(err.contains(">= 1"), "strategy {bad}: got `{err}`");
+    fn verify_certifies_the_host_path_by_default() {
+        let out = run(&s(&["verify", KNAPSACK15])).unwrap();
+        assert!(
+            out.contains("\nfloat host:   Optimal, objective 599\n"),
+            "{out}"
+        );
+        assert!(
+            out.contains("exact oracle: Optimal, proven optimum 599"),
+            "{out}"
+        );
+        assert!(out.contains("incumbent: exactly feasible"), "{out}");
+        assert!(out.ends_with("VERIFIED\n"), "{out}");
+    }
+
+    #[test]
+    fn verify_runs_the_strategy_it_is_given() {
+        for strategy in ["cluster:4x2", "batched:4"] {
+            let out = run(&s(&["verify", KNAPSACK15, "--strategy", strategy])).unwrap();
+            assert!(
+                out.contains(&format!("float {strategy}: Optimal, objective 599")),
+                "{out}"
+            );
+            assert!(out.contains("\ncertificates: none"), "{out}");
+            assert!(out.ends_with("VERIFIED\n"), "{out}");
         }
+        let err = run(&s(&["verify", KNAPSACK15, "--strategy", "batched:0"])).unwrap_err();
+        assert!(err.contains(">= 1"), "{err}");
     }
 
     #[test]
@@ -1417,12 +1142,11 @@ mod tests {
 
     #[test]
     fn serve_with_chaos_overlay_still_answers_correctly() {
-        let mut o = Options::default();
+        let mut o = opts(&["--faults", "seed=3,crashes=1,drop=0.05"]);
         o.jobs = 20;
         o.seed = 4;
         o.ranks = 4;
         o.max_items = 8;
-        o.faults = Some("seed=3,crashes=1,drop=0.05".into());
         o.verify_sample = 5;
         let out = serve(&o).unwrap();
         assert!(out.contains("chaos overlay"), "{out}");
@@ -1431,7 +1155,7 @@ mod tests {
 
     #[test]
     fn parse_serve_flags() {
-        let o = parse_options(&s(&[
+        let o = opts(&[
             "--jobs",
             "50",
             "--ranks",
@@ -1444,8 +1168,7 @@ mod tests {
             "10",
             "--max-shed-rate",
             "0.25",
-        ]))
-        .unwrap();
+        ]);
         assert_eq!(o.jobs, 50);
         assert_eq!(o.ranks, 6);
         assert_eq!(o.tenants, 2);
@@ -1460,19 +1183,17 @@ mod tests {
 
     #[test]
     fn parse_faults_flag() {
-        let o = parse_options(&s(&["x.mps", "--faults", "42"])).unwrap();
-        assert_eq!(o.faults.as_deref(), Some("42"));
+        let o = opts(&["x.mps", "--faults", "42"]);
+        assert_eq!(o.solve.chaos.map(|c| c.seed), Some(42));
         assert!(parse_options(&s(&["--faults"])).is_err());
     }
 
     #[test]
     fn solve_with_trace_and_metrics() {
         let path = std::env::temp_dir().join("gmip_cli_trace_test.json");
-        let mut o = Options::default();
-        o.strategy = "auto".into();
+        let mut o = opts(&["--strategy", "auto", "--metrics"]);
         o.trace = Some(path.to_string_lossy().into_owned());
-        o.metrics = true;
-        let out = solve(gmip_problems::catalog::figure1_knapsack(), &o).unwrap();
+        let out = solve(fig1(), &o).unwrap();
         assert!(out.contains("trace:"), "trace line missing:\n{out}");
         assert!(
             out.contains("lp.simplex.iterations"),

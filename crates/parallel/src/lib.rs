@@ -20,7 +20,9 @@
 //! * [`chaos`] — deterministic fault injection (seeded crash / drop /
 //!   delay / straggler plans) driving the supervisor's recovery protocol:
 //!   heartbeat detection, reassignment from the live checkpoint,
-//!   exponential-backoff respawn, graceful degradation.
+//!   exponential-backoff respawn, graceful degradation;
+//! * [`paths`] — the solve-path table: every `--strategy` the CLI, `gmip
+//!   verify` and the fuzzer run, parsed and built from one set of options.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -32,6 +34,7 @@ pub mod comm;
 mod exchange;
 pub mod hierarchy;
 pub mod lease;
+pub mod paths;
 mod roster;
 pub mod supervisor;
 pub mod threaded;
@@ -46,6 +49,7 @@ pub use hierarchy::{
     solve_hierarchical, HierResult, HierStats, HierSupervisor, HierarchyConfig, MAX_RANKS,
 };
 pub use lease::{RankLease, RankPool};
+pub use paths::{SolveOptions, SolvePath, Solved, SPELLINGS};
 pub use supervisor::{
     solve_parallel, LoadBalance, ParPayload, ParallelConfig, ParallelResult, ParallelStats,
     Supervisor,

@@ -2,30 +2,26 @@
 //!
 //! Every case samples an instance from the generator catalog (plus the
 //! random-MIP generator), computes its ground truth with the exact
-//! rational [`crate::oracle`], and then runs every solve strategy in the
-//! repo — host baseline, simulated-device plan, DES cluster (clean and
-//! under a chaos fault plan), threaded cluster, per-lane engines, batched
-//! simplex and first-order waves, and the host / wave / cluster drivers
-//! with propagation and the dive on — checking
-//! each result against the oracle: status, objective within the declared
-//! float tolerance, exact incumbent re-evaluation, and (for the host
-//! strategy) exact validation of the emitted LP certificates. Metamorphic
-//! transforms of each instance ride along: their mapped-back optimum must
-//! equal the oracle's.
+//! rational [`crate::oracle`], and then runs the rows of the solve-path
+//! table ([`gmip_parallel::paths`]) — every path `gmip solve --strategy`
+//! offers, plain, with propagation and the dive on, on the native backend
+//! and under a chaos fault plan — checking each result against the oracle:
+//! status, objective within the declared float tolerance, exact incumbent
+//! re-evaluation, and (for the host row) exact validation of the emitted LP
+//! certificates. Metamorphic transforms of each instance ride along: their
+//! mapped-back optimum must equal the oracle's.
 //!
 //! On mismatch the failing instance is shrunk to a minimal counterexample
-//! (see [`crate::shrink`]) and written as an `.mps` repro file.
+//! (see [`crate::shrink`]) and written as an `.mps` repro, with the
+//! `gmip solve` command that replays it.
 
 use crate::certify;
 use crate::metamorphic::transforms;
 use crate::oracle::{solve_oracle, OracleResult, OracleStatus};
 use crate::shrink::{shrink_instance, write_repro};
-use gmip_core::{
-    plan, solve_batched_wave, solve_concurrent, solve_first_order_wave, BatchedWaveConfig,
-    ConcurrentConfig, FirstOrderWaveConfig, MipConfig, MipSolver, MipStatus, Strategy, WaveResult,
-};
-use gmip_gpu::{Accel, CostModel};
-use gmip_parallel::{solve_parallel, solve_threaded, ChaosConfig, ParallelConfig};
+use gmip_core::MipStatus;
+use gmip_gpu::BackendKind;
+use gmip_parallel::{ChaosConfig, SolveOptions, SolvePath, Solved};
 use gmip_problems::generators::{
     bin_packing, generalized_assignment, knapsack, random_mip, set_cover, unit_commitment,
     RandomMipConfig,
@@ -40,7 +36,7 @@ pub struct FuzzConfig {
     pub cases: usize,
     /// Master seed; the whole run is deterministic given this.
     pub seed: u64,
-    /// Run the built-in strategy set (host, device, clusters, batched).
+    /// Run the solve-path table's rows beyond the host baseline.
     pub builtin_strategies: bool,
     /// Include a DES cluster run under a chaos fault plan.
     pub chaos: bool,
@@ -81,12 +77,12 @@ pub struct StrategyOutput {
     pub x: Vec<f64>,
 }
 
-impl StrategyOutput {
-    fn new(status: MipStatus, objective: f64, x: Vec<f64>) -> Self {
+impl From<&Solved> for StrategyOutput {
+    fn from(s: &Solved) -> Self {
         Self {
-            status,
-            objective,
-            x,
+            status: s.status(),
+            objective: s.objective(),
+            x: s.x().to_vec(),
         }
     }
 }
@@ -107,6 +103,21 @@ pub struct Mismatch {
     pub shrunk: Option<MipInstance>,
     /// Path of the written `.mps` repro, when a repro dir was configured.
     pub repro: Option<PathBuf>,
+    /// The `gmip solve` command that replays a table row's mismatch.
+    pub command: Option<String>,
+}
+
+impl Mismatch {
+    fn new(case: &str, strategy: impl Into<String>, detail: String) -> Self {
+        Self {
+            case: case.into(),
+            strategy: strategy.into(),
+            detail,
+            shrunk: None,
+            repro: None,
+            command: None,
+        }
+    }
 }
 
 /// Aggregate result of a fuzz run.
@@ -163,143 +174,77 @@ fn sample_instance(seed: u64, case: u64) -> MipInstance {
     }
 }
 
-fn device_strategy(m: &MipInstance) -> Result<StrategyOutput, String> {
-    let p = plan(
-        Strategy::CpuOrchestrated,
-        MipConfig::default(),
-        CostModel::gpu_pcie(),
-        1 << 30,
-    );
-    let mut s = MipSolver::with_plan(m.clone(), p);
-    let r = s.solve().map_err(|e| e.to_string())?;
-    Ok(StrategyOutput::new(r.status, r.objective, r.x))
+/// One row of the fuzz table: a solve path and the options it runs with,
+/// named by the `gmip solve --strategy …` arguments that reproduce it.
+#[derive(Debug, Clone)]
+struct Row {
+    name: String,
+    path: SolvePath,
+    opts: SolveOptions,
 }
 
-/// The dive period of the `+prop` strategies: with propagation on, every
-/// second node also runs the fix-and-propagate dive.
-const PROP_DIVE_PERIOD: usize = 2;
-
-fn host_prop_strategy(m: &MipInstance) -> Result<StrategyOutput, String> {
-    let mut cfg = MipConfig {
-        propagate: true,
-        ..MipConfig::default()
-    };
-    cfg.heuristics.fix_and_propagate_period = PROP_DIVE_PERIOD;
-    let r = MipSolver::host_baseline(m.clone(), cfg)
-        .solve()
-        .map_err(|e| e.to_string())?;
-    Ok(StrategyOutput::new(r.status, r.objective, r.x))
-}
-
-fn cluster_strategy(
-    m: &MipInstance,
-    chaos: Option<ChaosConfig>,
-    prop: bool,
-) -> Result<StrategyOutput, String> {
-    let cfg = ParallelConfig {
-        workers: 3,
-        gpu_mem: 1 << 26,
-        chaos,
-        propagate: prop,
-        heuristic_period: if prop { PROP_DIVE_PERIOD } else { 0 },
-        ..Default::default()
-    };
-    let r = solve_parallel(m, cfg).map_err(|e| e.to_string())?;
-    Ok(StrategyOutput::new(r.status, r.objective, r.x))
-}
-
-fn threaded_strategy(m: &MipInstance) -> Result<StrategyOutput, String> {
-    let cfg = ParallelConfig {
-        workers: 2,
-        gpu_mem: 1 << 26,
-        ..Default::default()
-    };
-    let r = solve_threaded(m, &cfg).map_err(|e| e.to_string())?;
-    Ok(StrategyOutput::new(r.status, r.objective, r.x))
-}
-
-/// A single-device driver's result, as the fuzzer compares it.
-fn wave_output(r: gmip_lp::LpResult<WaveResult>) -> Result<StrategyOutput, String> {
-    let r = r.map_err(|e| e.to_string())?;
-    Ok(StrategyOutput::new(r.status, r.objective, r.x))
-}
-
-fn batched_strategy(m: &MipInstance, prop: bool) -> Result<StrategyOutput, String> {
-    let cfg = BatchedWaveConfig {
-        lanes: 3,
-        propagate: prop,
-        heuristic_period: if prop { PROP_DIVE_PERIOD } else { 0 },
-        ..Default::default()
-    };
-    wave_output(solve_batched_wave(m, &cfg, Accel::gpu(1)))
-}
-
-fn per_lane_strategy(m: &MipInstance) -> Result<StrategyOutput, String> {
-    let cfg = ConcurrentConfig {
-        lanes: 3,
-        ..Default::default()
-    };
-    wave_output(solve_concurrent(m, &cfg, Accel::gpu(1)))
-}
-
-fn first_order_strategy(m: &MipInstance) -> Result<StrategyOutput, String> {
-    let cfg = FirstOrderWaveConfig {
-        lanes: 3,
-        ..Default::default()
-    };
-    wave_output(solve_first_order_wave(m, &cfg, Accel::gpu(1)))
-}
-
-/// The built-in strategy set (the host baseline is run separately so its
-/// certificates can be validated). The `+prop` entries put the node hook —
-/// propagation on, a dive every second node — under the oracle on each of
-/// its three drivers: the serial solver, the wave loop and the cluster rank.
-fn builtin_strategies(chaos: bool, seed: u64) -> Vec<(String, StrategyRunner)> {
-    let mut v: Vec<(String, StrategyRunner)> = vec![
-        ("device".into(), Box::new(device_strategy)),
-        (
-            "cluster".into(),
-            Box::new(|m: &MipInstance| cluster_strategy(m, None, false)),
-        ),
-        ("threaded".into(), Box::new(threaded_strategy)),
-        (
-            "batched:3".into(),
-            Box::new(|m: &MipInstance| batched_strategy(m, false)),
-        ),
-        ("per-lane:3".into(), Box::new(per_lane_strategy)),
-        ("firstorder:3".into(), Box::new(first_order_strategy)),
-        ("host+prop".into(), Box::new(host_prop_strategy)),
-        (
-            "batched:3+prop".into(),
-            Box::new(|m: &MipInstance| batched_strategy(m, true)),
-        ),
-        (
-            "cluster+prop".into(),
-            Box::new(|m: &MipInstance| cluster_strategy(m, None, true)),
-        ),
-    ];
-    if chaos {
-        v.push((
-            "cluster-chaos".into(),
-            Box::new(move |m: &MipInstance| {
-                cluster_strategy(
-                    m,
-                    Some(ChaosConfig {
-                        drop_prob: 0.1,
-                        delay_prob: 0.1,
-                        delay_ns: 15_000.0,
-                        ..ChaosConfig::quiet(seed)
-                    }),
-                    false,
-                )
-            }),
-        ));
+impl Row {
+    fn new(path: &str) -> Self {
+        Self {
+            name: path.into(),
+            path: path.parse().expect("a solve-path spelling"),
+            opts: SolveOptions::default(),
+        }
     }
-    v
+
+    /// `--propagate --heur-period 2`: the node hook on, a dive every second
+    /// node.
+    fn propagate(mut self) -> Self {
+        self.name += " --propagate --heur-period 2";
+        self.opts.mip.propagate = true;
+        self.opts.mip.heuristics.fix_and_propagate_period = 2;
+        self
+    }
+
+    /// `--backend native`.
+    fn native(mut self) -> Self {
+        self.name += " --backend native";
+        self.opts.backend = BackendKind::parse("native").expect("a backend");
+        self
+    }
+
+    /// `--faults <spec>`.
+    fn faults(mut self, spec: &str) -> Self {
+        self.name += &format!(" --faults {spec}");
+        self.opts.chaos = Some(ChaosConfig::parse(spec).expect("a fault spec"));
+        self
+    }
+
+    fn run(&self, m: &MipInstance) -> Result<StrategyOutput, String> {
+        self.path
+            .run(m, &self.opts)
+            .map(|s| StrategyOutput::from(&s))
+    }
+}
+
+/// The table rows run after the host baseline: every path plain; the node
+/// hook (propagation and the dive on) on the serial solver, both waves and
+/// the cluster rank; both waves on the native backend; and a cluster under
+/// a chaos fault plan.
+fn rows(chaos: bool, seed: u64) -> Vec<Row> {
+    let plain = "cpu-orchestrated gpu-only hybrid big-mip:2 auto cluster:3 cluster:4x2 \
+                 threaded:2 batched:3 per-lane:3 firstorder:3";
+    let mut rows: Vec<Row> = plain.split_whitespace().map(Row::new).collect();
+    for path in ["host", "batched:3", "firstorder:3", "cluster:3"] {
+        rows.push(Row::new(path).propagate());
+    }
+    rows.push(Row::new("batched:3").propagate().native());
+    rows.push(Row::new("firstorder:3").native());
+    if chaos {
+        rows.push(Row::new("cluster:3").faults(&format!(
+            "seed={seed},crash=0,straggle=0,drop=0.1,delay=0.1,delay-ns=15000"
+        )));
+    }
+    rows
 }
 
 /// Compares one strategy result against the oracle; `None` = agreement.
-fn disagreement(
+pub fn disagreement(
     m: &MipInstance,
     oracle: &OracleResult,
     out: &StrategyOutput,
@@ -336,40 +281,63 @@ fn disagreement(
     }
 }
 
-fn host_with_certificates(
-    m: &MipInstance,
-) -> Result<(StrategyOutput, Vec<gmip_lp::LpCertificate>), String> {
-    let cfg = MipConfig {
-        collect_certificates: true,
-        ..MipConfig::default()
-    };
-    let mut s = MipSolver::host_baseline(m.clone(), cfg);
-    let r = s.solve().map_err(|e| e.to_string())?;
-    let out = StrategyOutput::new(r.status, r.objective, r.x);
-    Ok((out, r.stats.certificates))
+/// One case's instance and ground truth, as the checks see them.
+struct Case<'a> {
+    id: String,
+    instance: &'a MipInstance,
+    oracle: &'a OracleResult,
 }
 
-/// Shrinks a failing instance against a reproduction predicate and writes
-/// the `.mps` repro, filling the mismatch record in place.
-fn shrink_and_write(
+/// Records `got` (what `rerun` returned on the case) against the oracle; a
+/// disagreement is shrunk by re-running `rerun` and, for a table row
+/// (`row`), carries the `gmip solve` command that replays it.
+fn check(
     cfg: &FuzzConfig,
-    mm: &mut Mismatch,
-    instance: &MipInstance,
-    still_fails: &dyn Fn(&MipInstance) -> bool,
+    out: &mut FuzzOutcome,
+    case: &Case,
+    name: &str,
+    row: bool,
+    got: Result<StrategyOutput, String>,
+    rerun: &dyn Fn(&MipInstance) -> Result<StrategyOutput, String>,
 ) {
-    if !cfg.shrink {
-        return;
+    out.checks += 1;
+    let detail = match got {
+        Ok(res) => match disagreement(case.instance, case.oracle, &res, cfg.tol) {
+            Some(detail) => detail,
+            None => return,
+        },
+        Err(e) => {
+            out.mismatches
+                .push(Mismatch::new(&case.id, name, format!("solver error: {e}")));
+            return;
+        }
+    };
+    let mut mm = Mismatch::new(&case.id, name, detail);
+    if cfg.shrink {
+        let shrunk = shrink_instance(case.instance, &|c| {
+            matches!(
+                (solve_oracle(c), rerun(c)),
+                (Ok(o), Ok(r)) if disagreement(c, &o, &r, cfg.tol).is_some()
+            )
+        });
+        if let Some(dir) = &cfg.repro_dir {
+            let stem = format!(
+                "repro-{}-{}",
+                mm.case.replace('/', "_"),
+                mm.strategy.replace([':', '/', ' ', ',', '='], "_")
+            );
+            mm.repro = write_repro(dir, &stem, &shrunk).ok();
+        }
+        mm.shrunk = Some(shrunk);
     }
-    let shrunk = shrink_instance(instance, still_fails);
-    if let Some(dir) = &cfg.repro_dir {
-        let stem = format!(
-            "repro-{}-{}",
-            mm.case.replace('/', "_"),
-            mm.strategy.replace([':', '/'], "_")
-        );
-        mm.repro = write_repro(dir, &stem, &shrunk).ok();
+    if row {
+        let file = mm
+            .repro
+            .as_ref()
+            .map_or("<instance.mps>".into(), |p| p.display().to_string());
+        mm.command = Some(format!("gmip solve {file} --strategy {name}"));
     }
-    mm.shrunk = Some(shrunk);
+    out.mismatches.push(mm);
 }
 
 /// Runs the fuzz loop with the built-in strategy set.
@@ -383,90 +351,44 @@ pub fn run_fuzz_with(
     cfg: &FuzzConfig,
     extra: Vec<(String, StrategyRunner)>,
 ) -> Result<FuzzOutcome, String> {
-    let mut strategies = if cfg.builtin_strategies {
-        builtin_strategies(cfg.chaos, cfg.seed)
+    let rows = if cfg.builtin_strategies {
+        rows(cfg.chaos, cfg.seed)
     } else {
         Vec::new()
     };
-    strategies.extend(extra);
+    // The host baseline also records its LP certificates, which are
+    // validated exactly.
+    let mut host = Row::new("host");
+    host.opts.mip.collect_certificates = true;
     let mut out = FuzzOutcome::default();
 
     for case in 0..cfg.cases {
         let instance = sample_instance(cfg.seed, case as u64);
-        let case_id = format!("case-{case}/{}", instance.name);
-        let oracle = solve_oracle(&instance).map_err(|e| format!("{case_id}: oracle: {e}"))?;
+        let id = format!("case-{case}/{}", instance.name);
+        let oracle = solve_oracle(&instance).map_err(|e| format!("{id}: oracle: {e}"))?;
+        let cx = Case {
+            id,
+            instance: &instance,
+            oracle: &oracle,
+        };
 
-        // Host baseline + exact certificate validation.
-        out.checks += 1;
-        match host_with_certificates(&instance) {
-            Ok((host_out, certs)) => {
-                if let Some(detail) = disagreement(&instance, &oracle, &host_out, cfg.tol) {
-                    let mut mm = Mismatch {
-                        case: case_id.clone(),
-                        strategy: "host".into(),
-                        detail,
-                        shrunk: None,
-                        repro: None,
-                    };
-                    shrink_and_write(cfg, &mut mm, &instance, &|c| {
-                        matches!(
-                            (solve_oracle(c), host_with_certificates(c)),
-                            (Ok(o), Ok((h, _))) if disagreement(c, &o, &h, cfg.tol).is_some()
-                        )
-                    });
-                    out.mismatches.push(mm);
-                }
-                let report = certify::check_certificates(&instance, &certs, cfg.tol);
-                out.certificates += report.checked;
-                for f in report.failures {
-                    out.mismatches.push(Mismatch {
-                        case: case_id.clone(),
-                        strategy: "host-certificates".into(),
-                        detail: f,
-                        shrunk: None,
-                        repro: None,
-                    });
-                }
+        let solved = host.path.run(&instance, &host.opts);
+        if let Ok(Solved::Mip(r)) = &solved {
+            let report = certify::check_certificates(&instance, &r.stats.certificates, cfg.tol);
+            out.certificates += report.checked;
+            for f in report.failures {
+                out.mismatches
+                    .push(Mismatch::new(&cx.id, "host-certificates", f));
             }
-            Err(e) => out.mismatches.push(Mismatch {
-                case: case_id.clone(),
-                strategy: "host".into(),
-                detail: format!("solver error: {e}"),
-                shrunk: None,
-                repro: None,
-            }),
         }
-
-        // Every other strategy, differentially against the oracle.
-        for (name, run) in &strategies {
-            out.checks += 1;
-            match run(&instance) {
-                Ok(res) => {
-                    if let Some(detail) = disagreement(&instance, &oracle, &res, cfg.tol) {
-                        let mut mm = Mismatch {
-                            case: case_id.clone(),
-                            strategy: name.clone(),
-                            detail,
-                            shrunk: None,
-                            repro: None,
-                        };
-                        shrink_and_write(cfg, &mut mm, &instance, &|c| {
-                            matches!(
-                                (solve_oracle(c), run(c)),
-                                (Ok(o), Ok(r)) if disagreement(c, &o, &r, cfg.tol).is_some()
-                            )
-                        });
-                        out.mismatches.push(mm);
-                    }
-                }
-                Err(e) => out.mismatches.push(Mismatch {
-                    case: case_id.clone(),
-                    strategy: name.clone(),
-                    detail: format!("solver error: {e}"),
-                    shrunk: None,
-                    repro: None,
-                }),
-            }
+        let got = solved.map(|s| StrategyOutput::from(&s));
+        check(cfg, &mut out, &cx, &host.name, true, got, &|c| host.run(c));
+        for row in &rows {
+            let got = row.run(&instance);
+            check(cfg, &mut out, &cx, &row.name, true, got, &|c| row.run(c));
+        }
+        for (name, run) in &extra {
+            check(cfg, &mut out, &cx, name, false, run(&instance), run);
         }
 
         // Metamorphic equivalence through the host solver.
@@ -478,35 +400,19 @@ pub fn run_fuzz_with(
                 .approx();
             for t in transforms(&instance, derive(cfg.seed, case as u64, 2)) {
                 out.metamorphic_checks += 1;
-                let mut s = MipSolver::host_baseline(t.instance.clone(), MipConfig::default());
-                match s.solve() {
-                    Ok(r) if r.status == MipStatus::Optimal => {
-                        let back = t.map_back(r.objective);
-                        if (back - base).abs() > cfg.tol * (1.0 + base.abs()) {
-                            out.mismatches.push(Mismatch {
-                                case: case_id.clone(),
-                                strategy: format!("metamorphic:{}", t.name),
-                                detail: format!("mapped-back optimum {back} vs exact {base}"),
-                                shrunk: None,
-                                repro: None,
-                            });
+                let strategy = format!("metamorphic:{}", t.name);
+                let detail = match SolvePath::Host.run(&t.instance, &SolveOptions::default()) {
+                    Ok(r) if r.status() == MipStatus::Optimal => {
+                        let back = t.map_back(r.objective());
+                        if (back - base).abs() <= cfg.tol * (1.0 + base.abs()) {
+                            continue;
                         }
+                        format!("mapped-back optimum {back} vs exact {base}")
                     }
-                    Ok(r) => out.mismatches.push(Mismatch {
-                        case: case_id.clone(),
-                        strategy: format!("metamorphic:{}", t.name),
-                        detail: format!("transformed instance solved to {:?}", r.status),
-                        shrunk: None,
-                        repro: None,
-                    }),
-                    Err(e) => out.mismatches.push(Mismatch {
-                        case: case_id.clone(),
-                        strategy: format!("metamorphic:{}", t.name),
-                        detail: format!("solver error on transform: {e}"),
-                        shrunk: None,
-                        repro: None,
-                    }),
-                }
+                    Ok(r) => format!("transformed instance solved to {:?}", r.status()),
+                    Err(e) => format!("solver error on transform: {e}"),
+                };
+                out.mismatches.push(Mismatch::new(&cx.id, strategy, detail));
             }
         }
         out.cases += 1;
@@ -517,6 +423,7 @@ pub fn run_fuzz_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gmip_core::{MipConfig, MipSolver, Strategy};
 
     /// A small clean sweep across all strategies: nothing may disagree with
     /// the exact oracle.
@@ -529,6 +436,7 @@ mod tests {
         };
         let out = run_fuzz(&cfg).expect("fuzz run");
         assert_eq!(out.cases, 8);
+        assert_eq!(out.checks, 8 * 19, "the host baseline and 18 table rows");
         assert!(out.certificates > 0, "no certificates were validated");
         assert!(out.metamorphic_checks > 0, "no metamorphic checks ran");
         assert!(
@@ -539,6 +447,55 @@ mod tests {
                 .map(|m| format!("{}/{}: {}", m.case, m.strategy, m.detail))
                 .collect::<Vec<_>>()
         );
+    }
+
+    /// No path can skip the oracle: every `SolvePath` variant has a row.
+    /// The match has no `_` arm, so a new variant does not compile here
+    /// until it is given a name below — and a row in `rows`.
+    #[test]
+    fn every_solve_path_has_a_fuzz_row() {
+        use SolvePath::*;
+        let covered: std::collections::BTreeSet<&str> = rows(true, 4)
+            .iter()
+            .map(|row| match row.path {
+                Host => "host",
+                Plan(Strategy::CpuOrchestrated) => "cpu-orchestrated",
+                Plan(Strategy::GpuOnly) => "gpu-only",
+                Plan(Strategy::Hybrid) => "hybrid",
+                Plan(Strategy::BigMip { .. }) => "big-mip",
+                Auto => "auto",
+                Batched(_) => "batched",
+                PerLane(_) => "per-lane",
+                FirstOrder(_) => "firstorder",
+                Cluster(_, None) => "cluster",
+                Cluster(_, Some(_)) => "cluster-hier",
+                Threaded(_) => "threaded",
+            })
+            .collect();
+        let paths = gmip_parallel::SPELLINGS.split(" | ").count();
+        assert_eq!(covered.len(), paths, "{covered:?}");
+        // A row's name is the `--strategy` argument list that reproduces it.
+        for row in rows(true, 4) {
+            let spelling = row.name.split(' ').next().unwrap();
+            assert_eq!(spelling.parse::<SolvePath>(), Ok(row.path), "{}", row.name);
+        }
+    }
+
+    /// The chaos row's `--faults` spelling parses to the plan it names:
+    /// drops and delays, no crashes or stragglers.
+    #[test]
+    fn the_chaos_row_spells_its_fault_plan() {
+        let row = rows(true, 9).pop().expect("a chaos row");
+        assert_eq!(
+            row.opts.chaos,
+            Some(ChaosConfig {
+                drop_prob: 0.1,
+                delay_prob: 0.1,
+                delay_ns: 15_000.0,
+                ..ChaosConfig::quiet(9)
+            })
+        );
+        assert_eq!(rows(false, 9).len(), 17);
     }
 
     /// Acceptance criterion: a deliberately wrong strategy (off-by-one
@@ -571,6 +528,10 @@ mod tests {
         assert!(!out.ok(), "the injected bug went undetected");
         let mm = &out.mismatches[0];
         assert_eq!(mm.strategy, "off-by-one");
+        assert!(
+            mm.command.is_none(),
+            "an injected strategy has no CLI spelling"
+        );
         let shrunk = mm.shrunk.as_ref().expect("mismatch was shrunk");
         assert!(
             shrunk.num_vars() <= 6,
@@ -581,6 +542,47 @@ mod tests {
         let text = std::fs::read_to_string(repro).expect("repro readable");
         let back = gmip_problems::mps::read_mps(&text).expect("repro parses");
         assert_eq!(back.num_vars(), shrunk.num_vars());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A table row's mismatch carries the `gmip solve` command that replays
+    /// it on the written repro.
+    #[test]
+    fn a_row_mismatch_names_its_replay_command() {
+        let dir = std::env::temp_dir().join("gmip-verify-replay-command");
+        let cfg = FuzzConfig {
+            cases: 1,
+            shrink: true,
+            repro_dir: Some(dir.clone()),
+            ..FuzzConfig::default()
+        };
+        let row = Row::new("batched:3").propagate();
+        let m = catalog::figure1_knapsack();
+        let oracle = solve_oracle(&m).expect("oracle");
+        let case = Case {
+            id: "case-0/fig1".into(),
+            instance: &m,
+            oracle: &oracle,
+        };
+        let mut out = FuzzOutcome::default();
+        // A wrong answer, as if the row had returned it.
+        let wrong = |c: &MipInstance| {
+            row.run(c).map(|mut r| {
+                r.objective += 1.0;
+                r.x.clear();
+                r
+            })
+        };
+        check(&cfg, &mut out, &case, &row.name, true, wrong(&m), &wrong);
+        let mm = &out.mismatches[0];
+        let repro = mm.repro.as_ref().expect("repro written").display();
+        assert_eq!(
+            mm.command.as_deref(),
+            Some(
+                format!("gmip solve {repro} --strategy batched:3 --propagate --heur-period 2")
+                    .as_str()
+            )
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -32,7 +32,8 @@ pub mod simplex;
 
 pub use certify::{check_certificates, check_incumbent, CertReport};
 pub use fuzz::{
-    run_fuzz, run_fuzz_with, FuzzConfig, FuzzOutcome, Mismatch, StrategyOutput, StrategyRunner,
+    disagreement, run_fuzz, run_fuzz_with, FuzzConfig, FuzzOutcome, Mismatch, StrategyOutput,
+    StrategyRunner,
 };
 pub use metamorphic::{transforms, Transformed};
 pub use oracle::{solve_oracle, OracleResult, OracleStatus};

@@ -5,9 +5,11 @@
 //!               [--no-shrink] [--repro-dir <dir>] [--tol <t>]
 //!   gmip-verify --oracle <file.mps>
 //!
-//! `--fuzz` runs the differential fuzz loop (all solve strategies against
-//! the exact rational oracle); exit code 1 on any mismatch. `--oracle`
-//! solves one MPS file exactly and prints the rational optimum.
+//! `--fuzz` runs the differential fuzz loop (every row of the solve-path
+//! table against the exact rational oracle); exit code 1 on any mismatch,
+//! each printed with its shrunk repro and the `gmip solve` command that
+//! replays it. `--oracle` solves one MPS file exactly and prints the
+//! rational optimum.
 
 use gmip_verify::{run_fuzz, solve_oracle, FuzzConfig, OracleStatus};
 use std::path::PathBuf;
@@ -139,6 +141,9 @@ fn main() -> ExitCode {
                     }
                     if let Some(p) = &m.repro {
                         eprintln!("  repro: {}", p.display());
+                    }
+                    if let Some(c) = &m.command {
+                        eprintln!("  replay: {c}");
                     }
                 }
                 ExitCode::FAILURE
