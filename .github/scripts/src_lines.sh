@@ -4,13 +4,15 @@
 # A file's non-test lines are those above its inline `#[cfg(test)] mod … {`;
 # a `tests.rs` (declared `#[cfg(test)] mod tests;` by its parent) has none.
 # Prints a Markdown table (to $GITHUB_STEP_SUMMARY when set, else stdout),
-# one row per crate and a final **total** row, and fails if any file under
-# crates/*/src is longer than the cap, tests included — a file that size
-# wants splitting whatever is in it.
+# one row per crate, a **total** row and an **options** row (the `pub`
+# fields of every `pub struct *Config` / `*Options` above a file's test
+# module: structs, then fields), and fails if any file under crates/*/src is
+# longer than the cap, tests included — a file that size wants splitting
+# whatever is in it.
 set -euo pipefail
 cap=${1:-1600}
 out=${GITHUB_STEP_SUMMARY:-/dev/stdout}
-fail=0 all_files=0 all_total=0
+fail=0 all_files=0 all_total=0 all_structs=0 all_fields=0
 {
   echo "| crate | files | non-test lines | largest file | lines |"
   echo "|---|---:|---:|---|---:|"
@@ -24,6 +26,12 @@ for dir in crates/*/src; do
     else
       code=$(awk 'prev ~ /^#\[cfg\(test\)\]/ && /^mod [a-z_]+ \{/ { print NR - 2; done = 1; exit }
                   { prev = $0 } END { if (!done) print NR }' "$f")
+      read -r structs fields < <(head -n "$code" "$f" | awk '
+        /^pub struct [A-Za-z0-9_]*(Config|Options) \{/ { inside = 1; structs++; next }
+        inside && /^}/ { inside = 0 }
+        inside && /^    pub [a-z0-9_]+:/ { fields++ }
+        END { print structs + 0, fields + 0 }')
+      all_structs=$((all_structs + structs)) all_fields=$((all_fields + fields))
     fi
     files=$((files + 1)) total=$((total + code))
     if [ "$lines" -gt "$largest_lines" ]; then largest=$f largest_lines=$lines; fi
@@ -36,4 +44,5 @@ for dir in crates/*/src; do
   all_files=$((all_files + files)) all_total=$((all_total + total))
 done
 echo "| **total** | $all_files | $all_total | | |" >> "$out"
+echo "| **options** | $all_structs | $all_fields | | |" >> "$out"
 exit $fail

@@ -52,7 +52,7 @@ pub fn collect() -> Vec<(String, f64)> {
         ));
     }
 
-    // The DES cluster, with and without batched-wave workers.
+    // The DES cluster, flat and hierarchical.
     {
         use gmip_parallel::{solve_parallel, ParallelConfig};
         let inst = gmip_problems::generators::knapsack(16, 0.5, 5);
@@ -66,20 +66,6 @@ pub fn collect() -> Vec<(String, f64)> {
         )
         .expect("cluster solve");
         m.push(("cluster.des.w3.makespan_ns".into(), plain.stats.makespan_ns));
-        let batched = solve_parallel(
-            &inst,
-            ParallelConfig {
-                workers: 3,
-                gpu_mem: 1 << 26,
-                batched_lanes: Some(2),
-                ..Default::default()
-            },
-        )
-        .expect("batched cluster solve");
-        m.push((
-            "cluster.des.w3.batched2.makespan_ns".into(),
-            batched.stats.makespan_ns,
-        ));
         // The two-tier hierarchy on the same instance: tracks the makespan
         // and the root-link control-message count (the E10 quantity the
         // full BENCH_scale.json sweeps over rank counts).
@@ -136,7 +122,6 @@ mod tests {
             "e4.wave.w16.perlane_ns",
             "mip.device.knapsack18.sim_ns",
             "cluster.des.w3.makespan_ns",
-            "cluster.des.w3.batched2.makespan_ns",
             "cluster.hier.w8x4.makespan_ns",
             "cluster.hier.w8x4.root_msgs",
         ] {

@@ -200,6 +200,9 @@ fn any<T>(_: &T) -> bool {
     true
 }
 
+/// Largest `--gpu-mem`, GiB (1 PiB): its byte count fits any 64-bit `usize`.
+const MAX_GPU_MEM_GIB: usize = 1 << 20;
+
 /// Parses `args` (after the subcommand) into [`Options`].
 pub fn parse_options(args: &[String]) -> Result<Options, String> {
     let mut o = Options::default();
@@ -215,7 +218,11 @@ pub fn parse_options(args: &[String]) -> Result<Options, String> {
         let (m, a) = (&mut o.solve.mip, a.as_str());
         match a {
             "--strategy" => o.strategy = Some(take(a)?.parse()?),
-            "--gpu-mem" => o.solve.gpu_mem_gib = num(take(a), a, any, "an integer (GiB)")?,
+            "--gpu-mem" => {
+                let range = |g: &usize| (1..=MAX_GPU_MEM_GIB).contains(g);
+                let must = format!("an integer from 1 to {MAX_GPU_MEM_GIB} (GiB)");
+                o.solve.gpu_mem_gib = num(take(a), a, range, &must)?
+            }
             "--node-limit" => m.node_limit = num(take(a), a, any, "an integer")?,
             "--policy" => {
                 m.policy = match take(a)?.as_str() {
@@ -788,6 +795,17 @@ mod tests {
         assert_eq!(o.solve.mip.node_limit, 42);
         assert_eq!(o.solve.gpu_mem_gib, 2);
         assert!(o.stats);
+    }
+
+    /// `--gpu-mem` is GiB shifted into bytes: a value whose byte count
+    /// wraps would silently size a different device.
+    #[test]
+    fn gpu_mem_is_range_checked() {
+        for bad in ["0", "17179869184", "17179869185", "1048577"] {
+            let err = parse_options(&s(&["--gpu-mem", bad])).unwrap_err();
+            assert_eq!(err, "--gpu-mem must be an integer from 1 to 1048576 (GiB)");
+        }
+        assert_eq!(opts(&["--gpu-mem", "1048576"]).solve.gpu_mem_gib, 1 << 20);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Solver configuration.
 
-use gmip_lp::{Basis, LpConfig};
+use gmip_lp::LpConfig;
 
 /// Node-selection policy choice (dispatches to `gmip_tree::policy`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -15,21 +15,6 @@ pub enum PolicyKind {
     ReuseAffinity,
 }
 
-/// Branching-rule choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BranchRule {
-    /// Most-fractional variable (closest to 0.5).
-    MostFractional,
-    /// Pseudocost branching with most-fractional initialization.
-    PseudoCost,
-    /// Strong branching: probe the top candidates with iteration-capped
-    /// warm dual re-solves and pick the largest bound-degradation product.
-    /// Requires engine reuse + warm starts; falls back to most-fractional
-    /// otherwise. Knobs: [`MipConfig::strong_candidates`],
-    /// [`MipConfig::strong_iter_cap`].
-    Strong,
-}
-
 /// Cutting-plane configuration (root-only rounds; the generated cut
 /// families — GMI and knapsack covers — are globally valid).
 #[derive(Debug, Clone)]
@@ -38,10 +23,6 @@ pub struct CutConfig {
     pub enabled: bool,
     /// Maximum separation rounds at the root.
     pub max_rounds: usize,
-    /// Maximum cuts added per round.
-    pub max_per_round: usize,
-    /// Minimum violation for a cut to be kept.
-    pub min_violation: f64,
 }
 
 impl Default for CutConfig {
@@ -49,8 +30,6 @@ impl Default for CutConfig {
         Self {
             enabled: true,
             max_rounds: 5,
-            max_per_round: 10,
-            min_violation: 1e-4,
         }
     }
 }
@@ -62,8 +41,6 @@ pub struct HeurConfig {
     pub rounding: bool,
     /// Run a diving pass from the root relaxation.
     pub diving: bool,
-    /// Maximum diving depth (variables fixed).
-    pub dive_depth: usize,
     /// Run the fix-and-propagate dive every this many evaluated nodes
     /// (`gmip-prop`); `0` disables it. Off by default — opt-in, so the
     /// committed baselines stay valid.
@@ -75,7 +52,6 @@ impl Default for HeurConfig {
         Self {
             rounding: true,
             diving: false,
-            dive_depth: 20,
             fix_and_propagate_period: 0,
         }
     }
@@ -99,8 +75,6 @@ pub struct MipConfig {
     pub prune_tol: f64,
     /// Node-selection policy.
     pub policy: PolicyKind,
-    /// Branching rule.
-    pub branching: BranchRule,
     /// Cutting planes.
     pub cuts: CutConfig,
     /// Primal heuristics.
@@ -125,26 +99,11 @@ pub struct MipConfig {
     /// Stop as soon as an incumbent at least this good (source sense) is
     /// found.
     pub objective_limit: Option<f64>,
-    /// Strong branching: number of most-fractional candidates probed.
-    pub strong_candidates: usize,
-    /// Strong branching: iteration cap per probe re-solve.
-    pub strong_iter_cap: usize,
     /// Record an exactly-checkable [`gmip_lp::LpCertificate`] for every node
     /// LP outcome in `SolveStats::certificates` (dual bounds for optimal
     /// nodes, Farkas witnesses for infeasible ones). Off by default: the
     /// record grows with the tree and exists for the `gmip-verify` oracle.
     pub collect_certificates: bool,
-    /// A candidate solution (source-sense point over the structural
-    /// variables) installed as the initial incumbent if it validates
-    /// integer-feasible on the instance. Lets a caller — the `gmip-serve`
-    /// solution pool in particular — warm-start a perturbed re-submission
-    /// from a pooled answer so the tree prunes against it from node one.
-    /// Silently ignored when infeasible for this instance.
-    pub warm_solution: Option<Vec<f64>>,
-    /// A warm basis for the root relaxation (e.g. the final basis of a
-    /// structurally identical solve), used exactly like a parent basis.
-    /// Requires `warm_start`; ignored otherwise.
-    pub root_basis: Option<Basis>,
 }
 
 impl Default for MipConfig {
@@ -155,7 +114,6 @@ impl Default for MipConfig {
             int_tol: 1e-6,
             prune_tol: 1e-6,
             policy: PolicyKind::BestFirst,
-            branching: BranchRule::MostFractional,
             cuts: CutConfig::default(),
             heuristics: HeurConfig::default(),
             propagate: false,
@@ -164,11 +122,7 @@ impl Default for MipConfig {
             warm_start: true,
             gap_rel: 0.0,
             objective_limit: None,
-            strong_candidates: 4,
-            strong_iter_cap: 50,
             collect_certificates: false,
-            warm_solution: None,
-            root_basis: None,
         }
     }
 }

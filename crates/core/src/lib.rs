@@ -11,7 +11,7 @@
 //!   Big-MIP device);
 //! * [`strategy`] — the four parallel execution strategies of Section 3 and
 //!   their resource plans;
-//! * [`branch`] — branching rules (most-fractional, pseudocost);
+//! * [`branch`] — the most-fractional branching rule;
 //! * [`cut`] — globally valid cutting planes (Gomory mixed-integer from the
 //!   tableau, knapsack covers), generated CPU-side per Section 5.2;
 //! * [`heur`] — primal heuristics (rounding, diving);
@@ -45,14 +45,12 @@ pub mod strategy;
 pub mod wave;
 
 pub use concurrent::{solve_concurrent, ConcurrentConfig};
-pub use config::{
-    BranchRule, CutConfig, HeurConfig, MipConfig, PolicyKind, DEFAULT_PROPAGATE_ROUNDS,
-};
+pub use config::{CutConfig, HeurConfig, MipConfig, PolicyKind, DEFAULT_PROPAGATE_ROUNDS};
 pub use dispatch::{
     break_even_density, choose_path, solve_with_dispatch, CodePath, MIN_DEVICE_NNZ,
 };
 pub use fo_wave::{solve_first_order_wave, FirstOrderWaveConfig};
 pub use presolve::{presolve, PresolveResult};
-pub use solver::{BranchInfo, MipResult, MipSolver, MipStatus, NodePayload, SolveStats};
+pub use solver::{MipResult, MipSolver, MipStatus, NodePayload, SolveStats};
 pub use strategy::{big_mip_cost, plan, Strategy, StrategyPlan};
 pub use wave::{solve_batched_wave, BatchedWaveConfig, WaveResult};

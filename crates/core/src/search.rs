@@ -7,12 +7,12 @@
 //!
 //! * the objective **sense mapping** — every driver searches in an internal
 //!   maximize sense ([`Rules::internal`] / [`Rules::to_source`]);
-//! * the [`Incumbent`] — value read, validated warm seed, and the install
-//!   sequence (round integral coordinates, stamp the first-incumbent time,
-//!   prune the dominated frontier);
-//! * the node-LP [`Verdict`] — pruned, integral, or fractional with a
-//!   branching decision — from the bound, the point, the cached integral
-//!   index list and the two tolerances ([`Rules`]);
+//! * the [`Incumbent`] — value read, the clusters' validated warm seed, and
+//!   the install sequence (round integral coordinates, stamp the
+//!   first-incumbent time, prune the dominated frontier);
+//! * the node-LP [`Verdict`] — pruned, integral, or fractional with the
+//!   most-fractional branching decision — from the bound, the point, the
+//!   cached integral index list and the two tolerances ([`Rules`]);
 //! * [`children`] — a variable's effective bounds under the node's
 //!   cumulative changes, the two child [`BoundChange`]s and their labels;
 //! * [`Rules::finish`] — terminal status and the source-sense result.
@@ -21,7 +21,7 @@
 //! tolerance a report-side prune uses, whether a rounded point is re-checked
 //! before it replaces the LP point, which margin a heuristic candidate must
 //! clear, where children are placed. A per-node hook (a cut pool, a
-//! progress series) attaches to [`Rules::verdict_with`] and
+//! progress series) attaches to [`Rules::verdict`] and
 //! [`Incumbent::set`] and reaches every driver.
 
 use crate::branch::{self, BranchDecision};
@@ -49,8 +49,6 @@ pub enum Verdict {
     Integral,
     /// Some integral variables are fractional: branch.
     Fractional {
-        /// The fractional integral variables, in index order.
-        frac: Vec<usize>,
         /// The variable to branch on.
         decision: BranchDecision,
     },
@@ -107,15 +105,9 @@ impl Rules {
     }
 
     /// Decides a solved node: prune test first (so a dominated node's point
-    /// is never read), then the fractional filter, then `decide` picks the
-    /// branching variable among the fractional candidates.
-    pub fn verdict_with(
-        &self,
-        bound: f64,
-        x: &[f64],
-        incumbent: f64,
-        decide: impl FnOnce(&[usize]) -> BranchDecision,
-    ) -> Verdict {
+    /// is never read), then the fractional filter, then the most-fractional
+    /// rule picks the branching variable among the fractional candidates.
+    pub fn verdict(&self, bound: f64, x: &[f64], incumbent: f64) -> Verdict {
         if self.dominated(bound, incumbent) {
             return Verdict::Pruned;
         }
@@ -123,13 +115,9 @@ impl Rules {
         if frac.is_empty() {
             return Verdict::Integral;
         }
-        let decision = decide(&frac);
-        Verdict::Fractional { frac, decision }
-    }
-
-    /// [`Self::verdict_with`] under the most-fractional rule.
-    pub fn verdict(&self, bound: f64, x: &[f64], incumbent: f64) -> Verdict {
-        self.verdict_with(bound, x, incumbent, |frac| branch::most_fractional(x, frac))
+        Verdict::Fractional {
+            decision: branch::most_fractional(x, &frac),
+        }
     }
 
     /// `x` with every integral coordinate rounded to its nearest integer.
@@ -248,17 +236,17 @@ impl Incumbent {
         self.accept(rules, tree, value, rules.rounded(x), now);
     }
 
-    /// The warm-seed entry point: `seed` (a pooled source-sense point)
-    /// becomes the initial incumbent if, with its integral coordinates
+    /// The clusters' warm-seed entry point: `seed` (a pooled source-sense
+    /// point) becomes the initial incumbent if, with its integral coordinates
     /// rounded, it validates integer-feasible on *this* instance — a
-    /// perturbed re-submission may have made it infeasible. Returns whether
-    /// it was taken.
-    pub fn seed(&mut self, rules: &Rules, instance: &MipInstance, seed: &[f64], now: f64) -> bool {
+    /// perturbed re-submission may have made it infeasible. A taken seed is
+    /// the first incumbent, at time 0. Returns whether it was taken.
+    pub fn seed(&mut self, rules: &Rules, instance: &MipInstance, seed: &[f64]) -> bool {
         let p = rules.rounded(seed.to_vec());
         let ok = instance.is_integer_feasible(&p, 1e-6);
         if ok {
             let value = rules.internal(instance.objective_value(&p));
-            self.set(value, p, || now);
+            self.set(value, p, || 0.0);
         }
         ok
     }
@@ -471,7 +459,7 @@ pub struct Child {
 
 /// Effective bounds of structural `var` under a node's cumulative changes
 /// (the last change to `var` wins; the instance bounds if there is none).
-pub fn effective_bounds(instance: &MipInstance, bounds: &[BoundChange], var: usize) -> (f64, f64) {
+fn effective_bounds(instance: &MipInstance, bounds: &[BoundChange], var: usize) -> (f64, f64) {
     bounds
         .iter()
         .rev()
@@ -545,10 +533,10 @@ mod tests {
             Verdict::Integral
         );
         let x = [0.9, 0.5, 0.2, 0.5];
-        let Verdict::Fractional { frac, decision } = r.verdict(9.0, &x, 0.0) else {
+        let Verdict::Fractional { decision } = r.verdict(9.0, &x, 0.0) else {
             panic!("fractional point");
         };
-        assert_eq!(frac, vec![0, 1, 2, 3]);
+        assert_eq!(r.fractional(&x), vec![0, 1, 2, 3]);
         // Ties go to the lowest index.
         assert_eq!((decision.var, decision.value), (1, 0.5));
     }
@@ -667,7 +655,7 @@ mod tests {
         // coordinates are rounded before validation.
         let seed = [1.0, 0.0, 0.9999999, 0.0];
         let mut inc = Incumbent::default();
-        assert!(inc.seed(&r, &m, &seed, 0.0));
+        assert!(inc.seed(&r, &m, &seed));
         assert_eq!(inc.best(), Some(&(14.0, vec![1.0, 0.0, 1.0, 0.0])));
         assert_eq!(inc.first_ns(), Some(0.0));
         // The same seed on a perturbed instance (capacity cut to 1) is
@@ -675,9 +663,9 @@ mod tests {
         let mut tight = m.clone();
         tight.cons[0].rhs = 1.0;
         let mut inc = Incumbent::default();
-        assert!(!inc.seed(&r, &tight, &seed, 0.0));
+        assert!(!inc.seed(&r, &tight, &seed));
         assert!(!inc.is_some() && inc.first_ns().is_none());
         // A seed of the wrong length is rejected, not indexed.
-        assert!(!inc.seed(&r, &m, &[1.0], 0.0));
+        assert!(!inc.seed(&r, &m, &[1.0]));
     }
 }

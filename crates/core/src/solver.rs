@@ -7,7 +7,6 @@
 //! (Section 5.3). Root-only cut rounds (Section 5.2) and host-side primal
 //! heuristics complete the branch-and-*cut* picture.
 
-use crate::branch::{self, PseudoCosts};
 use crate::config::{MipConfig, PolicyKind};
 use crate::cut::{self, Cut};
 use crate::heur;
@@ -26,18 +25,13 @@ use gmip_tree::{
 };
 use std::borrow::Cow;
 
-/// How a child node was created (for pseudocost learning).
-#[derive(Debug, Clone, Copy)]
-pub struct BranchInfo {
-    /// Branching variable.
-    pub var: usize,
-    /// `true` for the up (`≥ ceil`) child.
-    pub up: bool,
-    /// Parent fractionality of the variable.
-    pub frac: f64,
-    /// Parent relaxation bound (internal maximize sense).
-    pub parent_bound: f64,
-}
+/// Most cuts one root separation round adds: covers first, GMI cuts fill
+/// the rest.
+const CUTS_PER_ROUND: usize = 10;
+/// A separated cut violated by no more than this is dropped.
+const MIN_CUT_VIOLATION: f64 = 1e-4;
+/// Most variables the root dive fixes.
+const DIVE_DEPTH: usize = 20;
 
 /// Payload stored per tree node.
 #[derive(Debug, Clone, Default)]
@@ -46,8 +40,6 @@ pub struct NodePayload {
     pub bounds: Vec<BoundChange>,
     /// Parent's optimal basis for warm starts.
     pub parent_basis: Option<Basis>,
-    /// Branching provenance.
-    pub branch_info: Option<BranchInfo>,
 }
 
 /// Terminal status of a MIP solve.
@@ -102,10 +94,6 @@ pub struct SolveStats {
     /// produced dual evidence. Empty unless
     /// `MipConfig::collect_certificates` is set.
     pub certificates: Vec<LpCertificate>,
-    /// The root relaxation's optimal basis, for pooling: a structurally
-    /// identical re-submission can warm-start from it via
-    /// [`MipConfig::root_basis`](crate::MipConfig).
-    pub root_basis: Option<Basis>,
 }
 
 /// The result of a MIP solve.
@@ -336,19 +324,15 @@ impl<E: SimplexEngine> MipSolver<E> {
             }
             // CPU-side separation cost (Section 5.2).
             self.charge_host(4.0 * nnz as f64, (nnz * 16) as f64);
-            let mut cuts = cut::generate_covers(
-                &self.instance,
-                &sol.x,
-                self.cfg.cuts.max_per_round,
-                self.cfg.cuts.min_violation,
-            );
-            if cuts.len() < self.cfg.cuts.max_per_round {
+            let mut cuts =
+                cut::generate_covers(&self.instance, &sol.x, CUTS_PER_ROUND, MIN_CUT_VIOLATION);
+            if cuts.len() < CUTS_PER_ROUND {
                 let gmi = cut::generate_gmi(
                     lp,
                     &self.instance,
                     &sol.x,
-                    self.cfg.cuts.max_per_round - cuts.len(),
-                    self.cfg.cuts.min_violation,
+                    CUTS_PER_ROUND - cuts.len(),
+                    MIN_CUT_VIOLATION,
                     self.cfg.int_tol,
                 )?;
                 cuts.extend(gmi);
@@ -454,121 +438,16 @@ impl<E: SimplexEngine> MipSolver<E> {
         Ok((sol, basis))
     }
 
-    /// Strong branching: probes the `strong_candidates` most-fractional
-    /// variables with iteration-capped warm dual re-solves on both children
-    /// and returns the variable with the best degradation product. Also
-    /// feeds the observed degradations into the pseudocost store.
-    #[allow(clippy::too_many_arguments)]
-    fn strong_branch(
-        &self,
-        lp: &mut LpSolver<E>,
-        bounds: &[BoundChange],
-        basis: &Basis,
-        frac: &[usize],
-        x: &[f64],
-        parent_internal: f64,
-        pseudo: &mut PseudoCosts,
-        stats: &mut SolveStats,
-    ) -> LpResult<usize> {
-        // Top-K most fractional candidates.
-        let mut candidates: Vec<usize> = frac.to_vec();
-        candidates.sort_by(|&a, &b| {
-            branch::fractionality(x[b])
-                .partial_cmp(&branch::fractionality(x[a]))
-                .expect("fractionality is never NaN")
-                .then(a.cmp(&b))
-        });
-        candidates.truncate(self.cfg.strong_candidates.max(1));
-
-        let mut best = (candidates[0], f64::NEG_INFINITY);
-        for &j in &candidates {
-            let (mut lo, mut hi) = search::effective_bounds(&self.instance, bounds, j);
-            if !lo.is_finite() {
-                lo = x[j].floor() - 1.0; // conservative finite box for probes
-            }
-            if !hi.is_finite() {
-                hi = x[j].ceil() + 1.0;
-            }
-            let mut degs = [0.0f64; 2];
-            for (side, deg_slot) in degs.iter_mut().enumerate() {
-                let up = side == 1;
-                let mut probe_bounds = bounds.to_vec();
-                probe_bounds.push(if up {
-                    BoundChange {
-                        var: j,
-                        lb: x[j].ceil(),
-                        ub: hi,
-                    }
-                } else {
-                    BoundChange {
-                        var: j,
-                        lb: lo,
-                        ub: x[j].floor(),
-                    }
-                });
-                lp.apply_node_bounds(&probe_bounds)?;
-                lp.set_warm_basis(basis.clone())?;
-                match lp.resolve_limited(self.cfg.strong_iter_cap) {
-                    Ok(sol) => match sol.status {
-                        LpStatus::Optimal => {
-                            stats.lp_iterations += sol.iterations;
-                            let child = self.rules.internal(sol.objective);
-                            *deg_slot = (parent_internal - child).max(0.0);
-                            let f = x[j] - x[j].floor();
-                            pseudo.record(j, up, *deg_slot, f);
-                        }
-                        // Child closes entirely: maximal information.
-                        LpStatus::Infeasible => *deg_slot = 1e12,
-                        LpStatus::Unbounded => *deg_slot = 0.0,
-                    },
-                    // Probe truncated: no information from this side.
-                    Err(LpError::IterationLimit { iterations }) => {
-                        stats.lp_iterations += iterations;
-                        *deg_slot = 0.0;
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            let score = degs[0] * degs[1] + 1e-6 * (degs[0] + degs[1]);
-            if score > best.1 {
-                best = (j, score);
-            }
-        }
-        // Restore the node's own bounds for whoever touches `lp` next.
-        lp.apply_node_bounds(bounds)?;
-        Ok(best.0)
-    }
-
     /// Runs branch and cut to completion (or the node limit).
     pub fn solve(&mut self) -> LpResult<MipResult> {
         let mut tree: SearchTree<NodePayload> =
             SearchTree::with_root(NodePayload::default(), self.node_bytes);
         let mut policy = PolicyImpl::new(self.cfg.policy);
-        let mut pseudo = PseudoCosts::default();
         let mut stats = SolveStats {
             strategy: self.strategy_name,
             ..Default::default()
         };
         let mut incumbent = Incumbent::default();
-        // Warm-start entry points: a pooled solution becomes the initial
-        // incumbent (after validating on *this* instance — a perturbed
-        // re-submission may have made it infeasible), and a pooled basis
-        // warm-starts the root relaxation like a parent basis would.
-        if let Some(seed) = &self.cfg.warm_solution {
-            if incumbent.seed(&self.rules, &self.instance, seed, self.sim_now_ns()) {
-                stats.metrics.incr(names::BB_WARM_SEEDS, 1.0);
-                let obj = self.rules.to_source(incumbent.value());
-                gmip_trace::record(|| {
-                    Event::instant(Track::solver(), "warm_seed", 0.0).arg("objective", obj)
-                });
-            }
-        }
-        if self.cfg.warm_start {
-            if let Some(b) = self.cfg.root_basis.clone() {
-                let root = tree.root();
-                tree.data_mut(root).parent_basis = Some(b);
-            }
-        }
         let mut lp_slot: Option<LpSolver<E>> = None;
         let mut global_cuts: Vec<Cut> = Vec::new();
         let mut early_stop: Option<MipStatus> = None;
@@ -619,7 +498,6 @@ impl<E: SimplexEngine> MipSolver<E> {
             stats.nodes += 1;
             let is_root = id == tree.root();
             let parent_basis = tree.data_mut(id).parent_basis.take();
-            let branch_info = tree.node(id).data.branch_info;
 
             let node_t0 = self.sim_now_ns();
             let own = &tree.node(id).data.bounds;
@@ -658,25 +536,7 @@ impl<E: SimplexEngine> MipSolver<E> {
                 }
                 LpStatus::Optimal => {
                     let internal = self.rules.internal(sol.objective);
-                    if is_root {
-                        stats.root_basis = basis.clone();
-                    }
-                    // Pseudocost learning from the parent bound.
-                    if let Some(bi) = branch_info {
-                        pseudo.record(
-                            bi.var,
-                            bi.up,
-                            (bi.parent_bound - internal).max(0.0),
-                            bi.frac,
-                        );
-                    }
-                    let verdict =
-                        self.rules
-                            .verdict_with(internal, &sol.x, incumbent.value(), |frac| {
-                                let rule = self.cfg.branching;
-                                branch::decide(rule, &self.instance, &sol.x, frac, &pseudo)
-                            });
-                    let (frac, mut decision) = match verdict {
+                    let decision = match self.rules.verdict(internal, &sol.x, incumbent.value()) {
                         Verdict::Pruned => {
                             tree.settle(id, NodeState::Pruned, internal);
                             self.node_span(id, "pruned", node_t0);
@@ -694,7 +554,7 @@ impl<E: SimplexEngine> MipSolver<E> {
                             }
                             continue;
                         }
-                        Verdict::Fractional { frac, decision } => (frac, decision),
+                        Verdict::Fractional { decision } => decision,
                     };
                     // Heuristics.
                     if self.cfg.heuristics.rounding {
@@ -729,7 +589,7 @@ impl<E: SimplexEngine> MipSolver<E> {
                             &self.instance,
                             &bounds,
                             &sol.x,
-                            self.cfg.heuristics.dive_depth,
+                            DIVE_DEPTH,
                             self.cfg.int_tol,
                         )? {
                             self.offer_heuristic(
@@ -743,42 +603,16 @@ impl<E: SimplexEngine> MipSolver<E> {
                         }
                     }
                     // Branch.
-                    if self.cfg.branching == crate::config::BranchRule::Strong
-                        && self.cfg.engine_reuse
-                        && self.cfg.warm_start
-                        && frac.len() > 1
-                    {
-                        if let (Some(lp), Some(b)) = (lp_slot.as_mut(), basis.as_ref()) {
-                            let var = self.strong_branch(
-                                lp,
-                                &bounds,
-                                b,
-                                &frac,
-                                &sol.x,
-                                internal,
-                                &mut pseudo,
-                                &mut stats,
-                            )?;
-                            decision = branch::BranchDecision::on(var, &sol.x);
-                        }
-                    }
-                    let f = decision.value - decision.value.floor();
-                    let child = |c: search::Child, up: bool| {
+                    let child = |c: search::Child| {
                         let payload = NodePayload {
                             bounds: c.bounds,
                             parent_basis: basis.clone(),
-                            branch_info: Some(BranchInfo {
-                                var: decision.var,
-                                up,
-                                frac: f,
-                                parent_bound: internal,
-                            }),
                         };
                         (c.label, payload)
                     };
                     let [down, up] =
                         search::children(&self.instance, &bounds, decision.var, decision.value);
-                    tree.branch(id, internal, [child(down, false), child(up, true)]);
+                    tree.branch(id, internal, [child(down), child(up)]);
                     self.node_span(id, "branched", node_t0);
                     self.tree_alloc(&mut stats);
                     self.tree_alloc(&mut stats);
@@ -1065,22 +899,6 @@ mod tests {
     }
 
     #[test]
-    fn branch_rules_agree_on_optimum() {
-        use crate::config::BranchRule;
-        let m = knapsack(12, 0.4, 4);
-        let expected = knapsack_brute_force(&m);
-        for rule in [BranchRule::MostFractional, BranchRule::PseudoCost] {
-            let cfg = MipConfig {
-                branching: rule,
-                ..Default::default()
-            };
-            let mut s = MipSolver::host_baseline(m.clone(), cfg);
-            let r = s.solve().unwrap();
-            assert!((r.objective - expected).abs() < 1e-6, "{rule:?}");
-        }
-    }
-
-    #[test]
     fn cuts_reduce_node_count() {
         // Aggregate across seeds: root cuts should not increase total nodes
         // on knapsacks (cover cuts bite).
@@ -1114,39 +932,6 @@ mod tests {
         let r = s.solve().unwrap();
         assert_eq!(r.status, MipStatus::Optimal);
         assert!((r.objective - expected).abs() < 1e-6);
-    }
-
-    #[test]
-    fn root_basis_warm_starts_the_root_with_and_without_engine_reuse() {
-        // The pooled basis is the cut-free root's (a basis from after cut
-        // rounds has cut-slack columns and degrades to a cold root).
-        let m = knapsack(16, 0.5, 2);
-        for engine_reuse in [true, false] {
-            let mut cfg = MipConfig {
-                engine_reuse,
-                ..Default::default()
-            };
-            cfg.cuts.enabled = false;
-            let cold = MipSolver::host_baseline(m.clone(), cfg.clone())
-                .solve()
-                .unwrap();
-            cfg.root_basis = cold.stats.root_basis.clone();
-            assert!(cfg.root_basis.is_some());
-            let warm = MipSolver::host_baseline(m.clone(), cfg).solve().unwrap();
-            let root_solves = |r: &MipResult| r.stats.metrics.counter(names::LP_SOLVES);
-            assert_eq!(
-                (root_solves(&cold), root_solves(&warm)),
-                (1.0, 0.0),
-                "reuse {engine_reuse}: the warm root is a resolve"
-            );
-            assert!(
-                warm.stats.lp_iterations < cold.stats.lp_iterations,
-                "reuse {engine_reuse}: {} vs {}",
-                warm.stats.lp_iterations,
-                cold.stats.lp_iterations
-            );
-            assert_eq!(warm.objective.to_bits(), cold.objective.to_bits());
-        }
     }
 
     #[test]
@@ -1190,38 +975,6 @@ mod tests {
             MipStatus::ObjectiveLimit | MipStatus::Optimal
         ));
         assert!(r.objective >= 0.8 * exact.objective - 1e-9);
-    }
-
-    #[test]
-    fn strong_branching_matches_optimum_with_fewer_nodes() {
-        use crate::config::BranchRule;
-        let mut strong_nodes = 0usize;
-        let mut plain_nodes = 0usize;
-        for seed in 0..4 {
-            let m = knapsack(16, 0.5, seed + 40);
-            let expected = knapsack_brute_force(&m);
-            let mut cfg = MipConfig::default();
-            cfg.branching = BranchRule::Strong;
-            cfg.cuts.enabled = false;
-            cfg.heuristics.rounding = false;
-            let r_strong = MipSolver::host_baseline(m.clone(), cfg.clone())
-                .solve()
-                .unwrap();
-            assert_eq!(r_strong.status, MipStatus::Optimal, "seed {seed}");
-            assert!(
-                (r_strong.objective - expected).abs() < 1e-6,
-                "seed {seed}: strong {} vs {expected}",
-                r_strong.objective
-            );
-            cfg.branching = BranchRule::MostFractional;
-            let r_plain = MipSolver::host_baseline(m, cfg).solve().unwrap();
-            strong_nodes += r_strong.stats.nodes;
-            plain_nodes += r_plain.stats.nodes;
-        }
-        assert!(
-            strong_nodes <= plain_nodes,
-            "strong branching used more nodes: {strong_nodes} vs {plain_nodes}"
-        );
     }
 
     #[test]

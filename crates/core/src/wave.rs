@@ -30,6 +30,9 @@ use gmip_trace::{names, MetricsRegistry};
 use gmip_tree::{NodeId, NodeState, SearchTree};
 use std::borrow::Cow;
 
+/// Byte budget of the device-resident warm-basis pool.
+const BASIS_POOL_BYTES: usize = 1 << 20;
+
 /// Configuration of the batched-wave solver.
 #[derive(Debug, Clone)]
 pub struct BatchedWaveConfig {
@@ -44,8 +47,6 @@ pub struct BatchedWaveConfig {
     pub prune_tol: f64,
     /// Node budget.
     pub node_limit: usize,
-    /// Byte budget of the device-resident warm-basis pool.
-    pub basis_pool_bytes: usize,
     /// Run batched domain propagation (`prop.*` kernel trios over the
     /// shared CSR matrix) on every refilled lane's box before its node LP.
     /// Off by default — opt-in, so committed baselines stay valid.
@@ -69,7 +70,6 @@ impl Default for BatchedWaveConfig {
             int_tol: 1e-6,
             prune_tol: 1e-6,
             node_limit: 100_000,
-            basis_pool_bytes: 1 << 20,
             propagate: false,
             propagate_rounds: crate::DEFAULT_PROPAGATE_ROUNDS,
             heuristic_period: 0,
@@ -269,7 +269,7 @@ pub fn solve_batched_wave(
             RecordingEngine::new(a.clone())
         }));
     }
-    let wave = BatchedWaveEngine::new(accel.clone(), &ext, width, cfg.basis_pool_bytes)?;
+    let wave = BatchedWaveEngine::new(accel.clone(), &ext, width, BASIS_POOL_BYTES)?;
     let hook = NodeHook::new(
         instance,
         cfg.propagate,
@@ -392,7 +392,7 @@ pub(crate) fn run_wave<L: LaneSet>(
                                 .install(&rules, &mut tree, bound, sol.x, || accel.elapsed_ns());
                             lanes.set_cutoff(bound + rules.prune_tol);
                         }
-                        Verdict::Fractional { decision: d, .. } => {
+                        Verdict::Fractional { decision: d } => {
                             let parent = &tree.node(id).data.bounds;
                             hook.seed(parent, sol.x);
                             let kids =

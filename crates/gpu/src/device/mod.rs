@@ -160,11 +160,14 @@ pub struct DeviceConfig {
 }
 
 impl DeviceConfig {
-    /// A data-center GPU with `gib` GiB of memory on PCIe.
+    /// A data-center GPU with `gib` GiB of memory on PCIe. Panics if the
+    /// byte count overflows a `usize` (a shift would wrap silently).
     pub fn gpu(gib: usize) -> Self {
         Self {
             cost: CostModel::gpu_pcie(),
-            mem_capacity: gib << 30,
+            mem_capacity: gib
+                .checked_mul(1 << 30)
+                .expect("device memory fits a usize"),
             streams: 1,
         }
     }

@@ -66,9 +66,9 @@
 //! with `η = 1/‖A‖_F` (the Frobenius norm upper-bounds the spectral norm,
 //! so `τσ‖A‖₂² ≤ 1` holds unconditionally and deterministically) and a
 //! per-lane primal weight `ω` adapted at restarts from the observed
-//! primal/dual movement ratio. Every `check_every` iterations the lane
+//! primal/dual movement ratio. Every `CHECK_EVERY` iterations the lane
 //! evaluates its **running average** iterate: if the KKT merit decayed by
-//! `restart_beta` since the last restart the lane restarts *to* the
+//! `RESTART_BETA` since the last restart the lane restarts *to* the
 //! average (Halpern-style, the PDLP recipe).
 //!
 //! First-order iterates are inexact, so per-node bounds are stated
@@ -110,12 +110,6 @@ pub struct PdhgConfig {
     /// Per-lane iteration cap; capped lanes retire as
     /// [`FoOutcome::IterLimit`] and cleanup decides the node.
     pub max_iters: usize,
-    /// KKT-check cadence in iterations (each check is one extra fused
-    /// `fo.norm` launch for the checking lanes).
-    pub check_every: usize,
-    /// Restart when the average's KKT merit decayed by this factor since
-    /// the last restart.
-    pub restart_beta: f64,
 }
 
 impl Default for PdhgConfig {
@@ -123,11 +117,17 @@ impl Default for PdhgConfig {
         Self {
             tol: 1e-4,
             max_iters: 20_000,
-            check_every: 4,
-            restart_beta: 0.5,
         }
     }
 }
+
+/// KKT-check cadence in iterations (each check is one extra fused `fo.norm`
+/// launch for the checking lanes).
+const CHECK_EVERY: usize = 4;
+
+/// A lane restarts when its average's KKT merit decayed by this factor since
+/// the last restart.
+const RESTART_BETA: f64 = 0.5;
 
 /// Why a lane left the wave.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -764,8 +764,7 @@ impl FirstOrderWaveEngine {
                 busy += 1;
                 l.sum_count += 1;
                 l.iters += 1;
-                l.checking =
-                    l.iters.is_multiple_of(self.cfg.check_every) || l.iters >= self.cfg.max_iters;
+                l.checking = l.iters.is_multiple_of(CHECK_EVERY) || l.iters >= self.cfg.max_iters;
                 checking += usize::from(l.checking);
             } else if !l.reported {
                 l.reported = true;
@@ -883,7 +882,7 @@ impl FirstOrderWaveEngine {
             if merit.is_finite() {
                 lane.merit0 = merit;
             }
-        } else if merit <= self.cfg.restart_beta * lane.merit0 {
+        } else if merit <= RESTART_BETA * lane.merit0 {
             // Restart to the running average, and adapt the primal weight
             // from the movement ratio since the last restart point.
             let (x_avg, y_avg) = (&task.x[l * n..(l + 1) * n], &task.y[l * m..(l + 1) * m]);

@@ -589,19 +589,6 @@ impl<E: SimplexEngine> LpSolver<E> {
         Ok((sol, self.basis.clone()))
     }
 
-    /// iterations — the strong-branching probe mode. An iteration-limit hit
-    /// is returned as `Err(LpError::IterationLimit)`; the stored basis is
-    /// left at whatever state the probe reached (callers re-install warm
-    /// bases per node anyway).
-    pub fn resolve_limited(&mut self, max_iters: usize) -> LpResult<LpSolution> {
-        let saved = self.cfg.clone();
-        self.cfg.primal.max_iters = max_iters;
-        self.cfg.dual.base.max_iters = max_iters;
-        let out = self.resolve();
-        self.cfg = saved;
-        out
-    }
-
     /// Warm re-solve after bound changes and/or added cuts: dual simplex to
     /// restore feasibility, then a primal polish. Requires a prior solve (or
     /// [`Self::set_warm_basis`]); falls back to [`Self::solve`] otherwise.

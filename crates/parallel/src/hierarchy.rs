@@ -51,6 +51,9 @@ use std::collections::BTreeMap;
 /// rejects them up front.
 pub const MAX_RANKS: usize = 4096;
 
+/// Sub-supervisor → root load-summary cadence, simulated ns.
+const SUMMARY_EVERY_NS: f64 = 25_000.0;
+
 /// Topology and steal-policy knobs of the hierarchical cluster.
 #[derive(Debug, Clone)]
 pub struct HierarchyConfig {
@@ -59,8 +62,6 @@ pub struct HierarchyConfig {
     /// Seed of the root's steal-victim policy: identical seeds make
     /// identical steal decisions given identical summary views.
     pub steal_seed: u64,
-    /// Sub-supervisor → root load-summary cadence, simulated ns.
-    pub summary_every_ns: f64,
     /// Most subtrees one steal grant may ship.
     pub steal_max: usize,
 }
@@ -70,7 +71,6 @@ impl Default for HierarchyConfig {
         Self {
             fanout: 8,
             steal_seed: 0x5EED,
-            summary_every_ns: 25_000.0,
             steal_max: 4,
         }
     }
@@ -329,16 +329,12 @@ impl HierSupervisor {
             }
         }
         for g in 0..groups {
-            sup.events
-                .push(sup.hcfg.summary_every_ns, g, HEventKind::SummaryDue);
+            sup.events.push(SUMMARY_EVERY_NS, g, HEventKind::SummaryDue);
         }
         // Warm-start entry point: a pooled solution seeds the root *and*
         // every group's pruning value, exactly like the flat cluster.
         if let Some(seed) = &sup.c.cfg.seed_solution {
-            if sup
-                .root_incumbent
-                .seed(&sup.c.rules, &sup.c.instance, seed, 0.0)
-            {
+            if sup.root_incumbent.seed(&sup.c.rules, &sup.c.instance, seed) {
                 for g in &mut sup.gstate {
                     g.incumbent = sup.root_incumbent.value();
                 }
@@ -640,11 +636,8 @@ impl HierSupervisor {
     fn on_summary_due(&mut self, g: usize) {
         // The timer always re-arms, even through an outage — the group's
         // replacement resumes the cadence without root involvement.
-        self.events.push(
-            self.c.now + self.hcfg.summary_every_ns,
-            g,
-            HEventKind::SummaryDue,
-        );
+        self.events
+            .push(self.c.now + SUMMARY_EVERY_NS, g, HEventKind::SummaryDue);
         if !self.gstate[g].alive {
             return;
         }
@@ -783,8 +776,7 @@ impl HierSupervisor {
         // summary period): a starved group probes the root a logarithmic
         // number of times per idle stretch instead of once per tick.
         let shift = self.gstate[g].deny_streak.min(10);
-        self.gstate[g].steal_backoff_until =
-            self.c.now + self.hcfg.summary_every_ns * (1u64 << shift) as f64;
+        self.gstate[g].steal_backoff_until = self.c.now + SUMMARY_EVERY_NS * (1u64 << shift) as f64;
         self.gstate[g].deny_streak = self.gstate[g].deny_streak.saturating_add(1);
         let ts = self.c.now;
         gmip_trace::record(|| {
@@ -850,7 +842,7 @@ impl HierSupervisor {
                     self.in_transit.insert(xfer2, (g, nodes));
                     self.inbound[g] += 1;
                     self.events.push(
-                        self.c.now + self.hcfg.summary_every_ns,
+                        self.c.now + SUMMARY_EVERY_NS,
                         g,
                         HEventKind::SubtreeArrive { xfer: xfer2 },
                     );

@@ -32,7 +32,7 @@ use gmip_core::{
     BatchedWaveConfig, CodePath, ConcurrentConfig, FirstOrderWaveConfig, MipConfig, MipResult,
     MipSolver, MipStatus, Strategy, WaveResult,
 };
-use gmip_gpu::{Accel, BackendKind, CostModel};
+use gmip_gpu::{Accel, BackendKind, CostModel, DeviceConfig};
 use gmip_problems::MipInstance;
 use std::fmt;
 use std::str::FromStr;
@@ -257,7 +257,8 @@ impl SolvePath {
             return Err(format!("{flag} is not read by --strategy {self}"));
         }
         let m = &o.mip;
-        let (device, gpu_mem) = (|| Accel::gpu(o.gpu_mem_gib), o.gpu_mem_gib << 30);
+        let device = || Accel::gpu(o.gpu_mem_gib);
+        let gpu_mem = DeviceConfig::gpu(o.gpu_mem_gib).mem_capacity;
         let ranks = |workers| ParallelConfig {
             workers,
             gpu_mem,

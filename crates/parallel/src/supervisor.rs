@@ -70,16 +70,6 @@ pub struct ParallelConfig {
     pub checkpoint_every: Option<usize>,
     /// Deterministic fault injection (None = a reliable machine).
     pub chaos: Option<ChaosConfig>,
-    /// `Some(n)`: workers run their node LPs through the batched wave
-    /// evaluator (fused kernel launches on a shared device matrix, up to
-    /// `n` lane reservations) instead of one launch per simplex operation.
-    pub batched_lanes: Option<usize>,
-    /// `Some(n)`: workers run their node LPs through the first-order
-    /// (restarted PDHG) evaluator — fused SpMV/axpy launches on a shared
-    /// device-resident CSR matrix, safe dual bounds for early incumbent
-    /// prunes, and exact host-simplex cleanup of converged lanes. Takes
-    /// precedence over `batched_lanes`.
-    pub first_order_lanes: Option<usize>,
     /// A candidate solution (source-sense point) installed as the initial
     /// incumbent if it validates integer-feasible on the instance — the
     /// multi-job serving layer seeds perturbed re-submissions from its
@@ -121,8 +111,6 @@ impl Default for ParallelConfig {
             warm_start: true,
             checkpoint_every: None,
             chaos: None,
-            batched_lanes: None,
-            first_order_lanes: None,
             seed_solution: None,
             root_basis: None,
             propagate: false,
@@ -243,7 +231,7 @@ impl Supervisor {
         // incumbent once it re-validates on this (possibly perturbed)
         // instance, so every dispatched assignment prunes against it.
         if let Some(seed) = &sup.c.cfg.seed_solution {
-            if sup.incumbent.seed(&sup.c.rules, &sup.c.instance, seed, 0.0) {
+            if sup.incumbent.seed(&sup.c.rules, &sup.c.instance, seed) {
                 sup.c.stats.metrics.incr(names::BB_WARM_SEEDS, 1.0);
             }
         }
@@ -568,45 +556,6 @@ pub(crate) mod tests {
                 r.objective
             );
         }
-    }
-
-    /// Same optimum through the wave backend; no launch saving is claimed —
-    /// a rank's wave is one lane wide (see `wave_backend_matches_per_kernel`).
-    #[test]
-    fn batched_workers_match_default() {
-        let m = knapsack(12, 0.5, 1);
-        let baseline = solve_parallel(&m, cfg(3)).unwrap();
-        let batched = solve_parallel(
-            &m,
-            ParallelConfig {
-                batched_lanes: Some(2),
-                ..cfg(3)
-            },
-        )
-        .unwrap();
-        assert_eq!(batched.status, MipStatus::Optimal);
-        assert!((batched.objective - baseline.objective).abs() < 1e-6);
-        assert!(batched.stats.metrics.counter("wave.fused_launches") > 0.0);
-    }
-
-    #[test]
-    fn first_order_workers_match_default() {
-        let m = knapsack(12, 0.5, 1);
-        let baseline = solve_parallel(&m, cfg(3)).unwrap();
-        let fo = solve_parallel(
-            &m,
-            ParallelConfig {
-                first_order_lanes: Some(2),
-                ..cfg(3)
-            },
-        )
-        .unwrap();
-        assert_eq!(fo.status, MipStatus::Optimal);
-        assert!((fo.objective - baseline.objective).abs() < 1e-6);
-        // The ranks really ran the PDHG evaluator, and incumbent cutoffs
-        // reached in-flight lanes (safe-bound prunes).
-        assert!(fo.stats.metrics.counter("fo.iterations") > 0.0);
-        assert!(fo.stats.metrics.counter("fo.cleanups") > 0.0);
     }
 
     #[test]

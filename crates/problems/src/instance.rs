@@ -179,6 +179,28 @@ pub enum InstanceError {
         /// Variable index.
         var: usize,
     },
+    /// A variable's objective coefficient is NaN or infinite.
+    NonFiniteObjective {
+        /// Variable index.
+        var: usize,
+    },
+    /// A constraint coefficient is NaN or infinite.
+    NonFiniteCoefficient {
+        /// Constraint index.
+        constraint: usize,
+        /// Variable index.
+        var: usize,
+    },
+    /// A constraint's right-hand side is NaN or infinite.
+    NonFiniteRhs {
+        /// Constraint index.
+        constraint: usize,
+    },
+    /// A variable bound is NaN (an infinite bound is legal).
+    NanBound {
+        /// Variable index.
+        var: usize,
+    },
 }
 
 impl std::fmt::Display for InstanceError {
@@ -196,6 +218,22 @@ impl std::fmt::Display for InstanceError {
             InstanceError::BadBinaryBounds { var } => {
                 write!(f, "binary variable {var} has bounds outside [0,1]")
             }
+            InstanceError::NonFiniteObjective { var } => {
+                write!(f, "variable {var} has a non-finite objective coefficient")
+            }
+            InstanceError::NonFiniteCoefficient { constraint, var } => {
+                write!(
+                    f,
+                    "constraint {constraint} has a non-finite coefficient on variable {var}"
+                )
+            }
+            InstanceError::NonFiniteRhs { constraint } => {
+                write!(
+                    f,
+                    "constraint {constraint} has a non-finite right-hand side"
+                )
+            }
+            InstanceError::NanBound { var } => write!(f, "variable {var} has a NaN bound"),
         }
     }
 }
@@ -274,20 +312,37 @@ impl MipInstance {
         }
     }
 
-    /// Validates index ranges and bound sanity.
+    /// Validates index ranges, that every objective coefficient, constraint
+    /// coefficient and right-hand side is finite, and bound sanity (no NaN,
+    /// `lb ≤ ub`). Infinite bounds are legal.
     pub fn validate(&self) -> Result<(), InstanceError> {
         let n = self.num_vars();
         for (ci, c) in self.cons.iter().enumerate() {
-            for &(j, _) in &c.coeffs {
+            for &(j, a) in &c.coeffs {
                 if j >= n {
                     return Err(InstanceError::BadVarIndex {
                         constraint: ci,
                         var: j,
                     });
                 }
+                if !a.is_finite() {
+                    return Err(InstanceError::NonFiniteCoefficient {
+                        constraint: ci,
+                        var: j,
+                    });
+                }
+            }
+            if !c.rhs.is_finite() {
+                return Err(InstanceError::NonFiniteRhs { constraint: ci });
             }
         }
         for (vi, v) in self.vars.iter().enumerate() {
+            if !v.obj.is_finite() {
+                return Err(InstanceError::NonFiniteObjective { var: vi });
+            }
+            if v.lb.is_nan() || v.ub.is_nan() {
+                return Err(InstanceError::NanBound { var: vi });
+            }
             if v.lb > v.ub {
                 return Err(InstanceError::EmptyBoundRange { var: vi });
             }
@@ -475,6 +530,64 @@ mod tests {
             m3.validate(),
             Err(InstanceError::BadBinaryBounds { var: 0 })
         ));
+    }
+
+    /// `NaN > x` is false, so only an explicit check sees a NaN; a solver
+    /// given one answers wrongly instead of failing.
+    #[test]
+    fn non_finite_data_is_an_error() {
+        let with = |edit: fn(&mut MipInstance)| {
+            let mut m = tiny();
+            edit(&mut m);
+            m.validate()
+        };
+        assert_eq!(
+            with(|m| m.cons[0].coeffs[1].1 = f64::NAN),
+            Err(InstanceError::NonFiniteCoefficient {
+                constraint: 0,
+                var: 1
+            })
+        );
+        assert_eq!(
+            with(|m| m.cons[0].coeffs[0].1 = f64::INFINITY),
+            Err(InstanceError::NonFiniteCoefficient {
+                constraint: 0,
+                var: 0
+            })
+        );
+        assert_eq!(
+            with(|m| m.cons[0].rhs = f64::NAN),
+            Err(InstanceError::NonFiniteRhs { constraint: 0 })
+        );
+        assert_eq!(
+            with(|m| m.cons[0].rhs = f64::NEG_INFINITY),
+            Err(InstanceError::NonFiniteRhs { constraint: 0 })
+        );
+        assert_eq!(
+            with(|m| m.vars[1].obj = f64::NAN),
+            Err(InstanceError::NonFiniteObjective { var: 1 })
+        );
+        assert_eq!(
+            with(|m| m.vars[0].obj = f64::INFINITY),
+            Err(InstanceError::NonFiniteObjective { var: 0 })
+        );
+        assert_eq!(
+            with(|m| m.vars[0].ub = f64::NAN),
+            Err(InstanceError::NanBound { var: 0 })
+        );
+        assert_eq!(
+            with(|m| m.vars[1].lb = f64::NAN),
+            Err(InstanceError::NanBound { var: 1 })
+        );
+        // Infinite bounds stay legal.
+        let mut m = tiny();
+        m.add_var(Variable::continuous(
+            "z",
+            f64::NEG_INFINITY,
+            f64::INFINITY,
+            1.0,
+        ));
+        assert_eq!(m.validate(), Ok(()));
     }
 
     #[test]

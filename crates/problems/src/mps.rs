@@ -2,9 +2,10 @@
 //!
 //! Covers the fixed sections used by MIPLIB-style files: `NAME`, `ROWS`,
 //! `COLUMNS` (with `MARKER`/`INTORG`/`INTEND` integrality markers), `RHS`,
-//! `BOUNDS` (`UP`, `LO`, `FX`, `BV`), `OBJSENSE`, and `ENDATA`. Free-format
-//! (whitespace-separated) parsing; ranges and negative-row types are not
-//! supported and are reported as errors rather than silently dropped.
+//! `BOUNDS` (`UP`, `LO`, `FX`, `BV`, `MI`, `PL`, `FR`), `OBJSENSE`, and
+//! `ENDATA`. Free-format (whitespace-separated) parsing; ranges and
+//! negative-row types are not supported and are reported as errors rather
+//! than silently dropped.
 
 use crate::instance::{Constraint, MipInstance, Objective, Sense, VarType, Variable};
 use std::collections::HashMap;
@@ -115,14 +116,23 @@ pub fn write_mps(m: &MipInstance) -> String {
                 let _ = writeln!(out, " BV BND       {}", v.name);
             }
             _ => {
+                // A missing bound reads back as the default: lb 0, and ub +∞
+                // for a continuous column but 1 inside INTORG markers.
+                let (lb_inf, ub_inf) = (v.lb == f64::NEG_INFINITY, v.ub == f64::INFINITY);
                 if v.lb == v.ub {
                     let _ = writeln!(out, " FX BND       {:<10} {}", v.name, v.lb);
+                } else if lb_inf && ub_inf {
+                    let _ = writeln!(out, " FR BND       {}", v.name);
                 } else {
-                    if v.lb != 0.0 && v.lb.is_finite() {
+                    if lb_inf {
+                        let _ = writeln!(out, " MI BND       {}", v.name);
+                    } else if v.lb != 0.0 && v.lb.is_finite() {
                         let _ = writeln!(out, " LO BND       {:<10} {}", v.name, v.lb);
                     }
                     if v.ub.is_finite() {
                         let _ = writeln!(out, " UP BND       {:<10} {}", v.name, v.ub);
+                    } else if ub_inf && v.ty.is_integral() {
+                        let _ = writeln!(out, " PL BND       {}", v.name);
                     }
                 }
             }
@@ -312,6 +322,9 @@ pub fn read_mps(text: &str) -> Result<MipInstance, MpsError> {
                         slot.1 = Some(v);
                     }
                     "BV" => slot.2 = true,
+                    "MI" => slot.0 = Some(f64::NEG_INFINITY),
+                    "PL" => slot.1 = Some(f64::INFINITY),
+                    "FR" => (slot.0, slot.1) = (Some(f64::NEG_INFINITY), Some(f64::INFINITY)),
                     other => return Err(err(lineno, format!("bound type {other} unsupported"))),
                 }
             }

@@ -226,6 +226,17 @@ mod tests {
         assert_eq!(a.structural, b.structural, "structure is unchanged");
     }
 
+    /// The exact fingerprint hashes the MPS text, so a bound the writer
+    /// leaves out would merge two different models into one pool entry.
+    #[test]
+    fn an_infinite_lower_bound_is_not_its_zero_twin() {
+        let mut free = textbook_mip();
+        free.vars[0].lb = f64::NEG_INFINITY;
+        let mut zero = free.clone();
+        zero.vars[0].lb = 0.0;
+        assert_ne!(canonicalize(&free).exact, canonicalize(&zero).exact);
+    }
+
     #[test]
     fn point_round_trips_through_canonical_order() {
         let m = textbook_mip();

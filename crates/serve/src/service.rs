@@ -12,8 +12,8 @@
 //! 1. **Arrival** — the instance is canonicalized (one fingerprint pass).
 //!    An exact pool hit is answered immediately at cache cost, never
 //!    touching the cluster. Otherwise admission control runs: per-tenant
-//!    queue quotas first, then global load shedding (over `queue_cap`
-//!    everything sheds; over `shed_depth` only priority-0 tenants shed —
+//!    queue quotas first, then global load shedding (over `QUEUE_CAP`
+//!    everything sheds; over `SHED_DEPTH` only priority-0 tenants shed —
 //!    the graceful-degradation mode).
 //! 2. **Dispatch** — a strict priority/FIFO head-of-line policy: the
 //!    highest-priority oldest job leases its requested rank width from the
@@ -133,6 +133,19 @@ impl JobRecord {
     }
 }
 
+/// Hard queue bound: arrivals beyond this shed regardless of tenant.
+const QUEUE_CAP: usize = 64;
+/// Soft queue bound: beyond this, priority-0 tenants shed.
+const SHED_DEPTH: usize = 48;
+/// Backoff before retry k is `RETRY_BACKOFF_NS * 2^k`.
+const RETRY_BACKOFF_NS: f64 = 1.0e6;
+/// Solution-pool capacity (entries).
+const POOL_CAPACITY: usize = 256;
+/// Simulated cost of serving an exact cache hit.
+const CACHE_HIT_NS: f64 = 20_000.0;
+/// Simulated admission-control overhead per arrival.
+const ADMISSION_NS: f64 = 5_000.0;
+
 /// Service configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -140,23 +153,11 @@ pub struct ServeConfig {
     pub ranks: usize,
     /// Node budget handed to each solve.
     pub node_limit: usize,
-    /// Hard queue bound: arrivals beyond this shed regardless of tenant.
-    pub queue_cap: usize,
-    /// Soft queue bound: beyond this, priority-0 tenants shed.
-    pub shed_depth: usize,
     /// Per-attempt simulated deadline; a solve whose makespan exceeds it
     /// is aborted and retried.
     pub attempt_timeout_ns: f64,
     /// Attempts beyond the first before a job fails permanently.
     pub max_retries: u32,
-    /// Backoff before retry k is `retry_backoff_ns * 2^k`.
-    pub retry_backoff_ns: f64,
-    /// Solution-pool capacity (entries).
-    pub pool_capacity: usize,
-    /// Simulated cost of serving an exact cache hit.
-    pub cache_hit_ns: f64,
-    /// Simulated admission-control overhead per arrival.
-    pub admission_ns: f64,
     /// Device memory per rank (bytes), passed through to the cluster.
     pub gpu_mem: usize,
     /// Fault overlay; each attempt derives its own plan from this.
@@ -168,14 +169,8 @@ impl Default for ServeConfig {
         ServeConfig {
             ranks: 8,
             node_limit: 200_000,
-            queue_cap: 64,
-            shed_depth: 48,
             attempt_timeout_ns: 5.0e9,
             max_retries: 2,
-            retry_backoff_ns: 1.0e6,
-            pool_capacity: 256,
-            cache_hit_ns: 20_000.0,
-            admission_ns: 5_000.0,
             gpu_mem: 1 << 24,
             chaos: None,
         }
@@ -418,7 +413,7 @@ impl Service {
     /// any order (the event queue sorts them).
     pub fn run(&self, jobs: Vec<JobSpec>) -> ServeReport {
         let cfg = &self.cfg;
-        let mut pool = SolutionPool::new(cfg.pool_capacity);
+        let mut pool = SolutionPool::new(POOL_CAPACITY);
         let mut ranks = RankPool::new(cfg.ranks);
         let mut events: BinaryHeap<Reverse<HeapEv>> = BinaryHeap::new();
         let mut seq: u64 = 0;
@@ -463,7 +458,7 @@ impl Service {
                     });
                     // Exact cache hit: answered at cache cost, no cluster.
                     if let Some((obj, _x, _nodes)) = pool.exact(&states[job].canon) {
-                        let finish = now + cfg.admission_ns + cfg.cache_hit_ns;
+                        let finish = now + ADMISSION_NS + CACHE_HIT_NS;
                         metrics.incr(names::SERVE_CACHE_EXACT_HITS, 1.0);
                         self.complete(
                             &mut metrics,
@@ -497,7 +492,7 @@ impl Service {
                             &mut records,
                             &states[job],
                             Disposition::QuotaRejected,
-                            now + cfg.admission_ns,
+                            now + ADMISSION_NS,
                             job,
                         );
                         record(|| {
@@ -506,8 +501,8 @@ impl Service {
                         });
                         continue;
                     }
-                    let over_cap = queue.len() >= cfg.queue_cap;
-                    let degraded = queue.len() >= cfg.shed_depth && t.priority == 0;
+                    let over_cap = queue.len() >= QUEUE_CAP;
+                    let degraded = queue.len() >= SHED_DEPTH && t.priority == 0;
                     if over_cap || degraded {
                         metrics.incr(names::SERVE_JOBS_SHED, 1.0);
                         metrics.incr(tenant_metric(&t.name, "shed"), 1.0);
@@ -515,7 +510,7 @@ impl Service {
                             &mut records,
                             &states[job],
                             Disposition::Shed,
-                            now + cfg.admission_ns,
+                            now + ADMISSION_NS,
                             job,
                         );
                         record(|| {
@@ -603,7 +598,7 @@ impl Service {
                     ranks.release(lease);
                     if states[job].attempts <= cfg.max_retries {
                         metrics.incr(names::SERVE_RETRIES, 1.0);
-                        let backoff = cfg.retry_backoff_ns
+                        let backoff = RETRY_BACKOFF_NS
                             * f64::from(1u32 << (states[job].attempts - 1).min(16));
                         record(|| {
                             Event::instant(Track::serve(0), "retry", now)

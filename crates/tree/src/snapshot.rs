@@ -4,8 +4,9 @@
 //! is defined as the set of leaves that preserves the optimal solution to
 //! the problem." Sequentially, the set of open leaves after any node
 //! completes is such a snapshot; in parallel, nodes being evaluated and
-//! nodes in transit between processors must be accounted for
-//! (`gmip-parallel` builds its distributed snapshot protocol on this type).
+//! nodes in transit between processors must be accounted for as well, which
+//! is what `gmip-parallel`'s own `Checkpoint` does for the cluster. This
+//! type is the sequential one: a single tree's open leaves.
 
 use crate::node::{NodeId, NodeState};
 use crate::tree::SearchTree;

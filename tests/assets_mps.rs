@@ -196,6 +196,10 @@ proptest! {
         .. ProptestConfig::default()
     })]
 
+    /// `last` reshapes the last column: bit 0 makes it a general integer
+    /// (else continuous), bit 1 drops its lower bound to -∞, bit 2 lifts its
+    /// upper bound to +∞ — the bounds the reader's defaults would replace
+    /// without `MI` / `PL` / `FR` lines.
     #[test]
     fn random_mip_roundtrips_identically(
         rows in 1usize..8,
@@ -203,9 +207,19 @@ proptest! {
         density in 0.2f64..1.0,
         integral_fraction in 0.0f64..1.0,
         seed in 0u64..1_000_000,
+        last in 0u8..8,
     ) {
         use gmip::problems::generators::{random_mip, RandomMipConfig};
-        let m = random_mip(&RandomMipConfig { rows, cols, density, integral_fraction, seed });
+        use gmip::problems::VarType;
+        let mut m = random_mip(&RandomMipConfig { rows, cols, density, integral_fraction, seed });
+        let v = m.vars.last_mut().expect("cols >= 2");
+        v.ty = if last & 1 == 1 { VarType::Integer } else { VarType::Continuous };
+        if last & 2 == 2 {
+            v.lb = f64::NEG_INFINITY;
+        }
+        if last & 4 == 4 {
+            v.ub = f64::INFINITY;
+        }
         let back = read_mps(&write_mps(&m)).expect("reparse");
         prop_assert_eq!(m, back);
     }

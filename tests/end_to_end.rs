@@ -295,7 +295,7 @@ fn mps_roundtrip_preserves_optimum() {
 
 #[test]
 fn solver_configs_agree_on_one_instance() {
-    use gmip::core::{BranchRule, PolicyKind};
+    use gmip::core::PolicyKind;
     let instance = gmip::problems::generators::knapsack(16, 0.5, 77);
     let expected = reference("config-sweep", &instance);
     for policy in [
@@ -304,22 +304,19 @@ fn solver_configs_agree_on_one_instance() {
         PolicyKind::BreadthFirst,
         PolicyKind::ReuseAffinity,
     ] {
-        for rule in [BranchRule::MostFractional, BranchRule::PseudoCost] {
-            for cuts in [true, false] {
-                for reuse in [true, false] {
-                    let mut cfg = MipConfig::default();
-                    cfg.policy = policy;
-                    cfg.branching = rule;
-                    cfg.cuts.enabled = cuts;
-                    cfg.engine_reuse = reuse;
-                    let mut s = MipSolver::host_baseline(instance.clone(), cfg);
-                    let r = s.solve().expect("solve");
-                    assert!(
-                        (r.objective - expected).abs() < 1e-6,
-                        "{policy:?}/{rule:?}/cuts={cuts}/reuse={reuse}: {} vs {expected}",
-                        r.objective
-                    );
-                }
+        for cuts in [true, false] {
+            for reuse in [true, false] {
+                let mut cfg = MipConfig::default();
+                cfg.policy = policy;
+                cfg.cuts.enabled = cuts;
+                cfg.engine_reuse = reuse;
+                let mut s = MipSolver::host_baseline(instance.clone(), cfg);
+                let r = s.solve().expect("solve");
+                assert!(
+                    (r.objective - expected).abs() < 1e-6,
+                    "{policy:?}/cuts={cuts}/reuse={reuse}: {} vs {expected}",
+                    r.objective
+                );
             }
         }
     }

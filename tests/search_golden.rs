@@ -201,20 +201,6 @@ fn host_solver_propagate_fix_and_propagate() {
     );
 }
 
-#[test]
-fn host_solver_warm_solution() {
-    let m = knapsack(35, 0.5, 9);
-    let cfg = MipConfig {
-        warm_solution: Some(vec![0.0; m.num_vars()]),
-        ..Default::default()
-    };
-    let r = MipSolver::host_baseline(m, cfg).solve().expect("seeded");
-    assert_eq!(
-        mip_pin(&r),
-        "Optimal obj=4095480000000000 nodes=311 lp_iters=866 cuts=19 heur=2 sim=4090a0000000000a x=0befc885e76ecb37 tree=cf3c3e0975b6f869 incumbents=3 first=0000000000000000"
-    );
-}
-
 fn flat_pin(r: &ParallelResult) -> String {
     format!(
         "{:?} obj={:016x} nodes={} msgs={} bytes={} launches={} makespan={:016x} x={:016x} \
