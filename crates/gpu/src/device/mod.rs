@@ -93,6 +93,13 @@ pub const DEFAULT_STREAM: StreamId = 0;
 /// value, the kernel writes it, and nothing crosses the link for it.
 pub type ScalarWrite = (VectorHandle, usize, f64);
 
+/// The most [`ScalarWrite`]s one kernel launch carries. A store is an
+/// `(index, value)` pair of 16 bytes, so 256 of them fill a 4 KiB
+/// launch-parameter block, the classic CUDA limit on a kernel's arguments;
+/// a kernel handed more refuses them, and what a caller must store beyond
+/// that crosses the link as an upload.
+pub const LAUNCH_WRITES: usize = 256;
+
 macro_rules! handle_type {
     ($(#[$doc:meta])* $name:ident $(<$storage:ident>)?) => {
         $(#[$doc])*
@@ -651,6 +658,13 @@ impl GpuDevice {
     pub fn alloc_raw(&mut self, bytes: usize) -> Result<RawHandle> {
         let id = self.insert(Obj::Raw, bytes)?;
         Ok(RawHandle(id))
+    }
+
+    /// What resident vector `h` holds, read without a kernel, a transfer or
+    /// any charge: a simulator's window for tests that check what a host
+    /// believes the device holds. Solvers read through kernels.
+    pub fn peek_vector(&self, h: VectorHandle) -> Result<&[f64]> {
+        Ok(self.objects.vector(h)?)
     }
 
     /// Downloads a device vector (one D2H transfer).

@@ -10,7 +10,7 @@
 //! over a [`Storage`](super::Storage) in [`storage`](super::storage)), so
 //! there is one of each, whatever the matrix is held as.
 
-use super::{out_of_bounds, GpuDevice, GpuError, Result, ScalarWrite, VectorHandle};
+use super::{out_of_bounds, GpuDevice, GpuError, Result, ScalarWrite, VectorHandle, LAUNCH_WRITES};
 use crate::stream::StreamId;
 use gmip_linalg::{pivot, LinalgError};
 
@@ -66,9 +66,18 @@ impl GpuDevice {
         Ok(out)
     }
 
-    /// Checks that every [`ScalarWrite`] of `writes` names an element of a
-    /// live vector — before the kernel carrying them mutates anything.
+    /// Checks that `writes` fit one launch's arguments ([`LAUNCH_WRITES`])
+    /// and that each names an element of a live vector — before the kernel
+    /// carrying them mutates anything.
     fn check_writes(&self, writes: &[ScalarWrite]) -> Result<()> {
+        if writes.len() > LAUNCH_WRITES {
+            return Err(GpuError::Linalg(LinalgError::DimensionMismatch {
+                context: format!(
+                    "{} scalar writes, over the {LAUNCH_WRITES} a launch carries",
+                    writes.len()
+                ),
+            }));
+        }
         for &(h, idx, _) in writes {
             let len = self.objects.vector(h)?.len();
             if idx >= len {
@@ -99,6 +108,35 @@ impl GpuDevice {
             },
             |dev, n| dev.charge_dense_kernel("vec_mul", n as f64, (3 * n * 8) as f64, stream),
         )
+    }
+
+    /// Writes `value` into every entry of resident vector `out`, of length
+    /// `n`, then the scalar stores of `writes` in list order — an install's
+    /// changes to the vectors the device already holds. The stores are
+    /// launch arguments: one memory-bound kernel, no transfer, and nothing
+    /// is touched unless every one of them is in range.
+    pub fn fill(
+        &mut self,
+        out: VectorHandle,
+        n: usize,
+        value: f64,
+        writes: &[ScalarWrite],
+        stream: StreamId,
+    ) -> Result<()> {
+        self.check_writes(writes)?;
+        self.write_vector(
+            out,
+            |_, _, v| {
+                v.clear();
+                v.resize(n, value);
+                Ok(())
+            },
+            |dev, ()| dev.charge_dense_kernel("fill", 0.0, (n * 8) as f64, stream),
+        )?;
+        for &(h, idx, value) in writes {
+            self.objects.vector_mut(h)?[idx] = value;
+        }
+        Ok(())
     }
 
     /// Writes the unit vector `e_r` of length `n` into resident vector

@@ -46,8 +46,8 @@ pub use backend::{
 pub use cost::CostModel;
 pub use device::{
     DeviceConfig, Eta, EtaHandle, FactorHandle, Factors, GpuDevice, GpuError, MatrixHandle,
-    RawHandle, SparseEtaHandle, SparseFactorHandle, SparseHandle, Storage, VectorHandle,
-    DEFAULT_STREAM,
+    RawHandle, ScalarWrite, SparseEtaHandle, SparseFactorHandle, SparseHandle, Storage,
+    VectorHandle, DEFAULT_STREAM, LAUNCH_WRITES,
 };
 pub use kernels::{FoArena, FoBlock, FO_BLOCK};
 pub use memory::{DeviceMemory, OutOfMemory};

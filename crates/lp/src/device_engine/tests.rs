@@ -1,0 +1,876 @@
+use super::*;
+use crate::basis::VarStatus;
+use crate::engine::HostEngine;
+use crate::problem::{BoundChange, StandardLp};
+use crate::simplex::{primal_solve, PrimalConfig};
+use crate::solver::{LpConfig, LpSolver, LpStatus};
+use gmip_linalg::LinalgError;
+use gmip_problems::catalog::{textbook_lp, textbook_mip};
+use gmip_problems::generators::{knapsack, set_cover, unit_commitment};
+use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+
+fn device_solver<M: Storage + 'static>(
+    std: StandardLp,
+    accel: Accel,
+) -> LpSolver<DeviceSimplex<M>> {
+    LpSolver::new(std, LpConfig::standard(), |a| {
+        DeviceSimplex::new(accel, a).expect("device upload")
+    })
+}
+
+fn solves_textbook_lp<M: Storage + 'static>() {
+    let accel = Accel::gpu(1);
+    let std = StandardLp::from_instance(&textbook_lp(), &[]);
+    let mut solver = device_solver::<M>(std, accel.clone());
+    let sol = solver.solve().unwrap();
+    assert_eq!(sol.status, LpStatus::Optimal);
+    assert!((sol.objective - 21.0).abs() < 1e-7);
+    // The matrix was uploaded exactly once; iteration traffic is
+    // vector/scalar-sized.
+    let stats = accel.stats();
+    assert!(stats.h2d_transfers > 0);
+    assert!(stats.kernel_launches > 0);
+}
+
+fn matches_host_pivot_for_pivot<M: Storage + 'static>() {
+    for (name, mip) in [
+        ("knapsack", knapsack(10, 0.5, 3)),
+        ("setcover", set_cover(6, 6, 0.4, 3)),
+        ("setcover8", set_cover(8, 8, 0.3, 5)),
+        ("ucommit", unit_commitment(2, 2, 5)),
+        ("textbook", textbook_mip()),
+    ] {
+        let std = StandardLp::from_instance(&mip, &[]);
+        let mut host = LpSolver::new(std.clone(), LpConfig::standard(), |a| {
+            HostEngine::new(a.clone())
+        });
+        let hsol = host.solve().unwrap();
+        let mut dev = device_solver::<M>(std, Accel::gpu(1));
+        let dsol = dev.solve().unwrap();
+        assert_eq!(hsol.status, dsol.status, "{name}");
+        if hsol.status == LpStatus::Optimal {
+            assert!(
+                (hsol.objective - dsol.objective).abs() < 1e-6,
+                "{name}: host {} vs device {}",
+                hsol.objective,
+                dsol.objective
+            );
+            assert_eq!(
+                hsol.iterations, dsol.iterations,
+                "{name}: pivot paths differ"
+            );
+        }
+    }
+}
+
+fn warm_resolves_and_cuts<M: Storage + 'static>() {
+    let accel = Accel::gpu(1);
+    let std = StandardLp::from_instance(&textbook_mip(), &[]);
+    let mut solver = device_solver::<M>(std, accel.clone());
+    let base = solver.solve().unwrap();
+    assert_eq!(base.status, LpStatus::Optimal);
+    let bytes_after_solve = accel.stats().h2d_bytes;
+    // Several warm re-solves with different branch bounds.
+    for ub0 in [3.0, 2.0, 1.0] {
+        solver
+            .apply_node_bounds(&[BoundChange {
+                var: 0,
+                lb: 0.0,
+                ub: ub0,
+            }])
+            .unwrap();
+        let warm = solver.resolve().unwrap();
+        assert_eq!(warm.status, LpStatus::Optimal);
+        if ub0 <= 2.0 {
+            assert!(warm.objective < base.objective);
+        }
+    }
+    // Nothing was uploaded: not the matrix, and not the small vectors the
+    // device already holds either — what a new bound changes of them rides
+    // each install's first kernel.
+    assert_eq!(
+        accel.stats().h2d_bytes,
+        bytes_after_solve,
+        "a bound-change re-solve uploaded"
+    );
+    // Cut flow: the cut arrives via H2D (row + slack), per Section 5.2.
+    solver.apply_node_bounds(&[]).unwrap();
+    let h2d_before = accel.stats().h2d_transfers;
+    solver.add_cut(&[(0, 1.0), (1, 1.0)], 4.0).unwrap();
+    let cutted = solver.resolve().unwrap();
+    assert_eq!(cutted.status, LpStatus::Optimal);
+    assert!(cutted.objective < base.objective - 1e-6);
+    assert!(cutted.x[0] + cutted.x[1] <= 4.0 + 1e-7);
+    assert!(accel.stats().h2d_transfers > h2d_before);
+}
+
+fn frees_memory_on_drop<M: Storage + 'static>() {
+    let accel = Accel::gpu(1);
+    {
+        let std = StandardLp::from_instance(&textbook_lp(), &[]);
+        let mut solver = device_solver::<M>(std, accel.clone());
+        solver.solve().unwrap();
+        assert!(accel.mem_used() > 0);
+    }
+    assert_eq!(accel.mem_used(), 0, "engine leaked device memory");
+}
+
+/// `[A | I]` with two equal structural columns: the basis {0, 1} is
+/// singular, the slack basis {2, 3} is fine.
+fn twin_columns() -> DenseMatrix {
+    DenseMatrix::from_rows(&[vec![1.0, 1.0, 1.0, 0.0], vec![2.0, 2.0, 0.0, 1.0]]).unwrap()
+}
+
+fn failed_installs_leak_nothing<M: Storage>() {
+    let (c, lb, ub, b) = ([1.0, 1.0, 0.0, 0.0], [0.0; 4], [10.0; 4], [4.0, 6.0]);
+    let view = ProblemView {
+        c: &c,
+        lb: &lb,
+        ub: &ub,
+        b: &b,
+    };
+    let good = Basis::with_basic_cols(vec![2, 3], 4);
+    let singular = Basis::with_basic_cols(vec![0, 1], 4);
+    let accel = Accel::gpu(1);
+    let engine = || DeviceSimplex::<M>::new(accel.clone(), &twin_columns()).unwrap();
+
+    let mut fresh = engine();
+    fresh.install(view, &good).unwrap();
+    let installed = accel.mem_used();
+    drop(fresh);
+    assert_eq!(accel.mem_used(), 0);
+
+    let mut e = engine();
+    e.install(view, &good).unwrap();
+    assert_eq!(accel.mem_used(), installed);
+    let created = accel.with(|d| d.objects_created());
+    let mut stranded = None;
+    for _ in 0..3 {
+        assert!(matches!(
+            e.install(view, &singular),
+            Err(LpError::Numerics(LinalgError::Singular { .. }))
+        ));
+        // What the failed install wrote stays until the next install
+        // takes it back — the same bytes every time, whether the first
+        // failure changed the resident vectors in place or a later one
+        // (the record forgotten) uploaded them, less than a whole install,
+        // and none of them usable.
+        let used = accel.mem_used();
+        assert_eq!(*stranded.get_or_insert(used), used);
+        assert!(used < installed);
+        assert!(matches!(e.price(), Err(LpError::NotInstalled)));
+        assert!(matches!(e.basic_values(), Err(LpError::NotInstalled)));
+    }
+    e.install(view, &good).unwrap();
+    assert_eq!(accel.mem_used(), installed);
+    assert_eq!(accel.with(|d| d.objects_created()), created);
+    assert_eq!(e.basic_values().unwrap(), vec![4.0, 6.0]);
+    drop(e);
+    assert_eq!(accel.mem_used(), 0, "engine leaked device memory");
+}
+
+fn consumed_vectors_stay_consumed<M: Storage>() {
+    // max x0 + x1 over x0 + x1 + s0 = 4, 2 x0 + x1 + s1 = 6.
+    let a = DenseMatrix::from_rows(&[vec![1.0, 1.0, 1.0, 0.0], vec![2.0, 1.0, 0.0, 1.0]]).unwrap();
+    let (c, lb, ub, b) = ([1.0, 1.0, 0.0, 0.0], [0.0; 4], [10.0; 4], [4.0, 6.0]);
+    let view = ProblemView {
+        c: &c,
+        lb: &lb,
+        ub: &ub,
+        b: &b,
+    };
+    let mut e = DeviceSimplex::<M>::new(Accel::gpu(1), &a).unwrap();
+    let not_installed = |r: LpResult<()>| assert_eq!(r, Err(LpError::NotInstalled));
+    not_installed(e.price().map(drop));
+    e.install(view, &Basis::with_basic_cols(vec![2, 3], 4))
+        .unwrap();
+    // Installed, but no FTRAN column / BTRAN row yet.
+    not_installed(e.ratio_test(1.0, 1e-9).map(drop));
+    not_installed(e.alpha_entry(0).map(drop));
+    not_installed(e.dual_ratio(true, 1e-9).map(drop));
+    not_installed(e.alpha_r_entry(0).map(drop));
+
+    e.btran_row(1).unwrap();
+    e.ftran_column(0).unwrap();
+    assert_eq!(e.alpha_entry(1).unwrap(), 2.0);
+    assert_eq!(e.alpha_r_entry(0).unwrap(), 2.0);
+    let (r, t, upper) = e.ratio_test(1.0, 1e-9).unwrap().unwrap();
+    assert_eq!((r, t, upper), (1, 3.0, false));
+    e.apply_pivot(&PivotPlan {
+        r,
+        q: 0,
+        leaving_j: 3,
+        dir: 1.0,
+        t,
+        entering_val: t,
+        leaving_sigma: -1.0,
+        c_q: c[0],
+        lb_q: lb[0],
+        ub_q: ub[0],
+    })
+    .unwrap();
+    assert_eq!(e.eta_count(), 1);
+    // The pivot consumed both: their storage is still on the device,
+    // their contents are nobody's to read.
+    not_installed(e.ratio_test(1.0, 1e-9).map(drop));
+    not_installed(e.alpha_entry(1).map(drop));
+    not_installed(e.apply_flip(1, 1.0, 0.0, 1.0));
+    not_installed(e.dual_ratio(true, 1e-9).map(drop));
+    not_installed(e.alpha_r_entry(0).map(drop));
+    not_installed(e.devex_update(1, 3));
+    assert_eq!(e.basic_values().unwrap(), vec![1.0, 3.0]);
+    // Fresh ones are readable again.
+    e.ftran_column(1).unwrap();
+    e.btran_row(0).unwrap();
+    assert_eq!(e.alpha_entry(0).unwrap(), 0.5);
+    assert_eq!(e.alpha_r_entry(3).unwrap(), -0.5);
+
+    // A nonbasic column without a finite bound fails the install before
+    // anything reaches the device — and keeps the staging buffers.
+    let capacities = |s: &Stage| s.record.iter().map(Vec::capacity).collect::<Vec<_>>();
+    let staged = capacities(&e.stage);
+    let free_ub = [10.0, f64::INFINITY, 10.0, 10.0];
+    let mut at_upper = Basis::with_basic_cols(vec![2, 3], 4);
+    at_upper.status[1] = VarStatus::AtUpper;
+    let unbounded = ProblemView {
+        ub: &free_ub,
+        ..view
+    };
+    assert_eq!(
+        e.install(unbounded, &at_upper),
+        Err(LpError::FreeVariable(1))
+    );
+    not_installed(e.price().map(drop));
+    assert_eq!(capacities(&e.stage), staged);
+    assert!(staged.iter().all(|&cap| cap > 0));
+}
+
+/// A pivot's stores are arguments of its step kernel, checked before the
+/// kernel moves anything: a plan naming a column or row that does not
+/// exist leaves `x_B`, the statuses and the eta file as they were.
+fn bad_pivot_plans_change_nothing<M: Storage>() {
+    // max x0 + x1 over x0 + x1 + s0 = 4, 2 x0 + x1 + s1 = 6.
+    let a = DenseMatrix::from_rows(&[vec![1.0, 1.0, 1.0, 0.0], vec![2.0, 1.0, 0.0, 1.0]]).unwrap();
+    let (c, lb, ub, b) = ([1.0, 1.0, 0.0, 0.0], [0.0; 4], [10.0; 4], [4.0, 6.0]);
+    let view = ProblemView {
+        c: &c,
+        lb: &lb,
+        ub: &ub,
+        b: &b,
+    };
+    let accel = Accel::gpu(1);
+    let mut e = DeviceSimplex::<M>::new(accel.clone(), &a).unwrap();
+    e.install(view, &Basis::with_basic_cols(vec![2, 3], 4))
+        .unwrap();
+    e.ftran_column(0).unwrap();
+    let (r, t, _) = e.ratio_test(1.0, 1e-9).unwrap().unwrap();
+    let good = PivotPlan {
+        r,
+        q: 0,
+        leaving_j: 3,
+        dir: 1.0,
+        t,
+        entering_val: t,
+        leaving_sigma: -1.0,
+        c_q: c[0],
+        lb_q: lb[0],
+        ub_q: ub[0],
+    };
+    let launches = accel.stats().kernel_launches;
+    for bad in [
+        PivotPlan { q: 4, ..good },
+        PivotPlan {
+            leaving_j: 4,
+            ..good
+        },
+        PivotPlan { r: 2, ..good },
+    ] {
+        let refused = |r: LpResult<()>| {
+            assert!(matches!(
+                r,
+                Err(LpError::Numerics(LinalgError::OutOfBounds { .. }))
+            ));
+        };
+        refused(e.apply_pivot(&bad));
+        refused(e.apply_flip(4, 1.0, t, 1.0));
+        assert_eq!(accel.stats().kernel_launches, launches, "nothing ran");
+        assert_eq!(e.eta_count(), 0);
+        assert_eq!(e.basic_values().unwrap(), vec![4.0, 6.0]);
+    }
+    // α is still there for the plan that is right, and what follows it
+    // is what follows a single eta update.
+    e.apply_pivot(&good).unwrap();
+    assert_eq!(e.eta_count(), 1);
+    assert_eq!(e.basic_values().unwrap(), vec![1.0, 3.0]);
+    assert_eq!(e.price().unwrap(), Some((1, -0.5)));
+    e.ftran_column(1).unwrap();
+    assert_eq!(e.alpha_entry(0).unwrap(), 0.5);
+}
+
+/// A pivot is one launch and one read-back: its apply reads nothing
+/// back, so the device holds that chain open and the next select — which
+/// does read back — continues it. In steady state an apply and the
+/// select after it are 1 launch + 1 D2H, for a Dantzig, a Devex and a
+/// dual pivot and for a bound flip; an install rides its first select
+/// the same way; a terminal primal select brings `x_B` back in its
+/// envelope, so the `basic_values` after it crosses nothing. Only the
+/// engine's first install uploads: every later one here changes a few
+/// entries of what the device holds, and they ride its first kernel.
+fn a_pivot_is_one_launch<M: Storage>() {
+    // max x0 + x1 over x0 + x1 + s0 = 4, 2 x0 + x1 + s1 = 6.
+    let a = DenseMatrix::from_rows(&[vec![1.0, 1.0, 1.0, 0.0], vec![2.0, 1.0, 0.0, 1.0]]).unwrap();
+    let (c, lb, b) = ([1.0, 1.0, 0.0, 0.0], [0.0; 4], [4.0, 6.0]);
+    let slack = Basis::with_basic_cols(vec![2, 3], 4);
+    let accel = Accel::gpu(1);
+    let mut e = DeviceSimplex::<M>::new(accel.clone(), &a).unwrap();
+    // What the calls since the last look moved: launches, D2H transfers
+    // and bytes, H2D transfers.
+    let seen = std::cell::RefCell::new(accel.stats());
+    let grew = |what: &str, want: (u64, u64, u64, u64)| {
+        let (s, seen) = (accel.stats(), seen.replace(accel.stats()));
+        let got = (
+            s.kernel_launches - seen.kernel_launches,
+            s.d2h_transfers - seen.d2h_transfers,
+            s.d2h_bytes - seen.d2h_bytes,
+            s.h2d_transfers - seen.h2d_transfers,
+        );
+        assert_eq!(
+            got, want,
+            "{what}: (launches, read-backs, bytes back, uploads)"
+        );
+    };
+    let install = |e: &mut DeviceSimplex<M>, c: &[f64], ub: &[f64]| {
+        let view = ProblemView {
+            c,
+            lb: &lb,
+            ub,
+            b: &b,
+        };
+        e.install(view, &slack).unwrap();
+    };
+    let plan = |r, q, leaving_j, t: f64| PivotPlan {
+        r,
+        q,
+        leaving_j,
+        dir: 1.0,
+        t,
+        entering_val: t,
+        leaving_sigma: -1.0,
+        c_q: c[q],
+        lb_q: 0.0,
+        ub_q: 10.0,
+    };
+
+    for pricing in [PricingRule::Dantzig, PricingRule::Devex] {
+        let primal = PrimalConfig {
+            pricing,
+            ..PrimalConfig::default()
+        };
+        let devex = pricing == PricingRule::Devex;
+        // The install and the first select: the argmin's 16 bytes and
+        // the ratio test's 24. The first install uploads; the second
+        // undoes the first solve's two pivots in place.
+        install(&mut e, &c, &[10.0; 4]);
+        let pick = e.primal_select(&primal, &slack).unwrap().unwrap();
+        assert_eq!(
+            (pick.q, pick.dir, pick.limit),
+            (0, 1.0, Some((1, 3.0, false)))
+        );
+        grew(
+            "install + primal_select",
+            (1, 1, 16 + 24, u64::from(!devex)),
+        );
+        // A pivot: x0 enters in row 1, s1 leaves; then x1 prices out.
+        e.primal_apply(&plan(1, 0, 3, 3.0), devex).unwrap();
+        let pick = e.primal_select(&primal, &slack).unwrap().unwrap();
+        assert_eq!((pick.q, pick.limit), (1, Some((0, 2.0, false))));
+        grew("primal_apply + primal_select", (1, 1, 16 + 24, 0));
+        // The second pivot, then nothing prices out: x_B rides the
+        // terminal select's envelope and basic_values crosses nothing.
+        e.primal_apply(&plan(0, 1, 2, 2.0), devex).unwrap();
+        assert_eq!(e.primal_select(&primal, &slack).unwrap(), None);
+        grew("primal_apply + terminal select", (1, 1, 16 + 16, 0));
+        assert_eq!(e.basic_values().unwrap(), vec![2.0, 2.0]);
+        grew("basic_values after a terminal select", (0, 0, 0, 0));
+        // The staged copy is spent: a second read crosses.
+        assert_eq!(e.basic_values().unwrap(), vec![2.0, 2.0]);
+        grew("basic_values again", (0, 1, 16, 0));
+    }
+
+    // A bound flip: x0 may rise by 1 only, before any row blocks; then
+    // x1 prices out.
+    let primal = PrimalConfig::default();
+    install(&mut e, &c, &[1.0, 10.0, 10.0, 10.0]);
+    let pick = e.primal_select(&primal, &slack).unwrap().unwrap();
+    assert_eq!((pick.q, pick.limit), (0, Some((1, 3.0, false))));
+    grew("install + primal_select before a flip", (1, 1, 16 + 24, 0));
+    e.apply_flip(0, 1.0, 1.0, 1.0).unwrap();
+    let mut flipped = slack.clone();
+    flipped.status[0] = VarStatus::AtUpper;
+    let pick = e.primal_select(&primal, &flipped).unwrap().unwrap();
+    assert_eq!((pick.q, pick.limit), (1, Some((0, 3.0, false))));
+    grew("apply_flip + primal_select", (1, 1, 16 + 24, 0));
+
+    // A dual pivot: s0 = 4 sits above an upper bound of 1. Both
+    // reductions' results and the two pivot entries, 24 + 16 + 8 + 8.
+    // (Costs negated so that the slack basis is dual feasible.)
+    let dual = DualConfig::standard();
+    let c_neg = [-1.0, -1.0, 0.0, 0.0];
+    install(&mut e, &c_neg, &[10.0, 10.0, 1.0, 10.0]);
+    let DualPick::Pivot {
+        r,
+        below,
+        q,
+        alpha_rq,
+        xbr,
+    } = e.dual_select(&dual).unwrap()
+    else {
+        panic!("a violated row with an entering column");
+    };
+    assert_eq!((r, below, q, alpha_rq, xbr), (0, false, 0, 1.0, 4.0));
+    grew("install + dual_select", (1, 1, 24 + 16 + 8 + 8, 0));
+    let delta = (xbr - 1.0) / alpha_rq;
+    e.dual_apply(&PivotPlan {
+        leaving_sigma: 1.0,
+        c_q: c_neg[q],
+        ..plan(r, q, 2, delta)
+    })
+    .unwrap();
+    assert_eq!(e.dual_select(&dual).unwrap(), DualPick::Feasible);
+    grew("dual_apply + terminal dual_select", (1, 1, 24, 0));
+    // A dual select stages nothing: x_B crosses on its own.
+    assert_eq!(e.basic_values().unwrap(), vec![3.0, 0.0]);
+    grew("basic_values after a dual select", (0, 1, 16, 0));
+
+    // Infeasible: s0 = 4 above 1 again, and both structurals fixed.
+    install(&mut e, &c_neg, &[0.0, 0.0, 1.0, 10.0]);
+    assert_eq!(
+        e.dual_select(&dual).unwrap(),
+        DualPick::Infeasible {
+            row: 0,
+            below: false
+        }
+    );
+    grew("install + infeasible dual_select", (1, 1, 24 + 16, 0));
+
+    // A re-install that moves one bound: s0's upper bound, one entry of
+    // u_B, rides the install's first kernel and nothing is uploaded.
+    install(&mut e, &c_neg, &[0.0, 0.0, 2.0, 10.0]);
+    assert_eq!(e.stage.delta.len(), 1);
+    assert_eq!(
+        e.dual_select(&dual).unwrap(),
+        DualPick::Infeasible {
+            row: 0,
+            below: false
+        }
+    );
+    grew("one-bound re-install + dual_select", (1, 1, 24 + 16, 0));
+}
+
+/// The `x_B` a terminal select brought back is `basic_values`' only if
+/// nothing came between: an install, a cut, an apply or a failed select
+/// drops it, and the read after any of them crosses — and sees what
+/// that call did. A second read crosses again.
+fn a_staged_x_b_is_never_stale<M: Storage>() {
+    // x0 + x1 + s0 = 4, 2 x0 + x1 + s1 = 6; nothing prices out at the
+    // slack basis.
+    let a = DenseMatrix::from_rows(&[vec![1.0, 1.0, 1.0, 0.0], vec![2.0, 1.0, 0.0, 1.0]]).unwrap();
+    let (c, lb, ub) = ([-1.0, -1.0, 0.0, 0.0], [0.0; 4], [10.0; 4]);
+    let view = |b| ProblemView {
+        c: &c,
+        lb: &lb,
+        ub: &ub,
+        b,
+    };
+    let slack = Basis::with_basic_cols(vec![2, 3], 4);
+    let accel = Accel::gpu(1);
+    let mut e = DeviceSimplex::<M>::new(accel.clone(), &a).unwrap();
+    let crossings = || accel.stats().d2h_transfers;
+    let staged = |e: &mut DeviceSimplex<M>| {
+        e.install(view(&[4.0, 6.0]), &slack).unwrap();
+        assert_eq!(e.primal_select(&PrimalConfig::default(), &slack), Ok(None));
+    };
+    // Untouched, the staged copy is served once.
+    staged(&mut e);
+    let before = crossings();
+    assert_eq!(e.basic_values().unwrap(), vec![4.0, 6.0]);
+    assert_eq!(crossings(), before);
+    assert_eq!(e.basic_values().unwrap(), vec![4.0, 6.0]);
+    assert_eq!(crossings(), before + 1);
+
+    type Interloper<M> = fn(&mut DeviceSimplex<M>, &[f64]) -> LpResult<()>;
+    let interlopers: [(&str, Interloper<M>, Vec<f64>); 4] = [
+        (
+            "install",
+            |e, c| {
+                let (lb, ub) = ([0.0; 4], [10.0; 4]);
+                let view = ProblemView {
+                    c,
+                    lb: &lb,
+                    ub: &ub,
+                    b: &[3.0, 5.0],
+                };
+                e.install(view, &Basis::with_basic_cols(vec![2, 3], 4))
+            },
+            vec![3.0, 5.0],
+        ),
+        (
+            "append_cut",
+            |e, _| e.append_cut(&[1.0, 0.0, 0.0, 0.0], &[0.0, 0.0, 1.0]),
+            vec![4.0, 6.0],
+        ),
+        (
+            "apply",
+            |e, _| {
+                // x0 runs to 1 without a basis change.
+                e.ftran_column(0)?;
+                e.apply_flip(0, 1.0, 1.0, 1.0)
+            },
+            vec![3.0, 4.0],
+        ),
+        (
+            "failed select",
+            |e, _| {
+                // Anything prices out, and the basis calls x0 basic.
+                let eager = PrimalConfig {
+                    price_tol: -10.0,
+                    ..PrimalConfig::default()
+                };
+                let wrong = Basis::with_basic_cols(vec![0, 1], 4);
+                assert!(e.primal_select(&eager, &wrong).is_err());
+                Ok(())
+            },
+            vec![4.0, 6.0],
+        ),
+    ];
+    for (what, interloper, xb) in interlopers {
+        // A fresh engine each time: the cut grows the one it meets.
+        let mut e = DeviceSimplex::<M>::new(accel.clone(), &a).unwrap();
+        staged(&mut e);
+        interloper(&mut e, &c).unwrap();
+        let before = crossings();
+        assert_eq!(e.basic_values().unwrap(), xb, "{what}");
+        assert_eq!(crossings(), before + 1, "{what}: the staged x_B was served");
+        assert_eq!(e.basic_values().unwrap(), xb, "{what}");
+        assert_eq!(crossings(), before + 2, "{what}");
+    }
+}
+
+/// Everything an install determines, bit for bit: `x_B`, the duals, the
+/// reduced costs, a tableau row, and the pivot path a primal solve takes
+/// from there (iterations, final basis, final `x_B`).
+fn install_fingerprint<M: Storage>(
+    e: &mut DeviceSimplex<M>,
+    view: ProblemView<'_>,
+    basis: &Basis,
+) -> LpResult<(Vec<Vec<u64>>, usize, Vec<usize>)> {
+    let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+    e.install(view, basis)?;
+    let mut vectors = vec![
+        bits(e.basic_values()?),
+        bits(e.dual_prices()?),
+        bits(e.reduced_costs_host()?),
+        bits(e.btran_row_host(basis.m() - 1)?),
+    ];
+    let mut basis = basis.clone();
+    let (_, iterations) = primal_solve(e, view, &mut basis, &PrimalConfig::default())?;
+    vectors.push(bits(e.basic_values()?));
+    Ok((vectors, iterations, basis.cols))
+}
+
+/// `install(A)`, pivots, `append_cut`, `install(B)` on one engine against
+/// `install(B)` on an engine that has never held anything else.
+fn used_engine_installs_like_a_fresh_one<M: Storage>(
+    rows: &[Vec<f64>],
+    c: &[f64],
+    b: &[f64],
+    cut: (&[f64], f64),
+) -> Result<(), TestCaseError> {
+    let (m, n) = (rows.len(), rows[0].len());
+    // [A | I], columns boxed so no direction is unbounded.
+    let mut a = DenseMatrix::from_rows(rows).unwrap();
+    for i in 0..m {
+        let mut slack = vec![0.0; m];
+        slack[i] = 1.0;
+        a.push_col(&slack).unwrap();
+    }
+    let mut c = c.to_vec();
+    c.resize(n + m, 0.0);
+    let (mut lb, mut ub, mut b) = (vec![0.0; n + m], vec![8.0; n + m], b.to_vec());
+    ub[n..].fill(f64::INFINITY);
+    let view_a = ProblemView {
+        c: &c,
+        lb: &lb,
+        ub: &ub,
+        b: &b,
+    };
+    let slack_basis = Basis::with_basic_cols((n..n + m).collect(), n + m);
+
+    let mut used = DeviceSimplex::<M>::new(Accel::gpu(1), &a).unwrap();
+    let mut basis = slack_basis.clone();
+    used.install(view_a, &basis).unwrap();
+    primal_solve(&mut used, view_a, &mut basis, &PrimalConfig::default()).unwrap();
+    // Leave an unconsumed FTRAN column and BTRAN row behind as well.
+    used.ftran_column(0).unwrap();
+    used.btran_row(0).unwrap();
+
+    // The cut row over the structural columns, its slack basic in the
+    // new row; B is the grown problem from the slack basis.
+    let mut row = cut.0.to_vec();
+    row.resize(n + m, 0.0);
+    let mut slack = vec![0.0; m + 1];
+    slack[m] = 1.0;
+    used.append_cut(&row, &slack).unwrap();
+    a.push_row(&row).unwrap();
+    a.push_col(&slack).unwrap();
+    c.push(0.0);
+    lb.push(0.0);
+    ub.push(f64::INFINITY);
+    b.push(cut.1);
+    let view_b = ProblemView {
+        c: &c,
+        lb: &lb,
+        ub: &ub,
+        b: &b,
+    };
+    let mut basis_b = slack_basis;
+    basis_b.extend_for_cuts(n + m, 1);
+
+    let mut fresh = DeviceSimplex::<M>::new(Accel::gpu(1), &a).unwrap();
+    prop_assert_eq!(
+        install_fingerprint(&mut used, view_b, &basis_b),
+        install_fingerprint(&mut fresh, view_b, &basis_b)
+    );
+    Ok(())
+}
+
+/// One step of a [`record_follows_the_device`] sequence.
+#[derive(Debug, Clone)]
+enum Step {
+    /// A new upper bound on a column, which the next install sees.
+    Bound(usize, f64),
+    /// A primal solve from the current basis: an install, primal pivots
+    /// and bound flips.
+    Primal(PricingRule),
+    /// A dual solve from the current basis: an install and dual pivots.
+    Dual,
+    /// A cut row over the structural columns, and its right-hand side.
+    Cut(Vec<f64>, f64),
+    /// An install of a singular basis, which fails.
+    Singular,
+}
+
+/// While the engine holds its record, the record is what the device
+/// holds, bit for bit — read without a charge.
+fn record_is_resident<M: Storage>(e: &DeviceSimplex<M>) -> Result<(), TestCaseError> {
+    let Some(ws) = e.ws.filter(|_| e.stage.held) else {
+        return Ok(());
+    };
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for (h, record) in ws.recorded().into_iter().zip(&e.stage.record) {
+        let resident = e.accel.with(|d| d.peek_vector(h).map(bits));
+        prop_assert_eq!(resident, Ok(bits(record)));
+    }
+    Ok(())
+}
+
+/// Runs `steps` on one engine over `[A | a_0 | I]` (column `n` repeats
+/// column 0, so a basis holding both is singular), checking the record
+/// after each; a solve that succeeds is followed by a re-install of the
+/// basis it ended on, which must cross nothing.
+fn record_follows_the_device<M: Storage>(
+    rows: &[Vec<f64>],
+    steps: &[Step],
+) -> Result<(), TestCaseError> {
+    let (m, n) = (rows.len(), rows[0].len());
+    let mut a = DenseMatrix::from_rows(rows).unwrap();
+    a.push_col(&a.col(0)).unwrap();
+    for i in 0..m {
+        let mut slack = vec![0.0; m];
+        slack[i] = 1.0;
+        a.push_col(&slack).unwrap();
+    }
+    let mut c: Vec<f64> = (0..=n).map(|j| f64::from((j % 3) as u8) - 0.5).collect();
+    c.resize(n + 1 + m, 0.0);
+    let (mut lb, mut ub, mut b) = (vec![0.0; c.len()], vec![8.0; c.len()], vec![6.0; m]);
+    ub[n + 1..].fill(f64::INFINITY);
+    let slack_basis = |total: usize| Basis::with_basic_cols((n + 1..total).collect(), total);
+    let mut basis = slack_basis(c.len());
+    let mut e = DeviceSimplex::<M>::new(Accel::gpu(1), &a).unwrap();
+    for step in steps {
+        let view = ProblemView {
+            c: &c,
+            lb: &lb,
+            ub: &ub,
+            b: &b,
+        };
+        match step {
+            Step::Bound(j, v) => ub[j % (n + 1)] = *v,
+            Step::Primal(_) | Step::Dual => {
+                let solved = match *step {
+                    Step::Primal(pricing) => {
+                        let cfg = PrimalConfig {
+                            pricing,
+                            ..PrimalConfig::default()
+                        };
+                        primal_solve(&mut e, view, &mut basis, &cfg).map(drop)
+                    }
+                    _ => crate::dual::dual_solve(&mut e, view, &mut basis, &DualConfig::standard())
+                        .map(drop),
+                };
+                record_is_resident(&e)?;
+                let h2d = e.accel.stats().h2d_transfers;
+                if solved.and_then(|()| e.install(view, &basis)).is_ok() {
+                    prop_assert_eq!(e.accel.stats().h2d_transfers, h2d, "a re-install uploaded");
+                } else {
+                    basis = slack_basis(c.len());
+                }
+            }
+            Step::Cut(row, rhs) => {
+                let total = c.len();
+                let mut row = row[..n].to_vec();
+                row.resize(total, 0.0);
+                let mut col = vec![0.0; b.len() + 1];
+                col[b.len()] = 1.0;
+                e.append_cut(&row, &col).unwrap();
+                basis.extend_for_cuts(total, 1);
+                c.push(0.0);
+                lb.push(0.0);
+                ub.push(f64::INFINITY);
+                b.push(*rhs);
+                prop_assert!(!e.stage.held, "a cut keeps the record");
+            }
+            Step::Singular => {
+                let total = c.len();
+                let twins = [0, n].into_iter().chain(n + 3..total).collect();
+                prop_assert!(e
+                    .install(view, &Basis::with_basic_cols(twins, total))
+                    .is_err());
+                prop_assert!(!e.stage.held, "a failed install keeps the record");
+            }
+        }
+        record_is_resident(&e)?;
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    /// Resident buffers cannot resurrect stale state: whatever an engine
+    /// held before — longer or shorter vectors, an eta file full of
+    /// updates, unconsumed α and α_r — a later install reads none of it.
+    #[test]
+    fn used_engines_install_like_fresh_ones(
+        (rows, c, b, cut) in (1usize..4, 2usize..6).prop_flat_map(|(m, n)| {
+            let entry = || (-4i32..9).prop_map(|v| f64::from(v) / 2.0);
+            (
+                proptest::collection::vec(proptest::collection::vec(entry(), n), m),
+                proptest::collection::vec(entry(), n),
+                proptest::collection::vec((1i32..20).prop_map(f64::from), m),
+                (proptest::collection::vec(entry(), n), (1i32..12).prop_map(f64::from)),
+            )
+        })
+    ) {
+        used_engine_installs_like_a_fresh_one::<MatrixHandle>(&rows, &c, &b, (&cut.0, cut.1))?;
+        used_engine_installs_like_a_fresh_one::<SparseHandle>(&rows, &c, &b, (&cut.0, cut.1))?;
+    }
+
+    /// The host's record of the resident vectors survives any sequence
+    /// of installs, primal and dual pivots, bound flips, cuts and failed
+    /// installs: held, it is what the device holds.
+    #[test]
+    fn the_record_is_what_the_device_holds(
+        (rows, steps) in (2usize..4, 2usize..6).prop_flat_map(|(m, n)| {
+            let entry = || (-4i32..9).prop_map(|v| f64::from(v) / 2.0);
+            let step = prop_oneof![
+                (0usize..8, (0i32..9).prop_map(f64::from)).prop_map(|(j, v)| Step::Bound(j, v)),
+                prop_oneof![Just(PricingRule::Dantzig), Just(PricingRule::Devex)]
+                    .prop_map(Step::Primal),
+                Just(Step::Dual),
+                (proptest::collection::vec(entry(), n), (1i32..12).prop_map(f64::from))
+                    .prop_map(|(row, rhs)| Step::Cut(row, rhs)),
+                Just(Step::Singular),
+            ];
+            (
+                proptest::collection::vec(proptest::collection::vec(entry(), n), m),
+                proptest::collection::vec(step, 1..12),
+            )
+        })
+    ) {
+        record_follows_the_device::<MatrixHandle>(&rows, &steps)?;
+        record_follows_the_device::<SparseHandle>(&rows, &steps)?;
+    }
+}
+
+macro_rules! storage_suite {
+    ($name:ident, $storage:ty) => {
+        mod $name {
+            use super::*;
+
+            #[test]
+            fn solves_textbook_lp() {
+                super::solves_textbook_lp::<$storage>();
+            }
+
+            #[test]
+            fn matches_host_pivot_for_pivot() {
+                super::matches_host_pivot_for_pivot::<$storage>();
+            }
+
+            #[test]
+            fn warm_resolves_and_cuts() {
+                super::warm_resolves_and_cuts::<$storage>();
+            }
+
+            #[test]
+            fn frees_memory_on_drop() {
+                super::frees_memory_on_drop::<$storage>();
+            }
+
+            #[test]
+            fn failed_installs_leak_nothing() {
+                super::failed_installs_leak_nothing::<$storage>();
+            }
+
+            #[test]
+            fn consumed_vectors_stay_consumed() {
+                super::consumed_vectors_stay_consumed::<$storage>();
+            }
+
+            #[test]
+            fn bad_pivot_plans_change_nothing() {
+                super::bad_pivot_plans_change_nothing::<$storage>();
+            }
+
+            #[test]
+            fn a_pivot_is_one_launch() {
+                super::a_pivot_is_one_launch::<$storage>();
+            }
+
+            #[test]
+            fn a_staged_x_b_is_never_stale() {
+                super::a_staged_x_b_is_never_stale::<$storage>();
+            }
+        }
+    };
+}
+storage_suite!(dense, MatrixHandle);
+storage_suite!(csr, SparseHandle);
+
+#[test]
+fn csr_transfers_scale_with_nnz_not_size() {
+    // A very sparse instance: uploading CSR must move far fewer bytes
+    // than the dense extended matrix would.
+    let mip = set_cover(40, 40, 0.05, 9);
+    let std = StandardLp::from_instance(&mip, &[]);
+    let dense_bytes = (std.m() * (std.n() + std.m()) * 8) as u64;
+    let accel = Accel::gpu(1);
+    let _solver = device_solver::<SparseHandle>(std, accel.clone());
+    let uploaded = accel.stats().h2d_bytes;
+    assert!(
+        uploaded < dense_bytes / 2,
+        "CSR upload {uploaded} B vs dense {dense_bytes} B"
+    );
+}

@@ -45,30 +45,39 @@ impl ProblemView<'_> {
     /// *and* fixed columns) and the nonbasic point `x_N` (basic columns 0),
     /// both of length `c.len()`, and the basis-ordered `c_B`, `l_B`, `u_B`.
     /// A nonbasic column at an infinite bound is [`LpError::FreeVariable`].
-    pub(crate) fn assemble(
+    pub(crate) fn assemble(&self, basis: &Basis, mut out: [&mut Vec<f64>; 5]) -> LpResult<()> {
+        let (n, m) = (self.c.len(), basis.cols.len());
+        for (v, len) in out.iter_mut().zip([n, n, m, m, m]) {
+            v.clear();
+            v.resize(len, 0.0);
+        }
+        self.assemble_each(basis, |k, i, value| out[k][i] = value)
+    }
+
+    /// [`assemble`](Self::assemble) entry by entry: `put(k, i, value)` for
+    /// every entry `i` of every vector `k`, in the same order, so a caller
+    /// can compare each with what it held before.
+    pub(crate) fn assemble_each(
         &self,
         basis: &Basis,
-        [sigma, x_nb, cb, lbb, ubb]: [&mut Vec<f64>; 5],
+        mut put: impl FnMut(usize, usize, f64),
     ) -> LpResult<()> {
-        for v in [&mut *sigma, &mut *x_nb] {
-            v.clear();
-            v.resize(self.c.len(), 0.0);
-        }
-        for (j, s) in basis.status.iter().enumerate() {
-            let bound = match s {
-                VarStatus::Basic(_) => continue,
-                VarStatus::AtLower => self.lb[j],
-                VarStatus::AtUpper => self.ub[j],
+        for (j, &s) in basis.status.iter().enumerate() {
+            let (sigma, x) = match s {
+                VarStatus::Basic(_) => (0.0, 0.0),
+                VarStatus::AtLower => (self.sigma(j, s), self.lb[j]),
+                VarStatus::AtUpper => (self.sigma(j, s), self.ub[j]),
             };
-            if !bound.is_finite() {
+            if !x.is_finite() {
                 return Err(LpError::FreeVariable(j));
             }
-            x_nb[j] = bound;
-            sigma[j] = self.sigma(j, *s);
+            put(0, j, sigma);
+            put(1, j, x);
         }
-        for (buf, src) in [(cb, self.c), (lbb, self.lb), (ubb, self.ub)] {
-            buf.clear();
-            buf.extend(basis.cols.iter().map(|&j| src[j]));
+        for (k, src) in [(2, self.c), (3, self.lb), (4, self.ub)] {
+            for (i, &j) in basis.cols.iter().enumerate() {
+                put(k, i, src[j]);
+            }
         }
         Ok(())
     }

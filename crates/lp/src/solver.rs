@@ -22,7 +22,7 @@ use crate::engine::{ProblemView, SimplexEngine};
 use crate::problem::{BoundChange, StandardLp};
 use crate::simplex::{assemble_point, primal_solve_traced, PrimalConfig, PrimalOutcome};
 use crate::{LpError, LpResult};
-use gmip_linalg::DenseMatrix;
+use gmip_linalg::{DenseMatrix, LinalgError};
 use gmip_trace::{names, Event, MetricsRegistry, Track};
 
 /// Solver configuration.
@@ -644,17 +644,15 @@ impl<E: SimplexEngine> LpSolver<E> {
             &mut self.metrics,
         ) {
             Ok(r) => r,
-            Err(LpError::IterationLimit { iterations }) => {
-                // Dual stall: highly degenerate bases (dense cut rows are
-                // the usual culprit) can cycle the dual ratio test, which
-                // has no Bland fallback. Discard the stalled basis and
-                // re-solve cold — the two-phase primal driver carries
-                // anti-cycling and the cost is one scratch solve, on top of
-                // the stalled pivots.
-                let mut sol = self.solve_inner()?;
-                sol.iterations += iterations;
-                return Ok(sol);
-            }
+            // Dual stall: highly degenerate bases (dense cut rows are the
+            // usual culprit) can cycle the dual ratio test, which has no
+            // Bland fallback. Discard the stalled basis and re-solve cold —
+            // the two-phase primal driver carries anti-cycling and the cost
+            // is one scratch solve, on top of the stalled pivots.
+            Err(LpError::IterationLimit { iterations }) => return self.cold(iterations),
+            // A warm basis that is singular, or turns so under the updates,
+            // is discarded the same way.
+            Err(LpError::Numerics(LinalgError::Singular { .. })) => return self.cold(0),
             Err(e) => {
                 // Keep the (partially pivoted) basis so the solver object
                 // stays warm-startable after iteration-limit probes.
@@ -678,12 +676,21 @@ impl<E: SimplexEngine> LpSolver<E> {
         }
         let (pout, pit) = match self.run_phase2(&mut basis) {
             Ok(r) => r,
+            Err(LpError::Numerics(LinalgError::Singular { .. })) => return self.cold(dit),
             Err(e) => {
                 self.basis = Some(basis);
                 return Err(e);
             }
         };
         self.finish(basis, pout, dit + pit)
+    }
+
+    /// The cold two-phase solve a failed warm one falls back to, charged
+    /// the `spent` pivots of the attempt.
+    fn cold(&mut self, spent: usize) -> LpResult<LpSolution> {
+        let mut sol = self.solve_inner()?;
+        sol.iterations += spent;
+        Ok(sol)
     }
 
     /// Computes the Farkas witness `w = ±B⁻ᵀe_row` from the host mirror
@@ -763,6 +770,7 @@ mod tests {
         infeasible_instance, textbook_lp, textbook_mip, unbounded_instance,
     };
     use gmip_problems::generators::{knapsack, set_cover, unit_commitment};
+    use gmip_problems::{Constraint, MipInstance, Objective, Sense, Variable};
 
     fn host_solver(std: StandardLp) -> LpSolver<HostEngine> {
         LpSolver::new(std, LpConfig::standard(), |a| HostEngine::new(a.clone()))
@@ -1104,6 +1112,31 @@ mod tests {
         assert_eq!(cold.status, LpStatus::Optimal);
         assert_eq!(by_node.metrics().counter(names::LP_SOLVES), 2.0);
         assert!(by_node.fits(&basis.unwrap()));
+    }
+
+    /// max x + y over x + y ≤ 4, 2x + 2y ≤ 6: the two structural columns
+    /// are equal, so a warm basis holding both is singular.
+    #[test]
+    fn singular_warm_basis_resolves_cold() {
+        let mut m = MipInstance::new("twins", Objective::Maximize);
+        m.add_var(Variable::continuous("x", 0.0, 10.0, 1.0));
+        m.add_var(Variable::continuous("y", 0.0, 10.0, 1.0));
+        for (name, k, rhs) in [("c0", 1.0, 4.0), ("c1", 2.0, 6.0)] {
+            m.add_con(Constraint::new(name, vec![(0, k), (1, k)], Sense::Le, rhs));
+        }
+        let std = StandardLp::from_instance(&m, &[]);
+        let cold = host_solver(std.clone()).solve().unwrap();
+        assert_eq!((cold.status, cold.objective), (LpStatus::Optimal, 3.0));
+        let mut solver = host_solver(std);
+        let n = solver.matrix().cols();
+        solver
+            .set_warm_basis(Basis::with_basic_cols(vec![0, 1], n))
+            .unwrap();
+        let warm = solver.resolve().unwrap();
+        assert_eq!(
+            (warm.status, warm.objective.to_bits()),
+            (LpStatus::Optimal, cold.objective.to_bits())
+        );
     }
 
     #[test]

@@ -145,10 +145,8 @@ pub enum WaveOp {
 ///
 /// What crosses the link, journal against device engine:
 ///
-/// * **shared** — the install upload (one staged H2D; the journal's is
-///   `8(3n + 4m)` bytes, the device engine's `8(4n + 4m)` because it ships
-///   the initial Devex weights γ with it), a cut's row and slack column (one
-///   H2D of both), and the full-vector read-backs (`basic_values`,
+/// * **shared** — a cut's row and slack column (one H2D of both), and the
+///   full-vector read-backs (`basic_values`,
 ///   `reduced_costs_host`, `btran_row_host`, `dual_prices`: one D2H each).
 ///   The scalar stores of a pivot or a bound flip cross in neither: they are
 ///   arguments of the `Update` kernel here and of `basic_step` there;
@@ -164,7 +162,12 @@ pub enum WaveOp {
 ///   reduction's result is folded into its kernel, and a pivot entry is a
 ///   [`WaveClass::Gather`] kernel instance — a fused *launch* across lanes,
 ///   not a link crossing — which is the batched reading of the same step:
-///   the wave's host sees one gather per superstep, not one per lane.
+///   the wave's host sees one gather per superstep, not one per lane. And
+///   the install: the journal books one staged upload of `c`, `b`, σ,
+///   `c_B`, `l_B`, `u_B` and `x_N` (`8(3n + 4m)` bytes) at every install,
+///   where the device engine uploads them only when it holds no record of
+///   them and otherwise passes the entries that changed as arguments of
+///   its first kernel.
 ///
 /// The journal is the reason the pivot-shaped calls have default bodies at
 /// all: it is cut by class, so a lane has to see `btran_row` and

@@ -149,6 +149,7 @@ enum Section {
     Rows,
     Columns,
     Rhs,
+    Ranges,
     Bounds,
 }
 
@@ -166,6 +167,7 @@ pub fn read_mps(text: &str) -> Result<MipInstance, MpsError> {
     let mut obj_coeffs: HashMap<usize, f64> = HashMap::new();
     let mut entries: Vec<(usize, usize, f64)> = Vec::new(); // (row, col, value)
     let mut rhs: HashMap<usize, f64> = HashMap::new();
+    let mut ranges: HashMap<usize, f64> = HashMap::new();
     let mut bounds: HashMap<usize, (Option<f64>, Option<f64>, bool)> = HashMap::new(); // (lb, ub, binary)
     let mut in_int = false;
     let mut saw_endata = false;
@@ -192,9 +194,7 @@ pub fn read_mps(text: &str) -> Result<MipInstance, MpsError> {
                 "COLUMNS" => section = Section::Columns,
                 "RHS" => section = Section::Rhs,
                 "BOUNDS" => section = Section::Bounds,
-                "RANGES" => {
-                    return Err(err(lineno, "RANGES section not supported".into()));
-                }
+                "RANGES" => section = Section::Ranges,
                 "ENDATA" => {
                     saw_endata = true;
                     break;
@@ -268,20 +268,30 @@ pub fn read_mps(text: &str) -> Result<MipInstance, MpsError> {
                     }
                 }
             }
-            Section::Rhs => {
+            Section::Rhs | Section::Ranges => {
+                let what = if section == Section::Rhs {
+                    "RHS"
+                } else {
+                    "RANGES"
+                };
                 if fields.len() < 3 || fields.len().is_multiple_of(2) {
-                    return Err(err(lineno, "RHS line needs set name + pairs".into()));
+                    return Err(err(lineno, format!("{what} line needs set name + pairs")));
                 }
                 for pair in fields[1..].chunks(2) {
                     let rname = pair[0];
                     let val: f64 = pair[1]
                         .parse()
                         .map_err(|_| err(lineno, format!("bad value {}", pair[1])))?;
-                    if let Some(&ri) = row_index.get(rname) {
-                        let ci = row_order[..ri].iter().filter(|(_, s)| s.is_some()).count();
+                    let Some(&ri) = row_index.get(rname) else {
+                        return Err(err(lineno, format!("unknown {what} row {rname}")));
+                    };
+                    let ci = row_order[..ri].iter().filter(|(_, s)| s.is_some()).count();
+                    if section == Section::Rhs {
                         rhs.insert(ci, val);
+                    } else if val.is_finite() {
+                        ranges.insert(ci, val);
                     } else {
-                        return Err(err(lineno, format!("unknown RHS row {rname}")));
+                        return Err(err(lineno, format!("range {val} of row {rname}")));
                     }
                 }
             }
@@ -362,11 +372,31 @@ pub fn read_mps(text: &str) -> Result<MipInstance, MpsError> {
         per_row[ci].push((j, v));
     }
     for (ci, (cname, sense)) in con_rows.into_iter().enumerate() {
+        let coeffs = std::mem::take(&mut per_row[ci]);
+        let rhs = rhs.get(&ci).copied().unwrap_or(0.0);
+        // A ranged row `lo ≤ aᵀx ≤ hi` is a ≥ row and a ≤ row: the
+        // standard range rule, and an E row of range 0 stays E.
+        let (lo, hi) = match (sense, ranges.get(&ci).copied()) {
+            (Sense::Eq, Some(r)) if r > 0.0 => (rhs, rhs + r),
+            (Sense::Eq, Some(r)) if r < 0.0 => (rhs + r, rhs),
+            (Sense::Le, Some(r)) => (rhs - r.abs(), rhs),
+            (Sense::Ge, Some(r)) => (rhs, rhs + r.abs()),
+            _ => {
+                m.add_con(Constraint::new(cname, coeffs, sense, rhs));
+                continue;
+            }
+        };
         m.add_con(Constraint::new(
-            cname,
-            std::mem::take(&mut per_row[ci]),
-            sense,
-            rhs.get(&ci).copied().unwrap_or(0.0),
+            format!("{cname}_lo"),
+            coeffs.clone(),
+            Sense::Ge,
+            lo,
+        ));
+        m.add_con(Constraint::new(
+            format!("{cname}_hi"),
+            coeffs,
+            Sense::Le,
+            hi,
         ));
     }
     Ok(m)
@@ -436,10 +466,39 @@ mod tests {
         );
     }
 
+    /// One row of each kind under `RANGES`, against the model written out
+    /// by hand: a ranged row is its ≥ row and its ≤ row.
     #[test]
-    fn ranges_unsupported() {
-        let text = "NAME t\nRANGES\nENDATA\n";
-        assert!(matches!(read_mps(text), Err(MpsError::Parse { .. })));
+    fn ranged_rows_split_into_two() {
+        let text =
+            "NAME t\nOBJSENSE\n    MAX\nROWS\n N  OBJ\n E  e1\n E  e2\n L  l\n G  g\n E  e0\n\
+            COLUMNS\n    x  OBJ  1  e1  1\n    x  e2  1  l  1\n    x  g  1  e0  1\n\
+            RHS\n    RHS  e1  4  e2  4  l  8\n    RHS  g  1  e0  3\n\
+            RANGES\n    RNG  e1  2  e2  -2  l  -3\n    RNG  g  5  e0  0\nENDATA\n";
+        let mut by_hand = MipInstance::new("t", Objective::Maximize);
+        by_hand.add_var(Variable::continuous("x", 0.0, f64::INFINITY, 1.0));
+        for (name, sense, rhs) in [
+            ("e1_lo", Sense::Ge, 4.0),
+            ("e1_hi", Sense::Le, 6.0),
+            ("e2_lo", Sense::Ge, 2.0),
+            ("e2_hi", Sense::Le, 4.0),
+            ("l_lo", Sense::Ge, 5.0),
+            ("l_hi", Sense::Le, 8.0),
+            ("g_lo", Sense::Ge, 1.0),
+            ("g_hi", Sense::Le, 6.0),
+            ("e0", Sense::Eq, 3.0),
+        ] {
+            by_hand.add_con(Constraint::new(name, vec![(0, 1.0)], sense, rhs));
+        }
+        assert_equivalent(&read_mps(text).unwrap(), &by_hand);
+        // A range must be a number, on a row that exists.
+        for bad in ["RNG  e1  inf", "RNG  nope  1", "RNG  e1"] {
+            let text = format!("NAME t\nROWS\n N  OBJ\n E  e1\nRANGES\n    {bad}\nENDATA\n");
+            assert!(
+                matches!(read_mps(&text), Err(MpsError::Parse { line: 6, .. })),
+                "{bad}"
+            );
+        }
     }
 
     #[test]

@@ -60,6 +60,32 @@ fn bundled_knapsack_known_optimum() {
     );
 }
 
+/// `min 3x + 2y` over `5 ≤ x + 2y ≤ 8`, written as an L row of range 3,
+/// solves to the optimum of the model with the two rows written out.
+#[test]
+fn ranged_row_solves_like_its_two_rows() {
+    use gmip::problems::{Constraint, MipInstance, Objective, Sense, Variable};
+    let text = "NAME r\nROWS\n N  OBJ\n L  cap\nCOLUMNS\n    MARKER  'MARKER'  'INTORG'\n\
+        \x20   x  OBJ  3  cap  1\n    y  OBJ  2  cap  2\n    MARKER  'MARKER'  'INTEND'\n\
+        RHS\n    RHS  cap  8\nRANGES\n    RNG  cap  3\nBOUNDS\n UP BND  x  4\n UP BND  y  4\nENDATA\n";
+    let ranged = read_mps(text).expect("ranged model");
+    let mut by_hand = MipInstance::new("r", Objective::Minimize);
+    by_hand.add_var(Variable::integer("x", 0.0, 4.0, 3.0));
+    by_hand.add_var(Variable::integer("y", 0.0, 4.0, 2.0));
+    let row = vec![(0, 1.0), (1, 2.0)];
+    by_hand.add_con(Constraint::new("cap_lo", row.clone(), Sense::Ge, 5.0));
+    by_hand.add_con(Constraint::new("cap_hi", row, Sense::Le, 8.0));
+    let solve = |m: MipInstance| {
+        let r = MipSolver::host_baseline(m, MipConfig::default())
+            .solve()
+            .expect("solve");
+        assert_eq!(r.status, MipStatus::Optimal);
+        r.objective
+    };
+    assert_eq!(solve(ranged).to_bits(), solve(by_hand).to_bits());
+    assert_eq!(solve(read_mps(text).unwrap()), 6.0);
+}
+
 fn roundtrip_identity(m: &gmip::problems::MipInstance) {
     let text = write_mps(m);
     let back =

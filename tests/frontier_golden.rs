@@ -43,6 +43,12 @@
 //! event order in the five cluster pins; `measurements/PR-25.md` lists every
 //! old and new string.
 //!
+//! The same six again at the commit that keeps an install's vectors resident
+//! (the child of `3533cee`: a warm install ships only what changed, as
+//! kernel arguments). `concurrent_lanes` moved in makespan only, the five
+//! cluster pins in their event order; `measurements/PR-31.md` lists every
+//! old and new string.
+//!
 //! The chaos plans pin the hierarchy's recovery paths — `evacuate_group`,
 //! `reassign` and the steal-deny backoff — which no benchmark workload
 //! reaches. The last test is the cost side of the same contract: a frontier
@@ -149,7 +155,7 @@ fn flat_64_dynamic() {
     let r = solve_parallel(&cluster_instance(), pcfg(64)).expect("flat solve");
     assert_eq!(
         flat_pin(&r),
-        "obj=409aec0000000000 nodes=1303 msgs=2606 launches=4234 makespan=414a32ddc962fca7"
+        "obj=409aec0000000000 nodes=1299 msgs=2598 launches=4222 makespan=41452351f92c5f96"
     );
 }
 
@@ -162,7 +168,7 @@ fn flat_64_static() {
     let r = solve_parallel(&cluster_instance(), cfg).expect("static flat solve");
     assert_eq!(
         flat_pin(&r),
-        "obj=409aec0000000000 nodes=2523 msgs=5046 launches=8188 makespan=416d5c197e4b187c"
+        "obj=409aec0000000000 nodes=2474 msgs=4948 launches=8028 makespan=4166b192f258bfff"
     );
 }
 
@@ -171,7 +177,7 @@ fn hier_256x16_plain() {
     let r = hier(None);
     assert_eq!(r.hier.max_evaluations_per_node, 1);
     assert!(r.hier.steals > 0 && r.hier.steal_denied > 0);
-    assert_eq!(hier_pin(&r), "obj=409aec0000000000 nodes=2398 msgs=5695 root=899 steals=18 stolen=29 denied=220 reassigned=0 evacuated=0 launches=7780 makespan=4149e6e00da740e7");
+    assert_eq!(hier_pin(&r), "obj=409aec0000000000 nodes=2524 msgs=5924 root=876 steals=12 stolen=29 denied=206 reassigned=0 evacuated=0 launches=8182 makespan=41452fa1ccccccd2");
 }
 
 #[test]
@@ -188,7 +194,7 @@ fn hier_256x16_sub_crash() {
         "evacuate_group not reached"
     );
     assert!(r.stats.faults.reassignments > 0, "reassign not reached");
-    assert_eq!(hier_pin(&r), "obj=409aec0000000000 nodes=2351 msgs=5915 root=1139 steals=32 stolen=48 denied=271 reassigned=1 evacuated=62 launches=7707 makespan=414a5ba875c0bbb1");
+    assert_eq!(hier_pin(&r), "obj=409aec0000000000 nodes=2419 msgs=5884 root=982 steals=22 stolen=45 denied=219 reassigned=1 evacuated=52 launches=7909 makespan=4145834f605c287d");
 }
 
 #[test]
@@ -206,7 +212,7 @@ fn hier_256x16_kill_group() {
         "evacuate_group not reached"
     );
     assert!(r.stats.faults.reassignments > 0, "reassign not reached");
-    assert_eq!(hier_pin(&r), "obj=409aec0000000000 nodes=2446 msgs=6066 root=992 steals=22 stolen=36 denied=215 reassigned=119 evacuated=56 launches=8136 makespan=414a7af3eeeeeefa");
+    assert_eq!(hier_pin(&r), "obj=409aec0000000000 nodes=2439 msgs=5971 root=909 steals=18 stolen=44 denied=203 reassigned=120 evacuated=24 launches=8106 makespan=4145a5b53d70a3d6");
 }
 
 #[test]
@@ -258,7 +264,7 @@ fn concurrent_lanes() {
             r.device.kernel_launches,
             r.makespan_ns.to_bits(),
         ),
-        "obj=4008000000000000 nodes=1113 waves=280 launches=4248 makespan=4192d58e705b05f8"
+        "obj=4008000000000000 nodes=1113 waves=280 launches=4248 makespan=419043433db0594b"
     );
 }
 

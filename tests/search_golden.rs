@@ -46,6 +46,12 @@
 //! times and — in the Devex rows, whose weight update no longer reads two
 //! scalars back — D2H bytes moved; `measurements/PR-25.md` has every old
 //! and new string.
+//!
+//! The same five again at the commit that keeps an install's vectors
+//! resident (the child of `3533cee`; an install ships only what differs
+//! from what the device holds, as arguments of its first kernel when it
+//! fits). Outside the discrete-event clusters only H2D bytes and simulated
+//! times moved; `measurements/PR-31.md` has every old and new string.
 
 use gmip::core::{
     solve_batched_wave, solve_first_order_wave, BatchedWaveConfig, FirstOrderWaveConfig, MipConfig,
@@ -196,7 +202,7 @@ fn host_solver_propagate_fix_and_propagate() {
             "Optimal obj=4095480000000000 nodes=311 lp_iters=866 cuts=19 heur=2 sim=40b3da0000000026 x=0befc885e76ecb37 tree=d7c214b3cc40094b incumbents=3 first=4045b33333333334",
             "Optimal obj=4034000000000000 nodes=1 lp_iters=36 cuts=6 heur=0 sim=403ecccccccccccd x=308352d4f9fa3add tree=7229a2988ab6195d incumbents=1 first=403ecccccccccccd",
             "Optimal obj=4008000000000000 nodes=47 lp_iters=612 cuts=37 heur=1 sim=409593d70a3d70a0 x=b175fafd354b0935 tree=a5bdff4b0805c8e9 incumbents=1 first=4061199999999999",
-            "Optimal obj=4008000000000000 nodes=47 lp_iters=612 cuts=37 heur=1 sim=4171332deb65e97b x=b175fafd354b0935 tree=a5bdff4b0805c8e9 incumbents=1 first=41570ab372ff2ffe",
+            "Optimal obj=4008000000000000 nodes=47 lp_iters=612 cuts=37 heur=1 sim=4170353ca104101f x=b175fafd354b0935 tree=a5bdff4b0805c8e9 incumbents=1 first=41569c807caafdea",
         ]
     );
 }
@@ -247,9 +253,9 @@ fn flat_cluster_seed_solution() {
     assert_eq!(
         got,
         [
-            "Optimal obj=4091500000000000 nodes=821 msgs=1642 bytes=310856 launches=2655 makespan=4161c0597851ec51 x=b53a3110292eaa1d seeds=0 first=41425b71641fdb83",
-            "Optimal obj=4091500000000000 nodes=821 msgs=1642 bytes=305728 launches=2655 makespan=4161c0468da741a3 x=b53a3110292eaa1d seeds=1 first=0000000000000000",
-            "Optimal obj=4091500000000000 nodes=821 msgs=1642 bytes=310856 launches=2655 makespan=4161c0597851ec51 x=b53a3110292eaa1d seeds=1 first=0000000000000000",
+            "Optimal obj=4091500000000000 nodes=821 msgs=1642 bytes=310856 launches=2655 makespan=415b3a21c71c72ed x=b53a3110292eaa1d seeds=0 first=413dd5abae147a97",
+            "Optimal obj=4091500000000000 nodes=821 msgs=1642 bytes=305728 launches=2655 makespan=415b3a17471c72ec x=b53a3110292eaa1d seeds=1 first=0000000000000000",
+            "Optimal obj=4091500000000000 nodes=821 msgs=1642 bytes=310856 launches=2655 makespan=415b3a21c71c72ed x=b53a3110292eaa1d seeds=1 first=0000000000000000",
         ]
     );
 }
@@ -293,9 +299,9 @@ fn clusters_propagate_dive() {
     assert_eq!(
         got,
         [
-            "Optimal obj=4091500000000000 nodes=819 msgs=1638 bytes=310272 launches=5900 makespan=415b903a1f5ec33f x=b53a3110292eaa1d seeds=0 first=412e4dd48c6f2d5b",
-            "Optimal obj=4008000000000000 nodes=65 msgs=130 bytes=21736 launches=884 makespan=41378be0f422755d x=d4f5fafd354b0935 seeds=0 first=4129e569412dac75",
-            "Optimal obj=4091500000000000 nodes=847 msgs=2393 root=699 steals=10 broadcasts=12 launches=6060 makespan=415b4d1f2306fdd4 x=b53a3110292eaa1d first=412e59b73719d806",
+            "Optimal obj=4091500000000000 nodes=819 msgs=1638 bytes=309912 launches=5900 makespan=41571d0fbec7ecec x=b53a3110292eaa1d seeds=0 first=412c25fe6eda20d6",
+            "Optimal obj=4008000000000000 nodes=65 msgs=130 bytes=21576 launches=860 makespan=4134625802468acc x=d4f5fafd354b0935 seeds=0 first=41280b0446de077a",
+            "Optimal obj=4091500000000000 nodes=851 msgs=2374 root=672 steals=11 broadcasts=15 launches=6096 makespan=41571c6e55021d45 x=b53a3110292eaa1d first=412c31e11984cb81",
         ]
     );
 }
@@ -332,9 +338,9 @@ fn sparse_device_solver_with_cuts() {
     assert_eq!(
         got,
         [
-            "device-sparse Optimal obj=4053400000000000 nodes=1 lp_iters=102 cuts=0 heur=0 sim=413d4574ad6e09df x=7b7b38c6cf34ac55 tree=e64ff0e2be1a8965 incumbents=1 first=413d4574ad6e09df launches=104 h2d=21192 d2h=4752",
-            "device-sparse Optimal obj=4008000000000000 nodes=189 lp_iters=2404 cuts=37 heur=1 sim=4189c75948731377 x=2815fafd354b0935 tree=cfeec7557c92d10c incumbents=1 first=41845d2ed2aaa951 launches=2765 h2d=1276144 d2h=201816",
-            "device-sparse Optimal obj=40c46b8000000000 nodes=7 lp_iters=93 cuts=17 heur=0 sim=4145832c7b101783 x=edf2f148a6b7d615 tree=8305825bc71ad0e0 incumbents=1 first=414393cc4265c009 launches=133 h2d=126560 d2h=24368",
+            "device-sparse Optimal obj=4053400000000000 nodes=1 lp_iters=102 cuts=0 heur=0 sim=413cf33b13d47046 x=7b7b38c6cf34ac55 tree=e64ff0e2be1a8965 incumbents=1 first=413cf33b13d47046 launches=104 h2d=8552 d2h=4752",
+            "device-sparse Optimal obj=4008000000000000 nodes=189 lp_iters=2404 cuts=37 heur=1 sim=4188157d507c2e35 x=2815fafd354b0935 tree=cfeec7557c92d10c incumbents=1 first=4183abe6f1be011b launches=2765 h2d=23488 d2h=201816",
+            "device-sparse Optimal obj=40c46b8000000000 nodes=7 lp_iters=93 cuts=17 heur=0 sim=4144276070d2a6dd x=edf2f148a6b7d615 tree=8305825bc71ad0e0 incumbents=1 first=4142c70c7475add3 launches=133 h2d=29408 d2h=24368",
         ]
     );
 }
@@ -398,14 +404,14 @@ fn device_engines_solve_resolve_cut() {
     assert_eq!(
         got,
         [
-            "Optimal obj=403bffffffffffff x=e2a82c3d5e7b3381 iters=51 launches=53 h2d=21504 d2h=2456 ns=412e271fd70a3d84 | Optimal obj=403d000000000000 x=e83a3110292eaa1d iters=0 launches=55 h2d=28032 d2h=2688 ns=412fe1ceb851eb99 | Optimal obj=403c800000000000 x=758a3110292eaa1d iters=1 launches=58 h2d=35512 d2h=2984 ns=41313c330123456f",
-            "Optimal obj=403c000000000000 x=4e25edba5b029cda iters=51 launches=53 h2d=8936 d2h=2456 ns=412e16939e79e7ba | Optimal obj=403d000000000000 x=e83a3110292eaa1d iters=0 launches=55 h2d=15464 d2h=2688 ns=412fd09ea06d3a24 | Optimal obj=403c800000000000 x=758a3110292eaa1d iters=1 launches=58 h2d=22192 d2h=2984 ns=413132d7c335cd04",
-            "Optimal obj=403c000000000000 x=b1ea3110292eaa1d iters=42 launches=44 h2d=21504 d2h=2096 ns=412939f86d3a06ed | Optimal obj=403d000000000000 x=e83a3110292eaa1d iters=0 launches=46 h2d=28032 d2h=2328 ns=412af4a4888888a2 | Optimal obj=403c800000000000 x=758a3110292eaa1d iters=1 launches=49 h2d=35512 d2h=2624 ns=412d8b390369d04c",
-            "Optimal obj=403c000000000000 x=b1ea3110292eaa1d iters=42 launches=44 h2d=8936 d2h=2096 ns=41292541313fe0e3 | Optimal obj=403d000000000000 x=683a3110292eaa1d iters=0 launches=46 h2d=15464 d2h=2328 ns=412adf4ac09c09d9 | Optimal obj=403c800000000000 x=f58a3110292eaa1d iters=1 launches=49 h2d=22192 d2h=2624 ns=412d745b229ef6da",
-            "Optimal obj=40c3e91498498498 x=7e7cac0d38c62ab1 iters=41 launches=43 h2d=24832 d2h=2120 ns=4128aa6550c83f9a | Optimal obj=40c47358dc8dc8dc x=468fd36f29b401a8 iters=1 launches=46 h2d=31744 d2h=2440 ns=412af2ba5d4c3b05 | Optimal obj=40c45c5222222222 x=875295d066b4d8ca iters=2 launches=50 h2d=39656 d2h=2824 ns=412e1723c4d5e6cf",
-            "Optimal obj=40c3e91498498498 x=7e7cac0d38c62ab1 iters=41 launches=43 h2d=9000 d2h=2120 ns=4128963eeda20d41 | Optimal obj=40c47358dc8dc8dc x=468fd36f29b401a8 iters=1 launches=46 h2d=15912 d2h=2440 ns=412add4bdd8aa560 | Optimal obj=40c45c5222222222 x=875295d066b4d8ca iters=2 launches=50 h2d=23024 d2h=2824 ns=412dff613a98763a",
-            "Optimal obj=40c3e91498498498 x=7e7cac0d38c62ab1 iters=41 launches=43 h2d=24832 d2h=2120 ns=4128b37bedcba95e | Optimal obj=40c47358dc8dc8dc x=468fd36f29b401a8 iters=1 launches=46 h2d=31744 d2h=2440 ns=412afbce222221f1 | Optimal obj=40c45c5222222222 x=875295d066b4d8ca iters=2 launches=50 h2d=39656 d2h=2824 ns=412e2034a8641fa7",
-            "Optimal obj=40c3e91498498498 x=7e7cac0d38c62ab1 iters=41 launches=43 h2d=9000 d2h=2120 ns=412899616256254f | Optimal obj=40c47358dc8dc8dc x=468fd36f29b401a8 iters=1 launches=46 h2d=15912 d2h=2440 ns=412ae06a2a95dc7c | Optimal obj=40c45c5222222222 x=875295d066b4d8ca iters=2 launches=50 h2d=23024 d2h=2824 ns=412e027ae9a69a54",
+            "Optimal obj=403bffffffffffff x=e2a82c3d5e7b3381 iters=51 launches=53 h2d=17616 d2h=2456 ns=412dd67a9d0369e4 | Optimal obj=403d000000000000 x=e83a3110292eaa1d iters=0 launches=55 h2d=17616 d2h=2688 ns=412ef0ac44444459 | Optimal obj=403c800000000000 x=758a3110292eaa1d iters=1 launches=58 h2d=21136 d2h=2984 ns=41309b492ea61d9d",
+            "Optimal obj=403c000000000000 x=4e25edba5b029cda iters=51 launches=53 h2d=5048 d2h=2456 ns=412dc5ee6473141a | Optimal obj=403d000000000000 x=e83a3110292eaa1d iters=0 launches=55 h2d=5048 d2h=2688 ns=412edf7c2c5f92e4 | Optimal obj=403c800000000000 x=758a3110292eaa1d iters=1 launches=58 h2d=7816 d2h=2984 ns=413091edf0b8a532",
+            "Optimal obj=403c000000000000 x=b1ea3110292eaa1d iters=42 launches=44 h2d=17616 d2h=2096 ns=4128e9533333334d | Optimal obj=403d000000000000 x=e83a3110292eaa1d iters=0 launches=46 h2d=17616 d2h=2328 ns=412a0382147ae162 | Optimal obj=403c800000000000 x=758a3110292eaa1d iters=1 launches=49 h2d=21136 d2h=2624 ns=412c49655e6f80a7",
+            "Optimal obj=403c000000000000 x=b1ea3110292eaa1d iters=42 launches=44 h2d=5048 d2h=2096 ns=4128d49bf7390d42 | Optimal obj=403d000000000000 x=683a3110292eaa1d iters=0 launches=46 h2d=5048 d2h=2328 ns=4129ee284c8e6298 | Optimal obj=403c800000000000 x=f58a3110292eaa1d iters=1 launches=49 h2d=7816 d2h=2624 ns=412c32877da4a734",
+            "Optimal obj=40c3e91498498498 x=7e7cac0d38c62ab1 iters=41 launches=43 h2d=20736 d2h=2120 ns=4128599d7e4b17c8 | Optimal obj=40c47358dc8dc8dc x=468fd36f29b401a8 iters=1 launches=46 h2d=20736 d2h=2440 ns=412a013562fc960b | Optimal obj=40c45c5222222222 x=875295d066b4d8ca iters=2 launches=50 h2d=24480 d2h=2824 ns=412cd4cb0123453e",
+            "Optimal obj=40c3e91498498498 x=7e7cac0d38c62ab1 iters=41 launches=43 h2d=4904 d2h=2120 ns=412845771b24e56e | Optimal obj=40c47358dc8dc8dc x=468fd36f29b401a8 iters=1 launches=46 h2d=4904 d2h=2440 ns=4129ebc6e33b0065 | Optimal obj=40c45c5222222222 x=875295d066b4d8ca iters=2 launches=50 h2d=7848 d2h=2824 ns=412cbd0876e5d4a8",
+            "Optimal obj=40c3e91498498498 x=7e7cac0d38c62ab1 iters=41 launches=43 h2d=20736 d2h=2120 ns=412862b41b4e818c | Optimal obj=40c47358dc8dc8dc x=468fd36f29b401a8 iters=1 launches=46 h2d=20736 d2h=2440 ns=412a0a4927d27cf7 | Optimal obj=40c45c5222222222 x=875295d066b4d8ca iters=2 launches=50 h2d=24480 d2h=2824 ns=412cdddbe4b17e16",
+            "Optimal obj=40c3e91498498498 x=7e7cac0d38c62ab1 iters=41 launches=43 h2d=4904 d2h=2120 ns=412848998fd8fd7c | Optimal obj=40c47358dc8dc8dc x=468fd36f29b401a8 iters=1 launches=46 h2d=4904 d2h=2440 ns=4129eee530463781 | Optimal obj=40c45c5222222222 x=875295d066b4d8ca iters=2 launches=50 h2d=7848 d2h=2824 ns=412cc02225f3f8c2",
         ]
     );
 }
