@@ -130,8 +130,8 @@ pub fn run() -> String {
         out.push('\n');
     }
     out.push_str(
-        "claims: p99 latency grows with offered load (shedding starts where\n\
-         the ranks saturate, which on this tape is now past 2x) while the\n\
+        "claims: p99 latency never falls as offered load grows (shedding starts\n\
+         where the ranks saturate, which on this tape is now past 2x) while the\n\
          solution pool keeps goodput above the no-cache arrival cost; the\n\
          chaos overlay drops and delays messages but never answers wrong\n\
          (every cell passes a 20-job exact-oracle audit).\n\

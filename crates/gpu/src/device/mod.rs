@@ -504,6 +504,14 @@ impl GpuDevice {
     /// more, the launch having been paid by its first kernel. A failed chain
     /// is held like any other. Chains on other streams hold and submit
     /// their own.
+    ///
+    /// A loop the device runs on its own results — one iteration deciding
+    /// the next, the host told only when the loop ends — is one chain with a
+    /// [`relaunch`](Self::relaunch) before each iteration after the first:
+    /// such an iteration is charged one `launch_latency_ns` and counted as
+    /// a launch, the conservative bound for a device-side relaunch, while
+    /// what every iteration stages still crosses in the chain's one
+    /// envelope.
     pub fn chain<R>(&mut self, kernels: impl FnOnce(&mut Self) -> R) -> R {
         let outer = std::mem::replace(&mut self.chain, Chain::Open);
         let out = kernels(self);
@@ -513,6 +521,17 @@ impl GpuDevice {
         }
         self.flush_readback();
         out
+    }
+
+    /// Ends the launch an open chain's kernels run under, so that its next
+    /// kernel is a launch of its own: one device-side iteration of a loop
+    /// inside a [`chain`](Self::chain). What the chain staged stays staged.
+    /// Before a chain's first kernel, or outside a chain, it does nothing.
+    pub fn relaunch(&mut self) {
+        if let Chain::Launched(stream) = self.chain {
+            self.chain = Chain::Open;
+            self.streams.set_held(stream, false);
+        }
     }
 
     /// Charges one kernel of `fl` flops at `flops_per_ns` over `bytes`: a

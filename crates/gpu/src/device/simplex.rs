@@ -226,6 +226,41 @@ impl GpuDevice {
         Ok(())
     }
 
+    /// [`pivot::dual_pivot`] over resident statuses `σ` and the full `c`,
+    /// `l`, `u`: the scalars of a dual pivot, computed where the chain's
+    /// reductions left their operands (`xbr`, `alpha_rq`, the leaving and
+    /// entering columns). It is the argument setup of the
+    /// [`basic_step`](Self::basic_step) that applies them, charged there:
+    /// nothing of its own, and nothing crosses the link.
+    pub fn dual_pivot(
+        &self,
+        (xbr, alpha_rq, below): (f64, f64, bool),
+        (leaving, q): (usize, usize),
+        sigma: VectorHandle,
+        [c, lb, ub]: [VectorHandle; 3],
+    ) -> Result<pivot::DualPivot> {
+        let sv = self.objects.vector(sigma)?;
+        let (cv, lv, uv) = (
+            self.objects.vector(c)?,
+            self.objects.vector(lb)?,
+            self.objects.vector(ub)?,
+        );
+        same_len("dual_pivot", &[sv.len(), cv.len(), lv.len(), uv.len()])?;
+        for index in [leaving, q] {
+            if index >= sv.len() {
+                return Err(out_of_bounds(index, sv.len()));
+            }
+        }
+        Ok(pivot::dual_pivot(
+            xbr,
+            alpha_rq,
+            below,
+            (leaving, q),
+            sv[q],
+            [cv, lv, uv],
+        ))
+    }
+
     /// [`pivot::primal_infeasibility`] over resident `x_B`, `l_B`, `u_B`:
     /// one kernel (`2m` flops over `3m` words) and a 24-byte read-back of
     /// `(row, violation, below_lower)`.

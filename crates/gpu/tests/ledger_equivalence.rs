@@ -844,6 +844,64 @@ fn a_chain_crosses_back_once() {
     assert_eq!(link(&dev), (before.0 + 2, before.1 + 16 + 8));
 }
 
+/// A loop the device runs inside one chain: each iteration after the first
+/// relaunches, so it is charged one more launch latency and counted as a
+/// launch, while what every iteration stages still crosses once — the same
+/// clock, launches and bytes as the iterations as chains of their own, one
+/// crossing instead of one per iteration.
+#[test]
+fn a_relaunched_chain_crosses_back_once() {
+    let mut dev = GpuDevice::new(DeviceConfig::gpu(1));
+    let cost = dev.cost_model().clone();
+    let x = dev
+        .upload_vector(&[3.0, 1.0, 2.0], DEFAULT_STREAM)
+        .expect("fits");
+    let out = dev.vacant_vector();
+    let iteration = |d: &mut GpuDevice| {
+        d.argmin_masked(x, x, DEFAULT_STREAM)?;
+        d.vec_mul(x, x, out, DEFAULT_STREAM)
+    };
+    let ledger = |d: &GpuDevice| {
+        let s = d.stats();
+        (s.kernel_launches, s.d2h_transfers, s.d2h_bytes, s.kernel_ns)
+    };
+    // Before the chain's first kernel a relaunch does nothing.
+    let (before, started) = (ledger(&dev), dev.elapsed_ns());
+    dev.chain(|d| {
+        for i in 0..3 {
+            d.relaunch();
+            iteration(d)?;
+            assert_eq!(ledger(d).1, before.1, "iteration {i} crossed");
+        }
+        Ok::<_, GpuError>(())
+    })
+    .expect("shapes agree");
+    let after = ledger(&dev);
+    assert_eq!(
+        (after.0 - before.0, after.1 - before.1, after.2 - before.2),
+        (3, 1, 3 * 16)
+    );
+    let expected = after.3 - before.3 + cost.transfer_ns(48);
+    assert!((dev.elapsed_ns() - started - expected).abs() < 1e-6);
+
+    // The same iterations as chains of their own: the same launches,
+    // bytes and kernel time, and three crossings.
+    let (before, kernel_ns) = (ledger(&dev), after.3);
+    for _ in 0..3 {
+        dev.chain(iteration).expect("shapes agree");
+    }
+    let after = ledger(&dev);
+    assert_eq!(
+        (after.0 - before.0, after.1 - before.1, after.2 - before.2),
+        (3, 3, 3 * 16)
+    );
+    assert!((after.3 - kernel_ns - (expected - cost.transfer_ns(48))).abs() < 1e-6);
+
+    // Outside a chain it does nothing either.
+    dev.relaunch();
+    assert_eq!(ledger(&dev), after);
+}
+
 /// A chain that launched and read nothing back is *held* on its stream: the
 /// next chain there continues its launch, and the pair is one launch and
 /// one crossing with every body charged. Anything charged on that stream

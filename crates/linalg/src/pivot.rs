@@ -168,6 +168,58 @@ pub fn devex_update(gamma: &mut [f64], alpha_r: &[f64], q: usize, leaving: usize
     Ok(())
 }
 
+/// The scalars of a dual pivot ([`dual_pivot`]): everything its basic step
+/// and its stores need besides the FTRAN column.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DualPivot {
+    /// The signed step of the basic update `x_B ← x_B − delta·α`.
+    pub delta: f64,
+    /// The value the entering variable takes in the leaving row.
+    pub entering_val: f64,
+    /// σ of the leaving column at the bound it leaves to: −1 at lower, +1
+    /// at upper, 0 when it is fixed.
+    pub leaving_sigma: f64,
+    /// Cost of the entering column: the leaving row's new `c_B` entry.
+    pub c_q: f64,
+    /// Lower bound of the entering column: the leaving row's new `l_B`.
+    pub lb_q: f64,
+    /// Upper bound of the entering column: the leaving row's new `u_B`.
+    pub ub_q: f64,
+}
+
+/// The dual pivot on a leaving row whose basic variable, column `leaving`,
+/// sits at `xbr` below its lower bound (`below`) or above its upper, with
+/// pivot element `alpha_rq` in entering column `q` of status weight
+/// `sigma_q`. The leaving variable moves to the bound it violated, so
+/// `delta = (xbr − target) / alpha_rq`, and the entering one moves off the
+/// bound it sits at (its upper when `sigma_q > 0`, else its lower) by
+/// `delta`. Reads `c`, `lb` and `ub` at `q` and `leaving` only.
+pub fn dual_pivot(
+    xbr: f64,
+    alpha_rq: f64,
+    below: bool,
+    (leaving, q): (usize, usize),
+    sigma_q: f64,
+    [c, lb, ub]: [&[f64]; 3],
+) -> DualPivot {
+    let (target, sigma) = if below {
+        (lb[leaving], -1.0)
+    } else {
+        (ub[leaving], 1.0)
+    };
+    let fixed = lb[leaving] == ub[leaving];
+    let delta = (xbr - target) / alpha_rq;
+    let xq = if sigma_q > 0.0 { ub[q] } else { lb[q] };
+    DualPivot {
+        delta,
+        entering_val: xq + delta,
+        leaving_sigma: if fixed { 0.0 } else { sigma },
+        c_q: c[q],
+        lb_q: lb[q],
+        ub_q: ub[q],
+    }
+}
+
 /// The basic step of a bound flip or a pivot: `x_B ← x_B − dir·t·α`.
 pub fn step(xb: &mut [f64], alpha: &[f64], dir: f64, t: f64) {
     for (xi, ai) in xb.iter_mut().zip(alpha) {
@@ -294,5 +346,30 @@ mod tests {
             Some((1, 3.0, false))
         );
         assert_eq!(primal_infeasibility(&[1.0], &[0.0], &[5.0], 1e-9), None);
+    }
+
+    #[test]
+    fn a_dual_pivot_moves_the_leaving_variable_to_the_bound_it_violated() {
+        // Column 0 leaves from x = 4 above its upper bound 1 (pivot element
+        // 2): delta 1.5. Column 1 enters from its lower bound −1.
+        let (c, lb, ub) = ([7.0, 3.0, 0.0], [0.0, -1.0, 2.0], [1.0, 5.0, 2.0]);
+        let p = dual_pivot(4.0, 2.0, false, (0, 1), -1.0, [&c, &lb, &ub]);
+        assert_eq!(
+            p,
+            DualPivot {
+                delta: 1.5,
+                entering_val: 0.5,
+                leaving_sigma: 1.0,
+                c_q: 3.0,
+                lb_q: -1.0,
+                ub_q: 5.0,
+            }
+        );
+        // Below its lower bound, entering from its upper bound.
+        let p = dual_pivot(-3.0, -1.0, true, (0, 1), 1.0, [&c, &lb, &ub]);
+        assert_eq!((p.delta, p.entering_val, p.leaving_sigma), (3.0, 8.0, -1.0));
+        // A fixed leaving column takes σ = 0.
+        let p = dual_pivot(3.0, 1.0, false, (2, 1), -1.0, [&c, &lb, &ub]);
+        assert_eq!((p.delta, p.leaving_sigma), (1.0, 0.0));
     }
 }

@@ -55,16 +55,6 @@ impl Basis {
         self.status.len()
     }
 
-    /// The nonbasic value of variable `j` under bounds `lb`/`ub`
-    /// (panics if called on a basic variable — driver bug).
-    pub fn nonbasic_value(&self, j: usize, lb: &[f64], ub: &[f64]) -> f64 {
-        match self.status[j] {
-            VarStatus::AtLower => lb[j],
-            VarStatus::AtUpper => ub[j],
-            VarStatus::Basic(_) => panic!("nonbasic_value on basic variable {j}"),
-        }
-    }
-
     /// Applies a pivot: column `q` becomes basic in row `r`; the previous
     /// occupant moves to the given nonbasic status.
     pub fn pivot(&mut self, r: usize, q: usize, leaving_to: VarStatus) {
@@ -136,23 +126,6 @@ mod tests {
         assert_eq!(b.status[1], VarStatus::Basic(0));
         assert_eq!(b.status[3], VarStatus::AtUpper);
         assert!(b.is_consistent());
-    }
-
-    #[test]
-    fn nonbasic_value_reads_bounds() {
-        let mut b = Basis::with_basic_cols(vec![2], 3);
-        b.status[1] = VarStatus::AtUpper;
-        let lb = [0.0, 0.0, 0.0];
-        let ub = [5.0, 7.0, 9.0];
-        assert_eq!(b.nonbasic_value(0, &lb, &ub), 0.0);
-        assert_eq!(b.nonbasic_value(1, &lb, &ub), 7.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn nonbasic_value_panics_on_basic() {
-        let b = Basis::with_basic_cols(vec![0], 2);
-        b.nonbasic_value(0, &[0.0, 0.0], &[1.0, 1.0]);
     }
 
     #[test]

@@ -8,19 +8,17 @@
 //!   never re-transferred; cuts extend it in place (Section 5.2);
 //! * basis assembly, factorization, eta updates, FTRAN/BTRAN, pricing, and
 //!   both ratio tests run on the device;
-//! * a pivot is **one launch and one crossing**: two engine calls, a
-//!   *select* and an *apply*, each one lock and one launch chain
+//! * a primal pivot is **one launch and one crossing**: two engine calls,
+//!   a *select* and an *apply*, each one lock and one launch chain
 //!   ([`GpuDevice::chain`]) with at most one link crossing per direction,
-//!   whatever the pricing rule and whichever simplex. The select
-//!   ([`SimplexEngine::primal_select`]: `price → ftran_column → ratio_test`;
-//!   [`SimplexEngine::dual_select`]: `primal_infeas → btran_row → dual_ratio`
-//!   and the two pivot entries) *selects on the device*: the index a
-//!   reduction finds is read by the chain's next kernel where the reduction
-//!   left it, a chain whose reduction finds nothing ends early, and what the
-//!   host needs to go on (the reductions' 16–24 byte results, the pivot
-//!   entries) is staged and crosses the link **once**, behind the chain's
-//!   last kernel. The apply ([`SimplexEngine::primal_apply`] /
-//!   [`SimplexEngine::dual_apply`]) reads nothing back: what a pivot
+//!   whatever the pricing rule. The select
+//!   ([`SimplexEngine::primal_select`]: `price → ftran_column → ratio_test`)
+//!   *selects on the device*: the index a reduction finds is read by the
+//!   chain's next kernel where the reduction left it, a chain whose
+//!   reduction finds nothing ends early, and what the host needs to go on
+//!   (the reductions' 16–24 byte results) is staged and crosses the link
+//!   **once**, behind the chain's last kernel. The apply
+//!   ([`SimplexEngine::primal_apply`]) reads nothing back: what a pivot
 //!   *stores* (the entering value, two statuses, a cost and two bounds)
 //!   rides its step kernel as launch arguments, and the Devex weight update
 //!   gathers its two scalars on the device — "rank-1 updates and resolving
@@ -29,15 +27,25 @@
 //!   the next select continues it, so an apply costs its kernel bodies and
 //!   no launch of its own; an install rides its first select the same way.
 //!   A terminal primal select stages `x_B` into its envelope, and the
-//!   `basic_values` that follows crosses nothing. A warm node LP of `k` dual
-//!   pivots is `k + 2` launches and `k + 2` read-backs. The primitives the
-//!   pivot-shaped calls are made of remain engine calls of their own for
-//!   the trait's default bodies and the Bland fallback, whose full
-//!   reduced-cost read-back is the honest cost of choosing the column on
-//!   the host;
+//!   `basic_values` that follows crosses nothing;
+//! * the dual simplex **runs on the device**: [`SimplexEngine::dual_run`]
+//!   is one call and one chain for every pivot up to the next
+//!   refactorization. Each iteration (`primal_infeas → btran_row →
+//!   dual_ratio`, the two pivot entries, `ftran_column`, the pivot) decides
+//!   the next on the device: its scalars come from
+//!   [`gmip_linalg::pivot::dual_pivot`] over the resident statuses, costs and
+//!   bounds, each iteration after the first is a relaunch
+//!   ([`GpuDevice::relaunch`]), and its 56 staged bytes stay in the chain's
+//!   one envelope, from which the host replays the basis changes. A warm
+//!   node LP of `k` dual pivots is `k + 2` launches and 2 read-backs. The
+//!   primitives the pivot-shaped calls are made of remain engine calls of
+//!   their own for the trait's default bodies and the Bland fallback, whose
+//!   full reduced-cost read-back is the honest cost of choosing the column
+//!   on the host;
 //! * a basis **install** (node start, refactorization) ships only what
 //!   changed: the small vectors it assembles on the host (`c`, `b`,
-//!   statuses, nonbasic values, basic costs and bounds) stay resident, the
+//!   statuses, nonbasic values, basic costs and bounds, and the bounds of
+//!   every column, which a device-side dual pivot reads) stay resident, the
 //!   host keeps a record of what they hold (kept up to date by the stores
 //!   each pivot and bound flip carries), and an install that changes at
 //!   most [`LAUNCH_WRITES`] entries of them passes those as arguments of
@@ -75,9 +83,9 @@
 //! super-solver dispatch of `gmip-core` choose a storage on cost grounds.
 
 use crate::basis::Basis;
-use crate::dual::DualConfig;
+use crate::dual::{DualConfig, DualOutcome};
 use crate::engine::{
-    devex_refused, dual_pivot_element, entering_dir, improving, DualPick, PivotPlan, PrimalPick,
+    devex_refused, dual_pivot_element, entering_dir, improving, leaving_to, PivotPlan, PrimalPick,
     ProblemView, SimplexEngine,
 };
 use crate::simplex::{PricingRule, PrimalConfig};
@@ -96,7 +104,7 @@ use gmip_linalg::DenseMatrix;
 struct Workspace<M> {
     // Iteration state: tenanted from one install to the next (`alpha` and
     // `alpha_r` from the FTRAN / BTRAN that makes them to the pivot that
-    // consumes them); the first seven are what the host keeps a record of.
+    // consumes them); the first nine are what the host keeps a record of.
     c: VectorHandle,
     b: VectorHandle,
     sigma: VectorHandle,
@@ -104,6 +112,8 @@ struct Workspace<M> {
     cb: VectorHandle,
     lbb: VectorHandle,
     ubb: VectorHandle,
+    lb: VectorHandle,
+    ub: VectorHandle,
     xb: VectorHandle,
     gamma: VectorHandle,
     alpha: VectorHandle,
@@ -131,6 +141,8 @@ impl<M: Storage> Workspace<M> {
             cb: v(),
             lbb: v(),
             ubb: v(),
+            lb: v(),
+            ub: v(),
             xb: v(),
             gamma: v(),
             alpha: v(),
@@ -148,9 +160,9 @@ impl<M: Storage> Workspace<M> {
 
     /// The vectors an install assembles on the host: what [`Stage`] keeps
     /// a record of, in its order.
-    fn recorded(&self) -> [VectorHandle; 7] {
+    fn recorded(&self) -> [VectorHandle; 9] {
         [
-            self.c, self.b, self.sigma, self.x_nb, self.cb, self.lbb, self.ubb,
+            self.c, self.b, self.sigma, self.x_nb, self.cb, self.lbb, self.ubb, self.lb, self.ub,
         ]
     }
 
@@ -194,9 +206,9 @@ impl<M: Storage> Workspace<M> {
 /// allocating.
 #[derive(Debug, Default)]
 struct Stage {
-    /// `c`, `b`, σ, `x_N`, `c_B`, `l_B`, `u_B`, as the device holds them
-    /// when `held` is set.
-    record: [Vec<f64>; 7],
+    /// `c`, `b`, σ, `x_N`, `c_B`, `l_B`, `u_B`, `l`, `u`, as the device
+    /// holds them when `held` is set.
+    record: [Vec<f64>; 9],
     held: bool,
     /// The last install's changes to the record, as scalar stores.
     delta: Vec<ScalarWrite>,
@@ -213,7 +225,7 @@ impl Stage {
         ws: Option<&Workspace<M>>,
     ) -> LpResult<bool> {
         let (n, m) = (view.c.len(), basis.cols.len());
-        let lens = [n, view.b.len(), n, n, m, m, m];
+        let lens = [n, view.b.len(), n, n, m, m, m, n, n];
         let same = self.record.iter().zip(lens).all(|(v, len)| v.len() == len);
         let handles = ws.filter(|_| self.held && same).map(Workspace::recorded);
         if handles.is_none() {
@@ -237,7 +249,7 @@ impl Stage {
                 }
             }
         };
-        for (k, src) in [view.c, view.b].into_iter().enumerate() {
+        for (k, src) in [(0, view.c), (1, view.b), (7, view.lb), (8, view.ub)] {
             for (i, &value) in src.iter().enumerate() {
                 put(k, i, value);
             }
@@ -636,7 +648,7 @@ impl<M: Storage> SimplexEngine for DeviceSimplex<M> {
                 // Everything the install needs from the host crosses the
                 // link once.
                 let to = ws.recorded();
-                let parts: [_; 7] = std::array::from_fn(|k| (to[k], &stage.record[k][..]));
+                let parts: [_; 9] = std::array::from_fn(|k| (to[k], &stage.record[k][..]));
                 d.upload_staged(&parts, st)?;
                 &[]
             };
@@ -752,7 +764,8 @@ impl<M: Storage> SimplexEngine for DeviceSimplex<M> {
 
     // The pivot-shaped calls: the primitives of the default bodies, in the
     // same order with the same exits, inside one `call` — so one lock, one
-    // launch, and one staged read-back of what the host needs to go on.
+    // launch (a dual run: one per iteration), and one staged read-back of
+    // what the host needs to go on.
 
     fn primal_select(&mut self, cfg: &PrimalConfig, basis: &Basis) -> LpResult<Option<PrimalPick>> {
         let (pick, xb) = self.call(|k, d| {
@@ -782,34 +795,49 @@ impl<M: Storage> SimplexEngine for DeviceSimplex<M> {
         })
     }
 
-    fn dual_select(&mut self, cfg: &DualConfig) -> LpResult<DualPick> {
+    fn dual_run(
+        &mut self,
+        _view: ProblemView<'_>,
+        basis: &mut Basis,
+        cfg: &DualConfig,
+        budget: usize,
+    ) -> LpResult<(Option<DualOutcome>, usize)> {
+        let tol = cfg.base.ratio_tol;
         self.call(|k, d| {
-            let Some((r, _viol, below)) = k.primal_infeas(d, cfg.feas_tol)? else {
-                return Ok(DualPick::Feasible);
-            };
-            k.btran_row(d, r)?;
-            let Some((q, _ratio)) = k.dual_ratio(d, below, cfg.base.ratio_tol)? else {
-                return Ok(DualPick::Infeasible { row: r, below });
-            };
-            // The two entries the pivot's geometry needs, gathered where the
-            // reductions left `r` and `q`.
-            let alpha_rq = k.entry(d, k.alpha_r()?.alpha_r, q)?;
-            let alpha_rq = dual_pivot_element(alpha_rq, q, cfg.base.ratio_tol)?;
-            let xbr = k.entry(d, k.ws.xb, r)?;
-            Ok(DualPick::Pivot {
-                r,
-                below,
-                q,
-                alpha_rq,
-                xbr,
-            })
-        })
-    }
-
-    fn dual_apply(&mut self, plan: &PivotPlan) -> LpResult<()> {
-        self.call(|k, d| {
-            k.ftran_column(d, plan.q)?;
-            k.apply_pivot(d, plan)
+            for done in 0..budget {
+                if done > 0 {
+                    // The device decides the next pivot from the last one's
+                    // results: a relaunch, not a round trip.
+                    d.relaunch();
+                }
+                let Some((r, _viol, below)) = k.primal_infeas(d, cfg.feas_tol)? else {
+                    return Ok((Some(DualOutcome::PrimalFeasible), done));
+                };
+                k.btran_row(d, r)?;
+                let Some((q, _ratio)) = k.dual_ratio(d, below, tol)? else {
+                    return Ok((Some(DualOutcome::Infeasible { row: r, below }), done));
+                };
+                // The two entries the pivot's scalars need, gathered where
+                // the reductions left `r` and `q`.
+                let alpha_rq = k.entry(d, k.alpha_r()?.alpha_r, q)?;
+                let alpha_rq = dual_pivot_element(alpha_rq, q, tol)?;
+                let xbr = k.entry(d, k.ws.xb, r)?;
+                // `basis.cols` is the header the eta file was factored from,
+                // kept by every pivot since.
+                let leaving_j = basis.cols[r];
+                k.ftran_column(d, q)?;
+                // The pivot's scalars, computed on the device from what it
+                // holds; the host computes the same from its record and the
+                // staged `(xbr, α_rq)`, so the record follows the stores.
+                let ws = k.ws;
+                let at = (xbr, alpha_rq, below);
+                let scalars = d.dual_pivot(at, (leaving_j, q), ws.sigma, [ws.c, ws.lb, ws.ub])?;
+                k.apply_pivot(d, &PivotPlan::dual(r, q, leaving_j, &scalars))?;
+                // The host replays the pivot from the iteration's staged
+                // `(r, below, q)`: a run that fails later keeps it.
+                basis.pivot(r, q, leaving_to(below));
+            }
+            Ok((None, budget))
         })
     }
 }

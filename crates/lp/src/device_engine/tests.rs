@@ -4,6 +4,7 @@ use crate::engine::HostEngine;
 use crate::problem::{BoundChange, StandardLp};
 use crate::simplex::{primal_solve, PrimalConfig};
 use crate::solver::{LpConfig, LpSolver, LpStatus};
+use gmip_gpu::DeviceConfig;
 use gmip_linalg::LinalgError;
 use gmip_problems::catalog::{textbook_lp, textbook_mip};
 use gmip_problems::generators::{knapsack, set_cover, unit_commitment};
@@ -412,60 +413,176 @@ fn a_pivot_is_one_launch<M: Storage>() {
     assert_eq!((pick.q, pick.limit), (1, Some((0, 3.0, false))));
     grew("apply_flip + primal_select", (1, 1, 16 + 24, 0));
 
-    // A dual pivot: s0 = 4 sits above an upper bound of 1. Both
-    // reductions' results and the two pivot entries, 24 + 16 + 8 + 8.
-    // (Costs negated so that the slack basis is dual feasible.)
+    // A dual run of one pivot: s0 = 4 sits above an upper bound of 1. The
+    // install launches, the run's first iteration continues it and its
+    // second, which finds x_B feasible, relaunches: 1 + 1 launches. Both
+    // reductions' results and the two pivot entries, 24 + 16 + 8 + 8, then
+    // the terminal reduction's 24, in one envelope. (Costs negated so that
+    // the slack basis is dual feasible.)
     let dual = DualConfig::standard();
     let c_neg = [-1.0, -1.0, 0.0, 0.0];
-    install(&mut e, &c_neg, &[10.0, 10.0, 1.0, 10.0]);
-    let DualPick::Pivot {
-        r,
-        below,
-        q,
-        alpha_rq,
-        xbr,
-    } = e.dual_select(&dual).unwrap()
-    else {
-        panic!("a violated row with an entering column");
+    let view = |ub| ProblemView {
+        c: &c_neg,
+        lb: &lb,
+        ub,
+        b: &b,
     };
-    assert_eq!((r, below, q, alpha_rq, xbr), (0, false, 0, 1.0, 4.0));
-    grew("install + dual_select", (1, 1, 24 + 16 + 8 + 8, 0));
-    let delta = (xbr - 1.0) / alpha_rq;
-    e.dual_apply(&PivotPlan {
-        leaving_sigma: 1.0,
-        c_q: c_neg[q],
-        ..plan(r, q, 2, delta)
-    })
-    .unwrap();
-    assert_eq!(e.dual_select(&dual).unwrap(), DualPick::Feasible);
-    grew("dual_apply + terminal dual_select", (1, 1, 24, 0));
-    // A dual select stages nothing: x_B crosses on its own.
+    let ub = [10.0, 10.0, 1.0, 10.0];
+    let mut basis = slack.clone();
+    e.install(view(&ub), &basis).unwrap();
+    let run = e.dual_run(view(&ub), &mut basis, &dual, usize::MAX);
+    assert_eq!(run, Ok((Some(DualOutcome::PrimalFeasible), 1)));
+    assert_eq!(basis.cols, vec![0, 3]);
+    assert_eq!(basis.status[2], VarStatus::AtUpper);
+    grew("install + a one-pivot dual_run", (2, 1, 56 + 24, 0));
+    // A dual run stages no x_B: it crosses on its own.
     assert_eq!(e.basic_values().unwrap(), vec![3.0, 0.0]);
-    grew("basic_values after a dual select", (0, 1, 16, 0));
+    grew("basic_values after a dual run", (0, 1, 16, 0));
 
-    // Infeasible: s0 = 4 above 1 again, and both structurals fixed.
-    install(&mut e, &c_neg, &[0.0, 0.0, 1.0, 10.0]);
-    assert_eq!(
-        e.dual_select(&dual).unwrap(),
-        DualPick::Infeasible {
-            row: 0,
-            below: false
-        }
-    );
-    grew("install + infeasible dual_select", (1, 1, 24 + 16, 0));
+    // Infeasible: s0 = 4 above 1 again, and both structurals fixed. One
+    // envelope: the two reductions' results.
+    let ub = [0.0, 0.0, 1.0, 10.0];
+    let mut basis = slack.clone();
+    e.install(view(&ub), &basis).unwrap();
+    let infeasible = Some(DualOutcome::Infeasible {
+        row: 0,
+        below: false,
+    });
+    let run = e.dual_run(view(&ub), &mut basis, &dual, usize::MAX);
+    assert_eq!(run, Ok((infeasible, 0)));
+    assert_eq!(basis, slack);
+    grew("install + an infeasible dual_run", (1, 1, 24 + 16, 0));
 
     // A re-install that moves one bound: s0's upper bound, one entry of
-    // u_B, rides the install's first kernel and nothing is uploaded.
-    install(&mut e, &c_neg, &[0.0, 0.0, 2.0, 10.0]);
-    assert_eq!(e.stage.delta.len(), 1);
+    // `u` and one of u_B, rides the install's first kernel and nothing is
+    // uploaded.
+    let ub = [0.0, 0.0, 2.0, 10.0];
+    e.install(view(&ub), &basis).unwrap();
+    assert_eq!(e.stage.delta.len(), 2);
+    let run = e.dual_run(view(&ub), &mut basis, &dual, usize::MAX);
+    assert_eq!(run, Ok((infeasible, 0)));
+    grew("one-bound re-install + dual_run", (1, 1, 24 + 16, 0));
+}
+
+/// `max −Σ x` over three rows `Σ a_ij x_j + s_i = b_i`, `0 ≤ x ≤ 8`, from
+/// its slack basis with every slack's upper bound at 1: dual feasible, and
+/// each slack sits above its bound. Returns the matrix, the view's vectors
+/// `(c, lb, ub, b)` and the slack basis.
+fn three_violated_rows() -> (DenseMatrix, [Vec<f64>; 4], Basis) {
+    let rows = [
+        [1.0, 2.0, 1.0, 1.0, 0.0, 0.0],
+        [2.0, 1.0, 3.0, 0.0, 1.0, 0.0],
+        [1.0, 3.0, 2.0, 0.0, 0.0, 1.0],
+    ];
+    let a = DenseMatrix::from_rows(&rows.map(Vec::from)).unwrap();
+    let c = vec![-1.0, -1.0, -1.0, 0.0, 0.0, 0.0];
+    let (lb, ub) = (vec![0.0; 6], vec![8.0, 8.0, 8.0, 1.0, 1.0, 1.0]);
+    let b = vec![6.0, 9.0, 8.0];
+    (a, [c, lb, ub, b], Basis::with_basic_cols(vec![3, 4, 5], 6))
+}
+
+/// A dual run is one call and one envelope, however many pivots it makes:
+/// an install and a `k`-pivot run that ends the solve are `1 + k`
+/// launches and one read-back of `56k + 24` bytes, a run its budget ends
+/// one read-back of `56k`. Its pivots are the host engine's, bit for bit,
+/// and so is the basis it leaves behind.
+fn a_dual_run_is_one_envelope<M: Storage>() {
+    let (a, [c, lb, ub, b], slack) = three_violated_rows();
+    let view = ProblemView {
+        c: &c,
+        lb: &lb,
+        ub: &ub,
+        b: &b,
+    };
+    let dual = DualConfig::standard();
+    let mut host = HostEngine::new(a.clone());
+    let mut host_basis = slack.clone();
+    host.install(view, &host_basis).unwrap();
+    let host_run = host.dual_run(view, &mut host_basis, &dual, usize::MAX);
+    let Ok((Some(DualOutcome::PrimalFeasible), k)) = host_run else {
+        panic!("{host_run:?}");
+    };
+    assert!(k >= 2, "{k} pivots");
+    let host_xb = host.basic_values().unwrap();
+
+    let accel = Accel::gpu(1);
+    let mut e = DeviceSimplex::<M>::new(accel.clone(), &a).unwrap();
+    let mut basis = slack.clone();
+    let before = accel.stats();
+    e.install(view, &basis).unwrap();
+    assert_eq!(e.dual_run(view, &mut basis, &dual, usize::MAX), host_run);
+    let s = accel.stats();
     assert_eq!(
-        e.dual_select(&dual).unwrap(),
-        DualPick::Infeasible {
-            row: 0,
-            below: false
-        }
+        (
+            s.kernel_launches - before.kernel_launches,
+            s.d2h_transfers - before.d2h_transfers,
+            s.d2h_bytes - before.d2h_bytes,
+        ),
+        (1 + k as u64, 1, 56 * k as u64 + 24),
+        "install + a {k}-pivot run: (launches, read-backs, bytes back)"
     );
-    grew("one-bound re-install + dual_select", (1, 1, 24 + 16, 0));
+    assert_eq!(basis, host_basis);
+    assert_eq!(e.basic_values().unwrap(), host_xb);
+
+    // The same run cut short by its budget: one envelope of its pivots.
+    let mut basis = slack.clone();
+    e.install(view, &basis).unwrap();
+    let before = accel.stats();
+    let run = e.dual_run(view, &mut basis, &dual, k - 1);
+    assert_eq!(run, Ok((None, k - 1)));
+    let s = accel.stats();
+    assert_eq!(
+        (
+            s.kernel_launches - before.kernel_launches,
+            s.d2h_transfers - before.d2h_transfers,
+            s.d2h_bytes - before.d2h_bytes,
+        ),
+        (k as u64 - 2, 1, 56 * (k as u64 - 1)),
+        "a run of {} pivots its budget ends",
+        k - 1
+    );
+    assert_eq!(e.eta_count(), k - 1);
+}
+
+/// A run that fails midway — here the device runs out of memory for the
+/// eta file it grows — still brings back what its finished pivots staged:
+/// the host's basis is the one the device's eta file represents, the
+/// host engine's after as many pivots.
+fn a_failed_dual_run_keeps_its_pivots<M: Storage>() {
+    let (a, [c, lb, ub, b], slack) = three_violated_rows();
+    let view = ProblemView {
+        c: &c,
+        lb: &lb,
+        ub: &ub,
+        b: &b,
+    };
+    let dual = DualConfig::standard();
+    let peak = {
+        let accel = Accel::gpu(1);
+        let mut e = DeviceSimplex::<M>::new(accel.clone(), &a).unwrap();
+        let mut basis = slack.clone();
+        e.install(view, &basis).unwrap();
+        e.dual_run(view, &mut basis, &dual, usize::MAX).unwrap();
+        accel.with(|d| d.memory().peak())
+    };
+    // The largest device that fails the run after at least one pivot.
+    let failed = (1..peak).rev().find_map(|capacity| {
+        let accel = Accel::gpu_with(DeviceConfig {
+            mem_capacity: capacity,
+            ..DeviceConfig::gpu(1)
+        });
+        let mut e = DeviceSimplex::<M>::new(accel, &a).ok()?;
+        let mut basis = slack.clone();
+        e.install(view, &basis).ok()?;
+        let run = e.dual_run(view, &mut basis, &dual, usize::MAX);
+        (run.is_err() && e.eta_count() > 0).then(|| (basis, e.eta_count()))
+    });
+    let (basis, pivots) = failed.expect("a capacity that fails the run midway");
+    let mut host = HostEngine::new(a);
+    let mut host_basis = slack;
+    host.install(view, &host_basis).unwrap();
+    host.dual_run(view, &mut host_basis, &dual, pivots).unwrap();
+    assert_eq!(basis, host_basis, "after {pivots} pivots");
 }
 
 /// The `x_B` a terminal select brought back is `basic_values`' only if
@@ -847,6 +964,16 @@ macro_rules! storage_suite {
             #[test]
             fn a_pivot_is_one_launch() {
                 super::a_pivot_is_one_launch::<$storage>();
+            }
+
+            #[test]
+            fn a_dual_run_is_one_envelope() {
+                super::a_dual_run_is_one_envelope::<$storage>();
+            }
+
+            #[test]
+            fn a_failed_dual_run_keeps_its_pivots() {
+                super::a_failed_dual_run_keeps_its_pivots::<$storage>();
             }
 
             #[test]

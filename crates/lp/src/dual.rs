@@ -8,8 +8,8 @@
 //! the device-resident matrix with zero matrix transfer, which is exactly
 //! the reuse pattern the paper prescribes.
 
-use crate::basis::{Basis, VarStatus};
-use crate::engine::{DualPick, PivotPlan, ProblemView, SimplexEngine};
+use crate::basis::Basis;
+use crate::engine::{ProblemView, SimplexEngine};
 use crate::simplex::{note_refactorization, PrimalConfig};
 use crate::{LpError, LpResult};
 use gmip_trace::{names, MetricsRegistry};
@@ -92,60 +92,25 @@ fn dual_loop<E: SimplexEngine>(
     cfg: &DualConfig,
     metrics: &mut MetricsRegistry,
 ) -> LpResult<(DualOutcome, usize)> {
+    let (max_iters, refactor_every) = (cfg.base.max_iters, cfg.base.refactor_every);
     engine.install(view, basis)?;
-    for iter in 0..cfg.base.max_iters {
-        if engine.eta_count() >= cfg.base.refactor_every {
+    let mut iters = 0;
+    while iters < max_iters {
+        if engine.eta_count() >= refactor_every {
             engine.install(view, basis)?;
             note_refactorization(engine, metrics);
         }
-        // --- leaving row (the worst bound violation) and entering column
-        // (the dual ratio test on its BTRAN row): one engine call ---
-        let (r, below, q, alpha_rq, xbr) = match engine.dual_select(cfg)? {
-            DualPick::Feasible => return Ok((DualOutcome::PrimalFeasible, iter)),
-            DualPick::Infeasible { row, below } => {
-                return Ok((DualOutcome::Infeasible { row, below }, iter))
-            }
-            DualPick::Pivot {
-                r,
-                below,
-                q,
-                alpha_rq,
-                xbr,
-            } => (r, below, q, alpha_rq, xbr),
-        };
-
-        // --- pivot geometry ---
-        let leaving_j = basis.cols[r];
-        let target = if below {
-            view.lb[leaving_j]
-        } else {
-            view.ub[leaving_j]
-        };
-        let delta = (xbr - target) / alpha_rq;
-        let xq_old = basis.nonbasic_value(q, view.lb, view.ub);
-        let entering_val = xq_old + delta;
-
-        let leaving_to = if below {
-            VarStatus::AtLower
-        } else {
-            VarStatus::AtUpper
-        };
-        engine.dual_apply(&PivotPlan {
-            r,
-            q,
-            leaving_j,
-            dir: 1.0,
-            t: delta,
-            entering_val,
-            leaving_sigma: view.sigma(leaving_j, leaving_to),
-            c_q: view.c[q],
-            lb_q: view.lb[q],
-            ub_q: view.ub[q],
-        })?;
-        basis.pivot(r, q, leaving_to);
+        // --- one run of pivots, up to the next refactorization or the cap ---
+        let budget = refactor_every
+            .saturating_sub(engine.eta_count())
+            .clamp(1, max_iters - iters);
+        match engine.dual_run(view, basis, cfg, budget)? {
+            (Some(outcome), pivots) => return Ok((outcome, iters + pivots)),
+            (None, pivots) => iters += pivots,
+        }
     }
     Err(LpError::IterationLimit {
-        iterations: cfg.base.max_iters,
+        iterations: max_iters,
     })
 }
 

@@ -19,7 +19,7 @@
 //! transfers, and launch chains.
 
 use crate::basis::{Basis, VarStatus};
-use crate::dual::DualConfig;
+use crate::dual::{DualConfig, DualOutcome};
 use crate::simplex::{PricingRule, PrimalConfig};
 use crate::{LpError, LpResult};
 use gmip_linalg::{pivot, DenseMatrix, EtaFile, LinalgError};
@@ -120,6 +120,34 @@ pub struct PivotPlan {
     pub ub_q: f64,
 }
 
+impl PivotPlan {
+    /// The plan of a dual pivot in row `r`, column `q` entering and
+    /// `leaving_j` leaving, from its [`pivot::dual_pivot`] scalars.
+    pub(crate) fn dual(r: usize, q: usize, leaving_j: usize, p: &pivot::DualPivot) -> Self {
+        Self {
+            r,
+            q,
+            leaving_j,
+            dir: 1.0,
+            t: p.delta,
+            entering_val: p.entering_val,
+            leaving_sigma: p.leaving_sigma,
+            c_q: p.c_q,
+            lb_q: p.lb_q,
+            ub_q: p.ub_q,
+        }
+    }
+}
+
+/// The status a dual pivot's leaving variable takes: the bound it violated.
+pub(crate) fn leaving_to(below: bool) -> VarStatus {
+    if below {
+        VarStatus::AtLower
+    } else {
+        VarStatus::AtUpper
+    }
+}
+
 /// What [`SimplexEngine::primal_select`] chose: an entering column, with its
 /// FTRAN column left engine-resident for the step that follows.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -131,33 +159,6 @@ pub struct PrimalPick {
     /// The ratio test on its FTRAN column: `(row, t, leaves_at_upper)`, or
     /// `None` if no basic variable blocks.
     pub limit: Option<(usize, f64, bool)>,
-}
-
-/// What [`SimplexEngine::dual_select`] found.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum DualPick {
-    /// Every basic variable is within its bounds.
-    Feasible,
-    /// Row `row` is violated and no column can enter: the LP is infeasible.
-    Infeasible {
-        /// The violated row; its BTRAN row is engine-resident.
-        row: usize,
-        /// Whether its basic variable is below its lower bound.
-        below: bool,
-    },
-    /// A dual pivot, the leaving row's BTRAN row engine-resident.
-    Pivot {
-        /// Leaving row.
-        r: usize,
-        /// Whether its basic variable is below its lower bound.
-        below: bool,
-        /// Entering column.
-        q: usize,
-        /// The pivot element `α_r[q]`.
-        alpha_rq: f64,
-        /// The leaving variable's value `x_B[r]`.
-        xbr: f64,
-    },
 }
 
 /// The column a pricing call proposes, if it prices out by more than `tol`.
@@ -212,14 +213,15 @@ pub(crate) fn devex_refused(e: impl Into<LpError>) -> LpError {
 /// The per-iteration numerical interface of the revised simplex.
 ///
 /// The required methods are the *primitives*: one numerical step each. The
-/// drivers do not call them one by one; they call the four **pivot-shaped**
+/// drivers do not call them one by one; they call the three **pivot-shaped**
 /// provided methods — [`primal_select`](Self::primal_select) /
-/// [`primal_apply`](Self::primal_apply), [`dual_select`](Self::dual_select) /
-/// [`dual_apply`](Self::dual_apply) — whose default bodies are exactly the
-/// primitive calls the drivers used to make, in that order, error exits
-/// included. An engine for which a call is expensive in itself (a launch and
-/// a link crossing on [`crate::DeviceSimplex`]) overrides them to do a
-/// pivot's half in one call; an engine that *records* calls
+/// [`primal_apply`](Self::primal_apply), a primal pivot's two halves, and
+/// [`dual_run`](Self::dual_run), the dual simplex's pivots up to the next
+/// refactorization — whose default bodies are exactly the primitive calls
+/// the drivers used to make, in that order, error exits included. An engine
+/// for which a call is expensive in itself (a launch and a link crossing on
+/// [`crate::DeviceSimplex`]) overrides them: a primal pivot's half in one
+/// call, a whole dual run in one; an engine that *records* calls
 /// ([`crate::RecordingEngine`], whose journal is cut by kernel class) keeps
 /// the defaults and sees the primitives.
 ///
@@ -343,33 +345,46 @@ pub trait SimplexEngine {
         self.apply_pivot(plan)
     }
 
-    /// The selecting half of a dual iteration: the worst bound violation
-    /// beyond `cfg.feas_tol`, the BTRAN row of its basis row, the dual ratio
-    /// test on it, and the two entries the pivot's geometry needs.
-    fn dual_select(&mut self, cfg: &DualConfig) -> LpResult<DualPick> {
-        let Some((r, _viol, below)) = self.primal_infeas(cfg.feas_tol)? else {
-            return Ok(DualPick::Feasible);
-        };
-        self.btran_row(r)?;
-        let Some((q, _ratio)) = self.dual_ratio(below, cfg.base.ratio_tol)? else {
-            return Ok(DualPick::Infeasible { row: r, below });
-        };
-        let alpha_rq = dual_pivot_element(self.alpha_r_entry(q)?, q, cfg.base.ratio_tol)?;
-        let xbr = self.basic_entry(r)?;
-        Ok(DualPick::Pivot {
-            r,
-            below,
-            q,
-            alpha_rq,
-            xbr,
-        })
-    }
-
-    /// The applying half of a dual pivot: FTRAN of the entering column, then
-    /// the pivot.
-    fn dual_apply(&mut self, plan: &PivotPlan) -> LpResult<()> {
-        self.ftran_column(plan.q)?;
-        self.apply_pivot(plan)
+    /// Dual iterations from the installed basis, applied to `basis` as
+    /// well, until `x_B` is within its bounds, the LP is proven infeasible,
+    /// or `budget` pivots are done (a refactorization or the iteration cap
+    /// is due). Returns how the run ended (`None`: the budget ran out) and
+    /// the pivots it made. An iteration is the worst bound violation beyond
+    /// `cfg.feas_tol`, the BTRAN row of its basis row, the dual ratio test
+    /// on it, the two entries the pivot's scalars ([`pivot::dual_pivot`])
+    /// need, the FTRAN of the entering column and the pivot.
+    fn dual_run(
+        &mut self,
+        view: ProblemView<'_>,
+        basis: &mut Basis,
+        cfg: &DualConfig,
+        budget: usize,
+    ) -> LpResult<(Option<DualOutcome>, usize)> {
+        let tol = cfg.base.ratio_tol;
+        for done in 0..budget {
+            let Some((r, _viol, below)) = self.primal_infeas(cfg.feas_tol)? else {
+                return Ok((Some(DualOutcome::PrimalFeasible), done));
+            };
+            self.btran_row(r)?;
+            let Some((q, _ratio)) = self.dual_ratio(below, tol)? else {
+                return Ok((Some(DualOutcome::Infeasible { row: r, below }), done));
+            };
+            let alpha_rq = dual_pivot_element(self.alpha_r_entry(q)?, q, tol)?;
+            let xbr = self.basic_entry(r)?;
+            let leaving_j = basis.cols[r];
+            let scalars = pivot::dual_pivot(
+                xbr,
+                alpha_rq,
+                below,
+                (leaving_j, q),
+                basis.status[q].sigma(),
+                [view.c, view.lb, view.ub],
+            );
+            self.ftran_column(q)?;
+            self.apply_pivot(&PivotPlan::dual(r, q, leaving_j, &scalars))?;
+            basis.pivot(r, q, leaving_to(below));
+        }
+        Ok((None, budget))
     }
 }
 

@@ -165,13 +165,13 @@ pub enum WaveOp {
 ///   the wave's host sees one gather per superstep, not one per lane. And
 ///   the install: the journal books one staged upload of `c`, `b`, σ,
 ///   `c_B`, `l_B`, `u_B` and `x_N` (`8(3n + 4m)` bytes) at every install,
-///   where the device engine uploads them only when it holds no record of
-///   them and otherwise passes the entries that changed as arguments of
-///   its first kernel.
+///   where the device engine, which keeps the full `l` and `u` beside them,
+///   uploads them only when it holds no record of them and otherwise
+///   passes the entries that changed as arguments of its first kernel.
 ///
 /// The journal is the reason the pivot-shaped calls have default bodies at
 /// all: it is cut by class, so a lane has to see `btran_row` and
-/// `dual_ratio` as two calls in today's order, not one `dual_select`.
+/// `dual_ratio` as two calls in today's order, not one `dual_run`.
 ///
 /// `sim_now_ns` stays `None`: the eager host solve is *planning*, not
 /// execution — simulated time accrues only when the journal is replayed

@@ -18,15 +18,15 @@
 
 use gmip_gpu::{Accel, MatrixHandle, SparseHandle, Storage};
 use gmip_linalg::DenseMatrix;
-use gmip_lp::dual::DualConfig;
-use gmip_lp::engine::{DualPick, PivotPlan, PrimalPick};
+use gmip_lp::dual::{DualConfig, DualOutcome};
+use gmip_lp::engine::{PivotPlan, PrimalPick};
 use gmip_lp::simplex::{primal_solve, PrimalOutcome};
 use gmip_lp::{
     Basis, BoundChange, DeviceSimplex, LpConfig, LpResult, LpSolver, LpStatus, PricingRule,
     PrimalConfig, ProblemView, SimplexEngine, StandardLp,
 };
 use gmip_problems::generators::knapsack;
-use gmip_trace::{TraceSession, TrackGroup};
+use gmip_trace::{names, TraceSession, TrackGroup};
 use proptest::prelude::*;
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -198,11 +198,14 @@ impl<E: SimplexEngine> SimplexEngine for Fenced<E> {
     fn primal_apply(&mut self, plan: &PivotPlan, devex: bool) -> LpResult<()> {
         self.fenced().primal_apply(plan, devex)
     }
-    fn dual_select(&mut self, cfg: &DualConfig) -> LpResult<DualPick> {
-        self.fenced().dual_select(cfg)
-    }
-    fn dual_apply(&mut self, plan: &PivotPlan) -> LpResult<()> {
-        self.fenced().dual_apply(plan)
+    fn dual_run(
+        &mut self,
+        view: ProblemView<'_>,
+        basis: &mut Basis,
+        cfg: &DualConfig,
+        budget: usize,
+    ) -> LpResult<(Option<DualOutcome>, usize)> {
+        self.fenced().dual_run(view, basis, cfg, budget)
     }
 }
 
@@ -315,14 +318,17 @@ fn bits(v: &[f64]) -> Vec<u64> {
 
 /// `knapsack(30)`: the root, 100 warm bound re-solves, two cut rounds with
 /// re-solves on the grown matrix, and a child whose fixings overfill the
-/// knapsack. Returns every solve.
+/// knapsack, the dual phases refactoring every `refactor_every` pivots.
+/// Returns every solve, and the refactorizations the solves made.
 fn branch_and_cut<E: SimplexEngine>(
     pricing: PricingRule,
+    refactor_every: usize,
     make: impl FnOnce(&DenseMatrix) -> E,
-) -> Vec<Solved> {
+) -> (Vec<Solved>, u64) {
     let m = knapsack(30, 0.5, 11);
     let mut cfg = LpConfig::standard();
     cfg.primal.pricing = pricing;
+    cfg.dual.base.refactor_every = refactor_every;
     let mut lp = LpSolver::new(StandardLp::from_instance(&m, &[]), cfg, make);
     let mut solves = Vec::new();
     let mut keep = |lp: &LpSolver<E>, sol: gmip_lp::LpSolution| {
@@ -376,7 +382,8 @@ fn branch_and_cut<E: SimplexEngine>(
     let child = resolve(&mut lp, &all_in);
     assert_eq!(child.status, LpStatus::Infeasible);
     keep(&lp, child);
-    solves
+    let refactorizations = lp.metrics().counter(names::LP_REFACTORIZATIONS) as u64;
+    (solves, refactorizations)
 }
 
 /// A primal solve from the slack basis of `[A | I] x = b`, `0 ≤ x`, straight
@@ -439,20 +446,31 @@ fn primitives<'c, M: Storage>(
     }
 }
 
+/// Both pricing rules, with the dual's default refactorization interval
+/// and with one of two pivots, which splits the longer dual phases into
+/// several runs.
 fn branch_and_cut_agrees<M: Storage>() {
     let _g = gate();
     for pricing in [PricingRule::Dantzig, PricingRule::Devex] {
-        let fused = observed(|accel| branch_and_cut(pricing, device::<M>(accel)));
-        let bland = Cell::new(0);
-        let by_primitive =
-            observed(|accel| branch_and_cut(pricing, primitives::<M>(accel, &bland)));
-        let pivots = fused.0.iter().map(|s| s.1).sum::<usize>();
-        assert!(pivots > 80, "{pivots} pivots to compare");
-        let what = format!("{pricing:?}");
-        assert_fused_is_primitives(&what, true, &fused, &by_primitive);
-        assert_eq!(bland.get(), 0, "a knapsack LP needs no Bland pivot");
-        let by_fence = observed(|accel| branch_and_cut(pricing, fenced::<M>(accel)));
-        assert_held_is_fenced(&what, &fused, &by_fence);
+        for refactor_every in [DualConfig::standard().base.refactor_every, 2] {
+            let fused =
+                observed(|accel| branch_and_cut(pricing, refactor_every, device::<M>(accel)));
+            let bland = Cell::new(0);
+            let by_primitive = observed(|accel| {
+                branch_and_cut(pricing, refactor_every, primitives::<M>(accel, &bland))
+            });
+            let pivots = fused.0 .0.iter().map(|s| s.1).sum::<usize>();
+            assert!(pivots > 80, "{pivots} pivots to compare");
+            if refactor_every == 2 {
+                assert!(fused.0 .1 > 0, "no dual phase crossed a refactorization");
+            }
+            let what = format!("{pricing:?}, refactor every {refactor_every}");
+            assert_fused_is_primitives(&what, true, &fused, &by_primitive);
+            assert_eq!(bland.get(), 0, "a knapsack LP needs no Bland pivot");
+            let by_fence =
+                observed(|accel| branch_and_cut(pricing, refactor_every, fenced::<M>(accel)));
+            assert_held_is_fenced(&what, &fused, &by_fence);
+        }
     }
 }
 

@@ -49,6 +49,12 @@
 //! cluster pins in their event order; `measurements/PR-31.md` lists every
 //! old and new string.
 //!
+//! The same six again at the commit that runs the dual loop on the device
+//! (the child of `dba25c3`: a dual phase is one chain and one read-back,
+//! each device-side iteration after the first a relaunch). Same pattern:
+//! makespan in `concurrent_lanes`, the event order in the five cluster
+//! pins; `measurements/PR-33.md` lists every old and new string.
+//!
 //! The chaos plans pin the hierarchy's recovery paths — `evacuate_group`,
 //! `reassign` and the steal-deny backoff — which no benchmark workload
 //! reaches. The last test is the cost side of the same contract: a frontier
@@ -155,7 +161,7 @@ fn flat_64_dynamic() {
     let r = solve_parallel(&cluster_instance(), pcfg(64)).expect("flat solve");
     assert_eq!(
         flat_pin(&r),
-        "obj=409aec0000000000 nodes=1299 msgs=2598 launches=4222 makespan=41452351f92c5f96"
+        "obj=409aec0000000000 nodes=1303 msgs=2606 launches=4234 makespan=4142767f44444441"
     );
 }
 
@@ -168,7 +174,7 @@ fn flat_64_static() {
     let r = solve_parallel(&cluster_instance(), cfg).expect("static flat solve");
     assert_eq!(
         flat_pin(&r),
-        "obj=409aec0000000000 nodes=2474 msgs=4948 launches=8028 makespan=4166b192f258bfff"
+        "obj=409aec0000000000 nodes=2518 msgs=5036 launches=8170 makespan=41621dbaf258c066"
     );
 }
 
@@ -177,7 +183,7 @@ fn hier_256x16_plain() {
     let r = hier(None);
     assert_eq!(r.hier.max_evaluations_per_node, 1);
     assert!(r.hier.steals > 0 && r.hier.steal_denied > 0);
-    assert_eq!(hier_pin(&r), "obj=409aec0000000000 nodes=2524 msgs=5924 root=876 steals=12 stolen=29 denied=206 reassigned=0 evacuated=0 launches=8182 makespan=41452fa1ccccccd2");
+    assert_eq!(hier_pin(&r), "obj=409aec0000000000 nodes=2460 msgs=5646 root=726 steals=5 stolen=14 denied=184 reassigned=0 evacuated=0 launches=7978 makespan=4142a62eccccccc1");
 }
 
 #[test]
@@ -194,7 +200,7 @@ fn hier_256x16_sub_crash() {
         "evacuate_group not reached"
     );
     assert!(r.stats.faults.reassignments > 0, "reassign not reached");
-    assert_eq!(hier_pin(&r), "obj=409aec0000000000 nodes=2419 msgs=5884 root=982 steals=22 stolen=45 denied=219 reassigned=1 evacuated=52 launches=7909 makespan=4145834f605c287d");
+    assert_eq!(hier_pin(&r), "obj=409aec0000000000 nodes=2393 msgs=5662 root=836 steals=14 stolen=42 denied=206 reassigned=2 evacuated=18 launches=7804 makespan=414327569c75cdaf");
 }
 
 #[test]
@@ -212,7 +218,7 @@ fn hier_256x16_kill_group() {
         "evacuate_group not reached"
     );
     assert!(r.stats.faults.reassignments > 0, "reassign not reached");
-    assert_eq!(hier_pin(&r), "obj=409aec0000000000 nodes=2439 msgs=5971 root=909 steals=18 stolen=44 denied=203 reassigned=120 evacuated=24 launches=8106 makespan=4145a5b53d70a3d6");
+    assert_eq!(hier_pin(&r), "obj=409aec0000000000 nodes=2318 msgs=5551 root=749 steals=4 stolen=8 denied=194 reassigned=110 evacuated=10 launches=7688 makespan=41439b31bf258bf2");
 }
 
 #[test]
@@ -264,7 +270,7 @@ fn concurrent_lanes() {
             r.device.kernel_launches,
             r.makespan_ns.to_bits(),
         ),
-        "obj=4008000000000000 nodes=1113 waves=280 launches=4248 makespan=419043433db0594b"
+        "obj=4008000000000000 nodes=1113 waves=280 launches=4248 makespan=41855ccfd44440c3"
     );
 }
 

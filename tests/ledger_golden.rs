@@ -46,12 +46,21 @@
 //! and bytes, modelled memory (`x_N` stays resident) and the clock — and in
 //! the four-rank cluster, whose ranks trade work on that clock, the search;
 //! launches, D2H, iterations and optima of the single engines did not.
+//!
+//! Re-recorded a sixth time at the commit that runs the dual loop on the
+//! device (the child of `dba25c3`): a dual phase is one call, one chain and
+//! one staged read-back, each device-side iteration after the first a
+//! relaunch, and the full `l` and `u` join the resident record. What moved
+//! is the D2H transfer count, H2D bytes (`8(5n + 4m)` per upload), modelled
+//! memory (two more resident vectors) and the clock; launches, D2H bytes,
+//! iterations and optima did not.
 
 use gmip::core::{solve_concurrent, ConcurrentConfig};
 use gmip::gpu::{Accel, CostModel, DeviceConfig};
 use gmip::linalg::DenseMatrix;
 use gmip::lp::dual::DualConfig;
-use gmip::lp::engine::{DualPick, PivotPlan, PrimalPick};
+use gmip::lp::dual::DualOutcome;
+use gmip::lp::engine::{PivotPlan, PrimalPick};
 use gmip::lp::{
     Basis, BatchedWaveEngine, BoundChange, DeviceEngine, LpConfig, LpResult, LpSolution, LpSolver,
     LpStatus, PricingRule, PrimalConfig, ProblemView, RecordingEngine, SimplexEngine,
@@ -128,16 +137,18 @@ fn crossing<R>(accel: &Accel, what: &str, f: impl FnOnce() -> R) -> (R, Grew) {
 /// and launched at most once — and launched exactly when it ran a kernel
 /// and no launch chain was held for it: a chain that reads nothing back is
 /// held, and the next one continues it. An install is at most one upload,
-/// of `8(3n + 4m)` bytes: exactly one for the engine's first install and the
+/// of `8(5n + 4m)` bytes: exactly one for the engine's first install and the
 /// first after a cut, none when what it changes of the vectors the device
-/// holds rides its first kernel as arguments. A select is exactly one
-/// read-back, whether it finds a pivot or ends the solve; an apply or a
+/// holds rides its first kernel as arguments. A primal select is exactly
+/// one read-back, whether it finds a pivot or ends the solve; an apply or a
 /// bound flip no crossing (so it is held); `basic_values` after a terminal
-/// select nothing at all. So a pivot is one launch and one crossing. Per solve ([`LinkChecked::solved`]) the
-/// launches are the chains that read back, plus one if the solve ends on a
-/// held chain (less one if it began on one). The pivot-shaped calls are
-/// forwarded as such, so the drivers reach `inner`'s overrides — and never
-/// gather a pivot entry.
+/// select nothing at all. So a primal pivot is one launch and one crossing.
+/// A dual run is one read-back however many pivots it makes, and relaunches
+/// once per iteration after its first. Per solve ([`LinkChecked::solved`])
+/// the chain launches are the chains that read back, plus one if the solve
+/// ends on a held chain (less one if it began on one). The pivot-shaped
+/// calls are forwarded as such, so the drivers reach `inner`'s overrides —
+/// and never gather a pivot entry.
 struct LinkChecked<E> {
     inner: E,
     accel: Accel,
@@ -175,18 +186,32 @@ impl<E: SimplexEngine> LinkChecked<E> {
     }
 
     fn call<R>(&mut self, what: &str, f: impl FnOnce(&mut E) -> R) -> (R, Grew) {
+        self.relaunching(what, f, |_| 0)
+    }
+
+    /// [`call`](Self::call) for a call that runs a loop on the device:
+    /// besides its chain's launch it relaunches as often as `relaunches`
+    /// reads off its result, once per device-side iteration after the
+    /// first.
+    fn relaunching<R>(
+        &mut self,
+        what: &str,
+        f: impl FnOnce(&mut E) -> R,
+        relaunches: impl FnOnce(&R) -> u64,
+    ) -> (R, Grew) {
         let inner = &mut self.inner;
         let (out, grew) = crossing(&self.accel, what, || f(inner));
         let launched = grew.kernels && !self.held;
+        let relaunched = relaunches(&out);
         assert_eq!(
             grew.launches,
-            u64::from(launched),
-            "{what}: ran kernels {}, chain held {}",
+            u64::from(launched) + relaunched,
+            "{what}: ran kernels {}, chain held {}, relaunched {relaunched}",
             grew.kernels,
             self.held
         );
         let ran = self.held || grew.kernels;
-        self.solve[0] += grew.launches;
+        self.solve[0] += grew.launches - relaunched;
         self.solve[1] += u64::from(ran && grew.link[1] > 0);
         self.held = ran && grew.link[1] == 0;
         self.terminal = false;
@@ -272,7 +297,7 @@ impl<E: SimplexEngine> SimplexEngine for LinkChecked<E> {
             uploaded || !self.fresh,
             "install: nothing resident to change"
         );
-        let payload = if uploaded { 8 * (3 * n + 4 * m) } else { 0 };
+        let payload = if uploaded { 8 * (5 * n + 4 * m) } else { 0 };
         assert_eq!(grew.h2d_bytes, payload as u64, "install payload");
         self.seen[0] += 1;
         self.uploads += usize::from(uploaded);
@@ -354,13 +379,31 @@ impl<E: SimplexEngine> SimplexEngine for LinkChecked<E> {
         self.seen[4] += usize::from(devex);
         self.on_device("primal_apply", |e| e.primal_apply(plan, devex))
     }
-    fn dual_select(&mut self, cfg: &DualConfig) -> LpResult<DualPick> {
-        self.seen[2] += 1;
-        self.round_trip("dual_select", 1, |e| e.dual_select(cfg))
-    }
-    fn dual_apply(&mut self, plan: &PivotPlan) -> LpResult<()> {
-        self.seen[3] += 1;
-        self.on_device("dual_apply", |e| e.dual_apply(plan))
+    fn dual_run(
+        &mut self,
+        view: ProblemView<'_>,
+        basis: &mut Basis,
+        cfg: &DualConfig,
+        budget: usize,
+    ) -> LpResult<(Option<DualOutcome>, usize)> {
+        // Selects run: one per pivot, and one more if the run ended the
+        // solve rather than its budget.
+        let selects = |run: &LpResult<(Option<DualOutcome>, usize)>| {
+            run.as_ref()
+                .map_or(0, |&(end, pivots)| pivots + usize::from(end.is_some()))
+        };
+        let (run, grew) = self.relaunching(
+            "dual_run",
+            |e| e.dual_run(view, basis, cfg, budget),
+            |run| selects(run).saturating_sub(1) as u64,
+        );
+        if let Ok((_, pivots)) = run {
+            assert!(grew.kernels, "dual_run: no kernel ran");
+            assert_eq!(grew.link, [0, 1], "dual_run: crossings [H2D, D2H]");
+            self.seen[2] += selects(&run);
+            self.seen[3] += pivots;
+        }
+        run
     }
 }
 
@@ -445,10 +488,10 @@ fn dense_and_csr_engines_root_branch_cut() {
     assert_eq!(
         got,
         [
-            "optimal=125 iters=146 peak=3840 allocs=2707 used=0 launches=396 h2d=6/4920 d2h=396/13744 ns=415b6e01dcba9983",
-            "optimal=125 iters=146 peak=3544 allocs=2455 used=0 launches=396 h2d=6/4632 d2h=396/13744 ns=415b6e3dee93ea3a",
-            "optimal=125 iters=145 peak=3840 allocs=2588 used=0 launches=395 h2d=6/4920 d2h=395/13704 ns=415b5c4e579be124",
-            "optimal=125 iters=145 peak=3544 allocs=2336 used=0 launches=395 h2d=6/4632 d2h=395/13704 ns=415b5c8c75625716",
+            "optimal=125 iters=146 peak=4640 allocs=2713 used=0 launches=396 h2d=6/7272 d2h=295/13744 ns=415793dedcba9953",
+            "optimal=125 iters=146 peak=4344 allocs=2461 used=0 launches=396 h2d=6/6984 d2h=295/13744 ns=4157941aee93ea01",
+            "optimal=125 iters=145 peak=4640 allocs=2594 used=0 launches=395 h2d=6/7272 d2h=294/13704 ns=4157822b579be0f5",
+            "optimal=125 iters=145 peak=4344 allocs=2342 used=0 launches=395 h2d=6/6984 d2h=294/13704 ns=41578269756256de",
         ]
     );
 }
@@ -527,7 +570,7 @@ fn two_engines_share_one_device() {
             r.supersteps,
             ledger_pin(&accel)
         ),
-        "obj=4008000000000000 nodes=1113 waves=557 peak=14600 allocs=32289 used=0 launches=4248 h2d=4/10000 d2h=4248/238808 ns=4190ecb510e38cd6"
+        "obj=4008000000000000 nodes=1113 waves=557 peak=16040 allocs=32293 used=0 launches=4248 h2d=4/11440 d2h=1907/238808 ns=4186afbae1c7188b"
     );
 }
 
@@ -559,6 +602,6 @@ fn four_rank_cluster() {
             m.counter("gpu.transfer.ns").to_bits(),
             r.stats.makespan_ns.to_bits(),
         ),
-        "obj=409aec0000000000 nodes=1295 peak=2904 launches=4209 h2d=6272 d2h=152104 kernel_ns=41800f7d617e4d4c transfer_ns=41841d50effffff9 makespan=4173b481da06d3d9"
+        "obj=409aec0000000000 nodes=1295 peak=3672 launches=4209 h2d=9344 d2h=152104 kernel_ns=41800f7d617e4d4c transfer_ns=417937ebe0000010 makespan=416fdd92ad3a07a7"
     );
 }

@@ -52,6 +52,12 @@
 //! from what the device holds, as arguments of its first kernel when it
 //! fits). Outside the discrete-event clusters only H2D bytes and simulated
 //! times moved; `measurements/PR-31.md` has every old and new string.
+//!
+//! The same five again at the commit that runs the dual loop on the device
+//! (the child of `dba25c3`; a dual phase is one chain and one staged
+//! read-back, and the full `l` and `u` join the resident record). Outside
+//! the discrete-event clusters only H2D bytes and simulated times moved;
+//! `measurements/PR-33.md` has every old and new string.
 
 use gmip::core::{
     solve_batched_wave, solve_first_order_wave, BatchedWaveConfig, FirstOrderWaveConfig, MipConfig,
@@ -202,7 +208,7 @@ fn host_solver_propagate_fix_and_propagate() {
             "Optimal obj=4095480000000000 nodes=311 lp_iters=866 cuts=19 heur=2 sim=40b3da0000000026 x=0befc885e76ecb37 tree=d7c214b3cc40094b incumbents=3 first=4045b33333333334",
             "Optimal obj=4034000000000000 nodes=1 lp_iters=36 cuts=6 heur=0 sim=403ecccccccccccd x=308352d4f9fa3add tree=7229a2988ab6195d incumbents=1 first=403ecccccccccccd",
             "Optimal obj=4008000000000000 nodes=47 lp_iters=612 cuts=37 heur=1 sim=409593d70a3d70a0 x=b175fafd354b0935 tree=a5bdff4b0805c8e9 incumbents=1 first=4061199999999999",
-            "Optimal obj=4008000000000000 nodes=47 lp_iters=612 cuts=37 heur=1 sim=4170353ca104101f x=b175fafd354b0935 tree=a5bdff4b0805c8e9 incumbents=1 first=41569c807caafdea",
+            "Optimal obj=4008000000000000 nodes=47 lp_iters=612 cuts=37 heur=1 sim=4164f416ecb2cae4 x=b175fafd354b0935 tree=a5bdff4b0805c8e9 incumbents=1 first=414bc117a400a622",
         ]
     );
 }
@@ -253,9 +259,9 @@ fn flat_cluster_seed_solution() {
     assert_eq!(
         got,
         [
-            "Optimal obj=4091500000000000 nodes=821 msgs=1642 bytes=310856 launches=2655 makespan=415b3a21c71c72ed x=b53a3110292eaa1d seeds=0 first=413dd5abae147a97",
-            "Optimal obj=4091500000000000 nodes=821 msgs=1642 bytes=305728 launches=2655 makespan=415b3a17471c72ec x=b53a3110292eaa1d seeds=1 first=0000000000000000",
-            "Optimal obj=4091500000000000 nodes=821 msgs=1642 bytes=310856 launches=2655 makespan=415b3a21c71c72ed x=b53a3110292eaa1d seeds=1 first=0000000000000000",
+            "Optimal obj=4091500000000000 nodes=821 msgs=1642 bytes=310856 launches=2655 makespan=415654438e38e42e x=b53a3110292eaa1d seeds=0 first=4139edff3c4d5e6f",
+            "Optimal obj=4091500000000000 nodes=821 msgs=1642 bytes=305728 launches=2655 makespan=4156543338e38ed8 x=b53a3110292eaa1d seeds=1 first=0000000000000000",
+            "Optimal obj=4091500000000000 nodes=821 msgs=1642 bytes=310856 launches=2655 makespan=415654438e38e42e x=b53a3110292eaa1d seeds=1 first=0000000000000000",
         ]
     );
 }
@@ -299,9 +305,9 @@ fn clusters_propagate_dive() {
     assert_eq!(
         got,
         [
-            "Optimal obj=4091500000000000 nodes=819 msgs=1638 bytes=309912 launches=5900 makespan=41571d0fbec7ecec x=b53a3110292eaa1d seeds=0 first=412c25fe6eda20d6",
-            "Optimal obj=4008000000000000 nodes=65 msgs=130 bytes=21576 launches=860 makespan=4134625802468acc x=d4f5fafd354b0935 seeds=0 first=41280b0446de077a",
-            "Optimal obj=4091500000000000 nodes=851 msgs=2374 root=672 steals=11 broadcasts=15 launches=6096 makespan=41571c6e55021d45 x=b53a3110292eaa1d first=412c31e11984cb81",
+            "Optimal obj=4091500000000000 nodes=819 msgs=1638 bytes=309856 launches=5861 makespan=41545d1844b6b20f x=b53a3110292eaa1d seeds=0 first=412b3bf3c42f762b",
+            "Optimal obj=4008000000000000 nodes=65 msgs=130 bytes=21232 launches=872 makespan=4132d1655a88dbc7 x=d4f5fafd354b0935 seeds=0 first=412462d99c335cd1",
+            "Optimal obj=4091500000000000 nodes=848 msgs=2352 root=656 steals=13 broadcasts=15 launches=6069 makespan=4154336536929c91 x=b53a3110292eaa1d first=412b47d66eda20d6",
         ]
     );
 }
@@ -338,9 +344,9 @@ fn sparse_device_solver_with_cuts() {
     assert_eq!(
         got,
         [
-            "device-sparse Optimal obj=4053400000000000 nodes=1 lp_iters=102 cuts=0 heur=0 sim=413cf33b13d47046 x=7b7b38c6cf34ac55 tree=e64ff0e2be1a8965 incumbents=1 first=413cf33b13d47046 launches=104 h2d=8552 d2h=4752",
-            "device-sparse Optimal obj=4008000000000000 nodes=189 lp_iters=2404 cuts=37 heur=1 sim=4188157d507c2e35 x=2815fafd354b0935 tree=cfeec7557c92d10c incumbents=1 first=4183abe6f1be011b launches=2765 h2d=23488 d2h=201816",
-            "device-sparse Optimal obj=40c46b8000000000 nodes=7 lp_iters=93 cuts=17 heur=0 sim=4144276070d2a6dd x=edf2f148a6b7d615 tree=8305825bc71ad0e0 incumbents=1 first=4142c70c7475add3 launches=133 h2d=29408 d2h=24368",
+            "device-sparse Optimal obj=4053400000000000 nodes=1 lp_iters=102 cuts=0 heur=0 sim=413cf3f5be7f1af1 x=7b7b38c6cf34ac55 tree=e64ff0e2be1a8965 incumbents=1 first=413cf3f5be7f1af1 launches=104 h2d=10792 d2h=4752",
+            "device-sparse Optimal obj=4008000000000000 nodes=189 lp_iters=2404 cuts=37 heur=1 sim=41799361764daf7f x=2815fafd354b0935 tree=cfeec7557c92d10c incumbents=1 first=4173b028b8d15a6a launches=2765 h2d=28064 d2h=201816",
+            "device-sparse Optimal obj=40c46b8000000000 nodes=7 lp_iters=93 cuts=17 heur=0 sim=41417d8dc627fc22 x=edf2f148a6b7d615 tree=8305825bc71ad0e0 incumbents=1 first=414057d1c9cb0318 launches=133 h2d=40288 d2h=24368",
         ]
     );
 }
@@ -404,14 +410,14 @@ fn device_engines_solve_resolve_cut() {
     assert_eq!(
         got,
         [
-            "Optimal obj=403bffffffffffff x=e2a82c3d5e7b3381 iters=51 launches=53 h2d=17616 d2h=2456 ns=412dd67a9d0369e4 | Optimal obj=403d000000000000 x=e83a3110292eaa1d iters=0 launches=55 h2d=17616 d2h=2688 ns=412ef0ac44444459 | Optimal obj=403c800000000000 x=758a3110292eaa1d iters=1 launches=58 h2d=21136 d2h=2984 ns=41309b492ea61d9d",
-            "Optimal obj=403c000000000000 x=4e25edba5b029cda iters=51 launches=53 h2d=5048 d2h=2456 ns=412dc5ee6473141a | Optimal obj=403d000000000000 x=e83a3110292eaa1d iters=0 launches=55 h2d=5048 d2h=2688 ns=412edf7c2c5f92e4 | Optimal obj=403c800000000000 x=758a3110292eaa1d iters=1 launches=58 h2d=7816 d2h=2984 ns=413091edf0b8a532",
-            "Optimal obj=403c000000000000 x=b1ea3110292eaa1d iters=42 launches=44 h2d=17616 d2h=2096 ns=4128e9533333334d | Optimal obj=403d000000000000 x=e83a3110292eaa1d iters=0 launches=46 h2d=17616 d2h=2328 ns=412a0382147ae162 | Optimal obj=403c800000000000 x=758a3110292eaa1d iters=1 launches=49 h2d=21136 d2h=2624 ns=412c49655e6f80a7",
-            "Optimal obj=403c000000000000 x=b1ea3110292eaa1d iters=42 launches=44 h2d=5048 d2h=2096 ns=4128d49bf7390d42 | Optimal obj=403d000000000000 x=683a3110292eaa1d iters=0 launches=46 h2d=5048 d2h=2328 ns=4129ee284c8e6298 | Optimal obj=403c800000000000 x=f58a3110292eaa1d iters=1 launches=49 h2d=7816 d2h=2624 ns=412c32877da4a734",
-            "Optimal obj=40c3e91498498498 x=7e7cac0d38c62ab1 iters=41 launches=43 h2d=20736 d2h=2120 ns=4128599d7e4b17c8 | Optimal obj=40c47358dc8dc8dc x=468fd36f29b401a8 iters=1 launches=46 h2d=20736 d2h=2440 ns=412a013562fc960b | Optimal obj=40c45c5222222222 x=875295d066b4d8ca iters=2 launches=50 h2d=24480 d2h=2824 ns=412cd4cb0123453e",
-            "Optimal obj=40c3e91498498498 x=7e7cac0d38c62ab1 iters=41 launches=43 h2d=4904 d2h=2120 ns=412845771b24e56e | Optimal obj=40c47358dc8dc8dc x=468fd36f29b401a8 iters=1 launches=46 h2d=4904 d2h=2440 ns=4129ebc6e33b0065 | Optimal obj=40c45c5222222222 x=875295d066b4d8ca iters=2 launches=50 h2d=7848 d2h=2824 ns=412cbd0876e5d4a8",
-            "Optimal obj=40c3e91498498498 x=7e7cac0d38c62ab1 iters=41 launches=43 h2d=20736 d2h=2120 ns=412862b41b4e818c | Optimal obj=40c47358dc8dc8dc x=468fd36f29b401a8 iters=1 launches=46 h2d=20736 d2h=2440 ns=412a0a4927d27cf7 | Optimal obj=40c45c5222222222 x=875295d066b4d8ca iters=2 launches=50 h2d=24480 d2h=2824 ns=412cdddbe4b17e16",
-            "Optimal obj=40c3e91498498498 x=7e7cac0d38c62ab1 iters=41 launches=43 h2d=4904 d2h=2120 ns=412848998fd8fd7c | Optimal obj=40c47358dc8dc8dc x=468fd36f29b401a8 iters=1 launches=46 h2d=4904 d2h=2440 ns=4129eee530463781 | Optimal obj=40c45c5222222222 x=875295d066b4d8ca iters=2 launches=50 h2d=7848 d2h=2824 ns=412cc02225f3f8c2",
+            "Optimal obj=403bffffffffffff x=e2a82c3d5e7b3381 iters=51 launches=53 h2d=18864 d2h=2456 ns=412dd74a9d0369e4 | Optimal obj=403d000000000000 x=e83a3110292eaa1d iters=0 launches=55 h2d=18864 d2h=2688 ns=412ef17c44444459 | Optimal obj=403c800000000000 x=758a3110292eaa1d iters=1 launches=58 h2d=23648 d2h=2984 ns=4130750a83fb72f3",
+            "Optimal obj=403c000000000000 x=4e25edba5b029cda iters=51 launches=53 h2d=6296 d2h=2456 ns=412dc6be6473141a | Optimal obj=403d000000000000 x=e83a3110292eaa1d iters=0 launches=55 h2d=6296 d2h=2688 ns=412ee04c2c5f92e4 | Optimal obj=403c800000000000 x=758a3110292eaa1d iters=1 launches=58 h2d=10328 d2h=2984 ns=41306baf460dfa87",
+            "Optimal obj=403c000000000000 x=b1ea3110292eaa1d iters=42 launches=44 h2d=18864 d2h=2096 ns=4128ea233333334d | Optimal obj=403d000000000000 x=e83a3110292eaa1d iters=0 launches=46 h2d=18864 d2h=2328 ns=412a0452147ae162 | Optimal obj=403c800000000000 x=758a3110292eaa1d iters=1 launches=49 h2d=23648 d2h=2624 ns=412bfce8091a2b52",
+            "Optimal obj=403c000000000000 x=b1ea3110292eaa1d iters=42 launches=44 h2d=6296 d2h=2096 ns=4128d56bf7390d42 | Optimal obj=403d000000000000 x=683a3110292eaa1d iters=0 launches=46 h2d=6296 d2h=2328 ns=4129eef84c8e6298 | Optimal obj=403c800000000000 x=f58a3110292eaa1d iters=1 launches=49 h2d=10328 d2h=2624 ns=412be60a284f51df",
+            "Optimal obj=40c3e91498498498 x=7e7cac0d38c62ab1 iters=41 launches=43 h2d=22016 d2h=2120 ns=41285a72d3a06d1d | Optimal obj=40c47358dc8dc8dc x=468fd36f29b401a8 iters=1 launches=46 h2d=22016 d2h=2440 ns=4129b3eab851eb60 | Optimal obj=40c45c5222222222 x=875295d066b4d8ca iters=2 launches=50 h2d=27056 d2h=2824 ns=412bec1856789a94",
+            "Optimal obj=40c3e91498498498 x=7e7cac0d38c62ab1 iters=41 launches=43 h2d=6184 d2h=2120 ns=4128464c707a3ac4 | Optimal obj=40c47358dc8dc8dc x=468fd36f29b401a8 iters=1 launches=46 h2d=6184 d2h=2440 ns=41299e7c389055bb | Optimal obj=40c45c5222222222 x=875295d066b4d8ca iters=2 launches=50 h2d=10424 d2h=2824 ns=412bd455cc3b29ff",
+            "Optimal obj=40c3e91498498498 x=7e7cac0d38c62ab1 iters=41 launches=43 h2d=22016 d2h=2120 ns=4128638970a3d6e1 | Optimal obj=40c47358dc8dc8dc x=468fd36f29b401a8 iters=1 launches=46 h2d=22016 d2h=2440 ns=4129bcfe7d27d24c | Optimal obj=40c45c5222222222 x=875295d066b4d8ca iters=2 launches=50 h2d=27056 d2h=2824 ns=412bf5293a06d36c",
+            "Optimal obj=40c3e91498498498 x=7e7cac0d38c62ab1 iters=41 launches=43 h2d=6184 d2h=2120 ns=4128496ee52e52d1 | Optimal obj=40c47358dc8dc8dc x=468fd36f29b401a8 iters=1 launches=46 h2d=6184 d2h=2440 ns=4129a19a859b8cd6 | Optimal obj=40c45c5222222222 x=875295d066b4d8ca iters=2 launches=50 h2d=10424 d2h=2824 ns=412bd76f7b494e18",
         ]
     );
 }
