@@ -30,11 +30,11 @@
 //! Per-lane launches queue at the device's one issue slot, so that column
 //! does not fall with the width, and the waves overtake it as they widen —
 //! Section 5.5's batching-beats-streams: on the heavy family the first-order
-//! wave from 16 lanes and the simplex wave from 64, on the light one the
-//! simplex wave from 16. Narrower, the per-lane engines are ahead: a
-//! per-lane pivot is one submission (its apply rides the next select's
-//! launch), while a wave still pays a launch per kernel class per superstep
-//! — the waves' saving starts where enough lanes share each launch.
+//! wave from 64 lanes and the simplex wave from 128, on the light one the
+//! simplex wave from 64. Narrower, the per-lane engines are ahead: a
+//! per-lane node LP is one chain (a launch per pivot, one read-back), while
+//! a wave still pays a launch per kernel class per superstep — the waves'
+//! saving starts where enough lanes share each launch.
 //! Every optimum served by every engine is checked against the
 //! `gmip-verify` exact oracle.
 //!
@@ -221,12 +221,13 @@ fn assert_claims(cells: &[CrossCell]) {
     // Section 5.5 itself: batching beats streams. Wide enough, each wave
     // finishes before the per-lane engines, whose launches leave the
     // device's one issue queue one at a time however many streams they sit
-    // on: on the heavy family both waves from 64 lanes, on the light one
-    // the simplex wave from 16.
+    // on: on the heavy family the first-order wave from 64 lanes and both
+    // from 128, on the light one the simplex wave from 64.
     for c in cells {
         let (wave, wave_ns) = match c.family {
-            "heavy" if c.lanes >= 64 => ("both", c.simplex_ns.max(c.firstorder_ns)),
-            "light" if c.lanes >= 16 => ("simplex", c.simplex_ns),
+            "heavy" if c.lanes >= 128 => ("both", c.simplex_ns.max(c.firstorder_ns)),
+            "heavy" if c.lanes >= 64 => ("first-order", c.firstorder_ns),
+            "light" if c.lanes >= 64 => ("simplex", c.simplex_ns),
             _ => continue,
         };
         assert!(
@@ -343,10 +344,11 @@ pub fn run() -> String {
          first-order wave still pays one per lane load and take. The per-lane\n\
          column does not fall with the width — its launches are issued one at\n\
          a time whatever stream they sit on — so the waves overtake it as they\n\
-         widen: on the heavy family both waves from 64 lanes, on the light one\n\
-         the simplex wave from 16. Narrower, the per-lane engines are ahead:\n\
-         their pivot is one submission and their dual phase one crossing, a\n\
-         narrow wave's a launch per kernel class. Every optimum\n\
+         widen: on the heavy family the first-order wave from 64 lanes and both\n\
+         from 128, on the light one the simplex wave from 64. Narrower, the\n\
+         per-lane engines are ahead: their node LP is one chain, a launch per\n\
+         pivot and one read-back, a narrow wave's a launch per kernel class.\n\
+         Every optimum\n\
          above matches the gmip-verify exact oracle. (machine-readable copy:\n\
          BENCH_e11.json)\n",
     );

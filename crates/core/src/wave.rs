@@ -500,13 +500,14 @@ pub(crate) mod tests {
         assert!(r.retires >= r.nodes, "every node's lane must retire");
     }
 
-    /// From sixteen lanes: a per-lane pivot is one launch, and the wave
-    /// pays one per kernel class per superstep, so it saves launches only
-    /// once enough lanes share each of its own.
+    /// From sixty-four lanes on a tree wide enough to fill them: a
+    /// per-lane node LP is one chain (a launch per pivot, one read-back),
+    /// and the wave pays one launch per kernel class per superstep, so it
+    /// saves launches and time only once enough lanes share each of its own.
     #[test]
     fn fewer_launches_and_ns_than_per_lane_concurrent() {
-        let m = knapsack(16, 0.5, 7);
-        for lanes in [16usize, 32] {
+        let m = knapsack(20, 0.5, 21);
+        for lanes in [64usize, 128] {
             let per_lane = solve_concurrent(
                 &m,
                 &ConcurrentConfig {

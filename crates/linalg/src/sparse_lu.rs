@@ -20,42 +20,65 @@ use crate::{LinalgError, Result, PIVOT_TOL, ZERO_TOL};
 pub struct SparseLu {
     n: usize,
     /// Columns of L (unit diagonal implicit); entries are `(original_row, value)`
-    /// for rows that were *not yet pivotal* when the column was formed.
+    /// for rows that were *not yet pivotal* when the column was formed. Only
+    /// the first `n` are the factors': the rest are buffers kept from a
+    /// larger factorization.
     l_cols: Vec<Vec<(usize, f64)>>,
     /// Columns of U; entries are `(pivot_position, value)` with the diagonal
-    /// entry last.
+    /// entry last. Kept like `l_cols`.
     u_cols: Vec<Vec<(usize, f64)>>,
     /// `perm[k]` = original row chosen as the pivot of step `k`.
     perm: Vec<usize>,
     /// Inverse permutation: `pinv[original_row]` = pivot position.
     pinv: Vec<usize>,
+    /// Dense scratch of the column being factored, indexed by original row.
+    x: Vec<f64>,
 }
 
 impl SparseLu {
     /// Factorizes a square CSC matrix.
     pub fn factorize(a: &CscMatrix) -> Result<Self> {
+        let mut lu = Self::default();
+        lu.refactorize(a)?;
+        Ok(lu)
+    }
+
+    /// Replaces these factors by those of `a`, in the storage of the old
+    /// ones: every column buffer, the permutations and the scratch column
+    /// are reused. A failure leaves the factors of the `0 × 0` matrix, so
+    /// stale ones can never answer a solve.
+    pub fn refactorize(&mut self, a: &CscMatrix) -> Result<()> {
+        const UNSET: usize = usize::MAX;
+        self.n = 0;
+        self.perm.clear();
+        self.pinv.clear();
         let n = a.rows();
         if a.cols() != n {
             return Err(LinalgError::DimensionMismatch {
                 context: format!("sparse LU of {}x{}", a.rows(), a.cols()),
             });
         }
-        const UNSET: usize = usize::MAX;
-        let mut l_cols: Vec<Vec<(usize, f64)>> = Vec::with_capacity(n);
-        let mut u_cols: Vec<Vec<(usize, f64)>> = Vec::with_capacity(n);
-        let mut perm = vec![UNSET; n];
-        let mut pinv = vec![UNSET; n];
-        // Dense scratch for the current column, indexed by original row.
-        let mut x = vec![0.0; n];
+        if self.l_cols.len() < n {
+            self.l_cols.resize_with(n, Vec::new);
+            self.u_cols.resize_with(n, Vec::new);
+        }
+        self.perm.resize(n, UNSET);
+        self.pinv.resize(n, UNSET);
+        let x = &mut self.x;
+        x.clear();
+        x.resize(n, 0.0);
+        let (perm, pinv) = (&mut self.perm, &mut self.pinv);
 
         for j in 0..n {
             // Scatter A[:, j].
             for (i, v) in a.col_iter(j) {
                 x[i] = v;
             }
-            let mut u_j: Vec<(usize, f64)> = Vec::new();
+            let (done, rest) = self.l_cols.split_at_mut(j);
+            let u_j = &mut self.u_cols[j];
+            u_j.clear();
             // Left-looking update: apply previous columns of L in pivot order.
-            for k in 0..j {
+            for (k, l_k) in done.iter().enumerate() {
                 let piv_row = perm[k];
                 let xk = x[piv_row];
                 if xk.abs() <= ZERO_TOL {
@@ -64,7 +87,7 @@ impl SparseLu {
                 }
                 u_j.push((k, xk));
                 x[piv_row] = 0.0;
-                for &(r, lv) in &l_cols[k] {
+                for &(r, lv) in l_k {
                     x[r] -= xk * lv;
                 }
             }
@@ -78,6 +101,8 @@ impl SparseLu {
                 }
             }
             if piv_row == UNSET || piv_val < PIVOT_TOL {
+                perm.clear();
+                pinv.clear();
                 return Err(LinalgError::Singular { column: j });
             }
             let pivot = x[piv_row];
@@ -86,30 +111,16 @@ impl SparseLu {
             perm[j] = piv_row;
             pinv[piv_row] = j;
             // Gather L column (below-diagonal part), normalized by the pivot.
-            let mut l_j: Vec<(usize, f64)> = Vec::new();
+            let l_j = &mut rest[0];
+            l_j.clear();
             for r in 0..n {
                 if pinv[r] == UNSET && x[r].abs() > ZERO_TOL {
                     l_j.push((r, x[r] / pivot));
                 }
                 x[r] = 0.0;
             }
-            l_cols.push(l_j);
-            u_cols.push(u_j);
         }
-        Ok(Self {
-            n,
-            l_cols,
-            u_cols,
-            perm,
-            pinv,
-        })
-    }
-
-    /// Replaces these factors by those of `a`; a failure leaves the default
-    /// (empty) factors, so stale ones can never answer a solve.
-    pub fn refactorize(&mut self, a: &CscMatrix) -> Result<()> {
-        *self = Self::default();
-        *self = Self::factorize(a)?;
+        self.n = n;
         Ok(())
     }
 
@@ -122,8 +133,9 @@ impl SparseLu {
     /// Total stored nonzeros in `L` (excluding the unit diagonal) plus `U` —
     /// the fill-in measure the GPU cost model charges for.
     pub fn fill_nnz(&self) -> usize {
-        self.l_cols.iter().map(Vec::len).sum::<usize>()
-            + self.u_cols.iter().map(Vec::len).sum::<usize>()
+        let n = self.n;
+        self.l_cols[..n].iter().map(Vec::len).sum::<usize>()
+            + self.u_cols[..n].iter().map(Vec::len).sum::<usize>()
     }
 
     /// Solves `A x = b`.
@@ -240,13 +252,13 @@ impl SparseLu {
         let n = self.n;
         // Dense L (positions) and U.
         let mut l = crate::DenseMatrix::identity(n);
-        for (k, col) in self.l_cols.iter().enumerate() {
+        for (k, col) in self.l_cols[..n].iter().enumerate() {
             for &(r, v) in col {
                 l.set(self.pinv[r], k, v);
             }
         }
         let mut u = crate::DenseMatrix::zeros(n, n);
-        for (j, col) in self.u_cols.iter().enumerate() {
+        for (j, col) in self.u_cols[..n].iter().enumerate() {
             for &(k, v) in col {
                 u.set(k, j, v);
             }
@@ -386,5 +398,49 @@ mod tests {
         assert_eq!(f.fill_nnz(), 4);
         let x = f.solve(&[1.0, 2.0, 3.0, 4.0]).unwrap();
         assert_eq!(x, vec![1.0, 2.0, 3.0, 4.0]);
+    }
+
+    /// The factors as bits: dimension, L and U columns, permutations.
+    type Bits = (
+        usize,
+        Vec<Vec<(usize, u64)>>,
+        Vec<Vec<(usize, u64)>>,
+        Vec<usize>,
+        Vec<usize>,
+    );
+
+    fn bits(f: &SparseLu) -> Bits {
+        let cols = |c: &[Vec<(usize, f64)>]| {
+            c[..f.n]
+                .iter()
+                .map(|col| col.iter().map(|&(i, v)| (i, v.to_bits())).collect())
+                .collect()
+        };
+        let (l, u) = (cols(&f.l_cols), cols(&f.u_cols));
+        (f.n, l, u, f.perm.clone(), f.pinv.clone())
+    }
+
+    #[test]
+    fn refactorizing_in_place_is_factorizing_afresh() {
+        let mut f = SparseLu::default();
+        // A larger matrix, then a smaller one: the smaller's factors, in
+        // the larger's buffers.
+        let small = DenseMatrix::from_rows(&[vec![0.0, 2.0], vec![3.0, 1.0]]).unwrap();
+        for a in [circuit_like(), CscMatrix::from_dense(&small)] {
+            f.refactorize(&a).unwrap();
+            assert_eq!(bits(&f), bits(&SparseLu::factorize(&a).unwrap()));
+        }
+        // A singular one leaves the 0 × 0 factors, and the next factors
+        // are a fresh factorization's again.
+        let singular = DenseMatrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 4.0]]).unwrap();
+        let err = f.refactorize(&CscMatrix::from_dense(&singular));
+        assert!(matches!(err, Err(LinalgError::Singular { .. })));
+        assert_eq!(bits(&f), bits(&SparseLu::default()));
+        assert!(f.solve(&[1.0, 2.0]).is_err());
+        let a = circuit_like();
+        f.refactorize(&a).unwrap();
+        assert_eq!(bits(&f), bits(&SparseLu::factorize(&a).unwrap()));
+        let b = [0.5, -1.0, 2.0, 0.0, 1.0];
+        assert_eq!(f.solve(&b), SparseLu::factorize(&a).unwrap().solve(&b));
     }
 }

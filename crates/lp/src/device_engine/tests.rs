@@ -206,6 +206,7 @@ fn consumed_vectors_stay_consumed<M: Storage>() {
         t,
         entering_val: t,
         leaving_sigma: -1.0,
+        leaving_x: 0.0,
         c_q: c[0],
         lb_q: lb[0],
         ub_q: ub[0],
@@ -274,6 +275,7 @@ fn bad_pivot_plans_change_nothing<M: Storage>() {
         t,
         entering_val: t,
         leaving_sigma: -1.0,
+        leaving_x: 0.0,
         c_q: c[0],
         lb_q: lb[0],
         ub_q: ub[0],
@@ -309,19 +311,20 @@ fn bad_pivot_plans_change_nothing<M: Storage>() {
     assert_eq!(e.alpha_entry(0).unwrap(), 0.5);
 }
 
-/// A pivot is one launch and one read-back: its apply reads nothing
-/// back, so the device holds that chain open and the next select — which
-/// does read back — continues it. In steady state an apply and the
-/// select after it are 1 launch + 1 D2H, for a Dantzig, a Devex and a
-/// dual pivot and for a bound flip; an install rides its first select
-/// the same way; a terminal primal select brings `x_B` back in its
+/// A pivot is one launch, and a run of them one read-back: each iteration
+/// of a primal or a dual run after the first is a relaunch, and what they
+/// all stage crosses once, behind the run's last kernel — a Dantzig, a
+/// Devex and a dual pivot and a bound flip alike. An install reads nothing
+/// back, so the device holds its chain open and the run that follows
+/// continues it; a terminal primal select brings `x_B` back in its
 /// envelope, so the `basic_values` after it crosses nothing. Only the
 /// engine's first install uploads: every later one here changes a few
 /// entries of what the device holds, and they ride its first kernel.
 fn a_pivot_is_one_launch<M: Storage>() {
     // max x0 + x1 over x0 + x1 + s0 = 4, 2 x0 + x1 + s1 = 6.
     let a = DenseMatrix::from_rows(&[vec![1.0, 1.0, 1.0, 0.0], vec![2.0, 1.0, 0.0, 1.0]]).unwrap();
-    let (c, lb, b) = ([1.0, 1.0, 0.0, 0.0], [0.0; 4], [4.0, 6.0]);
+    const C: &[f64] = &[1.0, 1.0, 0.0, 0.0];
+    let (lb, b) = ([0.0; 4], [4.0, 6.0]);
     let slack = Basis::with_basic_cols(vec![2, 3], 4);
     let accel = Accel::gpu(1);
     let mut e = DeviceSimplex::<M>::new(accel.clone(), &a).unwrap();
@@ -341,26 +344,11 @@ fn a_pivot_is_one_launch<M: Storage>() {
             "{what}: (launches, read-backs, bytes back, uploads)"
         );
     };
-    let install = |e: &mut DeviceSimplex<M>, c: &[f64], ub: &[f64]| {
-        let view = ProblemView {
-            c,
-            lb: &lb,
-            ub,
-            b: &b,
-        };
-        e.install(view, &slack).unwrap();
-    };
-    let plan = |r, q, leaving_j, t: f64| PivotPlan {
-        r,
-        q,
-        leaving_j,
-        dir: 1.0,
-        t,
-        entering_val: t,
-        leaving_sigma: -1.0,
-        c_q: c[q],
-        lb_q: 0.0,
-        ub_q: 10.0,
+    let view = |c: &'static [f64], ub: &'static [f64]| ProblemView {
+        c,
+        lb: &lb,
+        ub,
+        b: &b,
     };
 
     for pricing in [PricingRule::Dantzig, PricingRule::Devex] {
@@ -368,30 +356,25 @@ fn a_pivot_is_one_launch<M: Storage>() {
             pricing,
             ..PrimalConfig::default()
         };
-        let devex = pricing == PricingRule::Devex;
-        // The install and the first select: the argmin's 16 bytes and
-        // the ratio test's 24. The first install uploads; the second
-        // undoes the first solve's two pivots in place.
-        install(&mut e, &c, &[10.0; 4]);
-        let pick = e.primal_select(&primal, &slack).unwrap().unwrap();
-        assert_eq!(
-            (pick.q, pick.dir, pick.limit),
-            (0, 1.0, Some((1, 3.0, false)))
-        );
+        // x0 enters in row 1 (s1 leaves), then x1 in row 0 (s0 leaves),
+        // then nothing prices out. Each select stages the argmin's 16
+        // bytes and the ratio test's 24, the terminal one the argmin's and
+        // x_B's 16: 1 + 2 launches and one read-back. The first install
+        // uploads; the second undoes the first run's two pivots in place.
+        let ub = &[10.0; 4];
+        let mut basis = slack.clone();
+        e.install(view(C, ub), &basis).unwrap();
+        let mut run = PrimalRun::default();
+        e.primal_run(view(C, ub), &mut basis, &primal, &mut run)
+            .unwrap();
+        assert_eq!(run.iters, 2);
+        assert_eq!(run.outcome, Some(PrimalOutcome::Optimal));
+        assert_eq!(basis.cols, vec![1, 0]);
+        let devex = u64::from(pricing == PricingRule::Devex);
         grew(
-            "install + primal_select",
-            (1, 1, 16 + 24, u64::from(!devex)),
+            "install + a two-pivot primal_run",
+            (3, 1, 2 * (16 + 24) + 16 + 16, 1 - devex),
         );
-        // A pivot: x0 enters in row 1, s1 leaves; then x1 prices out.
-        e.primal_apply(&plan(1, 0, 3, 3.0), devex).unwrap();
-        let pick = e.primal_select(&primal, &slack).unwrap().unwrap();
-        assert_eq!((pick.q, pick.limit), (1, Some((0, 2.0, false))));
-        grew("primal_apply + primal_select", (1, 1, 16 + 24, 0));
-        // The second pivot, then nothing prices out: x_B rides the
-        // terminal select's envelope and basic_values crosses nothing.
-        e.primal_apply(&plan(0, 1, 2, 2.0), devex).unwrap();
-        assert_eq!(e.primal_select(&primal, &slack).unwrap(), None);
-        grew("primal_apply + terminal select", (1, 1, 16 + 16, 0));
         assert_eq!(e.basic_values().unwrap(), vec![2.0, 2.0]);
         grew("basic_values after a terminal select", (0, 0, 0, 0));
         // The staged copy is spent: a second read crosses.
@@ -399,19 +382,21 @@ fn a_pivot_is_one_launch<M: Storage>() {
         grew("basic_values again", (0, 1, 16, 0));
     }
 
-    // A bound flip: x0 may rise by 1 only, before any row blocks; then
-    // x1 prices out.
-    let primal = PrimalConfig::default();
-    install(&mut e, &c, &[1.0, 10.0, 10.0, 10.0]);
-    let pick = e.primal_select(&primal, &slack).unwrap().unwrap();
-    assert_eq!((pick.q, pick.limit), (0, Some((1, 3.0, false))));
-    grew("install + primal_select before a flip", (1, 1, 16 + 24, 0));
-    e.apply_flip(0, 1.0, 1.0, 1.0).unwrap();
-    let mut flipped = slack.clone();
-    flipped.status[0] = VarStatus::AtUpper;
-    let pick = e.primal_select(&primal, &flipped).unwrap().unwrap();
-    assert_eq!((pick.q, pick.limit), (1, Some((0, 3.0, false))));
-    grew("apply_flip + primal_select", (1, 1, 16 + 24, 0));
+    // A bound flip: x0 may rise by 1 only, before any row blocks; then x1
+    // enters in row 0, and nothing prices out.
+    let ub = &[1.0, 10.0, 10.0, 10.0];
+    let mut basis = slack.clone();
+    e.install(view(C, ub), &basis).unwrap();
+    let mut run = PrimalRun::default();
+    e.primal_run(view(C, ub), &mut basis, &PrimalConfig::default(), &mut run)
+        .unwrap();
+    assert_eq!((run.iters, run.outcome), (2, Some(PrimalOutcome::Optimal)));
+    assert_eq!(basis.status[0], VarStatus::AtUpper);
+    assert_eq!(basis.cols, vec![1, 3]);
+    grew(
+        "install + a flip and a pivot",
+        (3, 1, 2 * (16 + 24) + 16 + 16, 0),
+    );
 
     // A dual run of one pivot: s0 = 4 sits above an upper bound of 1. The
     // install launches, the run's first iteration continues it and its
@@ -420,47 +405,44 @@ fn a_pivot_is_one_launch<M: Storage>() {
     // the terminal reduction's 24, in one envelope. (Costs negated so that
     // the slack basis is dual feasible.)
     let dual = DualConfig::standard();
-    let c_neg = [-1.0, -1.0, 0.0, 0.0];
-    let view = |ub| ProblemView {
-        c: &c_neg,
-        lb: &lb,
-        ub,
-        b: &b,
-    };
-    let ub = [10.0, 10.0, 1.0, 10.0];
+    let c_neg = &[-1.0, -1.0, 0.0, 0.0];
+    let ub = &[10.0, 10.0, 1.0, 10.0];
     let mut basis = slack.clone();
-    e.install(view(&ub), &basis).unwrap();
-    let run = e.dual_run(view(&ub), &mut basis, &dual, usize::MAX);
-    assert_eq!(run, Ok((Some(DualOutcome::PrimalFeasible), 1)));
+    let mut at = Progress::default();
+    e.install(view(c_neg, ub), &basis).unwrap();
+    let run = e.dual_run(view(c_neg, ub), &mut basis, &dual, None, &mut at);
+    assert_eq!(run, Ok(Some(DualOutcome::PrimalFeasible)));
+    assert_eq!((at.dual, at.polish), (1, None));
     assert_eq!(basis.cols, vec![0, 3]);
     assert_eq!(basis.status[2], VarStatus::AtUpper);
     grew("install + a one-pivot dual_run", (2, 1, 56 + 24, 0));
-    // A dual run stages no x_B: it crosses on its own.
+    // A dual run without a polish stages no x_B: it crosses on its own.
     assert_eq!(e.basic_values().unwrap(), vec![3.0, 0.0]);
     grew("basic_values after a dual run", (0, 1, 16, 0));
 
     // Infeasible: s0 = 4 above 1 again, and both structurals fixed. One
     // envelope: the two reductions' results.
-    let ub = [0.0, 0.0, 1.0, 10.0];
+    let ub = &[0.0, 0.0, 1.0, 10.0];
     let mut basis = slack.clone();
-    e.install(view(&ub), &basis).unwrap();
+    let mut at = Progress::default();
+    e.install(view(c_neg, ub), &basis).unwrap();
     let infeasible = Some(DualOutcome::Infeasible {
         row: 0,
         below: false,
     });
-    let run = e.dual_run(view(&ub), &mut basis, &dual, usize::MAX);
-    assert_eq!(run, Ok((infeasible, 0)));
+    let run = e.dual_run(view(c_neg, ub), &mut basis, &dual, None, &mut at);
+    assert_eq!((run, at.dual), (Ok(infeasible), 0));
     assert_eq!(basis, slack);
     grew("install + an infeasible dual_run", (1, 1, 24 + 16, 0));
 
     // A re-install that moves one bound: s0's upper bound, one entry of
     // `u` and one of u_B, rides the install's first kernel and nothing is
     // uploaded.
-    let ub = [0.0, 0.0, 2.0, 10.0];
-    e.install(view(&ub), &basis).unwrap();
+    let ub = &[0.0, 0.0, 2.0, 10.0];
+    e.install(view(c_neg, ub), &basis).unwrap();
     assert_eq!(e.stage.delta.len(), 2);
-    let run = e.dual_run(view(&ub), &mut basis, &dual, usize::MAX);
-    assert_eq!(run, Ok((infeasible, 0)));
+    let run = e.dual_run(view(c_neg, ub), &mut basis, &dual, None, &mut at);
+    assert_eq!(run, Ok(infeasible));
     grew("one-bound re-install + dual_run", (1, 1, 24 + 16, 0));
 }
 
@@ -481,67 +463,210 @@ fn three_violated_rows() -> (DenseMatrix, [Vec<f64>; 4], Basis) {
     (a, [c, lb, ub, b], Basis::with_basic_cols(vec![3, 4, 5], 6))
 }
 
+/// A problem's vectors `(c, lb, ub, b)` as a view.
+fn view_of([c, lb, ub, b]: &[Vec<f64>; 4]) -> ProblemView<'_> {
+    ProblemView { c, lb, ub, b }
+}
+
+/// What a device moved since `before`: launches, D2H transfers, D2H bytes,
+/// H2D transfers.
+fn moved(accel: &Accel, before: &gmip_gpu::DeviceStats) -> (u64, u64, u64, u64) {
+    let s = accel.stats();
+    (
+        s.kernel_launches - before.kernel_launches,
+        s.d2h_transfers - before.d2h_transfers,
+        s.d2h_bytes - before.d2h_bytes,
+        s.h2d_transfers - before.h2d_transfers,
+    )
+}
+
 /// A dual run is one call and one envelope, however many pivots it makes:
 /// an install and a `k`-pivot run that ends the solve are `1 + k`
 /// launches and one read-back of `56k + 24` bytes, a run its budget ends
 /// one read-back of `56k`. Its pivots are the host engine's, bit for bit,
 /// and so is the basis it leaves behind.
 fn a_dual_run_is_one_envelope<M: Storage>() {
-    let (a, [c, lb, ub, b], slack) = three_violated_rows();
-    let view = ProblemView {
-        c: &c,
-        lb: &lb,
-        ub: &ub,
-        b: &b,
-    };
+    let (a, vectors, slack) = three_violated_rows();
+    let view = view_of(&vectors);
     let dual = DualConfig::standard();
     let mut host = HostEngine::new(a.clone());
     let mut host_basis = slack.clone();
+    let mut host_at = Progress::default();
     host.install(view, &host_basis).unwrap();
-    let host_run = host.dual_run(view, &mut host_basis, &dual, usize::MAX);
-    let Ok((Some(DualOutcome::PrimalFeasible), k)) = host_run else {
-        panic!("{host_run:?}");
-    };
+    let host_run = host.dual_run(view, &mut host_basis, &dual, None, &mut host_at);
+    assert_eq!(host_run, Ok(Some(DualOutcome::PrimalFeasible)));
+    let k = host_at.dual;
     assert!(k >= 2, "{k} pivots");
     let host_xb = host.basic_values().unwrap();
 
     let accel = Accel::gpu(1);
     let mut e = DeviceSimplex::<M>::new(accel.clone(), &a).unwrap();
     let mut basis = slack.clone();
+    let mut at = Progress::default();
     let before = accel.stats();
     e.install(view, &basis).unwrap();
-    assert_eq!(e.dual_run(view, &mut basis, &dual, usize::MAX), host_run);
-    let s = accel.stats();
+    assert_eq!(e.dual_run(view, &mut basis, &dual, None, &mut at), host_run);
+    assert_eq!(at, host_at);
     assert_eq!(
-        (
-            s.kernel_launches - before.kernel_launches,
-            s.d2h_transfers - before.d2h_transfers,
-            s.d2h_bytes - before.d2h_bytes,
-        ),
-        (1 + k as u64, 1, 56 * k as u64 + 24),
-        "install + a {k}-pivot run: (launches, read-backs, bytes back)"
+        moved(&accel, &before),
+        (1 + k as u64, 1, 56 * k as u64 + 24, 1),
+        "install + a {k}-pivot run: (launches, read-backs, bytes back, uploads)"
     );
     assert_eq!(basis, host_basis);
     assert_eq!(e.basic_values().unwrap(), host_xb);
 
     // The same run cut short by its budget: one envelope of its pivots.
     let mut basis = slack.clone();
+    let mut at = Progress::default();
+    let mut capped = DualConfig::standard();
+    capped.base.max_iters = k - 1;
     e.install(view, &basis).unwrap();
     let before = accel.stats();
-    let run = e.dual_run(view, &mut basis, &dual, k - 1);
-    assert_eq!(run, Ok((None, k - 1)));
-    let s = accel.stats();
+    let run = e.dual_run(view, &mut basis, &capped, None, &mut at);
+    assert_eq!((run, at.dual), (Ok(None), k - 1));
     assert_eq!(
-        (
-            s.kernel_launches - before.kernel_launches,
-            s.d2h_transfers - before.d2h_transfers,
-            s.d2h_bytes - before.d2h_bytes,
-        ),
-        (k as u64 - 2, 1, 56 * (k as u64 - 1)),
+        moved(&accel, &before),
+        (k as u64 - 2, 1, 56 * (k as u64 - 1), 0),
         "a run of {} pivots its budget ends",
         k - 1
     );
     assert_eq!(e.eta_count(), k - 1);
+}
+
+/// A warm re-solve is one call and one envelope: the dual run, the
+/// re-install of the basis it reached and the polish's first select share
+/// one chain, the re-install and the select riding the launch of the
+/// iteration that found `x_B` feasible. `k` dual pivots and a polish that
+/// finds the basis optimal are `1 + k` launches (the install's among them)
+/// and one read-back, of the `56k + 24` bytes of the dual run, the argmin's
+/// 16 and `x_B`; the re-install ships nothing, and the `basic_values`
+/// after it crosses nothing. Its pivots are the host engine's.
+fn a_warm_resolve_is_one_envelope<M: Storage>() {
+    let (a, vectors, slack) = three_violated_rows();
+    let view = view_of(&vectors);
+    let (dual, polish) = (DualConfig::standard(), PrimalConfig::default());
+    let mut host = HostEngine::new(a.clone());
+    let mut host_basis = slack.clone();
+    let mut host_at = Progress::default();
+    host.install(view, &host_basis).unwrap();
+    let host_run = host.dual_run(view, &mut host_basis, &dual, Some(&polish), &mut host_at);
+    assert_eq!(host_run, Ok(Some(DualOutcome::PrimalFeasible)));
+    let done = PrimalRun {
+        outcome: Some(PrimalOutcome::Optimal),
+        ..PrimalRun::default()
+    };
+    assert_eq!(host_at.polish, Some(done), "the polish pivots");
+    let k = host_at.dual;
+    assert!(k >= 2, "{k} pivots");
+
+    let accel = Accel::gpu(1);
+    let mut e = DeviceSimplex::<M>::new(accel.clone(), &a).unwrap();
+    let mut basis = slack.clone();
+    let mut at = Progress::default();
+    let before = accel.stats();
+    e.install(view, &basis).unwrap();
+    let run = e.dual_run(view, &mut basis, &dual, Some(&polish), &mut at);
+    assert_eq!((run, at), (host_run, host_at));
+    assert!(e.stage.delta.is_empty(), "the re-install shipped a delta");
+    let m = basis.m() as u64;
+    assert_eq!(
+        moved(&accel, &before),
+        (1 + k as u64, 1, 56 * k as u64 + 24 + 16 + 8 * m, 1),
+        "install + {k} dual pivots + a terminal polish select: \
+         (launches, read-backs, bytes back, uploads)"
+    );
+    assert_eq!(basis, host_basis);
+    // x_B is the fresh factorization's: what an install of that basis on
+    // an engine that never held another computes.
+    let mut fresh = DeviceSimplex::<M>::new(Accel::gpu(1), &a).unwrap();
+    fresh.install(view, &basis).unwrap();
+    let before = accel.stats();
+    assert_eq!(e.basic_values().unwrap(), fresh.basic_values().unwrap());
+    assert_eq!(moved(&accel, &before), (0, 0, 0, 0), "x_B crossed again");
+}
+
+/// `max Σ x` over the rows of `three_violated_rows` from its slack basis,
+/// the slacks free above: primal feasible, and several pivots and flips
+/// from optimal.
+fn three_rows_to_fill() -> (DenseMatrix, [Vec<f64>; 4], Basis) {
+    let (a, [c, lb, mut ub, b], slack) = three_violated_rows();
+    ub[3..].fill(f64::INFINITY);
+    let c = c.iter().map(|v| -v).collect();
+    (a, [c, lb, ub, b], slack)
+}
+
+/// A primal run is one call and one envelope: from an install, `p`
+/// iterations and the terminal select are `1 + p` launches and one
+/// read-back of 40 bytes a select and the terminal one's 16 and `x_B`, on
+/// either pricing rule. Its iterations are the host engine's, bit for bit.
+fn a_primal_run_is_one_envelope<M: Storage>() {
+    let (a, vectors, slack) = three_rows_to_fill();
+    let view = view_of(&vectors);
+    for pricing in [PricingRule::Dantzig, PricingRule::Devex] {
+        let cfg = PrimalConfig {
+            pricing,
+            ..PrimalConfig::default()
+        };
+        let mut host = HostEngine::new(a.clone());
+        let mut host_basis = slack.clone();
+        let mut host_run = PrimalRun::default();
+        host.install(view, &host_basis).unwrap();
+        host.primal_run(view, &mut host_basis, &cfg, &mut host_run)
+            .unwrap();
+        assert_eq!(host_run.outcome, Some(PrimalOutcome::Optimal));
+        let p = host_run.iters as u64;
+        assert!(p >= 2, "{pricing:?}: {p} iterations");
+
+        let accel = Accel::gpu(1);
+        let mut e = DeviceSimplex::<M>::new(accel.clone(), &a).unwrap();
+        let mut basis = slack.clone();
+        let mut run = PrimalRun::default();
+        let before = accel.stats();
+        e.install(view, &basis).unwrap();
+        e.primal_run(view, &mut basis, &cfg, &mut run).unwrap();
+        assert_eq!(run, host_run, "{pricing:?}");
+        assert_eq!(basis, host_basis, "{pricing:?}");
+        let m = basis.m() as u64;
+        assert_eq!(
+            moved(&accel, &before),
+            (1 + p, 1, 40 * p + 16 + 8 * m, 1),
+            "{pricing:?}: install + a {p}-iteration run"
+        );
+        assert_eq!(e.basic_values().unwrap(), host.basic_values().unwrap());
+    }
+}
+
+/// The largest device, below the memory a warm re-solve peaks at, on which
+/// `fails` says the re-solve failed, with what it left behind.
+fn starved<M: Storage, R>(
+    a: &DenseMatrix,
+    view: ProblemView<'_>,
+    slack: &Basis,
+    polish: Option<&PrimalConfig>,
+    fails: impl Fn(&LpResult<Option<DualOutcome>>, &DeviceSimplex<M>, &Progress) -> Option<R>,
+) -> Option<(Basis, R)> {
+    let dual = DualConfig::standard();
+    let peak = {
+        let accel = Accel::gpu(1);
+        let mut e = DeviceSimplex::<M>::new(accel.clone(), a).unwrap();
+        let mut basis = slack.clone();
+        e.install(view, &basis).unwrap();
+        e.dual_run(view, &mut basis, &dual, polish, &mut Progress::default())
+            .unwrap();
+        accel.with(|d| d.memory().peak())
+    };
+    (1..peak).rev().find_map(|capacity| {
+        let accel = Accel::gpu_with(DeviceConfig {
+            mem_capacity: capacity,
+            ..DeviceConfig::gpu(1)
+        });
+        let mut e = DeviceSimplex::<M>::new(accel, a).ok()?;
+        let mut basis = slack.clone();
+        let mut at = Progress::default();
+        e.install(view, &basis).ok()?;
+        let run = e.dual_run(view, &mut basis, &dual, polish, &mut at);
+        fails(&run, &e, &at).map(|r| (basis, r))
+    })
 }
 
 /// A run that fails midway — here the device runs out of memory for the
@@ -549,40 +674,119 @@ fn a_dual_run_is_one_envelope<M: Storage>() {
 /// the host's basis is the one the device's eta file represents, the
 /// host engine's after as many pivots.
 fn a_failed_dual_run_keeps_its_pivots<M: Storage>() {
-    let (a, [c, lb, ub, b], slack) = three_violated_rows();
-    let view = ProblemView {
-        c: &c,
-        lb: &lb,
-        ub: &ub,
-        b: &b,
-    };
-    let dual = DualConfig::standard();
-    let peak = {
-        let accel = Accel::gpu(1);
-        let mut e = DeviceSimplex::<M>::new(accel.clone(), &a).unwrap();
-        let mut basis = slack.clone();
-        e.install(view, &basis).unwrap();
-        e.dual_run(view, &mut basis, &dual, usize::MAX).unwrap();
-        accel.with(|d| d.memory().peak())
-    };
-    // The largest device that fails the run after at least one pivot.
-    let failed = (1..peak).rev().find_map(|capacity| {
-        let accel = Accel::gpu_with(DeviceConfig {
-            mem_capacity: capacity,
-            ..DeviceConfig::gpu(1)
-        });
-        let mut e = DeviceSimplex::<M>::new(accel, &a).ok()?;
-        let mut basis = slack.clone();
-        e.install(view, &basis).ok()?;
-        let run = e.dual_run(view, &mut basis, &dual, usize::MAX);
-        (run.is_err() && e.eta_count() > 0).then(|| (basis, e.eta_count()))
+    let (a, vectors, slack) = three_violated_rows();
+    let view = view_of(&vectors);
+    let failed = starved::<M, _>(&a, view, &slack, None, |run, e, at| {
+        (run.is_err() && e.eta_count() > 0).then(|| {
+            assert_eq!(at.dual, e.eta_count(), "the pivots the run counted");
+            at.dual
+        })
     });
     let (basis, pivots) = failed.expect("a capacity that fails the run midway");
     let mut host = HostEngine::new(a);
     let mut host_basis = slack;
+    let mut capped = DualConfig::standard();
+    capped.base.max_iters = pivots;
     host.install(view, &host_basis).unwrap();
-    host.dual_run(view, &mut host_basis, &dual, pivots).unwrap();
+    host.dual_run(
+        view,
+        &mut host_basis,
+        &capped,
+        None,
+        &mut Progress::default(),
+    )
+    .unwrap();
     assert_eq!(basis, host_basis, "after {pivots} pivots");
+}
+
+/// `max −Σ x` over `m` dense, diagonally dominant rows
+/// `Σ a_ij x_j + s_i = b_i`, `0 ≤ x ≤ 8`, from its slack basis: dual
+/// feasible, and the first `v` slacks above their upper bound of 1.
+fn violated_rows(m: usize, v: usize) -> (DenseMatrix, [Vec<f64>; 4], Basis) {
+    let rows: Vec<Vec<f64>> = (0..m)
+        .map(|i| {
+            let mut row: Vec<f64> = (0..m)
+                .map(|j| {
+                    if i == j {
+                        4.0
+                    } else {
+                        ((3 * i + 5 * j) % 7) as f64 / 28.0
+                    }
+                })
+                .collect();
+            row.extend((0..m).map(|k| f64::from(u8::from(k == i))));
+            row
+        })
+        .collect();
+    let a = DenseMatrix::from_rows(&rows).unwrap();
+    let mut c = vec![-1.0; m];
+    c.resize(2 * m, 0.0);
+    let mut ub = vec![8.0; m];
+    ub.resize(m + v, 1.0);
+    ub.resize(2 * m, f64::INFINITY);
+    let b = (0..m).map(|i| 6.0 + i as f64).collect();
+    let slack = Basis::with_basic_cols((m..2 * m).collect(), 2 * m);
+    (a, [c, vec![0.0; 2 * m], ub, b], slack)
+}
+
+/// A warm re-solve whose re-install fails keeps every dual pivot: the
+/// host's basis and count are the host engine's after the whole dual run,
+/// with no polish to count. The failure is the device running out of
+/// memory for the fresh factors of the basis the run reached: a device too
+/// small for them, or one another tenant took memory from after the
+/// install that the dual run could spare and the re-install could not.
+fn a_failed_polish_keeps_its_dual_pivots<M: Storage>() {
+    // A short dual run on a wide basis (the dense factorization's gathered
+    // block outgrows it) and a long one (the sparse factors of the basis it
+    // reaches outgrow those of the slack basis).
+    let failed = [violated_rows(12, 1), violated_rows(12, 12)]
+        .into_iter()
+        .any(|(a, vectors, slack)| failed_polish::<M>(&a, view_of(&vectors), &slack));
+    assert!(failed, "no device the re-install alone overfills");
+}
+
+/// One [`a_failed_polish_keeps_its_dual_pivots`] case: whether a device the
+/// re-install alone overfills was found — and if so, it kept the pivots.
+fn failed_polish<M: Storage>(a: &DenseMatrix, view: ProblemView<'_>, slack: &Basis) -> bool {
+    let (dual, polish) = (DualConfig::standard(), PrimalConfig::default());
+    let mut host = HostEngine::new(a.clone());
+    let mut host_basis = slack.clone();
+    let mut host_at = Progress::default();
+    host.install(view, &host_basis).unwrap();
+    let end = host.dual_run(view, &mut host_basis, &dual, None, &mut host_at);
+    assert_eq!(end, Ok(Some(DualOutcome::PrimalFeasible)));
+    let k = host_at.dual;
+    assert!(k >= 1, "{k} dual pivots");
+    // Devices from one the install just fits upward, then that one with
+    // ever more memory taken by another tenant after the install: the first
+    // on which the re-solve fails once the dual run is done.
+    let fits = {
+        let accel = Accel::gpu(1);
+        let mut e = DeviceSimplex::<M>::new(accel.clone(), a).unwrap();
+        e.install(view, slack).unwrap();
+        accel.with(|d| d.memory().peak())
+    };
+    let grown = (0..fits).step_by(8).map(|more| (fits + more, 0));
+    let taken = (8..fits).step_by(8).map(|taken| (fits, taken));
+    let failed = grown.chain(taken).find_map(|(capacity, taken)| {
+        let accel = Accel::gpu_with(DeviceConfig {
+            mem_capacity: capacity,
+            ..DeviceConfig::gpu(1)
+        });
+        let mut e = DeviceSimplex::<M>::new(accel.clone(), a).unwrap();
+        let mut basis = slack.clone();
+        let mut at = Progress::default();
+        e.install(view, &basis).unwrap();
+        accel.with(|d| d.alloc_raw(taken)).ok()?;
+        let run = e.dual_run(view, &mut basis, &dual, Some(&polish), &mut at);
+        (run.is_err() && at.dual == k && at.polish.is_none()).then_some((basis, at))
+    });
+    let Some((basis, at)) = failed else {
+        return false;
+    };
+    assert_eq!(at, host_at, "{k} dual pivots and no polish");
+    assert_eq!(basis, host_basis);
+    true
 }
 
 /// The `x_B` a terminal select brought back is `basic_values`' only if
@@ -606,7 +810,11 @@ fn a_staged_x_b_is_never_stale<M: Storage>() {
     let crossings = || accel.stats().d2h_transfers;
     let staged = |e: &mut DeviceSimplex<M>| {
         e.install(view(&[4.0, 6.0]), &slack).unwrap();
-        assert_eq!(e.primal_select(&PrimalConfig::default(), &slack), Ok(None));
+        let mut run = PrimalRun::default();
+        let cfg = PrimalConfig::default();
+        e.primal_run(view(&[4.0, 6.0]), &mut slack.clone(), &cfg, &mut run)
+            .unwrap();
+        assert_eq!((run.iters, run.outcome), (0, Some(PrimalOutcome::Optimal)));
     };
     // Untouched, the staged copy is served once.
     staged(&mut e);
@@ -654,8 +862,16 @@ fn a_staged_x_b_is_never_stale<M: Storage>() {
                     price_tol: -10.0,
                     ..PrimalConfig::default()
                 };
-                let wrong = Basis::with_basic_cols(vec![0, 1], 4);
-                assert!(e.primal_select(&eager, &wrong).is_err());
+                let mut wrong = Basis::with_basic_cols(vec![0, 1], 4);
+                let (lb, ub) = ([0.0; 4], [10.0; 4]);
+                let view = ProblemView {
+                    c: &[0.0; 4],
+                    lb: &lb,
+                    ub: &ub,
+                    b: &[4.0, 6.0],
+                };
+                let mut run = PrimalRun::default();
+                assert!(e.primal_run(view, &mut wrong, &eager, &mut run).is_err());
                 Ok(())
             },
             vec![4.0, 6.0],
@@ -795,7 +1011,7 @@ fn record_is_resident<M: Storage>(e: &DeviceSimplex<M>) -> Result<(), TestCaseEr
 /// Runs `steps` on one engine over `[A | a_0 | I]` (column `n` repeats
 /// column 0, so a basis holding both is singular), checking the record
 /// after each; a solve that succeeds is followed by a re-install of the
-/// basis it ended on, which must cross nothing.
+/// basis it ended on, which must ship nothing: no upload, an empty delta.
 fn record_follows_the_device<M: Storage>(
     rows: &[Vec<f64>],
     steps: &[Step],
@@ -840,6 +1056,9 @@ fn record_follows_the_device<M: Storage>(
                 let h2d = e.accel.stats().h2d_transfers;
                 if solved.and_then(|()| e.install(view, &basis)).is_ok() {
                     prop_assert_eq!(e.accel.stats().h2d_transfers, h2d, "a re-install uploaded");
+                    // The runs' stores left the record as the install
+                    // assembles it: the re-install ships nothing at all.
+                    prop_assert!(e.stage.delta.is_empty(), "a re-install shipped a delta");
                 } else {
                     basis = slack_basis(c.len());
                 }
@@ -896,7 +1115,8 @@ proptest! {
 
     /// The host's record of the resident vectors survives any sequence
     /// of installs, primal and dual pivots, bound flips, cuts and failed
-    /// installs: held, it is what the device holds.
+    /// installs: held, it is what the device holds — and right after a
+    /// primal or a dual run, what the next install of its basis assembles.
     #[test]
     fn the_record_is_what_the_device_holds(
         (rows, steps) in (2usize..4, 2usize..6).prop_flat_map(|(m, n)| {
@@ -974,6 +1194,21 @@ macro_rules! storage_suite {
             #[test]
             fn a_failed_dual_run_keeps_its_pivots() {
                 super::a_failed_dual_run_keeps_its_pivots::<$storage>();
+            }
+
+            #[test]
+            fn a_warm_resolve_is_one_envelope() {
+                super::a_warm_resolve_is_one_envelope::<$storage>();
+            }
+
+            #[test]
+            fn a_primal_run_is_one_envelope() {
+                super::a_primal_run_is_one_envelope::<$storage>();
+            }
+
+            #[test]
+            fn a_failed_polish_keeps_its_dual_pivots() {
+                super::a_failed_polish_keeps_its_dual_pivots::<$storage>();
             }
 
             #[test]

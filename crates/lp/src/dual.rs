@@ -9,10 +9,10 @@
 //! the reuse pattern the paper prescribes.
 
 use crate::basis::Basis;
-use crate::engine::{ProblemView, SimplexEngine};
+use crate::engine::{ProblemView, Progress, SimplexEngine};
 use crate::simplex::{note_refactorization, PrimalConfig};
 use crate::{LpError, LpResult};
-use gmip_trace::{names, MetricsRegistry};
+use gmip_trace::MetricsRegistry;
 
 /// Terminal outcome of a dual run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,56 +61,44 @@ pub fn dual_solve<E: SimplexEngine>(
     basis: &mut Basis,
     cfg: &DualConfig,
 ) -> LpResult<(DualOutcome, usize)> {
-    dual_solve_traced(engine, view, basis, cfg, &mut MetricsRegistry::new())
+    let mut at = Progress::default();
+    let out = dual_loop(
+        engine,
+        view,
+        basis,
+        cfg,
+        None,
+        &mut at,
+        &mut MetricsRegistry::new(),
+    );
+    out.map(|outcome| (outcome, at.dual))
 }
 
-/// [`dual_solve`] with instrumentation mirroring
-/// [`crate::simplex::primal_solve_traced`]: iteration and refactorization
-/// counts accumulate into `metrics`.
-pub fn dual_solve_traced<E: SimplexEngine>(
+/// The dual loop: an install, then [`SimplexEngine::dual_run`] up to each
+/// refactorization, its pivots counted into `at`, mid-run refactorizations
+/// into `metrics`. With `polish`, the run that ends feasible goes on into
+/// the primal polish in the same call ([`Progress::polish`]).
+pub(crate) fn dual_loop<E: SimplexEngine>(
     engine: &mut E,
     view: ProblemView<'_>,
     basis: &mut Basis,
     cfg: &DualConfig,
+    polish: Option<&PrimalConfig>,
+    at: &mut Progress,
     metrics: &mut MetricsRegistry,
-) -> LpResult<(DualOutcome, usize)> {
-    let out = dual_loop(engine, view, basis, cfg, metrics);
-    match &out {
-        Ok((_, iters)) => metrics.incr(names::LP_ITERATIONS, *iters as f64),
-        Err(LpError::IterationLimit { iterations }) => {
-            metrics.incr(names::LP_ITERATIONS, *iterations as f64)
-        }
-        Err(_) => {}
-    }
-    out
-}
-
-fn dual_loop<E: SimplexEngine>(
-    engine: &mut E,
-    view: ProblemView<'_>,
-    basis: &mut Basis,
-    cfg: &DualConfig,
-    metrics: &mut MetricsRegistry,
-) -> LpResult<(DualOutcome, usize)> {
-    let (max_iters, refactor_every) = (cfg.base.max_iters, cfg.base.refactor_every);
+) -> LpResult<DualOutcome> {
     engine.install(view, basis)?;
-    let mut iters = 0;
-    while iters < max_iters {
-        if engine.eta_count() >= refactor_every {
+    while at.dual < cfg.base.max_iters {
+        if engine.eta_count() >= cfg.base.refactor_every {
             engine.install(view, basis)?;
             note_refactorization(engine, metrics);
         }
-        // --- one run of pivots, up to the next refactorization or the cap ---
-        let budget = refactor_every
-            .saturating_sub(engine.eta_count())
-            .clamp(1, max_iters - iters);
-        match engine.dual_run(view, basis, cfg, budget)? {
-            (Some(outcome), pivots) => return Ok((outcome, iters + pivots)),
-            (None, pivots) => iters += pivots,
+        if let Some(outcome) = engine.dual_run(view, basis, cfg, polish, at)? {
+            return Ok(outcome);
         }
     }
     Err(LpError::IterationLimit {
-        iterations: max_iters,
+        iterations: cfg.base.max_iters,
     })
 }
 

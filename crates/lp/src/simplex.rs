@@ -8,8 +8,9 @@
 //! every [`PrimalConfig::refactor_every`] eta updates.
 
 use crate::basis::{Basis, VarStatus};
-use crate::engine::{enter, PivotPlan, PrimalPick, ProblemView, SimplexEngine};
+use crate::engine::{apply_primal_step, enter, PrimalRun, ProblemView, SimplexEngine};
 use crate::{LpError, LpResult};
+use gmip_linalg::pivot;
 use gmip_trace::{names, Event, MetricsRegistry, Track};
 
 /// Entering-variable pricing rule.
@@ -89,15 +90,14 @@ pub fn primal_solve_traced<E: SimplexEngine>(
     cfg: &PrimalConfig,
     metrics: &mut MetricsRegistry,
 ) -> LpResult<(PrimalOutcome, usize)> {
-    let out = primal_loop(engine, view, basis, cfg, metrics);
-    match &out {
-        Ok((_, iters)) => metrics.incr(names::LP_ITERATIONS, *iters as f64),
-        Err(LpError::IterationLimit { iterations }) => {
-            metrics.incr(names::LP_ITERATIONS, *iterations as f64)
-        }
-        Err(_) => {}
+    let mut run = PrimalRun::default();
+    let out = engine
+        .install(view, basis)
+        .and_then(|()| primal_from(engine, view, basis, cfg, metrics, &mut run));
+    if matches!(out, Ok(_) | Err(LpError::IterationLimit { .. })) {
+        metrics.incr(names::LP_ITERATIONS, run.iters as f64);
     }
-    out
+    out.map(|outcome| (outcome, run.iters))
 }
 
 /// Marks a mid-run refactorization: bumps the counter and drops an instant
@@ -109,114 +109,56 @@ pub(crate) fn note_refactorization<E: SimplexEngine>(engine: &E, metrics: &mut M
     }
 }
 
-fn primal_loop<E: SimplexEngine>(
+/// The primal loop from an installed basis, going on from where `run`
+/// stands: [`SimplexEngine::primal_run`] up to each refactorization, and
+/// Bland's rule, iteration by iteration on the host, while the degenerate
+/// streak calls for it.
+pub(crate) fn primal_from<E: SimplexEngine>(
     engine: &mut E,
     view: ProblemView<'_>,
     basis: &mut Basis,
     cfg: &PrimalConfig,
     metrics: &mut MetricsRegistry,
-) -> LpResult<(PrimalOutcome, usize)> {
-    engine.install(view, basis)?;
-    let mut degenerate_streak = 0usize;
-    let mut bland = false;
-
-    for iter in 0..cfg.max_iters {
+    run: &mut PrimalRun,
+) -> LpResult<PrimalOutcome> {
+    while run.open(cfg) {
         if engine.eta_count() >= cfg.refactor_every {
             engine.install(view, basis)?;
             note_refactorization(engine, metrics);
         }
-        // --- entering variable and ratio test (basic blocking vs. bound
-        // flip): one engine call, unless Bland's rule picks the column ---
-        let pick = if bland {
-            bland_select(engine, view, basis, cfg)?
+        if run.bland(cfg) {
+            bland_iteration(engine, view, basis, cfg, run)?;
         } else {
-            engine.primal_select(cfg, basis)?
-        };
-        let Some(PrimalPick {
-            q,
-            dir,
-            limit: basic_limit,
-        }) = pick
-        else {
-            return Ok((PrimalOutcome::Optimal, iter));
-        };
-        let flip_limit = view.ub[q] - view.lb[q]; // may be +inf
-
-        let t_basic = basic_limit.map(|(_, t, _)| t).unwrap_or(f64::INFINITY);
-        if !t_basic.is_finite() && !flip_limit.is_finite() {
-            return Ok((PrimalOutcome::Unbounded { entering: q }, iter));
-        }
-
-        if flip_limit <= t_basic {
-            // Bound flip: the entering variable runs to its opposite bound
-            // without any basis change.
-            let new_status = match basis.status[q] {
-                VarStatus::AtLower => VarStatus::AtUpper,
-                VarStatus::AtUpper => VarStatus::AtLower,
-                VarStatus::Basic(_) => unreachable!("checked above"),
-            };
-            engine.apply_flip(q, dir, flip_limit, new_status.sigma())?;
-            basis.status[q] = new_status;
-            track_degeneracy(flip_limit, &mut degenerate_streak, &mut bland, cfg);
-        } else {
-            let (r, t, leaves_upper) = basic_limit.expect("t_basic finite implies Some");
-            let entering_val = if dir > 0.0 {
-                view.lb[q] + t
-            } else {
-                view.ub[q] - t
-            };
-            let leaving_j = basis.cols[r];
-            let leaving_to = if leaves_upper {
-                VarStatus::AtUpper
-            } else {
-                VarStatus::AtLower
-            };
-            let plan = PivotPlan {
-                r,
-                q,
-                leaving_j,
-                dir,
-                t,
-                entering_val,
-                leaving_sigma: view.sigma(leaving_j, leaving_to),
-                c_q: view.c[q],
-                lb_q: view.lb[q],
-                ub_q: view.ub[q],
-            };
-            // Devex weights need the leaving row of the OLD basis.
-            engine.primal_apply(&plan, cfg.pricing == PricingRule::Devex && !bland)?;
-            basis.pivot(r, q, leaving_to);
-            track_degeneracy(t, &mut degenerate_streak, &mut bland, cfg);
+            engine.primal_run(view, basis, cfg, run)?;
         }
     }
-    Err(LpError::IterationLimit {
+    run.outcome.ok_or(LpError::IterationLimit {
         iterations: cfg.max_iters,
     })
 }
 
-fn track_degeneracy(t: f64, streak: &mut usize, bland: &mut bool, cfg: &PrimalConfig) {
-    if t.abs() < 1e-9 {
-        *streak += 1;
-        if *streak >= cfg.bland_after {
-            *bland = true;
-        }
-    } else {
-        *streak = 0;
-        *bland = false;
-    }
-}
-
-/// The selecting half of an iteration under Bland's rule, primitive by
-/// primitive: the column on the host, then its FTRAN and ratio test.
-fn bland_select<E: SimplexEngine>(
+/// One iteration under Bland's rule, primitive by primitive: the column on
+/// the host, then its FTRAN, the ratio test and the step.
+fn bland_iteration<E: SimplexEngine>(
     engine: &mut E,
     view: ProblemView<'_>,
-    basis: &Basis,
+    basis: &mut Basis,
     cfg: &PrimalConfig,
-) -> LpResult<Option<PrimalPick>> {
-    bland_entering(engine, view, basis, cfg.price_tol)?
-        .map(|q| enter(engine, basis, q, cfg.ratio_tol))
-        .transpose()
+    run: &mut PrimalRun,
+) -> LpResult<()> {
+    let Some(q) = bland_entering(engine, view, basis, cfg.price_tol)? else {
+        run.outcome = Some(PrimalOutcome::Optimal);
+        return Ok(());
+    };
+    let (dir, limit) = enter(engine, basis, q, cfg.ratio_tol)?;
+    let step = pivot::primal_step((q, dir), limit, &basis.cols, [view.c, view.lb, view.ub]);
+    match apply_primal_step(engine, basis, (q, dir), step, false)? {
+        None => run.outcome = Some(PrimalOutcome::Unbounded { entering: q }),
+        Some(t) => {
+            run.step(t, cfg);
+        }
+    }
+    Ok(())
 }
 
 /// Bland's rule: the lowest-index eligible improving column. Requires the

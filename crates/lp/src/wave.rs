@@ -169,7 +169,7 @@ pub enum WaveOp {
 ///   uploads them only when it holds no record of them and otherwise
 ///   passes the entries that changed as arguments of its first kernel.
 ///
-/// The journal is the reason the pivot-shaped calls have default bodies at
+/// The journal is the reason the run-shaped calls have default bodies at
 /// all: it is cut by class, so a lane has to see `btran_row` and
 /// `dual_ratio` as two calls in today's order, not one `dual_run`.
 ///

@@ -1,11 +1,11 @@
-//! The pivot-shaped calls of `DeviceSimplex` against the primitives they
+//! The run-shaped calls of `DeviceSimplex` against the primitives they
 //! replace, and held launch chains against fenced ones, differentially.
 //!
 //! [`Primitives`] forwards only the *required* [`SimplexEngine`] methods, so
 //! over a real `DeviceSimplex` the drivers run the provided defaults: one
 //! engine call — one lock, one launch chain, its own link crossing — per
-//! primitive. The engine itself overrides them with one call per pivot
-//! half. The two must be the same solve bit for bit and the same ledger but
+//! primitive. The engine itself overrides them with one call per run of
+//! iterations, a warm re-solve's dual run, re-install and polish included. The two must be the same solve bit for bit and the same ledger but
 //! for what the fusing is about: no more launches (strictly fewer once
 //! there is a pivot) and strictly fewer D2H envelopes (the same bytes in
 //! them). Both hold chains: a primitive that reads nothing back is held for
@@ -19,13 +19,14 @@
 use gmip_gpu::{Accel, MatrixHandle, SparseHandle, Storage};
 use gmip_linalg::DenseMatrix;
 use gmip_lp::dual::{DualConfig, DualOutcome};
-use gmip_lp::engine::{PivotPlan, PrimalPick};
+use gmip_lp::engine::{PivotPlan, PrimalRun, Progress};
 use gmip_lp::simplex::{primal_solve, PrimalOutcome};
 use gmip_lp::{
     Basis, BoundChange, DeviceSimplex, LpConfig, LpResult, LpSolver, LpStatus, PricingRule,
     PrimalConfig, ProblemView, SimplexEngine, StandardLp,
 };
-use gmip_problems::generators::knapsack;
+use gmip_problems::generators::{knapsack, set_cover};
+use gmip_problems::MipInstance;
 use gmip_trace::{names, TraceSession, TrackGroup};
 use proptest::prelude::*;
 use std::cell::Cell;
@@ -110,22 +111,26 @@ impl<E: SimplexEngine> SimplexEngine for Primitives<'_, E> {
     }
 }
 
-/// Forwards every method of `E`, the pivot-shaped ones included, after a
+/// Forwards every method of `E`, the run-shaped ones included, after a
 /// device synchronize: whatever launch chain the last call held is
 /// submitted before the next call runs.
-struct Fenced<E> {
+struct Fenced<'c, E> {
     inner: E,
     accel: Accel,
+    /// Primal runs that took over from Bland's rule: the solve handed the
+    /// choice of column to the host and back.
+    handbacks: &'c Cell<usize>,
+    bland: bool,
 }
 
-impl<E> Fenced<E> {
+impl<E> Fenced<'_, E> {
     fn fenced(&mut self) -> &mut E {
         self.accel.with(|d| d.synchronize());
         &mut self.inner
     }
 }
 
-impl<E: SimplexEngine> SimplexEngine for Fenced<E> {
+impl<E: SimplexEngine> SimplexEngine for Fenced<'_, E> {
     fn m(&self) -> usize {
         self.inner.m()
     }
@@ -148,6 +153,7 @@ impl<E: SimplexEngine> SimplexEngine for Fenced<E> {
         self.fenced().price()
     }
     fn reduced_costs_host(&mut self) -> LpResult<Vec<f64>> {
+        self.bland = true;
         self.fenced().reduced_costs_host()
     }
     fn ftran_column(&mut self, q: usize) -> LpResult<()> {
@@ -192,20 +198,27 @@ impl<E: SimplexEngine> SimplexEngine for Fenced<E> {
     fn devex_update(&mut self, q: usize, leaving_j: usize) -> LpResult<()> {
         self.fenced().devex_update(q, leaving_j)
     }
-    fn primal_select(&mut self, cfg: &PrimalConfig, basis: &Basis) -> LpResult<Option<PrimalPick>> {
-        self.fenced().primal_select(cfg, basis)
-    }
-    fn primal_apply(&mut self, plan: &PivotPlan, devex: bool) -> LpResult<()> {
-        self.fenced().primal_apply(plan, devex)
+    fn primal_run(
+        &mut self,
+        view: ProblemView<'_>,
+        basis: &mut Basis,
+        cfg: &PrimalConfig,
+        run: &mut PrimalRun,
+    ) -> LpResult<()> {
+        if std::mem::take(&mut self.bland) {
+            self.handbacks.set(self.handbacks.get() + 1);
+        }
+        self.fenced().primal_run(view, basis, cfg, run)
     }
     fn dual_run(
         &mut self,
         view: ProblemView<'_>,
         basis: &mut Basis,
         cfg: &DualConfig,
-        budget: usize,
-    ) -> LpResult<(Option<DualOutcome>, usize)> {
-        self.fenced().dual_run(view, basis, cfg, budget)
+        polish: Option<&PrimalConfig>,
+        at: &mut Progress,
+    ) -> LpResult<Option<DualOutcome>> {
+        self.fenced().dual_run(view, basis, cfg, polish, at)
     }
 }
 
@@ -316,20 +329,23 @@ fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// `knapsack(30)`: the root, 100 warm bound re-solves, two cut rounds with
-/// re-solves on the grown matrix, and a child whose fixings overfill the
-/// knapsack, the dual phases refactoring every `refactor_every` pivots.
-/// Returns every solve, and the refactorizations the solves made.
+/// `m`: the root, 100 warm bound re-solves, two cut rounds with re-solves
+/// on the grown matrix, and a child whose fixings violate the first cut,
+/// the dual phases refactoring every `refactor_every` pivots and
+/// the primal ones switching to Bland's rule after `bland_after`
+/// degenerate iterations. Returns every solve, and the refactorizations the
+/// solves made.
 fn branch_and_cut<E: SimplexEngine>(
+    m: &MipInstance,
     pricing: PricingRule,
-    refactor_every: usize,
+    (refactor_every, bland_after): (usize, usize),
     make: impl FnOnce(&DenseMatrix) -> E,
 ) -> (Vec<Solved>, u64) {
-    let m = knapsack(30, 0.5, 11);
     let mut cfg = LpConfig::standard();
     cfg.primal.pricing = pricing;
+    cfg.primal.bland_after = bland_after;
     cfg.dual.base.refactor_every = refactor_every;
-    let mut lp = LpSolver::new(StandardLp::from_instance(&m, &[]), cfg, make);
+    let mut lp = LpSolver::new(StandardLp::from_instance(m, &[]), cfg, make);
     let mut solves = Vec::new();
     let mut keep = |lp: &LpSolver<E>, sol: gmip_lp::LpSolution| {
         solves.push((
@@ -429,10 +445,15 @@ fn device<M: Storage>(accel: Accel) -> impl FnOnce(&DenseMatrix) -> DeviceSimple
     move |a| DeviceSimplex::new(accel, a).expect("device upload")
 }
 
-fn fenced<M: Storage>(accel: Accel) -> impl FnOnce(&DenseMatrix) -> Fenced<DeviceSimplex<M>> {
+fn fenced<'c, M: Storage>(
+    accel: Accel,
+    handbacks: &'c Cell<usize>,
+) -> impl FnOnce(&DenseMatrix) -> Fenced<'c, DeviceSimplex<M>> + 'c {
     move |a| Fenced {
         inner: DeviceSimplex::new(accel.clone(), a).expect("device upload"),
         accel,
+        handbacks,
+        bland: false,
     }
 }
 
@@ -446,30 +467,51 @@ fn primitives<'c, M: Storage>(
     }
 }
 
-/// Both pricing rules, with the dual's default refactorization interval
-/// and with one of two pivots, which splits the longer dual phases into
-/// several runs.
+/// Both pricing rules on `knapsack(30)`, with the default refactorization
+/// interval and Bland switch and with a refactorization every two dual
+/// pivots, which splits the longer dual phases into several runs; and on
+/// the degenerate `set_cover(10, 10)` with the switch to Bland's rule after
+/// two degenerate primal iterations, which hands primal runs to the host
+/// and back in the middle of a solve.
 fn branch_and_cut_agrees<M: Storage>() {
     let _g = gate();
+    let standard = PrimalConfig::default();
+    let (knapsack, degenerate) = (knapsack(30, 0.5, 11), set_cover(10, 10, 0.4, 3));
     for pricing in [PricingRule::Dantzig, PricingRule::Devex] {
-        for refactor_every in [DualConfig::standard().base.refactor_every, 2] {
-            let fused =
-                observed(|accel| branch_and_cut(pricing, refactor_every, device::<M>(accel)));
+        for (mip, knobs) in [
+            (&knapsack, (standard.refactor_every, standard.bland_after)),
+            (&knapsack, (2, standard.bland_after)),
+            (&degenerate, (standard.refactor_every, 2)),
+        ] {
+            let fused = observed(|accel| branch_and_cut(mip, pricing, knobs, device::<M>(accel)));
             let bland = Cell::new(0);
             let by_primitive = observed(|accel| {
-                branch_and_cut(pricing, refactor_every, primitives::<M>(accel, &bland))
+                branch_and_cut(mip, pricing, knobs, primitives::<M>(accel, &bland))
             });
             let pivots = fused.0 .0.iter().map(|s| s.1).sum::<usize>();
             assert!(pivots > 80, "{pivots} pivots to compare");
-            if refactor_every == 2 {
+            if knobs.0 == 2 {
                 assert!(fused.0 .1 > 0, "no dual phase crossed a refactorization");
             }
-            let what = format!("{pricing:?}, refactor every {refactor_every}");
+            let what = format!(
+                "{pricing:?}, refactor every {}, Bland after {}",
+                knobs.0, knobs.1
+            );
             assert_fused_is_primitives(&what, true, &fused, &by_primitive);
-            assert_eq!(bland.get(), 0, "a knapsack LP needs no Bland pivot");
-            let by_fence =
-                observed(|accel| branch_and_cut(pricing, refactor_every, fenced::<M>(accel)));
+            let handbacks = Cell::new(0);
+            let by_fence = observed(|accel| {
+                branch_and_cut(mip, pricing, knobs, fenced::<M>(accel, &handbacks))
+            });
             assert_held_is_fenced(&what, &fused, &by_fence);
+            if knobs.1 == 2 {
+                assert!(bland.get() > 0, "{what}: no Bland pivot");
+                assert!(
+                    handbacks.get() > 0,
+                    "{what}: Bland's rule never handed back"
+                );
+            } else {
+                assert_eq!(bland.get(), 0, "a knapsack LP needs no Bland pivot");
+            }
         }
     }
 }
@@ -501,8 +543,17 @@ fn unbounded_agrees<M: Storage>() {
                 primitives::<M>(accel, &bland),
             )
         });
-        let by_fence =
-            observed(|accel| slack_start(&rows, &c, &b, f64::INFINITY, &cfg, fenced::<M>(accel)));
+        let handbacks = Cell::new(0);
+        let by_fence = observed(|accel| {
+            slack_start(
+                &rows,
+                &c,
+                &b,
+                f64::INFINITY,
+                &cfg,
+                fenced::<M>(accel, &handbacks),
+            )
+        });
         let what = format!("unbounded {pricing:?}");
         assert_fused_is_primitives(&what, true, &fused, &by_primitive);
         assert_held_is_fenced(&what, &fused, &by_fence);
@@ -545,8 +596,17 @@ fn bland_fallback_agrees<M: Storage>() {
         let what = format!("bland {pricing:?}");
         assert_fused_is_primitives(&what, pivots > 0, &fused, &by_primitive);
         assert!(bland.get() > 0, "{pricing:?} never reached Bland's rule");
-        let by_fence =
-            observed(|accel| slack_start(&rows, &c, &b, f64::INFINITY, &cfg, fenced::<M>(accel)));
+        let handbacks = Cell::new(0);
+        let by_fence = observed(|accel| {
+            slack_start(
+                &rows,
+                &c,
+                &b,
+                f64::INFINITY,
+                &cfg,
+                fenced::<M>(accel, &handbacks),
+            )
+        });
         assert_held_is_fenced(&what, &fused, &by_fence);
     }
 }
@@ -564,7 +624,9 @@ fn random_lp_agrees<M: Storage>(pricing: PricingRule, rows: &[Vec<f64>], c: &[f6
     let bland = Cell::new(0);
     let by_primitive =
         observed(|accel| slack_start(rows, c, b, 8.0, &cfg, primitives::<M>(accel, &bland)));
-    let by_fence = observed(|accel| slack_start(rows, c, b, 8.0, &cfg, fenced::<M>(accel)));
+    let handbacks = Cell::new(0);
+    let by_fence =
+        observed(|accel| slack_start(rows, c, b, 8.0, &cfg, fenced::<M>(accel, &handbacks)));
     let what = format!("{pricing:?}");
     assert_fused_is_primitives(&what, false, &fused, &by_primitive);
     assert_held_is_fenced(&what, &fused, &by_fence);

@@ -205,11 +205,14 @@ fn batched_wave_matches_host_on_seeded_suite() {
 
 /// The batched wave must also agree on the catalog suite, and its fused
 /// launches must undercut the per-lane concurrent evaluator at the same
-/// width on an instance big enough to branch. The width is sixteen (350
-/// fused launches to 361): a device engine's pivot is one launch, and the
-/// wave pays one per kernel class per superstep, so its saving starts where
-/// enough lanes share each launch (at eight it launches more, 455 to 349,
-/// and is already the faster in simulated time, 5.11 ms to 6.62).
+/// width on an instance big enough to branch. A device engine's node LP is
+/// one launch per pivot and one read-back, and the wave pays one launch per
+/// kernel class per superstep, so its saving starts where enough lanes share
+/// each launch, on a tree wide enough to keep them busy: `knapsack(20)` at
+/// sixty-four lanes (471 fused launches to 1213, 7.57 ms to 10.31 in
+/// simulated time; at thirty-two, 705 to 1209 but 10.02 ms to 10.01). On
+/// `knapsack(16)` the per-lane evaluator launches less at every width (253
+/// to 350 at sixteen).
 #[test]
 fn batched_wave_agrees_on_catalog_and_undercuts_per_lane() {
     use gmip::core::{solve_batched_wave, solve_concurrent, BatchedWaveConfig, ConcurrentConfig};
@@ -234,8 +237,8 @@ fn batched_wave_agrees_on_catalog_and_undercuts_per_lane() {
             expected
         );
     }
-    let instance = gmip::problems::generators::knapsack(16, 0.5, 21);
-    let lanes = 16;
+    let instance = gmip::problems::generators::knapsack(20, 0.5, 21);
+    let lanes = 64;
     let per_lane = solve_concurrent(
         &instance,
         &ConcurrentConfig {

@@ -55,6 +55,12 @@
 //! makespan in `concurrent_lanes`, the event order in the five cluster
 //! pins; `measurements/PR-33.md` lists every old and new string.
 //!
+//! The same six again at the commit that makes a node LP one submission
+//! (the child of `5052941`: a warm re-solve's dual run, re-install and
+//! polish share one chain, and a primal run is one chain too). Launches and
+//! makespan in `concurrent_lanes`, the event order in the five cluster pins;
+//! `measurements/PR-34.md` lists every old and new string.
+//!
 //! The chaos plans pin the hierarchy's recovery paths — `evacuate_group`,
 //! `reassign` and the steal-deny backoff — which no benchmark workload
 //! reaches. The last test is the cost side of the same contract: a frontier
@@ -161,7 +167,7 @@ fn flat_64_dynamic() {
     let r = solve_parallel(&cluster_instance(), pcfg(64)).expect("flat solve");
     assert_eq!(
         flat_pin(&r),
-        "obj=409aec0000000000 nodes=1303 msgs=2606 launches=4234 makespan=4142767f44444441"
+        "obj=409aec0000000000 nodes=1303 msgs=2606 launches=2932 makespan=41353cb4ccccccc9"
     );
 }
 
@@ -174,7 +180,7 @@ fn flat_64_static() {
     let r = solve_parallel(&cluster_instance(), cfg).expect("static flat solve");
     assert_eq!(
         flat_pin(&r),
-        "obj=409aec0000000000 nodes=2518 msgs=5036 launches=8170 makespan=41621dbaf258c066"
+        "obj=409aec0000000000 nodes=2500 msgs=5000 launches=5614 makespan=4156b491e4b18018"
     );
 }
 
@@ -183,7 +189,7 @@ fn hier_256x16_plain() {
     let r = hier(None);
     assert_eq!(r.hier.max_evaluations_per_node, 1);
     assert!(r.hier.steals > 0 && r.hier.steal_denied > 0);
-    assert_eq!(hier_pin(&r), "obj=409aec0000000000 nodes=2460 msgs=5646 root=726 steals=5 stolen=14 denied=184 reassigned=0 evacuated=0 launches=7978 makespan=4142a62eccccccc1");
+    assert_eq!(hier_pin(&r), "obj=409aec0000000000 nodes=2480 msgs=5702 root=742 steals=18 stolen=34 denied=183 reassigned=0 evacuated=0 launches=5575 makespan=4135a48b99999997");
 }
 
 #[test]
@@ -200,7 +206,7 @@ fn hier_256x16_sub_crash() {
         "evacuate_group not reached"
     );
     assert!(r.stats.faults.reassignments > 0, "reassign not reached");
-    assert_eq!(hier_pin(&r), "obj=409aec0000000000 nodes=2393 msgs=5662 root=836 steals=14 stolen=42 denied=206 reassigned=2 evacuated=18 launches=7804 makespan=414327569c75cdaf");
+    assert_eq!(hier_pin(&r), "obj=409aec0000000000 nodes=2402 msgs=5719 root=841 steals=27 stolen=53 denied=192 reassigned=1 evacuated=61 launches=5471 makespan=4136294c35dd7c35");
 }
 
 #[test]
@@ -218,7 +224,7 @@ fn hier_256x16_kill_group() {
         "evacuate_group not reached"
     );
     assert!(r.stats.faults.reassignments > 0, "reassign not reached");
-    assert_eq!(hier_pin(&r), "obj=409aec0000000000 nodes=2318 msgs=5551 root=749 steals=4 stolen=8 denied=194 reassigned=110 evacuated=10 launches=7688 makespan=41439b31bf258bf2");
+    assert_eq!(hier_pin(&r), "obj=409aec0000000000 nodes=2499 msgs=5949 root=774 steals=20 stolen=36 denied=174 reassigned=117 evacuated=27 launches=5740 makespan=4137023599999993");
 }
 
 #[test]
@@ -270,7 +276,7 @@ fn concurrent_lanes() {
             r.device.kernel_launches,
             r.makespan_ns.to_bits(),
         ),
-        "obj=4008000000000000 nodes=1113 waves=280 launches=4248 makespan=41855ccfd44440c3"
+        "obj=4008000000000000 nodes=1113 waves=280 launches=3465 makespan=417d2e72e8888154"
     );
 }
 

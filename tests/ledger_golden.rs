@@ -54,13 +54,21 @@
 //! is the D2H transfer count, H2D bytes (`8(5n + 4m)` per upload), modelled
 //! memory (two more resident vectors) and the clock; launches, D2H bytes,
 //! iterations and optima did not.
+//!
+//! Re-recorded a seventh time at the commit that makes a node LP one
+//! submission (the child of `5052941`): a warm re-solve's dual run, the
+//! re-install and the polish are one chain and one read-back, and a primal
+//! run is one chain. What moved is launches, the D2H transfer count and the
+//! clock (and, in the four-rank cluster, the transfer and kernel time sums);
+//! peak bytes, allocation counts, H2D transfers and bytes, D2H bytes,
+//! iterations and optima did not.
 
 use gmip::core::{solve_concurrent, ConcurrentConfig};
 use gmip::gpu::{Accel, CostModel, DeviceConfig};
 use gmip::linalg::DenseMatrix;
 use gmip::lp::dual::DualConfig;
 use gmip::lp::dual::DualOutcome;
-use gmip::lp::engine::{PivotPlan, PrimalPick};
+use gmip::lp::engine::{PivotPlan, PrimalRun, Progress};
 use gmip::lp::{
     Basis, BatchedWaveEngine, BoundChange, DeviceEngine, LpConfig, LpResult, LpSolution, LpSolver,
     LpStatus, PricingRule, PrimalConfig, ProblemView, RecordingEngine, SimplexEngine,
@@ -139,20 +147,23 @@ fn crossing<R>(accel: &Accel, what: &str, f: impl FnOnce() -> R) -> (R, Grew) {
 /// held, and the next one continues it. An install is at most one upload,
 /// of `8(5n + 4m)` bytes: exactly one for the engine's first install and the
 /// first after a cut, none when what it changes of the vectors the device
-/// holds rides its first kernel as arguments. A primal select is exactly
-/// one read-back, whether it finds a pivot or ends the solve; an apply or a
-/// bound flip no crossing (so it is held); `basic_values` after a terminal
-/// select nothing at all. So a primal pivot is one launch and one crossing.
-/// A dual run is one read-back however many pivots it makes, and relaunches
-/// once per iteration after its first. Per solve ([`LinkChecked::solved`])
-/// the chain launches are the chains that read back, plus one if the solve
-/// ends on a held chain (less one if it began on one). The pivot-shaped
-/// calls are forwarded as such, so the drivers reach `inner`'s overrides —
-/// and never gather a pivot entry.
+/// holds rides its first kernel as arguments. A primal or a dual run is
+/// exactly one read-back however many iterations it makes, and relaunches
+/// once per device-side iteration after its first; a dual run that goes on
+/// into the polish counts the polish's selects after the first among them,
+/// the first riding the dual run's last iteration. `basic_values` after a
+/// terminal select crosses nothing at all; a bound flip or a pivot a
+/// Bland iteration applies crosses nothing (so it is held). Per solve
+/// ([`LinkChecked::solved`]) the chain launches are the chains that read
+/// back, plus one if the solve ends on a held chain (less one if it began on
+/// one), and a warm re-solve reads back exactly once. The run-shaped calls
+/// are forwarded as such, so the drivers reach `inner`'s overrides — and
+/// never gather a pivot entry.
 struct LinkChecked<E> {
     inner: E,
     accel: Accel,
-    /// Calls checked: installs, cuts, selects, pivots + flips, Devex updates.
+    /// Steps checked: installs, cuts, selects, pivots + flips, and the
+    /// iterations priced by Devex.
     seen: [usize; 5],
     /// Installs that uploaded, and whether the next one must (nothing, or
     /// a matrix of another shape, is resident).
@@ -262,8 +273,8 @@ impl<E: SimplexEngine> LinkChecked<E> {
 
     /// Closes the books on one solve: its launches are its chains that read
     /// back, plus one if it ends on a held chain, less one if it began on
-    /// one (a cut appended since the last solve).
-    fn solved(&mut self) {
+    /// one (a cut appended since the last solve). Returns its read-backs.
+    fn solved(&mut self) -> u64 {
         let [launches, read_back] = std::mem::take(&mut self.solve);
         assert_eq!(
             launches + u64::from(self.began_held),
@@ -271,6 +282,7 @@ impl<E: SimplexEngine> LinkChecked<E> {
             "a solve's launches against its read-backs"
         );
         self.began_held = self.held;
+        read_back
     }
 }
 
@@ -368,42 +380,79 @@ impl<E: SimplexEngine> SimplexEngine for LinkChecked<E> {
     fn devex_update(&mut self, q: usize, leaving_j: usize) -> LpResult<()> {
         self.checked("devex_update", |e| e.devex_update(q, leaving_j))
     }
-    fn primal_select(&mut self, cfg: &PrimalConfig, basis: &Basis) -> LpResult<Option<PrimalPick>> {
-        self.seen[2] += 1;
-        let pick = self.round_trip("primal_select", 1, |e| e.primal_select(cfg, basis));
-        self.terminal = matches!(pick, Ok(None));
-        pick
-    }
-    fn primal_apply(&mut self, plan: &PivotPlan, devex: bool) -> LpResult<()> {
-        self.seen[3] += 1;
-        self.seen[4] += usize::from(devex);
-        self.on_device("primal_apply", |e| e.primal_apply(plan, devex))
+    fn primal_run(
+        &mut self,
+        view: ProblemView<'_>,
+        basis: &mut Basis,
+        cfg: &PrimalConfig,
+        run: &mut PrimalRun,
+    ) -> LpResult<()> {
+        let from = *run;
+        let ((out, to), grew) = self.relaunching(
+            "primal_run",
+            |e| (e.primal_run(view, basis, cfg, run), *run),
+            |(out, to)| out.as_ref().map_or(0, |()| selects(from, *to) - 1),
+        );
+        if out.is_ok() {
+            assert!(grew.kernels, "primal_run: no kernel ran");
+            assert_eq!(grew.link, [0, 1], "primal_run: crossings [H2D, D2H]");
+            self.ran(from, to, cfg);
+        }
+        out
     }
     fn dual_run(
         &mut self,
         view: ProblemView<'_>,
         basis: &mut Basis,
         cfg: &DualConfig,
-        budget: usize,
-    ) -> LpResult<(Option<DualOutcome>, usize)> {
-        // Selects run: one per pivot, and one more if the run ended the
-        // solve rather than its budget.
-        let selects = |run: &LpResult<(Option<DualOutcome>, usize)>| {
-            run.as_ref()
-                .map_or(0, |&(end, pivots)| pivots + usize::from(end.is_some()))
+        polish: Option<&PrimalConfig>,
+        at: &mut Progress,
+    ) -> LpResult<Option<DualOutcome>> {
+        let from = *at;
+        // The device iterates once per dual pivot, once more if the run
+        // ended the dual phase, and once per polish select after the
+        // first, which rides the dual phase's last iteration.
+        let iterations = |end: &Option<DualOutcome>, at: &Progress| {
+            let polish = at.polish.filter(|_| from.polish.is_none());
+            let polish = polish.map_or(0, |run| selects(PrimalRun::default(), run) - 1);
+            (at.dual - from.dual + usize::from(end.is_some())) as u64 + polish
         };
-        let (run, grew) = self.relaunching(
+        let ((out, at_end), grew) = self.relaunching(
             "dual_run",
-            |e| e.dual_run(view, basis, cfg, budget),
-            |run| selects(run).saturating_sub(1) as u64,
+            |e| (e.dual_run(view, basis, cfg, polish, at), *at),
+            |(out, at)| out.as_ref().map_or(0, |end| iterations(end, at) - 1),
         );
-        if let Ok((_, pivots)) = run {
+        let at = at_end;
+        if let Ok(end) = out {
             assert!(grew.kernels, "dual_run: no kernel ran");
             assert_eq!(grew.link, [0, 1], "dual_run: crossings [H2D, D2H]");
-            self.seen[2] += selects(&run);
-            self.seen[3] += pivots;
+            self.seen[2] += at.dual - from.dual + usize::from(end.is_some());
+            self.seen[3] += at.dual - from.dual;
+            if let (None, Some(run), Some(cfg)) = (from.polish, at.polish, polish) {
+                self.ran(PrimalRun::default(), run, cfg);
+            }
         }
-        run
+        out
+    }
+}
+
+/// The selects a primal run made going from `from` to `to`: one per
+/// iteration, and one more if it ended the solve.
+fn selects(from: PrimalRun, to: PrimalRun) -> u64 {
+    (to.iters - from.iters + usize::from(to.outcome.is_some())) as u64
+}
+
+impl<E> LinkChecked<E> {
+    /// Books a primal run from `from` to `to`: its selects and iterations,
+    /// the iterations Devex priced, and whether its terminal select left
+    /// `x_B` staged for the `basic_values` that follows.
+    fn ran(&mut self, from: PrimalRun, to: PrimalRun, cfg: &PrimalConfig) {
+        self.seen[2] += selects(from, to) as usize;
+        self.seen[3] += to.iters - from.iters;
+        if cfg.pricing == PricingRule::Devex {
+            self.seen[4] += to.iters - from.iters;
+        }
+        self.terminal = to.outcome == Some(gmip::lp::simplex::PrimalOutcome::Optimal);
     }
 }
 
@@ -426,9 +475,9 @@ fn engine_ledger<E: SimplexEngine>(
             LinkChecked::new(engine(factory_accel.clone(), a), factory_accel.clone())
         });
         let mut count = |lp: &mut LpSolver<LinkChecked<E>>, sol: LpSolution| {
-            lp.engine_mut().solved();
             iterations += sol.iterations;
             optimal += usize::from(sol.status == LpStatus::Optimal);
+            lp.engine_mut().solved()
         };
         let root = lp.solve().expect("root LP");
         count(&mut lp, root);
@@ -437,7 +486,8 @@ fn engine_ledger<E: SimplexEngine>(
             for to in [lb, ub] {
                 lp.set_var_bounds(j, lb, to).expect("structural column");
                 let sol = lp.resolve().expect("warm resolve");
-                count(lp, sol);
+                // The dual run, the re-install and the polish: one chain.
+                assert_eq!(count(lp, sol), 1, "a warm re-solve's read-backs");
             }
         };
         for k in 0..50 {
@@ -454,7 +504,7 @@ fn engine_ledger<E: SimplexEngine>(
             }
         }
         // The run covers what the rule is about: warm installs, both cuts,
-        // pivots, and the Devex weight update exactly when Devex prices.
+        // pivots, and Devex-priced iterations exactly when Devex prices.
         let [installs, cuts, selects, steps, devex] = lp.engine().seen;
         assert!(
             installs > 125 && steps > 100 && selects > steps,
@@ -466,7 +516,7 @@ fn engine_ledger<E: SimplexEngine>(
         assert_eq!(
             devex > 0,
             pricing == PricingRule::Devex,
-            "{devex} Devex updates"
+            "{devex} Devex-priced iterations"
         );
     }
     format!(
@@ -488,10 +538,10 @@ fn dense_and_csr_engines_root_branch_cut() {
     assert_eq!(
         got,
         [
-            "optimal=125 iters=146 peak=4640 allocs=2713 used=0 launches=396 h2d=6/7272 d2h=295/13744 ns=415793dedcba9953",
-            "optimal=125 iters=146 peak=4344 allocs=2461 used=0 launches=396 h2d=6/6984 d2h=295/13744 ns=4157941aee93ea01",
-            "optimal=125 iters=145 peak=4640 allocs=2594 used=0 launches=395 h2d=6/7272 d2h=294/13704 ns=4157822b579be0f5",
-            "optimal=125 iters=145 peak=4344 allocs=2342 used=0 launches=395 h2d=6/6984 d2h=294/13704 ns=41578269756256de",
+            "optimal=125 iters=146 peak=4640 allocs=2713 used=0 launches=272 h2d=6/7272 d2h=126/13744 ns=414ab175b97531b0",
+            "optimal=125 iters=146 peak=4344 allocs=2461 used=0 launches=272 h2d=6/6984 d2h=126/13744 ns=414ab1eddd27d2a8",
+            "optimal=125 iters=145 peak=4640 allocs=2594 used=0 launches=271 h2d=6/7272 d2h=126/13704 ns=414aa196af37c0fd",
+            "optimal=125 iters=145 peak=4344 allocs=2342 used=0 launches=271 h2d=6/6984 d2h=126/13704 ns=414aa212eac4ac64",
         ]
     );
 }
@@ -570,7 +620,7 @@ fn two_engines_share_one_device() {
             r.supersteps,
             ledger_pin(&accel)
         ),
-        "obj=4008000000000000 nodes=1113 waves=557 peak=16040 allocs=32293 used=0 launches=4248 h2d=4/11440 d2h=1907/238808 ns=4186afbae1c7188b"
+        "obj=4008000000000000 nodes=1113 waves=557 peak=16040 allocs=32293 used=0 launches=3465 h2d=4/11440 d2h=1114/238808 ns=417fd5586e38da92"
     );
 }
 
@@ -602,6 +652,6 @@ fn four_rank_cluster() {
             m.counter("gpu.transfer.ns").to_bits(),
             r.stats.makespan_ns.to_bits(),
         ),
-        "obj=409aec0000000000 nodes=1295 peak=3672 launches=4209 h2d=9344 d2h=152104 kernel_ns=41800f7d617e4d4c transfer_ns=417937ebe0000010 makespan=416fdd92ad3a07a7"
+        "obj=409aec0000000000 nodes=1295 peak=3672 launches=2915 h2d=9344 d2h=152104 kernel_ns=41763fa2c2fc9994 transfer_ns=4168e5c1bffffff0 makespan=4163df391c28f7ba"
     );
 }

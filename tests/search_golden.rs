@@ -58,6 +58,12 @@
 //! read-back, and the full `l` and `u` join the resident record). Outside
 //! the discrete-event clusters only H2D bytes and simulated times moved;
 //! `measurements/PR-33.md` has every old and new string.
+//!
+//! The same five again at the commit that makes a node LP one submission
+//! (the child of `5052941`; a warm re-solve's dual run, re-install and
+//! polish share one chain, and a primal run is one chain too). Outside the
+//! discrete-event clusters only launches and simulated times moved;
+//! `measurements/PR-34.md` has every old and new string.
 
 use gmip::core::{
     solve_batched_wave, solve_first_order_wave, BatchedWaveConfig, FirstOrderWaveConfig, MipConfig,
@@ -208,7 +214,7 @@ fn host_solver_propagate_fix_and_propagate() {
             "Optimal obj=4095480000000000 nodes=311 lp_iters=866 cuts=19 heur=2 sim=40b3da0000000026 x=0befc885e76ecb37 tree=d7c214b3cc40094b incumbents=3 first=4045b33333333334",
             "Optimal obj=4034000000000000 nodes=1 lp_iters=36 cuts=6 heur=0 sim=403ecccccccccccd x=308352d4f9fa3add tree=7229a2988ab6195d incumbents=1 first=403ecccccccccccd",
             "Optimal obj=4008000000000000 nodes=47 lp_iters=612 cuts=37 heur=1 sim=409593d70a3d70a0 x=b175fafd354b0935 tree=a5bdff4b0805c8e9 incumbents=1 first=4061199999999999",
-            "Optimal obj=4008000000000000 nodes=47 lp_iters=612 cuts=37 heur=1 sim=4164f416ecb2cae4 x=b175fafd354b0935 tree=a5bdff4b0805c8e9 incumbents=1 first=414bc117a400a622",
+            "Optimal obj=4008000000000000 nodes=47 lp_iters=612 cuts=37 heur=1 sim=41630cc8ecb2cae4 x=b175fafd354b0935 tree=a5bdff4b0805c8e9 incumbents=1 first=414a2ebfa400a61e",
         ]
     );
 }
@@ -259,9 +265,9 @@ fn flat_cluster_seed_solution() {
     assert_eq!(
         got,
         [
-            "Optimal obj=4091500000000000 nodes=821 msgs=1642 bytes=310856 launches=2655 makespan=415654438e38e42e x=b53a3110292eaa1d seeds=0 first=4139edff3c4d5e6f",
-            "Optimal obj=4091500000000000 nodes=821 msgs=1642 bytes=305728 launches=2655 makespan=4156543338e38ed8 x=b53a3110292eaa1d seeds=1 first=0000000000000000",
-            "Optimal obj=4091500000000000 nodes=821 msgs=1642 bytes=310856 launches=2655 makespan=415654438e38e42e x=b53a3110292eaa1d seeds=1 first=0000000000000000",
+            "Optimal obj=4091500000000000 nodes=821 msgs=1642 bytes=310856 launches=1836 makespan=414b857e71c71c7a x=b53a3110292eaa1d seeds=0 first=412e305123456770",
+            "Optimal obj=4091500000000000 nodes=821 msgs=1642 bytes=305728 launches=1836 makespan=414b855dc71c71d2 x=b53a3110292eaa1d seeds=1 first=0000000000000000",
+            "Optimal obj=4091500000000000 nodes=821 msgs=1642 bytes=310856 launches=1836 makespan=414b857e71c71c7a x=b53a3110292eaa1d seeds=1 first=0000000000000000",
         ]
     );
 }
@@ -305,9 +311,9 @@ fn clusters_propagate_dive() {
     assert_eq!(
         got,
         [
-            "Optimal obj=4091500000000000 nodes=819 msgs=1638 bytes=309856 launches=5861 makespan=41545d1844b6b20f x=b53a3110292eaa1d seeds=0 first=412b3bf3c42f762b",
-            "Optimal obj=4008000000000000 nodes=65 msgs=130 bytes=21232 launches=872 makespan=4132d1655a88dbc7 x=d4f5fafd354b0935 seeds=0 first=412462d99c335cd1",
-            "Optimal obj=4091500000000000 nodes=848 msgs=2352 root=656 steals=13 broadcasts=15 launches=6069 makespan=4154336536929c91 x=b53a3110292eaa1d first=412b47d66eda20d6",
+            "Optimal obj=4091500000000000 nodes=819 msgs=1638 bytes=309912 launches=5085 makespan=414e9cda53f3a5bf x=b53a3110292eaa1d seeds=0 first=41202033c42f762b",
+            "Optimal obj=4008000000000000 nodes=65 msgs=130 bytes=21232 launches=844 makespan=41308a7aa670cd73 x=d4f5fafd354b0935 seeds=0 first=411f7eb33866b99e",
+            "Optimal obj=4091500000000000 nodes=843 msgs=2239 root=553 steals=10 broadcasts=15 launches=5172 makespan=414d94e9862d2fb5 x=b53a3110292eaa1d first=41202c166eda20d6",
         ]
     );
 }
@@ -344,9 +350,9 @@ fn sparse_device_solver_with_cuts() {
     assert_eq!(
         got,
         [
-            "device-sparse Optimal obj=4053400000000000 nodes=1 lp_iters=102 cuts=0 heur=0 sim=413cf3f5be7f1af1 x=7b7b38c6cf34ac55 tree=e64ff0e2be1a8965 incumbents=1 first=413cf3f5be7f1af1 launches=104 h2d=10792 d2h=4752",
-            "device-sparse Optimal obj=4008000000000000 nodes=189 lp_iters=2404 cuts=37 heur=1 sim=41799361764daf7f x=2815fafd354b0935 tree=cfeec7557c92d10c incumbents=1 first=4173b028b8d15a6a launches=2765 h2d=28064 d2h=201816",
-            "device-sparse Optimal obj=40c46b8000000000 nodes=7 lp_iters=93 cuts=17 heur=0 sim=41417d8dc627fc22 x=edf2f148a6b7d615 tree=8305825bc71ad0e0 incumbents=1 first=414057d1c9cb0318 launches=133 h2d=40288 d2h=24368",
+            "device-sparse Optimal obj=4053400000000000 nodes=1 lp_iters=102 cuts=0 heur=0 sim=412b154b7cfe35ff x=7b7b38c6cf34ac55 tree=e64ff0e2be1a8965 incumbents=1 first=412b154b7cfe35ff launches=104 h2d=10792 d2h=4752",
+            "device-sparse Optimal obj=4008000000000000 nodes=189 lp_iters=2404 cuts=37 heur=1 sim=417748f4764dafdb x=2815fafd354b0935 tree=cfeec7557c92d10c incumbents=1 first=4172c54bb8d15aaa launches=2636 h2d=28064 d2h=201816",
+            "device-sparse Optimal obj=40c46b8000000000 nodes=7 lp_iters=93 cuts=17 heur=0 sim=4137625b8c4ff834 x=edf2f148a6b7d615 tree=8305825bc71ad0e0 incumbents=1 first=4135e9d393960635 launches=123 h2d=40288 d2h=24368",
         ]
     );
 }
@@ -410,14 +416,14 @@ fn device_engines_solve_resolve_cut() {
     assert_eq!(
         got,
         [
-            "Optimal obj=403bffffffffffff x=e2a82c3d5e7b3381 iters=51 launches=53 h2d=18864 d2h=2456 ns=412dd74a9d0369e4 | Optimal obj=403d000000000000 x=e83a3110292eaa1d iters=0 launches=55 h2d=18864 d2h=2688 ns=412ef17c44444459 | Optimal obj=403c800000000000 x=758a3110292eaa1d iters=1 launches=58 h2d=23648 d2h=2984 ns=4130750a83fb72f3",
-            "Optimal obj=403c000000000000 x=4e25edba5b029cda iters=51 launches=53 h2d=6296 d2h=2456 ns=412dc6be6473141a | Optimal obj=403d000000000000 x=e83a3110292eaa1d iters=0 launches=55 h2d=6296 d2h=2688 ns=412ee04c2c5f92e4 | Optimal obj=403c800000000000 x=758a3110292eaa1d iters=1 launches=58 h2d=10328 d2h=2984 ns=41306baf460dfa87",
-            "Optimal obj=403c000000000000 x=b1ea3110292eaa1d iters=42 launches=44 h2d=18864 d2h=2096 ns=4128ea233333334d | Optimal obj=403d000000000000 x=e83a3110292eaa1d iters=0 launches=46 h2d=18864 d2h=2328 ns=412a0452147ae162 | Optimal obj=403c800000000000 x=758a3110292eaa1d iters=1 launches=49 h2d=23648 d2h=2624 ns=412bfce8091a2b52",
-            "Optimal obj=403c000000000000 x=b1ea3110292eaa1d iters=42 launches=44 h2d=6296 d2h=2096 ns=4128d56bf7390d42 | Optimal obj=403d000000000000 x=683a3110292eaa1d iters=0 launches=46 h2d=6296 d2h=2328 ns=4129eef84c8e6298 | Optimal obj=403c800000000000 x=f58a3110292eaa1d iters=1 launches=49 h2d=10328 d2h=2624 ns=412be60a284f51df",
-            "Optimal obj=40c3e91498498498 x=7e7cac0d38c62ab1 iters=41 launches=43 h2d=22016 d2h=2120 ns=41285a72d3a06d1d | Optimal obj=40c47358dc8dc8dc x=468fd36f29b401a8 iters=1 launches=46 h2d=22016 d2h=2440 ns=4129b3eab851eb60 | Optimal obj=40c45c5222222222 x=875295d066b4d8ca iters=2 launches=50 h2d=27056 d2h=2824 ns=412bec1856789a94",
-            "Optimal obj=40c3e91498498498 x=7e7cac0d38c62ab1 iters=41 launches=43 h2d=6184 d2h=2120 ns=4128464c707a3ac4 | Optimal obj=40c47358dc8dc8dc x=468fd36f29b401a8 iters=1 launches=46 h2d=6184 d2h=2440 ns=41299e7c389055bb | Optimal obj=40c45c5222222222 x=875295d066b4d8ca iters=2 launches=50 h2d=10424 d2h=2824 ns=412bd455cc3b29ff",
-            "Optimal obj=40c3e91498498498 x=7e7cac0d38c62ab1 iters=41 launches=43 h2d=22016 d2h=2120 ns=4128638970a3d6e1 | Optimal obj=40c47358dc8dc8dc x=468fd36f29b401a8 iters=1 launches=46 h2d=22016 d2h=2440 ns=4129bcfe7d27d24c | Optimal obj=40c45c5222222222 x=875295d066b4d8ca iters=2 launches=50 h2d=27056 d2h=2824 ns=412bf5293a06d36c",
-            "Optimal obj=40c3e91498498498 x=7e7cac0d38c62ab1 iters=41 launches=43 h2d=6184 d2h=2120 ns=4128496ee52e52d1 | Optimal obj=40c47358dc8dc8dc x=468fd36f29b401a8 iters=1 launches=46 h2d=6184 d2h=2440 ns=4129a19a859b8cd6 | Optimal obj=40c45c5222222222 x=875295d066b4d8ca iters=2 launches=50 h2d=10424 d2h=2824 ns=412bd76f7b494e18",
+            "Optimal obj=403bffffffffffff x=e2a82c3d5e7b3381 iters=51 launches=53 h2d=18864 d2h=2456 ns=411c8dd53a06d3ba | Optimal obj=403d000000000000 x=e83a3110292eaa1d iters=0 launches=54 h2d=18864 d2h=2688 ns=411da8f8888888a3 | Optimal obj=403c800000000000 x=758a3110292eaa1d iters=1 launches=56 h2d=23648 d2h=2984 ns=4120407507f6e5e5",
+            "Optimal obj=403c000000000000 x=4e25edba5b029cda iters=51 launches=53 h2d=6296 d2h=2456 ns=411c6cbcc8e6280d | Optimal obj=403d000000000000 x=e83a3110292eaa1d iters=0 launches=54 h2d=6296 d2h=2688 ns=411d869858bf259b | Optimal obj=403c800000000000 x=758a3110292eaa1d iters=1 launches=56 h2d=10328 d2h=2984 ns=41202dbe8c1bf4fc",
+            "Optimal obj=403c000000000000 x=b1ea3110292eaa1d iters=42 launches=44 h2d=18864 d2h=2096 ns=411831c66666667b | Optimal obj=403d000000000000 x=e83a3110292eaa1d iters=0 launches=45 h2d=18864 d2h=2328 ns=41194ce428f5c2a5 | Optimal obj=403c800000000000 x=758a3110292eaa1d iters=1 launches=47 h2d=23648 d2h=2624 ns=411c24d012345694",
+            "Optimal obj=403c000000000000 x=b1ea3110292eaa1d iters=42 launches=44 h2d=6296 d2h=2096 ns=41180857ee721a5c | Optimal obj=403d000000000000 x=683a3110292eaa1d iters=0 launches=45 h2d=6296 d2h=2328 ns=41192230991cc507 | Optimal obj=403c800000000000 x=f58a3110292eaa1d iters=1 launches=47 h2d=10328 d2h=2624 ns=411bf714509ea38d",
+            "Optimal obj=40c3e91498498498 x=7e7cac0d38c62ab1 iters=41 launches=43 h2d=22016 d2h=2120 ns=4117aea5a740da7b | Optimal obj=40c47358dc8dc8dc x=468fd36f29b401a8 iters=1 launches=45 h2d=22016 d2h=2440 ns=4119485570a3d711 | Optimal obj=40c45c5222222222 x=875295d066b4d8ca iters=2 launches=48 h2d=27056 d2h=2824 ns=411c9f70acf1357f",
+            "Optimal obj=40c3e91498498498 x=7e7cac0d38c62ab1 iters=41 launches=43 h2d=6184 d2h=2120 ns=41178658e0f475b2 | Optimal obj=40c47358dc8dc8dc x=468fd36f29b401a8 iters=1 launches=45 h2d=6184 d2h=2440 ns=41191d787120aba8 | Optimal obj=40c45c5222222222 x=875295d066b4d8ca iters=2 launches=48 h2d=10424 d2h=2824 ns=411c6feb98765438",
+            "Optimal obj=40c3e91498498498 x=7e7cac0d38c62ab1 iters=41 launches=43 h2d=22016 d2h=2120 ns=4117c0d2e147ae16 | Optimal obj=40c47358dc8dc8dc x=468fd36f29b401a8 iters=1 launches=45 h2d=22016 d2h=2440 ns=41195a7cfa4fa4fc | Optimal obj=40c45c5222222222 x=875295d066b4d8ca iters=2 launches=48 h2d=27056 d2h=2824 ns=411cb192740da741",
+            "Optimal obj=40c3e91498498498 x=7e7cac0d38c62ab1 iters=41 launches=43 h2d=6184 d2h=2120 ns=41178c9dca5ca5c4 | Optimal obj=40c47358dc8dc8dc x=468fd36f29b401a8 iters=1 launches=45 h2d=6184 d2h=2440 ns=411923b50b3719d0 | Optimal obj=40c45c5222222222 x=875295d066b4d8ca iters=2 launches=48 h2d=10424 d2h=2824 ns=411c761ef6929c54",
         ]
     );
 }
