@@ -226,73 +226,12 @@ impl GpuDevice {
         Ok(())
     }
 
-    /// [`pivot::dual_pivot`] over resident statuses `σ` and the full `c`,
-    /// `l`, `u`: the scalars of a dual pivot, computed where the chain's
-    /// reductions left their operands (`xbr`, `alpha_rq`, the leaving and
-    /// entering columns). It is the argument setup of the
-    /// [`basic_step`](Self::basic_step) that applies them, charged there:
-    /// nothing of its own, and nothing crosses the link.
-    pub fn dual_pivot(
-        &self,
-        (xbr, alpha_rq, below): (f64, f64, bool),
-        (leaving, q): (usize, usize),
-        sigma: VectorHandle,
-        bounds: [VectorHandle; 3],
-    ) -> Result<pivot::Pivot> {
-        let sv = self.objects.vector(sigma)?;
-        let [cv, lv, uv] = self.resident(bounds, sv.len(), [leaving, q])?;
-        Ok(pivot::dual_pivot(
-            xbr,
-            alpha_rq,
-            below,
-            (leaving, q),
-            sv[q],
-            [cv, lv, uv],
-        ))
-    }
-
-    /// [`pivot::primal_step`] over the full resident `c`, `l`, `u`: a primal
-    /// iteration's flip or pivot, decided where the chain's reductions left
-    /// the entering column and the ratio test's result. Like
-    /// [`dual_pivot`](Self::dual_pivot), it is the argument setup of the
-    /// step that applies it: nothing is charged and nothing crosses.
-    pub fn primal_step(
-        &self,
-        (q, dir): (usize, f64),
-        limit: Option<(usize, f64, bool)>,
-        cols: &[usize],
-        bounds: [VectorHandle; 3],
-    ) -> Result<pivot::PrimalStep> {
-        let n = self.objects.vector(bounds[0])?.len();
-        let leaving = limit.map(|(row, ..)| cols.get(row).copied().unwrap_or(usize::MAX));
-        let [cv, lv, uv] = self.resident(bounds, n, [q, leaving.unwrap_or(q)])?;
-        Ok(pivot::primal_step((q, dir), limit, cols, [cv, lv, uv]))
-    }
-
     /// The lower bound of column `j`, or with `upper` its upper one, as an
     /// argument of the step kernel that stores it: read where it is
     /// resident, nothing charged, nothing crossing.
     pub fn bound(&self, [lb, ub]: [VectorHandle; 2], j: usize, upper: bool) -> Result<f64> {
         let v = self.objects.vector(if upper { ub } else { lb })?;
         v.get(j).copied().ok_or_else(|| out_of_bounds(j, v.len()))
-    }
-
-    /// Resident vectors of length `n`, each with the entries `at` in range.
-    fn resident<const N: usize>(
-        &self,
-        handles: [VectorHandle; N],
-        n: usize,
-        at: [usize; 2],
-    ) -> Result<[&[f64]; N]> {
-        let mut out = [&[][..]; N];
-        for (o, h) in out.iter_mut().zip(handles) {
-            *o = self.objects.vector(h)?;
-            same_len("pivot scalars", &[n, o.len()])?;
-        }
-        if let Some(&index) = at.iter().find(|&&i| i >= n) {
-            return Err(out_of_bounds(index, n));
-        }
-        Ok(out)
     }
 
     /// [`pivot::primal_infeasibility`] over resident `x_B`, `l_B`, `u_B`:

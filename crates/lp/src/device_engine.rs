@@ -9,35 +9,35 @@
 //! * basis assembly, factorization, eta updates, FTRAN/BTRAN, pricing, and
 //!   both ratio tests run on the device;
 //! * the simplex loops **run on the device**: [`SimplexEngine::primal_run`]
-//!   and [`SimplexEngine::dual_run`] are one call, one lock and one launch
-//!   chain ([`GpuDevice::chain`]) for every iteration up to the next
-//!   refactorization, each iteration after the first a relaunch
-//!   ([`GpuDevice::relaunch`]). An iteration *selects on the device*: the
-//!   index a reduction finds (`price → ftran_column → ratio_test` on the
-//!   primal side, `primal_infeas → btran_row → dual_ratio` and the two pivot
+//!   and [`SimplexEngine::dual_run`] are the trait's own default bodies,
+//!   run over one engine call — one lock and one launch chain
+//!   ([`GpuDevice::chain`]) for every iteration up to the next
+//!   refactorization. The call is itself a [`SimplexEngine`] whose
+//!   primitives are kernel sequences, and each select after its first (a
+//!   pricing or the primal infeasibility argmax, since the call began or
+//!   since an install) is a relaunch ([`GpuDevice::relaunch`]): the device
+//!   decides the next iteration from the last one's results. The index a
+//!   reduction finds (`price → ftran_column → ratio_test` on the primal
+//!   side, `primal_infeas → btran_row → dual_ratio` and the two pivot
 //!   entries on the dual one) is read by the chain's next kernel where the
-//!   reduction left it, and the step it decides — flip or pivot, and the
-//!   pivot's scalars — comes from [`gmip_linalg::pivot::primal_step`] or
-//!   [`gmip_linalg::pivot::dual_pivot`] over the resident statuses, costs
-//!   and bounds. What a pivot *stores* (the entering value, two statuses,
-//!   two nonbasic values, a cost and two bounds) rides its step kernel as
-//!   launch arguments, and the Devex weight update gathers its two scalars
-//!   on the device — "rank-1 updates and resolving the updated matrix
-//!   repeatedly with no data transfer from host to device or vice versa".
-//!   What each iteration stages (16–56 bytes) stays in the chain's one
-//!   envelope, which crosses the link **once**, behind the last kernel, and
-//!   from which the host replays the basis changes; a terminal primal select
-//!   adds `x_B`, and the `basic_values` that follows crosses nothing;
+//!   reduction left it. What a pivot *stores* (the entering value, two
+//!   statuses, two nonbasic values, a cost and two bounds) rides its step
+//!   kernel as launch arguments, and the Devex weight update gathers its
+//!   two scalars on the device — "rank-1 updates and resolving the updated
+//!   matrix repeatedly with no data transfer from host to device or vice
+//!   versa". What each iteration stages (16–56 bytes) stays in the chain's
+//!   one envelope, which crosses the link **once**, behind the last kernel;
+//!   a run that ends optimal adds `x_B`, and the `basic_values` that follows
+//!   crosses nothing;
 //! * a warm node LP is **one call**: a dual run given the polish's
 //!   configuration re-installs the basis it reached and runs the primal
 //!   polish in the same chain, the re-install and the polish's first select
 //!   riding the launch of the iteration that found `x_B` feasible. `k` dual
 //!   pivots and a polish that pivots no more are `k + 1` launches and one
-//!   read-back. The primitives the runs are made of remain engine calls of
-//!   their own for the trait's default bodies and the Bland fallback, whose
-//!   full reduced-cost read-back is the honest cost of choosing the column
-//!   on the host; a chain the host waits for nothing from (an install) is
-//!   *held*, and the next call continues it;
+//!   read-back. Each primitive is also an engine call of its own, for the
+//!   Bland fallback, whose full reduced-cost read-back is the honest cost
+//!   of choosing the column on the host; a chain the host waits for nothing
+//!   from (an install) is *held*, and the next call continues it;
 //! * a basis **install** (node start, refactorization) ships only what
 //!   changed: the small vectors it assembles on the host (`c`, `b`,
 //!   statuses, nonbasic values, basic costs and bounds, and the bounds of
@@ -81,18 +81,14 @@
 
 use crate::basis::Basis;
 use crate::dual::{DualConfig, DualOutcome};
-use crate::engine::{
-    devex_refused, dual_pivot_element, entering_dir, improving, nonbasic_at, PivotPlan, PrimalRun,
-    ProblemView, Progress, SimplexEngine,
-};
-use crate::simplex::{PricingRule, PrimalConfig, PrimalOutcome};
+use crate::engine::{devex_refused, PivotPlan, PrimalRun, ProblemView, Progress, SimplexEngine};
+use crate::simplex::{PrimalConfig, PrimalOutcome};
 use crate::{LpError, LpResult};
 use gmip_gpu::device::Result as GpuResult;
 use gmip_gpu::{
     Accel, Eta, GpuDevice, MatrixHandle, ScalarWrite, SparseHandle, Storage, StreamId,
     VectorHandle, DEFAULT_STREAM, LAUNCH_WRITES,
 };
-use gmip_linalg::pivot::PrimalStep;
 use gmip_linalg::DenseMatrix;
 
 /// An engine's resident objects on its device, created once and written in
@@ -311,12 +307,14 @@ struct Live {
     etas: usize,
 }
 
-/// One engine call's view of an installed engine: the handles its kernels
-/// name and the host-side record they keep. Each method is the kernel
-/// sequence of one [`SimplexEngine`] primitive, to be run inside the call's
-/// one launch chain ([`on_device`]) — alone for the primitive itself, back
-/// to back for a run.
+/// One engine call's view of an installed engine: the device it runs on,
+/// inside the call's one lock and launch chain ([`on_device`]), the handles
+/// its kernels name and the host-side record they keep. It is a
+/// [`SimplexEngine`] of its own: each primitive is the kernel sequence of
+/// that primitive, and a run is the trait's default body over one `Call`,
+/// its primitives back to back in the one chain.
 struct Call<'e, M> {
+    d: &'e mut GpuDevice,
     ws: Workspace<M>,
     a: M,
     st: StreamId,
@@ -324,51 +322,29 @@ struct Call<'e, M> {
     n: usize,
     live: &'e mut Live,
     stage: &'e mut Stage,
-    /// Where a terminal primal select leaves the `x_B` it staged.
-    staged_xb: &'e mut Option<Vec<f64>>,
+    /// Whether the call has made a select since it began or since its last
+    /// install.
+    selected: bool,
 }
 
 impl<M: Storage> Call<'_, M> {
-    /// A basis install: what it changes of the recorded vectors as the
-    /// arguments of its first kernel (or, with no record or too large a
-    /// change, all of them in one upload), then γ ← 1, the residual, the
-    /// factorization and `x_B`. The record is held again only once it
-    /// completes. Right after a run the delta is empty — every store a
-    /// pivot or a flip makes is one the record follows — so an install
-    /// inside a run's chain needs nothing from the host.
-    fn install(&mut self, d: &mut GpuDevice, view: ProblemView<'_>, basis: &Basis) -> LpResult<()> {
-        *self.live = Live::default();
-        let (ws, a, st) = (self.ws, self.a, self.st);
-        let assembled = self.stage.take(view, basis, Some(&ws));
-        let fits = assembled == Ok(true);
-        self.stage.held = false;
-        // The previous install's state goes first, whatever comes next; what
-        // the delta changes stays, to be changed in place.
-        ws.vacate_state(d, !fits);
-        assembled?;
-        let delta: &[ScalarWrite] = if fits {
-            &self.stage.delta
-        } else {
-            // Everything the install needs from the host crosses the link
-            // once.
-            let to = ws.recorded();
-            let parts: [_; 9] = std::array::from_fn(|k| (to[k], &self.stage.record[k][..]));
-            d.upload_staged(&parts, st)?;
-            &[]
-        };
-        with_scratch(d, [ws.w], |d| {
-            // Devex reference weights start at one; a delta rides the fill
-            // as its arguments.
-            d.fill(ws.gamma, self.n, 1.0, delta, st)?;
-            // Residual w = b − A x_nb, fully on device.
-            d.residual(ws.b, a, ws.x_nb, ws.w, st)?;
-            // Basis assembly + factorization, on device.
-            d.eta_factor(a, &basis.cols, ws.eta, st)?;
-            d.eta_ftran(ws.eta, ws.w, ws.xb, st)
-        })?;
-        self.stage.held = true;
-        self.live.installed = true;
-        Ok(())
+    /// Marks a select, the first kernel of a run's iteration. Each select
+    /// after the call's first (since it began or since an install) is a
+    /// relaunch: the device decides the next iteration from the last one's
+    /// results, not the host after a round trip.
+    fn select(&mut self) {
+        if std::mem::replace(&mut self.selected, true) {
+            self.d.relaunch();
+        }
+    }
+
+    /// `x_B`, read back in the call's envelope if a run ended `end` optimal:
+    /// what the `basic_values` that follows returns without crossing.
+    fn staged(&mut self, end: Option<PrimalOutcome>) -> LpResult<Option<Vec<f64>>> {
+        match end {
+            Some(PrimalOutcome::Optimal) => self.basic_values().map(Some),
+            _ => Ok(None),
+        }
     }
 
     /// The workspace, with an unconsumed FTRAN column in `alpha`.
@@ -390,42 +366,111 @@ impl<M: Storage> Call<'_, M> {
     /// Reduced costs `d = c − Aᵀy`, `Bᵀy = c_B`, into the `d` scratch for
     /// `reduce` to read; `scratch` is what the three of them tenant.
     fn priced<const N: usize, R>(
-        &self,
-        d: &mut GpuDevice,
+        &mut self,
         scratch: [VectorHandle; N],
         reduce: impl FnOnce(&mut GpuDevice) -> GpuResult<R>,
     ) -> LpResult<R> {
         let (ws, a, st) = (self.ws, self.a, self.st);
-        Ok(with_scratch(d, scratch, |d| {
+        Ok(with_scratch(self.d, scratch, |d| {
             d.eta_btran(ws.eta, ws.cb, ws.y, st)?;
             d.pricing(a, ws.y, ws.c, ws.d, st)?;
             reduce(d)
         })?)
     }
 
-    fn price(&self, d: &mut GpuDevice, rule: PricingRule) -> LpResult<Option<(usize, f64)>> {
+    /// The basic step along `alpha`, carrying `writes`; the record follows
+    /// the stores once the kernel has made them.
+    fn step(&mut self, dir: f64, t: f64, writes: &[ScalarWrite]) -> LpResult<()> {
+        let ws = self.alpha()?;
+        self.d
+            .basic_step(ws.xb, ws.alpha, dir, t, writes, self.st)?;
+        self.stage.note(&ws, writes);
+        Ok(())
+    }
+
+    /// Reads one vector entry back (staged, inside a chain).
+    fn entry(&mut self, of: VectorHandle, i: usize) -> LpResult<f64> {
+        Ok(self.d.vec_get([(of, i)], self.st).map(|[v]| v)?)
+    }
+}
+
+impl<M: Storage> SimplexEngine for Call<'_, M> {
+    fn m(&self) -> usize {
+        self.m
+    }
+
+    fn n(&self) -> usize {
+        self.n
+    }
+
+    /// A basis install: what it changes of the recorded vectors as the
+    /// arguments of its first kernel (or, with no record or too large a
+    /// change, all of them in one upload), then γ ← 1, the residual, the
+    /// factorization and `x_B`. The record is held again only once it
+    /// completes. Right after a run the delta is empty — every store a
+    /// pivot or a flip makes is one the record follows — so an install
+    /// inside a run's chain needs nothing from the host.
+    fn install(&mut self, view: ProblemView<'_>, basis: &Basis) -> LpResult<()> {
+        view.check(basis, self.m, self.n)?;
+        *self.live = Live::default();
+        self.selected = false;
+        let (ws, a, st, n) = (self.ws, self.a, self.st, self.n);
+        let assembled = self.stage.take(view, basis, Some(&ws));
+        let fits = assembled == Ok(true);
+        self.stage.held = false;
+        // The previous install's state goes first, whatever comes next; what
+        // the delta changes stays, to be changed in place.
+        ws.vacate_state(self.d, !fits);
+        assembled?;
+        let delta: &[ScalarWrite] = if fits {
+            &self.stage.delta
+        } else {
+            // Everything the install needs from the host crosses the link
+            // once.
+            let to = ws.recorded();
+            let parts: [_; 9] = std::array::from_fn(|k| (to[k], &self.stage.record[k][..]));
+            self.d.upload_staged(&parts, st)?;
+            &[]
+        };
+        with_scratch(self.d, [ws.w], |d| {
+            // Devex reference weights start at one; a delta rides the fill
+            // as its arguments.
+            d.fill(ws.gamma, n, 1.0, delta, st)?;
+            // Residual w = b − A x_nb, fully on device.
+            d.residual(ws.b, a, ws.x_nb, ws.w, st)?;
+            // Basis assembly + factorization, on device.
+            d.eta_factor(a, &basis.cols, ws.eta, st)?;
+            d.eta_ftran(ws.eta, ws.w, ws.xb, st)
+        })?;
+        self.stage.held = true;
+        self.live.installed = true;
+        Ok(())
+    }
+
+    /// No run grows the problem: a cut goes through the engine itself.
+    fn append_cut(&mut self, _row: &[f64], _col: &[f64]) -> LpResult<()> {
+        Err(LpError::Shape("append_cut inside an engine call".into()))
+    }
+
+    fn price(&mut self) -> LpResult<Option<(usize, f64)>> {
+        self.select();
         let (ws, st) = (self.ws, self.st);
-        match rule {
-            PricingRule::Dantzig => self.priced(d, [ws.y, ws.d, ws.score], |d| {
-                d.vec_mul(ws.d, ws.sigma, ws.score, st)?;
-                d.argmin_masked(ws.score, ws.sigma, st)
-            }),
-            PricingRule::Devex => self.priced(d, [ws.y, ws.d], |d| {
-                d.devex_argmax(ws.d, ws.sigma, ws.gamma, st)
-            }),
-        }
+        self.priced([ws.y, ws.d, ws.score], |d| {
+            d.vec_mul(ws.d, ws.sigma, ws.score, st)?;
+            d.argmin_masked(ws.score, ws.sigma, st)
+        })
     }
 
-    fn reduced_costs_host(&self, d: &mut GpuDevice) -> LpResult<Vec<f64>> {
+    fn reduced_costs_host(&mut self) -> LpResult<Vec<f64>> {
         // Honest full-vector D2H transfer (the Bland fallback's cost).
-        let ws = self.ws;
-        self.priced(d, [ws.y, ws.d], |d| d.download_vector(ws.d, self.st))
+        let (ws, st) = (self.ws, self.st);
+        self.priced([ws.y, ws.d], |d| d.download_vector(ws.d, st))
     }
 
-    fn ftran_column(&mut self, d: &mut GpuDevice, q: usize) -> LpResult<()> {
+    fn ftran_column(&mut self, q: usize) -> LpResult<()> {
         let (ws, a, st) = (self.ws, self.a, self.st);
         self.live.alpha = false;
-        with_scratch(d, [ws.col], |d| {
+        with_scratch(self.d, [ws.col], |d| {
             d.extract_column(a, q, ws.col, st)?;
             d.eta_ftran(ws.eta, ws.col, ws.alpha, st)
         })?;
@@ -433,52 +478,25 @@ impl<M: Storage> Call<'_, M> {
         Ok(())
     }
 
-    fn ratio_test(
-        &self,
-        d: &mut GpuDevice,
-        dir: f64,
-        tol: f64,
-    ) -> LpResult<Option<(usize, f64, bool)>> {
+    fn ratio_test(&mut self, dir: f64, tol: f64) -> LpResult<Option<(usize, f64, bool)>> {
         let ws = self.alpha()?;
-        Ok(d.ratio_test_bounded(ws.xb, ws.alpha, ws.lbb, ws.ubb, dir, tol, self.st)?)
+        Ok(self
+            .d
+            .ratio_test_bounded(ws.xb, ws.alpha, ws.lbb, ws.ubb, dir, tol, self.st)?)
     }
 
-    /// The basic step along `alpha`, carrying `writes`; the record follows
-    /// the stores once the kernel has made them.
-    fn step(
-        &mut self,
-        d: &mut GpuDevice,
-        dir: f64,
-        t: f64,
-        writes: &[ScalarWrite],
-    ) -> LpResult<()> {
-        let ws = self.alpha()?;
-        d.basic_step(ws.xb, ws.alpha, dir, t, writes, self.st)?;
-        self.stage.note(&ws, writes);
-        Ok(())
-    }
-
-    fn apply_flip(
-        &mut self,
-        d: &mut GpuDevice,
-        q: usize,
-        dir: f64,
-        t: f64,
-        new_sigma: f64,
-    ) -> LpResult<()> {
+    fn apply_flip(&mut self, q: usize, dir: f64, t: f64, new_sigma: f64) -> LpResult<()> {
         let ws = self.ws;
         // The bound the column lands on, read where it is resident.
-        let x = d.bound([ws.lb, ws.ub], q, new_sigma > 0.0)?;
-        self.step(d, dir, t, &[(ws.sigma, q, new_sigma), (ws.x_nb, q, x)])
+        let x = self.d.bound([ws.lb, ws.ub], q, new_sigma > 0.0)?;
+        self.step(dir, t, &[(ws.sigma, q, new_sigma), (ws.x_nb, q, x)])
     }
 
-    fn apply_pivot(&mut self, d: &mut GpuDevice, plan: &PivotPlan) -> LpResult<()> {
+    fn apply_pivot(&mut self, plan: &PivotPlan) -> LpResult<()> {
         let ws = self.alpha()?;
-        let st = self.st;
         // Everything the pivot stores besides the step rides the step
         // kernel as arguments, checked before x_B or the eta file move.
         self.step(
-            d,
             plan.dir,
             plan.t,
             &[
@@ -492,11 +510,11 @@ impl<M: Storage> Call<'_, M> {
                 (ws.x_nb, plan.q, 0.0),
             ],
         )?;
-        d.eta_update(ws.eta, plan.r, ws.alpha, st)?;
+        self.d.eta_update(ws.eta, plan.r, ws.alpha, self.st)?;
         // The pivot consumed α (and the Devex row, if any).
-        vacate(d, [ws.alpha]);
+        vacate(self.d, [ws.alpha]);
         if self.live.alpha_r {
-            vacate(d, [ws.alpha_r]);
+            vacate(self.d, [ws.alpha_r]);
         }
         self.live.etas += 1;
         self.live.alpha = false;
@@ -504,15 +522,30 @@ impl<M: Storage> Call<'_, M> {
         Ok(())
     }
 
-    fn primal_infeas(&self, d: &mut GpuDevice, tol: f64) -> LpResult<Option<(usize, f64, bool)>> {
-        let ws = self.ws;
-        Ok(d.primal_infeas_argmax(ws.xb, ws.lbb, ws.ubb, tol, self.st)?)
+    fn basic_values(&mut self) -> LpResult<Vec<f64>> {
+        Ok(self.d.download_vector(self.ws.xb, self.st)?)
     }
 
-    fn btran_row(&mut self, d: &mut GpuDevice, r: usize) -> LpResult<()> {
+    fn basic_entry(&mut self, i: usize) -> LpResult<f64> {
+        self.entry(self.ws.xb, i)
+    }
+
+    fn eta_count(&self) -> usize {
+        self.live.etas
+    }
+
+    fn primal_infeas(&mut self, tol: f64) -> LpResult<Option<(usize, f64, bool)>> {
+        self.select();
+        let ws = self.ws;
+        Ok(self
+            .d
+            .primal_infeas_argmax(ws.xb, ws.lbb, ws.ubb, tol, self.st)?)
+    }
+
+    fn btran_row(&mut self, r: usize) -> LpResult<()> {
         let (ws, a, st, m) = (self.ws, self.a, self.st, self.m);
         self.live.alpha_r = false;
-        with_scratch(d, [ws.e_r, ws.rho], |d| {
+        with_scratch(self.d, [ws.e_r, ws.rho], |d| {
             d.alloc_unit_vector(m, r, ws.e_r, st)?;
             d.eta_btran(ws.eta, ws.e_r, ws.rho, st)?;
             d.matvec_transposed(a, ws.rho, ws.alpha_r, st)
@@ -521,153 +554,48 @@ impl<M: Storage> Call<'_, M> {
         Ok(())
     }
 
-    fn dual_ratio(
-        &self,
-        d: &mut GpuDevice,
-        leaving_below: bool,
-        tol: f64,
-    ) -> LpResult<Option<(usize, f64)>> {
+    fn dual_ratio(&mut self, leaving_below: bool, tol: f64) -> LpResult<Option<(usize, f64)>> {
         let (ws, st) = (self.alpha_r()?, self.st);
-        self.priced(d, [ws.y, ws.d], |d| {
+        self.priced([ws.y, ws.d], |d| {
             d.dual_ratio_argmin(ws.d, ws.alpha_r, ws.sigma, leaving_below, tol, st)
         })
     }
 
-    /// Reads one vector entry back (staged, inside a chain).
-    fn entry(&self, d: &mut GpuDevice, of: VectorHandle, i: usize) -> LpResult<f64> {
-        Ok(d.vec_get([(of, i)], self.st).map(|[v]| v)?)
+    fn alpha_r_entry(&mut self, j: usize) -> LpResult<f64> {
+        let ws = self.alpha_r()?;
+        self.entry(ws.alpha_r, j)
+    }
+
+    fn btran_row_host(&mut self, r: usize) -> LpResult<Vec<f64>> {
+        self.btran_row(r)?;
+        // The Section 5.2 device→host leg: the tableau row crosses the link
+        // so the CPU-side cut generator can read it.
+        Ok(self.d.download_vector(self.alpha_r()?.alpha_r, self.st)?)
+    }
+
+    fn dual_prices(&mut self) -> LpResult<Vec<f64>> {
+        let (ws, st) = (self.ws, self.st);
+        Ok(with_scratch(self.d, [ws.y], |d| {
+            d.eta_btran(ws.eta, ws.cb, ws.y, st)?;
+            d.download_vector(ws.y, st)
+        })?)
+    }
+
+    fn price_devex(&mut self) -> LpResult<Option<(usize, f64)>> {
+        self.select();
+        let (ws, st) = (self.ws, self.st);
+        self.priced([ws.y, ws.d], |d| {
+            d.devex_argmax(ws.d, ws.sigma, ws.gamma, st)
+        })
     }
 
     /// The Devex weight update; the kernel gathers `α_r[q]` and `γ_q` where
     /// they are, so the apply it rides reads nothing back.
-    fn devex_update(&self, d: &mut GpuDevice, q: usize, leaving_j: usize) -> LpResult<()> {
+    fn devex_update(&mut self, q: usize, leaving_j: usize) -> LpResult<()> {
         let (ws, st) = (self.alpha_r()?, self.st);
-        d.devex_weight_update(ws.gamma, ws.alpha_r, q, leaving_j, st)
+        self.d
+            .devex_weight_update(ws.gamma, ws.alpha_r, q, leaving_j, st)
             .map_err(devex_refused)
-    }
-
-    fn basic_values(&self, d: &mut GpuDevice) -> LpResult<Vec<f64>> {
-        Ok(d.download_vector(self.ws.xb, self.st)?)
-    }
-
-    /// [`SimplexEngine::primal_run`] inside this call's chain: its default
-    /// body on the device, each iteration after the first a relaunch. The
-    /// device decides each step ([`GpuDevice::primal_step`] over the
-    /// resident costs and bounds) where the select left its column and row;
-    /// the host replays the basis changes from what each iteration staged.
-    /// A terminal select stages `x_B` too, for the `basic_values` that
-    /// follows.
-    fn primal_run(
-        &mut self,
-        d: &mut GpuDevice,
-        basis: &mut Basis,
-        cfg: &PrimalConfig,
-        run: &mut PrimalRun,
-    ) -> LpResult<()> {
-        let devex = cfg.pricing == PricingRule::Devex;
-        let start = run.iters;
-        while run.open(cfg) && (run.iters == start || self.live.etas < cfg.refactor_every) {
-            if run.iters > start {
-                d.relaunch();
-            }
-            let Some(q) = improving(self.price(d, cfg.pricing)?, cfg.price_tol) else {
-                *self.staged_xb = Some(self.basic_values(d)?);
-                run.outcome = Some(PrimalOutcome::Optimal);
-                break;
-            };
-            // What the device reads as −σ_q beside the argmin's result.
-            let dir = entering_dir(basis, q)?;
-            self.ftran_column(d, q)?;
-            let limit = self.ratio_test(d, dir, cfg.ratio_tol)?;
-            let ws = self.ws;
-            let t = match d.primal_step((q, dir), limit, &basis.cols, [ws.c, ws.lb, ws.ub])? {
-                PrimalStep::Unbounded => {
-                    run.outcome = Some(PrimalOutcome::Unbounded { entering: q });
-                    break;
-                }
-                PrimalStep::Flip { t, sigma } => {
-                    self.apply_flip(d, q, dir, t, sigma)?;
-                    basis.status[q] = nonbasic_at(sigma > 0.0);
-                    t
-                }
-                PrimalStep::Pivot {
-                    row,
-                    leaving,
-                    to_upper,
-                    pivot,
-                } => {
-                    if devex {
-                        self.btran_row(d, row)?;
-                        self.devex_update(d, q, leaving)?;
-                    }
-                    self.apply_pivot(d, &PivotPlan::new(row, q, leaving, &pivot))?;
-                    basis.pivot(row, q, nonbasic_at(to_upper));
-                    pivot.t
-                }
-            };
-            if run.step(t, cfg) {
-                break;
-            }
-        }
-        Ok(())
-    }
-
-    /// [`SimplexEngine::dual_run`] inside this call's chain: its default
-    /// body on the device, each iteration after the first a relaunch; with
-    /// `polish`, the re-install and the polish's first select ride the
-    /// launch of the iteration that found `x_B` feasible.
-    fn dual_run(
-        &mut self,
-        d: &mut GpuDevice,
-        view: ProblemView<'_>,
-        basis: &mut Basis,
-        (cfg, polish): (&DualConfig, Option<&PrimalConfig>),
-        at: &mut Progress,
-    ) -> LpResult<Option<DualOutcome>> {
-        let tol = cfg.base.ratio_tol;
-        let start = at.dual;
-        while at.dual < cfg.base.max_iters
-            && (at.dual == start || self.live.etas < cfg.base.refactor_every)
-        {
-            if at.dual > start {
-                // The device decides the next pivot from the last one's
-                // results: a relaunch, not a round trip.
-                d.relaunch();
-            }
-            let Some((r, _viol, below)) = self.primal_infeas(d, cfg.feas_tol)? else {
-                if let Some(polish) = polish {
-                    self.install(d, view, basis)?;
-                    let run = at.polish.insert(PrimalRun::default());
-                    self.primal_run(d, basis, polish, run)?;
-                }
-                return Ok(Some(DualOutcome::PrimalFeasible));
-            };
-            self.btran_row(d, r)?;
-            let Some((q, _ratio)) = self.dual_ratio(d, below, tol)? else {
-                return Ok(Some(DualOutcome::Infeasible { row: r, below }));
-            };
-            // The two entries the pivot's scalars need, gathered where the
-            // reductions left `r` and `q`.
-            let alpha_rq = self.entry(d, self.alpha_r()?.alpha_r, q)?;
-            let alpha_rq = dual_pivot_element(alpha_rq, q, tol)?;
-            let xbr = self.entry(d, self.ws.xb, r)?;
-            // `basis.cols` is the header the eta file was factored from,
-            // kept by every pivot since.
-            let leaving_j = basis.cols[r];
-            self.ftran_column(d, q)?;
-            // The pivot's scalars, computed on the device from what it
-            // holds; the host computes the same from its record and the
-            // staged `(xbr, α_rq)`, so the record follows the stores.
-            let ws = self.ws;
-            let at_r = (xbr, alpha_rq, below);
-            let scalars = d.dual_pivot(at_r, (leaving_j, q), ws.sigma, [ws.c, ws.lb, ws.ub])?;
-            self.apply_pivot(d, &PivotPlan::new(r, q, leaving_j, &scalars))?;
-            // The host replays the pivot from the iteration's staged
-            // `(r, below, q)`: a run that fails later keeps it.
-            basis.pivot(r, q, nonbasic_at(!below));
-            at.dual += 1;
-        }
-        Ok(None)
     }
 }
 
@@ -685,8 +613,8 @@ pub struct DeviceSimplex<M: Storage> {
     live: Live,
     /// The install's host buffers, and the record of what the device holds.
     stage: Stage,
-    /// `x_B` as a terminal primal select read it back in its envelope:
-    /// what `basic_values` returns without crossing, if it is the next call.
+    /// `x_B` as a run that ended optimal read it back in its envelope: what
+    /// `basic_values` returns without crossing, if it is the next call.
     /// Every other call drops it.
     staged_xb: Option<Vec<f64>>,
 }
@@ -730,10 +658,7 @@ impl<M: Storage> DeviceSimplex<M> {
     /// One engine call on an installed engine: `kernels` runs with the
     /// engine's [`Call`] view on the device, as one lock and one launch
     /// chain.
-    fn call<R>(
-        &mut self,
-        kernels: impl FnOnce(&mut Call<'_, M>, &mut GpuDevice) -> LpResult<R>,
-    ) -> LpResult<R> {
+    fn call<R>(&mut self, kernels: impl FnOnce(&mut Call<'_, M>) -> LpResult<R>) -> LpResult<R> {
         let ws = self
             .ws
             .filter(|_| self.live.installed)
@@ -745,26 +670,33 @@ impl<M: Storage> DeviceSimplex<M> {
     fn call_on<R>(
         &mut self,
         ws: Workspace<M>,
-        kernels: impl FnOnce(&mut Call<'_, M>, &mut GpuDevice) -> LpResult<R>,
+        kernels: impl FnOnce(&mut Call<'_, M>) -> LpResult<R>,
     ) -> LpResult<R> {
         self.staged_xb = None;
-        let mut call = Call {
-            ws,
-            a: self.a,
-            st: self.stream,
-            m: self.m,
-            n: self.n,
-            live: &mut self.live,
-            stage: &mut self.stage,
-            staged_xb: &mut self.staged_xb,
-        };
-        on_device(&self.accel, |d| kernels(&mut call, d))
+        let (a, st, m, n) = (self.a, self.stream, self.m, self.n);
+        let (live, stage) = (&mut self.live, &mut self.stage);
+        on_device(&self.accel, |d| {
+            kernels(&mut Call {
+                d,
+                ws,
+                a,
+                st,
+                m,
+                n,
+                live,
+                stage,
+                selected: false,
+            })
+        })
     }
 
     /// Entry `i` of the current FTRAN column: the tests' window on α.
     #[cfg(test)]
     fn alpha_entry(&mut self, i: usize) -> LpResult<f64> {
-        self.call(|k, d| k.entry(d, k.alpha()?.alpha, i))
+        self.call(|k| {
+            let ws = k.alpha()?;
+            k.entry(ws.alpha, i)
+        })
     }
 }
 
@@ -793,18 +725,9 @@ impl<M: Storage> SimplexEngine for DeviceSimplex<M> {
     }
 
     fn install(&mut self, view: ProblemView<'_>, basis: &Basis) -> LpResult<()> {
-        if view.c.len() != self.n || view.b.len() != self.m {
-            return Err(LpError::Shape(format!(
-                "install: engine {}x{}, view c={} b={}",
-                self.m,
-                self.n,
-                view.c.len(),
-                view.b.len()
-            )));
-        }
         let accel = &self.accel;
         let ws = *self.ws.get_or_insert_with(|| accel.with(Workspace::create));
-        self.call_on(ws, |k, d| k.install(d, view, basis))
+        self.call_on(ws, |k| k.install(view, basis))
     }
 
     fn append_cut(&mut self, row: &[f64], col: &[f64]) -> LpResult<()> {
@@ -819,38 +742,38 @@ impl<M: Storage> SimplexEngine for DeviceSimplex<M> {
     }
 
     fn price(&mut self) -> LpResult<Option<(usize, f64)>> {
-        self.call(|k, d| k.price(d, PricingRule::Dantzig))
+        self.call(|k| k.price())
     }
 
     fn reduced_costs_host(&mut self) -> LpResult<Vec<f64>> {
-        self.call(|k, d| k.reduced_costs_host(d))
+        self.call(|k| k.reduced_costs_host())
     }
 
     fn ftran_column(&mut self, q: usize) -> LpResult<()> {
-        self.call(|k, d| k.ftran_column(d, q))
+        self.call(|k| k.ftran_column(q))
     }
 
     fn ratio_test(&mut self, dir: f64, tol: f64) -> LpResult<Option<(usize, f64, bool)>> {
-        self.call(|k, d| k.ratio_test(d, dir, tol))
+        self.call(|k| k.ratio_test(dir, tol))
     }
 
     fn apply_flip(&mut self, q: usize, dir: f64, t: f64, new_sigma: f64) -> LpResult<()> {
-        self.call(|k, d| k.apply_flip(d, q, dir, t, new_sigma))
+        self.call(|k| k.apply_flip(q, dir, t, new_sigma))
     }
 
     fn apply_pivot(&mut self, plan: &PivotPlan) -> LpResult<()> {
-        self.call(|k, d| k.apply_pivot(d, plan))
+        self.call(|k| k.apply_pivot(plan))
     }
 
     fn basic_values(&mut self) -> LpResult<Vec<f64>> {
         match self.staged_xb.take() {
             Some(xb) => Ok(xb),
-            None => self.call(|k, d| k.basic_values(d)),
+            None => self.call(|k| k.basic_values()),
         }
     }
 
     fn basic_entry(&mut self, i: usize) -> LpResult<f64> {
-        self.call(|k, d| k.entry(d, k.ws.xb, i))
+        self.call(|k| k.basic_entry(i))
     }
 
     fn eta_count(&self) -> usize {
@@ -858,61 +781,54 @@ impl<M: Storage> SimplexEngine for DeviceSimplex<M> {
     }
 
     fn primal_infeas(&mut self, tol: f64) -> LpResult<Option<(usize, f64, bool)>> {
-        self.call(|k, d| k.primal_infeas(d, tol))
+        self.call(|k| k.primal_infeas(tol))
     }
 
     fn btran_row(&mut self, r: usize) -> LpResult<()> {
-        self.call(|k, d| k.btran_row(d, r))
+        self.call(|k| k.btran_row(r))
     }
 
     fn dual_ratio(&mut self, leaving_below: bool, tol: f64) -> LpResult<Option<(usize, f64)>> {
-        self.call(|k, d| k.dual_ratio(d, leaving_below, tol))
+        self.call(|k| k.dual_ratio(leaving_below, tol))
     }
 
     fn alpha_r_entry(&mut self, j: usize) -> LpResult<f64> {
-        self.call(|k, d| k.entry(d, k.alpha_r()?.alpha_r, j))
+        self.call(|k| k.alpha_r_entry(j))
     }
 
     fn btran_row_host(&mut self, r: usize) -> LpResult<Vec<f64>> {
-        self.call(|k, d| {
-            k.btran_row(d, r)?;
-            // The Section 5.2 device→host leg: the tableau row crosses the
-            // link so the CPU-side cut generator can read it.
-            Ok(d.download_vector(k.alpha_r()?.alpha_r, k.st)?)
-        })
+        self.call(|k| k.btran_row_host(r))
     }
 
     fn dual_prices(&mut self) -> LpResult<Vec<f64>> {
-        self.call(|k, d| {
-            let (ws, st) = (k.ws, k.st);
-            Ok(with_scratch(d, [ws.y], |d| {
-                d.eta_btran(ws.eta, ws.cb, ws.y, st)?;
-                d.download_vector(ws.y, st)
-            })?)
-        })
+        self.call(|k| k.dual_prices())
     }
 
     fn price_devex(&mut self) -> LpResult<Option<(usize, f64)>> {
-        self.call(|k, d| k.price(d, PricingRule::Devex))
+        self.call(|k| k.price_devex())
     }
 
     fn devex_update(&mut self, q: usize, leaving_j: usize) -> LpResult<()> {
-        self.call(|k, d| k.devex_update(d, q, leaving_j))
+        self.call(|k| k.devex_update(q, leaving_j))
     }
 
-    // The run-shaped calls: the primitives of the default bodies, in the
-    // same order with the same exits, inside one `call` — so one lock, one
-    // chain (each device-side iteration after the first a relaunch), and one
-    // staged read-back of what the host needs to go on.
+    // The run-shaped calls: the trait's default bodies over one `Call`, so
+    // one lock, one chain (each select after the first a relaunch), and one
+    // staged read-back of what the host needs to go on — with `x_B` staged
+    // behind a run that ended optimal, for the `basic_values` that follows.
 
     fn primal_run(
         &mut self,
-        _view: ProblemView<'_>,
+        view: ProblemView<'_>,
         basis: &mut Basis,
         cfg: &PrimalConfig,
         run: &mut PrimalRun,
     ) -> LpResult<()> {
-        self.call(|k, d| k.primal_run(d, basis, cfg, run))
+        self.staged_xb = self.call(|k| {
+            k.primal_run(view, basis, cfg, run)?;
+            k.staged(run.outcome)
+        })?;
+        Ok(())
     }
 
     fn dual_run(
@@ -923,7 +839,16 @@ impl<M: Storage> SimplexEngine for DeviceSimplex<M> {
         polish: Option<&PrimalConfig>,
         at: &mut Progress,
     ) -> LpResult<Option<DualOutcome>> {
-        self.call(|k, d| k.dual_run(d, view, basis, (cfg, polish), at))
+        let (outcome, xb) = self.call(|k| {
+            let outcome = k.dual_run(view, basis, cfg, polish, at)?;
+            let polished = match (outcome, polish) {
+                (Some(DualOutcome::PrimalFeasible), Some(_)) => at.polish.and_then(|r| r.outcome),
+                _ => None,
+            };
+            Ok((outcome, k.staged(polished)?))
+        })?;
+        self.staged_xb = xb;
+        Ok(outcome)
     }
 }
 

@@ -2,7 +2,7 @@ use super::*;
 use crate::basis::VarStatus;
 use crate::engine::HostEngine;
 use crate::problem::{BoundChange, StandardLp};
-use crate::simplex::{primal_solve, PrimalConfig};
+use crate::simplex::{primal_solve, PricingRule, PrimalConfig};
 use crate::solver::{LpConfig, LpSolver, LpStatus};
 use gmip_gpu::DeviceConfig;
 use gmip_linalg::LinalgError;
@@ -162,6 +162,19 @@ fn failed_installs_leak_nothing<M: Storage>() {
         assert!(used < installed);
         assert!(matches!(e.price(), Err(LpError::NotInstalled)));
         assert!(matches!(e.basic_values(), Err(LpError::NotInstalled)));
+    }
+    // A malformed install is a shape error that changes nothing.
+    let used = accel.mem_used();
+    let (short, long) = (&lb[..3], [&ub[..], &[1.0]].concat());
+    let wide = Basis::with_basic_cols(vec![2, 3], 5);
+    for (view, basis) in [
+        (ProblemView { lb: short, ..view }, &good),
+        (ProblemView { ub: &long, ..view }, &good),
+        (ProblemView { b: &b[..1], ..view }, &good),
+        (view, &wide),
+    ] {
+        assert!(matches!(e.install(view, basis), Err(LpError::Shape(_))));
+        assert_eq!(accel.mem_used(), used);
     }
     e.install(view, &good).unwrap();
     assert_eq!(accel.mem_used(), installed);

@@ -34,7 +34,7 @@ pub enum DualOutcome {
 }
 
 /// Tuning knobs of the dual driver (reuses the primal's tolerances).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct DualConfig {
     /// Shared tolerances and limits.
     pub base: PrimalConfig,

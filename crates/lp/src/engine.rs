@@ -2,18 +2,20 @@
 //!
 //! The revised simplex driver ([`crate::simplex`], [`crate::dual`]) is
 //! written once against [`SimplexEngine`], which exposes exactly the
-//! numerical steps of an iteration. Two implementations exist:
+//! numerical steps of an iteration, and each simplex loop is written once,
+//! as the trait's provided run bodies. Two implementations exist:
 //!
 //! * [`HostEngine`] — plain vectors and a host eta file; the reference
 //!   implementation used for correctness cross-checks;
 //! * [`crate::device_engine::DeviceEngine`] — the same steps as simulated
 //!   device kernels on a `gmip_gpu::Accel`, with the constraint matrix
-//!   resident on the device and only scalars crossing the link per
-//!   iteration (the Section 5.1 execution model).
+//!   resident on the device, and a whole run of the same loop body one
+//!   launch chain with one read-back (the Section 5.1 execution model).
 //!
 //! Both run one rule set: the selection rules and updates of
-//! [`gmip_linalg::pivot`] and one install assembly (`ProblemView::assemble`).
-//! The host/device equivalence tests (`matches_host_pivot_for_pivot`,
+//! [`gmip_linalg::pivot`], one install check and assembly
+//! (`ProblemView::check`, `ProblemView::assemble`), and the one loop per
+//! side. The host/device equivalence tests (`matches_host_pivot_for_pivot`,
 //! `tests/device_equivalence.rs`, the `Fenced` differential) check what
 //! still differs: the device's LU / eta file against the host's, staged
 //! transfers, and launch chains.
@@ -42,6 +44,21 @@ pub struct ProblemView<'a> {
 }
 
 impl ProblemView<'_> {
+    /// Refuses an install on an `m`×`n` engine unless `c`, `lb`, `ub` and
+    /// the basis's statuses have `n` entries and `b` has `m`: what every
+    /// install checks first, before it changes anything.
+    pub(crate) fn check(&self, basis: &Basis, m: usize, n: usize) -> LpResult<()> {
+        let [c, lb, ub] = [self.c, self.lb, self.ub].map(<[f64]>::len);
+        let status = basis.status.len();
+        if [c, lb, ub, status].iter().all(|&len| len == n) && self.b.len() == m {
+            return Ok(());
+        }
+        Err(LpError::Shape(format!(
+            "install: engine {m}x{n}, view c={c} lb={lb} ub={ub} b={}, basis statuses {status}",
+            self.b.len()
+        )))
+    }
+
     /// An install's host-side assembly, into reused buffers: σ (0 for basic
     /// *and* fixed columns) and the nonbasic point `x_N` (basic columns 0),
     /// both of length `c.len()`, and the basis-ordered `c_B`, `l_B`, `u_B`.
@@ -212,30 +229,23 @@ impl Progress {
     }
 }
 
-/// The column a pricing call proposes, if it prices out by more than `tol`.
-pub(crate) fn improving(candidate: Option<(usize, f64)>, tol: f64) -> Option<usize> {
-    candidate.and_then(|(j, score)| (score < -tol).then_some(j))
-}
-
-/// Step direction of nonbasic column `q`: away from the bound it sits at.
-pub(crate) fn entering_dir(basis: &Basis, q: usize) -> LpResult<f64> {
-    match basis.status[q] {
-        VarStatus::AtLower => Ok(1.0),
-        VarStatus::AtUpper => Ok(-1.0),
-        VarStatus::Basic(_) => Err(LpError::Shape(format!("pricing proposed basic column {q}"))),
-    }
-}
-
 /// FTRAN of entering column `q` and the ratio test on it, primitive by
 /// primitive: the tail of a primal select once the column is chosen.
-/// Returns the column's direction and the ratio test's result.
+/// Returns the column's direction, away from the bound it sits at, and the
+/// ratio test's result.
 pub(crate) fn enter<E: SimplexEngine + ?Sized>(
     engine: &mut E,
     basis: &Basis,
     q: usize,
     ratio_tol: f64,
 ) -> LpResult<(f64, Option<(usize, f64, bool)>)> {
-    let dir = entering_dir(basis, q)?;
+    let dir = match basis.status[q] {
+        VarStatus::AtLower => 1.0,
+        VarStatus::AtUpper => -1.0,
+        VarStatus::Basic(_) => {
+            return Err(LpError::Shape(format!("pricing proposed basic column {q}")))
+        }
+    };
     engine.ftran_column(q)?;
     let limit = engine.ratio_test(dir, ratio_tol)?;
     Ok((dir, limit))
@@ -277,16 +287,6 @@ pub(crate) fn apply_primal_step<E: SimplexEngine + ?Sized>(
     }
 }
 
-/// Refuses a dual pivot on a numerically zero element.
-pub(crate) fn dual_pivot_element(alpha_rq: f64, q: usize, tol: f64) -> LpResult<f64> {
-    if alpha_rq.abs() < tol {
-        return Err(LpError::Shape(format!(
-            "dual pivot on numerically zero alpha_r[{q}]"
-        )));
-    }
-    Ok(alpha_rq)
-}
-
 /// A refused Devex update as an engine reports it: a zero pivot element is
 /// a shape error of the pivot, anything else what the rule said.
 pub(crate) fn devex_refused(e: impl Into<LpError>) -> LpError {
@@ -306,14 +306,15 @@ pub(crate) fn devex_refused(e: impl Into<LpError>) -> LpError {
 /// simplex's iterations up to the next refactorization or the hand-over to
 /// Bland's rule, and [`dual_run`](Self::dual_run), the dual simplex's pivots
 /// up to the next refactorization and, when the caller asks for it, the
-/// re-install and primal polish that follow a feasible end — whose default
-/// bodies are exactly the primitive calls the drivers used to make, in that
-/// order, error exits included. An engine for which a call is expensive in
-/// itself (a launch and a link crossing on [`crate::DeviceSimplex`])
-/// overrides them, a whole run in one call; an engine that *records* calls
-/// ([`crate::RecordingEngine`], whose journal is cut by kernel class) keeps
-/// the defaults and sees the primitives. Bland's rule stays primitive by
-/// primitive in the driver: its column is chosen on the host.
+/// re-install and primal polish that follow a feasible end. Their default
+/// bodies are the only simplex loops: exactly the primitive calls the
+/// drivers used to make, in that order, error exits included. Every engine
+/// runs them. [`crate::DeviceSimplex`], for which a call is expensive in
+/// itself (a launch and a link crossing), runs them over one engine call of
+/// its own whose primitives are kernel sequences in one launch chain; an
+/// engine that *records* calls ([`crate::RecordingEngine`], whose journal is
+/// cut by kernel class) sees the primitives. Bland's rule stays primitive
+/// by primitive in the driver: its column is chosen on the host.
 ///
 /// State machine expectations: [`install`](Self::install) before anything
 /// else; [`ftran_column`](Self::ftran_column) before
@@ -414,11 +415,11 @@ pub trait SimplexEngine {
     /// well and counted into `run`, until the basis is optimal, the LP is
     /// unbounded, `cfg.max_iters` iterations are made, a refactorization is
     /// due (`cfg.refactor_every` eta factors, checked after the first
-    /// iteration), or the degenerate streak hands the next iteration to
-    /// Bland's rule ([`PrimalRun::bland`]). An iteration prices by
-    /// `cfg.pricing`, FTRANs the column that prices out by more than
-    /// `cfg.price_tol` and runs the ratio test on it; the flip or pivot that
-    /// follows is [`pivot::primal_step`]'s, and a Devex pivot updates the
+    /// iteration), or `cfg.bland_after` degenerate iterations in a row (at
+    /// least one) hand the next iteration to Bland's rule. An iteration
+    /// prices by `cfg.pricing`, FTRANs the column that prices out by more
+    /// than `cfg.price_tol` and runs the ratio test on it; the flip or pivot
+    /// that follows is [`pivot::primal_step`]'s, and a Devex pivot updates the
     /// reference weights from the leaving row of the old basis first.
     fn primal_run(
         &mut self,
@@ -434,7 +435,7 @@ pub trait SimplexEngine {
                 PricingRule::Dantzig => self.price()?,
                 PricingRule::Devex => self.price_devex()?,
             };
-            let Some(q) = improving(candidate, cfg.price_tol) else {
+            let Some((q, _)) = candidate.filter(|&(_, score)| score < -cfg.price_tol) else {
                 run.outcome = Some(PrimalOutcome::Optimal);
                 break;
             };
@@ -489,7 +490,12 @@ pub trait SimplexEngine {
             let Some((q, _ratio)) = self.dual_ratio(below, tol)? else {
                 return Ok(Some(DualOutcome::Infeasible { row: r, below }));
             };
-            let alpha_rq = dual_pivot_element(self.alpha_r_entry(q)?, q, tol)?;
+            let alpha_rq = self.alpha_r_entry(q)?;
+            if alpha_rq.abs() < tol {
+                return Err(LpError::Shape(format!(
+                    "dual pivot on numerically zero alpha_r[{q}]"
+                )));
+            }
             let xbr = self.basic_entry(r)?;
             let leaving_j = basis.cols[r];
             let scalars = pivot::dual_pivot(
@@ -589,17 +595,8 @@ impl SimplexEngine for HostEngine {
     }
 
     fn install(&mut self, view: ProblemView<'_>, basis: &Basis) -> LpResult<()> {
-        let m = self.m();
-        let n = self.n();
-        if view.c.len() != n || view.lb.len() != n || view.ub.len() != n || view.b.len() != m {
-            return Err(LpError::Shape(format!(
-                "install: engine {}x{}, view c={} b={}",
-                m,
-                n,
-                view.c.len(),
-                view.b.len()
-            )));
-        }
+        let (m, n) = (self.m(), self.n());
+        view.check(basis, m, n)?;
         self.c.clear();
         self.c.extend_from_slice(view.c);
         for v in [&mut self.y, &mut self.work, &mut self.col] {
@@ -913,19 +910,31 @@ mod tests {
 
     #[test]
     fn install_shape_checked() {
-        let (mut e, basis, c, lb, ub, _) = setup();
-        let bad_b = vec![1.0];
-        assert!(e
-            .install(
-                ProblemView {
-                    c: &c,
-                    lb: &lb,
-                    ub: &ub,
-                    b: &bad_b
-                },
-                &basis
-            )
-            .is_err());
+        let (mut e, basis, c, lb, ub, b) = setup();
+        let view = ProblemView {
+            c: &c,
+            lb: &lb,
+            ub: &ub,
+            b: &b,
+        };
+        let (short, long) = (&lb[..3], [&lb[..], &[0.0]].concat());
+        let wide = Basis::with_basic_cols(vec![2, 3], 5);
+        for (view, basis) in [
+            (ProblemView { b: &b[..1], ..view }, &basis),
+            (ProblemView { lb: short, ..view }, &basis),
+            (ProblemView { ub: &long, ..view }, &basis),
+            (view, &wide),
+        ] {
+            let err = e.install(view, basis).unwrap_err();
+            let LpError::Shape(msg) = err else {
+                panic!("{err:?}")
+            };
+            // The message names every length.
+            for part in ["c=4", "lb=", "ub=", "b=", "basis statuses"] {
+                assert!(msg.contains(part), "{msg}");
+            }
+        }
+        e.install(view, &basis).unwrap();
     }
 
     #[test]

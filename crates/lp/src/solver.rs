@@ -28,7 +28,7 @@ use gmip_linalg::{DenseMatrix, LinalgError};
 use gmip_trace::{names, Event, MetricsRegistry, Track};
 
 /// Solver configuration.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct LpConfig {
     /// Primal driver knobs.
     pub primal: PrimalConfig,

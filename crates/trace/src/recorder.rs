@@ -48,6 +48,10 @@ struct LocalBuf {
 
 impl LocalBuf {
     fn flush(&mut self) {
+        // Events of an earlier session are dropped, never handed to this one.
+        if self.epoch != EPOCH.load(Ordering::Acquire) {
+            self.buf.clear();
+        }
         if self.buf.is_empty() {
             return;
         }
@@ -58,9 +62,9 @@ impl LocalBuf {
 
 impl Drop for LocalBuf {
     fn drop(&mut self) {
-        // A worker thread exiting mid-session hands its events over; if the
-        // session already ended (recording disabled) the events are from a
-        // dead epoch and are discarded by `finish`'s epoch filter.
+        // A worker thread exiting mid-session hands its events over; events
+        // of a session that already ended are from a dead epoch, and `flush`
+        // discards them.
         self.flush();
     }
 }
@@ -191,9 +195,16 @@ mod tests {
     use super::*;
     use crate::event::Track;
 
+    /// Holds the session gate without enabling recording: a test that
+    /// asserts nothing records keeps every session out while it looks.
+    fn hold_gate() -> MutexGuard<'static, ()> {
+        SESSION_GATE.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     #[test]
     fn disabled_recorder_drops_events() {
         // No session: the closure must not even run.
+        let _gate = hold_gate();
         let mut ran = false;
         record(|| {
             ran = true;
