@@ -9,8 +9,13 @@
 # module: structs, then fields), and fails if any file under crates/*/src is
 # longer than the cap, tests included — a file that size wants splitting
 # whatever is in it.
+#
+# Usage: src_lines.sh [line-cap] [options-cap]. With an options cap it also
+# fails when the options row's field count goes above it, so a new config
+# field raises the cap in the same diff.
 set -euo pipefail
 cap=${1:-1600}
+options_cap=${2:-}
 out=${GITHUB_STEP_SUMMARY:-/dev/stdout}
 fail=0 all_files=0 all_total=0 all_structs=0 all_fields=0
 {
@@ -45,4 +50,8 @@ for dir in crates/*/src; do
 done
 echo "| **total** | $all_files | $all_total | | |" >> "$out"
 echo "| **options** | $all_structs | $all_fields | | |" >> "$out"
+if [ -n "$options_cap" ] && [ "$all_fields" -gt "$options_cap" ]; then
+  echo "::error::$all_fields config fields, over the $options_cap-field cap: raise it in the same diff"
+  fail=1
+fi
 exit $fail

@@ -240,8 +240,14 @@ pub fn parse_options(args: &[String]) -> Result<Options, String> {
                     other => return Err(format!("unknown pricing rule `{other}`")),
                 }
             }
-            "--gap" => m.gap_rel = num(take(a), a, any, "a number")?,
-            "--obj-limit" => m.objective_limit = Some(num(take(a), a, any, "a number")?),
+            "--gap" => {
+                let ok = |v: &f64| v.is_finite() && *v >= 0.0;
+                m.gap_rel = num(take(a), a, ok, "a finite number >= 0")?
+            }
+            "--obj-limit" => {
+                let ok = |v: &f64| v.is_finite();
+                m.objective_limit = Some(num(take(a), a, ok, "a finite number")?)
+            }
             "--no-cuts" => m.cuts.enabled = false,
             "--no-heur" => m.heuristics.rounding = false,
             "--propagate" => m.propagate = true,
@@ -813,6 +819,26 @@ mod tests {
         let o = opts(&["x.mps", "--gap", "0.05", "--obj-limit", "12.5"]);
         assert_eq!(o.solve.mip.gap_rel, 0.05);
         assert_eq!(o.solve.mip.objective_limit, Some(12.5));
+        assert_eq!(opts(&["--gap", "0"]).solve.mip.gap_rel, 0.0);
+        assert_eq!(
+            opts(&["--obj-limit", "-3"]).solve.mip.objective_limit,
+            Some(-3.0)
+        );
+    }
+
+    /// A negative or NaN gap never passes `gap_rel > 0.0`, and no incumbent
+    /// reaches a NaN or infinite limit: each would be accepted and then
+    /// ignored, so each is an error.
+    #[test]
+    fn gap_and_obj_limit_reject_values_that_would_do_nothing() {
+        for bad in ["-0.01", "nan", "NaN", "inf", "-inf"] {
+            let err = parse_options(&s(&["--gap", bad])).unwrap_err();
+            assert_eq!(err, "--gap must be a finite number >= 0", "{bad}");
+        }
+        for bad in ["nan", "inf", "-inf", "infinity"] {
+            let err = parse_options(&s(&["--obj-limit", bad])).unwrap_err();
+            assert_eq!(err, "--obj-limit must be a finite number", "{bad}");
+        }
     }
 
     #[test]

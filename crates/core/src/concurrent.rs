@@ -38,10 +38,6 @@ pub struct ConcurrentConfig {
     pub lanes: usize,
     /// LP tolerances.
     pub lp: LpConfig,
-    /// Integrality tolerance.
-    pub int_tol: f64,
-    /// Pruning tolerance.
-    pub prune_tol: f64,
     /// Node budget.
     pub node_limit: usize,
 }
@@ -51,8 +47,6 @@ impl Default for ConcurrentConfig {
         Self {
             lanes: 4,
             lp: LpConfig::standard(),
-            int_tol: 1e-6,
-            prune_tol: 1e-6,
             node_limit: 100_000,
         }
     }
@@ -154,7 +148,7 @@ pub fn solve_concurrent(
     let solved = (0..cfg.lanes).map(|_| None).collect();
     run_wave(
         instance,
-        Rules::new(instance, cfg.int_tol, cfg.prune_tol),
+        Rules::new(instance),
         hook,
         cfg.node_limit,
         accel.clone(),

@@ -69,10 +69,6 @@ pub struct MipConfig {
     pub lp: LpConfig,
     /// Maximum nodes to evaluate before giving up with `NodeLimit`.
     pub node_limit: usize,
-    /// Integrality tolerance.
-    pub int_tol: f64,
-    /// Bound-domination tolerance for pruning.
-    pub prune_tol: f64,
     /// Node-selection policy.
     pub policy: PolicyKind,
     /// Cutting planes.
@@ -90,8 +86,6 @@ pub struct MipConfig {
     /// fresh engine is built per node — on a device backend that re-uploads
     /// the matrix every node, the costly baseline of experiment E3c/E8.
     pub engine_reuse: bool,
-    /// Warm-start each node from its parent's basis.
-    pub warm_start: bool,
     /// Stop early once the relative optimality gap
     /// `(best open bound − incumbent) / max(1, |incumbent|)` falls to this
     /// value (0.0 = prove optimality exactly).
@@ -111,15 +105,12 @@ impl Default for MipConfig {
         Self {
             lp: LpConfig::standard(),
             node_limit: 100_000,
-            int_tol: 1e-6,
-            prune_tol: 1e-6,
             policy: PolicyKind::BestFirst,
             cuts: CutConfig::default(),
             heuristics: HeurConfig::default(),
             propagate: false,
             propagate_rounds: DEFAULT_PROPAGATE_ROUNDS,
             engine_reuse: true,
-            warm_start: true,
             gap_rel: 0.0,
             objective_limit: None,
             collect_certificates: false,
@@ -135,14 +126,12 @@ mod tests {
     fn defaults_are_sane() {
         let c = MipConfig::default();
         assert!(c.engine_reuse);
-        assert!(c.warm_start);
         assert!(c.cuts.enabled);
         assert!(c.heuristics.rounding);
         assert!(!c.heuristics.diving);
         assert!(!c.propagate, "propagation must be opt-in");
         assert_eq!(c.heuristics.fix_and_propagate_period, 0);
         assert!(c.propagate_rounds >= 1);
-        assert!(c.int_tol > 0.0 && c.int_tol < 1e-3);
         assert!(c.node_limit > 1000);
         assert_eq!(c.gap_rel, 0.0);
         assert!(c.objective_limit.is_none());

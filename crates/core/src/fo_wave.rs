@@ -43,10 +43,6 @@ pub struct FirstOrderWaveConfig {
     pub lanes: usize,
     /// PDHG tuning (tolerance, restart factor, check cadence).
     pub pdhg: PdhgConfig,
-    /// Integrality tolerance.
-    pub int_tol: f64,
-    /// Pruning tolerance.
-    pub prune_tol: f64,
     /// Node budget.
     pub node_limit: usize,
     /// Run batched domain propagation (`prop.*` kernel trios over the
@@ -70,8 +66,6 @@ impl Default for FirstOrderWaveConfig {
         Self {
             lanes: 8,
             pdhg: PdhgConfig::default(),
-            int_tol: 1e-6,
-            prune_tol: 1e-6,
             node_limit: 100_000,
             propagate: false,
             propagate_rounds: crate::DEFAULT_PROPAGATE_ROUNDS,
@@ -171,7 +165,7 @@ pub fn solve_first_order_wave(
         width,
         PropCharge::Batch(accel.clone()),
     );
-    let rules = Rules::new(instance, cfg.int_tol, cfg.prune_tol);
+    let rules = Rules::new(instance);
     let lanes = PdhgLanes { fo, cleanup };
     run_wave(instance, rules, hook, cfg.node_limit, accel, width, lanes)
 }

@@ -54,25 +54,34 @@ pub enum Verdict {
     },
 }
 
+/// Integrality tolerance: a value within this of an integer is integral.
+pub const INT_TOL: f64 = 1e-6;
+
+/// Pruning tolerance: a bound that cannot beat the incumbent by more than
+/// this is dominated.
+pub const PRUNE_TOL: f64 = 1e-6;
+
 /// The per-solve constants a node outcome is decided by.
 #[derive(Debug, Clone)]
 pub struct Rules {
     sense: Objective,
     integral: Vec<usize>,
-    /// Integrality tolerance.
+    /// Integrality tolerance ([`INT_TOL`]).
     pub int_tol: f64,
-    /// Pruning tolerance.
+    /// Pruning tolerance ([`PRUNE_TOL`]; a cluster rank's report-side prune
+    /// overrides it).
     pub prune_tol: f64,
 }
 
 impl Rules {
-    /// Caches `instance`'s sense and integral index list.
-    pub fn new(instance: &MipInstance, int_tol: f64, prune_tol: f64) -> Self {
+    /// Caches `instance`'s sense and integral index list, with the
+    /// tolerances at [`INT_TOL`] and [`PRUNE_TOL`].
+    pub fn new(instance: &MipInstance) -> Self {
         Self {
             sense: instance.objective,
             integral: instance.integral_indices(),
-            int_tol,
-            prune_tol,
+            int_tol: INT_TOL,
+            prune_tol: PRUNE_TOL,
         }
     }
 
@@ -500,12 +509,13 @@ mod tests {
     use gmip_problems::generators::set_cover;
 
     fn rules(m: &MipInstance) -> Rules {
-        Rules::new(m, 1e-6, 1e-6)
+        Rules::new(m)
     }
 
     #[test]
     fn a_bound_exactly_at_incumbent_plus_tolerance_prunes() {
-        let r = Rules::new(&figure1_knapsack(), 1e-6, 0.5);
+        let mut r = rules(&figure1_knapsack());
+        r.prune_tol = 0.5;
         let x = [1.0, 0.5, 0.0, 0.0];
         assert_eq!(r.verdict(10.5, &x, 10.0), Verdict::Pruned);
         assert!(matches!(

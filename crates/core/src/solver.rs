@@ -226,7 +226,7 @@ impl<E: SimplexEngine> MipSolver<E> {
         factory: impl Fn(&DenseMatrix) -> LpResult<E> + 'static,
     ) -> Self {
         Self {
-            rules: Rules::new(&instance, cfg.int_tol, cfg.prune_tol),
+            rules: Rules::new(&instance),
             node_bytes: search::node_bytes(&instance),
             instance,
             cfg,
@@ -333,7 +333,7 @@ impl<E: SimplexEngine> MipSolver<E> {
                     &sol.x,
                     CUTS_PER_ROUND - cuts.len(),
                     MIN_CUT_VIOLATION,
-                    self.cfg.int_tol,
+                    self.rules.int_tol,
                 )?;
                 cuts.extend(gmi);
             }
@@ -421,9 +421,8 @@ impl<E: SimplexEngine> MipSolver<E> {
             Some(lp) => lp,
             None => lp_slot.as_mut().expect("root evaluated first"),
         };
-        let warm = parent_basis.filter(|_| self.cfg.warm_start);
         let lp_bounds = if is_root { built_over } else { bounds };
-        let (mut sol, mut basis) = lp.solve_node(lp_bounds, warm)?;
+        let (mut sol, mut basis) = lp.solve_node(lp_bounds, parent_basis)?;
         stats.lp_iterations += sol.iterations;
         if is_root && sol.status == LpStatus::Optimal {
             self.cut_rounds(lp, &mut sol, global_cuts, stats)?;
@@ -590,7 +589,7 @@ impl<E: SimplexEngine> MipSolver<E> {
                             &bounds,
                             &sol.x,
                             DIVE_DEPTH,
-                            self.cfg.int_tol,
+                            self.rules.int_tol,
                         )? {
                             self.offer_heuristic(
                                 "diving",
@@ -660,7 +659,7 @@ impl<E: SimplexEngine> MipSolver<E> {
         tree: &mut SearchTree<NodePayload>,
         stats: &mut SolveStats,
     ) -> bool {
-        let improves = cand > incumbent.value() + self.cfg.prune_tol;
+        let improves = cand > incumbent.value() + self.rules.prune_tol;
         if improves {
             incumbent.accept(&self.rules, tree, cand, point, || self.sim_now_ns());
             stats.heur_incumbents += 1;
@@ -998,18 +997,5 @@ mod tests {
             .events
             .iter()
             .any(|e| e.event.track.group == gmip_trace::TrackGroup::Gpu(0)));
-    }
-
-    #[test]
-    fn cold_start_mode_matches_warm() {
-        let m = knapsack(10, 0.5, 5);
-        let expected = knapsack_brute_force(&m);
-        let cfg = MipConfig {
-            warm_start: false,
-            ..Default::default()
-        };
-        let mut s = MipSolver::host_baseline(m, cfg);
-        let r = s.solve().unwrap();
-        assert!((r.objective - expected).abs() < 1e-6);
     }
 }

@@ -41,10 +41,6 @@ pub struct BatchedWaveConfig {
     pub lanes: usize,
     /// LP tolerances.
     pub lp: LpConfig,
-    /// Integrality tolerance.
-    pub int_tol: f64,
-    /// Pruning tolerance.
-    pub prune_tol: f64,
     /// Node budget.
     pub node_limit: usize,
     /// Run batched domain propagation (`prop.*` kernel trios over the
@@ -67,8 +63,6 @@ impl Default for BatchedWaveConfig {
         Self {
             lanes: 4,
             lp: LpConfig::standard(),
-            int_tol: 1e-6,
-            prune_tol: 1e-6,
             node_limit: 100_000,
             propagate: false,
             propagate_rounds: crate::DEFAULT_PROPAGATE_ROUNDS,
@@ -281,7 +275,7 @@ pub fn solve_batched_wave(
     let solved = (0..width).map(|_| None).collect();
     run_wave(
         instance,
-        Rules::new(instance, cfg.int_tol, cfg.prune_tol),
+        Rules::new(instance),
         hook,
         cfg.node_limit,
         accel,

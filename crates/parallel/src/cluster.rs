@@ -136,12 +136,10 @@ impl Cluster {
             .clone()
             .map(|chaos| FaultPlan::new(chaos, cfg.workers));
         let mut tree = SearchTree::with_root(ParPayload::default(), search::node_bytes(&instance));
-        if cfg.warm_start {
-            let root = tree.root();
-            tree.data_mut(root).warm_basis.clone_from(&cfg.root_basis);
-        }
+        let root = tree.root();
+        tree.data_mut(root).warm_basis.clone_from(&cfg.root_basis);
         Ok(Self {
-            rules: Rules::new(&instance, cfg.int_tol, cfg.prune_tol),
+            rules: Rules::new(&instance),
             tree,
             ranks: Roster::new(cfg.workers),
             lost_busy_ns: vec![0.0; cfg.workers],
@@ -162,7 +160,7 @@ impl Cluster {
     /// on the rank. Returns the exchange id and how the exchange completes.
     pub fn start(&mut self, w: usize, id: NodeId, incumbent: f64) -> LpResult<(u64, Completion)> {
         self.tree.begin_evaluation(id);
-        let assignment = assignment(self.tree.node(id), self.cfg.warm_start, incumbent);
+        let assignment = assignment(self.tree.node(id), incumbent);
         let dispatch = self.next_dispatch;
         self.next_dispatch += 1;
         let (report, completion) = exchange(

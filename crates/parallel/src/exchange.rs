@@ -18,17 +18,12 @@ use gmip_trace::{names, Event as TraceSpan, Track};
 use gmip_tree::{Node, NodeId, NodeState, SearchTree};
 
 /// The assignment that ships `node`: its bound changes, its parent's basis
-/// when warm starts are on, and the sender's incumbent value.
-pub(crate) fn assignment(node: &Node<ParPayload>, warm_start: bool, incumbent: f64) -> Assignment {
+/// and the sender's incumbent value.
+pub(crate) fn assignment(node: &Node<ParPayload>, incumbent: f64) -> Assignment {
     Assignment {
         node_id: node.id,
         bounds: node.data.bounds.clone(),
-        warm_basis: node
-            .data
-            .warm_basis
-            .as_ref()
-            .filter(|_| warm_start)
-            .cloned(),
+        warm_basis: node.data.warm_basis.clone(),
         incumbent,
     }
 }

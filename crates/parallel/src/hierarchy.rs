@@ -712,7 +712,7 @@ impl HierSupervisor {
         // Group-scoped pruning: only the frontier this group owns — other
         // groups prune when their own broadcast arrives, so pruning power
         // honestly lags the root-link latency.
-        let tol = self.c.cfg.prune_tol;
+        let tol = self.c.rules.prune_tol;
         self.c.tree.prune_dominated_in(g, value, tol);
     }
 
@@ -872,7 +872,7 @@ impl HierSupervisor {
             };
             self.c
                 .tree
-                .prune_dominated_in(g, value, self.c.cfg.prune_tol);
+                .prune_dominated_in(g, value, self.c.rules.prune_tol);
             let transfer = self.ship_root(upd.bytes());
             let xfer = self.next_xfer;
             self.next_xfer += 1;

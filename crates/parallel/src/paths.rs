@@ -263,8 +263,6 @@ impl SolvePath {
             workers,
             gpu_mem,
             lp: m.lp.clone(),
-            int_tol: m.int_tol,
-            prune_tol: m.prune_tol,
             node_limit: m.node_limit,
             chaos: o.chaos.clone(),
             propagate: m.propagate,
@@ -288,8 +286,6 @@ impl SolvePath {
                 let cfg = BatchedWaveConfig {
                     lanes,
                     lp: m.lp.clone(),
-                    int_tol: m.int_tol,
-                    prune_tol: m.prune_tol,
                     node_limit: m.node_limit,
                     propagate: m.propagate,
                     propagate_rounds: m.propagate_rounds,
@@ -303,8 +299,6 @@ impl SolvePath {
                 let cfg = ConcurrentConfig {
                     lanes,
                     lp: m.lp.clone(),
-                    int_tol: m.int_tol,
-                    prune_tol: m.prune_tol,
                     node_limit: m.node_limit,
                 };
                 solve_concurrent(instance, &cfg, device()).map(Solved::Wave)
@@ -312,8 +306,6 @@ impl SolvePath {
             Self::FirstOrder(lanes) => {
                 let cfg = FirstOrderWaveConfig {
                     lanes,
-                    int_tol: m.int_tol,
-                    prune_tol: m.prune_tol,
                     node_limit: m.node_limit,
                     propagate: m.propagate,
                     propagate_rounds: m.propagate_rounds,

@@ -24,7 +24,6 @@ use crate::comm::{NetworkModel, NodeReport};
 use crate::exchange::{settle_outcome, Completion, Settled};
 use gmip_core::search::Incumbent;
 use gmip_core::MipStatus;
-use gmip_gpu::CostModel;
 use gmip_lp::{Basis, BoundChange, LpConfig, LpResult};
 use gmip_problems::MipInstance;
 use gmip_trace::{names, Event as TraceSpan, MetricsRegistry, Track};
@@ -48,24 +47,16 @@ pub struct ParallelConfig {
     pub workers: usize,
     /// Interconnect model.
     pub network: NetworkModel,
-    /// Per-worker device cost model.
-    pub gpu_cost: CostModel,
     /// Per-worker device memory.
     pub gpu_mem: usize,
     /// LP tolerances.
     pub lp: LpConfig,
-    /// Integrality tolerance.
-    pub int_tol: f64,
-    /// Pruning tolerance.
-    pub prune_tol: f64,
     /// Node budget.
     pub node_limit: usize,
     /// Work-distribution mode.
     pub load_balance: LoadBalance,
     /// Breadth-first ramp-up until every worker has work.
     pub ramp_up: bool,
-    /// Ship parent bases for warm starts.
-    pub warm_start: bool,
     /// Take a consistent snapshot every `n` nodes (None = never).
     pub checkpoint_every: Option<usize>,
     /// Deterministic fault injection (None = a reliable machine).
@@ -76,8 +67,9 @@ pub struct ParallelConfig {
     /// solution pool this way. Ignored when infeasible.
     pub seed_solution: Option<Vec<f64>>,
     /// A warm basis for the root relaxation (a pooled basis from a
-    /// structurally identical solve). Requires `warm_start`; shipped to the
-    /// rank that evaluates the root exactly like a parent basis.
+    /// structurally identical solve), shipped to the rank that evaluates the
+    /// root exactly like a parent basis. A basis of the wrong shape is
+    /// dropped there and the root solves cold.
     pub root_basis: Option<Basis>,
     /// Workers run iterated activity-based bound propagation on every
     /// assignment before the node LP (`prop.*` kernels on their device),
@@ -100,15 +92,11 @@ impl Default for ParallelConfig {
         Self {
             workers: 4,
             network: NetworkModel::infiniband(),
-            gpu_cost: CostModel::gpu_pcie(),
             gpu_mem: 1 << 30,
             lp: LpConfig::standard(),
-            int_tol: 1e-6,
-            prune_tol: 1e-6,
             node_limit: 100_000,
             load_balance: LoadBalance::Dynamic,
             ramp_up: true,
-            warm_start: true,
             checkpoint_every: None,
             chaos: None,
             seed_solution: None,

@@ -112,7 +112,7 @@ pub fn solve_threaded(instance: &MipInstance, cfg: &ParallelConfig) -> LpResult<
     let keeper = chaos_on.then(|| report_tx.clone());
     drop(report_tx);
 
-    let rules = Rules::new(instance, cfg.int_tol, cfg.prune_tol);
+    let rules = Rules::new(instance);
     let mut tree: SearchTree<ParPayload> =
         SearchTree::with_root(ParPayload::default(), search::node_bytes(instance));
     let mut idle: Vec<usize> = (0..cfg.workers).collect();
@@ -138,7 +138,7 @@ pub fn solve_threaded(instance: &MipInstance, cfg: &ParallelConfig) -> LpResult<
             };
             let w = idle.pop().expect("checked non-empty");
             tree.begin_evaluation(id);
-            let a = assignment(tree.node(id), cfg.warm_start, incumbent.value());
+            let a = assignment(tree.node(id), incumbent.value());
             assigned.insert(id, w);
             work_txs[w]
                 .send(WorkerMsg::Work(a))

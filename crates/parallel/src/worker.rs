@@ -9,13 +9,13 @@
 use crate::comm::{Assignment, NodeOutcome, NodeReport};
 use gmip_core::search::{NodeHook, PropCharge, Rules, Verdict};
 use gmip_core::DEFAULT_PROPAGATE_ROUNDS;
-use gmip_gpu::{Accel, DeviceConfig};
+use gmip_gpu::{Accel, CostModel, DeviceConfig};
 use gmip_lp::{DeviceEngine, LpResult, LpSolver, LpStatus, StandardLp};
 use gmip_problems::MipInstance;
 
 /// Margin of the worker-side prune against the incumbent value shipped with
 /// the assignment. The supervisor re-tests every `Branch` report against its
-/// *current* incumbent with the configured prune tolerance; the rank only
+/// *current* incumbent with [`gmip_core::search::PRUNE_TOL`]; the rank only
 /// cuts what is dominated beyond rounding noise.
 const REPORT_PRUNE_TOL: f64 = 1e-9;
 
@@ -28,8 +28,8 @@ pub struct Worker {
     /// The rank's node-LP solver: one device kernel launch per simplex
     /// call against the matrix uploaded at construction.
     lp: LpSolver<DeviceEngine>,
-    /// The rank's verdict rules: the instance's sense and integral indices,
-    /// the configured `int_tol`, and [`REPORT_PRUNE_TOL`].
+    /// The rank's verdict rules: [`Rules::new`]'s, with the prune tolerance
+    /// overridden to [`REPORT_PRUNE_TOL`].
     rules: Rules,
     /// Completion time of this worker's last assignment (DES bookkeeping).
     pub busy_until: f64,
@@ -61,7 +61,7 @@ impl Worker {
         // Each rank's device gets its own trace track group, so a Perfetto
         // view shows one GPU timeline per worker.
         let accel = Accel::gpu_with(DeviceConfig {
-            cost: cfg.gpu_cost.clone(),
+            cost: CostModel::gpu_pcie(),
             mem_capacity: cfg.gpu_mem,
             streams: 1,
         })
@@ -79,11 +79,13 @@ impl Worker {
             1,
             PropCharge::Batch(accel.clone()),
         );
+        let mut rules = Rules::new(instance);
+        rules.prune_tol = REPORT_PRUNE_TOL;
         Ok(Self {
             id,
             accel,
             lp,
-            rules: Rules::new(instance, cfg.int_tol, REPORT_PRUNE_TOL),
+            rules,
             hook,
             busy_until: 0.0,
             busy_ns: 0.0,
