@@ -52,15 +52,15 @@ fn run_cell(load: f64, chaos: bool) -> (ServeCell, ServeReport, Vec<gmip_serve::
         ..TrafficConfig::default()
     };
     let (tenants, jobs) = generate(&tcfg);
-    let scfg = ServeConfig {
+    let mut scfg = ServeConfig {
         ranks: RANKS,
-        chaos: chaos.then(|| ChaosConfig {
-            drop_prob: 0.02,
-            delay_prob: 0.05,
-            ..ChaosConfig::quiet(SEED)
-        }),
         ..ServeConfig::default()
     };
+    scfg.solve.chaos = chaos.then(|| ChaosConfig {
+        drop_prob: 0.02,
+        delay_prob: 0.05,
+        ..ChaosConfig::quiet(SEED)
+    });
     let report = Service::new(scfg, tenants).run(jobs.clone());
     let cell = ServeCell {
         load,

@@ -29,8 +29,12 @@ SERVE:
   job sizes, duplicate and perturbed re-submissions) through the
   multi-tenant solve service: admission control, priority scheduling,
   rank sharding, and the solution-pool warm-start cache. Deterministic:
-  the same --seed reproduces every answer and trace byte. Accepts
-  --seed, --node-limit, --faults, --trace, --metrics, plus:
+  the same --seed reproduces every answer and trace byte. Every job runs
+  on cluster:<leased ranks>, so --strategy is an error, and so is any
+  SOLVE OPTION the cluster does not read (--policy, --gap, --obj-limit,
+  --no-cuts, --no-heur, --prop-rounds). Accepts --seed, --trace,
+  --metrics, the cluster's --node-limit, --gpu-mem, --pricing,
+  --propagate, --heur-period, --backend and --faults, plus:
   --jobs <n>           jobs in the tape                 (default: 200)
   --ranks <n>          cluster ranks shared by jobs     (default: 8)
   --tenants <n>        tenants (priorities cycle 0,1,2) (default: 3)
@@ -221,7 +225,7 @@ pub fn parse_options(args: &[String]) -> Result<Options, String> {
             "--gpu-mem" => {
                 let range = |g: &usize| (1..=MAX_GPU_MEM_GIB).contains(g);
                 let must = format!("an integer from 1 to {MAX_GPU_MEM_GIB} (GiB)");
-                o.solve.gpu_mem_gib = num(take(a), a, range, &must)?
+                o.solve.gpu_mem = num(take(a), a, range, &must)? << 30
             }
             "--node-limit" => m.node_limit = num(take(a), a, any, "an integer")?,
             "--policy" => {
@@ -490,6 +494,12 @@ pub fn verify(instance: MipInstance, o: &Options) -> Result<String, String> {
 /// and reports the SLO summary; optionally audits served answers against
 /// the exact oracle and gates on the shed rate.
 pub fn serve(o: &Options) -> Result<String, String> {
+    if let Some(path) = o.strategy {
+        return Err(format!(
+            "--strategy {path}: serve runs every job on cluster:<leased ranks>"
+        ));
+    }
+    SolvePath::Cluster(o.ranks, None).check(&o.solve)?;
     let tcfg = gmip_serve::TrafficConfig {
         jobs: o.jobs,
         seed: o.seed,
@@ -516,8 +526,7 @@ pub fn serve(o: &Options) -> Result<String, String> {
     let session = o.trace.as_ref().map(|_| gmip_trace::TraceSession::start());
     let scfg = gmip_serve::ServeConfig {
         ranks: o.ranks,
-        node_limit: o.solve.mip.node_limit,
-        chaos: o.solve.chaos.clone(),
+        solve: o.solve.clone(),
         ..Default::default()
     };
     let report = gmip_serve::Service::new(scfg, tenants).run(jobs.clone());
@@ -799,7 +808,7 @@ mod tests {
         assert!(!o.solve.mip.cuts.enabled);
         assert_eq!(o.solve.mip.policy, PolicyKind::ReuseAffinity);
         assert_eq!(o.solve.mip.node_limit, 42);
-        assert_eq!(o.solve.gpu_mem_gib, 2);
+        assert_eq!(o.solve.gpu_mem, 2 << 30);
         assert!(o.stats);
     }
 
@@ -811,7 +820,7 @@ mod tests {
             let err = parse_options(&s(&["--gpu-mem", bad])).unwrap_err();
             assert_eq!(err, "--gpu-mem must be an integer from 1 to 1048576 (GiB)");
         }
-        assert_eq!(opts(&["--gpu-mem", "1048576"]).solve.gpu_mem_gib, 1 << 20);
+        assert_eq!(opts(&["--gpu-mem", "1048576"]).solve.gpu_mem, 1 << 50);
     }
 
     #[test]
@@ -1195,6 +1204,40 @@ mod tests {
         let out = serve(&o).unwrap();
         assert!(out.contains("chaos overlay"), "{out}");
         assert!(out.contains("all match"), "{out}");
+    }
+
+    /// `serve` runs every job on `cluster:<leased ranks>`: a strategy or an
+    /// option the cluster does not read is an error naming its flag.
+    #[test]
+    fn serve_refuses_what_the_cluster_does_not_read() {
+        for (args, flag) in [
+            (&["--strategy", "batched:4"][..], "--strategy"),
+            (&["--policy", "depth"], "--policy"),
+            (&["--gap", "0.1"], "--gap"),
+            (&["--obj-limit", "3"], "--obj-limit"),
+            (&["--no-cuts"], "--no-cuts"),
+            (&["--no-heur"], "--no-heur"),
+            (&["--prop-rounds", "3"], "--prop-rounds"),
+        ] {
+            let err = run(&s(&[&["serve", "--jobs", "2"][..], args].concat())).unwrap_err();
+            assert!(err.starts_with(flag), "{args:?}: {err}");
+        }
+    }
+
+    /// The solve options the cluster reads reach every job.
+    #[test]
+    fn serve_forwards_the_cluster_options() {
+        let serve = |extra: &[&str]| {
+            let base = ["serve", "--jobs", "20", "--ranks", "4", "--max-items", "8"];
+            run(&s(&[&base[..], extra, &["--metrics"]].concat())).unwrap()
+        };
+        let plain = serve(&[]);
+        let hooked = serve(&["--propagate", "--heur-period", "2"]);
+        for counter in ["prop.rounds", "heur.attempts"] {
+            assert!(!plain.contains(counter), "{plain}");
+            assert!(hooked.contains(counter), "{hooked}");
+        }
+        assert_ne!(serve(&["--pricing", "devex"]), plain);
     }
 
     #[test]

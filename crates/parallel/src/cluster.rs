@@ -137,7 +137,9 @@ impl Cluster {
             .map(|chaos| FaultPlan::new(chaos, cfg.workers));
         let mut tree = SearchTree::with_root(ParPayload::default(), search::node_bytes(&instance));
         let root = tree.root();
-        tree.data_mut(root).warm_basis.clone_from(&cfg.root_basis);
+        tree.data_mut(root)
+            .warm_basis
+            .clone_from(&cfg.warm.root_basis);
         Ok(Self {
             rules: Rules::new(&instance),
             tree,

@@ -333,7 +333,7 @@ impl HierSupervisor {
         }
         // Warm-start entry point: a pooled solution seeds the root *and*
         // every group's pruning value, exactly like the flat cluster.
-        if let Some(seed) = &sup.c.cfg.seed_solution {
+        if let Some(seed) = &sup.c.cfg.warm.seed {
             if sup.root_incumbent.seed(&sup.c.rules, &sup.c.instance, seed) {
                 for g in &mut sup.gstate {
                     g.incumbent = sup.root_incumbent.value();

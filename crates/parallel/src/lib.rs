@@ -52,7 +52,7 @@ pub use lease::{RankLease, RankPool};
 pub use paths::{SolveOptions, SolvePath, Solved, SPELLINGS};
 pub use supervisor::{
     solve_parallel, LoadBalance, ParPayload, ParallelConfig, ParallelResult, ParallelStats,
-    Supervisor,
+    Supervisor, Warm,
 };
 pub use threaded::{solve_threaded, ThreadedResult};
 pub use worker::Worker;

@@ -7,8 +7,9 @@
 //! Section 2.3 supervisor–worker cluster. A [`SolvePath`] names one of them
 //! by its `--strategy` spelling, and [`SolvePath::run`] builds that path's
 //! configuration from one [`SolveOptions`] and solves. `gmip solve`,
-//! `gmip verify` and the `gmip-verify` fuzzer all go through here, so every
-//! path the CLI offers is one the fuzzer holds to the exact oracle.
+//! `gmip verify`, the `gmip-verify` fuzzer and every job the `gmip-serve`
+//! service dispatches (on `cluster:<leased ranks>`) all go through here, so
+//! every path the CLI offers is one the fuzzer holds to the exact oracle.
 //!
 //! | spelling | driver |
 //! |---|---|
@@ -25,7 +26,7 @@
 
 use crate::{
     solve_hierarchical, solve_parallel, solve_threaded, ChaosConfig, HierResult, HierarchyConfig,
-    ParallelConfig, ParallelResult, ThreadedResult, MAX_RANKS,
+    ParallelConfig, ParallelResult, ThreadedResult, Warm, MAX_RANKS,
 };
 use gmip_core::{
     plan, solve_batched_wave, solve_concurrent, solve_first_order_wave, solve_with_dispatch,
@@ -74,21 +75,24 @@ pub struct SolveOptions {
     /// Node limit, pricing, policy, cuts, heuristics, propagation, gap,
     /// objective limit and certificates.
     pub mip: MipConfig,
-    /// Memory of each simulated device, GiB.
-    pub gpu_mem_gib: usize,
+    /// Memory of each simulated device, bytes.
+    pub gpu_mem: usize,
     /// Who executes the fused lane kernels.
     pub backend: BackendKind,
     /// Deterministic fault injection (cluster and threaded ranks only).
     pub chaos: Option<ChaosConfig>,
+    /// A warm start (the discrete-event clusters only).
+    pub warm: Warm,
 }
 
 impl Default for SolveOptions {
     fn default() -> Self {
         Self {
             mip: MipConfig::default(),
-            gpu_mem_gib: 1,
+            gpu_mem: 1 << 30,
             backend: BackendKind::Sim,
             chaos: None,
+            warm: Warm::default(),
         }
     }
 }
@@ -220,7 +224,7 @@ impl fmt::Display for SolvePath {
 
 impl SolvePath {
     /// The first option `o` sets away from its default that this path does
-    /// not read, by its CLI flag.
+    /// not read, by its CLI flag (a warm start has none).
     fn unread_option(self, o: &SolveOptions) -> Option<&'static str> {
         use SolvePath::*;
         let d = SolveOptions::default();
@@ -231,8 +235,9 @@ impl SolvePath {
         let pricing = m.lp.primal.pricing != dm.lp.primal.pricing;
         let dive = m.heuristics.fix_and_propagate_period != 0;
         let rounds = m.propagate_rounds != dm.propagate_rounds;
+        let warm = o.warm.seed.is_some() || o.warm.root_basis.is_some();
         [
-            ("--gpu-mem", o.gpu_mem_gib != d.gpu_mem_gib, self != Host),
+            ("--gpu-mem", o.gpu_mem != d.gpu_mem, self != Host),
             ("--policy", m.policy != dm.policy, mip),
             ("--gap", m.gap_rel != dm.gap_rel, mip),
             ("--obj-limit", m.objective_limit.is_some(), mip),
@@ -244,24 +249,37 @@ impl SolvePath {
             ("--prop-rounds", rounds, !ranks && !lane),
             ("--backend", o.backend != d.backend, !mip && !lane),
             ("--faults", o.chaos.is_some(), ranks),
+            ("a warm start", warm, matches!(self, Cluster(..))),
         ]
         .into_iter()
         .find(|&(_, set, read)| set && !read)
         .map(|(flag, ..)| flag)
     }
 
+    /// An `Err` naming the first option `o` sets that this path does not
+    /// read.
+    pub fn check(self, o: &SolveOptions) -> Result<(), String> {
+        match self.unread_option(o) {
+            Some(flag) => Err(format!("{flag} is not read by --strategy {self}")),
+            None => Ok(()),
+        }
+    }
+
     /// Builds this path's configuration from `o` and solves `instance`.
     /// An option this path would not read is an `Err` naming it.
     pub fn run(self, instance: &MipInstance, o: &SolveOptions) -> Result<Solved, String> {
-        if let Some(flag) = self.unread_option(o) {
-            return Err(format!("{flag} is not read by --strategy {self}"));
-        }
-        let m = &o.mip;
-        let device = || Accel::gpu(o.gpu_mem_gib);
-        let gpu_mem = DeviceConfig::gpu(o.gpu_mem_gib).mem_capacity;
+        self.check(o)?;
+        let (m, gpu_mem) = (&o.mip, o.gpu_mem);
+        let device = || {
+            Accel::gpu_with(DeviceConfig {
+                mem_capacity: gpu_mem,
+                ..DeviceConfig::gpu(1)
+            })
+        };
         let ranks = |workers| ParallelConfig {
             workers,
             gpu_mem,
+            warm: o.warm.clone(),
             lp: m.lp.clone(),
             node_limit: m.node_limit,
             chaos: o.chaos.clone(),
@@ -422,8 +440,8 @@ mod tests {
         ];
         type Set = fn(&mut SolveOptions);
         // One column per path above: `x` reads the option, `.` does not.
-        let options: [(&str, Set, &str); 12] = [
-            ("--gpu-mem", |o| o.gpu_mem_gib = 2, ".xxxxxxxx"),
+        let options: [(&str, Set, &str); 13] = [
+            ("--gpu-mem", |o| o.gpu_mem = 2 << 30, ".xxxxxxxx"),
             ("--node-limit", |o| o.mip.node_limit = 50, "xxxxxxxxx"),
             (
                 "--policy",
@@ -458,6 +476,11 @@ mod tests {
                 "--backend",
                 |o| o.backend = BackendKind::Native { threads: 1 },
                 "...x.xxxx",
+            ),
+            (
+                "a warm start",
+                |o| o.warm.seed = Some(vec![1.0, 0.0, 1.0, 0.0]),
+                "......xx.",
             ),
         ];
         let m = figure1_knapsack();

@@ -40,6 +40,22 @@ pub enum LoadBalance {
     Static,
 }
 
+/// A warm start: what a prior solve of the same (or a perturbed) model
+/// hands a cluster solve. The default is a cold start.
+#[derive(Debug, Clone, Default)]
+pub struct Warm {
+    /// A candidate solution (source-sense point) installed as the initial
+    /// incumbent if it validates integer-feasible on the instance — the
+    /// multi-job serving layer seeds perturbed re-submissions from its
+    /// solution pool this way. Ignored when infeasible.
+    pub seed: Option<Vec<f64>>,
+    /// A warm basis for the root relaxation (a pooled basis from a
+    /// structurally identical solve), shipped to the rank that evaluates the
+    /// root exactly like a parent basis. A basis of the wrong shape is
+    /// dropped there and the root solves cold.
+    pub root_basis: Option<Basis>,
+}
+
 /// Configuration of a parallel solve.
 #[derive(Debug, Clone)]
 pub struct ParallelConfig {
@@ -61,16 +77,8 @@ pub struct ParallelConfig {
     pub checkpoint_every: Option<usize>,
     /// Deterministic fault injection (None = a reliable machine).
     pub chaos: Option<ChaosConfig>,
-    /// A candidate solution (source-sense point) installed as the initial
-    /// incumbent if it validates integer-feasible on the instance — the
-    /// multi-job serving layer seeds perturbed re-submissions from its
-    /// solution pool this way. Ignored when infeasible.
-    pub seed_solution: Option<Vec<f64>>,
-    /// A warm basis for the root relaxation (a pooled basis from a
-    /// structurally identical solve), shipped to the rank that evaluates the
-    /// root exactly like a parent basis. A basis of the wrong shape is
-    /// dropped there and the root solves cold.
-    pub root_basis: Option<Basis>,
+    /// What a prior solve hands this one (default: a cold start).
+    pub warm: Warm,
     /// Workers run iterated activity-based bound propagation on every
     /// assignment before the node LP (`prop.*` kernels on their device),
     /// settling infeasible nodes without simplex work and tightening
@@ -99,8 +107,7 @@ impl Default for ParallelConfig {
             ramp_up: true,
             checkpoint_every: None,
             chaos: None,
-            seed_solution: None,
-            root_basis: None,
+            warm: Warm::default(),
             propagate: false,
             heuristic_period: 0,
             backend: gmip_gpu::BackendKind::Sim,
@@ -148,7 +155,7 @@ pub struct ParallelStats {
     pub metrics: MetricsRegistry,
     /// The root relaxation's optimal basis (when the root branched), for
     /// pooling: a structurally identical re-submission can warm-start its
-    /// root from it via [`ParallelConfig::root_basis`].
+    /// root from it via [`Warm::root_basis`].
     pub root_basis: Option<Basis>,
 }
 
@@ -218,7 +225,7 @@ impl Supervisor {
         // Warm-start entry point: a pooled solution becomes the initial
         // incumbent once it re-validates on this (possibly perturbed)
         // instance, so every dispatched assignment prunes against it.
-        if let Some(seed) = &sup.c.cfg.seed_solution {
+        if let Some(seed) = &sup.c.cfg.warm.seed {
             if sup.incumbent.seed(&sup.c.rules, &sup.c.instance, seed) {
                 sup.c.stats.metrics.incr(names::BB_WARM_SEEDS, 1.0);
             }

@@ -1,4 +1,4 @@
-//! `ParallelConfig::root_basis` on both cluster shapes (the flat star and a
+//! `Warm::root_basis` on both cluster shapes (the flat star and a
 //! `cluster:<ranks>x<fanout>` hierarchy): the root basis a prior solve
 //! reports warm-starts a re-solve of the same instance to the same answer
 //! for fewer simplex pivots, and a basis of the wrong shape is dropped for a
@@ -7,7 +7,7 @@
 use gmip_core::MipStatus;
 use gmip_lp::Basis;
 use gmip_parallel::{
-    solve_hierarchical, solve_parallel, HierarchyConfig, ParallelConfig, ParallelStats,
+    solve_hierarchical, solve_parallel, HierarchyConfig, ParallelConfig, ParallelStats, Warm,
 };
 use gmip_problems::generators::knapsack::knapsack;
 use gmip_problems::MipInstance;
@@ -19,7 +19,10 @@ fn flat(inst: &MipInstance, root_basis: Option<Basis>) -> Outcome {
     let cfg = ParallelConfig {
         workers: 3,
         gpu_mem: 1 << 24,
-        root_basis,
+        warm: Warm {
+            root_basis,
+            seed: None,
+        },
         ..Default::default()
     };
     let r = solve_parallel(inst, cfg).expect("flat solve");
@@ -30,7 +33,10 @@ fn hierarchical(inst: &MipInstance, root_basis: Option<Basis>) -> Outcome {
     let cfg = ParallelConfig {
         workers: 8,
         gpu_mem: 1 << 24,
-        root_basis,
+        warm: Warm {
+            root_basis,
+            seed: None,
+        },
         ..Default::default()
     };
     let hcfg = HierarchyConfig {

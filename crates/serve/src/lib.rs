@@ -11,8 +11,10 @@
 //!   clock: admission control (per-tenant quotas, priority load
 //!   shedding), strict priority/FIFO dispatch, and sharding of concurrent
 //!   jobs across cluster ranks via [`gmip_parallel::RankPool`]. Each
-//!   dispatched job runs [`gmip_parallel::solve_parallel`] on its leased
-//!   shard; the solve's simulated makespan is its service time. Under the
+//!   dispatched job runs the solve-path table's `cluster:<leased ranks>`
+//!   row ([`gmip_parallel::SolvePath::run`]) with the service's
+//!   [`gmip_parallel::SolveOptions`]; the solve's simulated makespan is its
+//!   service time. Under the
 //!   chaos overlay each attempt derives its own fault plan and is retried
 //!   with exponential backoff past a per-attempt deadline.
 //! * [`fingerprint`] — canonical instance fingerprints: row/column order
@@ -43,7 +45,7 @@ pub mod traffic;
 
 pub use check::spot_check;
 pub use fingerprint::{canonicalize, Canonical};
-pub use pool::{PoolEntry, SolutionPool, WarmHint};
+pub use pool::{PoolEntry, SolutionPool};
 pub use service::{Disposition, JobRecord, JobSpec, ServeConfig, ServeReport, Service, TenantSpec};
 pub use traffic::{generate, TrafficConfig};
 
@@ -217,6 +219,45 @@ mod tests {
         // Each retry waits out an exponentially growing backoff on top of
         // the attempt timeouts: exactly 3 timeouts + backoff * (1 + 2).
         assert_eq!(rec.finish_ns, 3.0 * 10.0 + 3.0 * 1.0e6);
+    }
+
+    /// The service's solve options reach every attempt: with propagation
+    /// and the dive on, the ranks run `prop.*` and `heur.*` work, and every
+    /// answer is the plain run's.
+    #[test]
+    fn serve_forwards_its_solve_options() {
+        let (tenants, jobs) = traffic::generate(&small_traffic(30, 5));
+        let run = |cfg: ServeConfig| Service::new(cfg, tenants.clone()).run(jobs.clone());
+        let plain = run(ServeConfig {
+            ranks: 4,
+            ..ServeConfig::default()
+        });
+        let mut cfg = ServeConfig {
+            ranks: 4,
+            ..ServeConfig::default()
+        };
+        cfg.solve.mip.propagate = true;
+        cfg.solve.mip.heuristics.fix_and_propagate_period = 2;
+        let hooked = run(cfg);
+        for name in [names::PROP_ROUNDS, names::HEUR_ATTEMPTS] {
+            assert_eq!(plain.metrics.counter(name), 0.0, "{name}");
+            assert!(hooked.metrics.counter(name) > 0.0, "{name} never ran");
+        }
+        assert!(hooked.completed() > 0);
+        for (p, h) in plain.records.iter().zip(&hooked.records) {
+            if p.answered() && h.answered() {
+                assert_eq!(p.objective, h.objective, "job {}", p.id);
+            }
+        }
+    }
+
+    /// An option the cluster does not read is refused, not dropped.
+    #[test]
+    #[should_panic(expected = "--gap is not read by --strategy cluster:8")]
+    fn an_option_the_cluster_does_not_read_is_refused() {
+        let mut cfg = ServeConfig::default();
+        cfg.solve.mip.gap_rel = 0.1;
+        Service::new(cfg, vec![TenantSpec::new("t0", 1)]);
     }
 
     #[test]

@@ -20,6 +20,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use gmip_lp::Basis;
+use gmip_parallel::Warm;
 
 use crate::fingerprint::Canonical;
 
@@ -40,20 +41,6 @@ pub struct PoolEntry {
     pub root_basis: Option<Basis>,
     /// Structural fingerprint (for the warm index).
     pub structural: u64,
-}
-
-/// A warm-start hit: the pooled incumbent mapped into the requester's
-/// variable order, plus the root basis when it is safe to reuse.
-#[derive(Debug, Clone)]
-pub struct WarmHint {
-    /// Candidate incumbent in the requester's original variable order.
-    pub seed_x: Vec<f64>,
-    /// Root basis, present only when producer and requester share the
-    /// same original variable order (a basis indexes original columns, so
-    /// reusing it across a permutation would warm-start the wrong LP).
-    pub root_basis: Option<Basis>,
-    /// Nodes the producing solve spent (for speedup accounting).
-    pub producer_nodes: usize,
 }
 
 /// Bounded FIFO pool with exact and structural indices.
@@ -102,9 +89,13 @@ impl SolutionPool {
         Some((obj, canon.to_original_order(&e.x_canon), e.nodes))
     }
 
-    /// Structural lookup for warm-starting a perturbed re-submission.
-    /// Never returns an entry whose canonical variable count differs.
-    pub fn warm(&self, canon: &Canonical) -> Option<WarmHint> {
+    /// Structural lookup for warm-starting a perturbed re-submission: the
+    /// pooled incumbent in the requester's original variable order, and
+    /// the root basis only when producer and requester share that order (a
+    /// basis indexes original columns, so reusing it across a permutation
+    /// would warm-start the wrong LP). Never returns an entry whose
+    /// canonical variable count differs.
+    pub fn warm(&self, canon: &Canonical) -> Option<Warm> {
         let exact_fp = self.by_structure.get(&canon.structural)?;
         let e = self.by_exact.get(exact_fp)?;
         if e.x_canon.len() != canon.var_of_canon.len() {
@@ -115,10 +106,9 @@ impl SolutionPool {
         } else {
             None
         };
-        Some(WarmHint {
-            seed_x: canon.to_original_order(&e.x_canon),
+        Some(Warm {
+            seed: Some(canon.to_original_order(&e.x_canon)),
             root_basis,
-            producer_nodes: e.nodes,
         })
     }
 
@@ -209,8 +199,7 @@ mod tests {
         let canon_p = canonicalize(&p);
         assert!(pool.exact(&canon_p).is_none(), "perturbed must miss exact");
         let hint = pool.warm(&canon_p).expect("structural warm hit");
-        assert_eq!(hint.seed_x, x);
-        assert_eq!(hint.producer_nodes, 4);
+        assert_eq!(hint.seed, Some(x));
     }
 
     #[test]

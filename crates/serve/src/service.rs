@@ -17,10 +17,11 @@
 //!    the graceful-degradation mode).
 //! 2. **Dispatch** — a strict priority/FIFO head-of-line policy: the
 //!    highest-priority oldest job leases its requested rank width from the
-//!    shared [`RankPool`] and runs through [`solve_parallel`] as its own
-//!    miniature supervisor–worker cluster. A structural pool hit seeds the
-//!    solve with the pooled incumbent (and root basis when the column
-//!    order matches) — the warm-start path.
+//!    shared [`RankPool`] and runs as its own miniature supervisor–worker
+//!    cluster: the solve-path table's `cluster:<width>` row, built from
+//!    [`ServeConfig::solve`]. A structural pool hit seeds the solve with a
+//!    [`gmip_parallel::Warm`] start — the pooled incumbent, and the root
+//!    basis when the column order matches.
 //! 3. **Finish / Abort** — the solve's simulated makespan is its service
 //!    time. Under the chaos overlay each attempt derives its own fault
 //!    plan; an attempt whose makespan blows through `attempt_timeout_ns`
@@ -32,8 +33,7 @@ use std::collections::{BTreeSet, BinaryHeap};
 use std::sync::Mutex;
 
 use gmip_core::MipStatus;
-use gmip_lp::Basis;
-use gmip_parallel::{solve_parallel, ChaosConfig, ParallelConfig, RankLease, RankPool};
+use gmip_parallel::{ParallelResult, RankLease, RankPool, SolveOptions, SolvePath, Solved};
 use gmip_problems::MipInstance;
 use gmip_trace::{names, record, Event, MetricsRegistry, Track};
 
@@ -151,28 +151,31 @@ const ADMISSION_NS: f64 = 5_000.0;
 pub struct ServeConfig {
     /// Total cluster ranks shared by all in-flight jobs.
     pub ranks: usize,
-    /// Node budget handed to each solve.
-    pub node_limit: usize,
     /// Per-attempt simulated deadline; a solve whose makespan exceeds it
     /// is aborted and retried.
     pub attempt_timeout_ns: f64,
     /// Attempts beyond the first before a job fails permanently.
     pub max_retries: u32,
-    /// Device memory per rank (bytes), passed through to the cluster.
-    pub gpu_mem: usize,
-    /// Fault overlay; each attempt derives its own plan from this.
-    pub chaos: Option<ChaosConfig>,
+    /// What every attempt solves with on `cluster:<leased ranks>`: node
+    /// budget, device memory per rank, pricing, propagation, the dive,
+    /// the backend, and the fault overlay (each attempt derives its own
+    /// plan from it). The warm start is the pool's, per attempt.
+    pub solve: SolveOptions,
 }
 
 impl Default for ServeConfig {
+    /// 8 ranks, 200 000 nodes and 16 MiB per rank, no faults.
     fn default() -> Self {
+        let mut solve = SolveOptions {
+            gpu_mem: 1 << 24,
+            ..SolveOptions::default()
+        };
+        solve.mip.node_limit = 200_000;
         ServeConfig {
             ranks: 8,
-            node_limit: 200_000,
             attempt_timeout_ns: 5.0e9,
             max_retries: 2,
-            gpu_mem: 1 << 24,
-            chaos: None,
+            solve,
         }
     }
 }
@@ -331,14 +334,9 @@ fn tenant_metric(tenant: &str, suffix: &str) -> &'static str {
 }
 
 struct AttemptOutcome {
-    status: MipStatus,
-    objective: f64,
-    x: Vec<f64>,
-    nodes: usize,
-    root_basis: Option<Basis>,
+    res: ParallelResult,
+    /// A pooled seed was taken as the first incumbent.
     warm: bool,
-    makespan_ns: f64,
-    metrics: MetricsRegistry,
 }
 
 enum Ev {
@@ -401,10 +399,14 @@ pub struct Service {
 }
 
 impl Service {
-    /// A service over `tenants` with configuration `cfg`.
+    /// A service over `tenants` with configuration `cfg`. Panics on an
+    /// option of `cfg.solve` the cluster does not read.
     pub fn new(cfg: ServeConfig, tenants: Vec<TenantSpec>) -> Self {
         assert!(cfg.ranks >= 1, "service needs at least one rank");
         assert!(!tenants.is_empty(), "service needs at least one tenant");
+        if let Err(e) = SolvePath::Cluster(cfg.ranks, None).check(&cfg.solve) {
+            panic!("{e}");
+        }
         Service { cfg, tenants }
     }
 
@@ -539,42 +541,43 @@ impl Service {
                     outcome,
                 } => {
                     ranks.release(lease);
-                    let o = *outcome;
-                    metrics.merge(&o.metrics);
-                    metrics.observe(names::SERVE_EXEC_NS, o.makespan_ns);
-                    if o.warm {
+                    let AttemptOutcome { res, warm } = *outcome;
+                    let s = res.stats;
+                    metrics.merge(&s.metrics);
+                    metrics.observe(names::SERVE_EXEC_NS, s.makespan_ns);
+                    if warm {
                         metrics.incr(names::SERVE_CACHE_WARM_HITS, 1.0);
                     } else {
                         metrics.incr(names::SERVE_CACHE_MISSES, 1.0);
                     }
-                    if o.status == MipStatus::Optimal {
+                    if res.status == MipStatus::Optimal {
                         let before = pool.evictions();
                         pool.insert(
                             &states[job].canon,
-                            o.objective,
-                            &o.x,
-                            o.nodes,
-                            o.root_basis.clone(),
+                            res.objective,
+                            &res.x,
+                            s.nodes,
+                            s.root_basis,
                         );
                         metrics.incr(
                             names::SERVE_CACHE_EVICTIONS,
                             (pool.evictions() - before) as f64,
                         );
                     }
-                    let disp = if o.warm {
+                    let disp = if warm {
                         Disposition::SolvedWarm
                     } else {
                         Disposition::SolvedCold
                     };
                     let start = states[job].last_start_ns;
-                    let dur = o.makespan_ns;
+                    let dur = s.makespan_ns;
                     let id = states[job].spec.id;
                     let lane = 1;
                     record(|| {
                         Event::complete(Track::serve(lane), "job", start, dur)
                             .arg("job", id)
-                            .arg("nodes", o.nodes)
-                            .arg("warm", u64::from(o.warm))
+                            .arg("nodes", s.nodes)
+                            .arg("warm", u64::from(warm))
                     });
                     self.complete(
                         &mut metrics,
@@ -584,9 +587,9 @@ impl Service {
                             id,
                             tenant: states[job].spec.tenant,
                             disposition: disp,
-                            status: Some(o.status),
-                            objective: o.objective,
-                            nodes: o.nodes,
+                            status: Some(res.status),
+                            objective: res.objective,
+                            nodes: s.nodes,
                             retries: states[job].attempts - 1,
                             arrival_ns: states[job].spec.arrival_ns,
                             finish_ns: now,
@@ -745,18 +748,11 @@ impl Service {
 
             let hint = pool.warm(&states[job].canon);
             let warm_requested = hint.is_some();
-            let chaos = cfg
-                .chaos
-                .as_ref()
-                .map(|c| c.derive(states[job].spec.id * 8 + u64::from(states[job].attempts)));
-            let pcfg = ParallelConfig {
-                workers: lease.width(),
-                gpu_mem: cfg.gpu_mem,
-                node_limit: cfg.node_limit,
-                chaos,
-                seed_solution: hint.as_ref().map(|h| h.seed_x.clone()),
-                root_basis: hint.and_then(|h| h.root_basis),
-                ..ParallelConfig::default()
+            let attempt = states[job].spec.id * 8 + u64::from(states[job].attempts);
+            let solve = SolveOptions {
+                chaos: cfg.solve.chaos.as_ref().map(|c| c.derive(attempt)),
+                warm: hint.unwrap_or_default(),
+                ..cfg.solve.clone()
             };
             record(|| {
                 Event::instant(Track::serve(0), "dispatch", now)
@@ -764,22 +760,15 @@ impl Service {
                     .arg("width", width)
                     .arg("warm", u64::from(warm_requested))
             });
-            match solve_parallel(&states[job].spec.instance, pcfg) {
-                Ok(res) if res.stats.makespan_ns <= cfg.attempt_timeout_ns => {
+            let path = SolvePath::Cluster(lease.width(), None);
+            match path.run(&states[job].spec.instance, &solve) {
+                Ok(Solved::Cluster(res)) if res.stats.makespan_ns <= cfg.attempt_timeout_ns => {
                     let warm =
                         warm_requested && res.stats.metrics.counter(names::BB_WARM_SEEDS) > 0.0;
-                    let outcome = Box::new(AttemptOutcome {
-                        status: res.status,
-                        objective: res.objective,
-                        x: res.x,
-                        nodes: res.stats.nodes,
-                        root_basis: res.stats.root_basis.clone(),
-                        warm,
-                        makespan_ns: res.stats.makespan_ns,
-                        metrics: res.stats.metrics,
-                    });
+                    let time = now + res.stats.makespan_ns;
+                    let outcome = Box::new(AttemptOutcome { res, warm });
                     events.push(Reverse(HeapEv {
-                        time: now + res.stats.makespan_ns,
+                        time,
                         seq: *seq,
                         ev: Ev::Finish {
                             job,

@@ -66,8 +66,7 @@ pub const BB_HEUR_INCUMBENTS: &str = "bb.heur.incumbents";
 /// Cutting planes added to the formulation.
 pub const BB_CUTS_ADDED: &str = "bb.cuts.added";
 /// Warm-start seed solutions accepted as the initial incumbent (a caller
-/// supplied `ParallelConfig::seed_solution` that validated feasible on this
-/// instance).
+/// supplied `Warm::seed` that validated feasible on this instance).
 pub const BB_WARM_SEEDS: &str = "bb.warm.seeds";
 
 // --- Parallel cluster ------------------------------------------------------

@@ -4,8 +4,9 @@
 //! random-MIP generator), computes its ground truth with the exact
 //! rational [`crate::oracle`], and then runs the rows of the solve-path
 //! table ([`gmip_parallel::paths`]) — every path `gmip solve --strategy`
-//! offers, plain, with propagation and the dive on, on the native backend
-//! and under a chaos fault plan — checking each result against the oracle:
+//! offers, plain, with propagation and the dive on, on the native backend,
+//! under a chaos fault plan and, on both discrete-event clusters, from warm
+//! starts — checking each result against the oracle:
 //! status, objective within the declared float tolerance, exact incumbent
 //! re-evaluation, and (for the host row) exact validation of the emitted LP
 //! certificates. Metamorphic transforms of each instance ride along: their
@@ -21,12 +22,14 @@ use crate::oracle::{solve_oracle, OracleResult, OracleStatus};
 use crate::shrink::{shrink_instance, write_repro};
 use gmip_core::MipStatus;
 use gmip_gpu::BackendKind;
-use gmip_parallel::{ChaosConfig, SolveOptions, SolvePath, Solved};
+use gmip_lp::Basis;
+use gmip_parallel::{ChaosConfig, SolveOptions, SolvePath, Solved, Warm};
 use gmip_problems::generators::{
     bin_packing, generalized_assignment, knapsack, random_mip, set_cover, unit_commitment,
     RandomMipConfig,
 };
 use gmip_problems::{catalog, MipInstance};
+use gmip_trace::names;
 use std::path::PathBuf;
 
 /// Fuzz-run configuration.
@@ -243,6 +246,78 @@ fn rows(chaos: bool, seed: u64) -> Vec<Row> {
     rows
 }
 
+/// The warm starts a case with a proven optimum runs both discrete-event
+/// clusters from, each run checked against the oracle: the oracle's optimum,
+/// which must be taken (`bb.warm.seeds` 1); that point with one integer
+/// coordinate moved by ±1, which must be rejected, not trusted, when it is
+/// infeasible (`bb.warm.seeds` 0); and `basis`, the previous case's root
+/// basis, which misfits and must give a cold root, not an error. Returns
+/// the first root basis this case's runs report, for the next case.
+fn warm_checks(
+    cfg: &FuzzConfig,
+    out: &mut FuzzOutcome,
+    case: &Case,
+    salt: u64,
+    basis: Option<Basis>,
+) -> Option<Basis> {
+    let m = case.instance;
+    let optimum: Vec<f64> = case.oracle.x.iter().map(|v| v.approx()).collect();
+    let mut moved = optimum.clone();
+    let integral = m.integral_indices();
+    if !integral.is_empty() {
+        moved[integral[salt as usize % integral.len()]] +=
+            if (salt >> 32) & 1 == 1 { 1.0 } else { -1.0 };
+    }
+    let infeasible =
+        certify::check_incumbent(m, &moved, m.objective_value(&moved), cfg.tol).is_err();
+    let seeded = |x| Warm {
+        seed: Some(x),
+        root_basis: None,
+    };
+    let starts = [
+        ("optimum", seeded(optimum), Some(1.0)),
+        ("moved", seeded(moved), infeasible.then_some(0.0)),
+        (
+            "basis",
+            Warm {
+                root_basis: basis,
+                ..Warm::default()
+            },
+            None,
+        ),
+    ];
+    let mut next = None;
+    for path in [SolvePath::Cluster(3, None), SolvePath::Cluster(4, Some(2))] {
+        for (label, warm, seeds) in &starts {
+            let name = format!("{path} warm={label}");
+            let opts = SolveOptions {
+                warm: warm.clone(),
+                ..SolveOptions::default()
+            };
+            let run = |c: &MipInstance| path.run(c, &opts);
+            let solved = run(m);
+            let stats = match &solved {
+                Ok(Solved::Cluster(r)) => Some(&r.stats),
+                Ok(Solved::Hier(r)) => Some(&r.stats),
+                _ => None,
+            };
+            if let Some(stats) = stats {
+                let taken = stats.metrics.counter(names::BB_WARM_SEEDS);
+                if let Some(want) = seeds.filter(|&want| want != taken) {
+                    let detail = format!("{} = {taken}, expected {want}", names::BB_WARM_SEEDS);
+                    out.mismatches.push(Mismatch::new(&case.id, &name, detail));
+                }
+                next = next.or_else(|| stats.root_basis.clone());
+            }
+            let got = solved.map(|s| StrategyOutput::from(&s));
+            check(cfg, out, case, &name, false, got, &|c| {
+                run(c).map(|s| StrategyOutput::from(&s))
+            });
+        }
+    }
+    next
+}
+
 /// Compares one strategy result against the oracle; `None` = agreement.
 pub fn disagreement(
     m: &MipInstance,
@@ -361,6 +436,7 @@ pub fn run_fuzz_with(
     let mut host = Row::new("host");
     host.opts.mip.collect_certificates = true;
     let mut out = FuzzOutcome::default();
+    let mut basis = None;
 
     for case in 0..cfg.cases {
         let instance = sample_instance(cfg.seed, case as u64);
@@ -389,6 +465,10 @@ pub fn run_fuzz_with(
         }
         for (name, run) in &extra {
             check(cfg, &mut out, &cx, name, false, run(&instance), run);
+        }
+        if cfg.builtin_strategies && oracle.status == OracleStatus::Optimal {
+            let salt = derive(cfg.seed, case as u64, 3);
+            basis = warm_checks(cfg, &mut out, &cx, salt, basis.take());
         }
 
         // Metamorphic equivalence through the host solver.
@@ -436,7 +516,16 @@ mod tests {
         };
         let out = run_fuzz(&cfg).expect("fuzz run");
         assert_eq!(out.cases, 8);
-        assert_eq!(out.checks, 8 * 19, "the host baseline and 18 table rows");
+        let optimal = (0..8)
+            .filter(|&c| {
+                solve_oracle(&sample_instance(4, c)).unwrap().status == OracleStatus::Optimal
+            })
+            .count();
+        assert_eq!(
+            out.checks,
+            8 * 19 + 6 * optimal,
+            "the host baseline, 18 table rows, and 6 warm runs per optimal case"
+        );
         assert!(out.certificates > 0, "no certificates were validated");
         assert!(out.metamorphic_checks > 0, "no metamorphic checks ran");
         assert!(

@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example cluster_solve`
 
 use gmip::core::MipStatus;
-use gmip::parallel::{solve_parallel, ParallelConfig, Supervisor};
+use gmip::parallel::{solve_parallel, ParallelConfig, SolveOptions, SolvePath, Solved, Supervisor};
 use gmip::problems::generators::knapsack;
 
 fn main() {
@@ -21,13 +21,15 @@ fn main() {
         "workers", "objective", "nodes", "makespan ms", "speedup", "idle %"
     );
     let mut t1 = None;
+    let opts = SolveOptions {
+        gpu_mem: 1 << 26,
+        ..Default::default()
+    };
     for workers in [1usize, 2, 4, 8, 16] {
-        let cfg = ParallelConfig {
-            workers,
-            gpu_mem: 1 << 26,
-            ..Default::default()
+        let r = match SolvePath::Cluster(workers, None).run(&instance, &opts) {
+            Ok(Solved::Cluster(r)) => r,
+            other => panic!("parallel solve: {other:?}"),
         };
-        let r = solve_parallel(&instance, cfg).expect("parallel solve");
         assert_eq!(r.status, MipStatus::Optimal);
         let ms = r.stats.makespan_ns / 1e6;
         let speedup = t1.get_or_insert(ms).max(1e-12) / ms.max(1e-12);
@@ -43,6 +45,7 @@ fn main() {
     }
 
     // Checkpoint/restart: stop after a handful of nodes, snapshot, resume.
+    // Snapshots are a supervisor option, not one of the solve-path table's.
     println!("\ncheckpoint/restart demonstration:");
     let cfg = ParallelConfig {
         workers: 4,

@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example resolve_loop`
 
-use gmip::parallel::{solve_parallel, ParallelConfig};
+use gmip::parallel::{SolveOptions, SolvePath, Solved};
 use gmip::problems::generators::bin_packing;
 use gmip::serve::{Disposition, JobSpec, ServeConfig, Service, TenantSpec};
 use gmip::trace::names;
@@ -40,19 +40,12 @@ fn main() {
     }
 
     // What each odd period would cost without the pool.
+    let (path, cold) = (SolvePath::Cluster(2, None), SolveOptions::default());
     let cold_nodes: Vec<usize> = jobs
         .iter()
-        .map(|j| {
-            solve_parallel(
-                &j.instance,
-                ParallelConfig {
-                    workers: 2,
-                    ..Default::default()
-                },
-            )
-            .expect("cold solve")
-            .stats
-            .nodes
+        .map(|j| match path.run(&j.instance, &cold) {
+            Ok(Solved::Cluster(r)) => r.stats.nodes,
+            other => panic!("cold solve: {other:?}"),
         })
         .collect();
 

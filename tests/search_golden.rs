@@ -76,7 +76,7 @@ use gmip::lp::{
     SparseDeviceEngine, StandardLp,
 };
 use gmip::parallel::{
-    solve_hierarchical, solve_parallel, HierarchyConfig, ParallelConfig, ParallelResult,
+    solve_hierarchical, solve_parallel, HierarchyConfig, ParallelConfig, ParallelResult, Warm,
 };
 use gmip::problems::generators::{bin_packing, knapsack, set_cover, unit_commitment};
 use gmip::problems::MipInstance;
@@ -252,7 +252,10 @@ fn flat_cluster_seed_solution() {
     // and a feasible but poor seed (the empty knapsack).
     let seeded = |seed: Vec<f64>| {
         let cfg = ParallelConfig {
-            seed_solution: Some(seed),
+            warm: Warm {
+                seed: Some(seed),
+                root_basis: None,
+            },
             ..pcfg(8)
         };
         flat_pin(&solve_parallel(&m, cfg).expect("seeded"))

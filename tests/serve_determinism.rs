@@ -23,16 +23,13 @@ fn replay(chaos: Option<ChaosConfig>) -> (String, String, u64, usize) {
         max_items: 9,
         ..TrafficConfig::default()
     });
+    let mut cfg = ServeConfig {
+        ranks: 6,
+        ..ServeConfig::default()
+    };
+    cfg.solve.chaos = chaos;
     let session = TraceSession::start();
-    let report = Service::new(
-        ServeConfig {
-            ranks: 6,
-            chaos,
-            ..ServeConfig::default()
-        },
-        tenants,
-    )
-    .run(jobs);
+    let report = Service::new(cfg, tenants).run(jobs);
     let trace = session.finish().to_chrome_json();
     (
         trace,
