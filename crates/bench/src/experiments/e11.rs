@@ -22,16 +22,16 @@
 //! kernel launches) at every width ≥ 64 — because its superstep is a
 //! fixed three fused launches while the simplex wave pays per pivot
 //! class, and because dominated lanes retire on a safe dual bound at
-//! their first KKT check instead of pivoting to optimality. The lead is
-//! thinner than the launch counts alone would make it (0.73 / 0.75 / 0.89
-//! at 16 / 64 / 128 lanes): the simplex wave packs its lanes' transfers
-//! into one link crossing per superstep and direction, while the
-//! first-order wave still pays a link latency per lane load and take.
-//! Per-lane launches queue at the device's one issue slot, so that column
-//! does not fall with the width, and the waves overtake it as they widen —
-//! Section 5.5's batching-beats-streams: on the heavy family the first-order
-//! wave from 64 lanes and the simplex wave from 128, on the light one the
-//! simplex wave from 64. Narrower, the per-lane engines are ahead: a
+//! their first KKT check instead of pivoting to optimality. The lead
+//! follows the launch counts (0.78 / 0.81 / 0.97 at 16 / 64 / 128 lanes):
+//! both waves pack their lanes' transfers into one link crossing per
+//! superstep and direction, so what separates them is launches and kernel
+//! bodies. Per-lane launches queue at the device's one issue slot, so that
+//! column does not fall with the width, and the waves overtake it as they
+//! widen — Section 5.5's batching-beats-streams: on the heavy family the
+//! first-order wave from 64 lanes and both from 128 (asserted; the simplex
+//! wave passes it at 64 too), on the light one the simplex wave from 64.
+//! Narrower, the per-lane engines are ahead: a
 //! per-lane node LP is one chain (a launch per pivot, one read-back), while
 //! a wave still pays a launch per kernel class per superstep — the waves'
 //! saving starts where enough lanes share each launch.
@@ -338,10 +338,10 @@ pub fn run() -> String {
          above 1.0 at 4 lanes, is below 1.0 from 16 lanes on, and the\n\
          first-order wave leads in ns and in raw launches at 64 and 128: three\n\
          fused launches per lockstep superstep plus first-check safe-bound\n\
-         prunes beat up to seven desynchronizing pivot classes. The lead is\n\
-         thinner in ns than in launches: the simplex wave stages its lanes'\n\
-         transfers into one link crossing per superstep and direction, the\n\
-         first-order wave still pays one per lane load and take. The per-lane\n\
+         prunes beat up to seven desynchronizing pivot classes. The lead\n\
+         follows the launch counts: both waves stage their lanes' transfers\n\
+         into one link crossing per superstep and direction, so what is left\n\
+         between them is launches and kernel bodies. The per-lane\n\
          column does not fall with the width — its launches are issued one at\n\
          a time whatever stream they sit on — so the waves overtake it as they\n\
          widen: on the heavy family the first-order wave from 64 lanes and both\n\

@@ -12,8 +12,10 @@
 //!
 //! The wave width is auto-sized from device memory
 //! ([`gmip_lp::wave_width`], the paper's `batch ≈ device_mem / matrix_mem`
-//! rule), and parent bases are kept device-resident in an LRU pool so a
-//! child's warm start is usually a pool hit instead of an H2D upload.
+//! rule). A child warm-starts from its parent's basis, which the host
+//! planner holds: it reaches the device in the lane's install upload, one
+//! of the superstep's staged transfers, so the whole solve crosses the link
+//! at most once per superstep and direction, plus the matrix upload.
 
 use crate::search::{self, Incumbent, NodeHook, PropCharge, Rules, Verdict};
 use crate::solver::MipStatus;
@@ -29,9 +31,6 @@ use gmip_problems::MipInstance;
 use gmip_trace::{names, MetricsRegistry};
 use gmip_tree::{NodeId, NodeState, SearchTree};
 use std::borrow::Cow;
-
-/// Byte budget of the device-resident warm-basis pool.
-const BASIS_POOL_BYTES: usize = 1 << 20;
 
 /// Configuration of the batched-wave solver.
 #[derive(Debug, Clone)]
@@ -165,8 +164,7 @@ struct WaveNode<W> {
 /// Journaled-simplex lanes: each lane's host planner takes the reference
 /// pivot path eagerly at load (journaling the device kernels), and the
 /// journal replays in flight through fused batched launches. The warm
-/// artifact is the parent's basis keyed by the parent's id — both children
-/// share the key, so the second child is a warm-basis-pool hit.
+/// artifact is the parent's basis, which both children share.
 struct SimplexLanes {
     lanes: Vec<LpSolver<RecordingEngine>>,
     wave: BatchedWaveEngine,
@@ -175,7 +173,7 @@ struct SimplexLanes {
 }
 
 impl LaneSet for SimplexLanes {
-    type Warm = Option<(Basis, NodeId)>;
+    type Warm = Option<Basis>;
 
     fn load(
         &mut self,
@@ -188,7 +186,6 @@ impl LaneSet for SimplexLanes {
         if refill {
             self.wave.note_refill();
         }
-        let warm = warm.map(|(b, parent)| (b, parent as u64));
         let out = self
             .wave
             .journal_node(&mut self.lanes[slot], slot, bounds, warm)?;
@@ -207,13 +204,12 @@ impl LaneSet for SimplexLanes {
     fn retire(
         &mut self,
         slot: usize,
-        id: NodeId,
+        _id: NodeId,
         _node_bounds: &[BoundChange],
     ) -> LpResult<(LpSolution, Self::Warm)> {
-        let (sol, basis) = self.solved[slot]
+        Ok(self.solved[slot]
             .take()
-            .expect("retired slot was in flight");
-        Ok((sol, basis.map(|b| (b, id))))
+            .expect("retired slot was in flight"))
     }
 
     fn merge_metrics(&mut self, into: &mut MetricsRegistry) -> [usize; 3] {
@@ -263,7 +259,7 @@ pub fn solve_batched_wave(
             RecordingEngine::new(a.clone())
         }));
     }
-    let wave = BatchedWaveEngine::new(accel.clone(), &ext, width, BASIS_POOL_BYTES)?;
+    let wave = BatchedWaveEngine::new(accel.clone(), &ext, width)?;
     let hook = NodeHook::new(
         instance,
         cfg.propagate,
@@ -559,8 +555,11 @@ pub(crate) mod tests {
         .unwrap();
         assert!((narrow.objective - wide.objective).abs() < 1e-6);
         assert_eq!(wide.width, 8);
-        // Widening 8× adds only per-lane state, not matrix copies.
-        assert!(wide.peak_device_bytes < 2 * narrow.peak_device_bytes);
+        // Widening 8× adds only per-lane state, not matrix copies: the peak
+        // is one matrix plus a lane's state per lane.
+        let matrix = narrow.metrics.gauge(names::BATCH_MATRIX_BYTES) as usize;
+        let lane = narrow.peak_device_bytes - matrix;
+        assert_eq!(wide.peak_device_bytes, matrix + 8 * lane);
     }
 
     /// Everything of a wave result that must replay byte-identically:
@@ -654,10 +653,9 @@ pub(crate) mod tests {
         assert!(r.metrics.counter(names::PROP_INFEASIBLE) >= 1.0);
     }
 
-    /// The wave is sized to fill the device, so the warm-basis pool's first
-    /// miss finds no free byte: it must spill or go unpooled, not fail — and
-    /// a starved pool changes what the solve costs, never what it searches
-    /// (the reference is a roomy device running the same effective width).
+    /// The wave is sized to fill the device; device memory decides the
+    /// width and nothing else: a full device runs the search, the clock and
+    /// every counter of a roomy device at the same width.
     #[test]
     fn a_device_the_wave_fills_still_solves() {
         use gmip_gpu::{CostModel, DeviceConfig};
@@ -678,18 +676,46 @@ pub(crate) mod tests {
             };
             for kib in [8, 16, 32, 64] {
                 let small = solve(kib << 10, 64);
-                assert!(small.metrics.counter(names::BATCH_BASIS_MISSES) > 0.0);
                 let roomy = solve(1 << 20, small.width);
-                assert_eq!(roomy.metrics.counter(names::BATCH_BASIS_EVICTIONS), 0.0);
+                assert_eq!(small.status, MipStatus::Optimal);
                 assert_eq!(
-                    (small.status, small.objective.to_bits(), small.nodes),
-                    (MipStatus::Optimal, roomy.objective.to_bits(), roomy.nodes),
+                    fingerprint(&small),
+                    fingerprint(&roomy),
                     "{} on {kib} KiB, {} lanes",
                     m.name,
                     small.width
                 );
             }
         }
+    }
+
+    /// Every crossing of a whole wave solve is a superstep's: at most one
+    /// H2D and one D2H per superstep, plus the shared matrix upload. A warm
+    /// start rides its lane's install upload, so a wide tree of warm
+    /// re-solves adds no crossing of its own.
+    #[test]
+    fn a_wave_crosses_the_link_once_per_superstep() {
+        use gmip_problems::generators::bin_packing;
+        let cfg = BatchedWaveConfig {
+            lanes: 64,
+            ..Default::default()
+        };
+        let r = solve_batched_wave(&bin_packing(5, 1.0, 61), &cfg, Accel::gpu(1)).unwrap();
+        assert_eq!(r.status, MipStatus::Optimal);
+        assert!(r.refills > 0 && r.supersteps > 100);
+        let d = &r.device;
+        assert!(
+            d.h2d_transfers <= r.supersteps as u64 + 1,
+            "{} H2D crossings in {} supersteps",
+            d.h2d_transfers,
+            r.supersteps
+        );
+        assert!(
+            d.d2h_transfers <= r.supersteps as u64,
+            "{} D2H crossings in {} supersteps",
+            d.d2h_transfers,
+            r.supersteps
+        );
     }
 
     #[test]

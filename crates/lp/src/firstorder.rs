@@ -11,6 +11,9 @@
 //! (`fo.norm`). No factorization state exists at all: per-lane memory is a
 //! handful of vectors, which is what lets the wave scale to hundreds of
 //! lanes ("Batched First-Order Methods for Parallel LP Solving in MIP").
+//! Like the simplex wave, a superstep crosses the link at most once each
+//! way: the lanes loaded since the last superstep cross as its one H2D, the
+//! reports of the lanes that retire in it as its one D2H.
 //!
 //! # The arena
 //!
@@ -485,6 +488,9 @@ pub struct FirstOrderWaveEngine {
     /// One per arena block.
     checks: Vec<Mutex<BlockCheck>>,
     lane_state: Vec<RawHandle>,
+    /// Bytes the loads since the last superstep staged: the next
+    /// superstep's one H2D crossing.
+    staged_h2d: usize,
     metrics: MetricsRegistry,
 }
 
@@ -549,6 +555,7 @@ impl FirstOrderWaveEngine {
             arena: FoArena::new(m, n, width),
             checks,
             lane_state,
+            staged_h2d: 0,
             csr,
             metrics,
         })
@@ -635,7 +642,8 @@ impl FirstOrderWaveEngine {
     /// standard form's own column bounds, built in the slot's block
     /// scratch — an optional `(x, y)` warm start (the parent's
     /// averaged iterates), and the caller's `token` to identify the lane's
-    /// report. Charges the H2D transfer of the lane's vectors and runs the
+    /// report. Stages the lane's vectors into the next superstep's one H2D
+    /// crossing (a load that returns `Err` stages nothing) and runs the
     /// load-time activity-bound infeasibility check; an infeasible lane
     /// retires at the next superstep boundary without iterating.
     pub fn load_lane(
@@ -697,7 +705,7 @@ impl FirstOrderWaveEngine {
         for j in 0..n {
             x[j] = x[j].max(lb[j]).min(ub[j]);
         }
-        self.accel.exec().transfer(h2d, true, self.stream);
+        self.staged_h2d += h2d;
 
         // Activity-bound infeasibility check: a row whose minimal (or
         // maximal) activity over the box already misses `b` can never be
@@ -750,9 +758,13 @@ impl FirstOrderWaveEngine {
     /// PDHG iteration in one batched [`gmip_gpu::Accelerator::fo_step`]
     /// (charged as the fused `fo.spmv_t` / `fo.axpy` / `fo.spmv` launches,
     /// plus `fo.norm` for lanes on a KKT check), then convergence /
-    /// safe-bound-prune / restart decisions fire at the boundary. Returns
-    /// the slots that retired (including lanes found infeasible at load
-    /// time). Allocates only that list, and only when a lane retires.
+    /// safe-bound-prune / restart decisions fire at the boundary. The
+    /// lanes loaded since the last superstep cross the link as one H2D
+    /// ahead of the dispatch, and the reports of the lanes that retire
+    /// cross as one D2H at the end: a superstep crosses at most once each
+    /// way. Returns the slots that retired (including lanes found
+    /// infeasible at load time). Allocates only that list, and only when a
+    /// lane retires.
     pub fn superstep(&mut self) -> Vec<usize> {
         // Lane bookkeeping for the iteration about to run: who is busy,
         // who lands on a KKT check, who retired at load.
@@ -773,10 +785,15 @@ impl FirstOrderWaveEngine {
         }
         let exec = self.accel.exec();
         let stream = self.stream;
+        let staged = std::mem::take(&mut self.staged_h2d);
+        if staged > 0 {
+            exec.transfer(staged, true, stream);
+        }
         if busy == 0 {
             if !retired.is_empty() {
                 self.metrics.incr(names::FO_RETIRES, retired.len() as f64);
                 exec.record_event(stream);
+                self.ship_reports(retired.len());
             }
             return retired;
         }
@@ -839,8 +856,16 @@ impl FirstOrderWaveEngine {
         }
         if !retired.is_empty() {
             self.metrics.incr(names::FO_RETIRES, retired.len() as f64);
+            self.ship_reports(retired.len());
         }
         retired
+    }
+
+    /// Charges the one D2H crossing that carries the reported iterates of
+    /// the `lanes` lanes retiring in this superstep.
+    fn ship_reports(&self, lanes: usize) {
+        let bytes = lanes * 8 * (self.n() + self.m());
+        self.accel.exec().transfer(bytes, false, self.stream);
     }
 
     /// Retire/restart decision for one checking lane, fed by the KKT
@@ -953,7 +978,8 @@ impl FirstOrderWaveEngine {
     }
 
     /// Takes the report of a retired lane, freeing `slot` for a refill.
-    /// Charges the D2H transfer of the reported iterates.
+    /// Charges nothing: the report crossed the link in the D2H of the
+    /// superstep the lane retired in.
     pub fn take_lane(&mut self, slot: usize) -> LpResult<FoLaneReport> {
         let outcome = match &self.lanes[slot] {
             None => return Err(LpError::Shape(format!("take_lane on empty slot {slot}"))),
@@ -963,7 +989,6 @@ impl FirstOrderWaveEngine {
         };
         let lane = self.lanes[slot].take().expect("matched occupied above");
         let (m, n) = (self.m(), self.n());
-        self.accel.exec().transfer(8 * (n + m), false, self.stream);
         let (block, l) = (slot / FO_BLOCK, slot % FO_BLOCK);
         let task = self.checks[block].get_mut().expect(TASK_LOCK);
         Ok(FoLaneReport {
@@ -986,7 +1011,9 @@ impl FirstOrderWaveEngine {
     /// the node without reading `x`. A converged or capped lane's node is
     /// solved exactly by `cleanup` under `bounds` (the paper's CPU
     /// delegation of sequential tails), counted as `fo.cleanups`; only then
-    /// are the solution's `iterations` pivots, not PDHG iterations.
+    /// are the solution's `iterations` pivots, not PDHG iterations. Crosses
+    /// nothing: the report came home with its superstep's D2H, and the
+    /// cleanup runs on the host.
     pub fn finish_lane(
         &mut self,
         slot: usize,
@@ -1396,5 +1423,93 @@ mod tests {
         assert_eq!(after - before, 3, "lockstep fuses all lanes per class");
         assert_eq!(fo.metrics().counter(names::FO_SUPERSTEPS), 1.0);
         assert_eq!(fo.metrics().counter(names::FO_ITERATIONS), 4.0);
+    }
+
+    /// The link rule on the first-order side: loads cross nothing until the
+    /// next superstep, which makes one H2D of their summed bytes ahead of
+    /// the dispatch; a superstep in which several lanes retire makes one D2H
+    /// of all their reports; collecting a lane crosses nothing.
+    #[test]
+    fn a_superstep_stages_the_loads_and_reports_of_its_lanes() {
+        let std = StandardLp::from_instance(&textbook_mip(), &[]);
+        let (m, n) = (std.m(), std.n());
+        // Bytes of a cold load (its box) and of a report or a warm start.
+        let (cold, row) = ((16 * n) as u64, (8 * (n + m)) as u64);
+        let accel = Accel::gpu(1);
+        let mut fo =
+            FirstOrderWaveEngine::new(accel.clone(), &std, 5, PdhgConfig::default()).unwrap();
+        let mut cleanup = LpSolver::new(std.clone(), LpConfig::standard(), |a| {
+            HostEngine::new(a.clone())
+        });
+        let dead = BoundChange {
+            var: 0,
+            lb: 1e6,
+            ub: 1e6,
+        };
+        let (wx, wy) = (vec![0.0; n], vec![0.0; m]);
+        let before = (accel.stats(), accel.elapsed_ns());
+        // Three identical cold lanes (they retire together), one warm lane
+        // and one lane infeasible at load.
+        for slot in 0..3 {
+            fo.load_lane(slot, slot as u64, &[], None).unwrap();
+        }
+        fo.load_lane(3, 3, &[], Some((&wx, &wy))).unwrap();
+        fo.load_lane(4, 4, &[dead], None).unwrap();
+        assert_eq!((accel.stats(), accel.elapsed_ns()), before);
+
+        let s0 = accel.stats();
+        assert_eq!(fo.superstep(), vec![4], "the dead lane retires first");
+        let s1 = accel.stats();
+        assert_eq!(s1.h2d_transfers - s0.h2d_transfers, 1);
+        assert_eq!(s1.h2d_bytes - s0.h2d_bytes, 5 * cold + row);
+        assert_eq!(s1.d2h_transfers - s0.d2h_transfers, 1);
+        assert_eq!(s1.d2h_bytes - s0.d2h_bytes, row);
+
+        let mut together = Vec::new();
+        while fo.any_busy() {
+            let s = accel.stats();
+            let retired = fo.superstep();
+            let t = accel.stats();
+            assert_eq!(t.h2d_transfers, s.h2d_transfers, "nothing was loaded");
+            let k = retired.len() as u64;
+            assert_eq!(t.d2h_transfers - s.d2h_transfers, k.min(1));
+            assert_eq!(t.d2h_bytes - s.d2h_bytes, k * row);
+            if retired.len() >= 2 {
+                together = retired;
+            }
+        }
+        assert_eq!(together, [0, 1, 2], "identical lanes retire together");
+        let (s, clock) = (accel.stats(), accel.elapsed_ns());
+        for slot in 0..5 {
+            fo.finish_lane(slot, &mut cleanup, &[]).unwrap();
+        }
+        assert_eq!((accel.stats(), accel.elapsed_ns()), (s, clock));
+    }
+
+    /// A load that fails stages nothing: the next H2D carries the good
+    /// lanes' bytes only, and the failed slots stay free.
+    #[test]
+    fn a_refused_load_stages_no_bytes() {
+        let std = StandardLp::from_instance(&textbook_lp(), &[]);
+        let (m, n) = (std.m(), std.n());
+        let accel = Accel::gpu(1);
+        let mut fo =
+            FirstOrderWaveEngine::new(accel.clone(), &std, 4, PdhgConfig::default()).unwrap();
+        let off_the_end = BoundChange {
+            var: n,
+            lb: 0.0,
+            ub: 1.0,
+        };
+        let (short_x, y) = (vec![0.0; n - 1], vec![0.0; m]);
+        fo.load_lane(0, 0, &[], None).unwrap();
+        assert!(fo.load_lane(1, 1, &[off_the_end], None).is_err());
+        assert!(fo.load_lane(2, 2, &[], Some((&short_x, &y))).is_err());
+        fo.load_lane(3, 3, &[], None).unwrap();
+        assert!(fo.lane_idle(1) && fo.lane_idle(2));
+        let before = accel.stats();
+        fo.superstep();
+        let s = accel.stats();
+        assert_eq!(s.h2d_transfers - before.h2d_transfers, 1);
+        assert_eq!(s.h2d_bytes - before.h2d_bytes, (2 * 16 * n) as u64);
     }
 }

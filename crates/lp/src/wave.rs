@@ -25,14 +25,15 @@
 //! * **one staged link crossing per direction per superstep**: the lanes'
 //!   install uploads and solution read-backs of a step are packed into one
 //!   H2D and one D2H transfer of their summed bytes, so the link latency —
-//!   like the launch latency — is paid per superstep, not per lane;
+//!   like the launch latency — is paid per superstep, not per lane. Nothing
+//!   else crosses: a warm start ships inside its lane's install upload
+//!   (`c b σ c_B l_B u_B x_N`, built from the parent's basis on the host),
+//!   exactly as [`crate::DeviceEngine`] ships one, so a whole solve makes at
+//!   most one H2D per superstep plus the shared matrix upload;
 //! * **event-based retire-and-refill**: a lane whose node LP reaches
 //!   optimality exits the wave at a superstep boundary (a stream event,
 //!   *not* a device-wide `synchronize`) and is refilled immediately, so
-//!   short lanes never wait for the longest lane in a join-all;
-//! * a **device-resident warm-basis pool** ([`BatchedWaveEngine`] LRU)
-//!   keeps parent bases on the device across refills; evictions are
-//!   charged as real D2H spills and re-loads as H2D transfers.
+//!   short lanes never wait for the longest lane in a join-all.
 //!
 //! Numerically, each lane is a [`RecordingEngine`]: a [`HostEngine`] that
 //! takes the exact pivot path of the reference implementation while
@@ -390,18 +391,10 @@ pub fn wave_width(
     requested.max(1).min(fit.max(1))
 }
 
-/// An entry in the device-resident warm-basis pool.
-#[derive(Debug)]
-struct PoolEntry {
-    key: u64,
-    bytes: usize,
-    handle: RawHandle,
-}
-
-/// The lockstep replayer: owns the shared device matrix, the per-lane
-/// journals, and the warm-basis pool; every superstep issues at most one
-/// fused launch per [`WaveClass`] present across the active lanes and
-/// crosses the link at most once in each direction.
+/// The lockstep replayer: owns the shared device matrix and the per-lane
+/// journals; every superstep issues at most one fused launch per
+/// [`WaveClass`] present across the active lanes and crosses the link at
+/// most once in each direction, and nothing else crosses it.
 #[derive(Debug)]
 pub struct BatchedWaveEngine {
     accel: Accel,
@@ -410,11 +403,6 @@ pub struct BatchedWaveEngine {
     matrix_bytes: usize,
     lane_state: Vec<RawHandle>,
     logs: Vec<VecDeque<WaveOp>>,
-    /// LRU, most-recent first.
-    pool: Vec<PoolEntry>,
-    /// Bytes the pool's entries hold, never above `pool_budget`.
-    pool_used: usize,
-    pool_budget: usize,
     metrics: MetricsRegistry,
     /// Superstep scratch, sized for the full width once: the `(flops,
     /// bytes)` instances of each class in lane order, and the slots that
@@ -424,15 +412,9 @@ pub struct BatchedWaveEngine {
 }
 
 impl BatchedWaveEngine {
-    /// Uploads the shared `[A | I]` matrix once, reserves `width` lane
-    /// states, and sets up an empty warm-basis pool with `pool_budget`
-    /// device bytes.
-    pub fn new(
-        accel: Accel,
-        ext: &DenseMatrix,
-        width: usize,
-        pool_budget: usize,
-    ) -> LpResult<Self> {
+    /// Uploads the shared `[A | I]` matrix once and reserves `width` lane
+    /// states.
+    pub fn new(accel: Accel, ext: &DenseMatrix, width: usize) -> LpResult<Self> {
         assert!(width >= 1, "need at least one lane");
         let matrix_bytes = ext.size_bytes();
         let (m, n) = (ext.rows(), ext.cols());
@@ -455,9 +437,6 @@ impl BatchedWaveEngine {
             matrix_bytes,
             lane_state,
             logs: (0..width).map(|_| VecDeque::new()).collect(),
-            pool: Vec::new(),
-            pool_used: 0,
-            pool_budget,
             metrics,
             class_lanes: std::array::from_fn(|_| Vec::with_capacity(width)),
             retired: Vec::with_capacity(width),
@@ -499,25 +478,19 @@ impl BatchedWaveEngine {
     }
 
     /// One node LP into lane `slot` — the journal-and-replay evaluator
-    /// every driver shares: a warm basis of the right shape is made device
-    /// resident under `key` (a pool hit, or a charged upload), the host
-    /// planner `lp` takes the reference pivot path while its engine journals
-    /// the device kernels, and the journal is loaded for lockstep replay.
-    /// Returns what the lane delivers once it retires.
+    /// every driver shares: the host planner `lp` takes the reference pivot
+    /// path from `warm` (a parent basis of the right shape, else a cold
+    /// start) while its engine journals the device kernels, and the journal
+    /// is loaded for lockstep replay. The warm basis crosses the link in the
+    /// journal's install upload, in a superstep, and nowhere else. Returns
+    /// what the lane delivers once it retires.
     pub fn journal_node(
         &mut self,
         lp: &mut LpSolver<RecordingEngine>,
         slot: usize,
         bounds: &[BoundChange],
-        warm: Option<(Basis, u64)>,
+        warm: Option<Basis>,
     ) -> LpResult<(LpSolution, Option<Basis>)> {
-        let warm = match warm {
-            Some((b, key)) if lp.fits(&b) => {
-                self.touch_basis(key, 8 * (b.m() + b.n()))?;
-                Some(b)
-            }
-            _ => None,
-        };
         let out = lp.solve_node(bounds, warm)?;
         self.load_lane(slot, lp.engine_mut().take_ops());
         Ok(out)
@@ -531,54 +504,6 @@ impl BatchedWaveEngine {
     /// Marks a refill (frontier node loaded into a retired lane).
     pub fn note_refill(&mut self) {
         self.metrics.incr(names::WAVE_REFILLS, 1.0);
-    }
-
-    /// Touches the warm-basis pool for `key` (a node id whose basis warm
-    /// starts a child). A hit costs nothing — the basis is already device
-    /// resident. A miss uploads it (H2D) after making room: LRU entries
-    /// spill, each a real D2H transfer, until the newcomer fits the pool
-    /// budget *and* what is free on the device — the wave is sized to fill
-    /// the device, so the budget alone promises nothing. A basis that not
-    /// even an empty pool can hold is uploaded for this one use and pooled
-    /// nowhere: a miss every time, never an error.
-    fn touch_basis(&mut self, key: u64, bytes: usize) -> LpResult<()> {
-        if let Some(pos) = self.pool.iter().position(|e| e.key == key) {
-            let e = self.pool.remove(pos);
-            self.pool.insert(0, e);
-            self.metrics.incr(names::BATCH_BASIS_HITS, 1.0);
-            return Ok(());
-        }
-        self.metrics.incr(names::BATCH_BASIS_MISSES, 1.0);
-        let Self {
-            accel,
-            stream,
-            pool,
-            pool_used,
-            pool_budget,
-            metrics,
-            ..
-        } = self;
-        accel.with(|d| -> gmip_gpu::device::Result<()> {
-            // Poolable if an empty pool could hold it; then LRU entries make
-            // room until it fits the budget and the device's free bytes.
-            if bytes <= *pool_budget && bytes <= d.memory().available() + *pool_used {
-                while *pool_used + bytes > *pool_budget || bytes > d.memory().available() {
-                    let victim = pool.pop().expect("an empty pool holds the entry");
-                    *pool_used -= victim.bytes;
-                    metrics.incr(names::BATCH_BASIS_EVICTIONS, 1.0);
-                    metrics.incr(names::BATCH_BASIS_SPILL_BYTES, victim.bytes as f64);
-                    d.charge_transfer(victim.bytes, false, *stream);
-                    d.free(victim.handle)?;
-                }
-                let handle = d.alloc_raw(bytes)?;
-                pool.insert(0, PoolEntry { key, bytes, handle });
-                *pool_used += bytes;
-            }
-            // Pooled or not, this use needs the basis on the device.
-            d.charge_transfer(bytes, true, *stream);
-            Ok(())
-        })?;
-        Ok(())
     }
 
     /// Executes one lockstep superstep: every busy lane advances by exactly
@@ -661,9 +586,6 @@ impl Drop for BatchedWaveEngine {
             for &h in &self.lane_state {
                 let _ = d.free(h);
             }
-            for e in &self.pool {
-                let _ = d.free(e.handle);
-            }
         });
     }
 }
@@ -716,8 +638,7 @@ mod tests {
     #[test]
     fn a_superstep_stages_its_lanes_transfers() {
         let accel = Accel::gpu(1);
-        let mut wave =
-            BatchedWaveEngine::new(accel.clone(), &DenseMatrix::zeros(2, 4), 3, 0).unwrap();
+        let mut wave = BatchedWaveEngine::new(accel.clone(), &DenseMatrix::zeros(2, 4), 3).unwrap();
         let up = |bytes| WaveOp::Transfer { bytes, h2d: true };
         let down = |bytes| WaveOp::Transfer { bytes, h2d: false };
         let ftran = WaveOp::Kernel {
@@ -793,7 +714,7 @@ mod tests {
             streams: 1,
         });
         let ext = DenseMatrix::zeros(rec.engine().m(), rec.engine().n());
-        let mut wave = BatchedWaveEngine::new(accel.clone(), &ext, 4, 1 << 16).unwrap();
+        let mut wave = BatchedWaveEngine::new(accel.clone(), &ext, 4).unwrap();
         for slot in 0..4 {
             wave.load_lane(slot, ops.clone());
         }
@@ -807,79 +728,5 @@ mod tests {
             launches < per_lane_floor,
             "fused {launches} vs per-lane floor {per_lane_floor}"
         );
-    }
-
-    #[test]
-    fn basis_pool_hits_avoid_transfers_and_evictions_spill() {
-        let accel = Accel::gpu_with(DeviceConfig {
-            cost: CostModel::gpu_pcie(),
-            mem_capacity: 1 << 24,
-            streams: 1,
-        });
-        let ext = DenseMatrix::zeros(4, 8);
-        let mut wave = BatchedWaveEngine::new(accel.clone(), &ext, 2, 300).unwrap();
-        wave.touch_basis(1, 128).unwrap(); // miss
-        let h2d_after_first = accel.stats().h2d_transfers;
-        wave.touch_basis(1, 128).unwrap(); // hit: no new transfer
-        assert_eq!(accel.stats().h2d_transfers, h2d_after_first);
-        wave.touch_basis(2, 128).unwrap(); // miss, fits
-        wave.touch_basis(3, 128).unwrap(); // miss: evicts key 1 (LRU)
-        let m = wave.metrics();
-        assert_eq!(m.counter(names::BATCH_BASIS_HITS), 1.0);
-        assert_eq!(m.counter(names::BATCH_BASIS_MISSES), 3.0);
-        assert!(m.counter(names::BATCH_BASIS_EVICTIONS) >= 1.0);
-        assert!(m.counter(names::BATCH_BASIS_SPILL_BYTES) >= 128.0);
-        assert!(accel.stats().d2h_transfers >= 1, "spill must be charged");
-    }
-
-    #[test]
-    fn a_full_device_spills_the_pool_or_skips_it() {
-        // Matrix 256 B + one lane 448 B on a 1000 B device: 296 B are free,
-        // whatever the pool's budget says.
-        let accel = Accel::gpu_with(DeviceConfig {
-            cost: CostModel::gpu_pcie(),
-            mem_capacity: 1000,
-            streams: 1,
-        });
-        let ext = DenseMatrix::zeros(4, 8);
-        let mut wave = BatchedWaveEngine::new(accel.clone(), &ext, 1, 1 << 20).unwrap();
-        assert_eq!(accel.mem_used(), 1000 - 296);
-        wave.touch_basis(1, 128).unwrap();
-        wave.touch_basis(2, 128).unwrap();
-        assert_eq!(accel.mem_used(), 1000 - 40);
-        // The third basis fits only where the first was: that one spills
-        // (D2H), then the newcomer is uploaded.
-        let before = accel.stats();
-        wave.touch_basis(3, 128).unwrap();
-        let s = accel.stats();
-        assert_eq!(
-            (
-                s.d2h_bytes - before.d2h_bytes,
-                s.h2d_bytes - before.h2d_bytes
-            ),
-            (128, 128)
-        );
-        assert_eq!(accel.mem_used(), 1000 - 40);
-        wave.touch_basis(2, 128).unwrap(); // still resident
-        assert_eq!(accel.stats(), s);
-        // A basis no empty pool could hold is uploaded for this use only —
-        // each time — and spills nobody.
-        for _ in 0..2 {
-            let before = accel.stats();
-            wave.touch_basis(9, 400).unwrap();
-            let s = accel.stats();
-            assert_eq!(s.h2d_bytes - before.h2d_bytes, 400);
-            assert_eq!(s.d2h_transfers, before.d2h_transfers);
-            assert_eq!(accel.mem_used(), 1000 - 40);
-        }
-        let m = wave.metrics();
-        assert_eq!(m.counter(names::BATCH_BASIS_HITS), 1.0);
-        assert_eq!(m.counter(names::BATCH_BASIS_MISSES), 5.0);
-        assert_eq!(m.counter(names::BATCH_BASIS_EVICTIONS), 1.0);
-        // A budget below the entry size behaves the same way.
-        let mut tight = BatchedWaveEngine::new(Accel::gpu(1), &ext, 1, 100).unwrap();
-        tight.touch_basis(1, 128).unwrap();
-        tight.touch_basis(1, 128).unwrap();
-        assert_eq!(tight.metrics().counter(names::BATCH_BASIS_MISSES), 2.0);
     }
 }

@@ -150,14 +150,6 @@ pub const WAVE_LANE_OPS: &str = "wave.lane_ops";
 /// Bytes of the shared device-resident `[A | I]` matrix (gauge; uploaded
 /// once for all lanes — the Section 5.5 memory-for-concurrency trade).
 pub const BATCH_MATRIX_BYTES: &str = "batch.matrix.bytes";
-/// Warm-basis pool: parent basis already device-resident (no transfer).
-pub const BATCH_BASIS_HITS: &str = "batch.basis_pool.hits";
-/// Warm-basis pool: basis uploaded (H2D) before a lane could warm-start.
-pub const BATCH_BASIS_MISSES: &str = "batch.basis_pool.misses";
-/// Warm-basis pool: LRU evictions under the pool's byte budget.
-pub const BATCH_BASIS_EVICTIONS: &str = "batch.basis_pool.evictions";
-/// Warm-basis pool: bytes spilled to the host (D2H) by LRU eviction.
-pub const BATCH_BASIS_SPILL_BYTES: &str = "batch.basis_pool.spill_bytes";
 
 // --- First-order (restarted PDHG) wave engine -------------------------------
 

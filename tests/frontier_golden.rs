@@ -61,6 +61,15 @@
 //! makespan in `concurrent_lanes`, the event order in the five cluster pins;
 //! `measurements/PR-34.md` lists every old and new string.
 //!
+//! The three wave pins (`batched_wave_64`, plain and propagating, and
+//! `first_order_wave_64`) were re-recorded at the commit that makes every
+//! link crossing of a wave a superstep's (the child of `aab7add`: the
+//! simplex wave's warm-basis pool, whose misses crossed the link at refill,
+//! is gone, and the first-order wave stages its lanes' loads and reports
+//! into its supersteps' crossings). Only the makespan moved: optimum,
+//! nodes, supersteps and launches did not. CHANGES.md and `measurements/`
+//! list every old and new string.
+//!
 //! The chaos plans pin the hierarchy's recovery paths — `evacuate_group`,
 //! `reassign` and the steal-deny backoff — which no benchmark workload
 //! reaches. The last test is the cost side of the same contract: a frontier
@@ -236,7 +245,7 @@ fn batched_wave_64() {
     let r = solve_batched_wave(&wave_instance(), &plain, gpu()).expect("wave solve");
     assert_eq!(
         wave_pin(&r),
-        "obj=4008000000000000 nodes=1119 supersteps=678 launches=2236 makespan=417c2738760b610b"
+        "obj=4008000000000000 nodes=1119 supersteps=678 launches=2236 makespan=4176cd786b60b64f"
     );
     let prop = BatchedWaveConfig {
         propagate: true,
@@ -246,7 +255,7 @@ fn batched_wave_64() {
     let r = solve_batched_wave(&wave_instance(), &prop, gpu()).expect("propagating wave solve");
     assert_eq!(
         wave_pin(&r),
-        "obj=4008000000000000 nodes=335 supersteps=372 launches=1278 makespan=4168e65caf70f6f9"
+        "obj=4008000000000000 nodes=335 supersteps=372 launches=1278 makespan=4165b3f144c64c5d"
     );
 }
 
@@ -259,7 +268,7 @@ fn first_order_wave_64() {
     let r = solve_first_order_wave(&wave_instance(), &cfg, gpu()).expect("first-order solve");
     assert_eq!(
         wave_pin(&r),
-        "obj=4008000000000000 nodes=469 supersteps=10636 launches=34567 makespan=41b10c62e2b60c65"
+        "obj=4008000000000000 nodes=469 supersteps=10636 launches=34567 makespan=41b0d85a92b60ca5"
     );
 }
 

@@ -563,7 +563,7 @@ fn a_superstep_crosses_the_link_at_most_once_each_way() {
     let root_ops = lp.engine_mut().take_ops();
     let accel = gpu();
     let ext = ext.expect("engine factory ran");
-    let mut wave = BatchedWaveEngine::new(accel.clone(), &ext, 16, 1 << 16).expect("wave");
+    let mut wave = BatchedWaveEngine::new(accel.clone(), &ext, 16).expect("wave");
     let (mut lane_transfers, mut staged) = (0, 0);
     for slot in 0..16 {
         // Lane `slot` fixes variable `slot` up or down: sixteen warm

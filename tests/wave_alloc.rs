@@ -33,7 +33,7 @@ fn warm_supersteps_allocate_nothing() {
         .iter()
         .any(|op| matches!(op, WaveOp::Transfer { .. })));
     let ext = ext.expect("engine factory ran");
-    let mut wave = BatchedWaveEngine::new(Accel::gpu(1), &ext, 64, 1 << 16).expect("wave");
+    let mut wave = BatchedWaveEngine::new(Accel::gpu(1), &ext, 64).expect("wave");
     for slot in 0..64 {
         let ops = journal.iter().copied().cycle().take(100 + 8 * slot);
         wave.load_lane(slot, ops.collect());
