@@ -16,21 +16,23 @@
 //! reconverge in a handful of nearly-free pivots and the simplex wave
 //! keeps the lead at every width. On the nnz-heavy family (bin packing:
 //! every variable couples an equality assignment row to a capacity row,
-//! and the tree is deep and symmetric) the first-order wave's ratio to
-//! the simplex wave is above 1.0 at 4 lanes, crosses by 16, and the
-//! first-order wave beats the simplex wave in simulated ns (and in raw
-//! kernel launches) at every width ≥ 64 — because its superstep is a
-//! fixed three fused launches while the simplex wave pays per pivot
-//! class, and because dominated lanes retire on a safe dual bound at
-//! their first KKT check instead of pivoting to optimality. The lead
-//! follows the launch counts (0.78 / 0.81 / 0.97 at 16 / 64 / 128 lanes):
-//! both waves pack their lanes' transfers into one link crossing per
-//! superstep and direction, so what separates them is launches and kernel
-//! bodies. Per-lane launches queue at the device's one issue slot, so that
-//! column does not fall with the width, and the waves overtake it as they
-//! widen — Section 5.5's batching-beats-streams: on the heavy family the
-//! first-order wave from 64 lanes and both from 128 (asserted; the simplex
-//! wave passes it at 64 too), on the light one the simplex wave from 64.
+//! and the tree is deep and symmetric) the first-order wave beats the
+//! simplex wave in simulated ns in a band, from 16 to 64 lanes, and at no
+//! other width (asserted at every width): its superstep is a fixed three
+//! fused launches while the simplex wave pays per pivot class, and
+//! dominated lanes retire on a safe dual bound at their first KKT check
+//! instead of pivoting to optimality. It launches less at every width
+//! ≥ 64. Outside the band the simplex wave leads: narrower, its warm pivots
+//! are cheap; at 128 lanes, its link is. Both waves pack their lanes'
+//! transfers into one crossing per superstep and direction, but a simplex
+//! lane keeps the device engine's install record, so its warm installs ship
+//! their delta as launch arguments and cross nothing, while each
+//! first-order lane load still crosses whole. Per-lane launches queue at
+//! the device's one issue slot, so that column does not fall with the
+//! width, and the waves overtake it as they widen — Section 5.5's
+//! batching-beats-streams: on the heavy family the first-order wave from 64
+//! lanes and both from 128 (asserted; the simplex wave passes it at 64
+//! too), on the light one the simplex wave from 64.
 //! Narrower, the per-lane engines are ahead: a
 //! per-lane node LP is one chain (a launch per pivot, one read-back), while
 //! a wave still pays a launch per kernel class per superstep — the waves'
@@ -53,7 +55,7 @@ use gmip_problems::generators::knapsack::knapsack;
 use gmip_problems::MipInstance;
 use gmip_trace::names;
 
-/// Lane counts swept; the crossover claim is stated at `>= 64`.
+/// Lane counts swept; the crossover band is stated over all of them.
 pub const LANES: &[usize] = &[4, 16, 64, 128];
 
 /// Device memory for every cell (never the binding constraint here).
@@ -190,18 +192,22 @@ pub fn sweep(lanes_filter: Option<&[usize]>) -> Vec<CrossCell> {
 
 /// Asserts the E11 acceptance claims on `cells` (full sweep only).
 fn assert_claims(cells: &[CrossCell]) {
-    // The crossover: on the nnz-heavy family the first-order wave beats
-    // the simplex wave in simulated ns at every lane count >= 64.
-    for c in cells
-        .iter()
-        .filter(|c| c.family == "heavy" && c.lanes >= 64)
-    {
-        assert!(
+    // The crossover is a band: on the nnz-heavy family the first-order
+    // wave beats the simplex wave in simulated ns from 16 to 64 lanes and
+    // at no other width. Narrower, warm simplex pivots are cheap; wider,
+    // a simplex lane's warm install ships only its delta, as launch
+    // arguments, while each first-order lane load still crosses whole.
+    for c in cells.iter().filter(|c| c.family == "heavy") {
+        let band = (16..=64).contains(&c.lanes);
+        assert_eq!(
             c.firstorder_ns < c.simplex_ns,
-            "heavy w{}: first-order {} ns not below simplex {} ns",
+            band,
+            "heavy w{}: first-order {} ns vs simplex {} ns, expected the \
+             first-order wave ahead {} the 16-64 band",
             c.lanes,
             c.firstorder_ns,
-            c.simplex_ns
+            c.simplex_ns,
+            if band { "inside" } else { "outside" }
         );
     }
     // And it got there with strictly fewer kernel launches (three fused
@@ -248,18 +254,7 @@ fn assert_claims(cells: &[CrossCell]) {
             .any(|c| c.fo_pruned > 0),
         "no lane ever retired on a safe dual bound"
     );
-    // It is a genuine crossover, not uniform dominance: at the narrowest
-    // width the simplex wave still wins on the heavy family...
-    if let Some(c) = cells.iter().find(|c| c.family == "heavy" && c.lanes == 4) {
-        assert!(
-            c.firstorder_ns > c.simplex_ns,
-            "heavy w4: expected the simplex wave to lead at narrow width \
-             (first-order {} ns vs simplex {} ns)",
-            c.firstorder_ns,
-            c.simplex_ns
-        );
-    }
-    // ...and on the nnz-light family it wins at every width.
+    // On the nnz-light family the simplex wave wins at every width.
     for c in cells.iter().filter(|c| c.family == "light") {
         assert!(
             c.firstorder_ns > c.simplex_ns,
@@ -334,20 +329,22 @@ pub fn run() -> String {
     out.push_str(
         "\nshape check: on the one-row knapsack the simplex wave stays ahead at\n\
          every width — warm-started pivots are almost free and PDHG supersteps\n\
-         buy nothing. On the nnz-heavy bin packing the fo/simplex ratio starts\n\
-         above 1.0 at 4 lanes, is below 1.0 from 16 lanes on, and the\n\
-         first-order wave leads in ns and in raw launches at 64 and 128: three\n\
-         fused launches per lockstep superstep plus first-check safe-bound\n\
-         prunes beat up to seven desynchronizing pivot classes. The lead\n\
-         follows the launch counts: both waves stage their lanes' transfers\n\
-         into one link crossing per superstep and direction, so what is left\n\
-         between them is launches and kernel bodies. The per-lane\n\
-         column does not fall with the width — its launches are issued one at\n\
-         a time whatever stream they sit on — so the waves overtake it as they\n\
-         widen: on the heavy family the first-order wave from 64 lanes and both\n\
-         from 128, on the light one the simplex wave from 64. Narrower, the\n\
-         per-lane engines are ahead: their node LP is one chain, a launch per\n\
-         pivot and one read-back, a narrow wave's a launch per kernel class.\n\
+         buy nothing. On the nnz-heavy bin packing the first-order wave leads\n\
+         in ns in a band, from 16 to 64 lanes, and in raw launches from 64:\n\
+         three fused launches per lockstep superstep plus first-check\n\
+         safe-bound prunes beat up to seven desynchronizing pivot classes.\n\
+         Outside the band the simplex wave leads: at 4 lanes its warm pivots\n\
+         are cheap, and at 128 its link is — both waves stage their lanes'\n\
+         transfers into one crossing per superstep and direction, but a\n\
+         simplex lane's warm install ships only its delta, as launch\n\
+         arguments, while each first-order lane load crosses whole. The\n\
+         per-lane column does not fall with the width — its launches are\n\
+         issued one at a time whatever stream they sit on — so the waves\n\
+         overtake it as they widen: on the heavy family the first-order wave\n\
+         from 64 lanes and both from 128, on the light one the simplex wave\n\
+         from 64. Narrower, the per-lane engines are ahead: their node LP is\n\
+         one chain, a launch per pivot and one read-back, a narrow wave's a\n\
+         launch per kernel class.\n\
          Every optimum\n\
          above matches the gmip-verify exact oracle. (machine-readable copy:\n\
          BENCH_e11.json)\n",
@@ -389,8 +386,9 @@ fn cells_json(cells: &[CrossCell]) -> String {
 #[cfg(test)]
 mod tests {
     /// The acceptance bar, on the 64-lane cells only (the narrow-width
-    /// cells — where the simplex wave still leads — take minutes in debug
-    /// builds and are exercised by `run()` via the report binary and the
+    /// cells take minutes in debug builds; they, and the 128-lane cells
+    /// where the simplex wave leads again, are exercised by `run()` via the
+    /// report binary and the
     /// CI `bench-regression` job, which also holds the full record to the
     /// 2% gate and so covers cross-run determinism).
     #[test]

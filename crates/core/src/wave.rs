@@ -13,9 +13,13 @@
 //! The wave width is auto-sized from device memory
 //! ([`gmip_lp::wave_width`], the paper's `batch ≈ device_mem / matrix_mem`
 //! rule). A child warm-starts from its parent's basis, which the host
-//! planner holds: it reaches the device in the lane's install upload, one
-//! of the superstep's staged transfers, so the whole solve crosses the link
-//! at most once per superstep and direction, plus the matrix upload.
+//! planner holds: it reaches the device in the lane's install, as a device
+//! engine's warm start does — the lane keeps the device engine's install
+//! record, so what the basis changes of it rides the install's kernel as
+//! launch arguments, and only an install with no record behind it (a
+//! lane's first) uploads, in one of the superstep's staged transfers. The
+//! whole solve crosses the link at most once per superstep and direction,
+//! plus the matrix upload, and uploads about once per lane.
 
 use crate::search::{self, Incumbent, NodeHook, PropCharge, Rules, Verdict};
 use crate::solver::MipStatus;
@@ -715,6 +719,33 @@ pub(crate) mod tests {
             "{} D2H crossings in {} supersteps",
             d.d2h_transfers,
             r.supersteps
+        );
+    }
+
+    /// A lane keeps the device engine's install record, so only an
+    /// install with no record behind it — a lane's first — crosses the
+    /// link; every warm install rides its kernel's arguments. The lanes'
+    /// journals keep their length (a 0-byte upload takes its step), so the
+    /// supersteps, launches and read-backs are what whole uploads gave.
+    #[test]
+    fn a_wave_uploads_only_first_installs() {
+        use gmip_problems::generators::bin_packing;
+        let cfg = BatchedWaveConfig {
+            lanes: 64,
+            ..Default::default()
+        };
+        let r = solve_batched_wave(&bin_packing(5, 1.0, 61), &cfg, Accel::gpu(1)).unwrap();
+        assert_eq!(r.status, MipStatus::Optimal);
+        let d = &r.device;
+        assert!(
+            d.h2d_transfers <= r.width as u64 + 1,
+            "{} H2D crossings over {} lanes",
+            d.h2d_transfers,
+            r.width
+        );
+        assert_eq!(
+            (r.supersteps, d.kernel_launches, d.d2h_transfers),
+            (788, 2754, 243)
         );
     }
 

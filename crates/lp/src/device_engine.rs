@@ -45,8 +45,10 @@
 //!   host keeps a record of what they hold (kept up to date by the stores
 //!   each pivot and bound flip carries, so right after a run the record is
 //!   what the next install assembles), and an install that changes at
-//!   most [`LAUNCH_WRITES`] entries of them passes those as arguments of
-//!   its first kernel, crossing nothing. The engine's first install, the
+//!   most [`LAUNCH_WRITES`](gmip_gpu::LAUNCH_WRITES) entries of them
+//!   passes those as arguments of its first kernel, crossing nothing (the
+//!   record is an `InstallRecord`, which each lane of the batched wave
+//!   keeps too). The engine's first install, the
 //!   first after a cut or a failed install, and a larger change upload all
 //!   of them, staged into one transfer; the Devex weights are filled on the
 //!   device either way;
@@ -82,14 +84,24 @@
 use crate::basis::Basis;
 use crate::dual::{DualConfig, DualOutcome};
 use crate::engine::{devex_refused, PivotPlan, PrimalRun, ProblemView, Progress, SimplexEngine};
+use crate::record::InstallRecord;
 use crate::simplex::{PrimalConfig, PrimalOutcome};
 use crate::{LpError, LpResult};
 use gmip_gpu::device::Result as GpuResult;
 use gmip_gpu::{
     Accel, Eta, GpuDevice, MatrixHandle, ScalarWrite, SparseHandle, Storage, StreamId,
-    VectorHandle, DEFAULT_STREAM, LAUNCH_WRITES,
+    VectorHandle, DEFAULT_STREAM,
 };
 use gmip_linalg::DenseMatrix;
+
+/// The host side of an install: the record of what the resident recorded
+/// vectors ([`Workspace::recorded`]) hold, and the last install's changes
+/// to it as scalar stores against their handles.
+#[derive(Debug, Default)]
+struct Stage {
+    record: InstallRecord,
+    delta: Vec<ScalarWrite>,
+}
 
 /// An engine's resident objects on its device, created once and written in
 /// place ever after; every vector takes the length of what a kernel last
@@ -187,82 +199,6 @@ impl<M: Storage> Workspace<M> {
             let _ = d.free(h);
         }
         let _ = d.free(self.eta);
-    }
-}
-
-/// The host side of an install: the buffers it assembles into, which are
-/// also the **record** of what the resident recorded vectors
-/// ([`Workspace::recorded`]) hold — set by every completed install, kept up
-/// to date by the stores a pivot or a bound flip carries, and forgotten when
-/// an install fails or a cut grows the problem. An install with a record
-/// ships only the entries that differ from it. The buffers are kept across
-/// installs, so a warm re-solve assembles, compares and records without
-/// allocating.
-#[derive(Debug, Default)]
-struct Stage {
-    /// `c`, `b`, σ, `x_N`, `c_B`, `l_B`, `u_B`, `l`, `u`, as the device
-    /// holds them when `held` is set.
-    record: [Vec<f64>; 9],
-    held: bool,
-    /// The last install's changes to the record, as scalar stores.
-    delta: Vec<ScalarWrite>,
-}
-
-impl Stage {
-    /// Assembles an install into the record, entry by entry, and returns
-    /// whether what it changed of a held record fits one launch's arguments
-    /// ([`LAUNCH_WRITES`]) — left in `delta`, against `ws`'s handles.
-    fn take<M: Storage>(
-        &mut self,
-        view: ProblemView<'_>,
-        basis: &Basis,
-        ws: Option<&Workspace<M>>,
-    ) -> LpResult<bool> {
-        let (n, m) = (view.c.len(), basis.cols.len());
-        let lens = [n, view.b.len(), n, n, m, m, m, n, n];
-        let same = self.record.iter().zip(lens).all(|(v, len)| v.len() == len);
-        let handles = ws.filter(|_| self.held && same).map(Workspace::recorded);
-        if handles.is_none() {
-            for (v, len) in self.record.iter_mut().zip(lens) {
-                v.clear();
-                v.resize(len, 0.0);
-            }
-        }
-        let (record, delta) = (&mut self.record, &mut self.delta);
-        delta.clear();
-        let mut fits = handles.is_some();
-        let mut put = |k: usize, i: usize, value: f64| {
-            let held = &mut record[k][i];
-            if held.to_bits() != value.to_bits() {
-                *held = value;
-                if let Some(h) = handles.filter(|_| fits) {
-                    fits = delta.len() < LAUNCH_WRITES;
-                    if fits {
-                        delta.push((h[k], i, value));
-                    }
-                }
-            }
-        };
-        for (k, src) in [(0, view.c), (1, view.b), (7, view.lb), (8, view.ub)] {
-            for (i, &value) in src.iter().enumerate() {
-                put(k, i, value);
-            }
-        }
-        view.assemble_each(basis, |k, i, value| put(k + 2, i, value))?;
-        Ok(fits)
-    }
-
-    /// Mirrors the scalar stores a kernel made into the record.
-    fn note<M: Storage>(&mut self, ws: &Workspace<M>, writes: &[ScalarWrite]) {
-        for &(h, i, value) in writes {
-            let Some(k) = ws.recorded().iter().position(|&r| r == h) else {
-                continue;
-            };
-            match self.record[k].get_mut(i) {
-                Some(x) => *x = value,
-                None => self.held = false,
-            }
-        }
     }
 }
 
@@ -384,7 +320,7 @@ impl<M: Storage> Call<'_, M> {
         let ws = self.alpha()?;
         self.d
             .basic_step(ws.xb, ws.alpha, dir, t, writes, self.st)?;
-        self.stage.note(&ws, writes);
+        self.stage.record.note(&ws.recorded(), writes);
         Ok(())
     }
 
@@ -415,9 +351,12 @@ impl<M: Storage> SimplexEngine for Call<'_, M> {
         *self.live = Live::default();
         self.selected = false;
         let (ws, a, st, n) = (self.ws, self.a, self.st, self.n);
-        let assembled = self.stage.take(view, basis, Some(&ws));
+        let (to, delta) = (ws.recorded(), &mut self.stage.delta);
+        delta.clear();
+        let assembled = (self.stage.record).take(view, basis, |k, i, value| {
+            delta.push((to[k], i, value));
+        });
         let fits = assembled == Ok(true);
-        self.stage.held = false;
         // The previous install's state goes first, whatever comes next; what
         // the delta changes stays, to be changed in place.
         ws.vacate_state(self.d, !fits);
@@ -427,8 +366,8 @@ impl<M: Storage> SimplexEngine for Call<'_, M> {
         } else {
             // Everything the install needs from the host crosses the link
             // once.
-            let to = ws.recorded();
-            let parts: [_; 9] = std::array::from_fn(|k| (to[k], &self.stage.record[k][..]));
+            let record = &self.stage.record;
+            let parts: [_; 9] = std::array::from_fn(|k| (to[k], record.vector(k)));
             self.d.upload_staged(&parts, st)?;
             &[]
         };
@@ -442,7 +381,7 @@ impl<M: Storage> SimplexEngine for Call<'_, M> {
             d.eta_factor(a, &basis.cols, ws.eta, st)?;
             d.eta_ftran(ws.eta, ws.w, ws.xb, st)
         })?;
-        self.stage.held = true;
+        self.stage.record.hold();
         self.live.installed = true;
         Ok(())
     }
@@ -496,20 +435,8 @@ impl<M: Storage> SimplexEngine for Call<'_, M> {
         let ws = self.alpha()?;
         // Everything the pivot stores besides the step rides the step
         // kernel as arguments, checked before x_B or the eta file move.
-        self.step(
-            plan.dir,
-            plan.t,
-            &[
-                (ws.xb, plan.r, plan.entering_val),
-                (ws.sigma, plan.leaving_j, plan.leaving_sigma),
-                (ws.sigma, plan.q, 0.0),
-                (ws.cb, plan.r, plan.c_q),
-                (ws.lbb, plan.r, plan.lb_q),
-                (ws.ubb, plan.r, plan.ub_q),
-                (ws.x_nb, plan.leaving_j, plan.leaving_x),
-                (ws.x_nb, plan.q, 0.0),
-            ],
-        )?;
+        let to = [ws.xb, ws.sigma, ws.cb, ws.lbb, ws.ubb, ws.x_nb];
+        self.step(plan.dir, plan.t, &plan.stores(to))?;
         self.d.eta_update(ws.eta, plan.r, ws.alpha, self.st)?;
         // The pivot consumed α (and the Devex row, if any).
         vacate(self.d, [ws.alpha]);
@@ -734,7 +661,7 @@ impl<M: Storage> SimplexEngine for DeviceSimplex<M> {
         let (a, st) = (self.a, self.stream);
         self.staged_xb = None;
         // The recorded vectors are a column and a row short now.
-        self.stage.held = false;
+        self.stage.record.held = false;
         on_device(&self.accel, |d| d.append_cut(a, row, col, st))?;
         self.m += 1;
         self.n += 1;

@@ -4,6 +4,7 @@ use crate::engine::HostEngine;
 use crate::problem::{BoundChange, StandardLp};
 use crate::simplex::{primal_solve, PricingRule, PrimalConfig};
 use crate::solver::{LpConfig, LpSolver, LpStatus};
+use crate::wave::{RecordingEngine, WaveClass, WaveOp};
 use gmip_gpu::DeviceConfig;
 use gmip_linalg::LinalgError;
 use gmip_problems::catalog::{textbook_lp, textbook_mip};
@@ -243,8 +244,7 @@ fn consumed_vectors_stay_consumed<M: Storage>() {
 
     // A nonbasic column without a finite bound fails the install before
     // anything reaches the device — and keeps the staging buffers.
-    let capacities = |s: &Stage| s.record.iter().map(Vec::capacity).collect::<Vec<_>>();
-    let staged = capacities(&e.stage);
+    let staged = e.stage.record.capacity();
     let free_ub = [10.0, f64::INFINITY, 10.0, 10.0];
     let mut at_upper = Basis::with_basic_cols(vec![2, 3], 4);
     at_upper.status[1] = VarStatus::AtUpper;
@@ -257,8 +257,8 @@ fn consumed_vectors_stay_consumed<M: Storage>() {
         Err(LpError::FreeVariable(1))
     );
     not_installed(e.price().map(drop));
-    assert_eq!(capacities(&e.stage), staged);
-    assert!(staged.iter().all(|&cap| cap > 0));
+    assert_eq!(e.stage.record.capacity(), staged);
+    assert!(staged > 0);
 }
 
 /// A pivot's stores are arguments of its step kernel, checked before the
@@ -1010,25 +1010,22 @@ enum Step {
 /// While the engine holds its record, the record is what the device
 /// holds, bit for bit — read without a charge.
 fn record_is_resident<M: Storage>(e: &DeviceSimplex<M>) -> Result<(), TestCaseError> {
-    let Some(ws) = e.ws.filter(|_| e.stage.held) else {
+    let Some(ws) = e.ws.filter(|_| e.stage.record.held) else {
         return Ok(());
     };
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    for (h, record) in ws.recorded().into_iter().zip(&e.stage.record) {
+    for (k, h) in ws.recorded().into_iter().enumerate() {
+        let record = e.stage.record.vector(k);
         let resident = e.accel.with(|d| d.peek_vector(h).map(bits));
         prop_assert_eq!(resident, Ok(bits(record)));
     }
     Ok(())
 }
 
-/// Runs `steps` on one engine over `[A | a_0 | I]` (column `n` repeats
-/// column 0, so a basis holding both is singular), checking the record
-/// after each; a solve that succeeds is followed by a re-install of the
-/// basis it ended on, which must ship nothing: no upload, an empty delta.
-fn record_follows_the_device<M: Storage>(
-    rows: &[Vec<f64>],
-    steps: &[Step],
-) -> Result<(), TestCaseError> {
+/// The LP a record sequence runs on: `[A | a_0 | I]` (column `n` repeats
+/// column 0, so a basis holding both is singular), its `c`, `l`, `u` and
+/// `b`, and `n`.
+fn record_lp(rows: &[Vec<f64>]) -> (DenseMatrix, [Vec<f64>; 4], usize) {
     let (m, n) = (rows.len(), rows[0].len());
     let mut a = DenseMatrix::from_rows(rows).unwrap();
     a.push_col(&a.col(0)).unwrap();
@@ -1039,32 +1036,85 @@ fn record_follows_the_device<M: Storage>(
     }
     let mut c: Vec<f64> = (0..=n).map(|j| f64::from((j % 3) as u8) - 0.5).collect();
     c.resize(n + 1 + m, 0.0);
-    let (mut lb, mut ub, mut b) = (vec![0.0; c.len()], vec![8.0; c.len()], vec![6.0; m]);
+    let (lb, mut ub, b) = (vec![0.0; c.len()], vec![8.0; c.len()], vec![6.0; m]);
     ub[n + 1..].fill(f64::INFINITY);
-    let slack_basis = |total: usize| Basis::with_basic_cols((n + 1..total).collect(), total);
-    let mut basis = slack_basis(c.len());
+    (a, [c, lb, ub, b], n)
+}
+
+/// The slack basis of a record LP with `total` columns over `n + 1`
+/// structural ones.
+fn record_slack_basis(n: usize, total: usize) -> Basis {
+    Basis::with_basic_cols((n + 1..total).collect(), total)
+}
+
+/// A [`Step::Primal`] or [`Step::Dual`] solve from `basis`.
+fn record_run<E: SimplexEngine>(
+    e: &mut E,
+    view: ProblemView<'_>,
+    basis: &mut Basis,
+    step: &Step,
+) -> LpResult<()> {
+    match *step {
+        Step::Primal(pricing) => {
+            let cfg = PrimalConfig {
+                pricing,
+                ..PrimalConfig::default()
+            };
+            primal_solve(e, view, basis, &cfg).map(drop)
+        }
+        _ => crate::dual::dual_solve(e, view, basis, &DualConfig::standard()).map(drop),
+    }
+}
+
+/// Grows a record LP by the cut `row` (over the structural columns) with
+/// right-hand side `rhs` and its slack basic: the engines' and the
+/// view's side of it.
+fn record_cut(
+    engines: &mut [&mut dyn SimplexEngine],
+    [c, lb, ub, b]: &mut [Vec<f64>; 4],
+    basis: &mut Basis,
+    n: usize,
+    (row, rhs): (&[f64], f64),
+) {
+    let total = c.len();
+    let mut row = row[..n].to_vec();
+    row.resize(total, 0.0);
+    let mut col = vec![0.0; b.len() + 1];
+    col[b.len()] = 1.0;
+    for e in engines {
+        e.append_cut(&row, &col).unwrap();
+    }
+    basis.extend_for_cuts(total, 1);
+    c.push(0.0);
+    lb.push(0.0);
+    ub.push(f64::INFINITY);
+    b.push(rhs);
+}
+
+/// A basis of a record LP with `total` columns holding column 0 and its
+/// twin `n`: singular.
+fn record_singular_basis(n: usize, total: usize) -> Basis {
+    let twins = [0, n].into_iter().chain(n + 3..total).collect();
+    Basis::with_basic_cols(twins, total)
+}
+
+/// Runs `steps` on one engine over a [`record_lp`], checking the record
+/// after each; a solve that succeeds is followed by a re-install of the
+/// basis it ended on, which must ship nothing: no upload, an empty delta.
+fn record_follows_the_device<M: Storage>(
+    rows: &[Vec<f64>],
+    steps: &[Step],
+) -> Result<(), TestCaseError> {
+    let (a, mut lp, n) = record_lp(rows);
+    let mut basis = record_slack_basis(n, lp[0].len());
     let mut e = DeviceSimplex::<M>::new(Accel::gpu(1), &a).unwrap();
     for step in steps {
-        let view = ProblemView {
-            c: &c,
-            lb: &lb,
-            ub: &ub,
-            b: &b,
-        };
+        let [c, lb, ub, b] = &lp;
+        let view = ProblemView { c, lb, ub, b };
         match step {
-            Step::Bound(j, v) => ub[j % (n + 1)] = *v,
+            Step::Bound(j, v) => lp[2][j % (n + 1)] = *v,
             Step::Primal(_) | Step::Dual => {
-                let solved = match *step {
-                    Step::Primal(pricing) => {
-                        let cfg = PrimalConfig {
-                            pricing,
-                            ..PrimalConfig::default()
-                        };
-                        primal_solve(&mut e, view, &mut basis, &cfg).map(drop)
-                    }
-                    _ => crate::dual::dual_solve(&mut e, view, &mut basis, &DualConfig::standard())
-                        .map(drop),
-                };
+                let solved = record_run(&mut e, view, &mut basis, step);
                 record_is_resident(&e)?;
                 let h2d = e.accel.stats().h2d_transfers;
                 if solved.and_then(|()| e.install(view, &basis)).is_ok() {
@@ -1073,35 +1123,139 @@ fn record_follows_the_device<M: Storage>(
                     // assembles it: the re-install ships nothing at all.
                     prop_assert!(e.stage.delta.is_empty(), "a re-install shipped a delta");
                 } else {
-                    basis = slack_basis(c.len());
+                    basis = record_slack_basis(n, c.len());
                 }
             }
             Step::Cut(row, rhs) => {
-                let total = c.len();
-                let mut row = row[..n].to_vec();
-                row.resize(total, 0.0);
-                let mut col = vec![0.0; b.len() + 1];
-                col[b.len()] = 1.0;
-                e.append_cut(&row, &col).unwrap();
-                basis.extend_for_cuts(total, 1);
-                c.push(0.0);
-                lb.push(0.0);
-                ub.push(f64::INFINITY);
-                b.push(*rhs);
-                prop_assert!(!e.stage.held, "a cut keeps the record");
+                record_cut(&mut [&mut e], &mut lp, &mut basis, n, (&row[..], *rhs));
+                prop_assert!(!e.stage.record.held, "a cut keeps the record");
             }
             Step::Singular => {
-                let total = c.len();
-                let twins = [0, n].into_iter().chain(n + 3..total).collect();
-                prop_assert!(e
-                    .install(view, &Basis::with_basic_cols(twins, total))
-                    .is_err());
-                prop_assert!(!e.stage.held, "a failed install keeps the record");
+                let singular = record_singular_basis(n, c.len());
+                prop_assert!(e.install(view, &singular).is_err());
+                prop_assert!(!e.stage.record.held, "a failed install keeps the record");
             }
         }
         record_is_resident(&e)?;
     }
     Ok(())
+}
+
+/// What the install at the head of `ops` journaled as its upload: `Some`
+/// of its bytes if `ops` starts with an install.
+fn journaled_upload(ops: &[WaveOp]) -> Option<usize> {
+    match ops {
+        [WaveOp::Transfer { bytes, h2d: true }, WaveOp::Kernel {
+            class: WaveClass::Factor,
+            ..
+        }, ..] => Some(*bytes),
+        _ => None,
+    }
+}
+
+/// Runs `steps` on a dense device engine and a [`RecordingEngine`] twin,
+/// call for call. After each step the twin's record is the device
+/// engine's, held or not, entry for entry; a re-install right after a
+/// solve journals an upload of 0 bytes, where the device ships nothing; and
+/// the first install after a cut journals the whole upload.
+fn journal_follows_the_device(rows: &[Vec<f64>], steps: &[Step]) -> Result<(), TestCaseError> {
+    let (a, mut lp, n) = record_lp(rows);
+    let mut basis = record_slack_basis(n, lp[0].len());
+    let mut e = DeviceEngine::new(Accel::gpu(1), &a).unwrap();
+    let mut rec = RecordingEngine::new(a);
+    let mut cut = false;
+    for step in steps {
+        let [c, lb, ub, b] = &lp;
+        let view = ProblemView { c, lb, ub, b };
+        let whole = 8 * (3 * rec.n() + 4 * rec.m());
+        match step {
+            Step::Bound(j, v) => lp[2][j % (n + 1)] = *v,
+            Step::Primal(_) | Step::Dual => {
+                let mut twin = basis.clone();
+                let solved = record_run(&mut e, view, &mut basis, step);
+                prop_assert_eq!(
+                    record_run(&mut rec, view, &mut twin, step).is_ok(),
+                    solved.is_ok()
+                );
+                prop_assert_eq!(&twin.cols, &basis.cols, "the twins pivoted apart");
+                records_agree(&rec, &e)?;
+                let ops = rec.take_ops();
+                if std::mem::take(&mut cut) {
+                    prop_assert_eq!(journaled_upload(&ops), Some(whole), "a cut kept the record");
+                }
+                let h2d = e.accel.stats().h2d_transfers;
+                if solved.and_then(|()| e.install(view, &basis)).is_ok() {
+                    prop_assert_eq!(e.accel.stats().h2d_transfers, h2d);
+                    prop_assert!(rec.install(view, &basis).is_ok());
+                    prop_assert_eq!(journaled_upload(&rec.take_ops()), Some(0));
+                } else {
+                    basis = record_slack_basis(n, c.len());
+                }
+            }
+            Step::Cut(row, rhs) => {
+                record_cut(
+                    &mut [&mut e, &mut rec],
+                    &mut lp,
+                    &mut basis,
+                    n,
+                    (&row[..], *rhs),
+                );
+                rec.take_ops();
+                cut = true;
+            }
+            Step::Singular => {
+                let singular = record_singular_basis(n, c.len());
+                prop_assert!(e.install(view, &singular).is_err());
+                prop_assert!(rec.install(view, &singular).is_err());
+                let upload = journaled_upload(&rec.take_ops());
+                if std::mem::take(&mut cut) {
+                    prop_assert_eq!(upload, Some(whole), "a cut kept the record");
+                }
+            }
+        }
+        records_agree(&rec, &e)?;
+    }
+    Ok(())
+}
+
+/// The journal twin's record is the device engine's: held alike, and when
+/// held, equal entry for entry.
+fn records_agree(rec: &RecordingEngine, e: &DeviceEngine) -> Result<(), TestCaseError> {
+    let bits = |r: &InstallRecord| -> Vec<Vec<u64>> {
+        (0..9)
+            .map(|k| r.vector(k).iter().map(|x| x.to_bits()).collect())
+            .collect()
+    };
+    let (twin, device) = (rec.record(), &e.stage.record);
+    prop_assert_eq!(twin.held, device.held);
+    if device.held {
+        prop_assert_eq!(bits(twin), bits(device));
+    }
+    Ok(())
+}
+
+/// Matrices of 2–3 rows and 2–5 columns and up to eleven [`Step`]s over
+/// them.
+fn record_cases() -> impl Strategy<Value = (Vec<Vec<f64>>, Vec<Step>)> {
+    (2usize..4, 2usize..6).prop_flat_map(|(m, n)| {
+        let entry = || (-4i32..9).prop_map(|v| f64::from(v) / 2.0);
+        let step = prop_oneof![
+            (0usize..8, (0i32..9).prop_map(f64::from)).prop_map(|(j, v)| Step::Bound(j, v)),
+            prop_oneof![Just(PricingRule::Dantzig), Just(PricingRule::Devex)]
+                .prop_map(Step::Primal),
+            Just(Step::Dual),
+            (
+                proptest::collection::vec(entry(), n),
+                (1i32..12).prop_map(f64::from)
+            )
+                .prop_map(|(row, rhs)| Step::Cut(row, rhs)),
+            Just(Step::Singular),
+        ];
+        (
+            proptest::collection::vec(proptest::collection::vec(entry(), n), m),
+            proptest::collection::vec(step, 1..12),
+        )
+    })
 }
 
 proptest! {
@@ -1131,26 +1285,16 @@ proptest! {
     /// installs: held, it is what the device holds — and right after a
     /// primal or a dual run, what the next install of its basis assembles.
     #[test]
-    fn the_record_is_what_the_device_holds(
-        (rows, steps) in (2usize..4, 2usize..6).prop_flat_map(|(m, n)| {
-            let entry = || (-4i32..9).prop_map(|v| f64::from(v) / 2.0);
-            let step = prop_oneof![
-                (0usize..8, (0i32..9).prop_map(f64::from)).prop_map(|(j, v)| Step::Bound(j, v)),
-                prop_oneof![Just(PricingRule::Dantzig), Just(PricingRule::Devex)]
-                    .prop_map(Step::Primal),
-                Just(Step::Dual),
-                (proptest::collection::vec(entry(), n), (1i32..12).prop_map(f64::from))
-                    .prop_map(|(row, rhs)| Step::Cut(row, rhs)),
-                Just(Step::Singular),
-            ];
-            (
-                proptest::collection::vec(proptest::collection::vec(entry(), n), m),
-                proptest::collection::vec(step, 1..12),
-            )
-        })
-    ) {
+    fn the_record_is_what_the_device_holds((rows, steps) in record_cases()) {
         record_follows_the_device::<MatrixHandle>(&rows, &steps)?;
         record_follows_the_device::<SparseHandle>(&rows, &steps)?;
+    }
+
+    /// A wave lane's journal keeps the device engine's record: through the
+    /// same sequences, it uploads exactly where the device uploads.
+    #[test]
+    fn the_journal_keeps_the_device_engines_record((rows, steps) in record_cases()) {
+        journal_follows_the_device(&rows, &steps)?;
     }
 }
 

@@ -69,35 +69,37 @@ impl ProblemView<'_> {
             v.clear();
             v.resize(len, 0.0);
         }
-        self.assemble_each(basis, |k, i, value| out[k][i] = value)
-    }
-
-    /// [`assemble`](Self::assemble) entry by entry: `put(k, i, value)` for
-    /// every entry `i` of every vector `k`, in the same order, so a caller
-    /// can compare each with what it held before.
-    pub(crate) fn assemble_each(
-        &self,
-        basis: &Basis,
-        mut put: impl FnMut(usize, usize, f64),
-    ) -> LpResult<()> {
-        for (j, &s) in basis.status.iter().enumerate() {
-            let (sigma, x) = match s {
-                VarStatus::Basic(_) => (0.0, 0.0),
-                VarStatus::AtLower => (self.sigma(j, s), self.lb[j]),
-                VarStatus::AtUpper => (self.sigma(j, s), self.ub[j]),
-            };
-            if !x.is_finite() {
-                return Err(LpError::FreeVariable(j));
-            }
-            put(0, j, sigma);
-            put(1, j, x);
+        let [sigma, x_n, c_b, l_b, u_b] = out;
+        for (j, ((&status, s), x)) in basis.status.iter().zip(sigma).zip(x_n).enumerate() {
+            (*s, *x) = self.column(j, status)?;
         }
-        for (k, src) in [(2, self.c), (3, self.lb), (4, self.ub)] {
-            for (i, &j) in basis.cols.iter().enumerate() {
-                put(k, i, src[j]);
-            }
+        let rows = c_b.iter_mut().zip(l_b).zip(u_b);
+        for ([c, l, u], ((cb, lb), ub)) in self.rows(basis).zip(rows) {
+            (*cb, *lb, *ub) = (c, l, u);
         }
         Ok(())
+    }
+
+    /// [`assemble`](Self::assemble) of column `j` at status `status`:
+    /// `(σ_j, x_j)`; a nonbasic column at an infinite bound is
+    /// [`LpError::FreeVariable`].
+    #[inline]
+    pub(crate) fn column(&self, j: usize, status: VarStatus) -> LpResult<(f64, f64)> {
+        let (sigma, x) = match status {
+            VarStatus::Basic(_) => (0.0, 0.0),
+            VarStatus::AtLower => (self.sigma(j, status), self.lb[j]),
+            VarStatus::AtUpper => (self.sigma(j, status), self.ub[j]),
+        };
+        if x.is_finite() {
+            Ok((sigma, x))
+        } else {
+            Err(LpError::FreeVariable(j))
+        }
+    }
+
+    /// The assembly's basis-ordered `[c_B, l_B, u_B]`, row by row.
+    pub(crate) fn rows<'s>(&'s self, basis: &'s Basis) -> impl Iterator<Item = [f64; 3]> + 's {
+        (basis.cols.iter()).map(|&j| [self.c[j], self.lb[j], self.ub[j]])
     }
 
     /// The status weight of column `j` at nonbasic status `s`: 0 if the
@@ -158,6 +160,22 @@ impl PivotPlan {
             lb_q: p.lb_q,
             ub_q: p.ub_q,
         }
+    }
+
+    /// Everything the pivot stores besides its step, into the vectors
+    /// `x_B`, σ, `c_B`, `l_B`, `u_B` and `x_N` that `to` names.
+    pub(crate) fn stores<K: Copy>(&self, to: [K; 6]) -> [(K, usize, f64); 8] {
+        let [xb, sigma, cb, lbb, ubb, x_nb] = to;
+        [
+            (xb, self.r, self.entering_val),
+            (sigma, self.leaving_j, self.leaving_sigma),
+            (sigma, self.q, 0.0),
+            (cb, self.r, self.c_q),
+            (lbb, self.r, self.lb_q),
+            (ubb, self.r, self.ub_q),
+            (x_nb, self.leaving_j, self.leaving_x),
+            (x_nb, self.q, 0.0),
+        ]
     }
 }
 

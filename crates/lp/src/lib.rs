@@ -34,6 +34,7 @@ pub mod dual;
 pub mod engine;
 pub mod firstorder;
 pub mod problem;
+mod record;
 pub mod simplex;
 pub mod solver;
 pub mod wave;

@@ -26,10 +26,14 @@
 //!   install uploads and solution read-backs of a step are packed into one
 //!   H2D and one D2H transfer of their summed bytes, so the link latency —
 //!   like the launch latency — is paid per superstep, not per lane. Nothing
-//!   else crosses: a warm start ships inside its lane's install upload
-//!   (`c b σ c_B l_B u_B x_N`, built from the parent's basis on the host),
-//!   exactly as [`crate::DeviceEngine`] ships one, so a whole solve makes at
-//!   most one H2D per superstep plus the shared matrix upload;
+//!   else crosses: a warm start ships inside its lane's install, exactly as
+//!   [`crate::DeviceEngine`] ships one — each lane keeps the same install
+//!   record, so what the parent's basis changes of it rides the install's
+//!   kernel as launch arguments, and only a lane with no record (its first
+//!   install, the first after a cut) or a change over
+//!   [`gmip_gpu::LAUNCH_WRITES`] entries uploads `c b σ c_B l_B u_B x_N`.
+//!   A whole solve makes at most one H2D per superstep plus the shared
+//!   matrix upload, and in practice little more than one per lane;
 //! * **event-based retire-and-refill**: a lane whose node LP reaches
 //!   optimality exits the wave at a superstep boundary (a stream event,
 //!   *not* a device-wide `synchronize`) and is refilled immediately, so
@@ -48,6 +52,7 @@
 use crate::basis::Basis;
 use crate::engine::{HostEngine, PivotPlan, ProblemView, SimplexEngine};
 use crate::problem::BoundChange;
+use crate::record::InstallRecord;
 use crate::solver::{LpSolution, LpSolver};
 use crate::LpResult;
 use gmip_gpu::cost::flops;
@@ -164,11 +169,13 @@ pub enum WaveOp {
 ///   [`WaveClass::Gather`] kernel instance — a fused *launch* across lanes,
 ///   not a link crossing — which is the batched reading of the same step:
 ///   the wave's host sees one gather per superstep, not one per lane. And
-///   the install: the journal books one staged upload of `c`, `b`, σ,
-///   `c_B`, `l_B`, `u_B` and `x_N` (`8(3n + 4m)` bytes) at every install,
-///   where the device engine, which keeps the full `l` and `u` beside them,
-///   uploads them only when it holds no record of them and otherwise
-///   passes the entries that changed as arguments of its first kernel.
+///   the install: both engines keep the same install record and make the
+///   same upload-or-delta decision, but an upload is booked as `c`, `b`,
+///   σ, `c_B`, `l_B`, `u_B` and `x_N` (`8(3n + 4m)` bytes), without the
+///   full `l` and `u` the device engine ships beside them. A delta rides
+///   the `Factor` kernel as arguments on both, and the journal still books
+///   its `Transfer` op, of 0 bytes: the op is a step of the lane's phase,
+///   and dropping it would shift every later superstep's fusion.
 ///
 /// The journal is the reason the run-shaped calls have default bodies at
 /// all: it is cut by class, so a lane has to see `btran_row` and
@@ -182,6 +189,9 @@ pub enum WaveOp {
 pub struct RecordingEngine {
     inner: HostEngine,
     ops: Vec<WaveOp>,
+    /// What a [`crate::DeviceEngine`] on the same calls would hold
+    /// resident: it decides whether an install uploads.
+    record: InstallRecord,
 }
 
 impl RecordingEngine {
@@ -190,7 +200,14 @@ impl RecordingEngine {
         Self {
             inner: HostEngine::new(a),
             ops: Vec::new(),
+            record: InstallRecord::default(),
         }
+    }
+
+    /// The install record the lane keeps.
+    #[cfg(test)]
+    pub(crate) fn record(&self) -> &InstallRecord {
+        &self.record
     }
 
     /// Drains the journal accumulated since the last call.
@@ -245,22 +262,30 @@ impl SimplexEngine for RecordingEngine {
 
     fn install(&mut self, view: ProblemView<'_>, basis: &Basis) -> LpResult<()> {
         let (m, n) = (self.inner.m(), self.inner.n());
-        // The DeviceEngine install leg: one staged upload of the small
-        // vectors (c, b, σ, c_B, l_B, u_B, x_N), then residual + basis
-        // gather + factorization + the initial FTRAN.
-        self.transfer(8 * (3 * n + 4 * m), true);
+        // The DeviceEngine install leg: the small vectors (c, b, σ, c_B,
+        // l_B, u_B, x_N) in one staged upload — or, when the record makes
+        // their change fit one launch's arguments, as arguments of the
+        // Factor kernel, an upload of 0 bytes that keeps the lane's phase —
+        // then residual + basis gather + factorization + the initial FTRAN.
+        let fits = view.check(basis, m, n).is_ok()
+            && self.record.take(view, basis, |_, _, _| {}) == Ok(true);
+        self.transfer(if fits { 0 } else { 8 * (3 * n + 4 * m) }, true);
         self.kernel(
             WaveClass::Factor,
             flops::gemv(m, n) + flops::lu(m) + flops::lu_solve(m),
             8.0 * (m * n + 2 * m * m) as f64,
         );
-        self.inner.install(view, basis)
+        self.inner.install(view, basis)?;
+        self.record.hold();
+        Ok(())
     }
 
     fn append_cut(&mut self, row: &[f64], col: &[f64]) -> LpResult<()> {
         self.transfer(8 * (row.len() + col.len()), true);
         let m = self.inner.m();
         self.kernel(WaveClass::Update, 0.0, 8.0 * (row.len() + m) as f64);
+        // The recorded vectors are a column and a row short now.
+        self.record.held = false;
         self.inner.append_cut(row, col)
     }
 
@@ -297,7 +322,9 @@ impl SimplexEngine for RecordingEngine {
     fn apply_flip(&mut self, q: usize, dir: f64, t: f64, new_sigma: f64) -> LpResult<()> {
         let m = self.inner.m();
         self.kernel(WaveClass::Update, 2.0 * m as f64, 8.0 * (2 * m) as f64);
-        self.inner.apply_flip(q, dir, t, new_sigma)
+        self.inner.apply_flip(q, dir, t, new_sigma)?;
+        self.record.flip(q, new_sigma);
+        Ok(())
     }
 
     fn apply_pivot(&mut self, plan: &PivotPlan) -> LpResult<()> {
@@ -309,7 +336,9 @@ impl SimplexEngine for RecordingEngine {
             2.0 * m as f64 + 8.0,
             8.0 * (2 * m + 8) as f64,
         );
-        self.inner.apply_pivot(plan)
+        self.inner.apply_pivot(plan)?;
+        self.record.pivot(plan);
+        Ok(())
     }
 
     fn basic_values(&mut self) -> LpResult<Vec<f64>> {
@@ -519,18 +548,23 @@ impl BatchedWaveEngine {
             lanes.clear();
         }
         // Staged link traffic of this step, per direction: `None` until a
-        // lane transfers that way.
+        // lane transfers bytes that way.
         let (mut h2d, mut d2h) = (None::<usize>, None::<usize>);
+        let mut popped = false;
         for (slot, log) in self.logs.iter_mut().enumerate() {
             let Some(op) = log.pop_front() else {
                 continue;
             };
+            popped = true;
             match op {
                 WaveOp::Kernel {
                     class,
                     flops,
                     bytes,
                 } => self.class_lanes[class as usize].push((flops, bytes)),
+                // An install whose change rides its kernel's arguments
+                // crosses nothing; it still takes the lane's step.
+                WaveOp::Transfer { bytes: 0, .. } => {}
                 WaveOp::Transfer { bytes, h2d: up } => {
                     let staged = if up { &mut h2d } else { &mut d2h };
                     *staged.get_or_insert(0) += bytes;
@@ -540,10 +574,10 @@ impl BatchedWaveEngine {
                 self.retired.push(slot);
             }
         }
-        let fused = self.class_lanes.iter().filter(|l| !l.is_empty()).count();
-        if fused == 0 && h2d.is_none() && d2h.is_none() {
+        if !popped {
             return &self.retired;
         }
+        let fused = self.class_lanes.iter().filter(|l| !l.is_empty()).count();
         let stream = self.stream;
         self.accel.with(|d| {
             if let Some(bytes) = h2d {
@@ -638,7 +672,7 @@ mod tests {
     #[test]
     fn a_superstep_stages_its_lanes_transfers() {
         let accel = Accel::gpu(1);
-        let mut wave = BatchedWaveEngine::new(accel.clone(), &DenseMatrix::zeros(2, 4), 3).unwrap();
+        let mut wave = BatchedWaveEngine::new(accel.clone(), &DenseMatrix::zeros(2, 4), 4).unwrap();
         let up = |bytes| WaveOp::Transfer { bytes, h2d: true };
         let down = |bytes| WaveOp::Transfer { bytes, h2d: false };
         let ftran = WaveOp::Kernel {
@@ -649,11 +683,13 @@ mod tests {
         wave.load_lane(0, vec![up(80), down(16)]);
         wave.load_lane(1, vec![up(40), ftran]);
         wave.load_lane(2, vec![down(24)]);
+        // An install whose delta rides its kernel: a 0-byte upload.
+        wave.load_lane(3, vec![up(0), ftran, up(0)]);
         let before = accel.stats();
         let clock = accel.elapsed_ns();
         assert_eq!(wave.superstep(), [2]);
-        // Three lane transfers, two crossings, H2D first: the clock moved by
-        // exactly the two charges.
+        // Three lane transfers with bytes, two crossings, H2D first: the
+        // clock moved by exactly the two charges.
         let s = accel.stats();
         assert_eq!(s.h2d_transfers - before.h2d_transfers, 1);
         assert_eq!(s.h2d_bytes - before.h2d_bytes, 120);
@@ -670,8 +706,14 @@ mod tests {
         assert_eq!(s.h2d_transfers - before.h2d_transfers, 1);
         assert_eq!(s.d2h_transfers - before.d2h_transfers, 2);
         assert_eq!(s.kernel_launches - before.kernel_launches, 1);
+        // Lane 3's last op is its only one this step: a 0-byte upload
+        // crosses nothing and costs nothing, but the step is one.
+        let (s, clock) = (accel.stats(), accel.elapsed_ns());
+        assert_eq!(wave.superstep(), [3]);
+        assert_eq!(accel.stats(), s);
+        assert_eq!(accel.elapsed_ns(), clock);
         assert!(wave.superstep().is_empty() && !wave.any_busy());
-        assert_eq!(wave.metrics().counter(names::WAVE_SUPERSTEPS), 2.0);
+        assert_eq!(wave.metrics().counter(names::WAVE_SUPERSTEPS), 3.0);
         assert_eq!(wave.metrics().counter(names::WAVE_FUSED_LAUNCHES), 1.0);
     }
 

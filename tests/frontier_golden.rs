@@ -245,7 +245,7 @@ fn batched_wave_64() {
     let r = solve_batched_wave(&wave_instance(), &plain, gpu()).expect("wave solve");
     assert_eq!(
         wave_pin(&r),
-        "obj=4008000000000000 nodes=1119 supersteps=678 launches=2236 makespan=4176cd786b60b64f"
+        "obj=4008000000000000 nodes=1119 supersteps=678 launches=2236 makespan=41731b5d4b60b668"
     );
     let prop = BatchedWaveConfig {
         propagate: true,
@@ -255,7 +255,7 @@ fn batched_wave_64() {
     let r = solve_batched_wave(&wave_instance(), &prop, gpu()).expect("propagating wave solve");
     assert_eq!(
         wave_pin(&r),
-        "obj=4008000000000000 nodes=335 supersteps=372 launches=1278 makespan=4165b3f144c64c5d"
+        "obj=4008000000000000 nodes=335 supersteps=372 launches=1278 makespan=41648cf06f70f70b"
     );
 }
 

@@ -153,8 +153,8 @@ fn batched_wave_propagate_dive() {
     assert_eq!(
         got,
         [
-            "Optimal obj=4008000000000000 nodes=335 supersteps=1076 retires=303 refills=295 launches=4809 makespan=41847eb737ffffe0 first=414ba68b49cb0320 x=574a3110292eaa1d heur=1/167 prop=0/4053",
-            "Optimal obj=4034000000000000 nodes=9 supersteps=224 retires=9 refills=4 launches=295 makespan=4143a3afbe02468e first=413b210ba740da77 x=308352d4f9fa3add heur=2/4 prop=0/5",
+            "Optimal obj=4008000000000000 nodes=335 supersteps=1076 retires=303 refills=295 launches=4809 makespan=418317df2800000e first=414a7924f475adcc x=574a3110292eaa1d heur=1/167 prop=0/4053",
+            "Optimal obj=4034000000000000 nodes=9 supersteps=224 retires=9 refills=4 launches=295 makespan=41431735be02468e first=413ad12fa740da77 x=308352d4f9fa3add heur=2/4 prop=0/5",
         ]
     );
 }
