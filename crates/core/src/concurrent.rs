@@ -96,7 +96,6 @@ impl LaneSet for EngineLanes {
     fn retire(
         &mut self,
         slot: usize,
-        _id: NodeId,
         _node_bounds: &[BoundChange],
     ) -> LpResult<(LpSolution, Self::Warm)> {
         Ok(self.solved[slot]

@@ -117,7 +117,6 @@ impl LaneSet for PdhgLanes {
     fn retire(
         &mut self,
         slot: usize,
-        _id: NodeId,
         node_bounds: &[BoundChange],
     ) -> LpResult<(LpSolution, Self::Warm)> {
         let (sol, lane) = self.fo.finish_lane(slot, &mut self.cleanup, node_bounds)?;

@@ -12,20 +12,21 @@
 //!
 //! The wave width is auto-sized from device memory
 //! ([`gmip_lp::wave_width`], the paper's `batch ≈ device_mem / matrix_mem`
-//! rule). A child warm-starts from its parent's basis, which the host
-//! planner holds: it reaches the device in the lane's install, as a device
-//! engine's warm start does — the lane keeps the device engine's install
-//! record, so what the basis changes of it rides the install's kernel as
-//! launch arguments, and only an install with no record behind it (a
-//! lane's first) uploads, in one of the superstep's staged transfers. The
-//! whole solve crosses the link at most once per superstep and direction,
-//! plus the matrix upload, and uploads about once per lane.
+//! rule), and the host side follows the same rule: one planner (one
+//! `LpSolver`, one host matrix) takes every lane's pivot path, and a lane
+//! keeps only what its device holds. A child warm-starts from its parent's
+//! basis, which the tree holds: it reaches the device in the lane's
+//! install, as a device engine's warm start does — the lane keeps the
+//! device engine's install record, so what the basis changes of it rides
+//! the install's kernel as launch arguments, and only an install with no
+//! record behind it (a lane's first) uploads, in one of the superstep's
+//! staged transfers. The whole solve crosses the link at most once per
+//! superstep and direction, plus the matrix upload, and uploads about once
+//! per lane.
 
 use crate::search::{self, Incumbent, NodeHook, PropCharge, Rules, Verdict};
 use crate::solver::MipStatus;
 use gmip_gpu::{Accel, BackendKind, DeviceStats};
-use gmip_linalg::batch::batch_size_bytes;
-use gmip_linalg::DenseMatrix;
 use gmip_lp::wave::BatchedWaveEngine;
 use gmip_lp::{
     wave_width, Basis, BoundChange, LpConfig, LpResult, LpSolution, LpSolver, LpStatus,
@@ -136,7 +137,7 @@ pub(crate) trait LaneSet {
     /// retired slots.
     fn run_to_retire(&mut self) -> Vec<usize>;
 
-    /// Collects retired lane `slot`, which ran node `id`: the node's LP
+    /// Collects retired lane `slot`: the node's LP
     /// outcome — exact, or a dominated safe bound without a point (see
     /// [`gmip_lp::FirstOrderWaveEngine::finish_lane`]) — and the warm artifact
     /// its children share. `node_bounds` are the node's own (unpropagated)
@@ -144,7 +145,6 @@ pub(crate) trait LaneSet {
     fn retire(
         &mut self,
         slot: usize,
-        id: NodeId,
         node_bounds: &[BoundChange],
     ) -> LpResult<(LpSolution, Self::Warm)>;
 
@@ -165,12 +165,15 @@ struct WaveNode<W> {
     warm: W,
 }
 
-/// Journaled-simplex lanes: each lane's host planner takes the reference
+/// Journaled-simplex lanes: one host planner takes each lane's reference
 /// pivot path eagerly at load (journaling the device kernels), and the
-/// journal replays in flight through fused batched launches. The warm
-/// artifact is the parent's basis, which both children share.
+/// journal replays in flight through fused batched launches. A lane keeps
+/// only what its device holds — its journal, its state reservation and its
+/// install record, all in the [`BatchedWaveEngine`] — since a node LP's
+/// path depends only on its bounds and its warm basis. The warm artifact is
+/// the parent's basis, which both children share.
 struct SimplexLanes {
-    lanes: Vec<LpSolver<RecordingEngine>>,
+    planner: LpSolver<RecordingEngine>,
     wave: BatchedWaveEngine,
     /// The outcome each in-flight lane will deliver when it retires.
     solved: Vec<Option<(LpSolution, Option<Basis>)>>,
@@ -192,7 +195,7 @@ impl LaneSet for SimplexLanes {
         }
         let out = self
             .wave
-            .journal_node(&mut self.lanes[slot], slot, bounds, warm)?;
+            .journal_node(&mut self.planner, slot, bounds, warm)?;
         self.solved[slot] = Some(out);
         Ok(())
     }
@@ -208,7 +211,6 @@ impl LaneSet for SimplexLanes {
     fn retire(
         &mut self,
         slot: usize,
-        _id: NodeId,
         _node_bounds: &[BoundChange],
     ) -> LpResult<(LpSolution, Self::Warm)> {
         Ok(self.solved[slot]
@@ -218,9 +220,7 @@ impl LaneSet for SimplexLanes {
 
     fn merge_metrics(&mut self, into: &mut MetricsRegistry) -> [usize; 3] {
         into.merge(self.wave.metrics());
-        for lane in &mut self.lanes {
-            into.merge(&lane.take_metrics());
-        }
+        into.merge(&self.planner.take_metrics());
         let c = self.wave.metrics();
         [
             c.counter(names::WAVE_SUPERSTEPS) as usize,
@@ -239,31 +239,17 @@ pub fn solve_batched_wave(
 ) -> LpResult<WaveResult> {
     assert!(cfg.lanes >= 1, "need at least one lane");
     let accel = accel.with_backend(cfg.backend);
-    let std = StandardLp::from_instance(instance, &[]);
-
-    // Lane 0 doubles as the probe that captures the extended matrix the
-    // solver lowers to, so the shared upload and the width sizing see the
-    // exact `[A | I]` the engines iterate on.
-    let mut ext: Option<DenseMatrix> = None;
-    let mut lanes: Vec<LpSolver<RecordingEngine>> = vec![LpSolver::new(
-        std.clone(),
+    let planner = LpSolver::new(
+        StandardLp::from_instance(instance, &[]),
         cfg.lp.clone(),
-        |a: &DenseMatrix| {
-            ext = Some(a.clone());
-            RecordingEngine::new(a.clone())
-        },
-    )];
-    let ext = ext.expect("engine factory runs during solver construction");
-
-    let matrix_bytes = batch_size_bytes(std::slice::from_ref(&ext));
+        |a| RecordingEngine::new(a.clone()),
+    );
+    // The shared upload and the width sizing see the exact `[A | I]` the
+    // planner iterates on.
+    let ext = planner.matrix();
     let per_lane = BatchedWaveEngine::per_lane_bytes(ext.rows(), ext.cols());
-    let width = wave_width(cfg.lanes, accel.mem_capacity(), matrix_bytes, per_lane);
-    for _ in 1..width {
-        lanes.push(LpSolver::new(std.clone(), cfg.lp.clone(), |a| {
-            RecordingEngine::new(a.clone())
-        }));
-    }
-    let wave = BatchedWaveEngine::new(accel.clone(), &ext, width)?;
+    let width = wave_width(cfg.lanes, accel.mem_capacity(), ext.size_bytes(), per_lane);
+    let wave = BatchedWaveEngine::new(accel.clone(), ext, width)?;
     let hook = NodeHook::new(
         instance,
         cfg.propagate,
@@ -281,7 +267,7 @@ pub fn solve_batched_wave(
         accel,
         width,
         SimplexLanes {
-            lanes,
+            planner,
             wave,
             solved,
         },
@@ -365,7 +351,7 @@ pub(crate) fn run_wave<L: LaneSet>(
         // retired nodes; busy lanes stay in flight.
         for slot in lanes.run_to_retire() {
             let id = in_flight[slot].take().expect("retired slot was in flight");
-            let (sol, warm) = lanes.retire(slot, id, &tree.node(id).data.bounds)?;
+            let (sol, warm) = lanes.retire(slot, &tree.node(id).data.bounds)?;
             match sol.status {
                 LpStatus::Infeasible => tree.settle(id, NodeState::Infeasible, f64::NEG_INFINITY),
                 LpStatus::Unbounded => {

@@ -24,12 +24,6 @@ pub fn lu_factor_solve_batch(mats: &[DenseMatrix], rhs: &[Vec<f64>]) -> Vec<Resu
         .collect()
 }
 
-/// Total bytes of a batch of matrices (device memory accounting: Section 5.5
-/// sizes the feasible batch as `device_mem / matrix_mem`).
-pub fn batch_size_bytes(mats: &[DenseMatrix]) -> usize {
-    mats.iter().map(DenseMatrix::size_bytes).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,12 +66,5 @@ mod tests {
         assert!(results[0].is_ok());
         assert!(results[1].is_err());
         assert!(results[2].is_ok());
-    }
-
-    #[test]
-    fn size_accounting() {
-        let mats = vec![DenseMatrix::zeros(2, 2), DenseMatrix::zeros(3, 3)];
-        assert_eq!(batch_size_bytes(&mats), (4 + 9) * 8);
-        assert_eq!(batch_size_bytes(&[]), 0);
     }
 }

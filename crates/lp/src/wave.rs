@@ -39,10 +39,14 @@
 //!   *not* a device-wide `synchronize`) and is refilled immediately, so
 //!   short lanes never wait for the longest lane in a join-all.
 //!
-//! Numerically, each lane is a [`RecordingEngine`]: a [`HostEngine`] that
-//! takes the exact pivot path of the reference implementation while
-//! journaling one [`WaveOp`] per kernel *class* an engine call touches. The
-//! wave engine then
+//! Numerically, one [`RecordingEngine`] plans every lane: a [`HostEngine`]
+//! that takes the exact pivot path of the reference implementation while
+//! journaling one [`WaveOp`] per kernel *class* an engine call touches. One
+//! planner serves the whole wave because a node LP's path depends only on
+//! its bounds and its warm basis; a lane keeps only what its device holds —
+//! its journal, its state reservation and its install record, which
+//! [`BatchedWaveEngine::journal_node`] lends the planner for the lane's
+//! plan. The wave engine then
 //! replays those journals in lockstep against the simulated device, which
 //! is where the simulated-ns clock and the kernel/transfer ledger accrue.
 //! Identical pivot paths are the repository's standing engine-equivalence
@@ -190,7 +194,8 @@ pub struct RecordingEngine {
     inner: HostEngine,
     ops: Vec<WaveOp>,
     /// What a [`crate::DeviceEngine`] on the same calls would hold
-    /// resident: it decides whether an install uploads.
+    /// resident: it decides whether an install uploads. In a wave it is the
+    /// planned lane's, lent by [`BatchedWaveEngine::journal_node`].
     record: InstallRecord,
 }
 
@@ -420,8 +425,9 @@ pub fn wave_width(
     requested.max(1).min(fit.max(1))
 }
 
-/// The lockstep replayer: owns the shared device matrix and the per-lane
-/// journals; every superstep issues at most one fused launch per
+/// The lockstep replayer: owns the shared device matrix and what each lane
+/// holds — its journal, its state reservation, its install record; every
+/// superstep issues at most one fused launch per
 /// [`WaveClass`] present across the active lanes and crosses the link at
 /// most once in each direction, and nothing else crosses it.
 #[derive(Debug)]
@@ -432,6 +438,9 @@ pub struct BatchedWaveEngine {
     matrix_bytes: usize,
     lane_state: Vec<RawHandle>,
     logs: Vec<VecDeque<WaveOp>>,
+    /// Each lane's install record: what its device state holds, lent to the
+    /// planner for the lane's plan by [`journal_node`](Self::journal_node).
+    records: Vec<InstallRecord>,
     metrics: MetricsRegistry,
     /// Superstep scratch, sized for the full width once: the `(flops,
     /// bytes)` instances of each class in lane order, and the slots that
@@ -466,6 +475,7 @@ impl BatchedWaveEngine {
             matrix_bytes,
             lane_state,
             logs: (0..width).map(|_| VecDeque::new()).collect(),
+            records: (0..width).map(|_| InstallRecord::default()).collect(),
             metrics,
             class_lanes: std::array::from_fn(|_| Vec::with_capacity(width)),
             retired: Vec::with_capacity(width),
@@ -488,11 +498,6 @@ impl BatchedWaveEngine {
         self.logs.len()
     }
 
-    /// Whether `slot` still has journaled ops to replay.
-    pub fn lane_busy(&self, slot: usize) -> bool {
-        !self.logs[slot].is_empty()
-    }
-
     /// Whether any lane has work left.
     pub fn any_busy(&self) -> bool {
         self.logs.iter().any(|l| !l.is_empty())
@@ -510,7 +515,10 @@ impl BatchedWaveEngine {
     /// every driver shares: the host planner `lp` takes the reference pivot
     /// path from `warm` (a parent basis of the right shape, else a cold
     /// start) while its engine journals the device kernels, and the journal
-    /// is loaded for lockstep replay. The warm basis crosses the link in the
+    /// is loaded for lockstep replay. One planner serves every lane: a node
+    /// LP's path depends only on its bounds and its warm basis, and what the
+    /// lane's device state holds — its install record — is lent to the
+    /// planner for the plan. The warm basis crosses the link in the
     /// journal's install upload, in a superstep, and nowhere else. Returns
     /// what the lane delivers once it retires.
     pub fn journal_node(
@@ -520,8 +528,14 @@ impl BatchedWaveEngine {
         bounds: &[BoundChange],
         warm: Option<Basis>,
     ) -> LpResult<(LpSolution, Option<Basis>)> {
-        let out = lp.solve_node(bounds, warm)?;
-        self.load_lane(slot, lp.engine_mut().take_ops());
+        let record = &mut self.records[slot];
+        std::mem::swap(&mut lp.engine_mut().record, record);
+        let out = lp.solve_node(bounds, warm);
+        let engine = lp.engine_mut();
+        std::mem::swap(&mut engine.record, record);
+        let ops = engine.take_ops();
+        let out = out?;
+        self.load_lane(slot, ops);
         Ok(out)
     }
 
@@ -660,6 +674,74 @@ mod tests {
                 ..
             }
         )));
+    }
+
+    /// One planner serving every lane, each lane's install record lent to
+    /// it for the lane's plan, journals what a private planner per lane
+    /// journals: op for op and solution for solution, over a seeded walk of
+    /// loads that hop between lanes with fixings and warm bases drawn from
+    /// what earlier loads returned.
+    #[test]
+    fn one_planner_journals_what_private_planners_do() {
+        use gmip_problems::generators::{bin_packing, knapsack};
+        const WIDTH: usize = 4;
+        for m in [knapsack(24, 0.5, 3), bin_packing(5, 1.0, 61)] {
+            let std = crate::StandardLp::from_instance(&m, &[]);
+            let planner = || {
+                LpSolver::new(std.clone(), LpConfig::standard(), |a| {
+                    RecordingEngine::new(a.clone())
+                })
+            };
+            let mut shared = planner();
+            let mut private: Vec<_> = (0..WIDTH).map(|_| planner()).collect();
+            let mut wave = BatchedWaveEngine::new(Accel::gpu(1), shared.matrix(), WIDTH).unwrap();
+            // SplitMix64: a seeded walk the test replays exactly.
+            let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+            let mut draw = |below: usize| {
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                ((z ^ (z >> 31)) % below as u64) as usize
+            };
+            let mut bases: Vec<Basis> = Vec::new();
+            let mut uploads = [0usize; 2];
+            for step in 0..80 {
+                let slot = draw(WIDTH);
+                let bounds: Vec<BoundChange> = (0..draw(4))
+                    .map(|_| {
+                        let to = draw(2) as f64;
+                        BoundChange {
+                            var: draw(m.num_vars()),
+                            lb: to,
+                            ub: to,
+                        }
+                    })
+                    .collect();
+                let warm = match draw(4) {
+                    0 => None,
+                    _ => bases.get(draw(bases.len().max(1))).cloned(),
+                };
+                let (want, want_basis) = private[slot].solve_node(&bounds, warm.clone()).unwrap();
+                let want_ops = private[slot].engine_mut().take_ops();
+                let (got, got_basis) = wave.journal_node(&mut shared, slot, &bounds, warm).unwrap();
+                let got_ops: Vec<WaveOp> = wave.logs[slot].drain(..).collect();
+                let at = format!("{} step {step}, lane {slot}", m.name);
+                assert_eq!(got_ops, want_ops, "{at}");
+                assert_eq!(format!("{got:?}"), format!("{want:?}"), "{at}");
+                assert_eq!(got_basis, want_basis, "{at}");
+                for op in &got_ops {
+                    if let WaveOp::Transfer { bytes, h2d: true } = *op {
+                        uploads[usize::from(bytes > 0)] += 1;
+                    }
+                }
+                bases.extend(got_basis);
+            }
+            // Each lane's first install uploads, and every later one, its
+            // lane's record held, ships its delta.
+            assert_eq!(uploads[1], WIDTH, "{}: {uploads:?}", m.name);
+            assert!(uploads[0] > 100, "{}: {uploads:?}", m.name);
+        }
     }
 
     #[test]

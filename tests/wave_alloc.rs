@@ -3,13 +3,16 @@
 //! lists, the staged link charges, the retired-slot list — runs in
 //! engine-owned scratch sized for the full width once.
 //!
+//! Nor does widening the wave: one host planner serves every lane.
+//!
 //! Allocations are counted per thread (the harness runs the tests of this
 //! file on threads of their own), so the counts are exact and repeat.
 
+use gmip::core::{solve_batched_wave, BatchedWaveConfig};
 use gmip::gpu::Accel;
 use gmip::linalg::DenseMatrix;
 use gmip::lp::{BatchedWaveEngine, LpConfig, LpSolver, RecordingEngine, StandardLp, WaveOp};
-use gmip::problems::generators::knapsack;
+use gmip::problems::generators::{bin_packing, knapsack};
 use gmip::trace::names;
 
 #[path = "support/counting_alloc.rs"]
@@ -63,5 +66,32 @@ fn warm_supersteps_allocate_nothing() {
         kernel_steps
             .filter(|op| matches!(op, WaveOp::Kernel { .. }))
             .count() as f64
+    );
+}
+
+/// A wave lane keeps only what its device holds: one planner takes every
+/// lane's pivot path, so widening the wave adds the lanes' journals, state
+/// reservations and install records, not a solver, a matrix and a host
+/// mirror per lane. A one-node solve at 64 lanes allocates a handful more
+/// times than at one lane.
+#[test]
+fn wide_waves_share_one_planner() {
+    let m = bin_packing(5, 1.0, 61);
+    let solve = |lanes: usize| {
+        let cfg = BatchedWaveConfig {
+            lanes,
+            node_limit: 1,
+            ..Default::default()
+        };
+        let accel = Accel::gpu(1);
+        allocations_in(|| solve_batched_wave(&m, &cfg, accel).expect("wave solve"))
+    };
+    let (narrow, one) = solve(1);
+    let (wide, sixty_four) = solve(64);
+    assert_eq!((one.width, sixty_four.width), (1, 64));
+    assert_eq!((one.nodes, sixty_four.nodes), (1, 1));
+    assert!(
+        wide <= narrow + 16,
+        "{wide} allocations at 64 lanes, {narrow} at one"
     );
 }
