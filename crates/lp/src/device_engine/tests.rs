@@ -1167,7 +1167,8 @@ fn journal_follows_the_device(rows: &[Vec<f64>], steps: &[Step]) -> Result<(), T
     for step in steps {
         let [c, lb, ub, b] = &lp;
         let view = ProblemView { c, lb, ub, b };
-        let whole = 8 * (3 * rec.n() + 4 * rec.m());
+        // The record's nine vectors, as the device engine uploads them.
+        let whole = 8 * (5 * rec.n() + 4 * rec.m());
         match step {
             Step::Bound(j, v) => lp[2][j % (n + 1)] = *v,
             Step::Primal(_) | Step::Dual => {

@@ -151,6 +151,12 @@ impl InstallRecord {
         self.held = true;
     }
 
+    /// Bytes of the nine recorded vectors: what an install that uploads
+    /// ships.
+    pub(crate) fn bytes(&self) -> usize {
+        std::mem::size_of_val(&self.buf[..])
+    }
+
     /// The recorded vector in slot `k`.
     pub(crate) fn vector(&self, k: usize) -> &[f64] {
         &self.buf[self.range(k)]

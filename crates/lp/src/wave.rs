@@ -31,7 +31,7 @@
 //!   record, so what the parent's basis changes of it rides the install's
 //!   kernel as launch arguments, and only a lane with no record (its first
 //!   install, the first after a cut) or a change over
-//!   [`gmip_gpu::LAUNCH_WRITES`] entries uploads `c b σ c_B l_B u_B x_N`.
+//!   [`gmip_gpu::LAUNCH_WRITES`] entries uploads the record's nine vectors.
 //!   A whole solve makes at most one H2D per superstep plus the shared
 //!   matrix upload, and in practice little more than one per lane;
 //! * **event-based retire-and-refill**: a lane whose node LP reaches
@@ -159,7 +159,13 @@ pub enum WaveOp {
 ///   full-vector read-backs (`basic_values`,
 ///   `reduced_costs_host`, `btran_row_host`, `dual_prices`: one D2H each).
 ///   The scalar stores of a pivot or a bound flip cross in neither: they are
-///   arguments of the `Update` kernel here and of `basic_step` there;
+///   arguments of the `Update` kernel here and of `basic_step` there. And
+///   the install: both engines keep the same install record, make the same
+///   upload-or-delta decision and ship the same upload, the record's nine
+///   vectors (`8(5n + 4m)` bytes, `InstallRecord::bytes`). A delta rides
+///   the `Factor` kernel as arguments on both, and the journal still books
+///   its `Transfer` op, of 0 bytes: the op is a step of the lane's phase,
+///   and dropping it would shift every later superstep's fusion;
 /// * **modelled differently** — scalars coming *back*. The device engine
 ///   stages them: a pivot's select is one launch chain whose reductions
 ///   (pricing, both ratio tests, the infeasibility argmax) leave their
@@ -172,14 +178,7 @@ pub enum WaveOp {
 ///   reduction's result is folded into its kernel, and a pivot entry is a
 ///   [`WaveClass::Gather`] kernel instance — a fused *launch* across lanes,
 ///   not a link crossing — which is the batched reading of the same step:
-///   the wave's host sees one gather per superstep, not one per lane. And
-///   the install: both engines keep the same install record and make the
-///   same upload-or-delta decision, but an upload is booked as `c`, `b`,
-///   σ, `c_B`, `l_B`, `u_B` and `x_N` (`8(3n + 4m)` bytes), without the
-///   full `l` and `u` the device engine ships beside them. A delta rides
-///   the `Factor` kernel as arguments on both, and the journal still books
-///   its `Transfer` op, of 0 bytes: the op is a step of the lane's phase,
-///   and dropping it would shift every later superstep's fusion.
+///   the wave's host sees one gather per superstep, not one per lane.
 ///
 /// The journal is the reason the run-shaped calls have default bodies at
 /// all: it is cut by class, so a lane has to see `btran_row` and
@@ -267,14 +266,14 @@ impl SimplexEngine for RecordingEngine {
 
     fn install(&mut self, view: ProblemView<'_>, basis: &Basis) -> LpResult<()> {
         let (m, n) = (self.inner.m(), self.inner.n());
-        // The DeviceEngine install leg: the small vectors (c, b, σ, c_B,
-        // l_B, u_B, x_N) in one staged upload — or, when the record makes
-        // their change fit one launch's arguments, as arguments of the
-        // Factor kernel, an upload of 0 bytes that keeps the lane's phase —
-        // then residual + basis gather + factorization + the initial FTRAN.
+        // The DeviceEngine install leg: the record's nine vectors in one
+        // staged upload — or, when the record makes their change fit one
+        // launch's arguments, as arguments of the Factor kernel, an upload
+        // of 0 bytes that keeps the lane's phase — then residual + basis
+        // gather + factorization + the initial FTRAN.
         let fits = view.check(basis, m, n).is_ok()
             && self.record.take(view, basis, |_, _, _| {}) == Ok(true);
-        self.transfer(if fits { 0 } else { 8 * (3 * n + 4 * m) }, true);
+        self.transfer(if fits { 0 } else { self.record.bytes() }, true);
         self.kernel(
             WaveClass::Factor,
             flops::gemv(m, n) + flops::lu(m) + flops::lu_solve(m),

@@ -9,8 +9,10 @@
 //! gave each lane the device engine's install record (the child of
 //! `4973d56`): a warm install journals its upload as 0 bytes where it used
 //! to journal the whole upload, and no op count, flop, iteration or status
-//! moved. The second test checks those upload decisions against a device
-//! engine's.
+//! moved. They moved once more when a journaled upload came to book the
+//! record's nine vectors, as the device engine uploads them, where it had
+//! booked seven (`16n` bytes short). The second test checks those uploads,
+//! where and what, against a device engine's.
 
 use gmip_gpu::Accel;
 use gmip_linalg::DenseMatrix;
@@ -152,10 +154,10 @@ fn journal(pricing: PricingRule) -> String {
 
 /// Forwards the required methods of a device engine, so the drivers run
 /// the trait's default bodies over it install by install, and notes for
-/// each install whether it crossed the link.
+/// each install the bytes it uploaded.
 struct Installs {
     inner: DeviceEngine,
-    uploaded: Vec<bool>,
+    uploaded: Vec<u64>,
 }
 
 impl SimplexEngine for Installs {
@@ -166,11 +168,10 @@ impl SimplexEngine for Installs {
         self.inner.n()
     }
     fn install(&mut self, view: ProblemView<'_>, basis: &Basis) -> LpResult<()> {
-        let h2d = || self.inner.accel().stats().h2d_transfers;
-        let before = h2d();
+        let h2d = |e: &DeviceEngine| e.accel().stats().h2d_bytes;
+        let before = h2d(&self.inner);
         let out = self.inner.install(view, basis);
-        self.uploaded
-            .push(self.inner.accel().stats().h2d_transfers > before);
+        self.uploaded.push(h2d(&self.inner) - before);
         out
     }
     fn append_cut(&mut self, row: &[f64], col: &[f64]) -> LpResult<()> {
@@ -229,16 +230,15 @@ impl SimplexEngine for Installs {
     }
 }
 
-/// Whether each install in `ops` uploaded: an install journals an H2D
-/// transfer and then its `Factor` kernel, and an upload is one of more
-/// than 0 bytes.
-fn journaled_uploads(ops: &[WaveOp]) -> Vec<bool> {
+/// The bytes each install in `ops` uploaded: an install journals an H2D
+/// transfer and then its `Factor` kernel.
+fn journaled_uploads(ops: &[WaveOp]) -> Vec<u64> {
     ops.windows(2)
         .filter_map(|pair| match *pair {
             [WaveOp::Transfer { bytes, h2d: true }, WaveOp::Kernel {
                 class: WaveClass::Factor,
                 ..
-            }] => Some(bytes > 0),
+            }] => Some(bytes as u64),
             _ => None,
         })
         .collect()
@@ -249,16 +249,16 @@ fn recording_engine_journals_are_pinned() {
     assert_eq!(
         [journal(PricingRule::Dantzig), journal(PricingRule::Devex)],
         [
-            "optimal=47 infeasible=1 iters=56 counts=[95, 56, 105, 105, 136, 58, 64, 97, 48] flops=23096.66666666664 bytes=129720 hash=a9b93b182a3ba11f",
-            "optimal=47 infeasible=1 iters=56 counts=[95, 56, 115, 115, 136, 68, 74, 97, 48] flops=26124.666666666664 bytes=140696 hash=f9546ca418850d6f",
+            "optimal=47 infeasible=1 iters=56 counts=[95, 56, 105, 105, 136, 58, 64, 97, 48] flops=23096.66666666664 bytes=130584 hash=294b4d64c0cbb0b0",
+            "optimal=47 infeasible=1 iters=56 counts=[95, 56, 115, 115, 136, 68, 74, 97, 48] flops=26124.666666666664 bytes=141560 hash=d9cdc1f332b524f8",
         ]
     );
 }
 
 /// A lane's journal keeps the install record a device engine keeps: on the
-/// same calls, every journaled install uploads exactly where the device
-/// engine's install crosses the link, and ships its delta as a 0-byte
-/// upload where the device engine's crosses nothing.
+/// same calls, every journaled install uploads exactly where and what the
+/// device engine's install uploads, and ships its delta as a 0-byte upload
+/// where the device engine's crosses nothing.
 #[test]
 fn journaled_installs_upload_where_the_device_does() {
     let m = knapsack(24, 0.5, 3);
@@ -277,7 +277,11 @@ fn journaled_installs_upload_where_the_device_does() {
         assert_eq!(&journaled, device, "{pricing:?}");
         // The root's install and the first after the cuts upload; the
         // warm installs in between ship deltas.
-        assert_eq!(device.iter().filter(|&&up| up).count(), 2, "{pricing:?}");
+        assert_eq!(
+            device.iter().filter(|&&up| up > 0).count(),
+            2,
+            "{pricing:?}"
+        );
         assert!(device.len() > 40, "{pricing:?}: {} installs", device.len());
     }
 }

@@ -153,8 +153,8 @@ fn batched_wave_propagate_dive() {
     assert_eq!(
         got,
         [
-            "Optimal obj=4008000000000000 nodes=335 supersteps=1076 retires=303 refills=295 launches=4809 makespan=418317df2800000e first=414a7924f475adcc x=574a3110292eaa1d heur=1/167 prop=0/4053",
-            "Optimal obj=4034000000000000 nodes=9 supersteps=224 retires=9 refills=4 launches=295 makespan=41431735be02468e first=413ad12fa740da77 x=308352d4f9fa3add heur=2/4 prop=0/5",
+            "Optimal obj=4008000000000000 nodes=335 supersteps=1076 retires=303 refills=295 launches=4809 makespan=418317ee2800000e first=414a7a14f475adcc x=574a3110292eaa1d heur=1/167 prop=0/4053",
+            "Optimal obj=4034000000000000 nodes=9 supersteps=224 retires=9 refills=4 launches=295 makespan=414317dc68acf139 first=413ad1b4fc962fcd x=308352d4f9fa3add heur=2/4 prop=0/5",
         ]
     );
 }
