@@ -9,7 +9,10 @@ the reference names (`--trace 1 --seconds 3 --seed 3`). The columns below are
 counts and simulated totals the program computes: they repeat exactly from
 run to run and from host to host, so any difference is a behaviour change,
 never noise. Every other metric of the run is wall-clock; those are printed
-next to the reference's and never gated.
+next to the reference's and never gated, except the host allocation counts
+below: they repeat from run to run on one toolchain, but the compiler and
+the standard library may move them a little, so they are held one-sided, a
+run failing only when it allocates more than SLACK above the reference.
 """
 import json
 import sys
@@ -28,6 +31,11 @@ EXACT = (
     "serve.exact_hits",
     "serve.warm_hits",
 )
+CEILING = (
+    "core.allocs_per_node",
+    "core.alloc_bytes_per_node",
+)
+SLACK = 0.02
 WALL = (
     "bench.pass_s",
     "core.node_us",
@@ -59,7 +67,7 @@ def main():
     else:
         with open(reference_path) as f:
             reference = json.load(f)
-    settings, seen, differences = reference["settings"], set(), 0
+    settings, seen, differences, over = reference["settings"], set(), 0, 0
     for path in runs:
         header, metrics = read_run(path)
         workload = header["workload"]
@@ -69,7 +77,7 @@ def main():
         seen.add(workload)
         exact = {name: metrics[name] for name in EXACT}
         if mode == "write":
-            reference["workloads"][workload] = exact
+            reference["workloads"][workload] = exact | {name: metrics[name] for name in CEILING}
             continue
         pinned = reference["workloads"].get(workload)
         if pinned is None:
@@ -78,6 +86,12 @@ def main():
             same = exact[name] == pinned[name]
             differences += not same
             print(f"{workload:13} {name:20} {exact[name]!r:>22}  {'=' if same else '!= ' + repr(pinned[name])}")
+        for name in CEILING:
+            got, cap = metrics[name], pinned[name]
+            within = got <= cap * (1 + SLACK)
+            over += not within
+            verdict = "<=" if within else f"more than {100 * SLACK:.0f} % over"
+            print(f"{workload:13} {name:20} {got!r:>22}  {verdict} {cap!r}")
         for name in WALL:
             print(f"{workload:13} {name:20} {metrics[name]!r:>22}  (wall-clock, not gated)")
     if mode == "write":
@@ -88,8 +102,13 @@ def main():
     missing = sorted(set(reference["workloads"]) - seen)
     if missing:
         sys.exit(f"no run given for: {', '.join(missing)}")
+    failures = []
     if differences:
-        sys.exit(f"{differences} exact column(s) differ from {reference_path}: the program's behaviour changed")
+        failures.append(f"{differences} exact column(s) differ from {reference_path}: the program's behaviour changed")
+    if over:
+        failures.append(f"{over} allocation count(s) more than {100 * SLACK:.0f} % over {reference_path}")
+    if failures:
+        sys.exit("\n".join(failures))
 
 
 if __name__ == "__main__":
