@@ -168,10 +168,8 @@ struct WaveNode<W> {
 /// Journaled-simplex lanes: one host planner takes each lane's reference
 /// pivot path eagerly at load (journaling the device kernels), and the
 /// journal replays in flight through fused batched launches. A lane keeps
-/// only what its device holds — its journal, its state reservation and its
-/// install record, all in the [`BatchedWaveEngine`] — since a node LP's
-/// path depends only on its bounds and its warm basis. The warm artifact is
-/// the parent's basis, which both children share.
+/// only what its device holds, in the [`BatchedWaveEngine`]. The warm
+/// artifact is the parent's basis, which both children share.
 struct SimplexLanes {
     planner: LpSolver<RecordingEngine>,
     wave: BatchedWaveEngine,

@@ -514,10 +514,8 @@ impl BatchedWaveEngine {
     /// every driver shares: the host planner `lp` takes the reference pivot
     /// path from `warm` (a parent basis of the right shape, else a cold
     /// start) while its engine journals the device kernels, and the journal
-    /// is loaded for lockstep replay. One planner serves every lane: a node
-    /// LP's path depends only on its bounds and its warm basis, and what the
-    /// lane's device state holds — its install record — is lent to the
-    /// planner for the plan. The warm basis crosses the link in the
+    /// is loaded for lockstep replay; the lane's install record is lent to
+    /// the planner for the plan. The warm basis crosses the link in the
     /// journal's install upload, in a superstep, and nowhere else. Returns
     /// what the lane delivers once it retires.
     pub fn journal_node(
