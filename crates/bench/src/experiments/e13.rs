@@ -3,13 +3,14 @@
 //!
 //! Paper source: Section 5 measures fused kernel classes on real devices;
 //! the reproduction's simulator charges the same classes on a logical
-//! clock. This experiment closes the loop: the `Accelerator` trait now has
-//! a `NativeAccelerator` that *executes* every fused class
+//! clock. This experiment closes the loop: under `BackendKind::Native` the
+//! `Accel` handle's one lane executor (the `Accelerator` trait's only
+//! implementation) *executes* every fused class
 //! (`fo.spmv_t`/`fo.axpy`/`fo.spmv`, `prop.round` sweeps, `heur.dive`
 //! batches) across a persistent host thread pool — one fused dispatch per
 //! class per superstep, parallel across lanes only, sequential inside a
 //! lane — while charging the exact same simulated ns through the same
-//! `GpuDevice` ledger.
+//! `GpuDevice` ledger as under `Sim`, where the calling thread runs them.
 //!
 //! Claim reproduced: the backend is invisible to the byte-determinism
 //! surface. At every E11 family × lane width {4, 16, 64, 128} × rayon

@@ -279,7 +279,12 @@ pub fn parse_options(args: &[String]) -> Result<Options, String> {
             "--ranks" => o.ranks = num(take(a), a, positive, "an integer >= 1")?,
             "--tenants" => o.tenants = num(take(a), a, positive, "an integer >= 1")?,
             "--mean-gap-us" => {
-                o.mean_gap_us = num(take(a), a, |v: &f64| *v > 0.0, "a positive number")?
+                o.mean_gap_us = num(
+                    take(a),
+                    a,
+                    |v: &f64| v.is_finite() && *v > 0.0,
+                    "a positive number",
+                )?
             }
             "--dup" => o.dup = num(take(a), a, fraction, "a fraction in [0, 1]")?,
             "--perturb" => o.perturb = num(take(a), a, fraction, "a fraction in [0, 1]")?,
@@ -1266,6 +1271,8 @@ mod tests {
         assert!(parse_options(&s(&["--ranks", "x"])).is_err());
         assert!(parse_options(&s(&["--dup", "1.5"])).is_err());
         assert!(parse_options(&s(&["--max-shed-rate", "-0.1"])).is_err());
+        // An arrival time is an event time, which is never NaN.
+        assert!(parse_options(&s(&["--mean-gap-us", "inf"])).is_err());
     }
 
     #[test]

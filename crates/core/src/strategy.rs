@@ -172,7 +172,6 @@ pub fn plan(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gmip_gpu::AccelKind;
 
     #[test]
     fn names() {
@@ -190,7 +189,8 @@ mod tests {
         );
         assert!(!p.config.cuts.enabled);
         assert!(p.tree_device.is_some());
-        assert_eq!(p.lp_accel.kind(), AccelKind::Gpu);
+        let lp_cost = p.lp_accel.with(|d| d.cost_model().clone());
+        assert_eq!(lp_cost, CostModel::gpu_pcie(), "node LPs run on the GPU");
     }
 
     #[test]

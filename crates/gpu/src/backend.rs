@@ -1,23 +1,24 @@
 //! The [`Accelerator`] trait: fused kernel-class dispatch as an interface,
-//! with a cost-model-only simulator and a natively *executing* backend.
+//! and its one implementation, the lane executor behind every
+//! [`crate::Accel`].
 //!
-//! Every fused launch the wave engines issue goes through this trait. Both
-//! implementations charge the **same** simulated nanoseconds through the
-//! same [`GpuDevice`] — the simulator stays the deterministic oracle and
-//! the only source of traced time. They differ in *who runs the lane
-//! numerics*:
+//! Every fused launch the wave engines issue goes through this trait. The
+//! executor charges the simulated nanoseconds through the handle's one
+//! [`GpuDevice`] — the simulator stays the deterministic oracle and the
+//! only source of traced time. Its [`BackendKind`] decides *who runs the
+//! lane numerics*:
 //!
-//! * [`SimAccelerator`] runs the arena blocks (and opaque lane bodies)
-//!   sequentially on the calling thread, then applies the charge.
-//! * [`NativeAccelerator`] fans them across a persistent
-//!   [`rayon::ThreadPool`] — one parallel dispatch per first-order
-//!   superstep ([`Accelerator::fo_step`], KKT checks included), one per
-//!   opaque class — and measures real wall-clock per class into a `wall.*`
-//!   metric family. Within a lane the floating-point operation order is
-//!   untouched (the block kernel in [`crate::kernels`] is shared verbatim
-//!   and a block is run by exactly one thread), so lane outcomes are
-//!   bit-identical across backends and thread counts; only wall-clock
-//!   varies, and wall-clock never enters traces or simulated `_ns` totals.
+//! * [`BackendKind::Sim`]: the calling thread runs the arena blocks (and
+//!   opaque lane bodies) in order, untimed, then applies the charge.
+//! * [`BackendKind::Native`]: a persistent [`rayon::ThreadPool`] runs them
+//!   — one parallel dispatch per first-order superstep
+//!   ([`Accelerator::fo_step`], KKT checks included), one per opaque class
+//!   — and real wall-clock per class lands in a `wall.*` metric family.
+//!   Within a lane the floating-point operation order is untouched (the
+//!   block kernel in [`crate::kernels`] is shared verbatim and a block is
+//!   run by exactly one thread), so lane outcomes are bit-identical across
+//!   backends and thread counts; only wall-clock varies, and wall-clock
+//!   never enters traces or simulated `_ns` totals.
 
 use crate::device::GpuDevice;
 use crate::kernels::{self, FoArena, FoBlock};
@@ -25,6 +26,7 @@ use crate::stream::StreamId;
 use gmip_linalg::CsrMatrix;
 use gmip_trace::{names, MetricsRegistry};
 use parking_lot::Mutex;
+use std::iter::repeat_n;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -63,7 +65,7 @@ impl BackendKind {
 
 /// One simulated cost charge a fused dispatch applies after executing its
 /// lane bodies: a kernel class whose `lanes` active instances each cost
-/// `per_lane` ([`GpuDevice::batched_wave_kernel_uniform`]).
+/// `per_lane` ([`GpuDevice::batched_wave_kernel`]).
 #[derive(Debug, Clone, Copy)]
 pub struct WaveCharge {
     /// Kernel-class span name (`fo.norm`, `prop.activity`, ...).
@@ -74,6 +76,14 @@ pub struct WaveCharge {
     pub per_lane: (f64, f64),
     /// Charge at the sparse throughput instead of the dense rate.
     pub sparse: bool,
+}
+
+impl WaveCharge {
+    /// Charges the class as one fused launch on `d`; returns the ns.
+    fn apply(&self, d: &mut GpuDevice, stream: StreamId) -> f64 {
+        let per_lane = repeat_n(self.per_lane, self.lanes);
+        d.batched_wave_kernel(self.name, per_lane, self.sparse, stream)
+    }
 }
 
 /// What one [`Accelerator::fo_step`] charges: `busy` lanes, each costing
@@ -120,12 +130,6 @@ pub type LaneBody<'a> = &'a mut (dyn FnMut() + Send);
 /// Fused kernel-class dispatch: execute the lane payloads, then charge the
 /// simulated cost. All methods return the simulated ns charged.
 pub trait Accelerator: Send + Sync + std::fmt::Debug {
-    /// Backend label (`"sim"` / `"native"`).
-    fn name(&self) -> &'static str;
-
-    /// Threads lane bodies fan across (1 for the simulator).
-    fn threads(&self) -> usize;
-
     /// One batched PDHG iteration of every busy lane of `arena`
     /// ([`kernels::fo_step_block`] per block, the shared `csr` walked once
     /// per block) and, in the same dispatch, `check`'s body on each block;
@@ -155,142 +159,34 @@ pub trait Accelerator: Send + Sync + std::fmt::Debug {
         stream: StreamId,
     ) -> f64;
 
-    /// Charges a host↔device transfer on the underlying device.
-    fn transfer(&self, bytes: usize, h2d: bool, stream: StreamId);
-
-    /// Records a stream event on the underlying device.
-    fn record_event(&self, stream: StreamId);
-
     /// Snapshot of the backend's `wall.*` registry (empty for the
     /// simulator). Kept outside the device's `gpu.*` registry so the
     /// byte-determinism surface never sees wall-clock.
     fn wall(&self) -> MetricsRegistry;
 }
 
-/// One block's share of an [`Accelerator::fo_step`] dispatch.
-fn step_block(
-    csr: &CsrMatrix,
-    c_tilde: &[f64],
-    b: &[f64],
-    (index, blk): (usize, &mut FoBlock),
-    check: Option<&FoCheck<'_>>,
-) {
-    kernels::fo_step_block(csr, c_tilde, b, blk);
-    if let Some(check) = check {
-        (check.body)(index, blk);
-    }
-}
-
-fn charge_fo_step(
-    dev: &Mutex<GpuDevice>,
-    charges: &FoStepCharges,
-    check: Option<&FoCheck<'_>>,
-    stream: StreamId,
-) -> f64 {
-    let FoStepCharges { busy, spmv, axpy } = *charges;
-    let mut d = dev.lock();
-    let mut ns = d.batched_wave_kernel_uniform("fo.spmv_t", busy, spmv, true, stream)
-        + d.batched_wave_kernel_uniform("fo.axpy", busy, axpy, false, stream)
-        + d.batched_wave_kernel_uniform("fo.spmv", busy, spmv, true, stream);
-    // Retire boundaries are stream events, not device barriers.
-    let _ = d.record_event(stream);
-    if let Some(c) = check {
-        ns += d.batched_wave_kernel_uniform("fo.norm", c.lanes, c.per_lane, false, stream);
-    }
-    ns
-}
-
-fn apply_charges(dev: &Mutex<GpuDevice>, charges: &[WaveCharge], stream: StreamId) -> f64 {
-    let mut d = dev.lock();
-    let mut total = 0.0;
-    for c in charges {
-        total += d.batched_wave_kernel_uniform(c.name, c.lanes, c.per_lane, c.sparse, stream);
-    }
-    total
-}
-
-/// The cost-model backend: sequential lane execution, simulated charges.
-/// This is bitwise the pre-trait behavior and remains the oracle every
-/// other backend is checked against.
-#[derive(Debug, Clone)]
-pub struct SimAccelerator {
-    dev: Arc<Mutex<GpuDevice>>,
-}
-
-impl SimAccelerator {
-    /// Wraps a shared device.
-    pub fn new(dev: Arc<Mutex<GpuDevice>>) -> Self {
-        Self { dev }
-    }
-}
-
-impl Accelerator for SimAccelerator {
-    fn name(&self) -> &'static str {
-        "sim"
-    }
-
-    fn threads(&self) -> usize {
-        1
-    }
-
-    fn fo_step(
-        &self,
-        csr: &CsrMatrix,
-        c_tilde: &[f64],
-        b: &[f64],
-        arena: &mut FoArena,
-        charges: &FoStepCharges,
-        check: Option<&FoCheck<'_>>,
-        stream: StreamId,
-    ) -> f64 {
-        for item in arena.blocks_mut().iter_mut().enumerate() {
-            step_block(csr, c_tilde, b, item, check);
-        }
-        charge_fo_step(&self.dev, charges, check, stream)
-    }
-
-    fn fused_dispatch(
-        &self,
-        _class: &'static str,
-        bodies: &mut [LaneBody<'_>],
-        charges: &[WaveCharge],
-        stream: StreamId,
-    ) -> f64 {
-        for body in bodies.iter_mut() {
-            body();
-        }
-        apply_charges(&self.dev, charges, stream)
-    }
-
-    fn transfer(&self, bytes: usize, h2d: bool, stream: StreamId) {
-        self.dev.lock().charge_transfer(bytes, h2d, stream);
-    }
-
-    fn record_event(&self, stream: StreamId) {
-        let _ = self.dev.lock().record_event(stream);
-    }
-
-    fn wall(&self) -> MetricsRegistry {
-        MetricsRegistry::new()
-    }
-}
-
-/// The executing backend: identical charges, but the lane bodies really
-/// run — fanned across a persistent thread pool, one fused dispatch per
-/// kernel class — with real wall-clock per class recorded under `wall.*`.
+/// The lane executor: the handle's one device, and the pool that runs the
+/// lane bodies under [`BackendKind::Native`] (none under `Sim`, where the
+/// calling thread runs them). The pool is boxed so that a `Sim` executor,
+/// which every handle starts with, is two pointers.
 #[derive(Debug)]
-pub struct NativeAccelerator {
-    dev: Arc<Mutex<GpuDevice>>,
-    pool: rayon::ThreadPool,
+pub(crate) struct LaneExec {
+    pub(crate) dev: Arc<Mutex<GpuDevice>>,
+    pool: Option<Box<Pool>>,
+}
+
+/// Native execution: the worker threads and the wall-clock they record.
+#[derive(Debug)]
+struct Pool {
+    workers: rayon::ThreadPool,
     wall: Mutex<MetricsRegistry>,
 }
 
-impl NativeAccelerator {
-    /// Builds the backend over a shared device with `threads` pool
-    /// threads (0 = `rayon::current_num_threads()`), clamped to the host's
-    /// available parallelism: a pool wider than the machine only adds
-    /// wake-ups. `wall.threads` reports the effective count.
-    pub fn new(dev: Arc<Mutex<GpuDevice>>, threads: usize) -> Self {
+impl Pool {
+    /// `threads` pool threads (0 = `rayon::current_num_threads()`), clamped
+    /// to the host's available parallelism: a pool wider than the machine
+    /// only adds wake-ups. `wall.threads` reports the effective count.
+    fn new(threads: usize) -> Self {
         let threads = if threads == 0 {
             rayon::current_num_threads()
         } else {
@@ -301,8 +197,7 @@ impl NativeAccelerator {
         let mut wall = MetricsRegistry::new();
         wall.set_gauge(names::WALL_THREADS, threads as f64);
         Self {
-            dev,
-            pool: rayon::ThreadPool::new(threads),
+            workers: rayon::ThreadPool::new(threads),
             wall: Mutex::new(wall),
         }
     }
@@ -315,9 +210,21 @@ impl NativeAccelerator {
             _ => names::WALL_OTHER,
         }
     }
+}
+
+impl LaneExec {
+    /// The executor `backend` names over the shared device `dev`.
+    pub(crate) fn new(dev: Arc<Mutex<GpuDevice>>, backend: BackendKind) -> Self {
+        let pool = match backend {
+            BackendKind::Sim => None,
+            BackendKind::Native { threads } => Some(Box::new(Pool::new(threads))),
+        };
+        Self { dev, pool }
+    }
 
     /// Runs `f` over every item (an arena block, an opaque lane body) with
-    /// its index, each touched by exactly one pool thread, timing the
+    /// its index, each touched by exactly one thread: in order on the
+    /// calling thread without a pool, else across the pool, timing the
     /// fan-out under the class's wall key.
     fn run_lanes<T: Send>(
         &self,
@@ -325,30 +232,28 @@ impl NativeAccelerator {
         lanes: &mut [T],
         f: impl Fn(usize, &mut T) + Sync,
     ) {
+        let Some(pool) = &self.pool else {
+            for (i, lane) in lanes.iter_mut().enumerate() {
+                f(i, lane);
+            }
+            return;
+        };
         let t0 = Instant::now();
         let base = lanes.as_mut_ptr() as usize;
-        self.pool.dispatch(lanes.len(), &|i| {
+        pool.workers.dispatch(lanes.len(), &|i| {
             // Safety: `dispatch` hands each index to exactly one thread and
             // blocks until all are done, so the `&mut` borrows are disjoint
             // and live for the call.
             let lane = unsafe { &mut *(base as *mut T).add(i) };
             f(i, lane);
         });
-        let mut wall = self.wall.lock();
-        wall.incr(Self::wall_key(class), t0.elapsed().as_nanos() as f64);
+        let mut wall = pool.wall.lock();
+        wall.incr(Pool::wall_key(class), t0.elapsed().as_nanos() as f64);
         wall.incr(names::WALL_DISPATCHES, 1.0);
     }
 }
 
-impl Accelerator for NativeAccelerator {
-    fn name(&self) -> &'static str {
-        "native"
-    }
-
-    fn threads(&self) -> usize {
-        self.pool.num_threads()
-    }
-
+impl Accelerator for LaneExec {
     fn fo_step(
         &self,
         csr: &CsrMatrix,
@@ -360,9 +265,39 @@ impl Accelerator for NativeAccelerator {
         stream: StreamId,
     ) -> f64 {
         self.run_lanes("fo.step", arena.blocks_mut(), |i, blk| {
-            step_block(csr, c_tilde, b, (i, blk), check)
+            kernels::fo_step_block(csr, c_tilde, b, blk);
+            if let Some(check) = check {
+                (check.body)(i, blk);
+            }
         });
-        charge_fo_step(&self.dev, charges, check, stream)
+        let FoStepCharges { busy, spmv, axpy } = *charges;
+        let class = |name, per_lane, sparse| WaveCharge {
+            name,
+            lanes: busy,
+            per_lane,
+            sparse,
+        };
+        let mut d = self.dev.lock();
+        let mut ns = 0.0;
+        for c in [
+            class("fo.spmv_t", spmv, true),
+            class("fo.axpy", axpy, false),
+            class("fo.spmv", spmv, true),
+        ] {
+            ns += c.apply(&mut d, stream);
+        }
+        // Retire boundaries are stream events, not device barriers.
+        let _ = d.record_event(stream);
+        if let Some(c) = check {
+            let norm = WaveCharge {
+                name: "fo.norm",
+                lanes: c.lanes,
+                per_lane: c.per_lane,
+                sparse: false,
+            };
+            ns += norm.apply(&mut d, stream);
+        }
+        ns
     }
 
     fn fused_dispatch(
@@ -373,32 +308,30 @@ impl Accelerator for NativeAccelerator {
         stream: StreamId,
     ) -> f64 {
         self.run_lanes(class, bodies, |_, body| body());
-        apply_charges(&self.dev, charges, stream)
-    }
-
-    fn transfer(&self, bytes: usize, h2d: bool, stream: StreamId) {
-        self.dev.lock().charge_transfer(bytes, h2d, stream);
-    }
-
-    fn record_event(&self, stream: StreamId) {
-        let _ = self.dev.lock().record_event(stream);
+        let mut d = self.dev.lock();
+        charges
+            .iter()
+            .fold(0.0, |ns, c| ns + c.apply(&mut d, stream))
     }
 
     fn wall(&self) -> MetricsRegistry {
-        self.wall.lock().clone()
+        self.pool
+            .as_ref()
+            .map_or_else(MetricsRegistry::new, |p| p.wall.lock().clone())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::{DeviceConfig, DEFAULT_STREAM};
+    use crate::device::DEFAULT_STREAM;
     use crate::kernels::FO_BLOCK;
+    use crate::Accel;
     use gmip_linalg::DenseMatrix;
     use std::sync::atomic::{AtomicU32, Ordering};
 
-    fn dev() -> Arc<Mutex<GpuDevice>> {
-        Arc::new(Mutex::new(GpuDevice::new(DeviceConfig::gpu(1))))
+    fn native(threads: usize) -> Accel {
+        Accel::gpu(1).with_backend(BackendKind::Native { threads })
     }
 
     #[test]
@@ -420,8 +353,7 @@ mod tests {
             spmv: (1000.0, 4000.0),
             axpy: (1000.0, 4000.0),
         };
-        let sim = SimAccelerator::new(dev());
-        let nat = NativeAccelerator::new(dev(), 2);
+        let (sim, nat) = (Accel::gpu(1), native(2));
         let csr = CsrMatrix::from_dense(&DenseMatrix::identity(3));
         let run = |a: &dyn Accelerator| {
             // Four busy lanes spread over two blocks.
@@ -459,8 +391,8 @@ mod tests {
             assert!(t > unchecked, "the fo.norm class is charged on top");
             (t, arena.blocks_mut().to_vec())
         };
-        let (t_sim, out_sim) = run(&sim);
-        let (t_nat, out_nat) = run(&nat);
+        let (t_sim, out_sim) = run(&*sim.exec());
+        let (t_nat, out_nat) = run(&*nat.exec());
         assert_eq!(t_sim.to_bits(), t_nat.to_bits());
         for (a, b) in out_sim.iter().zip(&out_nat) {
             assert_eq!(a.aty, b.aty);
@@ -468,8 +400,8 @@ mod tests {
         }
         assert_eq!(out_sim[0].aty[FO_BLOCK * 2 + 5], 3.0);
         // Wall clock exists only on the native side and never under gpu.*.
-        assert!(sim.wall().is_empty());
-        let wall = nat.wall();
+        assert!(sim.wall_metrics().is_empty());
+        let wall = nat.wall_metrics();
         assert_eq!(wall.counter(names::WALL_DISPATCHES), 2.0);
         assert!(wall.counter(names::WALL_FO_STEP) > 0.0);
     }
@@ -477,14 +409,13 @@ mod tests {
     #[test]
     fn native_pool_is_clamped_to_the_host() {
         let host = std::thread::available_parallelism().map_or(1, |p| p.get());
-        let nat = NativeAccelerator::new(dev(), host + 7);
-        assert_eq!(nat.threads(), host);
-        assert_eq!(nat.wall().gauge(names::WALL_THREADS), host as f64);
+        let nat = native(host + 7);
+        assert_eq!(nat.wall_metrics().gauge(names::WALL_THREADS), host as f64);
     }
 
     #[test]
     fn fused_dispatch_runs_bodies_and_charges_in_order() {
-        let nat = NativeAccelerator::new(dev(), 3);
+        let nat = native(3);
         let mut hits = [0u32; 8];
         let mut closures: Vec<_> = hits
             .iter_mut()
@@ -504,7 +435,7 @@ mod tests {
             per_lane: (10.0, 10.0),
             sparse,
         };
-        let t = nat.fused_dispatch(
+        let t = nat.exec().fused_dispatch(
             "prop.round",
             &mut bodies,
             &[charge("prop.activity", true), charge("prop.reduce", false)],
@@ -514,6 +445,6 @@ mod tests {
         drop(bodies);
         drop(closures);
         assert!(hits.iter().all(|&h| h == 1));
-        assert!(nat.wall().counter(names::WALL_PROP_ROUND) > 0.0);
+        assert!(nat.wall_metrics().counter(names::WALL_PROP_ROUND) > 0.0);
     }
 }

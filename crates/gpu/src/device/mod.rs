@@ -725,56 +725,32 @@ impl GpuDevice {
     // ---- batched wave launches (Sections 4.3, 5.5) ----
 
     /// One **fused** batched launch of a wave-kernel class: `per_lane`
-    /// carries the `(flops, bytes)` of each active lane's instance of the
-    /// kernel. The batch pays a single launch latency; execution time is
-    /// the [`CostModel::batched_kernel_ns`] wave model over the worst
-    /// per-lane roofline, and the flop ledger accrues the per-lane sum —
-    /// the Rennich-style amortization of Section 4.3 applied to the
-    /// lockstep node-LP wave of Section 5.5. Returns the charged ns.
+    /// yields the `(flops, bytes)` of each active lane's instance of the
+    /// kernel, charged at the device's sparse throughput when `sparse`
+    /// (irregular gather/scatter access, Section 5.4: the first-order
+    /// engine's `fo.spmv` / `fo.spmv_t` classes, whose cost is proportional
+    /// to `nnz` rather than to basis size), else at the dense rate. The
+    /// batch pays a single launch latency; execution time is the
+    /// [`CostModel::batched_kernel_ns`] wave model over the worst per-lane
+    /// roofline, and the flop ledger accrues the per-lane sum — the
+    /// Rennich-style amortization of Section 4.3 applied to the lockstep
+    /// node-LP wave of Section 5.5. An empty batch charges nothing. Returns
+    /// the charged ns.
     pub fn batched_wave_kernel(
         &mut self,
         name: &'static str,
-        per_lane: &[(f64, f64)],
-        stream: StreamId,
-    ) -> f64 {
-        let rate = self.cost.dense_flops_per_ns;
-        self.batched_wave_kernel_at(name, per_lane.iter().copied(), stream, rate)
-    }
-
-    /// [`Self::batched_wave_kernel`] (`sparse`: [`_sparse`]) for a class
-    /// whose `lanes` instances all cost the same `(flops, bytes)`: charge,
-    /// ledger and trace event are bit for bit those of a `lanes`-long slice
-    /// of that pair, which the caller no longer has to keep.
-    ///
-    /// [`_sparse`]: Self::batched_wave_kernel_sparse
-    pub fn batched_wave_kernel_uniform(
-        &mut self,
-        name: &'static str,
-        lanes: usize,
-        per_lane: (f64, f64),
+        per_lane: impl ExactSizeIterator<Item = (f64, f64)> + Clone,
         sparse: bool,
         stream: StreamId,
-    ) -> f64 {
-        let rate = self.flops_per_ns(sparse);
-        self.batched_wave_kernel_at(name, std::iter::repeat_n(per_lane, lanes), stream, rate)
-    }
-
-    /// Shared body of the dense/sparse fused wave launches, parameterized
-    /// by the flop throughput the per-lane roofline charges against.
-    fn batched_wave_kernel_at(
-        &mut self,
-        name: &'static str,
-        per_lane: impl ExactSizeIterator<Item = (f64, f64)> + Clone,
-        stream: StreamId,
-        flops_per_ns: f64,
     ) -> f64 {
         let batch = per_lane.len();
         if batch == 0 {
             return 0.0;
         }
+        let rate = self.flops_per_ns(sparse);
         let per_op_ns = per_lane
             .clone()
-            .map(|(fl, by)| self.cost.body_ns(fl, by, flops_per_ns))
+            .map(|(fl, by)| self.cost.body_ns(fl, by, rate))
             .fold(0.0, f64::max);
         let t = self.cost.batched_kernel_ns(batch, per_op_ns);
         let done = self.launch(stream, t);
@@ -798,22 +774,5 @@ impl GpuDevice {
             .arg("bytes", batch_bytes.max(0.0) as u64)
         });
         t
-    }
-
-    /// One fused batched launch of a **sparse** wave-kernel class: same
-    /// wave model as [`Self::batched_wave_kernel`], but per-lane flops are
-    /// charged at the device's sparse throughput (irregular gather/scatter
-    /// access, Section 5.4) instead of the dense rate. This is the launch
-    /// shape of the first-order engine's `fo.spmv` / `fo.spmv_t` classes,
-    /// whose cost is proportional to `nnz` rather than to basis size.
-    /// Returns the charged ns.
-    pub fn batched_wave_kernel_sparse(
-        &mut self,
-        name: &'static str,
-        per_lane: &[(f64, f64)],
-        stream: StreamId,
-    ) -> f64 {
-        let rate = self.cost.sparse_flops_per_ns;
-        self.batched_wave_kernel_at(name, per_lane.iter().copied(), stream, rate)
     }
 }

@@ -17,12 +17,10 @@ use super::{
 };
 use crate::cost::flops;
 use crate::objects::{Obj, Payload, Resident};
-use crate::stats::Series;
 use crate::stream::StreamId;
 use gmip_linalg::{
     batch as lbatch, BaseFactor, CsrMatrix, DenseMatrix, EtaFile, LinalgError, LuFactors, SparseLu,
 };
-use gmip_trace::{Event, Track};
 use std::borrow::{Borrow, BorrowMut};
 use std::fmt::Debug;
 use std::marker::PhantomData;
@@ -786,38 +784,13 @@ impl GpuDevice {
             rhs.push(self.objects.vector(vh)?.clone());
         }
         let xs = lbatch::lu_factor_solve_batch(&mats, &rhs);
-        // Per-problem execution time without launch latency; the batch pays
-        // one launch and runs problems `concurrency` at a time.
-        let per_op_ns = mats
-            .iter()
-            .map(|m| {
-                let n = m.rows();
-                (flops::lu(n) + flops::lu_solve(n)) / self.cost.dense_flops_per_ns
-            })
-            .fold(0.0, f64::max);
-        let t = self.cost.batched_kernel_ns(mats.len(), per_op_ns);
-        let done = self.launch(stream, t);
-        let batch_flops = mats
-            .iter()
-            .map(|m| flops::lu(m.rows()) + flops::lu_solve(m.rows()))
-            .sum::<f64>();
-        self.ledger.incr(Series::KernelLaunches, 1.0);
-        self.ledger.incr(Series::KernelNs, t);
-        self.ledger.incr(Series::KernelFlops, batch_flops);
-        let track = self.track;
-        let batch = mats.len();
-        gmip_trace::record(|| {
-            Event::complete(
-                Track {
-                    group: track,
-                    lane: stream as u32,
-                },
-                "batched_lu_solve",
-                done - t,
-                t,
-            )
-            .arg("batch", batch)
+        // One launch for the batch, problems `concurrency` at a time, each
+        // compute-bound at the dense rate.
+        let per_problem = mats.iter().map(|m| {
+            let n = m.rows();
+            (flops::lu(n) + flops::lu_solve(n), 0.0)
         });
+        self.batched_wave_kernel("batched_lu_solve", per_problem, false, stream);
         let mut out = Vec::with_capacity(xs.len());
         for x in xs {
             out.push(self.insert_vector(x.map_err(GpuError::Linalg)?)?);

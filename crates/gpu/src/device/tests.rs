@@ -52,12 +52,10 @@ fn uniform_wave_charge_equals_the_slice_it_stands_for() {
     for (lanes, sparse) in [(1usize, false), (7, true), (64, false), (257, true)] {
         let (mut by_slice, mut uniform) = (small_gpu(), small_gpu());
         let per_lane = vec![pair; lanes];
-        let a = if sparse {
-            by_slice.batched_wave_kernel_sparse("fo.spmv", &per_lane, DEFAULT_STREAM)
-        } else {
-            by_slice.batched_wave_kernel("fo.axpy", &per_lane, DEFAULT_STREAM)
-        };
-        let b = uniform.batched_wave_kernel_uniform("k", lanes, pair, sparse, DEFAULT_STREAM);
+        let slice = per_lane.iter().copied();
+        let a = by_slice.batched_wave_kernel("fo.axpy", slice, sparse, DEFAULT_STREAM);
+        let repeated = std::iter::repeat_n(pair, lanes);
+        let b = uniform.batched_wave_kernel("k", repeated, sparse, DEFAULT_STREAM);
         assert_eq!(a.to_bits(), b.to_bits());
         assert_eq!(by_slice.stats(), uniform.stats());
         assert_eq!(
@@ -70,7 +68,7 @@ fn uniform_wave_charge_equals_the_slice_it_stands_for() {
         );
     }
     assert_eq!(
-        small_gpu().batched_wave_kernel_uniform("k", 0, pair, false, DEFAULT_STREAM),
+        small_gpu().batched_wave_kernel("k", std::iter::empty(), false, DEFAULT_STREAM),
         0.0
     );
 }

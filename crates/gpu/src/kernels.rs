@@ -98,6 +98,14 @@ impl FoBlock {
         }
     }
 
+    /// Device bytes of one lane's share of a block: an entry of each of
+    /// the seven `n`-vectors and four `m`-vectors [`Self::new`] allocates,
+    /// and the lane's `τ` and `σ`. No factorization state — the reason
+    /// hundreds of first-order lanes fit where tens of simplex lanes do.
+    pub fn lane_bytes(m: usize, n: usize) -> usize {
+        std::mem::size_of::<f64>() * (7 * n + 4 * m + 2)
+    }
+
     /// Marks `lane` busy with step sizes `τ`, `σ` (also how a restart
     /// re-balances them).
     pub fn set_steps(&mut self, lane: usize, tau: f64, sigma: f64) {

@@ -23,6 +23,13 @@
 //! * device memory capacity as a regime boundary (Section 3) — allocation
 //!   failures are real errors the solver strategies must handle.
 //!
+//! The crate is one device, [`GpuDevice`], which every charge goes through,
+//! and one shared handle to it, [`Accel`]. The handle's lane executor
+//! ([`Accel::exec`], the [`Accelerator`] trait's one implementation) runs
+//! the fused wave kernels' lane bodies on the calling thread under
+//! [`BackendKind::Sim`], or on a thread pool that times them under
+//! [`BackendKind::Native`]; the charges are the same either way.
+//!
 //! The "CPU backend" is the same device type under a CPU cost model
 //! ([`node::Accel::cpu`]), so CPU-vs-GPU comparisons run identical code.
 
@@ -39,10 +46,7 @@ mod objects;
 pub mod stats;
 pub mod stream;
 
-pub use backend::{
-    Accelerator, BackendKind, FoCheck, FoStepCharges, LaneBody, NativeAccelerator, SimAccelerator,
-    WaveCharge,
-};
+pub use backend::{Accelerator, BackendKind, FoCheck, FoStepCharges, LaneBody, WaveCharge};
 pub use cost::CostModel;
 pub use device::{
     DeviceConfig, Eta, EtaHandle, FactorHandle, Factors, GpuDevice, GpuError, MatrixHandle,
@@ -51,6 +55,6 @@ pub use device::{
 };
 pub use kernels::{FoArena, FoBlock, FO_BLOCK};
 pub use memory::{DeviceMemory, OutOfMemory};
-pub use node::{Accel, AccelKind};
+pub use node::Accel;
 pub use stats::DeviceStats;
 pub use stream::{Event, StreamId, StreamSet};

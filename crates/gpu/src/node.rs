@@ -6,8 +6,10 @@
 //! [`Accel::cpu`] for the host. The [`Accel`] wrapper makes a device
 //! shareable across solver components (the orchestrator, the LP engine,
 //! the cut separator) the way a CUDA context is shared by host threads.
+//! The host is the same device type under [`DeviceConfig::cpu`], its spans
+//! on the host's trace group; nothing else tells the two apart.
 
-use crate::backend::{Accelerator, BackendKind, NativeAccelerator, SimAccelerator};
+use crate::backend::{Accelerator, BackendKind, LaneExec};
 use crate::device::{DeviceConfig, GpuDevice};
 use crate::stats::DeviceStats;
 use parking_lot::Mutex;
@@ -17,42 +19,23 @@ use std::sync::Arc;
 ///
 /// All device methods are reachable through [`Accel::with`]; convenience
 /// accessors cover the common queries. Fused lane dispatches go through
-/// the handle's executing backend ([`Accel::exec`]), which defaults to the
-/// sequential cost-model simulator and can be swapped via
+/// the handle's lane executor ([`Accel::exec`]), which runs lane bodies on
+/// the calling thread by default and on a thread pool after
 /// [`Accel::with_backend`]. Either way the *simulated* charges land on the
 /// same shared device.
 #[derive(Debug, Clone)]
 pub struct Accel {
-    inner: Arc<Mutex<GpuDevice>>,
-    kind: AccelKind,
-    backend: BackendKind,
-    exec: Arc<dyn Accelerator>,
-}
-
-/// What kind of executor an [`Accel`] wraps — used by the solver's strategy
-/// logic to decide placement (e.g. Hybrid sends sparse setup to the CPU).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccelKind {
-    /// A GPU-class accelerator.
-    Gpu,
-    /// The host CPU executing under the CPU cost model.
-    Cpu,
+    exec: Arc<LaneExec>,
 }
 
 impl Accel {
-    /// Wraps a device, routing its trace spans to the group matching the
-    /// executor kind (GPU devices default to `Gpu(0)`; see
-    /// [`Accel::with_trace_group`] for multi-GPU nodes).
-    pub fn new(mut device: GpuDevice, kind: AccelKind) -> Self {
-        if kind == AccelKind::Cpu {
-            device.set_trace_group(gmip_trace::TrackGroup::Host);
-        }
-        let inner = Arc::new(Mutex::new(device));
+    /// Wraps a device, its trace spans on the device's own track group
+    /// (GPU devices default to `Gpu(0)`; see [`Accel::with_trace_group`]
+    /// for multi-GPU nodes), its lane bodies on the calling thread.
+    fn new(device: GpuDevice) -> Self {
+        let dev = Arc::new(Mutex::new(device));
         Self {
-            exec: Arc::new(SimAccelerator::new(Arc::clone(&inner))),
-            inner,
-            kind,
-            backend: BackendKind::Sim,
+            exec: Arc::new(LaneExec::new(dev, BackendKind::Sim)),
         }
     }
 
@@ -60,24 +43,13 @@ impl Accel {
     /// simulated device — and therefore every traced ns — is shared
     /// unchanged; only who runs the lane numerics differs.
     pub fn with_backend(mut self, backend: BackendKind) -> Self {
-        self.exec = match backend {
-            BackendKind::Sim => Arc::new(SimAccelerator::new(Arc::clone(&self.inner))),
-            BackendKind::Native { threads } => {
-                Arc::new(NativeAccelerator::new(Arc::clone(&self.inner), threads))
-            }
-        };
-        self.backend = backend;
+        self.exec = Arc::new(LaneExec::new(Arc::clone(&self.exec.dev), backend));
         self
     }
 
-    /// The executing backend fused lane dispatches run on.
+    /// The lane executor fused lane dispatches run on.
     pub fn exec(&self) -> Arc<dyn Accelerator> {
-        Arc::clone(&self.exec)
-    }
-
-    /// The configured backend kind.
-    pub fn backend(&self) -> BackendKind {
-        self.backend
+        self.exec.clone()
     }
 
     /// Snapshot of the executing backend's `wall.*` registry (real
@@ -96,59 +68,55 @@ impl Accel {
 
     /// Snapshot of the device's metrics registry (`gpu.*` series).
     pub fn metrics(&self) -> gmip_trace::MetricsRegistry {
-        self.inner.lock().metrics()
+        self.with(|d| d.metrics())
     }
 
     /// A GPU accelerator with `gib` GiB of memory over PCIe.
     pub fn gpu(gib: usize) -> Self {
-        Self::new(GpuDevice::new(DeviceConfig::gpu(gib)), AccelKind::Gpu)
+        Self::gpu_with(DeviceConfig::gpu(gib))
     }
 
     /// A GPU accelerator with a custom configuration.
     pub fn gpu_with(config: DeviceConfig) -> Self {
-        Self::new(GpuDevice::new(config), AccelKind::Gpu)
+        Self::new(GpuDevice::new(config))
     }
 
-    /// The host CPU as an executor.
+    /// The host CPU as an executor: the same device type under the CPU
+    /// cost model, its spans on the host's trace group.
     pub fn cpu() -> Self {
-        Self::new(GpuDevice::new(DeviceConfig::cpu()), AccelKind::Cpu)
-    }
-
-    /// Executor kind.
-    pub fn kind(&self) -> AccelKind {
-        self.kind
+        Self::new(GpuDevice::new(DeviceConfig::cpu()))
+            .with_trace_group(gmip_trace::TrackGroup::Host)
     }
 
     /// Runs `f` with exclusive access to the device.
     pub fn with<R>(&self, f: impl FnOnce(&mut GpuDevice) -> R) -> R {
-        f(&mut self.inner.lock())
+        f(&mut self.exec.dev.lock())
     }
 
     /// Simulated elapsed time at the device frontier, ns.
     pub fn elapsed_ns(&self) -> f64 {
-        self.inner.lock().elapsed_ns()
+        self.with(|d| d.elapsed_ns())
     }
 
     /// Modeled energy consumed so far, joules: busy time × board power
     /// (the Section 2.2 energy-efficiency comparison).
     pub fn energy_j(&self) -> f64 {
-        let dev = self.inner.lock();
-        dev.elapsed_ns() * 1e-9 * dev.cost_model().power_w
+        self.with(|d| d.elapsed_ns() * 1e-9 * d.cost_model().power_w)
     }
 
     /// Snapshot of the device's cumulative stats.
     pub fn stats(&self) -> DeviceStats {
-        self.inner.lock().stats()
+        self.with(|d| d.stats())
     }
 
     /// Device memory capacity in bytes.
     pub fn mem_capacity(&self) -> usize {
-        self.inner.lock().memory().capacity()
+        self.with(|d| d.memory().capacity())
     }
 
     /// Device memory currently in use, bytes.
     pub fn mem_used(&self) -> usize {
-        self.inner.lock().memory().used()
+        self.with(|d| d.memory().used())
     }
 }
 
@@ -166,8 +134,6 @@ mod tests {
         a.with(|d| d.upload_matrix(&m, DEFAULT_STREAM)).unwrap();
         // The clone sees the same stats.
         assert_eq!(b.stats().h2d_transfers, 1);
-        assert_eq!(a.kind(), AccelKind::Gpu);
-        assert_eq!(Accel::cpu().kind(), AccelKind::Cpu);
     }
 
     #[test]

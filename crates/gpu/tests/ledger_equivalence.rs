@@ -461,13 +461,10 @@ impl Lockstep {
                 )
             })
             .collect();
-        let charged = if sparse {
+        let name = if sparse { "fo.spmv" } else { "wave.ftran" };
+        let charged =
             self.dev
-                .batched_wave_kernel_sparse("fo.spmv", &per_lane, DEFAULT_STREAM)
-        } else {
-            self.dev
-                .batched_wave_kernel("wave.ftran", &per_lane, DEFAULT_STREAM)
-        };
+                .batched_wave_kernel(name, per_lane.iter().copied(), sparse, DEFAULT_STREAM);
         if lanes == 0 {
             assert_eq!(charged, 0.0);
             return;

@@ -271,7 +271,9 @@ proptest! {
         prop_assert!(hits.iter().all(|&h| h == 1));
         // Same charge the simulator would have made.
         let sim = Accel::gpu(1);
-        let sim_ns = sim.with(|d| d.batched_wave_kernel("prop.reduce", &per_lane, DEFAULT_STREAM));
+        let sim_ns = sim.with(|d| {
+            d.batched_wave_kernel("prop.reduce", per_lane.iter().copied(), false, DEFAULT_STREAM)
+        });
         prop_assert_eq!(charged.to_bits(), sim_ns.to_bits());
         // Real wall-clock landed outside the simulated ledger.
         let wall = accel.wall_metrics();

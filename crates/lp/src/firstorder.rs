@@ -561,12 +561,10 @@ impl FirstOrderWaveEngine {
         })
     }
 
-    /// Device bytes of one lane's iteration state: `x`, `x̄`-sum, bounds
-    /// (4·n), duals + `ȳ`-sum + residual scratch (3·m), plus fixed
-    /// per-lane bookkeeping. No factorization state — the reason hundreds
-    /// of first-order lanes fit where tens of simplex lanes do.
+    /// Device bytes of one lane's iteration state: its share of an arena
+    /// block ([`FoBlock::lane_bytes`]).
     pub fn per_lane_bytes(m: usize, n: usize) -> usize {
-        8 * (4 * n + 3 * m) + 128
+        FoBlock::lane_bytes(m, n)
     }
 
     /// Bytes of the shared device-resident CSR matrix.
@@ -783,16 +781,15 @@ impl FirstOrderWaveEngine {
                 retired.push(slot);
             }
         }
-        let exec = self.accel.exec();
         let stream = self.stream;
         let staged = std::mem::take(&mut self.staged_h2d);
         if staged > 0 {
-            exec.transfer(staged, true, stream);
+            self.accel.with(|d| d.charge_transfer(staged, true, stream));
         }
         if busy == 0 {
             if !retired.is_empty() {
                 self.metrics.incr(names::FO_RETIRES, retired.len() as f64);
-                exec.record_event(stream);
+                let _ = self.accel.with(|d| d.record_event(stream));
                 self.ship_reports(retired.len());
             }
             return retired;
@@ -822,7 +819,7 @@ impl FirstOrderWaveEngine {
             per_lane: ((4 * (n + m)) as f64, (8 * (n + m)) as f64),
             body: &|block, blk| checker.check_block(block, blk),
         };
-        exec.fo_step(
+        self.accel.exec().fo_step(
             &self.csr,
             &self.c_tilde,
             &self.b,
@@ -865,7 +862,8 @@ impl FirstOrderWaveEngine {
     /// the `lanes` lanes retiring in this superstep.
     fn ship_reports(&self, lanes: usize) {
         let bytes = lanes * 8 * (self.n() + self.m());
-        self.accel.exec().transfer(bytes, false, self.stream);
+        self.accel
+            .with(|d| d.charge_transfer(bytes, false, self.stream));
     }
 
     /// Retire/restart decision for one checking lane, fed by the KKT
@@ -1076,6 +1074,38 @@ mod tests {
             -sol.objective
         } else {
             sol.objective
+        }
+    }
+
+    /// The reservation is what a lane's arena state takes: its share of
+    /// every vector of its block, plus its `τ` and `σ`.
+    #[test]
+    fn a_lane_reserves_what_its_block_holds() {
+        use gmip_problems::generators::{bin_packing, knapsack};
+        for m in [knapsack(24, 0.5, 3), bin_packing(5, 1.0, 61)] {
+            let std = StandardLp::from_instance(&m, &[]);
+            let mut fo = engine(&std, 1, PdhgConfig::default());
+            let (m, n) = (fo.m(), fo.n());
+            let blk = &fo.arena.blocks_mut()[0];
+            let vectors = [
+                &blk.x,
+                &blk.y,
+                &blk.x_sum,
+                &blk.y_sum,
+                &blk.x_restart,
+                &blk.y_restart,
+                &blk.lb,
+                &blk.ub,
+                &blk.aty,
+                &blk.xhat,
+                &blk.ax,
+            ];
+            let held: usize = vectors.iter().map(|v| std::mem::size_of_val(&v[..])).sum();
+            let steps = 2 * std::mem::size_of::<f64>();
+            assert_eq!(
+                FirstOrderWaveEngine::per_lane_bytes(m, n),
+                held / FO_BLOCK + steps
+            );
         }
     }
 

@@ -77,8 +77,8 @@ impl InstallRecord {
         basis: &Basis,
         mut store: impl FnMut(usize, usize, f64),
     ) -> LpResult<bool> {
-        let (n, m) = (view.c.len(), basis.cols.len());
-        let lens = [n, view.b.len(), n, n, m, m, m, n, n];
+        debug_assert_eq!(view.b.len(), basis.cols.len(), "one basic column per row");
+        let lens = Self::lens_of(view.b.len(), view.c.len());
         let kept = std::mem::take(&mut self.held) && self.lens() == lens;
         if !kept {
             let mut end = 0;
@@ -149,6 +149,21 @@ impl InstallRecord {
     /// Marks the record as what the device holds: an install completed.
     pub(crate) fn hold(&mut self) {
         self.held = true;
+    }
+
+    /// The lengths of the nine recorded vectors of an `m`-row, `n`-column
+    /// problem, in slot order.
+    fn lens_of(m: usize, n: usize) -> [usize; 9] {
+        [n, m, n, n, m, m, m, n, n]
+    }
+
+    /// Device bytes of the state a simplex lane holds for an `m`-row,
+    /// `n`-column problem: the nine vectors a record stands for, and the
+    /// two the device derives from them and keeps resident beside them,
+    /// `x_B` (one entry per row) and the Devex weights (one per column).
+    pub(crate) fn lane_bytes(m: usize, n: usize) -> usize {
+        let recorded: usize = Self::lens_of(m, n).iter().sum();
+        std::mem::size_of::<f64>() * (recorded + m + n)
     }
 
     /// Bytes of the nine recorded vectors: what an install that uploads

@@ -481,10 +481,11 @@ impl BatchedWaveEngine {
         })
     }
 
-    /// Device bytes a lane's iteration state occupies (basic values,
-    /// statuses, bounds, duals — everything but the shared matrix).
+    /// Device bytes a lane's state occupies next to the shared matrix: the
+    /// install record's vectors, `x_B` and the Devex weights
+    /// (`InstallRecord::lane_bytes`).
     pub fn per_lane_bytes(m: usize, n: usize) -> usize {
-        8 * (4 * m + 3 * n) + 128
+        InstallRecord::lane_bytes(m, n)
     }
 
     /// Bytes of the shared device-resident matrix.
@@ -599,7 +600,8 @@ impl BatchedWaveEngine {
             }
             for class in CLASS_ORDER {
                 // `batched_wave_kernel` charges nothing for an empty class.
-                d.batched_wave_kernel(class.span_name(), &self.class_lanes[class as usize], stream);
+                let per_lane = self.class_lanes[class as usize].iter().copied();
+                d.batched_wave_kernel(class.span_name(), per_lane, false, stream);
             }
             // The retire boundary is a stream event, not a synchronize: the
             // host observes it on this stream's timeline only.
@@ -738,6 +740,32 @@ mod tests {
             // lane's record held, ships its delta.
             assert_eq!(uploads[1], WIDTH, "{}: {uploads:?}", m.name);
             assert!(uploads[0] > 100, "{}: {uploads:?}", m.name);
+        }
+    }
+
+    /// The reservation is what a lane's device holds after its first
+    /// install: the record's vectors, one `x_B` entry per basic column and
+    /// one Devex weight per column.
+    #[test]
+    fn a_lane_reserves_what_its_device_holds() {
+        use gmip_problems::generators::{bin_packing, knapsack};
+        for m in [knapsack(24, 0.5, 3), bin_packing(5, 1.0, 61)] {
+            let std = crate::StandardLp::from_instance(&m, &[]);
+            let mut planner = LpSolver::new(std, LpConfig::standard(), |a| {
+                RecordingEngine::new(a.clone())
+            });
+            let mut wave = BatchedWaveEngine::new(Accel::gpu(1), planner.matrix(), 1).unwrap();
+            let (_, basis) = wave.journal_node(&mut planner, 0, &[], None).unwrap();
+            let basis = basis.expect("the root LP is solved");
+            let derived = basis.cols.len() + basis.status.len();
+            let held = wave.records[0].bytes() + std::mem::size_of::<f64>() * derived;
+            let (rows, cols) = (planner.matrix().rows(), planner.matrix().cols());
+            assert_eq!(
+                BatchedWaveEngine::per_lane_bytes(rows, cols),
+                held,
+                "{}",
+                m.name
+            );
         }
     }
 

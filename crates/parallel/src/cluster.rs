@@ -21,14 +21,17 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// One scheduled DES event: `entity` is whatever `kind` is about (a rank,
-/// a group).
+/// a group, a service job).
 #[derive(Debug)]
-pub(crate) struct Timed<K> {
+pub struct Timed<K> {
+    /// When the event fires, simulated ns.
     pub time: f64,
     /// Global monotone tie-break: identical times resolve in push order,
     /// keeping the heap order (and therefore the whole run) deterministic.
     seq: u64,
+    /// What the event is about.
     pub entity: usize,
+    /// What happens.
     pub kind: K,
 }
 
@@ -55,14 +58,23 @@ impl<K> Ord for Timed<K> {
     }
 }
 
-/// The time-ordered event queue of a DES coordinator.
+/// The time-ordered event queue of a discrete-event reactor (the cluster
+/// coordinators, the solve service): events pop by time, and events at
+/// one time in the order they were pushed.
 #[derive(Debug)]
-pub(crate) struct EventQueue<K> {
+pub struct EventQueue<K> {
     heap: BinaryHeap<Reverse<Timed<K>>>,
     next_seq: u64,
 }
 
+impl<K> Default for EventQueue<K> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl<K> EventQueue<K> {
+    /// An empty queue.
     pub fn new() -> Self {
         Self {
             heap: BinaryHeap::new(),
@@ -70,6 +82,7 @@ impl<K> EventQueue<K> {
         }
     }
 
+    /// Schedules `kind` about `entity` at `time` (never NaN).
     pub fn push(&mut self, time: f64, entity: usize, kind: K) {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -81,6 +94,7 @@ impl<K> EventQueue<K> {
         }));
     }
 
+    /// The earliest event, if any.
     pub fn pop(&mut self) -> Option<Timed<K>> {
         self.heap.pop().map(|Reverse(ev)| ev)
     }

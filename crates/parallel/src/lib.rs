@@ -42,6 +42,7 @@ pub mod worker;
 
 pub use chaos::{ChaosConfig, FaultPlan, FaultStats};
 pub use checkpoint::Checkpoint;
+pub use cluster::{EventQueue, Timed};
 pub use comm::{
     Assignment, Delivery, IncumbentUpdate, LoadSummary, NetworkModel, NodeOutcome, NodeReport,
 };

@@ -582,30 +582,27 @@ pub fn charge_wave(accel: &Accel, nnz: usize, num_vars: usize, rounds_per_lane: 
         // launches. Hot on propagation-free strategies that still call in.
         return 0.0;
     }
-    // Every lane of a round carries the identical pre-reduced cost pair, so
-    // one allocation at full width serves every round as a prefix slice —
-    // round r's batch is the first `active` lanes (those with k > r rounds,
-    // a count that only shrinks as fixpoints land).
-    let width = rounds_per_lane.iter().filter(|&&k| k > 0).count();
-    let sparse: Vec<(f64, f64)> = vec![(2.0 * nnz as f64, 12.0 * nnz as f64); width];
-    let tighten: Vec<(f64, f64)> = vec![(4.0 * nnz as f64, 16.0 * nnz as f64); width];
-    let reduce: Vec<(f64, f64)> = vec![(num_vars as f64, 16.0 * num_vars as f64); width];
+    // Every lane of a round carries the identical pre-reduced cost pair;
+    // round r's batch is the lanes with k > r rounds, a count that only
+    // shrinks as fixpoints land.
+    let (nnz, num_vars) = (nnz as f64, num_vars as f64);
+    let trio = [
+        (names::PROP_KERNEL_ACTIVITY, (2.0 * nnz, 12.0 * nnz), true),
+        (names::PROP_KERNEL_TIGHTEN, (4.0 * nnz, 16.0 * nnz), true),
+        (
+            names::PROP_KERNEL_REDUCE,
+            (num_vars, 16.0 * num_vars),
+            false,
+        ),
+    ];
     let mut total = 0.0;
     accel.with(|d| {
         for r in 0..max_rounds {
             let active = rounds_per_lane.iter().filter(|&&k| k > r).count();
-            total += d.batched_wave_kernel_sparse(
-                names::PROP_KERNEL_ACTIVITY,
-                &sparse[..active],
-                DEFAULT_STREAM,
-            );
-            total += d.batched_wave_kernel_sparse(
-                names::PROP_KERNEL_TIGHTEN,
-                &tighten[..active],
-                DEFAULT_STREAM,
-            );
-            total +=
-                d.batched_wave_kernel(names::PROP_KERNEL_REDUCE, &reduce[..active], DEFAULT_STREAM);
+            for (name, per_lane, sparse) in trio {
+                let per_lane = std::iter::repeat_n(per_lane, active);
+                total += d.batched_wave_kernel(name, per_lane, sparse, DEFAULT_STREAM);
+            }
         }
     });
     total

@@ -29,11 +29,13 @@
 //!    budget runs out. Proven-optimal answers enter the pool.
 
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BTreeSet;
 use std::sync::Mutex;
 
 use gmip_core::MipStatus;
-use gmip_parallel::{ParallelResult, RankLease, RankPool, SolveOptions, SolvePath, Solved};
+use gmip_parallel::{
+    EventQueue, ParallelResult, RankLease, RankPool, SolveOptions, SolvePath, Solved, Timed,
+};
 use gmip_problems::MipInstance;
 use gmip_trace::{names, record, Event, MetricsRegistry, Track};
 
@@ -339,48 +341,17 @@ struct AttemptOutcome {
     warm: bool,
 }
 
+/// What happens to a job (the event's entity).
 enum Ev {
-    Arrive {
-        job: usize,
-    },
-    Requeue {
-        job: usize,
-    },
+    Arrive,
+    Requeue,
     Finish {
-        job: usize,
         lease: RankLease,
         outcome: Box<AttemptOutcome>,
     },
     Abort {
-        job: usize,
         lease: RankLease,
     },
-}
-
-struct HeapEv {
-    time: f64,
-    seq: u64,
-    ev: Ev,
-}
-
-impl PartialEq for HeapEv {
-    fn eq(&self, other: &Self) -> bool {
-        self.seq == other.seq
-    }
-}
-impl Eq for HeapEv {}
-impl PartialOrd for HeapEv {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEv {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.time
-            .partial_cmp(&other.time)
-            .unwrap_or(Ordering::Equal)
-            .then(self.seq.cmp(&other.seq))
-    }
 }
 
 struct JobState {
@@ -417,8 +388,9 @@ impl Service {
         let cfg = &self.cfg;
         let mut pool = SolutionPool::new(POOL_CAPACITY);
         let mut ranks = RankPool::new(cfg.ranks);
-        let mut events: BinaryHeap<Reverse<HeapEv>> = BinaryHeap::new();
-        let mut seq: u64 = 0;
+        let mut events = EventQueue::new();
+        // FIFO order within a priority class, in the order jobs queued.
+        let mut queued: u64 = 0;
         let mut states: Vec<JobState> = Vec::with_capacity(jobs.len());
         let mut records: Vec<Option<JobRecord>> = (0..jobs.len()).map(|_| None).collect();
         let mut metrics = MetricsRegistry::new();
@@ -431,12 +403,7 @@ impl Service {
                 spec.tenant < self.tenants.len(),
                 "job references unknown tenant"
             );
-            events.push(Reverse(HeapEv {
-                time: spec.arrival_ns,
-                seq,
-                ev: Ev::Arrive { job: idx },
-            }));
-            seq += 1;
+            events.push(spec.arrival_ns, idx, Ev::Arrive);
             states.push(JobState {
                 canon: canonicalize(&spec.instance),
                 spec,
@@ -446,10 +413,16 @@ impl Service {
             });
         }
 
-        while let Some(Reverse(HeapEv { time, ev, .. })) = events.pop() {
+        while let Some(Timed {
+            time,
+            entity: job,
+            kind,
+            ..
+        }) = events.pop()
+        {
             now = now.max(time);
-            match ev {
-                Ev::Arrive { job } => {
+            match kind {
+                Ev::Arrive => {
                     let tenant = states[job].spec.tenant;
                     let tname = tenant_name(&self.tenants, tenant);
                     metrics.incr(names::SERVE_JOBS_SUBMITTED, 1.0);
@@ -522,24 +495,20 @@ impl Service {
                         });
                         continue;
                     }
-                    states[job].queued_seq = seq;
-                    seq += 1;
+                    states[job].queued_seq = queued;
+                    queued += 1;
                     queue.push(job);
                     queued_per_tenant[tenant] += 1;
                     metrics.max_gauge(names::SERVE_QUEUE_DEPTH_PEAK, queue.len() as f64);
                 }
-                Ev::Requeue { job } => {
-                    states[job].queued_seq = seq;
-                    seq += 1;
+                Ev::Requeue => {
+                    states[job].queued_seq = queued;
+                    queued += 1;
                     queued_per_tenant[states[job].spec.tenant] += 1;
                     queue.push(job);
                     metrics.max_gauge(names::SERVE_QUEUE_DEPTH_PEAK, queue.len() as f64);
                 }
-                Ev::Finish {
-                    job,
-                    lease,
-                    outcome,
-                } => {
+                Ev::Finish { lease, outcome } => {
                     ranks.release(lease);
                     let AttemptOutcome { res, warm } = *outcome;
                     let s = res.stats;
@@ -597,7 +566,7 @@ impl Service {
                         job,
                     );
                 }
-                Ev::Abort { job, lease } => {
+                Ev::Abort { lease } => {
                     ranks.release(lease);
                     if states[job].attempts <= cfg.max_retries {
                         metrics.incr(names::SERVE_RETRIES, 1.0);
@@ -608,12 +577,7 @@ impl Service {
                                 .arg("job", states[job].spec.id)
                                 .arg("attempt", u64::from(states[job].attempts))
                         });
-                        events.push(Reverse(HeapEv {
-                            time: now + backoff,
-                            seq,
-                            ev: Ev::Requeue { job },
-                        }));
-                        seq += 1;
+                        events.push(now + backoff, job, Ev::Requeue);
                     } else {
                         metrics.incr(names::SERVE_JOBS_FAILED, 1.0);
                         self.drop_job(&mut records, &states[job], Disposition::Failed, now, job);
@@ -630,7 +594,6 @@ impl Service {
                 &mut states,
                 &mut ranks,
                 &mut events,
-                &mut seq,
                 &mut metrics,
                 &mut queued_per_tenant,
                 &pool,
@@ -709,8 +672,7 @@ impl Service {
         queue: &mut Vec<usize>,
         states: &mut [JobState],
         ranks: &mut RankPool,
-        events: &mut BinaryHeap<Reverse<HeapEv>>,
-        seq: &mut u64,
+        events: &mut EventQueue<Ev>,
         metrics: &mut MetricsRegistry,
         queued_per_tenant: &mut [usize],
         pool: &SolutionPool,
@@ -767,26 +729,12 @@ impl Service {
                         warm_requested && res.stats.metrics.counter(names::BB_WARM_SEEDS) > 0.0;
                     let time = now + res.stats.makespan_ns;
                     let outcome = Box::new(AttemptOutcome { res, warm });
-                    events.push(Reverse(HeapEv {
-                        time,
-                        seq: *seq,
-                        ev: Ev::Finish {
-                            job,
-                            lease,
-                            outcome,
-                        },
-                    }));
-                    *seq += 1;
+                    events.push(time, job, Ev::Finish { lease, outcome });
                 }
                 _ => {
                     // Attempt deadline blown (or the solve errored): the
                     // lease is held until the timeout fires, then retried.
-                    events.push(Reverse(HeapEv {
-                        time: now + cfg.attempt_timeout_ns,
-                        seq: *seq,
-                        ev: Ev::Abort { job, lease },
-                    }));
-                    *seq += 1;
+                    events.push(now + cfg.attempt_timeout_ns, job, Ev::Abort { lease });
                 }
             }
         }

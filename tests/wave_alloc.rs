@@ -3,7 +3,8 @@
 //! lists, the staged link charges, the retired-slot list — runs in
 //! engine-owned scratch sized for the full width once.
 //!
-//! Nor does widening the wave: one host planner serves every lane.
+//! Nor does widening the wave: one host planner serves every lane. Nor
+//! does charging a propagation wave's fused launches.
 //!
 //! Allocations are counted per thread (the harness runs the tests of this
 //! file on threads of their own), so the counts are exact and repeat.
@@ -13,6 +14,7 @@ use gmip::gpu::Accel;
 use gmip::linalg::DenseMatrix;
 use gmip::lp::{BatchedWaveEngine, LpConfig, LpSolver, RecordingEngine, StandardLp, WaveOp};
 use gmip::problems::generators::{bin_packing, knapsack};
+use gmip::prop::charge_wave;
 use gmip::trace::names;
 
 #[path = "support/counting_alloc.rs"]
@@ -94,4 +96,17 @@ fn wide_waves_share_one_planner() {
         wide <= narrow + 16,
         "{wide} allocations at 64 lanes, {narrow} at one"
     );
+}
+
+/// `charge_wave` charges each round's three fused classes from one
+/// repeated `(flops, bytes)` pair per class, not from a vector of them: a
+/// wave of several lanes over several rounds allocates nothing.
+#[test]
+fn charging_a_propagation_wave_allocates_nothing() {
+    let accel = Accel::gpu(1);
+    let rounds = [3, 1, 4, 1, 5, 0, 2, 6];
+    let (n, ns) = allocations_in(|| charge_wave(&accel, 120, 30, &rounds));
+    assert!(ns > 0.0);
+    assert_eq!(n, 0, "{n} allocations");
+    assert_eq!(accel.stats().kernel_launches, 3 * 6);
 }
