@@ -32,9 +32,9 @@ SERVE:
   the same --seed reproduces every answer and trace byte. Every job runs
   on cluster:<leased ranks>, so --strategy is an error, and so is any
   SOLVE OPTION the cluster does not read (--policy, --gap, --obj-limit,
-  --no-cuts, --no-heur, --prop-rounds). Accepts --seed, --trace,
-  --metrics, the cluster's --node-limit, --gpu-mem, --pricing,
-  --propagate, --heur-period, --backend and --faults, plus:
+  --no-cuts, --no-heur, --prop-rounds, --backend). Accepts --seed,
+  --trace, --metrics, the cluster's --node-limit, --gpu-mem, --pricing,
+  --propagate, --heur-period and --faults, plus:
   --jobs <n>           jobs in the tape                 (default: 200)
   --ranks <n>          cluster ranks shared by jobs     (default: 8)
   --tenants <n>        tenants (priorities cycle 0,1,2) (default: 3)
@@ -101,8 +101,9 @@ SOLVE OPTIONS:
                      fused dive across the whole frontier); improving
                      feasible candidates become incumbents early (0 = off)
   --backend <b>      sim | native — who executes the fused lane kernels
-                     of batched:, firstorder:, cluster: and threaded:.
-                     sim charges the cost model only; native additionally
+                     of batched: and firstorder: (a cluster rank's are
+                     one lane wide and run on its own thread). sim
+                     charges the cost model only; native additionally
                      runs them across host threads (RAYON_NUM_THREADS)
                      and reports real wall.* metrics. Simulated traces
                      and ns are bit-identical either way (default: sim)
@@ -984,6 +985,7 @@ mod tests {
             ("per-lane:2", "--heur-period", "2"),
             ("batched:2", "--policy", "depth"),
             ("host", "--backend", "native"),
+            ("cluster:3", "--backend", "native"),
         ] {
             let o = opts(&["--strategy", strategy]);
             assert!(solve(fig1(), &o).unwrap().contains("status: Optimal"));
@@ -1223,6 +1225,7 @@ mod tests {
             (&["--no-cuts"], "--no-cuts"),
             (&["--no-heur"], "--no-heur"),
             (&["--prop-rounds", "3"], "--prop-rounds"),
+            (&["--backend", "native"], "--backend"),
         ] {
             let err = run(&s(&[&["serve", "--jobs", "2"][..], args].concat())).unwrap_err();
             assert!(err.starts_with(flag), "{args:?}: {err}");

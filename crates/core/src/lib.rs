@@ -4,8 +4,8 @@
 //! realized over the simulated accelerated platform:
 //!
 //! * [`search`] — the search kernel every branch-and-bound driver in the
-//!   workspace calls: sense mapping, the incumbent, the node-LP verdict,
-//!   child construction, result finishing;
+//!   workspace calls: sense mapping, the incumbent, judging and settling a
+//!   solved node, child construction, result finishing;
 //! * [`solver`] — the branch-and-cut orchestrator ([`solver::MipSolver`]),
 //!   generic over the LP engine (host reference, simulated device, pooled
 //!   Big-MIP device);

@@ -10,9 +10,10 @@
 //! * the [`Incumbent`] — value read, the clusters' validated warm seed, and
 //!   the install sequence (round integral coordinates, stamp the
 //!   first-incumbent time, prune the dominated frontier);
-//! * the node-LP [`Verdict`] — pruned, integral, or fractional with the
-//!   most-fractional branching decision — from the bound, the point, the
-//!   cached integral index list and the two tolerances ([`Rules`]);
+//! * the [`NodeOutcome`] of a solved node — infeasible, pruned, integral,
+//!   or branch with the most-fractional decision — judged from its LP
+//!   solution, the incumbent, the cached integral index list and the two
+//!   tolerances ([`Rules::judge`]), and folded into the tree ([`settle`]);
 //! * [`children`] — a variable's effective bounds under the node's
 //!   cumulative changes, the two child [`BoundChange`]s and their labels;
 //! * [`Rules::finish`] — terminal status and the source-sense result.
@@ -20,18 +21,18 @@
 //! Drivers keep what genuinely differs between them at the call site: which
 //! tolerance a report-side prune uses, whether a rounded point is re-checked
 //! before it replaces the LP point, which margin a heuristic candidate must
-//! clear, where children are placed. A per-node hook (a cut pool, a
-//! progress series) attaches to [`Rules::verdict`] and
-//! [`Incumbent::set`] and reaches every driver.
+//! clear, who carries a branch's warm start, where children are placed. A
+//! per-node hook (a cut pool, a progress series) attaches to
+//! [`Rules::judge`] and [`Incumbent::set`] and reaches every driver.
 
 use crate::branch::{self, BranchDecision};
 use crate::solver::MipStatus;
 use gmip_gpu::{Accel, DEFAULT_STREAM};
-use gmip_lp::BoundChange;
+use gmip_lp::{BoundChange, LpError, LpResult, LpSolution, LpStatus};
 use gmip_problems::{MipInstance, Objective};
 use gmip_prop::{DiveSeed, Propagator};
 use gmip_trace::{names, MetricsRegistry};
-use gmip_tree::SearchTree;
+use gmip_tree::{NodeId, NodeState, SearchTree};
 use std::borrow::Cow;
 
 /// Modeled bytes of one tree node: its branch bounds plus a basis snapshot.
@@ -39,16 +40,30 @@ pub fn node_bytes(instance: &MipInstance) -> usize {
     (instance.num_cons() + 2 * instance.num_vars()) * 8 + 128
 }
 
-/// What a node's LP relaxation means for the tree.
+/// What a solved node means for the tree. Bounds are in the internal
+/// maximize sense. A branch's warm start is not part of it: the driver that
+/// holds it (a rank's report, a wave's lane, the serial solver) keeps it.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Verdict {
+pub enum NodeOutcome {
+    /// The node's LP relaxation is infeasible.
+    Infeasible,
     /// The bound cannot beat the incumbent by more than the prune tolerance.
-    Pruned,
+    Pruned {
+        /// The node's relaxation bound.
+        bound: f64,
+    },
     /// Every integral variable is integral within tolerance: the point is a
     /// new incumbent candidate.
-    Integral,
+    Integral {
+        /// The node's relaxation bound: the point's objective.
+        bound: f64,
+        /// The LP point (integral coordinates not yet rounded).
+        x: Vec<f64>,
+    },
     /// Some integral variables are fractional: branch.
-    Fractional {
+    Branch {
+        /// The node's relaxation bound.
+        bound: f64,
         /// The variable to branch on.
         decision: BranchDecision,
     },
@@ -113,20 +128,35 @@ impl Rules {
         branch::fractional_vars(&self.integral, x, self.int_tol)
     }
 
-    /// Decides a solved node: prune test first (so a dominated node's point
-    /// is never read), then the fractional filter, then the most-fractional
+    /// Judges a solved node against `incumbent` (internal sense): its LP
+    /// status first, then the prune test (so a dominated node's point is
+    /// never read), then the fractional filter, then the most-fractional
     /// rule picks the branching variable among the fractional candidates.
-    pub fn verdict(&self, bound: f64, x: &[f64], incumbent: f64) -> Verdict {
+    /// An `Integral` outcome takes the point out of `sol`; a `Branch` leaves
+    /// it there for the caller's heuristics. An unbounded node LP is an
+    /// `Err`: branching only tightens bounds, so it can only be the root's,
+    /// which a driver that reports it handles before judging.
+    pub fn judge(&self, sol: &mut LpSolution, incumbent: f64) -> LpResult<NodeOutcome> {
+        let bound = match sol.status {
+            LpStatus::Infeasible => return Ok(NodeOutcome::Infeasible),
+            LpStatus::Unbounded => {
+                return Err(LpError::Shape(
+                    "node LP unbounded under branch bounds".into(),
+                ))
+            }
+            LpStatus::Optimal => self.internal(sol.objective),
+        };
         if self.dominated(bound, incumbent) {
-            return Verdict::Pruned;
+            return Ok(NodeOutcome::Pruned { bound });
         }
-        let frac = self.fractional(x);
-        if frac.is_empty() {
-            return Verdict::Integral;
-        }
-        Verdict::Fractional {
-            decision: branch::most_fractional(x, &frac),
-        }
+        let frac = self.fractional(&sol.x);
+        Ok(if frac.is_empty() {
+            let x = std::mem::take(&mut sol.x);
+            NodeOutcome::Integral { bound, x }
+        } else {
+            let decision = branch::most_fractional(&sol.x, &frac);
+            NodeOutcome::Branch { bound, decision }
+        })
     }
 
     /// `x` with every integral coordinate rounded to its nearest integer.
@@ -159,6 +189,35 @@ impl Rules {
             x,
         }
     }
+}
+
+/// Folds node `id`'s judged `outcome` into `tree`. `incumbent` is the value
+/// the caller prunes with *now* (internal sense): a report may have
+/// travelled while it improved. Closes an `Infeasible`, `Pruned` or
+/// `Integral` node, and a `Branch` that `incumbent` dominates, which comes
+/// back as `Pruned`. Returns what is left for the caller: an `Integral`
+/// point for its incumbent sink, or a live `Branch`, whose children it
+/// builds with [`children`] and places with `tree.branch`.
+pub fn settle<D>(
+    rules: &Rules,
+    tree: &mut SearchTree<D>,
+    id: NodeId,
+    outcome: NodeOutcome,
+    incumbent: f64,
+) -> NodeOutcome {
+    let outcome = match outcome {
+        NodeOutcome::Branch { bound, .. } if rules.dominated(bound, incumbent) => {
+            NodeOutcome::Pruned { bound }
+        }
+        other => other,
+    };
+    match outcome {
+        NodeOutcome::Infeasible => tree.settle(id, NodeState::Infeasible, f64::NEG_INFINITY),
+        NodeOutcome::Pruned { bound } => tree.settle(id, NodeState::Pruned, bound),
+        NodeOutcome::Integral { bound, .. } => tree.settle(id, NodeState::Feasible, bound),
+        NodeOutcome::Branch { .. } => {}
+    }
+    outcome
 }
 
 /// What [`Rules::finish`] hands a driver for its result struct.
@@ -512,43 +571,135 @@ mod tests {
         Rules::new(m)
     }
 
+    /// A solved node LP of `objective` (source sense) at `x`.
+    fn solved(status: LpStatus, objective: f64, x: &[f64]) -> LpSolution {
+        LpSolution {
+            status,
+            objective,
+            x: x.to_vec(),
+            iterations: 0,
+        }
+    }
+
+    fn optimal(objective: f64, x: &[f64]) -> LpSolution {
+        solved(LpStatus::Optimal, objective, x)
+    }
+
     #[test]
     fn a_bound_exactly_at_incumbent_plus_tolerance_prunes() {
         let mut r = rules(&figure1_knapsack());
         r.prune_tol = 0.5;
         let x = [1.0, 0.5, 0.0, 0.0];
-        assert_eq!(r.verdict(10.5, &x, 10.0), Verdict::Pruned);
+        assert_eq!(
+            r.judge(&mut optimal(10.5, &x), 10.0).unwrap(),
+            NodeOutcome::Pruned { bound: 10.5 }
+        );
         assert!(matches!(
-            r.verdict(10.5 + 1e-9, &x, 10.0),
-            Verdict::Fractional { .. }
+            r.judge(&mut optimal(10.5 + 1e-9, &x), 10.0).unwrap(),
+            NodeOutcome::Branch { .. }
         ));
         // No incumbent: nothing finite is dominated.
         assert!(!r.dominated(-1e300, Incumbent::default().value()));
     }
 
     #[test]
-    fn a_pruned_verdict_never_reads_the_point() {
-        // Bound-stating engines report dominated nodes without a point.
+    fn a_pruned_judgement_never_reads_the_point() {
+        // A first-order lane retired on its safe bound hands over no point.
+        let mut sol = optimal(3.0, &[]);
         assert_eq!(
-            rules(&figure1_knapsack()).verdict(3.0, &[], 5.0),
-            Verdict::Pruned
+            rules(&figure1_knapsack()).judge(&mut sol, 5.0).unwrap(),
+            NodeOutcome::Pruned { bound: 3.0 }
         );
     }
 
     #[test]
-    fn verdict_filters_by_int_tol_and_branches_most_fractional() {
+    fn judge_filters_by_int_tol_and_branches_most_fractional() {
         let r = rules(&figure1_knapsack());
+        let mut sol = optimal(9.0, &[1.0, 0.0, 0.9999999, 0.0]);
         assert_eq!(
-            r.verdict(9.0, &[1.0, 0.0, 0.9999999, 0.0], 0.0),
-            Verdict::Integral
+            r.judge(&mut sol, 0.0).unwrap(),
+            NodeOutcome::Integral {
+                bound: 9.0,
+                x: vec![1.0, 0.0, 0.9999999, 0.0]
+            }
         );
+        assert!(sol.x.is_empty(), "the point moves into the outcome");
         let x = [0.9, 0.5, 0.2, 0.5];
-        let Verdict::Fractional { decision } = r.verdict(9.0, &x, 0.0) else {
+        let mut sol = optimal(9.0, &x);
+        let NodeOutcome::Branch { bound, decision } = r.judge(&mut sol, 0.0).unwrap() else {
             panic!("fractional point");
         };
         assert_eq!(r.fractional(&x), vec![0, 1, 2, 3]);
-        // Ties go to the lowest index.
-        assert_eq!((decision.var, decision.value), (1, 0.5));
+        // Ties go to the lowest index; the point stays for the caller.
+        assert_eq!((bound, decision.var, decision.value), (9.0, 1, 0.5));
+        assert_eq!(sol.x, x);
+    }
+
+    #[test]
+    fn judge_reads_the_status_and_the_sense() {
+        let r = rules(&figure1_knapsack());
+        let mut sol = solved(LpStatus::Infeasible, f64::NAN, &[]);
+        assert_eq!(r.judge(&mut sol, 0.0).unwrap(), NodeOutcome::Infeasible);
+        let mut sol = solved(LpStatus::Unbounded, f64::NAN, &[]);
+        assert!(r.judge(&mut sol, 0.0).is_err());
+        // A minimize instance's bound is the negated source objective.
+        let cover = rules(&set_cover(6, 5, 0.4, 1));
+        assert_eq!(
+            cover.judge(&mut optimal(4.0, &[]), -3.0).unwrap(),
+            NodeOutcome::Pruned { bound: -4.0 }
+        );
+    }
+
+    /// A one-node tree whose root is being evaluated.
+    fn evaluating_root() -> (SearchTree<()>, NodeId) {
+        let mut tree: SearchTree<()> = SearchTree::with_root((), 64);
+        let root = tree.root();
+        tree.begin_evaluation(root);
+        (tree, root)
+    }
+
+    #[test]
+    fn settle_closes_what_it_can_and_hands_back_the_rest() {
+        let r = rules(&figure1_knapsack());
+        for (outcome, state) in [
+            (NodeOutcome::Infeasible, NodeState::Infeasible),
+            (NodeOutcome::Pruned { bound: 3.0 }, NodeState::Pruned),
+            (
+                NodeOutcome::Integral {
+                    bound: 14.0,
+                    x: vec![1.0, 0.0, 1.0, 0.0],
+                },
+                NodeState::Feasible,
+            ),
+        ] {
+            let (mut tree, root) = evaluating_root();
+            assert_eq!(settle(&r, &mut tree, root, outcome.clone(), 0.0), outcome);
+            assert_eq!(tree.node(root).state, state);
+        }
+        // A live branch leaves the tree to the caller.
+        let branch = NodeOutcome::Branch {
+            bound: 20.0,
+            decision: BranchDecision { var: 1, value: 0.5 },
+        };
+        let (mut tree, root) = evaluating_root();
+        assert_eq!(settle(&r, &mut tree, root, branch.clone(), 14.0), branch);
+        assert_eq!(tree.node(root).state, NodeState::Evaluating);
+    }
+
+    #[test]
+    fn settle_prunes_a_branch_an_improved_incumbent_dominates() {
+        let r = rules(&figure1_knapsack());
+        let (mut tree, root) = evaluating_root();
+        // Judged against no incumbent, the node branches ...
+        let mut sol = optimal(12.0, &[1.0, 0.5, 0.0, 0.0]);
+        let outcome = r.judge(&mut sol, f64::NEG_INFINITY).unwrap();
+        assert!(matches!(outcome, NodeOutcome::Branch { .. }));
+        // ... but a 14 found while its report travelled closes it.
+        assert_eq!(
+            settle(&r, &mut tree, root, outcome, 14.0),
+            NodeOutcome::Pruned { bound: 12.0 }
+        );
+        assert_eq!(tree.node(root).state, NodeState::Pruned);
     }
 
     #[test]

@@ -10,12 +10,12 @@
 use crate::config::{MipConfig, PolicyKind};
 use crate::cut::{self, Cut};
 use crate::heur;
-use crate::search::{self, Incumbent, NodeHook, PropCharge, Rules, Verdict};
+use crate::search::{self, Incumbent, NodeHook, NodeOutcome, PropCharge, Rules};
 use gmip_gpu::{Accel, DeviceStats, Storage, DEFAULT_STREAM};
 use gmip_linalg::DenseMatrix;
 use gmip_lp::{
-    Basis, BoundChange, CertKind, DeviceSimplex, LpCertificate, LpError, LpResult, LpSolution,
-    LpSolver, LpStatus, SimplexEngine, StandardLp,
+    Basis, BoundChange, CertKind, DeviceSimplex, LpCertificate, LpResult, LpSolution, LpSolver,
+    LpStatus, SimplexEngine, StandardLp,
 };
 use gmip_problems::MipInstance;
 use gmip_trace::{names, Event, MetricsRegistry, Track};
@@ -111,39 +111,13 @@ pub struct MipResult {
     pub tree: SearchTree<NodePayload>,
 }
 
-enum PolicyImpl {
-    Best(BestFirst),
-    Depth(DepthFirst),
-    Breadth(BreadthFirst),
-    Reuse(ReuseAffinity),
-}
-
-impl PolicyImpl {
-    fn new(kind: PolicyKind) -> Self {
-        match kind {
-            PolicyKind::BestFirst => PolicyImpl::Best(BestFirst),
-            PolicyKind::DepthFirst => PolicyImpl::Depth(DepthFirst),
-            PolicyKind::BreadthFirst => PolicyImpl::Breadth(BreadthFirst),
-            PolicyKind::ReuseAffinity => PolicyImpl::Reuse(ReuseAffinity::default()),
-        }
-    }
-
-    fn select(&mut self, tree: &SearchTree<NodePayload>) -> Option<NodeId> {
-        match self {
-            PolicyImpl::Best(p) => p.select(tree),
-            PolicyImpl::Depth(p) => p.select(tree),
-            PolicyImpl::Breadth(p) => p.select(tree),
-            PolicyImpl::Reuse(p) => p.select(tree),
-        }
-    }
-
-    fn notify(&mut self, id: NodeId) {
-        match self {
-            PolicyImpl::Best(p) => NodeSelection::<NodePayload>::notify_evaluated(p, id),
-            PolicyImpl::Depth(p) => NodeSelection::<NodePayload>::notify_evaluated(p, id),
-            PolicyImpl::Breadth(p) => NodeSelection::<NodePayload>::notify_evaluated(p, id),
-            PolicyImpl::Reuse(p) => NodeSelection::<NodePayload>::notify_evaluated(p, id),
-        }
+/// The node-selection policy `kind` names.
+fn node_selection(kind: PolicyKind) -> Box<dyn NodeSelection<NodePayload>> {
+    match kind {
+        PolicyKind::BestFirst => Box::new(BestFirst),
+        PolicyKind::DepthFirst => Box::new(DepthFirst),
+        PolicyKind::BreadthFirst => Box::new(BreadthFirst),
+        PolicyKind::ReuseAffinity => Box::new(ReuseAffinity::default()),
     }
 }
 
@@ -441,7 +415,7 @@ impl<E: SimplexEngine> MipSolver<E> {
     pub fn solve(&mut self) -> LpResult<MipResult> {
         let mut tree: SearchTree<NodePayload> =
             SearchTree::with_root(NodePayload::default(), self.node_bytes);
-        let mut policy = PolicyImpl::new(self.cfg.policy);
+        let mut policy = node_selection(self.cfg.policy);
         let mut stats = SolveStats {
             strategy: self.strategy_name,
             ..Default::default()
@@ -491,7 +465,7 @@ impl<E: SimplexEngine> MipSolver<E> {
             let inherited = tree.node(id).bound;
             if incumbent.is_some() && self.rules.dominated(inherited, incumbent.value()) {
                 tree.settle(id, NodeState::Pruned, inherited);
-                policy.notify(id);
+                policy.notify_evaluated(id);
                 continue;
             }
             stats.nodes += 1;
@@ -502,11 +476,11 @@ impl<E: SimplexEngine> MipSolver<E> {
             let own = &tree.node(id).data.bounds;
             let Some(bounds) = hook.tighten(&[own]).pop().flatten().map(Cow::into_owned) else {
                 tree.settle(id, NodeState::Infeasible, f64::NEG_INFINITY);
-                policy.notify(id);
+                policy.notify_evaluated(id);
                 self.node_span(id, "prop_infeasible", node_t0);
                 continue;
             };
-            let (sol, basis) = self.evaluate(
+            let (mut sol, basis) = self.evaluate(
                 &mut lp_slot,
                 is_root,
                 &bounds,
@@ -514,109 +488,99 @@ impl<E: SimplexEngine> MipSolver<E> {
                 &mut global_cuts,
                 &mut stats,
             )?;
-            policy.notify(id);
+            policy.notify_evaluated(id);
 
-            match sol.status {
-                LpStatus::Infeasible => {
-                    tree.settle(id, NodeState::Infeasible, f64::NEG_INFINITY);
-                    self.node_span(id, "infeasible", node_t0);
+            if is_root && sol.status == LpStatus::Unbounded {
+                if let Some(lp) = &lp_slot {
+                    stats.metrics.merge(lp.metrics());
                 }
-                LpStatus::Unbounded => {
-                    if is_root {
-                        if let Some(lp) = &lp_slot {
-                            stats.metrics.merge(lp.metrics());
-                        }
-                        let status = Some(MipStatus::Unbounded);
-                        return Ok(self.finish(status, Incumbent::default(), stats, tree));
+                let status = Some(MipStatus::Unbounded);
+                return Ok(self.finish(status, Incumbent::default(), stats, tree));
+            }
+            let outcome = self.rules.judge(&mut sol, incumbent.value())?;
+            let (bound, decision) =
+                match search::settle(&self.rules, &mut tree, id, outcome, incumbent.value()) {
+                    NodeOutcome::Infeasible => {
+                        self.node_span(id, "infeasible", node_t0);
+                        continue;
                     }
-                    return Err(LpError::Shape(
-                        "child LP unbounded under tightened bounds".into(),
-                    ));
-                }
-                LpStatus::Optimal => {
-                    let internal = self.rules.internal(sol.objective);
-                    let decision = match self.rules.verdict(internal, &sol.x, incumbent.value()) {
-                        Verdict::Pruned => {
-                            tree.settle(id, NodeState::Pruned, internal);
-                            self.node_span(id, "pruned", node_t0);
-                            continue;
-                        }
-                        Verdict::Integral => {
-                            tree.settle(id, NodeState::Feasible, internal);
-                            self.node_span(id, "integer_feasible", node_t0);
-                            if internal > incumbent.value() {
-                                let point = self.checked_rounding(sol.x);
-                                let now = || self.sim_now_ns();
-                                incumbent.accept(&self.rules, &mut tree, internal, point, now);
-                                stats.metrics.incr(names::BB_INCUMBENTS, 1.0);
-                                self.incumbent_mark(self.rules.to_source(internal), "node");
-                            }
-                            continue;
-                        }
-                        Verdict::Fractional { decision } => decision,
-                    };
-                    // Heuristics.
-                    if self.cfg.heuristics.rounding {
-                        self.charge_host(2.0 * nnz as f64, (nnz * 16) as f64);
-                        if let Some((obj, p)) = heur::rounding(&self.instance, &sol.x, 1e-6) {
-                            self.offer_heuristic(
-                                "rounding",
-                                self.rules.internal(obj),
-                                p,
-                                &mut incumbent,
-                                &mut tree,
-                                &mut stats,
-                            );
-                        }
+                    NodeOutcome::Pruned { .. } => {
+                        self.node_span(id, "pruned", node_t0);
+                        continue;
                     }
-                    if hook.dive_due(stats.nodes) {
-                        hook.dive(&self.rules, &[(&bounds, &sol.x)], |value, point| {
-                            self.offer_heuristic(
-                                "fix_and_propagate",
-                                value,
-                                point,
-                                &mut incumbent,
-                                &mut tree,
-                                &mut stats,
-                            )
-                        });
-                    }
-                    if is_root && self.cfg.heuristics.diving && self.cfg.engine_reuse {
-                        let lp = lp_slot.as_mut().expect("root lp present");
-                        if let Some((obj, p)) = heur::dive(
-                            lp,
-                            &self.instance,
-                            &bounds,
-                            &sol.x,
-                            DIVE_DEPTH,
-                            self.rules.int_tol,
-                        )? {
-                            self.offer_heuristic(
-                                "diving",
-                                self.rules.internal(obj),
-                                p,
-                                &mut incumbent,
-                                &mut tree,
-                                &mut stats,
-                            );
+                    NodeOutcome::Integral { bound, x } => {
+                        self.node_span(id, "integer_feasible", node_t0);
+                        if bound > incumbent.value() {
+                            let point = self.checked_rounding(x);
+                            let now = || self.sim_now_ns();
+                            incumbent.accept(&self.rules, &mut tree, bound, point, now);
+                            stats.metrics.incr(names::BB_INCUMBENTS, 1.0);
+                            self.incumbent_mark(self.rules.to_source(bound), "node");
                         }
+                        continue;
                     }
-                    // Branch.
-                    let child = |c: search::Child| {
-                        let payload = NodePayload {
-                            bounds: c.bounds,
-                            parent_basis: basis.clone(),
-                        };
-                        (c.label, payload)
-                    };
-                    let [down, up] =
-                        search::children(&self.instance, &bounds, decision.var, decision.value);
-                    tree.branch(id, internal, [child(down), child(up)]);
-                    self.node_span(id, "branched", node_t0);
-                    self.tree_alloc(&mut stats);
-                    self.tree_alloc(&mut stats);
+                    NodeOutcome::Branch { bound, decision } => (bound, decision),
+                };
+            // Heuristics.
+            if self.cfg.heuristics.rounding {
+                self.charge_host(2.0 * nnz as f64, (nnz * 16) as f64);
+                if let Some((obj, p)) = heur::rounding(&self.instance, &sol.x, 1e-6) {
+                    self.offer_heuristic(
+                        "rounding",
+                        self.rules.internal(obj),
+                        p,
+                        &mut incumbent,
+                        &mut tree,
+                        &mut stats,
+                    );
                 }
             }
+            if hook.dive_due(stats.nodes) {
+                hook.dive(&self.rules, &[(&bounds, &sol.x)], |value, point| {
+                    self.offer_heuristic(
+                        "fix_and_propagate",
+                        value,
+                        point,
+                        &mut incumbent,
+                        &mut tree,
+                        &mut stats,
+                    )
+                });
+            }
+            if is_root && self.cfg.heuristics.diving && self.cfg.engine_reuse {
+                let lp = lp_slot.as_mut().expect("root lp present");
+                if let Some((obj, p)) = heur::dive(
+                    lp,
+                    &self.instance,
+                    &bounds,
+                    &sol.x,
+                    DIVE_DEPTH,
+                    self.rules.int_tol,
+                )? {
+                    self.offer_heuristic(
+                        "diving",
+                        self.rules.internal(obj),
+                        p,
+                        &mut incumbent,
+                        &mut tree,
+                        &mut stats,
+                    );
+                }
+            }
+            // Branch.
+            let child = |c: search::Child| {
+                let payload = NodePayload {
+                    bounds: c.bounds,
+                    parent_basis: basis.clone(),
+                };
+                (c.label, payload)
+            };
+            let [down, up] =
+                search::children(&self.instance, &bounds, decision.var, decision.value);
+            tree.branch(id, bound, [child(down), child(up)]);
+            self.node_span(id, "branched", node_t0);
+            self.tree_alloc(&mut stats);
+            self.tree_alloc(&mut stats);
         }
 
         // Gap for early stops.

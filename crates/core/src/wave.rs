@@ -24,13 +24,13 @@
 //! superstep and direction, plus the matrix upload, and uploads about once
 //! per lane.
 
-use crate::search::{self, Incumbent, NodeHook, PropCharge, Rules, Verdict};
+use crate::search::{self, Incumbent, NodeHook, NodeOutcome, PropCharge, Rules};
 use crate::solver::MipStatus;
 use gmip_gpu::{Accel, BackendKind, DeviceStats};
 use gmip_lp::wave::BatchedWaveEngine;
 use gmip_lp::{
-    wave_width, Basis, BoundChange, LpConfig, LpResult, LpSolution, LpSolver, LpStatus,
-    RecordingEngine, StandardLp,
+    wave_width, Basis, BoundChange, LpConfig, LpResult, LpSolution, LpSolver, RecordingEngine,
+    StandardLp,
 };
 use gmip_problems::MipInstance;
 use gmip_trace::{names, MetricsRegistry};
@@ -349,42 +349,29 @@ pub(crate) fn run_wave<L: LaneSet>(
         // retired nodes; busy lanes stay in flight.
         for slot in lanes.run_to_retire() {
             let id = in_flight[slot].take().expect("retired slot was in flight");
-            let (sol, warm) = lanes.retire(slot, &tree.node(id).data.bounds)?;
-            match sol.status {
-                LpStatus::Infeasible => tree.settle(id, NodeState::Infeasible, f64::NEG_INFINITY),
-                LpStatus::Unbounded => {
-                    return Err(gmip_lp::LpError::Shape(
-                        "unbounded node in wave solve".into(),
-                    ))
+            let (mut sol, warm) = lanes.retire(slot, &tree.node(id).data.bounds)?;
+            // A lane's safe bound is judged like an exact one: it never
+            // undercuts the node optimum, so pruning on it can never cut
+            // off a true optimum.
+            let outcome = rules.judge(&mut sol, incumbent.value())?;
+            match search::settle(&rules, &mut tree, id, outcome, incumbent.value()) {
+                NodeOutcome::Integral { bound, x } => {
+                    incumbent.install(&rules, &mut tree, bound, x, || accel.elapsed_ns());
+                    lanes.set_cutoff(bound + rules.prune_tol);
                 }
-                LpStatus::Optimal => {
-                    let bound = rules.internal(sol.objective);
-                    match rules.verdict(bound, &sol.x, incumbent.value()) {
-                        // Also where a lane's safe bound lands: it never
-                        // undercuts the node optimum, so pruning on it can
-                        // never cut off a true optimum.
-                        Verdict::Pruned => tree.settle(id, NodeState::Pruned, bound),
-                        Verdict::Integral => {
-                            tree.settle(id, NodeState::Feasible, bound);
-                            incumbent
-                                .install(&rules, &mut tree, bound, sol.x, || accel.elapsed_ns());
-                            lanes.set_cutoff(bound + rules.prune_tol);
-                        }
-                        Verdict::Fractional { decision: d } => {
-                            let parent = &tree.node(id).data.bounds;
-                            hook.seed(parent, sol.x);
-                            let kids =
-                                search::children(instance, parent, d.var, d.value).map(|c| {
-                                    let node = WaveNode {
-                                        bounds: c.bounds,
-                                        warm: warm.clone(),
-                                    };
-                                    (c.label, node)
-                                });
-                            tree.branch(id, bound, kids);
-                        }
-                    }
+                NodeOutcome::Branch { bound, decision: d } => {
+                    let parent = &tree.node(id).data.bounds;
+                    hook.seed(parent, sol.x);
+                    let kids = search::children(instance, parent, d.var, d.value).map(|c| {
+                        let node = WaveNode {
+                            bounds: c.bounds,
+                            warm: warm.clone(),
+                        };
+                        (c.label, node)
+                    });
+                    tree.branch(id, bound, kids);
                 }
+                NodeOutcome::Infeasible | NodeOutcome::Pruned { .. } => {}
             }
         }
 

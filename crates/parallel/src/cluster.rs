@@ -221,13 +221,19 @@ impl Cluster {
 
     /// The report of exchange `dispatch` reaches the coordinator — `None`
     /// when it is stale: the rank died with the report in transit (crash
-    /// detection handles it) or the exchange was already written off.
+    /// detection handles it) or the exchange was already written off. The
+    /// first root report that branches leaves its basis in
+    /// `stats.root_basis`, even if the root is then pruned here.
     pub fn delivered(&mut self, worker: usize, dispatch: u64) -> Option<NodeReport> {
         if !self.ranks[worker].alive() {
             return None;
         }
         let inf = self.ranks.take_exchange(worker, dispatch)?;
-        Some(inf.report.expect("delivered exchanges carry a report"))
+        let report = inf.report.expect("delivered exchanges carry a report");
+        if inf.node == self.tree.root() && self.stats.root_basis.is_none() {
+            self.stats.root_basis.clone_from(&report.basis);
+        }
+        Some(report)
     }
 
     /// The ack timer for a dropped exchange fires: write it off and

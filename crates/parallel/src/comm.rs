@@ -7,6 +7,7 @@
 //! E6 can report communication overhead alongside speedup.
 
 use crate::chaos::FaultPlan;
+use gmip_core::search::NodeOutcome;
 use gmip_lp::{Basis, BoundChange};
 
 /// Point-to-point network cost model.
@@ -107,8 +108,11 @@ impl Assignment {
 pub struct NodeReport {
     /// The evaluated node.
     pub node_id: usize,
-    /// What happened.
+    /// What happened, judged against the assignment's incumbent.
     pub outcome: NodeOutcome,
+    /// A `Branch` outcome's post-solve basis, for the children's warm
+    /// starts (`None` for every other outcome).
+    pub basis: Option<Basis>,
     /// Simulated device time the evaluation took on the worker, ns.
     pub eval_ns: f64,
     /// LP iterations spent.
@@ -120,45 +124,16 @@ pub struct NodeReport {
     pub heur: Option<(f64, Vec<f64>)>,
 }
 
-/// Evaluation outcome variants.
-#[derive(Debug, Clone)]
-pub enum NodeOutcome {
-    /// Relaxation infeasible.
-    Infeasible,
-    /// Integer feasible with the given internal objective and point.
-    IntegerFeasible {
-        /// Internal (maximize-sense) objective.
-        internal: f64,
-        /// The feasible point (structural variables).
-        x: Vec<f64>,
-    },
-    /// Bound dominated by the incumbent the worker knew.
-    Pruned {
-        /// The node's relaxation bound.
-        bound: f64,
-    },
-    /// Fractional: branch into two children.
-    Branch {
-        /// Relaxation bound (internal sense).
-        bound: f64,
-        /// Branching variable.
-        var: usize,
-        /// Its fractional value.
-        value: f64,
-        /// Post-solve basis for children warm starts.
-        basis: Option<Basis>,
-    },
-}
-
 impl NodeReport {
     /// Serialized size estimate.
     pub fn bytes(&self) -> usize {
         let payload = match &self.outcome {
             NodeOutcome::Infeasible => 0,
-            NodeOutcome::IntegerFeasible { x, .. } => 8 + x.len() * 8,
+            NodeOutcome::Integral { x, .. } => 8 + x.len() * 8,
             NodeOutcome::Pruned { .. } => 8,
-            NodeOutcome::Branch { basis, .. } => {
-                24 + basis
+            NodeOutcome::Branch { .. } => {
+                24 + self
+                    .basis
                     .as_ref()
                     .map(|b| b.cols.len() * 8 + b.status.len())
                     .unwrap_or(0)
@@ -297,6 +272,7 @@ mod tests {
         let inf = NodeReport {
             node_id: 0,
             outcome: NodeOutcome::Infeasible,
+            basis: None,
             eval_ns: 1.0,
             lp_iterations: 1,
             heur: None,
@@ -304,10 +280,11 @@ mod tests {
         assert_eq!(inf.bytes(), 32);
         let feas = NodeReport {
             node_id: 0,
-            outcome: NodeOutcome::IntegerFeasible {
-                internal: 5.0,
+            outcome: NodeOutcome::Integral {
+                bound: 5.0,
                 x: vec![1.0; 4],
             },
+            basis: None,
             eval_ns: 1.0,
             lp_iterations: 1,
             heur: None,
@@ -319,6 +296,16 @@ mod tests {
             ..inf.clone()
         };
         assert_eq!(with_heur.bytes(), 32 + 8 + 32);
+        // A branch pays for the basis its children warm-start from.
+        let branch = NodeReport {
+            outcome: NodeOutcome::Branch {
+                bound: 5.0,
+                decision: gmip_core::branch::BranchDecision { var: 1, value: 0.5 },
+            },
+            basis: Some(Basis::with_basic_cols(vec![0, 1], 4)),
+            ..inf.clone()
+        };
+        assert_eq!(branch.bytes(), 32 + 24 + (2 * 8 + 4));
     }
 
     #[test]

@@ -1,21 +1,24 @@
 //! One supervisor ↔ worker exchange, both ends of it. Out: [`assignment`]
 //! builds what ships, and [`exchange`] runs it on the modeled wire — ship
 //! the assignment, evaluate it on the rank's device, ship the report back,
-//! each leg subject to the fault plan. Back: [`settle_outcome`] folds the
-//! reported outcome into the coordinator's tree. Every coordinator (flat
+//! each leg subject to the fault plan. Back: the coordinator folds the
+//! reported outcome into its tree with [`gmip_core::search::settle`], as
+//! every tree driver does, and [`children`] builds a live branch's children
+//! from the report's basis. Every coordinator (flat
 //! DES, hierarchy, real threads) goes through here, so their message
-//! accounting, fault counters, per-rank trace lanes and settle rules cannot
+//! accounting, fault counters, per-rank trace lanes and warm starts cannot
 //! drift apart.
 
 use crate::chaos::FaultPlan;
-use crate::comm::{Assignment, Delivery, NetworkModel, NodeOutcome, NodeReport};
+use crate::comm::{Assignment, Delivery, NetworkModel, NodeReport};
 use crate::supervisor::{ParPayload, ParallelStats};
 use crate::worker::Worker;
-use gmip_core::search::{self, Rules};
+use gmip_core::branch::BranchDecision;
+use gmip_core::search;
 use gmip_lp::{Basis, LpResult};
 use gmip_problems::MipInstance;
 use gmip_trace::{names, Event as TraceSpan, Track};
-use gmip_tree::{Node, NodeId, NodeState, SearchTree};
+use gmip_tree::Node;
 
 /// The assignment that ships `node`: its bound changes, its parent's basis
 /// and the sender's incumbent value.
@@ -139,76 +142,22 @@ pub(crate) fn exchange(
     Ok((Some(report), completion))
 }
 
-/// What a delivered outcome did to the coordinator's tree, and what is left
-/// for the coordinator's own policy.
-#[derive(Debug)]
-pub(crate) enum Settled {
-    /// The node closed: infeasible, pruned on the rank, or pruned here
-    /// against an incumbent that improved while the report travelled.
-    Closed,
-    /// The node closed on an integer-feasible LP point — a candidate for
-    /// the coordinator's incumbent sink.
-    Feasible {
-        /// Objective, internal sense.
-        value: f64,
-        /// The LP point (integral coordinates not yet rounded).
-        x: Vec<f64>,
-    },
-    /// The node is to branch: the coordinator places the children (sets
-    /// their `partition`) and hands them to `tree.branch`.
-    Branch {
-        /// The node's LP bound, internal sense.
-        bound: f64,
-        /// The labelled `[down, up]` children, warm-started from the node's
-        /// optimal basis, in partition 0.
-        children: [(String, ParPayload); 2],
-    },
-}
-
-/// Folds the reported `outcome` of node `id` into `tree`. A `Branch` report
-/// is re-tested against `incumbent` (the value the coordinator prunes with
-/// *now*, internal sense). `root_basis` keeps the basis the root's `Branch`
-/// report carried — even when the root is then pruned here.
-pub(crate) fn settle_outcome(
-    rules: &Rules,
+/// The labelled `[down, up]` children of branching `parent` on `decision`,
+/// warm-started from the report's `basis`, in partition 0 (the coordinator
+/// places them).
+pub(crate) fn children(
     instance: &MipInstance,
-    tree: &mut SearchTree<ParPayload>,
-    id: NodeId,
-    outcome: NodeOutcome,
-    incumbent: f64,
-    root_basis: &mut Option<Basis>,
-) -> Settled {
-    match outcome {
-        NodeOutcome::Infeasible => tree.settle(id, NodeState::Infeasible, f64::NEG_INFINITY),
-        NodeOutcome::Pruned { bound } => tree.settle(id, NodeState::Pruned, bound),
-        NodeOutcome::IntegerFeasible { internal, x } => {
-            tree.settle(id, NodeState::Feasible, internal);
-            return Settled::Feasible { value: internal, x };
-        }
-        NodeOutcome::Branch {
-            bound,
-            var,
-            value,
-            basis,
-        } => {
-            if id == tree.root() && root_basis.is_none() {
-                root_basis.clone_from(&basis);
-            }
-            if rules.dominated(bound, incumbent) {
-                tree.settle(id, NodeState::Pruned, bound);
-            } else {
-                let parent = &tree.node(id).data.bounds;
-                let children = search::children(instance, parent, var, value).map(|c| {
-                    let data = ParPayload {
-                        bounds: c.bounds,
-                        warm_basis: basis.clone(),
-                        partition: 0,
-                    };
-                    (c.label, data)
-                });
-                return Settled::Branch { bound, children };
-            }
-        }
-    }
-    Settled::Closed
+    parent: &Node<ParPayload>,
+    decision: BranchDecision,
+    basis: &Option<Basis>,
+) -> [(String, ParPayload); 2] {
+    let (var, value) = (decision.var, decision.value);
+    search::children(instance, &parent.data.bounds, var, value).map(|c| {
+        let data = ParPayload {
+            bounds: c.bounds,
+            warm_basis: basis.clone(),
+            partition: 0,
+        };
+        (c.label, data)
+    })
 }

@@ -35,9 +35,9 @@ use crate::comm::{
     subtree_bytes, IncumbentUpdate, LoadSummary, NodeReport, INCUMBENT_BROADCAST_BYTES,
     STEAL_CONTROL_BYTES,
 };
-use crate::exchange::{settle_outcome, Completion, Settled};
+use crate::exchange::{children, Completion};
 use crate::supervisor::{ParallelConfig, ParallelStats};
-use gmip_core::search::Incumbent;
+use gmip_core::search::{self, Incumbent, NodeOutcome};
 use gmip_core::MipStatus;
 use gmip_lp::{BoundChange, LpResult};
 use gmip_problems::MipInstance;
@@ -930,23 +930,12 @@ impl HierSupervisor {
         if let Some((value, x)) = report.heur {
             self.offer(g, value, x);
         }
-        let settled = settle_outcome(
-            &self.c.rules,
-            &self.c.instance,
-            &mut self.c.tree,
-            id,
-            report.outcome,
-            self.gstate[g].incumbent,
-            &mut self.c.stats.root_basis,
-        );
-        match settled {
-            Settled::Closed => {}
-            Settled::Feasible { value, x } => self.offer(g, value, x),
-            Settled::Branch {
-                bound,
-                mut children,
-            } => {
+        let now = self.gstate[g].incumbent;
+        match search::settle(&self.c.rules, &mut self.c.tree, id, report.outcome, now) {
+            NodeOutcome::Integral { bound, x } => self.offer(g, bound, x),
+            NodeOutcome::Branch { bound, decision } => {
                 let parent = self.c.tree.node(id);
+                let mut children = children(&self.c.instance, parent, decision, &report.basis);
                 let parts = self.placement(parent.data.partition, parent.depth);
                 for (child, part) in children.iter_mut().zip(parts) {
                     child.1.partition = part;
@@ -962,6 +951,7 @@ impl HierSupervisor {
                     }
                 }
             }
+            NodeOutcome::Infeasible | NodeOutcome::Pruned { .. } => {}
         }
     }
 

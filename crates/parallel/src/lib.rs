@@ -43,9 +43,7 @@ pub mod worker;
 pub use chaos::{ChaosConfig, FaultPlan, FaultStats};
 pub use checkpoint::Checkpoint;
 pub use cluster::{EventQueue, Timed};
-pub use comm::{
-    Assignment, Delivery, IncumbentUpdate, LoadSummary, NetworkModel, NodeOutcome, NodeReport,
-};
+pub use comm::{Assignment, Delivery, IncumbentUpdate, LoadSummary, NetworkModel, NodeReport};
 pub use hierarchy::{
     solve_hierarchical, HierResult, HierStats, HierSupervisor, HierarchyConfig, MAX_RANKS,
 };

@@ -77,7 +77,8 @@ pub struct SolveOptions {
     pub mip: MipConfig,
     /// Memory of each simulated device, bytes.
     pub gpu_mem: usize,
-    /// Who executes the fused lane kernels.
+    /// Who executes the fused lane kernels of the waves (`batched:` and
+    /// `firstorder:`).
     pub backend: BackendKind,
     /// Deterministic fault injection (cluster and threaded ranks only).
     pub chaos: Option<ChaosConfig>,
@@ -232,6 +233,8 @@ impl SolvePath {
         let mip = matches!(self, Host | Plan(_) | Auto);
         let ranks = matches!(self, Cluster(..) | Threaded(_));
         let (lane, fo) = (matches!(self, PerLane(_)), matches!(self, FirstOrder(_)));
+        // Only a wave's dispatches are wider than one lane.
+        let waves = fo || matches!(self, Batched(_));
         let pricing = m.lp.primal.pricing != dm.lp.primal.pricing;
         let dive = m.heuristics.fix_and_propagate_period != 0;
         let rounds = m.propagate_rounds != dm.propagate_rounds;
@@ -247,7 +250,7 @@ impl SolvePath {
             ("--propagate", m.propagate, !lane),
             ("--heur-period", dive, !lane),
             ("--prop-rounds", rounds, !ranks && !lane),
-            ("--backend", o.backend != d.backend, !mip && !lane),
+            ("--backend", o.backend != d.backend, waves),
             ("--faults", o.chaos.is_some(), ranks),
             ("a warm start", warm, matches!(self, Cluster(..))),
         ]
@@ -285,7 +288,6 @@ impl SolvePath {
             chaos: o.chaos.clone(),
             propagate: m.propagate,
             heuristic_period: m.heuristics.fix_and_propagate_period,
-            backend: o.backend,
             ..Default::default()
         };
         let solved = match self {
@@ -475,7 +477,7 @@ mod tests {
             (
                 "--backend",
                 |o| o.backend = BackendKind::Native { threads: 1 },
-                "...x.xxxx",
+                "...x.x...",
             ),
             (
                 "a warm start",
@@ -510,6 +512,24 @@ mod tests {
                 got.is_ok(),
                 path.starts_with("cluster") || path.starts_with("threaded")
             );
+        }
+    }
+
+    /// A rank's fused dispatches are one lane wide and run on the calling
+    /// thread, so no cluster or threaded path takes an executing backend.
+    #[test]
+    fn ranks_refuse_an_executing_backend() {
+        let native = SolveOptions {
+            backend: BackendKind::Native { threads: 1 },
+            ..SolveOptions::default()
+        };
+        for path in ["cluster:3", "cluster:4x2", "threaded:2"] {
+            let got = path
+                .parse::<SolvePath>()
+                .unwrap()
+                .run(&figure1_knapsack(), &native);
+            let err = got.expect_err(path);
+            assert!(err.contains("--backend"), "{path}: {err}");
         }
     }
 

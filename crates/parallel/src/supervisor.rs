@@ -21,8 +21,8 @@ use crate::chaos::{ChaosConfig, FaultStats};
 use crate::checkpoint::Checkpoint;
 use crate::cluster::{Cluster, EventQueue, Recovery};
 use crate::comm::{NetworkModel, NodeReport};
-use crate::exchange::{settle_outcome, Completion, Settled};
-use gmip_core::search::Incumbent;
+use crate::exchange::{children, Completion};
+use gmip_core::search::{self, Incumbent, NodeOutcome};
 use gmip_core::MipStatus;
 use gmip_lp::{Basis, BoundChange, LpConfig, LpResult};
 use gmip_problems::MipInstance;
@@ -89,10 +89,6 @@ pub struct ParallelConfig {
     /// node report and enter the supervisor's incumbent-broadcast path
     /// (0 = off).
     pub heuristic_period: usize,
-    /// Which executing backend every rank's fused lane dispatches run on.
-    /// Simulated charges — and therefore the whole deterministic ledger —
-    /// are identical across backends.
-    pub backend: gmip_gpu::BackendKind,
 }
 
 impl Default for ParallelConfig {
@@ -110,7 +106,6 @@ impl Default for ParallelConfig {
             warm: Warm::default(),
             propagate: false,
             heuristic_period: 0,
-            backend: gmip_gpu::BackendKind::Sim,
         }
     }
 }
@@ -411,27 +406,12 @@ impl Supervisor {
         if let Some((value, x)) = report.heur {
             self.offer(worker, value, x, Some("fix_and_propagate"));
         }
-        let settled = settle_outcome(
-            &self.c.rules,
-            &self.c.instance,
-            &mut self.c.tree,
-            id,
-            report.outcome,
-            self.incumbent.value(),
-            &mut self.c.stats.root_basis,
-        );
-        match settled {
-            Settled::Closed => {}
-            Settled::Feasible { value, x } => self.offer(worker, value, x, None),
-            Settled::Branch {
-                bound,
-                mut children,
-            } => {
-                // Static partitioning: spread subtrees over all workers by
-                // binary fan-out near the root (depth d covers 2^(d+1)
-                // partitions), then inherit — every worker owns a subtree
-                // once the frontier is wide enough.
+        let now = self.incumbent.value();
+        match search::settle(&self.c.rules, &mut self.c.tree, id, report.outcome, now) {
+            NodeOutcome::Integral { bound, x } => self.offer(worker, bound, x, None),
+            NodeOutcome::Branch { bound, decision } => {
                 let parent = self.c.tree.node(id);
+                let mut children = children(&self.c.instance, parent, decision, &report.basis);
                 let (part, depth, n) = (parent.data.partition, parent.depth, self.c.cfg.workers);
                 let [down, up] = &mut children;
                 (down.1.partition, up.1.partition) =
@@ -443,6 +423,7 @@ impl Supervisor {
                 let ids = self.c.tree.branch(id, bound, children);
                 self.index_partitions(&ids);
             }
+            NodeOutcome::Infeasible | NodeOutcome::Pruned { .. } => {}
         }
     }
 

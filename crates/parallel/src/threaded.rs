@@ -15,11 +15,11 @@
 
 use crate::chaos::FaultPlan;
 use crate::comm::{Assignment, NodeReport};
-use crate::exchange::{assignment, settle_outcome, Settled};
+use crate::exchange::{assignment, children};
 use crate::supervisor::{ParPayload, ParallelConfig};
 use crate::worker::Worker;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use gmip_core::search::{self, Incumbent, Rules};
+use gmip_core::search::{self, Incumbent, NodeOutcome, Rules};
 use gmip_core::MipStatus;
 use gmip_lp::{LpError, LpResult};
 use gmip_problems::MipInstance;
@@ -200,20 +200,13 @@ pub fn solve_threaded(instance: &MipInstance, cfg: &ParallelConfig) -> LpResult<
             offer(&mut incumbent, &mut tree, value, x);
         }
         let cur = incumbent.value();
-        match settle_outcome(
-            &rules,
-            instance,
-            &mut tree,
-            id,
-            report.outcome,
-            cur,
-            &mut None,
-        ) {
-            Settled::Closed => {}
-            Settled::Feasible { value, x } => offer(&mut incumbent, &mut tree, value, x),
-            Settled::Branch { bound, children } => {
+        match search::settle(&rules, &mut tree, id, report.outcome, cur) {
+            NodeOutcome::Integral { bound, x } => offer(&mut incumbent, &mut tree, bound, x),
+            NodeOutcome::Branch { bound, decision } => {
+                let children = children(instance, tree.node(id), decision, &report.basis);
                 tree.branch(id, bound, children);
             }
+            NodeOutcome::Infeasible | NodeOutcome::Pruned { .. } => {}
         }
     }
 

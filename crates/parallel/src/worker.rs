@@ -6,11 +6,11 @@
 //! worker reports the evaluation outcome and how much simulated device time
 //! it consumed, which the discrete-event supervisor uses to schedule.
 
-use crate::comm::{Assignment, NodeOutcome, NodeReport};
-use gmip_core::search::{NodeHook, PropCharge, Rules, Verdict};
+use crate::comm::{Assignment, NodeReport};
+use gmip_core::search::{NodeHook, NodeOutcome, PropCharge, Rules};
 use gmip_core::DEFAULT_PROPAGATE_ROUNDS;
 use gmip_gpu::{Accel, CostModel, DeviceConfig};
-use gmip_lp::{DeviceEngine, LpResult, LpSolver, LpStatus, StandardLp};
+use gmip_lp::{DeviceEngine, LpResult, LpSolver, StandardLp};
 use gmip_problems::MipInstance;
 
 /// Margin of the worker-side prune against the incumbent value shipped with
@@ -28,7 +28,7 @@ pub struct Worker {
     /// The rank's node-LP solver: one device kernel launch per simplex
     /// call against the matrix uploaded at construction.
     lp: LpSolver<DeviceEngine>,
-    /// The rank's verdict rules: [`Rules::new`]'s, with the prune tolerance
+    /// The rank's judging rules: [`Rules::new`]'s, with the prune tolerance
     /// overridden to [`REPORT_PRUNE_TOL`].
     rules: Rules,
     /// Completion time of this worker's last assignment (DES bookkeeping).
@@ -51,8 +51,9 @@ pub struct Worker {
 impl Worker {
     /// Rank `id` of a cluster configured by `cfg`, with its own simulated
     /// device and the instance's LP matrix uploaded to it. The config picks
-    /// who executes the rank's fused lane dispatches (simulated charges are
-    /// identical either way) and the propagation and dive cadence.
+    /// the propagation and dive cadence. A rank's fused lane dispatches are
+    /// one lane wide, so they run on the calling thread: a rank takes no
+    /// executing backend.
     pub(crate) fn for_rank(
         id: usize,
         instance: &MipInstance,
@@ -65,12 +66,11 @@ impl Worker {
             mem_capacity: cfg.gpu_mem,
             streams: 1,
         })
-        .with_trace_group(gmip_trace::TrackGroup::Gpu(id as u16))
-        .with_backend(cfg.backend);
+        .with_trace_group(gmip_trace::TrackGroup::Gpu(id as u16));
         let std = StandardLp::from_instance(instance, &[]);
         let factory_accel = accel.clone();
         let lp = LpSolver::try_new(std, cfg.lp.clone(), |a| DeviceEngine::new(factory_accel, a))?;
-        // One-lane batches through the rank's executing backend.
+        // One-lane batches: one body per dispatch.
         let hook = NodeHook::new(
             instance,
             cfg.propagate,
@@ -111,71 +111,53 @@ impl Worker {
     /// time consumed is measured as the device-frontier delta.
     pub fn evaluate(&mut self, a: &Assignment) -> LpResult<NodeReport> {
         let t0 = self.accel.elapsed_ns();
-        let (outcome, lp_iterations, heur) = self.decide(a)?;
+        let mut report = self.decide(a)?;
         self.nodes += 1;
-        let eval_ns = (self.accel.elapsed_ns() - t0) * self.slowdown.max(1.0);
-        self.busy_ns += eval_ns;
-        Ok(NodeReport {
-            node_id: a.node_id,
-            outcome,
-            eval_ns,
-            lp_iterations,
-            heur,
-        })
+        report.eval_ns = (self.accel.elapsed_ns() - t0) * self.slowdown.max(1.0);
+        self.busy_ns += report.eval_ns;
+        Ok(report)
     }
 
-    /// What the report says: the node's outcome, the LP iterations spent on
-    /// it and any dive candidate riding along.
-    fn decide(
-        &mut self,
-        a: &Assignment,
-    ) -> LpResult<(NodeOutcome, usize, Option<(f64, Vec<f64>)>)> {
+    /// What the report says: the node's outcome, a branch's basis, the LP
+    /// iterations spent on it and any dive candidate riding along
+    /// (`eval_ns` is the caller's).
+    fn decide(&mut self, a: &Assignment) -> LpResult<NodeReport> {
+        let mut report = NodeReport {
+            node_id: a.node_id,
+            outcome: NodeOutcome::Infeasible,
+            basis: None,
+            eval_ns: 0.0,
+            lp_iterations: 0,
+            heur: None,
+        };
         // Domain propagation before any LP work: infeasible boxes settle
         // with `prop.*` kernel charges only, feasible ones tighten.
         let Some(bounds) = self.hook.tighten(&[&a.bounds]).pop().flatten() else {
-            return Ok((NodeOutcome::Infeasible, 0, None));
+            return Ok(report);
         };
-        let (sol, basis) = self.lp.solve_node(&bounds, a.warm_basis.clone())?;
-        let outcome = match sol.status {
-            LpStatus::Infeasible => NodeOutcome::Infeasible,
-            LpStatus::Unbounded => {
-                return Err(gmip_lp::LpError::Shape(
-                    "worker LP unbounded under branch bounds".into(),
-                ))
-            }
-            LpStatus::Optimal => {
-                let internal = self.rules.internal(sol.objective);
-                match self.rules.verdict(internal, &sol.x, a.incumbent) {
-                    Verdict::Pruned => NodeOutcome::Pruned { bound: internal },
-                    Verdict::Integral => NodeOutcome::IntegerFeasible {
-                        internal,
-                        x: sol.x.clone(),
-                    },
-                    Verdict::Fractional { decision } => NodeOutcome::Branch {
-                        bound: internal,
-                        var: decision.var,
-                        value: decision.value,
-                        basis,
-                    },
-                }
-            }
-        };
+        let (mut sol, basis) = self.lp.solve_node(&bounds, a.warm_basis.clone())?;
+        report.lp_iterations = sol.iterations;
+        report.outcome = self.rules.judge(&mut sol, a.incumbent)?;
+        if !matches!(report.outcome, NodeOutcome::Branch { .. }) {
+            return Ok(report);
+        }
+        report.basis = basis;
         // Fix-and-propagate dive on branched nodes, every
         // `heuristic_period`-th evaluation (`nodes` counts this one once the
         // report is built): the candidate rides along in the report and
         // feeds the supervisor's incumbent-broadcast path.
-        let mut heur: Option<(f64, Vec<f64>)> = None;
-        if self.hook.dive_due(self.nodes + 1) && matches!(outcome, NodeOutcome::Branch { .. }) {
+        if self.hook.dive_due(self.nodes + 1) {
+            let heur = &mut report.heur;
             self.hook
                 .dive(&self.rules, &[(&bounds, &sol.x)], |internal, pt| {
                     let improves = internal > a.incumbent + REPORT_PRUNE_TOL;
                     if improves {
-                        heur = Some((internal, pt));
+                        *heur = Some((internal, pt));
                     }
                     improves
                 });
         }
-        Ok((outcome, sol.iterations, heur))
+        Ok(report)
     }
 }
 
@@ -207,12 +189,13 @@ mod tests {
             })
             .unwrap();
         match report.outcome {
-            NodeOutcome::Branch { bound, var, .. } => {
+            NodeOutcome::Branch { bound, decision } => {
                 assert!((bound - 21.0).abs() < 1e-6);
-                assert_eq!(var, 1); // y = 1.5 fractional
+                assert_eq!(decision.var, 1); // y = 1.5 fractional
             }
             other => panic!("expected branch, got {other:?}"),
         }
+        assert!(report.basis.is_some(), "a branch ships its basis");
         assert!(report.eval_ns > 0.0);
         assert_eq!(w.nodes, 1);
     }
@@ -254,8 +237,8 @@ mod tests {
             })
             .unwrap();
         match report.outcome {
-            NodeOutcome::IntegerFeasible { internal, ref x } => {
-                assert!((internal - 20.0).abs() < 1e-6);
+            NodeOutcome::Integral { bound, ref x } => {
+                assert!((bound - 20.0).abs() < 1e-6);
                 assert!((x[0] - 4.0).abs() < 1e-6);
             }
             other => panic!("expected integer feasible, got {other:?}"),

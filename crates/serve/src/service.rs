@@ -159,9 +159,9 @@ pub struct ServeConfig {
     /// Attempts beyond the first before a job fails permanently.
     pub max_retries: u32,
     /// What every attempt solves with on `cluster:<leased ranks>`: node
-    /// budget, device memory per rank, pricing, propagation, the dive,
-    /// the backend, and the fault overlay (each attempt derives its own
-    /// plan from it). The warm start is the pool's, per attempt.
+    /// budget, device memory per rank, pricing, propagation, the dive and
+    /// the fault overlay (each attempt derives its own plan from it). The
+    /// warm start is the pool's, per attempt.
     pub solve: SolveOptions,
 }
 
