@@ -1,42 +1,46 @@
 //! E11 — node-LP engine crossover: per-lane engines vs the batched
-//! simplex wave vs the lockstep first-order (restarted PDHG) wave.
+//! simplex wave (fused by lane state) vs the lockstep first-order
+//! (restarted PDHG) wave.
 //!
 //! Paper source: Sections 4.3 and 5.5 size the batch by memory and fuse
 //! launches by kernel class, but leave the node-LP *algorithm* fixed.
 //! This experiment sweeps that choice: the same branch and bound evaluated
 //! by per-lane simplex engines (`solve_concurrent`), the batched simplex
-//! wave (`solve_batched_wave`, up to seven kernel classes whose lanes
-//! desynchronize as pivot journals diverge), and the first-order wave
+//! wave (`solve_batched_wave`, seven kernel classes, one launched per
+//! superstep: the one most lanes wait on), and the first-order wave
 //! (`solve_first_order_wave`, every lane doing the same PDHG iteration so
 //! each superstep is three fused launches regardless of width, cost ∝ nnz,
 //! safe early bounds, exact host cleanup).
 //!
-//! Claim reproduced: the winner depends on lane count × matrix nnz. On
-//! the nnz-light family (knapsack: one row) warm-started simplex lanes
-//! reconverge in a handful of nearly-free pivots and the simplex wave
-//! keeps the lead at every width. On the nnz-heavy family (bin packing:
-//! every variable couples an equality assignment row to a capacity row,
-//! and the tree is deep and symmetric) the first-order wave beats the
-//! simplex wave in simulated ns in a band, from 16 to 64 lanes, and at no
-//! other width (asserted at every width): its superstep is a fixed three
-//! fused launches while the simplex wave pays per pivot class, and
-//! dominated lanes retire on a safe dual bound at their first KKT check
-//! instead of pivoting to optimality. It launches less at every width
-//! ≥ 64. Outside the band the simplex wave leads: narrower, its warm pivots
-//! are cheap; at 128 lanes, its link is. Both waves pack their lanes'
-//! transfers into one crossing per superstep and direction, but a simplex
-//! lane keeps the device engine's install record, so its warm installs ship
-//! their delta as launch arguments and cross nothing, while each
-//! first-order lane load still crosses whole. Per-lane launches queue at
-//! the device's one issue slot, so that column does not fall with the
+//! Claim reproduced: the winner depends on lane count × matrix nnz, and on
+//! how the simplex wave fuses its lanes. On the nnz-light family
+//! (knapsack: one row) warm-started simplex lanes reconverge in a handful
+//! of nearly-free pivots; on the nnz-heavy family (bin packing: every
+//! variable couples an equality assignment row to a capacity row, and the
+//! tree is deep and symmetric) dominated first-order lanes retire on a safe
+//! dual bound at their first KKT check instead of pivoting to optimality.
+//! Yet the simplex wave leads the first-order wave in simulated ns and in
+//! launches at every width on both families (asserted at every width). Its
+//! lanes are fused by the state they are in: a superstep launches the one
+//! kernel class the most lanes wait on, so lanes whose pivot journals have
+//! drifted apart no longer make a superstep launch once per class any lane
+//! is on — on the heavy family that took its launches from 109 427 to
+//! 35 643 at 16 lanes, and the first-order wave's three fused launches per
+//! superstep lead nowhere (they led from 16 to 64 lanes under lockstep
+//! replay). The link still favours the simplex wave too: both waves pack
+//! their lanes' transfers into one crossing per superstep and direction,
+//! but a simplex lane keeps the device engine's install record, so its
+//! warm installs ship their delta as launch arguments and cross nothing,
+//! while each first-order lane load crosses whole. Per-lane launches queue
+//! at the device's one issue slot, so that column does not fall with the
 //! width, and the waves overtake it as they widen — Section 5.5's
-//! batching-beats-streams: on the heavy family the first-order wave from 64
-//! lanes and both from 128 (asserted; the simplex wave passes it at 64
-//! too), on the light one the simplex wave from 64.
-//! Narrower, the per-lane engines are ahead: a
-//! per-lane node LP is one chain (a launch per pivot, one read-back), while
-//! a wave still pays a launch per kernel class per superstep — the waves'
-//! saving starts where enough lanes share each launch.
+//! batching-beats-streams: the simplex wave from 16 lanes on both families,
+//! the first-order wave from 64 on the heavy one and never on the light
+//! one (asserted as exact regions over the swept widths). At 4 lanes the
+//! per-lane engines are ahead of both: a per-lane node LP is one chain (a
+//! launch per pivot, one read-back), while a wave pays a launch per
+//! superstep — the waves' saving starts where enough lanes share each
+//! launch.
 //! Every optimum served by every engine is checked against the
 //! `gmip-verify` exact oracle.
 //!
@@ -55,7 +59,7 @@ use gmip_problems::generators::knapsack::knapsack;
 use gmip_problems::MipInstance;
 use gmip_trace::names;
 
-/// Lane counts swept; the crossover band is stated over all of them.
+/// Lane counts swept; the claims are stated over all of them.
 pub const LANES: &[usize] = &[4, 16, 64, 128];
 
 /// Device memory for every cell (never the binding constraint here).
@@ -105,7 +109,7 @@ pub fn instances() -> Vec<(&'static str, MipInstance)> {
         // capacity rows (every variable in two rows), and a deep symmetric
         // tree (~11k nodes) where incumbent-dominated subtrees are the
         // common case, which is exactly where first-check safe-bound
-        // prunes and lockstep supersteps pay off.
+        // prunes and the first-order wave's lockstep supersteps pay off most.
         ("heavy", bin_packing(7, 1.0, 3)),
     ]
 }
@@ -192,59 +196,46 @@ pub fn sweep(lanes_filter: Option<&[usize]>) -> Vec<CrossCell> {
 
 /// Asserts the E11 acceptance claims on `cells` (full sweep only).
 fn assert_claims(cells: &[CrossCell]) {
-    // The crossover is a band: on the nnz-heavy family the first-order
-    // wave beats the simplex wave in simulated ns from 16 to 64 lanes and
-    // at no other width. Narrower, warm simplex pivots are cheap; wider,
-    // a simplex lane's warm install ships only its delta, as launch
-    // arguments, while each first-order lane load still crosses whole.
-    for c in cells.iter().filter(|c| c.family == "heavy") {
-        let band = (16..=64).contains(&c.lanes);
-        assert_eq!(
-            c.firstorder_ns < c.simplex_ns,
-            band,
-            "heavy w{}: first-order {} ns vs simplex {} ns, expected the \
-             first-order wave ahead {} the 16-64 band",
-            c.lanes,
-            c.firstorder_ns,
-            c.simplex_ns,
-            if band { "inside" } else { "outside" }
-        );
-    }
-    // And it got there with strictly fewer kernel launches (three fused
-    // classes per superstep vs up to seven desynchronizing ones).
-    for c in cells
-        .iter()
-        .filter(|c| c.family == "heavy" && c.lanes >= 64)
-    {
-        assert!(
-            c.firstorder_launches < c.simplex_launches,
-            "heavy w{}: {} first-order launches vs {} simplex",
-            c.lanes,
-            c.firstorder_launches,
-            c.simplex_launches
-        );
-    }
-    // Section 5.5 itself: batching beats streams. Wide enough, each wave
-    // finishes before the per-lane engines, whose launches leave the
-    // device's one issue queue one at a time however many streams they sit
-    // on: on the heavy family the first-order wave from 64 lanes and both
-    // from 128, on the light one the simplex wave from 64.
+    // Fused by state, the simplex wave leads the first-order wave on both
+    // families at every width, in simulated ns and in launches: a simplex
+    // superstep is one launch, a first-order one three, and a simplex
+    // lane's warm install ships only its delta, as launch arguments, while
+    // each first-order lane load crosses whole.
     for c in cells {
-        let (wave, wave_ns) = match c.family {
-            "heavy" if c.lanes >= 128 => ("both", c.simplex_ns.max(c.firstorder_ns)),
-            "heavy" if c.lanes >= 64 => ("first-order", c.firstorder_ns),
-            "light" if c.lanes >= 64 => ("simplex", c.simplex_ns),
-            _ => continue,
-        };
         assert!(
-            wave_ns < c.perlane_ns,
-            "{} w{}: per-lane {} ns not behind the {wave} wave (simplex {} ns, first-order {} ns)",
+            c.simplex_ns < c.firstorder_ns && c.simplex_launches < c.firstorder_launches,
+            "{} w{}: simplex {} ns / {} launches vs first-order {} ns / {} launches",
             c.family,
             c.lanes,
-            c.perlane_ns,
             c.simplex_ns,
-            c.firstorder_ns
+            c.simplex_launches,
+            c.firstorder_ns,
+            c.firstorder_launches
         );
+    }
+    // Section 5.5 itself: batching beats streams. Wide enough, a wave
+    // finishes before the per-lane engines, whose launches leave the
+    // device's one issue queue one at a time however many streams they sit
+    // on — the simplex wave from 16 lanes on both families, the first-order
+    // wave from 64 on the heavy one and never on the light one — and at no
+    // narrower width.
+    for c in cells {
+        let heavy = c.family == "heavy";
+        for (wave, ns, from) in [
+            ("simplex", c.simplex_ns, Some(16)),
+            ("first-order", c.firstorder_ns, heavy.then_some(64)),
+        ] {
+            let ahead = from.is_some_and(|w| c.lanes >= w);
+            assert_eq!(
+                ns < c.perlane_ns,
+                ahead,
+                "{} w{}: {wave} wave {ns} ns vs per-lane {} ns, expected the wave {}",
+                c.family,
+                c.lanes,
+                c.perlane_ns,
+                if ahead { "ahead" } else { "behind" }
+            );
+        }
     }
     // Early safe-bound prunes are real, not incidental.
     assert!(
@@ -254,16 +245,6 @@ fn assert_claims(cells: &[CrossCell]) {
             .any(|c| c.fo_pruned > 0),
         "no lane ever retired on a safe dual bound"
     );
-    // On the nnz-light family the simplex wave wins at every width.
-    for c in cells.iter().filter(|c| c.family == "light") {
-        assert!(
-            c.firstorder_ns > c.simplex_ns,
-            "light w{}: first-order {} ns unexpectedly beat simplex {} ns",
-            c.lanes,
-            c.firstorder_ns,
-            c.simplex_ns
-        );
-    }
 }
 
 /// Runs the experiment and returns the report text.
@@ -327,24 +308,22 @@ pub fn run() -> String {
     out.push_str(&t.render());
     assert_claims(&cells);
     out.push_str(
-        "\nshape check: on the one-row knapsack the simplex wave stays ahead at\n\
-         every width — warm-started pivots are almost free and PDHG supersteps\n\
-         buy nothing. On the nnz-heavy bin packing the first-order wave leads\n\
-         in ns in a band, from 16 to 64 lanes, and in raw launches from 64:\n\
-         three fused launches per lockstep superstep plus first-check\n\
-         safe-bound prunes beat up to seven desynchronizing pivot classes.\n\
-         Outside the band the simplex wave leads: at 4 lanes its warm pivots\n\
-         are cheap, and at 128 its link is — both waves stage their lanes'\n\
-         transfers into one crossing per superstep and direction, but a\n\
-         simplex lane's warm install ships only its delta, as launch\n\
-         arguments, while each first-order lane load crosses whole. The\n\
-         per-lane column does not fall with the width — its launches are\n\
-         issued one at a time whatever stream they sit on — so the waves\n\
-         overtake it as they widen: on the heavy family the first-order wave\n\
-         from 64 lanes and both from 128, on the light one the simplex wave\n\
-         from 64. Narrower, the per-lane engines are ahead: their node LP is\n\
-         one chain, a launch per pivot and one read-back, a narrow wave's a\n\
-         launch per kernel class.\n\
+        "\nshape check: the simplex wave, fused by lane state, leads the\n\
+         first-order wave at every width on both families, in ns and in\n\
+         launches: a superstep launches the one kernel class the most lanes\n\
+         wait on, so drifting lanes no longer launch once per class any lane\n\
+         is on, and its warm installs ship their delta as launch arguments\n\
+         while each first-order lane load crosses whole. On the one-row\n\
+         knapsack warm-started pivots are almost free and PDHG supersteps buy\n\
+         nothing; on the nnz-heavy bin packing the first-order wave's\n\
+         first-check safe-bound prunes no longer make up for three launches\n\
+         per superstep. The per-lane column does not fall with the width —\n\
+         its launches are issued one at a time whatever stream they sit on —\n\
+         so the waves overtake it as they widen: the simplex wave from 16\n\
+         lanes on both families, the first-order wave from 64 on the heavy\n\
+         one. At 4 lanes the per-lane engines are ahead: their node LP is one\n\
+         chain, a launch per pivot and one read-back, a narrow wave's a\n\
+         launch per superstep.\n\
          Every optimum\n\
          above matches the gmip-verify exact oracle. (machine-readable copy:\n\
          BENCH_e11.json)\n",
@@ -386,9 +365,8 @@ fn cells_json(cells: &[CrossCell]) -> String {
 #[cfg(test)]
 mod tests {
     /// The acceptance bar, on the 64-lane cells only (the narrow-width
-    /// cells take minutes in debug builds; they, and the 128-lane cells
-    /// where the simplex wave leads again, are exercised by `run()` via the
-    /// report binary and the
+    /// cells take minutes in debug builds; they, and the 128-lane cells,
+    /// are exercised by `run()` via the report binary and the
     /// CI `bench-regression` job, which also holds the full record to the
     /// 2% gate and so covers cross-run determinism).
     #[test]

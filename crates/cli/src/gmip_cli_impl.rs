@@ -66,9 +66,10 @@ SOLVE OPTIONS:
                      exchanges only aggregated summaries, incumbent
                      values, and deterministic work steals with them
                      batched:<lanes> evaluates up to <lanes> node LPs in a
-                     lockstep wave on one device: one shared constraint
-                     matrix, one fused kernel launch per class per step
-                     (the width shrinks automatically if --gpu-mem is tight)
+                     wave on one device: one shared constraint matrix, one
+                     fused kernel launch per step, of the class the most
+                     lanes wait on (the width shrinks automatically if
+                     --gpu-mem is tight)
                      per-lane:<lanes> keeps one device engine, with its own
                      matrix copy, per stream and joins every superstep:
                      the baseline both waves are measured against
@@ -505,7 +506,7 @@ pub fn serve(o: &Options) -> Result<String, String> {
             "--strategy {path}: serve runs every job on cluster:<leased ranks>"
         ));
     }
-    SolvePath::Cluster(o.ranks, None).check(&o.solve)?;
+    gmip_serve::check_options(o.ranks, &o.solve)?;
     let tcfg = gmip_serve::TrafficConfig {
         jobs: o.jobs,
         seed: o.seed,
@@ -1229,7 +1230,25 @@ mod tests {
         ] {
             let err = run(&s(&[&["serve", "--jobs", "2"][..], args].concat())).unwrap_err();
             assert!(err.starts_with(flag), "{args:?}: {err}");
+            assert!(!err.contains("read by --strategy"), "{args:?}: {err}");
         }
+    }
+
+    /// A rank's propagation runs its own round cap: serve refuses
+    /// `--prop-rounds` as a flag serve does not read, not as one a
+    /// `--strategy` it never takes does not read.
+    #[test]
+    fn serve_names_itself_refusing_prop_rounds() {
+        let err = run(&s(&["serve", "--jobs", "2", "--prop-rounds", "3"])).unwrap_err();
+        assert_eq!(err, "--prop-rounds is not read by serve");
+    }
+
+    /// A rank's dispatches are one lane wide: `--backend` is refused the
+    /// same way.
+    #[test]
+    fn serve_names_itself_refusing_backend() {
+        let err = run(&s(&["serve", "--jobs", "2", "--backend", "native"])).unwrap_err();
+        assert_eq!(err, "--backend is not read by serve");
     }
 
     /// The solve options the cluster reads reach every job.

@@ -84,13 +84,11 @@ impl LaneSet for EngineLanes {
         self.solved.iter().any(Option::is_some)
     }
 
-    fn run_to_retire(&mut self) -> Vec<usize> {
+    fn run_to_retire(&mut self, retired: &mut Vec<usize>) {
         // Streams meet at the frontier: every loaded lane is done.
         self.accel.with(|d| d.synchronize());
         self.counts[0] += 1;
-        (0..self.solved.len())
-            .filter(|&slot| self.solved[slot].is_some())
-            .collect()
+        retired.extend((0..self.solved.len()).filter(|&slot| self.solved[slot].is_some()));
     }
 
     fn retire(

@@ -110,8 +110,8 @@ impl LaneSet for PdhgLanes {
         (0..self.fo.width()).any(|slot| !self.fo.lane_idle(slot))
     }
 
-    fn run_to_retire(&mut self) -> Vec<usize> {
-        self.fo.run_to_retire()
+    fn run_to_retire(&mut self, retired: &mut Vec<usize>) {
+        retired.extend(self.fo.run_to_retire());
     }
 
     fn retire(

@@ -21,7 +21,7 @@
 //!   Section 5.4 (dense-device / sparse-device / host paths);
 //! * [`concurrent`] — wave-based concurrent node evaluation on one device
 //!   via streams (Section 5.5);
-//! * [`wave`] — the lockstep wave loop and its journaled-simplex lanes:
+//! * [`wave`] — the retire-and-refill wave loop and its journaled-simplex lanes:
 //!   fused node-LP kernels on a shared device-resident matrix with
 //!   event-based retire-and-refill (Sections 4.3, 5.5);
 //! * [`fo_wave`] — the same loop over restarted-PDHG lanes with exact host

@@ -397,17 +397,19 @@ impl NodeHook {
     }
 
     /// Propagates a batch of node boxes to their fixpoints before any LP
-    /// work is spent on them: `None` for a box that propagates to a
-    /// contradiction (the node settles infeasible), else the bounds the
-    /// node's LP and its children take — tightened, or the node's own when
-    /// propagation is off. Every reduction is activity-sound, so the
-    /// optimum survives.
+    /// work is spent on them, appending one entry per box to `out`: `None`
+    /// for a box that propagates to a contradiction (the node settles
+    /// infeasible), else the bounds the node's LP and its children take —
+    /// tightened, or the node's own when propagation is off. Every
+    /// reduction is activity-sound, so the optimum survives.
     pub fn tighten<'a>(
         &mut self,
         batch: &[&'a [BoundChange]],
-    ) -> Vec<Option<Cow<'a, [BoundChange]>>> {
+        out: &mut Vec<Option<Cow<'a, [BoundChange]>>>,
+    ) {
         let Some(p) = self.propagator.as_ref().filter(|_| self.propagate) else {
-            return batch.iter().map(|&b| Some(Cow::Borrowed(b))).collect();
+            out.extend(batch.iter().map(|&b| Some(Cow::Borrowed(b))));
+            return;
         };
         let mut boxes: Vec<_> = batch.iter().map(|b| p.node_box(b)).collect();
         let outs = match &self.charge {
@@ -422,18 +424,22 @@ impl NodeHook {
                 .collect(),
         };
         let m = &mut self.metrics;
-        outs.iter()
-            .zip(&boxes)
-            .map(|(out, (lb, ub))| {
-                m.incr(names::PROP_NODES, 1.0);
-                m.incr(names::PROP_ROUNDS, out.rounds as f64);
-                m.incr(names::PROP_TIGHTENINGS, out.tightenings as f64);
-                if out.infeasible {
-                    m.incr(names::PROP_INFEASIBLE, 1.0);
-                }
-                (!out.infeasible).then(|| Cow::Owned(p.bound_changes(lb, ub)))
-            })
-            .collect()
+        out.extend(outs.iter().zip(&boxes).map(|(out, (lb, ub))| {
+            m.incr(names::PROP_NODES, 1.0);
+            m.incr(names::PROP_ROUNDS, out.rounds as f64);
+            m.incr(names::PROP_TIGHTENINGS, out.tightenings as f64);
+            if out.infeasible {
+                m.incr(names::PROP_INFEASIBLE, 1.0);
+            }
+            (!out.infeasible).then(|| Cow::Owned(p.bound_changes(lb, ub)))
+        }));
+    }
+
+    /// [`Self::tighten`] of one node's box.
+    pub fn tighten_one<'a>(&mut self, bounds: &'a [BoundChange]) -> Option<Cow<'a, [BoundChange]>> {
+        let mut out = Vec::with_capacity(1);
+        self.tighten(&[bounds], &mut out);
+        out.pop().flatten()
     }
 
     /// Whether the `n`-th evaluated node (1-based) of a driver that dives

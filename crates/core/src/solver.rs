@@ -474,7 +474,7 @@ impl<E: SimplexEngine> MipSolver<E> {
 
             let node_t0 = self.sim_now_ns();
             let own = &tree.node(id).data.bounds;
-            let Some(bounds) = hook.tighten(&[own]).pop().flatten().map(Cow::into_owned) else {
+            let Some(bounds) = hook.tighten_one(own).map(Cow::into_owned) else {
                 tree.settle(id, NodeState::Infeasible, f64::NEG_INFINITY);
                 policy.notify_evaluated(id);
                 self.node_span(id, "prop_infeasible", node_t0);

@@ -4,9 +4,9 @@
 //! Where [`crate::concurrent::solve_concurrent`] keeps one engine (and one
 //! private matrix copy) per lane and joins every superstep at a device-wide
 //! `synchronize()`, this driver runs the [`gmip_lp::BatchedWaveEngine`]:
-//! all lanes share one device-resident `[A | I]` matrix, every simplex
-//! kernel class is issued as a single fused batched launch per lockstep
-//! superstep, and lanes that finish their node LP retire at a stream-event
+//! all lanes share one device-resident `[A | I]` matrix, each superstep
+//! issues one fused batched launch of the simplex kernel class the most
+//! lanes wait on, and lanes that finish their node LP retire at a stream-event
 //! boundary and are refilled from the best-bound frontier immediately — no
 //! lane ever waits in a join-all for the slowest lane of its wave.
 //!
@@ -110,7 +110,7 @@ pub struct WaveResult {
     pub first_incumbent_ns: Option<f64>,
 }
 
-/// A set of device lanes the lockstep loop keeps full: node LPs go in at
+/// A set of device lanes the wave loop keeps full: node LPs go in at
 /// [`LaneSet::load`], advance together in [`LaneSet::run_to_retire`], and
 /// come out exact at [`LaneSet::retire`]. Three implementors: journaled
 /// simplex lanes (here), PDHG lanes with host cleanup ([`crate::fo_wave`])
@@ -133,9 +133,9 @@ pub(crate) trait LaneSet {
     /// Whether a loaded lane has not retired yet.
     fn busy(&self) -> bool;
 
-    /// Advances the wave until at least one lane retires; returns the
-    /// retired slots.
-    fn run_to_retire(&mut self) -> Vec<usize>;
+    /// Advances the wave until at least one lane retires; fills `retired`
+    /// (empty on entry) with the retired slots.
+    fn run_to_retire(&mut self, retired: &mut Vec<usize>);
 
     /// Collects retired lane `slot`: the node's LP
     /// outcome — exact, or a dominated safe bound without a point (see
@@ -202,8 +202,8 @@ impl LaneSet for SimplexLanes {
         self.wave.any_busy()
     }
 
-    fn run_to_retire(&mut self) -> Vec<usize> {
-        self.wave.run_to_retire().to_vec()
+    fn run_to_retire(&mut self, retired: &mut Vec<usize>) {
+        retired.extend_from_slice(self.wave.run_to_retire());
     }
 
     fn retire(
@@ -228,7 +228,7 @@ impl LaneSet for SimplexLanes {
     }
 }
 
-/// Solves `instance` with a batched lockstep wave of up to `cfg.lanes` node
+/// Solves `instance` with a batched wave of up to `cfg.lanes` node
 /// LPs on `accel`.
 pub fn solve_batched_wave(
     instance: &MipInstance,
@@ -272,7 +272,7 @@ pub fn solve_batched_wave(
     )
 }
 
-/// The lockstep wave loop: refill idle lanes from the best-bound frontier →
+/// The wave loop: refill idle lanes from the best-bound frontier →
 /// batched `prop.*` over the refill batch → load → run to the next retire →
 /// settle the retired nodes → `heur.*` dive wave → finish, over the `width`
 /// lanes of `lanes` (the effective width after memory auto-sizing). Lanes that
@@ -295,11 +295,19 @@ pub(crate) fn run_wave<L: LaneSet>(
     let mut nodes = 0usize;
     let mut in_flight: Vec<Option<NodeId>> = vec![None; width];
     let mut filled_once = vec![false; width];
+    // Each pass's buffers, kept across passes: the refill batch (slot,
+    // node, warm artifact), its boxes and their propagated bounds (both
+    // borrowing the tree, so kept empty between passes), the nodes
+    // propagation settled and the retired slots.
+    let mut pending: Vec<(usize, NodeId, L::Warm)> = Vec::with_capacity(width);
+    let mut batch_buf: Vec<&[BoundChange]> = Vec::with_capacity(width);
+    let mut tightened_buf: Vec<Option<Cow<[BoundChange]>>> = Vec::with_capacity(width);
+    let mut infeasible: Vec<NodeId> = Vec::with_capacity(width);
+    let mut retired: Vec<usize> = Vec::with_capacity(width);
 
     loop {
         // Refill every idle slot from the best-bound frontier — no barrier,
         // no waiting on busier lanes.
-        let mut pending: Vec<(usize, NodeId)> = Vec::new();
         for slot in 0..width {
             if in_flight[slot].is_some() || nodes >= node_limit {
                 continue;
@@ -307,33 +315,35 @@ pub(crate) fn run_wave<L: LaneSet>(
             let Some(id) = tree.best() else { break };
             tree.begin_evaluation(id);
             nodes += 1;
-            pending.push((slot, id));
+            let warm = std::mem::take(&mut tree.data_mut(id).warm);
+            pending.push((slot, id, warm));
         }
 
         // Batched domain propagation across the whole refill batch: every
         // lane's box tightens in one fused `prop.*` kernel-trio sequence;
         // boxes that propagate to a contradiction settle without spending a
         // lane (or any LP work) on them.
-        let batch: Vec<&[BoundChange]> = pending
-            .iter()
-            .map(|&(_, id)| tree.node(id).data.bounds.as_slice())
-            .collect();
-        let tightened: Vec<Option<Vec<BoundChange>>> = hook
-            .tighten(&batch)
-            .into_iter()
-            .map(|b| b.map(Cow::into_owned))
-            .collect();
-        let mut settled_by_prop = 0usize;
-        for ((slot, id), bounds) in pending.into_iter().zip(tightened) {
+        let mut batch = reuse(std::mem::take(&mut batch_buf));
+        batch.extend(
+            pending
+                .iter()
+                .map(|&(_, id, _)| tree.node(id).data.bounds.as_slice()),
+        );
+        let mut tightened = reuse(std::mem::take(&mut tightened_buf));
+        hook.tighten(&batch, &mut tightened);
+        for ((slot, id, warm), bounds) in pending.drain(..).zip(tightened.drain(..)) {
             let Some(bounds) = bounds else {
-                tree.settle(id, NodeState::Infeasible, f64::NEG_INFINITY);
-                settled_by_prop += 1;
+                infeasible.push(id);
                 continue;
             };
-            let warm = std::mem::take(&mut tree.data_mut(id).warm);
             let refill = std::mem::replace(&mut filled_once[slot], true);
             lanes.load(slot, id, &bounds, warm, refill)?;
             in_flight[slot] = Some(id);
+        }
+        (batch_buf, tightened_buf) = (reuse(batch), reuse(tightened));
+        let settled_by_prop = infeasible.len();
+        for id in infeasible.drain(..) {
+            tree.settle(id, NodeState::Infeasible, f64::NEG_INFINITY);
         }
 
         if !lanes.busy() {
@@ -347,7 +357,8 @@ pub(crate) fn run_wave<L: LaneSet>(
 
         // Advance the wave until at least one lane retires, then settle the
         // retired nodes; busy lanes stay in flight.
-        for slot in lanes.run_to_retire() {
+        lanes.run_to_retire(&mut retired);
+        for slot in retired.drain(..) {
             let id = in_flight[slot].take().expect("retired slot was in flight");
             let (mut sol, warm) = lanes.retire(slot, &tree.node(id).data.bounds)?;
             // A lane's safe bound is judged like an exact one: it never
@@ -420,6 +431,15 @@ pub(crate) fn run_wave<L: LaneSet>(
     })
 }
 
+/// Empties `buf` and hands its allocation back for items of another type of
+/// the same layout — here, borrows of the tree under a new lifetime, so a
+/// pass's buffers keep their capacity without keeping the tree borrowed
+/// between passes (an emptied `Vec` collects in place).
+fn reuse<T, U>(mut buf: Vec<T>) -> Vec<U> {
+    buf.clear();
+    buf.into_iter().map(|_| unreachable!("emptied")).collect()
+}
+
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -467,8 +487,9 @@ pub(crate) mod tests {
 
     /// From sixty-four lanes on a tree wide enough to fill them: a
     /// per-lane node LP is one chain (a launch per pivot, one read-back),
-    /// and the wave pays one launch per kernel class per superstep, so it
-    /// saves launches and time only once enough lanes share each of its own.
+    /// and the wave pays one launch per superstep, of the class the most
+    /// lanes wait on, so it saves launches and time once enough lanes share
+    /// each of its own.
     #[test]
     fn fewer_launches_and_ns_than_per_lane_concurrent() {
         let m = knapsack(20, 0.5, 21);
@@ -695,9 +716,9 @@ pub(crate) mod tests {
 
     /// A lane keeps the device engine's install record, so only an
     /// install with no record behind it — a lane's first — crosses the
-    /// link; every warm install rides its kernel's arguments. The lanes'
-    /// journals keep their length (a 0-byte upload takes its step), so the
-    /// supersteps, launches and read-backs are what whole uploads gave.
+    /// link; every warm install rides its kernel's arguments and journals
+    /// no transfer. The replay fuses lanes by state, so a superstep is at
+    /// most one launch.
     #[test]
     fn a_wave_uploads_only_first_installs() {
         use gmip_problems::generators::bin_packing;
@@ -716,7 +737,7 @@ pub(crate) mod tests {
         );
         assert_eq!(
             (r.supersteps, d.kernel_launches, d.d2h_transfers),
-            (788, 2754, 243)
+            (1104, 1098, 66)
         );
     }
 

@@ -1141,14 +1141,19 @@ fn record_follows_the_device<M: Storage>(
     Ok(())
 }
 
-/// What the install at the head of `ops` journaled as its upload: `Some`
-/// of its bytes if `ops` starts with an install.
+/// What the install at the head of `ops` uploaded: `Some` of its bytes if
+/// `ops` starts with an install — the H2D transfer ahead of its `Factor`
+/// kernel, or 0 when its delta rides the kernel and it journals none.
 fn journaled_upload(ops: &[WaveOp]) -> Option<usize> {
     match ops {
         [WaveOp::Transfer { bytes, h2d: true }, WaveOp::Kernel {
             class: WaveClass::Factor,
             ..
         }, ..] => Some(*bytes),
+        [WaveOp::Kernel {
+            class: WaveClass::Factor,
+            ..
+        }, ..] => Some(0),
         _ => None,
     }
 }
@@ -1156,7 +1161,7 @@ fn journaled_upload(ops: &[WaveOp]) -> Option<usize> {
 /// Runs `steps` on a dense device engine and a [`RecordingEngine`] twin,
 /// call for call. After each step the twin's record is the device
 /// engine's, held or not, entry for entry; a re-install right after a
-/// solve journals an upload of 0 bytes, where the device ships nothing; and
+/// solve journals no upload, where the device ships nothing; and
 /// the first install after a cut journals the whole upload.
 fn journal_follows_the_device(rows: &[Vec<f64>], steps: &[Step]) -> Result<(), TestCaseError> {
     let (a, mut lp, n) = record_lp(rows);

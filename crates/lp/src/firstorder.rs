@@ -1,7 +1,8 @@
 //! The batched first-order node-LP engine: restarted PDHG waves.
 //!
 //! Where the simplex wave ([`crate::wave`]) replays per-lane pivot journals
-//! whose kernel classes desynchronize as lanes progress, a first-order lane
+//! whose kernel classes drift apart as lanes progress (so each superstep
+//! advances only the lanes on one class), a first-order lane
 //! has exactly one iteration shape — two SpMVs against the one shared
 //! device-resident CSR matrix plus vector axpy/projection work — so *every*
 //! active lane is always on the same kernel class. A superstep is **one

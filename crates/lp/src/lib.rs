@@ -20,8 +20,9 @@
 //! * [`dual`] — the dual simplex driver used for warm re-solves after
 //!   branching bound changes and cut rounds (Sections 5.2, 5.3);
 //! * [`wave`] — the batched wave evaluator: host-journaled node LPs
-//!   replayed in lockstep with one fused launch per kernel class per
-//!   superstep on a shared device-resident matrix (Sections 4.3, 5.5);
+//!   replayed fused by lane state, one fused launch per superstep of the
+//!   kernel class the most lanes wait on, on a shared device-resident
+//!   matrix (Sections 4.3, 5.5);
 //! * [`solver`] — the [`solver::LpSolver`] facade tying it together.
 
 #![warn(missing_docs)]

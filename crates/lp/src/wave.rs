@@ -1,4 +1,5 @@
-//! The batched wave evaluator — Section 5.5's lockstep node-LP batching.
+//! The batched wave evaluator — Section 5.5's node-LP batching, fused by
+//! the state each lane is in.
 //!
 //! "In modern GPUs, the memory capacity has increased sufficiently to
 //! consider housing and solving multiple branch-and-cut nodes concurrently
@@ -17,11 +18,14 @@
 //!   (per-lane state is a small reservation), so the wave width is bounded
 //!   by `batch ≈ device_mem / matrix_mem` ([`wave_width`]) instead of
 //!   `device_mem / (lanes × matrix_mem)`;
-//! * **one fused batched launch per kernel class per superstep**
-//!   ([`gmip_gpu::GpuDevice::batched_wave_kernel`]): every active lane
-//!   contributes
-//!   its instance of the class (BTRAN, FTRAN, pricing scan, ratio
-//!   reduction, pivot update) and the batch pays a single launch latency;
+//! * **one fused batched launch per superstep**, of the kernel class the
+//!   most lanes wait on ([`gmip_gpu::GpuDevice::batched_wave_kernel`]):
+//!   every lane whose next op is of that class (BTRAN, FTRAN, pricing scan,
+//!   ratio reduction, pivot update) contributes its instance and the batch
+//!   pays a single launch latency, while lanes on other classes wait for a
+//!   step that fuses theirs — lanes drift apart as their node LPs differ,
+//!   and advancing every lane by one op would launch once per class any
+//!   lane is on;
 //! * **one staged link crossing per direction per superstep**: the lanes'
 //!   install uploads and solution read-backs of a step are packed into one
 //!   H2D and one D2H transfer of their summed bytes, so the link latency —
@@ -47,8 +51,10 @@
 //! its journal, its state reservation and its install record, which
 //! [`BatchedWaveEngine::journal_node`] lends the planner for the lane's
 //! plan. The wave engine then
-//! replays those journals in lockstep against the simulated device, which
-//! is where the simulated-ns clock and the kernel/transfer ledger accrue.
+//! replays those journals, fused by state, against the simulated device,
+//! which is where the simulated-ns clock and the kernel/transfer ledger
+//! accrue; the schedule decides only the superstep an op runs in, never
+//! what a lane computes.
 //! Identical pivot paths are the repository's standing engine-equivalence
 //! property, so the batched strategy reproduces host objectives bit-for-bit
 //! while the *platform* cost model changes underneath.
@@ -65,8 +71,8 @@ use gmip_linalg::DenseMatrix;
 use gmip_trace::{names, MetricsRegistry};
 use std::collections::VecDeque;
 
-/// The kernel classes a wave superstep can fuse. Each class maps to one
-/// fused batched launch when at least one lane's next op belongs to it.
+/// The kernel classes a wave superstep can fuse. A superstep launches one
+/// of them: the class the most lanes' next ops belong to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum WaveClass {
     /// Basis gather + LU/eta factorization (install, refactorization).
@@ -85,8 +91,9 @@ pub enum WaveClass {
     Gather,
 }
 
-/// Deterministic fusion order within a superstep: the declaration order of
-/// [`WaveClass`], so `class as usize` indexes it.
+/// Deterministic tie order between classes that equally many lanes wait
+/// on: the declaration order of [`WaveClass`], so `class as usize` indexes
+/// it.
 const CLASS_ORDER: [WaveClass; 7] = [
     WaveClass::Factor,
     WaveClass::Ftran,
@@ -145,13 +152,12 @@ pub enum WaveOp {
 /// `Factor` op here); a primal select (`price → ftran_column →
 /// ratio_test`) is one launch there and four ops here (`Btran`, `Pricing`,
 /// `Ftran`, `Ratio`). The journal is cut by class because a class is
-/// what fuses *across lanes*: in a superstep every lane's `Btran` instance
-/// joins one batched launch, every `Pricing` instance the next, and a
-/// chain of different kernels has no such batched form. So a narrow wave
-/// launches *more* than a device engine — a pivot is two chains there and
-/// one launch per class it touches here — and the saving starts where
-/// enough lanes share each launch (E4-C: level at four lanes, 1.5× fewer
-/// at eight).
+/// what fuses *across lanes*: a superstep joins the instances of every lane
+/// waiting on one class into one batched launch, and a chain of different
+/// kernels has no such batched form. So a narrow wave launches *more* than
+/// a device engine — a pivot is two chains there and one launch per class
+/// it touches here — and the saving starts where enough lanes share each
+/// launch (E4-C: 2× more at four lanes, 1.3× fewer at sixteen).
 ///
 /// What crosses the link, journal against device engine:
 ///
@@ -163,9 +169,8 @@ pub enum WaveOp {
 ///   the install: both engines keep the same install record, make the same
 ///   upload-or-delta decision and ship the same upload, the record's nine
 ///   vectors (`8(5n + 4m)` bytes, `InstallRecord::bytes`). A delta rides
-///   the `Factor` kernel as arguments on both, and the journal still books
-///   its `Transfer` op, of 0 bytes: the op is a step of the lane's phase,
-///   and dropping it would shift every later superstep's fusion;
+///   the `Factor` kernel as arguments on both, and the journal books no
+///   `Transfer` for it;
 /// * **modelled differently** — scalars coming *back*. The device engine
 ///   stages them: a pivot's select is one launch chain whose reductions
 ///   (pricing, both ratio tests, the infeasibility argmax) leave their
@@ -267,13 +272,14 @@ impl SimplexEngine for RecordingEngine {
     fn install(&mut self, view: ProblemView<'_>, basis: &Basis) -> LpResult<()> {
         let (m, n) = (self.inner.m(), self.inner.n());
         // The DeviceEngine install leg: the record's nine vectors in one
-        // staged upload — or, when the record makes their change fit one
-        // launch's arguments, as arguments of the Factor kernel, an upload
-        // of 0 bytes that keeps the lane's phase — then residual + basis
-        // gather + factorization + the initial FTRAN.
+        // staged upload — or nothing, when the record makes their change
+        // fit one launch's arguments and it rides the Factor kernel — then
+        // residual + basis gather + factorization + the initial FTRAN.
         let fits = view.check(basis, m, n).is_ok()
             && self.record.take(view, basis, |_, _, _| {}) == Ok(true);
-        self.transfer(if fits { 0 } else { self.record.bytes() }, true);
+        if !fits {
+            self.transfer(self.record.bytes(), true);
+        }
         self.kernel(
             WaveClass::Factor,
             flops::gemv(m, n) + flops::lu(m) + flops::lu_solve(m),
@@ -424,11 +430,11 @@ pub fn wave_width(
     requested.max(1).min(fit.max(1))
 }
 
-/// The lockstep replayer: owns the shared device matrix and what each lane
-/// holds — its journal, its state reservation, its install record; every
-/// superstep issues at most one fused launch per
-/// [`WaveClass`] present across the active lanes and crosses the link at
-/// most once in each direction, and nothing else crosses it.
+/// The state-fused replayer: owns the shared device matrix and what each
+/// lane holds — its journal, its state reservation, its install record;
+/// every superstep issues at most one fused launch, of the [`WaveClass`]
+/// the most busy lanes wait on, and crosses the link at most once in each
+/// direction, and nothing else crosses it.
 #[derive(Debug)]
 pub struct BatchedWaveEngine {
     accel: Accel,
@@ -442,9 +448,9 @@ pub struct BatchedWaveEngine {
     records: Vec<InstallRecord>,
     metrics: MetricsRegistry,
     /// Superstep scratch, sized for the full width once: the `(flops,
-    /// bytes)` instances of each class in lane order, and the slots that
-    /// retired.
-    class_lanes: [Vec<(f64, f64)>; CLASS_ORDER.len()],
+    /// bytes)` instances of the fused class in lane order, and the slots
+    /// that retired.
+    fused: Vec<(f64, f64)>,
     retired: Vec<usize>,
 }
 
@@ -476,7 +482,7 @@ impl BatchedWaveEngine {
             logs: (0..width).map(|_| VecDeque::new()).collect(),
             records: (0..width).map(|_| InstallRecord::default()).collect(),
             metrics,
-            class_lanes: std::array::from_fn(|_| Vec::with_capacity(width)),
+            fused: Vec::with_capacity(width),
             retired: Vec::with_capacity(width),
         })
     }
@@ -515,7 +521,7 @@ impl BatchedWaveEngine {
     /// every driver shares: the host planner `lp` takes the reference pivot
     /// path from `warm` (a parent basis of the right shape, else a cold
     /// start) while its engine journals the device kernels, and the journal
-    /// is loaded for lockstep replay; the lane's install record is lent to
+    /// is loaded for replay; the lane's install record is lent to
     /// the planner for the plan. The warm basis crosses the link in the
     /// journal's install upload, in a superstep, and nowhere else. Returns
     /// what the lane delivers once it retires.
@@ -547,49 +553,57 @@ impl BatchedWaveEngine {
         self.metrics.incr(names::WAVE_REFILLS, 1.0);
     }
 
-    /// Executes one lockstep superstep: every busy lane advances by exactly
-    /// one journaled op. Same-class kernels fuse into one batched launch;
-    /// the lanes' transfers are staged into one H2D and one D2H crossing of
-    /// their summed bytes, charged ahead of the launches. Returns the slots
-    /// that retired (journal exhausted) at this step's boundary — the
+    /// Executes one state-fused superstep. A lane whose next op is a
+    /// transfer advances by it: the step's transfers are staged into one
+    /// H2D and one D2H crossing of their summed bytes, charged ahead of the
+    /// launch. Of the lanes whose next op is a kernel, only those on the
+    /// class the most lanes wait on advance (ties go to [`CLASS_ORDER`]),
+    /// and their instances fuse into one batched launch; the others keep
+    /// their op for a later step. So a step is at most one launch and, with
+    /// any lane busy, moves at least one lane. Returns the slots that
+    /// retired (journal exhausted) at this step's boundary — the
     /// stream-event moment the driver refills them, with no device-wide
     /// barrier. Allocates nothing.
     pub fn superstep(&mut self) -> &[usize] {
         self.retired.clear();
-        for lanes in &mut self.class_lanes {
-            lanes.clear();
+        self.fused.clear();
+        let mut waiting = [0usize; CLASS_ORDER.len()];
+        let mut busy = false;
+        for op in self.logs.iter().filter_map(VecDeque::front) {
+            busy = true;
+            if let WaveOp::Kernel { class, .. } = *op {
+                waiting[class as usize] += 1;
+            }
         }
+        if !busy {
+            return &self.retired;
+        }
+        // The first class with the most waiting lanes; `None` when every
+        // busy lane is on a transfer.
+        let most = waiting.into_iter().max().unwrap_or(0);
+        let launch = CLASS_ORDER
+            .into_iter()
+            .find(|&c| most > 0 && waiting[c as usize] == most);
         // Staged link traffic of this step, per direction: `None` until a
         // lane transfers bytes that way.
         let (mut h2d, mut d2h) = (None::<usize>, None::<usize>);
-        let mut popped = false;
         for (slot, log) in self.logs.iter_mut().enumerate() {
-            let Some(op) = log.pop_front() else {
+            let Some(&op) = log.front() else {
                 continue;
             };
-            popped = true;
             match op {
-                WaveOp::Kernel {
-                    class,
-                    flops,
-                    bytes,
-                } => self.class_lanes[class as usize].push((flops, bytes)),
-                // An install whose change rides its kernel's arguments
-                // crosses nothing; it still takes the lane's step.
-                WaveOp::Transfer { bytes: 0, .. } => {}
+                WaveOp::Kernel { class, .. } if Some(class) != launch => continue,
+                WaveOp::Kernel { flops, bytes, .. } => self.fused.push((flops, bytes)),
                 WaveOp::Transfer { bytes, h2d: up } => {
                     let staged = if up { &mut h2d } else { &mut d2h };
                     *staged.get_or_insert(0) += bytes;
                 }
             }
+            log.pop_front();
             if log.is_empty() {
                 self.retired.push(slot);
             }
         }
-        if !popped {
-            return &self.retired;
-        }
-        let fused = self.class_lanes.iter().filter(|l| !l.is_empty()).count();
         let stream = self.stream;
         self.accel.with(|d| {
             if let Some(bytes) = h2d {
@@ -598,9 +612,8 @@ impl BatchedWaveEngine {
             if let Some(bytes) = d2h {
                 d.charge_transfer(bytes, false, stream);
             }
-            for class in CLASS_ORDER {
-                // `batched_wave_kernel` charges nothing for an empty class.
-                let per_lane = self.class_lanes[class as usize].iter().copied();
+            if let Some(class) = launch {
+                let per_lane = self.fused.iter().copied();
                 d.batched_wave_kernel(class.span_name(), per_lane, false, stream);
             }
             // The retire boundary is a stream event, not a synchronize: the
@@ -608,7 +621,8 @@ impl BatchedWaveEngine {
             let _ = d.record_event(stream);
         });
         self.metrics.incr(names::WAVE_SUPERSTEPS, 1.0);
-        self.metrics.incr(names::WAVE_FUSED_LAUNCHES, fused as f64);
+        let launches = if launch.is_some() { 1.0 } else { 0.0 };
+        self.metrics.incr(names::WAVE_FUSED_LAUNCHES, launches);
         self.metrics
             .incr(names::WAVE_RETIRES, self.retired.len() as f64);
         &self.retired
@@ -704,7 +718,8 @@ mod tests {
                 ((z ^ (z >> 31)) % below as u64) as usize
             };
             let mut bases: Vec<Basis> = Vec::new();
-            let mut uploads = [0usize; 2];
+            // Installs that uploaded, and installs in all.
+            let (mut uploads, mut installs) = (0usize, 0usize);
             for step in 0..80 {
                 let slot = draw(WIDTH);
                 let bounds: Vec<BoundChange> = (0..draw(4))
@@ -730,16 +745,21 @@ mod tests {
                 assert_eq!(format!("{got:?}"), format!("{want:?}"), "{at}");
                 assert_eq!(got_basis, want_basis, "{at}");
                 for op in &got_ops {
-                    if let WaveOp::Transfer { bytes, h2d: true } = *op {
-                        uploads[usize::from(bytes > 0)] += 1;
+                    match *op {
+                        WaveOp::Transfer { h2d: true, .. } => uploads += 1,
+                        WaveOp::Kernel {
+                            class: WaveClass::Factor,
+                            ..
+                        } => installs += 1,
+                        _ => {}
                     }
                 }
                 bases.extend(got_basis);
             }
             // Each lane's first install uploads, and every later one, its
-            // lane's record held, ships its delta.
-            assert_eq!(uploads[1], WIDTH, "{}: {uploads:?}", m.name);
-            assert!(uploads[0] > 100, "{}: {uploads:?}", m.name);
+            // lane's record held, ships its delta and journals no transfer.
+            assert_eq!(uploads, WIDTH, "{}: {installs} installs", m.name);
+            assert!(installs - uploads > 100, "{}: {installs} installs", m.name);
         }
     }
 
@@ -776,52 +796,296 @@ mod tests {
         }
     }
 
+    const FTRAN: WaveOp = WaveOp::Kernel {
+        class: WaveClass::Ftran,
+        flops: 8.0,
+        bytes: 64.0,
+    };
+    const BTRAN: WaveOp = WaveOp::Kernel {
+        class: WaveClass::Btran,
+        flops: 8.0,
+        bytes: 64.0,
+    };
+    const PRICING: WaveOp = WaveOp::Kernel {
+        class: WaveClass::Pricing,
+        flops: 16.0,
+        bytes: 128.0,
+    };
+
     #[test]
     fn a_superstep_stages_its_lanes_transfers() {
         let accel = Accel::gpu(1);
         let mut wave = BatchedWaveEngine::new(accel.clone(), &DenseMatrix::zeros(2, 4), 4).unwrap();
         let up = |bytes| WaveOp::Transfer { bytes, h2d: true };
         let down = |bytes| WaveOp::Transfer { bytes, h2d: false };
-        let ftran = WaveOp::Kernel {
-            class: WaveClass::Ftran,
-            flops: 8.0,
-            bytes: 64.0,
-        };
         wave.load_lane(0, vec![up(80), down(16)]);
-        wave.load_lane(1, vec![up(40), ftran]);
+        wave.load_lane(1, vec![up(40), PRICING, FTRAN]);
         wave.load_lane(2, vec![down(24)]);
-        // An install whose delta rides its kernel: a 0-byte upload.
-        wave.load_lane(3, vec![up(0), ftran, up(0)]);
+        wave.load_lane(3, vec![up(8), FTRAN, PRICING]);
         let before = accel.stats();
         let clock = accel.elapsed_ns();
+        // Every lane is on a transfer: four lane transfers, two crossings,
+        // H2D first, and no launch; the clock moved by exactly the two
+        // charges.
         assert_eq!(wave.superstep(), [2]);
-        // Three lane transfers with bytes, two crossings, H2D first: the
-        // clock moved by exactly the two charges.
         let s = accel.stats();
         assert_eq!(s.h2d_transfers - before.h2d_transfers, 1);
-        assert_eq!(s.h2d_bytes - before.h2d_bytes, 120);
+        assert_eq!(s.h2d_bytes - before.h2d_bytes, 128);
         assert_eq!(s.d2h_transfers - before.d2h_transfers, 1);
         assert_eq!(s.d2h_bytes - before.d2h_bytes, 24);
         assert_eq!(s.kernel_launches, before.kernel_launches);
         let cost = CostModel::gpu_pcie();
         assert_eq!(
             accel.elapsed_ns(),
-            clock + cost.transfer_ns(120) + cost.transfer_ns(24)
+            clock + cost.transfer_ns(128) + cost.transfer_ns(24)
         );
-        assert_eq!(wave.superstep(), [0, 1]);
+        // Lane 0's read-back crosses in the same step as the one launch: one
+        // lane waits on Pricing and one on Ftran, and the tie goes to
+        // `CLASS_ORDER`, so lane 1 keeps its Pricing op.
+        assert_eq!(wave.superstep(), [0]);
         let s = accel.stats();
         assert_eq!(s.h2d_transfers - before.h2d_transfers, 1);
         assert_eq!(s.d2h_transfers - before.d2h_transfers, 2);
         assert_eq!(s.kernel_launches - before.kernel_launches, 1);
-        // Lane 3's last op is its only one this step: a 0-byte upload
-        // crosses nothing and costs nothing, but the step is one.
-        let (s, clock) = (accel.stats(), accel.elapsed_ns());
+        assert_eq!(wave.logs[1].front(), Some(&PRICING));
+        // Both lanes now wait on Pricing: one launch moves both.
         assert_eq!(wave.superstep(), [3]);
-        assert_eq!(accel.stats(), s);
-        assert_eq!(accel.elapsed_ns(), clock);
+        assert_eq!(wave.superstep(), [1]);
         assert!(wave.superstep().is_empty() && !wave.any_busy());
-        assert_eq!(wave.metrics().counter(names::WAVE_SUPERSTEPS), 3.0);
-        assert_eq!(wave.metrics().counter(names::WAVE_FUSED_LAUNCHES), 1.0);
+        assert_eq!(accel.stats().kernel_launches - before.kernel_launches, 3);
+        assert_eq!(wave.metrics().counter(names::WAVE_SUPERSTEPS), 4.0);
+        assert_eq!(wave.metrics().counter(names::WAVE_FUSED_LAUNCHES), 3.0);
+    }
+
+    /// The class the most lanes wait on launches, ahead of a class that
+    /// comes first in `CLASS_ORDER`; the outvoted lane waits a step.
+    #[test]
+    fn the_class_most_lanes_wait_on_launches() {
+        let accel = Accel::gpu(1);
+        let mut wave = BatchedWaveEngine::new(accel.clone(), &DenseMatrix::zeros(2, 4), 3).unwrap();
+        wave.load_lane(0, vec![PRICING]);
+        wave.load_lane(1, vec![FTRAN, BTRAN]);
+        wave.load_lane(2, vec![PRICING]);
+        assert_eq!(wave.superstep(), [0, 2]);
+        assert_eq!(wave.logs[1].len(), 2);
+        assert_eq!(wave.superstep(), [] as [usize; 0]);
+        assert_eq!(wave.superstep(), [1]);
+        assert_eq!(accel.stats().kernel_launches, 3);
+    }
+
+    /// Seeded random journals: kernels of every class with integer flops
+    /// and bytes (so sums are exact in any order), and transfers both ways.
+    fn random_journals(seed: u64, lanes: usize) -> Vec<Vec<WaveOp>> {
+        let mut state = seed;
+        let mut draw = |below: u64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % below
+        };
+        (0..lanes)
+            .map(|_| {
+                (0..1 + draw(40))
+                    .map(|_| match draw(8) {
+                        0 => WaveOp::Transfer {
+                            bytes: 8 * (1 + draw(100)) as usize,
+                            h2d: draw(2) == 0,
+                        },
+                        _ => WaveOp::Kernel {
+                            class: CLASS_ORDER[draw(7) as usize],
+                            flops: (1 + draw(100)) as f64,
+                            bytes: (8 * (1 + draw(100))) as f64,
+                        },
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// What a replay charged, per kernel class `(flops, bytes)`, and the
+    /// slots in the order they retired.
+    #[derive(Debug, PartialEq)]
+    struct Replay {
+        per_class: [(f64, f64); CLASS_ORDER.len()],
+        retired: Vec<usize>,
+        stats: gmip_gpu::DeviceStats,
+    }
+
+    fn wave_for(journals: &[Vec<WaveOp>]) -> (Accel, BatchedWaveEngine) {
+        let accel = Accel::gpu(1);
+        let mut wave =
+            BatchedWaveEngine::new(accel.clone(), &DenseMatrix::zeros(2, 4), journals.len())
+                .unwrap();
+        for (slot, ops) in journals.iter().enumerate() {
+            wave.load_lane(slot, ops.clone());
+        }
+        (accel, wave)
+    }
+
+    /// Replays `journals` superstep by superstep, checking each step: at
+    /// most one launch, of the class the most lanes waited on, whose lanes
+    /// are the only kernel ops that advanced; and at least one lane moved.
+    fn replay_fused(journals: &[Vec<WaveOp>]) -> Replay {
+        let (accel, mut wave) = wave_for(journals);
+        let mut per_class = [(0.0, 0.0); CLASS_ORDER.len()];
+        let mut retired = Vec::new();
+        while wave.any_busy() {
+            let fronts: Vec<Option<WaveOp>> =
+                wave.logs.iter().map(|l| l.front().copied()).collect();
+            let lens: Vec<usize> = wave.logs.iter().map(VecDeque::len).collect();
+            let mut waiting = [0usize; CLASS_ORDER.len()];
+            for op in fronts.iter().flatten() {
+                if let WaveOp::Kernel { class, .. } = *op {
+                    waiting[class as usize] += 1;
+                }
+            }
+            let launches = accel.stats().kernel_launches;
+            retired.extend_from_slice(wave.superstep());
+            let mut moved = 0;
+            let mut launched = None;
+            for (slot, front) in fronts.iter().enumerate() {
+                if wave.logs[slot].len() == lens[slot] {
+                    continue;
+                }
+                moved += 1;
+                if let Some(WaveOp::Kernel {
+                    class,
+                    flops,
+                    bytes,
+                }) = *front
+                {
+                    assert!(launched.is_none_or(|c| c == class), "two classes in a step");
+                    launched = Some(class);
+                    per_class[class as usize].0 += flops;
+                    per_class[class as usize].1 += bytes;
+                }
+            }
+            assert!(moved >= 1, "a step with a busy lane moved none");
+            let launches = accel.stats().kernel_launches - launches;
+            assert_eq!(launches, u64::from(launched.is_some()));
+            if let Some(class) = launched {
+                assert_eq!(waiting[class as usize], *waiting.iter().max().unwrap());
+                let waited = fronts
+                    .iter()
+                    .flatten()
+                    .filter(|op| matches!(op, WaveOp::Kernel { class: c, .. } if *c == class));
+                assert_eq!(waited.count(), waiting[class as usize]);
+            }
+        }
+        assert!(wave.superstep().is_empty());
+        Replay {
+            per_class,
+            retired,
+            stats: accel.stats(),
+        }
+    }
+
+    /// The schedule the wave replaced, as the reference: every busy lane
+    /// advances by one op per step, one launch per class any lane is on.
+    fn replay_lockstep(journals: &[Vec<WaveOp>]) -> Replay {
+        let (accel, mut wave) = wave_for(journals);
+        let mut per_class = [(0.0, 0.0); CLASS_ORDER.len()];
+        let mut retired = Vec::new();
+        while wave.any_busy() {
+            let mut instances: [Vec<(f64, f64)>; 7] = Default::default();
+            let mut staged = [None::<usize>; 2];
+            for (slot, log) in wave.logs.iter_mut().enumerate() {
+                match log.pop_front() {
+                    Some(WaveOp::Kernel {
+                        class,
+                        flops,
+                        bytes,
+                    }) => {
+                        instances[class as usize].push((flops, bytes));
+                        per_class[class as usize].0 += flops;
+                        per_class[class as usize].1 += bytes;
+                    }
+                    Some(WaveOp::Transfer { bytes, h2d }) => {
+                        *staged[usize::from(h2d)].get_or_insert(0) += bytes;
+                    }
+                    None => continue,
+                }
+                if log.is_empty() {
+                    retired.push(slot);
+                }
+            }
+            accel.with(|d| {
+                for (bytes, h2d) in [(staged[1], true), (staged[0], false)] {
+                    if let Some(bytes) = bytes {
+                        d.charge_transfer(bytes, h2d, DEFAULT_STREAM);
+                    }
+                }
+                for class in CLASS_ORDER {
+                    let per_lane = instances[class as usize].iter().copied();
+                    d.batched_wave_kernel(class.span_name(), per_lane, false, DEFAULT_STREAM);
+                }
+            });
+        }
+        Replay {
+            per_class,
+            retired,
+            stats: accel.stats(),
+        }
+    }
+
+    /// A superstep launches at most one kernel class — the one the most
+    /// lanes wait on — and moves at least one lane whenever one is busy
+    /// (`replay_fused` checks both at every step).
+    #[test]
+    fn a_superstep_charges_at_most_one_kernel_class() {
+        for seed in 0..20 {
+            let journals = random_journals(seed, 1 + seed as usize % 9);
+            assert!(
+                replay_fused(&journals).stats.kernel_launches > 0,
+                "seed {seed}"
+            );
+        }
+    }
+
+    /// Replayed under both schedules, the same journals charge the same
+    /// work to every class and cross the same bytes each way, and every
+    /// lane retires under each.
+    #[test]
+    fn both_schedules_charge_the_same_work() {
+        for seed in 0..20 {
+            let journals = random_journals(seed, 2 + seed as usize % 9);
+            let (fused, lockstep) = (replay_fused(&journals), replay_lockstep(&journals));
+            assert_eq!(fused.per_class, lockstep.per_class, "seed {seed}");
+            let (f, l) = (&fused.stats, &lockstep.stats);
+            assert_eq!(f.flops, l.flops, "seed {seed}");
+            assert_eq!((f.h2d_bytes, f.d2h_bytes), (l.h2d_bytes, l.d2h_bytes));
+            for r in [&fused.retired, &lockstep.retired] {
+                let mut slots = r.clone();
+                slots.sort_unstable();
+                assert_eq!(
+                    slots,
+                    (0..journals.len()).collect::<Vec<_>>(),
+                    "seed {seed}"
+                );
+            }
+        }
+    }
+
+    /// Two replays of the same journals are byte-identical: retire order,
+    /// ledger, clock and counters.
+    #[test]
+    fn two_replays_are_byte_identical() {
+        let journals = random_journals(7, 8);
+        let run = || {
+            let (accel, mut wave) = wave_for(&journals);
+            let mut retired = Vec::new();
+            while wave.any_busy() {
+                retired.extend_from_slice(wave.superstep());
+            }
+            let counters: Vec<_> = wave.metrics().counters().collect();
+            format!(
+                "{retired:?} {:?} {:016x} {counters:?}",
+                accel.stats(),
+                accel.elapsed_ns().to_bits()
+            )
+        };
+        assert_eq!(run(), run());
     }
 
     #[test]
@@ -840,6 +1104,9 @@ mod tests {
         assert!(tight < roomy);
     }
 
+    /// Lanes in the same state stay together: four lanes replaying one
+    /// journal fuse every kernel op into one launch, a quarter of the
+    /// launches four per-lane engines would pay at the least.
     #[test]
     fn fused_replay_charges_fewer_launches_than_per_lane() {
         let std = textbook_std();
@@ -871,6 +1138,11 @@ mod tests {
             wave.superstep();
         }
         let launches = accel.stats().kernel_launches as usize;
+        assert_eq!(launches, kernel_ops);
+        assert_eq!(
+            wave.metrics().counter(names::WAVE_SUPERSTEPS),
+            ops.len() as f64
+        );
         // Per-lane engines would pay ≥ one launch per kernel op per lane.
         let per_lane_floor = 4 * kernel_ops;
         assert!(

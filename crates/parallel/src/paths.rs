@@ -49,7 +49,7 @@ pub enum SolvePath {
     /// The Section 5.4 super-solver: dense device, sparse device or host,
     /// chosen from the input.
     Auto,
-    /// The journaled-simplex lockstep wave, this many lanes.
+    /// The journaled-simplex wave, fused by lane state, this many lanes.
     Batched(usize),
     /// One device engine per stream, this many lanes: the waves' baseline.
     PerLane(usize),
@@ -226,7 +226,7 @@ impl fmt::Display for SolvePath {
 impl SolvePath {
     /// The first option `o` sets away from its default that this path does
     /// not read, by its CLI flag (a warm start has none).
-    fn unread_option(self, o: &SolveOptions) -> Option<&'static str> {
+    pub fn unread_option(self, o: &SolveOptions) -> Option<&'static str> {
         use SolvePath::*;
         let d = SolveOptions::default();
         let (m, dm) = (&o.mip, &d.mip);

@@ -132,7 +132,7 @@ impl Worker {
         };
         // Domain propagation before any LP work: infeasible boxes settle
         // with `prop.*` kernel charges only, feasible ones tighten.
-        let Some(bounds) = self.hook.tighten(&[&a.bounds]).pop().flatten() else {
+        let Some(bounds) = self.hook.tighten_one(&a.bounds) else {
             return Ok(report);
         };
         let (mut sol, basis) = self.lp.solve_node(&bounds, a.warm_basis.clone())?;

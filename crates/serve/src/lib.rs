@@ -46,7 +46,9 @@ pub mod traffic;
 pub use check::spot_check;
 pub use fingerprint::{canonicalize, Canonical};
 pub use pool::{PoolEntry, SolutionPool};
-pub use service::{Disposition, JobRecord, JobSpec, ServeConfig, ServeReport, Service, TenantSpec};
+pub use service::{
+    check_options, Disposition, JobRecord, JobSpec, ServeConfig, ServeReport, Service, TenantSpec,
+};
 pub use traffic::{generate, TrafficConfig};
 
 #[cfg(test)]
@@ -253,7 +255,7 @@ mod tests {
 
     /// An option the cluster does not read is refused, not dropped.
     #[test]
-    #[should_panic(expected = "--gap is not read by --strategy cluster:8")]
+    #[should_panic(expected = "--gap is not read by serve")]
     fn an_option_the_cluster_does_not_read_is_refused() {
         let mut cfg = ServeConfig::default();
         cfg.solve.mip.gap_rel = 0.1;

@@ -369,13 +369,22 @@ pub struct Service {
     tenants: Vec<TenantSpec>,
 }
 
+/// `Err` naming the first option of `solve` that serve does not read: every
+/// job runs `cluster:<leased ranks>`, out of `ranks`.
+pub fn check_options(ranks: usize, solve: &SolveOptions) -> Result<(), String> {
+    match SolvePath::Cluster(ranks, None).unread_option(solve) {
+        Some(flag) => Err(format!("{flag} is not read by serve")),
+        None => Ok(()),
+    }
+}
+
 impl Service {
     /// A service over `tenants` with configuration `cfg`. Panics on an
-    /// option of `cfg.solve` the cluster does not read.
+    /// option of `cfg.solve` serve does not read ([`check_options`]).
     pub fn new(cfg: ServeConfig, tenants: Vec<TenantSpec>) -> Self {
         assert!(cfg.ranks >= 1, "service needs at least one rank");
         assert!(!tenants.is_empty(), "service needs at least one tenant");
-        if let Err(e) = SolvePath::Cluster(cfg.ranks, None).check(&cfg.solve) {
+        if let Err(e) = check_options(cfg.ranks, &cfg.solve) {
             panic!("{e}");
         }
         Service { cfg, tenants }

@@ -143,7 +143,8 @@ pub const WAVE_REFILLS: &str = "wave.refills";
 /// Wave width actually used after the device-memory auto-sizing
 /// (`batch ≈ device_mem / matrix_mem`, gauge).
 pub const WAVE_WIDTH: &str = "wave.width";
-/// Fused batched kernel launches (one per kernel class per superstep).
+/// Fused batched kernel launches (at most one per superstep, of the kernel
+/// class the most lanes wait on).
 pub const WAVE_FUSED_LAUNCHES: &str = "wave.fused_launches";
 /// Per-lane kernel operations replayed through fused launches.
 pub const WAVE_LANE_OPS: &str = "wave.lane_ops";

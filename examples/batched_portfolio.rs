@@ -8,7 +8,8 @@
 //!   per lane per pivot;
 //! * **batched wave** ([`gmip::core::solve_batched_wave`]): one shared
 //!   device-resident matrix for every lane and one *fused* batched launch
-//!   per kernel class per lockstep superstep, with finished lanes retiring
+//!   per superstep, of the kernel class the most lanes wait on, with
+//!   finished lanes retiring
 //!   mid-flight and refilling from the best-bound frontier.
 //!
 //! Both reach the same optimum; the ledgers show the batching win ("dozens
@@ -92,7 +93,7 @@ fn main() {
     );
     println!(
         "speedup: {:.1}x in simulated time, {:.1}x fewer kernel launches \
-         (one fused launch per kernel class per superstep)",
+         (one fused launch per superstep)",
         per_lane.makespan_ns / batched.makespan_ns,
         per_lane.device.kernel_launches as f64 / batched.device.kernel_launches as f64
     );

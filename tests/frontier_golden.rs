@@ -70,6 +70,15 @@
 //! nodes, supersteps and launches did not. CHANGES.md and `measurements/`
 //! list every old and new string.
 //!
+//! Both `batched_wave_64` pins were re-recorded at the commit that fuses
+//! the simplex wave's lanes by state (the child of `64a6c9a`: a superstep
+//! launches the one kernel class the most lanes wait on, and a warm install
+//! journals no 0-byte upload). Each lane's pivots, objective and point are
+//! as before; only the superstep an op runs in moved, so supersteps,
+//! launches, makespan and — through the retire order — the plain run's node
+//! count moved (1119 → 1113); the optimum did not.
+//! `measurements/` lists every old and new string.
+//!
 //! The chaos plans pin the hierarchy's recovery paths — `evacuate_group`,
 //! `reassign` and the steal-deny backoff — which no benchmark workload
 //! reaches. The last test is the cost side of the same contract: a frontier
@@ -245,7 +254,7 @@ fn batched_wave_64() {
     let r = solve_batched_wave(&wave_instance(), &plain, gpu()).expect("wave solve");
     assert_eq!(
         wave_pin(&r),
-        "obj=4008000000000000 nodes=1119 supersteps=678 launches=2236 makespan=41731c4d4b60b668"
+        "obj=4008000000000000 nodes=1113 supersteps=855 launches=850 makespan=415c2ef28eca864f"
     );
     let prop = BatchedWaveConfig {
         propagate: true,
@@ -255,7 +264,7 @@ fn batched_wave_64() {
     let r = solve_batched_wave(&wave_instance(), &prop, gpu()).expect("propagating wave solve");
     assert_eq!(
         wave_pin(&r),
-        "obj=4008000000000000 nodes=335 supersteps=372 launches=1278 makespan=41648e8cef70f70b"
+        "obj=4008000000000000 nodes=335 supersteps=467 launches=1137 makespan=4162193c98835507"
     );
 }
 

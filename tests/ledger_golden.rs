@@ -547,9 +547,9 @@ fn dense_and_csr_engines_root_branch_cut() {
 }
 
 /// The link rule on the wave side: sixteen lanes replay the journals of
-/// sixteen different `bin_packing(5)` node LPs in lockstep, and no superstep
-/// crosses the link more than once in each direction, however many lanes
-/// transfer in it.
+/// sixteen different `bin_packing(5)` node LPs, fused by the state they are
+/// in, and no superstep crosses the link more than once in each direction,
+/// however many lanes transfer in it.
 #[test]
 fn a_superstep_crosses_the_link_at_most_once_each_way() {
     let m = bin_packing(5, 1.0, 3);
@@ -593,10 +593,11 @@ fn a_superstep_crosses_the_link_at_most_once_each_way() {
         staged += grew.link[0] + grew.link[1];
         supersteps += 1;
     }
-    // The rule had something to pack: far more lane transfers than crossings.
+    // The rule had something to pack: far more lane transfers than
+    // crossings (19 in 6; a warm install journals no transfer).
     assert!(supersteps > 50 && staged > 0);
     assert!(
-        lane_transfers as u64 >= 4 * staged,
+        lane_transfers as u64 >= 3 * staged,
         "{lane_transfers} lane transfers in {staged} crossings"
     );
 }

@@ -74,6 +74,17 @@
 //! bits, nodes, supersteps, retires, refills, launches and the heuristic and
 //! propagation counters did not. `measurements/` has every old and new
 //! string.
+//!
+//! `batched_wave_propagate_dive` was re-recorded at the commit that fuses
+//! the simplex wave's lanes by state (the child of `64a6c9a`: a superstep
+//! launches the one kernel class the most lanes wait on, and a warm install
+//! journals no 0-byte upload). Each lane's pivots, objective and point are
+//! as before; supersteps, launches, makespan and the first incumbent's time
+//! moved, and on `bin_packing(5)` the retire order let another node deliver
+//! the incumbent: a different point of the same objective (3 bins), so its
+//! point hash moved too. Objective bits, nodes, retires, refills and the
+//! heuristic and propagation counters did not; `measurements/` has
+//! the old and new strings.
 
 use gmip::core::{
     solve_batched_wave, solve_first_order_wave, BatchedWaveConfig, FirstOrderWaveConfig, MipConfig,
@@ -153,8 +164,8 @@ fn batched_wave_propagate_dive() {
     assert_eq!(
         got,
         [
-            "Optimal obj=4008000000000000 nodes=335 supersteps=1076 retires=303 refills=295 launches=4809 makespan=418317ee2800000e first=414a7a14f475adcc x=574a3110292eaa1d heur=1/167 prop=0/4053",
-            "Optimal obj=4034000000000000 nodes=9 supersteps=224 retires=9 refills=4 launches=295 makespan=414317dc68acf139 first=413ad1b4fc962fcd x=308352d4f9fa3add heur=2/4 prop=0/5",
+            "Optimal obj=4008000000000000 nodes=335 supersteps=1237 retires=303 refills=295 launches=3078 makespan=417834a1a4fa5024 first=4149c2794d9cd9d4 x=9b2a3110292eaa1d heur=1/167 prop=0/4053",
+            "Optimal obj=4034000000000000 nodes=9 supersteps=230 retires=9 refills=4 launches=283 makespan=4142353f7c962fcd first=413a73f9851eb855 x=308352d4f9fa3add heur=2/4 prop=0/5",
         ]
     );
 }
