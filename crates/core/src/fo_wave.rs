@@ -41,7 +41,8 @@ pub struct FirstOrderWaveConfig {
     /// Requested wave width (lanes); clamped by device memory next to the
     /// shared CSR matrix.
     pub lanes: usize,
-    /// PDHG tuning (tolerance, restart factor, check cadence).
+    /// PDHG tuning: the convergence tolerance and the per-lane iteration
+    /// cap.
     pub pdhg: PdhgConfig,
     /// Node budget.
     pub node_limit: usize,
@@ -111,7 +112,7 @@ impl LaneSet for PdhgLanes {
     }
 
     fn run_to_retire(&mut self, retired: &mut Vec<usize>) {
-        retired.extend(self.fo.run_to_retire());
+        retired.extend_from_slice(self.fo.run_to_retire());
     }
 
     fn retire(
@@ -321,5 +322,65 @@ mod tests {
         .unwrap();
         assert_eq!(r.status, MipStatus::NodeLimit);
         assert!(r.nodes <= 8);
+    }
+
+    /// A lane retired on its safe bound, or infeasible at load, ships no
+    /// iterates, and its node never branches: `Rules::judge` closes it
+    /// against the incumbent whose cutoff retired it, so the empty warm
+    /// start is never handed to a child.
+    #[test]
+    fn a_lane_that_ships_no_iterates_never_branches() {
+        use crate::search::NodeOutcome;
+        let m = knapsack(13, 0.5, 3);
+        let rules = Rules::new(&m);
+        let std = StandardLp::from_instance(&m, &[]);
+        let host = |a: &gmip_linalg::DenseMatrix| HostEngine::new(a.clone());
+        let root = LpSolver::new(std.clone(), LpConfig::standard(), host)
+            .solve()
+            .unwrap();
+        // An incumbent above the root relaxation dominates every node, and
+        // no lane converges or reaches a cap first.
+        let incumbent = rules.internal(root.objective) + 1.0;
+        let pdhg = PdhgConfig {
+            tol: 0.0,
+            max_iters: usize::MAX,
+        };
+        let fo = FirstOrderWaveEngine::new(Accel::gpu(1), &std, 4, pdhg).unwrap();
+        let cleanup = LpSolver::new(std, LpConfig::standard(), host);
+        let mut lanes = PdhgLanes { fo, cleanup };
+        lanes.set_cutoff(incumbent + rules.prune_tol);
+        let fix = |var, v: f64| BoundChange { var, lb: v, ub: v };
+        let boxes = [
+            vec![],
+            vec![fix(0, 0.0)],
+            vec![fix(1, 1.0)],
+            vec![fix(2, 1e6)],
+        ];
+        for (slot, node) in boxes.iter().enumerate() {
+            lanes.load(slot, slot, node, None, false).unwrap();
+        }
+        let (mut retired, mut outcomes) = (Vec::new(), Vec::new());
+        while lanes.busy() {
+            lanes.run_to_retire(&mut retired);
+            for slot in retired.drain(..) {
+                let (mut sol, warm) = lanes.retire(slot, &boxes[slot]).unwrap();
+                assert_eq!(warm, Some((Vec::new(), Vec::new())), "slot {slot}");
+                let judged = rules.judge(&mut sol, incumbent).unwrap();
+                assert!(
+                    matches!(judged, NodeOutcome::Pruned { .. } | NodeOutcome::Infeasible),
+                    "slot {slot}: {judged:?}"
+                );
+                outcomes.push(judged);
+            }
+        }
+        assert_eq!(outcomes.len(), boxes.len());
+        assert_eq!(
+            outcomes[0],
+            NodeOutcome::Infeasible,
+            "the dead box retires first"
+        );
+        let c = lanes.fo.metrics();
+        assert_eq!(c.counter(names::FO_BOUND_PRUNED), 3.0);
+        assert_eq!(c.counter(names::FO_INFEASIBLE), 1.0);
     }
 }

@@ -8,13 +8,16 @@
 //! active lane is always on the same kernel class. A superstep is **one
 //! batched kernel** over all lanes ([`gmip_gpu::Accelerator::fo_step`]),
 //! charged to the simulator as the three fused launches it stands for
-//! (`fo.spmv_t`, `fo.axpy`, `fo.spmv`), four on KKT-check steps
-//! (`fo.norm`). No factorization state exists at all: per-lane memory is a
-//! handful of vectors, which is what lets the wave scale to hundreds of
-//! lanes ("Batched First-Order Methods for Parallel LP Solving in MIP").
+//! (`fo.spmv_t`, `fo.axpy`, `fo.spmv`), four on the wave's KKT-check
+//! ticks (`fo.norm`, every busy lane at once). No factorization state
+//! exists at all: per-lane memory is a handful of vectors, which is what
+//! lets the wave scale to hundreds of lanes ("Batched First-Order Methods
+//! for Parallel LP Solving in MIP").
 //! Like the simplex wave, a superstep crosses the link at most once each
 //! way: the lanes loaded since the last superstep cross as its one H2D, the
-//! reports of the lanes that retire in it as its one D2H.
+//! reports of the lanes that retire in it as its one D2H (a lane retired on
+//! its safe bound or infeasible reports its outcome and bound only: nothing
+//! reads the iterates of a node that cannot branch).
 //!
 //! # The arena
 //!
@@ -70,10 +73,14 @@
 //! with `η = 1/‖A‖_F` (the Frobenius norm upper-bounds the spectral norm,
 //! so `τσ‖A‖₂² ≤ 1` holds unconditionally and deterministically) and a
 //! per-lane primal weight `ω` adapted at restarts from the observed
-//! primal/dual movement ratio. Every `CHECK_EVERY` iterations the lane
-//! evaluates its **running average** iterate: if the KKT merit decayed by
-//! `RESTART_BETA` since the last restart the lane restarts *to* the
-//! average (Halpern-style, the PDLP recipe).
+//! primal/dual movement ratio. The wave keeps one tick, its count of
+//! supersteps that stepped lanes; on every `CHECK_EVERY`-th tick each busy
+//! lane evaluates its **running average** iterate (so a lane's first check
+//! comes 1–`CHECK_EVERY` iterations after its load): if the KKT merit
+//! decayed by `RESTART_BETA` since the last restart the lane restarts *to*
+//! the average (Halpern-style, the PDLP recipe). Checking every lane on the
+//! same tick keeps the fourth launch to one superstep in `CHECK_EVERY`,
+//! whenever the lanes were loaded.
 //!
 //! First-order iterates are inexact, so per-node bounds are stated
 //! **safely**: [`safe_dual_bound`] clamps the dual sign on inequality-slack
@@ -111,8 +118,11 @@ pub struct PdhgConfig {
     /// first-order pass only needs to get *close* and to state safe
     /// bounds).
     pub tol: f64,
-    /// Per-lane iteration cap; capped lanes retire as
-    /// [`FoOutcome::IterLimit`] and cleanup decides the node.
+    /// Per-lane iteration cap, never exceeded: a lane retires as
+    /// [`FoOutcome::IterLimit`] at the last check tick within it, and
+    /// cleanup decides the node. A cap below `CHECK_EVERY` checks every
+    /// `max_iters` ticks instead; a lane runs at least one iteration, so a
+    /// cap of 0 acts as 1.
     pub max_iters: usize,
 }
 
@@ -125,8 +135,8 @@ impl Default for PdhgConfig {
     }
 }
 
-/// KKT-check cadence in iterations (each check is one extra fused `fo.norm`
-/// launch for the checking lanes).
+/// KKT-check cadence in ticks of the wave (each check is one extra fused
+/// `fo.norm` launch for every busy lane).
 const CHECK_EVERY: usize = 4;
 
 /// A lane restarts when its average's KKT merit decayed by this factor since
@@ -150,6 +160,15 @@ pub enum FoOutcome {
     IterLimit,
 }
 
+impl FoOutcome {
+    /// Whether the lane's report carries its iterates home. A node retired
+    /// on its bound or infeasible is closed by its outcome and bound alone;
+    /// only a node that may branch reads the `(x, y)` warm start.
+    fn ships_iterates(self) -> bool {
+        matches!(self, FoOutcome::Converged | FoOutcome::IterLimit)
+    }
+}
+
 /// A retired lane's report: outcome, safe bound, and the (averaged)
 /// iterates that warm-start the node's children.
 #[derive(Debug, Clone)]
@@ -166,9 +185,11 @@ pub struct FoLaneReport {
     /// sense; `+∞` until the first finite bound. Never below the node's
     /// true optimum.
     pub safe_bound: f64,
-    /// Final primal iterate (length `n`, the running average at retire).
+    /// Final primal iterate (length `n`, the running average at retire);
+    /// empty for a lane retired [`FoOutcome::BoundPruned`] or
+    /// [`FoOutcome::Infeasible`], whose node never branches.
     pub x: Vec<f64>,
-    /// Final dual iterate (length `m`).
+    /// Final dual iterate (length `m`; empty where `x` is).
     pub y: Vec<f64>,
 }
 
@@ -187,8 +208,6 @@ struct FoLane {
     safe_bound: f64,
     outcome: Option<FoOutcome>,
     reported: bool,
-    /// On a KKT check in the superstep under way (busy lanes only).
-    checking: bool,
 }
 
 /// One arena block's `fo.norm` task: the unit the checks fan out by, and
@@ -392,14 +411,14 @@ struct Checker<'a> {
 }
 
 impl Checker<'_> {
-    /// The `fo.norm` task of arena block `block` (just stepped): for each
-    /// of its lanes on a check, gathers the running average (into the
-    /// block's staging) and the box, and evaluates the KKT quantities.
+    /// The `fo.norm` task of arena block `block` (just stepped, on a check
+    /// tick): for each of its busy lanes, gathers the running average (into
+    /// the block's staging) and the box, and evaluates the KKT quantities.
     fn check_block(&self, block: usize, blk: &FoBlock) {
         let (m, n) = (self.b.len(), self.c.len());
         let first = block * FO_BLOCK;
         let lanes = &self.lanes[first..self.lanes.len().min(first + FO_BLOCK)];
-        if !lanes.iter().flatten().any(|lane| lane.checking) {
+        if !lanes.iter().flatten().any(|lane| lane.outcome.is_none()) {
             return;
         }
         let mut task = self.checks[block].lock().expect(TASK_LOCK);
@@ -414,7 +433,7 @@ impl Checker<'_> {
             aty,
         } = &mut *task;
         for (l, lane) in lanes.iter().enumerate() {
-            let Some(lane) = lane.as_ref().filter(|lane| lane.checking) else {
+            let Some(lane) = lane.as_ref().filter(|lane| lane.outcome.is_none()) else {
                 continue;
             };
             let inv = 1.0 / lane.sum_count.max(1) as f64;
@@ -458,8 +477,8 @@ impl Checker<'_> {
 
 /// The lockstep restarted-PDHG wave: all lanes iterate against one shared
 /// device-resident CSR matrix; each superstep is one PDHG iteration for
-/// every busy lane — one batched kernel, charged as at most four fused
-/// launches.
+/// every busy lane — one batched kernel, charged as three fused launches,
+/// and a fourth (`fo.norm`) on the wave's check ticks.
 #[derive(Debug)]
 pub struct FirstOrderWaveEngine {
     accel: Accel,
@@ -484,6 +503,9 @@ pub struct FirstOrderWaveEngine {
     /// bound drops to or below this retire pruned.
     cutoff: f64,
     cfg: PdhgConfig,
+    /// Supersteps that stepped lanes: every busy lane checks on a multiple
+    /// of [`Self::check_every`], no lane on any other.
+    tick: usize,
     lanes: Vec<Option<FoLane>>,
     arena: FoArena,
     /// One per arena block.
@@ -492,6 +514,8 @@ pub struct FirstOrderWaveEngine {
     /// Bytes the loads since the last superstep staged: the next
     /// superstep's one H2D crossing.
     staged_h2d: usize,
+    /// The slots the last superstep retired.
+    retired: Vec<usize>,
     metrics: MetricsRegistry,
 }
 
@@ -552,11 +576,13 @@ impl FirstOrderWaveEngine {
             b_norm,
             cutoff: f64::NEG_INFINITY,
             cfg,
+            tick: 0,
             lanes: (0..width).map(|_| None).collect(),
             arena: FoArena::new(m, n, width),
             checks,
             lane_state,
             staged_h2d: 0,
+            retired: Vec::with_capacity(width),
             csr,
             metrics,
         })
@@ -611,6 +637,13 @@ impl FirstOrderWaveEngine {
     /// lanes immediately, not just future refills.
     pub fn set_cutoff(&mut self, cutoff: f64) {
         self.cutoff = cutoff;
+    }
+
+    /// Ticks between KKT checks: `CHECK_EVERY`, or `max_iters` below it,
+    /// so that a lane's first check, 1 to this many iterations after its
+    /// load, never lies past its cap.
+    fn check_every(&self) -> usize {
+        self.cfg.max_iters.clamp(1, CHECK_EVERY)
     }
 
     /// Wave counters (`fo.*`).
@@ -748,7 +781,6 @@ impl FirstOrderWaveEngine {
             safe_bound: f64::INFINITY,
             outcome: infeasible.then_some(FoOutcome::Infeasible),
             reported: false,
-            checking: false,
         });
         Ok(())
     }
@@ -756,30 +788,28 @@ impl FirstOrderWaveEngine {
     /// Executes one lockstep superstep: every busy lane advances by one
     /// PDHG iteration in one batched [`gmip_gpu::Accelerator::fo_step`]
     /// (charged as the fused `fo.spmv_t` / `fo.axpy` / `fo.spmv` launches,
-    /// plus `fo.norm` for lanes on a KKT check), then convergence /
-    /// safe-bound-prune / restart decisions fire at the boundary. The
-    /// lanes loaded since the last superstep cross the link as one H2D
-    /// ahead of the dispatch, and the reports of the lanes that retire
-    /// cross as one D2H at the end: a superstep crosses at most once each
-    /// way. Returns the slots that retired (including lanes found
-    /// infeasible at load time). Allocates only that list, and only when a
-    /// lane retires.
-    pub fn superstep(&mut self) -> Vec<usize> {
-        // Lane bookkeeping for the iteration about to run: who is busy,
-        // who lands on a KKT check, who retired at load.
-        let mut retired = Vec::new();
-        let (mut busy, mut checking) = (0usize, 0usize);
+    /// plus `fo.norm` when the wave's tick lands on a KKT check, which every
+    /// busy lane then takes), then convergence / safe-bound-prune / restart
+    /// / cap decisions fire at the boundary. The lanes loaded since the last
+    /// superstep cross the link as one H2D ahead of the dispatch, and the
+    /// reports of the lanes that retire cross as one D2H at the end: a
+    /// superstep crosses at most once each way. Returns the slots that
+    /// retired (including lanes found infeasible at load time), from
+    /// engine-owned scratch: a superstep allocates nothing.
+    pub fn superstep(&mut self) -> &[usize] {
+        // Lane bookkeeping for the iteration about to run: who is busy, who
+        // retired at load.
+        self.retired.clear();
+        let mut busy = 0usize;
         for (slot, lane) in self.lanes.iter_mut().enumerate() {
             let Some(l) = lane else { continue };
             if l.outcome.is_none() {
                 busy += 1;
                 l.sum_count += 1;
                 l.iters += 1;
-                l.checking = l.iters.is_multiple_of(CHECK_EVERY) || l.iters >= self.cfg.max_iters;
-                checking += usize::from(l.checking);
             } else if !l.reported {
                 l.reported = true;
-                retired.push(slot);
+                self.retired.push(slot);
             }
         }
         let stream = self.stream;
@@ -788,14 +818,17 @@ impl FirstOrderWaveEngine {
             self.accel.with(|d| d.charge_transfer(staged, true, stream));
         }
         if busy == 0 {
-            if !retired.is_empty() {
-                self.metrics.incr(names::FO_RETIRES, retired.len() as f64);
+            if !self.retired.is_empty() {
+                self.metrics
+                    .incr(names::FO_RETIRES, self.retired.len() as f64);
                 let _ = self.accel.with(|d| d.record_event(stream));
-                self.ship_reports(retired.len());
+                self.ship_reports();
             }
-            return retired;
+            return &self.retired;
         }
 
+        self.tick += 1;
+        let checking = self.tick.is_multiple_of(self.check_every());
         self.metrics.incr(names::FO_SUPERSTEPS, 1.0);
         self.metrics.incr(names::FO_ITERATIONS, busy as f64);
         let (m, n) = (self.m(), self.n());
@@ -804,9 +837,9 @@ impl FirstOrderWaveEngine {
         // Every busy lane is on the identical kernel class — perfect
         // lockstep: one executing dispatch through the backend, which also
         // applies the class charges and the retire-boundary event. On a
-        // checking superstep the `fo.norm` phase — KKT evaluation of the
-        // running average of each checking lane — rides the same dispatch,
-        // block by block behind the step.
+        // check tick the `fo.norm` phase — KKT evaluation of every busy
+        // lane's running average — rides the same dispatch, block by block
+        // behind the step.
         let checker = Checker {
             lanes: &self.lanes,
             checks: &self.checks,
@@ -816,7 +849,7 @@ impl FirstOrderWaveEngine {
             slack_rows: &self.slack_rows,
         };
         let check = FoCheck {
-            lanes: checking,
+            lanes: busy,
             per_lane: ((4 * (n + m)) as f64, (8 * (n + m)) as f64),
             body: &|block, blk| checker.check_block(block, blk),
         };
@@ -830,53 +863,64 @@ impl FirstOrderWaveEngine {
                 spmv: (flops::spmv(nnz), (16 * nnz + 8 * (m + n)) as f64),
                 axpy: ((6 * n + 4 * m) as f64, (8 * (4 * n + 3 * m)) as f64),
             },
-            (checking > 0).then_some(&check),
+            checking.then_some(&check),
             stream,
         );
 
-        self.metrics.incr(
-            names::FO_FUSED_LAUNCHES,
-            if checking == 0 { 3.0 } else { 4.0 },
-        );
+        self.metrics
+            .incr(names::FO_FUSED_LAUNCHES, if checking { 4.0 } else { 3.0 });
 
         // The retire/restart decisions mutate shared engine state and must
         // stay in ascending slot order, so they are applied sequentially
         // afterwards.
-        if checking > 0 {
+        if checking {
             for slot in 0..self.lanes.len() {
-                if self.lanes[slot].as_ref().is_some_and(|l| l.checking) {
+                if self.lane_busy(slot) {
                     if let Some(outcome) = self.decide_lane(slot) {
                         self.retire_lane(slot, outcome);
-                        retired.push(slot);
+                        self.retired.push(slot);
                     }
                 }
             }
         }
-        if !retired.is_empty() {
-            self.metrics.incr(names::FO_RETIRES, retired.len() as f64);
-            self.ship_reports(retired.len());
+        if !self.retired.is_empty() {
+            self.metrics
+                .incr(names::FO_RETIRES, self.retired.len() as f64);
+            self.ship_reports();
         }
-        retired
+        &self.retired
     }
 
-    /// Charges the one D2H crossing that carries the reported iterates of
-    /// the `lanes` lanes retiring in this superstep.
-    fn ship_reports(&self, lanes: usize) {
-        let bytes = lanes * 8 * (self.n() + self.m());
+    /// Charges the one D2H crossing that carries the reports of the lanes
+    /// retiring in this superstep: a lane that may branch ships its
+    /// iterates, any other its outcome and safe bound (16 B).
+    fn ship_reports(&self) {
+        let row = 8 * (self.n() + self.m());
+        let ships = |slot: usize| {
+            let outcome = self.lanes[slot].as_ref().and_then(|l| l.outcome);
+            outcome.is_some_and(FoOutcome::ships_iterates)
+        };
+        let bytes: usize = self
+            .retired
+            .iter()
+            .map(|&slot| if ships(slot) { row } else { 16 })
+            .sum();
         self.accel
             .with(|d| d.charge_transfer(bytes, false, self.stream));
     }
 
-    /// Retire/restart decision for one checking lane, fed by the KKT
-    /// quantities [`Checker::check_block`] left in its block's task. Returns
-    /// the outcome if the lane retires at this boundary.
+    /// Retire/restart decision for one busy lane on a check tick, fed by
+    /// the KKT quantities [`Checker::check_block`] left in its block's task.
+    /// Returns the outcome if the lane retires at this boundary. A lane
+    /// whose next check would lie past `max_iters` retires at this one.
     fn decide_lane(&mut self, slot: usize) -> Option<FoOutcome> {
         let (m, n) = (self.m(), self.n());
+        let every = self.check_every();
         let (block, l) = (slot / FO_BLOCK, slot % FO_BLOCK);
         let task = self.checks[block].get_mut().expect(TASK_LOCK);
         let chk = task.out[l];
         let lane = self.lanes[slot].as_mut().expect("busy slot occupied");
-        let at_cap = lane.iters >= self.cfg.max_iters;
+        let at_cap = self.cfg.max_iters.saturating_sub(lane.iters) < every;
         lane.safe_bound = lane.safe_bound.min(chk.bound);
 
         // Early safe-bound prune: the wave's structural advantage — the
@@ -940,17 +984,16 @@ impl FirstOrderWaveEngine {
         None
     }
 
-    /// Retires checking lane `slot`. Its running average — the reported
-    /// iterates — already sits in its block's staging, so nothing is
-    /// copied; the arena slot goes inert.
+    /// Retires lane `slot` on a check tick. Its running average — the
+    /// reported iterates — already sits in its block's staging, so nothing
+    /// is copied; the arena slot goes inert.
     fn retire_lane(&mut self, slot: usize, outcome: FoOutcome) {
         let lane = self.lanes[slot].as_mut().expect("busy slot occupied");
-        // A checking lane has iterated since its last restart, so the
+        // A checked lane has iterated since its last restart, so the
         // average exists.
         debug_assert!(lane.sum_count > 0);
         lane.outcome = Some(outcome);
         lane.reported = true;
-        lane.checking = false;
         let (blk, l) = self.arena.lane_mut(slot);
         blk.clear_lane(l);
         let counter = match outcome {
@@ -963,22 +1006,19 @@ impl FirstOrderWaveEngine {
     }
 
     /// Runs supersteps until at least one lane retires (or nothing is
-    /// busy). Returns the retired slots.
-    pub fn run_to_retire(&mut self) -> Vec<usize> {
+    /// busy). Returns the retired slots, as [`Self::superstep`] does.
+    pub fn run_to_retire(&mut self) -> &[usize] {
         loop {
-            let retired = self.superstep();
-            if !retired.is_empty() {
-                return retired;
-            }
-            if !self.any_busy() {
-                return Vec::new();
+            if !self.superstep().is_empty() || !self.any_busy() {
+                return &self.retired;
             }
         }
     }
 
     /// Takes the report of a retired lane, freeing `slot` for a refill.
     /// Charges nothing: the report crossed the link in the D2H of the
-    /// superstep the lane retired in.
+    /// superstep the lane retired in. Allocates the report's `x` and `y`
+    /// only where it ships them ([`FoLaneReport::x`]).
     pub fn take_lane(&mut self, slot: usize) -> LpResult<FoLaneReport> {
         let outcome = match &self.lanes[slot] {
             None => return Err(LpError::Shape(format!("take_lane on empty slot {slot}"))),
@@ -990,20 +1030,29 @@ impl FirstOrderWaveEngine {
         let (m, n) = (self.m(), self.n());
         let (block, l) = (slot / FO_BLOCK, slot % FO_BLOCK);
         let task = self.checks[block].get_mut().expect(TASK_LOCK);
+        let (x, y) = if outcome.ships_iterates() {
+            (
+                task.x[l * n..(l + 1) * n].to_vec(),
+                task.y[l * m..(l + 1) * m].to_vec(),
+            )
+        } else {
+            (Vec::new(), Vec::new())
+        };
         Ok(FoLaneReport {
             token: lane.token,
             outcome,
             iterations: lane.iters,
             restarts: lane.restarts,
             safe_bound: lane.safe_bound,
-            x: task.x[l * n..(l + 1) * n].to_vec(),
-            y: task.y[l * m..(l + 1) * m].to_vec(),
+            x,
+            y,
         })
     }
 
     /// Collects retired lane `slot` as an LP outcome a tree can act on —
     /// the PDHG-plus-cleanup evaluator every driver shares — next to the
-    /// lane's report (its averaged iterates warm-start the children). A lane
+    /// lane's report (a converged or capped lane's averaged iterates
+    /// warm-start the children). A lane
     /// that proved its box infeasible at load is `Infeasible`. A lane that
     /// retired on its safe bound is `Optimal` with that bound as objective
     /// and **no point**: the cutoff dominates it, so the prune rule retires
@@ -1209,7 +1258,7 @@ mod tests {
         assert!(fo.load_lane(0, 12, &[], None).is_err());
         let mut taken = 0;
         while fo.any_busy() || (0..fo.width()).any(|s| !fo.lane_idle(s)) {
-            for slot in fo.run_to_retire() {
+            for slot in fo.run_to_retire().to_vec() {
                 let r = fo.take_lane(slot).unwrap();
                 taken += 1;
                 // Refill once with a warm start from the retired lane.
@@ -1385,7 +1434,7 @@ mod tests {
         fo.load_lane(2, 2, &[], None).unwrap();
         let mut refilled = false;
         while (0..3).any(|s| !fo.lane_idle(s)) {
-            for slot in fo.run_to_retire() {
+            for slot in fo.run_to_retire().to_vec() {
                 let r = fo.take_lane(slot).unwrap();
                 assert!(r.x.iter().chain(&r.y).all(|e| e.is_finite()));
                 if slot == 2 && !refilled {
@@ -1459,7 +1508,8 @@ mod tests {
     /// The link rule on the first-order side: loads cross nothing until the
     /// next superstep, which makes one H2D of their summed bytes ahead of
     /// the dispatch; a superstep in which several lanes retire makes one D2H
-    /// of all their reports; collecting a lane crosses nothing.
+    /// of all their reports (a lane infeasible at load ships its outcome and
+    /// bound, 16 B); collecting a lane crosses nothing.
     #[test]
     fn a_superstep_stages_the_loads_and_reports_of_its_lanes() {
         let std = StandardLp::from_instance(&textbook_mip(), &[]);
@@ -1494,7 +1544,7 @@ mod tests {
         assert_eq!(s1.h2d_transfers - s0.h2d_transfers, 1);
         assert_eq!(s1.h2d_bytes - s0.h2d_bytes, 5 * cold + row);
         assert_eq!(s1.d2h_transfers - s0.d2h_transfers, 1);
-        assert_eq!(s1.d2h_bytes - s0.d2h_bytes, row);
+        assert_eq!(s1.d2h_bytes - s0.d2h_bytes, 16);
 
         let mut together = Vec::new();
         while fo.any_busy() {
@@ -1506,7 +1556,7 @@ mod tests {
             assert_eq!(t.d2h_transfers - s.d2h_transfers, k.min(1));
             assert_eq!(t.d2h_bytes - s.d2h_bytes, k * row);
             if retired.len() >= 2 {
-                together = retired;
+                together = retired.to_vec();
             }
         }
         assert_eq!(together, [0, 1, 2], "identical lanes retire together");
@@ -1542,5 +1592,119 @@ mod tests {
         let s = accel.stats();
         assert_eq!(s.h2d_transfers - before.h2d_transfers, 1);
         assert_eq!(s.h2d_bytes - before.h2d_bytes, (2 * 16 * n) as u64);
+    }
+
+    /// Drives a `width`-lane wave over `knapsack(12)` whose lanes join at
+    /// different supersteps — lane `k` ahead of the `k + 1`-th — and refills
+    /// every retired slot until `loads` nodes ran, each a different child
+    /// box. Returns the reports, the `fo.*` counters and, per superstep that
+    /// stepped lanes, its busy lanes and the lanes its `fo.norm` charge
+    /// covers (read off the device's flop counter).
+    fn staggered_wave(
+        cfg: PdhgConfig,
+        width: usize,
+        loads: usize,
+    ) -> (Vec<FoLaneReport>, MetricsRegistry, Vec<(usize, usize)>) {
+        use gmip_problems::generators::knapsack;
+        let std = StandardLp::from_instance(&knapsack(12, 0.5, 3), &[]);
+        let accel = Accel::gpu(1);
+        let mut fo = FirstOrderWaveEngine::new(accel.clone(), &std, width, cfg).unwrap();
+        let (m, n) = (fo.m(), fo.n());
+        let step = 2.0 * flops::spmv(fo.csr.nnz()) + (6 * n + 4 * m) as f64;
+        let norm = (4 * (n + m)) as f64;
+        let load = |fo: &mut FirstOrderWaveEngine, slot: usize, k: usize| {
+            let child = BoundChange {
+                var: k % std.n_structural,
+                lb: 0.0,
+                ub: (k % 2) as f64,
+            };
+            fo.load_lane(slot, k as u64, &[child], None).unwrap();
+        };
+        let (mut joined, mut loaded) = (0, 0);
+        let (mut reports, mut steps) = (Vec::new(), Vec::new());
+        loop {
+            if joined < width && loaded < loads {
+                load(&mut fo, joined, loaded);
+                (joined, loaded) = (joined + 1, loaded + 1);
+            }
+            let busy = (0..width).filter(|&s| fo.lane_busy(s)).count();
+            let before = accel.stats().flops;
+            let retired = fo.superstep().to_vec();
+            let spent = accel.stats().flops - before;
+            if busy > 0 {
+                let checked = (spent - busy as f64 * step) / norm;
+                assert_eq!(checked.fract(), 0.0, "a whole number of checks");
+                steps.push((busy, checked as usize));
+            }
+            for slot in retired {
+                reports.push(fo.take_lane(slot).unwrap());
+                if loaded < loads {
+                    load(&mut fo, slot, loaded);
+                    loaded += 1;
+                }
+            }
+            if loaded == loads && (0..width).all(|s| fo.lane_idle(s)) {
+                return (reports, fo.take_metrics(), steps);
+            }
+        }
+    }
+
+    /// `fo.fused_launches ≤ 3·fo.supersteps + ⌈fo.supersteps / every⌉`.
+    fn launches_within_the_tick_bound(metrics: &MetricsRegistry, every: usize) {
+        let steps = metrics.counter(names::FO_SUPERSTEPS) as usize;
+        let launches = metrics.counter(names::FO_FUSED_LAUNCHES) as usize;
+        assert!(
+            launches <= 3 * steps + steps.div_ceil(every),
+            "{launches} launches in {steps} supersteps"
+        );
+    }
+
+    /// Lanes that joined at different supersteps still check together: a
+    /// superstep checks every busy lane when the wave's tick is a multiple
+    /// of `CHECK_EVERY` and none otherwise, so `fo.norm` launches once every
+    /// `CHECK_EVERY` supersteps.
+    #[test]
+    fn every_superstep_checks_all_busy_lanes_or_none() {
+        let (reports, metrics, steps) = staggered_wave(PdhgConfig::default(), 6, 24);
+        assert_eq!(reports.len(), 24);
+        assert!(steps.len() > 4 * CHECK_EVERY);
+        for (k, &(busy, checked)) in steps.iter().enumerate() {
+            let tick = k + 1;
+            let expected = if tick.is_multiple_of(CHECK_EVERY) {
+                busy
+            } else {
+                0
+            };
+            assert_eq!(checked, expected, "tick {tick}: {busy} busy lanes");
+        }
+        assert_eq!(metrics.counter(names::FO_SUPERSTEPS) as usize, steps.len());
+        launches_within_the_tick_bound(&metrics, CHECK_EVERY);
+    }
+
+    /// The cap is held on the tick: no lane reports more iterations than
+    /// `max_iters`, a capped lane retires at the last check within it, and
+    /// a cap below `CHECK_EVERY` checks every `max_iters` ticks.
+    #[test]
+    fn no_lane_iterates_past_its_cap() {
+        for max_iters in [1, 3, 150, usize::MAX] {
+            let uncapped = max_iters == usize::MAX;
+            let cfg = PdhgConfig {
+                // Out of reach, so that capped lanes retire on the cap.
+                tol: if uncapped { 1e-4 } else { 1e-300 },
+                max_iters,
+            };
+            let every = max_iters.clamp(1, CHECK_EVERY);
+            let (reports, metrics, _) = staggered_wave(cfg, 6, 18);
+            assert_eq!(reports.len(), 18, "cap {max_iters}");
+            for r in &reports {
+                assert!(r.iterations <= max_iters, "cap {max_iters}: {r:?}");
+                if r.outcome == FoOutcome::IterLimit {
+                    assert!(r.iterations + every > max_iters, "cap {max_iters}: {r:?}");
+                }
+            }
+            let capped = reports.iter().filter(|r| r.outcome == FoOutcome::IterLimit);
+            assert_eq!(capped.count() == 0, uncapped, "cap {max_iters}");
+            launches_within_the_tick_bound(&metrics, every);
+        }
     }
 }

@@ -1,14 +1,14 @@
 //! The first-order wave's hot loop must not touch the allocator: a warm
-//! `FirstOrderWaveEngine::superstep()` — the batched step, the KKT checks
-//! and the restarts — allocates nothing until a lane retires, loading a
-//! node allocates nothing, and taking a report allocates exactly the two
-//! vectors it hands out.
+//! `FirstOrderWaveEngine::superstep()` — the batched step, the KKT checks,
+//! the restarts and the retires — allocates nothing, loading a node
+//! allocates nothing, and taking a report allocates exactly the two vectors
+//! it hands out (none for a lane whose report ships no iterates).
 //!
 //! Allocations are counted per thread (the harness runs the tests of this
 //! file on threads of their own), so the counts are exact and repeat.
 
 use gmip::gpu::Accel;
-use gmip::lp::{BoundChange, FirstOrderWaveEngine, PdhgConfig, StandardLp};
+use gmip::lp::{BoundChange, FirstOrderWaveEngine, FoOutcome, PdhgConfig, StandardLp};
 use gmip::problems::generators::bin_packing;
 
 #[path = "support/counting_alloc.rs"]
@@ -69,17 +69,31 @@ fn steady_state_supersteps_allocate_nothing() {
 #[test]
 fn load_allocates_nothing_and_take_only_the_report() {
     let (mut fo, boxes) = loaded_engine(PdhgConfig::default());
+    let mut retired = Vec::with_capacity(fo.width());
     // Warm-up: one full round of retire + take + refill.
     let mut cycles = 0;
     while cycles < 40 {
-        for slot in fo.run_to_retire() {
+        let (stepped, ()) = allocations_in(|| {
+            retired.clear();
+            retired.extend_from_slice(fo.run_to_retire());
+        });
+        if cycles >= 11 {
+            assert_eq!(stepped, 0, "run_to_retire");
+        }
+        for &slot in &retired {
             let (took, report) = allocations_in(|| fo.take_lane(slot).expect("take"));
-            let warm = Some((report.x.as_slice(), report.y.as_slice()));
+            let warm = match report.outcome {
+                FoOutcome::Converged | FoOutcome::IterLimit => {
+                    Some((report.x.as_slice(), report.y.as_slice()))
+                }
+                FoOutcome::BoundPruned | FoOutcome::Infeasible => None,
+            };
             let (loaded, r) =
                 allocations_in(|| fo.load_lane(slot, 100 + cycles, &boxes[slot], warm));
             r.expect("refill");
             if cycles >= 11 {
-                assert_eq!(took, 2, "take_lane: the report's x and y");
+                let shipped = if warm.is_some() { 2 } else { 0 };
+                assert_eq!(took, shipped, "take_lane: the report's x and y");
                 assert_eq!(loaded, 0, "load_lane");
             }
             cycles += 1;

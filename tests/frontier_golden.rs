@@ -79,6 +79,13 @@
 //! count moved (1119 → 1113); the optimum did not.
 //! `measurements/` lists every old and new string.
 //!
+//! `first_order_wave_64` was re-recorded at the commit that checks every
+//! first-order lane on the wave's tick (the child of `c4f2349`), whose lanes
+//! retired on their safe bound or infeasible ship their outcome and bound
+//! (16 B) instead of their iterates. Only the makespan moved: optimum,
+//! nodes, supersteps and launches did not (this wave's lanes already
+//! checked on the tick). `measurements/` has the old and new string.
+//!
 //! The chaos plans pin the hierarchy's recovery paths — `evacuate_group`,
 //! `reassign` and the steal-deny backoff — which no benchmark workload
 //! reaches. The last test is the cost side of the same contract: a frontier
@@ -277,7 +284,7 @@ fn first_order_wave_64() {
     let r = solve_first_order_wave(&wave_instance(), &cfg, gpu()).expect("first-order solve");
     assert_eq!(
         wave_pin(&r),
-        "obj=4008000000000000 nodes=469 supersteps=10636 launches=34567 makespan=41b0d85a92b60ca5"
+        "obj=4008000000000000 nodes=469 supersteps=10636 launches=34567 makespan=41b0d84c20b60ca3"
     );
 }
 

@@ -85,6 +85,13 @@
 //! point hash moved too. Objective bits, nodes, retires, refills and the
 //! heuristic and propagation counters did not; `measurements/` has
 //! the old and new strings.
+//!
+//! `first_order_wave_propagate_dive` was re-recorded at the commit that
+//! checks every first-order lane on the wave's tick (the child of
+//! `c4f2349`), whose lanes retired on their safe bound or infeasible ship
+//! their outcome and bound (16 B) instead of their iterates. Only the
+//! makespan moved; everything else, the first incumbent's time included,
+//! did not. `measurements/` has the old and new strings.
 
 use gmip::core::{
     solve_batched_wave, solve_first_order_wave, BatchedWaveConfig, FirstOrderWaveConfig, MipConfig,
@@ -183,8 +190,8 @@ fn first_order_wave_propagate_dive() {
     assert_eq!(
         got,
         [
-            "Optimal obj=4008000000000000 nodes=385 supersteps=8844 retires=289 refills=281 launches=32358 makespan=41af7abb9c2e5734 first=41953ba9902f23ef x=02ea3110292eaa1d heur=1/191 prop=0/4578",
-            "Optimal obj=4034000000000000 nodes=9 supersteps=2396 retires=9 refills=5 launches=7847 makespan=418e01ff15431e20 first=4184141883b2a076 x=b08352d4f9fa3add heur=1/4 prop=0/5",
+            "Optimal obj=4008000000000000 nodes=385 supersteps=8844 retires=289 refills=281 launches=32358 makespan=41af7ab67583ac90 first=41953ba9902f23ef x=02ea3110292eaa1d heur=1/191 prop=0/4578",
+            "Optimal obj=4034000000000000 nodes=9 supersteps=2396 retires=9 refills=5 launches=7847 makespan=418e01fc15431e20 first=4184141883b2a076 x=b08352d4f9fa3add heur=1/4 prop=0/5",
         ]
     );
 }
