@@ -567,6 +567,20 @@ pub fn children(
     ]
 }
 
+/// [`children`], each paired with the branched node's warm artifact (a
+/// basis, a first-order `(x, y)`): the down child gets a clone and the up
+/// child `warm` itself, so a branch copies it once.
+pub fn warm_children<W: Clone>(
+    instance: &MipInstance,
+    parent: &[BoundChange],
+    var: usize,
+    value: f64,
+    warm: W,
+) -> [(Child, W); 2] {
+    let [down, up] = children(instance, parent, var, value);
+    [(down, warm.clone()), (up, warm)]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -782,6 +796,35 @@ mod tests {
         assert_eq!(up.label, format!("{name} ≥ 3"));
         // An unbranched variable falls back to the instance bounds.
         assert_eq!(effective_bounds(&m, &[], 1), (m.vars[1].lb, m.vars[1].ub));
+    }
+
+    /// A branch copies its warm artifact once: the down child holds a
+    /// clone, the up child the original buffers, moved.
+    #[test]
+    fn a_branch_clones_the_warm_artifact_once_and_moves_it_once() {
+        let m = textbook_mip();
+        let warm = (vec![0.5; 4], vec![1.5; 3]);
+        let (x, y) = (warm.0.as_ptr(), warm.1.as_ptr());
+        let [(down, (dx, dy)), (up, (ux, uy))] = warm_children(&m, &[], 0, 2.5, warm);
+        assert_eq!((ux.as_ptr(), uy.as_ptr()), (x, y), "the up child moved it");
+        assert!(
+            dx.as_ptr() != x && dy.as_ptr() != y,
+            "the down child cloned it"
+        );
+        assert_eq!((&dx, &dy), (&ux, &uy));
+        let [d, u] = children(&m, &[], 0, 2.5);
+        assert_eq!((down.bounds, up.bounds), (d.bounds, u.bounds));
+        assert_eq!((down.label, up.label), (d.label, u.label));
+
+        let basis = gmip_lp::Basis {
+            cols: vec![4, 5, 6],
+            status: vec![gmip_lp::VarStatus::Basic(0); 7],
+        };
+        let (cols, status) = (basis.cols.as_ptr(), basis.status.as_ptr());
+        let [(_, down), (_, up)] = warm_children(&m, &[], 0, 2.5, Some(basis));
+        let (down, up) = (down.unwrap(), up.unwrap());
+        assert_eq!((up.cols.as_ptr(), up.status.as_ptr()), (cols, status));
+        assert!(down.cols.as_ptr() != cols && down.status.as_ptr() != status);
     }
 
     #[test]

@@ -568,16 +568,17 @@ impl<E: SimplexEngine> MipSolver<E> {
                 }
             }
             // Branch.
-            let child = |c: search::Child| {
-                let payload = NodePayload {
-                    bounds: c.bounds,
-                    parent_basis: basis.clone(),
-                };
-                (c.label, payload)
-            };
-            let [down, up] =
-                search::children(&self.instance, &bounds, decision.var, decision.value);
-            tree.branch(id, bound, [child(down), child(up)]);
+            let (var, value) = (decision.var, decision.value);
+            let kids = search::warm_children(&self.instance, &bounds, var, value, basis).map(
+                |(c, parent_basis)| {
+                    let payload = NodePayload {
+                        bounds: c.bounds,
+                        parent_basis,
+                    };
+                    (c.label, payload)
+                },
+            );
+            tree.branch(id, bound, kids);
             self.node_span(id, "branched", node_t0);
             self.tree_alloc(&mut stats);
             self.tree_alloc(&mut stats);

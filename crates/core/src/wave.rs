@@ -373,13 +373,15 @@ pub(crate) fn run_wave<L: LaneSet>(
                 NodeOutcome::Branch { bound, decision: d } => {
                     let parent = &tree.node(id).data.bounds;
                     hook.seed(parent, sol.x);
-                    let kids = search::children(instance, parent, d.var, d.value).map(|c| {
-                        let node = WaveNode {
-                            bounds: c.bounds,
-                            warm: warm.clone(),
-                        };
-                        (c.label, node)
-                    });
+                    let kids = search::warm_children(instance, parent, d.var, d.value, warm).map(
+                        |(c, warm)| {
+                            let node = WaveNode {
+                                bounds: c.bounds,
+                                warm,
+                            };
+                            (c.label, node)
+                        },
+                    );
                     tree.branch(id, bound, kids);
                 }
                 NodeOutcome::Infeasible | NodeOutcome::Pruned { .. } => {}

@@ -1,29 +1,30 @@
-//! The [`Accelerator`] trait: fused kernel-class dispatch as an interface,
-//! and its one implementation, the lane executor behind every
-//! [`crate::Accel`].
+//! The lane executor behind every [`crate::Accel`], and the
+//! [`Accelerator`] trait that names its dispatch as an interface.
 //!
-//! Every fused launch the wave engines issue goes through this trait. The
-//! executor charges the simulated nanoseconds through the handle's one
-//! [`GpuDevice`] — the simulator stays the deterministic oracle and the
-//! only source of traced time. Its [`BackendKind`] decides *who runs the
-//! lane numerics*:
+//! [`Accel::dispatch`](crate::Accel::dispatch) is the one path from lane
+//! items into the executor: it runs a body once per item, then applies the
+//! listed cost charges in order under one device lock. What an item is — a
+//! first-order arena block, a propagation lane, a dive — and what its body
+//! computes belong to the crate that calls it; this module only runs the
+//! bodies and charges the simulated nanoseconds through the handle's one
+//! [`GpuDevice`], which stays the deterministic oracle and the only source
+//! of traced time. Its [`BackendKind`] decides *who runs the bodies*:
 //!
-//! * [`BackendKind::Sim`]: the calling thread runs the arena blocks (and
-//!   opaque lane bodies) in order, untimed, then applies the charge.
-//! * [`BackendKind::Native`]: a persistent [`rayon::ThreadPool`] runs them
-//!   — one parallel dispatch per first-order superstep
-//!   ([`Accelerator::fo_step`], KKT checks included), one per opaque class
-//!   — and real wall-clock per class lands in a `wall.*` metric family.
-//!   Within a lane the floating-point operation order is untouched (the
-//!   block kernel in [`crate::kernels`] is shared verbatim and a block is
-//!   run by exactly one thread), so lane outcomes are bit-identical across
-//!   backends and thread counts; only wall-clock varies, and wall-clock
-//!   never enters traces or simulated `_ns` totals.
+//! * [`BackendKind::Sim`]: the calling thread runs them in order, untimed.
+//! * [`BackendKind::Native`]: a persistent [`rayon::ThreadPool`] runs them —
+//!   one parallel fan-out per dispatch — and real wall-clock per class
+//!   lands in a `wall.*` metric family. Each item is touched by exactly one
+//!   thread, so a body that keeps the floating-point order inside its item
+//!   computes bit-identical results across backends and thread counts;
+//!   only wall-clock varies, and wall-clock never enters traces or
+//!   simulated `_ns` totals.
+//!
+//! [`Accelerator::fused_dispatch`] is the same dispatch over opaque
+//! [`LaneBody`] closures, for callers that hold the executor as a trait
+//! object.
 
 use crate::device::GpuDevice;
-use crate::kernels::{self, FoArena, FoBlock};
 use crate::stream::StreamId;
-use gmip_linalg::CsrMatrix;
 use gmip_trace::{names, MetricsRegistry};
 use parking_lot::Mutex;
 use std::iter::repeat_n;
@@ -63,8 +64,7 @@ impl BackendKind {
     }
 }
 
-/// One simulated cost charge a fused dispatch applies after executing its
-/// lane bodies: a kernel class whose `lanes` active instances each cost
+/// One simulated cost charge a dispatch applies after running its items: a kernel class whose `lanes` active instances each cost
 /// `per_lane` ([`GpuDevice::batched_wave_kernel`]).
 #[derive(Debug, Clone, Copy)]
 pub struct WaveCharge {
@@ -86,71 +86,15 @@ impl WaveCharge {
     }
 }
 
-/// What one [`Accelerator::fo_step`] charges: `busy` lanes, each costing
-/// the same `(flops, bytes)` per kernel class.
-#[derive(Debug, Clone, Copy)]
-pub struct FoStepCharges {
-    /// Busy lanes — padding inside a block is never charged.
-    pub busy: usize,
-    /// Each of the two SpMV classes (`fo.spmv_t`, `fo.spmv`; sparse rate).
-    pub spmv: (f64, f64),
-    /// The `fo.axpy` class (dense rate).
-    pub axpy: (f64, f64),
-}
-
-/// The `fo.norm` class of a step on which lanes land on a KKT check. The
-/// check's math lives in `gmip-lp`, so it arrives as a body — and it rides
-/// the step's own dispatch: a block is checked by the thread that just
-/// stepped it, so a checking superstep costs no second fan-out.
-pub struct FoCheck<'a> {
-    /// Lanes on a check.
-    pub lanes: usize,
-    /// `(flops, bytes)` of each lane's check (dense rate).
-    pub per_lane: (f64, f64),
-    /// Called with `(block index, block)` for every block of the arena,
-    /// right after the block stepped; calls may run concurrently.
-    pub body: &'a (dyn Fn(usize, &FoBlock) + Sync),
-}
-
-impl std::fmt::Debug for FoCheck<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FoCheck")
-            .field("lanes", &self.lanes)
-            .field("per_lane", &self.per_lane)
-            .finish_non_exhaustive()
-    }
-}
-
-/// A per-lane executing body for classes whose numerics live outside
-/// `gmip-gpu` (the `fo.norm` convergence checks, propagation rounds,
-/// fix-and-propagate dives). Each body is called exactly once per
-/// dispatch, by exactly one thread.
+/// An opaque per-lane body for [`Accelerator::fused_dispatch`]. Each body
+/// is called exactly once per dispatch, by exactly one thread.
 pub type LaneBody<'a> = &'a mut (dyn FnMut() + Send);
 
-/// Fused kernel-class dispatch: execute the lane payloads, then charge the
-/// simulated cost. All methods return the simulated ns charged.
+/// Fused kernel-class dispatch as an object-safe interface. All methods
+/// return the simulated ns charged.
 pub trait Accelerator: Send + Sync + std::fmt::Debug {
-    /// One batched PDHG iteration of every busy lane of `arena`
-    /// ([`kernels::fo_step_block`] per block, the shared `csr` walked once
-    /// per block) and, in the same dispatch, `check`'s body on each block;
-    /// then — under one device lock — the three class charges `fo.spmv_t`,
-    /// `fo.axpy`, `fo.spmv` for the *busy* lanes (padding lanes of a block
-    /// are never charged: the modeled device packs busy lanes), the
-    /// retire-boundary stream event, and `check`'s `fo.norm` charge.
-    fn fo_step(
-        &self,
-        csr: &CsrMatrix,
-        c_tilde: &[f64],
-        b: &[f64],
-        arena: &mut FoArena,
-        charges: &FoStepCharges,
-        check: Option<&FoCheck<'_>>,
-        stream: StreamId,
-    ) -> f64;
-
-    /// Fused dispatch of opaque per-lane bodies under wall-clock class
-    /// `class`, followed by the listed cost charges in order. Used for the
-    /// propagation/dive sweeps (whose math lives in `gmip-prop`).
+    /// [`Accel::dispatch`](crate::Accel::dispatch) over opaque lane bodies:
+    /// each body is called once, then `charges` apply in order.
     fn fused_dispatch(
         &self,
         class: &'static str,
@@ -222,84 +166,44 @@ impl LaneExec {
         Self { dev, pool }
     }
 
-    /// Runs `f` over every item (an arena block, an opaque lane body) with
-    /// its index, each touched by exactly one thread: in order on the
-    /// calling thread without a pool, else across the pool, timing the
-    /// fan-out under the class's wall key.
-    fn run_lanes<T: Send>(
+    /// Runs `f` once per item with its index, each item touched by exactly
+    /// one thread: in order on the calling thread without a pool, else
+    /// across the pool, timing the fan-out under the class's wall key. Then
+    /// applies `charges` in order under one device lock; returns their ns.
+    pub(crate) fn dispatch<T: Send>(
         &self,
         class: &'static str,
-        lanes: &mut [T],
+        items: &mut [T],
         f: impl Fn(usize, &mut T) + Sync,
-    ) {
-        let Some(pool) = &self.pool else {
-            for (i, lane) in lanes.iter_mut().enumerate() {
-                f(i, lane);
+        charges: &[WaveCharge],
+        stream: StreamId,
+    ) -> f64 {
+        if let Some(pool) = &self.pool {
+            let t0 = Instant::now();
+            let base = items.as_mut_ptr() as usize;
+            pool.workers.dispatch(items.len(), &|i| {
+                // SAFETY: `dispatch` hands each index to exactly one thread
+                // and blocks until all are done, so the `&mut` borrows are
+                // disjoint and live for the call.
+                let item = unsafe { &mut *(base as *mut T).add(i) };
+                f(i, item);
+            });
+            let mut wall = pool.wall.lock();
+            wall.incr(Pool::wall_key(class), t0.elapsed().as_nanos() as f64);
+            wall.incr(names::WALL_DISPATCHES, 1.0);
+        } else {
+            for (i, item) in items.iter_mut().enumerate() {
+                f(i, item);
             }
-            return;
-        };
-        let t0 = Instant::now();
-        let base = lanes.as_mut_ptr() as usize;
-        pool.workers.dispatch(lanes.len(), &|i| {
-            // Safety: `dispatch` hands each index to exactly one thread and
-            // blocks until all are done, so the `&mut` borrows are disjoint
-            // and live for the call.
-            let lane = unsafe { &mut *(base as *mut T).add(i) };
-            f(i, lane);
-        });
-        let mut wall = pool.wall.lock();
-        wall.incr(Pool::wall_key(class), t0.elapsed().as_nanos() as f64);
-        wall.incr(names::WALL_DISPATCHES, 1.0);
+        }
+        let mut d = self.dev.lock();
+        charges
+            .iter()
+            .fold(0.0, |ns, c| ns + c.apply(&mut d, stream))
     }
 }
 
 impl Accelerator for LaneExec {
-    fn fo_step(
-        &self,
-        csr: &CsrMatrix,
-        c_tilde: &[f64],
-        b: &[f64],
-        arena: &mut FoArena,
-        charges: &FoStepCharges,
-        check: Option<&FoCheck<'_>>,
-        stream: StreamId,
-    ) -> f64 {
-        self.run_lanes("fo.step", arena.blocks_mut(), |i, blk| {
-            kernels::fo_step_block(csr, c_tilde, b, blk);
-            if let Some(check) = check {
-                (check.body)(i, blk);
-            }
-        });
-        let FoStepCharges { busy, spmv, axpy } = *charges;
-        let class = |name, per_lane, sparse| WaveCharge {
-            name,
-            lanes: busy,
-            per_lane,
-            sparse,
-        };
-        let mut d = self.dev.lock();
-        let mut ns = 0.0;
-        for c in [
-            class("fo.spmv_t", spmv, true),
-            class("fo.axpy", axpy, false),
-            class("fo.spmv", spmv, true),
-        ] {
-            ns += c.apply(&mut d, stream);
-        }
-        // Retire boundaries are stream events, not device barriers.
-        let _ = d.record_event(stream);
-        if let Some(c) = check {
-            let norm = WaveCharge {
-                name: "fo.norm",
-                lanes: c.lanes,
-                per_lane: c.per_lane,
-                sparse: false,
-            };
-            ns += norm.apply(&mut d, stream);
-        }
-        ns
-    }
-
     fn fused_dispatch(
         &self,
         class: &'static str,
@@ -307,11 +211,7 @@ impl Accelerator for LaneExec {
         charges: &[WaveCharge],
         stream: StreamId,
     ) -> f64 {
-        self.run_lanes(class, bodies, |_, body| body());
-        let mut d = self.dev.lock();
-        charges
-            .iter()
-            .fold(0.0, |ns, c| ns + c.apply(&mut d, stream))
+        self.dispatch(class, bodies, |_, body| body(), charges, stream)
     }
 
     fn wall(&self) -> MetricsRegistry {
@@ -325,13 +225,20 @@ impl Accelerator for LaneExec {
 mod tests {
     use super::*;
     use crate::device::DEFAULT_STREAM;
-    use crate::kernels::FO_BLOCK;
     use crate::Accel;
-    use gmip_linalg::DenseMatrix;
-    use std::sync::atomic::{AtomicU32, Ordering};
+    use gmip_trace::TraceSession;
 
     fn native(threads: usize) -> Accel {
         Accel::gpu(1).with_backend(BackendKind::Native { threads })
+    }
+
+    fn charge(name: &'static str, lanes: usize, sparse: bool) -> WaveCharge {
+        WaveCharge {
+            name,
+            lanes,
+            per_lane: (1000.0 * lanes as f64, 4000.0),
+            sparse,
+        }
     }
 
     #[test]
@@ -346,64 +253,40 @@ mod tests {
         assert_eq!(BackendKind::Native { threads: 3 }.label(), "native");
     }
 
+    /// Both backends run every item once with its own index and charge the
+    /// same ns bit for bit; only the native one records wall-clock.
     #[test]
-    fn both_backends_charge_identical_ns() {
-        let charges = FoStepCharges {
-            busy: 4,
-            spmv: (1000.0, 4000.0),
-            axpy: (1000.0, 4000.0),
+    fn dispatch_runs_each_item_once_and_charges_identical_ns() {
+        let charges = [charge("fo.spmv_t", 4, true), charge("fo.axpy", 4, false)];
+        let run = |accel: &Accel| {
+            let mut items: Vec<(usize, u32)> = (0..11).map(|i| (i * 7, 0)).collect();
+            let ns = accel.dispatch(
+                "fo.step",
+                &mut items,
+                |i, (tag, hits)| {
+                    assert_eq!(*tag, i * 7, "item {i} got its own index");
+                    *hits += 1;
+                },
+                &charges,
+                DEFAULT_STREAM,
+            );
+            assert!(items.iter().all(|&(_, hits)| hits == 1));
+            ns
         };
         let (sim, nat) = (Accel::gpu(1), native(2));
-        let csr = CsrMatrix::from_dense(&DenseMatrix::identity(3));
-        let run = |a: &dyn Accelerator| {
-            // Four busy lanes spread over two blocks.
-            let mut arena = FoArena::new(3, 3, 12);
-            for slot in [0, 5, 8, 11] {
-                let (blk, lane) = arena.lane_mut(slot);
-                kernels::scatter(&mut blk.y, lane, &[1.0, 2.0, 3.0]);
-                kernels::scatter(&mut blk.ub, lane, &[1.0; 3]);
-                blk.set_steps(lane, 0.5, 0.5);
-            }
-            // The check body sees each block once, already stepped.
-            let seen = [AtomicU32::new(0), AtomicU32::new(0)];
-            let check = FoCheck {
-                lanes: 2,
-                per_lane: (8.0, 64.0),
-                body: &|i, blk| {
-                    assert_eq!(blk.aty[FO_BLOCK * 2], 3.0, "lane 0, stepped");
-                    seen[i].fetch_add(1, Ordering::Relaxed);
-                },
-            };
-            let mut step = |check| {
-                a.fo_step(
-                    &csr,
-                    &[0.0; 3],
-                    &[0.0; 3],
-                    &mut arena,
-                    &charges,
-                    check,
-                    DEFAULT_STREAM,
-                )
-            };
-            let unchecked = step(None);
-            let t = step(Some(&check));
-            assert!(seen.iter().all(|n| n.load(Ordering::Relaxed) == 1));
-            assert!(t > unchecked, "the fo.norm class is charged on top");
-            (t, arena.blocks_mut().to_vec())
-        };
-        let (t_sim, out_sim) = run(&*sim.exec());
-        let (t_nat, out_nat) = run(&*nat.exec());
-        assert_eq!(t_sim.to_bits(), t_nat.to_bits());
-        for (a, b) in out_sim.iter().zip(&out_nat) {
-            assert_eq!(a.aty, b.aty);
-            assert_eq!(a.y, b.y);
-        }
-        assert_eq!(out_sim[0].aty[FO_BLOCK * 2 + 5], 3.0);
+        let t = run(&sim);
+        assert!(t > 0.0);
+        assert_eq!(t.to_bits(), run(&nat).to_bits());
+        assert_eq!(sim.stats(), nat.stats());
         // Wall clock exists only on the native side and never under gpu.*.
         assert!(sim.wall_metrics().is_empty());
         let wall = nat.wall_metrics();
-        assert_eq!(wall.counter(names::WALL_DISPATCHES), 2.0);
+        assert_eq!(wall.counter(names::WALL_DISPATCHES), 1.0);
         assert!(wall.counter(names::WALL_FO_STEP) > 0.0);
+        assert!(nat
+            .metrics()
+            .counters()
+            .all(|(k, _)| !k.starts_with("wall.")));
     }
 
     #[test]
@@ -413,38 +296,38 @@ mod tests {
         assert_eq!(nat.wall_metrics().gauge(names::WALL_THREADS), host as f64);
     }
 
+    /// The charges apply after the bodies ran, one fused launch each, in
+    /// the order listed; `fused_dispatch` is the same dispatch over opaque
+    /// bodies.
     #[test]
-    fn fused_dispatch_runs_bodies_and_charges_in_order() {
-        let nat = native(3);
-        let mut hits = [0u32; 8];
-        let mut closures: Vec<_> = hits
-            .iter_mut()
-            .map(|h| {
-                move || {
-                    *h += 1;
-                }
-            })
-            .collect();
-        let mut bodies: Vec<LaneBody<'_>> = closures
-            .iter_mut()
-            .map(|c| c as &mut (dyn FnMut() + Send))
-            .collect();
-        let charge = |name, sparse| WaveCharge {
-            name,
-            lanes: 8,
-            per_lane: (10.0, 10.0),
-            sparse,
-        };
-        let t = nat.exec().fused_dispatch(
-            "prop.round",
-            &mut bodies,
-            &[charge("prop.activity", true), charge("prop.reduce", false)],
-            DEFAULT_STREAM,
-        );
-        assert!(t > 0.0);
-        drop(bodies);
-        drop(closures);
-        assert!(hits.iter().all(|&h| h == 1));
-        assert!(nat.wall_metrics().counter(names::WALL_PROP_ROUND) > 0.0);
+    fn dispatch_applies_the_charges_in_order() {
+        let names = ["test.dispatch.c", "test.dispatch.a", "test.dispatch.b"];
+        for accel in [Accel::gpu(1), native(3)] {
+            let charges = names.map(|n| charge(n, 8, n.ends_with('a')));
+            let session = TraceSession::start();
+            let mut hits = [0u32; 8];
+            let mut closures: Vec<_> = hits.iter_mut().map(|h| move || *h += 1).collect();
+            let mut bodies: Vec<LaneBody<'_>> = closures
+                .iter_mut()
+                .map(|c| c as &mut (dyn FnMut() + Send))
+                .collect();
+            let before = accel.stats().kernel_launches;
+            let t =
+                accel
+                    .exec()
+                    .fused_dispatch("prop.round", &mut bodies, &charges, DEFAULT_STREAM);
+            let trace = session.finish();
+            drop(bodies);
+            drop(closures);
+            assert!(t > 0.0 && hits.iter().all(|&h| h == 1));
+            assert_eq!(accel.stats().kernel_launches - before, 3);
+            let spans: Vec<&str> = trace
+                .events
+                .iter()
+                .map(|e| e.event.name)
+                .filter(|n| n.starts_with("test.dispatch."))
+                .collect();
+            assert_eq!(spans, names);
+        }
     }
 }

@@ -37,7 +37,7 @@ use crate::cost::CostModel;
 use crate::memory::{DeviceMemory, OutOfMemory};
 use crate::objects::{BufferPool, Obj, ObjectTable};
 use crate::stats::{DeviceStats, Ledger, Series};
-use crate::stream::{Event as StreamEvent, StreamId, StreamSet};
+use crate::stream::{StreamId, StreamSet};
 use gmip_linalg::{CsrMatrix, DenseMatrix, LinalgError};
 use gmip_trace::{Event, MetricsRegistry, Track, TrackGroup};
 use std::marker::PhantomData;
@@ -313,11 +313,6 @@ impl GpuDevice {
     /// Creates an additional stream; returns its id.
     pub fn create_stream(&mut self) -> StreamId {
         self.streams.create()
-    }
-
-    /// Records an event on `stream`.
-    pub fn record_event(&self, stream: StreamId) -> StreamEvent {
-        self.streams.record(stream)
     }
 
     /// Synchronizes all streams, submitting every held launch chain;

@@ -24,11 +24,13 @@
 //!   failures are real errors the solver strategies must handle.
 //!
 //! The crate is one device, [`GpuDevice`], which every charge goes through,
-//! and one shared handle to it, [`Accel`]. The handle's lane executor
-//! ([`Accel::exec`], the [`Accelerator`] trait's one implementation) runs
-//! the fused wave kernels' lane bodies on the calling thread under
-//! [`BackendKind::Sim`], or on a thread pool that times them under
-//! [`BackendKind::Native`]; the charges are the same either way.
+//! and one shared handle to it, [`Accel`]. Fused lane work has one entry
+//! point, [`Accel::dispatch`]: it runs a caller's body once per lane item —
+//! on the calling thread under [`BackendKind::Sim`], or on a thread pool
+//! that times it under [`BackendKind::Native`] — then applies the listed
+//! [`WaveCharge`]s; the charges are the same either way. What a lane
+//! computes lives with its caller (the first-order arena and its PDHG step
+//! in `gmip-lp`, propagation and dives in `gmip-prop`).
 //!
 //! The "CPU backend" is the same device type under a CPU cost model
 //! ([`node::Accel::cpu`]), so CPU-vs-GPU comparisons run identical code.
@@ -39,22 +41,20 @@
 pub mod backend;
 pub mod cost;
 pub mod device;
-pub mod kernels;
 pub mod memory;
 pub mod node;
 mod objects;
 pub mod stats;
 pub mod stream;
 
-pub use backend::{Accelerator, BackendKind, FoCheck, FoStepCharges, LaneBody, WaveCharge};
+pub use backend::{Accelerator, BackendKind, LaneBody, WaveCharge};
 pub use cost::CostModel;
 pub use device::{
     DeviceConfig, Eta, EtaHandle, FactorHandle, Factors, GpuDevice, GpuError, MatrixHandle,
     RawHandle, ScalarWrite, SparseEtaHandle, SparseFactorHandle, SparseHandle, Storage,
     VectorHandle, DEFAULT_STREAM, LAUNCH_WRITES,
 };
-pub use kernels::{FoArena, FoBlock, FO_BLOCK};
 pub use memory::{DeviceMemory, OutOfMemory};
 pub use node::Accel;
 pub use stats::DeviceStats;
-pub use stream::{Event, StreamId, StreamSet};
+pub use stream::{StreamId, StreamSet};

@@ -9,20 +9,20 @@
 //! The host is the same device type under [`DeviceConfig::cpu`], its spans
 //! on the host's trace group; nothing else tells the two apart.
 
-use crate::backend::{Accelerator, BackendKind, LaneExec};
+use crate::backend::{Accelerator, BackendKind, LaneExec, WaveCharge};
 use crate::device::{DeviceConfig, GpuDevice};
 use crate::stats::DeviceStats;
+use crate::stream::StreamId;
 use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// A cloneable, shareable handle to a simulated device.
 ///
 /// All device methods are reachable through [`Accel::with`]; convenience
-/// accessors cover the common queries. Fused lane dispatches go through
-/// the handle's lane executor ([`Accel::exec`]), which runs lane bodies on
-/// the calling thread by default and on a thread pool after
-/// [`Accel::with_backend`]. Either way the *simulated* charges land on the
-/// same shared device.
+/// accessors cover the common queries. Fused lane work goes through
+/// [`Accel::dispatch`], which runs the lane bodies on the calling thread by
+/// default and on a thread pool after [`Accel::with_backend`]. Either way
+/// the *simulated* charges land on the same shared device.
 #[derive(Debug, Clone)]
 pub struct Accel {
     exec: Arc<LaneExec>,
@@ -47,7 +47,26 @@ impl Accel {
         self
     }
 
-    /// The lane executor fused lane dispatches run on.
+    /// One fused dispatch: runs `f` once per item with its index — in
+    /// order on the calling thread under [`BackendKind::Sim`], across the
+    /// pool under [`BackendKind::Native`], timed under the class's `wall.*`
+    /// key — then applies `charges` in order under one device lock. Returns
+    /// the simulated ns charged. Each item is touched by exactly one
+    /// thread, so what a body computes inside its item does not depend on
+    /// the backend or the thread count.
+    pub fn dispatch<T: Send>(
+        &self,
+        class: &'static str,
+        items: &mut [T],
+        f: impl Fn(usize, &mut T) + Sync,
+        charges: &[WaveCharge],
+        stream: StreamId,
+    ) -> f64 {
+        self.exec.dispatch(class, items, f, charges, stream)
+    }
+
+    /// The lane executor as a trait object, for callers that dispatch
+    /// opaque lane bodies ([`Accelerator::fused_dispatch`]).
     pub fn exec(&self) -> Arc<dyn Accelerator> {
         self.exec.clone()
     }

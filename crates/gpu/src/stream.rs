@@ -3,8 +3,7 @@
 //! Section 5.5: "multiple concurrent streams can be created and launched at
 //! a given time on the same GPU". The simulator models a stream as a
 //! completion-time line; kernel bodies and transfers enqueued on different
-//! streams overlap in simulated time, and `sync` joins them. Events capture
-//! a stream's current timestamp for cross-stream waits.
+//! streams overlap in simulated time, and `sync` joins them.
 //!
 //! What streams do **not** multiply is the host that feeds them: a device
 //! has one launch-issue queue. [`StreamSet::launch`] starts a kernel at
@@ -24,14 +23,6 @@
 /// Identifier of a stream on a device. Stream 0 always exists (the default
 /// stream).
 pub type StreamId = usize;
-
-/// A recorded event: the simulated timestamp a stream had reached when the
-/// event was recorded.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Event {
-    /// Timestamp (ns) at which the event completes.
-    pub at_ns: f64,
-}
 
 /// The set of stream timelines of one device.
 #[derive(Debug, Clone)]
@@ -127,13 +118,6 @@ impl StreamSet {
         self.streams[stream].held
     }
 
-    /// Records an event on `stream`.
-    pub fn record(&self, stream: StreamId) -> Event {
-        Event {
-            at_ns: self.streams[stream].completion_ns,
-        }
-    }
-
     /// Device-wide completion frontier (max over streams).
     pub fn frontier(&self) -> f64 {
         self.streams
@@ -225,7 +209,6 @@ mod tests {
     enum Op {
         Launch { body: f64, latency: f64 },
         Transfer(f64),
-        Record,
         Sync,
         Create,
     }
@@ -239,7 +222,6 @@ mod tests {
                 latency: 8_000.0
             }),
             ns().prop_map(Op::Transfer),
-            Just(Op::Record),
             Just(Op::Sync),
             Just(Op::Create),
         ]
@@ -248,7 +230,7 @@ mod tests {
     proptest! {
         /// A program confined to one stream never meets the issue queue: its
         /// clock is bit for bit the running sum of its costs, whatever it
-        /// launches, transfers, records, joins or creates on the side.
+        /// launches, transfers, joins or creates on the side.
         #[test]
         fn one_stream_never_waits_for_the_issue_slot(
             ops in proptest::collection::vec(op(), 0..80)
@@ -268,7 +250,6 @@ mod tests {
                         let done = set.enqueue(0, t);
                         prop_assert_eq!(done.to_bits(), plain.enqueue(0, t).to_bits());
                     }
-                    Op::Record => prop_assert_eq!(set.record(0), plain.record(0)),
                     Op::Sync => prop_assert_eq!(set.sync().to_bits(), plain.sync().to_bits()),
                     Op::Create => prop_assert_eq!(set.create(), plain.create()),
                 }

@@ -557,7 +557,7 @@ impl BatchedWaveEngine {
     /// transfer advances by it: the step's transfers are staged into one
     /// H2D and one D2H crossing of their summed bytes, charged ahead of the
     /// launch. Of the lanes whose next op is a kernel, only those on the
-    /// class the most lanes wait on advance (ties go to [`CLASS_ORDER`]),
+    /// class the most lanes wait on advance (ties go to `CLASS_ORDER`),
     /// and their instances fuse into one batched launch; the others keep
     /// their op for a later step. So a step is at most one launch and, with
     /// any lane busy, moves at least one lane. Returns the slots that
@@ -616,9 +616,8 @@ impl BatchedWaveEngine {
                 let per_lane = self.fused.iter().copied();
                 d.batched_wave_kernel(class.span_name(), per_lane, false, stream);
             }
-            // The retire boundary is a stream event, not a synchronize: the
-            // host observes it on this stream's timeline only.
-            let _ = d.record_event(stream);
+            // The retire boundary is not a synchronize: the host observes
+            // it on this stream's timeline only.
         });
         self.metrics.incr(names::WAVE_SUPERSTEPS, 1.0);
         let launches = if launch.is_some() { 1.0 } else { 0.0 };

@@ -143,21 +143,23 @@ pub(crate) fn exchange(
 }
 
 /// The labelled `[down, up]` children of branching `parent` on `decision`,
-/// warm-started from the report's `basis`, in partition 0 (the coordinator
-/// places them).
+/// warm-started from the report's `basis` (one clone, one move), in
+/// partition 0 (the coordinator places them).
 pub(crate) fn children(
     instance: &MipInstance,
     parent: &Node<ParPayload>,
     decision: BranchDecision,
-    basis: &Option<Basis>,
+    basis: Option<Basis>,
 ) -> [(String, ParPayload); 2] {
     let (var, value) = (decision.var, decision.value);
-    search::children(instance, &parent.data.bounds, var, value).map(|c| {
-        let data = ParPayload {
-            bounds: c.bounds,
-            warm_basis: basis.clone(),
-            partition: 0,
-        };
-        (c.label, data)
-    })
+    search::warm_children(instance, &parent.data.bounds, var, value, basis).map(
+        |(c, warm_basis)| {
+            let data = ParPayload {
+                bounds: c.bounds,
+                warm_basis,
+                partition: 0,
+            };
+            (c.label, data)
+        },
+    )
 }

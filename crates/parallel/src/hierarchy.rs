@@ -935,7 +935,7 @@ impl HierSupervisor {
             NodeOutcome::Integral { bound, x } => self.offer(g, bound, x),
             NodeOutcome::Branch { bound, decision } => {
                 let parent = self.c.tree.node(id);
-                let mut children = children(&self.c.instance, parent, decision, &report.basis);
+                let mut children = children(&self.c.instance, parent, decision, report.basis);
                 let parts = self.placement(parent.data.partition, parent.depth);
                 for (child, part) in children.iter_mut().zip(parts) {
                     child.1.partition = part;

@@ -411,7 +411,7 @@ impl Supervisor {
             NodeOutcome::Integral { bound, x } => self.offer(worker, bound, x, None),
             NodeOutcome::Branch { bound, decision } => {
                 let parent = self.c.tree.node(id);
-                let mut children = children(&self.c.instance, parent, decision, &report.basis);
+                let mut children = children(&self.c.instance, parent, decision, report.basis);
                 let (part, depth, n) = (parent.data.partition, parent.depth, self.c.cfg.workers);
                 let [down, up] = &mut children;
                 (down.1.partition, up.1.partition) =

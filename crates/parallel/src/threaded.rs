@@ -203,7 +203,7 @@ pub fn solve_threaded(instance: &MipInstance, cfg: &ParallelConfig) -> LpResult<
         match search::settle(&rules, &mut tree, id, report.outcome, cur) {
             NodeOutcome::Integral { bound, x } => offer(&mut incumbent, &mut tree, bound, x),
             NodeOutcome::Branch { bound, decision } => {
-                let children = children(instance, tree.node(id), decision, &report.basis);
+                let children = children(instance, tree.node(id), decision, report.basis);
                 tree.branch(id, bound, children);
             }
             NodeOutcome::Infeasible | NodeOutcome::Pruned { .. } => {}

@@ -36,7 +36,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use gmip_gpu::{Accel, LaneBody, DEFAULT_STREAM};
+use gmip_gpu::{Accel, DEFAULT_STREAM};
 use gmip_lp::BoundChange;
 use gmip_problems::{Constraint, MipInstance, Sense};
 use gmip_trace::names;
@@ -87,13 +87,14 @@ enum RoundStep {
     Tightened,
 }
 
-/// Per-lane mutable state of one lockstep wave round.
+/// Per-lane mutable state of a lockstep propagation wave, built once per
+/// [`Propagator::propagate_wave`] call: one dispatch item per lane.
 #[derive(Debug)]
 struct RoundCell<'a> {
-    idx: usize,
     bx: &'a mut (Vec<f64>, Vec<f64>),
     out: &'a mut PropOutcome,
-    step: RoundStep,
+    /// The lane's fixpoint or contradiction landed: later rounds skip it.
+    done: bool,
 }
 
 /// One lane's starting point for a [`Propagator::dive_wave`] dispatch.
@@ -226,13 +227,15 @@ impl Propagator {
     }
 
     /// Lockstep propagation of a whole wave of boxes through the
-    /// accelerator's **executing** backend: per round, one fused dispatch
-    /// runs one propagation round for every still-iterating lane
-    /// (lanes drop out as their fixpoints or contradictions land), then
-    /// [`charge_wave`] charges the matching `prop.activity` /
-    /// `prop.tighten` / `prop.reduce` kernel trios — exactly the charges
-    /// the per-lane [`Self::propagate`]-then-[`charge_wave`] pattern
-    /// produced, with bit-identical boxes and outcomes.
+    /// accelerator's **executing** backend: per round, one
+    /// [`Accel::dispatch`] runs one propagation round for every
+    /// still-iterating lane (a lane whose fixpoint or contradiction landed
+    /// is skipped inside its item), then [`charge_wave`] charges the
+    /// matching `prop.activity` / `prop.tighten` / `prop.reduce` kernel
+    /// trios — exactly the charges the per-lane
+    /// [`Self::propagate`]-then-[`charge_wave`] pattern produced, with
+    /// bit-identical boxes and outcomes. The lane items are built once per
+    /// call, so a round allocates nothing.
     pub fn propagate_wave(
         &self,
         accel: &Accel,
@@ -251,56 +254,42 @@ impl Propagator {
         if width == 0 || max_rounds == 0 {
             return outs;
         }
-        let exec = accel.exec();
-        let mut done = vec![false; width];
+        let mut cells: Vec<RoundCell<'_>> = boxes
+            .iter_mut()
+            .zip(outs.iter_mut())
+            .map(|(bx, out)| RoundCell {
+                bx,
+                out,
+                done: false,
+            })
+            .collect();
         for _ in 0..max_rounds {
-            let mut cells: Vec<RoundCell<'_>> = boxes
-                .iter_mut()
-                .zip(outs.iter_mut())
-                .enumerate()
-                .filter(|(i, _)| !done[*i])
-                .map(|(i, (bx, out))| RoundCell {
-                    idx: i,
-                    bx,
-                    out,
-                    step: RoundStep::Fixpoint,
-                })
-                .collect();
-            if cells.is_empty() {
+            if cells.iter().all(|cell| cell.done) {
                 break;
             }
-            let mut closures: Vec<_> = cells
-                .iter_mut()
-                .map(|cell| {
-                    move || {
-                        cell.out.rounds += 1;
-                        cell.step = self.propagate_round(
-                            &mut cell.bx.0,
-                            &mut cell.bx.1,
-                            &mut cell.out.tightenings,
-                        );
-                    }
-                })
-                .collect();
-            let mut bodies: Vec<LaneBody<'_>> = closures
-                .iter_mut()
-                .map(|c| c as &mut (dyn FnMut() + Send))
-                .collect();
             // Execution only — the simulated trios are charged once below
             // through `charge_wave`, the single pinned charging path.
-            exec.fused_dispatch("prop.round", &mut bodies, &[], DEFAULT_STREAM);
-            drop(bodies);
-            drop(closures);
-            for cell in &mut cells {
-                match cell.step {
-                    RoundStep::Infeasible => {
-                        cell.out.infeasible = true;
-                        done[cell.idx] = true;
+            accel.dispatch(
+                "prop.round",
+                &mut cells,
+                |_, cell| {
+                    if cell.done {
+                        return;
                     }
-                    RoundStep::Fixpoint => done[cell.idx] = true,
-                    RoundStep::Tightened => {}
-                }
-            }
+                    cell.out.rounds += 1;
+                    let (lb, ub) = &mut *cell.bx;
+                    match self.propagate_round(lb, ub, &mut cell.out.tightenings) {
+                        RoundStep::Infeasible => {
+                            cell.out.infeasible = true;
+                            cell.done = true;
+                        }
+                        RoundStep::Fixpoint => cell.done = true,
+                        RoundStep::Tightened => {}
+                    }
+                },
+                &[],
+                DEFAULT_STREAM,
+            );
         }
         let rounds: Vec<usize> = outs.iter().map(|o| o.rounds).collect();
         charge_wave(accel, self.nnz, self.num_vars(), &rounds);
@@ -308,10 +297,10 @@ impl Propagator {
     }
 
     /// Lane-parallel fix-and-propagate dives through the accelerator's
-    /// executing backend: one fused `heur.dive` dispatch runs
-    /// [`Self::fix_and_propagate`] per seed. Dives are charge-free here —
-    /// callers keep charging [`charge_wave`] with the returned rounds, as
-    /// they did around the sequential loop.
+    /// executing backend: one `heur.dive` [`Accel::dispatch`] runs
+    /// [`Self::fix_and_propagate`] per seed, its outcome the lane's item.
+    /// Dives are charge-free here — callers keep charging [`charge_wave`]
+    /// with the returned rounds, as they did around the sequential loop.
     pub fn dive_wave(
         &self,
         accel: &Accel,
@@ -322,7 +311,6 @@ impl Propagator {
         if seeds.is_empty() {
             return Vec::new();
         }
-        let exec = accel.exec();
         let mut outs: Vec<FixPropOutcome> = seeds
             .iter()
             .map(|_| FixPropOutcome {
@@ -332,22 +320,16 @@ impl Propagator {
                 aborted: false,
             })
             .collect();
-        let mut closures: Vec<_> = seeds
-            .iter()
-            .zip(outs.iter_mut())
-            .map(|(s, out)| {
-                move || {
-                    *out = self.fix_and_propagate(s.x0, s.lb0, s.ub0, int_tol, max_rounds);
-                }
-            })
-            .collect();
-        let mut bodies: Vec<LaneBody<'_>> = closures
-            .iter_mut()
-            .map(|c| c as &mut (dyn FnMut() + Send))
-            .collect();
-        exec.fused_dispatch("heur.dive", &mut bodies, &[], DEFAULT_STREAM);
-        drop(bodies);
-        drop(closures);
+        accel.dispatch(
+            "heur.dive",
+            &mut outs,
+            |i, out| {
+                let s = &seeds[i];
+                *out = self.fix_and_propagate(s.x0, s.lb0, s.ub0, int_tol, max_rounds);
+            },
+            &[],
+            DEFAULT_STREAM,
+        );
         outs
     }
 

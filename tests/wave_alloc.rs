@@ -4,7 +4,8 @@
 //! engine-owned scratch sized for the full width once.
 //!
 //! Nor does widening the wave: one host planner serves every lane. Nor
-//! does charging a propagation wave's fused launches.
+//! does charging a propagation wave's fused launches, nor running one of
+//! its rounds.
 //!
 //! Allocations are counted per thread (the harness runs the tests of this
 //! file on threads of their own), so the counts are exact and repeat.
@@ -14,7 +15,8 @@ use gmip::gpu::Accel;
 use gmip::linalg::DenseMatrix;
 use gmip::lp::{BatchedWaveEngine, LpConfig, LpSolver, RecordingEngine, StandardLp, WaveOp};
 use gmip::problems::generators::{bin_packing, knapsack};
-use gmip::prop::charge_wave;
+use gmip::problems::{Constraint, MipInstance, Objective, Sense, Variable};
+use gmip::prop::{charge_wave, Propagator};
 use gmip::trace::names;
 
 #[path = "support/counting_alloc.rs"]
@@ -109,4 +111,33 @@ fn charging_a_propagation_wave_allocates_nothing() {
     assert!(ns > 0.0);
     assert_eq!(n, 0, "{n} allocations");
     assert_eq!(accel.stats().kernel_launches, 3 * 6);
+}
+
+/// `propagate_wave` builds its lanes' dispatch items once per call: a
+/// round costs no allocation, so a wave that runs eight rounds allocates
+/// what one stopped after two does.
+#[test]
+fn propagation_rounds_allocate_nothing() {
+    // A chain `x_i − x_{i+1} ≥ 1` over ten integers in [0, 10]: each sweep
+    // pushes the lower bounds one more link back, so the fixpoint lies
+    // past eight rounds.
+    let mut chain = MipInstance::new("chain", Objective::Maximize);
+    for i in 0..10 {
+        chain.add_var(Variable::integer(format!("x{i}"), 0.0, 10.0, 1.0));
+    }
+    for i in 0..9 {
+        let coeffs = vec![(i, 1.0), (i + 1, -1.0)];
+        chain.add_con(Constraint::new(format!("c{i}"), coeffs, Sense::Ge, 1.0));
+    }
+    let p = Propagator::new(&chain);
+    let accel = Accel::gpu(1);
+    let run = |max_rounds: usize| {
+        let mut boxes = vec![p.node_box(&[]); 6];
+        let (n, outs) = allocations_in(|| p.propagate_wave(&accel, &mut boxes, max_rounds));
+        assert!(outs.iter().all(|o| o.rounds == max_rounds && !o.infeasible));
+        n
+    };
+    run(8);
+    let (two, eight) = (run(2), run(8));
+    assert_eq!(two, eight, "{two} allocations at 2 rounds, {eight} at 8");
 }
