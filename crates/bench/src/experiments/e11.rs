@@ -49,10 +49,7 @@
 
 use crate::experiments::{gpu, oracle_optimum};
 use crate::table::{fmt_ns, Table};
-use gmip_core::{
-    solve_batched_wave, solve_concurrent, solve_first_order_wave, BatchedWaveConfig,
-    ConcurrentConfig, FirstOrderWaveConfig,
-};
+use gmip_core::{solve_batched_wave, solve_concurrent, solve_first_order_wave, WaveConfig};
 use gmip_lp::PdhgConfig;
 use gmip_problems::generators::binpacking::bin_packing;
 use gmip_problems::generators::knapsack::knapsack;
@@ -129,34 +126,14 @@ pub fn pdhg() -> PdhgConfig {
 }
 
 fn run_cell(family: &'static str, m: &MipInstance, lanes: usize) -> CrossCell {
-    let per_lane = solve_concurrent(
-        m,
-        &ConcurrentConfig {
-            lanes,
-            ..Default::default()
-        },
-        gpu(MEM),
-    )
-    .expect("per-lane solve");
-    let simplex = solve_batched_wave(
-        m,
-        &BatchedWaveConfig {
-            lanes,
-            ..Default::default()
-        },
-        gpu(MEM),
-    )
-    .expect("simplex wave solve");
-    let fo = solve_first_order_wave(
-        m,
-        &FirstOrderWaveConfig {
-            lanes,
-            pdhg: pdhg(),
-            ..Default::default()
-        },
-        gpu(MEM),
-    )
-    .expect("first-order wave solve");
+    let cfg = WaveConfig {
+        lanes,
+        pdhg: pdhg(),
+        ..Default::default()
+    };
+    let per_lane = solve_concurrent(m, &cfg, gpu(MEM)).expect("per-lane solve");
+    let simplex = solve_batched_wave(m, &cfg, gpu(MEM)).expect("simplex wave solve");
+    let fo = solve_first_order_wave(m, &cfg, gpu(MEM)).expect("first-order wave solve");
     assert!(
         (per_lane.objective - simplex.objective).abs() < 1e-6
             && (simplex.objective - fo.objective).abs() < 1e-6,

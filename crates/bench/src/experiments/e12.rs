@@ -25,9 +25,7 @@
 
 use crate::experiments::{gpu, oracle_optimum};
 use crate::table::{fmt_ns, Table};
-use gmip_core::{
-    solve_batched_wave, solve_first_order_wave, BatchedWaveConfig, FirstOrderWaveConfig,
-};
+use gmip_core::{solve_batched_wave, solve_first_order_wave, WaveConfig};
 use gmip_problems::generators::binpacking::bin_packing;
 use gmip_problems::generators::knapsack::knapsack;
 use gmip_problems::MipInstance;
@@ -100,47 +98,15 @@ fn run_cell(
     heur: bool,
 ) -> PropCell {
     let heuristic_period = if heur { HEUR_PERIOD } else { 0 };
-    let (first, makespan, nodes, metrics, objective) = match engine {
-        "simplex" => {
-            let r = solve_batched_wave(
-                m,
-                &BatchedWaveConfig {
-                    lanes: LANES,
-                    propagate,
-                    heuristic_period,
-                    ..Default::default()
-                },
-                gpu(MEM),
-            )
-            .expect("simplex wave solve");
-            (
-                r.first_incumbent_ns,
-                r.makespan_ns,
-                r.nodes,
-                r.metrics,
-                r.objective,
-            )
-        }
-        "firstorder" => {
-            let r = solve_first_order_wave(
-                m,
-                &FirstOrderWaveConfig {
-                    lanes: LANES,
-                    propagate,
-                    heuristic_period,
-                    ..Default::default()
-                },
-                gpu(MEM),
-            )
-            .expect("first-order wave solve");
-            (
-                r.first_incumbent_ns,
-                r.makespan_ns,
-                r.nodes,
-                r.metrics,
-                r.objective,
-            )
-        }
+    let cfg = WaveConfig {
+        lanes: LANES,
+        propagate,
+        heuristic_period,
+        ..Default::default()
+    };
+    let r = match engine {
+        "simplex" => solve_batched_wave(m, &cfg, gpu(MEM)).expect("simplex wave solve"),
+        "firstorder" => solve_first_order_wave(m, &cfg, gpu(MEM)).expect("first-order wave solve"),
         other => panic!("unknown engine {other}"),
     };
     PropCell {
@@ -149,12 +115,14 @@ fn run_cell(
         variant,
         propagate,
         heuristic_period,
-        first_incumbent_ns: first.expect("every cell solves to an incumbent"),
-        makespan_ns: makespan,
-        nodes,
-        tightenings: metrics.counter(names::PROP_TIGHTENINGS) as u64,
-        heur_incumbents: metrics.counter(names::HEUR_INCUMBENTS) as u64,
-        objective,
+        first_incumbent_ns: r
+            .first_incumbent_ns
+            .expect("every cell solves to an incumbent"),
+        makespan_ns: r.makespan_ns,
+        nodes: r.nodes,
+        tightenings: r.metrics.counter(names::PROP_TIGHTENINGS) as u64,
+        heur_incumbents: r.metrics.counter(names::HEUR_INCUMBENTS) as u64,
+        objective: r.objective,
     }
 }
 

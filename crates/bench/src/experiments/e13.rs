@@ -37,7 +37,7 @@
 
 use crate::experiments::{e11, gpu, oracle_optimum};
 use crate::table::{fmt_ns, Table};
-use gmip_core::{solve_first_order_wave, FirstOrderWaveConfig};
+use gmip_core::{solve_first_order_wave, WaveConfig};
 use gmip_gpu::BackendKind;
 use gmip_problems::MipInstance;
 
@@ -77,8 +77,8 @@ pub struct BackendCell {
 /// The E13 solve configuration: E11's first-order wave with propagation
 /// and the batched dive enabled, so the native backend executes all six
 /// fused kernel classes, not just the PDHG trio.
-fn config(lanes: usize, backend: BackendKind) -> FirstOrderWaveConfig {
-    FirstOrderWaveConfig {
+fn config(lanes: usize, backend: BackendKind) -> WaveConfig {
+    WaveConfig {
         lanes,
         pdhg: e11::pdhg(),
         propagate: true,

@@ -124,7 +124,7 @@ pub fn run() -> String {
         "\npart B: concurrent node evaluation in branch and bound \
          (one device, one launch-issue queue)\n",
     );
-    use gmip_core::{solve_concurrent, ConcurrentConfig};
+    use gmip_core::{solve_concurrent, WaveConfig};
     use gmip_problems::generators::knapsack;
     let inst = knapsack(20, 0.5, 4);
     let mut t = Table::new(&[
@@ -139,7 +139,7 @@ pub fn run() -> String {
     for lanes in [1usize, 2, 4, 8] {
         let r = solve_concurrent(
             &inst,
-            &ConcurrentConfig {
+            &WaveConfig {
                 lanes,
                 ..Default::default()
             },
@@ -302,28 +302,16 @@ fn wide_sweep() -> Vec<WaveSweepRow> {
 }
 
 fn sweep(inst: &gmip_problems::MipInstance, widths: &[usize]) -> Vec<WaveSweepRow> {
-    use gmip_core::{solve_batched_wave, solve_concurrent, BatchedWaveConfig, ConcurrentConfig};
+    use gmip_core::{solve_batched_wave, solve_concurrent, WaveConfig};
     widths
         .iter()
         .map(|&width| {
-            let per_lane = solve_concurrent(
-                inst,
-                &ConcurrentConfig {
-                    lanes: width,
-                    ..Default::default()
-                },
-                gpu(1 << 30),
-            )
-            .expect("per-lane solve");
-            let batched = solve_batched_wave(
-                inst,
-                &BatchedWaveConfig {
-                    lanes: width,
-                    ..Default::default()
-                },
-                gpu(1 << 30),
-            )
-            .expect("batched wave solve");
+            let cfg = WaveConfig {
+                lanes: width,
+                ..Default::default()
+            };
+            let per_lane = solve_concurrent(inst, &cfg, gpu(1 << 30)).expect("per-lane solve");
+            let batched = solve_batched_wave(inst, &cfg, gpu(1 << 30)).expect("batched wave solve");
             assert!(
                 (per_lane.objective - batched.objective).abs() < 1e-6,
                 "strategies disagree at width {width}"

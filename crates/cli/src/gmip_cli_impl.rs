@@ -85,7 +85,7 @@ SOLVE OPTIONS:
   --node-limit <n>   stop after n nodes                (default: 100000)
   --policy <p>       best | depth | breadth | reuse    (default: best)
   --pricing <r>      dantzig | devex — simplex entering-variable pricing
-                     rule (not firstorder:, whose cleanup is fixed)
+                     rule (on firstorder:, of its host cleanup)
                                                         (default: dantzig)
   --gap <frac>       accept a relative optimality gap (e.g. 0.01)
   --obj-limit <v>    stop at the first incumbent at least this good
@@ -94,17 +94,17 @@ SOLVE OPTIONS:
   --propagate        run iterated activity-based bound propagation on every
                      node before its LP (prop.* device kernels): infeasible
                      nodes settle without simplex/PDHG work, integer bounds
-                     tighten. Works on every strategy but per-lane:,
-                     including the wave backends and cluster ranks
+                     tighten. Works on every strategy, including the
+                     lane paths and cluster ranks
   --prop-rounds <n>  propagation fixpoint round cap      (default: 8;
                      cluster and threaded ranks always use 8)
   --heur-period <n>  run a fix-and-propagate dive every n nodes (waves: one
                      fused dive across the whole frontier); improving
                      feasible candidates become incumbents early (0 = off)
   --backend <b>      sim | native — who executes the fused lane kernels
-                     of batched: and firstorder: (a cluster rank's are
-                     one lane wide and run on its own thread). sim
-                     charges the cost model only; native additionally
+                     of batched:, per-lane: and firstorder: (a cluster
+                     rank's are one lane wide and run on its own thread).
+                     sim charges the cost model only; native additionally
                      runs them across host threads (RAYON_NUM_THREADS)
                      and reports real wall.* metrics. Simulated traces
                      and ns are bit-identical either way (default: sim)
@@ -976,14 +976,14 @@ mod tests {
 
     #[test]
     fn an_option_the_strategy_does_not_read_is_rejected_not_dropped() {
-        // A rank's round cap is a constant, the first-order cleanup's pricing
-        // is fixed: a value the solve would ignore comes back as Err, and the
-        // default itself passes.
+        // A rank's round cap is a constant, a lane path injects no faults: a
+        // value the solve would ignore comes back as Err, and the default
+        // itself passes.
         for (strategy, flag, value) in [
             ("cluster:3", "--prop-rounds", "3"),
             ("cluster:4x2", "--prop-rounds", "3"),
-            ("firstorder:4", "--pricing", "devex"),
-            ("per-lane:2", "--heur-period", "2"),
+            ("firstorder:4", "--faults", "3"),
+            ("per-lane:2", "--faults", "3"),
             ("batched:2", "--policy", "depth"),
             ("host", "--backend", "native"),
             ("cluster:3", "--backend", "native"),

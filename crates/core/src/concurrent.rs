@@ -17,40 +17,17 @@
 //! and the superstep joins at a device synchronize. The node limit is
 //! checked per lane, so a superstep never overshoots it.
 //!
-//! Cuts and heuristics are intentionally off here: this driver isolates the
-//! concurrency mechanism the paper describes so experiment E4 can measure
-//! it; the full-featured sequential orchestrator is [`crate::MipSolver`].
+//! It reads the whole [`WaveConfig`] (but `pdhg`), as the other two lane
+//! drivers do: the node hook's propagation and dive run as batches on the
+//! device, and the lanes keep one engine each. Cuts stay off, as on every
+//! wave; the full-featured sequential orchestrator is [`crate::MipSolver`].
 
-use crate::search::{NodeHook, PropCharge, Rules};
-use crate::wave::{run_wave, LaneSet, WaveResult};
+use crate::wave::{run_wave, LaneSet, WaveConfig, WaveResult};
 use gmip_gpu::Accel;
-use gmip_lp::{
-    Basis, BoundChange, DeviceEngine, LpConfig, LpResult, LpSolution, LpSolver, StandardLp,
-};
+use gmip_lp::{Basis, BoundChange, DeviceEngine, LpResult, LpSolution, LpSolver, StandardLp};
 use gmip_problems::MipInstance;
 use gmip_trace::MetricsRegistry;
 use gmip_tree::NodeId;
-
-/// Configuration of the concurrent-lane solver.
-#[derive(Debug, Clone)]
-pub struct ConcurrentConfig {
-    /// Number of concurrent lanes (engines/streams) on the device.
-    pub lanes: usize,
-    /// LP tolerances.
-    pub lp: LpConfig,
-    /// Node budget.
-    pub node_limit: usize,
-}
-
-impl Default for ConcurrentConfig {
-    fn default() -> Self {
-        Self {
-            lanes: 4,
-            lp: LpConfig::standard(),
-            node_limit: 100_000,
-        }
-    }
-}
 
 /// Per-lane engines, each on its own stream: a lane solves its node LP as
 /// it is loaded and retires at the superstep's synchronize.
@@ -114,10 +91,11 @@ impl LaneSet for EngineLanes {
 /// the Section 5.5 sizing rule.
 pub fn solve_concurrent(
     instance: &MipInstance,
-    cfg: &ConcurrentConfig,
+    cfg: &WaveConfig,
     accel: Accel,
 ) -> LpResult<WaveResult> {
     assert!(cfg.lanes >= 1, "need at least one lane");
+    let accel = accel.with_backend(cfg.backend);
     let std = StandardLp::from_instance(instance, &[]);
     // One engine per lane, each on its own stream, each with its own matrix
     // copy in device memory.
@@ -133,30 +111,14 @@ pub fn solve_concurrent(
             DeviceEngine::new_on_stream(factory_accel, a, stream)
         })?);
     }
-    // Propagation and the dive off: the hook charges nothing.
-    let hook = NodeHook::new(
-        instance,
-        false,
-        crate::DEFAULT_PROPAGATE_ROUNDS,
-        0,
-        cfg.lanes,
-        PropCharge::Batch(accel.clone()),
-    );
     let solved = (0..cfg.lanes).map(|_| None).collect();
-    run_wave(
-        instance,
-        Rules::new(instance),
-        hook,
-        cfg.node_limit,
-        accel.clone(),
-        cfg.lanes,
-        EngineLanes {
-            accel,
-            lanes,
-            solved,
-            counts: [0; 3],
-        },
-    )
+    let lanes = EngineLanes {
+        accel: accel.clone(),
+        lanes,
+        solved,
+        counts: [0; 3],
+    };
+    run_wave(instance, cfg, accel, cfg.lanes, lanes)
 }
 
 #[cfg(test)]
@@ -165,6 +127,7 @@ mod tests {
     use crate::solver::MipStatus;
     use gmip_problems::catalog::textbook_mip;
     use gmip_problems::generators::knapsack::{knapsack, knapsack_brute_force};
+    use gmip_trace::names;
 
     #[test]
     fn concurrent_matches_brute_force() {
@@ -173,7 +136,7 @@ mod tests {
             let expected = knapsack_brute_force(&m);
             let r = solve_concurrent(
                 &m,
-                &ConcurrentConfig {
+                &WaveConfig {
                     lanes: 3,
                     ..Default::default()
                 },
@@ -191,8 +154,7 @@ mod tests {
 
     #[test]
     fn textbook_concurrent() {
-        let r =
-            solve_concurrent(&textbook_mip(), &ConcurrentConfig::default(), Accel::gpu(1)).unwrap();
+        let r = solve_concurrent(&textbook_mip(), &WaveConfig::default(), Accel::gpu(1)).unwrap();
         assert_eq!(r.status, MipStatus::Optimal);
         assert!((r.objective - 20.0).abs() < 1e-6);
         assert!(r.supersteps <= r.nodes);
@@ -203,7 +165,7 @@ mod tests {
         let m = knapsack(18, 0.5, 3);
         let one = solve_concurrent(
             &m,
-            &ConcurrentConfig {
+            &WaveConfig {
                 lanes: 1,
                 ..Default::default()
             },
@@ -212,7 +174,7 @@ mod tests {
         .unwrap();
         let four = solve_concurrent(
             &m,
-            &ConcurrentConfig {
+            &WaveConfig {
                 lanes: 4,
                 ..Default::default()
             },
@@ -235,11 +197,39 @@ mod tests {
     }
 
     #[test]
+    fn propagation_and_heuristic_preserve_the_optimum() {
+        for seed in [2u64, 6, 11] {
+            let m = knapsack(14, 0.5, seed);
+            let expected = knapsack_brute_force(&m);
+            let r = solve_concurrent(
+                &m,
+                &WaveConfig {
+                    lanes: 4,
+                    propagate: true,
+                    heuristic_period: 2,
+                    ..Default::default()
+                },
+                Accel::gpu(1),
+            )
+            .unwrap();
+            assert_eq!(r.status, MipStatus::Optimal, "seed {seed}");
+            assert!(
+                (r.objective - expected).abs() < 1e-6,
+                "seed {seed}: {} vs {expected}",
+                r.objective
+            );
+            assert!(m.is_integer_feasible(&r.x, 1e-5), "seed {seed}");
+            assert!(r.metrics.counter(names::PROP_NODES) >= r.nodes as f64);
+            assert!(r.first_incumbent_ns.is_some());
+        }
+    }
+
+    #[test]
     fn node_limit_respected() {
         let m = knapsack(22, 0.5, 9);
         let r = solve_concurrent(
             &m,
-            &ConcurrentConfig {
+            &WaveConfig {
                 lanes: 2,
                 node_limit: 6,
                 ..Default::default()

@@ -9,8 +9,10 @@
 //! regardless of width — the kernel-class structure the paper's Section 5
 //! batching rule wants, with cost ∝ nnz instead of basis size.
 //!
-//! Three properties drive the crossover against the simplex wave at high
-//! lane counts:
+//! Three properties were expected to make it beat the simplex wave at high
+//! lane counts. Since the simplex wave fuses by lane state, E11
+//! (`BENCH_e11.json`) shows that wave ahead at every width; ROADMAP item 18
+//! asks where, if anywhere, this one wins:
 //!
 //! 1. **Early safe-bound prunes** — a lane states a valid
 //!    (dual-feasibility-adjusted) bound after its first KKT check and
@@ -23,58 +25,16 @@
 //!    host work), so every objective the tree acts on is exact and the
 //!    device never runs a sequential cleanup.
 
-use crate::search::{NodeHook, PropCharge, Rules};
-use crate::wave::{run_wave, LaneSet, WaveResult};
-use gmip_gpu::{Accel, BackendKind};
+use crate::wave::{run_wave, LaneSet, WaveConfig, WaveResult};
+use gmip_gpu::Accel;
 use gmip_linalg::CsrMatrix;
 use gmip_lp::{
-    wave_width, BoundChange, FirstOrderWaveEngine, HostEngine, LpConfig, LpResult, LpSolution,
-    LpSolver, PdhgConfig, StandardLp,
+    wave_width, BoundChange, FirstOrderWaveEngine, HostEngine, LpResult, LpSolution, LpSolver,
+    StandardLp,
 };
 use gmip_problems::MipInstance;
 use gmip_trace::{names, MetricsRegistry};
 use gmip_tree::NodeId;
-
-/// Configuration of the first-order wave solver.
-#[derive(Debug, Clone)]
-pub struct FirstOrderWaveConfig {
-    /// Requested wave width (lanes); clamped by device memory next to the
-    /// shared CSR matrix.
-    pub lanes: usize,
-    /// PDHG tuning: the convergence tolerance and the per-lane iteration
-    /// cap.
-    pub pdhg: PdhgConfig,
-    /// Node budget.
-    pub node_limit: usize,
-    /// Run batched domain propagation (`prop.*` kernel trios over the
-    /// shared CSR matrix) on every refilled lane's box before its PDHG
-    /// work. Off by default — opt-in, so committed baselines stay valid.
-    pub propagate: bool,
-    /// Propagation round cap per lane.
-    pub propagate_rounds: usize,
-    /// Run the batched fix-and-propagate dive across the collected frontier
-    /// seeds every this many retired nodes; `0` disables it.
-    pub heuristic_period: usize,
-    /// Which executing backend runs the fused lane dispatches. The
-    /// simulated charges (and therefore every traced ns) are identical
-    /// either way; `Native` additionally executes lanes across host
-    /// threads and records real wall-clock under `wall.*`.
-    pub backend: BackendKind,
-}
-
-impl Default for FirstOrderWaveConfig {
-    fn default() -> Self {
-        Self {
-            lanes: 8,
-            pdhg: PdhgConfig::default(),
-            node_limit: 100_000,
-            propagate: false,
-            propagate_rounds: crate::DEFAULT_PROPAGATE_ROUNDS,
-            heuristic_period: 0,
-            backend: BackendKind::Sim,
-        }
-    }
-}
 
 /// PDHG lanes with exact host cleanup. The warm artifact is the parent's
 /// averaged `(x, y)` iterates (both children share them — an iterate warm
@@ -145,7 +105,7 @@ impl LaneSet for PdhgLanes {
 /// converged lanes before branching.
 pub fn solve_first_order_wave(
     instance: &MipInstance,
-    cfg: &FirstOrderWaveConfig,
+    cfg: &WaveConfig,
     accel: Accel,
 ) -> LpResult<WaveResult> {
     assert!(cfg.lanes >= 1, "need at least one lane");
@@ -156,26 +116,19 @@ pub fn solve_first_order_wave(
     let per_lane = FirstOrderWaveEngine::per_lane_bytes(std.m(), std.n());
     let width = wave_width(cfg.lanes, accel.mem_capacity(), matrix_bytes, per_lane);
     let fo = FirstOrderWaveEngine::new(accel.clone(), &std, width, cfg.pdhg.clone())?;
-    let cleanup = LpSolver::new(std, LpConfig::standard(), |a| HostEngine::new(a.clone()));
-    let hook = NodeHook::new(
-        instance,
-        cfg.propagate,
-        cfg.propagate_rounds,
-        cfg.heuristic_period,
-        width,
-        PropCharge::Batch(accel.clone()),
-    );
-    let rules = Rules::new(instance);
-    let lanes = PdhgLanes { fo, cleanup };
-    run_wave(instance, rules, hook, cfg.node_limit, accel, width, lanes)
+    let cleanup = LpSolver::new(std, cfg.lp.clone(), |a| HostEngine::new(a.clone()));
+    run_wave(instance, cfg, accel, width, PdhgLanes { fo, cleanup })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::search::Rules;
     use crate::solver::MipStatus;
+    use crate::wave::solve_batched_wave;
     use crate::wave::tests::fingerprint;
-    use crate::wave::{solve_batched_wave, BatchedWaveConfig};
+    use gmip_gpu::BackendKind;
+    use gmip_lp::{LpConfig, PdhgConfig};
     use gmip_problems::catalog::textbook_mip;
     use gmip_problems::generators::knapsack::{knapsack, knapsack_brute_force};
 
@@ -186,7 +139,7 @@ mod tests {
             let expected = knapsack_brute_force(&m);
             let r = solve_first_order_wave(
                 &m,
-                &FirstOrderWaveConfig {
+                &WaveConfig {
                     lanes: 3,
                     ..Default::default()
                 },
@@ -205,12 +158,8 @@ mod tests {
 
     #[test]
     fn textbook_first_order() {
-        let r = solve_first_order_wave(
-            &textbook_mip(),
-            &FirstOrderWaveConfig::default(),
-            Accel::gpu(1),
-        )
-        .unwrap();
+        let r =
+            solve_first_order_wave(&textbook_mip(), &WaveConfig::default(), Accel::gpu(1)).unwrap();
         assert_eq!(r.status, MipStatus::Optimal);
         assert!((r.objective - 20.0).abs() < 1e-6);
         assert!(r.supersteps > 0);
@@ -222,7 +171,7 @@ mod tests {
         let m = knapsack(14, 0.5, 7);
         let fo = solve_first_order_wave(
             &m,
-            &FirstOrderWaveConfig {
+            &WaveConfig {
                 lanes: 4,
                 ..Default::default()
             },
@@ -231,7 +180,7 @@ mod tests {
         .unwrap();
         let sx = solve_batched_wave(
             &m,
-            &BatchedWaveConfig {
+            &WaveConfig {
                 lanes: 4,
                 ..Default::default()
             },
@@ -245,7 +194,7 @@ mod tests {
     fn deterministic_metrics_across_reruns() {
         let m = knapsack(13, 0.5, 3);
         let run = || {
-            let cfg = FirstOrderWaveConfig {
+            let cfg = WaveConfig {
                 lanes: 4,
                 ..Default::default()
             };
@@ -261,7 +210,7 @@ mod tests {
             let expected = knapsack_brute_force(&m);
             let r = solve_first_order_wave(
                 &m,
-                &FirstOrderWaveConfig {
+                &WaveConfig {
                     lanes: 4,
                     propagate: true,
                     heuristic_period: 2,
@@ -288,7 +237,7 @@ mod tests {
         // makespan, identical counters — at every thread count.
         let m = knapsack(13, 0.5, 5);
         let run = |backend: BackendKind| {
-            let cfg = FirstOrderWaveConfig {
+            let cfg = WaveConfig {
                 lanes: 4,
                 propagate: true,
                 heuristic_period: 2,
@@ -312,7 +261,7 @@ mod tests {
         let m = knapsack(22, 0.5, 9);
         let r = solve_first_order_wave(
             &m,
-            &FirstOrderWaveConfig {
+            &WaveConfig {
                 lanes: 2,
                 node_limit: 6,
                 ..Default::default()

@@ -21,7 +21,8 @@
 //!   Section 5.4 (dense-device / sparse-device / host paths);
 //! * [`concurrent`] — wave-based concurrent node evaluation on one device
 //!   via streams (Section 5.5);
-//! * [`wave`] — the retire-and-refill wave loop and its journaled-simplex lanes:
+//! * [`wave`] — the retire-and-refill wave loop, its one configuration
+//!   ([`WaveConfig`], read by all three lane drivers) and its journaled-simplex lanes:
 //!   fused node-LP kernels on a shared device-resident matrix with
 //!   event-based retire-and-refill (Sections 4.3, 5.5);
 //! * [`fo_wave`] — the same loop over restarted-PDHG lanes with exact host
@@ -44,13 +45,15 @@ pub mod solver;
 pub mod strategy;
 pub mod wave;
 
-pub use concurrent::{solve_concurrent, ConcurrentConfig};
+pub use concurrent::solve_concurrent;
 pub use config::{CutConfig, HeurConfig, MipConfig, PolicyKind, DEFAULT_PROPAGATE_ROUNDS};
 pub use dispatch::{
     break_even_density, choose_path, solve_with_dispatch, CodePath, MIN_DEVICE_NNZ,
 };
-pub use fo_wave::{solve_first_order_wave, FirstOrderWaveConfig};
+pub use fo_wave::solve_first_order_wave;
 pub use presolve::{presolve, PresolveResult};
 pub use solver::{MipResult, MipSolver, MipStatus, NodePayload, SolveStats};
 pub use strategy::{big_mip_cost, plan, Strategy, StrategyPlan};
-pub use wave::{solve_batched_wave, BatchedWaveConfig, WaveResult};
+pub use wave::{
+    solve_batched_wave, BatchedWaveConfig, FirstOrderWaveConfig, WaveConfig, WaveResult,
+};

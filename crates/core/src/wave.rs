@@ -29,44 +29,51 @@ use crate::solver::MipStatus;
 use gmip_gpu::{Accel, BackendKind, DeviceStats};
 use gmip_lp::wave::BatchedWaveEngine;
 use gmip_lp::{
-    wave_width, Basis, BoundChange, LpConfig, LpResult, LpSolution, LpSolver, RecordingEngine,
-    StandardLp,
+    wave_width, Basis, BoundChange, LpConfig, LpResult, LpSolution, LpSolver, PdhgConfig,
+    RecordingEngine, StandardLp,
 };
 use gmip_problems::MipInstance;
 use gmip_trace::{names, MetricsRegistry};
 use gmip_tree::{NodeId, NodeState, SearchTree};
 use std::borrow::Cow;
 
-/// Configuration of the batched-wave solver.
+/// Configuration of the three lane drivers — [`solve_batched_wave`],
+/// [`crate::solve_first_order_wave`] and [`crate::solve_concurrent`] — each
+/// of which reads every field but `pdhg`, which only the PDHG lanes use.
+/// Cuts stay off on every wave.
 #[derive(Debug, Clone)]
-pub struct BatchedWaveConfig {
-    /// Requested wave width (lanes); the effective width is clamped by
-    /// device memory next to the shared matrix.
+pub struct WaveConfig {
+    /// Requested wave width (lanes); the waves clamp it by device memory
+    /// next to their shared matrix.
     pub lanes: usize,
-    /// LP tolerances.
+    /// Simplex configuration: the simplex lanes' planner, the per-lane
+    /// engines and the first-order wave's host cleanup.
     pub lp: LpConfig,
+    /// PDHG tuning of the first-order lanes: the convergence tolerance and
+    /// the per-lane iteration cap.
+    pub pdhg: PdhgConfig,
     /// Node budget.
     pub node_limit: usize,
-    /// Run batched domain propagation (`prop.*` kernel trios over the
-    /// shared CSR matrix) on every refilled lane's box before its node LP.
-    /// Off by default — opt-in, so committed baselines stay valid.
+    /// Run batched domain propagation (`prop.*` kernel trios) on every
+    /// refilled lane's box before its node LP. Off by default.
     pub propagate: bool,
     /// Propagation round cap per lane.
     pub propagate_rounds: usize,
     /// Run the batched fix-and-propagate dive across the collected frontier
     /// seeds every this many retired nodes; `0` disables it.
     pub heuristic_period: usize,
-    /// Which executing backend runs the fused lane dispatches (the
-    /// `prop.*` / `heur.*` waves here; simplex lanes journal on the host
-    /// either way). Simulated charges are identical across backends.
+    /// Which executing backend runs the fused lane dispatches. Simulated
+    /// charges, and so every traced ns, are identical across backends;
+    /// `Native` also records real wall-clock under `wall.*`.
     pub backend: BackendKind,
 }
 
-impl Default for BatchedWaveConfig {
+impl Default for WaveConfig {
     fn default() -> Self {
         Self {
             lanes: 4,
             lp: LpConfig::standard(),
+            pdhg: PdhgConfig::default(),
             node_limit: 100_000,
             propagate: false,
             propagate_rounds: crate::DEFAULT_PROPAGATE_ROUNDS,
@@ -75,6 +82,13 @@ impl Default for BatchedWaveConfig {
         }
     }
 }
+
+/// [`WaveConfig`] under the name `examples/wallbench` gives the simplex
+/// wave's configuration.
+pub type BatchedWaveConfig = WaveConfig;
+/// [`WaveConfig`] under the name `examples/wallbench` gives the
+/// first-order wave's configuration.
+pub type FirstOrderWaveConfig = WaveConfig;
 
 /// Result of a batched-wave solve.
 #[derive(Debug)]
@@ -87,7 +101,8 @@ pub struct WaveResult {
     pub x: Vec<f64>,
     /// Nodes evaluated.
     pub nodes: usize,
-    /// Lockstep supersteps executed.
+    /// Supersteps executed: fused launches or staged transfers on the
+    /// waves, device-wide synchronizes on the per-lane baseline.
     pub supersteps: usize,
     /// Lanes retired mid-flight (node LPs completed).
     pub retires: usize,
@@ -232,7 +247,7 @@ impl LaneSet for SimplexLanes {
 /// LPs on `accel`.
 pub fn solve_batched_wave(
     instance: &MipInstance,
-    cfg: &BatchedWaveConfig,
+    cfg: &WaveConfig,
     accel: Accel,
 ) -> LpResult<WaveResult> {
     assert!(cfg.lanes >= 1, "need at least one lane");
@@ -248,28 +263,13 @@ pub fn solve_batched_wave(
     let per_lane = BatchedWaveEngine::per_lane_bytes(ext.rows(), ext.cols());
     let width = wave_width(cfg.lanes, accel.mem_capacity(), ext.size_bytes(), per_lane);
     let wave = BatchedWaveEngine::new(accel.clone(), ext, width)?;
-    let hook = NodeHook::new(
-        instance,
-        cfg.propagate,
-        cfg.propagate_rounds,
-        cfg.heuristic_period,
-        width,
-        PropCharge::Batch(accel.clone()),
-    );
     let solved = (0..width).map(|_| None).collect();
-    run_wave(
-        instance,
-        Rules::new(instance),
-        hook,
-        cfg.node_limit,
-        accel,
-        width,
-        SimplexLanes {
-            planner,
-            wave,
-            solved,
-        },
-    )
+    let lanes = SimplexLanes {
+        planner,
+        wave,
+        solved,
+    };
+    run_wave(instance, cfg, accel, width, lanes)
 }
 
 /// The wave loop: refill idle lanes from the best-bound frontier →
@@ -278,17 +278,25 @@ pub fn solve_batched_wave(
 /// lanes of `lanes` (the effective width after memory auto-sizing). Lanes that
 /// finish their node LP retire at a stream-event boundary and are refilled
 /// immediately; no lane waits in a join-all for the slowest of its wave.
-/// `hook` propagates every refill batch and dives from the fractional
-/// retirees' backlog (one seed per lane), both as batches on `accel`.
+/// It builds the drivers' `Rules` and their node hook from `cfg`: the hook
+/// propagates every refill batch and dives from the fractional retirees'
+/// backlog (one seed per lane), both as batches on `accel`.
 pub(crate) fn run_wave<L: LaneSet>(
     instance: &MipInstance,
-    rules: Rules,
-    mut hook: NodeHook,
-    node_limit: usize,
+    cfg: &WaveConfig,
     accel: Accel,
     width: usize,
     mut lanes: L,
 ) -> LpResult<WaveResult> {
+    let rules = Rules::new(instance);
+    let mut hook = NodeHook::new(
+        instance,
+        cfg.propagate,
+        cfg.propagate_rounds,
+        cfg.heuristic_period,
+        width,
+        PropCharge::Batch(accel.clone()),
+    );
     let mut tree: SearchTree<WaveNode<L::Warm>> =
         SearchTree::with_root(WaveNode::default(), search::node_bytes(instance));
     let mut incumbent = Incumbent::default();
@@ -309,7 +317,7 @@ pub(crate) fn run_wave<L: LaneSet>(
         // Refill every idle slot from the best-bound frontier — no barrier,
         // no waiting on busier lanes.
         for slot in 0..width {
-            if in_flight[slot].is_some() || nodes >= node_limit {
+            if in_flight[slot].is_some() || nodes >= cfg.node_limit {
                 continue;
             }
             let Some(id) = tree.best() else { break };
@@ -349,7 +357,7 @@ pub(crate) fn run_wave<L: LaneSet>(
         if !lanes.busy() {
             // A refill batch fully settled by propagation leaves no lane
             // busy while the frontier may still hold work: refill again.
-            if settled_by_prop > 0 && tree.has_active() && nodes < node_limit {
+            if settled_by_prop > 0 && tree.has_active() && nodes < cfg.node_limit {
                 continue;
             }
             break;
@@ -445,7 +453,7 @@ fn reuse<T, U>(mut buf: Vec<T>) -> Vec<U> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::concurrent::{solve_concurrent, ConcurrentConfig};
+    use crate::concurrent::solve_concurrent;
     use gmip_problems::catalog::textbook_mip;
     use gmip_problems::generators::knapsack::{knapsack, knapsack_brute_force};
 
@@ -456,7 +464,7 @@ pub(crate) mod tests {
             let expected = knapsack_brute_force(&m);
             let r = solve_batched_wave(
                 &m,
-                &BatchedWaveConfig {
+                &WaveConfig {
                     lanes: 3,
                     ..Default::default()
                 },
@@ -475,12 +483,7 @@ pub(crate) mod tests {
 
     #[test]
     fn textbook_batched() {
-        let r = solve_batched_wave(
-            &textbook_mip(),
-            &BatchedWaveConfig::default(),
-            Accel::gpu(1),
-        )
-        .unwrap();
+        let r = solve_batched_wave(&textbook_mip(), &WaveConfig::default(), Accel::gpu(1)).unwrap();
         assert_eq!(r.status, MipStatus::Optimal);
         assert!((r.objective - 20.0).abs() < 1e-6);
         assert!(r.supersteps > 0);
@@ -498,7 +501,7 @@ pub(crate) mod tests {
         for lanes in [64usize, 128] {
             let per_lane = solve_concurrent(
                 &m,
-                &ConcurrentConfig {
+                &WaveConfig {
                     lanes,
                     ..Default::default()
                 },
@@ -507,7 +510,7 @@ pub(crate) mod tests {
             .unwrap();
             let batched = solve_batched_wave(
                 &m,
-                &BatchedWaveConfig {
+                &WaveConfig {
                     lanes,
                     ..Default::default()
                 },
@@ -535,7 +538,7 @@ pub(crate) mod tests {
         let m = knapsack(16, 0.5, 7);
         let narrow = solve_batched_wave(
             &m,
-            &BatchedWaveConfig {
+            &WaveConfig {
                 lanes: 1,
                 ..Default::default()
             },
@@ -544,7 +547,7 @@ pub(crate) mod tests {
         .unwrap();
         let wide = solve_batched_wave(
             &m,
-            &BatchedWaveConfig {
+            &WaveConfig {
                 lanes: 8,
                 ..Default::default()
             },
@@ -583,7 +586,7 @@ pub(crate) mod tests {
     fn native_backend_matches_sim_byte_for_byte() {
         let m = knapsack(12, 0.5, 4);
         let run = |backend: BackendKind| {
-            let cfg = BatchedWaveConfig {
+            let cfg = WaveConfig {
                 lanes: 4,
                 propagate: true,
                 heuristic_period: 2,
@@ -609,7 +612,7 @@ pub(crate) mod tests {
             let expected = knapsack_brute_force(&m);
             let r = solve_batched_wave(
                 &m,
-                &BatchedWaveConfig {
+                &WaveConfig {
                     lanes: 4,
                     propagate: true,
                     heuristic_period: 2,
@@ -639,7 +642,7 @@ pub(crate) mod tests {
         use gmip_problems::catalog::infeasible_instance;
         let r = solve_batched_wave(
             &infeasible_instance(),
-            &BatchedWaveConfig {
+            &WaveConfig {
                 lanes: 2,
                 propagate: true,
                 ..Default::default()
@@ -660,7 +663,7 @@ pub(crate) mod tests {
         use gmip_problems::generators::bin_packing;
         for m in [knapsack(30, 0.5, 3), bin_packing(4, 1.0, 2)] {
             let solve = |mem_capacity: usize, lanes: usize| {
-                let cfg = BatchedWaveConfig {
+                let cfg = WaveConfig {
                     lanes,
                     ..Default::default()
                 };
@@ -694,7 +697,7 @@ pub(crate) mod tests {
     #[test]
     fn a_wave_crosses_the_link_once_per_superstep() {
         use gmip_problems::generators::bin_packing;
-        let cfg = BatchedWaveConfig {
+        let cfg = WaveConfig {
             lanes: 64,
             ..Default::default()
         };
@@ -724,7 +727,7 @@ pub(crate) mod tests {
     #[test]
     fn a_wave_uploads_only_first_installs() {
         use gmip_problems::generators::bin_packing;
-        let cfg = BatchedWaveConfig {
+        let cfg = WaveConfig {
             lanes: 64,
             ..Default::default()
         };
@@ -748,7 +751,7 @@ pub(crate) mod tests {
         let m = knapsack(22, 0.5, 9);
         let r = solve_batched_wave(
             &m,
-            &BatchedWaveConfig {
+            &WaveConfig {
                 lanes: 2,
                 node_limit: 6,
                 ..Default::default()

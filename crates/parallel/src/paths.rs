@@ -30,8 +30,7 @@ use crate::{
 };
 use gmip_core::{
     plan, solve_batched_wave, solve_concurrent, solve_first_order_wave, solve_with_dispatch,
-    BatchedWaveConfig, CodePath, ConcurrentConfig, FirstOrderWaveConfig, MipConfig, MipResult,
-    MipSolver, MipStatus, Strategy, WaveResult,
+    CodePath, MipConfig, MipResult, MipSolver, MipStatus, Strategy, WaveConfig, WaveResult,
 };
 use gmip_gpu::{Accel, BackendKind, CostModel, DeviceConfig};
 use gmip_problems::MipInstance;
@@ -77,8 +76,8 @@ pub struct SolveOptions {
     pub mip: MipConfig,
     /// Memory of each simulated device, bytes.
     pub gpu_mem: usize,
-    /// Who executes the fused lane kernels of the waves (`batched:` and
-    /// `firstorder:`).
+    /// Who executes the fused lane kernels of the three lane paths
+    /// (`batched:`, `per-lane:` and `firstorder:`).
     pub backend: BackendKind,
     /// Deterministic fault injection (cluster and threaded ranks only).
     pub chaos: Option<ChaosConfig>,
@@ -196,11 +195,16 @@ impl FromStr for SolvePath {
         };
         match path {
             // Every rank holds a simulated device (and, threaded, an OS thread),
-            // so a typo like cluster:10000000 would exhaust memory instead of
-            // producing a curve.
+            // and every lane its own host state (per-lane: an engine and a
+            // matrix copy, built before simulated memory can refuse them), so a
+            // typo like cluster:10000000 or per-lane:10000000 would exhaust host
+            // memory instead of producing a curve.
             Self::Cluster(n, _) | Self::Threaded(n) if n > MAX_RANKS => Err(format!(
                 "{name}:{n} exceeds the simulation ceiling of {MAX_RANKS} ranks"
             )),
+            Self::Batched(n) | Self::PerLane(n) | Self::FirstOrder(n) if n > MAX_RANKS => Err(
+                format!("{name}:{n} exceeds the simulation ceiling of {MAX_RANKS} lanes"),
+            ),
             _ => Ok(path),
         }
     }
@@ -232,11 +236,8 @@ impl SolvePath {
         let (m, dm) = (&o.mip, &d.mip);
         let mip = matches!(self, Host | Plan(_) | Auto);
         let ranks = matches!(self, Cluster(..) | Threaded(_));
-        let (lane, fo) = (matches!(self, PerLane(_)), matches!(self, FirstOrder(_)));
-        // Only a wave's dispatches are wider than one lane.
-        let waves = fo || matches!(self, Batched(_));
-        let pricing = m.lp.primal.pricing != dm.lp.primal.pricing;
-        let dive = m.heuristics.fix_and_propagate_period != 0;
+        // Only a lane path's dispatches are wider than one lane.
+        let lanes = matches!(self, Batched(_) | PerLane(_) | FirstOrder(_));
         let rounds = m.propagate_rounds != dm.propagate_rounds;
         let warm = o.warm.seed.is_some() || o.warm.root_basis.is_some();
         [
@@ -246,11 +247,8 @@ impl SolvePath {
             ("--obj-limit", m.objective_limit.is_some(), mip),
             ("--no-cuts", !m.cuts.enabled, mip),
             ("--no-heur", !m.heuristics.rounding, mip),
-            ("--pricing", pricing, !fo),
-            ("--propagate", m.propagate, !lane),
-            ("--heur-period", dive, !lane),
-            ("--prop-rounds", rounds, !ranks && !lane),
-            ("--backend", o.backend != d.backend, waves),
+            ("--prop-rounds", rounds, !ranks),
+            ("--backend", o.backend != d.backend, lanes),
             ("--faults", o.chaos.is_some(), ranks),
             ("a warm start", warm, matches!(self, Cluster(..))),
         ]
@@ -290,6 +288,16 @@ impl SolvePath {
             heuristic_period: m.heuristics.fix_and_propagate_period,
             ..Default::default()
         };
+        let wave = |lanes| WaveConfig {
+            lanes,
+            lp: m.lp.clone(),
+            node_limit: m.node_limit,
+            propagate: m.propagate,
+            propagate_rounds: m.propagate_rounds,
+            heuristic_period: m.heuristics.fix_and_propagate_period,
+            backend: o.backend,
+            ..Default::default()
+        };
         let solved = match self {
             Self::Host => MipSolver::host_baseline(instance.clone(), m.clone())
                 .solve()
@@ -303,37 +311,13 @@ impl SolvePath {
             Self::Auto => solve_with_dispatch(instance.clone(), m.clone(), device())
                 .map(|(path, r)| Solved::Auto(path, r)),
             Self::Batched(lanes) => {
-                let cfg = BatchedWaveConfig {
-                    lanes,
-                    lp: m.lp.clone(),
-                    node_limit: m.node_limit,
-                    propagate: m.propagate,
-                    propagate_rounds: m.propagate_rounds,
-                    heuristic_period: m.heuristics.fix_and_propagate_period,
-                    backend: o.backend,
-                    ..Default::default()
-                };
-                solve_batched_wave(instance, &cfg, device()).map(Solved::Wave)
+                solve_batched_wave(instance, &wave(lanes), device()).map(Solved::Wave)
             }
             Self::PerLane(lanes) => {
-                let cfg = ConcurrentConfig {
-                    lanes,
-                    lp: m.lp.clone(),
-                    node_limit: m.node_limit,
-                };
-                solve_concurrent(instance, &cfg, device()).map(Solved::Wave)
+                solve_concurrent(instance, &wave(lanes), device()).map(Solved::Wave)
             }
             Self::FirstOrder(lanes) => {
-                let cfg = FirstOrderWaveConfig {
-                    lanes,
-                    node_limit: m.node_limit,
-                    propagate: m.propagate,
-                    propagate_rounds: m.propagate_rounds,
-                    heuristic_period: m.heuristics.fix_and_propagate_period,
-                    backend: o.backend,
-                    ..Default::default()
-                };
-                solve_first_order_wave(instance, &cfg, device()).map(Solved::Wave)
+                solve_first_order_wave(instance, &wave(lanes), device()).map(Solved::Wave)
             }
             Self::Cluster(workers, None) => {
                 solve_parallel(instance, ranks(workers)).map(Solved::Cluster)
@@ -410,6 +394,9 @@ mod tests {
             "cluster:4097",
             "cluster:1000000x8",
             "threaded:4097",
+            "batched:4097",
+            "per-lane:10000000",
+            "firstorder:4097",
         ] {
             let err = absurd.parse::<SolvePath>().unwrap_err();
             assert!(err.contains("ceiling"), "{absurd}: `{err}`");
@@ -418,6 +405,10 @@ mod tests {
         assert_eq!(
             "cluster:1024x32".parse::<SolvePath>(),
             Ok(SolvePath::Cluster(1024, Some(32)))
+        );
+        assert_eq!(
+            "per-lane:4096".parse::<SolvePath>(),
+            Ok(SolvePath::PerLane(4096))
         );
         let err = "warp:9".parse::<SolvePath>().unwrap_err();
         assert!(err.contains("unknown strategy `warp:9`"), "{err}");
@@ -465,19 +456,19 @@ mod tests {
             (
                 "--pricing",
                 |o| o.mip.lp.primal.pricing = PricingRule::Devex,
-                "xxxxx.xxx",
+                "xxxxxxxxx",
             ),
-            ("--propagate", |o| o.mip.propagate = true, "xxxx.xxxx"),
+            ("--propagate", |o| o.mip.propagate = true, "xxxxxxxxx"),
             (
                 "--heur-period",
                 |o| o.mip.heuristics.fix_and_propagate_period = 2,
-                "xxxx.xxxx",
+                "xxxxxxxxx",
             ),
-            ("--prop-rounds", |o| o.mip.propagate_rounds = 3, "xxxx.x..."),
+            ("--prop-rounds", |o| o.mip.propagate_rounds = 3, "xxxxxx..."),
             (
                 "--backend",
                 |o| o.backend = BackendKind::Native { threads: 1 },
-                "...x.x...",
+                "...xxx...",
             ),
             (
                 "a warm start",

@@ -356,6 +356,10 @@ impl Propagator {
         let mut rounds = 0usize;
         let mut repairs = 0usize;
         let ints: Vec<usize> = (0..x.len()).filter(|&j| self.integral[j]).collect();
+        // The trial box a fixing propagates in, refilled from the current
+        // box per try and swapped in when the fixing survives: two vectors
+        // per dive, however many fixings it makes.
+        let (mut trial_lb, mut trial_ub) = (lb.clone(), ub.clone());
 
         for _ in 0..=ints.len() {
             // Most fractional still-free integral variable (ties to the
@@ -374,8 +378,8 @@ impl Propagator {
                 });
             let Some(j) = next else { break };
             let primary = x[j].round().clamp(lb[j], ub[j]);
-            let mut trial_lb = lb.clone();
-            let mut trial_ub = ub.clone();
+            trial_lb.copy_from_slice(&lb);
+            trial_ub.copy_from_slice(&ub);
             trial_lb[j] = primary;
             trial_ub[j] = primary;
             let out = self.propagate(&mut trial_lb, &mut trial_ub, max_rounds);
@@ -396,11 +400,11 @@ impl Propagator {
                         aborted: true,
                     };
                 }
-                let mut alt_lb = lb.clone();
-                let mut alt_ub = ub.clone();
-                alt_lb[j] = alt;
-                alt_ub[j] = alt;
-                let alt_out = self.propagate(&mut alt_lb, &mut alt_ub, max_rounds);
+                trial_lb.copy_from_slice(&lb);
+                trial_ub.copy_from_slice(&ub);
+                trial_lb[j] = alt;
+                trial_ub[j] = alt;
+                let alt_out = self.propagate(&mut trial_lb, &mut trial_ub, max_rounds);
                 rounds += alt_out.rounds;
                 if alt_out.infeasible {
                     return FixPropOutcome {
@@ -411,12 +415,9 @@ impl Propagator {
                     };
                 }
                 repairs += 1;
-                lb = alt_lb;
-                ub = alt_ub;
-            } else {
-                lb = trial_lb;
-                ub = trial_ub;
             }
+            std::mem::swap(&mut lb, &mut trial_lb);
+            std::mem::swap(&mut ub, &mut trial_ub);
             for (k, v) in x.iter_mut().enumerate() {
                 *v = v.clamp(lb[k], ub[k]);
             }

@@ -22,7 +22,7 @@ use crate::oracle::{solve_oracle, OracleResult, OracleStatus};
 use crate::shrink::{shrink_instance, write_repro};
 use gmip_core::MipStatus;
 use gmip_gpu::BackendKind;
-use gmip_lp::Basis;
+use gmip_lp::{Basis, PricingRule};
 use gmip_parallel::{ChaosConfig, SolveOptions, SolvePath, Solved, Warm};
 use gmip_problems::generators::{
     bin_packing, generalized_assignment, knapsack, random_mip, set_cover, unit_commitment,
@@ -204,6 +204,13 @@ impl Row {
         self
     }
 
+    /// `--pricing devex`.
+    fn devex(mut self) -> Self {
+        self.name += " --pricing devex";
+        self.opts.mip.lp.primal.pricing = PricingRule::Devex;
+        self
+    }
+
     /// `--backend native`.
     fn native(mut self) -> Self {
         self.name += " --backend native";
@@ -226,18 +233,20 @@ impl Row {
 }
 
 /// The table rows run after the host baseline: every path plain; the node
-/// hook (propagation and the dive on) on the serial solver, both waves and
-/// the cluster rank; both waves on the native backend; and a cluster under
-/// a chaos fault plan.
+/// hook (propagation and the dive on) on the serial solver, the three lane
+/// paths and the cluster rank; both waves on the native backend; Devex
+/// pricing on the first-order wave's cleanup; and a cluster under a chaos
+/// fault plan.
 fn rows(chaos: bool, seed: u64) -> Vec<Row> {
     let plain = "cpu-orchestrated gpu-only hybrid big-mip:2 auto cluster:3 cluster:4x2 \
                  threaded:2 batched:3 per-lane:3 firstorder:3";
     let mut rows: Vec<Row> = plain.split_whitespace().map(Row::new).collect();
-    for path in ["host", "batched:3", "firstorder:3", "cluster:3"] {
+    for path in "host batched:3 per-lane:3 firstorder:3 cluster:3".split_whitespace() {
         rows.push(Row::new(path).propagate());
     }
     rows.push(Row::new("batched:3").propagate().native());
     rows.push(Row::new("firstorder:3").native());
+    rows.push(Row::new("firstorder:3").devex());
     if chaos {
         rows.push(Row::new("cluster:3").faults(&format!(
             "seed={seed},crash=0,straggle=0,drop=0.1,delay=0.1,delay-ns=15000"
@@ -523,8 +532,8 @@ mod tests {
             .count();
         assert_eq!(
             out.checks,
-            8 * 19 + 6 * optimal,
-            "the host baseline, 18 table rows, and 6 warm runs per optimal case"
+            8 * 21 + 6 * optimal,
+            "the host baseline, 20 table rows, and 6 warm runs per optimal case"
         );
         assert!(out.certificates > 0, "no certificates were validated");
         assert!(out.metamorphic_checks > 0, "no metamorphic checks ran");
@@ -584,7 +593,7 @@ mod tests {
                 ..ChaosConfig::quiet(9)
             })
         );
-        assert_eq!(rows(false, 9).len(), 17);
+        assert_eq!(rows(false, 9).len(), 19);
     }
 
     /// Acceptance criterion: a deliberately wrong strategy (off-by-one

@@ -18,9 +18,7 @@
 //!
 //! Run with: `cargo run --release --example batched_portfolio`
 
-use gmip::core::{
-    solve_batched_wave, solve_concurrent, BatchedWaveConfig, ConcurrentConfig, MipStatus,
-};
+use gmip::core::{solve_batched_wave, solve_concurrent, MipStatus, WaveConfig};
 use gmip::gpu::Accel;
 use gmip::problems::generators::knapsack;
 
@@ -33,31 +31,18 @@ fn main() {
         instance.num_cons()
     );
 
-    let lanes = 8;
+    let cfg = WaveConfig {
+        lanes: 8,
+        ..Default::default()
+    };
 
     // Per-lane evaluator: `lanes` engines, `lanes` matrix copies, a
     // device-wide synchronize joining every wave.
-    let per_lane = solve_concurrent(
-        &instance,
-        &ConcurrentConfig {
-            lanes,
-            ..Default::default()
-        },
-        Accel::gpu(1),
-    )
-    .expect("per-lane solve");
+    let per_lane = solve_concurrent(&instance, &cfg, Accel::gpu(1)).expect("per-lane solve");
     assert_eq!(per_lane.status, MipStatus::Optimal);
 
     // Batched wave: one shared matrix, fused launches, retire-and-refill.
-    let batched = solve_batched_wave(
-        &instance,
-        &BatchedWaveConfig {
-            lanes,
-            ..Default::default()
-        },
-        Accel::gpu(1),
-    )
-    .expect("batched wave solve");
+    let batched = solve_batched_wave(&instance, &cfg, Accel::gpu(1)).expect("batched wave solve");
     assert_eq!(batched.status, MipStatus::Optimal);
     assert!(
         (batched.objective - per_lane.objective).abs() < 1e-6,

@@ -172,7 +172,7 @@ fn seeded_instances_agree_across_device_threaded_and_cluster() {
 /// seeded instance, at several wave widths.
 #[test]
 fn batched_wave_matches_host_on_seeded_suite() {
-    use gmip::core::{solve_batched_wave, BatchedWaveConfig};
+    use gmip::core::{solve_batched_wave, WaveConfig};
     use gmip::gpu::Accel;
     use gmip::problems::generators::knapsack;
     for seed in [13u64, 29, 41] {
@@ -182,7 +182,7 @@ fn batched_wave_matches_host_on_seeded_suite() {
         for lanes in [1usize, 2, 3, 5, 7] {
             let r = solve_batched_wave(
                 &instance,
-                &BatchedWaveConfig {
+                &WaveConfig {
                     lanes,
                     ..Default::default()
                 },
@@ -215,13 +215,13 @@ fn batched_wave_matches_host_on_seeded_suite() {
 /// to 350 at sixteen).
 #[test]
 fn batched_wave_agrees_on_catalog_and_undercuts_per_lane() {
-    use gmip::core::{solve_batched_wave, solve_concurrent, BatchedWaveConfig, ConcurrentConfig};
+    use gmip::core::{solve_batched_wave, solve_concurrent, WaveConfig};
     use gmip::gpu::Accel;
     for entry in small_suite() {
         let expected = reference(entry.id, &entry.instance);
         let r = solve_batched_wave(
             &entry.instance,
-            &BatchedWaveConfig {
+            &WaveConfig {
                 lanes: 4,
                 ..Default::default()
             },
@@ -238,25 +238,12 @@ fn batched_wave_agrees_on_catalog_and_undercuts_per_lane() {
         );
     }
     let instance = gmip::problems::generators::knapsack(20, 0.5, 21);
-    let lanes = 64;
-    let per_lane = solve_concurrent(
-        &instance,
-        &ConcurrentConfig {
-            lanes,
-            ..Default::default()
-        },
-        Accel::gpu(1),
-    )
-    .expect("per-lane solve");
-    let batched = solve_batched_wave(
-        &instance,
-        &BatchedWaveConfig {
-            lanes,
-            ..Default::default()
-        },
-        Accel::gpu(1),
-    )
-    .expect("batched solve");
+    let cfg = WaveConfig {
+        lanes: 64,
+        ..Default::default()
+    };
+    let per_lane = solve_concurrent(&instance, &cfg, Accel::gpu(1)).expect("per-lane solve");
+    let batched = solve_batched_wave(&instance, &cfg, Accel::gpu(1)).expect("batched solve");
     assert!(
         (batched.objective - per_lane.objective).abs() < 1e-5,
         "strategies disagree: {} vs {}",

@@ -93,7 +93,7 @@
 
 use gmip::core::{
     solve_batched_wave, solve_concurrent, solve_first_order_wave, BatchedWaveConfig,
-    ConcurrentConfig, FirstOrderWaveConfig,
+    FirstOrderWaveConfig, WaveConfig,
 };
 use gmip::gpu::{Accel, CostModel, DeviceConfig};
 use gmip::parallel::{
@@ -290,7 +290,7 @@ fn first_order_wave_64() {
 
 #[test]
 fn concurrent_lanes() {
-    let r = solve_concurrent(&wave_instance(), &ConcurrentConfig::default(), gpu())
+    let r = solve_concurrent(&wave_instance(), &WaveConfig::default(), gpu())
         .expect("concurrent solve");
     assert_eq!(
         format!(

@@ -63,7 +63,7 @@
 //! peak bytes, allocation counts, H2D transfers and bytes, D2H bytes,
 //! iterations and optima did not.
 
-use gmip::core::{solve_concurrent, ConcurrentConfig};
+use gmip::core::{solve_concurrent, WaveConfig};
 use gmip::gpu::{Accel, CostModel, DeviceConfig};
 use gmip::linalg::DenseMatrix;
 use gmip::lp::dual::DualConfig;
@@ -607,7 +607,7 @@ fn a_superstep_crosses_the_link_at_most_once_each_way() {
 #[test]
 fn two_engines_share_one_device() {
     let accel = gpu();
-    let cfg = ConcurrentConfig {
+    let cfg = WaveConfig {
         lanes: 2,
         ..Default::default()
     };

@@ -141,3 +141,31 @@ fn propagation_rounds_allocate_nothing() {
     let (two, eight) = (run(2), run(8));
     assert_eq!(two, eight, "{two} allocations at 2 rounds, {eight} at 8");
 }
+
+/// A fix-and-propagate dive tries each fixing in two scratch boxes it
+/// refills from the current box, not in fresh clones of it: a dive that
+/// fixes eight variables allocates what one that fixes two does.
+#[test]
+fn a_dive_allocates_the_same_whatever_its_fixings() {
+    // Ten binaries under one loose row: every rounding survives, so the
+    // dive fixes exactly the fractional ones.
+    let mut m = MipInstance::new("loose", Objective::Maximize);
+    for i in 0..10 {
+        m.add_var(Variable::integer(format!("x{i}"), 0.0, 1.0, 1.0));
+    }
+    let row = (0..10).map(|i| (i, 1.0)).collect();
+    m.add_con(Constraint::new("cap", row, Sense::Le, 10.0));
+    let p = Propagator::new(&m);
+    let (lb, ub) = p.node_box(&[]);
+    let dive = |fractional: usize| {
+        let x: Vec<f64> = (0..10)
+            .map(|i| if i < fractional { 0.5 } else { 0.0 })
+            .collect();
+        let (n, out) = allocations_in(|| p.fix_and_propagate(&x, &lb, &ub, 1e-6, 8));
+        let (_, point) = out.candidate.expect("a loose row takes every rounding");
+        assert_eq!(point.iter().filter(|&&v| v == 1.0).count(), fractional);
+        n
+    };
+    let (two, eight) = (dive(2), dive(8));
+    assert_eq!(two, eight, "{two} allocations for 2 fixings, {eight} for 8");
+}
