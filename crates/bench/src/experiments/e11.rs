@@ -35,8 +35,10 @@
 //! at the device's one issue slot, so that column does not fall with the
 //! width, and the waves overtake it as they widen — Section 5.5's
 //! batching-beats-streams: the simplex wave from 16 lanes on both families,
-//! the first-order wave from 64 on the heavy one and never on the light
-//! one (asserted as exact regions over the swept widths). At 4 lanes the
+//! the first-order wave from 128 on the heavy one and never on the light
+//! one (asserted as exact regions over the swept widths). The first-order
+//! wave led from 64 until the Harris ratio test cut the per-lane engines'
+//! pivots on the heavy family by about half. At 4 lanes the
 //! per-lane engines are ahead of both: a per-lane node LP is one chain (a
 //! launch per pivot, one read-back), while a wave pays a launch per
 //! superstep — the waves' saving starts where enough lanes share each
@@ -194,13 +196,13 @@ fn assert_claims(cells: &[CrossCell]) {
     // finishes before the per-lane engines, whose launches leave the
     // device's one issue queue one at a time however many streams they sit
     // on — the simplex wave from 16 lanes on both families, the first-order
-    // wave from 64 on the heavy one and never on the light one — and at no
-    // narrower width.
+    // wave from 128 on the heavy one and never on the light one — and at
+    // no narrower width.
     for c in cells {
         let heavy = c.family == "heavy";
         for (wave, ns, from) in [
             ("simplex", c.simplex_ns, Some(16)),
-            ("first-order", c.firstorder_ns, heavy.then_some(64)),
+            ("first-order", c.firstorder_ns, heavy.then_some(128)),
         ] {
             let ahead = from.is_some_and(|w| c.lanes >= w);
             assert_eq!(
@@ -297,7 +299,7 @@ pub fn run() -> String {
          per superstep. The per-lane column does not fall with the width —\n\
          its launches are issued one at a time whatever stream they sit on —\n\
          so the waves overtake it as they widen: the simplex wave from 16\n\
-         lanes on both families, the first-order wave from 64 on the heavy\n\
+         lanes on both families, the first-order wave from 128 on the heavy\n\
          one. At 4 lanes the per-lane engines are ahead: their node LP is one\n\
          chain, a launch per pivot and one read-back, a narrow wave's a\n\
          launch per superstep.\n\

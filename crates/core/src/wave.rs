@@ -742,7 +742,7 @@ pub(crate) mod tests {
         );
         assert_eq!(
             (r.supersteps, d.kernel_launches, d.d2h_transfers),
-            (1104, 1098, 66)
+            (611, 606, 38)
         );
     }
 

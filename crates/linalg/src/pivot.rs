@@ -7,19 +7,87 @@
 //! upper, 0 when basic or fixed (never eligible). A reduced cost is a
 //! `d: impl Fn(usize) -> f64`, read only where a rule looks. A rule reads
 //! its slices over their common length, never past it.
+//!
+//! Both ratio tests ([`ratio_test`], [`dual_ratio`]) are Harris's two-pass
+//! rule, the caller's `tol` serving as both the pivot tolerance and the
+//! relaxation `δ`. A candidate (a blocking row, an eligible column) has a
+//! pivot magnitude `|α| > tol`, a numerator `p`, the ratio `p·(1/|α|)` and
+//! the relaxed ratio `(p + δ)·(1/|α|)`. Pass 1 bounds the step by the
+//! smallest relaxed ratio. Pass 2 takes, among the candidates whose ratio
+//! is within that bound, the one of largest `|α|`: a later candidate
+//! replaces the kept one only with an `|α|` larger by more than a relative
+//! [`ALPHA_TIE`], so the lowest index wins among magnitudes within that
+//! band. The rule gives up at most `δ/|α|` of step length for the
+//! best-scaled pivot element in reach, which keeps the basis well
+//! conditioned and lets a degenerate vertex be left along its largest
+//! pivot rather than its first.
 
 use crate::{LinalgError, Result};
 
+/// Relative band within which two pivot magnitudes tie in a ratio test's
+/// second pass (module doc).
+pub const ALPHA_TIE: f64 = 1e-9;
+
+/// Pass 1 keeps up to this many candidates for pass 2, which rescans only
+/// when more were within the bound as it stood when they were seen.
+const SHORTLIST: usize = 16;
+
+/// Harris's two passes (module doc) over `candidates()`, each `(|α|, p,
+/// item)` in index order. Returns the chosen candidate's `|α|` and item, or
+/// `None` when there is no candidate.
+fn harris<T, I>(candidates: impl Fn() -> I, tol: f64) -> Option<(f64, T)>
+where
+    T: Copy + Default,
+    I: Iterator<Item = (f64, f64, T)>,
+{
+    // The bound only falls, so every candidate within the final bound was
+    // within the bound as it stood when pass 1 saw it: the shortlist holds
+    // them all, unless it overflowed.
+    let mut bound = f64::INFINITY;
+    let mut shortlist = [(0.0, 0.0, T::default()); SHORTLIST];
+    let (mut len, mut overflowed) = (0, false);
+    for (a, p, item) in candidates() {
+        let inv = 1.0 / a;
+        bound = bound.min((p + tol) * inv);
+        let ratio = p * inv;
+        if ratio <= bound {
+            match shortlist.get_mut(len) {
+                Some(slot) => *slot = (a, ratio, item),
+                None => overflowed = true,
+            }
+            len += 1;
+        }
+    }
+    let largest_pivot = |within: &mut dyn Iterator<Item = (f64, f64, T)>| {
+        let mut best: Option<(f64, T)> = None;
+        for (a, ratio, item) in within {
+            if ratio <= bound
+                && best
+                    .as_ref()
+                    .is_none_or(|(ba, _)| a > ba * (1.0 + ALPHA_TIE))
+            {
+                best = Some((a, item));
+            }
+        }
+        best
+    };
+    if overflowed {
+        largest_pivot(&mut candidates().map(|(a, p, item)| (a, p * (1.0 / a), item)))
+    } else {
+        largest_pivot(&mut shortlist[..len].iter().copied())
+    }
+}
+
 /// Bounded primal ratio test on FTRAN column `alpha` for an entering
-/// variable moving in direction `dir` (±1). With `α_eff = dir · α`, the
-/// smallest step `t ≥ 0` at which a basic variable hits a bound: row `i`
-/// falls to `l_B[i]` at `t = (x_B[i] − l_B[i]) / α_eff[i]` if
-/// `α_eff[i] > tol`, rises to `u_B[i]` at `t = (x_B[i] − u_B[i]) / α_eff[i]`
-/// if `α_eff[i] < −tol`; an infinite bound never blocks. A negative ratio (a
-/// degenerate row past its bound) is clamped to 0. Ties: a later row wins
-/// only with a step smaller by more than `1e-12`, so the lowest row wins
-/// among steps within `1e-12`. Returns `(row, t, leaves_at_upper)`, or
-/// `None` when no row blocks.
+/// variable moving in direction `dir` (±1). With `α_eff = dir · α`, row `i`
+/// blocks at its lower bound `l_B[i]` if `α_eff[i] > tol` and at its upper
+/// bound `u_B[i]` if `α_eff[i] < −tol`; an infinite bound never blocks. Its
+/// pivot magnitude is `|α_eff[i]|`, its numerator the gap from `x_B[i]` to
+/// that bound along the step (`x_B[i] − l_B[i]` or `u_B[i] − x_B[i]`,
+/// negative past it). Harris's rule (module doc) picks the row; the step
+/// `t` is `gap / |α_eff[i]|`, clamped to 0 when negative (a degenerate row
+/// past its bound). Returns `(row, t, leaves_at_upper)`, or `None` when no
+/// row blocks.
 pub fn ratio_test(
     xb: &[f64],
     alpha: &[f64],
@@ -28,28 +96,22 @@ pub fn ratio_test(
     dir: f64,
     tol: f64,
 ) -> Option<(usize, f64, bool)> {
-    let mut best: Option<(usize, f64, bool)> = None;
-    let rows = xb.iter().zip(alpha).zip(lbb.iter().zip(ubb));
-    for (i, ((&x, &a), (&lb, &ub))) in rows.enumerate() {
-        let ae = dir * a;
-        let (t, upper) = if ae > tol {
-            if lb.is_infinite() {
-                continue;
-            }
-            (((x - lb) / ae).max(0.0), false)
-        } else if ae < -tol {
-            if ub.is_infinite() {
-                continue;
-            }
-            (((x - ub) / ae).max(0.0), true)
-        } else {
-            continue;
-        };
-        if best.is_none_or(|(_, bt, _)| t < bt - 1e-12) {
-            best = Some((i, t, upper));
-        }
-    }
-    best
+    let blocking = || {
+        let rows = xb.iter().zip(alpha).zip(lbb.iter().zip(ubb));
+        rows.enumerate()
+            .filter_map(move |(i, ((&x, &a), (&lb, &ub)))| {
+                let ae = dir * a;
+                if ae > tol && lb.is_finite() {
+                    Some((ae, x - lb, (i, x - lb, false)))
+                } else if ae < -tol && ub.is_finite() {
+                    Some((-ae, ub - x, (i, ub - x, true)))
+                } else {
+                    None
+                }
+            })
+    };
+    let (a, (row, gap, upper)) = harris(blocking, tol)?;
+    Some((row, (gap / a).max(0.0), upper))
 }
 
 /// The dual simplex's leaving row: the largest violation of `[l_B, u_B]` by
@@ -87,9 +149,9 @@ pub fn primal_infeasibility(
 /// | +1 (at upper) | `α_r[j] > tol` | `α_r[j] < −tol` |
 /// | 0 | never | never |
 ///
-/// Minimizes `|d_j / α_r[j]|` over them; ties as in [`ratio_test`].
-/// Returns `(column, |ratio|)`, or `None` when no column is eligible (the
-/// LP is infeasible).
+/// Harris's rule (module doc) picks the column, with pivot magnitude
+/// `|α_r[j]|` and numerator `|d_j|`. Returns `(column, |d_j| / |α_r[j]|)`,
+/// or `None` when no column is eligible (the LP is infeasible).
 pub fn dual_ratio(
     d: impl Fn(usize) -> f64,
     alpha_r: &[f64],
@@ -97,24 +159,24 @@ pub fn dual_ratio(
     leaving_below: bool,
     tol: f64,
 ) -> Option<(usize, f64)> {
-    let mut best: Option<(usize, f64)> = None;
-    for (j, (&ar, &s)) in alpha_r.iter().zip(sigma).enumerate() {
-        let eligible = match (s, leaving_below) {
-            (s, true) if s < 0.0 => ar < -tol,
-            (s, true) if s > 0.0 => ar > tol,
-            (s, false) if s < 0.0 => ar > tol,
-            (s, false) if s > 0.0 => ar < -tol,
-            _ => false,
-        };
-        if !eligible {
-            continue;
-        }
-        let ratio = (d(j) / ar).abs();
-        if best.is_none_or(|(_, br)| ratio < br - 1e-12) {
-            best = Some((j, ratio));
-        }
-    }
-    best
+    let eligible = || {
+        let cols = alpha_r.iter().zip(sigma).enumerate();
+        cols.filter_map(|(j, (&ar, &s))| {
+            let ok = match (s, leaving_below) {
+                (s, true) if s < 0.0 => ar < -tol,
+                (s, true) if s > 0.0 => ar > tol,
+                (s, false) if s < 0.0 => ar > tol,
+                (s, false) if s > 0.0 => ar < -tol,
+                _ => false,
+            };
+            ok.then(|| {
+                let dj = d(j).abs();
+                (ar.abs(), dj, (j, dj))
+            })
+        })
+    };
+    let (a, (col, dj)) = harris(eligible, tol)?;
+    Some((col, dj / a))
 }
 
 /// Devex pricing: among improving columns (`σ_j·d_j < 0`), maximizes the
@@ -338,27 +400,67 @@ mod tests {
     const INF: f64 = f64::INFINITY;
 
     #[test]
-    fn a_ratio_test_tie_within_the_tolerance_keeps_the_lower_row() {
-        // Steps 2, an exact tie and 2 − 5e-13 (smaller, but inside the tie
-        // band): row 0 wins all three.
-        let alpha = [1.0, 1.0, 1.0];
+    fn a_ratio_test_takes_the_largest_pivot_within_the_relaxed_bound() {
+        // δ = 0.1. Ratios 2, 2.05 and 2.15; relaxed 2.1, 2.075 and 2.1625,
+        // so pass 1 bounds the step by 2.075. Row 2 has the largest |α| but
+        // lies past the bound; of rows 0 and 1, row 1's |α| is larger.
         let (lbb, ubb) = ([0.0; 3], [INF; 3]);
-        let xb = [2.0, 2.0, 2.0 - 5e-13];
+        let (xb, alpha) = ([2.0, 8.2, 17.2], [1.0, 4.0, 8.0]);
         assert_eq!(
-            ratio_test(&xb, &alpha, &lbb, &ubb, 1.0, 1e-9),
-            Some((0, 2.0, false))
+            ratio_test(&xb, &alpha, &lbb, &ubb, 1.0, 0.1),
+            Some((1, 2.05, false))
         );
-        // A later row whose step is smaller by more than the band wins.
-        let xb = [2.0, 2.0 - 4e-12, 2.0];
-        assert_eq!(
-            ratio_test(&xb, &alpha, &lbb, &ubb, 1.0, 1e-9),
-            Some((1, 2.0 - 4e-12, false))
-        );
-        // The same on the upper side, moving down.
+        // The same on the upper side, moving down: the tied ratios 2 go to
+        // the row of larger |α|, where the first-index rule took row 0.
         let (lbb, ubb) = ([-INF; 2], [5.0; 2]);
         assert_eq!(
-            ratio_test(&[3.0, 3.0], &[1.0, 1.0], &lbb, &ubb, -1.0, 1e-9),
-            Some((0, 2.0, true))
+            ratio_test(&[3.0, 1.0], &[1.0, 2.0], &lbb, &ubb, -1.0, 1e-9),
+            Some((1, 2.0, true))
+        );
+    }
+
+    #[test]
+    fn a_ratio_test_tie_within_the_band_keeps_the_lower_row() {
+        // Equal ratios and equal |α|: row 0.
+        let (lbb, ubb) = ([0.0; 3], [INF; 3]);
+        let xb = [2.0, 2.0, 2.0];
+        assert_eq!(
+            ratio_test(&xb, &[1.0; 3], &lbb, &ubb, 1.0, 1e-9),
+            Some((0, 2.0, false))
+        );
+        // Equal ratios 2 again: an |α| larger by half the band still ties;
+        // by twice the band, it wins.
+        let (lbb, ubb) = ([0.0; 2], [INF; 2]);
+        for (scale, row) in [(0.5, 0), (2.0, 1)] {
+            let alpha = [4.0, 4.0 * (1.0 + scale * ALPHA_TIE)];
+            let xb = alpha.map(|a| 2.0 * a);
+            assert_eq!(
+                ratio_test(&xb, &alpha, &lbb, &ubb, 1.0, 1e-9),
+                Some((row, 2.0, false)),
+                "|α| larger by {scale} bands"
+            );
+        }
+    }
+
+    #[test]
+    fn a_tie_longer_than_the_shortlist_is_rescanned_whole() {
+        // 40 degenerate rows and columns, all at ratio 0, with the largest
+        // |α| at index 37: past the shortlist, found by pass 2's rescan.
+        let mut alpha = [1.0; 40];
+        alpha[37] = 3.0;
+        let (xb, lbb, ubb) = ([0.0; 40], [0.0; 40], [INF; 40]);
+        assert_eq!(
+            ratio_test(&xb, &alpha, &lbb, &ubb, 1.0, 1e-9),
+            Some((37, 0.0, false))
+        );
+        assert_eq!(
+            dual_ratio(|_| 0.0, &alpha, &[1.0; 40], true, 1e-9),
+            Some((37, 0.0))
+        );
+        // Within the shortlist, the same.
+        assert_eq!(
+            ratio_test(&xb[..8], &alpha[30..38], &lbb[..8], &ubb[..8], 1.0, 1e-9),
+            Some((7, 0.0, false))
         );
     }
 
@@ -384,29 +486,41 @@ mod tests {
     }
 
     #[test]
-    fn a_dual_ratio_tie_keeps_the_lower_column_in_every_eligibility_case() {
-        // Columns 0–2 share σ: ratio 2, an exact tie and 2 − 5e-13 (inside
-        // the 1e-12 band). Column 3 has the other σ and a smaller ratio, but
-        // is ineligible on this side; column 4 is basic.
+    fn a_dual_ratio_takes_the_largest_pivot_within_the_relaxed_bound_in_every_eligibility_case() {
         for (s, below) in [(-1.0, true), (1.0, true), (-1.0, false), (1.0, false)] {
             // The α_r sign that makes σ = s eligible on this side.
             let sign = if (s < 0.0) == below { -1.0 } else { 1.0 };
-            let alpha_r = [sign; 5];
+            // δ = 0.1. Ratios 2, 2.05 and 2.15; relaxed 2.1, 2.1 and
+            // 2.175: the bound 2.1 shuts out column 2, the largest |α|, and
+            // column 1 out-pivots column 0. Column 3 has the other σ and a
+            // ratio of 0, but is ineligible on this side; column 4 is basic.
+            let alpha_r = [sign, 2.0 * sign, 4.0 * sign, sign, sign];
             let sigma = [s, s, s, -s, 0.0];
-            let d = [2.0, 2.0, 2.0 - 5e-13, 1.0, 0.0];
+            let d = [2.0, 4.1, 8.6, 0.0, 0.0];
             assert_eq!(
-                dual_ratio(|j| d[j], &alpha_r, &sigma, below, 1e-9),
-                Some((0, 2.0)),
+                dual_ratio(|j| d[j], &alpha_r, &sigma, below, 0.1),
+                Some((1, 2.05)),
                 "σ = {s}, leaving below = {below}"
             );
             // The other σ alone is never eligible on this side.
             let other = [-s, -s, -s, -s, 0.0];
             assert_eq!(
-                dual_ratio(|j| d[j], &alpha_r, &other, below, 1e-9),
+                dual_ratio(|j| d[j], &alpha_r, &other, below, 0.1),
                 None,
                 "σ = {}, leaving below = {below}",
                 -s
             );
+            // Equal ratios 2: an |α| larger by half the band ties, and the
+            // lower column keeps it; by twice the band, the later one wins.
+            for (scale, col) in [(0.5, 0), (2.0, 1)] {
+                let alpha_r = [2.0 * sign, 2.0 * sign * (1.0 + scale * ALPHA_TIE)];
+                let d = alpha_r.map(|a| 2.0 * a);
+                assert_eq!(
+                    dual_ratio(|j| d[j], &alpha_r, &[s, s], below, 1e-9),
+                    Some((col, 2.0)),
+                    "|α| larger by {scale} bands"
+                );
+            }
         }
         // Entries inside the pivot tolerance are never eligible.
         assert_eq!(dual_ratio(|_| 1.0, &[-1e-10], &[-1.0], true, 1e-9), None);

@@ -192,7 +192,7 @@ fn flat_64_dynamic() {
     let r = solve_parallel(&cluster_instance(), pcfg(64)).expect("flat solve");
     assert_eq!(
         flat_pin(&r),
-        "obj=409aec0000000000 nodes=1303 msgs=2606 launches=2932 makespan=41353cb4ccccccc9"
+        "obj=409aec0000000000 nodes=1303 msgs=2606 launches=2931 makespan=41353ca0ccccccc7"
     );
 }
 
@@ -205,7 +205,7 @@ fn flat_64_static() {
     let r = solve_parallel(&cluster_instance(), cfg).expect("static flat solve");
     assert_eq!(
         flat_pin(&r),
-        "obj=409aec0000000000 nodes=2500 msgs=5000 launches=5614 makespan=4156b491e4b18018"
+        "obj=409aec0000000000 nodes=2500 msgs=5000 launches=5613 makespan=4156acc02740dc3f"
     );
 }
 
@@ -214,7 +214,7 @@ fn hier_256x16_plain() {
     let r = hier(None);
     assert_eq!(r.hier.max_evaluations_per_node, 1);
     assert!(r.hier.steals > 0 && r.hier.steal_denied > 0);
-    assert_eq!(hier_pin(&r), "obj=409aec0000000000 nodes=2480 msgs=5702 root=742 steals=18 stolen=34 denied=183 reassigned=0 evacuated=0 launches=5575 makespan=4135a48b99999997");
+    assert_eq!(hier_pin(&r), "obj=409aec0000000000 nodes=2548 msgs=5907 root=811 steals=25 stolen=43 denied=184 reassigned=0 evacuated=0 launches=5723 makespan=4135bb64ccccccc7");
 }
 
 #[test]
@@ -231,7 +231,7 @@ fn hier_256x16_sub_crash() {
         "evacuate_group not reached"
     );
     assert!(r.stats.faults.reassignments > 0, "reassign not reached");
-    assert_eq!(hier_pin(&r), "obj=409aec0000000000 nodes=2402 msgs=5719 root=841 steals=27 stolen=53 denied=192 reassigned=1 evacuated=61 launches=5471 makespan=4136294c35dd7c35");
+    assert_eq!(hier_pin(&r), "obj=409aec0000000000 nodes=2504 msgs=5960 root=878 steals=31 stolen=67 denied=195 reassigned=1 evacuated=66 launches=5695 makespan=41363aa4e1740f37");
 }
 
 #[test]
@@ -249,7 +249,7 @@ fn hier_256x16_kill_group() {
         "evacuate_group not reached"
     );
     assert!(r.stats.faults.reassignments > 0, "reassign not reached");
-    assert_eq!(hier_pin(&r), "obj=409aec0000000000 nodes=2499 msgs=5949 root=774 steals=20 stolen=36 denied=174 reassigned=117 evacuated=27 launches=5740 makespan=4137023599999993");
+    assert_eq!(hier_pin(&r), "obj=409aec0000000000 nodes=2521 msgs=6059 root=841 steals=27 stolen=43 denied=188 reassigned=117 evacuated=29 launches=5795 makespan=413732f0f5c28f50");
 }
 
 #[test]
@@ -261,7 +261,7 @@ fn batched_wave_64() {
     let r = solve_batched_wave(&wave_instance(), &plain, gpu()).expect("wave solve");
     assert_eq!(
         wave_pin(&r),
-        "obj=4008000000000000 nodes=1113 supersteps=855 launches=850 makespan=415c2ef28eca864f"
+        "obj=4008000000000000 nodes=635 supersteps=571 launches=566 makespan=415329e400000009"
     );
     let prop = BatchedWaveConfig {
         propagate: true,
@@ -271,7 +271,7 @@ fn batched_wave_64() {
     let r = solve_batched_wave(&wave_instance(), &prop, gpu()).expect("propagating wave solve");
     assert_eq!(
         wave_pin(&r),
-        "obj=4008000000000000 nodes=335 supersteps=467 launches=1137 makespan=4162193c98835507"
+        "obj=4008000000000000 nodes=207 supersteps=351 launches=796 makespan=4159966625fe5fe7"
     );
 }
 
@@ -301,7 +301,7 @@ fn concurrent_lanes() {
             r.device.kernel_launches,
             r.makespan_ns.to_bits(),
         ),
-        "obj=4008000000000000 nodes=1113 waves=280 launches=3465 makespan=417d2e72e8888154"
+        "obj=4008000000000000 nodes=613 waves=155 launches=1637 makespan=416c09327a4fa516"
     );
 }
 

@@ -621,7 +621,7 @@ fn two_engines_share_one_device() {
             r.supersteps,
             ledger_pin(&accel)
         ),
-        "obj=4008000000000000 nodes=1113 waves=557 peak=16040 allocs=32293 used=0 launches=3465 h2d=4/11440 d2h=1114/238808 ns=417fd5586e38da92"
+        "obj=4008000000000000 nodes=613 waves=307 peak=16280 allocs=15658 used=0 launches=1637 h2d=4/11440 d2h=614/117480 ns=416ef203b1c71c5e"
     );
 }
 
@@ -653,6 +653,6 @@ fn four_rank_cluster() {
             m.counter("gpu.transfer.ns").to_bits(),
             r.stats.makespan_ns.to_bits(),
         ),
-        "obj=409aec0000000000 nodes=1295 peak=3672 launches=2915 h2d=9344 d2h=152104 kernel_ns=41763fa2c2fc9994 transfer_ns=4168e5c1bffffff0 makespan=4163df391c28f7ba"
+        "obj=409aec0000000000 nodes=1295 peak=3672 launches=2914 h2d=9344 d2h=152048 kernel_ns=41763dae9e4b1b48 transfer_ns=4168e5c12aaaaa9a makespan=4163dec96e147ce9"
     );
 }

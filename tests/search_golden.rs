@@ -171,7 +171,7 @@ fn batched_wave_propagate_dive() {
     assert_eq!(
         got,
         [
-            "Optimal obj=4008000000000000 nodes=335 supersteps=1237 retires=303 refills=295 launches=3078 makespan=417834a1a4fa5024 first=4149c2794d9cd9d4 x=9b2a3110292eaa1d heur=1/167 prop=0/4053",
+            "Optimal obj=4008000000000000 nodes=207 supersteps=708 retires=190 refills=182 launches=1823 makespan=416cb91b1d49a165 first=414c56c93f832b6f x=02ea3110292eaa1d heur=1/102 prop=0/2250",
             "Optimal obj=4034000000000000 nodes=9 supersteps=230 retires=9 refills=4 launches=283 makespan=4142353f7c962fcd first=413a73f9851eb855 x=308352d4f9fa3add heur=2/4 prop=0/5",
         ]
     );
@@ -191,7 +191,7 @@ fn first_order_wave_propagate_dive() {
         got,
         [
             "Optimal obj=4008000000000000 nodes=385 supersteps=8844 retires=289 refills=281 launches=32358 makespan=41af7ab67583ac90 first=41953ba9902f23ef x=02ea3110292eaa1d heur=1/191 prop=0/4578",
-            "Optimal obj=4034000000000000 nodes=9 supersteps=2396 retires=9 refills=5 launches=7847 makespan=418e01fc15431e20 first=4184141883b2a076 x=b08352d4f9fa3add heur=1/4 prop=0/5",
+            "Optimal obj=4034000000000000 nodes=9 supersteps=2924 retires=9 refills=5 launches=9566 makespan=4192492540962dc2 first=4184141883b2a076 x=308352d4f9fa3add heur=1/4 prop=0/5",
         ]
     );
 }
@@ -241,8 +241,8 @@ fn host_solver_propagate_fix_and_propagate() {
         [
             "Optimal obj=4095480000000000 nodes=311 lp_iters=866 cuts=19 heur=2 sim=40b3da0000000026 x=0befc885e76ecb37 tree=d7c214b3cc40094b incumbents=3 first=4045b33333333334",
             "Optimal obj=4034000000000000 nodes=1 lp_iters=36 cuts=6 heur=0 sim=403ecccccccccccd x=308352d4f9fa3add tree=7229a2988ab6195d incumbents=1 first=403ecccccccccccd",
-            "Optimal obj=4008000000000000 nodes=47 lp_iters=612 cuts=37 heur=1 sim=409593d70a3d70a0 x=b175fafd354b0935 tree=a5bdff4b0805c8e9 incumbents=1 first=4061199999999999",
-            "Optimal obj=4008000000000000 nodes=47 lp_iters=612 cuts=37 heur=1 sim=41630cc8ecb2cae4 x=b175fafd354b0935 tree=a5bdff4b0805c8e9 incumbents=1 first=414a2ebfa400a61e",
+            "Optimal obj=4008000000000000 nodes=79 lp_iters=293 cuts=37 heur=1 sim=40a38a8f5c28f5c2 x=41d5fafd354b0935 tree=e76d434a5adfed02 incumbents=1 first=407651eb851eb851",
+            "Optimal obj=4008000000000000 nodes=79 lp_iters=293 cuts=37 heur=1 sim=4163af90339b397c x=41d5fafd354b0935 tree=e76d434a5adfed02 incumbents=1 first=41459aa556789ab0",
         ]
     );
 }
@@ -343,7 +343,7 @@ fn clusters_propagate_dive() {
         got,
         [
             "Optimal obj=4091500000000000 nodes=819 msgs=1638 bytes=309912 launches=5085 makespan=414e9cda53f3a5bf x=b53a3110292eaa1d seeds=0 first=41202033c42f762b",
-            "Optimal obj=4008000000000000 nodes=65 msgs=130 bytes=21232 launches=844 makespan=41308a7aa670cd73 x=d4f5fafd354b0935 seeds=0 first=411f7eb33866b99e",
+            "Optimal obj=4008000000000000 nodes=65 msgs=130 bytes=21008 launches=818 makespan=4130bd7032632636 x=51f5fafd354b0935 seeds=0 first=411d2e2a58bf2587",
             "Optimal obj=4091500000000000 nodes=843 msgs=2239 root=553 steals=10 broadcasts=15 launches=5172 makespan=414d94e9862d2fb5 x=b53a3110292eaa1d first=41202c166eda20d6",
         ]
     );
@@ -381,8 +381,8 @@ fn sparse_device_solver_with_cuts() {
     assert_eq!(
         got,
         [
-            "device-sparse Optimal obj=4053400000000000 nodes=1 lp_iters=102 cuts=0 heur=0 sim=412b154b7cfe35ff x=7b7b38c6cf34ac55 tree=e64ff0e2be1a8965 incumbents=1 first=412b154b7cfe35ff launches=104 h2d=10792 d2h=4752",
-            "device-sparse Optimal obj=4008000000000000 nodes=189 lp_iters=2404 cuts=37 heur=1 sim=417748f4764dafdb x=2815fafd354b0935 tree=cfeec7557c92d10c incumbents=1 first=4172c54bb8d15aaa launches=2636 h2d=28064 d2h=201816",
+            "device-sparse Optimal obj=4053400000000000 nodes=1 lp_iters=83 cuts=0 heur=0 sim=41266c4f87b87b58 x=7b7b38c6cf34ac55 tree=e64ff0e2be1a8965 incumbents=1 first=41266c4f87b87b58 launches=85 h2d=10792 d2h=3992",
+            "device-sparse Optimal obj=4008000000000000 nodes=189 lp_iters=469 cuts=36 heur=1 sim=4160085e646b46eb x=cd95fafd354b0935 tree=f920f42e90e0d3d3 incumbents=1 first=414c434188bc8c2a launches=700 h2d=27712 d2h=93104",
             "device-sparse Optimal obj=40c46b8000000000 nodes=7 lp_iters=93 cuts=17 heur=0 sim=4137625b8c4ff834 x=edf2f148a6b7d615 tree=8305825bc71ad0e0 incumbents=1 first=4135e9d393960635 launches=123 h2d=40288 d2h=24368",
         ]
     );
@@ -447,10 +447,10 @@ fn device_engines_solve_resolve_cut() {
     assert_eq!(
         got,
         [
-            "Optimal obj=403bffffffffffff x=e2a82c3d5e7b3381 iters=51 launches=53 h2d=18864 d2h=2456 ns=411c8dd53a06d3ba | Optimal obj=403d000000000000 x=e83a3110292eaa1d iters=0 launches=54 h2d=18864 d2h=2688 ns=411da8f8888888a3 | Optimal obj=403c800000000000 x=758a3110292eaa1d iters=1 launches=56 h2d=23648 d2h=2984 ns=4120407507f6e5e5",
-            "Optimal obj=403c000000000000 x=4e25edba5b029cda iters=51 launches=53 h2d=6296 d2h=2456 ns=411c6cbcc8e6280d | Optimal obj=403d000000000000 x=e83a3110292eaa1d iters=0 launches=54 h2d=6296 d2h=2688 ns=411d869858bf259b | Optimal obj=403c800000000000 x=758a3110292eaa1d iters=1 launches=56 h2d=10328 d2h=2984 ns=41202dbe8c1bf4fc",
-            "Optimal obj=403c000000000000 x=b1ea3110292eaa1d iters=42 launches=44 h2d=18864 d2h=2096 ns=411831c66666667b | Optimal obj=403d000000000000 x=e83a3110292eaa1d iters=0 launches=45 h2d=18864 d2h=2328 ns=41194ce428f5c2a5 | Optimal obj=403c800000000000 x=758a3110292eaa1d iters=1 launches=47 h2d=23648 d2h=2624 ns=411c24d012345694",
-            "Optimal obj=403c000000000000 x=b1ea3110292eaa1d iters=42 launches=44 h2d=6296 d2h=2096 ns=41180857ee721a5c | Optimal obj=403d000000000000 x=683a3110292eaa1d iters=0 launches=45 h2d=6296 d2h=2328 ns=41192230991cc507 | Optimal obj=403c800000000000 x=f58a3110292eaa1d iters=1 launches=47 h2d=10328 d2h=2624 ns=411bf714509ea38d",
+            "Optimal obj=403c000000000000 x=8ac31088c46c148a iters=52 launches=54 h2d=18864 d2h=2496 ns=411d0be62fc96317 | Optimal obj=403d000000000000 x=e83a3110292eaa1d iters=0 launches=55 h2d=18864 d2h=2728 ns=411e27097e4b1800 | Optimal obj=403c800000000000 x=758a3110292eaa1d iters=1 launches=57 h2d=23648 d2h=3024 ns=41207f7d82d82d90",
+            "Optimal obj=403c000000000000 x=0f771c107a4df938 iters=52 launches=54 h2d=6296 d2h=2496 ns=411cea33f258bf38 | Optimal obj=403d000000000000 x=683a3110292eaa1d iters=0 launches=55 h2d=6296 d2h=2728 ns=411e0411b7d516fd | Optimal obj=403c800000000000 x=f58a3110292eaa1d iters=1 launches=57 h2d=10328 d2h=3024 ns=41206c7d32dffad5",
+            "Optimal obj=403c000000000000 x=3fcb6560e44489ca iters=41 launches=43 h2d=18864 d2h=2056 ns=4117b43792c5f941 | Optimal obj=403d000000000000 x=e83a3110292eaa1d iters=0 launches=44 h2d=18864 d2h=2288 ns=4118cf555555556b | Optimal obj=403c800000000000 x=758a3110292eaa1d iters=1 launches=46 h2d=23648 d2h=2584 ns=411ba7413e93e95a",
+            "Optimal obj=403c000000000000 x=b3c2447b8912c9f6 iters=42 launches=44 h2d=6296 d2h=2096 ns=411808c3a4a71747 | Optimal obj=403d000000000000 x=e83a3110292eaa1d iters=0 launches=45 h2d=6296 d2h=2328 ns=41192297e40b0d86 | Optimal obj=403c800000000000 x=758a3110292eaa1d iters=1 launches=47 h2d=10328 d2h=2624 ns=411bf7750e241580",
             "Optimal obj=40c3e91498498498 x=7e7cac0d38c62ab1 iters=41 launches=43 h2d=22016 d2h=2120 ns=4117aea5a740da7b | Optimal obj=40c47358dc8dc8dc x=468fd36f29b401a8 iters=1 launches=45 h2d=22016 d2h=2440 ns=4119485570a3d711 | Optimal obj=40c45c5222222222 x=875295d066b4d8ca iters=2 launches=48 h2d=27056 d2h=2824 ns=411c9f70acf1357f",
             "Optimal obj=40c3e91498498498 x=7e7cac0d38c62ab1 iters=41 launches=43 h2d=6184 d2h=2120 ns=41178658e0f475b2 | Optimal obj=40c47358dc8dc8dc x=468fd36f29b401a8 iters=1 launches=45 h2d=6184 d2h=2440 ns=41191d787120aba8 | Optimal obj=40c45c5222222222 x=875295d066b4d8ca iters=2 launches=48 h2d=10424 d2h=2824 ns=411c6feb98765438",
             "Optimal obj=40c3e91498498498 x=7e7cac0d38c62ab1 iters=41 launches=43 h2d=22016 d2h=2120 ns=4117c0d2e147ae16 | Optimal obj=40c47358dc8dc8dc x=468fd36f29b401a8 iters=1 launches=45 h2d=22016 d2h=2440 ns=41195a7cfa4fa4fc | Optimal obj=40c45c5222222222 x=875295d066b4d8ca iters=2 launches=48 h2d=27056 d2h=2824 ns=411cb192740da741",
