@@ -746,6 +746,7 @@ mod tests {
             let (with_cuts, cut_free) = assert_cuts_keep_the_optimum(seed);
             assert!(with_cuts.stats.cuts > 0, "seed {seed}: no cut was added");
             assert_eq!(with_cuts.objective, 3.0, "seed {seed}");
+            assert_eq!(cut_free.objective, 3.0, "seed {seed}");
             assert!(
                 with_cuts.stats.lp_iterations <= 3 * cut_free.stats.lp_iterations,
                 "seed {seed}: {} LP iterations with cuts, {} without",

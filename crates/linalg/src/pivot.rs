@@ -16,7 +16,7 @@
 //! smallest relaxed ratio. Pass 2 takes, among the candidates whose ratio
 //! is within that bound, the one of largest `|α|`: a later candidate
 //! replaces the kept one only with an `|α|` larger by more than a relative
-//! [`ALPHA_TIE`], so the lowest index wins among magnitudes within that
+//! `ALPHA_TIE` (1e-9), so the lowest index wins among magnitudes within that
 //! band. The rule gives up at most `δ/|α|` of step length for the
 //! best-scaled pivot element in reach, which keeps the basis well
 //! conditioned and lets a degenerate vertex be left along its largest
@@ -26,56 +26,29 @@ use crate::{LinalgError, Result};
 
 /// Relative band within which two pivot magnitudes tie in a ratio test's
 /// second pass (module doc).
-pub const ALPHA_TIE: f64 = 1e-9;
+const ALPHA_TIE: f64 = 1e-9;
 
-/// Pass 1 keeps up to this many candidates for pass 2, which rescans only
-/// when more were within the bound as it stood when they were seen.
-const SHORTLIST: usize = 16;
-
-/// Harris's two passes (module doc) over `candidates()`, each `(|α|, p,
+/// Harris's two passes (module doc) over `candidates`, each `(|α|, p,
 /// item)` in index order. Returns the chosen candidate's `|α|` and item, or
 /// `None` when there is no candidate.
-fn harris<T, I>(candidates: impl Fn() -> I, tol: f64) -> Option<(f64, T)>
-where
-    T: Copy + Default,
-    I: Iterator<Item = (f64, f64, T)>,
-{
-    // The bound only falls, so every candidate within the final bound was
-    // within the bound as it stood when pass 1 saw it: the shortlist holds
-    // them all, unless it overflowed.
-    let mut bound = f64::INFINITY;
-    let mut shortlist = [(0.0, 0.0, T::default()); SHORTLIST];
-    let (mut len, mut overflowed) = (0, false);
-    for (a, p, item) in candidates() {
-        let inv = 1.0 / a;
-        bound = bound.min((p + tol) * inv);
-        let ratio = p * inv;
-        if ratio <= bound {
-            match shortlist.get_mut(len) {
-                Some(slot) => *slot = (a, ratio, item),
-                None => overflowed = true,
-            }
-            len += 1;
+fn harris<T>(
+    candidates: impl Iterator<Item = (f64, f64, T)> + Clone,
+    tol: f64,
+) -> Option<(f64, T)> {
+    let bound = candidates.clone().fold(f64::INFINITY, |bound, (a, p, _)| {
+        bound.min((p + tol) * (1.0 / a))
+    });
+    let mut best: Option<(f64, T)> = None;
+    for (a, p, item) in candidates {
+        if p * (1.0 / a) <= bound
+            && best
+                .as_ref()
+                .is_none_or(|(ba, _)| a > ba * (1.0 + ALPHA_TIE))
+        {
+            best = Some((a, item));
         }
     }
-    let largest_pivot = |within: &mut dyn Iterator<Item = (f64, f64, T)>| {
-        let mut best: Option<(f64, T)> = None;
-        for (a, ratio, item) in within {
-            if ratio <= bound
-                && best
-                    .as_ref()
-                    .is_none_or(|(ba, _)| a > ba * (1.0 + ALPHA_TIE))
-            {
-                best = Some((a, item));
-            }
-        }
-        best
-    };
-    if overflowed {
-        largest_pivot(&mut candidates().map(|(a, p, item)| (a, p * (1.0 / a), item)))
-    } else {
-        largest_pivot(&mut shortlist[..len].iter().copied())
-    }
+    best
 }
 
 /// Bounded primal ratio test on FTRAN column `alpha` for an entering
@@ -96,20 +69,17 @@ pub fn ratio_test(
     dir: f64,
     tol: f64,
 ) -> Option<(usize, f64, bool)> {
-    let blocking = || {
-        let rows = xb.iter().zip(alpha).zip(lbb.iter().zip(ubb));
-        rows.enumerate()
-            .filter_map(move |(i, ((&x, &a), (&lb, &ub)))| {
-                let ae = dir * a;
-                if ae > tol && lb.is_finite() {
-                    Some((ae, x - lb, (i, x - lb, false)))
-                } else if ae < -tol && ub.is_finite() {
-                    Some((-ae, ub - x, (i, ub - x, true)))
-                } else {
-                    None
-                }
-            })
-    };
+    let rows = xb.iter().zip(alpha).zip(lbb.iter().zip(ubb));
+    let blocking = rows.enumerate().filter_map(|(i, ((&x, &a), (&lb, &ub)))| {
+        let ae = dir * a;
+        if ae > tol && lb.is_finite() {
+            Some((ae, x - lb, (i, x - lb, false)))
+        } else if ae < -tol && ub.is_finite() {
+            Some((-ae, ub - x, (i, ub - x, true)))
+        } else {
+            None
+        }
+    });
     let (a, (row, gap, upper)) = harris(blocking, tol)?;
     Some((row, (gap / a).max(0.0), upper))
 }
@@ -159,22 +129,20 @@ pub fn dual_ratio(
     leaving_below: bool,
     tol: f64,
 ) -> Option<(usize, f64)> {
-    let eligible = || {
-        let cols = alpha_r.iter().zip(sigma).enumerate();
-        cols.filter_map(|(j, (&ar, &s))| {
-            let ok = match (s, leaving_below) {
-                (s, true) if s < 0.0 => ar < -tol,
-                (s, true) if s > 0.0 => ar > tol,
-                (s, false) if s < 0.0 => ar > tol,
-                (s, false) if s > 0.0 => ar < -tol,
-                _ => false,
-            };
-            ok.then(|| {
-                let dj = d(j).abs();
-                (ar.abs(), dj, (j, dj))
-            })
+    let cols = alpha_r.iter().zip(sigma).enumerate();
+    let eligible = cols.filter_map(|(j, (&ar, &s))| {
+        let ok = match (s, leaving_below) {
+            (s, true) if s < 0.0 => ar < -tol,
+            (s, true) if s > 0.0 => ar > tol,
+            (s, false) if s < 0.0 => ar > tol,
+            (s, false) if s > 0.0 => ar < -tol,
+            _ => false,
+        };
+        ok.then(|| {
+            let dj = d(j).abs();
+            (ar.abs(), dj, (j, dj))
         })
-    };
+    });
     let (a, (col, dj)) = harris(eligible, tol)?;
     Some((col, dj / a))
 }
@@ -440,28 +408,6 @@ mod tests {
                 "|α| larger by {scale} bands"
             );
         }
-    }
-
-    #[test]
-    fn a_tie_longer_than_the_shortlist_is_rescanned_whole() {
-        // 40 degenerate rows and columns, all at ratio 0, with the largest
-        // |α| at index 37: past the shortlist, found by pass 2's rescan.
-        let mut alpha = [1.0; 40];
-        alpha[37] = 3.0;
-        let (xb, lbb, ubb) = ([0.0; 40], [0.0; 40], [INF; 40]);
-        assert_eq!(
-            ratio_test(&xb, &alpha, &lbb, &ubb, 1.0, 1e-9),
-            Some((37, 0.0, false))
-        );
-        assert_eq!(
-            dual_ratio(|_| 0.0, &alpha, &[1.0; 40], true, 1e-9),
-            Some((37, 0.0))
-        );
-        // Within the shortlist, the same.
-        assert_eq!(
-            ratio_test(&xb[..8], &alpha[30..38], &lbb[..8], &ubb[..8], 1.0, 1e-9),
-            Some((7, 0.0, false))
-        );
     }
 
     #[test]
