@@ -20,27 +20,27 @@
 //! tree is deep and symmetric) dominated first-order lanes retire on a safe
 //! dual bound at their first KKT check instead of pivoting to optimality.
 //! Yet the simplex wave leads the first-order wave in simulated ns and in
-//! launches at every width on both families (asserted at every width). Its
-//! lanes are fused by the state they are in: a superstep launches the one
-//! kernel class the most lanes wait on, so lanes whose pivot journals have
-//! drifted apart no longer make a superstep launch once per class any lane
-//! is on — on the heavy family that took its launches from 109 427 to
-//! 35 643 at 16 lanes, and the first-order wave's three fused launches per
-//! superstep lead nowhere (they led from 16 to 64 lanes under lockstep
-//! replay). The link still favours the simplex wave too: both waves pack
-//! their lanes' transfers into one crossing per superstep and direction,
-//! but a simplex lane keeps the device engine's install record, so its
-//! warm installs ship their delta as launch arguments and cross nothing,
-//! while each first-order lane load crosses whole. Per-lane launches queue
-//! at the device's one issue slot, so that column does not fall with the
-//! width, and the waves overtake it as they widen — Section 5.5's
-//! batching-beats-streams: the simplex wave from 16 lanes on both families,
-//! the first-order wave from 128 on the heavy one and never on the light
-//! one (asserted as exact regions over the swept widths). The first-order
-//! wave led from 64 until the Harris ratio test cut the per-lane engines'
-//! pivots on the heavy family by about half. At 4 lanes the
-//! per-lane engines are ahead of both: a per-lane node LP is one chain (a
-//! launch per pivot, one read-back), while a wave pays a launch per
+//! launches at every width on both families (asserted at every width), by
+//! a factor of 1.21–3.08 in ns. Its lanes are fused by the state they are
+//! in: a superstep launches the one kernel class the most lanes wait on,
+//! so lanes whose pivot journals have drifted apart no longer make a
+//! superstep launch once per class any lane is on. The link still favours
+//! the simplex wave too: both waves pack their lanes' transfers into one
+//! crossing per superstep and direction, but a simplex lane keeps the
+//! device engine's install record, so its warm installs ship their delta
+//! as launch arguments and cross nothing, while each first-order lane load
+//! crosses whole. Per-lane launches queue at the device's one issue slot,
+//! so that column does not fall with the width, and the waves overtake it
+//! as they widen — Section 5.5's batching-beats-streams: the simplex wave
+//! from 16 lanes on both families, the first-order wave from 64 on both
+//! (asserted as exact regions over the swept widths). The first-order
+//! lanes run PDHG on a Ruiz-equilibrated matrix with a Schur-test step
+//! bound (`gmip_lp::firstorder`); on the raw matrix every light lane hit
+//! its iteration cap, the first-order wave took 69.70 ms at 64 light lanes
+//! and 224.93 ms at 64 heavy ones (4.49 and 112.68 ms preconditioned), and
+//! it overtook the per-lane engines only from 128 heavy lanes. At 4 lanes
+//! the per-lane engines are ahead of both: a per-lane node LP is one chain
+//! (a launch per pivot, one read-back), while a wave pays a launch per
 //! superstep — the waves' saving starts where enough lanes share each
 //! launch.
 //! Every optimum served by every engine is checked against the
@@ -195,16 +195,14 @@ fn assert_claims(cells: &[CrossCell]) {
     // Section 5.5 itself: batching beats streams. Wide enough, a wave
     // finishes before the per-lane engines, whose launches leave the
     // device's one issue queue one at a time however many streams they sit
-    // on — the simplex wave from 16 lanes on both families, the first-order
-    // wave from 128 on the heavy one and never on the light one — and at
-    // no narrower width.
+    // on — the simplex wave from 16 lanes and the first-order wave from 64,
+    // on both families — and at no narrower width.
     for c in cells {
-        let heavy = c.family == "heavy";
         for (wave, ns, from) in [
-            ("simplex", c.simplex_ns, Some(16)),
-            ("first-order", c.firstorder_ns, heavy.then_some(128)),
+            ("simplex", c.simplex_ns, 16),
+            ("first-order", c.firstorder_ns, 64),
         ] {
-            let ahead = from.is_some_and(|w| c.lanes >= w);
+            let ahead = c.lanes >= from;
             assert_eq!(
                 ns < c.perlane_ns,
                 ahead,
@@ -293,14 +291,15 @@ pub fn run() -> String {
          wait on, so drifting lanes no longer launch once per class any lane\n\
          is on, and its warm installs ship their delta as launch arguments\n\
          while each first-order lane load crosses whole. On the one-row\n\
-         knapsack warm-started pivots are almost free and PDHG supersteps buy\n\
-         nothing; on the nnz-heavy bin packing the first-order wave's\n\
-         first-check safe-bound prunes no longer make up for three launches\n\
-         per superstep. The per-lane column does not fall with the width —\n\
-         its launches are issued one at a time whatever stream they sit on —\n\
-         so the waves overtake it as they widen: the simplex wave from 16\n\
-         lanes on both families, the first-order wave from 128 on the heavy\n\
-         one. At 4 lanes the per-lane engines are ahead: their node LP is one\n\
+         knapsack warm-started pivots are almost free, and the first-order\n\
+         lanes, equilibrated, converge or prune within a few checks; on the\n\
+         nnz-heavy bin packing the first-order wave's first-check safe-bound\n\
+         prunes do not make up for three launches per superstep. The\n\
+         per-lane column does not fall with the width — its launches are\n\
+         issued one at a time whatever stream they sit on — so the waves\n\
+         overtake it as they widen: the simplex wave from 16 lanes, the\n\
+         first-order wave from 64, on both families. At 4 lanes the\n\
+         per-lane engines are ahead: their node LP is one\n\
          chain, a launch per pivot and one read-back, a narrow wave's a\n\
          launch per superstep.\n\
          Every optimum\n\

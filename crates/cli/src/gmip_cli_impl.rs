@@ -671,10 +671,11 @@ fn report_wave(out: &mut String, o: &Options, r: &WaveResult, pdhg: bool) {
     ));
     if pdhg {
         out.push_str(&format!(
-            "pdhg: {} iterations, {} restarts, {} bound-pruned, {} cleanups\n",
+            "pdhg: {} iterations, {} restarts, {} bound-pruned, {} iteration-capped, {} cleanups\n",
             r.metrics.counter("fo.iterations"),
             r.metrics.counter("fo.restarts"),
             r.metrics.counter("fo.bound_pruned"),
+            r.metrics.counter("fo.iter_limit"),
             r.metrics.counter("fo.cleanups"),
         ));
     }
@@ -1121,6 +1122,17 @@ mod tests {
         assert!(out.contains("wave width:"), "{out}");
         assert!(out.contains("pdhg:"), "{out}");
         assert!(out.contains("fo.fused_launches"), "{out}");
+        // The lanes that hit their iteration cap are counted on the pdhg
+        // line: `fo.iter_limit`, which `--metrics` lists when nonzero.
+        let pdhg = out.lines().find(|l| l.starts_with("pdhg:")).unwrap();
+        let capped = out
+            .lines()
+            .find_map(|l| l.strip_prefix("  fo.iter_limit"))
+            .map_or("0", str::trim);
+        assert!(
+            pdhg.contains(&format!(" {capped} iteration-capped,")),
+            "{out}"
+        );
         // Deterministic: a rerun produces byte-identical output.
         let again = solve(fig1(), &o).unwrap();
         assert_eq!(out, again, "firstorder output must replay byte-identically");

@@ -11,8 +11,12 @@
 //!
 //! Three properties were expected to make it beat the simplex wave at high
 //! lane counts. Since the simplex wave fuses by lane state, E11
-//! (`BENCH_e11.json`) shows that wave ahead at every width; ROADMAP item 18
-//! asks where, if anywhere, this one wins:
+//! (`BENCH_e11.json`) shows that wave ahead at every width, by 1.21–3.08×
+//! in simulated ns even with the lanes preconditioned as PDLP does (a
+//! Ruiz-equilibrated matrix and a Schur-test step bound, inside the
+//! engine); this wave overtakes the per-lane engines from 64 lanes on both
+//! families. ROADMAP item 18 asks where, if anywhere, it beats the simplex
+//! wave:
 //!
 //! 1. **Early safe-bound prunes** — a lane states a valid
 //!    (dual-feasibility-adjusted) bound after its first KKT check and

@@ -250,6 +250,23 @@ impl CsrMatrix {
         self.values.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 
+    /// Scales every stored entry in place, `aᵢⱼ ← aᵢⱼ · row[i] · col[j]`
+    /// (a diagonal equilibration `D_r A D_c`). The sparsity pattern is
+    /// kept as stored, whatever the scaled values.
+    pub fn scale(&mut self, row: &[f64], col: &[f64]) {
+        assert_eq!(row.len(), self.rows, "scale: row factors");
+        assert_eq!(col.len(), self.cols, "scale: column factors");
+        for (i, &r) in row.iter().enumerate() {
+            let span = self.row_ptr[i]..self.row_ptr[i + 1];
+            for (v, &j) in self.values[span.clone()]
+                .iter_mut()
+                .zip(&self.col_idx[span])
+            {
+                *v = *v * r * col[j];
+            }
+        }
+    }
+
     /// Converts to CSC (a transpose-style counting pass).
     pub fn to_csc(&self) -> CscMatrix {
         let mut col_ptr = vec![0usize; self.cols + 1];
@@ -601,6 +618,20 @@ mod tests {
             let nx: f64 = x.iter().map(|v| v * v).sum::<f64>().sqrt();
             let ny: f64 = y.iter().map(|v| v * v).sum::<f64>().sqrt();
             assert!(ny <= f * nx + 1e-12);
+        }
+    }
+
+    #[test]
+    fn scale_is_diagonal_equilibration() {
+        let csr = sample_coo().to_csr();
+        let (row, col) = ([2.0, 0.5, -1.0], [1.0, 3.0, 0.25]);
+        let mut scaled = csr.clone();
+        scaled.scale(&row, &col);
+        assert_eq!(scaled.nnz(), csr.nnz());
+        for i in 0..3 {
+            for j in 0..3 {
+                assert_eq!(scaled.get(i, j), csr.get(i, j) * row[i] * col[j]);
+            }
         }
     }
 

@@ -64,17 +64,25 @@
 //! # The method
 //!
 //! Numerically each lane runs **restarted PDHG** (primal-dual hybrid
-//! gradient) on the internal maximize form `max cᵀx, Ax = b, l ≤ x ≤ u`:
+//! gradient) on the internal maximize form `max cᵀx, Ax = b, l ≤ x ≤ u`,
+//! **equilibrated** (the PDLP recipe): [`FirstOrderWaveEngine::new`] runs
+//! `RUIZ_ROUNDS` Ruiz rounds over `A` once — each divides every row and
+//! every column by the square root of its largest magnitude — into
+//! diagonal scalings `D_r`, `D_c`, and the lanes iterate on
+//! `Ã = D_r A D_c`, `b̃ = D_r b`, `c̃ = D_c c` and the box
+//! `[D_c⁻¹l, D_c⁻¹u]`:
 //!
 //! ```text
-//! x⁺ = proj_[l,u](x − τ(−c + Aᵀy))        τ = η/ω
-//! y⁺ = y + σ(A(2x⁺ − x) − b)              σ = η·ω
+//! x̃⁺ = proj_[l̃,ũ](x̃ − τ(−c̃ + Ãᵀỹ))        τ = η/ω
+//! ỹ⁺ = ỹ + σ(Ã(2x̃⁺ − x̃) − b̃)              σ = η·ω
 //! ```
 //!
-//! with `η = 1/‖A‖_F` (the Frobenius norm upper-bounds the spectral norm,
-//! so `τσ‖A‖₂² ≤ 1` holds unconditionally and deterministically) and a
-//! per-lane primal weight `ω` adapted at restarts from the observed
-//! primal/dual movement ratio. The wave keeps one tick, its count of
+//! with `η = 1/min(‖Ã‖_F, √(‖Ã‖₁‖Ã‖∞))`. Both norms bound the spectral
+//! norm — the Frobenius norm always, the second by the Schur test
+//! `‖Ã‖₂² ≤ ‖Ã‖₁‖Ã‖∞` (largest column sum times largest row sum) — so
+//! `τσ‖Ã‖₂² ≤ 1` holds unconditionally and deterministically. A per-lane
+//! primal weight `ω` is adapted at restarts from the observed primal/dual
+//! movement ratio. The wave keeps one tick, its count of
 //! supersteps that stepped lanes; on every `CHECK_EVERY`-th tick each busy
 //! lane evaluates its **running average** iterate (so a lane's first check
 //! comes 1–`CHECK_EVERY` iterations after its load): if the KKT merit
@@ -82,6 +90,19 @@
 //! the average (Halpern-style, the PDLP recipe). Checking every lane on the
 //! same tick keeps the fourth launch to one superstep in `CHECK_EVERY`,
 //! whenever the lanes were loaded.
+//!
+//! The scaling stays inside the engine. The shared CSR keeps `A`'s sparsity
+//! pattern, so `nnz`, its bytes and every per-superstep charge are those of
+//! `A`. Everything a caller passes or reads is in original units:
+//! [`FirstOrderWaveEngine::load_lane`] tightens the node box and proves
+//! activity infeasibility on the original rows (where their `1e-9`
+//! tolerances are meant) before scaling the box and the warm start; a
+//! check measures the primal residual in original units,
+//! `(Ãx̃ − b̃)ᵢ / D_r,ᵢ = (Ax − b)ᵢ`, against the original `‖b‖`, so
+//! [`PdhgConfig::tol`] keeps its meaning; the safe bound is
+//! scale-invariant (`b̃ᵀỹ = bᵀy`, `(c̃ − Ãᵀỹ)ⱼ x̃ⱼ = (c − Aᵀy)ⱼ xⱼ`); and
+//! [`FirstOrderWaveEngine::take_lane`] unscales the reported `x = D_c x̃`,
+//! `y = D_r ỹ`.
 //!
 //! First-order iterates are inexact, so per-node bounds are stated
 //! **safely**: [`safe_dual_bound`] clamps the dual sign on inequality-slack
@@ -143,6 +164,61 @@ const CHECK_EVERY: usize = 4;
 /// A lane restarts when its average's KKT merit decayed by this factor since
 /// the last restart.
 const RESTART_BETA: f64 = 0.5;
+
+/// Ruiz equilibration rounds [`FirstOrderWaveEngine::new`] runs on the
+/// shared matrix.
+const RUIZ_ROUNDS: usize = 10;
+
+/// Ruiz equilibration of `a`: row and column scalings `(D_r, D_c)` such
+/// that every row and column of `D_r A D_c` has a largest magnitude near 1.
+/// Each of [`RUIZ_ROUNDS`] rounds divides every row and every column of the
+/// current scaled matrix by the square root of its largest magnitude; an
+/// empty row or column keeps its factor.
+fn ruiz_scaling(a: &CsrMatrix) -> (Vec<f64>, Vec<f64>) {
+    let (m, n) = (a.rows(), a.cols());
+    let (mut d_r, mut d_c) = (vec![1.0; m], vec![1.0; n]);
+    let (mut row_max, mut col_max) = (vec![0.0f64; m], vec![0.0f64; n]);
+    for _ in 0..RUIZ_ROUNDS {
+        row_max.fill(0.0);
+        col_max.fill(0.0);
+        for i in 0..m {
+            for (j, v) in a.row_iter(i) {
+                let s = (v * d_r[i] * d_c[j]).abs();
+                row_max[i] = row_max[i].max(s);
+                col_max[j] = col_max[j].max(s);
+            }
+        }
+        for (d, &big) in d_r
+            .iter_mut()
+            .zip(&row_max)
+            .chain(d_c.iter_mut().zip(&col_max))
+        {
+            if big > 0.0 {
+                *d /= big.sqrt();
+            }
+        }
+    }
+    (d_r, d_c)
+}
+
+/// An upper bound on `‖a‖₂`: the smaller of the Frobenius norm and the
+/// Schur-test bound `√(‖a‖₁‖a‖∞)` (largest column sum times largest row
+/// sum, both of absolute values). `1/step_norm(a)` is a PDHG step with
+/// `τσ‖a‖₂² ≤ 1`.
+fn step_norm(a: &CsrMatrix) -> f64 {
+    let mut col_sum = vec![0.0f64; a.cols()];
+    let mut row_max = 0.0f64;
+    for i in 0..a.rows() {
+        let mut row_sum = 0.0;
+        for (j, v) in a.row_iter(i) {
+            row_sum += v.abs();
+            col_sum[j] += v.abs();
+        }
+        row_max = row_max.max(row_sum);
+    }
+    let col_max = col_sum.iter().fold(0.0f64, |acc, &s| acc.max(s));
+    a.frobenius_norm().min((col_max * row_max).sqrt())
+}
 
 /// Why a lane left the wave.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -367,13 +443,16 @@ fn safe_dual_bound_into(
 /// The `fo.norm` check of arena block `blk` (just stepped, on a check
 /// tick), whose lanes' bookkeeping is `lanes`: for each busy lane, gathers
 /// the running average (into the block's staging) and the box, and
-/// evaluates the KKT quantities into `blk.check.out`.
+/// evaluates the KKT quantities into `blk.check.out`. `csr`, `b`, `c` and
+/// the arena are equilibrated; the primal residual is measured in original
+/// units, each row's divided by its scale `d_r`.
 fn check_block(
     lanes: &[Option<FoLane>],
     blk: &mut FoBlock,
     csr: &CsrMatrix,
     b: &[f64],
     c: &[f64],
+    d_r: &[f64],
     slack_rows: &[(usize, f64)],
 ) {
     let (m, n) = (b.len(), c.len());
@@ -404,7 +483,8 @@ fn check_block(
         let primal_res = ax
             .iter()
             .zip(b)
-            .map(|(&axi, &bi)| (axi - bi) * (axi - bi))
+            .zip(d_r)
+            .map(|((&axi, &bi), &dri)| ((axi - bi) / dri).powi(2))
             .sum::<f64>()
             .sqrt();
         let obj: f64 = c.iter().zip(x.iter()).map(|(&cj, &xj)| cj * xj).sum();
@@ -425,21 +505,31 @@ fn check_block(
 pub struct FirstOrderWaveEngine {
     accel: Accel,
     stream: StreamId,
+    /// The standard form's rows `A x = b` in original units: what load-time
+    /// bound tightening and the activity infeasibility proof read.
+    a: CsrMatrix,
+    b: Vec<f64>,
+    /// Ruiz row and column scalings: `Ã = D_r A D_c`.
+    d_r: Vec<f64>,
+    d_c: Vec<f64>,
+    /// `Ã`: the shared device-resident CSR the kernels and checks read.
     csr: CsrMatrix,
     matrix: SparseHandle,
     matrix_bytes: usize,
-    b: Vec<f64>,
-    /// Internal maximize objective.
-    c: Vec<f64>,
-    /// `−c`: the minimization gradient the x-step descends.
+    /// `b̃ = D_r b`.
+    scaled_b: Vec<f64>,
+    /// `c̃ = D_c c`, the internal maximize objective.
+    scaled_c: Vec<f64>,
+    /// `−c̃`: the minimization gradient the x-step descends.
     c_tilde: Vec<f64>,
     /// The standard form's column box: what [`Self::load_lane`] starts from.
     root_lb: Vec<f64>,
     root_ub: Vec<f64>,
     /// `(row, coefficient)` of each inequality slack (dual sign clamps).
     slack_rows: Vec<(usize, f64)>,
-    /// Base step scale `η = 1/‖A‖_F`.
+    /// Base step scale `η = 1/min(‖Ã‖_F, √(‖Ã‖₁‖Ã‖∞))`.
     eta: f64,
+    /// `‖b‖` in original units.
     b_norm: f64,
     /// Incumbent cutoff in the internal maximize sense: lanes whose safe
     /// bound drops to or below this retire pruned.
@@ -460,12 +550,16 @@ pub struct FirstOrderWaveEngine {
 }
 
 impl FirstOrderWaveEngine {
-    /// Uploads the shared CSR matrix of `std.a` once and reserves `width`
-    /// lane states. The standard form must be cut-free (the wave drivers
-    /// never add cuts mid-wave).
+    /// Equilibrates `std.a` (the module doc's `Ã = D_r A D_c`), uploads
+    /// the shared CSR matrix of `Ã` once and reserves `width` lane states.
+    /// The standard form must be cut-free (the wave drivers never add cuts
+    /// mid-wave).
     pub fn new(accel: Accel, std: &StandardLp, width: usize, cfg: PdhgConfig) -> LpResult<Self> {
         assert!(width >= 1, "need at least one lane");
-        let csr = CsrMatrix::from_dense(&std.a);
+        let a = CsrMatrix::from_dense(&std.a);
+        let (d_r, d_c) = ruiz_scaling(&a);
+        let mut csr = a.clone();
+        csr.scale(&d_r, &d_c);
         let matrix_bytes = csr.size_bytes();
         let (m, n) = (csr.rows(), csr.cols());
         let per_lane = Self::per_lane_bytes(m, n);
@@ -477,8 +571,9 @@ impl FirstOrderWaveEngine {
             }
             Ok((matrix, lanes))
         })?;
-        let fro = csr.frobenius_norm();
-        let eta = if fro > 0.0 { 1.0 / fro } else { 1.0 };
+        let norm = step_norm(&csr);
+        let eta = if norm > 0.0 { 1.0 / norm } else { 1.0 };
+        let scaled_c: Vec<f64> = std.c.iter().zip(&d_c).map(|(&c, &d)| c * d).collect();
         let b_norm = std.b.iter().map(|v| v * v).sum::<f64>().sqrt();
         let mut metrics = MetricsRegistry::new();
         metrics.max_gauge(names::FO_WIDTH, width as f64);
@@ -488,9 +583,13 @@ impl FirstOrderWaveEngine {
             stream: DEFAULT_STREAM,
             matrix,
             matrix_bytes,
+            scaled_b: std.b.iter().zip(&d_r).map(|(&b, &d)| b * d).collect(),
+            c_tilde: scaled_c.iter().map(|&v| -v).collect(),
+            scaled_c,
+            a,
             b: std.b.clone(),
-            c: std.c.clone(),
-            c_tilde: std.c.iter().map(|&v| -v).collect(),
+            d_r,
+            d_c,
             root_lb: std.lb.clone(),
             root_ub: std.ub.clone(),
             slack_rows: std
@@ -536,7 +635,7 @@ impl FirstOrderWaveEngine {
 
     /// Columns of the standard form.
     pub fn n(&self) -> usize {
-        self.c.len()
+        self.d_c.len()
     }
 
     /// Whether `slot` holds a lane still iterating.
@@ -602,7 +701,8 @@ impl FirstOrderWaveEngine {
     /// report. Stages the lane's vectors into the next superstep's one H2D
     /// crossing (a load that returns `Err` stages nothing) and runs the
     /// load-time activity-bound infeasibility check; an infeasible lane
-    /// retires at the next superstep boundary without iterating.
+    /// retires at the next superstep boundary without iterating. `bounds`
+    /// and `warm` are in original units; the lane iterates on them scaled.
     pub fn load_lane(
         &mut self,
         slot: usize,
@@ -632,7 +732,7 @@ impl FirstOrderWaveEngine {
         // Implied-bound tightening: gives every column a finite box (so
         // safe bounds stay finite) and doubles as a cheap infeasibility
         // proof when branch bounds cross.
-        let tight_ok = tighten_bounds(&self.csr, &self.b, lb, ub);
+        let tight_ok = tighten_bounds(&self.a, &self.b, lb, ub);
         let mut h2d = 8 * 2 * n;
         match warm {
             Some((wx, wy)) => {
@@ -672,7 +772,7 @@ impl FirstOrderWaveEngine {
         let infeasible = !tight_ok
             || (0..m).any(|i| {
                 let (mut lo, mut hi) = (0.0f64, 0.0f64);
-                for (j, v) in self.csr.row_iter(i) {
+                for (j, v) in self.a.row_iter(i) {
                     let (p, q) = (v * lb[j], v * ub[j]);
                     lo += p.min(q);
                     hi += p.max(q);
@@ -685,6 +785,14 @@ impl FirstOrderWaveEngine {
             // already where reports are read from, is the report.
             self.metrics.incr(names::FO_INFEASIBLE, 1.0);
         } else {
+            // Into the lane's units: x̃ = D_c⁻¹x over [D_c⁻¹l, D_c⁻¹u],
+            // ỹ = D_r⁻¹y (the division keeps x̃ inside its box).
+            for (j, &d) in self.d_c.iter().enumerate() {
+                (lb[j], ub[j], x[j]) = (lb[j] / d, ub[j] / d, x[j] / d);
+            }
+            for (yi, &d) in y.iter_mut().zip(&self.d_r) {
+                *yi /= d;
+            }
             // An idle slot is all zero (cleared at retire), so the sums
             // and the kernel scratch need no reset.
             scatter(&mut blk.lb, l, lb);
@@ -789,9 +897,10 @@ impl FirstOrderWaveEngine {
         let Self {
             accel,
             csr,
-            b,
-            c,
+            scaled_b: b,
+            scaled_c: c,
             c_tilde,
+            d_r,
             slack_rows,
             lanes,
             arena,
@@ -805,7 +914,7 @@ impl FirstOrderWaveEngine {
                 if checking {
                     let first = block * FO_BLOCK;
                     let lanes = &lanes[first..lanes.len().min(first + FO_BLOCK)];
-                    check_block(lanes, blk, csr, b, c, slack_rows);
+                    check_block(lanes, blk, csr, b, c, d_r, slack_rows);
                 }
             },
             &charges[..launches],
@@ -962,7 +1071,8 @@ impl FirstOrderWaveEngine {
     /// Takes the report of a retired lane, freeing `slot` for a refill.
     /// Charges nothing: the report crossed the link in the D2H of the
     /// superstep the lane retired in. Allocates the report's `x` and `y`
-    /// only where it ships them ([`FoLaneReport::x`]).
+    /// only where it ships them ([`FoLaneReport::x`]), unscaled into
+    /// original units (`x = D_c x̃`, `y = D_r ỹ`).
     pub fn take_lane(&mut self, slot: usize) -> LpResult<FoLaneReport> {
         let outcome = match &self.lanes[slot] {
             None => return Err(LpError::Shape(format!("take_lane on empty slot {slot}"))),
@@ -973,10 +1083,12 @@ impl FirstOrderWaveEngine {
         let lane = self.lanes[slot].take().expect("matched occupied above");
         let (m, n) = (self.m(), self.n());
         let (blk, l) = self.arena.lane(slot);
+        let unscale =
+            |v: &[f64], d: &[f64]| -> Vec<f64> { v.iter().zip(d).map(|(&v, &d)| v * d).collect() };
         let (x, y) = if outcome.ships_iterates() {
             (
-                blk.check.x[l * n..(l + 1) * n].to_vec(),
-                blk.check.y[l * m..(l + 1) * m].to_vec(),
+                unscale(&blk.check.x[l * n..(l + 1) * n], &self.d_c),
+                unscale(&blk.check.y[l * m..(l + 1) * m], &self.d_r),
             )
         } else {
             (Vec::new(), Vec::new())

@@ -599,3 +599,137 @@ fn no_lane_iterates_past_its_cap() {
         launches_within_the_tick_bound(&metrics, every);
     }
 }
+
+/// `random_mip(rows × cols)` with row `big`, if any, scaled by 1e3
+/// (coefficients and right-hand side: the same row, badly scaled).
+fn random_lp(rows: usize, cols: usize, seed: u64, big: Option<usize>) -> StandardLp {
+    use gmip_problems::generators::{random_mip, RandomMipConfig};
+    let mut mip = random_mip(&RandomMipConfig {
+        rows,
+        cols,
+        density: 0.4,
+        integral_fraction: 1.0,
+        seed,
+    });
+    if let Some(row) = big {
+        let con = &mut mip.cons[row];
+        con.coeffs.iter_mut().for_each(|(_, v)| *v *= 1e3);
+        con.rhs *= 1e3;
+    }
+    StandardLp::from_instance(&mip, &[])
+}
+
+/// `‖a‖₂` by 200 power iterations on `aᵀa` (from below: the estimate never
+/// exceeds the norm, up to rounding).
+fn spectral_norm_estimate(a: &CsrMatrix) -> f64 {
+    let mut v: Vec<f64> = (0..a.cols()).map(|j| 1.0 + 0.01 * j as f64).collect();
+    let mut norm = 0.0;
+    for _ in 0..200 {
+        let av = a.matvec(&v).unwrap();
+        let atav = a.matvec_transposed(&av).unwrap();
+        let len = atav.iter().map(|e| e * e).sum::<f64>().sqrt();
+        if len == 0.0 {
+            return 0.0;
+        }
+        v = atav.iter().map(|e| e / len).collect();
+        norm = a
+            .matvec(&v)
+            .unwrap()
+            .iter()
+            .map(|e| e * e)
+            .sum::<f64>()
+            .sqrt();
+    }
+    norm
+}
+
+/// The lanes step with `τσ‖Ã‖₂² ≤ 1`: at `ω = 1` that is `η‖Ã‖₂ ≤ 1`, and
+/// a restart's `τ = η/ω`, `σ = η·ω` keeps the product. Equilibration
+/// evens out a row scaled by 1e3: every nonempty row and column of `Ã`
+/// has its largest magnitude near 1.
+#[test]
+fn the_step_bounds_the_equilibrated_spectral_norm() {
+    for seed in 0..12u64 {
+        let (rows, cols) = (3 + seed as usize % 5, 6 + seed as usize % 7);
+        for big in [None, Some(seed as usize % rows)] {
+            let std = random_lp(rows, cols, seed, big);
+            let fo = engine(&std, 1, PdhgConfig::default());
+            let norm = spectral_norm_estimate(&fo.csr);
+            assert!(
+                fo.eta * norm <= 1.0,
+                "seed {seed} {big:?}: η {} ‖Ã‖₂ ≥ {norm}",
+                fo.eta
+            );
+            let (mut row_max, mut col_max) = (vec![0.0f64; fo.m()], vec![0.0f64; fo.n()]);
+            for i in 0..fo.m() {
+                for (j, v) in fo.csr.row_iter(i) {
+                    row_max[i] = row_max[i].max(v.abs());
+                    col_max[j] = col_max[j].max(v.abs());
+                }
+            }
+            // An empty column (the generator may leave one) stays empty.
+            for big in row_max.iter().chain(&col_max).filter(|&&v| v > 0.0) {
+                assert!(
+                    (0.9..=1.1).contains(big),
+                    "seed {seed}: max magnitude {big}"
+                );
+            }
+        }
+    }
+}
+
+/// Reports are in original units: a retired lane's `y`, put through
+/// [`safe_dual_bound`] on the original `A, b, c` and the lane's box
+/// (tightened on the original rows, as the load does), reproduces the safe
+/// bound the lane reported. A cap of one check makes that check's bound
+/// the reported one.
+#[test]
+fn a_reported_dual_reproduces_its_safe_bound_in_original_units() {
+    use gmip_problems::generators::bin_packing;
+    let cfg = PdhgConfig {
+        tol: 1e-300,
+        max_iters: CHECK_EVERY,
+    };
+    let mut finite = 0;
+    let forms = [
+        StandardLp::from_instance(&bin_packing(5, 1.0, 88), &[]),
+        random_lp(4, 8, 3, Some(1)),
+        random_lp(5, 9, 7, Some(0)),
+    ];
+    for std in &forms {
+        let a = CsrMatrix::from_dense(&std.a);
+        let slack_rows: Vec<(usize, f64)> = std.slacks.iter().map(|&(_, r, cf)| (r, cf)).collect();
+        for var in 0..std.n_structural {
+            let node = [BoundChange {
+                var,
+                lb: 0.0,
+                ub: (var % 2) as f64,
+            }];
+            let mut fo = engine(std, 1, cfg.clone());
+            fo.load_lane(0, 0, &node, None).unwrap();
+            fo.run_to_retire();
+            let r = fo.take_lane(0).unwrap();
+            if r.outcome == FoOutcome::Infeasible {
+                continue;
+            }
+            assert_eq!(
+                (r.outcome, r.iterations),
+                (FoOutcome::IterLimit, CHECK_EVERY)
+            );
+            let (mut lb, mut ub) = (std.lb.clone(), std.ub.clone());
+            (lb[var], ub[var]) = (node[0].lb, node[0].ub);
+            assert!(tighten_bounds(&a, &std.b, &mut lb, &mut ub));
+            let bound = safe_dual_bound(&a, &std.b, &std.c, &lb, &ub, &slack_rows, &r.y);
+            if bound.is_finite() || r.safe_bound.is_finite() {
+                finite += 1;
+                let err = (bound - r.safe_bound).abs();
+                assert!(
+                    err <= 1e-9 * r.safe_bound.abs().max(1.0),
+                    "var {var}: original-units bound {bound} vs reported {}",
+                    r.safe_bound
+                );
+            }
+        }
+    }
+    assert!(finite > 10, "{finite} finite bounds compared");
+}

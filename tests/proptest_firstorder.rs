@@ -2,7 +2,9 @@
 //! engine, cross-checked against the `gmip-verify` exact rational oracle:
 //! the dual-feasibility-adjusted bound is valid at *arbitrary* dual
 //! vectors and at every dual iterate the engine actually retires with —
-//! so inexact first-order iterates can never prune a true optimum.
+//! so inexact first-order iterates can never prune a true optimum. Half the
+//! engine runs are on a badly scaled family (one row ×1e3), which the
+//! engine's equilibration has to even out.
 
 use gmip::linalg::CsrMatrix;
 use gmip::lp::firstorder::tighten_bounds;
@@ -11,6 +13,24 @@ use gmip::problems::generators::{random_mip, RandomMipConfig};
 use gmip::problems::MipInstance;
 use gmip_verify::{solve_oracle, OracleStatus};
 use proptest::prelude::*;
+
+/// A `random_mip` instance; with `big` set, row `big % rows` is scaled by
+/// 1e3 (coefficients and right-hand side), the same row badly scaled.
+fn instance(rows: usize, cols: usize, density: f64, seed: u64, big: Option<usize>) -> MipInstance {
+    let mut inst = random_mip(&RandomMipConfig {
+        rows,
+        cols,
+        density,
+        integral_fraction: 1.0,
+        seed,
+    });
+    if let Some(row) = big {
+        let con = &mut inst.cons[row % rows];
+        con.coeffs.iter_mut().for_each(|(_, v)| *v *= 1e3);
+        con.rhs *= 1e3;
+    }
+    inst
+}
 
 /// The oracle-certified optimum (source == internal sense: `random_mip`
 /// instances maximize), or `None` if the oracle proves infeasibility.
@@ -39,13 +59,7 @@ proptest! {
         seed in 0u64..5000,
         y_raw in proptest::collection::vec(-10.0f64..10.0, 6),
     ) {
-        let inst = random_mip(&RandomMipConfig {
-            rows,
-            cols,
-            density,
-            integral_fraction: 1.0,
-            seed,
-        });
+        let inst = instance(rows, cols, density, seed, None);
         let Some(exact) = oracle_optimum(&inst) else { return Ok(()) };
         let std = StandardLp::from_instance(&inst, &[]);
         let csr = CsrMatrix::from_dense(&std.a);
@@ -80,14 +94,10 @@ proptest! {
         cols in 4usize..10,
         seed in 0u64..5000,
         max_iters in 8usize..120,
+        // Below 6, the row scaled by 1e3 (mod `rows`); from 6, none.
+        scaled_row in 0usize..12,
     ) {
-        let inst = random_mip(&RandomMipConfig {
-            rows,
-            cols,
-            density: 0.5,
-            integral_fraction: 1.0,
-            seed,
-        });
+        let inst = instance(rows, cols, 0.5, seed, (scaled_row < 6).then_some(scaled_row));
         let Some(exact) = oracle_optimum(&inst) else { return Ok(()) };
         let std = StandardLp::from_instance(&inst, &[]);
         let cfg = PdhgConfig {

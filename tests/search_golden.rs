@@ -92,6 +92,18 @@
 //! their outcome and bound (16 B) instead of their iterates. Only the
 //! makespan moved; everything else, the first incumbent's time included,
 //! did not. `measurements/` has the old and new strings.
+//!
+//! `first_order_wave_propagate_dive` was re-recorded again at the commit
+//! that runs the first-order lanes on a Ruiz-equilibrated matrix with a
+//! Schur-test step bound (the child of `f96267c`). Objective and point bits
+//! did not move. On `bin_packing(5)`, whose matrix equilibration leaves as
+//! it is, the larger step alone made the lanes retire in fewer supersteps:
+//! supersteps, launches, makespan and the first incumbent's time moved;
+//! nodes, retires, refills and the heuristic and propagation counters did
+//! not. On the cover instance the
+//! lanes' iterates changed, and with them which lanes converge and which
+//! nodes branch: 9 → 13 nodes, and fewer supersteps. `measurements/` has
+//! the old and new strings.
 
 use gmip::core::{
     solve_batched_wave, solve_first_order_wave, BatchedWaveConfig, FirstOrderWaveConfig, MipConfig,
@@ -190,8 +202,8 @@ fn first_order_wave_propagate_dive() {
     assert_eq!(
         got,
         [
-            "Optimal obj=4008000000000000 nodes=385 supersteps=8844 retires=289 refills=281 launches=32358 makespan=41af7ab67583ac90 first=41953ba9902f23ef x=02ea3110292eaa1d heur=1/191 prop=0/4578",
-            "Optimal obj=4034000000000000 nodes=9 supersteps=2924 retires=9 refills=5 launches=9566 makespan=4192492540962dc2 first=4184141883b2a076 x=308352d4f9fa3add heur=1/4 prop=0/5",
+            "Optimal obj=4008000000000000 nodes=385 supersteps=3768 retires=289 refills=281 launches=15537 makespan=419ea9854e9c0aa2 first=41824169568a27a6 x=02ea3110292eaa1d heur=1/191 prop=0/4578",
+            "Optimal obj=4034000000000000 nodes=13 supersteps=2304 retires=13 refills=7 launches=7578 makespan=418d0161be4b1539 first=41801c3f0c3b29b6 x=308352d4f9fa3add heur=2/6 prop=0/13",
         ]
     );
 }
